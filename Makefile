@@ -6,9 +6,9 @@ SHELL := /bin/bash -o pipefail
 
 GO        ?= go
 # The benchmark families CI measures: the ILP solver scaling pair
-# (gated on ns/op), the sim engine benchmarks (plan replay and the VM's
-# batched replay gated on both ns/op and allocs/op, with the VM
-# additionally held to >=1.5x the plan's speed within the same run),
+# (gated on ns/op), the sim engine benchmarks (the VM's batched replay
+# gated on both ns/op and allocs/op, and additionally held to >=20x the
+# interpreter's speed within the same run),
 # the sharded serving runtime (gated on allocs/op — its hot loop is
 # pinned at zero), the translation validator (gated on ns/op — a
 # path-count blowup shows up here), the multi-tenant warm re-solves
@@ -17,13 +17,13 @@ GO        ?= go
 # solver's node-throughput work ride on them), plus the Figure 9 and
 # drift end-to-end benchmarks (reported, never gated — see
 # cmd/benchgate).
-BENCH     ?= ILPSolve|Figure9UnrollBound|FigureDrift|SimProcess|SimReplay|SimReplayVM|ServeScaling|Certify|MultiTenantResolve
+BENCH     ?= ILPSolve|Figure9UnrollBound|FigureDrift|SimProcess|SimReplay|ServeScaling|Certify|MultiTenantResolve
 BENCHTIME ?= 3x
 COUNT     ?= 6
 BASELINE  ?= BENCH_BASELINE.json
 
 .PHONY: build test race lint check bench bench-baseline bench-gate \
-	bench-profile difftest difftest-vm fuzz-smoke serve-smoke certify \
+	bench-profile difftest fuzz-smoke serve-smoke certify \
 	multitenant
 
 # Per-target budget for the CI fuzz smoke (see docs/DIFFTEST.md). Four
@@ -60,9 +60,9 @@ bench:
 
 # bench-gate compares bench-new.txt against the checked-in baseline:
 # fails on a >25% geomean ns/op regression in the gated benchmarks, on
-# any allocs/op increase in the compiled-engine replay benchmarks, or
-# when the VM's batched replay drops below 1.5x the plan engine's
-# speed within the same run.
+# any allocs/op increase in the VM replay benchmarks, or when the VM's
+# batched replay drops below 20x the interpreter's speed within the
+# same run.
 bench-gate:
 	$(GO) run ./cmd/benchgate -baseline $(BASELINE) < bench-new.txt
 
@@ -82,26 +82,16 @@ bench-profile:
 	$(GO) test -run=NONE -bench=MultiTenantResolve -benchtime=1x -benchmem \
 		-cpuprofile=ilp-cpu.prof -o ilp-bench.test ./internal/multitenant/
 
-# difftest runs the full differential-testing matrix offline: six
-# oracles x four apps x three budgets (see docs/DIFFTEST.md).
-difftest:
-	$(GO) run ./cmd/difftest -seed 1 -n 10000
-
-# difftest-vm runs the full oracle matrix once per compiled engine —
-# the replay oracles on the closure plan, then again on the bytecode
-# VM — so the VM's batched execution sits under every oracle, not just
-# the engine-equivalence one. Both runs execute even if the first
-# fails; failure reports with minimized repro streams land in
-# difftest-failures/ for CI artifact upload.
+# difftest runs the full differential-testing matrix on the default
+# engine, the bytecode VM: seven oracles x four apps x three budgets,
+# plus the engine oracle over the eight other programs the repo ships
+# (see docs/DIFFTEST.md). Failure reports with minimized repro streams
+# land in difftest-failures/ for CI artifact upload.
 DIFFTEST_N ?= 10000
-difftest-vm:
+difftest:
 	mkdir -p difftest-failures
-	rc=0; \
-	$(GO) run ./cmd/difftest -seed 1 -n $(DIFFTEST_N) -engine plan \
-		-failures difftest-failures/plan.txt || rc=1; \
-	$(GO) run ./cmd/difftest -seed 1 -n $(DIFFTEST_N) -engine vm \
-		-failures difftest-failures/vm.txt || rc=1; \
-	exit $$rc
+	$(GO) run ./cmd/difftest -seed 1 -n $(DIFFTEST_N) \
+		-failures difftest-failures/report.txt
 
 # certify compiles every benchmark app with the translation validator
 # enabled, writing one equivalence certificate per app to $(CERTDIR)
@@ -144,7 +134,7 @@ multitenant:
 # regression inputs after fixing the bug.
 fuzz-smoke:
 	$(GO) test $(FUZZPKG) -run='^$$' -fuzz=FuzzSimVsGolden -fuzztime=$(FUZZTIME)
-	$(GO) test $(FUZZPKG) -run='^$$' -fuzz=FuzzVMVsPlan -fuzztime=$(FUZZTIME)
+	$(GO) test $(FUZZPKG) -run='^$$' -fuzz=FuzzVMVsInterp -fuzztime=$(FUZZTIME)
 	$(GO) test $(FUZZPKG) -run='^$$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test $(FUZZPKG) -run='^$$' -fuzz=FuzzMigrateCMS -fuzztime=$(FUZZTIME)
 

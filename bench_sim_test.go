@@ -1,12 +1,10 @@
-// Benchmarks for the behavioral pipeline's three execution engines:
-// the reference AST interpreter, the compiled closure plan
-// (internal/sim/plan.go), and the bytecode VM (internal/sim/vm.go);
-// see docs/SIM_PERF.md. Each of the four suite apps runs under every
-// engine so the compiled engines' speedups and zero-allocation steady
-// states are measured where they matter — BenchmarkSimReplay and
-// BenchmarkSimReplayVM feed cmd/benchgate's allocs/op gate, and
-// BenchmarkSimReplayVM is additionally held to >=1.5x the plan's
-// pkts/sec by the same-run cross-engine ratio gate.
+// Benchmarks for the behavioral pipeline's two execution engines: the
+// reference AST interpreter and the bytecode VM (internal/sim/vm.go);
+// see docs/SIM_PERF.md. Each of the four suite apps runs under both so
+// the VM's speedup and zero-allocation steady state are measured where
+// they matter — BenchmarkSimReplay/<app>/engine=vm feeds cmd/benchgate's
+// ns/op and allocs/op gates, and is additionally held to >=20x the
+// interpreter's pkts/sec by the same-run cross-engine ratio gate.
 package p4all_test
 
 import (
@@ -57,19 +55,19 @@ func simBenchSetup(b *testing.B) (map[string]*core.Result, map[string][]sim.Pack
 }
 
 func simBenchEngines() []sim.Engine {
-	return []sim.Engine{sim.EngineInterp, sim.EnginePlan, sim.EngineVM}
+	return []sim.Engine{sim.EngineInterp, sim.EngineVM}
 }
 
 // newBenchPipeline builds a pipeline for one (app, engine) cell and
-// fails the benchmark if a compiled engine silently fell back.
+// fails the benchmark if the VM silently fell back.
 func newBenchPipeline(b *testing.B, res *core.Result, eng sim.Engine) *sim.Pipeline {
 	b.Helper()
 	pipe, err := sim.NewEngine(res.Unit, res.Layout, eng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if eng != sim.EngineInterp && pipe.EngineName() != eng.String() {
-		b.Fatalf("%s compiler fell back: %v", eng, pipe.Fallback())
+	if pipe.EngineName() != eng.String() {
+		b.Fatalf("%s lowering fell back: %v", eng, pipe.Fallback())
 	}
 	return pipe
 }
@@ -99,8 +97,8 @@ func BenchmarkSimProcess(b *testing.B) {
 
 // BenchmarkSimReplay measures the batched API: one op is a full
 // 4096-packet replay whose sink reads the app's key field through the
-// slot view. On the plan engine this is the zero-allocation steady
-// state the acceptance gate pins (allocs/op must stay 0).
+// slot view. On the VM this is the zero-allocation steady state the
+// acceptance gate pins (allocs/op must stay 0).
 func BenchmarkSimReplay(b *testing.B) {
 	compiled, streams := simBenchSetup(b)
 	for _, spec := range difftest.Specs() {
@@ -132,41 +130,5 @@ func BenchmarkSimReplay(b *testing.B) {
 				_ = sum
 			})
 		}
-	}
-}
-
-// BenchmarkSimReplayVM measures the VM's batched struct-of-arrays
-// replay on the same streams and sink as BenchmarkSimReplay, one
-// sub-benchmark per app. It is kept a separate top-level family so
-// cmd/benchgate can pair BenchmarkSimReplayVM/<app> against
-// BenchmarkSimReplay/<app>/engine=plan from the same run and enforce
-// the >=1.5x pkts/sec ratio hermetically (-vmratio); allocs/op is
-// pinned at zero like the plan's.
-func BenchmarkSimReplayVM(b *testing.B) {
-	compiled, streams := simBenchSetup(b)
-	for _, spec := range difftest.Specs() {
-		res, stream := compiled[spec.Name], streams[spec.Name]
-		key := sim.Key(spec.Fields[0].Name, -1)
-		b.Run(spec.Name, func(b *testing.B) {
-			pipe := newBenchPipeline(b, res, sim.EngineVM)
-			var sum uint64
-			sink := func(i int, v sim.View) error {
-				val, _ := v.Get(key)
-				sum += val
-				return nil
-			}
-			if err := pipe.Replay(stream, sink); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := pipe.Replay(stream, sink); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(stream))*float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
-			_ = sum
-		})
 	}
 }

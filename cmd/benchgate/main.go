@@ -15,8 +15,8 @@
 // When the input carries allocs/op columns (run with -benchmem), a
 // second gate applies: any benchmark matching -allocgate whose worst
 // repetition allocates more than its baseline allows fails. A
-// zero-alloc baseline allows exactly zero — the sim plan engine's
-// replay steady state and the sharded serving runtime's per-shard hot
+// zero-alloc baseline allows exactly zero — the sim VM's replay
+// steady state and the sharded serving runtime's per-shard hot
 // loop are pinned there and a single new allocation is a real
 // regression. A nonzero baseline gets -allocslack relative headroom:
 // the solver benchmarks allocate in proportion to search effort, and
@@ -25,9 +25,9 @@
 // multiplies the count and still trips the gate.
 //
 // A third gate is cross-engine and entirely within the fresh run: for
-// every BenchmarkSimReplayVM/<app>, the closure plan's geomean ns/op
-// from the same input (BenchmarkSimReplay/<app>/engine=plan) must be
-// at least -vmratio times the VM's — the bytecode VM's speed advantage
+// every BenchmarkSimReplay/<app>/engine=vm, the reference interpreter's
+// geomean ns/op from the same input (.../engine=interp) must be at
+// least -vmratio times the VM's — the compiled engine's speed advantage
 // is an acceptance criterion, not an accident. Because both sides come
 // from one run on one machine, the ratio is hermetic: machine speed
 // cancels out and no baseline is consulted. Inputs without VM
@@ -182,16 +182,17 @@ func compareAllocs(w io.Writer, base, fresh map[string]float64, gate *regexp.Reg
 	return checked, regressed
 }
 
-// vmPairName matches the VM replay family and captures the app so the
-// gate can find the plan engine's run of the same app.
-var vmPairName = regexp.MustCompile(`^BenchmarkSimReplayVM/(.+)$`)
+// vmPairName matches the VM replay rows and captures the app so the
+// gate can find the interpreter's run of the same app.
+var vmPairName = regexp.MustCompile(`^BenchmarkSimReplay/(.+)/engine=vm$`)
 
 // compareVMRatio enforces the cross-engine speed contract within one
-// run's summarized samples: plan ns/op divided by VM ns/op must reach
-// minRatio for every app that has both benchmarks. It prints one line
-// per pair and returns how many pairs it checked and how many fell
-// short. A VM benchmark whose plan counterpart is absent from the run
-// is reported but not counted — the gate cannot judge half a pair.
+// run's summarized samples: interpreter ns/op divided by VM ns/op must
+// reach minRatio for every app that has both benchmarks. It prints one
+// line per pair and returns how many pairs it checked and how many fell
+// short. A VM benchmark whose interpreter counterpart is absent from
+// the run is reported but not counted — the gate cannot judge half a
+// pair.
 func compareVMRatio(w io.Writer, fresh map[string]float64, minRatio float64) (checked, failed int) {
 	names := make([]string, 0, len(fresh))
 	for name := range fresh {
@@ -202,19 +203,19 @@ func compareVMRatio(w io.Writer, fresh map[string]float64, minRatio float64) (ch
 	sort.Strings(names)
 	for _, name := range names {
 		app := vmPairName.FindStringSubmatch(name)[1]
-		planName := "BenchmarkSimReplay/" + app + "/engine=plan"
-		plan, ok := fresh[planName]
+		interpName := "BenchmarkSimReplay/" + app + "/engine=interp"
+		interp, ok := fresh[interpName]
 		if !ok {
-			fmt.Fprintf(w, "VM RATIO %s: no %s in this run, pair skipped\n", name, planName)
+			fmt.Fprintf(w, "VM RATIO %s: no %s in this run, pair skipped\n", name, interpName)
 			continue
 		}
 		checked++
-		ratio := plan / fresh[name]
+		ratio := interp / fresh[name]
 		if ratio < minRatio {
 			failed++
-			fmt.Fprintf(w, "VM RATIO FAIL %s: %.2fx plan, want >= %.2fx\n", name, ratio, minRatio)
+			fmt.Fprintf(w, "VM RATIO FAIL %s: %.2fx interp, want >= %.2fx\n", name, ratio, minRatio)
 		} else {
-			fmt.Fprintf(w, "vm ratio %s: %.2fx plan (>= %.2fx)\n", name, ratio, minRatio)
+			fmt.Fprintf(w, "vm ratio %s: %.2fx interp (>= %.2fx)\n", name, ratio, minRatio)
 		}
 	}
 	return checked, failed
@@ -260,10 +261,10 @@ func main() {
 	write := flag.Bool("write", false, "record stdin as the new baseline instead of comparing")
 	text := flag.Bool("text", false, "dump the baseline's raw benchmark lines (benchstat input) and exit")
 	threshold := flag.Float64("threshold", 1.25, "fail when geomean(new/old) over gated benchmarks exceeds this")
-	gatePat := flag.String("gate", `^BenchmarkILPSolve|^BenchmarkSimReplay/.*engine=plan|^BenchmarkSimReplayVM/|^BenchmarkCertify|^BenchmarkMultiTenantResolve/`, "regexp selecting the benchmarks that can fail the ns/op gate")
-	allocGatePat := flag.String("allocgate", `^BenchmarkSimReplay/.*engine=plan|^BenchmarkSimReplayVM/|^BenchmarkServeScaling|^BenchmarkMultiTenantResolve/`, "regexp selecting the benchmarks whose allocs/op may not increase over baseline")
+	gatePat := flag.String("gate", `^BenchmarkILPSolve|^BenchmarkSimReplay/.*engine=vm|^BenchmarkCertify|^BenchmarkMultiTenantResolve/`, "regexp selecting the benchmarks that can fail the ns/op gate")
+	allocGatePat := flag.String("allocgate", `^BenchmarkSimReplay/.*engine=vm|^BenchmarkServeScaling|^BenchmarkMultiTenantResolve/`, "regexp selecting the benchmarks whose allocs/op may not increase over baseline")
 	allocSlack := flag.Float64("allocslack", 0.10, "relative allocs/op headroom for nonzero baselines (zero baselines always allow exactly zero)")
-	vmRatio := flag.Float64("vmratio", 1.5, "fail when BenchmarkSimReplayVM/<app> is below this multiple of the same run's plan-engine speed (0 disables)")
+	vmRatio := flag.Float64("vmratio", 20, "fail when BenchmarkSimReplay/<app>/engine=vm is below this multiple of the same run's interpreter speed (0 disables)")
 	flag.Parse()
 
 	if *text {
@@ -339,7 +340,7 @@ func main() {
 	if *vmRatio > 0 {
 		checked, slow := compareVMRatio(os.Stdout, fresh, *vmRatio)
 		if checked == 0 {
-			fmt.Println("vm ratio gate: no SimReplayVM/plan pairs in this run, skipped")
+			fmt.Println("vm ratio gate: no engine=vm/engine=interp pairs in this run, skipped")
 		} else {
 			fmt.Printf("vm ratio gate: %d pairs checked, %d below %.2fx\n", checked, slow, *vmRatio)
 		}

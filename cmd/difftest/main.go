@@ -10,7 +10,7 @@
 //	go run ./cmd/difftest -apps NetCache,Precision -budgets 524288,1048576
 //	go run ./cmd/difftest -oracles golden,snapshot -n 100000 -seed 7
 //	go run ./cmd/difftest -engine interp -n 10000   # bisect to the engine
-//	go run ./cmd/difftest -engine vm -failures out.txt   # CI artifact
+//	go run ./cmd/difftest -failures out.txt              # CI artifact
 //
 // -failures writes every failure report (including shrunken repros) to
 // a file as well as stdout, so CI jobs can upload counterexamples as
@@ -34,7 +34,7 @@ func main() {
 	appsFlag := flag.String("apps", "", "comma-separated app subset (default: all four)")
 	budgetsFlag := flag.String("budgets", "", "comma-separated per-stage memory budgets in bits (default: 524288,1048576,2097152)")
 	oraclesFlag := flag.String("oracles", "", "comma-separated oracle subset: layout,golden,snapshot,engine,certify,migrate,tenant (default: all)")
-	engine := flag.String("engine", "", "sim engine the replay oracles use: plan, interp, or vm (default plan)")
+	engine := flag.String("engine", "vm", "sim engine the replay oracles use: vm or interp")
 	shrink := flag.Bool("shrink", true, "minimize failing streams before reporting")
 	failuresPath := flag.String("failures", "", "also write failure reports (with minimized repros) to this file")
 	quiet := flag.Bool("q", false, "suppress progress lines")
@@ -85,9 +85,6 @@ func main() {
 // included) to path for CI artifact upload.
 func writeFailures(path string, rep *difftest.Report, seed int64, engine string) error {
 	var b strings.Builder
-	if engine == "" {
-		engine = "plan"
-	}
 	fmt.Fprintf(&b, "difftest failures: engine=%s seed=%d checks=%d\n\n", engine, seed, rep.Checks)
 	for _, f := range rep.Failures {
 		fmt.Fprintf(&b, "FAIL %s\n\n", f)

@@ -11,7 +11,7 @@
 //
 // With -simreplay N it compiles NetCache, replays N Zipf packets
 // through the behavioral pipeline on the engine chosen by -engine
-// (plan, interp, or vm), and reports packets/sec plus the pipeline's
+// (vm or interp), and reports packets/sec plus the pipeline's
 // resource counters — a quick way to bisect a throughput regression
 // to the execution engine (see docs/SIM_PERF.md). Adding -shards M
 // replays through the sharded serving runtime (M flow-hashed
@@ -51,7 +51,7 @@ func main() {
 		trace    = flag.String("trace", "", "write a JSONL trace of the shape compile and simulation to this file")
 		summary  = flag.Bool("summary", false, "print an observability summary table to stderr")
 		drift    = flag.Bool("drift", false, "run the workload-drift experiment (frozen vs elastic controller)")
-		engine   = flag.String("engine", "plan", "sim execution engine: plan, interp, or vm")
+		engine   = flag.String("engine", "vm", "sim execution engine: vm or interp")
 		replayN  = flag.Int("simreplay", 0, "replay N packets through the behavioral pipeline and report packets/sec (0: off)")
 		shards   = flag.Int("shards", 1, "with -simreplay: replay through the sharded serving runtime with this many shards")
 	)
@@ -163,6 +163,7 @@ func runSimReplay(engine string, mem, keys, n, shards int, zipf float64, seed in
 		if err != nil {
 			return err
 		}
+		reportFallback(eng, rt.Pipelines()[0])
 		start := time.Now()
 		if err := rt.DispatchAll(pkts); err != nil {
 			return err
@@ -191,11 +192,7 @@ func runSimReplay(engine string, mem, keys, n, shards int, zipf float64, seed in
 	if err != nil {
 		return err
 	}
-	if eng == sim.EnginePlan {
-		if ferr := pipe.PlanFallback(); ferr != nil {
-			fmt.Fprintln(os.Stderr, "plan compiler fell back to the interpreter:", ferr)
-		}
-	}
+	reportFallback(eng, pipe)
 	start := time.Now()
 	if err := pipe.Replay(pkts, nil); err != nil {
 		return err
@@ -239,4 +236,13 @@ func runDrift(seed int64, solver ilp.Options, tracer *obs.Tracer) error {
 	fmt.Printf("steady-state hit rate: frozen %.3f, elastic %.3f\n", res.FrozenSteady, res.ElasticSteady)
 	fmt.Printf("final kv capacity: frozen %d items, elastic %d items\n", res.FrozenKVItems, res.ElasticKVItems)
 	return nil
+}
+
+// reportFallback says so, with the reason, when the engine that runs is
+// not the one -engine asked for (every shard lowers the same program, so
+// the first shard's pipeline speaks for all).
+func reportFallback(eng sim.Engine, pipe *sim.Pipeline) {
+	if pipe.EngineName() != eng.String() {
+		fmt.Fprintf(os.Stderr, "%s engine fell back to the interpreter: %v\n", eng, pipe.Fallback())
+	}
 }

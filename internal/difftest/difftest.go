@@ -12,11 +12,11 @@
 //     shared hash contract makes the comparison exact);
 //  3. snapshot round-trip — Snapshot/Restore at arbitrary stream
 //     prefixes must not perturb subsequent outputs;
-//  4. engine equivalence — the compiled closure plan and the bytecode
-//     VM (exercised through its batched replay path) must both match
-//     the reference AST interpreter's outputs, register end-state, and
-//     Stats counters for every packet, with compiler fallbacks on the
-//     suite treated as failures;
+//  4. engine equivalence — the bytecode VM (exercised through its
+//     batched replay path) must match the reference AST interpreter's
+//     outputs, register end-state, and Stats counters for every packet,
+//     on every program the repo ships, with a lowering fallback treated
+//     as a failure;
 //  5. migration soundness — elastic CMS state migration never
 //     underestimates relative to a fresh sketch fed the same suffix;
 //  6. translation validation — every compiled layout must certify:
@@ -41,6 +41,7 @@ import (
 	"p4all/internal/core"
 	"p4all/internal/ilp"
 	"p4all/internal/ilpgen"
+	"p4all/internal/modules"
 	"p4all/internal/pisa"
 	"p4all/internal/sim"
 )
@@ -91,6 +92,27 @@ type Golden interface {
 // Figure 11 benchmarks.
 func Specs() []AppSpec {
 	return []AppSpec{netcacheSpec(), sketchlearnSpec(), precisionSpec(), conquestSpec()}
+}
+
+// engineSpecs returns the shipped programs beyond the suite: HashPipe,
+// FlowRadar and the six standalone modules. They have no golden model
+// (NewGolden is nil), so only the engine oracle runs them — which is
+// what keeps every construct the module library emits, not just the
+// four apps' motifs, under the VM-vs-interpreter comparison.
+func engineSpecs() []AppSpec {
+	key := FieldSpec{Name: "pkt.flow", Width: 32, Key: true}
+	app := []FieldSpec{key, {Name: "pkt.len", Width: 16}}
+	module := []FieldSpec{key, {Name: "pkt.payload", Width: 32}}
+	return []AppSpec{
+		{Name: "HashPipe", Source: apps.HashPipe().Source, Fields: app},
+		{Name: "FlowRadar", Source: apps.FlowRadar().Source, Fields: app},
+		{Name: "StandaloneCMS", Source: modules.StandaloneCMS(), Fields: module},
+		{Name: "StandaloneBloom", Source: modules.StandaloneBloom(), Fields: module},
+		{Name: "StandaloneKVS", Source: modules.StandaloneKVS(), Fields: module},
+		{Name: "StandaloneHashTable", Source: modules.StandaloneHashTable(), Fields: module},
+		{Name: "StandaloneCountingTable", Source: modules.StandaloneCountingTable(), Fields: module},
+		{Name: "StandaloneIDTable", Source: modules.StandaloneIDTable(), Fields: module},
+	}
 }
 
 func netcacheSpec() AppSpec {
@@ -186,13 +208,14 @@ type Config struct {
 	// Budgets are per-stage memory budgets (bits) to compile each app
 	// at. Empty means {Mb/2, Mb, 2Mb}.
 	Budgets []int
-	// Apps filters the suite by name; empty runs all four.
+	// Apps filters the suite by name; empty runs all four, plus — under
+	// the engine oracle only — the eight other programs the repo ships.
 	Apps []string
 	// Oracles filters the oracle set; empty runs all six.
 	Oracles []string
-	// Engine selects the sim execution engine ("plan", "interp", or
-	// "vm") the golden, snapshot, and layout oracles replay with. Empty
-	// means "plan". The engine oracle always runs all three regardless.
+	// Engine selects the sim execution engine ("vm" or "interp") the
+	// golden, snapshot, and layout oracles replay with. Empty means
+	// "vm". The engine oracle always runs both regardless.
 	Engine string
 	// LayoutVariants caps how many (app, budget) pairs run the
 	// expensive layout-invariance oracle (each costs three extra ILP
@@ -271,7 +294,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.EnginePlan
+	eng := sim.EngineVM
 	if cfg.Engine != "" {
 		if eng, err = sim.ParseEngine(cfg.Engine); err != nil {
 			return nil, fmt.Errorf("difftest: %w", err)
@@ -317,6 +340,19 @@ func Run(cfg Config) (*Report, error) {
 			for bi := range layouts {
 				next := layouts[(bi+1)%len(layouts)]
 				checkMigration(rep, cfg, spec, layouts[bi], next, cfg.Budgets[bi], stream)
+			}
+		}
+	}
+	if want[OracleEngine] && len(cfg.Apps) == 0 {
+		for _, spec := range engineSpecs() {
+			stream := GenStream(spec, cfg.Seed, cfg.N)
+			for _, budget := range cfg.Budgets {
+				cfg.logf("compile %s @%dKb", spec.Name, budget/1024)
+				res, err := core.Compile(spec.Source, pisa.EvalTarget(budget), baseSolver())
+				if err != nil {
+					return nil, fmt.Errorf("difftest: compile %s @%d: %w", spec.Name, budget, err)
+				}
+				checkEngines(rep, cfg, spec, res, budget, stream)
 			}
 		}
 	}

@@ -5,13 +5,13 @@ import (
 )
 
 // TestEngineEquivalenceAllApps runs the engine oracle directly over a
-// long generated stream for every suite app: the interpreter, the
-// compiled plan, and the bytecode VM (via its batched replay) must
-// agree on outputs, register end-state, and Stats — and neither
-// compiled engine may have fallen back for any of them.
+// long generated stream for all 12 programs the repo ships: the
+// interpreter and the bytecode VM (via its batched replay) must agree
+// on outputs, register end-state, and Stats — and the VM lowering may
+// not have fallen back for any of them.
 func TestEngineEquivalenceAllApps(t *testing.T) {
-	compiled := fuzzCompileAll(t)
-	for _, spec := range Specs() {
+	compiled := fuzzCompileAll(t, engineSpecs()...)
+	for _, spec := range append(Specs(), engineSpecs()...) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			res := compiled[spec.Name]

@@ -24,17 +24,17 @@ var fuzzCompiles struct {
 	byApp map[string]*core.Result
 }
 
-// fuzzCompileAll compiles the whole suite (cached process-wide so the
-// fuzz targets — and the engine equivalence test — share one set of
-// solves in plain `go test` mode).
-func fuzzCompileAll(f testing.TB) map[string]*core.Result {
+// fuzzCompileAll compiles the suite, and any further programs named
+// (cached process-wide so the fuzz targets — and the engine
+// equivalence test — share one set of solves in plain `go test` mode).
+func fuzzCompileAll(f testing.TB, more ...AppSpec) map[string]*core.Result {
 	f.Helper()
 	fuzzCompiles.Lock()
 	defer fuzzCompiles.Unlock()
 	if fuzzCompiles.byApp == nil {
 		fuzzCompiles.byApp = make(map[string]*core.Result)
 	}
-	for _, spec := range Specs() {
+	for _, spec := range append(Specs(), more...) {
 		if _, ok := fuzzCompiles.byApp[spec.Name]; ok {
 			continue
 		}
@@ -80,9 +80,8 @@ func fuzzSpec(appIdx byte) AppSpec {
 
 // FuzzSimVsGolden replays arbitrary byte-derived streams against the
 // golden models (oracle 2 under coverage guidance), and cross-checks
-// all three execution engines against each other on the same stream
-// (oracle 4), so every corpus entry also fuzzes the plan compiler and
-// the VM lowering.
+// the two execution engines against each other on the same stream
+// (oracle 4), so every corpus entry also fuzzes the VM lowering.
 func FuzzSimVsGolden(f *testing.F) {
 	compiled := fuzzCompileAll(f)
 	f.Add(byte(0), []byte("netcache-seed"))
@@ -93,35 +92,40 @@ func FuzzSimVsGolden(f *testing.F) {
 		spec := fuzzSpec(appIdx)
 		res := compiled[spec.Name]
 		stream := streamFromBytes(spec, data)
-		div, err := replayGolden(spec, res, sim.EnginePlan, stream, int64(appIdx))
+		div, err := replayGolden(spec, res, sim.EngineVM, stream, int64(appIdx))
 		if err != nil {
 			t.Fatalf("%s: replay error: %v", spec.Name, err)
 		}
 		if div != nil {
 			t.Fatalf("%s diverged from golden: %s\n%s", spec.Name, div, formatStream(stream))
 		}
-		div, detail, err := replayEngines(spec, res, stream, int64(appIdx))
-		if err != nil {
-			t.Fatalf("%s: engine replay error: %v", spec.Name, err)
-		}
-		if div != nil {
-			t.Fatalf("%s: engines diverged: %s\n%s", spec.Name, div, formatStream(stream))
-		}
-		if detail != "" {
-			t.Fatalf("%s: engine oracle: %s\n%s", spec.Name, detail, formatStream(stream))
-		}
+		fuzzEngines(t, spec, res, stream, int64(appIdx))
 	})
 }
 
-// FuzzVMVsPlan cross-checks the two compiled engines directly: the
-// bytecode VM's batched struct-of-arrays replay against the closure
-// plan's per-packet execution, on byte-derived streams with dense key
-// collisions. Skipping the interpreter keeps each input cheap, so
-// coverage guidance explores the VM's segment boundaries (partial
-// batches, guard jumps across serial/vector splits) much faster than
-// the three-way oracle can. Outputs, register end-state, and Stats
-// must all agree; a fallback on either engine fails.
-func FuzzVMVsPlan(f *testing.F) {
+// fuzzEngines fails the input unless the engine oracle passes on it.
+func fuzzEngines(t *testing.T, spec AppSpec, res *core.Result, stream []sim.Packet, seed int64) {
+	t.Helper()
+	div, detail, err := replayEngines(spec, res, stream, seed)
+	if err != nil {
+		t.Fatalf("%s: engine replay error: %v", spec.Name, err)
+	}
+	if div != nil {
+		t.Fatalf("%s: vm diverged from interp: %s\n%s", spec.Name, div, formatStream(stream))
+	}
+	if detail != "" {
+		t.Fatalf("%s: engine oracle: %s\n%s", spec.Name, detail, formatStream(stream))
+	}
+}
+
+// FuzzVMVsInterp runs the engine oracle alone: the bytecode VM's
+// batched struct-of-arrays replay against the reference interpreter, on
+// byte-derived streams with dense key collisions. Skipping the golden
+// model keeps each input cheap, so coverage guidance explores the VM's
+// segment boundaries (partial batches, guard jumps across serial/vector
+// splits) faster than FuzzSimVsGolden can. Outputs, register end-state,
+// and Stats must all agree; a lowering fallback fails.
+func FuzzVMVsInterp(f *testing.F) {
 	compiled := fuzzCompileAll(f)
 	f.Add(byte(0), []byte("vm-netcache-seed"))
 	f.Add(byte(1), []byte("vm-sketchlearn-seed"))
@@ -129,53 +133,7 @@ func FuzzVMVsPlan(f *testing.F) {
 	f.Add(byte(3), []byte("vm-conquest-seed"))
 	f.Fuzz(func(t *testing.T, appIdx byte, data []byte) {
 		spec := fuzzSpec(appIdx)
-		res := compiled[spec.Name]
-		stream := streamFromBytes(spec, data)
-		planned, err := newPipeline(res, sim.EnginePlan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vmpipe, err := newPipeline(res, sim.EngineVM)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ferr := planned.Fallback(); ferr != nil {
-			t.Fatalf("%s: plan fell back: %v", spec.Name, ferr)
-		}
-		if ferr := vmpipe.Fallback(); ferr != nil {
-			t.Fatalf("%s: vm fell back: %v", spec.Name, ferr)
-		}
-		golden, err := spec.NewGolden(res.Layout, int64(appIdx))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := golden.SeedRegisters(planned); err != nil {
-			t.Fatal(err)
-		}
-		if err := golden.SeedRegisters(vmpipe); err != nil {
-			t.Fatal(err)
-		}
-		want := make([]map[string]uint64, len(stream))
-		for i, pkt := range stream {
-			if want[i], err = planned.Process(pkt); err != nil {
-				t.Fatalf("%s: plan packet %d: %v", spec.Name, i, err)
-			}
-		}
-		err = vmpipe.Replay(stream, func(i int, v sim.View) error {
-			if d := diffOutputs(i, want[i], v.Map()); d != nil {
-				t.Fatalf("%s: vm diverged from plan: %s\n%s", spec.Name, d, formatStream(stream))
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: vm replay: %v", spec.Name, err)
-		}
-		if d := diffSnapshots(planned.Snapshot(), vmpipe.Snapshot()); d != "" {
-			t.Fatalf("%s: register end-state: %s\n%s", spec.Name, d, formatStream(stream))
-		}
-		if d := diffStats(planned.Stats(), vmpipe.Stats()); d != "" {
-			t.Fatalf("%s: stats: %s\n%s", spec.Name, d, formatStream(stream))
-		}
+		fuzzEngines(t, spec, compiled[spec.Name], streamFromBytes(spec, data), int64(appIdx))
 	})
 }
 
@@ -198,7 +156,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if cut == 0 {
 			return
 		}
-		div, err := replaySnapshot(spec, res, sim.EnginePlan, stream, cut, int64(appIdx))
+		div, err := replaySnapshot(spec, res, sim.EngineVM, stream, cut, int64(appIdx))
 		if err != nil {
 			t.Fatalf("%s: replay error: %v", spec.Name, err)
 		}

@@ -377,21 +377,16 @@ func diffSnapshots(a, b *sim.Snapshot) string {
 // divergence — the rest of the stream can't add information.
 var errEngineDiverged = errors.New("difftest: engine diverged")
 
-// replayEngines runs the same stream through all three engines: the
-// reference AST interpreter (per-packet Process), the compiled closure
-// plan (per-packet Process), and the bytecode VM (batched Replay — the
-// production path, so struct-of-arrays batch execution sits under the
-// oracle too). Beyond per-packet outputs, the final register state and
-// every Stats counter must agree across the trio — the compiled
-// engines' cost model is part of their contract. A compiler fallback
-// on either compiled engine is itself a failure (detail non-empty):
-// the suite's apps are all expected to lower.
+// replayEngines runs the same stream through both engines: the
+// reference AST interpreter (per-packet Process) and the bytecode VM
+// (batched Replay — the production path, so struct-of-arrays batch
+// execution sits under the oracle too). Beyond per-packet outputs, the
+// final register state and every Stats counter must agree — the VM's
+// cost model is part of its contract. A lowering fallback is itself a
+// failure (detail non-empty): every program the repo ships is expected
+// to lower.
 func replayEngines(spec AppSpec, res *core.Result, stream []sim.Packet, seed int64) (*divergence, string, error) {
 	interp, err := newPipeline(res, sim.EngineInterp)
-	if err != nil {
-		return nil, "", err
-	}
-	planned, err := newPipeline(res, sim.EnginePlan)
 	if err != nil {
 		return nil, "", err
 	}
@@ -399,36 +394,25 @@ func replayEngines(spec AppSpec, res *core.Result, stream []sim.Packet, seed int
 	if err != nil {
 		return nil, "", err
 	}
-	if ferr := planned.Fallback(); ferr != nil {
-		return nil, "plan compiler fell back to the interpreter: " + ferr.Error(), nil
-	}
 	if ferr := vmpipe.Fallback(); ferr != nil {
 		return nil, "vm lowering fell back to the interpreter: " + ferr.Error(), nil
 	}
-	// One golden seeds every pipeline with identical preconditions.
-	golden, err := spec.NewGolden(res.Layout, seed)
-	if err != nil {
-		return nil, "", err
-	}
-	for _, pipe := range []*sim.Pipeline{interp, planned, vmpipe} {
-		if err := golden.SeedRegisters(pipe); err != nil {
+	if spec.NewGolden != nil {
+		// One golden seeds both pipelines with identical preconditions.
+		golden, err := spec.NewGolden(res.Layout, seed)
+		if err != nil {
 			return nil, "", err
 		}
+		for _, pipe := range []*sim.Pipeline{interp, vmpipe} {
+			if err := golden.SeedRegisters(pipe); err != nil {
+				return nil, "", err
+			}
+		}
 	}
-	want := make([]map[string]uint64, 0, len(stream))
+	want := make([]map[string]uint64, len(stream))
 	for i, pkt := range stream {
-		w, err := interp.Process(pkt)
-		if err != nil {
+		if want[i], err = interp.Process(pkt); err != nil {
 			return nil, "", fmt.Errorf("interp packet %d: %w", i, err)
-		}
-		want = append(want, w)
-		got, err := planned.Process(pkt)
-		if err != nil {
-			return nil, "", fmt.Errorf("plan packet %d: %w", i, err)
-		}
-		if d := diffOutputs(i, w, got); d != nil {
-			d.engine = "plan"
-			return d, "", nil
 		}
 	}
 	var vdiv *divergence
@@ -446,17 +430,11 @@ func replayEngines(spec AppSpec, res *core.Result, stream []sim.Packet, seed int
 	if err != nil {
 		return nil, "", fmt.Errorf("vm replay: %w", err)
 	}
-	ir := interp.Snapshot()
-	for _, eng := range []struct {
-		name string
-		pipe *sim.Pipeline
-	}{{"plan", planned}, {"vm", vmpipe}} {
-		if d := diffSnapshots(ir, eng.pipe.Snapshot()); d != "" {
-			return nil, eng.name + " register end-state: " + d, nil
-		}
-		if d := diffStats(interp.Stats(), eng.pipe.Stats()); d != "" {
-			return nil, eng.name + " stats: " + d, nil
-		}
+	if d := diffSnapshots(interp.Snapshot(), vmpipe.Snapshot()); d != "" {
+		return nil, "vm register end-state: " + d, nil
+	}
+	if d := diffStats(interp.Stats(), vmpipe.Stats()); d != "" {
+		return nil, "vm stats: " + d, nil
 	}
 	return nil, "", nil
 }
@@ -485,7 +463,7 @@ func diffStats(a, b sim.Stats) string {
 
 func checkEngines(rep *Report, cfg Config, spec AppSpec, res *core.Result, budget int, stream []sim.Packet) {
 	rep.Checks++
-	rep.Packets += 3 * len(stream)
+	rep.Packets += 2 * len(stream)
 	div, detail, err := replayEngines(spec, res, stream, cfg.Seed)
 	if err != nil {
 		rep.Failures = append(rep.Failures, Failure{

@@ -1,8 +1,8 @@
 // SimRuntime specializes the generic runtime to N behavioral
 // pipelines: every shard owns a private sim.Pipeline built from the
-// same unit and layout, so the plan engine's single-goroutine
-// ownership contract holds per shard while aggregate throughput
-// scales with cores.
+// same unit and layout, so sim.Pipeline's single-goroutine ownership
+// contract holds per shard while aggregate throughput scales with
+// cores.
 
 package serve
 
@@ -20,7 +20,7 @@ type SimConfig struct {
 	// Unit and Layout are the compiled program all shards execute.
 	Unit   *lang.Unit
 	Layout *ilpgen.Layout
-	// Engine selects plan or interpreter execution (default plan).
+	// Engine selects VM or interpreter execution (default VM).
 	Engine sim.Engine
 	// Shards, BatchSize, QueueDepth size the runtime as in Config.
 	Shards     int
@@ -114,8 +114,8 @@ func (s *SimRuntime) Err() error { return s.rt.Err() }
 func (s *SimRuntime) Shards() int { return s.rt.Shards() }
 
 // Packets returns total packets replayed; ShardPackets one shard's.
-func (s *SimRuntime) Packets() uint64            { return s.rt.Packets() }
-func (s *SimRuntime) ShardPackets(i int) uint64  { return s.rt.ShardPackets(i) }
+func (s *SimRuntime) Packets() uint64           { return s.rt.Packets() }
+func (s *SimRuntime) ShardPackets(i int) uint64 { return s.rt.ShardPackets(i) }
 
 // Pipelines returns the per-shard pipelines. Callers may only touch
 // them inside Quiesce (or after Close).

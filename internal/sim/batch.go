@@ -24,9 +24,14 @@
 // Each lane still executes its instructions in increasing pc order, so
 // per-lane behavior is the scalar behavior; cross-lane ordering only
 // matters inside serial segments, where it is sequential. Stats
-// accumulate per-stage in the frame and are order-free. Lowered
-// programs cannot abort (lower.go rejects runtime divisors), so there
-// is no abort-ordering divergence to reconcile.
+// accumulate per-stage in the frame and are order-free.
+//
+// Generic-core instructions (vm.go) run lane-major only: every maximal
+// run of them is a serial span, and a generic register store marks its
+// register written like a bump does. A program that can abort (a
+// runtime divisor) is one whole-program serial segment — packets run
+// to completion one after another, so a failure at packet i leaves
+// registers and Stats exactly where the interpreter leaves them.
 
 package sim
 
@@ -66,11 +71,14 @@ func segmentize(pr *vmProg) []vmSeg {
 	if n == 0 {
 		return nil
 	}
+	if pr.mayAbort {
+		return []vmSeg{{start: 0, end: n, serial: true}}
+	}
 	// Registers with at least one write anywhere in the program are
 	// hazardous; every instruction touching one joins its interval.
 	written := make(map[int32]bool)
 	for i := range pr.code {
-		if pr.code[i].op == opRegBumpSlot {
+		if op := pr.code[i].op; op == opRegBumpSlot || op == opRegStore {
 			written[pr.code[i].regID] = true
 		}
 	}
@@ -96,6 +104,15 @@ func segmentize(pr *vmProg) []vmSeg {
 	merged := make([]span, 0, len(spans))
 	for _, sp := range spans {
 		merged = append(merged, *sp)
+	}
+	for i := int32(0); i < n; i++ {
+		if pr.code[i].op >= opPush {
+			lo := i
+			for i+1 < n && pr.code[i+1].op >= opPush {
+				i++
+			}
+			merged = append(merged, span{lo: lo, hi: i})
+		}
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].lo < merged[j].lo })
 	out := merged[:0]
@@ -128,9 +145,10 @@ func segmentize(pr *vmProg) []vmSeg {
 
 // runBatch pushes up to vmLanes packets through the program. Register
 // state and Stats advance exactly as if the packets had been processed
-// one at a time; slot state and outputs are per-lane. Like run1 it
-// cannot fail: lowered programs have no abort points.
-func (pl *vmProg) runBatch(fr *vmFrame, pkts []Packet) {
+// one at a time; slot state and outputs are per-lane. When a packet
+// aborts it returns that packet's lane and the error: lanes before it
+// completed and are readable, lanes after it never ran.
+func (pl *vmProg) runBatch(fr *vmFrame, pkts []Packet) (int, error) {
 	lanes := len(pkts)
 	fr.lanes = lanes
 	fr.gen++
@@ -159,12 +177,17 @@ func (pl *vmProg) runBatch(fr *vmFrame, pkts []Packet) {
 				if fr.next[l] < sg.end {
 					fr.next[l] = pl.exec(fr, l, fr.next[l], sg.end)
 				}
+				if fr.err != nil { // only in a whole-program segment
+					pl.p.stats.Packets -= uint64(lanes - l - 1)
+					return l, pl.takeErr(fr)
+				}
 			}
 		default:
 			pl.execVec(fr, sg.start, sg.end)
 		}
 	}
 	pl.flushStats(fr)
+	return lanes, nil
 }
 
 // execBumpLoad runs a fused bump+load serial segment: per lane, in lane

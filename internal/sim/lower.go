@@ -1,21 +1,34 @@
 // VM lowering: translates a pipeline's placed steps into the flat
-// vmInst stream executed by vm.go, preserving the interpreter's exact
-// charge, width, and wrapping semantics (see the contract in plan.go).
+// vmInst stream executed by vm.go, once, at construction time.
 //
-// The lowering is deliberately narrow: it targets only the statement
-// and guard motifs the elastic module library emits — constant seeds,
+// The Stats contract. The interpreter (sim.go) defines the cost model
+// and the lowering reproduces it bit-for-bit: one ALU op per evaluated
+// operator, unary minus/not, and builtin call, charged to the step's
+// stage after the operands evaluate and before the operator can fail;
+// nothing for an operand (or operator) a deciding && / || skips; one
+// register read per load and one write per store of a materialized
+// instance; arithmetic wrapped at the combined operand width, loads
+// masked at the declared field width. Compile-time-constant subtrees
+// are folded, and the ops the interpreter would have charged evaluating
+// them ride on whichever instruction materializes the constant — never
+// across a point where the packet can abort. difftest's engine oracle
+// and FuzzVMVsInterp hold the VM to that contract.
+//
+// Each statement and guard is first offered to the motif matchers, which
+// recognise what the elastic module library emits — constant seeds,
 // hash-index computations, register read-modify-writes and loads, slot
-// moves, two- and three-way folds, and LT/EQ guards. Anything else
-// (runtime divisors, header stores, if-statements inside action bodies,
-// non-constant elastic indexes, ...) rejects the whole program and the
-// pipeline keeps the reference interpreter. That narrowness is a
-// feature, not a shortcut: every opcode the lowering can emit is
-// exercised by the benchmark suite, so there are no dead execution
-// paths to rot (enforced by the opcode-coverage test).
+// moves, two- and three-way folds, LT/EQ guards — and emit one
+// superinstruction each. Anything they decline falls through to the
+// generic core (genExpr and friends), which lowers every construct the
+// interpreter evaluates to stack code. What remains rejects the whole
+// program, and the pipeline keeps the interpreter, which also preserves
+// its per-packet error behavior: a non-constant elastic field or
+// register instance index, a constant zero divisor, an unknown name.
 
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"p4all/internal/lang"
@@ -25,27 +38,17 @@ import (
 // batch execution segments. Any unsupported construct aborts the whole
 // lowering; the caller keeps the interpreter.
 func lowerVM(p *Pipeline) (*vmProg, error) {
-	pr := &vmProg{p: p, fieldSlot: make(map[string]slotRef)}
-	lo := &vmLowerer{p: p, pr: pr, regIDs: make(map[string]int32)}
-	for _, st := range p.steps {
-		if err := lo.lowerStep(st); err != nil {
-			return nil, err
-		}
-	}
-	pr.nreg = len(lo.regIDs)
-	markUncond(pr)
-	pr.segs = segmentize(pr)
-	return pr, nil
+	return (&vmLowerer{p: p}).lower()
 }
 
-// markUncond flags every instruction that no guard can skip. A lane
+// markUncond flags every instruction that no jump can skip. A lane
 // can only be "waiting" at pc (its per-lane program counter parked on a
-// forward jump target T > pc) when pc lies strictly inside some guard's
-// interval (guard pc, T) — so an instruction inside no such interval is
+// forward jump target T > pc) when pc lies strictly inside some jump's
+// interval (jump pc, T) — so an instruction inside no such interval is
 // executed by every lane of every batch, and the vector executor can
 // drop the per-lane pc check/store and hoist its ALU charge (batch.go).
 // Intervals are computed over the whole program, not per segment: a
-// guard inside a serial segment can target past a later vector
+// jump inside a serial segment can target past a later vector
 // segment's start, and those skipped instructions must stay
 // conditional. opRegBumpSlot is excluded defensively: hazard analysis
 // already keeps it out of vector segments, where the flag is read.
@@ -53,7 +56,7 @@ func markUncond(pr *vmProg) {
 	cond := make([]bool, len(pr.code))
 	for i := range pr.code {
 		switch pr.code[i].op {
-		case opGuardLT, opGuardEQImm:
+		case opGuardLT, opGuardEQImm, opShortCircuit, opBranchFalse, opJump:
 			for p := i + 1; p < int(pr.code[i].target); p++ {
 				cond[p] = true
 			}
@@ -68,9 +71,26 @@ type vmLowerer struct {
 	p      *Pipeline
 	pr     *vmProg
 	regIDs map[string]int32 // "name@inst" -> dense register-instance id
+	// genericOnly bypasses the motif matchers; tests set it to prove the
+	// generic core is total over the motifs too.
+	genericOnly bool
 }
 
-// slotFor interns a field key (same scheme as the plan compiler's).
+func (lo *vmLowerer) lower() (*vmProg, error) {
+	lo.pr = &vmProg{p: lo.p, fieldSlot: make(map[string]slotRef)}
+	lo.regIDs = make(map[string]int32)
+	for _, st := range lo.p.steps {
+		if err := lo.lowerStep(st); err != nil {
+			return nil, err
+		}
+	}
+	lo.pr.nreg = len(lo.regIDs)
+	markUncond(lo.pr)
+	lo.pr.segs = segmentize(lo.pr)
+	return lo.pr, nil
+}
+
+// slotFor interns a field key.
 func (lo *vmLowerer) slotFor(key string, header bool) int32 {
 	if sr, ok := lo.pr.fieldSlot[key]; ok {
 		return int32(sr.slot)
@@ -99,6 +119,7 @@ type vmStepCtx struct {
 	iter    int
 	loopVar string
 	ctr     int32 // ALU accumulator index: the stage, or the dummy
+	sp      int   // operand-stack depth at the next generic instruction
 }
 
 func (lo *vmLowerer) lowerStep(st step) error {
@@ -122,24 +143,46 @@ func (lo *vmLowerer) lowerStep(st step) error {
 	if err := ctx.lowerBlock(st.inv.Action.Decl.Body); err != nil {
 		return err
 	}
-	// A failing guard skips the rest of the step: patch each guard's
-	// jump to the first instruction past the step (forward only).
-	end := int32(len(lo.pr.code))
+	// A failing guard skips the rest of the step (forward only).
 	for _, gi := range guardIdx {
-		lo.pr.code[gi].target = end
+		ctx.patch(gi)
 	}
 	return nil
 }
 
-// emit appends an instruction, stamping the step's ALU counter, and
-// returns its index for jump patching.
+// emit appends an instruction, stamping the step's ALU counter and
+// tracking the generic operand stack's depth, and returns its index for
+// jump patching.
 func (ctx *vmStepCtx) emit(in vmInst) int {
 	in.ctr = ctx.ctr
 	if in.store == nil {
 		in.regID = -1
 	}
+	switch in.op {
+	case opPush, opPushImm:
+		ctx.sp++
+	case opBin, opCall, opShortCircuit, opStore, opBranchFalse:
+		ctx.sp--
+	case opRegStore:
+		ctx.sp -= 2
+	}
+	if ctx.sp > ctx.lo.pr.nstack {
+		ctx.lo.pr.nstack = ctx.sp
+	}
 	ctx.lo.pr.code = append(ctx.lo.pr.code, in)
 	return len(ctx.lo.pr.code) - 1
+}
+
+// patch points the jump at index i to the next instruction emitted.
+func (ctx *vmStepCtx) patch(i int) {
+	ctx.lo.pr.code[i].target = int32(len(ctx.lo.pr.code))
+}
+
+func b2u(ok bool) uint64 {
+	if ok {
+		return 1
+	}
+	return 0
 }
 
 // --- constant evaluation --------------------------------------------------
@@ -147,16 +190,24 @@ func (ctx *vmStepCtx) emit(in vmInst) int {
 // vmConst is a compile-time constant plus the ALU ops the interpreter
 // would charge evaluating the folded subtree; the charge is realized on
 // whichever instruction materializes the constant, keeping Stats
-// bit-identical (the same deferral the plan compiler's cexpr performs).
+// bit-identical.
 type vmConst struct {
 	val   uint64
 	width int
 	cost  int
 }
 
+// errNotConst marks an expression constExpr cannot fold; every other
+// constExpr error rejects the lowering. errNoMotif is a matcher
+// declining a statement.
+var (
+	errNotConst = errors.New("vm: not a compile-time constant")
+	errNoMotif  = errors.New("vm: no motif")
+)
+
 // constExpr evaluates a compile-time-constant expression: literals,
 // iteration/loop variables, symbolic parameters, named constants, and
-// arithmetic/comparisons over them. Anything else rejects the lowering.
+// arithmetic/comparisons over them.
 func (ctx *vmStepCtx) constExpr(e lang.Expr) (vmConst, error) {
 	switch e := e.(type) {
 	case *lang.IntLit:
@@ -165,7 +216,7 @@ func (ctx *vmStepCtx) constExpr(e lang.Expr) (vmConst, error) {
 		return vmConst{val: b2u(e.Value)}, nil
 	case *lang.Ref:
 		if !e.IsSimpleIdent() {
-			return vmConst{}, fmt.Errorf("vm: non-constant reference %s", lang.PrintExpr(e))
+			return vmConst{}, errNotConst
 		}
 		u := ctx.lo.p.unit
 		base := e.Base()
@@ -183,6 +234,9 @@ func (ctx *vmStepCtx) constExpr(e lang.Expr) (vmConst, error) {
 		}
 		return vmConst{}, fmt.Errorf("vm: unknown name %s", base)
 	case *lang.Binary:
+		if e.Op == lang.AND || e.Op == lang.OR {
+			return vmConst{}, errNotConst // genExpr lowers the short circuit
+		}
 		x, err := ctx.constExpr(e.X)
 		if err != nil {
 			return vmConst{}, err
@@ -194,125 +248,120 @@ func (ctx *vmStepCtx) constExpr(e lang.Expr) (vmConst, error) {
 		v, err := binOp(e.Op, x.val, y.val)
 		if err != nil {
 			// Constant zero divisor: reject so the interpreter reports
-			// the error per packet, exactly as the plan compiler does.
+			// the error per packet.
 			return vmConst{}, fmt.Errorf("vm: constant fold: %w", err)
 		}
 		switch e.Op {
 		case lang.PLUS, lang.MINUS, lang.STAR, lang.SLASH, lang.PCT:
 			w := combineWidth(x.width, y.width)
 			return vmConst{val: v & widthMask(w), width: w, cost: x.cost + y.cost + 1}, nil
-		case lang.LT, lang.LE, lang.GT, lang.GE, lang.EQ, lang.NE:
+		default:
 			return vmConst{val: v, cost: x.cost + y.cost + 1}, nil
 		}
-		return vmConst{}, fmt.Errorf("vm: non-constant operator %s", e.Op)
 	default:
-		return vmConst{}, fmt.Errorf("vm: non-constant expression %T", e)
+		return vmConst{}, errNotConst
 	}
 }
 
 // --- operand resolution ---------------------------------------------------
 
-// fieldRef resolves a struct-field reference to its interned slot. An
-// elastic field's instance index must be a zero-cost compile-time
-// constant (the module library always indexes by the iteration
-// parameter, which charges nothing).
-func (ctx *vmStepCtx) fieldRef(ref *lang.Ref) (slot int32, width int, header bool, err error) {
-	u := ctx.lo.p.unit
-	si := u.StructByName(ref.Base())
+// vmField is a resolved struct-field reference: its interned slot,
+// declared width, whether it is a header field, and the ALU ops the
+// interpreter charges evaluating an elastic field's constant index.
+type vmField struct {
+	slot   int32
+	width  int
+	header bool
+	cost   int
+}
+
+// fieldRef resolves a struct-field reference. An elastic field's
+// instance index must be compile-time constant.
+func (ctx *vmStepCtx) fieldRef(ref *lang.Ref) (vmField, error) {
+	si := ctx.lo.p.unit.StructByName(ref.Base())
 	if si == nil || len(ref.Segs) != 2 {
-		return 0, 0, false, fmt.Errorf("vm: not a struct field: %s", lang.PrintExpr(ref))
+		return vmField{}, fmt.Errorf("vm: not a struct field: %s", lang.PrintExpr(ref))
 	}
 	f := si.Field(ref.Segs[1].Name)
 	if f == nil {
-		return 0, 0, false, fmt.Errorf("vm: unknown field %s", lang.PrintExpr(ref))
+		return vmField{}, fmt.Errorf("vm: unknown field %s", lang.PrintExpr(ref))
 	}
-	qual := f.Qual()
-	key := qual
+	key, cost := f.Qual(), 0
 	if f.Count.IsSymbolic() || f.Count.Const > 1 {
 		fseg := ref.Segs[1]
 		if len(fseg.Indexes) != 1 {
-			return 0, 0, false, fmt.Errorf("vm: elastic field %s needs one index", qual)
+			return vmField{}, fmt.Errorf("vm: elastic field %s needs one index", key)
 		}
 		ie, err := ctx.constExpr(fseg.Indexes[0])
 		if err != nil {
-			return 0, 0, false, err
+			return vmField{}, fmt.Errorf("vm: elastic field %s index: %w", key, err)
 		}
-		if ie.cost != 0 {
-			return 0, 0, false, fmt.Errorf("vm: elastic field %s index charges ALU ops", qual)
-		}
-		key = instKey(qual, ie.val)
+		key, cost = instKey(key, ie.val), ie.cost
 	}
-	return ctx.lo.slotFor(key, si.IsHeader), f.Width, si.IsHeader, nil
+	return vmField{slot: ctx.lo.slotFor(key, si.IsHeader), width: f.Width, header: si.IsHeader, cost: cost}, nil
 }
 
-// metaOperand resolves a reference to a metadata slot (meta loads are
-// unmasked: slots only ever hold store-masked values).
+// metaOperand resolves a motif operand: a metadata field whose index
+// charges nothing (meta loads are unmasked: slots only ever hold
+// store-masked values).
 func (ctx *vmStepCtx) metaOperand(e lang.Expr) (slot int32, width int, err error) {
 	ref, ok := e.(*lang.Ref)
 	if !ok {
 		return 0, 0, fmt.Errorf("vm: operand %T is not a field", e)
 	}
-	if reg := ctx.lo.p.unit.RegisterByName(ref.Base()); reg != nil {
-		return 0, 0, fmt.Errorf("vm: register operand %s outside a load", lang.PrintExpr(ref))
-	}
-	slot, width, header, err := ctx.fieldRef(ref)
+	f, err := ctx.fieldRef(ref)
 	if err != nil {
 		return 0, 0, err
 	}
-	if header {
-		return 0, 0, fmt.Errorf("vm: header operand %s outside a hash", lang.PrintExpr(ref))
+	if f.header || f.cost != 0 {
+		return 0, 0, fmt.Errorf("vm: %s is not a plain meta operand", lang.PrintExpr(ref))
 	}
-	return slot, width, nil
+	return f.slot, f.width, nil
 }
 
-// regAccess resolves a register reference to its backing store and the
-// meta slot holding the cell index. The instance index must be a
-// zero-cost constant; the cell index must itself be a metadata field
-// (the library's "@_meta.index[i]" motif). A non-materialized instance
-// or an empty store rejects the lowering — the interpreter's semantics
-// for those (charge-only no-ops) are not worth an opcode no suite app
-// reaches.
-func (ctx *vmStepCtx) regAccess(ref *lang.Ref, reg *lang.Register) (store []uint64, cellSlot int32, regID int32, err error) {
+// regTarget resolves a register reference to its backing store (nil
+// when the layout did not materialize the instance: loads read zero and
+// stores vanish, as in the interpreter), the store's dense id, the ALU
+// ops the constant instance index charges, and the cell-index
+// expression.
+func (ctx *vmStepCtx) regTarget(ref *lang.Ref, reg *lang.Register) (store []uint64, regID int32, instCost int, cellE lang.Expr, err error) {
 	seg := ref.Segs[0]
-	var instE, cellE lang.Expr
+	inst := 0
 	switch {
 	case reg.Decl.Count != nil && len(seg.Indexes) == 2:
-		instE, cellE = seg.Indexes[0], seg.Indexes[1]
+		ic, err := ctx.constExpr(seg.Indexes[0])
+		if err != nil {
+			return nil, 0, 0, nil, fmt.Errorf("vm: register %s instance index: %w", reg.Name, err)
+		}
+		inst, instCost, cellE = int(ic.val), ic.cost, seg.Indexes[1]
 	case len(seg.Indexes) == 1:
 		cellE = seg.Indexes[0]
 	default:
-		return nil, 0, 0, fmt.Errorf("vm: malformed register access %s", lang.PrintExpr(ref))
+		return nil, 0, 0, nil, fmt.Errorf("vm: malformed register access %s", lang.PrintExpr(ref))
 	}
-	inst := 0
-	if instE != nil {
-		ic, err := ctx.constExpr(instE)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if ic.cost != 0 {
-			return nil, 0, 0, fmt.Errorf("vm: register %s instance index charges ALU ops", reg.Name)
-		}
-		inst = int(ic.val)
-	}
-	cellRef, ok := cellE.(*lang.Ref)
+	store, ok := ctx.lo.p.Register(reg.Name, inst)
 	if !ok {
-		return nil, 0, 0, fmt.Errorf("vm: register %s cell index is not a field", reg.Name)
+		return nil, -1, instCost, cellE, nil
 	}
-	cellSlot, _, header, err := ctx.fieldRef(cellRef)
+	if len(store) == 0 {
+		return nil, 0, 0, nil, fmt.Errorf("vm: register %s/%d has no cells", reg.Name, inst)
+	}
+	return store, ctx.lo.regIDFor(reg.Name, inst), instCost, cellE, nil
+}
+
+// regAccess resolves a motif register access: a materialized instance
+// whose index charges nothing, with the cell index held in a metadata
+// field (the library's "@_meta.index[i]" motif).
+func (ctx *vmStepCtx) regAccess(ref *lang.Ref, reg *lang.Register) (store []uint64, cellSlot int32, regID int32, err error) {
+	store, regID, instCost, cellE, err := ctx.regTarget(ref, reg)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if header {
-		return nil, 0, 0, fmt.Errorf("vm: register %s cell index is a header field", reg.Name)
+	if store == nil || instCost != 0 {
+		return nil, 0, 0, fmt.Errorf("vm: register access %s is not the motif", lang.PrintExpr(ref))
 	}
-	store, ok = ctx.lo.p.Register(reg.Name, inst)
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("vm: register %s/%d not materialized", reg.Name, inst)
-	}
-	if len(store) == 0 {
-		return nil, 0, 0, fmt.Errorf("vm: register %s/%d has no cells", reg.Name, inst)
-	}
-	return store, cellSlot, ctx.lo.regIDFor(reg.Name, inst), nil
+	cellSlot, _, err = ctx.metaOperand(cellE)
+	return store, cellSlot, regID, err
 }
 
 // --- statements -----------------------------------------------------------
@@ -331,25 +380,50 @@ func (ctx *vmStepCtx) lowerStmt(s lang.Stmt) error {
 	case *lang.Block:
 		return ctx.lowerBlock(s)
 	case *lang.AssignStmt:
-		return ctx.lowerAssign(s)
+		if !ctx.lo.genericOnly && ctx.matchAssign(s) == nil {
+			return nil
+		}
+		return ctx.genAssign(s)
+	case *lang.IfStmt:
+		if _, err := ctx.genExpr(s.Cond); err != nil {
+			return err
+		}
+		br := ctx.emit(vmInst{op: opBranchFalse})
+		if err := ctx.lowerBlock(s.Then); err != nil {
+			return err
+		}
+		if s.Else == nil {
+			ctx.patch(br)
+			return nil
+		}
+		skip := ctx.emit(vmInst{op: opJump})
+		ctx.patch(br)
+		if err := ctx.lowerBlock(s.Else); err != nil {
+			return err
+		}
+		ctx.patch(skip)
+		return nil
 	default:
 		return fmt.Errorf("vm: unsupported statement %T in action %s", s, ctx.action.Name)
 	}
 }
 
-func (ctx *vmStepCtx) lowerAssign(s *lang.AssignStmt) error {
+// matchAssign offers an assignment to the motif matchers. They emit
+// nothing unless they match, so a non-nil error only means "no motif";
+// genAssign decides whether the statement lowers at all.
+func (ctx *vmStepCtx) matchAssign(s *lang.AssignStmt) error {
 	u := ctx.lo.p.unit
 	if reg := u.RegisterByName(s.LHS.Base()); reg != nil {
-		return ctx.lowerRegStore(s, reg)
+		return ctx.matchRegBump(s, reg)
 	}
-	dst, dw, header, err := ctx.fieldRef(s.LHS)
+	lhs, err := ctx.fieldRef(s.LHS)
 	if err != nil {
 		return err
 	}
-	if header {
-		return fmt.Errorf("vm: header store %s", lang.PrintExpr(s.LHS))
+	if lhs.header || lhs.cost != 0 {
+		return errNoMotif
 	}
-	dmask := widthMask(dw)
+	dst, dmask := lhs.slot, widthMask(lhs.width)
 
 	// Constant right-hand side: fold it, deferring its charge.
 	if c, err := ctx.constExpr(s.RHS); err == nil {
@@ -379,36 +453,32 @@ func (ctx *vmStepCtx) lowerAssign(s *lang.AssignStmt) error {
 	case *lang.Binary:
 		switch rhs.Op {
 		case lang.PCT:
-			return ctx.lowerHashMod(rhs, dst, dmask)
+			return ctx.matchHashMod(rhs, dst, dmask)
 		case lang.PLUS:
-			return ctx.lowerAdd(rhs, dst, dmask)
+			return ctx.matchAdd(rhs, dst, dmask)
 		}
 	}
-	return fmt.Errorf("vm: unsupported assignment %s = %s",
-		lang.PrintExpr(s.LHS), lang.PrintExpr(s.RHS))
+	return errNoMotif
 }
 
-// lowerHashMod matches the index-computation motif
+// matchHashMod matches the index-computation motif
 // "hash(hdr, seed) % modulus" with a constant seed and modulus. The
 // charge replays the interpreter's exact sequence: the folded seed's
 // cost, one for the hash, the folded modulus's cost, one for the mod —
 // all within one instruction, which is observationally equivalent
 // because nothing can abort between them.
-func (ctx *vmStepCtx) lowerHashMod(b *lang.Binary, dst int32, dmask uint64) error {
+func (ctx *vmStepCtx) matchHashMod(b *lang.Binary, dst int32, dmask uint64) error {
 	call, ok := b.X.(*lang.CallExpr)
 	if !ok || call.Name != "hash" || len(call.Args) != 2 {
-		return fmt.Errorf("vm: unsupported modulo %s", lang.PrintExpr(b))
+		return errNoMotif
 	}
 	href, ok := call.Args[0].(*lang.Ref)
 	if !ok {
-		return fmt.Errorf("vm: hash key %T is not a field", call.Args[0])
+		return errNoMotif
 	}
-	slot, hw, header, err := ctx.fieldRef(href)
+	key, err := ctx.fieldRef(href)
 	if err != nil {
 		return err
-	}
-	if !header {
-		return fmt.Errorf("vm: hash key %s is not a header field", lang.PrintExpr(href))
 	}
 	seed, err := ctx.constExpr(call.Args[1])
 	if err != nil {
@@ -418,23 +488,23 @@ func (ctx *vmStepCtx) lowerHashMod(b *lang.Binary, dst int32, dmask uint64) erro
 	if err != nil {
 		return err
 	}
-	if div.val == 0 {
-		return fmt.Errorf("vm: constant zero divisor")
+	if !key.header || key.cost != 0 || div.val == 0 {
+		return errNoMotif
 	}
 	// hash yields width 64, so the modulo result's combined-width wrap
 	// is the identity; only the header load mask and the destination
 	// mask survive to runtime.
 	ctx.emit(vmInst{
-		op: opHashModSlot, a: slot, dst: dst,
-		mask: widthMask(hw), imm: seed.val, imm2: div.val, dmask: dmask,
+		op: opHashModSlot, a: key.slot, dst: dst,
+		mask: widthMask(key.width), imm: seed.val, imm2: div.val, dmask: dmask,
 		charge: uint32(seed.cost + 1 + div.cost + 1),
 	})
 	return nil
 }
 
-// lowerAdd matches the fold motifs: meta+meta, and the left-nested
+// matchAdd matches the fold motifs: meta+meta, and the left-nested
 // three-way meta+meta+meta.
-func (ctx *vmStepCtx) lowerAdd(b *lang.Binary, dst int32, dmask uint64) error {
+func (ctx *vmStepCtx) matchAdd(b *lang.Binary, dst int32, dmask uint64) error {
 	if inner, ok := b.X.(*lang.Binary); ok && inner.Op == lang.PLUS {
 		a, wa, err := ctx.metaOperand(inner.X)
 		if err != nil {
@@ -473,24 +543,24 @@ func (ctx *vmStepCtx) lowerAdd(b *lang.Binary, dst int32, dmask uint64) error {
 	return nil
 }
 
-// lowerRegStore matches the read-modify-write motif
+// matchRegBump matches the read-modify-write motif
 // "reg[i][cell] = reg[i][cell] + addend" (same cell on both sides,
 // compared syntactically) with a constant zero-cost addend.
-func (ctx *vmStepCtx) lowerRegStore(s *lang.AssignStmt, reg *lang.Register) error {
+func (ctx *vmStepCtx) matchRegBump(s *lang.AssignStmt, reg *lang.Register) error {
 	rb, ok := s.RHS.(*lang.Binary)
 	if !ok || rb.Op != lang.PLUS {
-		return fmt.Errorf("vm: unsupported register store %s", lang.PrintExpr(s.LHS))
+		return errNoMotif
 	}
 	xref, ok := rb.X.(*lang.Ref)
 	if !ok || lang.PrintExpr(xref) != lang.PrintExpr(s.LHS) {
-		return fmt.Errorf("vm: register store %s is not a read-modify-write", lang.PrintExpr(s.LHS))
+		return errNoMotif
 	}
 	add, err := ctx.constExpr(rb.Y)
 	if err != nil {
 		return err
 	}
 	if add.cost != 0 {
-		return fmt.Errorf("vm: register addend charges ALU ops")
+		return errNoMotif
 	}
 	store, cellSlot, regID, err := ctx.regAccess(s.LHS, reg)
 	if err != nil {
@@ -510,36 +580,204 @@ func (ctx *vmStepCtx) lowerRegStore(s *lang.AssignStmt, reg *lang.Register) erro
 
 // --- guards ---------------------------------------------------------------
 
-// lowerGuard emits a conditional forward jump for a step guard. The
-// comparison's ALU op is charged whether or not the guard passes (the
-// interpreter charges after operand evaluation, before acting on the
-// result); the jump target is patched to the step end by lowerStep.
+// lowerGuard emits a conditional forward jump for a step guard and
+// returns its index; lowerStep patches the target to the step end. The
+// LT/EQ motifs charge their comparison whether or not the guard passes
+// (the interpreter charges after operand evaluation, before acting on
+// the result); every other guard evaluates on the generic core.
 func (ctx *vmStepCtx) lowerGuard(g lang.Expr) (int, error) {
+	if !ctx.lo.genericOnly {
+		if in, ok := ctx.matchGuard(g); ok {
+			return ctx.emit(in), nil
+		}
+	}
+	if _, err := ctx.genExpr(g); err != nil {
+		return 0, err
+	}
+	return ctx.emit(vmInst{op: opBranchFalse}), nil
+}
+
+func (ctx *vmStepCtx) matchGuard(g lang.Expr) (vmInst, bool) {
 	b, ok := g.(*lang.Binary)
 	if !ok {
-		return 0, fmt.Errorf("vm: unsupported guard %s", lang.PrintExpr(g))
+		return vmInst{}, false
+	}
+	a, _, err := ctx.metaOperand(b.X)
+	if err != nil {
+		return vmInst{}, false
 	}
 	switch b.Op {
 	case lang.LT:
-		a, _, err := ctx.metaOperand(b.X)
-		if err != nil {
-			return 0, err
+		if b2, _, err := ctx.metaOperand(b.Y); err == nil {
+			return vmInst{op: opGuardLT, a: a, b: b2, charge: 1}, true
 		}
-		b2, _, err := ctx.metaOperand(b.Y)
-		if err != nil {
-			return 0, err
-		}
-		return ctx.emit(vmInst{op: opGuardLT, a: a, b: b2, charge: 1}), nil
 	case lang.EQ:
-		a, _, err := ctx.metaOperand(b.X)
-		if err != nil {
-			return 0, err
+		if y, err := ctx.constExpr(b.Y); err == nil {
+			return vmInst{op: opGuardEQImm, a: a, imm: y.val, charge: uint32(1 + y.cost)}, true
 		}
-		y, err := ctx.constExpr(b.Y)
-		if err != nil {
-			return 0, err
-		}
-		return ctx.emit(vmInst{op: opGuardEQImm, a: a, imm: y.val, charge: uint32(1 + y.cost)}), nil
 	}
-	return 0, fmt.Errorf("vm: unsupported guard operator %s", b.Op)
+	return vmInst{}, false
+}
+
+// --- generic core ---------------------------------------------------------
+
+// genAssign lowers any assignment in the interpreter's evaluation
+// order: right-hand side, then the target's index expressions, then
+// the store.
+func (ctx *vmStepCtx) genAssign(s *lang.AssignStmt) error {
+	if _, err := ctx.genExpr(s.RHS); err != nil {
+		return err
+	}
+	if reg := ctx.lo.p.unit.RegisterByName(s.LHS.Base()); reg != nil {
+		in, err := ctx.genRegCell(s.LHS, reg)
+		if err != nil {
+			return err
+		}
+		in.op, in.mask = opRegStore, widthMask(reg.Width)
+		ctx.emit(in)
+		return nil
+	}
+	f, err := ctx.fieldRef(s.LHS)
+	if err != nil {
+		return err
+	}
+	ctx.emit(vmInst{op: opStore, dst: f.slot, dmask: widthMask(f.width), charge: uint32(f.cost)})
+	return nil
+}
+
+// genRegCell pushes a register access's cell index and returns the
+// access instruction with its store filled in. The instance index's
+// charge lands before the cell expression evaluates, because the cell
+// expression may abort the packet.
+func (ctx *vmStepCtx) genRegCell(ref *lang.Ref, reg *lang.Register) (vmInst, error) {
+	store, regID, instCost, cellE, err := ctx.regTarget(ref, reg)
+	if err != nil {
+		return vmInst{}, err
+	}
+	if instCost > 0 {
+		ctx.patch(ctx.emit(vmInst{op: opJump, charge: uint32(instCost)})) // no-op carrying the charge
+	}
+	if _, err := ctx.genExpr(cellE); err != nil {
+		return vmInst{}, err
+	}
+	return vmInst{store: store, ncells: uint64(len(store)), regID: regID}, nil
+}
+
+var vmBuiltins = map[string]int32{"hash": callHash, "min": callMin, "max": callMax}
+
+// genExpr emits stack code leaving e's value on top and returns the
+// bit width the value wraps at (see the interpreter's exprW).
+func (ctx *vmStepCtx) genExpr(e lang.Expr) (int, error) {
+	c, err := ctx.constExpr(e)
+	if err == nil {
+		ctx.emit(vmInst{op: opPushImm, imm: c.val, charge: uint32(c.cost)})
+		return c.width, nil
+	}
+	if err != errNotConst {
+		return 0, err
+	}
+	switch e := e.(type) {
+	case *lang.Unary:
+		// -x is 0 - x and !x is x == 0: same value, width and single
+		// charge as the interpreter's unary case.
+		switch e.Op {
+		case lang.MINUS:
+			return ctx.genBinary(&lang.Binary{Op: lang.MINUS, X: &lang.IntLit{}, Y: e.X})
+		case lang.NOT:
+			return ctx.genBinary(&lang.Binary{Op: lang.EQ, X: e.X, Y: &lang.IntLit{}})
+		}
+		return 0, fmt.Errorf("vm: unsupported unary %s", e.Op)
+	case *lang.Binary:
+		return ctx.genBinary(e)
+	case *lang.CallExpr:
+		id, ok := vmBuiltins[e.Name]
+		if !ok || len(e.Args) != 2 {
+			return 0, fmt.Errorf("vm: unsupported call %s with %d args", e.Name, len(e.Args))
+		}
+		wx, err := ctx.genExpr(e.Args[0])
+		if err != nil {
+			return 0, err
+		}
+		wy, err := ctx.genExpr(e.Args[1])
+		if err != nil {
+			return 0, err
+		}
+		ctx.emit(vmInst{op: opCall, b: id, charge: 1})
+		if id == callHash {
+			return 64, nil
+		}
+		return combineWidth(wx, wy), nil
+	case *lang.Ref:
+		if reg := ctx.lo.p.unit.RegisterByName(e.Base()); reg != nil {
+			in, err := ctx.genRegCell(e, reg)
+			if err != nil {
+				return 0, err
+			}
+			in.op = opRegLoad
+			ctx.emit(in)
+			return reg.Width, nil
+		}
+		f, err := ctx.fieldRef(e)
+		if err != nil {
+			return 0, err
+		}
+		mask := ^uint64(0) // meta slots only ever hold store-masked values
+		if f.header {
+			mask = widthMask(f.width) // the packet may carry a wider value
+		}
+		ctx.emit(vmInst{op: opPush, a: f.slot, mask: mask, charge: uint32(f.cost)})
+		return f.width, nil
+	default:
+		return 0, fmt.Errorf("vm: unsupported expression %T", e)
+	}
+}
+
+func (ctx *vmStepCtx) genBinary(e *lang.Binary) (int, error) {
+	if e.Op == lang.AND || e.Op == lang.OR {
+		// A constant left operand that decides the result folds to it,
+		// skipping the right operand as the interpreter would.
+		decides := b2u(e.Op == lang.OR)
+		if x, err := ctx.constExpr(e.X); err == nil && b2u(x.val != 0) == decides {
+			ctx.emit(vmInst{op: opPushImm, imm: decides, charge: uint32(x.cost)})
+			return 0, nil
+		}
+		if _, err := ctx.genExpr(e.X); err != nil {
+			return 0, err
+		}
+		sc := ctx.emit(vmInst{op: opShortCircuit, imm: decides})
+		if _, err := ctx.genExpr(e.Y); err != nil {
+			return 0, err
+		}
+		// The left operand did not decide, so x op y is just y != 0.
+		ctx.emit(vmInst{op: opPushImm})
+		ctx.emit(vmInst{op: opBin, b: int32(lang.NE), mask: ^uint64(0), charge: 1})
+		ctx.patch(sc)
+		return 0, nil
+	}
+	wx, err := ctx.genExpr(e.X)
+	if err != nil {
+		return 0, err
+	}
+	wy, err := ctx.genExpr(e.Y)
+	if err != nil {
+		return 0, err
+	}
+	w := 0 // comparisons yield 0/1
+	switch e.Op {
+	case lang.SLASH, lang.PCT:
+		switch d, err := ctx.constExpr(e.Y); {
+		case err != nil:
+			ctx.lo.pr.mayAbort = true
+		case d.val == 0:
+			return 0, fmt.Errorf("vm: constant zero divisor in %s", lang.PrintExpr(e))
+		}
+		fallthrough
+	case lang.PLUS, lang.MINUS, lang.STAR:
+		w = combineWidth(wx, wy)
+	case lang.LT, lang.LE, lang.GT, lang.GE, lang.EQ, lang.NE:
+	default:
+		return 0, fmt.Errorf("vm: unsupported operator %s", e.Op)
+	}
+	ctx.emit(vmInst{op: opBin, b: int32(e.Op), mask: widthMask(w), charge: 1})
+	return w, nil
 }

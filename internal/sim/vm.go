@@ -1,29 +1,38 @@
-// Bytecode VM: the third execution engine. Where the plan engine lowers
-// each placed step to a fused closure chain, the VM lowers the whole
-// schedule to a flat instruction stream over the same dense slot frame
-// and dispatches through one switch — no call per operator, no call per
-// statement. Each opcode is a superinstruction covering one complete
-// statement or guard motif the module library emits (hash→mod→store,
-// register read-modify-write, guarded min-fold compare), with width
-// masks, ALU charges, and register cell wrapping precomputed at lower
-// time so the execution loop is straight-line integer code.
+// Bytecode VM: the compiled execution engine. The lowering (lower.go)
+// turns the whole placed schedule into one flat instruction stream over
+// a dense slot frame, dispatched through one switch — no call per
+// operator, no call per statement, no map on the per-packet path.
 //
-// The VM obeys the same observational contract the plan engine is held
-// to (see plan.go): bit-identical outputs, register contents, and Stats
-// versus the reference interpreter. Lowered programs can never abort at
-// runtime — the lowering rejects non-constant and constant-zero
-// divisors — which is what makes the batched struct-of-arrays mode in
-// batch.go sound. Programs the lowering cannot compile fall back to the
-// interpreter wholesale (Pipeline.Fallback); a fallback on the four
-// benchmark apps is a difftest failure.
+// Two instruction families share the stream:
+//
+//   - superinstructions: one opcode per complete statement or guard
+//     motif the module library emits (hash→mod→store, register
+//     read-modify-write, guarded min-fold compare), with width masks,
+//     ALU charges, and register cell wrapping precomputed at lower time.
+//     They are the fast path — the only opcodes the four suite apps
+//     lower to, and the only ones batch.go's vector executor runs;
+//   - the generic core: a small operand-stack machine (push, binary,
+//     call, short-circuit, register load/store, slot store, branch,
+//     jump; unary minus and not lower to 0 - x and x == 0) that covers
+//     every construct the interpreter evaluates and no motif matches.
+//     Generic instructions run lane-major only (execGeneric, entered
+//     from exec's default case).
+//
+// Either way the VM obeys the observational contract spelled out in
+// lower.go: bit-identical outputs, register contents, and Stats versus
+// the reference interpreter. Programs the lowering cannot compile fall
+// back to the interpreter wholesale (Pipeline.Fallback); a fallback on
+// any program the repo ships is a difftest failure.
 
 package sim
 
-// vmOp enumerates the VM's superinstruction opcodes. Every opcode must
-// be reachable from at least one of the four benchmark apps: the
-// lowering only targets motifs the module library emits, and the
-// opcode-coverage test in vm_test.go fails on any opcode no suite app
-// exercises (a dead lowering path).
+import "p4all/internal/lang"
+
+// vmOp enumerates the VM's opcodes: nine superinstructions, then the
+// generic core (opPush and up). Every opcode must be reachable from a
+// checked-in program — the opcode-coverage test in vm_test.go fails on
+// a dead lowering path — and the four suite apps must lower to
+// superinstructions only.
 type vmOp uint8
 
 const (
@@ -56,7 +65,47 @@ const (
 	// jumps to target.
 	opGuardEQImm
 
+	// --- generic core: operands live on the frame's per-lane stack ---
+
+	// opPush pushes a header/meta slot: ld(a) & mask (mask is the header
+	// field's width, all-ones for meta). charge carries the folded cost
+	// of an elastic field's constant index.
+	opPush
+	// opPushImm pushes the constant imm; charge carries the folded
+	// subtree's deferred ALU cost.
+	opPushImm
+	// opBin pops y, replaces x with (x b y) & mask; b is the lang.Kind.
+	// A zero divisor aborts the packet with the interpreter's error.
+	opBin
+	// opCall pops y, replaces x with builtin b (callHash/Min/Max) of x, y.
+	opCall
+	// opShortCircuit decides && (imm 0) or || (imm 1) on its left
+	// operand: when (top != 0) == (imm != 0) the result imm stays on the
+	// stack and control jumps to target, past the right operand and the
+	// operator's charge; otherwise the operand is popped.
+	opShortCircuit
+	// opRegLoad pops the cell index and pushes store[cell wrapped]; one
+	// read. A nil store (instance not in the layout) pushes 0, no read.
+	opRegLoad
+	// opRegStore pops the cell index, then the value: store[cell
+	// wrapped] = value & mask; one write. A nil store is a no-op.
+	opRegStore
+	// opStore pops into a header or meta slot: vals[dst] = top & dmask.
+	opStore
+	// opBranchFalse pops; zero jumps to target (guards, if-statements).
+	opBranchFalse
+	// opJump jumps to target (skipping an else-block; with target pc+1
+	// it is the no-op that carries a register instance index's charge).
+	opJump
+
 	vmOpCount // number of opcodes; keep last
+)
+
+// Builtins opCall dispatches on.
+const (
+	callHash = iota
+	callMin
+	callMax
 )
 
 var vmOpNames = [vmOpCount]string{
@@ -69,6 +118,17 @@ var vmOpNames = [vmOpCount]string{
 	opRegLoadSlot: "RegLoadSlot",
 	opGuardLT:     "GuardLT",
 	opGuardEQImm:  "GuardEQImm",
+
+	opPush:         "Push",
+	opPushImm:      "PushImm",
+	opBin:          "Bin",
+	opCall:         "Call",
+	opShortCircuit: "ShortCircuit",
+	opRegLoad:      "RegLoad",
+	opRegStore:     "RegStore",
+	opStore:        "Store",
+	opBranchFalse:  "BranchFalse",
+	opJump:         "Jump",
 }
 
 func (o vmOp) String() string {
@@ -85,10 +145,10 @@ type vmInst struct {
 	charge uint32 // ALU ops charged when this instruction executes
 	ctr    int32  // frame ALU accumulator index (stage, or the dummy)
 	a      int32  // first operand slot
-	b      int32  // second operand slot
+	b      int32  // second operand slot; lang.Kind or builtin id in the generic core
 	c      int32  // third operand slot (opAdd3Slot)
 	dst    int32  // destination slot
-	target int32  // guard failure jump target (forward only)
+	target int32  // jump target (forward only)
 	imm    uint64 // constant operand / hash seed / guard comparand / addend
 	imm2   uint64 // modulus (opHashModSlot)
 	mask   uint64 // operation wrap mask
@@ -104,8 +164,17 @@ type vmInst struct {
 	uncond bool
 }
 
-// vmProg is a lowered program: the instruction stream plus the field
-// interning tables (same shapes as the plan's) and the batch execution
+// slotRef locates an interned field: its frame slot and whether the
+// field lives in a header struct (header slots are seeded from the
+// incoming packet; meta slots start absent every packet).
+type slotRef struct {
+	slot   int
+	header bool
+}
+
+// vmProg is a lowered program: the instruction stream, the field
+// interning tables (slotKeys maps a slot back to its flattened key, in
+// interning order; output assembly walks it) and the batch execution
 // segments derived from register hazard analysis (see batch.go).
 type vmProg struct {
 	p         *Pipeline
@@ -114,6 +183,10 @@ type vmProg struct {
 	code      []vmInst
 	segs      []vmSeg
 	nreg      int // distinct register instances the program touches
+	nstack    int // deepest operand stack any generic expression needs
+	// mayAbort is set when some opBin divides by a runtime value: the
+	// only way a lowered program can fail a packet.
+	mayAbort bool
 }
 
 // vmLanes is the struct-of-arrays batch width: Replay runs up to this
@@ -126,7 +199,10 @@ const vmLanes = 64
 // iff its stamp equals gen. Stats accumulate in frame-local counters
 // (batch execution is instruction-major, so per-stage totals — which
 // are order-free — are the only accounting that survives; flushStats
-// folds them into Pipeline.stats after every run).
+// folds them into Pipeline.stats after every run). Packet keys that are
+// not interned header fields (unknown fields, or keys colliding with
+// meta names, which the interpreter also keeps out of metadata) overflow
+// into the per-lane extra key/value slices, reused across batches.
 type vmFrame struct {
 	vals  []uint64
 	stamp []uint64
@@ -140,13 +216,16 @@ type vmFrame struct {
 	alu    []uint64 // per-stage ALU accumulators + trailing dummy
 	reads  uint64
 	writes uint64
+	stk    []uint64 // generic-core operand stack; empty between statements
+	err    error    // set by an aborting opBin; taken by run1/runBatch
 }
 
-func newVMFrame(nslots, nstages int) vmFrame {
+func newVMFrame(pr *vmProg, nstages int) vmFrame {
 	return vmFrame{
-		vals:  make([]uint64, nslots*vmLanes),
-		stamp: make([]uint64, nslots*vmLanes),
+		vals:  make([]uint64, len(pr.slotKeys)*vmLanes),
+		stamp: make([]uint64, len(pr.slotKeys)*vmLanes),
 		alu:   make([]uint64, nstages+1),
+		stk:   make([]uint64, pr.nstack),
 	}
 }
 
@@ -168,7 +247,7 @@ func (fr *vmFrame) st(slot int32, lane int, v uint64) {
 }
 
 // exec runs one lane from pc to end (lane-major execution: Process, and
-// the serial segments of a batch). Guards jump forward only, so the
+// the serial segments of a batch). Jumps go forward only, so the
 // returned pc is >= end; a target past end belongs to a later segment.
 func (pl *vmProg) exec(fr *vmFrame, lane int, pc, end int32) int32 {
 	code := pl.code
@@ -213,15 +292,114 @@ func (pl *vmProg) exec(fr *vmFrame, lane int, pc, end int32) int32 {
 				pc = in.target
 				continue
 			}
+		default:
+			pc = pl.execGeneric(fr, lane, pc, end)
+			continue
 		}
 		pc++
 	}
 	return pc
 }
 
-// run1 pushes a single packet through lane 0 (the Process path). A
-// lowered program cannot abort, so there is no error return.
-func (pl *vmProg) run1(fr *vmFrame, pkt Packet) {
+// execGeneric runs one lane's generic-core instructions starting at pc,
+// whose charge exec has already applied, until a superinstruction or
+// end. Statements are lowered whole, so the operand stack is empty on
+// entry and on every return. An aborting opBin records the error in the
+// frame and returns past the end of the program, parking the lane.
+func (pl *vmProg) execGeneric(fr *vmFrame, lane int, pc, end int32) int32 {
+	code, stk, sp := pl.code, fr.stk, 0
+	in := &code[pc]
+	for {
+		switch in.op {
+		case opPush:
+			stk[sp] = fr.ld(in.a, lane) & in.mask
+			sp++
+		case opPushImm:
+			stk[sp] = in.imm
+			sp++
+		case opBin:
+			sp--
+			v, err := binOp(lang.Kind(in.b), stk[sp-1], stk[sp])
+			if err != nil {
+				fr.err = err
+				return int32(len(code))
+			}
+			stk[sp-1] = v & in.mask
+		case opCall:
+			sp--
+			x, y := stk[sp-1], stk[sp]
+			switch in.b {
+			case callHash:
+				x = hashUint(x, y)
+			case callMin:
+				x = min(x, y)
+			default:
+				x = max(x, y)
+			}
+			stk[sp-1] = x
+		case opShortCircuit:
+			if (stk[sp-1] != 0) == (in.imm != 0) {
+				stk[sp-1] = in.imm
+				pc = in.target - 1
+			} else {
+				sp--
+			}
+		case opRegLoad:
+			v := uint64(0)
+			if in.store != nil {
+				cell := stk[sp-1]
+				if cell >= in.ncells {
+					cell %= in.ncells
+				}
+				fr.reads++
+				v = in.store[cell]
+			}
+			stk[sp-1] = v
+		case opRegStore:
+			sp -= 2
+			if in.store != nil {
+				cell := stk[sp+1]
+				if cell >= in.ncells {
+					cell %= in.ncells
+				}
+				in.store[cell] = stk[sp] & in.mask
+				fr.writes++
+			}
+		case opStore:
+			sp--
+			fr.st(in.dst, lane, stk[sp]&in.dmask)
+		case opBranchFalse:
+			sp--
+			if stk[sp] == 0 {
+				pc = in.target - 1
+			}
+		case opJump:
+			pc = in.target - 1
+		}
+		pc++
+		if pc >= end {
+			return pc
+		}
+		in = &code[pc]
+		if in.op < opPush {
+			return pc
+		}
+		fr.alu[in.ctr] += uint64(in.charge)
+	}
+}
+
+// takeErr flushes the frame's counters and returns (clearing) the abort
+// the run recorded, if any. Flushing first is what leaves Stats exactly
+// where the interpreter leaves them when a packet fails.
+func (pl *vmProg) takeErr(fr *vmFrame) error {
+	pl.flushStats(fr)
+	err := fr.err
+	fr.err = nil
+	return err
+}
+
+// run1 pushes a single packet through lane 0 (the Process path).
+func (pl *vmProg) run1(fr *vmFrame, pkt Packet) error {
 	pl.p.stats.Packets++
 	fr.gen++
 	fr.lanes = 1
@@ -236,7 +414,7 @@ func (pl *vmProg) run1(fr *vmFrame, pkt Packet) {
 		}
 	}
 	pl.exec(fr, 0, 0, int32(len(pl.code)))
-	pl.flushStats(fr)
+	return pl.takeErr(fr)
 }
 
 // flushStats folds the frame-local accumulators into the pipeline's
@@ -255,8 +433,9 @@ func (pl *vmProg) flushStats(fr *vmFrame) {
 }
 
 // output materializes one lane as the map Process returns: live slots
-// in interning order, then overflow keys not shadowed by a live slot —
-// the same merge order as plan.output.
+// in interning order, then overflow keys — except where a live meta
+// slot shadows a same-named packet key, matching the interpreter's
+// header-then-meta merge order.
 func (pl *vmProg) output(fr *vmFrame, lane int) map[string]uint64 {
 	out := make(map[string]uint64, len(pl.slotKeys)+len(fr.extraK[lane]))
 	for s, key := range pl.slotKeys {
