@@ -100,7 +100,7 @@ difftest:
 # before any generated P4 is trusted (see
 # docs/TRANSLATION_VALIDATION.md).
 CERTDIR ?= certs
-CERTAPPS := netcache sketchlearn precision conquest
+CERTAPPS := netcache sketchlearn precision conquest flowradar
 certify:
 	mkdir -p $(CERTDIR)
 	for app in $(CERTAPPS); do \

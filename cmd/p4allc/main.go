@@ -84,6 +84,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if tracer == nil && *statsFlag && *certifyFlag {
+		// -stats reports the validator's cost counters, which only a
+		// tracer collects.
+		tracer = obs.New(obs.NopSink{})
+	}
 
 	solver := ilp.Options{}
 	if *exactFlag {
@@ -155,6 +160,9 @@ func main() {
 		if pre := st.Presolve; pre.RowsDropped+pre.BoundsTightened+pre.VarsFixed > 0 {
 			fmt.Fprintf(os.Stderr, "presolve: %d bounds tightened, %d variables fixed, %d rows dropped\n",
 				pre.BoundsTightened, pre.VarsFixed, pre.RowsDropped)
+		}
+		if *certifyFlag {
+			printCertifyStats(res.Phases.Certify, tracer)
 		}
 	}
 	if *certifyFlag {
@@ -349,6 +357,9 @@ func compileJoint(tenants []multitenant.Tenant, target pisa.Target, opts multite
 		for _, tr := range res.Tenants {
 			fmt.Fprintf(os.Stderr, "  tenant %-14s utility %.0f\n", tr.Name, tr.Utility)
 		}
+		if o.certify {
+			printCertifyStats(ph.Certify, opts.Tracer)
+		}
 	}
 	if o.certify {
 		failed := false
@@ -432,6 +443,15 @@ func resolveTarget(spec string, memOverride int) (pisa.Target, error) {
 		t.MemoryBits = memOverride
 	}
 	return t, t.Validate()
+}
+
+// printCertifyStats says why certification took the time it did: the
+// validator's tv.* counters, summed over the programs of a joint compile
+// (see docs/OBSERVABILITY.md).
+func printCertifyStats(d time.Duration, tr *obs.Tracer) {
+	count := func(name string) int64 { return tr.Counter(name).Value() }
+	fmt.Fprintf(os.Stderr, "certify: %v for %d paths (%d decisions, %d pruned), %d schedule steps replayed, %d symbolic nodes\n",
+		d, count("tv.paths"), count("tv.decisions"), count("tv.pruned"), count("tv.steps_replayed"), count("tv.nodes"))
 }
 
 func fatal(err error) {

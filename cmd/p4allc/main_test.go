@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"p4all/internal/apps"
+	"p4all/internal/core"
 	"p4all/internal/pisa"
 )
 
@@ -54,5 +56,29 @@ func TestResolveTargetJSONFile(t *testing.T) {
 func TestResolveTargetMissing(t *testing.T) {
 	if _, err := resolveTarget("/no/such/spec.json", 0); err == nil {
 		t.Error("missing spec accepted")
+	}
+}
+
+// TestFlowRadarCertifiesOnDefaultTarget: `p4allc -app flowradar
+// -certify` used to exit 1 — three counting-table registers share each
+// stage's memory, the layout recorded the LP's fractional share per
+// register instead of cells x width, and the validator's register-shape
+// audit rejected it.
+func TestFlowRadarCertifiesOnDefaultTarget(t *testing.T) {
+	target, err := resolveTarget("eval", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Compile(apps.FlowRadar().Source, target, core.Options{Certify: true, Name: "FlowRadar"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert := res.Certificate; !cert.Proved() {
+		t.Errorf("%s", cert.Summary())
+		for _, c := range cert.Audit.Checks {
+			if !c.OK {
+				t.Errorf("audit %s: %s", c.Name, c.Detail)
+			}
+		}
 	}
 }

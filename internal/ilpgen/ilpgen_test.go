@@ -409,3 +409,86 @@ optimize sz;
 		t.Errorf("register did not span stages: %+v", wide.Registers)
 	}
 }
+
+// TestRegisterBitsAreCellsTimesWidth: the ILP's memory variables are
+// continuous, so registers sharing a stage are granted shares that are
+// no multiple of their element width (here 1000/3 bits each for 32-bit
+// cells). The layout must record what the emitted register<bit<W>>(Cells)
+// occupies — Cells*Width, per instance and per stage — which is what
+// the translation validator's register-shape audit re-derives.
+func TestRegisterBitsAreCellsTimesWidth(t *testing.T) {
+	check := func(t *testing.T, l *Layout, regs int) {
+		t.Helper()
+		if len(l.Registers) != regs {
+			t.Fatalf("%d registers placed, want %d", len(l.Registers), regs)
+		}
+		perStage := make([]int64, len(l.Stages))
+		for _, rp := range l.Registers {
+			if rp.Cells != l.Symbolic("sz") {
+				t.Errorf("%s/%d: %d cells, solved sz = %d", rp.Register, rp.Index, rp.Cells, l.Symbolic("sz"))
+			}
+			var total int64
+			for i, s := range rp.Stages {
+				if i > 0 && s != rp.Stages[i-1]+1 {
+					t.Errorf("%s/%d: stages %v not consecutive", rp.Register, rp.Index, rp.Stages)
+				}
+				total += rp.Bits[s]
+				perStage[s] += rp.Bits[s]
+			}
+			if len(rp.Bits) != len(rp.Stages) {
+				t.Errorf("%s/%d: Bits %v vs Stages %v", rp.Register, rp.Index, rp.Bits, rp.Stages)
+			}
+			if want := rp.Cells * int64(rp.Width); total != want {
+				t.Errorf("%s/%d: %d bits recorded for %d cells of width %d, want %d", rp.Register, rp.Index, total, rp.Cells, rp.Width, want)
+			}
+		}
+		for s, use := range l.Stages {
+			if use.MemoryBits != perStage[s] {
+				t.Errorf("stage %d: MemoryBits %d, registers there hold %d", s, use.MemoryBits, perStage[s])
+			}
+		}
+	}
+
+	t.Run("shared-stage", func(t *testing.T) {
+		src := `
+symbolic int sz;
+header h { bit<32> key; }
+struct meta { bit<32> idx; }
+register<bit<32>>[sz] a;
+register<bit<32>>[sz] b;
+register<bit<32>>[sz] c;
+action bump() {
+    meta.idx = hash(h.key, 1) % sz;
+    a[meta.idx] = a[meta.idx] + 1;
+    b[meta.idx] = b[meta.idx] + 1;
+    c[meta.idx] = c[meta.idx] + 1;
+}
+control main { apply { bump(); } }
+optimize sz;
+`
+		tgt := pisa.Target{Name: "shared", Stages: 1, MemoryBits: 1000, StatefulALUs: 3, StatelessALUs: 8, PHVBits: 4096}
+		_, l := compile(t, src, tgt)
+		if got := l.Symbolic("sz"); got != 1000/3/32 {
+			t.Fatalf("sz = %d, want %d (three registers sharing 1000 bits)", got, 1000/3/32)
+		}
+		check(t, l, 3)
+	})
+
+	t.Run("spread", func(t *testing.T) {
+		src := `
+symbolic int sz;
+header h { bit<32> key; }
+struct meta { bit<32> idx; }
+register<bit<32>>[sz] big;
+action bump() { meta.idx = hash(h.key, 1) % sz; big[meta.idx] = big[meta.idx] + 1; }
+control main { apply { bump(); } }
+optimize sz;
+`
+		tgt := pisa.Target{Name: "spread", Stages: 3, MemoryBits: 1000, StatefulALUs: 2, StatelessALUs: 8, PHVBits: 4096, AllowRegisterSpread: true}
+		_, l := compile(t, src, tgt)
+		if got := l.Symbolic("sz"); got != 3000/32 {
+			t.Fatalf("sz = %d, want %d (one register over three 1000-bit stages)", got, 3000/32)
+		}
+		check(t, l, 1)
+	})
+}

@@ -204,22 +204,35 @@ func (p *ILP) extractFrom(sol *ilp.Solution) (*Layout, error) {
 			if !ok {
 				continue
 			}
+			// The memory variables are continuous: registers sharing a
+			// stage can each be granted a share that is no multiple of
+			// the element width. What the emitted register<bit<W>>(Cells)
+			// occupies is Cells*Width bits, so that is what is recorded
+			// (and charged to the stages), filled in stage order.
 			rp := RegPlacement{Register: reg.Name, Index: ri.Index, Width: reg.Width, Bits: make(map[int]int64)}
+			granted := make([]int64, len(vars))
 			var total int64
 			for s, mv := range vars {
-				bits := int64(math.Round(sol.Value(mv)))
+				if bits := int64(math.Round(sol.Value(mv))); bits > 0 {
+					granted[s] = bits
+					total += bits
+				}
+			}
+			if total == 0 {
+				continue // instance does not exist in this layout
+			}
+			rp.Cells = total / int64(reg.Width)
+			left := rp.Cells * int64(reg.Width)
+			for s, bits := range granted {
+				bits = min(bits, left)
 				if bits <= 0 {
 					continue
 				}
 				rp.Stages = append(rp.Stages, s)
 				rp.Bits[s] = bits
 				l.Stages[s].MemoryBits += bits
-				total += bits
+				left -= bits
 			}
-			if total == 0 {
-				continue // instance does not exist in this layout
-			}
-			rp.Cells = total / int64(reg.Width)
 			l.Registers = append(l.Registers, rp)
 		}
 	}

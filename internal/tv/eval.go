@@ -44,24 +44,60 @@ type regKey struct {
 	inst int64
 }
 
-// pathState is the mutable per-packet state of one execution side.
+// srcField is one source-side field access before it is resolved to a
+// storage slot: the declared field and the elastic instance (zero for
+// inelastic fields). The target side's accesses are CFieldRef nodes,
+// which pin their instance, so the node pointer identifies them.
+type srcField struct {
+	f   *lang.MetaField
+	idx uint64
+}
+
+// fieldName is a slot's identity: the simulator storage key within the
+// header or the metadata map.
+type fieldName struct {
+	header bool
+	key    string
+}
+
+// fieldSlot is one header or metadata storage location both walks can
+// touch, resolved once per machine.
+type fieldSlot struct {
+	fieldName
+	in *node // packet input variable, interned on first unwritten header read
+}
+
+// regSlot is one materialized register array instance.
+type regSlot struct {
+	regKey
+	cells int64
+	init  *node // opaque initial contents, interned on first use
+}
+
+// entry is one slot of a pathState. It holds a value only while stamp
+// equals the machine's path generation, so starting a new path clears
+// every slot without touching it.
+type entry struct {
+	n     *node
+	stamp uint64
+}
+
+// pathState is the mutable per-packet state of one execution side. The
+// machine owns one per side and reuses it for every path.
 type pathState struct {
-	hdr       map[string]*node // written header fields (reads default to packet inputs)
-	meta      map[string]*node // written metadata fields (reads default to 0)
-	regs      map[regKey]*node // array values for written register instances
+	fields    []entry // written header (reads default to packet inputs) and metadata (default 0) fields, by field slot
+	regs      []entry // array values of written register instances, by register slot
 	regReads  uint64
 	regWrites uint64
 	alu       []uint64
 	aborted   string // abort reason; empty while running
 }
 
-func newPathState(stages int) *pathState {
-	return &pathState{
-		hdr:  make(map[string]*node),
-		meta: make(map[string]*node),
-		regs: make(map[regKey]*node),
-		alu:  make([]uint64, stages),
-	}
+// reset clears the counters; the slots are cleared by the generation
+// bump that accompanies it (machine.beginPath).
+func (st *pathState) reset() {
+	st.regReads, st.regWrites, st.aborted = 0, 0, ""
+	clear(st.alu)
 }
 
 // abortErr carries the interpreter-visible abort reason (packet
@@ -92,6 +128,7 @@ type failure struct {
 // source and target walks.
 type tvStep struct {
 	inv     *lang.Invocation
+	loopVar string // innermost loop variable of inv ("" outside loops)
 	iter    int
 	stage   int
 	caction *codegen.CAction // emitted body (nil: missing from the program)
@@ -109,19 +146,34 @@ type machine struct {
 	layout *ilpgen.Layout
 	prog   *codegen.Concrete
 
-	steps    []tvStep
-	actions  map[string]*codegen.CAction
-	regCells map[regKey]int64
+	steps   []tvStep
+	actions map[string]*codegen.CAction
+
+	// Storage resolved to dense slots. Register slots are the layout's
+	// materialized instances; field slots are added on first access.
+	// fieldByName is their identity — two accesses share a slot exactly
+	// when they render the same storage key — and srcFields/tgtFields
+	// remember each access's slot so the key is rendered once.
+	regs        []regSlot
+	regByKey    map[regKey]int32
+	fields      []fieldSlot
+	fieldByName map[fieldName]int32
+	srcFields   map[srcField]int32
+	tgtFields   map[*codegen.CFieldRef]int32
+
+	// The two execution sides and the path generation that stamps their
+	// live slots and the decisions recorded on nodes.
+	src, tgt pathState
+	gen      uint64
 
 	// Path enumeration: free decisions are made depth-first (true
 	// first); script replays a prefix with the deepest unexplored
 	// branch flipped.
-	assign    map[*node]bool
 	script    []bool
 	taken     []bool
 	decisions int
 	pruned    int
-	paths     int
+	replayed  int // schedule steps executed, both sides
 
 	pathBudget     int
 	decisionBudget int
@@ -140,7 +192,10 @@ func newMachine(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, pat
 		layout:         layout,
 		prog:           prog,
 		actions:        make(map[string]*codegen.CAction, len(prog.Actions)),
-		regCells:       make(map[regKey]int64, len(prog.Actions)),
+		regByKey:       make(map[regKey]int32, len(layout.Registers)),
+		fieldByName:    make(map[fieldName]int32),
+		srcFields:      make(map[srcField]int32),
+		tgtFields:      make(map[*codegen.CFieldRef]int32),
 		pathBudget:     pathBudget,
 		decisionBudget: decisionBudget,
 	}
@@ -169,8 +224,17 @@ func newMachine(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, pat
 		m.actions[prog.Actions[i].Name] = &prog.Actions[i]
 	}
 	for _, rp := range layout.Registers {
-		m.regCells[regKey{rp.Register, int64(rp.Index)}] = rp.Cells
+		k := regKey{rp.Register, int64(rp.Index)}
+		if slot, dup := m.regByKey[k]; dup {
+			m.regs[slot].cells = rp.Cells
+			continue
+		}
+		m.regByKey[k] = int32(len(m.regs))
+		m.regs = append(m.regs, regSlot{regKey: k, cells: rp.Cells})
 	}
+	stages := len(layout.Stages)
+	m.src = pathState{regs: make([]entry, len(m.regs)), alu: make([]uint64, stages)}
+	m.tgt = pathState{regs: make([]entry, len(m.regs)), alu: make([]uint64, stages)}
 	if f := m.buildSteps(); f != nil {
 		return nil, f
 	}
@@ -216,6 +280,9 @@ func (m *machine) buildSteps() *failure {
 		}
 		name := codegen.InstanceName(pl.Action, pl.Iter)
 		s := tvStep{inv: inv, iter: pl.Iter, stage: pl.Stage, caction: m.actions[name]}
+		if l := inv.Loop(); l != nil {
+			s.loopVar = l.Var
+		}
 		if !tableActions[pl.Action] {
 			if f := m.expectApply(applyIdx, "", name, pl.Stage); f != nil {
 				return f
@@ -259,13 +326,30 @@ func key(qual string, idx uint64) string {
 	return fmt.Sprintf("%s@%d", qual, idx)
 }
 
-// inVar is the packet input for a header key: a free symbolic variable
-// normally, a deterministic per-trial constant in concrete mode.
-func (m *machine) inVar(k string) *node {
-	if m.concrete {
-		return m.t.constant(hashUint(fnv1a(k), m.trial))
+// fieldSlotOf returns the storage slot of a rendered field key,
+// creating it on the key's first access from either side.
+func (m *machine) fieldSlotOf(name fieldName) int32 {
+	slot, ok := m.fieldByName[name]
+	if !ok {
+		slot = int32(len(m.fields))
+		m.fieldByName[name] = slot
+		m.fields = append(m.fields, fieldSlot{fieldName: name})
+		m.src.fields = append(m.src.fields, entry{})
+		m.tgt.fields = append(m.tgt.fields, entry{})
 	}
-	return m.t.in(k)
+	return slot
+}
+
+// inVar is the packet input for a header slot: a free symbolic variable
+// normally, a deterministic per-trial constant in concrete mode.
+func (m *machine) inVar(f *fieldSlot) *node {
+	if m.concrete {
+		return m.t.constant(hashUint(fnv1a(f.key), m.trial))
+	}
+	if f.in == nil {
+		f.in = m.t.in(f.key)
+	}
+	return f.in
 }
 
 // decide resolves a branch condition ("is this value nonzero?").
@@ -286,8 +370,8 @@ func (m *machine) decide(n *node, src bool) (bool, error) {
 		m.pruned++
 		return false, nil
 	}
-	if v, ok := m.assign[n]; ok {
-		return v, nil
+	if n.stamp == m.gen {
+		return n.taken, nil
 	}
 	if !src {
 		return false, &obligErr{kind: "unaligned-branch", detail: "emitted program branches on a condition the source never decided: " + nodeString(n, 4)}
@@ -303,7 +387,7 @@ func (m *machine) decide(n *node, src bool) (bool, error) {
 		}
 	}
 	m.taken = append(m.taken, v)
-	m.assign[n] = v
+	n.stamp, n.taken = m.gen, v
 	return v, nil
 }
 
@@ -325,24 +409,29 @@ func (ev *evalCtx) charge() {
 	}
 }
 
-func (ev *evalCtx) regArr(k regKey) *node {
-	if a, ok := ev.st.regs[k]; ok {
-		return a
+// regArr is the current array value of a register slot on one side:
+// the last store of this path, else the opaque initial contents.
+func (m *machine) regArr(st *pathState, slot int32) *node {
+	if c := st.regs[slot]; c.stamp == m.gen {
+		return c.n
 	}
-	return ev.m.t.arrInit(k.name, k.inst)
+	r := &m.regs[slot]
+	if r.init == nil {
+		r.init = m.t.arrInit(r.name, r.inst)
+	}
+	return r.init
 }
 
 // regRead mirrors the interpreter's register load: unmaterialized
 // instances read as zero without a stats charge; materialized reads
 // wrap the cell index at the extent and count one RegRead.
 func (ev *evalCtx) regRead(name string, inst int64, cell *node, width int) sv {
-	k := regKey{name, inst}
-	cells, ok := ev.m.regCells[k]
+	slot, ok := ev.m.regByKey[regKey{name, inst}]
 	if !ok {
 		return sv{ev.m.t.constant(0), width}
 	}
-	c := ev.m.t.wrapCell(cell, cells)
-	v := ev.m.t.sel(ev.regArr(k), c, width)
+	c := ev.m.t.wrapCell(cell, ev.m.regs[slot].cells)
+	v := ev.m.t.sel(ev.m.regArr(ev.st, slot), c, width)
 	if ev.m.concrete && v.kind == kSelect {
 		v = ev.m.t.constant(0) // fresh pipeline: cells start at zero
 	}
@@ -354,30 +443,38 @@ func (ev *evalCtx) regRead(name string, inst int64, cell *node, width int) sv {
 // unmaterialized instances, otherwise a width-masked functional store
 // and one RegWrite.
 func (ev *evalCtx) regWrite(name string, inst int64, cell *node, val *node, width int) {
-	k := regKey{name, inst}
-	cells, ok := ev.m.regCells[k]
+	slot, ok := ev.m.regByKey[regKey{name, inst}]
 	if !ok {
 		return
 	}
-	c := ev.m.t.wrapCell(cell, cells)
-	ev.st.regs[k] = ev.m.t.store(ev.regArr(k), c, ev.m.t.mask(val, width))
+	c := ev.m.t.wrapCell(cell, ev.m.regs[slot].cells)
+	arr := ev.m.t.store(ev.m.regArr(ev.st, slot), c, ev.m.t.mask(val, width))
+	ev.st.regs[slot] = entry{arr, ev.m.gen}
 	ev.st.regWrites++
 }
 
-func (ev *evalCtx) hdrRead(k string, width int) sv {
-	n, ok := ev.st.hdr[k]
-	if !ok {
-		n = ev.m.inVar(k)
+// fieldRead loads a header or metadata field: the value this path
+// wrote, else the packet input (headers, masked to the field) or zero
+// (metadata).
+func (ev *evalCtx) fieldRead(slot int32, width int) sv {
+	f := &ev.m.fields[slot]
+	c := ev.st.fields[slot]
+	written := c.stamp == ev.m.gen
+	if f.header {
+		if !written {
+			c.n = ev.m.inVar(f)
+		}
+		return sv{ev.m.t.mask(c.n, width), width}
 	}
-	return sv{ev.m.t.mask(n, width), width}
+	if !written {
+		c.n = ev.m.t.constant(0)
+	}
+	return sv{c.n, width}
 }
 
-func (ev *evalCtx) metaRead(k string, width int) sv {
-	n, ok := ev.st.meta[k]
-	if !ok {
-		n = ev.m.t.constant(0)
-	}
-	return sv{n, width}
+// fieldWrite stores a value masked to the field's width.
+func (ev *evalCtx) fieldWrite(slot int32, v *node, width int) {
+	ev.st.fields[slot] = entry{ev.m.t.mask(v, width), ev.m.gen}
 }
 
 // binary evaluates a binary operator over already-evaluated operands
@@ -446,12 +543,8 @@ func (ev *evalCtx) builtin(name string, args []sv) (sv, error) {
 // target side carries the same action/iteration bindings: it needs them
 // to replay invocation guards for table-dispatched steps, and they are
 // inert under evalC.
-func (m *machine) stepCtx(st *pathState, s *tvStep, src bool) *evalCtx {
-	loopVar := ""
-	if l := s.inv.Loop(); l != nil {
-		loopVar = l.Var
-	}
-	return &evalCtx{m: m, st: st, src: src, action: s.inv.Action, iter: s.iter, loopVar: loopVar, stage: s.stage}
+func (m *machine) stepCtx(st *pathState, s *tvStep, src bool) evalCtx {
+	return evalCtx{m: m, st: st, src: src, action: s.inv.Action, iter: s.iter, loopVar: s.loopVar, stage: s.stage}
 }
 
 // guardsL evaluates the invocation guards as the interpreter does: one
@@ -479,6 +572,7 @@ func (ev *evalCtx) guardsL(guards []lang.Expr) (bool, error) {
 func (m *machine) runSource(st *pathState) error {
 	for i := range m.steps {
 		s := &m.steps[i]
+		m.replayed++
 		ev := m.stepCtx(st, s, true)
 		pass, err := ev.guardsL(s.inv.Guards)
 		if err == nil && pass {
@@ -584,13 +678,14 @@ func (ev *evalCtx) evalL(e lang.Expr) (sv, error) {
 		}
 		return ev.arith(e.Op, x, y)
 	case *lang.CallExpr:
-		args := make([]sv, len(e.Args))
-		for i, a := range e.Args {
+		var buf [2]sv // every builtin takes two arguments
+		args := buf[:0]
+		for _, a := range e.Args {
 			v, err := ev.evalL(a)
 			if err != nil {
 				return sv{}, err
 			}
-			args[i] = v
+			args = append(args, v)
 		}
 		return ev.builtin(e.Name, args)
 	case *lang.Ref:
@@ -650,14 +745,11 @@ func (ev *evalCtx) loadL(ref *lang.Ref) (sv, error) {
 		if f == nil {
 			return sv{}, &abortErr{reason: "unknown field " + lang.PrintExpr(ref)}
 		}
-		k, err := ev.metaKeyL(ref, f)
+		slot, err := ev.fieldSlotL(ref, f, si.IsHeader)
 		if err != nil {
 			return sv{}, err
 		}
-		if si.IsHeader {
-			return ev.hdrRead(k, f.Width), nil
-		}
-		return ev.metaRead(k, f.Width), nil
+		return ev.fieldRead(slot, f.Width), nil
 	}
 	return sv{}, &abortErr{reason: "cannot read " + lang.PrintExpr(ref)}
 }
@@ -689,25 +781,32 @@ func (ev *evalCtx) regTargetL(ref *lang.Ref, reg *lang.Register) (int64, sv, err
 	return 0, sv{}, &abortErr{reason: "malformed register access " + lang.PrintExpr(ref)}
 }
 
-func (ev *evalCtx) metaKeyL(ref *lang.Ref, f *lang.MetaField) (string, error) {
+func (ev *evalCtx) fieldSlotL(ref *lang.Ref, f *lang.MetaField, header bool) (int32, error) {
 	fseg := ref.Segs[1]
-	qual := f.Qual()
+	id := srcField{f: f}
 	elastic := f.Count.IsSymbolic() || f.Count.Const > 1
-	if !elastic {
-		return qual, nil
+	if elastic {
+		if len(fseg.Indexes) != 1 {
+			return 0, &abortErr{reason: "elastic field " + f.Qual() + " needs one index"}
+		}
+		iv, err := ev.indexValueL(fseg.Indexes[0])
+		if err != nil {
+			return 0, err
+		}
+		if id.idx, err = constIndex(iv, "field instance"); err != nil {
+			return 0, err
+		}
 	}
-	if len(fseg.Indexes) != 1 {
-		return "", &abortErr{reason: "elastic field " + qual + " needs one index"}
+	slot, ok := ev.m.srcFields[id]
+	if !ok {
+		name := fieldName{header: header, key: f.Qual()}
+		if elastic {
+			name.key = key(name.key, id.idx)
+		}
+		slot = ev.m.fieldSlotOf(name)
+		ev.m.srcFields[id] = slot
 	}
-	iv, err := ev.indexValueL(fseg.Indexes[0])
-	if err != nil {
-		return "", err
-	}
-	idx, err := constIndex(iv, "field instance")
-	if err != nil {
-		return "", err
-	}
-	return key(qual, idx), nil
+	return slot, nil
 }
 
 func (ev *evalCtx) assignL(ref *lang.Ref, v sv) error {
@@ -725,15 +824,11 @@ func (ev *evalCtx) assignL(ref *lang.Ref, v sv) error {
 		if f == nil {
 			return &abortErr{reason: "unknown field " + lang.PrintExpr(ref)}
 		}
-		k, err := ev.metaKeyL(ref, f)
+		slot, err := ev.fieldSlotL(ref, f, si.IsHeader)
 		if err != nil {
 			return err
 		}
-		if si.IsHeader {
-			ev.st.hdr[k] = ev.m.t.mask(v.n, f.Width)
-			return nil
-		}
-		ev.st.meta[k] = ev.m.t.mask(v.n, f.Width)
+		ev.fieldWrite(slot, v.n, f.Width)
 		return nil
 	}
 	return &abortErr{reason: "cannot assign to " + lang.PrintExpr(ref)}
@@ -774,6 +869,7 @@ func (m *machine) runTarget(st *pathState) error {
 		if s.caction == nil {
 			return &obligErr{kind: "unknown-action", detail: fmt.Sprintf("emitted program lacks action %s", codegen.InstanceName(s.inv.Action.Name, s.iter))}
 		}
+		m.replayed++
 		ev := m.stepCtx(st, s, false)
 		var pass bool
 		var err error
@@ -783,7 +879,7 @@ func (m *machine) runTarget(st *pathState) error {
 			pass, err = ev.guardsL(s.inv.Guards)
 		}
 		if err == nil && pass {
-			bodyEv := &evalCtx{m: m, st: st, src: false, stage: s.caction.Stage}
+			bodyEv := evalCtx{m: m, st: st, src: false, stage: s.caction.Stage}
 			for _, stmt := range s.caction.Body {
 				if err = bodyEv.stmtC(stmt); err != nil {
 					break
@@ -884,13 +980,14 @@ func (ev *evalCtx) evalC(e codegen.CExpr) (sv, error) {
 		}
 		return ev.arith(e.Op, x, y)
 	case *codegen.CCall:
-		args := make([]sv, len(e.Args))
-		for i, a := range e.Args {
+		var buf [2]sv // every builtin takes two arguments
+		args := buf[:0]
+		for _, a := range e.Args {
 			v, err := ev.evalC(a)
 			if err != nil {
 				return sv{}, err
 			}
-			args[i] = v
+			args = append(args, v)
 		}
 		return ev.builtin(e.Name, args)
 	case *codegen.CRegRef:
@@ -900,14 +997,11 @@ func (ev *evalCtx) evalC(e codegen.CExpr) (sv, error) {
 		}
 		return ev.regRead(e.Reg, e.Inst, cell.n, e.Width), nil
 	case *codegen.CFieldRef:
-		k, err := fieldKeyC(e)
+		slot, err := ev.fieldSlotC(e)
 		if err != nil {
 			return sv{}, err
 		}
-		if e.Header {
-			return ev.hdrRead(k, e.Width), nil
-		}
-		return ev.metaRead(k, e.Width), nil
+		return ev.fieldRead(slot, e.Width), nil
 	case *codegen.CName:
 		return sv{}, &abortErr{reason: "unknown name " + e.Name}
 	default:
@@ -915,14 +1009,20 @@ func (ev *evalCtx) evalC(e codegen.CExpr) (sv, error) {
 	}
 }
 
-func fieldKeyC(e *codegen.CFieldRef) (string, error) {
+func (ev *evalCtx) fieldSlotC(e *codegen.CFieldRef) (int32, error) {
 	if e.Elastic && e.Index < 0 {
-		return "", &obligErr{kind: "unsupported", detail: fmt.Sprintf("elastic field %s.%s emitted without an instance", e.Struct, e.Field)}
+		return 0, &obligErr{kind: "unsupported", detail: fmt.Sprintf("elastic field %s.%s emitted without an instance", e.Struct, e.Field)}
 	}
-	if e.Elastic {
-		return key(e.Struct+"."+e.Field, uint64(e.Index)), nil
+	slot, ok := ev.m.tgtFields[e]
+	if !ok {
+		name := fieldName{header: e.Header, key: e.Struct + "." + e.Field}
+		if e.Elastic {
+			name.key = key(name.key, uint64(e.Index))
+		}
+		slot = ev.m.fieldSlotOf(name)
+		ev.m.tgtFields[e] = slot
 	}
-	return e.Struct + "." + e.Field, nil
+	return slot, nil
 }
 
 func (ev *evalCtx) assignC(lhs codegen.CExpr, v sv) error {
@@ -935,15 +1035,11 @@ func (ev *evalCtx) assignC(lhs codegen.CExpr, v sv) error {
 		ev.regWrite(e.Reg, e.Inst, cell.n, v.n, e.Width)
 		return nil
 	case *codegen.CFieldRef:
-		k, err := fieldKeyC(e)
+		slot, err := ev.fieldSlotC(e)
 		if err != nil {
 			return err
 		}
-		if e.Header {
-			ev.st.hdr[k] = ev.m.t.mask(v.n, e.Width)
-			return nil
-		}
-		ev.st.meta[k] = ev.m.t.mask(v.n, e.Width)
+		ev.fieldWrite(slot, v.n, e.Width)
 		return nil
 	default:
 		return &obligErr{kind: "unsupported", detail: "unmodeled assignment target in emitted program"}
@@ -962,10 +1058,8 @@ type equivResult struct {
 	Samples        int
 	Counterexample string
 	Failures       map[failure]int // per-failure path counts
-}
-
-func (m *machine) addFailure(res *equivResult, f failure) {
-	res.Failures[f]++
+	StepsReplayed  int             // schedule steps executed over all paths, both sides
+	Nodes          int             // interned DAG size at the end of the run
 }
 
 // runEquivalence enumerates every feasible source path, replays the
@@ -977,7 +1071,7 @@ func runEquivalence(m *machine, samples int) *equivResult {
 	m.script = nil
 	for {
 		if res.Paths >= m.pathBudget {
-			m.addFailure(res, failure{Kind: "path-budget", Detail: fmt.Sprintf("more than %d paths", m.pathBudget)})
+			res.Failures[failure{Kind: "path-budget", Detail: fmt.Sprintf("more than %d paths", m.pathBudget)}]++
 			break
 		}
 		res.Paths++
@@ -986,7 +1080,7 @@ func runEquivalence(m *machine, samples int) *equivResult {
 			res.PathsProved++
 		}
 		for _, f := range fails {
-			m.addFailure(res, f)
+			res.Failures[f]++
 		}
 		// Backtrack: flip the deepest true decision.
 		k := len(m.taken) - 1
@@ -1001,36 +1095,43 @@ func runEquivalence(m *machine, samples int) *equivResult {
 	}
 	res.Decisions = m.decisions
 	res.Pruned = m.pruned
+	res.StepsReplayed = m.replayed
 	if len(res.Failures) > 0 {
 		res.Fallbacks = len(res.Failures)
 		res.Samples = samples
 		res.Counterexample = m.concreteSearch(samples)
 	}
+	res.Nodes = m.t.seq
 	return res
+}
+
+// beginPath starts a fresh packet on both sides: the generation bump
+// empties every storage slot and forgets every recorded decision.
+func (m *machine) beginPath() {
+	m.gen++
+	m.taken = m.taken[:0]
+	m.src.reset()
+	m.tgt.reset()
 }
 
 // runPath executes one source path and its target replay, returning
 // the path's failures (empty means the path's obligations discharged).
 func (m *machine) runPath() []failure {
-	m.assign = make(map[*node]bool)
-	m.taken = m.taken[:0]
-	stages := len(m.layout.Stages)
-	src := newPathState(stages)
-	tgt := newPathState(stages)
-	var fails []failure
-	if err := m.runSource(src); err != nil {
+	m.beginPath()
+	if err := m.runSource(&m.src); err != nil {
 		oe := err.(*obligErr)
-		return append(fails, failure{Kind: oe.kind, Detail: oe.detail})
+		return []failure{{Kind: oe.kind, Detail: oe.detail}}
 	}
-	if err := m.runTarget(tgt); err != nil {
+	if err := m.runTarget(&m.tgt); err != nil {
 		oe := err.(*obligErr)
-		return append(fails, failure{Kind: oe.kind, Detail: oe.detail})
+		return []failure{{Kind: oe.kind, Detail: oe.detail}}
 	}
-	return m.compare(src, tgt)
+	return m.compare()
 }
 
 // compare discharges the per-path equivalence obligations.
-func (m *machine) compare(src, tgt *pathState) []failure {
+func (m *machine) compare() []failure {
+	src, tgt := &m.src, &m.tgt
 	var fails []failure
 	if src.aborted != "" || tgt.aborted != "" {
 		if src.aborted != tgt.aborted {
@@ -1042,69 +1143,83 @@ func (m *machine) compare(src, tgt *pathState) []failure {
 		// Register writes made before the abort persist; outputs are
 		// not produced, so only state and stats remain comparable.
 	} else {
-		fails = append(fails, compareMaps("header", src.hdr, tgt.hdr)...)
-		fails = append(fails, compareMaps("metadata", src.meta, tgt.meta)...)
+		fails = m.compareFields(fails)
 	}
-	fails = append(fails, m.compareRegs(src, tgt)...)
-	fails = append(fails, compareStats(src, tgt)...)
-	return fails
+	fails = m.compareRegs(fails)
+	return compareStats(fails, src, tgt)
 }
 
-func compareMaps(kind string, a, b map[string]*node) []failure {
-	var fails []failure
-	for _, k := range unionKeys(a, b) {
-		na, okA := a[k]
-		nb, okB := b[k]
-		switch {
-		case !okA:
-			fails = append(fails, failure{Kind: kind + "-mismatch", Detail: fmt.Sprintf("%s written only by the emitted program", k)})
-		case !okB:
-			fails = append(fails, failure{Kind: kind + "-mismatch", Detail: fmt.Sprintf("%s written only by the source", k)})
-		case na != nb:
-			fails = append(fails, failure{Kind: kind + "-mismatch", Detail: fmt.Sprintf("%s differs between source and emitted program", k)})
+// compareFields checks that both sides wrote the same header and
+// metadata fields with the same values. Mismatches are reported headers
+// first, each group in storage-key order.
+func (m *machine) compareFields(fails []failure) []failure {
+	var bad []int
+	for i := range m.fields {
+		a, b := m.src.fields[i], m.tgt.fields[i]
+		okA, okB := a.stamp == m.gen, b.stamp == m.gen
+		if okA != okB || okA && a.n != b.n {
+			bad = append(bad, i)
 		}
 	}
-	return fails
-}
-
-func (m *machine) compareRegs(src, tgt *pathState) []failure {
-	var fails []failure
-	seen := make(map[regKey]bool, len(src.regs)+len(tgt.regs))
-	var keys []regKey
-	for k := range src.regs {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
+	if len(bad) == 0 {
+		return fails
 	}
-	for k := range tgt.regs {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
+	sort.Slice(bad, func(i, j int) bool {
+		x, y := &m.fields[bad[i]], &m.fields[bad[j]]
+		if x.header != y.header {
+			return x.header
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].name != keys[j].name {
-			return keys[i].name < keys[j].name
-		}
-		return keys[i].inst < keys[j].inst
+		return x.key < y.key
 	})
-	for _, k := range keys {
-		na, okA := src.regs[k]
-		nb, okB := tgt.regs[k]
-		if !okA {
-			na = m.t.arrInit(k.name, k.inst)
+	for _, i := range bad {
+		f := &m.fields[i]
+		kind := "metadata-mismatch"
+		if f.header {
+			kind = "header-mismatch"
 		}
-		if !okB {
-			nb = m.t.arrInit(k.name, k.inst)
+		switch {
+		case m.src.fields[i].stamp != m.gen:
+			fails = append(fails, failure{Kind: kind, Detail: fmt.Sprintf("%s written only by the emitted program", f.key)})
+		case m.tgt.fields[i].stamp != m.gen:
+			fails = append(fails, failure{Kind: kind, Detail: fmt.Sprintf("%s written only by the source", f.key)})
+		default:
+			fails = append(fails, failure{Kind: kind, Detail: fmt.Sprintf("%s differs between source and emitted program", f.key)})
 		}
+	}
+	return fails
+}
+
+// compareRegs checks the final array value of every register instance
+// either side wrote; mismatches are reported in (name, instance) order.
+func (m *machine) compareRegs(fails []failure) []failure {
+	var bad []int32
+	for i := range m.regs {
+		slot := int32(i)
+		if m.src.regs[i].stamp != m.gen && m.tgt.regs[i].stamp != m.gen {
+			continue
+		}
+		na, nb := m.regArr(&m.src, slot), m.regArr(&m.tgt, slot)
 		if m.concrete {
 			na = m.concreteArr(na)
 			nb = m.concreteArr(nb)
 		}
 		if na != nb {
-			fails = append(fails, failure{Kind: "register-mismatch", Detail: fmt.Sprintf("final state of %s/%d differs", k.name, k.inst)})
+			bad = append(bad, slot)
 		}
+	}
+	if len(bad) == 0 {
+		return fails
+	}
+	sort.Slice(bad, func(i, j int) bool {
+		x, y := &m.regs[bad[i]], &m.regs[bad[j]]
+		if x.name != y.name {
+			return x.name < y.name
+		}
+		return x.inst < y.inst
+	})
+	for _, slot := range bad {
+		r := &m.regs[slot]
+		fails = append(fails, failure{Kind: "register-mismatch", Detail: fmt.Sprintf("final state of %s/%d differs", r.name, r.inst)})
 	}
 	return fails
 }
@@ -1138,8 +1253,7 @@ func (m *machine) concreteArr(arr *node) *node {
 	return out
 }
 
-func compareStats(src, tgt *pathState) []failure {
-	var fails []failure
+func compareStats(fails []failure, src, tgt *pathState) []failure {
 	if src.regReads != tgt.regReads {
 		fails = append(fails, failure{Kind: "stats-mismatch", Detail: fmt.Sprintf("RegReads %d vs %d", src.regReads, tgt.regReads)})
 	}
@@ -1154,25 +1268,6 @@ func compareStats(src, tgt *pathState) []failure {
 	return fails
 }
 
-func unionKeys(a, b map[string]*node) []string {
-	seen := make(map[string]bool, len(a)+len(b))
-	var keys []string
-	for k := range a {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	for k := range b {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // concreteSearch replays both sides on deterministic pseudo-random
 // concrete packets (zeroed registers), looking for a concrete witness
 // of divergence. It returns a description of the first counterexample
@@ -1181,21 +1276,17 @@ func unionKeys(a, b map[string]*node) []string {
 func (m *machine) concreteSearch(samples int) string {
 	defer func() { m.concrete = false }()
 	m.concrete = true
+	m.script = nil
 	for trial := 1; trial <= samples; trial++ {
 		m.trial = uint64(trial)
-		m.assign = make(map[*node]bool)
-		m.taken = m.taken[:0]
-		m.script = nil
-		stages := len(m.layout.Stages)
-		src := newPathState(stages)
-		tgt := newPathState(stages)
-		if err := m.runSource(src); err != nil {
+		m.beginPath()
+		if err := m.runSource(&m.src); err != nil {
 			continue // unsupported constructs stay symbolic obligations
 		}
-		if err := m.runTarget(tgt); err != nil {
+		if err := m.runTarget(&m.tgt); err != nil {
 			continue
 		}
-		if fails := m.compare(src, tgt); len(fails) > 0 {
+		if fails := m.compare(); len(fails) > 0 {
 			return fmt.Sprintf("trial %d: %s: %s", trial, fails[0].Kind, fails[0].Detail)
 		}
 	}

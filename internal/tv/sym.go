@@ -3,7 +3,6 @@ package tv
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 
 	"p4all/internal/lang"
 )
@@ -38,48 +37,99 @@ const (
 // interval for every concrete instantiation of the node, used to
 // discharge branch conditions without forking ("interval pruning").
 type node struct {
-	id    int
+	id    int32
 	kind  nodeKind
 	op    lang.Kind // kUn, kBin
 	name  string    // kIn variable, kCall builtin, kArrial "reg/inst"
 	val   uint64    // kConst
 	width int       // kMask truncation width, kSelect register width
-	args  []*node
+	args  [3]*node  // operands; unused trailing entries are nil
 	lo    uint64
 	hi    uint64
+
+	// The branch decision recorded for this condition on the machine's
+	// current path: taken is meaningful only while stamp equals the
+	// machine's path generation (see machine.decide).
+	stamp uint64
+	taken bool
 }
 
 func (n *node) isConst() bool { return n.kind == kConst }
 
-// symtab interns nodes.
+// nodeKey is the structural identity of a non-constant node: every
+// field that distinguishes two values, in a fixed-size comparable
+// form, so a lookup hashes a few words and allocates nothing. Names
+// and operands are their interned ids plus one; zero is the empty name
+// and the unused operand.
+type nodeKey struct {
+	kind  nodeKind
+	op    lang.Kind
+	width int
+	name  int32
+	args  [3]int32
+}
+
+// symtab interns nodes: the table is probed before a node is
+// allocated, so only the first sight of a value costs memory.
 type symtab struct {
-	nodes map[string]*node
-	seq   int
+	consts map[uint64]*node
+	nodes  map[nodeKey]*node
+	names  map[string]int32
+	seq    int // nodes interned so far
 }
 
 func newSymtab() *symtab {
-	return &symtab{nodes: make(map[string]*node, 256)}
+	return &symtab{
+		consts: make(map[uint64]*node, 64),
+		nodes:  make(map[nodeKey]*node, 256),
+		names:  make(map[string]int32, 16),
+	}
 }
 
-func (t *symtab) intern(n *node) *node {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|%s|%d|%d", n.kind, n.op, n.name, n.val, n.width)
-	for _, a := range n.args {
-		fmt.Fprintf(&b, "|%d", a.id)
+// alloc returns a fresh node carrying the next id.
+func (t *symtab) alloc() *node {
+	n := &node{id: int32(t.seq)}
+	t.seq++
+	return n
+}
+
+// intern returns the node of a non-constant value, creating it on
+// first sight. Unused operands are nil.
+func (t *symtab) intern(kind nodeKind, op lang.Kind, width int, name string, a0, a1, a2 *node) *node {
+	k := nodeKey{kind: kind, op: op, width: width}
+	if name != "" {
+		id, ok := t.names[name]
+		if !ok {
+			id = int32(len(t.names)) + 1
+			t.names[name] = id
+		}
+		k.name = id
 	}
-	key := b.String()
-	if have, ok := t.nodes[key]; ok {
+	for i, a := range [3]*node{a0, a1, a2} {
+		if a != nil {
+			k.args[i] = a.id + 1
+		}
+	}
+	if have, ok := t.nodes[k]; ok {
 		return have
 	}
-	n.id = t.seq
-	t.seq++
+	n := t.alloc()
+	n.kind, n.op, n.width, n.name = kind, op, width, name
+	n.args = [3]*node{a0, a1, a2}
 	n.lo, n.hi = interval(n)
-	t.nodes[key] = n
+	t.nodes[k] = n
 	return n
 }
 
 func (t *symtab) constant(v uint64) *node {
-	return t.intern(&node{kind: kConst, val: v})
+	if have, ok := t.consts[v]; ok {
+		return have
+	}
+	n := t.alloc()
+	n.kind, n.val = kConst, v
+	n.lo, n.hi = interval(n)
+	t.consts[v] = n
+	return n
 }
 
 func (t *symtab) boolConst(b bool) *node {
@@ -91,7 +141,7 @@ func (t *symtab) boolConst(b bool) *node {
 
 // in returns the packet input variable for a header key.
 func (t *symtab) in(name string) *node {
-	return t.intern(&node{kind: kIn, name: name})
+	return t.intern(kIn, 0, 0, name, nil, nil, nil)
 }
 
 // widthMask and maskTo mirror internal/sim exactly.
@@ -133,7 +183,7 @@ func (t *symtab) mask(x *node, w int) *node {
 	if x.hi <= widthMask(w) {
 		return x
 	}
-	return t.intern(&node{kind: kMask, width: w, args: []*node{x}})
+	return t.intern(kMask, 0, w, "", x, nil, nil)
 }
 
 // neg is the unary MINUS before masking.
@@ -141,7 +191,7 @@ func (t *symtab) neg(x *node) *node {
 	if x.isConst() {
 		return t.constant(-x.val)
 	}
-	return t.intern(&node{kind: kUn, op: lang.MINUS, args: []*node{x}})
+	return t.intern(kUn, lang.MINUS, 0, "", x, nil, nil)
 }
 
 // not is the boolean negation (yields 0/1).
@@ -155,7 +205,7 @@ func (t *symtab) not(x *node) *node {
 	if x.hi == 0 {
 		return t.constant(1)
 	}
-	return t.intern(&node{kind: kUn, op: lang.NOT, args: []*node{x}})
+	return t.intern(kUn, lang.NOT, 0, "", x, nil, nil)
 }
 
 // bin builds a raw (unmasked) binary node. The caller must rule out
@@ -187,7 +237,7 @@ func (t *symtab) bin(op lang.Kind, x, y *node) *node {
 			return t.boolConst(x.val != y.val)
 		}
 	}
-	n := t.intern(&node{kind: kBin, op: op, args: []*node{x, y}})
+	n := t.intern(kBin, op, 0, "", x, y, nil)
 	// Comparisons may still fold through the operand intervals.
 	if n.lo == n.hi {
 		return t.constant(n.lo)
@@ -225,17 +275,17 @@ func (t *symtab) call(name string, x, y *node) *node {
 			return t.constant(y.val)
 		}
 	}
-	return t.intern(&node{kind: kCall, name: name, args: []*node{x, y}})
+	return t.intern(kCall, 0, 0, name, x, y, nil)
 }
 
 // arrInit is the opaque initial contents of one register instance.
 func (t *symtab) arrInit(reg string, inst int64) *node {
-	return t.intern(&node{kind: kArrial, name: fmt.Sprintf("%s/%d", reg, inst)})
+	return t.intern(kArrial, 0, 0, fmt.Sprintf("%s/%d", reg, inst), nil, nil, nil)
 }
 
 // store is a functional array update.
 func (t *symtab) store(arr, idx, val *node) *node {
-	return t.intern(&node{kind: kStore, args: []*node{arr, idx, val}})
+	return t.intern(kStore, 0, 0, "", arr, idx, val)
 }
 
 // sel reads a cell, resolving through the store chain: an identical
@@ -259,7 +309,7 @@ func (t *symtab) sel(arr, idx *node, width int) *node {
 		}
 		break
 	}
-	return t.intern(&node{kind: kSelect, width: width, args: []*node{a, idx}})
+	return t.intern(kSelect, 0, width, "", a, idx, nil)
 }
 
 // wrapCell applies the simulator's cell wrap (cell % len(store)) —

@@ -92,6 +92,11 @@ func Validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts 
 	auditSpan.End()
 
 	eqSpan := span.Child("tv.equivalence")
+	// Cost counters: how large the interned DAG grew and how many
+	// schedule steps the replay-from-root enumeration executed. They
+	// explain the validator's run time and are not part of the
+	// certificate.
+	var nodes, stepsReplayed int
 	m, setupFail := newMachine(u, layout, prog, opts.PathBudget, opts.DecisionBudget)
 	if setupFail != nil {
 		cert.Equivalence = EquivalenceReport{
@@ -100,6 +105,7 @@ func Validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts 
 		}
 	} else {
 		eq := runEquivalence(m, opts.FallbackSamples)
+		nodes, stepsReplayed = eq.Nodes, eq.StepsReplayed
 		cert.Equivalence = EquivalenceReport{
 			Paths:           eq.Paths,
 			PathsProved:     eq.PathsProved,
@@ -113,7 +119,9 @@ func Validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts 
 	}
 	eqSpan.SetAttrs(
 		obs.Int("paths", cert.Equivalence.Paths),
-		obs.Int("obligations", len(cert.Equivalence.Obligations)))
+		obs.Int("obligations", len(cert.Equivalence.Obligations)),
+		obs.Int("nodes", nodes),
+		obs.Int("steps_replayed", stepsReplayed))
 	eqSpan.End()
 
 	if len(cert.Equivalence.Obligations) == 0 && !cert.Audit.Failed() {
@@ -127,6 +135,8 @@ func Validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts 
 		tr.Counter("tv.decisions").Add(int64(cert.Equivalence.Decisions))
 		tr.Counter("tv.pruned").Add(int64(cert.Equivalence.PrunedDecisions))
 		tr.Counter("tv.fallbacks").Add(int64(cert.Equivalence.Fallbacks))
+		tr.Counter("tv.nodes").Add(int64(nodes))
+		tr.Counter("tv.steps_replayed").Add(int64(stepsReplayed))
 		if !cert.Proved() {
 			tr.Counter("tv.failed").Add(1)
 		}
