@@ -23,8 +23,8 @@ COUNT     ?= 6
 BASELINE  ?= BENCH_BASELINE.json
 
 .PHONY: build test race lint check bench bench-baseline bench-gate \
-	bench-profile difftest fuzz-smoke serve-smoke certify \
-	multitenant
+	bench-profile bench-smoke bench-e2e difftest fuzz-smoke serve-smoke \
+	certify multitenant
 
 # Per-target budget for the CI fuzz smoke (see docs/DIFFTEST.md). Four
 # targets at 22s each keep the job's total fuzz budget where it was
@@ -81,6 +81,22 @@ bench-baseline:
 bench-profile:
 	$(GO) test -run=NONE -bench=MultiTenantResolve -benchtime=1x -benchmem \
 		-cpuprofile=ilp-cpu.prof -o ilp-bench.test ./internal/multitenant/
+
+# bench/ is a module of its own, so `go build ./... && go test ./...`
+# at the root never compiles it: a rename in what it reads from the
+# compiler (ilpgen.Stats' SimplexIter, DualIters, PrimalFallbacks,
+# Refactors, Presolve.RowsDropped, ...) would break the benchmark
+# without failing a test. bench-smoke vets and runs its own tests
+# (about 30 s); CI runs it beside the root module's.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-e2e runs the repository's benchmark (BENCHMARK.json: six
+# workloads, end to end) and appends the results under runs/<commit>;
+# compare two such directories with
+#   bash bench/run.sh -compare runs/a/results.jsonl runs/b/results.jsonl
+bench-e2e:
+	bash bench/run.sh -out runs/$$(git rev-parse --short HEAD)
 
 # difftest runs the full differential-testing matrix on the default
 # engine, the bytecode VM: seven oracles x four apps x three budgets,

@@ -29,8 +29,9 @@ package ilp
 // sits outside its bounds — the exact Farkas certificate).
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -72,9 +73,14 @@ func (ws *lpWorkspace) captureBasis(sf *standardForm) *basisSnapshot {
 // dualCand is one admissible entering candidate of a dual ratio test.
 type dualCand struct {
 	j     int32
-	alpha float64 // pivot row entry Binv[r]·A_j
+	alpha float64 // pivot row entry (e_rᵀB⁻¹)·A_j
 	ratio float64 // |reduced cost| / |alpha|
 }
+
+// pivotAgree is the relative difference tolerated between the two
+// computations of a dual pivot element. On healthy factors they agree to
+// 1e-11 or better; on drifted ones they differ by their whole magnitude.
+const pivotAgree = 1e-6
 
 // maxDualIters bounds one dual re-solve relative to the basis size. A
 // healthy re-solve after a single bound tighten needs a handful of
@@ -98,7 +104,6 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 		n:        n,
 		nSlack:   m,
 		basis:    ws.basis[:m],
-		binv:     ws.binv[:m],
 		xB:       ws.xB[:m],
 		refEvery: refactorEvery,
 	}
@@ -135,8 +140,8 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 
 	// Install the inherited basis. When the snapshot is still resident
 	// on this workspace — the node is the follow child of the node that
-	// captured it, solved back-to-back on the same worker — the inverse
-	// is already here and only the basic values move (the branched
+	// captured it, solved back-to-back on the same worker — the factors
+	// are already here and only the basic values move (the branched
 	// bound changed a nonbasic value). Residency is decided by the
 	// plunge drivers (chain starts invalidate), so it is a structural
 	// property of the tree, identical at every thread count.
@@ -165,11 +170,12 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 	}
 
 	// Verify dual feasibility of the inherited basis before trusting
-	// it: y = cB·Binv, and every nonbasic reduced cost must carry the
+	// it: yᵀ = cBᵀ·B⁻¹, and every nonbasic reduced cost must carry the
 	// sign its bound status requires. The branch did not change costs,
 	// so failure here means numerical damage — fall back.
 	y := s.ws.y[:m]
-	if !s.computeDuals(y) {
+	d := s.ws.d[:n]
+	if !s.computeDuals(y, d) {
 		return 0, 0, nil, s.dualCounts(), false, nil
 	}
 
@@ -231,37 +237,43 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 			target = s.hi[out]
 		}
 		// Admissible entering candidates from the pivot row
-		// alpha_j = Binv[r]·A_j: moving x_j from its bound must push
-		// xB[r] toward target (∂xB[r]/∂x_j = -alpha_j), and the dual
-		// ratio |d_j|/|alpha_j| is how far the duals can move before
-		// j's reduced cost changes sign.
-		br := s.binv[r]
+		// alpha_j = rho·A_j, rho = e_rᵀ·B⁻¹: moving x_j from its bound
+		// must push xB[r] toward target (∂xB[r]/∂x_j = -alpha_j), and the
+		// dual ratio |d_j|/|alpha_j| is how far the duals can move before
+		// j's reduced cost changes sign. rho is sparse, so the row is
+		// accumulated from the rows of A where it is non-zero.
+		rho := ws.rho[:m]
+		ws.cb[r] = 1
+		ws.fac.btran(ws.cb[:m], rho)
+		dropResidue(rho) // or residue times a unit coefficient passes for a pivot
+		alpha := ws.alpha[:n]
+		clear(alpha)
+		for i, ri := range rho {
+			if ri == 0 {
+				continue
+			}
+			for p := sf.rowStart[i]; p < sf.rowStart[i+1]; p++ {
+				alpha[sf.rowCol[p]] += ri * sf.rowVal[p]
+			}
+			alpha[sf.nStruct+i] = ri
+		}
 		cands := ws.dcand[:0]
-		for j := 0; j < s.n; j++ {
+		for j, a := range alpha {
+			if math.Abs(a) < pivotTol {
+				continue
+			}
 			st := s.status[j]
 			if st == inBasis || s.lo[j] == s.hi[j] {
 				continue
 			}
-			col := &s.cols[j]
-			alpha := 0.0
-			for k, ri := range col.ind {
-				alpha += br[ri] * col.val[k]
-			}
-			if math.Abs(alpha) < pivotTol {
-				continue
-			}
 			if st == nbLower {
-				if alpha*dir >= 0 {
+				if a*dir >= 0 {
 					continue
 				}
-			} else if alpha*dir <= 0 {
+			} else if a*dir <= 0 {
 				continue
 			}
-			d := s.cost[j]
-			for k, ri := range col.ind {
-				d -= y[ri] * col.val[k]
-			}
-			cands = append(cands, dualCand{j: int32(j), alpha: alpha, ratio: math.Abs(d) / math.Abs(alpha)})
+			cands = append(cands, dualCand{j: int32(j), alpha: a, ratio: math.Abs(d[j]) / math.Abs(a)})
 		}
 		ws.dcand = cands[:0] // keep the (possibly grown) backing array
 		if len(cands) == 0 {
@@ -290,10 +302,16 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 		// variable movement. Ties break on column index (sort order and
 		// strict comparisons below), keeping the pivot sequence
 		// deterministic.
-		sort.Sort(byRatio(cands))
+		slices.SortFunc(cands, func(a, b dualCand) int {
+			if c := cmp.Compare(a.ratio, b.ratio); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.j, b.j)
+		})
 		need := worst
 		enterIdx := -1
-		for ci := 0; ci < len(cands) && enterIdx == -1; {
+		ci := 0 // cands[:ci] have been flipped
+		for ci < len(cands) && enterIdx == -1 {
 			groupEnd := ci + 1
 			for groupEnd < len(cands) && cands[groupEnd].ratio <= cands[ci].ratio+1e-9 {
 				groupEnd++
@@ -329,12 +347,10 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 				s.status[j] = nbLower
 				delta = -rng
 			}
-			col := &s.cols[j]
-			for k, ri := range col.ind {
-				v := col.val[k] * delta
-				for i := 0; i < m; i++ {
-					s.xB[i] -= s.binv[i][ri] * v
-				}
+			w := ws.w[:m]
+			s.ftranCol(int(j), delta, w, false)
+			for i, wi := range w {
+				s.xB[i] -= wi
 			}
 			ci++
 		}
@@ -346,19 +362,31 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 		}
 		// Entering pivot.
 		q := int(cands[enterIdx].j)
-		w := s.ws.w[:m]
-		for i := 0; i < m; i++ {
-			w[i] = 0
+		w := ws.w[:m]
+		s.ftranCol(q, 1, w, true)
+		if debugChecks {
+			s.checkFtran(q, w)
 		}
-		colQ := &s.cols[q]
-		for k, ri := range colQ.ind {
-			v := colQ.val[k]
-			for i := 0; i < m; i++ {
-				w[i] += s.binv[i][ri] * v
+		if a := cands[enterIdx].alpha; math.Abs(w[r]) < pivotTol || math.Abs(w[r]-a) > pivotAgree*math.Abs(a) {
+			// The pivot as the row solve saw it (alpha_q) and as the
+			// column solve does (w[r]) are one number computed twice.
+			// Where they differ the factors have drifted: take back this
+			// iteration's flips, rebuild, and redo the iteration. Fresh
+			// factors that disagree leave nothing to rebuild.
+			if ws.fac.updates() == 0 {
+				return 0, 0, nil, s.dualCounts(), false, nil
 			}
-		}
-		if math.Abs(w[r]) < pivotTol {
-			return 0, 0, nil, s.dualCounts(), false, nil
+			for _, c := range cands[:ci] {
+				if s.status[c.j] == nbLower {
+					s.status[c.j] = nbUpper
+				} else {
+					s.status[c.j] = nbLower
+				}
+			}
+			if err := s.refactorizeBasis(); err != nil {
+				return 0, 0, nil, s.dualCounts(), false, nil
+			}
+			continue
 		}
 		deltaQ := (s.xB[r] - target) / w[r]
 		xq := s.nbValue(q) + deltaQ
@@ -375,74 +403,47 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 		s.status[q] = inBasis
 		s.basis[r] = int32(q)
 		s.xB[r] = xq
-		s.pivotBinv(r, w)
 		s.pivots++
 		ws.pivotAge++
-		if ws.pivotAge >= s.refEvery {
+		if !ws.fac.update(r, w[r]) || ws.pivotAge >= s.refEvery {
 			if err := s.refactorizeBasis(); err != nil {
 				return 0, 0, nil, s.dualCounts(), false, nil
 			}
 		}
 		// Refresh the duals for the next ratio test (recomputed from the
-		// inverse rather than updated incrementally: same cost order as
+		// factors rather than updated incrementally: same cost order as
 		// one pricing pass, and immune to creeping error).
-		if !s.computeDuals(y) {
-			return 0, 0, nil, s.dualCounts(), false, nil
+		if !s.computeDuals(y, d) {
+			// Before giving the node to the primal, ask once whether the
+			// damage is in the factors rather than the basis.
+			if ws.fac.updates() == 0 || s.refactorizeBasis() != nil || !s.computeDuals(y, d) {
+				return 0, 0, nil, s.dualCounts(), false, nil
+			}
 		}
 	}
 
 	// Extract. The basis is primal feasible against freshly recomputed
 	// basic values and dual feasible by the invariant checks above.
-	x := make([]float64, sf.nStruct)
-	for j := 0; j < sf.nStruct; j++ {
-		if s.status[j] != inBasis {
-			x[j] = s.nbValue(j)
-		}
-	}
-	for i, bj := range s.basis {
-		if int(bj) < sf.nStruct {
-			x[bj] = s.xB[i]
-		}
-	}
-	obj := 0.0
-	for j := 0; j < sf.nStruct; j++ {
-		obj += sf.cost[j] * x[j]
-	}
+	x, obj := s.extract()
 	ws.basisValid = true
 	return lpOptimal, obj, x, s.dualCounts(), true, nil
 }
 
-// computeDuals fills y = cB·Binv and verifies every nonbasic reduced
-// cost carries the sign its status requires (within a loosened
-// tolerance — the branch changed no costs, so a violation is numerical
-// damage, not a real dual infeasibility). Reports false on violation.
-func (s *simplex) computeDuals(y []float64) bool {
-	m := s.sf.m
-	for i := 0; i < m; i++ {
-		y[i] = 0
-	}
-	for k := 0; k < m; k++ {
-		cb := s.cost[s.basis[k]]
-		if cb == 0 {
-			continue
-		}
-		row := s.binv[k]
-		for i := 0; i < m; i++ {
-			y[i] += cb * row[i]
-		}
-	}
+// computeDuals fills yᵀ = cBᵀ·B⁻¹ and the reduced costs d, and verifies
+// every nonbasic reduced cost carries the sign its status requires
+// (within a loosened tolerance — the branch changed no costs, so a
+// violation is numerical damage, not a real dual infeasibility).
+// Reports false on violation.
+func (s *simplex) computeDuals(y, d []float64) bool {
+	s.duals(y)
+	s.reducedCosts(y, d)
 	const dualFeasTol = 1e-6
 	for j := 0; j < s.n; j++ {
 		st := s.status[j]
 		if st == inBasis || s.lo[j] == s.hi[j] {
 			continue
 		}
-		col := &s.cols[j]
-		d := s.cost[j]
-		for k, r := range col.ind {
-			d -= y[r] * col.val[k]
-		}
-		if (st == nbLower && d < -dualFeasTol) || (st == nbUpper && d > dualFeasTol) {
+		if (st == nbLower && d[j] < -dualFeasTol) || (st == nbUpper && d[j] > dualFeasTol) {
 			return false
 		}
 	}
@@ -453,17 +454,4 @@ func (s *simplex) computeDuals(y []float64) bool {
 // dual pivots.
 func (s *simplex) dualCounts() lpCounts {
 	return lpCounts{iters: s.iters, dual: s.iters, refactors: s.refactors}
-}
-
-// byRatio orders dual ratio-test candidates by (ratio, column index);
-// the index tie-break keeps degenerate steps deterministic.
-type byRatio []dualCand
-
-func (c byRatio) Len() int      { return len(c) }
-func (c byRatio) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-func (c byRatio) Less(i, j int) bool {
-	if c[i].ratio != c[j].ratio {
-		return c[i].ratio < c[j].ratio
-	}
-	return c[i].j < c[j].j
 }

@@ -5,9 +5,11 @@
 // assignment.
 //
 // The LP relaxations are solved with a bounded-variable revised primal
-// simplex (explicit basis inverse, two-phase start with on-demand
-// artificials, Dantzig pricing with a Bland anti-cycling fallback, and
-// periodic refactorization). Integrality is enforced by best-first
+// simplex (sparse LU factors of the basis updated by Forrest–Tomlin row
+// transformations, two-phase start with on-demand artificials, Dantzig
+// pricing with a Bland anti-cycling fallback, and periodic
+// refactorization); branch-and-bound children re-solve by dual simplex
+// from the parent's basis. Integrality is enforced by best-first
 // branch and bound with most-fractional branching and a diving
 // heuristic for early incumbents.
 package ilp

@@ -12,11 +12,12 @@ import (
 //	minimize   c·x
 //	subject to A·x (op) b,   lo <= x <= hi
 //
-// using a bounded-variable revised primal simplex with an explicitly
-// maintained basis inverse. Inequalities become equalities via one
-// slack column per row; rows whose slack cannot absorb the initial
-// residual receive an artificial column, and a phase-1 objective drives
-// total artificial mass to zero before the real objective is optimized.
+// using a bounded-variable revised primal simplex over a factored basis
+// (factor.go: singleton peel, sparse LU of the nucleus, Forrest–Tomlin
+// updates). Inequalities become equalities via one slack column per
+// row; rows whose slack cannot absorb the initial residual receive an
+// artificial column, and a phase-1 objective drives total artificial
+// mass to zero before the real objective is optimized.
 
 const (
 	feasTol  = 1e-7 // bound/feasibility tolerance
@@ -27,10 +28,9 @@ const (
 	stallLimit = 256
 )
 
-// refactorEvery bounds how many pivots may elapse between full
-// recomputations of the basis inverse (variable so debug runs can
-// refactorize aggressively).
-var refactorEvery = 128
+// refactorEvery bounds how many pivots may elapse (how many updates the
+// factor may carry) between refactorizations of the basis.
+const refactorEvery = 128
 
 var errSingularBasis = errors.New("ilp: singular basis during refactorization")
 
@@ -61,16 +61,22 @@ type spCol struct {
 // standardForm is a model lowered for the simplex: structural columns
 // first, one slack column per row appended by the solver itself.
 type standardForm struct {
-	nStruct int       // number of structural (model) columns
-	m       int       // number of rows
-	cols    []spCol   // structural columns only, length nStruct
-	ops     []Op      // per-row comparison before slack introduction
-	b       []float64 // right-hand sides (row-scaled)
-	lo, hi  []float64 // structural bounds, length nStruct
-	cost    []float64 // structural minimization costs
-	objK    float64   // objective constant
-	intVar  []bool    // structural integrality markers
-	branch  []int     // branching priority per structural column
+	nStruct int     // number of structural (model) columns
+	m       int     // number of rows
+	cols    []spCol // structural columns only, length nStruct
+	// The same matrix by row (CSR over the structural columns), for
+	// products that start from a sparse row-space vector: reduced costs
+	// from the duals, the dual simplex's pivot row from a row of B⁻¹.
+	rowStart []int32
+	rowCol   []int32
+	rowVal   []float64
+	ops      []Op      // per-row comparison before slack introduction
+	b        []float64 // right-hand sides (row-scaled)
+	lo, hi   []float64 // structural bounds, length nStruct
+	cost     []float64 // structural minimization costs
+	objK     float64   // objective constant
+	intVar   []bool    // structural integrality markers
+	branch   []int     // branching priority per structural column
 	// deadline, when set, aborts any simplex run past it with
 	// errDeadline. Solve stamps it once before the root LP; every
 	// worker reads it immutably afterwards.
@@ -195,7 +201,36 @@ func lowerModel(m *Model, presolve bool) (*standardForm, error) {
 	sf.m = rows
 	sf.ops = sf.ops[:rows]
 	sf.b = sf.b[:rows]
+	sf.buildRows()
 	return sf, nil
+}
+
+// buildRows derives the row-wise copy of the structural columns. Within
+// a row the entries are in column order, as each column's are in row
+// order, so a sum accumulated through either copy adds the same terms in
+// the same order.
+func (sf *standardForm) buildRows() {
+	sf.rowStart = make([]int32, sf.m+1)
+	for j := range sf.cols {
+		for _, r := range sf.cols[j].ind {
+			sf.rowStart[r+1]++
+		}
+	}
+	for r := 0; r < sf.m; r++ {
+		sf.rowStart[r+1] += sf.rowStart[r]
+	}
+	nnz := sf.rowStart[sf.m]
+	sf.rowCol = make([]int32, nnz)
+	sf.rowVal = make([]float64, nnz)
+	next := append([]int32(nil), sf.rowStart[:sf.m]...)
+	for j := range sf.cols {
+		col := &sf.cols[j]
+		for k, r := range col.ind {
+			sf.rowCol[next[r]] = int32(j)
+			sf.rowVal[next[r]] = col.val[k]
+			next[r]++
+		}
+	}
 }
 
 // clone duplicates the bound vectors (the only per-node mutable state)
@@ -226,21 +261,21 @@ type lpWorkspace struct {
 	p1     []float64 // setup/phase-1 cost buffer
 	status []int8
 	basis  []int32
-	binv   [][]float64
+	fac    basisFactor // the factored basis (factor.go)
 	xB     []float64
 	resid  []float64
 	y, w   []float64
-	bmat   [][]float64 // refactorization scratch, [K | I] augmented
-	slack  []spCol     // cached unit slack columns, one per row
+	rho    []float64 // dual pivot row of B⁻¹
+	slack  []spCol   // cached unit slack columns, one per row
 
-	// Block-triangular refactorization scratch (refactorizeBasis):
-	// singleton-column/home-row matching and the kernel index maps.
-	pivRow []int32
-	rowPos []int32
-	kq     []int32
-	kcols  []int32
-	krows  []int32
-	dinv   []float64
+	// Solve inputs the factor consumes back to zero: rhs is a row-space
+	// scatter buffer for ftran, cb a position-space one for btran. Both
+	// are all-zero between uses.
+	rhs, cb []float64
+	// Per-column buffers: reduced costs, the dual pivot row, and the
+	// primal's banned-column marks.
+	d, alpha []float64
+	banned   []bool
 
 	// Delta-node materialization scratch (branchbound.go): the node
 	// chain's bound deltas are applied over the root bounds here, so
@@ -248,19 +283,18 @@ type lpWorkspace struct {
 	nodeLo, nodeHi []float64
 	chain          []*node
 
-	// Dual re-solve state. basisValid reports that basis/status/binv
+	// Dual re-solve state. basisValid reports that basis/status/fac
 	// describe the optimal basis of the most recent solve on this
 	// workspace; resident is the snapshot captured from that state (nil
 	// unless captureBasis ran after the solve). When a dual re-solve
 	// receives snap == resident the refactorization is skipped — the
-	// inverse is already in the workspace. pivotAge counts pivots since
+	// factors are already in the workspace. pivotAge counts pivots since
 	// the last refactorization ACROSS solves, so a long plunge chain of
 	// cheap dual re-solves still refactorizes on the usual cadence.
 	basisValid bool
 	resident   *basisSnapshot
 	pivotAge   int
 	dcand      []dualCand // dual ratio-test candidate scratch
-	nzIdx      []int32    // pivotBinv sparse pivot-row index scratch
 }
 
 // invalidate forgets any resident basis. Plunge drivers call it at
@@ -286,23 +320,20 @@ func newWorkspace(sf *standardForm) *lpWorkspace {
 		p1:     make([]float64, 0, capN),
 		status: make([]int8, 0, capN),
 		basis:  make([]int32, m),
-		binv:   make([][]float64, m),
+		fac:    newBasisFactor(m),
 		xB:     make([]float64, m),
 		resid:  make([]float64, m),
 		y:      make([]float64, m),
 		w:      make([]float64, m),
-		bmat:   make([][]float64, m),
+		rho:    make([]float64, m),
 		slack:  make([]spCol, m),
-		pivRow: make([]int32, m),
-		rowPos: make([]int32, m),
-		kq:     make([]int32, m),
-		kcols:  make([]int32, 0, m),
-		krows:  make([]int32, 0, m),
-		dinv:   make([]float64, m),
+		rhs:    make([]float64, m),
+		cb:     make([]float64, m),
+		d:      make([]float64, capN),
+		alpha:  make([]float64, capN),
+		banned: make([]bool, capN),
 	}
 	for i := 0; i < m; i++ {
-		ws.binv[i] = make([]float64, m)
-		ws.bmat[i] = make([]float64, 2*m)
 		ws.slack[i] = spCol{ind: []int32{int32(i)}, val: []float64{1}}
 	}
 	ws.nodeLo = make([]float64, sf.nStruct)
@@ -320,7 +351,6 @@ type simplex struct {
 	cost      []float64
 	status    []int8
 	basis     []int32
-	binv      [][]float64
 	xB        []float64
 	iters     int
 	pivots    int // pivots since last refactorization
@@ -463,20 +493,14 @@ func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hin
 			resid[r] -= col.val[k] * x
 		}
 	}
-	s.binv = ws.binv[:m]
 	anyArtificial := false
 	for i := 0; i < m; i++ {
-		row := s.binv[i]
-		for k := range row {
-			row[k] = 0
-		}
 		j := sf.nStruct + i
 		r := resid[i]
 		if r >= s.lo[j]-feasTol && r <= s.hi[j]+feasTol {
 			s.basis[i] = int32(j)
 			s.status[j] = inBasis
 			s.xB[i] = r
-			s.binv[i][i] = 1
 			continue
 		}
 		// Slack nonbasic at its nearest bound; artificial takes the rest.
@@ -503,10 +527,13 @@ func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hin
 		s.status = append(s.status, inBasis)
 		s.basis[i] = int32(a)
 		s.xB[i] = math.Abs(rr)
-		s.binv[i][i] = sign
 		anyArtificial = true
 	}
 	s.n = len(s.cols)
+	// The starting basis is all unit columns: the factor is its peel.
+	if err := ws.fac.refactor(s.cols, s.basis); err != nil {
+		return lpInfeasible, 0, nil, lpCounts{}, err
+	}
 
 	if anyArtificial {
 		// Phase 1: minimize total artificial mass. s.cost is the zeroed
@@ -555,7 +582,23 @@ func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hin
 			}
 		}
 	}
-	x := make([]float64, sf.nStruct)
+	x, obj := s.extract()
+	// The extraction refactorized, so the workspace now holds a clean
+	// optimal basis a child's dual re-solve can inherit.
+	ws.basisValid = true
+	ws.pivotAge = 0
+	return lpOptimal, obj, x, s.counts(), nil
+}
+
+// extract reads the structural values and their objective off the
+// current basis. A basic value within rounding of an integer is returned
+// as that integer: the models' data are integers, so their vertices
+// mostly are too, and the solves leave such a value a few ulps off
+// where callers sum the values and compare the sum against integer
+// floors exactly.
+func (s *simplex) extract() (x []float64, obj float64) {
+	sf := s.sf
+	x = make([]float64, sf.nStruct)
 	for j := 0; j < sf.nStruct; j++ {
 		if s.status[j] != inBasis {
 			x[j] = s.nbValue(j)
@@ -563,18 +606,17 @@ func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hin
 	}
 	for i, bj := range s.basis {
 		if int(bj) < sf.nStruct {
-			x[bj] = s.xB[i]
+			v := s.xB[i]
+			if r := math.Round(v); math.Abs(v-r) <= 1e-11*math.Max(1, math.Abs(r)) {
+				v = r
+			}
+			x[bj] = v
 		}
 	}
-	obj := 0.0
 	for j := 0; j < sf.nStruct; j++ {
 		obj += sf.cost[j] * x[j]
 	}
-	// The extraction refactorized, so the workspace now holds a clean
-	// optimal basis a child's dual re-solve can inherit.
-	ws.basisValid = true
-	ws.pivotAge = 0
-	return lpOptimal, obj, x, s.counts(), nil
+	return x, obj
 }
 
 // nbValue returns the value a nonbasic column takes at its current bound.
@@ -605,12 +647,18 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 	m := s.sf.m
 	y := s.ws.y[:m]
 	w := s.ws.w[:m]
+	d := s.ws.d[:s.n]
 	bland := false
 	stall := 0
 	lastObj := math.Inf(1)
+	// The objective is advanced by each step's own change and recomputed
+	// only where the basic values are (at a refactorization).
+	obj := s.objValue()
 	// Columns banned after a near-singular pivot attempt; cleared on
 	// the next successful step.
-	banned := make(map[int]bool)
+	banned := s.ws.banned[:s.n]
+	clear(banned)
+	nBanned := 0
 	retriedAfterBan := false
 	for {
 		if iterLimit > 0 && s.iters >= iterLimit {
@@ -621,20 +669,9 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 			return lpOptimal, errDeadline
 		}
 		s.iters++
-		// Duals: y = cB^T · Binv.
-		for i := 0; i < m; i++ {
-			y[i] = 0
-		}
-		for k := 0; k < m; k++ {
-			cb := s.cost[s.basis[k]]
-			if cb == 0 {
-				continue
-			}
-			row := s.binv[k]
-			for i := 0; i < m; i++ {
-				y[i] += cb * row[i]
-			}
-		}
+		// Duals yᵀ = cBᵀ·B⁻¹ and the reduced costs they price.
+		s.duals(y)
+		s.reducedCosts(y, d)
 		// Pricing.
 		enter := -1
 		best := dualTol
@@ -646,16 +683,11 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 			if s.lo[j] == s.hi[j] { // fixed column can never improve
 				continue
 			}
-			col := &s.cols[j]
-			d := s.cost[j]
-			for k, r := range col.ind {
-				d -= y[r] * col.val[k]
-			}
 			var viol float64
-			if st == nbLower && d < -dualTol {
-				viol = -d
-			} else if st == nbUpper && d > dualTol {
-				viol = d
+			if st == nbLower && d[j] < -dualTol {
+				viol = -d[j]
+			} else if st == nbUpper && d[j] > dualTol {
+				viol = d[j]
 			} else {
 				continue
 			}
@@ -669,28 +701,24 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 			}
 		}
 		if enter == -1 {
-			if len(banned) > 0 && !retriedAfterBan {
+			if nBanned > 0 && !retriedAfterBan {
 				// Re-examine banned columns once against a freshly
 				// refactorized basis before declaring optimality.
 				if err := s.refactorize(); err != nil {
 					return lpOptimal, err
 				}
-				banned = make(map[int]bool)
+				obj = s.objValue()
+				clear(banned)
+				nBanned = 0
 				retriedAfterBan = true
 				continue
 			}
 			return lpOptimal, nil
 		}
-		// Direction w = Binv · A_enter.
-		for i := 0; i < m; i++ {
-			w[i] = 0
-		}
-		colE := &s.cols[enter]
-		for k, r := range colE.ind {
-			v := colE.val[k]
-			for i := 0; i < m; i++ {
-				w[i] += s.binv[i][r] * v
-			}
+		// Direction w = B⁻¹ · A_enter.
+		s.ftranCol(enter, 1, w, true)
+		if debugChecks {
+			s.checkFtran(enter, w)
 		}
 		sigma := 1.0
 		if s.status[enter] == nbUpper {
@@ -776,13 +804,17 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 		if leave >= 0 && math.Abs(w[leave]) < 1e-7 {
 			// Committing this pivot would (nearly) singularize the
 			// basis: ban the entering column and re-price.
-			banned[enter] = true
+			if !banned[enter] {
+				banned[enter] = true
+				nBanned++
+			}
 			continue
 		}
 		// Apply the step.
 		for i := 0; i < m; i++ {
 			s.xB[i] -= sigma * tMax * w[i]
 		}
+		obj += d[enter] * sigma * tMax
 		if leave == -1 {
 			// Bound flip: entering jumps to its opposite bound.
 			if s.status[enter] == nbLower {
@@ -791,8 +823,9 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 				s.status[enter] = nbLower
 			}
 		} else {
-			if len(banned) > 0 {
-				banned = make(map[int]bool)
+			if nBanned > 0 {
+				clear(banned)
+				nBanned = 0
 				retriedAfterBan = false
 			}
 			enterVal := s.nbValue(enter) + sigma*tMax
@@ -805,26 +838,23 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 			s.status[enter] = inBasis
 			s.basis[leave] = int32(enter)
 			s.xB[leave] = enterVal
-			// Pivot the explicit inverse.
-			if math.Abs(w[leave]) < pivotTol {
+			// Follow the basis change in the factor.
+			if math.Abs(w[leave]) < pivotTol || !s.ws.fac.update(leave, w[leave]) {
 				if err := s.refactorize(); err != nil {
 					return lpOptimal, err
 				}
+				obj = s.objValue()
 				continue
 			}
-			s.pivotBinv(leave, w)
 			s.pivots++
 			if s.pivots >= s.refEvery {
 				if err := s.refactorize(); err != nil {
 					return lpOptimal, err
 				}
+				obj = s.objValue()
 			}
 		}
-		if debugTrace && s.iters%5000 == 0 {
-			fmt.Printf("[simplex] iter=%d obj=%.6f stall=%d bland=%v banned=%d\n", s.iters, s.objValue(), stall, bland, len(banned))
-		}
 		// Degeneracy bookkeeping.
-		obj := s.objValue()
 		if obj < lastObj-1e-9 {
 			lastObj = obj
 			stall = 0
@@ -838,12 +868,87 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 	}
 }
 
+// duals fills y with the simplex multipliers yᵀ = cBᵀ·B⁻¹ under s.cost.
+func (s *simplex) duals(y []float64) {
+	cb := s.ws.cb[:s.sf.m]
+	for k, bj := range s.basis {
+		cb[k] = s.cost[bj]
+	}
+	s.ws.fac.btran(cb, y)
+}
+
+// reducedCosts fills d[j] = cost[j] − y·A_j for every column, walking
+// the matrix by row so only rows with a non-zero multiplier are
+// touched.
+func (s *simplex) reducedCosts(y, d []float64) {
+	sf := s.sf
+	copy(d, s.cost[:s.n])
+	for i, yi := range y {
+		if yi == 0 {
+			continue
+		}
+		for p := sf.rowStart[i]; p < sf.rowStart[i+1]; p++ {
+			d[sf.rowCol[p]] -= yi * sf.rowVal[p]
+		}
+		d[sf.nStruct+i] -= yi // slack i is row i's unit column
+	}
+	for j := sf.nStruct + sf.m; j < s.n; j++ { // artificials: one signed unit entry
+		col := &s.cols[j]
+		d[j] -= y[col.ind[0]] * col.val[0]
+	}
+}
+
+// ftranCol fills x with B⁻¹·(scale·A_j); enter marks column j as the
+// one a following factor update brings into the basis.
+func (s *simplex) ftranCol(j int, scale float64, x []float64, enter bool) {
+	rhs := s.ws.rhs[:s.sf.m]
+	col := &s.cols[j]
+	for k, r := range col.ind {
+		rhs[r] = col.val[k] * scale
+	}
+	s.ws.fac.ftran(rhs, x, enter)
+}
+
+// checkFtran is the factor's own invariant under debugChecks: w must
+// reproduce column j through the current basis, to a normwise backward
+// error ‖B·w − A_j‖∞ / (‖B‖∞·‖w‖∞ + ‖A_j‖∞) of 1e-8. (The plain
+// residual is no measure here: these bases have inverses with entries
+// of 1e7, and a residual is rounding error only relative to the sums it
+// is left over from.)
+func (s *simplex) checkFtran(j int, w []float64) {
+	m := s.sf.m
+	res := make([]float64, m)
+	rowSum := make([]float64, m)
+	var normB, normW, normA float64
+	for c, bj := range s.basis {
+		normW = math.Max(normW, math.Abs(w[c]))
+		col := &s.cols[bj]
+		for k, r := range col.ind {
+			res[r] += col.val[k] * w[c]
+			rowSum[r] += math.Abs(col.val[k])
+		}
+	}
+	for _, v := range rowSum {
+		normB = math.Max(normB, v)
+	}
+	col := &s.cols[j]
+	for k, r := range col.ind {
+		res[r] -= col.val[k]
+		normA = math.Max(normA, math.Abs(col.val[k]))
+	}
+	for r, v := range res {
+		if !(math.Abs(v) <= 1e-8*(normB*normW+normA)) {
+			panic(fmt.Sprintf("ilp: iter %d: ftran of column %d leaves residual %g on row %d (‖B‖∞ = %g, ‖w‖∞ = %g, %d updates)", s.iters, j, v, r, normB, normW, s.ws.fac.updates()))
+		}
+	}
+}
+
 // counts snapshots this attempt's effort counters.
 func (s *simplex) counts() lpCounts {
 	return lpCounts{iters: s.iters, refactors: s.refactors}
 }
 
-// refactorize recomputes the basis inverse and basic values from
+// refactorize refactors the basis and recomputes the basic values from
 // scratch, then checks the recomputed basics against their bounds: a
 // primal iterate must still be (near-)feasible, and drift past the
 // tolerance aborts the attempt with errNumerical.
@@ -852,7 +957,7 @@ func (s *simplex) refactorize() error {
 		old := append([]float64(nil), s.xB...)
 		defer func() {
 			for i := range old {
-				if math.Abs(old[i]-s.xB[i]) > 1e-5 {
+				if math.Abs(old[i]-s.xB[i]) > 1e-5*math.Max(1, math.Abs(s.xB[i])) {
 					panic(fmt.Sprintf("ilp: iter %d: incremental xB[%d] (col %d) = %g but true value %g", s.iters, i, s.basis[i], old[i], s.xB[i]))
 				}
 			}
@@ -878,161 +983,24 @@ func (s *simplex) refactorize() error {
 	return nil
 }
 
-// refactorizeBasis rebuilds the explicit basis inverse and recomputes
-// the basic values. Unlike refactorize it does NOT require primal
-// feasibility — the dual simplex refactorizes through deliberately
-// infeasible iterates.
-//
-// The elimination exploits the basis structure of this solver's LPs:
-// most basic columns are singletons (slacks and artificials are unit
-// vectors; the NetCache/joint placement bases run 80–90% slack).
-// Matching each singleton column to its home row block-triangularizes
-// the basis by permutation,
-//
-//	B_perm = [ D  E ]   D: diagonal of matched singleton entries
-//	         [ 0  K ]   K: kernel of the unmatched columns and rows
-//
-// (singleton columns have no entries outside their home row, hence the
-// zero block), so only the k×k kernel needs Gauss-Jordan elimination:
-//
-//	Binv_perm = [ D⁻¹  -D⁻¹·E·K⁻¹ ]
-//	            [ 0         K⁻¹   ]
-//
-// That turns the O(m³) full elimination into O(k³) plus sparse
-// assembly — the difference between ~250M and ~1M multiply-adds on the
-// joint multi-tenant form — which matters because every branch-and-
-// bound chain start re-factorizes an inherited basis snapshot.
+// refactorizeBasis refactors the basis (discarding its updates) and
+// recomputes the basic values. Unlike refactorize it does NOT require
+// primal feasibility — the dual simplex refactorizes through
+// deliberately infeasible iterates.
 func (s *simplex) refactorizeBasis() error {
-	m := s.sf.m
-	ws := s.ws
-	pivRow := ws.pivRow[:m] // per basis position: matched home row, or -1
-	rowPos := ws.rowPos[:m] // per row: matched basis position, or -1
-	dinv := ws.dinv[:m]     // per matched position: 1/diagonal entry
-	for i := 0; i < m; i++ {
-		pivRow[i] = -1
-		rowPos[i] = -1
-	}
-	kcols := ws.kcols[:0] // kernel basis positions
-	for c, bj := range s.basis {
-		col := &s.cols[bj]
-		if len(col.ind) == 1 {
-			r := col.ind[0]
-			if a := col.val[0]; rowPos[r] == -1 && math.Abs(a) >= 1e-12 {
-				rowPos[r] = int32(c)
-				pivRow[c] = r
-				dinv[c] = 1 / a
-				continue
-			}
-		}
-		kcols = append(kcols, int32(c))
-	}
-	krows := ws.krows[:0] // kernel rows, ascending
-	kq := ws.kq[:m]       // per row: kernel row index, or -1
-	for r := 0; r < m; r++ {
-		if rowPos[r] == -1 {
-			kq[r] = int32(len(krows))
-			krows = append(krows, int32(r))
-		} else {
-			kq[r] = -1
-		}
-	}
-	kK := len(kcols) // == len(krows) by counting
-
-	// Invert the kernel via Gauss-Jordan with partial pivoting on the
-	// workspace's augmented scratch [K | I] (rows were permuted by the
-	// previous elimination, so every used row is rezeroed).
-	bmat := ws.bmat[:kK]
-	for i := 0; i < kK; i++ {
-		row := bmat[i][:2*kK]
-		for k := range row {
-			row[k] = 0
-		}
-		row[kK+i] = 1
-	}
-	for ci, c := range kcols {
-		col := &s.cols[s.basis[c]]
-		for k, r := range col.ind {
-			if qi := kq[r]; qi >= 0 {
-				bmat[qi][ci] = col.val[k]
-			}
-		}
-	}
-	for c := 0; c < kK; c++ {
-		p := c
-		for r := c + 1; r < kK; r++ {
-			if math.Abs(bmat[r][c]) > math.Abs(bmat[p][c]) {
-				p = r
-			}
-		}
-		// A zero pivot column also catches a kernel column supported
-		// only on matched rows: such a column lies in the span of the
-		// matched singletons, so the basis really is singular.
-		if math.Abs(bmat[p][c]) < 1e-12 {
-			return errSingularBasis
-		}
-		bmat[c], bmat[p] = bmat[p], bmat[c]
-		inv := 1 / bmat[c][c]
-		for k := c; k < 2*kK; k++ {
-			bmat[c][k] *= inv
-		}
-		for r := 0; r < kK; r++ {
-			if r == c {
-				continue
-			}
-			f := bmat[r][c]
-			if f == 0 {
-				continue
-			}
-			for k := c; k < 2*kK; k++ {
-				bmat[r][k] -= f * bmat[c][k]
-			}
-		}
-	}
-
-	// Assemble Binv (rows: basis positions, columns: original rows).
-	for c := 0; c < m; c++ {
-		row := s.binv[c]
-		for k := range row {
-			row[k] = 0
-		}
-		if pivRow[c] >= 0 {
-			row[pivRow[c]] = dinv[c]
-		}
-	}
-	for ci, c := range kcols {
-		row := s.binv[c]
-		kinv := bmat[ci][kK : 2*kK]
-		for qi, r := range krows {
-			row[r] = kinv[qi]
-		}
-	}
-	// The -D⁻¹·E·K⁻¹ block, assembled from the kernel columns' entries
-	// on matched rows (the sparse E) without materializing E.
-	for ci, c := range kcols {
-		col := &s.cols[s.basis[c]]
-		kinv := bmat[ci][kK : 2*kK]
-		for k, r := range col.ind {
-			cp := rowPos[r]
-			if cp < 0 {
-				continue
-			}
-			f := col.val[k] * dinv[cp]
-			brow := s.binv[cp]
-			for qi, rr := range krows {
-				brow[rr] -= f * kinv[qi]
-			}
-		}
+	if err := s.ws.fac.refactor(s.cols, s.basis); err != nil {
+		return err
 	}
 	s.computeXB()
 	s.pivots = 0
-	ws.pivotAge = 0
+	s.ws.pivotAge = 0
 	s.refactors++
 	return nil
 }
 
-// computeXB recomputes the basic values xB = Binv · (b - A_N x_N) from
-// the current inverse and nonbasic statuses. Dual re-solves use it
-// directly when the parent's inverse is still resident: a child's
+// computeXB recomputes the basic values xB = B⁻¹ · (b - A_N x_N) from
+// the current factors and nonbasic statuses. Dual re-solves use it
+// directly when the parent's factors are still resident: a child's
 // bound change moves nonbasic values, not the factorization.
 func (s *simplex) computeXB() {
 	m := s.sf.m
@@ -1051,82 +1019,11 @@ func (s *simplex) computeXB() {
 			resid[r] -= col.val[k] * x
 		}
 	}
-	for i := 0; i < m; i++ {
-		v := 0.0
-		row := s.binv[i]
-		for r := 0; r < m; r++ {
-			v += row[r] * resid[r]
-		}
-		s.xB[i] = v
-	}
+	s.ws.fac.ftran(resid, s.xB, false)
 }
 
-// pivotBinv applies the entering column's elimination to the explicit
-// inverse: row r is scaled by the pivot and eliminated from the rest.
-// w must hold Binv·A_enter. Shared by the primal and dual iterations.
-func (s *simplex) pivotBinv(r int, w []float64) {
-	m := s.sf.m
-	rowR := s.binv[r]
-	inv := 1 / w[r]
-	// The pivot row of the inverse starts near-unit after a block
-	// refactorization and fills in slowly, so most pivots touch a
-	// handful of columns. Index its nonzeros once and update only
-	// those; past ~1/4 density the indexed walk loses to a straight
-	// scan and the dense path takes over.
-	if cap(s.ws.nzIdx) < m {
-		s.ws.nzIdx = make([]int32, 0, m)
-	}
-	nz := s.ws.nzIdx[:0]
-	for c := 0; c < m; c++ {
-		if rowR[c] != 0 {
-			rowR[c] *= inv
-			nz = append(nz, int32(c))
-		}
-	}
-	s.ws.nzIdx = nz
-	if len(nz)*4 > m {
-		for i := 0; i < m; i++ {
-			if i == r {
-				continue
-			}
-			f := w[i]
-			if f == 0 {
-				continue
-			}
-			ri := s.binv[i]
-			for c := 0; c < m; c++ {
-				ri[c] -= f * rowR[c]
-			}
-		}
-		return
-	}
-	for i := 0; i < m; i++ {
-		if i == r {
-			continue
-		}
-		f := w[i]
-		if f == 0 {
-			continue
-		}
-		ri := s.binv[i]
-		for _, c := range nz {
-			ri[c] -= f * rowR[c]
-		}
-	}
-}
-
-// debugChecks enables expensive internal invariant checks (set by
-// tests via the ilpdebug build hook).
+// debugChecks enables expensive internal invariant checks: basic values
+// against their bounds and against a fresh recomputation, and every
+// entering column's ftran against the basis it claims to invert. Off
+// outside the tests that flip it.
 var debugChecks = false
-
-// debugTrace prints periodic simplex progress lines (tests only).
-var debugTrace = false
-
-// SetDebugTrace toggles simplex progress tracing.
-func SetDebugTrace(on bool) { debugTrace = on }
-
-// SetDebugChecks toggles internal solver invariant checks (tests only).
-func SetDebugChecks(on bool) { debugChecks = on }
-
-// SetRefactorEvery adjusts the refactorization interval (tests only).
-func SetRefactorEvery(n int) { refactorEvery = n }
