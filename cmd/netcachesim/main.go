@@ -46,7 +46,7 @@ func main() {
 		zipf     = flag.Float64("zipf", 0.95, "request skew")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		threads  = flag.Int("threads", 0, "branch-and-bound workers per solve (0: all cores)")
-		det      = flag.Bool("det", true, "deterministic solver mode — compiled shapes are bit-stable across runs and -threads values")
+		det      = flag.Bool("det", true, "reproducible compiled shapes: one branch-and-bound worker; -threads is ignored")
 		presolve = flag.Bool("presolve", true, "root presolve: bound tightening, fixed-variable substitution, redundant-row elimination")
 		trace    = flag.String("trace", "", "write a JSONL trace of the shape compile and simulation to this file")
 		summary  = flag.Bool("summary", false, "print an observability summary table to stderr")
@@ -76,7 +76,7 @@ func main() {
 	}
 
 	if *drift {
-		if err := runDrift(*seed, solver, tracer); err != nil {
+		if err := runDrift(*seed, tracer); err != nil {
 			fmt.Fprintln(os.Stderr, "netcachesim:", err)
 			os.Exit(1)
 		}
@@ -214,12 +214,11 @@ func runSimReplay(engine string, mem, keys, n, shards int, zipf float64, seed in
 
 // runDrift renders the workload-drift experiment as a text table in
 // the style of the p4allbench figures.
-func runDrift(seed int64, solver ilp.Options, tracer *obs.Tracer) error {
+func runDrift(seed int64, tracer *obs.Tracer) error {
 	cfg := eval.DefaultDriftConfig()
 	cfg.Seed = seed
-	cfg.Solver.Threads = solver.Threads
-	// The drift experiment's re-solves stay deterministic regardless of
-	// -det: the elastic controller forces it so replays are exact.
+	// -det and -threads do not reach the drift experiment: the elastic
+	// controller forces one deterministic worker so replays are exact.
 	res, err := eval.FigureDriftTraced(cfg, tracer)
 	if err != nil {
 		return err

@@ -38,7 +38,7 @@ func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 4, 7, 9, 11, 12, 13, fairness, scaling, or all (scaling only when named)")
 	mem := flag.Int("mem", 7*pisa.Mb/4, "per-stage memory bits for single-target figures")
 	threads := flag.Int("threads", 0, "branch-and-bound workers per solve (0: all cores)")
-	det := flag.Bool("det", true, "deterministic solver mode — figures are bit-stable across runs and -threads values")
+	det := flag.Bool("det", true, "reproducible figures: one branch-and-bound worker; -threads is ignored")
 	trace := flag.String("trace", "", "write a JSONL trace of every compile to this file (see docs/OBSERVABILITY.md)")
 	summary := flag.Bool("summary", false, "print an observability summary table to stderr")
 	flag.Parse()

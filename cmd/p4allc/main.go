@@ -48,7 +48,7 @@ func main() {
 		gapFlag     = flag.Float64("gap", 0, "accepted optimality gap (default 0.03)")
 		timeFlag    = flag.Duration("timeout", 0, "solver time limit (default 90s)")
 		threadsFlag = flag.Int("threads", 0, "branch-and-bound workers (0: all cores)")
-		detFlag     = flag.Bool("det", false, "deterministic parallel search (reproducible layouts at some speed cost)")
+		detFlag     = flag.Bool("det", false, "reproducible layouts: one branch-and-bound worker; -threads is ignored")
 		preFlag     = flag.Bool("presolve", true, "root presolve: bound tightening, fixed-variable substitution, redundant-row elimination")
 		appFlag     = flag.String("app", "", "compile built-in benchmark apps (netcache, sketchlearn, precision, conquest, flowradar) instead of source files; a comma-separated list compiles jointly")
 		traceFlag   = flag.String("trace", "", "write a JSONL pipeline trace to this file (see docs/OBSERVABILITY.md)")

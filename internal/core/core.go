@@ -41,8 +41,8 @@ type Options struct {
 	// 90-second limits (Layout.Stats.Gap records what was certified;
 	// set Solver.Gap negative for exact optimization). Solver.Threads
 	// and Solver.Deterministic pass through untouched: by default the
-	// solve fans out over runtime.GOMAXPROCS(0) workers in free-running
-	// mode (see docs/PARALLEL_SOLVER.md).
+	// solve fans out over runtime.GOMAXPROCS(0) workers, and
+	// Deterministic makes it one worker (see docs/PARALLEL_SOLVER.md).
 	Solver ilp.Options
 	// SkipCodegen stops after solving (benchmarks that only need the
 	// layout).

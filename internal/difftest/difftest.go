@@ -277,10 +277,10 @@ type Report struct {
 func (r *Report) Ok() bool { return len(r.Failures) == 0 }
 
 // baseSolver is the solve the harness compiles everything with by
-// default: deterministic parallel rounds (repeatable layouts across
-// runs and machines) with a relaxed 10% gap — differential testing
-// needs a feasible layout, not an optimal one. Oracle 1 deliberately
-// varies these knobs.
+// default: deterministic, i.e. one branch-and-bound worker (repeatable
+// layouts across runs and machines), with a relaxed 10% gap —
+// differential testing needs a feasible layout, not an optimal one.
+// Oracle 1 deliberately varies these knobs.
 func baseSolver() core.Options {
 	return core.Options{Solver: ilp.Options{Deterministic: true, Gap: 0.1}, SkipCodegen: true}
 }

@@ -226,10 +226,11 @@ type layoutVariant struct {
 
 func layoutVariants() []layoutVariant {
 	// With every symbolic pinned the search space collapses, so these
-	// re-solves are cheap regardless of solver mode.
-	single := core.Options{Solver: ilp.Options{Threads: 1, Gap: 0.1}, SkipCodegen: true}
+	// re-solves are cheap regardless of solver mode. baseSolver() is one
+	// worker; the first variant re-solves with the two-worker pool.
+	pool := core.Options{Solver: ilp.Options{Threads: 2, Gap: 0.1}, SkipCodegen: true}
 	return []layoutVariant{
-		{name: "threads=1", tgt: func(t pisa.Target) pisa.Target { return t }, opts: single},
+		{name: "pool=2", tgt: func(t pisa.Target) pisa.Target { return t }, opts: pool},
 		{name: "stages+2", tgt: func(t pisa.Target) pisa.Target {
 			t.Stages += 2
 			t.Name += "+2stages"

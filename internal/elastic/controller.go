@@ -29,11 +29,12 @@ type Config struct {
 	Detector DetectorConfig
 	// Solver tunes the re-solves; re-solves additionally get
 	// Options.Start seeded from the incumbent layout. Zero fields take
-	// the compiler defaults. Solver.Threads is honored, but the
-	// controller always runs the solver in deterministic mode: the
-	// adopt/keep decision and the warm-start chain (each re-solve
-	// seeds the next) must not depend on goroutine timing, or replayed
-	// traffic traces could diverge from the runs that produced them.
+	// the compiler defaults. The controller always sets
+	// Solver.Deterministic, so re-solves run on one worker and
+	// Solver.Threads is ignored: the adopt/keep decision and the
+	// warm-start chain (each re-solve seeds the next) must not depend
+	// on goroutine timing, or replayed traffic traces could diverge
+	// from the runs that produced them.
 	Solver ilp.Options
 	// MinImprove is the relative utility gain — measured in the NEW
 	// utility, comparing the re-solved layout against the incumbent
@@ -173,9 +174,8 @@ func (c *Controller) Utility() string { return c.utility }
 func (c *Controller) compile(utility string, start []float64) (*core.Result, error) {
 	opts := c.cfg.Solver
 	opts.Start = start
-	// Reproducibility beats raw solve latency on the serving path: the
-	// deterministic rounds mode keeps multi-threaded re-solves
-	// bit-stable so drift decisions replay identically.
+	// Drift decisions must replay identically, so re-solves run on one
+	// branch-and-bound worker whatever cfg.Solver.Threads says.
 	opts.Deterministic = true
 	return core.Compile(c.cfg.Program(utility), c.cfg.Target, core.Options{
 		Solver:      opts,

@@ -145,8 +145,7 @@ func NewMT(cfg MTConfig) (*MTController, error) {
 		SkipCodegen: true,
 		Tracer:      cfg.Tracer,
 	}
-	// Reproducibility beats raw solve latency on the serving path (see
-	// Controller.compile).
+	// Decisions must replay identically (see Controller.compile).
 	opts.Solver.Deterministic = true
 	c := &MTController{
 		cfg:      cfg,

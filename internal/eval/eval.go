@@ -25,13 +25,14 @@ import (
 )
 
 // FigureSolver is the solver configuration every figure regeneration
-// compiles with. The package default pins Threads: 1 — the sequential
+// compiles with. The package default pins Threads: 1 — one worker's
 // trajectory is reproducible by construction, immune to tie-breaking
 // between equally-optimal layouts on multicore CI runners, and cheap
-// under -race (no goroutines or atomics to instrument), which is what
-// the eval test suite wants. cmd/p4allbench wires its -threads/-det
-// flags here before running figures; its -det flag defaults to true so
-// *published* tables regenerated on any thread count stay bit-stable.
+// under -race (no goroutines to instrument), which is what the eval
+// test suite wants. cmd/p4allbench wires its -threads/-det flags here
+// before running figures; its -det flag defaults to true, which also
+// means one worker, so *published* tables stay bit-stable; -det=false
+// lets -threads pick a pool for anyone who prefers speed.
 var FigureSolver = ilp.Options{Threads: 1}
 
 // ---------------------------------------------------------------- Fig 4

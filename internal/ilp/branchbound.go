@@ -26,21 +26,20 @@ type Options struct {
 	// early (0 means prove optimality to tolerance).
 	Gap float64
 	// Threads is the number of branch-and-bound workers pulling from
-	// the shared open-node queue (0 means runtime.GOMAXPROCS(0);
-	// 1 runs the single-threaded search). Each worker owns a private
-	// simplex workspace; only the queue, the incumbent, and the
-	// progress hook are shared. See docs/PARALLEL_SOLVER.md.
+	// the shared open-node queue (0 means runtime.GOMAXPROCS(0)). Each
+	// worker owns a private simplex workspace; only the queue, the
+	// incumbent, and the progress hook are shared. The first worker
+	// runs on the calling goroutine, so 1 starts none. Ignored when
+	// Deterministic is set. See docs/PARALLEL_SOLVER.md.
 	Threads int
-	// Deterministic runs the multi-threaded search in synchronous
-	// rounds: each round the workers process one batch of open nodes
-	// concurrently, pruning against the incumbent frozen at the round
-	// start, and their results are merged at the round barrier in
-	// node-ID order. The solve is then bit-reproducible for a fixed
-	// (model, Options) pair — at some loss of pruning freshness.
-	// Single-threaded solves are inherently deterministic and ignore
-	// this flag. Time limits are only checked at round barriers, so a
-	// deterministic solve should prefer NodeLimit (a wall-clock stop
-	// is honored but makes the incumbent timing-dependent).
+	// Deterministic makes the solve bit-reproducible for a fixed
+	// (model, Options) pair — same incumbent sequence, objective and
+	// assignment on every run — by searching with one worker whatever
+	// Threads says (Solution.Threads reports 1). A one-worker solve is
+	// reproducible without the flag; with more workers the order in
+	// which incumbents land depends on goroutine timing. A TimeLimit
+	// stop is wall-clock and so never reproducible; pin NodeLimit
+	// instead.
 	Deterministic bool
 	// DisableHeuristic skips the initial rounding dive used to seed an
 	// incumbent (used by ablation benchmarks).
@@ -72,9 +71,9 @@ type Options struct {
 	// Progress, when non-nil, receives search snapshots: the root
 	// relaxation, every incumbent improvement, a heartbeat every
 	// ProgressEvery nodes, and the terminal state. A nil hook costs
-	// nothing on the solve path. In multi-threaded solves the hook is
-	// called from worker goroutines under the search lock (never
-	// concurrently); it must not call back into the solver.
+	// nothing on the solve path. The hook is called under the search
+	// lock (never concurrently) — in multi-threaded solves from worker
+	// goroutines; it must not call back into the solver.
 	Progress func(Progress)
 	// ProgressEvery is the node interval between heartbeat callbacks
 	// (0 means the default of 256).
@@ -231,10 +230,9 @@ func (t *workerTally) addCounts(c lpCounts) {
 	}
 }
 
-// bb is the shared state of one Solve invocation. The single-threaded
-// driver uses its fields directly; the parallel drivers guard the open
-// queue, the incumbent, termination accounting, and progress emission
-// with mu (see parallel.go).
+// bb is the shared state of one Solve invocation. The workers guard
+// the open queue, the incumbent, termination accounting, and progress
+// emission with mu (see parallel.go).
 type bb struct {
 	sf            *standardForm
 	opts          Options
@@ -257,7 +255,6 @@ type bb struct {
 	bestX       []float64
 	bestBits    atomic.Uint64 // Float64bits(bestObj): lock-free pruning reads
 	nodesDone   atomic.Int64
-	lastBeat    int64 // heartbeat high-water mark (deterministic rounds)
 	tallies     []workerTally
 	activeBound []float64 // per-worker bound of the node being plunged (+Inf when idle)
 	nActive     int
@@ -305,6 +302,9 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	b.threads = opts.Threads
 	if b.threads <= 0 {
 		b.threads = runtime.GOMAXPROCS(0)
+	}
+	if opts.Deterministic {
+		b.threads = 1
 	}
 	b.tallies = make([]workerTally, b.threads)
 	b.activeBound = make([]float64, b.threads)
@@ -424,18 +424,7 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		}
 	}
 
-	switch {
-	case opts.Deterministic:
-		// Deterministic mode always takes the rounds driver — even at
-		// Threads: 1 — so the search trajectory is a function of the
-		// model alone and a deterministic solve returns bit-identical
-		// results at every thread count.
-		return b.searchRounds(ws)
-	case b.threads == 1:
-		return b.searchSeq(ws)
-	default:
-		return b.searchFree(ws)
-	}
+	return b.search(ws)
 }
 
 // install records a new incumbent (no improvement check — callers
@@ -488,7 +477,7 @@ func (b *bb) workerSnapshot() []WorkerCounts {
 // boundMinLocked returns the tightest proven min-sense bound on the
 // optimum: the best bound among open and in-flight nodes, clamped at
 // the incumbent (an exhausted or fully dominated search proves the
-// incumbent optimal). Callers in parallel modes hold mu.
+// incumbent optimal). Callers hold mu once the workers are running.
 func (b *bb) boundMinLocked() float64 {
 	bound := math.Inf(1)
 	if len(b.queue) > 0 {
@@ -515,7 +504,7 @@ func (b *bb) boundMinLocked() float64 {
 }
 
 // emitLocked delivers one Progress snapshot; a nil hook makes it free.
-// Parallel callers hold mu so emissions are serialized.
+// Workers hold mu so emissions are serialized.
 func (b *bb) emitLocked(kind ProgressKind) {
 	if b.opts.Progress == nil {
 		return
@@ -543,8 +532,7 @@ func (b *bb) emitLocked(kind ProgressKind) {
 }
 
 // solution assembles the terminal Solution and emits the done snapshot.
-// Parallel drivers call it with mu held (via solutionLocked) or after
-// all workers have exited.
+// Called before the workers start or after all have exited.
 func (b *bb) solution(status Status) *Solution {
 	iters, refactors := b.totals()
 	dual, fallbacks := b.dualTotals()
@@ -647,75 +635,12 @@ func (b *bb) step(cur *node, cutoff float64, ws *lpWorkspace, tally *workerTally
 	return out, nil
 }
 
-// pushLocked assigns the node its queue ID and inserts it. Parallel
-// callers hold mu.
+// pushLocked assigns the node its queue ID and inserts it. Workers
+// hold mu.
 func (b *bb) pushLocked(nd *node) {
 	nd.id = b.nextID
 	b.nextID++
 	heap.Push(&b.queue, nd)
-}
-
-// searchSeq is the single-threaded driver: best-first over the open
-// queue with depth-first plunging inside each popped node — following
-// one child chain all the way down finds integer incumbents orders of
-// magnitude faster than pure best-first on placement models.
-func (b *bb) searchSeq(ws *lpWorkspace) (*Solution, error) {
-	tally := &b.tallies[0]
-	for len(b.queue) > 0 {
-		nd := heap.Pop(&b.queue).(*node)
-		if nd.bound >= b.bestObj-1e-9 {
-			continue // pruned by incumbent
-		}
-		// New plunge chain: any resident basis belongs to the previous
-		// chain's leaf, not this node's parent (see lpWorkspace.invalidate).
-		ws.invalidate()
-		cur := nd
-		for steps := 0; cur != nil && steps < plungeLimit; steps++ {
-			n := b.nodesDone.Load()
-			if int(n) >= b.nodeLimit || (!b.deadline.IsZero() && time.Now().After(b.deadline)) {
-				return b.solution(StatusLimit), nil
-			}
-			b.nodesDone.Store(n + 1)
-			tally.nodes.Add(1)
-			if b.opts.Progress != nil && (n+1)%int64(b.progressEvery) == 0 {
-				b.emitLocked(ProgressNode)
-			}
-			out, err := b.step(cur, b.bestObj, ws, tally)
-			if errors.Is(err, errDeadline) {
-				return b.solution(StatusLimit), nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			if out.pruned {
-				cur = nil
-				break
-			}
-			if out.integral {
-				b.install(out.obj, out.x)
-				b.emitLocked(ProgressIncumbent)
-				cur = nil
-				break
-			}
-			if out.deferred != nil {
-				b.pushLocked(out.deferred)
-			}
-			cur = out.follow
-		}
-		if cur != nil {
-			// Chain cut by the plunge cap: requeue the unexpanded node.
-			b.pushLocked(cur)
-		}
-		if b.opts.Gap > 0 && b.bestX != nil && len(b.queue) > 0 {
-			if relGap(b.bestObj, b.queue[0].bound) <= b.opts.Gap {
-				return b.solution(StatusOptimal), nil
-			}
-		}
-	}
-	if b.bestX == nil {
-		return b.solution(StatusInfeasible), nil
-	}
-	return b.solution(StatusOptimal), nil
 }
 
 // projectStart maps a caller-supplied MIP start onto the lowered

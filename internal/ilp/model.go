@@ -322,7 +322,7 @@ type Solution struct {
 	// point and was installed as the root incumbent.
 	WarmStarted bool
 	// Threads is the number of branch-and-bound workers the solve ran
-	// with (after resolving Options.Threads defaults).
+	// with (after resolving Options.Threads and Options.Deterministic).
 	Threads int
 	// Workers holds per-worker effort tallies, one entry per thread.
 	// Worker 0 additionally accounts the root relaxation and the

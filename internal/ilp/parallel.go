@@ -1,27 +1,19 @@
 package ilp
 
-// Parallel branch and bound. Two drivers share the sequential search's
-// node-expansion step (bb.step):
+// Branch and bound has one driver: a pool of identical workers over the
+// shared best-first queue. Each worker pops the best open node under
+// bb.mu and plunges depth-first from it — following one child chain all
+// the way down finds integer incumbents orders of magnitude faster than
+// pure best-first on placement models — against the freshest incumbent
+// (read lock-free from bb.bestBits), pushing deferred children back as
+// it goes. Termination: the queue is empty AND no worker is mid-plunge.
+// Gap certification folds the bounds of in-flight nodes
+// (bb.activeBound) into the proven bound, since a worker mid-plunge can
+// still open children anywhere above the bound of the node it popped.
 //
-//   - searchFree: an asynchronous worker pool. Workers pop from the
-//     shared best-first queue under bb.mu, plunge depth-first against
-//     the freshest incumbent (read lock-free from bb.bestBits), and
-//     push deferred children back as they go. Termination: the queue is
-//     empty AND no worker is mid-plunge. Gap certification folds the
-//     bounds of in-flight nodes (bb.activeBound) into the proven bound,
-//     since a worker mid-plunge can still open children anywhere above
-//     the bound of the node it popped.
-//
-//   - searchRounds (Options.Deterministic): synchronous rounds. Each
-//     round pops up to detBatch nodes in (bound, id) order, plunges
-//     them concurrently against the incumbent frozen at the round
-//     start, and merges the per-chain results at the barrier in batch
-//     order — incumbents, children, and node accounting land in an
-//     order that depends only on the model, never on goroutine timing.
-//     The batch size is a fixed constant, NOT Threads: the thread
-//     count then only decides how the batch's chains are distributed
-//     over workers, so a deterministic solve is bit-identical at every
-//     thread count, not merely across runs at one thread count.
+// One worker runs inline on the goroutine that called Solve; that is
+// the sequential search, and the only reproducible one (see
+// Options.Deterministic).
 //
 // See docs/PARALLEL_SOLVER.md for the full architecture and the
 // termination/gap soundness argument.
@@ -65,21 +57,20 @@ func (b *bb) publish(obj float64, x []float64) {
 	b.mu.Unlock()
 }
 
-// searchFree runs the asynchronous worker pool until the tree is
-// exhausted or a limit/gap stop fires.
-func (b *bb) searchFree(ws0 *lpWorkspace) (*Solution, error) {
+// search runs the workers until the tree is exhausted or a limit/gap
+// stop fires. Worker 0 runs on the calling goroutine with the workspace
+// the root LP left behind; each further worker is a goroutine with a
+// workspace of its own.
+func (b *bb) search(ws0 *lpWorkspace) (*Solution, error) {
 	var wg sync.WaitGroup
-	for w := 0; w < b.threads; w++ {
+	for w := 1; w < b.threads; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			ws := ws0
-			if id != 0 {
-				ws = newWorkspace(b.sf)
-			}
-			b.freeWorker(id, ws)
+			b.worker(id, newWorkspace(b.sf))
 		}(w)
 	}
+	b.worker(0, ws0)
 	wg.Wait()
 	// Single-threaded from here: every worker has exited and its
 	// in-flight node (if any) was pushed back onto the queue.
@@ -95,8 +86,8 @@ func (b *bb) searchFree(ws0 *lpWorkspace) (*Solution, error) {
 	return b.solution(StatusOptimal), nil
 }
 
-// freeWorker is one pool member: pop, plunge, account, repeat.
-func (b *bb) freeWorker(id int, ws *lpWorkspace) {
+// worker is one pool member: pop, plunge, account, repeat.
+func (b *bb) worker(id int, ws *lpWorkspace) {
 	tally := &b.tallies[id]
 	b.mu.Lock()
 	for {
@@ -123,7 +114,7 @@ func (b *bb) freeWorker(id int, ws *lpWorkspace) {
 		b.nActive++
 		b.mu.Unlock()
 
-		err := b.plungeFree(nd, ws, tally)
+		err := b.plunge(nd, ws, tally)
 
 		b.mu.Lock()
 		b.activeBound[id] = math.Inf(1)
@@ -144,10 +135,10 @@ func (b *bb) freeWorker(id int, ws *lpWorkspace) {
 	}
 }
 
-// plungeFree follows one depth-first chain. On any early stop the
+// plunge follows one depth-first chain. On any early stop the
 // unexpanded chain node is pushed back so the queue keeps a sound
 // bound for the abandoned subtree.
-func (b *bb) plungeFree(nd *node, ws *lpWorkspace, tally *workerTally) error {
+func (b *bb) plunge(nd *node, ws *lpWorkspace, tally *workerTally) error {
 	// New chain: drop any resident basis from the previous chain (see
 	// lpWorkspace.invalidate).
 	ws.invalidate()
@@ -211,198 +202,4 @@ func (b *bb) plungeFree(nd *node, ws *lpWorkspace, tally *workerTally) error {
 		b.mu.Unlock()
 	}
 	return nil
-}
-
-// detStep records one expansion of a deterministic chain, in order.
-type detStep struct {
-	cur      *node // the node this step expanded
-	deferred *node // child pushed at the barrier (nil if none)
-	found    bool  // integer-feasible point discovered
-	obj      float64
-	x        []float64
-}
-
-// detChain is one worker's whole plunge, merged at the round barrier.
-type detChain struct {
-	steps    []detStep
-	leftover *node // chain cut by plungeLimit; requeued at the barrier
-	err      error
-}
-
-// plungeDet is the deterministic-mode plunge: identical chain logic,
-// but all queue/incumbent effects are recorded instead of applied. The
-// cutoff is frozen at the round start plus this chain's own finds, so
-// the chain's evolution depends only on its start node — never on the
-// other workers' timing.
-func (b *bb) plungeDet(nd *node, cutoff float64, ws *lpWorkspace, tally *workerTally) detChain {
-	// New chain: drop any resident basis. In deterministic mode this is
-	// what makes basis residency structural — a chain's first node
-	// always refactorizes from its snapshot regardless of which worker
-	// (or how many) ran the previous chains, so the pivot arithmetic is
-	// bit-identical at every thread count.
-	ws.invalidate()
-	var ch detChain
-	cur := nd
-	for steps := 0; cur != nil && steps < plungeLimit; steps++ {
-		out, err := b.step(cur, cutoff, ws, tally)
-		if errors.Is(err, errDeadline) {
-			// The deadline fired inside this node's LP. End the chain
-			// with the node as its leftover: the merge requeues it for a
-			// sound bound and the next barrier's wall-clock check turns
-			// the stop into StatusLimit. (TimeLimit stops in
-			// deterministic mode are already documented as landing at a
-			// timing-dependent round.)
-			ch.leftover = cur
-			return ch
-		}
-		if err != nil {
-			ch.err = err
-			return ch
-		}
-		rec := detStep{cur: cur}
-		if out.pruned {
-			ch.steps = append(ch.steps, rec)
-			return ch
-		}
-		if out.integral {
-			rec.found, rec.obj, rec.x = true, out.obj, out.x
-			ch.steps = append(ch.steps, rec)
-			return ch
-		}
-		rec.deferred = out.deferred
-		ch.steps = append(ch.steps, rec)
-		cur = out.follow
-	}
-	ch.leftover = cur
-	return ch
-}
-
-// detBatch is the deterministic driver's round size. It is a fixed
-// constant so the search trajectory — which nodes each round pops
-// against which frozen cutoff — does not depend on Options.Threads;
-// more threads only spread a round's chains over more workers.
-const detBatch = 8
-
-// searchRounds is the deterministic driver. All shared-state mutation
-// happens between rounds on this goroutine; the only concurrency is
-// the embarrassingly-parallel chain expansion, synchronized by the
-// round's WaitGroup. The node-visit order, incumbent sequence, and
-// final assignment are identical at every thread count.
-func (b *bb) searchRounds(ws0 *lpWorkspace) (*Solution, error) {
-	nw := b.threads
-	if nw > detBatch {
-		nw = detBatch
-	}
-	wss := make([]*lpWorkspace, nw)
-	wss[0] = ws0
-	for i := 1; i < nw; i++ {
-		wss[i] = newWorkspace(b.sf)
-	}
-	batch := make([]*node, 0, detBatch)
-	results := make([]detChain, detBatch)
-	for len(b.queue) > 0 {
-		// Wall-clock stops are checked only at barriers, which keeps
-		// every round's work deterministic but makes a TimeLimit stop
-		// land at a timing-dependent round; NodeLimit cuts are exact.
-		if !b.deadline.IsZero() && time.Now().After(b.deadline) {
-			return b.solution(StatusLimit), nil
-		}
-		if int(b.nodesDone.Load()) >= b.nodeLimit {
-			return b.solution(StatusLimit), nil
-		}
-		batch = batch[:0]
-		for len(batch) < detBatch && len(b.queue) > 0 {
-			nd := heap.Pop(&b.queue).(*node)
-			if nd.bound >= b.bestObj-1e-9 {
-				continue
-			}
-			batch = append(batch, nd)
-		}
-		if len(batch) == 0 {
-			break
-		}
-		cutoff := b.bestObj
-		var wg sync.WaitGroup
-		for w := 0; w < nw && w < len(batch); w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Worker w owns batch positions w, w+nw, w+2nw, ...;
-				// each chain's result lands at its batch index, so the
-				// merge below never sees the distribution.
-				for i := w; i < len(batch); i += nw {
-					results[i] = b.plungeDet(batch[i], cutoff, wss[w], &b.tallies[w])
-				}
-			}(w)
-		}
-		wg.Wait()
-		limitHit, err := b.mergeRound(batch, results, nw)
-		if err != nil {
-			return nil, err
-		}
-		if limitHit {
-			return b.solution(StatusLimit), nil
-		}
-		if b.opts.Progress != nil {
-			n := b.nodesDone.Load()
-			if n/int64(b.progressEvery) > b.lastBeat/int64(b.progressEvery) {
-				b.lastBeat = n
-				b.emitLocked(ProgressNode)
-			}
-		}
-		if b.opts.Gap > 0 && b.bestX != nil && len(b.queue) > 0 &&
-			relGap(b.bestObj, b.queue[0].bound) <= b.opts.Gap {
-			return b.solution(StatusOptimal), nil
-		}
-	}
-	if b.bestX == nil {
-		return b.solution(StatusInfeasible), nil
-	}
-	return b.solution(StatusOptimal), nil
-}
-
-// mergeRound applies the round's recorded effects in batch order —
-// which is (bound, id) order, fixed by the pops — crediting nodes
-// against the node limit as it goes. When the limit lands mid-chain
-// the chain is truncated at the exact step and the node that step
-// would have expanded is requeued, so a deterministic solve stops at
-// precisely NodeLimit nodes regardless of thread count. (The LP effort
-// of truncated tails was already spent and stays in the iteration
-// tallies; it is the same in every run because chains always execute
-// fully before the merge.)
-func (b *bb) mergeRound(batch []*node, results []detChain, nw int) (limitHit bool, err error) {
-	acc := int(b.nodesDone.Load())
-	for ci := range batch {
-		res := &results[ci]
-		if res.err != nil {
-			return false, res.err
-		}
-		steps := res.steps
-		if allowed := b.nodeLimit - acc; len(steps) > allowed {
-			// Requeue the first unaccounted node; it and everything
-			// after it are treated as never expanded.
-			b.pushLocked(steps[allowed].cur)
-			steps = steps[:allowed]
-			limitHit = true
-		}
-		acc += len(steps)
-		// Chain ci ran on worker ci%nw (the round's stride layout).
-		b.tallies[ci%nw].nodes.Add(int64(len(steps)))
-		for si := range steps {
-			st := &steps[si]
-			if st.found && st.obj < b.bestObj-1e-9 {
-				b.install(st.obj, st.x)
-				b.nodesDone.Store(int64(acc)) // keep the snapshot's node count honest
-				b.emitLocked(ProgressIncumbent)
-			}
-			if st.deferred != nil {
-				b.pushLocked(st.deferred)
-			}
-		}
-		if res.leftover != nil && !limitHit {
-			b.pushLocked(res.leftover)
-		}
-	}
-	b.nodesDone.Store(int64(acc))
-	return limitHit, nil
 }
