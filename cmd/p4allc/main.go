@@ -35,6 +35,7 @@ import (
 	"p4all/internal/multitenant"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
+	"p4all/internal/unroll"
 )
 
 func main() {
@@ -152,6 +153,7 @@ func main() {
 	if *statsFlag {
 		fmt.Fprintf(os.Stderr, "phases: parse=%v bounds=%v ilpgen=%v solve=%v codegen=%v (total %v)\n",
 			res.Phases.Parse, res.Phases.Bounds, res.Phases.Generate, res.Phases.Solve, res.Phases.Codegen, res.Phases.Total())
+		fmt.Fprintln(os.Stderr, unrollStats("unroll", res.Bounds))
 		st := res.Layout.Stats
 		fmt.Fprintf(os.Stderr, "ILP: %d variables, %d constraints, %d nodes, certified gap %.2f%%\n",
 			st.Vars, st.Constrs, st.Nodes, 100*st.Gap)
@@ -356,6 +358,7 @@ func compileJoint(tenants []multitenant.Tenant, target pisa.Target, opts multite
 			st.Vars, st.Constrs, st.Nodes, 100*st.Gap, st.WarmStarted)
 		for _, tr := range res.Tenants {
 			fmt.Fprintf(os.Stderr, "  tenant %-14s utility %.0f\n", tr.Name, tr.Utility)
+			fmt.Fprintln(os.Stderr, unrollStats("    unroll", tr.ILP.Bounds))
 		}
 		if o.certify {
 			printCertifyStats(ph.Certify, opts.Tracer)
@@ -443,6 +446,15 @@ func resolveTarget(spec string, memOverride int) (pisa.Target, error) {
 		t.MemoryBits = memOverride
 	}
 	return t, t.Validate()
+}
+
+// unrollStats says why each loop symbolic got the bound it did (§4.2):
+// the bound, the criterion that fixed it, the dependency graphs built
+// on the way, and how many of their longest paths were estimated
+// instead of searched to the end.
+func unrollStats(label string, b *unroll.Result) string {
+	bounds := strings.ReplaceAll(b.String(), "\n", "; ")
+	return fmt.Sprintf("%s: %spath_estimates=%d", label, bounds, b.PathEstimates())
 }
 
 // printCertifyStats says why certification took the time it did: the

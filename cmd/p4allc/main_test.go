@@ -7,7 +7,9 @@ import (
 
 	"p4all/internal/apps"
 	"p4all/internal/core"
+	"p4all/internal/lang"
 	"p4all/internal/pisa"
+	"p4all/internal/unroll"
 )
 
 func TestResolveTargetBuiltins(t *testing.T) {
@@ -80,5 +82,26 @@ func TestFlowRadarCertifiesOnDefaultTarget(t *testing.T) {
 				t.Errorf("audit %s: %s", c.Name, c.Detail)
 			}
 		}
+	}
+}
+
+// TestUnrollStatsLine: -stats says why each loop symbolic got its
+// bound, in program order, and how many path criteria were estimated.
+func TestUnrollStatsLine(t *testing.T) {
+	target, err := resolveTarget("eval", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := lang.ParseAndResolve(apps.NetCache(apps.NetCacheConfig{}).Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds, err := unroll.UpperBounds(u, &target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "unroll: cms_rows <= 4 (assume, 4 graphs); kv_parts <= 9 (path, 10 graphs); path_estimates=0"
+	if got := unrollStats("unroll", bounds); got != want {
+		t.Errorf("unrollStats = %q, want %q", got, want)
 	}
 }

@@ -289,12 +289,10 @@ func parseAttrs(u *lang.Unit) []obs.Attr {
 // boundsAttrs records the unroll bound chosen for each loop symbolic
 // and why (the §4.2 analysis result).
 func boundsAttrs(b *unroll.Result) []obs.Attr {
-	attrs := make([]obs.Attr, 0, 2*len(b.LoopBound))
-	for sym, k := range b.LoopBound {
-		attrs = append(attrs, obs.Int("bound."+sym.Name, k))
-		if d, ok := b.Details[sym]; ok {
-			attrs = append(attrs, obs.String("why."+sym.Name, string(d.Why)))
-		}
+	attrs := make([]obs.Attr, 0, 2*len(b.Order)+1)
+	for _, sym := range b.Order {
+		d := b.Details[sym]
+		attrs = append(attrs, obs.Int("bound."+sym.Name, d.K), obs.String("why."+sym.Name, string(d.Why)))
 	}
-	return attrs
+	return append(attrs, obs.Int("path_estimates", b.PathEstimates()))
 }

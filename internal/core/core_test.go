@@ -6,10 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"p4all/internal/apps"
 	"p4all/internal/ilp"
 	"p4all/internal/ilpgen"
+	"p4all/internal/lang"
 	"p4all/internal/modules"
 	"p4all/internal/pisa"
+	"p4all/internal/unroll"
 )
 
 func TestCompileEndToEnd(t *testing.T) {
@@ -97,5 +100,37 @@ func TestCompileUnitReuse(t *testing.T) {
 	if res2.Layout.Symbolic("cms_cols") < res1.Layout.Symbolic("cms_cols") {
 		t.Errorf("doubling memory shrank cols: %d -> %d",
 			res1.Layout.Symbolic("cms_cols"), res2.Layout.Symbolic("cms_cols"))
+	}
+}
+
+// TestBoundsAttrsDeterministic: the bounds span lists its symbolics in
+// the program's loop order and ends with the path-estimate count, so
+// two traces of one compile diff clean.
+func TestBoundsAttrsDeterministic(t *testing.T) {
+	u, err := lang.ParseAndResolve(apps.SketchLearn().Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := pisa.EvalTarget(pisa.Mb)
+	bounds, err := unroll.UpperBounds(u, &tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func() string {
+		var ks []string
+		for _, a := range boundsAttrs(bounds) {
+			ks = append(ks, a.Key)
+		}
+		return strings.Join(ks, " ")
+	}
+	first := keys()
+	want := "bound.lv0_rows why.lv0_rows bound.lv1_rows why.lv1_rows bound.lv2_rows why.lv2_rows bound.lv3_rows why.lv3_rows path_estimates"
+	if first != want {
+		t.Fatalf("bounds attrs = %q, want %q", first, want)
+	}
+	for i := 0; i < 20; i++ {
+		if again := keys(); again != first {
+			t.Fatalf("bounds attrs differ between renderings: %q vs %q", first, again)
+		}
 	}
 }

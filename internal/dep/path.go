@@ -5,50 +5,95 @@ package dep
 // nodes where each step follows a precedence edge forward or an
 // exclusion edge in either direction. Every node on such a path needs
 // its own pipeline stage, so a path longer than S cannot fit.
+//
+// The search is a DFS over simple paths, bounded at every step by the
+// nodes the current path can still reach: a path of `length` nodes
+// standing at `at` can only be extended through unvisited nodes
+// reachable from `at`, so once length + reachable <= best the subtree
+// holds nothing longer. Without that bound the shape every shipped
+// module has — K two-node chains whose tails form a K-clique of
+// exclusion edges — costs K! clique orders, all of length K+1; with it
+// the same graphs take K(K+3)/2 + 1 steps.
 
-// exactNodeLimit caps the graph size for the exact DFS; larger graphs
-// use the component-condensation estimate. Either estimate direction
-// keeps the compiler sound (the ILP re-checks exact placement), it only
-// affects how far loops unroll.
-const exactNodeLimit = 48
+// exactNodeLimit caps the graph size for the exact DFS, and dfsBudget
+// its steps; past either LongestSimplePath answers from the
+// component-condensation estimate and says so. The estimate breaks
+// condensation cycles and is therefore not a proven upper bound on the
+// path; the compiler stays sound regardless (the ILP re-checks exact
+// placement), it only affects how far loops unroll.
+const (
+	exactNodeLimit = 48
+	dfsBudget      = 200000
+)
 
 // LongestSimplePath returns the number of nodes on the longest simple
-// path of g (0 for an empty graph).
-func (g *Graph) LongestSimplePath() int {
-	if len(g.Nodes) == 0 {
-		return 0
+// path of g (0 for an empty graph). exact is false when the answer came
+// from the estimate instead of a completed search.
+func (g *Graph) LongestSimplePath() (length int, exact bool) {
+	if len(g.Nodes) > exactNodeLimit {
+		return g.estimateLongestPath(), false
 	}
-	if len(g.Nodes) <= exactNodeLimit {
-		return g.exactLongestPath()
+	best, steps := g.exactLongestPath()
+	if steps <= dfsBudget {
+		return best, true
 	}
-	return g.estimateLongestPath()
+	if est := g.estimateLongestPath(); est > best {
+		best = est
+	}
+	return best, false
 }
 
-func (g *Graph) exactLongestPath() int {
+// exactLongestPath runs the DFS and returns the longest path found and
+// the steps taken; steps > dfsBudget means the search was cut short.
+func (g *Graph) exactLongestPath() (best, steps int) {
 	n := len(g.Nodes)
+	if n == 0 {
+		return 0, 0
+	}
 	visited := make([]bool, n)
-	best := 1
-	// Work budget: graphs dominated by big exclusion cliques make the
-	// DFS factorial; past the budget we fall back to the component
-	// estimate (exact for clique-plus-chain graphs, and either way a
-	// sound substitute — see the package comment).
-	const dfsBudget = 200000
-	steps := 0
+	best = 1
 	// The DFS runs on every compile (unroll bound derivation), so it
 	// must not allocate per visit: the two edge lists are walked in
-	// place, and the remaining-node prune is a counter maintained
-	// across marks instead of an O(n) rescan per step.
-	unvisited := n
+	// place, and the reachability prune reuses one epoch-stamped seen
+	// array and one stack.
+	seen := make([]int, n)
+	stack := make([]int, 0, n)
+	epoch := 0
+	// canBeat reports whether more than best-length unvisited nodes are
+	// reachable from at (forward along Prec, either way along Excl,
+	// through unvisited nodes only) — every extension of the current
+	// path lies inside that set. It stops counting as soon as the
+	// answer is yes.
+	canBeat := func(at, length int) bool {
+		epoch++
+		need := best - length
+		stack = append(stack[:0], at)
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, adj := range [2][]int{g.Prec[x], g.Excl[x]} {
+				for _, nb := range adj {
+					if visited[nb] || seen[nb] == epoch {
+						continue
+					}
+					if need--; need < 0 {
+						return true
+					}
+					seen[nb] = epoch
+					stack = append(stack, nb)
+				}
+			}
+		}
+		return false
+	}
 	var dfs func(at, length int)
 	visit := func(nb, length int) {
 		if visited[nb] {
 			return
 		}
 		visited[nb] = true
-		unvisited--
 		dfs(nb, length+1)
 		visited[nb] = false
-		unvisited++
 	}
 	dfs = func(at, length int) {
 		steps++
@@ -58,8 +103,9 @@ func (g *Graph) exactLongestPath() int {
 		if best == n || steps > dfsBudget {
 			return
 		}
-		// Prune: even visiting every remaining node cannot beat best.
-		if length+unvisited <= best {
+		// Prune: even visiting every node still reachable from here
+		// cannot beat best.
+		if !canBeat(at, length) {
 			return
 		}
 		for _, nb := range g.Prec[at] {
@@ -77,20 +123,13 @@ func (g *Graph) exactLongestPath() int {
 	}
 	for start := 0; start < n; start++ {
 		visited[start] = true
-		unvisited--
 		dfs(start, 1)
 		visited[start] = false
-		unvisited++
 		if best == n || steps > dfsBudget {
 			break
 		}
 	}
-	if steps > dfsBudget {
-		if est := g.estimateLongestPath(); est > best {
-			return est
-		}
-	}
-	return best
+	return best, steps
 }
 
 // estimateLongestPath condenses exclusion-connected components (whose
@@ -127,8 +166,8 @@ func (g *Graph) estimateLongestPath() int {
 	// Component DAG over precedence edges. Precedence edges always
 	// point forward in program order, so the node-level graph is
 	// acyclic; component cycles could only arise from exclusion
-	// merging, which we break by ignoring back edges (the result is
-	// still a sound estimate).
+	// merging, which we break by ignoring back edges (so the result can
+	// undershoot the true longest path on such graphs).
 	nc := len(compSize)
 	adj := make([][]int, nc)
 	for a, succ := range g.Prec {

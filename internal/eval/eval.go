@@ -169,7 +169,7 @@ func Figure9() (*Fig9Result, error) {
 	}
 	for k := 1; k <= 3; k++ {
 		g := dep.BuildFor(u, rows, k, &tgt)
-		out.PathAtK[k] = g.LongestSimplePath()
+		out.PathAtK[k], _ = g.LongestSimplePath()
 		if k == 3 {
 			out.GraphNodes = len(g.Nodes)
 		}

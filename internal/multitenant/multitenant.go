@@ -205,14 +205,17 @@ func compile(tenants []Tenant, target pisa.Target, opts Options, start []float64
 	begin = time.Now()
 	sp = root.Child("bounds")
 	tus := make([]ilpgen.TenantUnit, len(tenants))
+	pathEstimates := 0
 	for i, t := range tenants {
 		bounds, err := unroll.UpperBounds(units[i], &target)
 		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("multitenant: tenant %s: unroll bounds: %w", t.Name, err)
 		}
+		pathEstimates += bounds.PathEstimates()
 		tus[i] = ilpgen.TenantUnit{Name: t.Name, Unit: units[i], Bounds: bounds}
 	}
+	sp.SetAttrs(obs.Int("path_estimates", pathEstimates))
 	sp.End()
 	res.Phases.Bounds = time.Since(begin)
 

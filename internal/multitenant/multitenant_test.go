@@ -1,11 +1,14 @@
 package multitenant
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
 	"p4all/internal/apps"
 	"p4all/internal/modules"
+	"p4all/internal/obs"
 	"p4all/internal/pisa"
 )
 
@@ -237,4 +240,28 @@ func TestMaxMinCompile(t *testing.T) {
 			t.Errorf("max-min starved tenant %s: %g", tr.Name, tr.Utility)
 		}
 	}
+}
+
+// TestBoundsSpanCountsPathEstimates: the joint compile's bounds span
+// says how many of its tenants' §4.2 path criteria were answered by the
+// estimate — none, for the shipped modules.
+func TestBoundsSpanCountsPathEstimates(t *testing.T) {
+	var trace bytes.Buffer
+	opts := fastOpts()
+	opts.Tracer = obs.New(obs.NewJSONLSink(&trace))
+	if _, err := Compile(smallMix(), mtTarget(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := opts.Tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(trace.String(), "\n") {
+		if strings.Contains(line, `"name":"bounds"`) {
+			if !strings.Contains(line, `"path_estimates":0`) {
+				t.Errorf("bounds span lacks path_estimates=0: %s", line)
+			}
+			return
+		}
+	}
+	t.Errorf("no bounds span in trace:\n%s", trace.String())
 }

@@ -47,10 +47,18 @@ type Detail struct {
 	K      int
 	Why    Reason
 	Graphs int // dependency graphs built while searching
+	// Estimated counts the graphs whose longest path came from dep's
+	// estimate instead of a completed search (too many nodes, or the
+	// search budget ran out); 0 means the path criterion was exact.
+	Estimated int
 }
 
 // Result holds the computed upper bounds.
 type Result struct {
+	// Order lists the loop-governing symbolics by first appearance in
+	// the program's loops; diagnostics range over it, not the maps, so
+	// they read the same on every run.
+	Order []*lang.Symbolic
 	// LoopBound maps each loop-governing symbolic to its unroll bound.
 	LoopBound map[*lang.Symbolic]int
 	// Details explains each bound.
@@ -190,14 +198,13 @@ func UpperBounds(u *lang.Unit, target *pisa.Target) (*Result, error) {
 		Details:   make(map[*lang.Symbolic]Detail),
 		Assume:    AssumeBounds(u),
 	}
-	seen := make(map[*lang.Symbolic]bool)
 	for _, l := range u.Loops {
-		if seen[l.Sym] {
+		if _, done := res.LoopBound[l.Sym]; done {
 			continue
 		}
-		seen[l.Sym] = true
-		k, detail := boundFor(u, l.Sym, target, res.Assume[l.Sym])
-		res.LoopBound[l.Sym] = k
+		res.Order = append(res.Order, l.Sym)
+		detail := boundFor(u, l.Sym, target, res.Assume)
+		res.LoopBound[l.Sym] = detail.K
 		res.Details[l.Sym] = detail
 	}
 	return res, nil
@@ -213,7 +220,8 @@ func hardCap(target *pisa.Target) int {
 	return cap + 1
 }
 
-func boundFor(u *lang.Unit, v *lang.Symbolic, target *pisa.Target, assume Bound) (int, Detail) {
+func boundFor(u *lang.Unit, v *lang.Symbolic, target *pisa.Target, assumes map[*lang.Symbolic]Bound) Detail {
+	assume := assumes[v]
 	limit := hardCap(target)
 	if assume.Hi != NoUpper && assume.Hi < int64(limit) {
 		limit = int(assume.Hi)
@@ -221,11 +229,15 @@ func boundFor(u *lang.Unit, v *lang.Symbolic, target *pisa.Target, assume Bound)
 			limit = 0
 		}
 	}
-	graphs := 0
+	var d Detail
 	fits := func(k int) (bool, Reason) {
 		g := dep.BuildFor(u, v, k, target)
-		graphs++
-		if g.LongestSimplePath() > target.Stages {
+		d.Graphs++
+		path, exact := g.LongestSimplePath()
+		if !exact {
+			d.Estimated++
+		}
+		if path > target.Stages {
 			return false, ReasonPath
 		}
 		hf, hl := g.TotalALUs()
@@ -238,31 +250,30 @@ func boundFor(u *lang.Unit, v *lang.Symbolic, target *pisa.Target, assume Bound)
 		if hf+hl > target.TotalALUs() {
 			return false, ReasonALU
 		}
-		if minMemoryBits(u, v, k) > int64(target.MemoryBits)*int64(target.Stages) {
+		if minMemoryBits(u, v, k, assumes) > int64(target.MemoryBits)*int64(target.Stages) {
 			return false, ReasonMemory
 		}
 		return true, ""
 	}
-	k := 0
-	for k < limit {
-		ok, why := fits(k + 1)
+	for d.K < limit {
+		ok, why := fits(d.K + 1)
 		if !ok {
-			return k, Detail{K: k, Why: why, Graphs: graphs}
+			d.Why = why
+			return d
 		}
-		k++
+		d.K++
 	}
-	why := ReasonCap
+	d.Why = ReasonCap
 	if assume.Hi != NoUpper && int64(limit) == assume.Hi {
-		why = ReasonAssume
+		d.Why = ReasonAssume
 	}
-	return k, Detail{K: k, Why: why, Graphs: graphs}
+	return d
 }
 
 // minMemoryBits returns the minimum register memory the program needs
 // when symbolic v takes value k: every register instance holds at
 // least one cell (or the assume-implied minimum cell count).
-func minMemoryBits(u *lang.Unit, v *lang.Symbolic, k int) int64 {
-	assume := AssumeBounds(u)
+func minMemoryBits(u *lang.Unit, v *lang.Symbolic, k int, assume map[*lang.Symbolic]Bound) int64 {
 	var total int64
 	for _, r := range u.Registers {
 		count := int64(1)
@@ -328,12 +339,22 @@ func SizeBound(u *lang.Unit, sym *lang.Symbolic, target *pisa.Target) int64 {
 	return best
 }
 
+// PathEstimates sums Detail.Estimated over the symbolics: how many
+// path criteria of this analysis were answered by dep's estimate.
+func (r *Result) PathEstimates() int {
+	n := 0
+	for _, d := range r.Details {
+		n += d.Estimated
+	}
+	return n
+}
+
 // String renders the result for diagnostics.
 func (r *Result) String() string {
 	s := ""
-	for sym, k := range r.LoopBound {
+	for _, sym := range r.Order {
 		d := r.Details[sym]
-		s += fmt.Sprintf("%s <= %d (%s, %d graphs)\n", sym.Name, k, d.Why, d.Graphs)
+		s += fmt.Sprintf("%s <= %d (%s, %d graphs)\n", sym.Name, d.K, d.Why, d.Graphs)
 	}
 	return s
 }
