@@ -1,30 +1,13 @@
 # Developer entry points; CI (.github/workflows/ci.yml) runs the same
-# commands so local `make check bench` reproduces a green build.
+# commands so local `make check` reproduces a green build.
 
-# pipefail so a failing `go test -bench` is not masked by tee.
 SHELL := /bin/bash -o pipefail
 
-GO        ?= go
-# The benchmark families CI measures: the ILP solver scaling pair
-# (gated on ns/op), the sim engine benchmarks (the VM's batched replay
-# gated on both ns/op and allocs/op, and additionally held to >=20x the
-# interpreter's speed within the same run),
-# the sharded serving runtime (gated on allocs/op — its hot loop is
-# pinned at zero), the translation validator (gated on ns/op — a
-# path-count blowup shows up here), the multi-tenant warm re-solves
-# (both the nudge and the harder flip variant gated on ns/op and
-# allocs/op — the sub-second elastic-reallocation claim and the
-# solver's node-throughput work ride on them), plus the Figure 9 and
-# drift end-to-end benchmarks (reported, never gated — see
-# cmd/benchgate).
-BENCH     ?= ILPSolve|Figure9UnrollBound|FigureDrift|SimProcess|SimReplay|ServeScaling|Certify|MultiTenantResolve
-BENCHTIME ?= 3x
-COUNT     ?= 6
-BASELINE  ?= BENCH_BASELINE.json
+GO ?= go
 
-.PHONY: build test race lint check bench bench-baseline bench-gate \
-	bench-profile bench-smoke bench-e2e difftest fuzz-smoke serve-smoke \
-	certify multitenant
+.PHONY: build test race lint check bench-compare bench-profile \
+	bench-smoke bench-e2e difftest fuzz-smoke serve-smoke certify \
+	multitenant
 
 # Per-target budget for the CI fuzz smoke (see docs/DIFFTEST.md). Four
 # targets at 22s each keep the job's total fuzz budget where it was
@@ -46,36 +29,30 @@ lint:
 
 check: build test race
 
-# bench writes the raw output to bench-new.txt for benchstat/benchgate.
-# -benchmem so the allocs/op columns feed benchgate's allocation gate.
-# The output goes through a temp file moved into place only on success:
-# tee would otherwise truncate bench-new.txt the moment the pipeline
-# starts, so a failed run (even a build error) used to leave a stale or
-# empty file behind for bench-gate to compare against.
-bench:
-	rm -f bench-new.txt
-	$(GO) test -run=NONE -bench='$(BENCH)' -benchtime=$(BENCHTIME) -count=$(COUNT) -benchmem ./... | tee bench-new.tmp \
-		&& mv bench-new.tmp bench-new.txt \
-		|| { rm -f bench-new.tmp; exit 1; }
+# bench-compare is the one answer to "did this change make it slower?":
+# the repository's benchmark (BENCHMARK.json) run on BASE and on the
+# working tree, on this machine, in alternating pairs, then judged by
+# bench/run.sh -compare — whose exit status is this recipe's (non-zero
+# on a `regressed` row; `unresolved` rows pass and are printed, see
+# docs/CI.md). BASE is any git ref: `make bench-compare BASE=origin/main`.
+# Three pairs is what one CI job affords (about 80 s a run); it is a
+# constant so that every verdict was produced the same way.
+bench-compare:
+	test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<git ref>"; exit 2; }
+	rm -rf runs/compare .bench_build/base
+	git worktree prune
+	git worktree add --detach .bench_build/base $(BASE)
+	for pair in 1 2 3; do \
+		(cd .bench_build/base && bash bench/run.sh -out $(CURDIR)/runs/compare/base) || exit 1; \
+		bash bench/run.sh -out runs/compare/head || exit 1; \
+	done
+	git worktree remove --force .bench_build/base
+	bash bench/run.sh -compare runs/compare/base/results.jsonl runs/compare/head/results.jsonl | tee runs/compare/verdict.txt
 
-# bench-gate compares bench-new.txt against the checked-in baseline:
-# fails on a >25% geomean ns/op regression in the gated benchmarks, on
-# any allocs/op increase in the VM replay benchmarks, or when the VM's
-# batched replay drops below 20x the interpreter's speed within the
-# same run.
-bench-gate:
-	$(GO) run ./cmd/benchgate -baseline $(BASELINE) < bench-new.txt
-
-# bench-baseline re-measures and rewrites the checked-in baseline. Run
-# it on a CI-class runner (see docs/CI.md) so the numbers the gate
-# compares against were produced on comparable hardware.
-bench-baseline:
-	$(GO) test -run=NONE -bench='$(BENCH)' -benchtime=$(BENCHTIME) -count=$(COUNT) -benchmem ./... | $(GO) run ./cmd/benchgate -baseline $(BASELINE) -write
-
-# bench-profile captures a pprof CPU profile of the headline solver
-# benchmarks (the multi-tenant warm re-solves — the models where node
-# throughput dominates). CI uploads the profile plus the test binary
-# as an artifact so a bench-gate failure can be diagnosed offline:
+# bench-profile captures a pprof CPU profile of the multi-tenant warm
+# re-solves (the models where node throughput dominates). CI uploads
+# the profile plus the test binary as an artifact so a bench-compare
+# failure can be diagnosed offline:
 #   go tool pprof ilp-bench.test ilp-cpu.prof
 # (see docs/SOLVER_PERF.md).
 bench-profile:
@@ -154,18 +131,10 @@ fuzz-smoke:
 	$(GO) test $(FUZZPKG) -run='^$$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test $(FUZZPKG) -run='^$$' -fuzz=FuzzMigrateCMS -fuzztime=$(FUZZTIME)
 
-# serve-smoke boots the sharded UDP NetCache server on a loopback port,
-# drives Zipf traffic at it with the load generator, and fails unless
-# the observed hit rate clears the floor and the server acknowledges
-# the shutdown frame (see docs/SERVING.md). An end-to-end check of
-# cmd/netcacheserve + cmd/netcacheload over a real socket.
-SMOKE_ADDR ?= 127.0.0.1:19640
+# serve-smoke drives a netcacheserve child over loopback UDP for three
+# seconds with the benchmark's closed-loop generator and exits non-zero
+# if a request failed (add `-trace 1` for hit rate, loss and latency
+# percentiles; see docs/SERVING.md). bench-smoke's TestSmoke is the
+# reply-by-reply check.
 serve-smoke:
-	$(GO) build -o bin/netcacheserve ./cmd/netcacheserve
-	$(GO) build -o bin/netcacheload ./cmd/netcacheload
-	./bin/netcacheserve -addr $(SMOKE_ADDR) -shards 2 -duration 60s & \
-	server=$$!; \
-	sleep 1; \
-	./bin/netcacheload -addr $(SMOKE_ADDR) -clients 4 -requests 200000 \
-		-shutdown -minhit 0.4 || { kill $$server 2>/dev/null; exit 1; }; \
-	wait $$server
+	bash bench/run.sh -workload wire-saturate -seconds 3

@@ -1,9 +1,9 @@
 // Command netcacheserve runs the sharded NetCache service behind a
 // UDP front-end: N shard goroutines, each owning a private cache
 // plane in the shapes a P4All layout chose, behind a flow-hash
-// dispatcher (see docs/SERVING.md). Drive it with cmd/netcacheload;
-// stop it with an OpShutdown frame (netcacheload -shutdown), SIGINT,
-// or -duration.
+// dispatcher (see docs/SERVING.md). The benchmark's wire workloads
+// drive it (bench/wire.go); stop it with an OpShutdown frame
+// (serve.SendShutdown), SIGINT, or -duration.
 //
 // By default the structure shapes come from flags for instant
 // startup; -compile asks the P4All compiler for its chosen shapes

@@ -47,7 +47,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		threads  = flag.Int("threads", 0, "branch-and-bound workers per solve (0: all cores)")
 		det      = flag.Bool("det", true, "reproducible compiled shapes: one branch-and-bound worker; -threads is ignored")
-		presolve = flag.Bool("presolve", true, "root presolve: bound tightening, fixed-variable substitution, redundant-row elimination")
 		trace    = flag.String("trace", "", "write a JSONL trace of the shape compile and simulation to this file")
 		summary  = flag.Bool("summary", false, "print an observability summary table to stderr")
 		drift    = flag.Bool("drift", false, "run the workload-drift experiment (frozen vs elastic controller)")
@@ -56,7 +55,7 @@ func main() {
 		shards   = flag.Int("shards", 1, "with -simreplay: replay through the sharded serving runtime with this many shards")
 	)
 	flag.Parse()
-	solver := ilp.Options{Threads: *threads, Deterministic: *det, DisablePresolve: !*presolve}
+	solver := ilp.Options{Threads: *threads, Deterministic: *det}
 
 	tracer, err := obs.FromCLI(*trace, *summary, os.Stderr)
 	if err != nil {

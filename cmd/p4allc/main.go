@@ -50,7 +50,6 @@ func main() {
 		timeFlag    = flag.Duration("timeout", 0, "solver time limit (default 90s)")
 		threadsFlag = flag.Int("threads", 0, "branch-and-bound workers (0: all cores)")
 		detFlag     = flag.Bool("det", false, "reproducible layouts: one branch-and-bound worker; -threads is ignored")
-		preFlag     = flag.Bool("presolve", true, "root presolve: bound tightening, fixed-variable substitution, redundant-row elimination")
 		appFlag     = flag.String("app", "", "compile built-in benchmark apps (netcache, sketchlearn, precision, conquest, flowradar) instead of source files; a comma-separated list compiles jointly")
 		traceFlag   = flag.String("trace", "", "write a JSONL pipeline trace to this file (see docs/OBSERVABILITY.md)")
 		summaryFlag = flag.Bool("summary", false, "print an observability summary table to stderr")
@@ -103,7 +102,6 @@ func main() {
 	}
 	solver.Threads = *threadsFlag
 	solver.Deterministic = *detFlag
-	solver.DisablePresolve = !*preFlag
 
 	if len(tenants) > 1 {
 		if err := applyFairnessFlags(tenants, *weightsFlag, *minutilFlag); err != nil {

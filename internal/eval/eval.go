@@ -3,8 +3,7 @@
 // optimal NetCache layout (Figure 7), the unrolling example (Figure 9),
 // the application benchmark table (Figure 11), the memory-elasticity
 // sweep (Figure 12), and the utility-function comparison (Figure 13).
-// Each driver returns structured rows that cmd/p4allbench renders and
-// bench_test.go measures.
+// Each driver returns structured rows that cmd/p4allbench renders.
 package eval
 
 import (

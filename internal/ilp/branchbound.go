@@ -19,9 +19,6 @@ type Options struct {
 	// NodeLimit bounds branch-and-bound nodes (0 means the default of
 	// 200000).
 	NodeLimit int
-	// IterLimit bounds simplex iterations per LP solve (0 means the
-	// default of 50000).
-	IterLimit int
 	// Gap is the relative optimality gap at which the search may stop
 	// early (0 means prove optimality to tolerance).
 	Gap float64
@@ -238,7 +235,6 @@ type bb struct {
 	opts          Options
 	threads       int
 	nodeLimit     int
-	iterLimit     int
 	progressEvery int
 	deadline      time.Time
 	sign          float64
@@ -283,10 +279,6 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	b.nodeLimit = opts.NodeLimit
 	if b.nodeLimit == 0 {
 		b.nodeLimit = defaultNodeLimit
-	}
-	b.iterLimit = opts.IterLimit
-	if b.iterLimit == 0 {
-		b.iterLimit = defaultIterLimit
 	}
 	if opts.TimeLimit > 0 {
 		b.deadline = time.Now().Add(opts.TimeLimit)
@@ -348,7 +340,7 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	// worker 0's workspace is seeded here.
 	ws := newWorkspace(sf)
 	lo, hi := sf.cloneBounds()
-	st, obj, x, counts, err := solveLP(sf, lo, hi, b.iterLimit, nil, nil, ws)
+	st, obj, x, counts, err := solveLP(sf, lo, hi, defaultIterLimit, nil, nil, ws)
 	b.tallies[0].addCounts(counts)
 	b.nodesDone.Store(1)
 	b.tallies[0].nodes.Store(1)
@@ -402,7 +394,7 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		// from this objective's optimum, and the dive closes that gap
 		// cheaply. The incumbent keeps whichever is better.
 		var total lpCounts
-		if hx, hobj, ok := diveHeuristic(sf, lo, hi, x, b.iterLimit, &total, ws); ok && hobj < b.bestObj {
+		if hx, hobj, ok := diveHeuristic(sf, lo, hi, x, defaultIterLimit, &total, ws); ok && hobj < b.bestObj {
 			b.install(hobj, hx)
 			diveImproved = true
 		}
@@ -602,7 +594,7 @@ func (b *bb) materialize(nd *node, ws *lpWorkspace) (lo, hi []float64) {
 // shared search state beyond the (atomic) tally.
 func (b *bb) step(cur *node, cutoff float64, ws *lpWorkspace, tally *workerTally) (stepOut, error) {
 	lo, hi := b.materialize(cur, ws)
-	st, obj, x, counts, err := solveLP(b.sf, lo, hi, b.iterLimit, cur.hint, cur.snap, ws)
+	st, obj, x, counts, err := solveLP(b.sf, lo, hi, defaultIterLimit, cur.hint, cur.snap, ws)
 	tally.addCounts(counts)
 	if err != nil {
 		return stepOut{}, err

@@ -139,9 +139,7 @@ func generateInto(u *lang.Unit, target *pisa.Target, bounds *unroll.Result, mode
 		return nil, err
 	}
 	p.placementVars()
-	if tightenEnabled {
-		p.tightenStageWindows()
-	}
+	p.tightenStageWindows()
 	p.iterationVars()
 	p.edgeConstraints()
 	p.conditionalConstraints()
@@ -434,8 +432,6 @@ func (p *ILP) exclusionGroups() (cliques [][]int, pairs [][2]int) {
 	}
 	return cliques, pairs
 }
-
-var tightenEnabled = true
 
 // tightenStageWindows fixes x[n][s] = 0 for stages a node can never
 // occupy: before its longest incoming precedence chain or after its
@@ -1052,7 +1048,3 @@ func (p *ILP) objective() error {
 // in a joint one. The expression is the generator's own: callers must
 // treat it as read-only.
 func (p *ILP) Utility() ilp.Expr { return p.util }
-
-// SetStageWindowTightening toggles the stage-window presolve (used by
-// ablation benchmarks).
-func SetStageWindowTightening(on bool) { tightenEnabled = on }

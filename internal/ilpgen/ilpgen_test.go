@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"p4all/internal/apps"
 	"p4all/internal/ilp"
 	"p4all/internal/lang"
 	"p4all/internal/pisa"
@@ -491,4 +492,33 @@ optimize sz;
 		}
 		check(t, l, 1)
 	})
+}
+
+// TestStageWindowRootBound pins what tightenStageWindows buys (DESIGN.md
+// §5) as a count: NetCache on the 1.75 Mb/stage evaluation target has
+// root LP bound 309 657.6 over a best layout worth 304 947.2. Without the
+// stage-window fixings the relaxation spends memory in stages no
+// register can integrally occupy and the bound is 332 595.2 (measured
+// at 6ab568b with the cut switched off), so losing the cut fails here.
+func TestStageWindowRootBound(t *testing.T) {
+	u, err := lang.ParseAndResolve(apps.NetCache(apps.NetCacheConfig{}).Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := pisa.EvalTarget(7 * pisa.Mb / 4)
+	bounds, err := unroll.UpperBounds(u, &tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Generate(u, &tgt, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := ilp.SolveRootLP(p.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.RootBound < 304947.2 || sol.RootBound > 310000 {
+		t.Errorf("root bound %.1f, want within [304947.2, 310000]", sol.RootBound)
+	}
 }

@@ -110,9 +110,11 @@ func TestNetCacheMergedCMSExactAndNeverUnder(t *testing.T) {
 }
 
 // TestNetCacheServeLoopAdmitsAndHits runs the full admission loop (the
-// Figure 4 serve loop) sharded: a skewed stream must produce a
-// nonzero hit rate, consistent counters, and a merged sketch that
-// never underestimates the per-key miss counts that fed it.
+// Figure 4 serve loop) sharded: a Zipf 0.95 stream — the skew the wire
+// benchmark's GETs use — must clear a 0.4 hit rate (measured 0.54; a
+// cache that admits nothing useful sits near 0), with consistent
+// counters, and a merged sketch that never underestimates the per-key
+// miss counts that fed it.
 func TestNetCacheServeLoopAdmitsAndHits(t *testing.T) {
 	l := testLayout(2, 1024, 8, 64)
 	nc, err := NewNetCache(NetCacheConfig{Layout: l, Shards: 4, BatchSize: 128})
@@ -121,7 +123,7 @@ func TestNetCacheServeLoopAdmitsAndHits(t *testing.T) {
 	}
 	defer nc.Close()
 	reqs := make([]Request, 0, 60000)
-	for _, k := range workload.ZipfKeys(11, 5000, 1.2, 60000) {
+	for _, k := range workload.ZipfKeys(11, 5000, 0.95, 60000) {
 		reqs = append(reqs, Request{Op: OpGet, Key: k})
 	}
 	if err := nc.DispatchAll(reqs); err != nil {
@@ -135,15 +137,15 @@ func TestNetCacheServeLoopAdmitsAndHits(t *testing.T) {
 	if h == 0 || admits == 0 {
 		t.Fatalf("skewed stream produced %d hits, %d admissions; want both nonzero", h, admits)
 	}
-	if rate := nc.HitRate(); rate <= 0 || rate >= 1 {
-		t.Fatalf("hit rate %f outside (0,1)", rate)
+	if rate := nc.HitRate(); rate < 0.4 || rate >= 1 {
+		t.Fatalf("hit rate %f outside [0.4,1)", rate)
 	}
 	if nc.Packets() != uint64(len(reqs)) {
 		t.Fatalf("Packets() = %d, want %d", nc.Packets(), len(reqs))
 	}
 	// A hot key that was admitted must now be readable and carry the
 	// backend value.
-	hot := workload.ZipfKeys(11, 5000, 1.2, 1)[0]
+	hot := workload.ZipfKeys(11, 5000, 0.95, 1)[0]
 	if v, ok, err := nc.Lookup(hot); err != nil {
 		t.Fatal(err)
 	} else if ok && v != hot*3 {

@@ -265,3 +265,59 @@ func TestSimRuntimeCMSAdditivity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSimRuntimeSteadyStateAllocatesNothing pins the serving hot loops
+// at zero allocations once warm: the dispatcher reuses its batch
+// accumulators and free rings, Replay reuses its frame, and a GET batch
+// through NetCache's planes touches only preallocated structures.
+// AllocsPerRun counts every goroutine's mallocs, so the shard workers
+// are inside the measurement.
+func TestSimRuntimeSteadyStateAllocatesNothing(t *testing.T) {
+	unit, layout := compiledNetCache(t)
+	pkts := netcacheStream(8192)
+	steady := func(what string, cycle func() error) {
+		t.Helper()
+		run := func() {
+			if err := cycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // settles lazily-grown accumulators and rings
+		if n := testing.AllocsPerRun(5, run); n != 0 {
+			t.Errorf("%s: dispatch+drain of %d requests allocates %v times, want 0", what, len(pkts), n)
+		}
+	}
+
+	for _, shards := range []int{1, 2} {
+		rt, err := NewSimRuntime(SimConfig{
+			Unit: unit, Layout: layout,
+			Shards: shards, BatchSize: 256, KeyField: "query.key",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steady(fmt.Sprintf("SimRuntime shards=%d", shards), func() error {
+			err := rt.DispatchAll(pkts)
+			rt.Drain()
+			return err
+		})
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	nc, err := NewNetCache(NetCacheConfig{Layout: layout, Shards: 2, BatchSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	reqs := make([]Request, len(pkts))
+	for i, pkt := range pkts {
+		reqs[i] = Request{Op: OpGet, Key: pkt["query.key"]}
+	}
+	steady("NetCache GETs", func() error {
+		err := nc.DispatchAll(reqs)
+		nc.Drain()
+		return err
+	})
+}

@@ -169,3 +169,29 @@ func (s *Server) Close() error {
 	s.stopping.Store(true)
 	return s.conn.Close()
 }
+
+// SendShutdown is the client half of the OpShutdown handshake: it sends
+// one OpShutdown frame and waits up to timeout for the server's
+// StatusOK, reporting whether it arrived.
+func SendShutdown(addr *net.UDPAddr, timeout time.Duration) (bool, error) {
+	conn, err := net.DialUDP("udp", nil, addr)
+	if err != nil {
+		return false, fmt.Errorf("serve: shutdown dial: %w", err)
+	}
+	defer conn.Close()
+	var buf [FrameSize]byte
+	Frame{Op: OpShutdown, Seq: 1}.Encode(buf[:])
+	if _, err := conn.Write(buf[:]); err != nil {
+		return false, fmt.Errorf("serve: shutdown write: %w", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(timeout))
+	n, err := conn.Read(buf[:])
+	if err != nil {
+		return false, nil // server may already be gone; not a client error
+	}
+	f, err := DecodeFrame(buf[:n])
+	if err != nil {
+		return false, nil
+	}
+	return f.Op == OpShutdown && f.Status == StatusOK, nil
+}

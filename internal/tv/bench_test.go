@@ -12,11 +12,10 @@ import (
 // over every path plus the resource audit) of a solved compile, for the
 // three programs of the benchmark's compile-certify workload (bench/):
 // the standalone CMS at 0.25 Mb, SketchLearn and ConQuest at 1.75 Mb.
-// It is wired into the CI benchmark gate (cmd/benchgate) on ns/op and
-// allocs/op: a change that blows up the path count shows up in `paths`,
-// one that makes a replayed path allocate or slows the per-path
-// symbolic work shows up in allocs/op and `us/path` — not as a silent
-// CI slowdown.
+// Nothing gates on it: that workload's tv.validate_s, tv.paths and
+// tv.us_per_path judge a change, and TestWarmPathAllocatesNothing pins
+// the zero-allocation replayed path. It stays as the microscope to
+// point -cpuprofile at, reporting `paths` and `us/path` beside ns/op.
 func BenchmarkCertify(b *testing.B) {
 	for _, p := range []struct {
 		name, src string
