@@ -91,13 +91,14 @@ difftest:
 # (CI uploads them as artifacts), then runs the examples — which also
 # compile with Certify — so a validator regression fails the build
 # before any generated P4 is trusted (see
-# docs/TRANSLATION_VALIDATION.md).
+# docs/TRANSLATION_VALIDATION.md). The solver runs deterministically
+# (-det), so every certificate is a function of the commit alone.
 CERTDIR ?= certs
 CERTAPPS := netcache sketchlearn precision conquest flowradar
 certify:
 	mkdir -p $(CERTDIR)
 	for app in $(CERTAPPS); do \
-		$(GO) run ./cmd/p4allc -app $$app -certify \
+		$(GO) run ./cmd/p4allc -app $$app -det -certify \
 			-cert $(CERTDIR)/$$app.json -o /dev/null || exit 1; \
 	done
 	for ex in quickstart portability netcache sketchlearn; do \

@@ -460,8 +460,8 @@ func unrollStats(label string, b *unroll.Result) string {
 // (see docs/OBSERVABILITY.md).
 func printCertifyStats(d time.Duration, tr *obs.Tracer) {
 	count := func(name string) int64 { return tr.Counter(name).Value() }
-	fmt.Fprintf(os.Stderr, "certify: %v for %d paths (%d decisions, %d pruned), %d schedule steps replayed, %d symbolic nodes\n",
-		d, count("tv.paths"), count("tv.decisions"), count("tv.pruned"), count("tv.steps_replayed"), count("tv.nodes"))
+	fmt.Fprintf(os.Stderr, "certify: %v for %d paths (%d decisions, %d pruned), %d of %d spanned schedule steps executed, %d symbolic nodes\n",
+		d, count("tv.paths"), count("tv.decisions"), count("tv.pruned"), count("tv.steps_executed"), count("tv.steps_replayed"), count("tv.nodes"))
 }
 
 func fatal(err error) {

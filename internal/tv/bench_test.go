@@ -14,7 +14,7 @@ import (
 // the standalone CMS at 0.25 Mb, SketchLearn and ConQuest at 1.75 Mb.
 // Nothing gates on it: that workload's tv.validate_s, tv.paths and
 // tv.us_per_path judge a change, and TestWarmPathAllocatesNothing pins
-// the zero-allocation replayed path. It stays as the microscope to
+// the zero-allocation warm enumeration. It stays as the microscope to
 // point -cpuprofile at, reporting `paths` and `us/path` beside ns/op.
 func BenchmarkCertify(b *testing.B) {
 	for _, p := range []struct {

@@ -75,15 +75,38 @@ type regSlot struct {
 }
 
 // entry is one slot of a pathState. It holds a value only while stamp
-// equals the machine's path generation, so starting a new path clears
-// every slot without touching it.
+// equals the machine's run generation, so starting a run clears every
+// slot without touching it; within a run, backtracking restores slots
+// from the undo log.
 type entry struct {
 	n     *node
 	stamp uint64
 }
 
+// undoRec is one slot overwrite, logged so a rollback can restore the
+// entry it replaced.
+type undoRec struct {
+	reg  bool // register slot, else field slot
+	slot int32
+	old  entry
+}
+
+// checkpoint is one side's state at the start of a schedule step, minus
+// the slot contents (those are the undo log up to undo) and the ALU
+// counts (pathState.ckALU).
+type checkpoint struct {
+	undo      int
+	regReads  uint64
+	regWrites uint64
+	pruned    int
+	taken     int // free decisions made before the step (source side)
+}
+
 // pathState is the mutable per-packet state of one execution side. The
-// machine owns one per side and reuses it for every path.
+// machine owns one per side and reuses it for every path of a run: a
+// backtrack rolls the side back to the checkpoint of a schedule step and
+// it resumes there, so a path executes only the steps its flipped
+// decision can change.
 type pathState struct {
 	fields    []entry // written header (reads default to packet inputs) and metadata (default 0) fields, by field slot
 	regs      []entry // array values of written register instances, by register slot
@@ -91,13 +114,57 @@ type pathState struct {
 	regWrites uint64
 	alu       []uint64
 	aborted   string // abort reason; empty while running
+	pruned    int    // interval-decided conditions this path has met on this side
+
+	next  int          // next schedule step to execute; the steps before it are done
+	undo  []undoRec    // slot overwrites since the run began, oldest first
+	ckpts []checkpoint // by schedule step: this side's state as the step began
+	ckALU []uint64     // by schedule step: len(alu) ALU counts as the step began
 }
 
-// reset clears the counters; the slots are cleared by the generation
-// bump that accompanies it (machine.beginPath).
-func (st *pathState) reset() {
-	st.regReads, st.regWrites, st.aborted = 0, 0, ""
+func newPathState(regs, stages, steps int) pathState {
+	return pathState{
+		regs:  make([]entry, regs),
+		alu:   make([]uint64, stages),
+		ckpts: make([]checkpoint, steps),
+		ckALU: make([]uint64, steps*stages),
+	}
+}
+
+// restart puts the side before the first step with nothing done; the
+// slots are cleared by the generation bump that accompanies it
+// (machine.beginRun).
+func (st *pathState) restart() {
+	st.regReads, st.regWrites, st.aborted, st.pruned = 0, 0, "", 0
 	clear(st.alu)
+	st.next = 0
+	st.undo = st.undo[:0]
+}
+
+// save records the checkpoint of step i, which is about to run.
+func (st *pathState) save(i, taken int) {
+	st.ckpts[i] = checkpoint{undo: len(st.undo), regReads: st.regReads, regWrites: st.regWrites, pruned: st.pruned, taken: taken}
+	copy(st.ckALU[i*len(st.alu):], st.alu)
+}
+
+// rollback returns the side to the checkpoint of step i, undoing every
+// slot write made since, so it resumes at step i. A step only starts on
+// a side that has not aborted, so nothing is aborted there.
+func (st *pathState) rollback(i int) {
+	c := &st.ckpts[i]
+	for j := len(st.undo) - 1; j >= c.undo; j-- {
+		u := &st.undo[j]
+		if u.reg {
+			st.regs[u.slot] = u.old
+		} else {
+			st.fields[u.slot] = u.old
+		}
+	}
+	st.undo = st.undo[:c.undo]
+	st.regReads, st.regWrites, st.pruned = c.regReads, c.regWrites, c.pruned
+	copy(st.alu, st.ckALU[i*len(st.alu):])
+	st.aborted = ""
+	st.next = i
 }
 
 // abortErr carries the interpreter-visible abort reason (packet
@@ -122,6 +189,14 @@ func (e *obligErr) Error() string { return e.kind + ": " + e.detail }
 type failure struct {
 	Kind   string
 	Detail string
+}
+
+// decision is one free branch decision of the current path: the branch
+// taken, the schedule step the source made it in, and the condition.
+type decision struct {
+	v    bool
+	step int
+	n    *node
 }
 
 // tvStep is one slot of the canonical execution schedule, shared by the
@@ -161,19 +236,23 @@ type machine struct {
 	srcFields   map[srcField]int32
 	tgtFields   map[*codegen.CFieldRef]int32
 
-	// The two execution sides and the path generation that stamps their
+	// The two execution sides and the run generation that stamps their
 	// live slots and the decisions recorded on nodes.
 	src, tgt pathState
 	gen      uint64
 
 	// Path enumeration: free decisions are made depth-first (true
-	// first); script replays a prefix with the deepest unexplored
-	// branch flipped.
+	// first); script re-makes a prefix with the deepest unexplored
+	// branch flipped. consulted[i] is the highest decision index the
+	// target read while executing step i (-1: none) — the target's
+	// outcome up to a step depends on no other decision.
 	script    []bool
-	taken     []bool
+	taken     []decision
+	consulted []int32
 	decisions int
 	pruned    int
-	replayed  int // schedule steps executed, both sides
+	replayed  int // schedule steps the enumerated paths span from the root, both sides
+	executed  int // schedule steps actually executed, both sides
 
 	pathBudget     int
 	decisionBudget int
@@ -232,12 +311,13 @@ func newMachine(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, pat
 		m.regByKey[k] = int32(len(m.regs))
 		m.regs = append(m.regs, regSlot{regKey: k, cells: rp.Cells})
 	}
-	stages := len(layout.Stages)
-	m.src = pathState{regs: make([]entry, len(m.regs)), alu: make([]uint64, stages)}
-	m.tgt = pathState{regs: make([]entry, len(m.regs)), alu: make([]uint64, stages)}
 	if f := m.buildSteps(); f != nil {
 		return nil, f
 	}
+	stages := len(layout.Stages)
+	m.src = newPathState(len(m.regs), stages, len(m.steps))
+	m.tgt = newPathState(len(m.regs), stages, len(m.steps))
+	m.consulted = make([]int32, len(m.steps))
 	return m, nil
 }
 
@@ -357,23 +437,29 @@ func (m *machine) inVar(f *fieldSlot) *node {
 // side an undetermined condition becomes a free decision (scripted by
 // the DFS); on the target side it must already be determined by the
 // source path's decisions, otherwise the branch alignment is a
-// residual obligation.
-func (m *machine) decide(n *node, src bool) (bool, error) {
+// residual obligation. Each target read of a decision is recorded
+// against the target step that makes it (consulted), which is what lets
+// a backtrack keep the target steps that read only earlier decisions.
+func (ev *evalCtx) decide(n *node) (bool, error) {
+	m, st := ev.m, ev.st
 	if n.isConst() {
 		return n.val != 0, nil
 	}
 	if n.lo >= 1 {
-		m.pruned++
+		st.pruned++
 		return true, nil
 	}
 	if n.hi == 0 {
-		m.pruned++
+		st.pruned++
 		return false, nil
 	}
 	if n.stamp == m.gen {
+		if !ev.src && n.dec > m.consulted[st.next] {
+			m.consulted[st.next] = n.dec
+		}
 		return n.taken, nil
 	}
-	if !src {
+	if !ev.src {
 		return false, &obligErr{kind: "unaligned-branch", detail: "emitted program branches on a condition the source never decided: " + nodeString(n, 4)}
 	}
 	var v bool
@@ -386,8 +472,8 @@ func (m *machine) decide(n *node, src bool) (bool, error) {
 			return false, &obligErr{kind: "decision-budget", detail: fmt.Sprintf("more than %d branch decisions", m.decisionBudget)}
 		}
 	}
-	m.taken = append(m.taken, v)
-	n.stamp, n.taken = m.gen, v
+	n.stamp, n.taken, n.dec = m.gen, v, int32(len(m.taken))
+	m.taken = append(m.taken, decision{v: v, step: st.next, n: n})
 	return v, nil
 }
 
@@ -449,6 +535,7 @@ func (ev *evalCtx) regWrite(name string, inst int64, cell *node, val *node, widt
 	}
 	c := ev.m.t.wrapCell(cell, ev.m.regs[slot].cells)
 	arr := ev.m.t.store(ev.m.regArr(ev.st, slot), c, ev.m.t.mask(val, width))
+	ev.st.undo = append(ev.st.undo, undoRec{reg: true, slot: slot, old: ev.st.regs[slot]})
 	ev.st.regs[slot] = entry{arr, ev.m.gen}
 	ev.st.regWrites++
 }
@@ -474,6 +561,7 @@ func (ev *evalCtx) fieldRead(slot int32, width int) sv {
 
 // fieldWrite stores a value masked to the field's width.
 func (ev *evalCtx) fieldWrite(slot int32, v *node, width int) {
+	ev.st.undo = append(ev.st.undo, undoRec{slot: slot, old: ev.st.fields[slot]})
 	ev.st.fields[slot] = entry{ev.m.t.mask(v, width), ev.m.gen}
 }
 
@@ -493,7 +581,7 @@ func (ev *evalCtx) arith(op lang.Kind, x, y sv) (sv, error) {
 				return sv{}, &abortErr{reason: word + " by zero"}
 			}
 		} else {
-			zero, err := ev.m.decide(ev.m.t.bin(lang.EQ, y.n, ev.m.t.constant(0)), ev.src)
+			zero, err := ev.decide(ev.m.t.bin(lang.EQ, y.n, ev.m.t.constant(0)))
 			if err != nil {
 				return sv{}, err
 			}
@@ -555,7 +643,7 @@ func (ev *evalCtx) guardsL(guards []lang.Expr) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		take, err := ev.m.decide(v.n, ev.src)
+		take, err := ev.decide(v.n)
 		if err != nil {
 			return false, err
 		}
@@ -566,24 +654,27 @@ func (ev *evalCtx) guardsL(guards []lang.Expr) (bool, error) {
 	return true, nil
 }
 
-// runSource executes the canonical schedule over the source AST. A
-// packet abort is recorded in st.aborted (not returned); residual
-// obligations are returned.
-func (m *machine) runSource(st *pathState) error {
-	for i := range m.steps {
-		s := &m.steps[i]
-		m.replayed++
+// runSource executes the canonical schedule over the source AST from
+// the source side's next step to the end. A packet abort is recorded in
+// st.aborted (not returned); residual obligations are returned, with
+// st.next at the step that raised them.
+func (m *machine) runSource() error {
+	st := &m.src
+	for ; st.aborted == "" && st.next < len(m.steps); st.next++ {
+		s := &m.steps[st.next]
+		st.save(st.next, len(m.taken))
+		m.executed++
 		ev := m.stepCtx(st, s, true)
 		pass, err := ev.guardsL(s.inv.Guards)
 		if err == nil && pass {
 			err = ev.blockL(s.inv.Action.Decl.Body)
 		}
 		if err != nil {
-			if ab, isAbort := err.(*abortErr); isAbort {
-				st.aborted = ab.reason
-				return nil
+			ab, isAbort := err.(*abortErr)
+			if !isAbort {
+				return err
 			}
-			return err
+			st.aborted = ab.reason
 		}
 	}
 	return nil
@@ -613,7 +704,7 @@ func (ev *evalCtx) stmtL(s lang.Stmt) error {
 		if err != nil {
 			return err
 		}
-		take, err := ev.m.decide(c.n, ev.src)
+		take, err := ev.decide(c.n)
 		if err != nil {
 			return err
 		}
@@ -656,7 +747,7 @@ func (ev *evalCtx) evalL(e lang.Expr) (sv, error) {
 		}
 		switch e.Op {
 		case lang.AND:
-			nz, err := ev.m.decide(x.n, ev.src)
+			nz, err := ev.decide(x.n)
 			if err != nil {
 				return sv{}, err
 			}
@@ -664,7 +755,7 @@ func (ev *evalCtx) evalL(e lang.Expr) (sv, error) {
 				return sv{ev.m.t.constant(0), 0}, nil
 			}
 		case lang.OR:
-			nz, err := ev.m.decide(x.n, ev.src)
+			nz, err := ev.decide(x.n)
 			if err != nil {
 				return sv{}, err
 			}
@@ -844,7 +935,7 @@ func (ev *evalCtx) guardsC(guards []codegen.CExpr) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		take, err := ev.m.decide(v.n, ev.src)
+		take, err := ev.decide(v.n)
 		if err != nil {
 			return false, err
 		}
@@ -862,14 +953,18 @@ func (ev *evalCtx) guardsC(guards []codegen.CExpr) (bool, error) {
 // bodies from the emitted actions, charged at the stage each action was
 // emitted for. Branch conditions must be determined by the source
 // path's decisions (plus intervals/constants); the target makes no free
-// decisions of its own.
-func (m *machine) runTarget(st *pathState) error {
-	for i := range m.steps {
-		s := &m.steps[i]
+// decisions of its own. Like runSource it resumes at the side's next
+// step.
+func (m *machine) runTarget() error {
+	st := &m.tgt
+	for ; st.aborted == "" && st.next < len(m.steps); st.next++ {
+		s := &m.steps[st.next]
+		st.save(st.next, 0)
+		m.consulted[st.next] = -1
+		m.executed++
 		if s.caction == nil {
 			return &obligErr{kind: "unknown-action", detail: fmt.Sprintf("emitted program lacks action %s", codegen.InstanceName(s.inv.Action.Name, s.iter))}
 		}
-		m.replayed++
 		ev := m.stepCtx(st, s, false)
 		var pass bool
 		var err error
@@ -887,11 +982,11 @@ func (m *machine) runTarget(st *pathState) error {
 			}
 		}
 		if err != nil {
-			if ab, isAbort := err.(*abortErr); isAbort {
-				st.aborted = ab.reason
-				return nil
+			ab, isAbort := err.(*abortErr)
+			if !isAbort {
+				return err
 			}
-			return err
+			st.aborted = ab.reason
 		}
 	}
 	return nil
@@ -910,7 +1005,7 @@ func (ev *evalCtx) stmtC(s codegen.CStmt) error {
 		if err != nil {
 			return err
 		}
-		take, err := ev.m.decide(c.n, ev.src)
+		take, err := ev.decide(c.n)
 		if err != nil {
 			return err
 		}
@@ -958,7 +1053,7 @@ func (ev *evalCtx) evalC(e codegen.CExpr) (sv, error) {
 		}
 		switch e.Op {
 		case lang.AND:
-			nz, err := ev.m.decide(x.n, ev.src)
+			nz, err := ev.decide(x.n)
 			if err != nil {
 				return sv{}, err
 			}
@@ -966,7 +1061,7 @@ func (ev *evalCtx) evalC(e codegen.CExpr) (sv, error) {
 				return sv{ev.m.t.constant(0), 0}, nil
 			}
 		case lang.OR:
-			nz, err := ev.m.decide(x.n, ev.src)
+			nz, err := ev.decide(x.n)
 			if err != nil {
 				return sv{}, err
 			}
@@ -1058,17 +1153,19 @@ type equivResult struct {
 	Samples        int
 	Counterexample string
 	Failures       map[failure]int // per-failure path counts
-	StepsReplayed  int             // schedule steps executed over all paths, both sides
+	StepsReplayed  int             // schedule steps the enumerated paths span from the root, both sides
+	StepsExecuted  int             // schedule steps actually executed, both sides
 	Nodes          int             // interned DAG size at the end of the run
 }
 
-// runEquivalence enumerates every feasible source path, replays the
-// target under the same decisions, and compares the outcomes. Residual
-// obligations trigger the concrete fallback search; nothing passes
-// silently.
+// runEquivalence enumerates every feasible source path, runs the target
+// under the same decisions, and compares the outcomes. Each path after
+// the first resumes both sides at step checkpoints (backtrack) instead
+// of replaying from the root. Residual obligations trigger the concrete
+// fallback search; nothing passes silently.
 func runEquivalence(m *machine, samples int) *equivResult {
 	res := &equivResult{Failures: make(map[failure]int)}
-	m.script = nil
+	m.beginRun()
 	for {
 		if res.Paths >= m.pathBudget {
 			res.Failures[failure{Kind: "path-budget", Detail: fmt.Sprintf("more than %d paths", m.pathBudget)}]++
@@ -1082,20 +1179,15 @@ func runEquivalence(m *machine, samples int) *equivResult {
 		for _, f := range fails {
 			res.Failures[f]++
 		}
-		// Backtrack: flip the deepest true decision.
-		k := len(m.taken) - 1
-		for k >= 0 && !m.taken[k] {
-			k--
-		}
+		k := m.deepestTrue()
 		if k < 0 {
 			break
 		}
-		m.script = append(m.script[:0], m.taken[:k]...)
-		m.script = append(m.script, false)
+		m.backtrack(k)
 	}
 	res.Decisions = m.decisions
 	res.Pruned = m.pruned
-	res.StepsReplayed = m.replayed
+	res.StepsReplayed, res.StepsExecuted = m.replayed, m.executed
 	if len(res.Failures) > 0 {
 		res.Fallbacks = len(res.Failures)
 		res.Samples = samples
@@ -1105,28 +1197,95 @@ func runEquivalence(m *machine, samples int) *equivResult {
 	return res
 }
 
-// beginPath starts a fresh packet on both sides: the generation bump
-// empties every storage slot and forgets every recorded decision.
-func (m *machine) beginPath() {
+// beginRun starts a fresh packet on both sides at the first step: the
+// generation bump empties every storage slot and forgets every recorded
+// decision.
+func (m *machine) beginRun() {
 	m.gen++
 	m.taken = m.taken[:0]
-	m.src.reset()
-	m.tgt.reset()
+	m.script = m.script[:0]
+	m.src.restart()
+	m.tgt.restart()
 }
 
-// runPath executes one source path and its target replay, returning
-// the path's failures (empty means the path's obligations discharged).
-func (m *machine) runPath() []failure {
-	m.beginPath()
-	if err := m.runSource(&m.src); err != nil {
-		oe := err.(*obligErr)
-		return []failure{{Kind: oe.kind, Detail: oe.detail}}
+// deepestTrue is the current path's last decision taken true — the one
+// the next path flips, depth-first — or -1 when the enumeration is done.
+func (m *machine) deepestTrue() int {
+	k := len(m.taken) - 1
+	for k >= 0 && !m.taken[k].v {
+		k--
 	}
-	if err := m.runTarget(&m.tgt); err != nil {
+	return k
+}
+
+// backtrack sets both sides up for the next path: the current path's
+// decisions before k, then decision k false. Neither side re-executes a
+// step whose outcome that shared prefix already fixes.
+//
+// The source resumes at the step that made decision k. Its earlier steps
+// made and read only earlier decisions, so they stand; the decisions
+// made from that step on are forgotten (their nodes un-stamped) and the
+// script re-makes them up to the flipped one.
+//
+// The target makes no decisions: a target step's outcome is fixed by the
+// state it starts from and the decisions it reads (consulted). It
+// resumes at the first step it ran that read decision k or a later one;
+// if none did, what it has done stands, a finished or aborted run
+// included. A target stopped by an obligation was already rolled back to
+// that step (runPath), so it retries the step.
+func (m *machine) backtrack(k int) {
+	step := m.taken[k].step
+	m.src.rollback(step)
+	m.script = m.script[:0]
+	for _, d := range m.taken[:k] {
+		m.script = append(m.script, d.v)
+	}
+	m.script = append(m.script, false)
+	from := m.src.ckpts[step].taken
+	for _, d := range m.taken[from:] {
+		d.n.stamp = 0
+	}
+	m.taken = m.taken[:from]
+	for i := 0; i < m.tgt.next; i++ {
+		if int(m.consulted[i]) >= k {
+			m.tgt.rollback(i)
+			break
+		}
+	}
+}
+
+// runPath runs the current path to its end, each side from where
+// backtrack left it, and returns the path's failures (empty means the
+// path's obligations discharged). The target runs only once the source
+// finished without an obligation.
+func (m *machine) runPath() []failure {
+	err := m.runSource()
+	m.tally(&m.src, err)
+	if err == nil {
+		err = m.runTarget()
+		m.tally(&m.tgt, err)
+		if err != nil {
+			m.tgt.rollback(m.tgt.next) // retried on the next path
+		}
+	}
+	if err != nil {
 		oe := err.(*obligErr)
 		return []failure{{Kind: oe.kind, Detail: oe.detail}}
 	}
 	return m.compare()
+}
+
+// tally adds one side's share of a finished path to the run's counts:
+// the interval-decided conditions it met and the steps it spans from the
+// root, through the step an obligation stopped it in. Both are what
+// replaying the path from the root would count, so the certificate's
+// pruned_decisions does not depend on how much of the path was shared.
+func (m *machine) tally(st *pathState, err error) {
+	m.pruned += st.pruned
+	m.replayed += st.next
+	if err != nil {
+		m.replayed++
+	}
 }
 
 // compare discharges the per-path equivalence obligations.
@@ -1276,14 +1435,13 @@ func compareStats(fails []failure, src, tgt *pathState) []failure {
 func (m *machine) concreteSearch(samples int) string {
 	defer func() { m.concrete = false }()
 	m.concrete = true
-	m.script = nil
 	for trial := 1; trial <= samples; trial++ {
 		m.trial = uint64(trial)
-		m.beginPath()
-		if err := m.runSource(&m.src); err != nil {
+		m.beginRun()
+		if err := m.runSource(); err != nil {
 			continue // unsupported constructs stay symbolic obligations
 		}
-		if err := m.runTarget(&m.tgt); err != nil {
+		if err := m.runTarget(); err != nil {
 			continue
 		}
 		if fails := m.compare(); len(fails) > 0 {

@@ -188,31 +188,42 @@ func TestInterningMatchesLegacyKeyRandom(t *testing.T) {
 
 // TestWarmPathAllocatesNothing: a path costs allocations only the first
 // time its values and storage slots are seen. On a machine that has
-// enumerated every path, replaying a path — both sides, then the
-// comparison — allocates nothing.
+// enumerated every path, enumerating them again — the first path from
+// the root, every later one a backtrack (rollback of both sides) and a
+// resumed path, each compared — allocates nothing.
 func TestWarmPathAllocatesNothing(t *testing.T) {
 	u, layout, prog := compileFor(t, modules.StandaloneCMS(), pisa.EvalTarget(pisa.Mb/4))
 	m, fail := newMachine(u, layout, prog, 1<<16, 1<<30)
 	if fail != nil {
 		t.Fatalf("setup: %s: %s", fail.Kind, fail.Detail)
 	}
-	if res := runEquivalence(m, 64); len(res.Failures) != 0 || res.Paths < 2 {
+	res := runEquivalence(m, 64)
+	if len(res.Failures) != 0 || res.Paths < 2 {
 		t.Fatalf("warm-up run: %d paths, failures %v", res.Paths, res.Failures)
 	}
-	lastScript := append([]bool(nil), m.script...)
 	nodes := m.t.seq
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, script := range [][]bool{nil, lastScript} {
-			m.script = script
+	allocs := testing.AllocsPerRun(20, func() {
+		m.beginRun()
+		paths := 0
+		for {
+			paths++
 			if fails := m.runPath(); len(fails) != 0 {
-				t.Fatalf("replayed path failed: %v", fails)
+				t.Fatalf("warm path failed: %v", fails)
 			}
+			k := m.deepestTrue()
+			if k < 0 {
+				break
+			}
+			m.backtrack(k)
+		}
+		if paths != res.Paths {
+			t.Fatalf("warm run enumerated %d paths, want %d", paths, res.Paths)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("a replayed path allocates %v times, want 0", allocs)
+		t.Errorf("a warm run allocates %v times, want 0", allocs)
 	}
 	if m.t.seq != nodes {
-		t.Errorf("replaying grew the table %d -> %d", nodes, m.t.seq)
+		t.Errorf("the warm run grew the table %d -> %d", nodes, m.t.seq)
 	}
 }

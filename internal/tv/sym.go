@@ -48,10 +48,13 @@ type node struct {
 	hi    uint64
 
 	// The branch decision recorded for this condition on the machine's
-	// current path: taken is meaningful only while stamp equals the
-	// machine's path generation (see machine.decide).
+	// current path, and its index among the path's decisions: both are
+	// meaningful only while stamp equals the machine's run generation
+	// (see evalCtx.decide; a backtrack that forgets the decision clears
+	// stamp).
 	stamp uint64
 	taken bool
+	dec   int32
 }
 
 func (n *node) isConst() bool { return n.kind == kConst }

@@ -92,11 +92,12 @@ func Validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts 
 	auditSpan.End()
 
 	eqSpan := span.Child("tv.equivalence")
-	// Cost counters: how large the interned DAG grew and how many
-	// schedule steps the replay-from-root enumeration executed. They
-	// explain the validator's run time and are not part of the
-	// certificate.
-	var nodes, stepsReplayed int
+	// Cost counters: how large the interned DAG grew, how many schedule
+	// steps the enumerated paths span from the root (what replaying
+	// every path would execute) and how many the checkpointed
+	// enumeration actually executed. They explain the validator's run
+	// time and are not part of the certificate.
+	var nodes, stepsReplayed, stepsExecuted int
 	m, setupFail := newMachine(u, layout, prog, opts.PathBudget, opts.DecisionBudget)
 	if setupFail != nil {
 		cert.Equivalence = EquivalenceReport{
@@ -105,7 +106,7 @@ func Validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts 
 		}
 	} else {
 		eq := runEquivalence(m, opts.FallbackSamples)
-		nodes, stepsReplayed = eq.Nodes, eq.StepsReplayed
+		nodes, stepsReplayed, stepsExecuted = eq.Nodes, eq.StepsReplayed, eq.StepsExecuted
 		cert.Equivalence = EquivalenceReport{
 			Paths:           eq.Paths,
 			PathsProved:     eq.PathsProved,
@@ -121,7 +122,8 @@ func Validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts 
 		obs.Int("paths", cert.Equivalence.Paths),
 		obs.Int("obligations", len(cert.Equivalence.Obligations)),
 		obs.Int("nodes", nodes),
-		obs.Int("steps_replayed", stepsReplayed))
+		obs.Int("steps_replayed", stepsReplayed),
+		obs.Int("steps_executed", stepsExecuted))
 	eqSpan.End()
 
 	if len(cert.Equivalence.Obligations) == 0 && !cert.Audit.Failed() {
@@ -137,6 +139,7 @@ func Validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts 
 		tr.Counter("tv.fallbacks").Add(int64(cert.Equivalence.Fallbacks))
 		tr.Counter("tv.nodes").Add(int64(nodes))
 		tr.Counter("tv.steps_replayed").Add(int64(stepsReplayed))
+		tr.Counter("tv.steps_executed").Add(int64(stepsExecuted))
 		if !cert.Proved() {
 			tr.Counter("tv.failed").Add(1)
 		}

@@ -25,27 +25,35 @@ var update = flag.Bool("update", false, "rewrite golden certificate files")
 // difftest harness uses.
 func compileFor(t testing.TB, src string, target pisa.Target) (*lang.Unit, *ilpgen.Layout, *codegen.Concrete) {
 	t.Helper()
-	u, err := lang.ParseAndResolve(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds, err := unroll.UpperBounds(u, &target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ilpProg, err := ilpgen.Generate(u, &target, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout, err := ilpProg.Solve(ilp.Options{Deterministic: true, Gap: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := codegen.Build(u, layout)
+	u, layout, prog, err := compile(src, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return u, layout, prog
+}
+
+func compile(src string, target pisa.Target) (*lang.Unit, *ilpgen.Layout, *codegen.Concrete, error) {
+	u, err := lang.ParseAndResolve(src)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	bounds, err := unroll.UpperBounds(u, &target)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ilpProg, err := ilpgen.Generate(u, &target, bounds)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	layout, err := ilpProg.Solve(ilp.Options{Deterministic: true, Gap: 0.1})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	prog, err := codegen.Build(u, layout)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return u, layout, prog, nil
 }
 
 func mustProve(t *testing.T, cert *Certificate) {
