@@ -93,6 +93,10 @@ difftest:
 # before any generated P4 is trusted (see
 # docs/TRANSLATION_VALIDATION.md). The solver runs deterministically
 # (-det), so every certificate is a function of the commit alone.
+# Last come the two runtime paths that certify what they use: the
+# elastic drift loop (its initial compile must prove, and every
+# re-solve it adopts does) and netcacheserve -compile, which exits 1
+# rather than serve an unproved layout.
 CERTDIR ?= certs
 CERTAPPS := netcache sketchlearn precision conquest flowradar
 certify:
@@ -104,6 +108,8 @@ certify:
 	for ex in quickstart portability netcache sketchlearn; do \
 		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
 	done
+	$(GO) run ./cmd/netcachesim -drift > /dev/null
+	$(GO) run ./cmd/netcacheserve -compile -addr 127.0.0.1:0 -duration 200ms
 
 # multitenant is the PR-acceptance scenario for the joint compiler: a
 # three-tenant mix (NetCache + SketchLearn + FlowRadar) compiled into

@@ -7,7 +7,8 @@
 //
 // By default the structure shapes come from flags for instant
 // startup; -compile asks the P4All compiler for its chosen shapes
-// instead.
+// instead, and serves them only if the translation validator proves
+// the generated program (the certificate's p4_sha256 is printed).
 package main
 
 import (
@@ -60,11 +61,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "compiling NetCache for the cache shapes...")
 		app := apps.NetCache(apps.NetCacheConfig{})
 		res, err := core.Compile(app.Source, pisa.EvalTarget(*mem),
-			core.Options{Solver: ilp.Options{Deterministic: true}, SkipCodegen: true, Tracer: tracer})
+			core.Options{Solver: ilp.Options{Deterministic: true}, Certify: true, Name: app.Name, Tracer: tracer})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "netcacheserve:", err)
 			os.Exit(1)
 		}
+		cert := res.Certificate
+		if !cert.Proved() {
+			for _, f := range cert.Failures() {
+				fmt.Fprintln(os.Stderr, "netcacheserve:", f)
+			}
+			fmt.Fprintln(os.Stderr, "netcacheserve: the compiled layout is not certified; refusing to serve it")
+			os.Exit(1)
+		}
+		fmt.Fprintln(os.Stderr, "certified p4_sha256", cert.P4SHA256)
 		layout = res.Layout
 	}
 

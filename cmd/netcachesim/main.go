@@ -218,21 +218,11 @@ func runDrift(seed int64, tracer *obs.Tracer) error {
 	cfg.Seed = seed
 	// -det and -threads do not reach the drift experiment: the elastic
 	// controller forces one deterministic worker so replays are exact.
-	res, err := eval.FigureDriftTraced(cfg, tracer)
+	res, err := eval.FigureDrift(cfg, tracer)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("workload drift: %d keys, %d-request windows, skew %.2f -> %.2f\n\n",
-		cfg.Keys, cfg.Window, cfg.Phases[0].Skew, cfg.Phases[len(cfg.Phases)-1].Skew)
-	fmt.Printf("%6s %9s %8s %9s %9s %6s\n",
-		"window", "top-share", "frozen", "elastic", "action", "epoch")
-	for _, p := range res.Points {
-		fmt.Printf("%6d %9.3f %8.3f %9.3f %9s %6d\n",
-			p.Window, p.TopShare, p.HitFrozen, p.HitElastic, p.Action, p.Epoch)
-	}
-	fmt.Printf("\nre-solves %d (adopted %d, warm-started %v)\n", res.Resolves, res.Adoptions, res.AllWarm)
-	fmt.Printf("steady-state hit rate: frozen %.3f, elastic %.3f\n", res.FrozenSteady, res.ElasticSteady)
-	fmt.Printf("final kv capacity: frozen %d items, elastic %d items\n", res.FrozenKVItems, res.ElasticKVItems)
+	fmt.Print(eval.FormatDrift(cfg, res))
 	return nil
 }
 

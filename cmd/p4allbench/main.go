@@ -101,7 +101,7 @@ func fig4() error {
 }
 
 func fig7(mem int) error {
-	res, err := eval.Figure7Traced(mem, tracer)
+	res, err := eval.Figure7(mem, tracer)
 	if err != nil {
 		return err
 	}
@@ -129,7 +129,7 @@ func fig9() error {
 }
 
 func fig11(mem int) error {
-	rows, err := eval.Figure11Traced(mem, tracer)
+	rows, err := eval.Figure11(mem, tracer)
 	if err != nil {
 		return err
 	}
@@ -156,7 +156,7 @@ func fig11(mem int) error {
 }
 
 func fig12() error {
-	pts, err := eval.Figure12Traced(eval.DefaultFig12Mems(), tracer)
+	pts, err := eval.Figure12(eval.DefaultFig12Mems(), tracer)
 	if err != nil {
 		return err
 	}
@@ -171,7 +171,7 @@ func fig12() error {
 }
 
 func fig13(mem int) error {
-	rows, err := eval.Figure13Traced(mem, tracer)
+	rows, err := eval.Figure13(mem, tracer)
 	if err != nil {
 		return err
 	}
@@ -184,7 +184,7 @@ func fig13(mem int) error {
 }
 
 func figFairness() error {
-	res, err := eval.FigureFairnessTraced(eval.FairnessConfig{}, tracer)
+	res, err := eval.FigureFairness(eval.FairnessConfig{}, tracer)
 	if err != nil {
 		return err
 	}
@@ -206,7 +206,7 @@ func figFairness() error {
 }
 
 func figScaling() error {
-	res, err := eval.FigureScalingTraced(eval.DefaultScalingConfig(), tracer)
+	res, err := eval.FigureScaling(eval.DefaultScalingConfig(), tracer)
 	if err != nil {
 		return err
 	}

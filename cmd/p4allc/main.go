@@ -178,13 +178,8 @@ func main() {
 			}
 		}
 		if !cert.Proved() {
-			for _, ob := range cert.Equivalence.Obligations {
-				fmt.Fprintf(os.Stderr, "p4allc: obligation: %s: %s (%d paths)\n", ob.Kind, ob.Detail, ob.Paths)
-			}
-			for _, c := range cert.Audit.Checks {
-				if !c.OK {
-					fmt.Fprintf(os.Stderr, "p4allc: audit: %s: %s\n", c.Name, c.Detail)
-				}
+			for _, f := range cert.Failures() {
+				fmt.Fprintln(os.Stderr, "p4allc:", f)
 			}
 			fmt.Fprintln(os.Stderr, "p4allc: translation validation failed")
 			os.Exit(1)
@@ -381,13 +376,8 @@ func compileJoint(tenants []multitenant.Tenant, target pisa.Target, opts multite
 			}
 			if !cert.Proved() {
 				failed = true
-				for _, ob := range cert.Equivalence.Obligations {
-					fmt.Fprintf(os.Stderr, "p4allc: obligation: %s: %s: %s (%d paths)\n", tr.Name, ob.Kind, ob.Detail, ob.Paths)
-				}
-				for _, c := range cert.Audit.Checks {
-					if !c.OK {
-						fmt.Fprintf(os.Stderr, "p4allc: audit: %s: %s: %s\n", tr.Name, c.Name, c.Detail)
-					}
+				for _, f := range cert.Failures() {
+					fmt.Fprintf(os.Stderr, "p4allc: %s: %s\n", tr.Name, f)
 				}
 			}
 		}

@@ -34,13 +34,8 @@ func checkCertify(rep *Report, cfg Config, spec AppSpec, res *core.Result, budge
 		return
 	}
 	detail := cert.Summary()
-	for _, ob := range cert.Equivalence.Obligations {
-		detail += fmt.Sprintf("\n  obligation %s: %s (%d paths)", ob.Kind, ob.Detail, ob.Paths)
-	}
-	for _, c := range cert.Audit.Checks {
-		if !c.OK {
-			detail += fmt.Sprintf("\n  audit %s: %s", c.Name, c.Detail)
-		}
+	for _, f := range cert.Failures() {
+		detail += "\n  " + f
 	}
 	rep.Failures = append(rep.Failures, Failure{
 		App: spec.Name, Oracle: OracleCertify, Budget: budget, Detail: detail,

@@ -9,6 +9,7 @@ import (
 	"p4all/internal/ilpgen"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
+	"p4all/internal/tv"
 )
 
 // Config parameterizes a Controller.
@@ -52,8 +53,8 @@ const (
 	// ActionNone: no drift; the incumbent keeps serving.
 	ActionNone Action = iota
 	// ActionKept: drift triggered a re-solve but the incumbent was
-	// kept — solver limit, compile failure, insufficient gain, or an
-	// unchanged layout.
+	// kept — solver limit, compile failure, an unproved certificate,
+	// insufficient gain, or an unchanged layout.
 	ActionKept
 	// ActionAdopted: the re-solved layout was migrated and swapped in.
 	ActionAdopted
@@ -81,6 +82,10 @@ type Decision struct {
 	// Stats is the re-solve's solver effort (nil when no solve ran or
 	// the compile failed before solving).
 	Stats *ilpgen.Stats
+	// Certificate is the translation validator's verdict on the
+	// re-solved layout's generated program (nil when no compile
+	// finished). Only a proved layout is ever adopted.
+	Certificate *tv.Certificate
 	// Diff compares the re-solved layout against the incumbent (nil
 	// when no layout was produced).
 	Diff *Diff
@@ -92,9 +97,9 @@ type Decision struct {
 }
 
 // Controller is the runtime reoptimization loop. It owns the detector
-// and the gate; the packet-processing side reads planes through
-// Gate().Load(). Observe is called by a single goroutine, once per
-// traffic window.
+// and a one-plane gate; the packet-processing side reads the served
+// plane through Plane(). Observe is called by a single goroutine, once
+// per traffic window.
 type Controller struct {
 	cfg     Config
 	det     *Detector
@@ -103,6 +108,9 @@ type Controller struct {
 	// values is the incumbent layout's raw ILP assignment — the warm
 	// start for the next re-solve.
 	values []float64
+	// resolved, when set, sees every re-solve's result before the
+	// controller judges it — the seam tests use to corrupt a layout.
+	resolved func(*core.Result)
 }
 
 func (c Config) withDefaults() Config {
@@ -135,8 +143,8 @@ func DefaultPolicy(d Drift) string {
 	return fmt.Sprintf("%.2f * (cms_rows * cms_cols) + %.2f * (kv_parts * kv_slots)", wcms, 1-wcms)
 }
 
-// New compiles the initial program (cold, under the policy's
-// InitialShare utility) and starts the controller serving it.
+// New compiles and certifies the initial program (cold, under the
+// policy's InitialShare utility) and starts the controller serving it.
 func New(cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Program == nil {
@@ -148,23 +156,35 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("elastic: initial compile: %w", err)
 	}
+	if reason := uncertified(res.Certificate); reason != "" {
+		return nil, fmt.Errorf("elastic: initial compile: %s", reason)
+	}
 	plane, err := NewPlane(res.Layout)
 	if err != nil {
 		return nil, err
 	}
 	c.values = res.Layout.Values
-	c.gate = NewGate(plane)
+	c.gate, err = NewGate([]*Plane{plane})
+	if err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
-// Gate returns the swap point the packet-processing side loads planes
-// through.
-func (c *Controller) Gate() *Gate { return c.gate }
-
 // Plane returns the currently served plane.
 func (c *Controller) Plane() *Plane {
-	p, _ := c.gate.Load()
+	p, _ := c.gate.Load(0)
 	return p
+}
+
+// uncertified explains why a certificate does not license its layout
+// ("" when it is proved): the first undischarged obligation or failed
+// audit check, of which an unproved certificate always has one.
+func uncertified(cert *tv.Certificate) string {
+	if cert.Proved() {
+		return ""
+	}
+	return "uncertified: " + cert.Failures()[0]
 }
 
 // Utility returns the utility expression the incumbent was solved
@@ -178,16 +198,17 @@ func (c *Controller) compile(utility string, start []float64) (*core.Result, err
 	// branch-and-bound worker whatever cfg.Solver.Threads says.
 	opts.Deterministic = true
 	return core.Compile(c.cfg.Program(utility), c.cfg.Target, core.Options{
-		Solver:      opts,
-		SkipCodegen: true,
-		Tracer:      c.cfg.Tracer,
+		Solver:  opts,
+		Certify: true,
+		Tracer:  c.cfg.Tracer,
 	})
 }
 
 // Observe folds one traffic window into the controller. On drift it
-// recompiles under the policy's utility with a warm-started solve and
-// either adopts the new layout (migrating state and swapping the gate)
-// or keeps the incumbent, reporting which and why.
+// recompiles under the policy's utility with a warm-started solve,
+// certifies the result, and either adopts the new layout (migrating
+// state and swapping the gate) or keeps the incumbent, reporting which
+// and why.
 func (c *Controller) Observe(w WindowStats) *Decision {
 	d := c.det.Observe(w)
 	dec := &Decision{Action: ActionNone, Drift: d, Epoch: c.gate.Epoch()}
@@ -207,6 +228,10 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 		tr.Event("elastic.fallback", obs.String("reason", dec.Reason))
 		return dec
 	}
+	if c.resolved != nil {
+		c.resolved(res)
+	}
+	dec.Certificate = res.Certificate
 	stats := res.Layout.Stats
 	dec.Stats = &stats
 	tr.Event("elastic.reoptimize",
@@ -218,6 +243,11 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 	)
 	if stats.LimitHit {
 		dec.Action, dec.Reason = ActionKept, "solver hit its limit before certifying the requested gap"
+		tr.Event("elastic.fallback", obs.String("reason", dec.Reason))
+		return dec
+	}
+	if reason := uncertified(res.Certificate); reason != "" {
+		dec.Action, dec.Reason = ActionKept, reason
 		tr.Event("elastic.fallback", obs.String("reason", dec.Reason))
 		return dec
 	}
@@ -246,13 +276,15 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 	}
 	dec.Action = ActionAdopted
 	dec.DroppedKV = droppedKV
-	dec.Epoch = c.gate.Swap(plane)
+	// A one-plane set always matches the one-plane gate: Swap cannot fail.
+	dec.Epoch, _ = c.gate.Swap([]*Plane{plane})
 	c.utility = dec.Utility
 	c.values = res.Layout.Values
 	tr.Event("elastic.adopt",
 		obs.String("diff", diff.String()),
 		obs.Int("dropped_kv", droppedKV),
 		obs.Int64("epoch", int64(dec.Epoch)),
+		obs.String("p4_sha256", res.Certificate.P4SHA256),
 	)
 	return dec
 }

@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"p4all/internal/apps"
+	"p4all/internal/core"
 	"p4all/internal/ilp"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
+	"p4all/internal/tv"
 	"p4all/internal/workload"
 )
 
@@ -96,6 +98,9 @@ func TestControllerAdoptsOnSkewDrift(t *testing.T) {
 	if dec.Diff == nil || dec.Diff.Same() {
 		t.Fatalf("adoption with empty diff: %v", dec.Diff)
 	}
+	if dec.Certificate == nil || !dec.Certificate.Proved() {
+		t.Fatalf("adopted a layout without a proved certificate: %+v", dec.Certificate)
+	}
 	if dec.Epoch != 2 {
 		t.Fatalf("epoch after adoption = %d, want 2", dec.Epoch)
 	}
@@ -155,6 +160,55 @@ func TestControllerFallsBackOnSolverTimeout(t *testing.T) {
 	if e := c.gate.Epoch(); e != 1 {
 		t.Fatalf("fallback bumped the epoch to %d", e)
 	}
+}
+
+// TestControllerKeepsIncumbentOnUncertifiedLayout corrupts the
+// re-solved layout after the compiler certified it — one placement
+// moves a stage — and re-validates. The controller must refuse the
+// layout the validator no longer proves: keep the incumbent plane and
+// epoch, say why, and record the fallback.
+func TestControllerKeepsIncumbentOnUncertifiedLayout(t *testing.T) {
+	sink := &eventSink{}
+	c, err := New(Config{
+		Target:       driftTarget(),
+		Program:      netcacheProgram,
+		InitialShare: 0.55,
+		Solver:       driftSolver(),
+		Tracer:       obs.New(sink),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Plane()
+	beforeUtility := c.Utility()
+	c.resolved = func(res *core.Result) {
+		if !res.Certificate.Proved() {
+			t.Errorf("the untampered re-solve did not certify: %v", res.Certificate.Failures())
+		}
+		pl := &res.Layout.Placements[0]
+		pl.Stage = (pl.Stage + 1) % res.Target.Stages
+		res.Certificate = tv.Validate(res.Unit, res.Layout, res.Concrete, tv.Options{})
+	}
+	for i := 0; i < 3; i++ {
+		c.Observe(window(0.55, 0))
+	}
+	dec := c.Observe(window(0.04, 0))
+	if dec.Action != ActionKept || !strings.HasPrefix(dec.Reason, "uncertified: ") {
+		t.Fatalf("tampered layout: %v (%s), want kept as uncertified", dec.Action, dec.Reason)
+	}
+	if dec.Certificate == nil || dec.Certificate.Proved() {
+		t.Fatalf("decision does not carry the failed certificate: %+v", dec.Certificate)
+	}
+	if !sink.has("elastic.fallback") {
+		t.Fatalf("no elastic.fallback event recorded (got %v)", sink.events)
+	}
+	if c.Plane() != before || c.Utility() != beforeUtility {
+		t.Fatal("an uncertified layout replaced the incumbent")
+	}
+	if e := c.gate.Epoch(); e != 1 || dec.Epoch != 1 {
+		t.Fatalf("uncertified re-solve moved the epoch: gate %d, decision %d", e, dec.Epoch)
+	}
+	t.Log(dec.Reason)
 }
 
 // TestControllerKeepsUnchangedLayout: a churn-only trigger at the same

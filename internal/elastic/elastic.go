@@ -5,21 +5,24 @@
 // controller. It watches per-window traffic statistics, detects
 // workload drift (skew change, key-popularity churn, request-rate
 // shift), re-runs the compiler with a reweighted utility and a
-// warm-started ILP solve seeded from the incumbent layout, migrates
-// live structure state to the new shapes, and atomically swaps the
-// data plane — falling back to the incumbent when the re-solve times
-// out or fails to improve utility.
+// warm-started ILP solve seeded from the incumbent layout, certifies
+// the re-solved program with the translation validator, migrates live
+// structure state to the new shapes, and atomically swaps the data
+// plane — falling back to the incumbent when the re-solve times out,
+// fails to certify, or fails to improve utility.
 //
 // The pieces compose as:
 //
 //	traffic window ─Summarize→ WindowStats ─Detector→ Drift
-//	     Drift ─Controller→ warm core.Compile → utility check
+//	     Drift ─Controller→ warm core.Compile + certify → utility check
 //	     adopt: Migrate (CMS re-hash + KV re-admission) → Gate.Swap
 //	     reject: keep incumbent, record an obs event
 //
-// Detector, Gate, and the migration helpers are application-agnostic;
-// Controller and Plane are written against the NetCache data plane
-// (the paper's running elastic application).
+// There is one Gate: the Controller publishes one plane through it,
+// and internal/serve publishes one plane per shard (MigrateShards
+// inside a quiesce window). Detector, Gate, and the migration helpers
+// are application-agnostic; Controller and Plane are written against
+// the NetCache data plane (the paper's running elastic application).
 package elastic
 
 import "sort"

@@ -5,102 +5,53 @@ import (
 	"sync"
 )
 
-// Gate publishes the active data plane to the packet-processing
-// goroutine with epoch-stamped atomic swaps. The controller builds and
-// state-migrates a replacement Plane entirely off to the side, then
-// Swap makes it visible in one step: a reader either sees the complete
-// old plane or the complete new one, never a mix — the "consistent
-// layout" invariant of the reoptimization loop. The plane returned by
-// Load is owned by the reader until its next Load (see sim.Pipeline's
-// ownership note); the controller never mutates a published plane.
+// Gate publishes the active data planes — one per shard, each owned by
+// its shard's goroutine between Loads — to the packet-processing side
+// under a single shared epoch. The controller builds and
+// state-migrates replacement planes entirely off to the side, then
+// Swap makes the whole set visible in one step: a reader either sees
+// the complete old set or the complete new one, never a mix, and a
+// loaded plane's own Epoch always equals the epoch it was loaded at —
+// the "consistent layout" invariant of the reoptimization loop. The
+// controller never mutates a published plane.
+//
+// The cross-shard freshness invariant ("no shard processes a batch
+// against epoch e while another processes against e'") is not the
+// gate's to enforce — it requires quiescing the shards around the
+// swap, which is internal/serve.Runtime.Quiesce's job; the gate
+// guarantees only that what is published is a complete,
+// consistently-stamped plane set. A single-shard reader (the
+// Controller) needs no quiesce: it loads shard 0.
 type Gate struct {
-	mu    sync.Mutex
-	epoch uint64
-	plane *Plane
-}
-
-// NewGate starts a gate serving the given plane at epoch 1.
-func NewGate(p *Plane) *Gate {
-	g := &Gate{}
-	g.Swap(p)
-	return g
-}
-
-// Load returns the active plane and the epoch it was installed at.
-// The pair is consistent: the plane's own Epoch field always equals
-// the returned epoch.
-func (g *Gate) Load() (*Plane, uint64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.plane, g.epoch
-}
-
-// Epoch returns the current epoch without loading the plane.
-func (g *Gate) Epoch() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.epoch
-}
-
-// Swap installs a fully-built plane and returns its new epoch.
-func (g *Gate) Swap(p *Plane) uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.epoch++
-	p.Epoch = g.epoch
-	g.plane = p
-	return g.epoch
-}
-
-// MultiGate extends Gate to a sharded data plane: N planes — one per
-// shard, each owned by its shard's goroutine between Loads — published
-// under a single shared epoch. SwapAll replaces every plane in one
-// step, so the set of planes a reader can observe is always from one
-// epoch; there is never a moment where shard 0 serves the new layout
-// while shard 1 still serves the old one *and both are visible at
-// different epochs*. The cross-shard freshness invariant ("no shard
-// processes a batch against epoch e while another processes against
-// e'") is not the gate's to enforce — it requires quiescing the shards
-// around the swap, which is internal/serve.Runtime.Quiesce's job; the
-// gate guarantees only that what is published is a complete,
-// consistently-stamped plane set.
-type MultiGate struct {
 	mu     sync.Mutex
 	epoch  uint64
 	planes []*Plane
 }
 
-// NewMultiGate starts a gate serving the given per-shard planes at
-// epoch 1. The slice is copied; at least one plane is required.
-func NewMultiGate(planes []*Plane) (*MultiGate, error) {
+// NewGate starts a gate serving the given per-shard planes at epoch 1.
+// The slice is copied; at least one plane is required.
+func NewGate(planes []*Plane) (*Gate, error) {
 	if len(planes) == 0 {
-		return nil, fmt.Errorf("elastic: MultiGate needs at least one plane")
+		return nil, fmt.Errorf("elastic: Gate needs at least one plane")
 	}
-	g := &MultiGate{}
-	if _, err := g.SwapAll(planes); err != nil {
+	g := &Gate{}
+	if _, err := g.Swap(planes); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// Shards returns the number of per-shard planes.
-func (g *MultiGate) Shards() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.planes)
-}
-
 // Load returns shard's active plane and the epoch the whole set was
 // installed at. The plane's own Epoch field always equals the returned
 // epoch; the plane is owned by the caller until its next Load.
-func (g *MultiGate) Load(shard int) (*Plane, uint64) {
+func (g *Gate) Load(shard int) (*Plane, uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.planes[shard], g.epoch
 }
 
 // Epoch returns the current epoch without loading a plane.
-func (g *MultiGate) Epoch() uint64 {
+func (g *Gate) Epoch() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.epoch
@@ -110,20 +61,20 @@ func (g *MultiGate) Epoch() uint64 {
 // themselves are the live ones). Callers must not mutate the planes
 // unless the shards are quiesced — this is the migration read path,
 // which internal/serve runs inside its quiesce window.
-func (g *MultiGate) Planes() []*Plane {
+func (g *Gate) Planes() []*Plane {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return append([]*Plane(nil), g.planes...)
 }
 
-// SwapAll atomically installs a fully-built plane set, stamping every
+// Swap atomically installs a fully-built plane set, stamping every
 // plane with the same new epoch, and returns it. The replacement must
 // have one plane per shard (the shard count is fixed at construction).
-func (g *MultiGate) SwapAll(planes []*Plane) (uint64, error) {
+func (g *Gate) Swap(planes []*Plane) (uint64, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.planes != nil && len(planes) != len(g.planes) {
-		return 0, fmt.Errorf("elastic: SwapAll with %d planes, gate has %d shards", len(planes), len(g.planes))
+		return 0, fmt.Errorf("elastic: Swap with %d planes, gate has %d shards", len(planes), len(g.planes))
 	}
 	g.epoch++
 	for _, p := range planes {

@@ -206,7 +206,7 @@ func MigrateKVS(old *structures.KVStore, parts, slots int, rank func(key uint64)
 //
 // The old planes are read during migration, so the caller must have
 // quiesced the shards first (internal/serve runs this inside
-// Runtime.Quiesce, then publishes the result with MultiGate.SwapAll).
+// Runtime.Quiesce, then publishes the result with Gate.Swap).
 func MigrateShards(old []*Plane, l *ilpgen.Layout, hot []KeyCount, route func(key uint64) int) ([]*Plane, int, error) {
 	if route == nil {
 		route = func(uint64) int { return 0 }

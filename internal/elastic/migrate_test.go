@@ -209,3 +209,69 @@ func TestMigrateCMSPreservesSeed(t *testing.T) {
 		}
 	}
 }
+
+func TestMigrateShardsFiltersHotKeysByOwner(t *testing.T) {
+	l := &ilpgen.Layout{Symbolics: map[string]int64{
+		"cms_rows": 2, "cms_cols": 32, "kv_parts": 1, "kv_slots": 64,
+	}}
+	old := make([]*Plane, 2)
+	for i := range old {
+		p, err := NewPlane(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old[i] = p
+	}
+	route := func(k uint64) int { return int(k % 2) }
+	// Populate each shard only with the keys it owns, as the runtime
+	// would.
+	for k := uint64(0); k < 20; k++ {
+		s := route(k)
+		old[s].CMS.Add(k, uint32(k+1))
+		old[s].KV.Put(k, k*3)
+	}
+	hot := make([]KeyCount, 0, 20)
+	for k := uint64(0); k < 20; k++ {
+		hot = append(hot, KeyCount{Key: k, Count: k + 1})
+	}
+	// Re-shape the CMS so migration takes the hot-key re-admission path.
+	l2 := &ilpgen.Layout{Symbolics: map[string]int64{
+		"cms_rows": 2, "cms_cols": 64, "kv_parts": 1, "kv_slots": 64,
+	}}
+	planes, dropped, err := MigrateShards(old, l2, hot, route)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped != 0 {
+		t.Fatalf("dropped %d KV entries into a same-shape store", dropped)
+	}
+	if len(planes) != 2 {
+		t.Fatalf("got %d planes, want 2", len(planes))
+	}
+	for k := uint64(0); k < 20; k++ {
+		s := route(k)
+		// The owning shard carries the key's state (Put can evict
+		// colliders, so only keys still in the old store must survive);
+		// the other shard must not have absorbed it.
+		if _, had := old[s].KV.Get(k); had {
+			if v, ok := planes[s].KV.Get(k); !ok || v != k*3 {
+				t.Fatalf("shard %d lost key %d after migration", s, k)
+			}
+		}
+		if _, ok := planes[1-s].KV.Get(k); ok {
+			t.Fatalf("key %d leaked into shard %d during migration", k, 1-s)
+		}
+		if est := planes[s].CMS.Estimate(k); est < uint32(k+1) {
+			t.Fatalf("shard %d CMS underestimates key %d after migration: %d < %d", s, k, est, k+1)
+		}
+		if est := planes[1-s].CMS.Estimate(k); est > 0 && est >= uint32(k+1) && k > 4 {
+			// Cross-shard hash collisions can produce small nonzero
+			// estimates, but a full carried count means the filter failed.
+			t.Fatalf("shard %d absorbed key %d's carried count", 1-s, k)
+		}
+	}
+	// Route pointing outside the shard range is rejected.
+	if _, _, err := MigrateShards(old, l2, hot, func(uint64) int { return 7 }); err == nil {
+		t.Fatal("MigrateShards accepted an out-of-range route")
+	}
+}

@@ -2,12 +2,14 @@ package eval
 
 import (
 	"fmt"
+	"strings"
 
 	"p4all/internal/apps"
 	"p4all/internal/elastic"
 	"p4all/internal/ilp"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
+	"p4all/internal/tv"
 	"p4all/internal/workload"
 )
 
@@ -17,14 +19,13 @@ import (
 // stream whose skew steps mid-run, served once by a frozen layout and
 // once by the elastic controller.
 type DriftConfig struct {
-	Seed       int64
-	Keys       int                   // key universe
-	Window     int                   // requests per controller window
-	Phases     []workload.DriftPhase // the drifting workload
-	Threshold  uint32                // CMS estimate admitting a key into the cache
-	ResetEvery int                   // windows between CMS resets (0: no reset); applied identically to both runs
-	Target     pisa.Target
-	Solver     ilp.Options
+	Seed      int64
+	Keys      int                   // key universe
+	Window    int                   // requests per controller window
+	Phases    []workload.DriftPhase // the drifting workload
+	Threshold uint32                // CMS estimate admitting a key into the cache
+	Target    pisa.Target
+	Solver    ilp.Options
 }
 
 // DefaultDriftConfig is five windows of heavy skew followed by ten
@@ -62,6 +63,9 @@ type DriftPoint struct {
 	HitElastic float64
 	Action     string // what the controller did ("", "kept", "adopted")
 	Epoch      uint64 // elastic gate epoch after the window
+	// Certificate is the window's re-solve certificate (nil when no
+	// re-solve finished); an adopted layout's is always proved.
+	Certificate *tv.Certificate
 }
 
 // DriftResult is the paired frozen/elastic comparison.
@@ -81,17 +85,11 @@ type DriftResult struct {
 
 // FigureDrift runs the drift experiment: the same request stream is
 // served by a layout frozen at its initial compile and by the elastic
-// controller, with identical CMS reset cadence, and the per-window hit
-// rates are compared. The elastic run should collapse with the frozen
-// one at the skew step and then recover as the controller re-solves
-// and migrates.
-func FigureDrift(cfg DriftConfig) (*DriftResult, error) {
-	return FigureDriftTraced(cfg, nil)
-}
-
-// FigureDriftTraced is FigureDrift with compile and controller
-// tracing.
-func FigureDriftTraced(cfg DriftConfig, tr *obs.Tracer) (*DriftResult, error) {
+// controller, and the per-window hit rates are compared. The elastic
+// run should collapse with the frozen one at the skew step and then
+// recover as the controller re-solves, certifies, and migrates. A
+// non-nil tr traces the compiles and the controller.
+func FigureDrift(cfg DriftConfig, tr *obs.Tracer) (*DriftResult, error) {
 	program := func(utility string) string {
 		return apps.NetCache(apps.NetCacheConfig{Utility: utility}).Source
 	}
@@ -132,20 +130,17 @@ func FigureDriftTraced(cfg DriftConfig, tr *obs.Tracer) (*DriftResult, error) {
 	win := 0
 	for off := 0; off+cfg.Window <= len(stream); off += cfg.Window {
 		keys := stream[off : off+cfg.Window]
-		if cfg.ResetEvery > 0 && win > 0 && win%cfg.ResetEvery == 0 {
-			frozen.Plane().CMS.Reset()
-			ctrl.Plane().CMS.Reset()
-		}
 		fHits := serve(frozen.Plane(), keys)
 		eHits := serve(ctrl.Plane(), keys)
 		w := elastic.Summarize(keys, eHits, 64, 256)
 		dec := ctrl.Observe(w)
 		pt := DriftPoint{
-			Window:     win,
-			TopShare:   w.TopShare,
-			HitFrozen:  float64(fHits) / float64(len(keys)),
-			HitElastic: w.HitRate(),
-			Epoch:      dec.Epoch,
+			Window:      win,
+			TopShare:    w.TopShare,
+			HitFrozen:   float64(fHits) / float64(len(keys)),
+			HitElastic:  w.HitRate(),
+			Epoch:       dec.Epoch,
+			Certificate: dec.Certificate,
 		}
 		switch dec.Action {
 		case elastic.ActionKept:
@@ -181,4 +176,22 @@ func FigureDriftTraced(cfg DriftConfig, tr *obs.Tracer) (*DriftResult, error) {
 	out.FrozenKVItems = fl.Symbolic("kv_parts") * fl.Symbolic("kv_slots")
 	out.ElasticKVItems = el.Symbolic("kv_parts") * el.Symbolic("kv_slots")
 	return out, nil
+}
+
+// FormatDrift renders a drift run as the text table `netcachesim
+// -drift` prints, in the style of the p4allbench figures.
+func FormatDrift(cfg DriftConfig, res *DriftResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "workload drift: %d keys, %d-request windows, skew %.2f -> %.2f\n\n",
+		cfg.Keys, cfg.Window, cfg.Phases[0].Skew, cfg.Phases[len(cfg.Phases)-1].Skew)
+	fmt.Fprintf(&b, "%6s %9s %8s %9s %9s %6s\n",
+		"window", "top-share", "frozen", "elastic", "action", "epoch")
+	for _, p := range res.Points {
+		fmt.Fprintf(&b, "%6d %9.3f %8.3f %9.3f %9s %6d\n",
+			p.Window, p.TopShare, p.HitFrozen, p.HitElastic, p.Action, p.Epoch)
+	}
+	fmt.Fprintf(&b, "\nre-solves %d (adopted %d, warm-started %v)\n", res.Resolves, res.Adoptions, res.AllWarm)
+	fmt.Fprintf(&b, "steady-state hit rate: frozen %.3f, elastic %.3f\n", res.FrozenSteady, res.ElasticSteady)
+	fmt.Fprintf(&b, "final kv capacity: frozen %d items, elastic %d items\n", res.FrozenKVItems, res.ElasticKVItems)
+	return b.String()
 }

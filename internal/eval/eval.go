@@ -128,13 +128,8 @@ func BestFig4(points []Fig4Point) Fig4Point {
 
 // Figure7 compiles NetCache against the paper's §6.2 target with the
 // default utility and returns the result; Result.Layout is the
-// Figure 7 stage map.
-func Figure7(memBits int) (*core.Result, error) {
-	return Figure7Traced(memBits, nil)
-}
-
-// Figure7Traced is Figure7 with compile-pipeline tracing.
-func Figure7Traced(memBits int, tr *obs.Tracer) (*core.Result, error) {
+// Figure 7 stage map. A non-nil tr traces the compile.
+func Figure7(memBits int, tr *obs.Tracer) (*core.Result, error) {
 	app := apps.NetCache(apps.NetCacheConfig{})
 	return core.Compile(app.Source, pisa.EvalTarget(memBits), core.Options{Solver: FigureSolver, Tracer: tr})
 }
@@ -220,14 +215,9 @@ type Fig11Row struct {
 }
 
 // Figure11 compiles the four applications against the evaluation
-// target and tabulates source size, compile time, and ILP size.
-func Figure11(memBits int) ([]Fig11Row, error) {
-	return Figure11Traced(memBits, nil)
-}
-
-// Figure11Traced is Figure11 with compile-pipeline tracing (one
-// "compile" span tree per application).
-func Figure11Traced(memBits int, tr *obs.Tracer) ([]Fig11Row, error) {
+// target and tabulates source size, compile time, and ILP size. A
+// non-nil tr traces one "compile" span tree per application.
+func Figure11(memBits int, tr *obs.Tracer) ([]Fig11Row, error) {
 	var rows []Fig11Row
 	for _, app := range apps.All() {
 		res, err := core.Compile(app.Source, pisa.EvalTarget(memBits), core.Options{Solver: FigureSolver, Tracer: tr})
@@ -277,14 +267,9 @@ type Fig12Point struct {
 }
 
 // Figure12 sweeps per-stage memory and records how the compiler
-// stretches NetCache's structures (the elasticity result of §6.2).
-func Figure12(memBits []int) ([]Fig12Point, error) {
-	return Figure12Traced(memBits, nil)
-}
-
-// Figure12Traced is Figure12 with compile-pipeline tracing (one
-// "compile" span tree per memory setting).
-func Figure12Traced(memBits []int, tr *obs.Tracer) ([]Fig12Point, error) {
+// stretches NetCache's structures (the elasticity result of §6.2). A
+// non-nil tr traces one "compile" span tree per memory setting.
+func Figure12(memBits []int, tr *obs.Tracer) ([]Fig12Point, error) {
 	app := apps.NetCache(apps.NetCacheConfig{})
 	u, err := lang.ParseAndResolve(app.Source)
 	if err != nil {
@@ -332,13 +317,8 @@ type Fig13Row struct {
 
 // Figure13 compiles NetCache under the paper's two utility weightings
 // (with the 8 Mb key-value floor the paper notes) and reports how the
-// split shifts.
-func Figure13(memBits int) ([]Fig13Row, error) {
-	return Figure13Traced(memBits, nil)
-}
-
-// Figure13Traced is Figure13 with compile-pipeline tracing.
-func Figure13Traced(memBits int, tr *obs.Tracer) ([]Fig13Row, error) {
+// split shifts. A non-nil tr traces the compiles.
+func Figure13(memBits int, tr *obs.Tracer) ([]Fig13Row, error) {
 	utilities := []string{
 		"0.4 * (kv_parts * kv_slots) + 0.6 * (cms_rows * cms_cols)",
 		"0.4 * (cms_rows * cms_cols) + 0.6 * (kv_parts * kv_slots)",

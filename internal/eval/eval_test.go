@@ -66,7 +66,7 @@ func TestFigure12Monotone(t *testing.T) {
 		t.Skip("NetCache compiles are slow")
 	}
 	mems := []int{pisa.Mb, 2 * pisa.Mb}
-	pts, err := Figure12(mems)
+	pts, err := Figure12(mems, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFigure13UtilityShift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("NetCache compiles are slow")
 	}
-	rows, err := Figure13(7 * pisa.Mb / 4)
+	rows, err := Figure13(7*pisa.Mb/4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFigure13UtilityShift(t *testing.T) {
 func TestFigure11FastApps(t *testing.T) {
 	// The two sub-second apps exercise the Figure 11 pipeline without
 	// the NetCache solve cost.
-	rows, err := Figure11(pisa.Mb)
+	rows, err := Figure11(pisa.Mb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

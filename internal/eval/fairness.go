@@ -113,13 +113,8 @@ type FairnessResult struct {
 // whose utility saturates on a non-memory resource — the counting
 // table's rows are stateful-ALU-bound, for example — would flatline
 // instead, because extra weight cannot buy it anything.)
-func FigureFairness(cfg FairnessConfig) (*FairnessResult, error) {
-	return FigureFairnessTraced(cfg, nil)
-}
-
-// FigureFairnessTraced is FigureFairness with compile-pipeline tracing
-// (one "multitenant.compile" span tree per weight).
-func FigureFairnessTraced(cfg FairnessConfig, tr *obs.Tracer) (*FairnessResult, error) {
+// A non-nil tr traces one "multitenant.compile" span tree per weight.
+func FigureFairness(cfg FairnessConfig, tr *obs.Tracer) (*FairnessResult, error) {
 	cfg = cfg.withDefaults()
 	target := fairnessTarget(cfg.MemBits)
 	out := &FairnessResult{Target: target, Fixed: "sketch", Favored: "store", MinUtility: cfg.MinUtility}

@@ -21,7 +21,7 @@ func TestFigureFairnessMonotone(t *testing.T) {
 		NodeLimit: 4000,
 		TimeLimit: 10 * time.Minute,
 	}.withDefaults()
-	res, err := FigureFairness(cfg)
+	res, err := FigureFairness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

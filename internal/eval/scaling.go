@@ -76,13 +76,9 @@ func ShardCounts() []int {
 }
 
 // FigureScaling measures aggregate pkts/sec through the sharded
-// serving runtime for each shard count.
-func FigureScaling(cfg ScalingConfig) (*ScalingResult, error) {
-	return FigureScalingTraced(cfg, nil)
-}
-
-// FigureScalingTraced is FigureScaling with observability.
-func FigureScalingTraced(cfg ScalingConfig, tr *obs.Tracer) (*ScalingResult, error) {
+// serving runtime for each shard count. A non-nil tr observes the
+// compile and the runtimes.
+func FigureScaling(cfg ScalingConfig, tr *obs.Tracer) (*ScalingResult, error) {
 	if cfg.Packets <= 0 {
 		cfg.Packets = 1 << 18
 	}

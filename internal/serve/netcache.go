@@ -46,7 +46,7 @@ type NetCacheConfig struct {
 // hits, and evicts exactly like a single-shard one.
 type NetCache struct {
 	rt        *Runtime[Request]
-	gate      *elastic.MultiGate
+	gate      *elastic.Gate
 	route     func(key uint64) int
 	threshold uint32
 	respond   func(shard int, req Request, status uint8, val uint64)
@@ -81,7 +81,7 @@ func NewNetCache(cfg NetCacheConfig) (*NetCache, error) {
 		}
 		planes[i] = p
 	}
-	gate, err := elastic.NewMultiGate(planes)
+	gate, err := elastic.NewGate(planes)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +235,7 @@ func (n *NetCache) MergedCMS() (*structures.CountMinSketch, error) {
 
 // SwapLayout re-shapes every shard to a new layout inside one quiesce
 // window: the shards drain, each plane migrates (hot keys filtered to
-// the shard that owns them), and MultiGate.SwapAll publishes the new
+// the shard that owns them), and Gate.Swap publishes the new
 // set under a single epoch — no batch ever runs against a mix. If the
 // new layout changes kv_parts, the routing function changes with it;
 // entries whose owning shard moved are left behind as unreachable
@@ -249,7 +249,7 @@ func (n *NetCache) SwapLayout(l *ilpgen.Layout, hot []elastic.KeyCount) (epoch u
 		if merr != nil {
 			return merr
 		}
-		e, serr := n.gate.SwapAll(planes)
+		e, serr := n.gate.Swap(planes)
 		if serr != nil {
 			return serr
 		}

@@ -14,7 +14,7 @@
 // owning shard). Reconfiguration extends the elastic controller's
 // swap protocol: Runtime.Quiesce drains every shard, the controller
 // migrates all N planes inside the quiet window, and
-// elastic.MultiGate.SwapAll publishes the new set under one epoch so
+// elastic.Gate.Swap publishes the new set under one epoch so
 // no batch ever executes against a torn mix of layouts. See
 // docs/SERVING.md for the full protocol.
 package serve

@@ -4,11 +4,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"p4all/internal/elastic"
 )
 
 // TestSwapEpochConsistencyUnderLoad is the multi-plane analogue of
 // the single-gate swap test: a controller goroutine re-shapes the
-// cache (quiesce → migrate all shards → SwapAll) while dispatchers
+// cache (quiesce → migrate all shards → Swap) while dispatchers
 // pump traffic through every shard. Run under -race (CI does). The
 // invariants: every request in a batch executes against the epoch the
 // batch loaded (no torn epoch — a swap can never land mid-batch,
@@ -110,6 +112,105 @@ func TestSwapEpochConsistencyUnderLoad(t *testing.T) {
 	}
 	if nc.Packets() == 0 {
 		t.Fatal("no traffic flowed during the swap storm")
+	}
+}
+
+// TestSwapLayoutKeepsHotStateUnderLoad storms re-shapes of both
+// structures while dispatchers keep every shard busy, and after each
+// swap checks the migration safety invariants across all planes:
+//
+//   - every plane's structures have exactly its layout's shapes (no
+//     partition is dropped, no sketch row lost);
+//   - the merged CMS never under-estimates a seeded hot key (counts are
+//     carried or re-admitted, never silently zeroed);
+//   - the hottest key — first in line for re-admission — stays cached.
+func TestSwapLayoutKeepsHotStateUnderLoad(t *testing.T) {
+	nc, err := NewNetCache(NetCacheConfig{Layout: testLayout(2, 256, 4, 64), Shards: 4, BatchSize: 16, Threshold: noAdmission})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hot := []elastic.KeyCount{{Key: 11, Count: 100}, {Key: 22, Count: 90}, {Key: 33, Count: 80}, {Key: 44, Count: 70}}
+	for _, kc := range hot {
+		for i := uint64(0); i < kc.Count; i++ {
+			if err := nc.Dispatch(Request{Op: OpGet, Key: kc.Key}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	hottest := hot[0].Key
+	if err := nc.Dispatch(Request{Op: OpPut, Key: hottest, Val: 7}); err != nil {
+		t.Fatal(err)
+	}
+	nc.Drain()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for d := uint64(0); d < 2; d++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for key := 1000 + d; ; key += 2 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if nc.Dispatch(Request{Op: OpGet, Key: key % 8192}) != nil {
+					return // runtime closing
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	for i := 0; i < 20; i++ {
+		// Traffic from this goroutine too, so every swap lands on busy
+		// shards even when the dispatchers above are not scheduled.
+		for k := uint64(0); k < 200; k++ {
+			if err := nc.Dispatch(Request{Op: OpGet, Key: 2000 + k}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l := testLayout(2, 256, 4, 64)
+		if i%2 == 0 {
+			l = testLayout(3, 512, 4, 128)
+		}
+		epoch, _, err := nc.SwapLayout(l, hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = nc.rt.Quiesce(func() error {
+			for s, p := range nc.gate.Planes() {
+				if p.Epoch != epoch || p.Layout != l {
+					t.Errorf("swap %d shard %d: plane at epoch %d, want the new layout at %d", i, s, p.Epoch, epoch)
+				}
+				if p.CMS.Rows() != int(l.Symbolic("cms_rows")) || p.CMS.Cols() != int(l.Symbolic("cms_cols")) ||
+					p.KV.Parts() != int(l.Symbolic("kv_parts")) || p.KV.Slots() != int(l.Symbolic("kv_slots")) {
+					t.Errorf("swap %d shard %d: cms %dx%d kv %dx%d, layout says %v",
+						i, s, p.CMS.Rows(), p.CMS.Cols(), p.KV.Parts(), p.KV.Slots(), l.Symbolics)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := nc.MergedCMS()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kc := range hot {
+			if est := merged.Estimate(kc.Key); uint64(est) < kc.Count {
+				t.Errorf("swap %d: CMS estimate for key %d fell to %d (< %d)", i, kc.Key, est, kc.Count)
+			}
+		}
+		if v, ok, err := nc.Lookup(hottest); err != nil || !ok || v != 7 {
+			t.Fatalf("swap %d: hottest key %d reads (%d, %v, %v), want (7, true)", i, hottest, v, ok, err)
+		}
 	}
 }
 

@@ -78,6 +78,22 @@ type Certificate struct {
 // Proved reports whether every obligation was discharged.
 func (c *Certificate) Proved() bool { return c.Verdict == VerdictProved }
 
+// Failures lists, one line each, what kept the certificate from being
+// proved: every undischarged obligation, then every failed audit check.
+// A proved certificate has none.
+func (c *Certificate) Failures() []string {
+	var out []string
+	for _, ob := range c.Equivalence.Obligations {
+		out = append(out, fmt.Sprintf("obligation %s: %s (%d paths)", ob.Kind, ob.Detail, ob.Paths))
+	}
+	for _, ch := range c.Audit.Checks {
+		if !ch.OK {
+			out = append(out, fmt.Sprintf("audit %s: %s", ch.Name, ch.Detail))
+		}
+	}
+	return out
+}
+
 // JSON renders the certificate as stable, indented JSON with a
 // trailing newline. All slices are sorted before marshaling, so equal
 // certificates are byte-equal.
