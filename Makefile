@@ -50,14 +50,17 @@ bench-compare:
 	bash bench/run.sh -compare runs/compare/base/results.jsonl runs/compare/head/results.jsonl | tee runs/compare/verdict.txt
 
 # bench-profile captures a pprof CPU profile of the multi-tenant warm
-# re-solves (the models where node throughput dominates). CI uploads
-# the profile plus the test binary as an artifact so a bench-compare
-# failure can be diagnosed offline:
+# re-solves (the models where node throughput dominates), and prints
+# where the LP iterations of the tenant-drift cycle and of two compiles
+# go — root, dive, tree, with the warm restarts — into ilp-lp-split.txt.
+# CI uploads both plus the test binary as an artifact so a
+# bench-compare failure can be diagnosed offline:
 #   go tool pprof ilp-bench.test ilp-cpu.prof
 # (see docs/SOLVER_PERF.md).
 bench-profile:
 	$(GO) test -run=NONE -bench=MultiTenantResolve -benchtime=1x -benchmem \
 		-cpuprofile=ilp-cpu.prof -o ilp-bench.test ./internal/multitenant/
+	$(GO) test -count=1 -run TestWarmDiveSplit -v ./internal/ilp | tee ilp-lp-split.txt
 
 # bench/ is a module of its own, so `go build ./... && go test ./...`
 # at the root never compiles it: a rename in what it reads from the

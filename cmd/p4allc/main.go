@@ -32,6 +32,7 @@ import (
 	"p4all/internal/apps"
 	"p4all/internal/core"
 	"p4all/internal/ilp"
+	"p4all/internal/ilpgen"
 	"p4all/internal/multitenant"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
@@ -155,8 +156,7 @@ func main() {
 		st := res.Layout.Stats
 		fmt.Fprintf(os.Stderr, "ILP: %d variables, %d constraints, %d nodes, certified gap %.2f%%\n",
 			st.Vars, st.Constrs, st.Nodes, 100*st.Gap)
-		fmt.Fprintf(os.Stderr, "solver: %d simplex iters (%d dual, %d primal fallbacks), %d refactorizations\n",
-			st.SimplexIter, st.DualIters, st.PrimalFallbacks, st.Refactors)
+		printSolverStats(st)
 		if pre := st.Presolve; pre.RowsDropped+pre.BoundsTightened+pre.VarsFixed > 0 {
 			fmt.Fprintf(os.Stderr, "presolve: %d bounds tightened, %d variables fixed, %d rows dropped\n",
 				pre.BoundsTightened, pre.VarsFixed, pre.RowsDropped)
@@ -349,6 +349,7 @@ func compileJoint(tenants []multitenant.Tenant, target pisa.Target, opts multite
 		st := res.Layout.Stats
 		fmt.Fprintf(os.Stderr, "joint ILP: %d variables, %d constraints, %d nodes, certified gap %.2f%%, warm-started %v\n",
 			st.Vars, st.Constrs, st.Nodes, 100*st.Gap, st.WarmStarted)
+		printSolverStats(st)
 		for _, tr := range res.Tenants {
 			fmt.Fprintf(os.Stderr, "  tenant %-14s utility %.0f\n", tr.Name, tr.Utility)
 			fmt.Fprintln(os.Stderr, unrollStats("    unroll", tr.ILP.Bounds))
@@ -434,6 +435,16 @@ func resolveTarget(spec string, memOverride int) (pisa.Target, error) {
 		t.MemoryBits = memOverride
 	}
 	return t, t.Validate()
+}
+
+// printSolverStats prints the -stats lines on simplex effort: the
+// totals with the dual path's share, then the iterations split by
+// caller (root LP, diving heuristic, tree) beside the warm restarts.
+func printSolverStats(st ilpgen.Stats) {
+	fmt.Fprintf(os.Stderr, "solver: %d simplex iters (%d dual, %d primal fallbacks), %d refactorizations\n",
+		st.SimplexIter, st.DualIters, st.PrimalFallbacks, st.Refactors)
+	fmt.Fprintf(os.Stderr, "lp iters: root %d, dive %d, tree %d; %d warm restarts, %d warm fallbacks\n",
+		st.RootIters, st.DiveIters, st.TreeIters, st.WarmRestarts, st.WarmFallbacks)
 }
 
 // unrollStats says why each loop symbolic got the bound it did (§4.2):

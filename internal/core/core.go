@@ -212,6 +212,11 @@ func compileUnit(u *lang.Unit, target pisa.Target, opts Options, root *obs.Span)
 		obs.Int("simplex_iters", layout.Stats.SimplexIter),
 		obs.Int("dual_iters", layout.Stats.DualIters),
 		obs.Int("primal_fallbacks", layout.Stats.PrimalFallbacks),
+		obs.Int("warm_restarts", layout.Stats.WarmRestarts),
+		obs.Int("warm_fallbacks", layout.Stats.WarmFallbacks),
+		obs.Int("root_iters", layout.Stats.RootIters),
+		obs.Int("dive_iters", layout.Stats.DiveIters),
+		obs.Int("tree_iters", layout.Stats.TreeIters),
 		obs.Int("refactorizations", layout.Stats.Refactors),
 		obs.Int("presolve_rows_dropped", layout.Stats.Presolve.RowsDropped),
 		obs.Int("presolve_bounds_tightened", layout.Stats.Presolve.BoundsTightened),
@@ -222,11 +227,18 @@ func compileUnit(u *lang.Unit, target pisa.Target, opts Options, root *obs.Span)
 		obs.Bool("deterministic", opts.Solver.Deterministic),
 	)
 	// Solver fast-path health counters, accumulated across every solve
-	// this tracer observes: dual pivots vs. fallbacks tell whether the
-	// basis-inheritance machinery is earning its keep, and the presolve
-	// counters track how much of the model the root reductions removed.
+	// this tracer observes: dual pivots vs. fallbacks and warm restarts
+	// vs. theirs tell whether the basis-inheritance machinery is earning
+	// its keep, the iteration split says which caller the LP time went
+	// to, and the presolve counters track how much of the model the root
+	// reductions removed.
 	opts.Tracer.Counter("solver.dual_iters").Add(int64(layout.Stats.DualIters))
 	opts.Tracer.Counter("solver.primal_fallbacks").Add(int64(layout.Stats.PrimalFallbacks))
+	opts.Tracer.Counter("solver.warm_restarts").Add(int64(layout.Stats.WarmRestarts))
+	opts.Tracer.Counter("solver.warm_fallbacks").Add(int64(layout.Stats.WarmFallbacks))
+	opts.Tracer.Counter("solver.root_iters").Add(int64(layout.Stats.RootIters))
+	opts.Tracer.Counter("solver.dive_iters").Add(int64(layout.Stats.DiveIters))
+	opts.Tracer.Counter("solver.tree_iters").Add(int64(layout.Stats.TreeIters))
 	opts.Tracer.Counter("solver.presolve_rows_dropped").Add(int64(layout.Stats.Presolve.RowsDropped))
 	opts.Tracer.Counter("solver.presolve_bounds_tightened").Add(int64(layout.Stats.Presolve.BoundsTightened))
 	opts.Tracer.Counter("solver.presolve_vars_fixed").Add(int64(layout.Stats.Presolve.VarsFixed))

@@ -242,6 +242,10 @@ type bb struct {
 	rootMin       float64 // root relaxation in minimization sense
 	rootBound     float64 // root relaxation in model sense
 	warmUsed      bool
+	// Effort of the root LP and of the dive, which run on worker 0
+	// before the tree search; the tree's share is the rest.
+	rootIters  int
+	diveCounts lpCounts
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -340,8 +344,9 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	// worker 0's workspace is seeded here.
 	ws := newWorkspace(sf)
 	lo, hi := sf.cloneBounds()
-	st, obj, x, counts, err := solveLP(sf, lo, hi, defaultIterLimit, nil, nil, ws)
+	st, obj, x, counts, err := solveLP(sf, lo, hi, defaultIterLimit, nil, nil, restartPrimal, ws)
 	b.tallies[0].addCounts(counts)
+	b.rootIters = counts.iters
 	b.nodesDone.Store(1)
 	b.tallies[0].nodes.Store(1)
 	if errors.Is(err, errDeadline) {
@@ -366,13 +371,12 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		return b.solution(StatusOptimal), nil
 	}
 	// Capture the root basis now, while the workspace still holds it
-	// (the dive below reuses the workspace): the root node re-solves
-	// from its own basis in zero pivots when popped, and the dive's
-	// first fix rides a dual re-solve of it.
-	var rootSnap *basisSnapshot
-	if sf.dualOK {
-		rootSnap = ws.captureBasis(sf)
-	}
+	// (the dive below reuses the workspace): the dive's first step
+	// restarts from it, and the root node re-solves from it in zero
+	// pivots when popped. Every warm restart of the dive is budgeted at
+	// what this cold root cost.
+	rootSnap := ws.captureBasis(sf)
+	sf.warmCap = counts.iters
 	b.emitLocked(ProgressRoot)
 
 	if startX != nil {
@@ -393,12 +397,14 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		// differently-weighted objective seeds pruning but is often far
 		// from this objective's optimum, and the dive closes that gap
 		// cheaply. The incumbent keeps whichever is better.
-		var total lpCounts
-		if hx, hobj, ok := diveHeuristic(sf, lo, hi, x, defaultIterLimit, &total, ws); ok && hobj < b.bestObj {
+		if hx, hobj, ok := diveHeuristic(sf, lo, hi, x, rootSnap, defaultIterLimit, &b.diveCounts, ws); ok && hobj < b.bestObj {
 			b.install(hobj, hx)
 			diveImproved = true
 		}
-		b.tallies[0].addCounts(total)
+		b.tallies[0].addCounts(b.diveCounts)
+	}
+	if !sf.dualOK {
+		rootSnap = nil
 	}
 	heap.Push(&b.queue, &node{id: b.nextID, bvar: -1, bound: obj, depth: 0, hint: x, snap: rootSnap})
 	b.nextID++
@@ -535,6 +541,11 @@ func (b *bb) solution(status Status) *Solution {
 		Refactorizations: refactors,
 		DualIters:        dual,
 		PrimalFallbacks:  fallbacks,
+		WarmRestarts:     b.diveCounts.warm,
+		WarmFallbacks:    b.diveCounts.warmFallbacks,
+		RootIters:        b.rootIters,
+		DiveIters:        b.diveCounts.iters,
+		TreeIters:        iters - b.rootIters - b.diveCounts.iters,
 		Presolve:         b.sf.pre,
 		RootBound:        b.rootBound,
 		WarmStarted:      b.warmUsed,
@@ -594,7 +605,7 @@ func (b *bb) materialize(nd *node, ws *lpWorkspace) (lo, hi []float64) {
 // shared search state beyond the (atomic) tally.
 func (b *bb) step(cur *node, cutoff float64, ws *lpWorkspace, tally *workerTally) (stepOut, error) {
 	lo, hi := b.materialize(cur, ws)
-	st, obj, x, counts, err := solveLP(b.sf, lo, hi, defaultIterLimit, cur.hint, cur.snap, ws)
+	st, obj, x, counts, err := solveLP(b.sf, lo, hi, defaultIterLimit, cur.hint, cur.snap, restartDual, ws)
 	tally.addCounts(counts)
 	if err != nil {
 		return stepOut{}, err
@@ -774,18 +785,24 @@ const diveBatchFrac = 0.1
 // infeasible the step retries with just that single variable, so the
 // batching is a pure LP-count optimization, never a quality cliff.
 //
+// Every step restarts from the previous step's optimal basis by warm
+// primal simplex (warm.go) — the first from the root's, snap — and a
+// failed batch's single-fix retry restarts from the same basis. Only
+// the basics the fix pushed outside their bounds need repair, so a step
+// costs a handful of pivots where a cold two-phase solve costs a
+// hundred; a restart that cannot finish falls back cold (counted).
+//
 // The dive deliberately does NOT use the dual re-solver: a dive is an
 // incumbent hunt, and which optimal vertex the LP returns decides
-// whether the rounding sequence lands somewhere good. The hint-guided
-// primal (nonbasic variables start at the bound nearest the parent
-// solution) steers toward vertices close to the previous iterate,
-// which is what makes rounding converge; the dual stops at whichever
-// alternate optimum its pivot path reaches first, and on degenerate
-// placement models that wrecks the dive's incumbent quality (observed:
-// 3481 vs 9523 on the NetCache drift model, which in turn blew the
-// tree search up by three orders of magnitude). Tree node re-solves
-// only consume the LP *bound*, so they keep the dual path.
-func diveHeuristic(sf *standardForm, lo, hi, x0 []float64, iterLimit int, total *lpCounts, ws *lpWorkspace) ([]float64, float64, bool) {
+// whether the rounding sequence lands somewhere good. The primal moves
+// from the previous step's vertex toward a nearby optimum, which is
+// what makes rounding converge; the dual stops at whichever alternate
+// optimum its pivot path reaches first, and on degenerate placement
+// models that wrecks the dive's incumbent quality (observed: 3481 vs
+// 9523 on the NetCache drift model, which in turn blew the tree search
+// up by three orders of magnitude). Tree node re-solves only consume
+// the LP *bound*, so they keep the dual path.
+func diveHeuristic(sf *standardForm, lo, hi, x0 []float64, snap *basisSnapshot, iterLimit int, total *lpCounts, ws *lpWorkspace) ([]float64, float64, bool) {
 	lo = append([]float64(nil), lo...)
 	hi = append([]float64(nil), hi...)
 	x := x0
@@ -833,8 +850,7 @@ func diveHeuristic(sf *standardForm, lo, hi, x0 []float64, iterLimit int, total 
 			r = math.Min(math.Max(r, lo[j]), hi[j])
 			lo[j], hi[j] = r, r
 		}
-		st, _, nx, counts, err := solveLP(sf, lo, hi, iterLimit, x, nil, ws)
-		total.add(counts)
+		st, nx, err := diveSolve(sf, lo, hi, iterLimit, x, snap, total, ws)
 		if err != nil {
 			return nil, 0, false
 		}
@@ -846,8 +862,7 @@ func diveHeuristic(sf *standardForm, lo, hi, x0 []float64, iterLimit int, total 
 			r := math.Round(x[bestJ])
 			r = math.Min(math.Max(r, lo[bestJ]), hi[bestJ])
 			lo[bestJ], hi[bestJ] = r, r
-			st, _, nx, counts, err = solveLP(sf, lo, hi, iterLimit, x, nil, ws)
-			total.add(counts)
+			st, nx, err = diveSolve(sf, lo, hi, iterLimit, x, snap, total, ws)
 			if err != nil {
 				return nil, 0, false
 			}
@@ -856,8 +871,26 @@ func diveHeuristic(sf *standardForm, lo, hi, x0 []float64, iterLimit int, total 
 			return nil, 0, false
 		}
 		x = nx
+		snap = ws.captureBasis(sf)
 	}
 	return nil, 0, false
+}
+
+// diveSolve is one dive LP: a warm primal restart from snap, falling
+// back to a cold solve hinted by x. Under debugDives every step the
+// restart solved is re-solved cold on a scratch workspace as well, and
+// the two must agree on the status and, to 1e-9 relative, on the
+// objective.
+func diveSolve(sf *standardForm, lo, hi []float64, iterLimit int, x []float64, snap *basisSnapshot, total *lpCounts, ws *lpWorkspace) (lpStatus, []float64, error) {
+	st, obj, nx, counts, err := solveLP(sf, lo, hi, iterLimit, x, snap, restartPrimal, ws)
+	total.add(counts)
+	if debugChecks&debugDives != 0 && err == nil && counts.warm > 0 {
+		cst, cobj, _, _, cerr := solveLP(sf, lo, hi, iterLimit, x, nil, restartPrimal, newWorkspace(sf))
+		if cerr == nil && (cst != st || (st == lpOptimal && math.Abs(cobj-obj) > 1e-9*math.Max(1, math.Abs(cobj)))) {
+			panic(fmt.Sprintf("ilp: dive step: warm restart gives %v (objective %v), cold solve %v (objective %v)", st, obj, cst, cobj))
+		}
+	}
+	return st, nx, err
 }
 
 // Verify checks that the assignment satisfies every constraint and
@@ -908,7 +941,7 @@ func SolveRootLP(m *Model) (*Solution, error) {
 		return &Solution{Status: StatusInfeasible}, nil //nolint:nilerr
 	}
 	lo, hi := sf.cloneBounds()
-	st, obj, x, counts, err := solveLP(sf, lo, hi, defaultIterLimit, nil, nil, nil)
+	st, obj, x, counts, err := solveLP(sf, lo, hi, defaultIterLimit, nil, nil, restartPrimal, nil)
 	if err != nil {
 		return nil, err
 	}

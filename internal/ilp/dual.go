@@ -70,6 +70,87 @@ func (ws *lpWorkspace) captureBasis(sf *standardForm) *basisSnapshot {
 	return snap
 }
 
+// installSnapshot builds a simplex over the structural and slack
+// columns under the bounds lo/hi, priced with the model's costs, and
+// starts it from snap: the basic values are recomputed for the new
+// bounds, so basics may sit outside them. When the snapshot is still
+// resident on this workspace — the LP follows the one that captured it,
+// back to back on the same worker — the factors are already here and
+// only the basic values move. Residency is decided by the plunge drivers
+// (chain starts invalidate), so it is a structural property of the
+// tree, identical at every thread count. empty reports a variable with
+// lo > hi (the LP is infeasible whatever the basis); ok=false means the
+// snapshot cannot start this LP: a nonbasic column rests on an infinite
+// bound, or the basis is singular.
+// s and its counters are valid in every case but empty.
+func installSnapshot(sf *standardForm, lo, hi []float64, snap *basisSnapshot, ws *lpWorkspace) (s *simplex, empty, ok bool) {
+	m := sf.m
+	n := sf.nStruct + m
+	s = &simplex{
+		sf:       sf,
+		ws:       ws,
+		n:        n,
+		nSlack:   m,
+		basis:    ws.basis[:m],
+		xB:       ws.xB[:m],
+		refEvery: refactorEvery,
+	}
+	s.cols = ws.cols[:n]
+	copy(s.cols, sf.cols)
+	s.lo = ws.lo[:n]
+	s.hi = ws.hi[:n]
+	copy(s.lo, lo)
+	copy(s.hi, hi)
+	for j := 0; j < sf.nStruct; j++ {
+		if s.lo[j] > s.hi[j]+feasTol {
+			ws.invalidate()
+			return nil, true, false
+		}
+	}
+	for i := 0; i < m; i++ {
+		j := sf.nStruct + i
+		s.cols[j] = ws.slack[i]
+		switch sf.ops[i] {
+		case LE:
+			s.lo[j], s.hi[j] = 0, Inf
+		case GE:
+			s.lo[j], s.hi[j] = math.Inf(-1), 0
+		case EQ:
+			s.lo[j], s.hi[j] = 0, 0
+		}
+	}
+	s.cost = ws.cost[:0]
+	s.cost = append(s.cost, sf.cost...)
+	for len(s.cost) < n {
+		s.cost = append(s.cost, 0)
+	}
+	s.status = ws.status[:n]
+
+	resident := ws.resident == snap && ws.basisValid && ws.pivotAge < s.refEvery
+	ws.invalidate()
+	if !resident {
+		copy(s.basis, snap.basis)
+		copy(s.status, snap.status)
+	}
+	// A nonbasic column must rest on a finite bound under the new
+	// bounds. Structural lower bounds are finite by the Model invariant
+	// and bounds only tighten down the tree, so this only trips on a
+	// corrupted snapshot — bail rather than divide by infinity.
+	for j := 0; j < n; j++ {
+		st := s.status[j]
+		if (st == nbLower && math.IsInf(s.lo[j], -1)) || (st == nbUpper && math.IsInf(s.hi[j], 1)) {
+			return s, false, false
+		}
+	}
+	if resident {
+		s.pivots = ws.pivotAge
+		s.computeXB()
+	} else if err := s.refactorizeBasis(); err != nil {
+		return s, false, false
+	}
+	return s, false, true
+}
+
 // dualCand is one admissible entering candidate of a dual ratio test.
 type dualCand struct {
 	j     int32
@@ -98,75 +179,12 @@ func maxDualIters(m int) int { return 2*m + 200 }
 func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSnapshot, ws *lpWorkspace) (lpStatus, float64, []float64, lpCounts, bool, error) {
 	m := sf.m
 	n := sf.nStruct + m
-	s := &simplex{
-		sf:       sf,
-		ws:       ws,
-		n:        n,
-		nSlack:   m,
-		basis:    ws.basis[:m],
-		xB:       ws.xB[:m],
-		refEvery: refactorEvery,
+	s, empty, ok := installSnapshot(sf, lo, hi, snap, ws)
+	if empty {
+		return lpInfeasible, 0, nil, lpCounts{}, true, nil
 	}
-	s.cols = ws.cols[:n]
-	copy(s.cols, sf.cols)
-	s.lo = ws.lo[:n]
-	s.hi = ws.hi[:n]
-	copy(s.lo, lo)
-	copy(s.hi, hi)
-	for j := 0; j < sf.nStruct; j++ {
-		if s.lo[j] > s.hi[j]+feasTol {
-			ws.invalidate()
-			return lpInfeasible, 0, nil, lpCounts{}, true, nil
-		}
-	}
-	for i := 0; i < m; i++ {
-		j := sf.nStruct + i
-		s.cols[j] = ws.slack[i]
-		switch sf.ops[i] {
-		case LE:
-			s.lo[j], s.hi[j] = 0, Inf
-		case GE:
-			s.lo[j], s.hi[j] = math.Inf(-1), 0
-		case EQ:
-			s.lo[j], s.hi[j] = 0, 0
-		}
-	}
-	s.cost = ws.cost[:0]
-	s.cost = append(s.cost, sf.cost...)
-	for len(s.cost) < n {
-		s.cost = append(s.cost, 0)
-	}
-	s.status = ws.status[:n]
-
-	// Install the inherited basis. When the snapshot is still resident
-	// on this workspace — the node is the follow child of the node that
-	// captured it, solved back-to-back on the same worker — the factors
-	// are already here and only the basic values move (the branched
-	// bound changed a nonbasic value). Residency is decided by the
-	// plunge drivers (chain starts invalidate), so it is a structural
-	// property of the tree, identical at every thread count.
-	resident := ws.resident == snap && ws.basisValid && ws.pivotAge < s.refEvery
-	ws.invalidate()
-	if !resident {
-		copy(s.basis, snap.basis)
-		copy(s.status, snap.status)
-	}
-	// A nonbasic column must rest on a finite bound under the child's
-	// bounds. Structural lower bounds are finite by the Model invariant
-	// and bounds only tighten down the tree, so this only trips on a
-	// corrupted snapshot — bail rather than divide by infinity.
-	for j := 0; j < n; j++ {
-		st := s.status[j]
-		if (st == nbLower && math.IsInf(s.lo[j], -1)) || (st == nbUpper && math.IsInf(s.hi[j], 1)) {
-			return 0, 0, nil, lpCounts{}, false, nil
-		}
-	}
-	if !resident {
-		if err := s.refactorizeBasis(); err != nil {
-			return 0, 0, nil, s.dualCounts(), false, nil
-		}
-	} else {
-		s.computeXB()
+	if !ok {
+		return 0, 0, nil, s.dualCounts(), false, nil
 	}
 
 	// Verify dual feasibility of the inherited basis before trusting
@@ -364,7 +382,7 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 		q := int(cands[enterIdx].j)
 		w := ws.w[:m]
 		s.ftranCol(q, 1, w, true)
-		if debugChecks {
+		if debugChecks&debugInvariants != 0 {
 			s.checkFtran(q, w)
 		}
 		if a := cands[enterIdx].alpha; math.Abs(w[r]) < pivotTol || math.Abs(w[r]-a) > pivotAgree*math.Abs(a) {

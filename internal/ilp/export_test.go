@@ -5,4 +5,5 @@ package ilp
 var (
 	CheckFactorOnModel   = checkFactorOnModel
 	SolveWithDebugChecks = solveWithDebugChecks
+	SolveDiveChecked     = solveDiveChecked
 )

@@ -37,8 +37,9 @@ func netCacheModel(t *testing.T) *ilp.Model {
 }
 
 // twoTenantModel is the CMS + KVS joint model of the tenant-drift
-// workload (floors 2048, the 8-stage multi-tenant test target).
-func twoTenantModel(t *testing.T) *ilp.Model {
+// workload (floors 2048, the 8-stage multi-tenant test target) with the
+// KVS tenant weighted beta.
+func twoTenantModel(t *testing.T, beta float64) *ilp.Model {
 	t.Helper()
 	target := pisa.Target{
 		Name: "mt-test", Stages: 8, MemoryBits: 1 << 18,
@@ -64,7 +65,7 @@ func twoTenantModel(t *testing.T) *ilp.Model {
 		t.Fatal(err)
 	}
 	if err := joint.SetObjective(ilpgen.Fairness{
-		Weights:    []float64{1, 2},
+		Weights:    []float64{1, beta},
 		MinUtility: []float64{2048, 2048},
 	}); err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestFactorOnNetCacheBases(t *testing.T) {
 }
 
 func TestFactorOnTwoTenantBases(t *testing.T) {
-	ilp.CheckFactorOnModel(t, twoTenantModel(t), 10)
+	ilp.CheckFactorOnModel(t, twoTenantModel(t, 2), 10)
 }
 
 // TestInvariantChecksOnNetCache makes the solver's debug checks live:

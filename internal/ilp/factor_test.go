@@ -464,7 +464,7 @@ func rootAndDive(t *testing.T, m *Model, depth int, check func(stage string, sf 
 	sf.dualOK = true
 	ws := newWorkspace(sf)
 	lo, hi := sf.cloneBounds()
-	st, _, x, _, err := solveLP(sf, lo, hi, defaultIterLimit, nil, nil, ws)
+	st, _, x, _, err := solveLP(sf, lo, hi, defaultIterLimit, nil, nil, restartPrimal, ws)
 	if err != nil || st != lpOptimal {
 		t.Fatalf("root LP: status %v, err %v", st, err)
 	}
@@ -478,10 +478,10 @@ func rootAndDive(t *testing.T, m *Model, depth int, check func(stage string, sf 
 		snap := ws.captureBasis(sf)
 		oldLo, oldHi := lo[j], hi[j]
 		lo[j] = math.Ceil(x[j])
-		st, _, nx, _, err := solveLP(sf, lo, hi, defaultIterLimit, x, snap, ws)
+		st, _, nx, _, err := solveLP(sf, lo, hi, defaultIterLimit, x, snap, restartDual, ws)
 		if err == nil && st == lpInfeasible {
 			lo[j], hi[j] = oldLo, math.Floor(x[j])
-			st, _, nx, _, err = solveLP(sf, lo, hi, defaultIterLimit, x, snap, ws)
+			st, _, nx, _, err = solveLP(sf, lo, hi, defaultIterLimit, x, snap, restartDual, ws)
 		}
 		if err != nil || st != lpOptimal {
 			t.Fatalf("dive level %d on variable %d [%g, %g]: status %v, err %v", level, j, oldLo, oldHi, st, err)
@@ -525,8 +525,8 @@ func checkFactorOnModel(t *testing.T, m *Model, depth int) {
 // branch-and-bound tree on m with the solver's internal invariant checks
 // on (they panic on violation).
 func solveWithDebugChecks(t *testing.T, m *Model) {
-	debugChecks = true
-	t.Cleanup(func() { debugChecks = false })
+	debugChecks = debugInvariants
+	t.Cleanup(func() { debugChecks = 0 })
 	rootAndDive(t, m, 6, func(string, *standardForm, *lpWorkspace) {})
 	sol, err := Solve(m, Options{Deterministic: true, Threads: 1, NodeLimit: 12, Gap: 0.03})
 	if err != nil {

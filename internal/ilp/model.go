@@ -309,6 +309,17 @@ type Solution struct {
 	// re-solved by the two-phase primal path. A rising fallback rate is
 	// the solver-regression signal obs traces watch for.
 	PrimalFallbacks int
+	// WarmRestarts counts the dive's LPs re-solved by warm primal simplex
+	// from the previous step's optimal basis, and WarmFallbacks those
+	// restarts abandoned to the cold two-phase path (a basis that would
+	// not factor, an attempt past the model's cold root-LP iteration
+	// count). Neither is part of PrimalFallbacks, which counts the tree's
+	// dual re-solves only.
+	WarmRestarts  int
+	WarmFallbacks int
+	// RootIters, DiveIters and TreeIters split SimplexIters by caller:
+	// the root LP, the diving heuristic, and the tree's node re-solves.
+	RootIters, DiveIters, TreeIters int
 	// Presolve reports the root presolve's reductions (zero when
 	// Options.DisablePresolve was set).
 	Presolve PresolveStats

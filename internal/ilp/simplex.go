@@ -84,6 +84,10 @@ type standardForm struct {
 	// dualOK enables dual-simplex child re-solves (set from
 	// Options.DisableDual by Solve).
 	dualOK bool
+	// warmCap, when positive, caps the simplex iterations of one warm
+	// primal restart (warm.go): the model's own cold root-LP count. Solve
+	// sets it before the dive; the tree never restarts primal.
+	warmCap int
 	// pre records the root presolve's reductions for Solution reporting.
 	pre PresolveStats
 }
@@ -369,12 +373,16 @@ const (
 // lpCounts reports per-LP-solve effort (feeds Solution totals and the
 // branch-and-bound progress hook). iters counts every simplex
 // iteration; dual is the subset spent in dual re-solves; fallbacks
-// counts dual re-solves abandoned to the primal path.
+// counts dual re-solves abandoned to the primal path. warm counts warm
+// primal restarts that returned a verdict, warmFallbacks those abandoned
+// to the cold path.
 type lpCounts struct {
-	iters     int
-	dual      int
-	refactors int
-	fallbacks int
+	iters         int
+	dual          int
+	refactors     int
+	fallbacks     int
+	warm          int
+	warmFallbacks int
 }
 
 func (c *lpCounts) add(o lpCounts) {
@@ -382,7 +390,22 @@ func (c *lpCounts) add(o lpCounts) {
 	c.dual += o.dual
 	c.refactors += o.refactors
 	c.fallbacks += o.fallbacks
+	c.warm += o.warm
+	c.warmFallbacks += o.warmFallbacks
 }
+
+// restart selects how solveLP starts from an inherited basis.
+type restart int8
+
+const (
+	// restartDual re-solves by dual simplex (dual.go): the snapshot is
+	// the parent's basis of a tree child, dual feasible under the
+	// child's bounds.
+	restartDual restart = iota
+	// restartPrimal re-solves by bound-shifted primal simplex (warm.go):
+	// the dive's steps, whose vertex choice matters.
+	restartPrimal
+)
 
 // solveLP solves the standard form with the given structural bounds
 // (which may be tighter than sf's own, e.g. from branch and bound).
@@ -394,18 +417,24 @@ func (c *lpCounts) add(o lpCounts) {
 // hint, when non-nil, is a (near-)feasible point — typically the
 // parent node's LP solution — used to warm the initial nonbasic bound
 // assignment.
-// snap, when non-nil, is a dual-feasible basis inherited from the
-// parent node; the dual-simplex re-solver (dual.go) is tried first and
-// the primal-with-artificials path below is the counted fallback.
+// snap, when non-nil, is an optimal basis of an earlier LP over the
+// same rows; how says which warm re-solver starts from it — the dual
+// (dual.go, a tree child's inherited basis, skipped when sf.dualOK is
+// off) or the bound-shifted primal (warm.go). The primal-with-
+// artificials path below is the counted fallback of either.
 // ws supplies reusable buffers; nil allocates a fresh workspace (one
 // per branch-and-bound worker is the intended steady state).
-func solveLP(sf *standardForm, lo, hi []float64, iterLimit int, hint []float64, snap *basisSnapshot, ws *lpWorkspace) (lpStatus, float64, []float64, lpCounts, error) {
+func solveLP(sf *standardForm, lo, hi []float64, iterLimit int, hint []float64, snap *basisSnapshot, how restart, ws *lpWorkspace) (lpStatus, float64, []float64, lpCounts, error) {
 	if ws == nil {
 		ws = newWorkspace(sf)
 	}
 	total := lpCounts{}
-	if snap != nil && sf.dualOK {
-		st, obj, x, counts, ok, err := solveDual(sf, lo, hi, iterLimit, snap, ws)
+	if snap != nil && (how == restartPrimal || sf.dualOK) {
+		warm := solveDual
+		if how == restartPrimal {
+			warm = solvePrimalWarm
+		}
+		st, obj, x, counts, ok, err := warm(sf, lo, hi, iterLimit, snap, ws)
 		total.add(counts)
 		if err != nil {
 			return st, obj, x, total, err // errDeadline
@@ -413,7 +442,11 @@ func solveLP(sf *standardForm, lo, hi []float64, iterLimit int, hint []float64, 
 		if ok {
 			return st, obj, x, total, nil
 		}
-		total.fallbacks++
+		if how == restartPrimal {
+			total.warmFallbacks++
+		} else {
+			total.fallbacks++
+		}
 	}
 	for _, cadence := range []int{refactorEvery, 16, 4, 1} {
 		st, obj, x, counts, err := solveLPOnce(sf, lo, hi, iterLimit, cadence, hint, ws)
@@ -575,7 +608,7 @@ func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hin
 	if err := s.refactorize(); err != nil {
 		return lpInfeasible, 0, nil, s.counts(), err
 	}
-	if debugChecks {
+	if debugChecks&debugInvariants != 0 {
 		for i, bj := range s.basis {
 			if s.xB[i] < s.lo[bj]-1e-6 || s.xB[i] > s.hi[bj]+1e-6 {
 				panic(fmt.Sprintf("ilp: basic col %d (row %d) = %g outside [%g, %g]", bj, i, s.xB[i], s.lo[bj], s.hi[bj]))
@@ -717,7 +750,7 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 		}
 		// Direction w = B⁻¹ · A_enter.
 		s.ftranCol(enter, 1, w, true)
-		if debugChecks {
+		if debugChecks&debugInvariants != 0 {
 			s.checkFtran(enter, w)
 		}
 		sigma := 1.0
@@ -953,7 +986,7 @@ func (s *simplex) counts() lpCounts {
 // primal iterate must still be (near-)feasible, and drift past the
 // tolerance aborts the attempt with errNumerical.
 func (s *simplex) refactorize() error {
-	if debugChecks {
+	if debugChecks&debugInvariants != 0 {
 		old := append([]float64(nil), s.xB...)
 		defer func() {
 			for i := range old {
@@ -1022,8 +1055,19 @@ func (s *simplex) computeXB() {
 	s.ws.fac.ftran(resid, s.xB, false)
 }
 
-// debugChecks enables expensive internal invariant checks: basic values
-// against their bounds and against a fresh recomputation, and every
-// entering column's ftran against the basis it claims to invert. Off
-// outside the tests that flip it.
-var debugChecks = false
+// debugChecks selects expensive internal checks; none run outside the
+// tests that set them.
+var debugChecks debugSet
+
+// debugSet is a set of internal checks, each panicking on violation.
+type debugSet uint8
+
+const (
+	// debugInvariants checks basic values against their bounds and
+	// against a fresh recomputation, and every entering column's ftran
+	// against the basis it claims to invert.
+	debugInvariants debugSet = 1 << iota
+	// debugDives re-solves every warm-restarted dive step cold as well,
+	// and the two must agree (diveSolve).
+	debugDives
+)

@@ -59,6 +59,12 @@ type Stats struct {
 	// machinery is paying its cost without its benefit.
 	DualIters       int
 	PrimalFallbacks int
+	// WarmRestarts counts the dive's LPs re-solved by warm primal simplex
+	// from the previous step's basis; WarmFallbacks counts those abandoned
+	// to the cold two-phase path. RootIters, DiveIters and TreeIters split
+	// SimplexIter by caller: root LP, diving heuristic, tree re-solves.
+	WarmRestarts, WarmFallbacks     int
+	RootIters, DiveIters, TreeIters int
 	// Presolve summarizes the root presolve's reductions (all zero when
 	// presolve is disabled).
 	Presolve ilp.PresolveStats
@@ -141,6 +147,11 @@ func (p *ILP) extractFrom(sol *ilp.Solution) (*Layout, error) {
 			Refactors:       sol.Refactorizations,
 			DualIters:       sol.DualIters,
 			PrimalFallbacks: sol.PrimalFallbacks,
+			WarmRestarts:    sol.WarmRestarts,
+			WarmFallbacks:   sol.WarmFallbacks,
+			RootIters:       sol.RootIters,
+			DiveIters:       sol.DiveIters,
+			TreeIters:       sol.TreeIters,
 			Presolve:        sol.Presolve,
 			Gap:             sol.AchievedGap(),
 			LimitHit:        sol.Status == ilp.StatusLimit,

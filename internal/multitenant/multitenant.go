@@ -6,8 +6,8 @@
 // utilities. The result is the elastic answer to switch multi-tenancy:
 // instead of statically partitioning the pipeline, the compiler trades
 // memory, ALUs, and PHV bits between tenants by weight, re-solving the
-// joint model as weights drift (internal/elastic reuses the warm-start
-// pool here for sub-second reallocation).
+// joint model as weights drift (Compiler pools the last solution per
+// mix for sub-second reallocation).
 //
 // Isolation is checked, not assumed: every compile runs
 // check.ModelIsolation over the generated model and refuses to emit
@@ -269,6 +269,11 @@ func compile(tenants []Tenant, target pisa.Target, opts Options, start []float64
 		obs.Int("bnb_nodes", jl.Stats.Nodes),
 		obs.Float("objective", jl.Objective),
 		obs.Bool("warm_started", jl.Stats.WarmStarted),
+		obs.Int("warm_restarts", jl.Stats.WarmRestarts),
+		obs.Int("warm_fallbacks", jl.Stats.WarmFallbacks),
+		obs.Int("root_iters", jl.Stats.RootIters),
+		obs.Int("dive_iters", jl.Stats.DiveIters),
+		obs.Int("tree_iters", jl.Stats.TreeIters),
 	)
 	sp.End()
 	res.Layout = jl
