@@ -105,93 +105,135 @@ func main() {
 	solver.Deterministic = *detFlag
 
 	if len(tenants) > 1 {
-		if err := applyFairnessFlags(tenants, *weightsFlag, *minutilFlag); err != nil {
-			fatal(err)
-		}
-		code := compileJoint(tenants, target, multitenant.Options{
-			Solver:  solver,
-			MaxMin:  *maxminFlag,
-			Certify: *certifyFlag,
-			Tracer:  tracer,
-		}, jointOutput{
-			out:     *outFlag,
-			layout:  *layoutFlag,
-			stats:   *statsFlag,
-			cert:    *certFlag,
-			certify: *certifyFlag,
-			bounds:  *boundsFlag,
-		})
-		if cerr := tracer.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "p4allc: trace:", cerr)
-		}
-		os.Exit(code)
+		err = applyFairnessFlags(tenants, *weightsFlag, *minutilFlag)
+	} else if *weightsFlag != "" || *minutilFlag != "" || *maxminFlag {
+		err = fmt.Errorf("-weights/-minutil/-maxmin need at least two tenants (several source files or -app a,b)")
 	}
-	if *weightsFlag != "" || *minutilFlag != "" || *maxminFlag {
-		fatal(fmt.Errorf("-weights/-minutil/-maxmin need at least two tenants (several source files or -app a,b)"))
+	if err != nil {
+		fatal(err)
 	}
-	src, name := tenants[0].Source, tenants[0].Name
-
-	opts := core.Options{Tracer: tracer, Certify: *certifyFlag, Name: name, Solver: solver}
-	res, err := core.Compile(src, target, opts)
+	progs, phases, err := compile(tenants, target, multitenant.Options{
+		Solver:  solver,
+		MaxMin:  *maxminFlag,
+		Certify: *certifyFlag,
+		Tracer:  tracer,
+	})
 	if cerr := tracer.Close(); cerr != nil {
 		fmt.Fprintln(os.Stderr, "p4allc: trace:", cerr)
 	}
 	if err != nil {
 		fatal(err)
 	}
-	for _, w := range res.Warnings {
-		fmt.Fprintf(os.Stderr, "p4allc: warning: %s\n", w)
+
+	// One report for one program or many. A joint compile names each
+	// tenant in what it prints and fans -o and -cert out to one file per
+	// tenant.
+	joint := len(progs) > 1
+	label := func(p *multitenant.TenantResult) string {
+		if joint {
+			return p.Name + ": "
+		}
+		return ""
 	}
-	if *boundsFlag == "error" && len(res.Warnings) > 0 {
-		fmt.Fprintf(os.Stderr, "p4allc: %d bounds warning(s) under -bounds=error\n", len(res.Warnings))
-		os.Exit(1)
+	fileFor := func(file string, p *multitenant.TenantResult) string {
+		if joint {
+			return insertTenantName(file, p.Name)
+		}
+		return file
+	}
+	warnings := 0
+	for _, p := range progs {
+		for _, w := range p.Warnings {
+			fmt.Fprintf(os.Stderr, "p4allc: warning: %s%s\n", label(p), w)
+			warnings++
+		}
+	}
+	if *boundsFlag == "error" && warnings > 0 {
+		fatal(fmt.Errorf("%d bounds warning(s) under -bounds=error", warnings))
 	}
 	if *layoutFlag {
-		fmt.Fprint(os.Stderr, res.Layout.String())
+		for _, p := range progs {
+			if joint {
+				fmt.Fprintf(os.Stderr, "==== tenant %s (utility %.0f) ====\n", p.Name, p.Utility)
+			}
+			fmt.Fprint(os.Stderr, p.Layout.String())
+		}
 	}
 	if *statsFlag {
-		fmt.Fprintf(os.Stderr, "phases: parse=%v bounds=%v ilpgen=%v solve=%v codegen=%v (total %v)\n",
-			res.Phases.Parse, res.Phases.Bounds, res.Phases.Generate, res.Phases.Solve, res.Phases.Codegen, res.Phases.Total())
-		fmt.Fprintln(os.Stderr, unrollStats("unroll", res.Bounds))
-		st := res.Layout.Stats
-		fmt.Fprintf(os.Stderr, "ILP: %d variables, %d constraints, %d nodes, certified gap %.2f%%\n",
-			st.Vars, st.Constrs, st.Nodes, 100*st.Gap)
-		printSolverStats(st)
-		if pre := st.Presolve; pre.RowsDropped+pre.BoundsTightened+pre.VarsFixed > 0 {
-			fmt.Fprintf(os.Stderr, "presolve: %d bounds tightened, %d variables fixed, %d rows dropped\n",
-				pre.BoundsTightened, pre.VarsFixed, pre.RowsDropped)
+		fmt.Fprintln(os.Stderr, phasesLine(phases))
+		fmt.Fprint(os.Stderr, solverStats(progs[0].Layout.Stats))
+		for _, p := range progs {
+			what := "unroll"
+			if joint {
+				fmt.Fprintf(os.Stderr, "  tenant %-14s utility %.0f\n", p.Name, p.Utility)
+				what = "    unroll"
+			}
+			fmt.Fprintln(os.Stderr, unrollStats(what, p.Bounds))
 		}
 		if *certifyFlag {
-			printCertifyStats(res.Phases.Certify, tracer)
+			printCertifyStats(phases.Certify, tracer)
 		}
 	}
 	if *certifyFlag {
-		cert := res.Certificate
-		fmt.Fprintln(os.Stderr, cert.Summary())
-		if *certFlag != "" {
-			data, err := cert.JSON()
-			if err != nil {
-				fatal(err)
+		failed := false
+		for _, p := range progs {
+			cert := p.Certificate
+			fmt.Fprintf(os.Stderr, "%s%s\n", label(p), cert.Summary())
+			if *certFlag != "" {
+				data, err := cert.JSON()
+				if err != nil {
+					fatal(err)
+				}
+				if err := os.WriteFile(fileFor(*certFlag, p), data, 0o644); err != nil {
+					fatal(err)
+				}
 			}
-			if err := os.WriteFile(*certFlag, data, 0o644); err != nil {
-				fatal(err)
+			if !cert.Proved() {
+				failed = true
+				for _, f := range cert.Failures() {
+					fmt.Fprintf(os.Stderr, "p4allc: %s%s\n", label(p), f)
+				}
 			}
 		}
-		if !cert.Proved() {
-			for _, f := range cert.Failures() {
-				fmt.Fprintln(os.Stderr, "p4allc:", f)
-			}
-			fmt.Fprintln(os.Stderr, "p4allc: translation validation failed")
-			os.Exit(1)
+		if failed {
+			fatal(fmt.Errorf("translation validation failed"))
 		}
 	}
-	if *outFlag == "" {
-		fmt.Print(res.P4)
-		return
+	for _, p := range progs {
+		if *outFlag == "" {
+			if joint {
+				fmt.Printf("// ==== tenant %s ====\n", p.Name)
+			}
+			fmt.Print(p.P4)
+			continue
+		}
+		out := fileFor(*outFlag, p)
+		if err := os.WriteFile(out, []byte(p.P4), 0o644); err != nil {
+			fatal(err)
+		}
+		if joint {
+			fmt.Fprintf(os.Stderr, "p4allc: wrote %s\n", out)
+		}
 	}
-	if err := os.WriteFile(*outFlag, []byte(res.P4), 0o644); err != nil {
-		fatal(err)
+}
+
+// compile runs one program through core.Compile, or several jointly
+// through internal/multitenant, and returns each program's result with
+// the phases of the whole compile.
+func compile(tenants []multitenant.Tenant, target pisa.Target, opts multitenant.Options) ([]*multitenant.TenantResult, core.Phases, error) {
+	if len(tenants) > 1 {
+		res, err := multitenant.Compile(tenants, target, opts)
+		if err != nil {
+			return nil, core.Phases{}, err
+		}
+		return res.Tenants, res.Phases, nil
 	}
+	t := tenants[0]
+	res, err := core.Compile(t.Source, target, core.Options{Solver: opts.Solver, Certify: opts.Certify, Name: t.Name, Tracer: opts.Tracer})
+	if err != nil {
+		return nil, core.Phases{}, err
+	}
+	return []*multitenant.TenantResult{{Name: t.Name, Utility: res.Layout.Objective, Result: res}}, res.Phases, nil
 }
 
 // loadTenants resolves the invocation's program list: built-in
@@ -308,102 +350,6 @@ func parseFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
-// jointOutput carries the reporting flags into the joint compile path.
-type jointOutput struct {
-	out           string
-	layout, stats bool
-	cert          string
-	certify       bool
-	bounds        string
-}
-
-// compileJoint runs the multi-tenant compile and emits per-tenant P4;
-// the return value is the process exit code.
-func compileJoint(tenants []multitenant.Tenant, target pisa.Target, opts multitenant.Options, o jointOutput) int {
-	res, err := multitenant.Compile(tenants, target, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "p4allc:", err)
-		return 1
-	}
-	warnings := 0
-	for _, tr := range res.Tenants {
-		for _, w := range tr.Warnings {
-			fmt.Fprintf(os.Stderr, "p4allc: warning: %s: %s\n", tr.Name, w)
-			warnings++
-		}
-	}
-	if o.bounds == "error" && warnings > 0 {
-		fmt.Fprintf(os.Stderr, "p4allc: %d bounds warning(s) under -bounds=error\n", warnings)
-		return 1
-	}
-	if o.layout {
-		for _, tr := range res.Tenants {
-			fmt.Fprintf(os.Stderr, "==== tenant %s (utility %.0f) ====\n", tr.Name, tr.Utility)
-			fmt.Fprint(os.Stderr, tr.Layout.String())
-		}
-	}
-	if o.stats {
-		ph := res.Phases
-		fmt.Fprintf(os.Stderr, "phases: parse=%v bounds=%v ilpgen=%v isolate=%v solve=%v codegen=%v certify=%v (total %v)\n",
-			ph.Parse, ph.Bounds, ph.Generate, ph.Isolate, ph.Solve, ph.Codegen, ph.Certify, ph.Total())
-		st := res.Layout.Stats
-		fmt.Fprintf(os.Stderr, "joint ILP: %d variables, %d constraints, %d nodes, certified gap %.2f%%, warm-started %v\n",
-			st.Vars, st.Constrs, st.Nodes, 100*st.Gap, st.WarmStarted)
-		printSolverStats(st)
-		for _, tr := range res.Tenants {
-			fmt.Fprintf(os.Stderr, "  tenant %-14s utility %.0f\n", tr.Name, tr.Utility)
-			fmt.Fprintln(os.Stderr, unrollStats("    unroll", tr.ILP.Bounds))
-		}
-		if o.certify {
-			printCertifyStats(ph.Certify, opts.Tracer)
-		}
-	}
-	if o.certify {
-		failed := false
-		for _, tr := range res.Tenants {
-			cert := tr.Certificate
-			fmt.Fprintf(os.Stderr, "%s: %s\n", tr.Name, cert.Summary())
-			if o.cert != "" {
-				data, err := cert.JSON()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "p4allc:", err)
-					return 1
-				}
-				path := insertTenantName(o.cert, tr.Name)
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, "p4allc:", err)
-					return 1
-				}
-			}
-			if !cert.Proved() {
-				failed = true
-				for _, f := range cert.Failures() {
-					fmt.Fprintf(os.Stderr, "p4allc: %s: %s\n", tr.Name, f)
-				}
-			}
-		}
-		if failed {
-			fmt.Fprintln(os.Stderr, "p4allc: translation validation failed")
-			return 1
-		}
-	}
-	if o.out == "" {
-		for _, tr := range res.Tenants {
-			fmt.Printf("// ==== tenant %s ====\n%s", tr.Name, tr.P4)
-		}
-		return 0
-	}
-	for _, tr := range res.Tenants {
-		path := insertTenantName(o.out, tr.Name)
-		if err := os.WriteFile(path, []byte(tr.P4), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "p4allc:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "p4allc: wrote %s\n", path)
-	}
-	return 0
-}
-
 // insertTenantName turns out.p4 into out.<tenant>.p4 so one -o flag
 // fans out to per-tenant files. The null device stays itself — CI
 // discards joint P4 with -o /dev/null.
@@ -437,14 +383,26 @@ func resolveTarget(spec string, memOverride int) (pisa.Target, error) {
 	return t, t.Validate()
 }
 
-// printSolverStats prints the -stats lines on simplex effort: the
-// totals with the dual path's share, then the iterations split by
-// caller (root LP, diving heuristic, tree) beside the warm restarts.
-func printSolverStats(st ilpgen.Stats) {
-	fmt.Fprintf(os.Stderr, "solver: %d simplex iters (%d dual, %d primal fallbacks), %d refactorizations\n",
-		st.SimplexIter, st.DualIters, st.PrimalFallbacks, st.Refactors)
-	fmt.Fprintf(os.Stderr, "lp iters: root %d, dive %d, tree %d; %d warm restarts, %d warm fallbacks\n",
-		st.RootIters, st.DiveIters, st.TreeIters, st.WarmRestarts, st.WarmFallbacks)
+// phasesLine is -stats' first line: the time of every compile phase,
+// then their total.
+func phasesLine(p core.Phases) string {
+	return fmt.Sprintf("phases: parse=%v bounds=%v generate=%v isolate=%v solve=%v codegen=%v certify=%v (total %v)",
+		p.Parse, p.Bounds, p.Generate, p.Isolate, p.Solve, p.Codegen, p.Certify, p.Total())
+}
+
+// solverStats is -stats' ILP block: the model's size and the search's
+// effort, the simplex iterations with the dual path's share, those
+// iterations split by caller (root LP, diving heuristic, tree) beside
+// the warm restarts, and the root presolve's reductions.
+func solverStats(st ilpgen.Stats) string {
+	return fmt.Sprintf("ILP: %d variables, %d constraints, %d nodes, certified gap %.2f%%, warm-started %v\n"+
+		"solver: %d simplex iters (%d dual, %d primal fallbacks), %d refactorizations\n"+
+		"lp iters: root %d, dive %d, tree %d; %d warm restarts, %d warm fallbacks\n"+
+		"presolve: %d bounds tightened, %d variables fixed, %d rows dropped\n",
+		st.Vars, st.Constrs, st.Nodes, 100*st.Gap, st.WarmStarted,
+		st.SimplexIter, st.DualIters, st.PrimalFallbacks, st.Refactors,
+		st.RootIters, st.DiveIters, st.TreeIters, st.WarmRestarts, st.WarmFallbacks,
+		st.Presolve.BoundsTightened, st.Presolve.VarsFixed, st.Presolve.RowsDropped)
 }
 
 // unrollStats says why each loop symbolic got the bound it did (§4.2):

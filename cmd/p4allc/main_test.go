@@ -4,9 +4,12 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"p4all/internal/apps"
 	"p4all/internal/core"
+	"p4all/internal/ilp"
+	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
 	"p4all/internal/pisa"
 	"p4all/internal/unroll"
@@ -103,5 +106,31 @@ func TestUnrollStatsLine(t *testing.T) {
 	want := "unroll: cms_rows <= 4 (assume, 4 graphs); kv_parts <= 9 (path, 10 graphs); path_estimates=0"
 	if got := unrollStats("unroll", bounds); got != want {
 		t.Errorf("unrollStats = %q, want %q", got, want)
+	}
+}
+
+// TestStatsLines: -stats names every compile phase, so the printed
+// phases add up to the printed total (certify was once missing from a
+// single compile's line), and its one ILP block says whether the solve
+// was warm-started and what presolve removed, for one program or many.
+func TestStatsLines(t *testing.T) {
+	ms := time.Millisecond
+	ph := core.Phases{Parse: 1 * ms, Bounds: 2 * ms, Generate: 3 * ms, Isolate: 4 * ms, Solve: 5 * ms, Codegen: 6 * ms, Certify: 7 * ms}
+	want := "phases: parse=1ms bounds=2ms generate=3ms isolate=4ms solve=5ms codegen=6ms certify=7ms (total 28ms)"
+	if got := phasesLine(ph); got != want {
+		t.Errorf("phasesLine = %q, want %q", got, want)
+	}
+	st := ilpgen.Stats{
+		Vars: 455, Constrs: 616, Nodes: 46, Gap: 0.0141, WarmStarted: true,
+		SimplexIter: 3658, DualIters: 3036, PrimalFallbacks: 1, Refactors: 33,
+		RootIters: 309, DiveIters: 313, TreeIters: 3036, WarmRestarts: 2, WarmFallbacks: 1,
+		Presolve: ilp.PresolveStats{BoundsTightened: 13, VarsFixed: 12, RowsDropped: 62},
+	}
+	want = "ILP: 455 variables, 616 constraints, 46 nodes, certified gap 1.41%, warm-started true\n" +
+		"solver: 3658 simplex iters (3036 dual, 1 primal fallbacks), 33 refactorizations\n" +
+		"lp iters: root 309, dive 313, tree 3036; 2 warm restarts, 1 warm fallbacks\n" +
+		"presolve: 13 bounds tightened, 12 variables fixed, 62 rows dropped\n"
+	if got := solverStats(st); got != want {
+		t.Errorf("solverStats =\n%s\nwant\n%s", got, want)
 	}
 }

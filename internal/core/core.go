@@ -11,6 +11,11 @@
 // per-phase times, ILP size (Figure 11), the layout (Figure 7), the
 // symbolic assignment (Figures 12/13), and the generated program.
 //
+// The per-program stages are exported so the joint multi-tenant
+// compiler (internal/multitenant) runs the same code around its own
+// model: Front (parse and bounds), Solve (the observed solve) and Back
+// (codegen and certify).
+//
 // When Options.Tracer is set, the pipeline additionally emits one
 // obs.Span per phase (parse, bounds, generate, solve, codegen) under a
 // root "compile" span, with per-phase attributes (AST node counts,
@@ -75,11 +80,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Phases records per-phase wall time.
+// Phases records per-phase wall time. A single compile leaves Isolate
+// zero; a joint compile (internal/multitenant) sums its tenants' front
+// and back halves into the same fields.
 type Phases struct {
 	Parse    time.Duration
 	Bounds   time.Duration
 	Generate time.Duration
+	Isolate  time.Duration
 	Solve    time.Duration
 	Codegen  time.Duration
 	Certify  time.Duration
@@ -87,7 +95,7 @@ type Phases struct {
 
 // Total returns the end-to-end compile time.
 func (p Phases) Total() time.Duration {
-	return p.Parse + p.Bounds + p.Generate + p.Solve + p.Codegen + p.Certify
+	return p.Parse + p.Bounds + p.Generate + p.Isolate + p.Solve + p.Codegen + p.Certify
 }
 
 // Result is a completed compilation.
@@ -113,6 +121,30 @@ type Result struct {
 func Compile(source string, target pisa.Target, opts Options) (*Result, error) {
 	root := opts.Tracer.StartSpan("compile", obs.String("target", target.Name))
 	defer root.End()
+	res, err := Front(source, target, root)
+	if err != nil {
+		return nil, err
+	}
+	return compileUnit(res, opts, root)
+}
+
+// CompileUnit compiles an already-resolved unit (used when the same
+// program is recompiled against many targets).
+func CompileUnit(u *lang.Unit, target pisa.Target, opts Options) (*Result, error) {
+	root := opts.Tracer.StartSpan("compile", obs.String("target", target.Name))
+	defer root.End()
+	res, err := bound(u, target, root)
+	if err != nil {
+		return nil, err
+	}
+	return compileUnit(res, opts, root)
+}
+
+// Front is the front half of the pipeline for one program: parse and
+// resolve, then the check.Bounds audit and the §4.2 unroll bounds
+// against target, each phase a span under root. The result carries the
+// unit, its warnings and bounds, and the two phases' times.
+func Front(source string, target pisa.Target, root *obs.Span) (*Result, error) {
 	start := time.Now()
 	sp := root.Child("parse")
 	u, err := lang.ParseAndResolve(source)
@@ -124,7 +156,7 @@ func Compile(source string, target pisa.Target, opts Options) (*Result, error) {
 	sp.SetAttrs(parseAttrs(u)...)
 	sp.End()
 	parse := time.Since(start)
-	res, err := compileUnit(u, target, opts, root)
+	res, err := bound(u, target, root)
 	if err != nil {
 		return nil, err
 	}
@@ -132,35 +164,28 @@ func Compile(source string, target pisa.Target, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// CompileUnit compiles an already-resolved unit (used when the same
-// program is recompiled against many targets).
-func CompileUnit(u *lang.Unit, target pisa.Target, opts Options) (*Result, error) {
-	root := opts.Tracer.StartSpan("compile", obs.String("target", target.Name))
-	defer root.End()
-	return compileUnit(u, target, opts, root)
-}
-
-// compileUnit runs the back half of the pipeline (bounds → generate →
-// solve → codegen), attaching phase spans under root.
-func compileUnit(u *lang.Unit, target pisa.Target, opts Options, root *obs.Span) (*Result, error) {
-	opts = opts.withDefaults()
+// bound is Front after parsing: the static audit and the unroll bounds.
+func bound(u *lang.Unit, target pisa.Target, root *obs.Span) (*Result, error) {
 	res := &Result{Unit: u, Target: target, Warnings: check.Bounds(u)}
-
 	start := time.Now()
 	sp := root.Child("bounds")
+	defer sp.End()
 	bounds, err := unroll.UpperBounds(u, &target)
 	if err != nil {
-		sp.End()
 		return nil, fmt.Errorf("p4all: unroll bounds: %w", err)
 	}
 	sp.SetAttrs(boundsAttrs(bounds)...)
-	sp.End()
 	res.Bounds = bounds
 	res.Phases.Bounds = time.Since(start)
+	return res, nil
+}
 
-	start = time.Now()
-	sp = root.Child("generate")
-	prog, err := ilpgen.Generate(u, &res.Target, bounds)
+// compileUnit runs the rest of the pipeline on a bounded unit: generate
+// → Solve → Back.
+func compileUnit(res *Result, opts Options, root *obs.Span) (*Result, error) {
+	start := time.Now()
+	sp := root.Child("generate")
+	prog, err := ilpgen.Generate(res.Unit, &res.Target, res.Bounds)
 	if err != nil {
 		sp.End()
 		return nil, fmt.Errorf("p4all: ILP generation: %w", err)
@@ -174,17 +199,39 @@ func compileUnit(u *lang.Unit, target pisa.Target, opts Options, root *obs.Span)
 	res.ILP = prog
 	res.Phases.Generate = time.Since(start)
 
-	start = time.Now()
-	sp = root.Child("solve",
-		obs.Int("ilp_vars", prog.Model.NumVars()),
-		obs.Int("ilp_constrs", prog.Model.NumConstrs()),
-	)
-	solver := opts.Solver
+	res.Phases.Solve, err = Solve(opts, root, func(solver ilp.Options) (ilpgen.Stats, float64, error) {
+		layout, err := prog.Solve(solver)
+		if err != nil {
+			return ilpgen.Stats{}, 0, err
+		}
+		res.Layout = layout
+		return layout.Stats, layout.Objective, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := Back(res, opts, root); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Solve is the compiler's one observed solve, for a single program's
+// model and a joint model alike. It fills the compiler's solver
+// defaults into opts.Solver and hands them to solve, which runs the
+// search and reports its statistics and objective. Around it, a "solve"
+// span under root mirrors the branch-and-bound trajectory as solver.*
+// events and records the search effort, and opts.Tracer's solver.*
+// counters accumulate it. Solve returns the phase's wall time.
+func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, float64, error)) (time.Duration, error) {
+	start := time.Now()
+	sp := root.Child("solve")
+	defer sp.End()
+	solver := opts.withDefaults().Solver
 	if sp != nil && solver.Progress == nil {
 		// Mirror the branch-and-bound trajectory into the trace: one
 		// event per root relaxation, incumbent improvement, heartbeat,
 		// and terminal state.
-		solveSpan := sp
 		solver.Progress = func(p ilp.Progress) {
 			attrs := []obs.Attr{
 				obs.Int("nodes", p.Nodes),
@@ -199,32 +246,34 @@ func compileUnit(u *lang.Unit, target pisa.Target, opts Options, root *obs.Span)
 					obs.Float("gap", p.Gap),
 				)
 			}
-			solveSpan.Event("solver."+p.Kind.String(), attrs...)
+			sp.Event("solver."+p.Kind.String(), attrs...)
 		}
 	}
-	layout, err := prog.Solve(solver)
+	st, objective, err := solve(solver)
 	if err != nil {
-		sp.End()
-		return nil, err
+		return 0, err
 	}
 	sp.SetAttrs(
-		obs.Int("bnb_nodes", layout.Stats.Nodes),
-		obs.Int("simplex_iters", layout.Stats.SimplexIter),
-		obs.Int("dual_iters", layout.Stats.DualIters),
-		obs.Int("primal_fallbacks", layout.Stats.PrimalFallbacks),
-		obs.Int("warm_restarts", layout.Stats.WarmRestarts),
-		obs.Int("warm_fallbacks", layout.Stats.WarmFallbacks),
-		obs.Int("root_iters", layout.Stats.RootIters),
-		obs.Int("dive_iters", layout.Stats.DiveIters),
-		obs.Int("tree_iters", layout.Stats.TreeIters),
-		obs.Int("refactorizations", layout.Stats.Refactors),
-		obs.Int("presolve_rows_dropped", layout.Stats.Presolve.RowsDropped),
-		obs.Int("presolve_bounds_tightened", layout.Stats.Presolve.BoundsTightened),
-		obs.Int("presolve_vars_fixed", layout.Stats.Presolve.VarsFixed),
-		obs.Float("objective", layout.Objective),
-		obs.Float("gap", layout.Stats.Gap),
-		obs.Int("threads", layout.Stats.Threads),
-		obs.Bool("deterministic", opts.Solver.Deterministic),
+		obs.Int("ilp_vars", st.Vars),
+		obs.Int("ilp_constrs", st.Constrs),
+		obs.Int("bnb_nodes", st.Nodes),
+		obs.Int("simplex_iters", st.SimplexIter),
+		obs.Int("dual_iters", st.DualIters),
+		obs.Int("primal_fallbacks", st.PrimalFallbacks),
+		obs.Bool("warm_started", st.WarmStarted),
+		obs.Int("warm_restarts", st.WarmRestarts),
+		obs.Int("warm_fallbacks", st.WarmFallbacks),
+		obs.Int("root_iters", st.RootIters),
+		obs.Int("dive_iters", st.DiveIters),
+		obs.Int("tree_iters", st.TreeIters),
+		obs.Int("refactorizations", st.Refactors),
+		obs.Int("presolve_rows_dropped", st.Presolve.RowsDropped),
+		obs.Int("presolve_bounds_tightened", st.Presolve.BoundsTightened),
+		obs.Int("presolve_vars_fixed", st.Presolve.VarsFixed),
+		obs.Float("objective", objective),
+		obs.Float("gap", st.Gap),
+		obs.Int("threads", st.Threads),
+		obs.Bool("deterministic", solver.Deterministic),
 	)
 	// Solver fast-path health counters, accumulated across every solve
 	// this tracer observes: dual pivots vs. fallbacks and warm restarts
@@ -232,22 +281,23 @@ func compileUnit(u *lang.Unit, target pisa.Target, opts Options, root *obs.Span)
 	// its keep, the iteration split says which caller the LP time went
 	// to, and the presolve counters track how much of the model the root
 	// reductions removed.
-	opts.Tracer.Counter("solver.dual_iters").Add(int64(layout.Stats.DualIters))
-	opts.Tracer.Counter("solver.primal_fallbacks").Add(int64(layout.Stats.PrimalFallbacks))
-	opts.Tracer.Counter("solver.warm_restarts").Add(int64(layout.Stats.WarmRestarts))
-	opts.Tracer.Counter("solver.warm_fallbacks").Add(int64(layout.Stats.WarmFallbacks))
-	opts.Tracer.Counter("solver.root_iters").Add(int64(layout.Stats.RootIters))
-	opts.Tracer.Counter("solver.dive_iters").Add(int64(layout.Stats.DiveIters))
-	opts.Tracer.Counter("solver.tree_iters").Add(int64(layout.Stats.TreeIters))
-	opts.Tracer.Counter("solver.presolve_rows_dropped").Add(int64(layout.Stats.Presolve.RowsDropped))
-	opts.Tracer.Counter("solver.presolve_bounds_tightened").Add(int64(layout.Stats.Presolve.BoundsTightened))
-	opts.Tracer.Counter("solver.presolve_vars_fixed").Add(int64(layout.Stats.Presolve.VarsFixed))
+	tr := opts.Tracer
+	tr.Counter("solver.dual_iters").Add(int64(st.DualIters))
+	tr.Counter("solver.primal_fallbacks").Add(int64(st.PrimalFallbacks))
+	tr.Counter("solver.warm_restarts").Add(int64(st.WarmRestarts))
+	tr.Counter("solver.warm_fallbacks").Add(int64(st.WarmFallbacks))
+	tr.Counter("solver.root_iters").Add(int64(st.RootIters))
+	tr.Counter("solver.dive_iters").Add(int64(st.DiveIters))
+	tr.Counter("solver.tree_iters").Add(int64(st.TreeIters))
+	tr.Counter("solver.presolve_rows_dropped").Add(int64(st.Presolve.RowsDropped))
+	tr.Counter("solver.presolve_bounds_tightened").Add(int64(st.Presolve.BoundsTightened))
+	tr.Counter("solver.presolve_vars_fixed").Add(int64(st.Presolve.VarsFixed))
 	// Per-worker effort tallies: one counter pair per branch-and-bound
 	// worker, accumulated across every solve this tracer observes, plus
 	// a per-solve span event recording this solve's split.
-	for i, w := range layout.Stats.Workers {
-		opts.Tracer.Counter(fmt.Sprintf("solver.worker%d.nodes", i)).Add(int64(w.Nodes))
-		opts.Tracer.Counter(fmt.Sprintf("solver.worker%d.simplex_iters", i)).Add(int64(w.SimplexIters))
+	for i, w := range st.Workers {
+		tr.Counter(fmt.Sprintf("solver.worker%d.nodes", i)).Add(int64(w.Nodes))
+		tr.Counter(fmt.Sprintf("solver.worker%d.simplex_iters", i)).Add(int64(w.SimplexIters))
 		sp.Event("solver.worker",
 			obs.Int("worker", i),
 			obs.Int("nodes", w.Nodes),
@@ -255,17 +305,22 @@ func compileUnit(u *lang.Unit, target pisa.Target, opts Options, root *obs.Span)
 			obs.Int("refactorizations", w.Refactorizations),
 		)
 	}
-	sp.End()
-	res.Layout = layout
-	res.Phases.Solve = time.Since(start)
+	return time.Since(start), nil
+}
 
+// Back is the back half of the pipeline for one solved program: code
+// generation from res.Unit under res.Layout (skipped under
+// opts.SkipCodegen unless opts.Certify), then, under opts.Certify,
+// translation validation, certified as opts.Name. It fills in the
+// emitted program, the certificate and their phases.
+func Back(res *Result, opts Options, root *obs.Span) error {
 	if !opts.SkipCodegen || opts.Certify {
-		start = time.Now()
-		sp = root.Child("codegen")
-		concrete, err := codegen.Build(u, layout)
+		start := time.Now()
+		sp := root.Child("codegen")
+		concrete, err := codegen.Build(res.Unit, res.Layout)
 		if err != nil {
 			sp.End()
-			return nil, fmt.Errorf("p4all: code generation: %w", err)
+			return fmt.Errorf("p4all: code generation: %w", err)
 		}
 		p4 := codegen.Render(concrete)
 		sp.SetAttrs(obs.Int("p4_lines", strings.Count(p4, "\n")+1))
@@ -274,16 +329,15 @@ func compileUnit(u *lang.Unit, target pisa.Target, opts Options, root *obs.Span)
 		res.P4 = p4
 		res.Phases.Codegen = time.Since(start)
 	}
-
 	if opts.Certify {
-		start = time.Now()
-		res.Certificate = tv.Validate(u, layout, res.Concrete, tv.Options{
+		start := time.Now()
+		res.Certificate = tv.Validate(res.Unit, res.Layout, res.Concrete, tv.Options{
 			Name:   opts.Name,
 			Tracer: opts.Tracer,
 		})
 		res.Phases.Certify = time.Since(start)
 	}
-	return res, nil
+	return nil
 }
 
 // parseAttrs summarizes the resolved AST for the parse span.

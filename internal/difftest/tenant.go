@@ -7,8 +7,6 @@ import (
 
 	"p4all/internal/core"
 	"p4all/internal/ilp"
-	"p4all/internal/ilpgen"
-	"p4all/internal/lang"
 	"p4all/internal/multitenant"
 	"p4all/internal/pisa"
 	"p4all/internal/sim"
@@ -66,11 +64,11 @@ func checkTenantEquivalence(rep *Report, cfg Config, eng sim.Engine, specs []App
 			continue
 		}
 		stream := GenStream(spec, cfg.Seed, cfg.N)
-		jointOuts, jointRegs, err := replayUnit(spec, tr.Unit, tr.Layout, eng, stream, cfg.Seed)
+		jointOuts, jointRegs, err := replayOutputs(spec, tr.Result, eng, stream, cfg.Seed)
 		if err != nil {
 			return fmt.Errorf("difftest: tenant %s joint replay: %w", tr.Name, err)
 		}
-		soloOuts, soloRegs, err := replayUnit(spec, solo.Unit, solo.Layout, eng, stream, cfg.Seed)
+		soloOuts, soloRegs, err := replayOutputs(spec, solo, eng, stream, cfg.Seed)
 		if err != nil {
 			return fmt.Errorf("difftest: tenant %s solo replay: %w", tr.Name, err)
 		}
@@ -94,30 +92,4 @@ func checkTenantEquivalence(rep *Report, cfg Config, eng sim.Engine, specs []App
 		}
 	}
 	return nil
-}
-
-// replayUnit is replayOutputs for a bare (unit, layout) pair — the
-// joint compiler hands back per-tenant layouts without a core.Result
-// wrapper.
-func replayUnit(spec AppSpec, u *lang.Unit, l *ilpgen.Layout, eng sim.Engine, stream []sim.Packet, seed int64) ([]map[string]uint64, *sim.Snapshot, error) {
-	pipe, err := sim.NewEngine(u, l, eng)
-	if err != nil {
-		return nil, nil, err
-	}
-	golden, err := spec.NewGolden(l, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := golden.SeedRegisters(pipe); err != nil {
-		return nil, nil, err
-	}
-	outs := make([]map[string]uint64, 0, len(stream))
-	for i, pkt := range stream {
-		out, err := pipe.Process(pkt)
-		if err != nil {
-			return nil, nil, fmt.Errorf("packet %d: %w", i, err)
-		}
-		outs = append(outs, out)
-	}
-	return outs, pipe.Snapshot(), nil
 }

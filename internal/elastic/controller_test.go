@@ -257,12 +257,8 @@ func TestControllerServesTrafficAcrossAdoption(t *testing.T) {
 		p := c.Plane()
 		hits := 0
 		for _, k := range keys {
-			if _, ok := p.KV.Get(k); ok {
+			if _, hit, _ := p.ServeGet(k, 8); hit {
 				hits++
-				continue
-			}
-			if p.CMS.Update(k) >= 8 {
-				p.KV.Put(k, k*3)
 			}
 		}
 		return Summarize(keys, hits, 64, 256)

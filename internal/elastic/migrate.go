@@ -31,6 +31,26 @@ func NewPlane(l *ilpgen.Layout) (*Plane, error) {
 	return &Plane{Layout: l, CMS: cms, KV: kv}, nil
 }
 
+// ServeGet answers one GET by NetCache's admission rule: a hit returns
+// the cached value; a miss returns the backend's value and counts the key
+// in the sketch, caching it once its estimate reaches threshold. Every
+// NetCache data plane — the server's shards, the drift experiment's and
+// Figure 4's — serves through here.
+func (p *Plane) ServeGet(key uint64, threshold uint32) (val uint64, hit, admitted bool) {
+	if v, ok := p.KV.Get(key); ok {
+		return v, true, false
+	}
+	val = backendVal(key)
+	if p.CMS.Update(key) >= threshold {
+		p.KV.Put(key, val)
+		admitted = true
+	}
+	return val, false, admitted
+}
+
+// backendVal is the deterministic "backend fetch" for a missed key.
+func backendVal(key uint64) uint64 { return key * 3 }
+
 // SymbolicChange records one symbolic whose value differs between two
 // layouts.
 type SymbolicChange struct {

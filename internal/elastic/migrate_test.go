@@ -275,3 +275,18 @@ func TestMigrateShardsFiltersHotKeysByOwner(t *testing.T) {
 		t.Fatal("MigrateShards accepted an out-of-range route")
 	}
 }
+
+// TestServeGetAdmission pins NetCache's admission rule: a miss returns
+// the backend value and caches the key only once its sketch estimate
+// reaches the threshold; a hit returns the cached value.
+func TestServeGetAdmission(t *testing.T) {
+	cms, _ := structures.NewCountMinSketch(2, 64)
+	kv, _ := structures.NewKVStore(1, 64)
+	p := &Plane{CMS: cms, KV: kv}
+	for i, want := range []struct{ hit, admitted bool }{{false, false}, {false, true}, {true, false}} {
+		val, hit, admitted := p.ServeGet(7, 2)
+		if val != 21 || hit != want.hit || admitted != want.admitted {
+			t.Errorf("GET %d: val=%d hit=%v admitted=%v, want 21 %v %v", i, val, hit, admitted, want.hit, want.admitted)
+		}
+	}
+}

@@ -114,12 +114,8 @@ func FigureDrift(cfg DriftConfig, tr *obs.Tracer) (*DriftResult, error) {
 	serve := func(p *elastic.Plane, keys []uint64) int {
 		hits := 0
 		for _, k := range keys {
-			if _, ok := p.KV.Get(k); ok {
+			if _, hit, _ := p.ServeGet(k, cfg.Threshold); hit {
 				hits++
-				continue
-			}
-			if p.CMS.Update(k) >= cfg.Threshold {
-				p.KV.Put(k, k*3)
 			}
 		}
 		return hits

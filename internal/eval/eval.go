@@ -14,6 +14,7 @@ import (
 	"p4all/internal/apps"
 	"p4all/internal/core"
 	"p4all/internal/dep"
+	"p4all/internal/elastic"
 	"p4all/internal/ilp"
 	"p4all/internal/lang"
 	"p4all/internal/obs"
@@ -95,19 +96,15 @@ func netcacheQuality(cfg Fig4Config, rows, cols, slots int) float64 {
 	if err != nil {
 		return 0
 	}
+	plane := &elastic.Plane{CMS: cms, KV: kv}
 	reqs := workload.ZipfKeys(cfg.Seed, cfg.Keys, cfg.Zipf, cfg.Requests)
 	hits := 0
 	for i, key := range reqs {
 		if cfg.Epoch > 0 && i > 0 && i%cfg.Epoch == 0 {
 			cms.Reset()
 		}
-		if _, ok := kv.Get(key); ok {
+		if _, hit, _ := plane.ServeGet(key, cfg.Threshold); hit {
 			hits++
-			continue
-		}
-		if est := cms.Update(key); est >= cfg.Threshold {
-			// The controller caches the now-hot key.
-			kv.Put(key, key*3)
 		}
 	}
 	return float64(hits) / float64(len(reqs))

@@ -248,23 +248,9 @@ func (j *Joint) Solve(opts ilp.Options) (*JointLayout, error) {
 	if !j.objSet {
 		return nil, fmt.Errorf("ilpgen: joint model has no objective (call SetObjective)")
 	}
-	sol, err := ilp.Solve(j.Model, opts)
+	sol, err := solve(j.Model, opts)
 	if err != nil {
 		return nil, err
-	}
-	switch sol.Status {
-	case ilp.StatusOptimal:
-	case ilp.StatusLimit:
-		if sol.Values == nil {
-			return nil, fmt.Errorf("ilpgen: solver hit its limit with no incumbent")
-		}
-	case ilp.StatusInfeasible:
-		return nil, ErrInfeasible
-	default:
-		return nil, fmt.Errorf("ilpgen: solver returned %v", sol.Status)
-	}
-	if err := ilp.Verify(j.Model, sol.Values); err != nil {
-		return nil, fmt.Errorf("ilpgen: joint solution failed verification: %w", err)
 	}
 	jl := &JointLayout{
 		Target:    j.Target,
@@ -273,11 +259,8 @@ func (j *Joint) Solve(opts ilp.Options) (*JointLayout, error) {
 		Stages:    make([]StageUse, j.Target.Stages),
 		Values:    append([]float64(nil), sol.Values...),
 	}
-	for i, p := range j.Tenants {
-		l, err := p.extractFrom(sol)
-		if err != nil {
-			return nil, fmt.Errorf("ilpgen: tenant %s: %w", j.Names[i], err)
-		}
+	for _, p := range j.Tenants {
+		l := p.extract(sol)
 		util := p.util.Eval(sol.Values)
 		l.Objective = util
 		jl.Tenants = append(jl.Tenants, l)

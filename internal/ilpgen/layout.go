@@ -105,7 +105,17 @@ func (l *Layout) Symbolic(name string) int64 { return l.Symbolics[name] }
 
 // Solve optimizes the generated ILP and extracts the layout.
 func (p *ILP) Solve(opts ilp.Options) (*Layout, error) {
-	sol, err := ilp.Solve(p.Model, opts)
+	sol, err := solve(p.Model, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.extract(sol), nil
+}
+
+// solve optimizes m and returns a solution only if it has a verified
+// incumbent: the optimum, or the best layout a limit stop found.
+func solve(m *ilp.Model, opts ilp.Options) (*ilp.Solution, error) {
+	sol, err := ilp.Solve(m, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -120,20 +130,15 @@ func (p *ILP) Solve(opts ilp.Options) (*Layout, error) {
 	default:
 		return nil, fmt.Errorf("ilpgen: solver returned %v", sol.Status)
 	}
-	return p.extract(sol)
-}
-
-func (p *ILP) extract(sol *ilp.Solution) (*Layout, error) {
-	if err := ilp.Verify(p.Model, sol.Values); err != nil {
+	if err := ilp.Verify(m, sol.Values); err != nil {
 		return nil, fmt.Errorf("ilpgen: solution failed verification: %w", err)
 	}
-	return p.extractFrom(sol)
+	return sol, nil
 }
 
-// extractFrom reads this unit's slice of an already-verified solution
-// back into a Layout. Joint compiles verify the shared model once and
-// then extract each tenant through here.
-func (p *ILP) extractFrom(sol *ilp.Solution) (*Layout, error) {
+// extract reads this unit's slice of a verified solution back into a
+// Layout. A joint solution is extracted once per tenant.
+func (p *ILP) extract(sol *ilp.Solution) *Layout {
 	l := &Layout{
 		Target:    p.Target,
 		Symbolics: make(map[string]int64, len(p.Unit.Symbolics)),
@@ -247,7 +252,7 @@ func (p *ILP) extractFrom(sol *ilp.Solution) (*Layout, error) {
 			l.Registers = append(l.Registers, rp)
 		}
 	}
-	return l, nil
+	return l
 }
 
 // Validate re-checks a layout against the target's physical limits and

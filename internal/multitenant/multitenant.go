@@ -23,14 +23,11 @@ import (
 	"time"
 
 	"p4all/internal/check"
-	"p4all/internal/codegen"
+	"p4all/internal/core"
 	"p4all/internal/ilp"
 	"p4all/internal/ilpgen"
-	"p4all/internal/lang"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
-	"p4all/internal/tv"
-	"p4all/internal/unroll"
 )
 
 // Unweighted is the Tenant.Weight sentinel for a true zero-weight
@@ -89,62 +86,27 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-func (o Options) withDefaults() Options {
-	if o.Solver.Gap == 0 {
-		o.Solver.Gap = 0.03
-	} else if o.Solver.Gap < 0 {
-		o.Solver.Gap = 0
-	}
-	if o.Solver.NodeLimit == 0 {
-		o.Solver.NodeLimit = 4000
-	}
-	if o.Solver.TimeLimit == 0 {
-		o.Solver.TimeLimit = 90 * time.Second
-	}
-	return o
-}
-
-// Phases records per-phase wall time of a joint compile.
-type Phases struct {
-	Parse    time.Duration
-	Bounds   time.Duration
-	Generate time.Duration
-	Solve    time.Duration
-	Isolate  time.Duration
-	Codegen  time.Duration
-	Certify  time.Duration
-}
-
-// Total returns the end-to-end compile time.
-func (p Phases) Total() time.Duration {
-	return p.Parse + p.Bounds + p.Generate + p.Solve + p.Isolate + p.Codegen + p.Certify
-}
-
-// TenantResult is one tenant's slice of a completed joint compile.
+// TenantResult is one tenant's slice of a completed joint compile: the
+// tenant's own core.Result — unit, bounds, its ILP slice and layout of
+// the joint model, its generated program (unless codegen was skipped)
+// and certificate (Options.Certify), and the times of its front and
+// back halves. Each tenant is emitted independently: its P4 mentions
+// only its own registers, actions, and headers.
 type TenantResult struct {
 	Name    string
-	Unit    *lang.Unit
-	ILP     *ilpgen.ILP
-	Layout  *ilpgen.Layout
 	Utility float64
-	// Concrete/P4 are the tenant's generated program (unless codegen
-	// was skipped). Each tenant is emitted independently: its P4
-	// mentions only its own registers, actions, and headers.
-	Concrete *codegen.Concrete
-	P4       string
-	Warnings []check.Warning
-	// Certificate is the tenant's translation-validation result
-	// (Options.Certify).
-	Certificate *tv.Certificate
+	*core.Result
 }
 
-// Result is a completed joint compilation.
+// Result is a completed joint compilation. Phases sums the tenants'
+// front and back halves and adds the joint model's generate, isolate
+// and solve phases.
 type Result struct {
 	Target  pisa.Target
 	Joint   *ilpgen.Joint
 	Layout  *ilpgen.JointLayout
 	Tenants []*TenantResult
-	Phases  Phases
+	Phases  core.Phases
 }
 
 // Tenant returns the named tenant's result, or nil.
@@ -164,9 +126,12 @@ func Compile(tenants []Tenant, target pisa.Target, opts Options) (*Result, error
 }
 
 // compile is the shared implementation; start, when non-nil, seeds the
-// joint solve (the Compiler's warm pool path).
+// joint solve (the Compiler's warm pool path). Each tenant runs
+// core's per-program stages — core.Front before the joint model is
+// built, core.Back after it is solved — and the joint model goes
+// through core.Solve; what is joint-only is the model itself and its
+// isolation audit.
 func compile(tenants []Tenant, target pisa.Target, opts Options, start []float64) (*Result, error) {
-	opts = opts.withDefaults()
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("multitenant: no tenants")
 	}
@@ -174,10 +139,13 @@ func compile(tenants []Tenant, target pisa.Target, opts Options, start []float64
 		obs.String("target", target.Name),
 		obs.Int("tenants", len(tenants)))
 	defer root.End()
+	co := core.Options{Solver: opts.Solver, SkipCodegen: opts.SkipCodegen, Certify: opts.Certify, Tracer: opts.Tracer}
+	co.Solver.Start = start
 
 	res := &Result{Target: target}
 	weights := make([]float64, len(tenants))
 	floors := make([]float64, len(tenants))
+	tus := make([]ilpgen.TenantUnit, len(tenants))
 	for i, t := range tenants {
 		w, err := t.weight()
 		if err != nil {
@@ -185,42 +153,18 @@ func compile(tenants []Tenant, target pisa.Target, opts Options, start []float64
 		}
 		weights[i] = w
 		floors[i] = t.MinUtility
+		front, err := core.Front(t.Source, target, root)
+		if err != nil {
+			return nil, fmt.Errorf("multitenant: tenant %s: %w", t.Name, err)
+		}
+		res.Tenants = append(res.Tenants, &TenantResult{Name: t.Name, Result: front})
+		res.Phases.Parse += front.Phases.Parse
+		res.Phases.Bounds += front.Phases.Bounds
+		tus[i] = ilpgen.TenantUnit{Name: t.Name, Unit: front.Unit, Bounds: front.Bounds}
 	}
 
-	// Front end, per tenant.
 	begin := time.Now()
-	sp := root.Child("parse")
-	units := make([]*lang.Unit, len(tenants))
-	for i, t := range tenants {
-		u, err := lang.ParseAndResolve(t.Source)
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("multitenant: tenant %s: front end: %w", t.Name, err)
-		}
-		units[i] = u
-	}
-	sp.End()
-	res.Phases.Parse = time.Since(begin)
-
-	begin = time.Now()
-	sp = root.Child("bounds")
-	tus := make([]ilpgen.TenantUnit, len(tenants))
-	pathEstimates := 0
-	for i, t := range tenants {
-		bounds, err := unroll.UpperBounds(units[i], &target)
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("multitenant: tenant %s: unroll bounds: %w", t.Name, err)
-		}
-		pathEstimates += bounds.PathEstimates()
-		tus[i] = ilpgen.TenantUnit{Name: t.Name, Unit: units[i], Bounds: bounds}
-	}
-	sp.SetAttrs(obs.Int("path_estimates", pathEstimates))
-	sp.End()
-	res.Phases.Bounds = time.Since(begin)
-
-	begin = time.Now()
-	sp = root.Child("generate")
+	sp := root.Child("generate")
 	joint, err := ilpgen.GenerateJoint(tus, &res.Target)
 	if err != nil {
 		sp.End()
@@ -254,68 +198,26 @@ func compile(tenants []Tenant, target pisa.Target, opts Options, start []float64
 	sp.End()
 	res.Phases.Isolate = time.Since(begin)
 
-	begin = time.Now()
-	solver := opts.Solver
-	solver.Start = start
-	sp = root.Child("solve",
-		obs.Int("ilp_vars", joint.Model.NumVars()),
-		obs.Int("ilp_constrs", joint.Model.NumConstrs()))
-	jl, err := joint.Solve(solver)
+	res.Phases.Solve, err = core.Solve(co, root, func(solver ilp.Options) (ilpgen.Stats, float64, error) {
+		jl, err := joint.Solve(solver)
+		if err != nil {
+			return ilpgen.Stats{}, 0, err
+		}
+		res.Layout = jl
+		return jl.Stats, jl.Objective, nil
+	})
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	sp.SetAttrs(
-		obs.Int("bnb_nodes", jl.Stats.Nodes),
-		obs.Float("objective", jl.Objective),
-		obs.Bool("warm_started", jl.Stats.WarmStarted),
-		obs.Int("warm_restarts", jl.Stats.WarmRestarts),
-		obs.Int("warm_fallbacks", jl.Stats.WarmFallbacks),
-		obs.Int("root_iters", jl.Stats.RootIters),
-		obs.Int("dive_iters", jl.Stats.DiveIters),
-		obs.Int("tree_iters", jl.Stats.TreeIters),
-	)
-	sp.End()
-	res.Layout = jl
-	res.Phases.Solve = time.Since(begin)
 
-	for i := range tenants {
-		tr := &TenantResult{
-			Name:     tenants[i].Name,
-			Unit:     units[i],
-			ILP:      joint.Tenants[i],
-			Layout:   jl.Tenants[i],
-			Utility:  jl.Utilities[i],
-			Warnings: check.Bounds(units[i]),
+	for i, tr := range res.Tenants {
+		tr.ILP, tr.Layout, tr.Utility = joint.Tenants[i], res.Layout.Tenants[i], res.Layout.Utilities[i]
+		co.Name = tr.Name
+		if err := core.Back(tr.Result, co, root); err != nil {
+			return nil, fmt.Errorf("multitenant: tenant %s: %w", tr.Name, err)
 		}
-		res.Tenants = append(res.Tenants, tr)
-	}
-
-	if !opts.SkipCodegen || opts.Certify {
-		begin = time.Now()
-		sp = root.Child("codegen")
-		for _, tr := range res.Tenants {
-			concrete, err := codegen.Build(tr.Unit, tr.Layout)
-			if err != nil {
-				sp.End()
-				return nil, fmt.Errorf("multitenant: tenant %s: code generation: %w", tr.Name, err)
-			}
-			tr.Concrete = concrete
-			tr.P4 = codegen.Render(concrete)
-		}
-		sp.End()
-		res.Phases.Codegen = time.Since(begin)
-	}
-
-	if opts.Certify {
-		begin = time.Now()
-		for _, tr := range res.Tenants {
-			tr.Certificate = tv.Validate(tr.Unit, tr.Layout, tr.Concrete, tv.Options{
-				Name:   tr.Name,
-				Tracer: opts.Tracer,
-			})
-		}
-		res.Phases.Certify = time.Since(begin)
+		res.Phases.Codegen += tr.Phases.Codegen
+		res.Phases.Certify += tr.Phases.Certify
 	}
 	return res, nil
 }

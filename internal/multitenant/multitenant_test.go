@@ -2,11 +2,15 @@ package multitenant
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"p4all/internal/apps"
+	"p4all/internal/core"
 	"p4all/internal/modules"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
@@ -242,26 +246,98 @@ func TestMaxMinCompile(t *testing.T) {
 	}
 }
 
-// TestBoundsSpanCountsPathEstimates: the joint compile's bounds span
-// says how many of its tenants' §4.2 path criteria were answered by the
-// estimate — none, for the shipped modules.
+// TestBoundsSpanCountsPathEstimates: each tenant's bounds span in a
+// joint compile says how many of its §4.2 path criteria were answered
+// by the estimate — none, for the shipped modules. The joint solve span
+// is core.Solve's: the same attribute keys as a single compile's solve
+// span, warm_started included, and the solver.* progress events under
+// it.
 func TestBoundsSpanCountsPathEstimates(t *testing.T) {
-	var trace bytes.Buffer
-	opts := fastOpts()
-	opts.Tracer = obs.New(obs.NewJSONLSink(&trace))
-	if _, err := Compile(smallMix(), mtTarget(), opts); err != nil {
-		t.Fatal(err)
+	type record struct {
+		Kind   string         `json:"kind"`
+		Name   string         `json:"name"`
+		ID     uint64         `json:"id"`
+		Parent uint64         `json:"parent"`
+		Attrs  map[string]any `json:"attrs"`
 	}
-	if err := opts.Tracer.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(trace.String(), "\n") {
-		if strings.Contains(line, `"name":"bounds"`) {
-			if !strings.Contains(line, `"path_estimates":0`) {
-				t.Errorf("bounds span lacks path_estimates=0: %s", line)
+	trace := func(compile func(*obs.Tracer) error) []record {
+		var buf bytes.Buffer
+		tr := obs.New(obs.NewJSONLSink(&buf))
+		if err := compile(tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var recs []record
+		for dec := json.NewDecoder(&buf); dec.More(); {
+			var r record
+			if err := dec.Decode(&r); err != nil {
+				t.Fatal(err)
 			}
-			return
+			recs = append(recs, r)
+		}
+		return recs
+	}
+	// solve returns the solve span's sorted attribute keys and a count
+	// of the events recorded under it.
+	solve := func(recs []record) (keys []string, events map[string]int) {
+		events = map[string]int{}
+		for _, r := range recs {
+			if r.Kind != "span" || r.Name != "solve" {
+				continue
+			}
+			for k := range r.Attrs {
+				keys = append(keys, k)
+			}
+			for _, e := range recs {
+				if e.Kind == "event" && e.Parent == r.ID {
+					events[e.Name]++
+				}
+			}
+		}
+		sort.Strings(keys)
+		return keys, events
+	}
+
+	joint := trace(func(tr *obs.Tracer) error {
+		// The floors keep the root LP fractional, so the search has a
+		// root event to report.
+		mix := smallMix()
+		mix[0].MinUtility = 2048
+		mix[1].MinUtility = 2048
+		opts := fastOpts()
+		opts.Tracer = tr
+		_, err := Compile(mix, mtTarget(), opts)
+		return err
+	})
+	bounds := 0
+	for _, r := range joint {
+		if r.Kind == "span" && r.Name == "bounds" {
+			bounds++
+			if v, ok := r.Attrs["path_estimates"]; !ok || v != 0.0 {
+				t.Errorf("bounds span path_estimates = %v, want 0: %+v", v, r.Attrs)
+			}
 		}
 	}
-	t.Errorf("no bounds span in trace:\n%s", trace.String())
+	if bounds != len(smallMix()) {
+		t.Errorf("%d bounds spans, want one per tenant (%d)", bounds, len(smallMix()))
+	}
+
+	single := trace(func(tr *obs.Tracer) error {
+		opts := core.Options{Solver: fastOpts().Solver, SkipCodegen: true, Tracer: tr}
+		_, err := core.Compile(modules.StandaloneCMS(), mtTarget(), opts)
+		return err
+	})
+	jointKeys, events := solve(joint)
+	singleKeys, _ := solve(single)
+	if got, want := strings.Join(jointKeys, " "), strings.Join(singleKeys, " "); got != want {
+		t.Errorf("joint solve span attributes\n  %s\nsingle compile's\n  %s", got, want)
+	}
+	if !slices.Contains(singleKeys, "warm_started") {
+		t.Errorf("solve span lacks warm_started: %v", singleKeys)
+	}
+	if events["solver.root"] == 0 || events["solver.done"] == 0 {
+		t.Errorf("joint solve span events %v, want solver.root and solver.done", events)
+	}
 }

@@ -57,10 +57,6 @@ type NetCache struct {
 	admits []atomic.Uint64
 }
 
-// backendVal is the deterministic "backend fetch" for a missed key,
-// shared with the eval drift experiment's serve loop.
-func backendVal(key uint64) uint64 { return key * 3 }
-
 // NewNetCache builds per-shard planes from the layout and starts the
 // runtime. Callers must Close it.
 func NewNetCache(cfg NetCacheConfig) (*NetCache, error) {
@@ -128,20 +124,19 @@ func (n *NetCache) process(shard int, batch []Request) error {
 				n.respond(shard, *req, StatusOK, req.Val)
 			}
 		case OpGet:
-			if v, ok := p.KV.Get(req.Key); ok {
+			v, hit, admitted := p.ServeGet(req.Key, n.threshold)
+			var status uint8 = StatusMiss
+			if hit {
+				status = StatusHit
 				hits++
-				if n.respond != nil {
-					n.respond(shard, *req, StatusHit, v)
-				}
-				continue
+			} else {
+				misses++
 			}
-			misses++
-			if p.CMS.Update(req.Key) >= n.threshold {
-				p.KV.Put(req.Key, backendVal(req.Key))
+			if admitted {
 				admits++
 			}
 			if n.respond != nil {
-				n.respond(shard, *req, StatusMiss, backendVal(req.Key))
+				n.respond(shard, *req, status, v)
 			}
 		default:
 			if n.respond != nil {
