@@ -111,8 +111,9 @@ func TestUnrollStatsLine(t *testing.T) {
 
 // TestStatsLines: -stats names every compile phase, so the printed
 // phases add up to the printed total (certify was once missing from a
-// single compile's line), and its one ILP block says whether the solve
-// was warm-started and what presolve removed, for one program or many.
+// single compile's line), and its one ILP block says which warm start
+// seeded the incumbent and what presolve removed, for one program or
+// many.
 func TestStatsLines(t *testing.T) {
 	ms := time.Millisecond
 	ph := core.Phases{Parse: 1 * ms, Bounds: 2 * ms, Generate: 3 * ms, Isolate: 4 * ms, Solve: 5 * ms, Codegen: 6 * ms, Certify: 7 * ms}
@@ -121,12 +122,12 @@ func TestStatsLines(t *testing.T) {
 		t.Errorf("phasesLine = %q, want %q", got, want)
 	}
 	st := ilpgen.Stats{
-		Vars: 455, Constrs: 616, Nodes: 46, Gap: 0.0141, WarmStarted: true,
+		Vars: 455, Constrs: 616, Nodes: 46, Gap: 0.0141, WarmStarted: true, StartIndex: 1,
 		SimplexIter: 3658, DualIters: 3036, PrimalFallbacks: 1, Refactors: 33,
 		RootIters: 309, DiveIters: 313, TreeIters: 3036, WarmRestarts: 2, WarmFallbacks: 1,
 		Presolve: ilp.PresolveStats{BoundsTightened: 13, VarsFixed: 12, RowsDropped: 62},
 	}
-	want = "ILP: 455 variables, 616 constraints, 46 nodes, certified gap 1.41%, warm-started true\n" +
+	want = "ILP: 455 variables, 616 constraints, 46 nodes, certified gap 1.41%, warm start predecessor\n" +
 		"solver: 3658 simplex iters (3036 dual, 1 primal fallbacks), 33 refactorizations\n" +
 		"lp iters: root 309, dive 313, tree 3036; 2 warm restarts, 1 warm fallbacks\n" +
 		"presolve: 13 bounds tightened, 12 variables fixed, 62 rows dropped\n"

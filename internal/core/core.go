@@ -261,6 +261,7 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 		obs.Int("dual_iters", st.DualIters),
 		obs.Int("primal_fallbacks", st.PrimalFallbacks),
 		obs.Bool("warm_started", st.WarmStarted),
+		obs.String("start", st.Seed()),
 		obs.Int("warm_restarts", st.WarmRestarts),
 		obs.Int("warm_fallbacks", st.WarmFallbacks),
 		obs.Int("root_iters", st.RootIters),

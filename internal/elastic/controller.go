@@ -29,8 +29,9 @@ type Config struct {
 	// Detector tunes drift detection.
 	Detector DetectorConfig
 	// Solver tunes the re-solves; re-solves additionally get
-	// Options.Start seeded from the incumbent layout. Zero fields take
-	// the compiler defaults. The controller always sets
+	// Options.Start seeded from the incumbent layout and the one it
+	// replaced (an ilpgen.History). Zero fields take the compiler
+	// defaults. The controller always sets
 	// Solver.Deterministic, so re-solves run on one worker and
 	// Solver.Threads is ignored: the adopt/keep decision and the
 	// warm-start chain (each re-solve seeds the next) must not depend
@@ -105,9 +106,9 @@ type Controller struct {
 	det     *Detector
 	gate    *Gate
 	utility string
-	// values is the incumbent layout's raw ILP assignment — the warm
-	// start for the next re-solve.
-	values []float64
+	// starts holds the raw ILP assignments of the incumbent layout and
+	// of the layout it replaced — the warm starts of the next re-solve.
+	starts ilpgen.History
 	// resolved, when set, sees every re-solve's result before the
 	// controller judges it — the seam tests use to corrupt a layout.
 	resolved func(*core.Result)
@@ -163,7 +164,7 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.values = res.Layout.Values
+	c.starts.Push(res.Layout.Values)
 	c.gate, err = NewGate([]*Plane{plane})
 	if err != nil {
 		return nil, err
@@ -191,9 +192,9 @@ func uncertified(cert *tv.Certificate) string {
 // under.
 func (c *Controller) Utility() string { return c.utility }
 
-func (c *Controller) compile(utility string, start []float64) (*core.Result, error) {
+func (c *Controller) compile(utility string, starts [][]float64) (*core.Result, error) {
 	opts := c.cfg.Solver
-	opts.Start = start
+	opts.Start = starts
 	// Drift decisions must replay identically, so re-solves run on one
 	// branch-and-bound worker whatever cfg.Solver.Threads says.
 	opts.Deterministic = true
@@ -222,7 +223,7 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 		obs.Float("baseline", d.Baseline),
 	)
 	dec.Utility = c.cfg.Policy(d)
-	res, err := c.compile(dec.Utility, c.values)
+	res, err := c.compile(dec.Utility, c.starts.Starts())
 	if err != nil {
 		dec.Action, dec.Reason = ActionKept, fmt.Sprintf("re-solve failed: %v", err)
 		tr.Event("elastic.fallback", obs.String("reason", dec.Reason))
@@ -237,6 +238,7 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 	tr.Event("elastic.reoptimize",
 		obs.String("utility", dec.Utility),
 		obs.Bool("warm_started", stats.WarmStarted),
+		obs.String("start", stats.Seed()),
 		obs.Int("bnb_nodes", stats.Nodes),
 		obs.Float("gap", stats.Gap),
 		obs.Bool("limit_hit", stats.LimitHit),
@@ -263,9 +265,10 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 		dec.Action, dec.Reason = ActionKept, "layout unchanged"
 		// The regime changed even though the layout did not; adopt the
 		// new utility as the incumbent's so future comparisons are
-		// against the right objective.
+		// against the right objective. The served layout replaced none,
+		// so the predecessor stays.
 		c.utility = dec.Utility
-		c.values = res.Layout.Values
+		c.starts[0] = res.Layout.Values
 		return dec
 	}
 	plane, droppedKV, err := Migrate(c.Plane(), res.Layout, w.HotKeys)
@@ -279,7 +282,7 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 	// A one-plane set always matches the one-plane gate: Swap cannot fail.
 	dec.Epoch, _ = c.gate.Swap([]*Plane{plane})
 	c.utility = dec.Utility
-	c.values = res.Layout.Values
+	c.starts.Push(res.Layout.Values)
 	tr.Event("elastic.adopt",
 		obs.String("diff", diff.String()),
 		obs.Int("dropped_kv", droppedKV),
@@ -296,11 +299,12 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 // variable space is identical; only the objective weights moved).
 // Reports comparable=false when the spaces don't align.
 func (c *Controller) improvement(res *core.Result) (float64, bool) {
-	if len(c.values) != res.ILP.Model.NumVars() {
+	values := c.starts[0]
+	if len(values) != res.ILP.Model.NumVars() {
 		return 0, false
 	}
 	expr, sense := res.ILP.Model.Objective()
-	incumbent := expr.Eval(c.values)
+	incumbent := expr.Eval(values)
 	gain := res.Layout.Objective - incumbent
 	if sense == ilp.Minimize {
 		gain = -gain

@@ -120,6 +120,45 @@ func TestControllerAdoptsOnSkewDrift(t *testing.T) {
 	t.Logf("adopted %v with %d nodes (warm)", dec.Diff, dec.Stats.Nodes)
 }
 
+// TestControllerFlipBackStartsFromPredecessor drives the utility
+// A → B → A: from a flat workload (a KV-heavy utility) to a skewed one
+// (CMS-heavy) and back. The re-solve back to A must be seeded by the
+// layout B replaced — the initial one, solved under A — not by B's
+// incumbent. (The CMS-heavy utility's root LP is integral on this
+// target, so only a flip back to the KV-heavy one consults its starts.)
+func TestControllerFlipBackStartsFromPredecessor(t *testing.T) {
+	c, err := New(Config{
+		Target:       driftTarget(),
+		Program:      netcacheProgram,
+		InitialShare: 0.04,
+		Solver:       driftSolver(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := c.Utility()
+	for i := 0; i < 3; i++ {
+		c.Observe(window(0.04, 0))
+	}
+	if dec := c.Observe(window(0.55, 0)); dec.Action != ActionAdopted {
+		t.Fatalf("step to B not adopted: %v (%s)", dec.Action, dec.Reason)
+	}
+	for i := 0; i < 2; i++ { // the detector's cooldown
+		c.Observe(window(0.55, 0))
+	}
+	dec := c.Observe(window(0.04, 0))
+	if dec.Utility != initial {
+		t.Fatalf("step back re-solved under %q, want the initial %q", dec.Utility, initial)
+	}
+	if dec.Stats == nil || dec.Stats.Seed() != "predecessor" {
+		t.Fatalf("step back was not seeded by the predecessor: %+v", dec.Stats)
+	}
+	if dec.Action != ActionAdopted {
+		t.Fatalf("step back not adopted: %v (%s)", dec.Action, dec.Reason)
+	}
+	t.Logf("step back: %d nodes, gap %.4f", dec.Stats.Nodes, dec.Stats.Gap)
+}
+
 // TestControllerFallsBackOnSolverTimeout starves the re-solve of time
 // and requires the controller to keep the incumbent and record the
 // fallback — the graceful-degradation contract.

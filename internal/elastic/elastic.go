@@ -5,11 +5,12 @@
 // controller. It watches per-window traffic statistics, detects
 // workload drift (skew change, key-popularity churn, request-rate
 // shift), re-runs the compiler with a reweighted utility and a
-// warm-started ILP solve seeded from the incumbent layout, certifies
-// the re-solved program with the translation validator, migrates live
-// structure state to the new shapes, and atomically swaps the data
-// plane — falling back to the incumbent when the re-solve times out,
-// fails to certify, or fails to improve utility.
+// warm-started ILP solve seeded from the incumbent layout and the one
+// it replaced, certifies the re-solved program with the translation
+// validator, migrates live structure state to the new shapes, and
+// atomically swaps the data plane — falling back to the incumbent when
+// the re-solve times out, fails to certify, or fails to improve
+// utility.
 //
 // The pieces compose as:
 //

@@ -41,19 +41,21 @@ type Options struct {
 	// DisableHeuristic skips the initial rounding dive used to seed an
 	// incumbent (used by ablation benchmarks).
 	DisableHeuristic bool
-	// Start, when non-nil, supplies a MIP start: a candidate value per
-	// model variable (length must equal the model's variable count,
-	// else Solve returns an error). Every entry must be finite — a NaN
-	// or infinite value returns an error rather than being silently
-	// dropped. The vector is projected onto the variable bounds —
-	// integer variables rounded, out-of-range values clamped — and, if
-	// the projected point satisfies every constraint, installed
-	// as the root incumbent before branching so the search starts with
-	// a proven bound. An infeasible start is silently dropped (the
-	// solve proceeds cold); Solution.WarmStarted reports which happened.
-	// Re-solves of a perturbed model seeded from the previous solution
-	// prune most of the tree and are typically near-instant.
-	Start []float64
+	// Start supplies MIP starts, each a candidate value per model
+	// variable (its length must equal the model's variable count, else
+	// Solve returns an error). Every entry must be finite — a NaN or
+	// infinite value returns an error naming the start and the variable
+	// rather than being silently dropped. Each start is projected onto
+	// the variable bounds — integer variables rounded, out-of-range
+	// values clamped — and kept if the projected point satisfies every
+	// constraint. The kept start with the best objective under this
+	// model (ties go to the earlier start) is installed as the root
+	// incumbent before branching, so the search starts with a proven
+	// bound. Infeasible starts are silently dropped (with none left the
+	// solve proceeds cold); Solution.WarmStarted and StartIndex report
+	// what happened. Re-solves of a perturbed model seeded from previous
+	// solutions prune most of the tree and are typically near-instant.
+	Start [][]float64
 	// DisablePresolve turns off the root presolve (fixpoint bound
 	// tightening from constraint activity, integer bound rounding,
 	// fixed-variable substitution, redundant-row drops — see
@@ -242,6 +244,7 @@ type bb struct {
 	rootMin       float64 // root relaxation in minimization sense
 	rootBound     float64 // root relaxation in model sense
 	warmUsed      bool
+	startIdx      int // which Options.Start was installed (when warmUsed)
 	// Effort of the root LP and of the dive, which run on worker 0
 	// before the tree search; the tree's share is the rest.
 	rootIters  int
@@ -320,10 +323,10 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	}
 
 	var startX []float64
-	startObj := math.Inf(1)
-	if opts.Start != nil {
-		if len(opts.Start) != sf.nStruct {
-			return nil, fmt.Errorf("ilp: start vector has %d values for %d variables", len(opts.Start), sf.nStruct)
+	startObj, startIdx := math.Inf(1), 0
+	for i, start := range opts.Start {
+		if len(start) != sf.nStruct {
+			return nil, fmt.Errorf("ilp: start %d has %d values for %d variables", i, len(start), sf.nStruct)
 		}
 		// A non-finite start entry is a caller bug (a stale or
 		// corrupted warm-start pool), not a merely-infeasible point:
@@ -331,12 +334,15 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		// start would be dropped silently. Reject it loudly instead.
 		// Finite out-of-range values are legitimate (a start taken
 		// from a model with wider bounds) and are clamped.
-		for j, v := range opts.Start {
+		for j, v := range start {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("ilp: start value %v for variable %q (index %d) is not finite", v, m.vars[j].name, j)
+				return nil, fmt.Errorf("ilp: start %d: value %v for variable %q (index %d) is not finite", i, v, m.vars[j].name, j)
 			}
 		}
-		startX, startObj = projectStart(sf, opts.Start)
+		// Strictly better only: a tie keeps the earlier start.
+		if x, obj := projectStart(sf, start); obj < startObj {
+			startX, startObj, startIdx = x, obj, i
+		}
 	}
 
 	// The root relaxation, the warm-start installation, and the diving
@@ -377,15 +383,24 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	// what this cold root cost.
 	rootSnap := ws.captureBasis(sf)
 	sf.warmCap = counts.iters
+	// Queue the root node before anything can stop the search at the
+	// root: while it is open, every report — the incumbent events and
+	// the terminal BestBound — bounds the optimum by the root LP, not
+	// by the incumbent.
+	nodeSnap := rootSnap
+	if !sf.dualOK {
+		nodeSnap = nil
+	}
+	b.pushLocked(&node{bvar: -1, bound: obj, hint: x, snap: nodeSnap})
 	b.emitLocked(ProgressRoot)
 
 	if startX != nil {
-		// The projected MIP start is feasible: install it as the root
-		// incumbent. When it is already within the requested gap of the
-		// root bound the search stops here — the warm re-solve of a
-		// lightly perturbed model costs one LP.
+		// The best projected MIP start is feasible: install it as the
+		// root incumbent. When it is already within the requested gap
+		// of the root bound the search stops here — the warm re-solve
+		// of a lightly perturbed model costs one LP.
 		b.install(startObj, startX)
-		b.warmUsed = true
+		b.warmUsed, b.startIdx = true, startIdx
 		b.emitLocked(ProgressIncumbent)
 		if b.gapSatisfiedAtRoot() {
 			return b.solution(StatusOptimal), nil
@@ -403,11 +418,6 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		}
 		b.tallies[0].addCounts(b.diveCounts)
 	}
-	if !sf.dualOK {
-		rootSnap = nil
-	}
-	heap.Push(&b.queue, &node{id: b.nextID, bvar: -1, bound: obj, depth: 0, hint: x, snap: rootSnap})
-	b.nextID++
 	if b.bestX != nil {
 		if diveImproved || !b.warmUsed {
 			// The dive seeded (or improved) the incumbent.
@@ -415,8 +425,7 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		}
 		// An incumbent already at the root bound (or within the
 		// requested gap of it) cannot be improved enough to matter:
-		// stop before opening the tree. The root node stays queued so
-		// the reported BestBound remains the honest root bound.
+		// stop before opening the tree.
 		if b.gapSatisfiedAtRoot() {
 			return b.solution(StatusOptimal), nil
 		}
@@ -549,6 +558,7 @@ func (b *bb) solution(status Status) *Solution {
 		Presolve:         b.sf.pre,
 		RootBound:        b.rootBound,
 		WarmStarted:      b.warmUsed,
+		StartIndex:       b.startIdx,
 		Threads:          b.threads,
 		Workers:          b.workerSnapshot(),
 	}

@@ -94,19 +94,21 @@ func TestGapNotFalselySatisfiedNearZero(t *testing.T) {
 
 // TestWarmStartNonFinite: NaN/Inf entries in Options.Start are caller
 // bugs (a corrupted warm-start pool) and must be rejected with an
-// error naming the variable — pre-fix they were silently projected and
-// dropped, indistinguishable from an infeasible start.
+// error naming the start and the variable — pre-fix they were silently
+// projected and dropped, indistinguishable from an infeasible start. A
+// finite, feasible start beside the bad one does not excuse it.
 func TestWarmStartNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		m := correlatedKnapsack(8, 0)
+		good := make([]float64, m.NumVars())
 		start := make([]float64, m.NumVars())
 		start[3] = bad
-		_, err := Solve(m, Options{Start: start})
+		_, err := Solve(m, Options{Start: [][]float64{good, start}})
 		if err == nil {
 			t.Fatalf("start containing %v accepted", bad)
 		}
-		if !strings.Contains(err.Error(), "x3") {
-			t.Errorf("error %q does not name the offending variable x3", err)
+		if !strings.Contains(err.Error(), "start 1") || !strings.Contains(err.Error(), "x3") {
+			t.Errorf("error %q does not name start 1 and the offending variable x3", err)
 		}
 	}
 }

@@ -329,9 +329,11 @@ type Solution struct {
 	// BestBound is the tightest proven bound on the optimum at
 	// termination (equals Objective when optimality was proven).
 	BestBound float64
-	// WarmStarted reports that Options.Start projected to a feasible
-	// point and was installed as the root incumbent.
+	// WarmStarted reports that one of Options.Start projected to a
+	// feasible point and was installed as the root incumbent;
+	// StartIndex, meaningful only when it is true, says which.
 	WarmStarted bool
+	StartIndex  int
 	// Threads is the number of branch-and-bound workers the solve ran
 	// with (after resolving Options.Threads and Options.Deterministic).
 	Threads int

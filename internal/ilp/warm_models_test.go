@@ -27,14 +27,16 @@ var driftOptions = ilp.Options{
 // TestWarmDiveSplit prints where the LP iterations of the tenant-drift
 // cycle and of two compiles go — root, dive, tree — with the dive's
 // warm primal restarts and their fallbacks. The drift re-solves are
-// warm-started the way multitenant.Compiler does it, from the previous
-// solve's values. `make bench-profile` runs it with -v so the CI
-// artifact shows the split.
+// warm-started the way multitenant.Compiler does it, from a two-layout
+// ilpgen.History, and each line names the start that seeded the
+// incumbent. `make bench-profile` runs it with -v so the CI artifact
+// shows the split.
 func TestWarmDiveSplit(t *testing.T) {
 	logSplit := func(name string, sol *ilp.Solution) {
 		t.Helper()
-		t.Logf("%-22s nodes %4d  iters %5d = root %4d + dive %4d + tree %5d  warm restarts %3d, fallbacks %d",
-			name, sol.Nodes, sol.SimplexIters, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.WarmRestarts, sol.WarmFallbacks)
+		seed := ilpgen.Stats{WarmStarted: sol.WarmStarted, StartIndex: sol.StartIndex}.Seed()
+		t.Logf("%-22s nodes %4d  iters %5d = root %4d + dive %4d + tree %5d  warm restarts %3d, fallbacks %d  start %s",
+			name, sol.Nodes, sol.SimplexIters, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.WarmRestarts, sol.WarmFallbacks, seed)
 		if sol.RootIters+sol.DiveIters+sol.TreeIters != sol.SimplexIters {
 			t.Errorf("%s: split %d + %d + %d does not sum to %d iterations", name, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.SimplexIters)
 		}
@@ -44,13 +46,16 @@ func TestWarmDiveSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	logSplit("drift cold w=2", sol)
+	var pool ilpgen.History
+	pool.Push(sol.Values)
 	for cycle := 0; cycle < 2; cycle++ {
 		for _, w := range driftWeights {
 			opts := driftOptions
-			opts.Start = sol.Values
+			opts.Start = pool.Starts()
 			if sol, err = ilp.Solve(twoTenantModel(t, w), opts); err != nil {
 				t.Fatal(err)
 			}
+			pool.Push(sol.Values)
 			logSplit(fmt.Sprintf("drift %d w=%v", cycle, w), sol)
 			if !sol.WarmStarted {
 				t.Fatalf("re-solve at weight %v was not warm-started", w)

@@ -60,7 +60,7 @@ func TestWarmStartFewerNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(pert, Options{Gap: 0.03, Start: cold0.Values, Threads: 1})
+	warm, err := Solve(pert, Options{Gap: 0.03, Start: [][]float64{cold0.Values}, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestWarmStartGapTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(m, Options{Start: exact.Values, Gap: 0.03})
+	warm, err := Solve(m, Options{Start: [][]float64{exact.Values}, Gap: 0.03})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,21 +104,9 @@ func TestWarmStartGapTermination(t *testing.T) {
 func TestWarmStartProjection(t *testing.T) {
 	// The LP relaxation of this model is fractional (x+y = 6.5), so the
 	// solve must branch — the start actually matters.
-	build := func() *Model {
-		m := NewModel("proj")
-		x := m.AddInt("x", 0, 10)
-		y := m.AddInt("y", 0, 10)
-		w := NewExpr()
-		w.Add(x, 2).Add(y, 2)
-		m.AddConstr("weight", w, LE, 13)
-		obj := NewExpr()
-		obj.Add(x, 1).Add(y, 1)
-		m.SetObjective(obj, Maximize)
-		return m
-	}
 	// 6.4 rounds to 6; 99 clamps to 10 — but 2*(6+10) > 13, infeasible,
 	// so the start is dropped and the solve proceeds cold.
-	sol, err := Solve(build(), Options{Start: []float64{6.4, 99}})
+	sol, err := Solve(projModel(), Options{Start: [][]float64{{6.4, 99}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +118,7 @@ func TestWarmStartProjection(t *testing.T) {
 	}
 	// A feasible fractional start survives projection: [5.2, 0.9]
 	// rounds to [5, 1], weight 12 <= 13.
-	sol, err = Solve(build(), Options{Start: []float64{5.2, 0.9}})
+	sol, err = Solve(projModel(), Options{Start: [][]float64{{5.2, 0.9}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +130,96 @@ func TestWarmStartProjection(t *testing.T) {
 	}
 }
 
+// projModel is TestWarmStartProjection's model: maximize x + y subject
+// to 2x + 2y <= 13 over integers in [0, 10]. The optimum is 6 and the
+// root LP bound 6.5.
+func projModel() *Model {
+	m := NewModel("proj")
+	x := m.AddInt("x", 0, 10)
+	y := m.AddInt("y", 0, 10)
+	w := NewExpr()
+	w.Add(x, 2).Add(y, 2)
+	m.AddConstr("weight", w, LE, 13)
+	obj := NewExpr()
+	obj.Add(x, 1).Add(y, 1)
+	m.SetObjective(obj, Maximize)
+	return m
+}
+
+// TestWarmStartPicksBest: of several MIP starts, infeasible ones are
+// skipped, the best objective under the model being solved is
+// installed, and a tie goes to the earlier start. The 10% gap accepts
+// any objective-6 start at the root (against the 6.5 bound), so the
+// returned assignment is the installed start itself.
+func TestWarmStartPicksBest(t *testing.T) {
+	cases := []struct {
+		name   string
+		starts [][]float64
+		warm   bool
+		index  int
+		values []float64
+	}{
+		{"infeasible skipped", [][]float64{{6.4, 99}, {5, 1}}, true, 1, []float64{5, 1}},
+		{"better wins", [][]float64{{1, 1}, {5, 1}}, true, 1, []float64{5, 1}},
+		{"tie to earlier", [][]float64{{1, 5}, {5, 1}}, true, 0, []float64{1, 5}},
+		{"tie to earlier, swapped", [][]float64{{5, 1}, {1, 5}}, true, 0, []float64{5, 1}},
+		{"none feasible", [][]float64{{6.4, 99}, {10, 10}}, false, 0, nil},
+	}
+	for _, tc := range cases {
+		sol, err := Solve(projModel(), Options{Start: tc.starts, Gap: 0.1, Deterministic: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sol.WarmStarted != tc.warm || (tc.warm && sol.StartIndex != tc.index) {
+			t.Errorf("%s: warm %v start %d, want warm %v start %d", tc.name, sol.WarmStarted, sol.StartIndex, tc.warm, tc.index)
+		}
+		if tc.values != nil && (sol.Values[0] != tc.values[0] || sol.Values[1] != tc.values[1]) {
+			t.Errorf("%s: values %v, want the installed start %v", tc.name, sol.Values, tc.values)
+		}
+		if sol.Status != StatusOptimal || math.Abs(sol.Objective-6) > 1e-6 {
+			t.Errorf("%s: status %v objective %g, want optimal 6", tc.name, sol.Status, sol.Objective)
+		}
+	}
+}
+
+// TestWarmRootStopReportsRootBound: a start accepted within the gap at
+// the root is proven only up to the root LP bound, so that is what the
+// solution's BestBound, its gap and the start's incumbent event report
+// — not the incumbent itself, which would claim a 0 % gap.
+func TestWarmRootStopReportsRootBound(t *testing.T) {
+	var events []Progress
+	sol, err := Solve(projModel(), Options{
+		Start:    [][]float64{{5, 1}},
+		Gap:      0.1,
+		Progress: func(p Progress) { events = append(events, p) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.WarmStarted || sol.Nodes != 1 || sol.Status != StatusOptimal {
+		t.Fatalf("warm %v, %d nodes, %v; want a warm stop at the root", sol.WarmStarted, sol.Nodes, sol.Status)
+	}
+	if math.Abs(sol.RootBound-6.5) > 1e-9 {
+		t.Fatalf("root bound %g, want 6.5", sol.RootBound)
+	}
+	if sol.BestBound != sol.RootBound {
+		t.Errorf("BestBound %g, want the root bound %g", sol.BestBound, sol.RootBound)
+	}
+	if got, want := sol.AchievedGap(), 0.5/6; math.Abs(got-want) > 1e-9 {
+		t.Errorf("gap %g, want %g", got, want)
+	}
+	for _, p := range events {
+		if p.Kind == ProgressIncumbent && p.BestBound != sol.RootBound {
+			t.Errorf("incumbent event bound %g, want the root bound %g", p.BestBound, sol.RootBound)
+		}
+	}
+}
+
 // TestWarmStartBadLength: a wrong-sized start vector is an error, not
 // a silent misalignment.
 func TestWarmStartBadLength(t *testing.T) {
 	m := correlatedKnapsack(8, 0)
-	if _, err := Solve(m, Options{Start: []float64{1, 0}}); err == nil {
+	if _, err := Solve(m, Options{Start: [][]float64{{1, 0}}}); err == nil {
 		t.Fatal("expected error for mismatched start length")
 	}
 }

@@ -74,8 +74,10 @@ type Stats struct {
 	// incumbent found).
 	LimitHit bool
 	// WarmStarted reports that the solve installed a caller-supplied
-	// MIP start (ilp.Options.Start) as its root incumbent.
+	// MIP start (ilp.Options.Start) as its root incumbent; StartIndex,
+	// meaningful only when it is true, says which (see Seed).
 	WarmStarted bool
+	StartIndex  int
 	// Threads is the number of branch-and-bound workers the solve ran
 	// with; Workers carries their per-worker effort tallies.
 	Threads int
@@ -95,9 +97,52 @@ type Layout struct {
 	Stats      Stats
 	// Values is the raw solver assignment, one entry per ILP variable.
 	// A later re-solve of the same program (possibly under a different
-	// utility) can pass it as ilp.Options.Start to warm-start the
-	// search from this layout.
+	// utility) can pass it in ilp.Options.Start to warm-start the
+	// search from this layout; see History.
 	Values []float64
+}
+
+// History is the MIP-start pool of a loop that re-solves one model as
+// its objective drifts: the raw assignment (Layout.Values) of the
+// incumbent layout and of the layout it replaced, in that order. Every
+// re-solve passes both as ilp.Options.Start, and the solver installs
+// whichever scores better under the new objective. Two is the smallest
+// history that covers a regime flipping back (A → B → A): the flip back
+// starts from A's own layout and, when that is still within the gap,
+// ends at the root. It is a constant, not an option: a deeper pool
+// would hand a periodic drift layouts from its previous period, so its
+// cycles would stop repeating the first one. No LP basis is pooled.
+type History [2][]float64
+
+// historyRoles names History's entries, and so the values of Seed.
+var historyRoles = [...]string{"incumbent", "predecessor"}
+
+// Push records values as the incumbent; the old incumbent becomes the
+// predecessor.
+func (h *History) Push(values []float64) { h[0], h[1] = values, h[0] }
+
+// Starts returns the pooled assignments for ilp.Options.Start,
+// incumbent first (none before the first Push).
+func (h History) Starts() [][]float64 {
+	n := 0
+	for n < len(h) && h[n] != nil {
+		n++
+	}
+	return h[:n:n]
+}
+
+// Seed names the start that seeded the solve's incumbent by its role
+// in a History: "incumbent" or "predecessor", or "none" when the solve
+// installed no start.
+func (s Stats) Seed() string {
+	switch {
+	case !s.WarmStarted:
+		return "none"
+	case s.StartIndex < len(historyRoles):
+		return historyRoles[s.StartIndex]
+	default:
+		return fmt.Sprintf("start %d", s.StartIndex)
+	}
 }
 
 // Symbolic returns the solved value of the named symbolic.
@@ -161,6 +206,7 @@ func (p *ILP) extract(sol *ilp.Solution) *Layout {
 			Gap:             sol.AchievedGap(),
 			LimitHit:        sol.Status == ilp.StatusLimit,
 			WarmStarted:     sol.WarmStarted,
+			StartIndex:      sol.StartIndex,
 			Threads:         sol.Threads,
 			Workers:         append([]ilp.WorkerCounts(nil), sol.Workers...),
 		},

@@ -6,8 +6,8 @@
 // utilities. The result is the elastic answer to switch multi-tenancy:
 // instead of statically partitioning the pipeline, the compiler trades
 // memory, ALUs, and PHV bits between tenants by weight, re-solving the
-// joint model as weights drift (Compiler pools the last solution per
-// mix for sub-second reallocation).
+// joint model as weights drift (Compiler pools the last two solutions
+// per mix for sub-second reallocation).
 //
 // Isolation is checked, not assumed: every compile runs
 // check.ModelIsolation over the generated model and refuses to emit
@@ -125,13 +125,13 @@ func Compile(tenants []Tenant, target pisa.Target, opts Options) (*Result, error
 	return compile(tenants, target, opts, nil)
 }
 
-// compile is the shared implementation; start, when non-nil, seeds the
-// joint solve (the Compiler's warm pool path). Each tenant runs
+// compile is the shared implementation; starts seed the joint solve
+// (the Compiler's warm pool path). Each tenant runs
 // core's per-program stages — core.Front before the joint model is
 // built, core.Back after it is solved — and the joint model goes
 // through core.Solve; what is joint-only is the model itself and its
 // isolation audit.
-func compile(tenants []Tenant, target pisa.Target, opts Options, start []float64) (*Result, error) {
+func compile(tenants []Tenant, target pisa.Target, opts Options, starts [][]float64) (*Result, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("multitenant: no tenants")
 	}
@@ -140,7 +140,7 @@ func compile(tenants []Tenant, target pisa.Target, opts Options, start []float64
 		obs.Int("tenants", len(tenants)))
 	defer root.End()
 	co := core.Options{Solver: opts.Solver, SkipCodegen: opts.SkipCodegen, Certify: opts.Certify, Tracer: opts.Tracer}
-	co.Solver.Start = start
+	co.Solver.Start = starts
 
 	res := &Result{Target: target}
 	weights := make([]float64, len(tenants))
@@ -223,21 +223,25 @@ func compile(tenants []Tenant, target pisa.Target, opts Options, start []float64
 }
 
 // Compiler is a stateful joint compiler with a warm-start pool: for
-// each tenant mix it remembers the last joint solution and seeds the
-// next re-solve of the same mix with it. Re-solves after a weight or
-// floor change — the elastic reallocation path — then typically finish
-// at the root node. Safe for concurrent use.
+// each tenant mix it remembers two joint solutions — the last one and
+// the one before it (an ilpgen.History) — and seeds the next re-solve
+// of the same mix with both; the solver installs whichever scores
+// better under the new weights. A re-solve after a weight or floor
+// nudge then typically finishes at the root node on the last solution,
+// and so does a flip back to the weights before it, on the solution
+// before last. A flip into a regime neither pooled solution fits
+// searches a tree. No LP basis is pooled. Safe for concurrent use.
 type Compiler struct {
 	Target pisa.Target
 	Opts   Options
 
 	mu   sync.Mutex
-	pool map[string][]float64
+	pool map[string]ilpgen.History
 }
 
 // NewCompiler returns a Compiler for the target.
 func NewCompiler(target pisa.Target, opts Options) *Compiler {
-	return &Compiler{Target: target, Opts: opts, pool: make(map[string][]float64)}
+	return &Compiler{Target: target, Opts: opts, pool: make(map[string]ilpgen.History)}
 }
 
 // mixKey identifies a tenant mix up to model identity: the model's
@@ -255,18 +259,21 @@ func (c *Compiler) mixKey(tenants []Tenant) string {
 }
 
 // Compile jointly compiles the mix, seeding the solve from the pool
-// when the same mix was compiled before and banking the new solution.
+// when the same mix was compiled before and banking the new solution
+// as the mix's incumbent.
 func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 	key := c.mixKey(tenants)
 	c.mu.Lock()
-	start := c.pool[key]
+	starts := c.pool[key].Starts()
 	c.mu.Unlock()
-	res, err := compile(tenants, c.Target, c.Opts, start)
+	res, err := compile(tenants, c.Target, c.Opts, starts)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.pool[key] = res.Layout.Values
+	h := c.pool[key]
+	h.Push(res.Layout.Values)
+	c.pool[key] = h
 	c.mu.Unlock()
 	return res, nil
 }

@@ -11,6 +11,8 @@ import (
 
 	"p4all/internal/apps"
 	"p4all/internal/core"
+	"p4all/internal/ilp"
+	"p4all/internal/ilpgen"
 	"p4all/internal/modules"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
@@ -211,6 +213,71 @@ func TestWarmResolveSubSecond(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("warm re-solve took %v, want < 1s", d)
+	}
+}
+
+// driftMix is the tenant-drift workload's mix: CMS and KVS tenants with
+// 2048 floors, the KVS tenant weighted w.
+func driftMix(w float64) []Tenant {
+	ts := smallMix()
+	ts[0].MinUtility = 2048
+	ts[1].MinUtility = 2048
+	ts[1].Weight = w
+	return ts
+}
+
+// driftCompiler is a Compiler with the tenant-drift workload's solver
+// knobs.
+func driftCompiler() *Compiler {
+	return NewCompiler(mtTarget(), Options{
+		Solver: ilp.Options{
+			Deterministic: true,
+			Gap:           0.1,
+			NodeLimit:     1000,
+			TimeLimit:     15 * time.Second,
+		},
+		SkipCodegen: true,
+	})
+}
+
+// TestDriftFlipBackEndsAtRoot runs the tenant-drift cycle (a cold
+// compile at weight 2, nudges to 2.5 and 2, flips to 0.5 and back to
+// 2) through the pool. The nudges end at the root on the incumbent,
+// reporting the root bound's gap rather than 0. The first flip has no
+// pooled layout near its optimum and searches. The flip back starts
+// from the layout before last — the nudge's — and ends at the root with
+// the nudge's objective. Nothing is keyed on weights: the predecessor
+// wins because it scores better under the new objective.
+func TestDriftFlipBackEndsAtRoot(t *testing.T) {
+	c := driftCompiler()
+	if _, err := c.Compile(driftMix(2)); err != nil {
+		t.Fatal(err)
+	}
+	var stats []ilpgen.Stats
+	var objs []float64
+	for _, w := range []float64{2.5, 2, 0.5, 2} {
+		res, err := c.Compile(driftMix(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Layout.Stats
+		t.Logf("w=%v: %d nodes, start %s, gap %.4f, objective %v", w, st.Nodes, st.Seed(), st.Gap, res.Layout.Objective)
+		stats = append(stats, st)
+		objs = append(objs, res.Layout.Objective)
+	}
+	for i, w := range []float64{2.5, 2} {
+		if st := stats[i]; st.Nodes != 1 || st.Seed() != "incumbent" || st.Gap <= 0 {
+			t.Errorf("nudge to %v: %d nodes, start %s, gap %v; want a root stop on the incumbent at the root bound's nonzero gap", w, st.Nodes, st.Seed(), st.Gap)
+		}
+	}
+	if st := stats[2]; st.Nodes <= 1 {
+		t.Errorf("first flip: %d nodes, start %s; want a tree search", st.Nodes, st.Seed())
+	}
+	if st := stats[3]; st.Nodes != 1 || st.Seed() != "predecessor" {
+		t.Errorf("flip back: %d nodes, start %s; want a root stop on the predecessor", st.Nodes, st.Seed())
+	}
+	if objs[3] != objs[1] {
+		t.Errorf("flip back objective %v, want the nudge's %v", objs[3], objs[1])
 	}
 }
 
