@@ -393,16 +393,16 @@ func phasesLine(p core.Phases) string {
 // solverStats is -stats' ILP block: the model's size, the search's
 // effort and which warm start seeded its incumbent, the simplex
 // iterations with the dual path's share, those iterations split by
-// caller (root LP, diving heuristic, tree) beside the warm restarts,
-// and the root presolve's reductions.
+// caller (root LP, with how it started; diving heuristic; tree) beside
+// the warm restarts, and the root presolve's reductions.
 func solverStats(st ilpgen.Stats) string {
 	return fmt.Sprintf("ILP: %d variables, %d constraints, %d nodes, certified gap %.2f%%, warm start %s\n"+
 		"solver: %d simplex iters (%d dual, %d primal fallbacks), %d refactorizations\n"+
-		"lp iters: root %d, dive %d, tree %d; %d warm restarts, %d warm fallbacks\n"+
+		"lp iters: root %d (%s), dive %d, tree %d; %d warm restarts, %d warm fallbacks\n"+
 		"presolve: %d bounds tightened, %d variables fixed, %d rows dropped\n",
 		st.Vars, st.Constrs, st.Nodes, 100*st.Gap, st.Seed(),
 		st.SimplexIter, st.DualIters, st.PrimalFallbacks, st.Refactors,
-		st.RootIters, st.DiveIters, st.TreeIters, st.WarmRestarts, st.WarmFallbacks,
+		st.RootIters, st.RootStart, st.DiveIters, st.TreeIters, st.WarmRestarts, st.WarmFallbacks,
 		st.Presolve.BoundsTightened, st.Presolve.VarsFixed, st.Presolve.RowsDropped)
 }
 

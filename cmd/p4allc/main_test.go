@@ -124,12 +124,12 @@ func TestStatsLines(t *testing.T) {
 	st := ilpgen.Stats{
 		Vars: 455, Constrs: 616, Nodes: 46, Gap: 0.0141, WarmStarted: true, StartIndex: 1,
 		SimplexIter: 3658, DualIters: 3036, PrimalFallbacks: 1, Refactors: 33,
-		RootIters: 309, DiveIters: 313, TreeIters: 3036, WarmRestarts: 2, WarmFallbacks: 1,
+		RootIters: 309, RootStart: "cold", DiveIters: 313, TreeIters: 3036, WarmRestarts: 2, WarmFallbacks: 1,
 		Presolve: ilp.PresolveStats{BoundsTightened: 13, VarsFixed: 12, RowsDropped: 62},
 	}
 	want = "ILP: 455 variables, 616 constraints, 46 nodes, certified gap 1.41%, warm start predecessor\n" +
 		"solver: 3658 simplex iters (3036 dual, 1 primal fallbacks), 33 refactorizations\n" +
-		"lp iters: root 309, dive 313, tree 3036; 2 warm restarts, 1 warm fallbacks\n" +
+		"lp iters: root 309 (cold), dive 313, tree 3036; 2 warm restarts, 1 warm fallbacks\n" +
 		"presolve: 13 bounds tightened, 12 variables fixed, 62 rows dropped\n"
 	if got := solverStats(st); got != want {
 		t.Errorf("solverStats =\n%s\nwant\n%s", got, want)

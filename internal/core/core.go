@@ -264,6 +264,7 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 		obs.String("start", st.Seed()),
 		obs.Int("warm_restarts", st.WarmRestarts),
 		obs.Int("warm_fallbacks", st.WarmFallbacks),
+		obs.String("root", st.RootStart),
 		obs.Int("root_iters", st.RootIters),
 		obs.Int("dive_iters", st.DiveIters),
 		obs.Int("tree_iters", st.TreeIters),
@@ -279,10 +280,13 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 	// Solver fast-path health counters, accumulated across every solve
 	// this tracer observes: dual pivots vs. fallbacks and warm restarts
 	// vs. theirs tell whether the basis-inheritance machinery is earning
-	// its keep, the iteration split says which caller the LP time went
-	// to, and the presolve counters track how much of the model the root
-	// reductions removed.
+	// its keep, the root LPs counted by how they started (cold, pooled,
+	// rejected) whether pooled bases are, the iteration split says which
+	// caller the LP time went to, and the presolve counters track how
+	// much of the model the root reductions removed.
 	tr := opts.Tracer
+	kind, _, _ := strings.Cut(st.RootStart, " ")
+	tr.Counter("solver.root_" + kind).Add(1)
 	tr.Counter("solver.dual_iters").Add(int64(st.DualIters))
 	tr.Counter("solver.primal_fallbacks").Add(int64(st.PrimalFallbacks))
 	tr.Counter("solver.warm_restarts").Add(int64(st.WarmRestarts))

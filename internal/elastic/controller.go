@@ -108,6 +108,9 @@ type Controller struct {
 	utility string
 	// starts holds the raw ILP assignments of the incumbent layout and
 	// of the layout it replaced — the warm starts of the next re-solve.
+	// It pools layouts only: every re-solve generates its model afresh
+	// from a new utility source, so no retained model is there to pair a
+	// root basis with.
 	starts ilpgen.History
 	// resolved, when set, sees every re-solve's result before the
 	// controller judges it — the seam tests use to corrupt a layout.
@@ -164,7 +167,7 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.starts.Push(res.Layout.Values)
+	c.starts.Push(ilp.Start{Values: res.Layout.Values})
 	c.gate, err = NewGate([]*Plane{plane})
 	if err != nil {
 		return nil, err
@@ -192,7 +195,7 @@ func uncertified(cert *tv.Certificate) string {
 // under.
 func (c *Controller) Utility() string { return c.utility }
 
-func (c *Controller) compile(utility string, starts [][]float64) (*core.Result, error) {
+func (c *Controller) compile(utility string, starts []ilp.Start) (*core.Result, error) {
 	opts := c.cfg.Solver
 	opts.Start = starts
 	// Drift decisions must replay identically, so re-solves run on one
@@ -268,7 +271,7 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 		// against the right objective. The served layout replaced none,
 		// so the predecessor stays.
 		c.utility = dec.Utility
-		c.starts[0] = res.Layout.Values
+		c.starts[0] = ilp.Start{Values: res.Layout.Values}
 		return dec
 	}
 	plane, droppedKV, err := Migrate(c.Plane(), res.Layout, w.HotKeys)
@@ -282,7 +285,7 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 	// A one-plane set always matches the one-plane gate: Swap cannot fail.
 	dec.Epoch, _ = c.gate.Swap([]*Plane{plane})
 	c.utility = dec.Utility
-	c.starts.Push(res.Layout.Values)
+	c.starts.Push(ilp.Start{Values: res.Layout.Values})
 	tr.Event("elastic.adopt",
 		obs.String("diff", diff.String()),
 		obs.Int("dropped_kv", droppedKV),
@@ -299,7 +302,7 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 // variable space is identical; only the objective weights moved).
 // Reports comparable=false when the spaces don't align.
 func (c *Controller) improvement(res *core.Result) (float64, bool) {
-	values := c.starts[0]
+	values := c.starts[0].Values
 	if len(values) != res.ILP.Model.NumVars() {
 		return 0, false
 	}

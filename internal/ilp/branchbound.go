@@ -41,21 +41,22 @@ type Options struct {
 	// DisableHeuristic skips the initial rounding dive used to seed an
 	// incumbent (used by ablation benchmarks).
 	DisableHeuristic bool
-	// Start supplies MIP starts, each a candidate value per model
-	// variable (its length must equal the model's variable count, else
-	// Solve returns an error). Every entry must be finite — a NaN or
-	// infinite value returns an error naming the start and the variable
-	// rather than being silently dropped. Each start is projected onto
-	// the variable bounds — integer variables rounded, out-of-range
-	// values clamped — and kept if the projected point satisfies every
-	// constraint. The kept start with the best objective under this
-	// model (ties go to the earlier start) is installed as the root
-	// incumbent before branching, so the search starts with a proven
-	// bound. Infeasible starts are silently dropped (with none left the
-	// solve proceeds cold); Solution.WarmStarted and StartIndex report
-	// what happened. Re-solves of a perturbed model seeded from previous
-	// solutions prune most of the tree and are typically near-instant.
-	Start [][]float64
+	// Start supplies MIP starts (see Start). Each start's Values must
+	// hold one entry per model variable, else Solve returns an error.
+	// Every entry must be finite — a NaN or infinite value returns an
+	// error naming the start and the variable rather than being silently
+	// dropped. Each start is projected onto the variable bounds — integer
+	// variables rounded, out-of-range values clamped — and kept if the
+	// projected point satisfies every constraint. The kept start with the
+	// best objective under this model (ties go to the earlier start) is
+	// installed as the root incumbent before branching, so the search
+	// starts with a proven bound, and its Basis, if any, is offered to
+	// the root LP (root.go). Infeasible starts are silently dropped (with
+	// none left the solve proceeds cold); Solution.WarmStarted,
+	// StartIndex and RootStart report what happened. Re-solves of a
+	// perturbed model seeded from previous solutions prune most of the
+	// tree and are typically near-instant.
+	Start []Start
 	// DisablePresolve turns off the root presolve (fixpoint bound
 	// tightening from constraint activity, integer bound rounding,
 	// fixed-variable substitution, redundant-row drops — see
@@ -77,6 +78,15 @@ type Options struct {
 	// ProgressEvery is the node interval between heartbeat callbacks
 	// (0 means the default of 256).
 	ProgressEvery int
+}
+
+// Start is one MIP start: a previous solution's values and, optionally,
+// its root LP basis (Solution.RootBasis). The root LP of a solve that
+// installs this start ends at Basis when Basis is optimal for it, and is
+// solved cold otherwise (root.go).
+type Start struct {
+	Values []float64
+	Basis  *Basis
 }
 
 // ProgressKind labels why a Progress snapshot was delivered.
@@ -249,6 +259,8 @@ type bb struct {
 	// before the tree search; the tree's share is the rest.
 	rootIters  int
 	diveCounts lpCounts
+	rootStart  string // how the root LP started (Solution.RootStart)
+	rootBasis  *Basis // the root LP's optimal basis
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -325,8 +337,8 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	var startX []float64
 	startObj, startIdx := math.Inf(1), 0
 	for i, start := range opts.Start {
-		if len(start) != sf.nStruct {
-			return nil, fmt.Errorf("ilp: start %d has %d values for %d variables", i, len(start), sf.nStruct)
+		if len(start.Values) != sf.nStruct {
+			return nil, fmt.Errorf("ilp: start %d has %d values for %d variables", i, len(start.Values), sf.nStruct)
 		}
 		// A non-finite start entry is a caller bug (a stale or
 		// corrupted warm-start pool), not a merely-infeasible point:
@@ -334,25 +346,30 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		// start would be dropped silently. Reject it loudly instead.
 		// Finite out-of-range values are legitimate (a start taken
 		// from a model with wider bounds) and are clamped.
-		for j, v := range start {
+		for j, v := range start.Values {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("ilp: start %d: value %v for variable %q (index %d) is not finite", i, v, m.vars[j].name, j)
 			}
 		}
 		// Strictly better only: a tie keeps the earlier start.
-		if x, obj := projectStart(sf, start); obj < startObj {
+		if x, obj := projectStart(sf, start.Values); obj < startObj {
 			startX, startObj, startIdx = x, obj, i
 		}
 	}
 
 	// The root relaxation, the warm-start installation, and the diving
 	// heuristic run single-threaded before the tree search fans out;
-	// worker 0's workspace is seeded here.
+	// worker 0's workspace is seeded here. The root LP starts from the
+	// installed start's basis when that basis is optimal for it.
+	var pooled *Basis
+	if startX != nil {
+		pooled = opts.Start[startIdx].Basis
+	}
 	ws := newWorkspace(sf)
 	lo, hi := sf.cloneBounds()
-	st, obj, x, counts, err := solveLP(sf, lo, hi, defaultIterLimit, nil, nil, restartPrimal, ws)
+	st, obj, x, counts, source, err := solveRoot(sf, lo, hi, pooled, ws)
 	b.tallies[0].addCounts(counts)
-	b.rootIters = counts.iters
+	b.rootIters, b.rootStart = counts.iters, source
 	b.nodesDone.Store(1)
 	b.tallies[0].nodes.Store(1)
 	if errors.Is(err, errDeadline) {
@@ -372,17 +389,26 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	case lpUnbounded:
 		return b.solution(StatusUnbounded), nil
 	}
+	// Capture the root basis now, while the workspace still holds it
+	// (the dive below reuses the workspace): the dive's first step
+	// restarts from it, the root node re-solves from it in zero pivots
+	// when popped, and Solution.RootBasis hands it to a later solve.
+	// Every warm restart of the dive is budgeted at what a cold root
+	// costs: this one's iterations, or those of the cold root a pooled
+	// basis descends from.
+	coldIters := counts.iters
+	if source == RootPooled {
+		coldIters = pooled.coldIters
+	}
+	rootSnap := ws.captureBasis(sf)
+	if rootSnap != nil {
+		b.rootBasis = &Basis{snap: rootSnap, coldIters: coldIters}
+	}
 	if !hasInt || integral(sf, x) {
 		b.install(obj, x)
 		return b.solution(StatusOptimal), nil
 	}
-	// Capture the root basis now, while the workspace still holds it
-	// (the dive below reuses the workspace): the dive's first step
-	// restarts from it, and the root node re-solves from it in zero
-	// pivots when popped. Every warm restart of the dive is budgeted at
-	// what this cold root cost.
-	rootSnap := ws.captureBasis(sf)
-	sf.warmCap = counts.iters
+	sf.warmCap = coldIters
 	// Queue the root node before anything can stop the search at the
 	// root: while it is open, every report — the incumbent events and
 	// the terminal BestBound — bounds the optimum by the root LP, not
@@ -553,6 +579,8 @@ func (b *bb) solution(status Status) *Solution {
 		WarmRestarts:     b.diveCounts.warm,
 		WarmFallbacks:    b.diveCounts.warmFallbacks,
 		RootIters:        b.rootIters,
+		RootStart:        b.rootStart,
+		RootBasis:        b.rootBasis,
 		DiveIters:        b.diveCounts.iters,
 		TreeIters:        iters - b.rootIters - b.diveCounts.iters,
 		Presolve:         b.sf.pre,

@@ -30,6 +30,7 @@ package ilp
 
 import (
 	"cmp"
+	"errors"
 	"math"
 	"slices"
 	"time"
@@ -79,11 +80,12 @@ func (ws *lpWorkspace) captureBasis(sf *standardForm) *basisSnapshot {
 // only the basic values move. Residency is decided by the plunge drivers
 // (chain starts invalidate), so it is a structural property of the
 // tree, identical at every thread count. empty reports a variable with
-// lo > hi (the LP is infeasible whatever the basis); ok=false means the
-// snapshot cannot start this LP: a nonbasic column rests on an infinite
-// bound, or the basis is singular.
+// lo > hi (the LP is infeasible whatever the basis); a non-nil error
+// means the snapshot cannot start this LP: errInfiniteNonbasic when a
+// nonbasic column rests on an infinite bound, errSingularBasis when the
+// basis does not factor.
 // s and its counters are valid in every case but empty.
-func installSnapshot(sf *standardForm, lo, hi []float64, snap *basisSnapshot, ws *lpWorkspace) (s *simplex, empty, ok bool) {
+func installSnapshot(sf *standardForm, lo, hi []float64, snap *basisSnapshot, ws *lpWorkspace) (s *simplex, empty bool, err error) {
 	m := sf.m
 	n := sf.nStruct + m
 	s = &simplex{
@@ -104,7 +106,7 @@ func installSnapshot(sf *standardForm, lo, hi []float64, snap *basisSnapshot, ws
 	for j := 0; j < sf.nStruct; j++ {
 		if s.lo[j] > s.hi[j]+feasTol {
 			ws.invalidate()
-			return nil, true, false
+			return nil, true, nil
 		}
 	}
 	for i := 0; i < m; i++ {
@@ -139,17 +141,21 @@ func installSnapshot(sf *standardForm, lo, hi []float64, snap *basisSnapshot, ws
 	for j := 0; j < n; j++ {
 		st := s.status[j]
 		if (st == nbLower && math.IsInf(s.lo[j], -1)) || (st == nbUpper && math.IsInf(s.hi[j], 1)) {
-			return s, false, false
+			return s, false, errInfiniteNonbasic
 		}
 	}
 	if resident {
 		s.pivots = ws.pivotAge
 		s.computeXB()
 	} else if err := s.refactorizeBasis(); err != nil {
-		return s, false, false
+		return s, false, err
 	}
-	return s, false, true
+	return s, false, nil
 }
+
+// errInfiniteNonbasic reports a snapshot that leaves a nonbasic column on
+// an infinite bound under the bounds it is installed with.
+var errInfiniteNonbasic = errors.New("ilp: nonbasic column on an infinite bound")
 
 // dualCand is one admissible entering candidate of a dual ratio test.
 type dualCand struct {
@@ -179,11 +185,11 @@ func maxDualIters(m int) int { return 2*m + 200 }
 func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSnapshot, ws *lpWorkspace) (lpStatus, float64, []float64, lpCounts, bool, error) {
 	m := sf.m
 	n := sf.nStruct + m
-	s, empty, ok := installSnapshot(sf, lo, hi, snap, ws)
+	s, empty, err := installSnapshot(sf, lo, hi, snap, ws)
 	if empty {
 		return lpInfeasible, 0, nil, lpCounts{}, true, nil
 	}
-	if !ok {
+	if err != nil {
 		return 0, 0, nil, s.dualCounts(), false, nil
 	}
 

@@ -103,7 +103,7 @@ func TestWarmStartNonFinite(t *testing.T) {
 		good := make([]float64, m.NumVars())
 		start := make([]float64, m.NumVars())
 		start[3] = bad
-		_, err := Solve(m, Options{Start: [][]float64{good, start}})
+		_, err := Solve(m, Options{Start: valueStarts(good, start)})
 		if err == nil {
 			t.Fatalf("start containing %v accepted", bad)
 		}

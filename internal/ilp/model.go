@@ -17,6 +17,7 @@ package ilp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -226,6 +227,17 @@ func (m *Model) EachConstr(f func(name string, expr Expr, op Op, rhs float64)) {
 	}
 }
 
+// Clone returns a copy of the model that shares its constraint rows:
+// variables, constraints, bounds or an objective given to either
+// afterwards leave the other as it was. Rows are never changed once
+// added, so the copy costs one slice of variables, not the rows.
+func (m *Model) Clone() *Model {
+	c := *m
+	c.vars = slices.Clone(m.vars)
+	c.constrs = m.constrs[:len(m.constrs):len(m.constrs)]
+	return &c
+}
+
 // SetObjective sets the objective expression and direction. The
 // expression's constant term is preserved and added to reported
 // objective values.
@@ -320,6 +332,15 @@ type Solution struct {
 	// RootIters, DiveIters and TreeIters split SimplexIters by caller:
 	// the root LP, the diving heuristic, and the tree's node re-solves.
 	RootIters, DiveIters, TreeIters int
+	// RootStart says how the root LP started: RootCold, RootPooled (the
+	// installed start's basis was optimal for it, so it ended after one
+	// pricing pass), or "rejected (<reason>)" when that basis was not
+	// optimal and the root was solved cold — reason is "shape",
+	// "singular", "not primal feasible" or "not dual feasible".
+	RootStart string
+	// RootBasis is the root LP's optimal basis, for a later solve's
+	// Start.Basis (nil when the root LP was not solved to optimality).
+	RootBasis *Basis
 	// Presolve reports the root presolve's reductions (zero when
 	// Options.DisablePresolve was set).
 	Presolve PresolveStats

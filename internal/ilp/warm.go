@@ -39,11 +39,11 @@ import "errors"
 // ok=false when the attempt should fall back to the cold path;
 // the only returned error is errDeadline.
 func solvePrimalWarm(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSnapshot, ws *lpWorkspace) (lpStatus, float64, []float64, lpCounts, bool, error) {
-	s, empty, ok := installSnapshot(sf, lo, hi, snap, ws)
+	s, empty, err := installSnapshot(sf, lo, hi, snap, ws)
 	if empty {
 		return lpInfeasible, 0, nil, lpCounts{warm: 1}, true, nil
 	}
-	if !ok {
+	if err != nil {
 		return 0, 0, nil, s.warmCounts(false), false, nil
 	}
 	limit := iterLimit

@@ -2,6 +2,7 @@ package ilp_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -27,16 +28,17 @@ var driftOptions = ilp.Options{
 // TestWarmDiveSplit prints where the LP iterations of the tenant-drift
 // cycle and of two compiles go — root, dive, tree — with the dive's
 // warm primal restarts and their fallbacks. The drift re-solves are
-// warm-started the way multitenant.Compiler does it, from a two-layout
-// ilpgen.History, and each line names the start that seeded the
-// incumbent. `make bench-profile` runs it with -v so the CI artifact
-// shows the split.
+// warm-started the way multitenant.Compiler does it, from a two-start
+// ilpgen.History of layouts and their root bases, and each line names
+// the start that seeded the incumbent and how the root LP started.
+// `make bench-profile` runs it with -v so the CI artifact shows the
+// split.
 func TestWarmDiveSplit(t *testing.T) {
 	logSplit := func(name string, sol *ilp.Solution) {
 		t.Helper()
 		seed := ilpgen.Stats{WarmStarted: sol.WarmStarted, StartIndex: sol.StartIndex}.Seed()
-		t.Logf("%-22s nodes %4d  iters %5d = root %4d + dive %4d + tree %5d  warm restarts %3d, fallbacks %d  start %s",
-			name, sol.Nodes, sol.SimplexIters, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.WarmRestarts, sol.WarmFallbacks, seed)
+		t.Logf("%-22s nodes %4d  iters %5d = root %4d + dive %4d + tree %5d  warm restarts %3d, fallbacks %d  start %-11s root %s",
+			name, sol.Nodes, sol.SimplexIters, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.WarmRestarts, sol.WarmFallbacks, seed, sol.RootStart)
 		if sol.RootIters+sol.DiveIters+sol.TreeIters != sol.SimplexIters {
 			t.Errorf("%s: split %d + %d + %d does not sum to %d iterations", name, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.SimplexIters)
 		}
@@ -47,7 +49,7 @@ func TestWarmDiveSplit(t *testing.T) {
 	}
 	logSplit("drift cold w=2", sol)
 	var pool ilpgen.History
-	pool.Push(sol.Values)
+	pool.Push(ilp.Start{Values: sol.Values, Basis: sol.RootBasis})
 	for cycle := 0; cycle < 2; cycle++ {
 		for _, w := range driftWeights {
 			opts := driftOptions
@@ -55,7 +57,7 @@ func TestWarmDiveSplit(t *testing.T) {
 			if sol, err = ilp.Solve(twoTenantModel(t, w), opts); err != nil {
 				t.Fatal(err)
 			}
-			pool.Push(sol.Values)
+			pool.Push(ilp.Start{Values: sol.Values, Basis: sol.RootBasis})
 			logSplit(fmt.Sprintf("drift %d w=%v", cycle, w), sol)
 			if !sol.WarmStarted {
 				t.Fatalf("re-solve at weight %v was not warm-started", w)
@@ -73,6 +75,39 @@ func TestWarmDiveSplit(t *testing.T) {
 	logSplit("precision 1.75 Mb", sol)
 	if sol.DiveIters == 0 || sol.WarmRestarts == 0 {
 		t.Errorf("Precision dive: %d iterations, %d warm restarts; want both positive", sol.DiveIters, sol.WarmRestarts)
+	}
+}
+
+// TestPooledRootAfterFlip: tenant-drift's first flip (KVS weight 2 →
+// 0.5) leaves the w = 2 root basis dual infeasible. It is rejected for
+// that reason, and the solve — nodes, iterations, values, everything but
+// the reported root start — is the one without the basis.
+func TestPooledRootAfterFlip(t *testing.T) {
+	before, err := ilp.Solve(twoTenantModel(t, 2), driftOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(basis *ilp.Basis) *ilp.Solution {
+		t.Helper()
+		opts := driftOptions
+		opts.Start = []ilp.Start{{Values: before.Values, Basis: basis}}
+		sol, err := ilp.Solve(twoTenantModel(t, 0.5), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
+	}
+	want, got := solve(nil), solve(before.RootBasis)
+	if got.RootStart != "rejected (not dual feasible)" {
+		t.Fatalf("flip: root %q, want rejected (not dual feasible)", got.RootStart)
+	}
+	if want.RootStart != ilp.RootCold {
+		t.Fatalf("flip without a basis: root %q, want cold", want.RootStart)
+	}
+	got.RootStart = want.RootStart
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flip with a rejected basis: %d nodes, %d iterations, objective %v; without it %d, %d, %v",
+			got.Nodes, got.SimplexIters, got.Objective, want.Nodes, want.SimplexIters, want.Objective)
 	}
 }
 

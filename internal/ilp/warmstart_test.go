@@ -33,6 +33,15 @@ func correlatedKnapsack(n int, bump float64) *Model {
 	return m
 }
 
+// valueStarts makes one MIP start, without a basis, of each assignment.
+func valueStarts(values ...[]float64) []Start {
+	starts := make([]Start, len(values))
+	for i, v := range values {
+		starts[i] = Start{Values: v}
+	}
+	return starts
+}
+
 // TestWarmStartFewerNodes re-solves a perturbed model seeded with the
 // previous solution and requires the warm search to explore strictly
 // fewer branch-and-bound nodes than the cold search of the same model.
@@ -60,7 +69,7 @@ func TestWarmStartFewerNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(pert, Options{Gap: 0.03, Start: [][]float64{cold0.Values}, Threads: 1})
+	warm, err := Solve(pert, Options{Gap: 0.03, Start: valueStarts(cold0.Values), Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +96,7 @@ func TestWarmStartGapTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(m, Options{Start: [][]float64{exact.Values}, Gap: 0.03})
+	warm, err := Solve(m, Options{Start: valueStarts(exact.Values), Gap: 0.03})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +115,7 @@ func TestWarmStartProjection(t *testing.T) {
 	// solve must branch — the start actually matters.
 	// 6.4 rounds to 6; 99 clamps to 10 — but 2*(6+10) > 13, infeasible,
 	// so the start is dropped and the solve proceeds cold.
-	sol, err := Solve(projModel(), Options{Start: [][]float64{{6.4, 99}}})
+	sol, err := Solve(projModel(), Options{Start: valueStarts([]float64{6.4, 99})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +127,7 @@ func TestWarmStartProjection(t *testing.T) {
 	}
 	// A feasible fractional start survives projection: [5.2, 0.9]
 	// rounds to [5, 1], weight 12 <= 13.
-	sol, err = Solve(projModel(), Options{Start: [][]float64{{5.2, 0.9}}})
+	sol, err = Solve(projModel(), Options{Start: valueStarts([]float64{5.2, 0.9})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +175,7 @@ func TestWarmStartPicksBest(t *testing.T) {
 		{"none feasible", [][]float64{{6.4, 99}, {10, 10}}, false, 0, nil},
 	}
 	for _, tc := range cases {
-		sol, err := Solve(projModel(), Options{Start: tc.starts, Gap: 0.1, Deterministic: true})
+		sol, err := Solve(projModel(), Options{Start: valueStarts(tc.starts...), Gap: 0.1, Deterministic: true})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -189,7 +198,7 @@ func TestWarmStartPicksBest(t *testing.T) {
 func TestWarmRootStopReportsRootBound(t *testing.T) {
 	var events []Progress
 	sol, err := Solve(projModel(), Options{
-		Start:    [][]float64{{5, 1}},
+		Start:    valueStarts([]float64{5, 1}),
 		Gap:      0.1,
 		Progress: func(p Progress) { events = append(events, p) },
 	})
@@ -219,7 +228,7 @@ func TestWarmRootStopReportsRootBound(t *testing.T) {
 // a silent misalignment.
 func TestWarmStartBadLength(t *testing.T) {
 	m := correlatedKnapsack(8, 0)
-	if _, err := Solve(m, Options{Start: [][]float64{{1, 0}}}); err == nil {
+	if _, err := Solve(m, Options{Start: valueStarts([]float64{1, 0})}); err == nil {
 		t.Fatal("expected error for mismatched start length")
 	}
 }

@@ -112,6 +112,23 @@ func GenerateJoint(tenants []TenantUnit, target *pisa.Target) (*Joint, error) {
 	return j, nil
 }
 
+// Clone returns a copy of the joint model for a solve under its own
+// objective: SetObjective on the copy adds the objective, floor and
+// max-min rows to the copy only. The copy shares the generated rows
+// (ilp.Model.Clone) and the tenants' generated slices, which are
+// read-only once generated; its tenants point at the copy's model.
+func (j *Joint) Clone() *Joint {
+	c := *j
+	c.Model = j.Model.Clone()
+	c.Tenants = make([]*ILP, len(j.Tenants))
+	for i, p := range j.Tenants {
+		t := *p
+		t.Model = c.Model
+		c.Tenants[i] = &t
+	}
+	return &c
+}
+
 // Fairness configures the joint objective over the tenants' utilities.
 type Fairness struct {
 	// Weights scales each tenant's utility in the weighted-sum
@@ -219,6 +236,9 @@ type JointLayout struct {
 	Stages []StageUse
 	Stats  Stats
 	Values []float64
+	// RootBasis is the root LP's optimal basis: with Values, the
+	// ilp.Start that re-solves of the same model pool (History).
+	RootBasis *ilp.Basis
 }
 
 // Tenant returns the named tenant's layout, or nil.
@@ -258,6 +278,7 @@ func (j *Joint) Solve(opts ilp.Options) (*JointLayout, error) {
 		Objective: sol.Objective,
 		Stages:    make([]StageUse, j.Target.Stages),
 		Values:    append([]float64(nil), sol.Values...),
+		RootBasis: sol.RootBasis,
 	}
 	for _, p := range j.Tenants {
 		l := p.extract(sol)

@@ -277,7 +277,7 @@ func TestJointWarmStartAlignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := jointOpts()
-	o.Start = [][]float64{first.Values}
+	o.Start = []ilp.Start{{Values: first.Values}}
 	jl2, err := j2.Solve(o)
 	if err != nil {
 		t.Fatal(err)

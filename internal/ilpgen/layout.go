@@ -78,6 +78,9 @@ type Stats struct {
 	// meaningful only when it is true, says which (see Seed).
 	WarmStarted bool
 	StartIndex  int
+	// RootStart says how the root LP started: "cold", "pooled" or
+	// "rejected (<reason>)" (see ilp.Solution.RootStart).
+	RootStart string
 	// Threads is the number of branch-and-bound workers the solve ran
 	// with; Workers carries their per-worker effort tallies.
 	Threads int
@@ -103,29 +106,32 @@ type Layout struct {
 }
 
 // History is the MIP-start pool of a loop that re-solves one model as
-// its objective drifts: the raw assignment (Layout.Values) of the
-// incumbent layout and of the layout it replaced, in that order. Every
-// re-solve passes both as ilp.Options.Start, and the solver installs
-// whichever scores better under the new objective. Two is the smallest
+// its objective drifts: the start (ilp.Start) of the incumbent layout
+// and of the layout it replaced, in that order. Each start holds the
+// layout's raw assignment (Layout.Values) and, when the loop pools it,
+// the root LP basis of the solve that found the layout. Every re-solve
+// passes both as ilp.Options.Start, and the solver installs whichever
+// scores better under the new objective; its root LP ends at that
+// start's basis when the basis is still optimal. Two is the smallest
 // history that covers a regime flipping back (A → B → A): the flip back
 // starts from A's own layout and, when that is still within the gap,
 // ends at the root. It is a constant, not an option: a deeper pool
 // would hand a periodic drift layouts from its previous period, so its
-// cycles would stop repeating the first one. No LP basis is pooled.
-type History [2][]float64
+// cycles would stop repeating the first one.
+type History [2]ilp.Start
 
 // historyRoles names History's entries, and so the values of Seed.
 var historyRoles = [...]string{"incumbent", "predecessor"}
 
-// Push records values as the incumbent; the old incumbent becomes the
+// Push records s as the incumbent; the old incumbent becomes the
 // predecessor.
-func (h *History) Push(values []float64) { h[0], h[1] = values, h[0] }
+func (h *History) Push(s ilp.Start) { h[0], h[1] = s, h[0] }
 
-// Starts returns the pooled assignments for ilp.Options.Start,
-// incumbent first (none before the first Push).
-func (h History) Starts() [][]float64 {
+// Starts returns the pooled starts for ilp.Options.Start, incumbent
+// first (none before the first Push).
+func (h History) Starts() []ilp.Start {
 	n := 0
-	for n < len(h) && h[n] != nil {
+	for n < len(h) && h[n].Values != nil {
 		n++
 	}
 	return h[:n:n]
@@ -207,6 +213,7 @@ func (p *ILP) extract(sol *ilp.Solution) *Layout {
 			LimitHit:        sol.Status == ilp.StatusLimit,
 			WarmStarted:     sol.WarmStarted,
 			StartIndex:      sol.StartIndex,
+			RootStart:       sol.RootStart,
 			Threads:         sol.Threads,
 			Workers:         append([]ilp.WorkerCounts(nil), sol.Workers...),
 		},

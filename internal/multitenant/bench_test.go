@@ -5,8 +5,9 @@ import (
 )
 
 // BenchmarkMultiTenantResolve measures the elastic-reallocation path
-// through the Compiler's warm-start pool — the controller's
-// reweight-on-drift scenario.
+// through the Compiler's retained mix — the controller's
+// reweight-on-drift scenario. Every timed re-solve reuses the mix's
+// front ends and model and is seeded from its pooled starts.
 //
 // Both variants run the fairness figure's solver knobs (10% gap, 1000
 // nodes, 15s): the elastic controller reads allocations off the
@@ -14,16 +15,18 @@ import (
 // the branch-and-bound worst case — it would dominate the measurement
 // without changing a single allocation.
 //
-//   - nudge: the common drift case. The weight moves but the previous
-//     allocation stays within the accepted gap, so the re-solve
-//     terminates at the root on the warm incumbent — the sub-second
-//     reallocation claim.
+//   - nudge: the common drift case, a pooled-root stop. The weight
+//     moves but the previous root basis stays optimal, so the root LP
+//     ends at it after one pricing pass, and the previous allocation
+//     stays within the accepted gap, so the re-solve terminates at the
+//     root on the warm incumbent — the millisecond reallocation claim.
 //   - flip: the adversarial case. The weight change inverts which
 //     tenant the objective favors, no pooled layout is near the new
-//     optimum, and a real (bounded) tree search runs. Each iteration
-//     times the first flip away from a fresh pool: alternating two
-//     weights on one pool would time flips back, which the pool's
-//     predecessor ends at the root.
+//     optimum, the pooled root basis is not dual feasible under the new
+//     weights and is rejected, and a real (bounded) tree search runs
+//     from a cold root. Each iteration times the first flip away from
+//     a fresh Compiler: alternating two weights on one Compiler would
+//     time flips back, which the pooled predecessor ends at the root.
 //
 // Nothing gates on it: bench/'s tenant-drift workload runs the same
 // knobs and is what judges a change (multitenant.nudge_s, flip_s and

@@ -6,8 +6,8 @@
 // utilities. The result is the elastic answer to switch multi-tenancy:
 // instead of statically partitioning the pipeline, the compiler trades
 // memory, ALUs, and PHV bits between tenants by weight, re-solving the
-// joint model as weights drift (Compiler pools the last two solutions
-// per mix for sub-second reallocation).
+// joint model as weights drift (Compiler retains each mix's model and
+// last two solutions for millisecond reallocation).
 //
 // Isolation is checked, not assumed: every compile runs
 // check.ModelIsolation over the generated model and refuses to emit
@@ -107,6 +107,10 @@ type Result struct {
 	Layout  *ilpgen.JointLayout
 	Tenants []*TenantResult
 	Phases  core.Phases
+	// Retained reports that the compile reused the front ends and joint
+	// model its Compiler retained for the mix, so its Parse and Bounds
+	// phases are zero and its Generate phase only set the objective.
+	Retained bool
 }
 
 // Tenant returns the named tenant's result, or nil.
@@ -120,56 +124,119 @@ func (r *Result) Tenant(name string) *TenantResult {
 }
 
 // Compile parses, jointly optimizes, isolation-checks, and (unless
-// skipped) emits all tenants against one target.
+// skipped) emits all tenants against one target: a Compiler used once.
 func Compile(tenants []Tenant, target pisa.Target, opts Options) (*Result, error) {
-	return compile(tenants, target, opts, nil)
+	return NewCompiler(target, opts).Compile(tenants)
 }
 
-// compile is the shared implementation; starts seed the joint solve
-// (the Compiler's warm pool path). Each tenant runs
-// core's per-program stages — core.Front before the joint model is
-// built, core.Back after it is solved — and the joint model goes
-// through core.Solve; what is joint-only is the model itself and its
-// isolation audit.
-func compile(tenants []Tenant, target pisa.Target, opts Options, starts [][]float64) (*Result, error) {
+// Compiler is a stateful joint compiler. For each tenant mix it keeps a
+// retained mix: the tenants' core.Front results and the joint model as
+// GenerateJoint built it, before any objective, with an ilpgen.History
+// of the mix's last two solutions and their root LP bases. A re-solve
+// of a mix compiled before runs no front end and generates no model: it
+// sets its weights, floors and fairness mode on a clone of the retained
+// model, audits that clone's isolation and solves it, seeded from the
+// history. The solver installs whichever pooled solution scores better
+// under the new weights, and its root LP ends at that solution's basis
+// when the basis is still optimal (ilp.Start). A re-solve after a weight
+// or floor nudge then typically finishes at the root without a pivot,
+// and so does a flip back to the weights before it. A flip into a
+// regime neither pooled solution fits searches a tree. Safe for
+// concurrent use.
+type Compiler struct {
+	Target pisa.Target
+	Opts   Options
+
+	mu    sync.Mutex
+	mixes map[string]*mix
+}
+
+// mix is what a Compiler retains of one tenant mix. Everything but the
+// history is read-only once retained; the history is guarded by the
+// Compiler's mutex.
+type mix struct {
+	fronts  []*core.Result
+	joint   *ilpgen.Joint // no objective set
+	history ilpgen.History
+}
+
+// NewCompiler returns a Compiler for the target.
+func NewCompiler(target pisa.Target, opts Options) *Compiler {
+	return &Compiler{Target: target, Opts: opts, mixes: make(map[string]*mix)}
+}
+
+// mixKey identifies a tenant mix up to model identity: the model's
+// variables and rows are determined by the ordered tenant names and
+// sources and by every field of the target, and the MaxMin flag adds a
+// variable that pooled starts must align with. Weights and floors do not
+// enter: they set the objective and add rows on each re-solve's clone.
+func mixKey(tenants []Tenant, target pisa.Target, maxMin bool) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "target=%#v\nmaxmin=%v\n", target, maxMin)
+	for _, t := range tenants {
+		fmt.Fprintf(h, "tenant=%s\nlen=%d\n%s\n", t.Name, len(t.Source), t.Source)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// Compile jointly compiles the mix. The first compile of a mix runs each
+// tenant's core.Front and GenerateJoint and retains them; later ones
+// reuse them (Result.Retained). Each tenant runs core's per-program
+// stages — core.Front before the joint model is built, core.Back after
+// it is solved — and the joint model goes through core.Solve; what is
+// joint-only is the model itself and its isolation audit. The solution
+// and its root LP basis become the mix's incumbent start.
+func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("multitenant: no tenants")
 	}
-	root := opts.Tracer.StartSpan("multitenant.compile",
-		obs.String("target", target.Name),
-		obs.Int("tenants", len(tenants)))
-	defer root.End()
-	co := core.Options{Solver: opts.Solver, SkipCodegen: opts.SkipCodegen, Certify: opts.Certify, Tracer: opts.Tracer}
-	co.Solver.Start = starts
-
-	res := &Result{Target: target}
 	weights := make([]float64, len(tenants))
 	floors := make([]float64, len(tenants))
-	tus := make([]ilpgen.TenantUnit, len(tenants))
 	for i, t := range tenants {
 		w, err := t.weight()
 		if err != nil {
 			return nil, err
 		}
-		weights[i] = w
-		floors[i] = t.MinUtility
-		front, err := core.Front(t.Source, target, root)
-		if err != nil {
-			return nil, fmt.Errorf("multitenant: tenant %s: %w", t.Name, err)
+		weights[i], floors[i] = w, t.MinUtility
+	}
+	target, opts := c.Target, c.Opts
+	key := mixKey(tenants, target, opts.MaxMin)
+	c.mu.Lock()
+	mx := c.mixes[key]
+	c.mu.Unlock()
+
+	res := &Result{Target: target, Retained: mx != nil}
+	root := opts.Tracer.StartSpan("multitenant.compile",
+		obs.String("target", target.Name),
+		obs.Int("tenants", len(tenants)),
+		obs.Bool("retained", res.Retained))
+	defer root.End()
+	co := core.Options{Solver: opts.Solver, SkipCodegen: opts.SkipCodegen, Certify: opts.Certify, Tracer: opts.Tracer}
+
+	var fronts []*core.Result
+	if mx == nil {
+		fronts = make([]*core.Result, len(tenants))
+		for i, t := range tenants {
+			front, err := core.Front(t.Source, target, root)
+			if err != nil {
+				return nil, fmt.Errorf("multitenant: tenant %s: %w", t.Name, err)
+			}
+			fronts[i] = front
+			res.Phases.Parse += front.Phases.Parse
+			res.Phases.Bounds += front.Phases.Bounds
 		}
-		res.Tenants = append(res.Tenants, &TenantResult{Name: t.Name, Result: front})
-		res.Phases.Parse += front.Phases.Parse
-		res.Phases.Bounds += front.Phases.Bounds
-		tus[i] = ilpgen.TenantUnit{Name: t.Name, Unit: front.Unit, Bounds: front.Bounds}
 	}
 
 	begin := time.Now()
 	sp := root.Child("generate")
-	joint, err := ilpgen.GenerateJoint(tus, &res.Target)
-	if err != nil {
-		sp.End()
-		return nil, err
+	if mx == nil {
+		var err error
+		if mx, err = c.retain(key, target, tenants, fronts); err != nil {
+			sp.End()
+			return nil, err
+		}
 	}
+	joint := mx.joint.Clone()
 	if err := joint.SetObjective(ilpgen.Fairness{
 		Weights:    weights,
 		MinUtility: floors,
@@ -185,10 +252,17 @@ func compile(tenants []Tenant, target pisa.Target, opts Options, starts [][]floa
 	sp.End()
 	res.Joint = joint
 	res.Phases.Generate = time.Since(begin)
+	for i, t := range tenants {
+		tr := *mx.fronts[i]
+		if res.Retained {
+			tr.Phases = core.Phases{}
+		}
+		res.Tenants = append(res.Tenants, &TenantResult{Name: t.Name, Result: &tr})
+	}
 
-	// The isolation audit runs before the solve: a mis-partitioned
-	// model taints every layout it could produce, so there is no point
-	// paying for the search first.
+	// The isolation audit runs before the solve, on the very model the
+	// solve gets: a mis-partitioned model taints every layout it could
+	// produce, so there is no point paying for the search first.
 	begin = time.Now()
 	sp = root.Child("isolate")
 	if vs := check.ModelIsolation(joint.Model, joint.Names); len(vs) > 0 {
@@ -198,6 +272,10 @@ func compile(tenants []Tenant, target pisa.Target, opts Options, starts [][]floa
 	sp.End()
 	res.Phases.Isolate = time.Since(begin)
 
+	c.mu.Lock()
+	co.Solver.Start = mx.history.Starts()
+	c.mu.Unlock()
+	var err error
 	res.Phases.Solve, err = core.Solve(co, root, func(solver ilp.Options) (ilpgen.Stats, float64, error) {
 		jl, err := joint.Solve(solver)
 		if err != nil {
@@ -219,61 +297,31 @@ func compile(tenants []Tenant, target pisa.Target, opts Options, starts [][]floa
 		res.Phases.Codegen += tr.Phases.Codegen
 		res.Phases.Certify += tr.Phases.Certify
 	}
+	c.mu.Lock()
+	mx.history.Push(ilp.Start{Values: res.Layout.Values, Basis: res.Layout.RootBasis})
+	c.mu.Unlock()
 	return res, nil
 }
 
-// Compiler is a stateful joint compiler with a warm-start pool: for
-// each tenant mix it remembers two joint solutions — the last one and
-// the one before it (an ilpgen.History) — and seeds the next re-solve
-// of the same mix with both; the solver installs whichever scores
-// better under the new weights. A re-solve after a weight or floor
-// nudge then typically finishes at the root node on the last solution,
-// and so does a flip back to the weights before it, on the solution
-// before last. A flip into a regime neither pooled solution fits
-// searches a tree. No LP basis is pooled. Safe for concurrent use.
-type Compiler struct {
-	Target pisa.Target
-	Opts   Options
-
-	mu   sync.Mutex
-	pool map[string]ilpgen.History
-}
-
-// NewCompiler returns a Compiler for the target.
-func NewCompiler(target pisa.Target, opts Options) *Compiler {
-	return &Compiler{Target: target, Opts: opts, pool: make(map[string]ilpgen.History)}
-}
-
-// mixKey identifies a tenant mix up to model identity: the model's
-// variables (and so warm-start alignment) are determined by the
-// ordered tenant names and sources, the target, and the MaxMin flag
-// (which adds a variable). Weights and floors do not enter: they only
-// perturb the objective and add rows, which a warm start survives.
-func (c *Compiler) mixKey(tenants []Tenant) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "target=%s/%d/%d\nmaxmin=%v\n", c.Target.Name, c.Target.Stages, c.Target.MemoryBits, c.Opts.MaxMin)
-	for _, t := range tenants {
-		fmt.Fprintf(h, "tenant=%s\nlen=%d\n%s\n", t.Name, len(t.Source), t.Source)
+// retain generates the mix's joint model from the tenants' front results
+// and records it under key. When a concurrent compile retained the mix
+// first, its entry wins and the model built here is dropped: both are
+// the same model, and one history serves the mix.
+func (c *Compiler) retain(key string, target pisa.Target, tenants []Tenant, fronts []*core.Result) (*mix, error) {
+	tus := make([]ilpgen.TenantUnit, len(tenants))
+	for i, t := range tenants {
+		tus[i] = ilpgen.TenantUnit{Name: t.Name, Unit: fronts[i].Unit, Bounds: fronts[i].Bounds}
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// Compile jointly compiles the mix, seeding the solve from the pool
-// when the same mix was compiled before and banking the new solution
-// as the mix's incumbent.
-func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
-	key := c.mixKey(tenants)
-	c.mu.Lock()
-	starts := c.pool[key].Starts()
-	c.mu.Unlock()
-	res, err := compile(tenants, c.Target, c.Opts, starts)
+	joint, err := ilpgen.GenerateJoint(tus, &target)
 	if err != nil {
 		return nil, err
 	}
+	mx := &mix{fronts: fronts, joint: joint}
 	c.mu.Lock()
-	h := c.pool[key]
-	h.Push(res.Layout.Values)
-	c.pool[key] = h
-	c.mu.Unlock()
-	return res, nil
+	defer c.mu.Unlock()
+	if first := c.mixes[key]; first != nil {
+		return first, nil
+	}
+	c.mixes[key] = mx
+	return mx, nil
 }

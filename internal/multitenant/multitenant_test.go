@@ -3,9 +3,12 @@ package multitenant
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -320,32 +323,7 @@ func TestMaxMinCompile(t *testing.T) {
 // span, warm_started included, and the solver.* progress events under
 // it.
 func TestBoundsSpanCountsPathEstimates(t *testing.T) {
-	type record struct {
-		Kind   string         `json:"kind"`
-		Name   string         `json:"name"`
-		ID     uint64         `json:"id"`
-		Parent uint64         `json:"parent"`
-		Attrs  map[string]any `json:"attrs"`
-	}
-	trace := func(compile func(*obs.Tracer) error) []record {
-		var buf bytes.Buffer
-		tr := obs.New(obs.NewJSONLSink(&buf))
-		if err := compile(tr); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var recs []record
-		for dec := json.NewDecoder(&buf); dec.More(); {
-			var r record
-			if err := dec.Decode(&r); err != nil {
-				t.Fatal(err)
-			}
-			recs = append(recs, r)
-		}
-		return recs
-	}
+	trace := func(compile func(*obs.Tracer) error) []record { return traceRecords(t, compile) }
 	// solve returns the solve span's sorted attribute keys and a count
 	// of the events recorded under it.
 	solve := func(recs []record) (keys []string, events map[string]int) {
@@ -406,5 +384,316 @@ func TestBoundsSpanCountsPathEstimates(t *testing.T) {
 	}
 	if events["solver.root"] == 0 || events["solver.done"] == 0 {
 		t.Errorf("joint solve span events %v, want solver.root and solver.done", events)
+	}
+}
+
+// record is one JSONL trace record.
+type record struct {
+	Kind   string         `json:"kind"`
+	Name   string         `json:"name"`
+	ID     uint64         `json:"id"`
+	Parent uint64         `json:"parent"`
+	Attrs  map[string]any `json:"attrs"`
+	Value  float64        `json:"value"`
+}
+
+// traceRecords runs compile under a JSONL tracer and decodes the trace.
+func traceRecords(t *testing.T, compile func(*obs.Tracer) error) []record {
+	t.Helper()
+	var buf bytes.Buffer
+	tr := obs.New(obs.NewJSONLSink(&buf))
+	if err := compile(tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var recs []record
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var r record
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// driftStep is one compile of the tenant-drift cycle: its weight and
+// whether its root LP ends at a pooled basis.
+var driftSteps = []struct {
+	w    float64
+	root string
+}{
+	{2, ilp.RootCold},
+	{2.5, ilp.RootPooled},
+	{2, ilp.RootPooled},
+	{0.5, "rejected (not dual feasible)"},
+	{2, ilp.RootPooled},
+}
+
+// freshCompile is the joint compile written out from its parts, with
+// nothing retained: each tenant's front end, a newly generated model,
+// its objective, and the solve seeded with starts.
+func freshCompile(t *testing.T, c *Compiler, tenants []Tenant, starts []ilp.Start) *ilpgen.JointLayout {
+	t.Helper()
+	tus := make([]ilpgen.TenantUnit, len(tenants))
+	f := ilpgen.Fairness{MaxMin: c.Opts.MaxMin}
+	for i, tn := range tenants {
+		front, err := core.Front(tn.Source, c.Target, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tus[i] = ilpgen.TenantUnit{Name: tn.Name, Unit: front.Unit, Bounds: front.Bounds}
+		w, err := tn.weight()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Weights = append(f.Weights, w)
+		f.MinUtility = append(f.MinUtility, tn.MinUtility)
+	}
+	target := c.Target
+	joint, err := ilpgen.GenerateJoint(tus, &target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := joint.SetObjective(f); err != nil {
+		t.Fatal(err)
+	}
+	opts := c.Opts.Solver
+	opts.Start = starts
+	jl, err := joint.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jl
+}
+
+// TestRetainedMatchesFresh runs the tenant-drift cycle through one
+// Compiler and checks every re-solve against a compile that retains
+// nothing, given the starts the Compiler pooled: the retained model is
+// the model a fresh compile generates, so objectives, values and node
+// counts are equal. The root LPs start as tenant-drift's do.
+func TestRetainedMatchesFresh(t *testing.T) {
+	c := driftCompiler()
+	for i, step := range driftSteps {
+		var starts []ilp.Start
+		c.mu.Lock()
+		for _, mx := range c.mixes {
+			starts = mx.history.Starts()
+		}
+		c.mu.Unlock()
+		res, err := c.Compile(driftMix(step.w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Retained != (i > 0) {
+			t.Errorf("step %d (w=%v): retained %v", i, step.w, res.Retained)
+		}
+		st := res.Layout.Stats
+		if st.RootStart != step.root {
+			t.Errorf("step %d (w=%v): root %q, want %q", i, step.w, st.RootStart, step.root)
+		}
+		fresh := freshCompile(t, c, driftMix(step.w), starts)
+		if res.Layout.Objective != fresh.Objective || st.Nodes != fresh.Stats.Nodes || !slices.Equal(res.Layout.Values, fresh.Values) {
+			t.Errorf("step %d (w=%v): retained objective %v in %d nodes, fresh %v in %d (values equal: %v)",
+				i, step.w, res.Layout.Objective, st.Nodes, fresh.Objective, fresh.Stats.Nodes, slices.Equal(res.Layout.Values, fresh.Values))
+		}
+	}
+}
+
+// objectiveTerms reads a model's objective as a map.
+func objectiveTerms(m *ilp.Model) (map[ilp.Var]float64, ilp.Sense) {
+	expr, sense := m.Objective()
+	terms := map[ilp.Var]float64{}
+	expr.Terms(func(v ilp.Var, c float64) { terms[v] = c })
+	return terms, sense
+}
+
+// TestRetainedNoAliasing: each compile sets its objective and floor rows
+// on its own copy of the retained model, so a later compile under other
+// weights leaves an earlier Result's model as it was, and the retained
+// model itself gets no objective.
+func TestRetainedNoAliasing(t *testing.T) {
+	c := driftCompiler()
+	first, err := c.Compile(driftMix(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms, sense := objectiveTerms(first.Joint.Model)
+	rows := first.Joint.Model.NumConstrs()
+	if _, err := c.Compile(driftMix(0.5)); err != nil {
+		t.Fatal(err)
+	}
+	if after, afterSense := objectiveTerms(first.Joint.Model); !maps.Equal(after, terms) || afterSense != sense {
+		t.Errorf("a second compile changed the first result's objective")
+	}
+	if n := first.Joint.Model.NumConstrs(); n != rows {
+		t.Errorf("a second compile changed the first result's rows: %d, was %d", n, rows)
+	}
+	for _, mx := range c.mixes {
+		if terms, _ := objectiveTerms(mx.joint.Model); len(terms) != 0 {
+			t.Errorf("the retained model has an objective of %d terms", len(terms))
+		}
+		if n := mx.joint.Model.NumConstrs(); n != rows-2 {
+			t.Errorf("the retained model has %d rows, want the %d of a compile less its two floor rows", n, rows-2)
+		}
+	}
+}
+
+// TestRetainedConcurrent compiles and certifies one mix from several
+// goroutines at once, the first compiles included; run it under -race:
+// the compiles share the retained model and the tenants' units and
+// bounds. Every result meets the floors and is certified, and the
+// Compiler retains the mix once.
+func TestRetainedConcurrent(t *testing.T) {
+	opts := driftCompiler().Opts
+	opts.SkipCodegen, opts.Certify = false, true
+	c := NewCompiler(mtTarget(), opts)
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*len(driftSteps))
+	for range 2 {
+		for _, step := range driftSteps {
+			wg.Add(1)
+			go func(w float64) {
+				defer wg.Done()
+				res, err := c.Compile(driftMix(w))
+				if err == nil {
+					for i, u := range res.Layout.Utilities {
+						if u < 2048 {
+							err = fmt.Errorf("w=%v: tenant %s utility %v below its floor", w, res.Layout.Names[i], u)
+						}
+					}
+					for _, tr := range res.Tenants {
+						if !tr.Certificate.Proved() {
+							err = fmt.Errorf("w=%v: tenant %s: certificate %s", w, tr.Name, tr.Certificate.Verdict)
+						}
+					}
+				}
+				errs <- err
+			}(step.w)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if len(c.mixes) != 1 {
+		t.Errorf("%d retained mixes, want 1", len(c.mixes))
+	}
+}
+
+// TestRetainedCertificates: two certified compiles of one mix from one
+// Compiler, the second on the retained model from the first's start and
+// basis, emit certificates byte-identical to fresh compiles'.
+func TestRetainedCertificates(t *testing.T) {
+	opts := driftCompiler().Opts
+	opts.SkipCodegen, opts.Certify = false, true
+	c := NewCompiler(mtTarget(), opts)
+	for i := range 2 {
+		res, err := c.Compile(driftMix(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Compile(driftMix(2), mtTarget(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, tr := range res.Tenants {
+			got, err := tr.Certificate.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Tenants[k].Certificate.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tr.Certificate.Proved() || !bytes.Equal(got, want) {
+				t.Errorf("compile %d (retained %v), tenant %s: certificate differs from a fresh compile's (proved %v)", i, res.Retained, tr.Name, tr.Certificate.Proved())
+			}
+		}
+	}
+}
+
+// TestMixKeyCoversTarget: every field of the Compiler's target enters
+// the mix key, so a changed ALU budget generates a fresh model instead
+// of solving the one retained for the old budget.
+func TestMixKeyCoversTarget(t *testing.T) {
+	c := driftCompiler()
+	compile := func() *Result {
+		t.Helper()
+		res, err := c.Compile(driftMix(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	compile()
+	c.Target.StatefulALUs = 6
+	if res := compile(); res.Retained || res.Target.StatefulALUs != 6 {
+		t.Errorf("after a stateful-ALU change: retained %v, target has %d stateful ALUs", res.Retained, res.Target.StatefulALUs)
+	}
+	c.Target.StatefulALUs = mtTarget().StatefulALUs
+	if res := compile(); !res.Retained {
+		t.Error("the original target's mix was not retained")
+	}
+	if len(c.mixes) != 2 {
+		t.Errorf("%d retained mixes, want 2", len(c.mixes))
+	}
+}
+
+// TestRetainedTrace: a re-solve's trace says why it has no parse,
+// bounds or generate work: its multitenant.compile span is marked
+// retained, and its solve span says the root LP started from the pooled
+// basis; the solver.root_* counters count both compiles' roots.
+func TestRetainedTrace(t *testing.T) {
+	recs := traceRecords(t, func(tr *obs.Tracer) error {
+		c := driftCompiler()
+		c.Opts.Tracer = tr
+		for _, w := range []float64{2, 2.5} {
+			if _, err := c.Compile(driftMix(w)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	byID := map[uint64]record{}
+	for _, r := range recs {
+		if r.Kind == "span" {
+			byID[r.ID] = r
+		}
+	}
+	var retained []any
+	roots := map[string]int{}
+	spans := map[bool]map[string]int{false: {}, true: {}}
+	counters := map[string]float64{}
+	for _, r := range recs {
+		switch {
+		case r.Kind == "span" && r.Name == "multitenant.compile":
+			retained = append(retained, r.Attrs["retained"])
+		case r.Kind == "span":
+			parent := byID[r.Parent]
+			spans[parent.Attrs["retained"] == true][r.Name]++
+			if r.Name == "solve" {
+				roots[fmt.Sprint(r.Attrs["root"])]++
+			}
+		case strings.HasPrefix(r.Name, "solver.root_"):
+			counters[r.Name] = r.Value
+		}
+	}
+	if !slices.Equal(retained, []any{false, true}) {
+		t.Errorf("multitenant.compile retained attributes %v, want [false true]", retained)
+	}
+	if spans[true]["parse"] != 0 || spans[true]["bounds"] != 0 || spans[false]["parse"] != 2 || spans[false]["bounds"] != 2 {
+		t.Errorf("parse and bounds spans: %v on the cold compile, %v on the retained one", spans[false], spans[true])
+	}
+	if roots["cold"] != 1 || roots["pooled"] != 1 {
+		t.Errorf("solve spans' root attributes %v, want one cold and one pooled", roots)
+	}
+	if counters["solver.root_cold"] != 1 || counters["solver.root_pooled"] != 1 {
+		t.Errorf("solver.root_* counters %v, want one cold and one pooled", counters)
 	}
 }
