@@ -98,8 +98,9 @@ difftest:
 # (-det), so every certificate is a function of the commit alone.
 # Last come the two runtime paths that certify what they use: the
 # elastic drift loop (its initial compile must prove, and every
-# re-solve it adopts does) and netcacheserve -compile, which exits 1
-# rather than serve an unproved layout.
+# re-solve it adopts does; its stdout must equal drift.golden, which
+# pins the CLI's plumbing of the controller) and netcacheserve
+# -compile, which exits 1 rather than serve an unproved layout.
 CERTDIR ?= certs
 CERTAPPS := netcache sketchlearn precision conquest flowradar
 certify:
@@ -111,7 +112,7 @@ certify:
 	for ex in quickstart portability netcache sketchlearn; do \
 		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
 	done
-	$(GO) run ./cmd/netcachesim -drift > /dev/null
+	$(GO) run ./cmd/netcachesim -drift | cmp - internal/eval/testdata/drift.golden
 	$(GO) run ./cmd/netcacheserve -compile -addr 127.0.0.1:0 -duration 200ms
 
 # multitenant is the PR-acceptance scenario for the joint compiler: a

@@ -112,7 +112,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	progs, phases, err := compile(tenants, target, multitenant.Options{
+	// One program is a one-tenant mix: the same compile as many.
+	res, err := multitenant.Compile(tenants, target, multitenant.Options{
 		Solver:  solver,
 		MaxMin:  *maxminFlag,
 		Certify: *certifyFlag,
@@ -124,6 +125,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	progs, phases := res.Tenants, res.Phases
 
 	// One report for one program or many. A joint compile names each
 	// tenant in what it prints and fans -o and -cert out to one file per
@@ -217,29 +219,10 @@ func main() {
 	}
 }
 
-// compile runs one program through core.Compile, or several jointly
-// through internal/multitenant, and returns each program's result with
-// the phases of the whole compile.
-func compile(tenants []multitenant.Tenant, target pisa.Target, opts multitenant.Options) ([]*multitenant.TenantResult, core.Phases, error) {
-	if len(tenants) > 1 {
-		res, err := multitenant.Compile(tenants, target, opts)
-		if err != nil {
-			return nil, core.Phases{}, err
-		}
-		return res.Tenants, res.Phases, nil
-	}
-	t := tenants[0]
-	res, err := core.Compile(t.Source, target, core.Options{Solver: opts.Solver, Certify: opts.Certify, Name: t.Name, Tracer: opts.Tracer})
-	if err != nil {
-		return nil, core.Phases{}, err
-	}
-	return []*multitenant.TenantResult{{Name: t.Name, Utility: res.Layout.Objective, Result: res}}, res.Phases, nil
-}
-
 // loadTenants resolves the invocation's program list: built-in
 // benchmark apps when -app was given (comma-separated), else the
-// positional source files. One entry keeps the single-program compile
-// path; two or more switch to the joint multi-tenant compile.
+// positional source files, each named by its file's base name. Two or
+// more compile jointly.
 func loadTenants(appList string) ([]multitenant.Tenant, error) {
 	if appList != "" {
 		if flag.NArg() != 0 {
@@ -273,11 +256,6 @@ func loadTenants(appList string) ([]multitenant.Tenant, error) {
 	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if flag.NArg() == 1 {
-		// Single program: the display name stays the full path.
-		src, err := os.ReadFile(flag.Arg(0))
-		return []multitenant.Tenant{{Name: flag.Arg(0), Source: string(src)}}, err
 	}
 	var out []multitenant.Tenant
 	seen := make(map[string]bool)

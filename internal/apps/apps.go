@@ -17,11 +17,10 @@ type App struct {
 	Source string
 }
 
-// NetCacheConfig tunes the NetCache instantiation.
+// NetCacheConfig tunes the NetCache instantiation. The program optimizes
+// the paper's §3.2.4 utility, 0.4*(rows*cols) + 0.6*(kv_items); compile
+// it as a multitenant.Tenant with a Utility to optimize another.
 type NetCacheConfig struct {
-	// Utility is the optimize expression. Empty selects the paper's
-	// §3.2.4 default 0.4*(rows*cols) + 0.6*(kv_items).
-	Utility string
 	// KVFloorItems, when positive, adds the paper's Figure 13 assume
 	// that reserves a minimum number of key-value items (the NetCache
 	// paper recommends 8 Mb of store).
@@ -38,10 +37,6 @@ type NetCacheConfig struct {
 // Values are 32-bit handles into the controller's value memory — the
 // on-switch structure the utility function trades against the sketch.
 func NetCache(cfg NetCacheConfig) App {
-	util := cfg.Utility
-	if util == "" {
-		util = "0.4 * (cms_rows * cms_cols) + 0.6 * (kv_parts * kv_slots)"
-	}
 	maxRows := cfg.MaxCMSRows
 	if maxRows == 0 {
 		maxRows = 4
@@ -101,8 +96,8 @@ assume cms_cols >= 1024;
 assume kv_parts >= 1;
 assume kv_slots >= 1024;
 %s
-optimize %s;
-`, maxRows, floor, util))
+optimize 0.4 * (cms_rows * cms_cols) + 0.6 * (kv_parts * kv_slots);
+`, maxRows, floor))
 	return App{Name: "NetCache", Source: src}
 }
 

@@ -71,6 +71,23 @@ func TestCompileInfeasible(t *testing.T) {
 	}
 }
 
+// TestFixedPHVOverflowRejected: a program without elastic fields whose
+// fixed header alone overflows the target's PHV does not compile. The
+// check used to sit behind the elastic-field row it guards, so such a
+// program compiled and only a certificate's audit caught it.
+func TestFixedPHVOverflowRejected(t *testing.T) {
+	src := `
+header pkt { bit<64> a; }
+action bump() { pkt.a = pkt.a + 1; }
+control main { apply { bump(); } }
+`
+	tgt := pisa.Target{Name: "phv-32", Stages: 2, MemoryBits: 1024, StatefulALUs: 1, StatelessALUs: 4, PHVBits: 32}
+	_, err := Compile(src, tgt, Options{SkipCodegen: true})
+	if err == nil || !strings.Contains(err.Error(), "need 64 PHV bits, exceeding the 32 available") {
+		t.Errorf("err = %v, want a fixed-PHV overflow", err)
+	}
+}
+
 func TestDefaultsApplied(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Solver.Gap != 0.03 || o.Solver.NodeLimit != 4000 || o.Solver.TimeLimit != 90*time.Second {

@@ -3,10 +3,11 @@ package elastic
 import (
 	"fmt"
 	"math"
+	"strings"
 
-	"p4all/internal/core"
 	"p4all/internal/ilp"
 	"p4all/internal/ilpgen"
+	"p4all/internal/multitenant"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
 	"p4all/internal/tv"
@@ -16,9 +17,10 @@ import (
 type Config struct {
 	// Target is the switch the program is recompiled against.
 	Target pisa.Target
-	// Program builds the P4All source for a given utility expression —
-	// typically a closure over apps.NetCache.
-	Program func(utility string) string
+	// Source is the P4All program — typically apps.NetCache's. Every
+	// compile replaces its optimize declaration with the policy's
+	// utility.
+	Source string
 	// Policy maps a drift verdict to the utility expression to
 	// recompile under. Nil selects DefaultPolicy.
 	Policy func(d Drift) string
@@ -29,8 +31,8 @@ type Config struct {
 	// Detector tunes drift detection.
 	Detector DetectorConfig
 	// Solver tunes the re-solves; re-solves additionally get
-	// Options.Start seeded from the incumbent layout and the one it
-	// replaced (an ilpgen.History). Zero fields take the compiler
+	// Options.Start seeded from the last two solutions and their root
+	// bases (an ilpgen.History). Zero fields take the compiler
 	// defaults. The controller always sets
 	// Solver.Deterministic, so re-solves run on one worker and
 	// Solver.Threads is ignored: the adopt/keep decision and the
@@ -106,16 +108,17 @@ type Controller struct {
 	det     *Detector
 	gate    *Gate
 	utility string
-	// starts holds the raw ILP assignments of the incumbent layout and
-	// of the layout it replaced — the warm starts of the next re-solve.
-	// It pools layouts only: every re-solve generates its model afresh
-	// from a new utility source, so no retained model is there to pair a
-	// root basis with.
-	starts ilpgen.History
+	// compiler compiles the program as a one-tenant mix. It retains the
+	// program's front end and model, sets each re-solve's utility on a
+	// copy, and pools the last two solutions with their root bases.
+	compiler *multitenant.Compiler
 	// resolved, when set, sees every re-solve's result before the
 	// controller judges it — the seam tests use to corrupt a layout.
-	resolved func(*core.Result)
+	resolved func(*multitenant.Result)
 }
+
+// program names the controller's one tenant in its compiles.
+const program = "program"
 
 func (c Config) withDefaults() Config {
 	if c.Policy == nil {
@@ -151,15 +154,24 @@ func DefaultPolicy(d Drift) string {
 // policy's InitialShare utility) and starts the controller serving it.
 func New(cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Program == nil {
-		return nil, fmt.Errorf("elastic: Config.Program is required")
+	if cfg.Source == "" {
+		return nil, fmt.Errorf("elastic: Config.Source is required")
 	}
-	c := &Controller{cfg: cfg, det: NewDetector(cfg.Detector)}
-	c.utility = cfg.Policy(Drift{Share: cfg.InitialShare})
-	res, err := c.compile(c.utility, nil)
+	// Drift decisions must replay identically, so re-solves run on one
+	// branch-and-bound worker whatever cfg.Solver.Threads says.
+	solver := cfg.Solver
+	solver.Deterministic = true
+	c := &Controller{
+		cfg:      cfg,
+		det:      NewDetector(cfg.Detector),
+		utility:  cfg.Policy(Drift{Share: cfg.InitialShare}),
+		compiler: multitenant.NewCompiler(cfg.Target, multitenant.Options{Solver: solver, Certify: true, Tracer: cfg.Tracer}),
+	}
+	mix, err := c.compiler.Compile([]multitenant.Tenant{{Name: program, Source: cfg.Source, Utility: c.utility}})
 	if err != nil {
 		return nil, fmt.Errorf("elastic: initial compile: %w", err)
 	}
+	res := mix.Tenants[0]
 	if reason := uncertified(res.Certificate); reason != "" {
 		return nil, fmt.Errorf("elastic: initial compile: %s", reason)
 	}
@@ -167,7 +179,6 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.starts.Push(ilp.Start{Values: res.Layout.Values})
 	c.gate, err = NewGate([]*Plane{plane})
 	if err != nil {
 		return nil, err
@@ -195,24 +206,11 @@ func uncertified(cert *tv.Certificate) string {
 // under.
 func (c *Controller) Utility() string { return c.utility }
 
-func (c *Controller) compile(utility string, starts []ilp.Start) (*core.Result, error) {
-	opts := c.cfg.Solver
-	opts.Start = starts
-	// Drift decisions must replay identically, so re-solves run on one
-	// branch-and-bound worker whatever cfg.Solver.Threads says.
-	opts.Deterministic = true
-	return core.Compile(c.cfg.Program(utility), c.cfg.Target, core.Options{
-		Solver:  opts,
-		Certify: true,
-		Tracer:  c.cfg.Tracer,
-	})
-}
-
 // Observe folds one traffic window into the controller. On drift it
-// recompiles under the policy's utility with a warm-started solve,
-// certifies the result, and either adopts the new layout (migrating
-// state and swapping the gate) or keeps the incumbent, reporting which
-// and why.
+// re-solves the retained model under the policy's utility, warm-started
+// from the last two solutions, certifies the result, and either adopts
+// the new layout (migrating state and swapping the gate) or keeps the
+// incumbent, reporting which and why.
 func (c *Controller) Observe(w WindowStats) *Decision {
 	d := c.det.Observe(w)
 	dec := &Decision{Action: ActionNone, Drift: d, Epoch: c.gate.Epoch()}
@@ -226,25 +224,33 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 		obs.Float("baseline", d.Baseline),
 	)
 	dec.Utility = c.cfg.Policy(d)
-	res, err := c.compile(dec.Utility, c.starts.Starts())
+	mix, err := c.compiler.Compile([]multitenant.Tenant{{Name: program, Source: c.cfg.Source, Utility: dec.Utility}})
 	if err != nil {
 		dec.Action, dec.Reason = ActionKept, fmt.Sprintf("re-solve failed: %v", err)
 		tr.Event("elastic.fallback", obs.String("reason", dec.Reason))
 		return dec
 	}
 	if c.resolved != nil {
-		c.resolved(res)
+		c.resolved(mix)
 	}
+	res := mix.Tenants[0]
 	dec.Certificate = res.Certificate
 	stats := res.Layout.Stats
 	dec.Stats = &stats
+	root, _, _ := strings.Cut(stats.RootStart, " ")
 	tr.Event("elastic.reoptimize",
 		obs.String("utility", dec.Utility),
 		obs.Bool("warm_started", stats.WarmStarted),
 		obs.String("start", stats.Seed()),
+		obs.String("root", root),
 		obs.Int("bnb_nodes", stats.Nodes),
 		obs.Float("gap", stats.Gap),
 		obs.Bool("limit_hit", stats.LimitHit),
+		obs.Duration("generate", mix.Phases.Generate),
+		obs.Duration("isolate", mix.Phases.Isolate),
+		obs.Duration("solve", mix.Phases.Solve),
+		obs.Duration("codegen", mix.Phases.Codegen),
+		obs.Duration("certify", mix.Phases.Certify),
 	)
 	if stats.LimitHit {
 		dec.Action, dec.Reason = ActionKept, "solver hit its limit before certifying the requested gap"
@@ -258,7 +264,7 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 	}
 	diff := DiffLayouts(c.Plane().Layout, res.Layout)
 	dec.Diff = &diff
-	if improve, comparable := c.improvement(res); comparable && improve < c.cfg.MinImprove {
+	if improve, comparable := c.improvement(mix); comparable && improve < c.cfg.MinImprove {
 		dec.Action = ActionKept
 		dec.Reason = fmt.Sprintf("utility gain %.4f below threshold %.4f", improve, c.cfg.MinImprove)
 		tr.Event("elastic.fallback", obs.String("reason", dec.Reason))
@@ -268,10 +274,8 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 		dec.Action, dec.Reason = ActionKept, "layout unchanged"
 		// The regime changed even though the layout did not; adopt the
 		// new utility as the incumbent's so future comparisons are
-		// against the right objective. The served layout replaced none,
-		// so the predecessor stays.
+		// against the right objective.
 		c.utility = dec.Utility
-		c.starts[0] = ilp.Start{Values: res.Layout.Values}
 		return dec
 	}
 	plane, droppedKV, err := Migrate(c.Plane(), res.Layout, w.HotKeys)
@@ -285,7 +289,6 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 	// A one-plane set always matches the one-plane gate: Swap cannot fail.
 	dec.Epoch, _ = c.gate.Swap([]*Plane{plane})
 	c.utility = dec.Utility
-	c.starts.Push(ilp.Start{Values: res.Layout.Values})
 	tr.Event("elastic.adopt",
 		obs.String("diff", diff.String()),
 		obs.Int("dropped_kv", droppedKV),
@@ -295,20 +298,20 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 	return dec
 }
 
-// improvement measures the re-solved layout against the incumbent
-// assignment under the NEW utility — the apples-to-apples comparison:
-// would switching actually raise the objective we now care about? The
-// incumbent's raw assignment is evaluated in the new model (the
-// variable space is identical; only the objective weights moved).
+// improvement measures the re-solved layout against the served layout
+// under the NEW utility — the apples-to-apples comparison: would
+// switching actually raise the objective we now care about? The served
+// layout's raw assignment is evaluated in the re-solve's model (the
+// variable space is the retained model's; only the objective moved).
 // Reports comparable=false when the spaces don't align.
-func (c *Controller) improvement(res *core.Result) (float64, bool) {
-	values := c.starts[0].Values
-	if len(values) != res.ILP.Model.NumVars() {
+func (c *Controller) improvement(mix *multitenant.Result) (float64, bool) {
+	values := c.Plane().Layout.Values
+	if len(values) != mix.Joint.Model.NumVars() {
 		return 0, false
 	}
-	expr, sense := res.ILP.Model.Objective()
+	expr, sense := mix.Joint.Model.Objective()
 	incumbent := expr.Eval(values)
-	gain := res.Layout.Objective - incumbent
+	gain := mix.Layout.Objective - incumbent
 	if sense == ilp.Minimize {
 		gain = -gain
 	}

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"p4all/internal/apps"
-	"p4all/internal/core"
 	"p4all/internal/ilp"
+	"p4all/internal/multitenant"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
 	"p4all/internal/tv"
@@ -30,9 +30,7 @@ func driftTarget() pisa.Target {
 // expensive part).
 func driftSolver() ilp.Options { return ilp.Options{Gap: 0.05} }
 
-func netcacheProgram(utility string) string {
-	return apps.NetCache(apps.NetCacheConfig{Utility: utility}).Source
-}
+var netcacheSource = apps.NetCache(apps.NetCacheConfig{}).Source
 
 // eventSink collects obs event names for assertions.
 type eventSink struct {
@@ -70,7 +68,7 @@ func TestControllerAdoptsOnSkewDrift(t *testing.T) {
 	sink := &eventSink{}
 	c, err := New(Config{
 		Target:       driftTarget(),
-		Program:      netcacheProgram,
+		Source:       netcacheSource,
 		InitialShare: 0.55,
 		Solver:       driftSolver(),
 		Tracer:       obs.New(sink),
@@ -129,7 +127,7 @@ func TestControllerAdoptsOnSkewDrift(t *testing.T) {
 func TestControllerFlipBackStartsFromPredecessor(t *testing.T) {
 	c, err := New(Config{
 		Target:       driftTarget(),
-		Program:      netcacheProgram,
+		Source:       netcacheSource,
 		InitialShare: 0.04,
 		Solver:       driftSolver(),
 	})
@@ -166,7 +164,7 @@ func TestControllerFallsBackOnSolverTimeout(t *testing.T) {
 	sink := &eventSink{}
 	c, err := New(Config{
 		Target:       driftTarget(),
-		Program:      netcacheProgram,
+		Source:       netcacheSource,
 		InitialShare: 0.55,
 		Solver:       driftSolver(),
 		Tracer:       obs.New(sink),
@@ -178,7 +176,7 @@ func TestControllerFallsBackOnSolverTimeout(t *testing.T) {
 	beforeUtility := c.Utility()
 	// Starve only the re-solves: the initial compile above ran with
 	// the defaults.
-	c.cfg.Solver.TimeLimit = time.Nanosecond
+	c.compiler.Opts.Solver.TimeLimit = time.Nanosecond
 
 	for i := 0; i < 3; i++ {
 		c.Observe(window(0.55, 0))
@@ -210,7 +208,7 @@ func TestControllerKeepsIncumbentOnUncertifiedLayout(t *testing.T) {
 	sink := &eventSink{}
 	c, err := New(Config{
 		Target:       driftTarget(),
-		Program:      netcacheProgram,
+		Source:       netcacheSource,
 		InitialShare: 0.55,
 		Solver:       driftSolver(),
 		Tracer:       obs.New(sink),
@@ -220,7 +218,8 @@ func TestControllerKeepsIncumbentOnUncertifiedLayout(t *testing.T) {
 	}
 	before := c.Plane()
 	beforeUtility := c.Utility()
-	c.resolved = func(res *core.Result) {
+	c.resolved = func(mix *multitenant.Result) {
+		res := mix.Tenants[0]
 		if !res.Certificate.Proved() {
 			t.Errorf("the untampered re-solve did not certify: %v", res.Certificate.Failures())
 		}
@@ -252,11 +251,12 @@ func TestControllerKeepsIncumbentOnUncertifiedLayout(t *testing.T) {
 
 // TestControllerKeepsUnchangedLayout: a churn-only trigger at the same
 // skew re-solves under the same utility and must not swap, since the
-// layout cannot change.
+// layout cannot change. The re-solve's root LP ends at the initial
+// compile's pooled basis, which is still optimal.
 func TestControllerKeepsUnchangedLayout(t *testing.T) {
 	c, err := New(Config{
 		Target:       driftTarget(),
-		Program:      netcacheProgram,
+		Source:       netcacheSource,
 		InitialShare: 0.55,
 		Solver:       driftSolver(),
 	})
@@ -276,20 +276,31 @@ func TestControllerKeepsUnchangedLayout(t *testing.T) {
 	if e := c.gate.Epoch(); e != 1 {
 		t.Fatalf("no-op re-solve bumped the epoch to %d", e)
 	}
+	if dec.Stats.RootStart != ilp.RootPooled {
+		t.Errorf("churn re-solve root %q, want %q", dec.Stats.RootStart, ilp.RootPooled)
+	}
 }
 
 // TestControllerServesTrafficAcrossAdoption runs real packets through
 // the plane across a migration and checks the hit rate improves after
-// the controller adapts — the end-to-end story in miniature.
+// the controller adapts — the end-to-end story in miniature. Every
+// re-solve edits the retained model: it runs no parse and no bounds.
 func TestControllerServesTrafficAcrossAdoption(t *testing.T) {
 	c, err := New(Config{
 		Target:       driftTarget(),
-		Program:      netcacheProgram,
+		Source:       netcacheSource,
 		InitialShare: 0.55,
 		Solver:       driftSolver(),
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	resolves := 0
+	c.resolved = func(mix *multitenant.Result) {
+		resolves++
+		if !mix.Retained || mix.Phases.Parse != 0 || mix.Phases.Bounds != 0 {
+			t.Errorf("re-solve %d: retained %v, parse %v, bounds %v; want a retained model", resolves, mix.Retained, mix.Phases.Parse, mix.Phases.Bounds)
+		}
 	}
 	const windowLen = 20000
 	serve := func(keys []uint64) WindowStats {
@@ -318,6 +329,9 @@ func TestControllerServesTrafficAcrossAdoption(t *testing.T) {
 	}
 	if !adopted {
 		t.Fatal("controller never adopted across the skew step")
+	}
+	if resolves < 2 {
+		t.Errorf("%d re-solves, want at least 2", resolves)
 	}
 	if lastHit < 0.15 {
 		t.Errorf("steady-state hit rate %.3f after adaptation, want >= 0.15", lastHit)

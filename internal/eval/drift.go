@@ -90,13 +90,10 @@ type DriftResult struct {
 // recover as the controller re-solves, certifies, and migrates. A
 // non-nil tr traces the compiles and the controller.
 func FigureDrift(cfg DriftConfig, tr *obs.Tracer) (*DriftResult, error) {
-	program := func(utility string) string {
-		return apps.NetCache(apps.NetCacheConfig{Utility: utility}).Source
-	}
 	newController := func() (*elastic.Controller, error) {
 		return elastic.New(elastic.Config{
 			Target:       cfg.Target,
-			Program:      program,
+			Source:       apps.NetCache(apps.NetCacheConfig{}).Source,
 			InitialShare: 0.55, // both runs start tuned for the heavy phase
 			Solver:       cfg.Solver,
 			Tracer:       tr,

@@ -17,6 +17,7 @@ import (
 	"p4all/internal/elastic"
 	"p4all/internal/ilp"
 	"p4all/internal/lang"
+	"p4all/internal/multitenant"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
 	"p4all/internal/structures"
@@ -314,7 +315,9 @@ type Fig13Row struct {
 
 // Figure13 compiles NetCache under the paper's two utility weightings
 // (with the 8 Mb key-value floor the paper notes) and reports how the
-// split shifts. A non-nil tr traces the compiles.
+// split shifts. Both solve one retained one-tenant mix: the second
+// re-solves the first's model under its utility. A non-nil tr traces the
+// compiles.
 func Figure13(memBits int, tr *obs.Tracer) ([]Fig13Row, error) {
 	utilities := []string{
 		"0.4 * (kv_parts * kv_slots) + 0.6 * (cms_rows * cms_cols)",
@@ -322,14 +325,15 @@ func Figure13(memBits int, tr *obs.Tracer) ([]Fig13Row, error) {
 	}
 	// 8 Mb of 32-bit value handles.
 	const kvFloor = 8 * pisa.Mb / 32
+	app := apps.NetCache(apps.NetCacheConfig{KVFloorItems: kvFloor})
+	c := multitenant.NewCompiler(pisa.EvalTarget(memBits), multitenant.Options{Solver: FigureSolver, SkipCodegen: true, Tracer: tr})
 	var out []Fig13Row
 	for _, util := range utilities {
-		app := apps.NetCache(apps.NetCacheConfig{Utility: util, KVFloorItems: kvFloor})
-		res, err := core.Compile(app.Source, pisa.EvalTarget(memBits), core.Options{Solver: FigureSolver, SkipCodegen: true, Tracer: tr})
+		res, err := c.Compile([]multitenant.Tenant{{Name: app.Name, Source: app.Source, Utility: util}})
 		if err != nil {
 			return nil, fmt.Errorf("utility %q: %w", util, err)
 		}
-		l := res.Layout
+		l := res.Tenants[0].Layout
 		out = append(out, Fig13Row{
 			Utility:  util,
 			CMSCells: l.Symbolic("cms_rows") * l.Symbolic("cms_cols"),

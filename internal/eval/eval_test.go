@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"testing"
 
 	"p4all/internal/pisa"
@@ -100,6 +101,14 @@ func TestFigure13UtilityShift(t *testing.T) {
 	}
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
+	}
+	// The table as separate compiles produced it: solving both utilities
+	// on one retained model must not move it.
+	want := []string{"229376 / 286720 / 0.00%", "2048 / 506880 / 1.41%"}
+	for i, r := range rows {
+		if got := fmt.Sprintf("%d / %d / %.2f%%", r.CMSCells, r.KVItems, 100*r.Gap); got != want[i] {
+			t.Errorf("utility %q: cms cells / kv items / gap %s, want %s", r.Utility, got, want[i])
+		}
 	}
 	cmsHeavy, kvHeavy := rows[0], rows[1]
 	// Monotone response: raising a structure's weight must not shrink

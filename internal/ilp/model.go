@@ -194,6 +194,9 @@ func (m *Model) SetBranchPriority(v Var, pri int) {
 	m.vars[v].pri = pri
 }
 
+// BranchPriority returns v's branching priority (SetBranchPriority).
+func (m *Model) BranchPriority(v Var) int { return m.vars[v].pri }
+
 // SetBounds replaces the bounds of v.
 func (m *Model) SetBounds(v Var, lo, hi float64) {
 	if lo > hi {

@@ -67,7 +67,7 @@ type ILP struct {
 	util ilp.Expr
 	// shared, when non-nil, collects this unit's per-stage resource
 	// usage into the joint accumulator instead of emitting per-unit
-	// budget rows (set only by GenerateJoint).
+	// budget rows (set by GenerateJoint for two or more tenants).
 	shared *sharedRows
 }
 
@@ -105,13 +105,19 @@ func Generate(u *lang.Unit, target *pisa.Target, bounds *unroll.Result) (*ILP, e
 	if err := target.Validate(); err != nil {
 		return nil, err
 	}
-	return generateInto(u, target, bounds, ilp.NewModel(u.Main.Name), nil)
+	p, err := generateInto(u, target, bounds, ilp.NewModel(u.Main.Name), nil)
+	if err != nil {
+		return nil, err
+	}
+	p.Model.SetObjective(p.util, ilp.Maximize)
+	return p, nil
 }
 
 // generateInto builds the unit's constraints into the given model —
 // its own in a single-unit compile, the shared joint model in a
-// multi-tenant one (where the model carries the tenant's name prefix
-// and shared collects the per-stage resource terms).
+// multi-tenant one (where the model carries the tenant's name prefix,
+// and shared, for two or more tenants, collects the per-stage resource
+// terms).
 func generateInto(u *lang.Unit, target *pisa.Target, bounds *unroll.Result, model *ilp.Model, shared *sharedRows) (*ILP, error) {
 	counts := dep.Counts{}
 	for sym, k := range bounds.LoopBound {
@@ -774,7 +780,13 @@ func (p *ILP) aluConstraints() {
 }
 
 func (p *ILP) phvConstraint() error {
-	budget := float64(p.Target.ElasticPHVBits() - p.Unit.FixedPHVBits())
+	if p.shared != nil {
+		// Fixed bits are checked once for the whole mix by GenerateJoint.
+		p.shared.fixedPHV += p.Unit.FixedPHVBits()
+	} else if p.Target.ElasticPHVBits() < p.Unit.FixedPHVBits() {
+		return fmt.Errorf("ilpgen: fixed headers and metadata need %d PHV bits, exceeding the %d available",
+			p.Unit.FixedPHVBits(), p.Target.ElasticPHVBits())
+	}
 	e := ilp.NewExpr()
 	for _, f := range p.Unit.ElasticFields() {
 		sym := f.Count.Sym
@@ -792,19 +804,13 @@ func (p *ILP) phvConstraint() error {
 	if p.shared != nil {
 		// The joint PHV row (every tenant's elastic terms against the
 		// budget left after every tenant's fixed bits) is emitted once
-		// by GenerateJoint, which also rejects a fixed-bit overflow.
+		// by GenerateJoint.
 		p.shared.phv.AddExpr(e, 1)
-		p.shared.fixedPHV += p.Unit.FixedPHVBits()
 		return nil
 	}
-	if e.Len() == 0 {
-		return nil
+	if e.Len() > 0 {
+		p.Model.AddConstr("phv", e, ilp.LE, float64(p.Target.ElasticPHVBits()-p.Unit.FixedPHVBits()))
 	}
-	if budget < 0 {
-		return fmt.Errorf("ilpgen: fixed headers and metadata need %d PHV bits, exceeding the %d available",
-			p.Unit.FixedPHVBits(), p.Target.ElasticPHVBits())
-	}
-	p.Model.AddConstr("phv", e, ilp.LE, budget)
 	return nil
 }
 
@@ -1017,11 +1023,10 @@ func (p *ILP) assumeConstraints() error {
 	return nil
 }
 
-// objective linearizes the utility function (maximized) and, in a
-// single-unit compile, installs it as the model objective. Without an
-// optimize declaration, the default utility is the sum of all symbolic
-// values. In a joint compile the utility is only stored: the joint
-// generator composes the fairness objective from the per-tenant terms.
+// objective linearizes the utility function (maximized) into p.util.
+// Without an optimize declaration, the default utility is the sum of all
+// symbolic values. Generate installs it as the model objective; a joint
+// model composes its fairness objective from the tenants' terms.
 func (p *ILP) objective() error {
 	var util ilp.Expr
 	if p.Unit.Optimize != nil {
@@ -1037,9 +1042,6 @@ func (p *ILP) objective() error {
 		}
 	}
 	p.util = util
-	if p.shared == nil {
-		p.Model.SetObjective(util, ilp.Maximize)
-	}
 	return nil
 }
 

@@ -27,14 +27,15 @@ type TenantUnit struct {
 // per-stage memory/ALU/hash budgets, the PHV budget, utility floors,
 // and the max-min linking rows) and the objective span tenants; they
 // are the single place the tenants compete, and internal/check's
-// ModelIsolation audit verifies exactly this partition.
+// ModelIsolation audit verifies exactly this partition. A lone tenant
+// competes with no one: it keeps its budget rows, so a one-tenant mix
+// is the program's model (Generate's) row for row.
 type Joint struct {
 	Target  *pisa.Target
 	Model   *ilp.Model
 	Names   []string
 	Tenants []*ILP
 
-	shared *sharedRows
 	objSet bool
 }
 
@@ -70,22 +71,30 @@ func GenerateJoint(tenants []TenantUnit, target *pisa.Target) (*Joint, error) {
 		seen[t.Name] = true
 	}
 	model := ilp.NewModel("joint")
-	shared := newSharedRows(target.Stages)
-	j := &Joint{Target: target, Model: model, shared: shared}
+	defer model.SetNamePrefix("")
+	// A lone tenant emits its budget rows itself, where Generate does.
+	// Row order steers the simplex, so any other place for them would
+	// search a one-tenant mix differently from its program.
+	var shared *sharedRows
+	if len(tenants) > 1 {
+		shared = newSharedRows(target.Stages)
+	}
+	j := &Joint{Target: target, Model: model}
 	for _, t := range tenants {
 		model.SetNamePrefix(t.Name)
 		p, err := generateInto(t.Unit, target, t.Bounds, model, shared)
 		if err != nil {
-			model.SetNamePrefix("")
 			return nil, fmt.Errorf("ilpgen: tenant %s: %w", t.Name, err)
 		}
 		j.Names = append(j.Names, t.Name)
 		j.Tenants = append(j.Tenants, p)
 	}
+	if shared == nil {
+		return j, nil
+	}
 	// The joint budget rows: one row per stage per resource, summing
 	// every tenant's usage against the physical limit.
 	model.SetNamePrefix(jointPrefix)
-	defer model.SetNamePrefix("")
 	M := float64(target.MemoryBits)
 	for s := 0; s < target.Stages; s++ {
 		if shared.mem[s].Len() > 0 {
@@ -114,9 +123,10 @@ func GenerateJoint(tenants []TenantUnit, target *pisa.Target) (*Joint, error) {
 
 // Clone returns a copy of the joint model for a solve under its own
 // objective: SetObjective on the copy adds the objective, floor and
-// max-min rows to the copy only. The copy shares the generated rows
-// (ilp.Model.Clone) and the tenants' generated slices, which are
-// read-only once generated; its tenants point at the copy's model.
+// max-min rows to the copy only, and replaces utilities in the copy's
+// tenants only. The copy shares the generated rows (ilp.Model.Clone) and
+// the tenants' generated slices, which are read-only once generated; its
+// tenants point at the copy's model.
 func (j *Joint) Clone() *Joint {
 	c := *j
 	c.Model = j.Model.Clone()
@@ -147,6 +157,12 @@ type Fairness struct {
 	// minimum tenant cannot use still goes somewhere. The achieved
 	// minimum is approximate to within the solver gap and tiebreaker.
 	MaxMin bool
+	// Utilities replaces a tenant's utility — its program's optimize
+	// declaration — with an expression over its symbolic values,
+	// linearized as an optimize declaration is (parallel to the tenant
+	// list; nil, or a nil entry, keeps the program's own). Floors,
+	// weights and the layout's Utilities all use the replacement.
+	Utilities []lang.Expr
 }
 
 // SetObjective installs the fairness objective (and any floor rows).
@@ -161,6 +177,21 @@ func (j *Joint) SetObjective(f Fairness) error {
 	}
 	if f.MinUtility != nil && len(f.MinUtility) != K {
 		return fmt.Errorf("ilpgen: %d utility floors for %d tenants", len(f.MinUtility), K)
+	}
+	if f.Utilities != nil && len(f.Utilities) != K {
+		return fmt.Errorf("ilpgen: %d utilities for %d tenants", len(f.Utilities), K)
+	}
+	for t, e := range f.Utilities {
+		if e == nil {
+			continue
+		}
+		// Every symbolic's variables exist once generated, so this adds
+		// no variable to the model or to the generator's shared maps.
+		util, err := j.Tenants[t].linearize(e)
+		if err != nil {
+			return fmt.Errorf("ilpgen: tenant %s utility: %w", j.Names[t], err)
+		}
+		j.Tenants[t].util = util
 	}
 	weight := func(t int) float64 {
 		if f.Weights == nil {

@@ -21,6 +21,24 @@ func Parse(src string) (*Program, error) {
 	return p.parseProgram()
 }
 
+// ParseExpr parses a lone expression, such as the utility of an
+// optimize declaration.
+func ParseExpr(src string) (Expr, error) {
+	toks, err := Lex(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &Parser{toks: toks}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if !p.at(EOF) {
+		return nil, errf(p.cur().Pos, "expected end of expression, found %s", p.cur())
+	}
+	return e, nil
+}
+
 func (p *Parser) cur() Token  { return p.toks[p.pos] }
 func (p *Parser) next() Token { t := p.toks[p.pos]; p.advance(); return t }
 

@@ -26,6 +26,7 @@ import (
 	"p4all/internal/core"
 	"p4all/internal/ilp"
 	"p4all/internal/ilpgen"
+	"p4all/internal/lang"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
 )
@@ -52,6 +53,13 @@ type Tenant struct {
 	// MinUtility, when positive, adds a floor row: the tenant's
 	// utility must reach at least this value in any accepted layout.
 	MinUtility float64
+	// Utility, when nonempty, is an optimize expression over the
+	// tenant's symbolic values that replaces its program's own utility
+	// (the optimize declaration in Source) for this compile. Like Weight
+	// it is set on the re-solve's copy of the retained mix, so a program
+	// re-solved under a new utility runs no front end and generates no
+	// model.
+	Utility string
 }
 
 // weight resolves the sentinel convention to the solver's weight.
@@ -134,15 +142,16 @@ func Compile(tenants []Tenant, target pisa.Target, opts Options) (*Result, error
 // GenerateJoint built it, before any objective, with an ilpgen.History
 // of the mix's last two solutions and their root LP bases. A re-solve
 // of a mix compiled before runs no front end and generates no model: it
-// sets its weights, floors and fairness mode on a clone of the retained
-// model, audits that clone's isolation and solves it, seeded from the
-// history. The solver installs whichever pooled solution scores better
-// under the new weights, and its root LP ends at that solution's basis
-// when the basis is still optimal (ilp.Start). A re-solve after a weight
-// or floor nudge then typically finishes at the root without a pivot,
-// and so does a flip back to the weights before it. A flip into a
-// regime neither pooled solution fits searches a tree. Safe for
-// concurrent use.
+// sets its weights, floors, utilities and fairness mode on a clone of the
+// retained model, audits that clone's isolation and solves it, seeded
+// from the history. One program is a one-tenant mix, whose model is the
+// program's own (ilpgen.GenerateJoint). The solver installs whichever
+// pooled solution scores better under the new weights, and its root LP
+// ends at that solution's basis when the basis is still optimal
+// (ilp.Start). A re-solve after a weight or floor nudge then typically
+// finishes at the root without a pivot, and so does a flip back to the
+// weights before it. A flip into a regime neither pooled solution fits
+// searches a tree. Safe for concurrent use.
 type Compiler struct {
 	Target pisa.Target
 	Opts   Options
@@ -168,8 +177,9 @@ func NewCompiler(target pisa.Target, opts Options) *Compiler {
 // mixKey identifies a tenant mix up to model identity: the model's
 // variables and rows are determined by the ordered tenant names and
 // sources and by every field of the target, and the MaxMin flag adds a
-// variable that pooled starts must align with. Weights and floors do not
-// enter: they set the objective and add rows on each re-solve's clone.
+// variable that pooled starts must align with. Weights, floors and
+// utilities do not enter: they set the objective and add rows on each
+// re-solve's clone.
 func mixKey(tenants []Tenant, target pisa.Target, maxMin bool) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "target=%#v\nmaxmin=%v\n", target, maxMin)
@@ -192,12 +202,18 @@ func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 	}
 	weights := make([]float64, len(tenants))
 	floors := make([]float64, len(tenants))
+	utilities := make([]lang.Expr, len(tenants))
 	for i, t := range tenants {
 		w, err := t.weight()
 		if err != nil {
 			return nil, err
 		}
 		weights[i], floors[i] = w, t.MinUtility
+		if t.Utility != "" {
+			if utilities[i], err = lang.ParseExpr(t.Utility); err != nil {
+				return nil, fmt.Errorf("multitenant: tenant %s utility: %w", t.Name, err)
+			}
+		}
 	}
 	target, opts := c.Target, c.Opts
 	key := mixKey(tenants, target, opts.MaxMin)
@@ -241,6 +257,7 @@ func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 		Weights:    weights,
 		MinUtility: floors,
 		MaxMin:     opts.MaxMin,
+		Utilities:  utilities,
 	}); err != nil {
 		sp.End()
 		return nil, err

@@ -16,6 +16,7 @@ import (
 	"p4all/internal/core"
 	"p4all/internal/ilp"
 	"p4all/internal/ilpgen"
+	"p4all/internal/lang"
 	"p4all/internal/modules"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
@@ -449,8 +450,15 @@ func freshCompile(t *testing.T, c *Compiler, tenants []Tenant, starts []ilp.Star
 		if err != nil {
 			t.Fatal(err)
 		}
+		var util lang.Expr
+		if tn.Utility != "" {
+			if util, err = lang.ParseExpr(tn.Utility); err != nil {
+				t.Fatal(err)
+			}
+		}
 		f.Weights = append(f.Weights, w)
 		f.MinUtility = append(f.MinUtility, tn.MinUtility)
+		f.Utilities = append(f.Utilities, util)
 	}
 	target := c.Target
 	joint, err := ilpgen.GenerateJoint(tus, &target)
@@ -469,36 +477,98 @@ func freshCompile(t *testing.T, c *Compiler, tenants []Tenant, starts []ilp.Star
 	return jl
 }
 
-// TestRetainedMatchesFresh runs the tenant-drift cycle through one
-// Compiler and checks every re-solve against a compile that retains
-// nothing, given the starts the Compiler pooled: the retained model is
-// the model a fresh compile generates, so objectives, values and node
-// counts are equal. The root LPs start as tenant-drift's do.
+// TestRetainedMatchesFresh runs two re-solve cycles through one
+// Compiler each and checks every re-solve against a compile that
+// retains nothing, given the starts the Compiler pooled: the retained
+// model is the model a fresh compile generates, so objectives, values
+// and node counts are equal. The cycles are tenant-drift's reweights of
+// a two-tenant mix, and the elastic controller's re-utilities of one
+// NetCache tenant on its drift target (the utilities its policy picks
+// for a skewed and a flat workload). Each root LP starts as its cycle's
+// does: a repeated objective's at the pooled basis, a changed one's
+// cold once the basis is rejected.
 func TestRetainedMatchesFresh(t *testing.T) {
-	c := driftCompiler()
-	for i, step := range driftSteps {
-		var starts []ilp.Start
-		c.mu.Lock()
-		for _, mx := range c.mixes {
-			starts = mx.history.Starts()
+	type step struct {
+		mix  []Tenant
+		root string
+	}
+	var weights []step
+	for _, s := range driftSteps {
+		weights = append(weights, step{driftMix(s.w), s.root})
+	}
+	netcache := func(utility string) []Tenant {
+		return []Tenant{{Name: "netcache", Source: apps.NetCache(apps.NetCacheConfig{}).Source, Utility: utility}}
+	}
+	const (
+		cmsHeavy = "0.61 * (cms_rows * cms_cols) + 0.39 * (kv_parts * kv_slots)"
+		kvHeavy  = "0.30 * (cms_rows * cms_cols) + 0.70 * (kv_parts * kv_slots)"
+	)
+	cycles := []struct {
+		name  string
+		c     *Compiler
+		steps []step
+	}{
+		{"tenant-drift", driftCompiler(), weights},
+		{"controller", NewCompiler(pisa.Target{
+			Name: "drift-test", Stages: 6, MemoryBits: 96 * 1024,
+			StatefulALUs: 4, StatelessALUs: 100, PHVBits: 4096,
+		}, Options{Solver: ilp.Options{Gap: 0.05, Deterministic: true}, SkipCodegen: true}), []step{
+			{netcache(cmsHeavy), ilp.RootCold},
+			{netcache(kvHeavy), "rejected (not dual feasible)"},
+			{netcache(kvHeavy), ilp.RootPooled},
+			{netcache(cmsHeavy), "rejected (not dual feasible)"},
+		}},
+	}
+	for _, cy := range cycles {
+		c := cy.c
+		for i, step := range cy.steps {
+			var starts []ilp.Start
+			c.mu.Lock()
+			for _, mx := range c.mixes {
+				starts = mx.history.Starts()
+			}
+			c.mu.Unlock()
+			res, err := c.Compile(step.mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Layout.Stats
+			if res.Retained != (i > 0) || st.RootStart != step.root {
+				t.Errorf("%s step %d: retained %v, root %q; want %v, %q", cy.name, i, res.Retained, st.RootStart, i > 0, step.root)
+			}
+			fresh := freshCompile(t, c, step.mix, starts)
+			if res.Layout.Objective != fresh.Objective || st.Nodes != fresh.Stats.Nodes || !slices.Equal(res.Layout.Values, fresh.Values) {
+				t.Errorf("%s step %d: retained objective %v in %d nodes, fresh %v in %d (values equal: %v)",
+					cy.name, i, res.Layout.Objective, st.Nodes, fresh.Objective, fresh.Stats.Nodes, slices.Equal(res.Layout.Values, fresh.Values))
+			}
 		}
-		c.mu.Unlock()
-		res, err := c.Compile(driftMix(step.w))
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestMalformedUtility: a tenant utility that does not parse, names no
+// symbolic of the tenant, or is not linear fails the compile with an
+// error naming the tenant, and leaves the retained mix usable.
+func TestMalformedUtility(t *testing.T) {
+	c := NewCompiler(mtTarget(), fastOpts())
+	mix := func(utility string) []Tenant {
+		return []Tenant{{Name: "alpha", Source: modules.StandaloneCMS(), Utility: utility}}
+	}
+	first, err := c.Compile(mix(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"cms_rows *", "cms_rows; optimize 1", "no_such_symbolic", "cms_rows * cms_rows"} {
+		if _, err := c.Compile(mix(bad)); err == nil || !strings.Contains(err.Error(), "tenant alpha utility") {
+			t.Errorf("utility %q: err = %v, want an error naming tenant alpha's utility", bad, err)
 		}
-		if res.Retained != (i > 0) {
-			t.Errorf("step %d (w=%v): retained %v", i, step.w, res.Retained)
-		}
-		st := res.Layout.Stats
-		if st.RootStart != step.root {
-			t.Errorf("step %d (w=%v): root %q, want %q", i, step.w, st.RootStart, step.root)
-		}
-		fresh := freshCompile(t, c, driftMix(step.w), starts)
-		if res.Layout.Objective != fresh.Objective || st.Nodes != fresh.Stats.Nodes || !slices.Equal(res.Layout.Values, fresh.Values) {
-			t.Errorf("step %d (w=%v): retained objective %v in %d nodes, fresh %v in %d (values equal: %v)",
-				i, step.w, res.Layout.Objective, st.Nodes, fresh.Objective, fresh.Stats.Nodes, slices.Equal(res.Layout.Values, fresh.Values))
-		}
+	}
+	// Doubling the program's own utility keeps its optimum.
+	res, err := c.Compile(mix("2 * (cms_rows * cms_cols)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Tenants[0].Utility, 2*first.Tenants[0].Utility; !res.Retained || got != want {
+		t.Errorf("after the errors: retained %v, utility %v; want a retained mix at utility %v", res.Retained, got, want)
 	}
 }
 
