@@ -9,8 +9,7 @@
 //	go run ./cmd/difftest -seed 1 -n 10000
 //	go run ./cmd/difftest -apps NetCache,Precision -budgets 524288,1048576
 //	go run ./cmd/difftest -oracles golden,snapshot -n 100000 -seed 7
-//	go run ./cmd/difftest -engine interp -n 10000   # bisect to the engine
-//	go run ./cmd/difftest -failures out.txt              # CI artifact
+//	go run ./cmd/difftest -failures out.txt   # CI artifact
 //
 // -failures writes every failure report (including shrunken repros) to
 // a file as well as stdout, so CI jobs can upload counterexamples as
@@ -34,7 +33,6 @@ func main() {
 	appsFlag := flag.String("apps", "", "comma-separated app subset (default: all four)")
 	budgetsFlag := flag.String("budgets", "", "comma-separated per-stage memory budgets in bits (default: 524288,1048576,2097152)")
 	oraclesFlag := flag.String("oracles", "", "comma-separated oracle subset: layout,golden,snapshot,engine,certify,migrate,tenant (default: all)")
-	engine := flag.String("engine", "vm", "sim engine the replay oracles use: vm or interp")
 	shrink := flag.Bool("shrink", true, "minimize failing streams before reporting")
 	failuresPath := flag.String("failures", "", "also write failure reports (with minimized repros) to this file")
 	quiet := flag.Bool("q", false, "suppress progress lines")
@@ -45,7 +43,6 @@ func main() {
 		N:       *n,
 		Apps:    splitList(*appsFlag),
 		Oracles: splitList(*oraclesFlag),
-		Engine:  *engine,
 		Shrink:  *shrink,
 	}
 	var log io.Writer = os.Stderr
@@ -71,7 +68,7 @@ func main() {
 	fmt.Printf("difftest: %d oracle checks, %d packets replayed, %d failures (seed %d)\n",
 		rep.Checks, rep.Packets, len(rep.Failures), *seed)
 	if *failuresPath != "" && !rep.Ok() {
-		if err := writeFailures(*failuresPath, rep, *seed, *engine); err != nil {
+		if err := writeFailures(*failuresPath, rep, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -83,9 +80,9 @@ func main() {
 
 // writeFailures renders the failure reports (minimized repros
 // included) to path for CI artifact upload.
-func writeFailures(path string, rep *difftest.Report, seed int64, engine string) error {
+func writeFailures(path string, rep *difftest.Report, seed int64) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "difftest failures: engine=%s seed=%d checks=%d\n\n", engine, seed, rep.Checks)
+	fmt.Fprintf(&b, "difftest failures: seed=%d checks=%d\n\n", seed, rep.Checks)
 	for _, f := range rep.Failures {
 		fmt.Fprintf(&b, "FAIL %s\n\n", f)
 	}

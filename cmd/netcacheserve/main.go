@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -34,7 +35,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:9640", "UDP listen address")
 		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "shard count (worker goroutines / cache planes)")
 		batch     = flag.Int("batch", 64, "requests per shard batch")
-		threshold = flag.Uint("threshold", 8, "CMS estimate admitting a key into the cache")
+		threshold = flag.Uint("threshold", 8, "CMS estimate admitting a key into the cache (1 to 4294967295)")
 		rows      = flag.Int("rows", 2, "CMS rows (with -compile: ignored)")
 		cols      = flag.Int("cols", 4096, "CMS cols (with -compile: ignored)")
 		parts     = flag.Int("parts", 8, "KV partitions (with -compile: ignored)")
@@ -46,6 +47,12 @@ func main() {
 		summary   = flag.Bool("summary", false, "print an observability summary table to stderr")
 	)
 	flag.Parse()
+
+	admit, err := admissionThreshold(*threshold)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "netcacheserve:", err)
+		os.Exit(2)
+	}
 
 	tracer, err := obs.FromCLI(*trace, *summary, os.Stderr)
 	if err != nil {
@@ -84,7 +91,7 @@ func main() {
 			Layout:    layout,
 			Shards:    *shards,
 			BatchSize: *batch,
-			Threshold: uint32(*threshold),
+			Threshold: admit,
 			Tracer:    tracer,
 		},
 	})
@@ -95,7 +102,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "serving on %s: %d shards, cms %dx%d, kv %dx%d, threshold %d\n",
 		srv.Addr(), *shards,
 		layout.Symbolic("cms_rows"), layout.Symbolic("cms_cols"),
-		layout.Symbolic("kv_parts"), layout.Symbolic("kv_slots"), *threshold)
+		layout.Symbolic("kv_parts"), layout.Symbolic("kv_slots"), admit)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -137,4 +144,14 @@ func main() {
 	}
 	fmt.Printf("served %d requests across %d shards: %d hits, %d misses, %d admissions (hit rate %.4f), %d drops\n",
 		cache.Packets(), *shards, hits, misses, admits, cache.HitRate(), srv.Drops())
+}
+
+// admissionThreshold checks -threshold before it reaches the cache,
+// which counts in 32 bits and reads 0 as its default of 8: a value
+// outside 1 … 2³²−1 would be announced but not served.
+func admissionThreshold(v uint) (uint32, error) {
+	if v == 0 || uint64(v) > math.MaxUint32 {
+		return 0, fmt.Errorf("-threshold %d is outside 1 … %d", v, uint32(math.MaxUint32))
+	}
+	return uint32(v), nil
 }

@@ -8,21 +8,12 @@
 // stream served by a frozen layout and by the elastic runtime
 // controller, reporting per-window hit rates across a skew step (see
 // docs/ELASTICITY.md).
-//
-// With -simreplay N it compiles NetCache, replays N Zipf packets
-// through the behavioral pipeline on the engine chosen by -engine
-// (vm or interp), and reports packets/sec plus the pipeline's
-// resource counters — a quick way to bisect a throughput regression
-// to the execution engine (see docs/SIM_PERF.md). Adding -shards M
-// replays through the sharded serving runtime (M flow-hashed
-// pipelines, see docs/SERVING.md) instead of one pipeline.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"p4all/internal/apps"
 	"p4all/internal/core"
@@ -30,9 +21,6 @@ import (
 	"p4all/internal/ilp"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
-	"p4all/internal/serve"
-	"p4all/internal/sim"
-	"p4all/internal/workload"
 )
 
 func main() {
@@ -50,9 +38,6 @@ func main() {
 		trace    = flag.String("trace", "", "write a JSONL trace of the shape compile and simulation to this file")
 		summary  = flag.Bool("summary", false, "print an observability summary table to stderr")
 		drift    = flag.Bool("drift", false, "run the workload-drift experiment (frozen vs elastic controller)")
-		engine   = flag.String("engine", "vm", "sim execution engine: vm or interp")
-		replayN  = flag.Int("simreplay", 0, "replay N packets through the behavioral pipeline and report packets/sec (0: off)")
-		shards   = flag.Int("shards", 1, "with -simreplay: replay through the sharded serving runtime with this many shards")
 	)
 	flag.Parse()
 	solver := ilp.Options{Threads: *threads, Deterministic: *det}
@@ -61,17 +46,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netcachesim:", err)
 		os.Exit(1)
-	}
-
-	if *replayN > 0 {
-		if err := runSimReplay(*engine, *mem, *keys, *replayN, *shards, *zipf, *seed, solver, tracer); err != nil {
-			fmt.Fprintln(os.Stderr, "netcachesim:", err)
-			os.Exit(1)
-		}
-		if err := tracer.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "netcachesim: trace:", err)
-		}
-		return
 	}
 
 	if *drift {
@@ -132,85 +106,6 @@ func main() {
 		p.CMSRows, p.CMSCols, int64(p.CMSRows*p.CMSCols)*32, p.KVSlots, int64(p.KVSlots)*64, p.HitRate, *requests)
 }
 
-// runSimReplay compiles NetCache and pushes a Zipf stream through the
-// behavioral pipeline on the requested engine, reporting throughput
-// and the pipeline's resource counters. With shards > 1 the stream
-// goes through the sharded serving runtime instead — same program,
-// flow-hashed across per-shard pipelines.
-func runSimReplay(engine string, mem, keys, n, shards int, zipf float64, seed int64, solver ilp.Options, tracer *obs.Tracer) error {
-	eng, err := sim.ParseEngine(engine)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "compiling NetCache for the replay...")
-	app := apps.NetCache(apps.NetCacheConfig{})
-	res, err := core.Compile(app.Source, pisa.EvalTarget(mem), core.Options{Solver: solver, SkipCodegen: true, Tracer: tracer})
-	if err != nil {
-		return err
-	}
-	stream := workload.ZipfKeys(seed, keys, zipf, n)
-	pkts := make([]sim.Packet, len(stream))
-	for i, k := range stream {
-		pkts[i] = sim.Packet{"query.key": k & 0xFFFFFFFF, "query.op": 0, "ipv4.dst": k & 0xFFFFFFFF}
-	}
-
-	if shards > 1 {
-		rt, err := serve.NewSimRuntime(serve.SimConfig{
-			Unit: res.Unit, Layout: res.Layout, Engine: eng,
-			Shards: shards, KeyField: "query.key", Tracer: tracer,
-		})
-		if err != nil {
-			return err
-		}
-		reportFallback(eng, rt.Pipelines()[0])
-		start := time.Now()
-		if err := rt.DispatchAll(pkts); err != nil {
-			return err
-		}
-		rt.Drain()
-		elapsed := time.Since(start)
-		if err := rt.Close(); err != nil {
-			return err
-		}
-		pps := float64(rt.Packets()) / elapsed.Seconds()
-		tracer.Event("netcachesim.simreplay",
-			obs.String("engine", rt.Pipelines()[0].EngineName()),
-			obs.Int("shards", shards),
-			obs.Int("packets", int(rt.Packets())),
-			obs.Float("pkts_per_sec", pps),
-		)
-		fmt.Printf("engine %s, %d shards: %d packets in %v (%.0f pkts/sec aggregate)\n",
-			rt.Pipelines()[0].EngineName(), shards, rt.Packets(), elapsed.Round(time.Millisecond), pps)
-		for i := 0; i < rt.Shards(); i++ {
-			fmt.Printf("  shard %d: %d packets\n", i, rt.ShardPackets(i))
-		}
-		return nil
-	}
-
-	pipe, err := sim.NewEngine(res.Unit, res.Layout, eng)
-	if err != nil {
-		return err
-	}
-	reportFallback(eng, pipe)
-	start := time.Now()
-	if err := pipe.Replay(pkts, nil); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	stats := pipe.Stats()
-	pps := float64(len(pkts)) / elapsed.Seconds()
-	tracer.Event("netcachesim.simreplay",
-		obs.String("engine", pipe.EngineName()),
-		obs.Int("packets", len(pkts)),
-		obs.Float("pkts_per_sec", pps),
-	)
-	fmt.Printf("engine %s: %d packets in %v (%.0f pkts/sec)\n",
-		pipe.EngineName(), len(pkts), elapsed.Round(time.Millisecond), pps)
-	fmt.Printf("register reads %d, writes %d, ALU ops %d\n",
-		stats.RegReads, stats.RegWrites, stats.TotalALUOps())
-	return nil
-}
-
 // runDrift renders the workload-drift experiment as a text table in
 // the style of the p4allbench figures.
 func runDrift(seed int64, tracer *obs.Tracer) error {
@@ -224,13 +119,4 @@ func runDrift(seed int64, tracer *obs.Tracer) error {
 	}
 	fmt.Print(eval.FormatDrift(cfg, res))
 	return nil
-}
-
-// reportFallback says so, with the reason, when the engine that runs is
-// not the one -engine asked for (every shard lowers the same program, so
-// the first shard's pipeline speaks for all).
-func reportFallback(eng sim.Engine, pipe *sim.Pipeline) {
-	if pipe.EngineName() != eng.String() {
-		fmt.Fprintf(os.Stderr, "%s engine fell back to the interpreter: %v\n", eng, pipe.Fallback())
-	}
 }

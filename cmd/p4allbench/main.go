@@ -9,20 +9,14 @@
 //	p4allbench -fig 13   utility-function comparison
 //	p4allbench -fig fairness  multi-tenant fairness sweep
 //	p4allbench -fig all  everything above
-//
-// The serving-scalability figure is explicit-only (it measures
-// wall-clock throughput, so it should run on an otherwise idle
-// machine):
-//
-//	p4allbench -fig scaling   aggregate pkts/sec vs shard count
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"p4all/internal/eval"
@@ -34,8 +28,48 @@ import (
 // -trace or -summary was given.
 var tracer *obs.Tracer
 
+// figure is one -fig name and the function that prints it.
+type figure struct {
+	name string
+	run  func(mem int) error
+}
+
+// figures lists every name -fig accepts besides "all", in the order
+// -fig all prints them.
+var figures = []figure{
+	{"4", func(int) error { return fig4() }},
+	{"9", func(int) error { return fig9() }},
+	{"7", fig7},
+	{"11", fig11},
+	{"12", func(int) error { return fig12() }},
+	{"13", fig13},
+	{"fairness", func(int) error { return figFairness() }},
+}
+
+// figureNames is the -fig vocabulary: every figure name, then "all".
+func figureNames() string {
+	names := make([]string, 0, len(figures)+1)
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	return strings.Join(append(names, "all"), ", ")
+}
+
+// selectFigures returns the figures -fig name regenerates.
+func selectFigures(name string) ([]figure, error) {
+	if name == "all" {
+		return figures, nil
+	}
+	for _, f := range figures {
+		if f.name == name {
+			return []figure{f}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown figure %q (want one of %s)", name, figureNames())
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 4, 7, 9, 11, 12, 13, fairness, scaling, or all (scaling only when named)")
+	fig := flag.String("fig", "all", "figure to regenerate: one of "+figureNames())
 	mem := flag.Int("mem", 7*pisa.Mb/4, "per-stage memory bits for single-target figures")
 	threads := flag.Int("threads", 0, "branch-and-bound workers per solve (0: all cores)")
 	det := flag.Bool("det", true, "reproducible figures: one branch-and-bound worker; -threads is ignored")
@@ -43,37 +77,28 @@ func main() {
 	summary := flag.Bool("summary", false, "print an observability summary table to stderr")
 	flag.Parse()
 
+	selected, err := selectFigures(*fig)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "p4allbench:", err)
+		os.Exit(2)
+	}
+
 	eval.FigureSolver.Threads = *threads
 	eval.FigureSolver.Deterministic = *det
 
-	var err error
 	tracer, err = obs.FromCLI(*trace, *summary, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "p4allbench:", err)
 		os.Exit(1)
 	}
 
-	run := func(name string, fn func() error) {
-		if *fig != "all" && *fig != name {
-			return
-		}
-		fmt.Printf("==================== Figure %s ====================\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s: %v\n", name, err)
+	for _, f := range selected {
+		fmt.Printf("==================== Figure %s ====================\n", f.name)
+		if err := f.run(*mem); err != nil {
+			fmt.Fprintf(os.Stderr, "figure %s: %v\n", f.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
-	}
-
-	run("4", fig4)
-	run("9", fig9)
-	run("7", func() error { return fig7(*mem) })
-	run("11", func() error { return fig11(*mem) })
-	run("12", fig12)
-	run("13", func() error { return fig13(*mem) })
-	run("fairness", figFairness)
-	if *fig == "scaling" {
-		run("scaling", figScaling)
 	}
 
 	if err := tracer.Close(); err != nil {
@@ -202,18 +227,5 @@ func figFairness() error {
 			p.Weight, p.FixedUtility, p.FavoredUtility, p.SolveTime.Round(time.Millisecond), warm, 100*p.Gap)
 	}
 	fmt.Println("\nallocation follows weight; the floors keep the squeezed tenant alive")
-	return nil
-}
-
-func figScaling() error {
-	res, err := eval.FigureScaling(eval.DefaultScalingConfig(), tracer)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("engine %s, GOMAXPROCS %d\n\n", res.Engine, runtime.GOMAXPROCS(0))
-	fmt.Printf("%7s %10s %14s %9s\n", "shards", "packets", "pkts/sec", "speedup")
-	for _, p := range res.Points {
-		fmt.Printf("%7d %10d %14.0f %8.2fx\n", p.Shards, p.Packets, p.PktsPerSec, p.Speedup)
-	}
 	return nil
 }

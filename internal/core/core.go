@@ -128,18 +128,6 @@ func Compile(source string, target pisa.Target, opts Options) (*Result, error) {
 	return compileUnit(res, opts, root)
 }
 
-// CompileUnit compiles an already-resolved unit (used when the same
-// program is recompiled against many targets).
-func CompileUnit(u *lang.Unit, target pisa.Target, opts Options) (*Result, error) {
-	root := opts.Tracer.StartSpan("compile", obs.String("target", target.Name))
-	defer root.End()
-	res, err := bound(u, target, root)
-	if err != nil {
-		return nil, err
-	}
-	return compileUnit(res, opts, root)
-}
-
 // Front is the front half of the pipeline for one program: parse and
 // resolve, then the check.Bounds audit and the §4.2 unroll bounds
 // against target, each phase a span under root. The result carries the

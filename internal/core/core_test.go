@@ -104,13 +104,18 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func TestCompileUnitReuse(t *testing.T) {
-	// The same resolved unit compiled for two targets must not
-	// interfere (the Figure 12 sweep depends on this).
+	// A compile must leave its resolved unit reusable: bounding and
+	// solving the same unit again for another target must not see the
+	// first compile's state.
 	res1, err := Compile(modules.StandaloneCMS(), pisa.EvalTarget(pisa.Mb), Options{SkipCodegen: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := CompileUnit(res1.Unit, pisa.EvalTarget(2*pisa.Mb), Options{SkipCodegen: true})
+	bounded, err := bound(res1.Unit, pisa.EvalTarget(2*pisa.Mb), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := compileUnit(bounded, Options{SkipCodegen: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

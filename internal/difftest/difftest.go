@@ -213,10 +213,6 @@ type Config struct {
 	Apps []string
 	// Oracles filters the oracle set; empty runs all six.
 	Oracles []string
-	// Engine selects the sim execution engine ("vm" or "interp") the
-	// golden, snapshot, and layout oracles replay with. Empty means
-	// "vm". The engine oracle always runs both regardless.
-	Engine string
 	// LayoutVariants caps how many (app, budget) pairs run the
 	// expensive layout-invariance oracle (each costs three extra ILP
 	// solves). Zero means no cap.
@@ -294,12 +290,6 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.EngineVM
-	if cfg.Engine != "" {
-		if eng, err = sim.ParseEngine(cfg.Engine); err != nil {
-			return nil, fmt.Errorf("difftest: %w", err)
-		}
-	}
 	want := make(map[string]bool, len(cfg.Oracles))
 	for _, o := range cfg.Oracles {
 		want[o] = true
@@ -318,10 +308,10 @@ func Run(cfg Config) (*Report, error) {
 			}
 			layouts[bi] = res.Layout
 			if want[OracleGolden] {
-				checkGolden(rep, cfg, eng, spec, res, budget, stream)
+				checkGolden(rep, cfg, spec, res, budget, stream)
 			}
 			if want[OracleSnapshot] {
-				checkSnapshot(rep, cfg, eng, spec, res, budget, stream)
+				checkSnapshot(rep, cfg, spec, res, budget, stream)
 			}
 			if want[OracleEngine] {
 				checkEngines(rep, cfg, spec, res, budget, stream)
@@ -331,7 +321,7 @@ func Run(cfg Config) (*Report, error) {
 			}
 			if want[OracleLayout] && (cfg.LayoutVariants == 0 || layoutRuns < cfg.LayoutVariants) {
 				layoutRuns++
-				if err := checkLayoutInvariance(rep, cfg, eng, spec, res, tgt, budget, stream); err != nil {
+				if err := checkLayoutInvariance(rep, cfg, spec, res, tgt, budget, stream); err != nil {
 					return nil, err
 				}
 			}
@@ -357,7 +347,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	if want[OracleTenant] {
-		if err := checkTenantEquivalence(rep, cfg, eng, specs); err != nil {
+		if err := checkTenantEquivalence(rep, cfg, specs); err != nil {
 			return nil, err
 		}
 	}

@@ -29,32 +29,3 @@ func TestEngineEquivalenceAllApps(t *testing.T) {
 		})
 	}
 }
-
-// TestRunRejectsUnknownEngine pins the config validation path.
-func TestRunRejectsUnknownEngine(t *testing.T) {
-	if _, err := Run(Config{Engine: "bogus"}); err == nil {
-		t.Fatal("Run accepted an unknown engine")
-	}
-}
-
-// TestRunInterpEngine exercises the harness with the reference engine
-// forced, on a small slice of the matrix — the -engine=interp bisection
-// path cmd/difftest exposes.
-func TestRunInterpEngine(t *testing.T) {
-	rep, err := Run(Config{
-		Seed: 3, N: 60, Budgets: []int{fuzzBudget},
-		Apps: []string{"NetCache"}, Oracles: []string{OracleGolden, OracleEngine},
-		Engine: "interp",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Ok() {
-		for _, f := range rep.Failures {
-			t.Errorf("failure: %s", f)
-		}
-	}
-	if rep.Checks != 2 {
-		t.Fatalf("expected 2 checks (golden + engine), got %d", rep.Checks)
-	}
-}

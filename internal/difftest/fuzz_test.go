@@ -92,7 +92,7 @@ func FuzzSimVsGolden(f *testing.F) {
 		spec := fuzzSpec(appIdx)
 		res := compiled[spec.Name]
 		stream := streamFromBytes(spec, data)
-		div, err := replayGolden(spec, res, sim.EngineVM, stream, int64(appIdx))
+		div, err := replayGolden(spec, res, stream, int64(appIdx))
 		if err != nil {
 			t.Fatalf("%s: replay error: %v", spec.Name, err)
 		}
@@ -156,7 +156,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if cut == 0 {
 			return
 		}
-		div, err := replaySnapshot(spec, res, sim.EngineVM, stream, cut, int64(appIdx))
+		div, err := replaySnapshot(spec, res, stream, cut, int64(appIdx))
 		if err != nil {
 			t.Fatalf("%s: replay error: %v", spec.Name, err)
 		}

@@ -32,18 +32,12 @@ func (d *divergence) String() string {
 	return fmt.Sprintf("packet %d: %s = %d, want %d", d.packet, d.field, d.got, d.want)
 }
 
-// newPipeline builds a fresh executable for a compile result on the
-// requested engine.
-func newPipeline(res *core.Result, eng sim.Engine) (*sim.Pipeline, error) {
-	return sim.NewEngine(res.Unit, res.Layout, eng)
-}
-
 // --- oracle 2: sim vs golden structures ---------------------------------
 
 // replayGolden runs a stream through a fresh pipeline and the app's
 // golden model side by side and returns the first divergence.
-func replayGolden(spec AppSpec, res *core.Result, eng sim.Engine, stream []sim.Packet, seed int64) (*divergence, error) {
-	pipe, err := newPipeline(res, eng)
+func replayGolden(spec AppSpec, res *core.Result, stream []sim.Packet, seed int64) (*divergence, error) {
+	pipe, err := sim.New(res.Unit, res.Layout)
 	if err != nil {
 		return nil, err
 	}
@@ -70,10 +64,10 @@ func replayGolden(spec AppSpec, res *core.Result, eng sim.Engine, stream []sim.P
 	return nil, nil
 }
 
-func checkGolden(rep *Report, cfg Config, eng sim.Engine, spec AppSpec, res *core.Result, budget int, stream []sim.Packet) {
+func checkGolden(rep *Report, cfg Config, spec AppSpec, res *core.Result, budget int, stream []sim.Packet) {
 	rep.Checks++
 	rep.Packets += len(stream)
-	div, err := replayGolden(spec, res, eng, stream, cfg.Seed)
+	div, err := replayGolden(spec, res, stream, cfg.Seed)
 	if err != nil {
 		rep.Failures = append(rep.Failures, Failure{
 			App: spec.Name, Oracle: OracleGolden, Budget: budget,
@@ -87,7 +81,7 @@ func checkGolden(rep *Report, cfg Config, eng sim.Engine, spec AppSpec, res *cor
 	f := Failure{App: spec.Name, Oracle: OracleGolden, Budget: budget, Detail: div.String()}
 	if cfg.Shrink {
 		min := Shrink(stream, func(s []sim.Packet) bool {
-			d, err := replayGolden(spec, res, eng, s, cfg.Seed)
+			d, err := replayGolden(spec, res, s, cfg.Seed)
 			return err == nil && d != nil
 		})
 		f.Repro = reproNote(spec, cfg, min)
@@ -100,8 +94,8 @@ func checkGolden(rep *Report, cfg Config, eng sim.Engine, spec AppSpec, res *cor
 // replaySnapshot runs prefix packets, snapshots, finishes the stream,
 // restores, and re-runs the suffix; the two suffix output sequences
 // must be identical.
-func replaySnapshot(spec AppSpec, res *core.Result, eng sim.Engine, stream []sim.Packet, cut int, seed int64) (*divergence, error) {
-	pipe, err := newPipeline(res, eng)
+func replaySnapshot(spec AppSpec, res *core.Result, stream []sim.Packet, cut int, seed int64) (*divergence, error) {
+	pipe, err := sim.New(res.Unit, res.Layout)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +152,7 @@ func diffOutputs(packet int, want, got map[string]uint64) *divergence {
 	return nil
 }
 
-func checkSnapshot(rep *Report, cfg Config, eng sim.Engine, spec AppSpec, res *core.Result, budget int, stream []sim.Packet) {
+func checkSnapshot(rep *Report, cfg Config, spec AppSpec, res *core.Result, budget int, stream []sim.Packet) {
 	n := len(stream)
 	for _, cut := range []int{n / 4, n / 2, 3 * n / 4} {
 		if cut <= 0 || cut >= n {
@@ -166,7 +160,7 @@ func checkSnapshot(rep *Report, cfg Config, eng sim.Engine, spec AppSpec, res *c
 		}
 		rep.Checks++
 		rep.Packets += n + (n - cut)
-		div, err := replaySnapshot(spec, res, eng, stream, cut, cfg.Seed)
+		div, err := replaySnapshot(spec, res, stream, cut, cfg.Seed)
 		if err != nil {
 			rep.Failures = append(rep.Failures, Failure{
 				App: spec.Name, Oracle: OracleSnapshot, Budget: budget,
@@ -187,7 +181,7 @@ func checkSnapshot(rep *Report, cfg Config, eng sim.Engine, spec AppSpec, res *c
 				if c == 0 {
 					return false
 				}
-				d, err := replaySnapshot(spec, res, eng, s, c, cfg.Seed)
+				d, err := replaySnapshot(spec, res, s, c, cfg.Seed)
 				return err == nil && d != nil
 			})
 			f.Repro = reproNote(spec, cfg, min)
@@ -247,8 +241,8 @@ func layoutVariants() []layoutVariant {
 // replayOutputs runs the stream through a fresh pipeline for the
 // compile result and returns every packet's outputs plus the final
 // register state.
-func replayOutputs(spec AppSpec, res *core.Result, eng sim.Engine, stream []sim.Packet, seed int64) ([]map[string]uint64, *sim.Snapshot, error) {
-	pipe, err := newPipeline(res, eng)
+func replayOutputs(spec AppSpec, res *core.Result, stream []sim.Packet, seed int64) ([]map[string]uint64, *sim.Snapshot, error) {
+	pipe, err := sim.New(res.Unit, res.Layout)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -270,9 +264,9 @@ func replayOutputs(spec AppSpec, res *core.Result, eng sim.Engine, stream []sim.
 	return outs, pipe.Snapshot(), nil
 }
 
-func checkLayoutInvariance(rep *Report, cfg Config, eng sim.Engine, spec AppSpec, base *core.Result, tgt pisa.Target, budget int, stream []sim.Packet) error {
+func checkLayoutInvariance(rep *Report, cfg Config, spec AppSpec, base *core.Result, tgt pisa.Target, budget int, stream []sim.Packet) error {
 	pinned := pinnedSource(spec.Source, base.Layout)
-	baseOuts, baseRegs, err := replayOutputs(spec, base, eng, stream, cfg.Seed)
+	baseOuts, baseRegs, err := replayOutputs(spec, base, stream, cfg.Seed)
 	if err != nil {
 		return fmt.Errorf("difftest: %s base replay: %w", spec.Name, err)
 	}
@@ -291,7 +285,7 @@ func checkLayoutInvariance(rep *Report, cfg Config, eng sim.Engine, spec AppSpec
 			})
 			continue
 		}
-		vOuts, vRegs, err := replayOutputs(spec, vres, eng, stream, cfg.Seed)
+		vOuts, vRegs, err := replayOutputs(spec, vres, stream, cfg.Seed)
 		if err != nil {
 			return fmt.Errorf("difftest: %s variant %s replay: %w", spec.Name, v.name, err)
 		}
@@ -314,11 +308,11 @@ func checkLayoutInvariance(rep *Report, cfg Config, eng sim.Engine, spec AppSpec
 		f := Failure{App: spec.Name, Oracle: OracleLayout, Budget: budget, Detail: detail}
 		if cfg.Shrink && div != nil {
 			min := Shrink(stream, func(s []sim.Packet) bool {
-				a, _, err := replayOutputs(spec, base, eng, s, cfg.Seed)
+				a, _, err := replayOutputs(spec, base, s, cfg.Seed)
 				if err != nil {
 					return false
 				}
-				b, _, err := replayOutputs(spec, vres, eng, s, cfg.Seed)
+				b, _, err := replayOutputs(spec, vres, s, cfg.Seed)
 				if err != nil {
 					return false
 				}
@@ -387,11 +381,11 @@ var errEngineDiverged = errors.New("difftest: engine diverged")
 // failure (detail non-empty): every program the repo ships is expected
 // to lower.
 func replayEngines(spec AppSpec, res *core.Result, stream []sim.Packet, seed int64) (*divergence, string, error) {
-	interp, err := newPipeline(res, sim.EngineInterp)
+	interp, err := sim.NewEngine(res.Unit, res.Layout, sim.EngineInterp)
 	if err != nil {
 		return nil, "", err
 	}
-	vmpipe, err := newPipeline(res, sim.EngineVM)
+	vmpipe, err := sim.New(res.Unit, res.Layout)
 	if err != nil {
 		return nil, "", err
 	}

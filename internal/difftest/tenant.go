@@ -9,7 +9,6 @@ import (
 	"p4all/internal/ilp"
 	"p4all/internal/multitenant"
 	"p4all/internal/pisa"
-	"p4all/internal/sim"
 )
 
 // --- oracle 7: multi-tenant per-tenant equivalence ----------------------
@@ -28,7 +27,7 @@ import (
 // log line, when fewer are selected); it runs once per harness run at
 // the first configured budget — joint solves are the harness's most
 // expensive compiles, so the budget matrix is not swept.
-func checkTenantEquivalence(rep *Report, cfg Config, eng sim.Engine, specs []AppSpec) error {
+func checkTenantEquivalence(rep *Report, cfg Config, specs []AppSpec) error {
 	if len(specs) < 2 {
 		cfg.logf("tenant oracle skipped: needs 2 apps, have %d", len(specs))
 		return nil
@@ -64,11 +63,11 @@ func checkTenantEquivalence(rep *Report, cfg Config, eng sim.Engine, specs []App
 			continue
 		}
 		stream := GenStream(spec, cfg.Seed, cfg.N)
-		jointOuts, jointRegs, err := replayOutputs(spec, tr.Result, eng, stream, cfg.Seed)
+		jointOuts, jointRegs, err := replayOutputs(spec, tr.Result, stream, cfg.Seed)
 		if err != nil {
 			return fmt.Errorf("difftest: tenant %s joint replay: %w", tr.Name, err)
 		}
-		soloOuts, soloRegs, err := replayOutputs(spec, solo, eng, stream, cfg.Seed)
+		soloOuts, soloRegs, err := replayOutputs(spec, solo, stream, cfg.Seed)
 		if err != nil {
 			return fmt.Errorf("difftest: tenant %s solo replay: %w", tr.Name, err)
 		}

@@ -269,13 +269,9 @@ type Fig12Point struct {
 // non-nil tr traces one "compile" span tree per memory setting.
 func Figure12(memBits []int, tr *obs.Tracer) ([]Fig12Point, error) {
 	app := apps.NetCache(apps.NetCacheConfig{})
-	u, err := lang.ParseAndResolve(app.Source)
-	if err != nil {
-		return nil, err
-	}
 	var out []Fig12Point
 	for _, m := range memBits {
-		res, err := core.CompileUnit(u, pisa.EvalTarget(m), core.Options{Solver: FigureSolver, SkipCodegen: true, Tracer: tr})
+		res, err := core.Compile(app.Source, pisa.EvalTarget(m), core.Options{Solver: FigureSolver, SkipCodegen: true, Tracer: tr})
 		if err != nil {
 			return nil, fmt.Errorf("M=%d: %w", m, err)
 		}

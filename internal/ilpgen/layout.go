@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"p4all/internal/dep"
 	"p4all/internal/ilp"
 
 	"p4all/internal/pisa"
@@ -430,11 +429,4 @@ func (l *Layout) String() string {
 			l.Stages[s].Hf, l.Stages[s].Hl, l.Stages[s].MemoryBits)
 	}
 	return b.String()
-}
-
-// RegInstanceNode exposes the node hosting a register instance (for
-// the simulator and tests).
-func (p *ILP) RegInstanceNode(ri dep.RegInstance) (int, bool) {
-	id, ok := p.Graph.RegNodes[ri]
-	return id, ok
 }

@@ -26,13 +26,6 @@ func PrintExpr(e Expr) string {
 	return pr.b.String()
 }
 
-// PrintStmt renders a single statement at the given indent depth.
-func PrintStmt(s Stmt, indent int) string {
-	pr := printer{depth: indent}
-	pr.stmt(s)
-	return pr.b.String()
-}
-
 type printer struct {
 	b     strings.Builder
 	depth int

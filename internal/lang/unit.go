@@ -229,26 +229,3 @@ func (u *Unit) ElasticFields() []*MetaField {
 	}
 	return out
 }
-
-// LoopsOf returns the elastic loops bounded by sym.
-func (u *Unit) LoopsOf(sym *Symbolic) []*LoopRef {
-	var out []*LoopRef
-	for _, l := range u.Loops {
-		if l.Sym == sym {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// InvocationsOf returns invocations whose innermost loop is bounded by
-// sym.
-func (u *Unit) InvocationsOf(sym *Symbolic) []*Invocation {
-	var out []*Invocation
-	for _, inv := range u.Invocations {
-		if l := inv.Loop(); l != nil && l.Sym == sym {
-			out = append(out, inv)
-		}
-	}
-	return out
-}

@@ -1,8 +1,7 @@
 // SimRuntime specializes the generic runtime to N behavioral
 // pipelines: every shard owns a private sim.Pipeline built from the
 // same unit and layout, so sim.Pipeline's single-goroutine ownership
-// contract holds per shard while aggregate throughput scales with
-// cores.
+// contract holds per shard.
 
 package serve
 
@@ -11,7 +10,6 @@ import (
 
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
-	"p4all/internal/obs"
 	"p4all/internal/sim"
 )
 
@@ -22,19 +20,15 @@ type SimConfig struct {
 	Layout *ilpgen.Layout
 	// Engine selects VM or interpreter execution (default VM).
 	Engine sim.Engine
-	// Shards, BatchSize, QueueDepth size the runtime as in Config.
-	Shards     int
-	BatchSize  int
-	QueueDepth int
-	// KeyField is the packet field the dispatcher hashes (required),
-	// e.g. "query.key".
+	// Shards and BatchSize size the runtime as in Config.
+	Shards    int
+	BatchSize int
+	// KeyField is the packet field the dispatcher flow-hashes
+	// (FlowRoute) to pick a shard (required), e.g. "query.key".
 	KeyField string
-	// Route overrides the shard mapping (default FlowRoute(Shards)).
-	Route func(key uint64) int
 	// Sink, when non-nil, observes every processed packet on the
 	// shard's goroutine (same contract as sim.Pipeline.Replay sinks).
-	Sink   func(shard, i int, v sim.View) error
-	Tracer *obs.Tracer
+	Sink func(shard, i int, v sim.View) error
 }
 
 // SimRuntime is a sharded set of behavioral pipelines behind one
@@ -60,18 +54,13 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 		}
 		pipes[i] = p
 	}
-	route := cfg.Route
-	if route == nil {
-		route = FlowRoute(cfg.Shards)
-	}
+	route := FlowRoute(cfg.Shards)
 	key := cfg.KeyField
 	s := &SimRuntime{pipes: pipes}
 	rt, err := NewRuntime(Config[sim.Packet]{
-		Shards:     cfg.Shards,
-		BatchSize:  cfg.BatchSize,
-		QueueDepth: cfg.QueueDepth,
-		Tracer:     cfg.Tracer,
-		Route:      func(pkt sim.Packet) int { return route(pkt[key]) },
+		Shards:    cfg.Shards,
+		BatchSize: cfg.BatchSize,
+		Route:     func(pkt sim.Packet) int { return route(pkt[key]) },
 		Process: func(shard int, batch []sim.Packet) error {
 			if cfg.Sink == nil {
 				return pipes[shard].Replay(batch, nil)

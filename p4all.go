@@ -106,28 +106,6 @@ func NewPipeline(res *Result) (*Pipeline, error) {
 	return sim.New(res.Unit, res.Layout)
 }
 
-// PipelineEngine selects a pipeline's execution strategy: EngineVM (the
-// default) lowers the layout to a zero-allocation bytecode VM whose
-// Replay batches packets struct-of-arrays style, falling back to the
-// interpreter for the few programs it cannot lower (Pipeline.Fallback
-// says why); EngineInterp forces the reference AST interpreter. See
-// docs/SIM_PERF.md.
-type PipelineEngine = sim.Engine
-
-const (
-	EngineVM     = sim.EngineVM
-	EngineInterp = sim.EngineInterp
-)
-
-// ParsePipelineEngine maps "vm"/"interp" to its engine value.
-func ParsePipelineEngine(s string) (PipelineEngine, error) { return sim.ParseEngine(s) }
-
-// NewPipelineEngine builds an executable pipeline on a specific engine
-// (Pipeline.Replay is the batched zero-allocation entry point).
-func NewPipelineEngine(res *Result, eng PipelineEngine) (*Pipeline, error) {
-	return sim.NewEngine(res.Unit, res.Layout, eng)
-}
-
 // PacketView is the read-only per-packet output view Pipeline.Replay
 // hands its sink; valid only until the sink returns.
 type PacketView = sim.View
