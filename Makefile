@@ -148,9 +148,11 @@ fuzz-smoke:
 	$(GO) test $(FUZZPKG) -run='^$$' -fuzz=FuzzMigrateCMS -fuzztime=$(FUZZTIME)
 
 # serve-smoke drives a netcacheserve child over loopback UDP for three
-# seconds with the benchmark's closed-loop generator and exits non-zero
+# seconds with each of the benchmark's generators, closed loop (batches
+# mostly fill) and paced open loop (partial batches), and exits non-zero
 # if a request failed (add `-trace 1` for hit rate, loss and latency
 # percentiles; see docs/SERVING.md). bench-smoke's TestSmoke is the
 # reply-by-reply check.
 serve-smoke:
 	bash bench/run.sh -workload wire-saturate -seconds 3
+	bash bench/run.sh -workload wire-paced -seconds 3

@@ -156,9 +156,6 @@ func (n *NetCache) Dispatch(req Request) error { return n.rt.Dispatch(req) }
 // DispatchAll routes a request slice under one lock acquisition.
 func (n *NetCache) DispatchAll(reqs []Request) error { return n.rt.DispatchAll(reqs) }
 
-// Flush pushes partial batches; Drain additionally waits for idle.
-func (n *NetCache) Flush() { n.rt.Flush() }
-
 // Drain blocks until every dispatched request has been served.
 func (n *NetCache) Drain() { n.rt.Drain() }
 

@@ -24,17 +24,13 @@ type ServerConfig struct {
 	// the server (replies go to the wire); OnBatch and Tracer pass
 	// through.
 	NetCache NetCacheConfig
-	// FlushEvery bounds request latency under light load: a partial
-	// batch older than this is pushed even if not full (default 1ms).
-	FlushEvery time.Duration
 }
 
 // Server owns the socket, the receive loop, and the NetCache service
 // behind it.
 type Server struct {
-	conn    *net.UDPConn
-	cache   *NetCache
-	flushEv time.Duration
+	conn  *net.UDPConn
+	cache *NetCache
 
 	stopping atomic.Bool
 	done     chan struct{}
@@ -54,10 +50,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: listen: %w", err)
 	}
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = time.Millisecond
-	}
-	s := &Server{conn: conn, flushEv: cfg.FlushEvery, done: make(chan struct{})}
+	s := &Server{conn: conn, done: make(chan struct{})}
 	nc := cfg.NetCache
 	nc.Respond = s.respond
 	cache, err := NewNetCache(nc)
@@ -94,23 +87,9 @@ func (s *Server) respond(_ int, req Request, status uint8, val uint64) {
 }
 
 // Serve runs the receive loop until Shutdown, an OpShutdown frame, or
-// a socket error. It flushes partial batches on a timer so trickle
-// traffic is not stranded behind BatchSize.
+// a socket error. It dispatches each datagram as it arrives; the
+// runtime batches what arrives while a shard is busy.
 func (s *Server) Serve() error {
-	stopFlusher := make(chan struct{})
-	go func() {
-		t := time.NewTicker(s.flushEv)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopFlusher:
-				return
-			case <-t.C:
-				s.cache.Flush()
-			}
-		}
-	}()
-	defer close(stopFlusher)
 	defer close(s.done)
 
 	var buf [65536]byte

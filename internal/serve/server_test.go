@@ -108,7 +108,6 @@ func TestServerEndToEnd(t *testing.T) {
 			BatchSize: 32,
 			Threshold: 4,
 		},
-		FlushEvery: 200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Skipf("cannot bind loopback UDP: %v", err)

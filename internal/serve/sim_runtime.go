@@ -83,9 +83,6 @@ func (s *SimRuntime) Dispatch(pkt sim.Packet) error { return s.rt.Dispatch(pkt) 
 // DispatchAll routes a packet slice under one lock acquisition.
 func (s *SimRuntime) DispatchAll(pkts []sim.Packet) error { return s.rt.DispatchAll(pkts) }
 
-// Flush pushes partial batches; Drain additionally waits for idle.
-func (s *SimRuntime) Flush() { s.rt.Flush() }
-
 // Drain blocks until every dispatched packet has been replayed.
 func (s *SimRuntime) Drain() { s.rt.Drain() }
 
