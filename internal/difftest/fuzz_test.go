@@ -47,11 +47,25 @@ func fuzzCompileAll(f testing.TB, more ...AppSpec) map[string]*core.Result {
 	return fuzzCompiles.byApp
 }
 
+// sparseMetaKey names, per app, a metadata field a sparse stream also
+// sends as a packet key: the program writes it, so the output must
+// show the written value where the write happened and the packet's
+// value where it did not.
+var sparseMetaKey = map[string]string{
+	"NetCache":    "kv_meta.value",
+	"SketchLearn": "lv0_meta.min",
+	"Precision":   "pr_meta.recirculate",
+	"ConQuest":    "cq_meta.estimate",
+}
+
 // streamFromBytes turns raw fuzz input into a packet stream: one
 // packet per byte, key = byte value (a deliberately tiny domain so
 // collisions are dense), secondary fields derived from the shared
-// hash so they stay deterministic per input.
-func streamFromBytes(spec AppSpec, data []byte) []sim.Packet {
+// hash so they stay deterministic per input. A sparse stream lets the
+// byte's bits shape the packet too: bit j drops non-key field j, bit 6
+// adds an undeclared stray key and bit 7 a key named after one of the
+// app's metadata fields.
+func streamFromBytes(spec AppSpec, data []byte, sparse bool) []sim.Packet {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
@@ -60,13 +74,20 @@ func streamFromBytes(spec AppSpec, data []byte) []sim.Packet {
 	}
 	out := make([]sim.Packet, len(data))
 	for i, b := range data {
-		pkt := make(sim.Packet, len(spec.Fields))
-		for _, f := range spec.Fields {
-			if f.Key {
+		pkt := make(sim.Packet, len(spec.Fields)+2)
+		for j, f := range spec.Fields {
+			switch {
+			case f.Key:
 				pkt[f.Name] = uint64(b)
-			} else {
+			case !sparse || b>>j&1 == 0:
 				pkt[f.Name] = structures.Hash(uint64(i), uint64(b)) & widthMask(f.Width)
 			}
+		}
+		if sparse && b&0x40 != 0 {
+			pkt["fuzz.stray"] = uint64(i)
+		}
+		if sparse && b&0x80 != 0 {
+			pkt[sparseMetaKey[spec.Name]] = structures.Hash(uint64(b), uint64(i))
 		}
 		out[i] = pkt
 	}
@@ -91,7 +112,7 @@ func FuzzSimVsGolden(f *testing.F) {
 	f.Fuzz(func(t *testing.T, appIdx byte, data []byte) {
 		spec := fuzzSpec(appIdx)
 		res := compiled[spec.Name]
-		stream := streamFromBytes(spec, data)
+		stream := streamFromBytes(spec, data, false)
 		div, err := replayGolden(spec, res, stream, int64(appIdx))
 		if err != nil {
 			t.Fatalf("%s: replay error: %v", spec.Name, err)
@@ -124,16 +145,21 @@ func fuzzEngines(t *testing.T, spec AppSpec, res *core.Result, stream []sim.Pack
 // model keeps each input cheap, so coverage guidance explores the VM's
 // segment boundaries (partial batches, guard jumps across serial/vector
 // splits) faster than FuzzSimVsGolden can. Outputs, register end-state,
-// and Stats must all agree; a lowering fallback fails.
+// and Stats must all agree; a lowering fallback fails. An appIdx with
+// its top bit set replays a sparse stream (streamFromBytes): absent
+// fields, stray keys and meta-named keys are what the VM reads from
+// the caller's packet instead of its slots.
 func FuzzVMVsInterp(f *testing.F) {
 	compiled := fuzzCompileAll(f)
 	f.Add(byte(0), []byte("vm-netcache-seed"))
 	f.Add(byte(1), []byte("vm-sketchlearn-seed"))
 	f.Add(byte(2), []byte("\x00\x01\x02\x03\xfe\xff"))
 	f.Add(byte(3), []byte("vm-conquest-seed"))
+	f.Add(byte(0x83), []byte("\x00\x01\x02\x03\x40\x80\xc5\xff"))
 	f.Fuzz(func(t *testing.T, appIdx byte, data []byte) {
 		spec := fuzzSpec(appIdx)
-		fuzzEngines(t, spec, compiled[spec.Name], streamFromBytes(spec, data), int64(appIdx))
+		stream := streamFromBytes(spec, data, appIdx&0x80 != 0)
+		fuzzEngines(t, spec, compiled[spec.Name], stream, int64(appIdx))
 	})
 }
 
@@ -148,7 +174,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, appIdx, cutByte byte, data []byte) {
 		spec := fuzzSpec(appIdx)
 		res := compiled[spec.Name]
-		stream := streamFromBytes(spec, data)
+		stream := streamFromBytes(spec, data, false)
 		cut := int(cutByte) % len(stream)
 		if cut == 0 {
 			cut = len(stream) / 2

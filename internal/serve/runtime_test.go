@@ -151,8 +151,9 @@ func TestRuntimeRejectsBadConfig(t *testing.T) {
 }
 
 // TestSimRuntimeEngineParity is the difftest engine oracle run against
-// the sharded runtime: the VM and interpreter engines, sharded
-// identically, must produce bit-identical per-packet outputs.
+// the sharded runtime: the 2-shard runtime (the VM) must produce, shard
+// by shard, bit-identical per-packet outputs to two interpreter
+// pipelines fed by the runtime's own FlowRoute in dispatch order.
 func TestSimRuntimeEngineParity(t *testing.T) {
 	unit, layout := compiledNetCache(t)
 	pkts := netcacheStream(8192)
@@ -161,34 +162,49 @@ func TestSimRuntimeEngineParity(t *testing.T) {
 	type rec struct {
 		vals [3]uint64
 	}
-	capture := func(eng sim.Engine) [][]rec {
-		out := make([][]rec, 2)
-		rt, err := NewSimRuntime(SimConfig{
-			Unit: unit, Layout: layout, Engine: eng,
-			Shards: 2, BatchSize: 64, KeyField: "query.key",
-			Sink: func(shard, i int, v sim.View) error {
-				var r rec
-				for fi, f := range fields {
-					r.vals[fi], _ = v.Get(f)
-				}
-				out[shard] = append(out[shard], r)
-				return nil
-			},
-		})
+	vm := make([][]rec, 2)
+	rt, err := NewSimRuntime(SimConfig{
+		Unit: unit, Layout: layout,
+		Shards: 2, BatchSize: 64, KeyField: "query.key",
+		Sink: func(shard, i int, v sim.View) error {
+			var r rec
+			for fi, f := range fields {
+				r.vals[fi], _ = v.Get(f)
+			}
+			vm[shard] = append(vm[shard], r)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.DispatchAll(pkts); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	interp := make([][]rec, 2)
+	route := FlowRoute(2)
+	var pipes [2]*sim.Pipeline
+	for s := range pipes {
+		if pipes[s], err = sim.NewEngine(unit, layout, sim.EngineInterp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pkt := range pkts {
+		s := route(pkt["query.key"])
+		out, err := pipes[s].Process(pkt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.DispatchAll(pkts); err != nil {
-			t.Fatal(err)
+		var r rec
+		for fi, f := range fields {
+			r.vals[fi] = out[f]
 		}
-		if err := rt.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return out
+		interp[s] = append(interp[s], r)
 	}
-
-	vm := capture(sim.EngineVM)
-	interp := capture(sim.EngineInterp)
 	for s := 0; s < 2; s++ {
 		if len(vm[s]) != len(interp[s]) {
 			t.Fatalf("shard %d: vm saw %d packets, interp %d", s, len(vm[s]), len(interp[s]))

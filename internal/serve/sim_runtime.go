@@ -18,8 +18,6 @@ type SimConfig struct {
 	// Unit and Layout are the compiled program all shards execute.
 	Unit   *lang.Unit
 	Layout *ilpgen.Layout
-	// Engine selects VM or interpreter execution (default VM).
-	Engine sim.Engine
 	// Shards and BatchSize size the runtime as in Config.
 	Shards    int
 	BatchSize int
@@ -48,7 +46,7 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 	}
 	pipes := make([]*sim.Pipeline, cfg.Shards)
 	for i := range pipes {
-		p, err := sim.NewEngine(cfg.Unit, cfg.Layout, cfg.Engine)
+		p, err := sim.New(cfg.Unit, cfg.Layout)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d pipeline: %w", i, err)
 		}

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"errors"
+	"maps"
 	"testing"
+
+	"p4all/internal/pisa"
 )
 
 const headerWritingProgram = `
@@ -74,5 +78,92 @@ func TestHeaderStateResetBetweenPackets(t *testing.T) {
 	// stamped value is just the flow.
 	if out["pkt.tag"] != 1 {
 		t.Errorf("stale header state leaked: pkt.tag = %d, want 1", out["pkt.tag"])
+	}
+}
+
+// sparseReadProgram reads one header field, declares a second it
+// never touches, and writes a meta field only when its guard fires.
+const sparseReadProgram = `
+header pkt { bit<32> flow; bit<32> len; }
+struct meta { bit<32> tag; }
+action mark() {
+    meta.tag = pkt.flow + 1;
+}
+control main { apply { if (pkt.flow == 5) { mark(); } } }
+`
+
+// TestReplayReadsCallerPacket pins what a VM view reads: the slots the
+// program stamped, and the caller's packet for every other field. Over
+// packets that lack the field the program reads, carry a key named
+// like the guarded meta field (with the guard firing and not) or an
+// undeclared stray, View.Get and View.Map must equal the interpreter's
+// Process, the caller's packets must come back unchanged, and the
+// frame must not keep them once Replay or Process returns.
+func TestReplayReadsCallerPacket(t *testing.T) {
+	vm, interp := compileBoth(t, sparseReadProgram, pisa.RunningExampleTarget())
+	shapes := []Packet{
+		{"pkt.len": 9},
+		{"pkt.flow": 5, "meta.tag": 77},
+		{"pkt.flow": 4, "meta.tag": 77},
+		{"pkt.flow": 5, "pkt.len": 3, "stray.key": 11},
+		{"stray.key": 1, "meta.tag": 2},
+	}
+	pkts := make([]Packet, 2*vmLanes+3) // two full batches and a tail
+	before := make([]Packet, len(pkts))
+	for i := range pkts {
+		pkts[i] = maps.Clone(shapes[i%len(shapes)])
+		if _, ok := pkts[i]["pkt.len"]; ok {
+			pkts[i]["pkt.len"] = uint64(i)
+		}
+		before[i] = maps.Clone(pkts[i])
+	}
+	names := []string{"pkt.flow", "pkt.len", "meta.tag", "stray.key", "no.such.field"}
+	err := vm.Replay(pkts, func(i int, v View) error {
+		want, err := interp.Process(pkts[i])
+		if err != nil {
+			return err
+		}
+		for _, name := range names {
+			got, ok := v.Get(name)
+			if w, wok := want[name]; ok != wok || got != w {
+				t.Fatalf("packet %d: Get(%s) = %d (present=%v), Process %d (present=%v)", i, name, got, ok, w, wok)
+			}
+		}
+		assertSameOutputs(t, i, v.Map(), want)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pkts {
+		if !maps.Equal(pkts[i], before[i]) {
+			t.Fatalf("packet %d: caller's packet changed: %v, was %v", i, pkts[i], before[i])
+		}
+	}
+	assertNoPinnedPackets(t, vm, "Replay")
+
+	stop := errors.New("stop")
+	if err := vm.Replay(pkts, func(i int, v View) error {
+		if i == vmLanes+5 {
+			return stop
+		}
+		return nil
+	}); err != stop {
+		t.Fatalf("Replay returned %v, want the sink's error", err)
+	}
+	assertNoPinnedPackets(t, vm, "a sink error")
+
+	if _, err := vm.Process(pkts[1]); err != nil {
+		t.Fatal(err)
+	}
+	assertNoPinnedPackets(t, vm, "Process")
+}
+
+func assertNoPinnedPackets(t *testing.T, p *Pipeline, after string) {
+	t.Helper()
+	for l, pkt := range p.vmf.pkt {
+		if pkt != nil {
+			t.Fatalf("after %s, frame lane %d still holds the caller's packet %v", after, l, pkt)
+		}
 	}
 }

@@ -153,19 +153,8 @@ func (pl *vmProg) runBatch(fr *vmFrame, pkts []Packet) (int, error) {
 	fr.lanes = lanes
 	fr.gen++
 	pl.p.stats.Packets += uint64(lanes)
-	for l := 0; l < lanes; l++ {
-		fr.extraK[l] = fr.extraK[l][:0]
-		fr.extraV[l] = fr.extraV[l][:0]
-		for k, v := range pkts[l] {
-			if sr, ok := pl.fieldSlot[k]; ok && sr.header {
-				i := sr.slot*vmLanes + l
-				fr.vals[i] = v
-				fr.stamp[i] = fr.gen
-			} else {
-				fr.extraK[l] = append(fr.extraK[l], k)
-				fr.extraV[l] = append(fr.extraV[l], v)
-			}
-		}
+	for l, pkt := range pkts {
+		pl.load(fr, l, pkt)
 		fr.next[l] = 0
 	}
 	for _, sg := range pl.segs {

@@ -77,7 +77,7 @@ type vmLowerer struct {
 }
 
 func (lo *vmLowerer) lower() (*vmProg, error) {
-	lo.pr = &vmProg{p: lo.p, fieldSlot: make(map[string]slotRef)}
+	lo.pr = &vmProg{p: lo.p, fieldSlot: make(map[string]int32)}
 	lo.regIDs = make(map[string]int32)
 	for _, st := range lo.p.steps {
 		if err := lo.lowerStep(st); err != nil {
@@ -90,15 +90,20 @@ func (lo *vmLowerer) lower() (*vmProg, error) {
 	return lo.pr, nil
 }
 
-// slotFor interns a field key.
+// slotFor interns a field key; a header field's slot is also recorded
+// in the load lists.
 func (lo *vmLowerer) slotFor(key string, header bool) int32 {
-	if sr, ok := lo.pr.fieldSlot[key]; ok {
-		return int32(sr.slot)
+	if slot, ok := lo.pr.fieldSlot[key]; ok {
+		return slot
 	}
-	slot := len(lo.pr.slotKeys)
-	lo.pr.fieldSlot[key] = slotRef{slot: slot, header: header}
+	slot := int32(len(lo.pr.slotKeys))
+	lo.pr.fieldSlot[key] = slot
 	lo.pr.slotKeys = append(lo.pr.slotKeys, key)
-	return int32(slot)
+	if header {
+		lo.pr.hdrKeys = append(lo.pr.hdrKeys, key)
+		lo.pr.hdrSlots = append(lo.pr.hdrSlots, slot)
+	}
+	return slot
 }
 
 func (lo *vmLowerer) regIDFor(name string, inst int) int32 {

@@ -55,7 +55,9 @@ func (p *Pipeline) Fallback() error { return p.vmErr }
 // View is a read-only view of one processed packet's output fields.
 // Inside a Replay sink on the VM it reads one lane of the reused batch
 // frame — no allocation — and is only valid until the sink returns; do
-// not retain it.
+// not retain it. Fields the program does not touch are read straight
+// from the caller's packet, so a sink must not mutate that packet while
+// its view is live.
 type View struct {
 	vm   *vmProg
 	vf   *vmFrame
@@ -67,20 +69,16 @@ type View struct {
 // "meta.count@2" — see Key). It reports false for fields the packet
 // left unset, which Process would omit from its map.
 func (v View) Get(name string) (uint64, bool) {
+	m := v.m
 	if v.vm != nil {
-		if sr, ok := v.vm.fieldSlot[name]; ok {
-			if i := sr.slot*vmLanes + v.lane; v.vf.stamp[i] == v.vf.gen {
+		if s, ok := v.vm.fieldSlot[name]; ok {
+			if i := int(s)*vmLanes + v.lane; v.vf.stamp[i] == v.vf.gen {
 				return v.vf.vals[i], true
 			}
 		}
-		for i, k := range v.vf.extraK[v.lane] {
-			if k == name {
-				return v.vf.extraV[v.lane][i], true
-			}
-		}
-		return 0, false
+		m = v.vf.pkt[v.lane]
 	}
-	val, ok := v.m[name]
+	val, ok := m[name]
 	return val, ok
 }
 
@@ -99,12 +97,14 @@ func (v View) Map() map[string]uint64 {
 // zero allocations, and packets run in struct-of-arrays batches of up
 // to vmLanes: sinks still fire per packet, in order, after the packet's
 // batch executes — a sink reading register state through the pipeline
-// observes it as of the end of that batch. A processing error aborts
-// the replay with the packet index attached, after the sinks of every
-// packet before it have fired; an error from sink aborts it and is
-// returned unwrapped.
+// observes it as of the end of that batch. The VM reads pkts[i] and
+// never writes it; a sink must not mutate pkts[i] while its View is
+// live. A processing error aborts the replay with the packet index
+// attached, after the sinks of every packet before it have fired; an
+// error from sink aborts it and is returned unwrapped.
 func (p *Pipeline) Replay(pkts []Packet, sink func(i int, v View) error) error {
 	if p.vm != nil {
+		defer clear(p.vmf.pkt[:]) // never pin the caller's packets
 		v := View{vm: p.vm, vf: &p.vmf}
 		for off := 0; off < len(pkts); off += vmLanes {
 			end := off + vmLanes

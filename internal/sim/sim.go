@@ -262,11 +262,12 @@ func hashUint(key uint64, row uint64) uint64 {
 // Process pushes one packet through the pipeline and returns the final
 // packet view: metadata fields (flattened names: "meta.min",
 // "meta.count@2", ...) plus the header fields as the pipeline left
-// them. The caller's Packet is copied on entry and never mutated —
-// header-field writes are visible only in the returned map, so the
-// same Packet value can be replayed any number of times.
+// them. The caller's Packet is read and never written — header-field
+// writes are visible only in the returned map, so the same Packet value
+// can be replayed any number of times.
 func (p *Pipeline) Process(pkt Packet) (map[string]uint64, error) {
 	if p.vm != nil {
+		defer clear(p.vmf.pkt[:])
 		if err := p.vm.run1(&p.vmf, pkt); err != nil {
 			return nil, err
 		}

@@ -164,22 +164,18 @@ type vmInst struct {
 	uncond bool
 }
 
-// slotRef locates an interned field: its frame slot and whether the
-// field lives in a header struct (header slots are seeded from the
-// incoming packet; meta slots start absent every packet).
-type slotRef struct {
-	slot   int
-	header bool
-}
-
 // vmProg is a lowered program: the instruction stream, the field
 // interning tables (slotKeys maps a slot back to its flattened key, in
-// interning order; output assembly walks it) and the batch execution
-// segments derived from register hazard analysis (see batch.go).
+// interning order; output assembly walks it), the header fields load
+// seeds from each packet (hdrKeys[j] lives in slot hdrSlots[j]; meta
+// slots start absent every packet) and the batch execution segments
+// derived from register hazard analysis (see batch.go).
 type vmProg struct {
 	p         *Pipeline
-	fieldSlot map[string]slotRef
+	fieldSlot map[string]int32
 	slotKeys  []string
+	hdrKeys   []string
+	hdrSlots  []int32
 	code      []vmInst
 	segs      []vmSeg
 	nreg      int // distinct register instances the program touches
@@ -199,10 +195,11 @@ const vmLanes = 64
 // iff its stamp equals gen. Stats accumulate in frame-local counters
 // (batch execution is instruction-major, so per-stage totals — which
 // are order-free — are the only accounting that survives; flushStats
-// folds them into Pipeline.stats after every run). Packet keys that are
-// not interned header fields (unknown fields, or keys colliding with
-// meta names, which the interpreter also keeps out of metadata) overflow
-// into the per-lane extra key/value slices, reused across batches.
+// folds them into Pipeline.stats after every run). pkt[l] is lane l's
+// caller packet, read, never written: a field the program does not
+// touch (an unknown key, or one named like a meta field, which the
+// interpreter also keeps out of metadata) is read from it, not copied.
+// Replay and Process clear pkt before returning.
 type vmFrame struct {
 	vals  []uint64
 	stamp []uint64
@@ -211,8 +208,7 @@ type vmFrame struct {
 	// next[l] is lane l's program counter between batch segments; a
 	// vector segment executes instruction pc for lane l iff next[l]==pc.
 	next   [vmLanes]int32
-	extraK [vmLanes][]string
-	extraV [vmLanes][]uint64
+	pkt    [vmLanes]Packet
 	alu    []uint64 // per-stage ALU accumulators + trailing dummy
 	reads  uint64
 	writes uint64
@@ -398,21 +394,23 @@ func (pl *vmProg) takeErr(fr *vmFrame) error {
 	return err
 }
 
+// load seeds one lane from pkt: one lookup per header field the
+// program touches. The lane keeps pkt for every other field.
+func (pl *vmProg) load(fr *vmFrame, lane int, pkt Packet) {
+	fr.pkt[lane] = pkt
+	for j, k := range pl.hdrKeys {
+		if v, ok := pkt[k]; ok {
+			fr.st(pl.hdrSlots[j], lane, v)
+		}
+	}
+}
+
 // run1 pushes a single packet through lane 0 (the Process path).
 func (pl *vmProg) run1(fr *vmFrame, pkt Packet) error {
 	pl.p.stats.Packets++
 	fr.gen++
 	fr.lanes = 1
-	fr.extraK[0] = fr.extraK[0][:0]
-	fr.extraV[0] = fr.extraV[0][:0]
-	for k, v := range pkt {
-		if sr, ok := pl.fieldSlot[k]; ok && sr.header {
-			fr.st(int32(sr.slot), 0, v)
-		} else {
-			fr.extraK[0] = append(fr.extraK[0], k)
-			fr.extraV[0] = append(fr.extraV[0], v)
-		}
-	}
+	pl.load(fr, 0, pkt)
 	pl.exec(fr, 0, 0, int32(len(pl.code)))
 	return pl.takeErr(fr)
 }
@@ -433,22 +431,22 @@ func (pl *vmProg) flushStats(fr *vmFrame) {
 }
 
 // output materializes one lane as the map Process returns: live slots
-// in interning order, then overflow keys — except where a live meta
-// slot shadows a same-named packet key, matching the interpreter's
-// header-then-meta merge order.
+// in interning order, then the packet's keys that no live slot
+// shadows, matching the interpreter's header-then-meta merge order.
 func (pl *vmProg) output(fr *vmFrame, lane int) map[string]uint64 {
-	out := make(map[string]uint64, len(pl.slotKeys)+len(fr.extraK[lane]))
+	pkt := fr.pkt[lane]
+	out := make(map[string]uint64, len(pl.slotKeys)+len(pkt))
 	for s, key := range pl.slotKeys {
 		i := s*vmLanes + lane
 		if fr.stamp[i] == fr.gen {
 			out[key] = fr.vals[i]
 		}
 	}
-	for i, k := range fr.extraK[lane] {
-		if sr, ok := pl.fieldSlot[k]; ok && fr.stamp[sr.slot*vmLanes+lane] == fr.gen {
+	for k, v := range pkt {
+		if s, ok := pl.fieldSlot[k]; ok && fr.stamp[int(s)*vmLanes+lane] == fr.gen {
 			continue
 		}
-		out[k] = fr.extraV[lane][i]
+		out[k] = v
 	}
 	return out
 }

@@ -143,7 +143,7 @@ func simTestTarget() pisa.Target {
 
 // vmStream builds a deterministic packet stream: zipf-distributed keys
 // (so take-min guards go both ways), hash-derived secondary fields, and
-// one field no program declares (the frame's overflow path).
+// one field no program declares (read from the caller's packet).
 func vmStream(app vmProgram, seed int64, n int) []Packet {
 	keys := workload.ZipfKeys(seed, 200, 1.05, n)
 	pkts := make([]Packet, n)
@@ -607,7 +607,7 @@ optimize n;
 func TestVMMatchesInterpreterOnCMS(t *testing.T) {
 	vm, interp := compileBoth(t, modules.StandaloneCMS(), simTestTarget())
 	for i, k := range workload.ZipfKeys(5, 300, 1.05, 2500) {
-		// Include an undeclared field so the overflow path is covered.
+		// Include an undeclared field, which the VM reads from the packet.
 		pkt := Packet{"pkt.flow": k, "pkt.unknown": k ^ 0xABCD}
 		a, err := vm.Process(pkt)
 		if err != nil {

@@ -107,7 +107,9 @@ func NewPipeline(res *Result) (*Pipeline, error) {
 }
 
 // PacketView is the read-only per-packet output view Pipeline.Replay
-// hands its sink; valid only until the sink returns.
+// hands its sink; valid only until the sink returns. Fields the
+// program does not touch are read straight from the replayed packet,
+// so a sink must not mutate that packet while its view is live.
 type PacketView = sim.View
 
 // FieldKey flattens a (field, instance) pair to its output-map key —
