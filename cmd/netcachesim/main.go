@@ -33,14 +33,17 @@ func main() {
 		requests = flag.Int("requests", 400000, "request count")
 		zipf     = flag.Float64("zipf", 0.95, "request skew")
 		seed     = flag.Int64("seed", 1, "workload seed")
-		threads  = flag.Int("threads", 0, "branch-and-bound workers per solve (0: all cores)")
-		det      = flag.Bool("det", true, "reproducible compiled shapes: one branch-and-bound worker; -threads is ignored")
+		threads  = flag.Int("threads", 1, "branch-and-bound workers per solve (0: all cores; 1: reproducible compiled shapes)")
 		trace    = flag.String("trace", "", "write a JSONL trace of the shape compile and simulation to this file")
 		summary  = flag.Bool("summary", false, "print an observability summary table to stderr")
 		drift    = flag.Bool("drift", false, "run the workload-drift experiment (frozen vs elastic controller)")
 	)
 	flag.Parse()
-	solver := ilp.Options{Threads: *threads, Deterministic: *det}
+	if err := streamCounts(*keys, *requests); err != nil {
+		fmt.Fprintln(os.Stderr, "netcachesim:", err)
+		os.Exit(2)
+	}
+	solver := ilp.Options{Threads: *threads}
 
 	tracer, err := obs.FromCLI(*trace, *summary, os.Stderr)
 	if err != nil {
@@ -106,17 +109,28 @@ func main() {
 		p.CMSRows, p.CMSCols, int64(p.CMSRows*p.CMSCols)*32, p.KVSlots, int64(p.KVSlots)*64, p.HitRate, *requests)
 }
 
+// streamCounts checks -keys and -requests: an empty key universe makes
+// every request key 0 (or a Zipf draw over 2^64-1 keys), and an empty
+// stream reports a NaN hit rate.
+func streamCounts(keys, requests int) error {
+	if keys < 1 {
+		return fmt.Errorf("-keys %d must be at least 1", keys)
+	}
+	if requests < 1 {
+		return fmt.Errorf("-requests %d must be at least 1", requests)
+	}
+	return nil
+}
+
 // runDrift renders the workload-drift experiment as a text table in
 // the style of the p4allbench figures.
 func runDrift(seed int64, tracer *obs.Tracer) error {
-	cfg := eval.DefaultDriftConfig()
-	cfg.Seed = seed
-	// -det and -threads do not reach the drift experiment: the elastic
+	// -threads does not reach the drift experiment: the elastic
 	// controller forces one deterministic worker so replays are exact.
-	res, err := eval.FigureDrift(cfg, tracer)
+	res, err := eval.FigureDrift(seed, tracer)
 	if err != nil {
 		return err
 	}
-	fmt.Print(eval.FormatDrift(cfg, res))
+	fmt.Print(eval.FormatDrift(res))
 	return nil
 }

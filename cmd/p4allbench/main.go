@@ -71,8 +71,7 @@ func selectFigures(name string) ([]figure, error) {
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: one of "+figureNames())
 	mem := flag.Int("mem", 7*pisa.Mb/4, "per-stage memory bits for single-target figures")
-	threads := flag.Int("threads", 0, "branch-and-bound workers per solve (0: all cores)")
-	det := flag.Bool("det", true, "reproducible figures: one branch-and-bound worker; -threads is ignored")
+	threads := flag.Int("threads", 1, "branch-and-bound workers per solve (0: all cores; 1: reproducible figures)")
 	trace := flag.String("trace", "", "write a JSONL trace of every compile to this file (see docs/OBSERVABILITY.md)")
 	summary := flag.Bool("summary", false, "print an observability summary table to stderr")
 	flag.Parse()
@@ -84,7 +83,6 @@ func main() {
 	}
 
 	eval.FigureSolver.Threads = *threads
-	eval.FigureSolver.Deterministic = *det
 
 	tracer, err = obs.FromCLI(*trace, *summary, os.Stderr)
 	if err != nil {
@@ -209,7 +207,7 @@ func fig13(mem int) error {
 }
 
 func figFairness() error {
-	res, err := eval.FigureFairness(eval.FairnessConfig{}, tracer)
+	res, err := eval.FigureFairness(tracer)
 	if err != nil {
 		return err
 	}

@@ -25,10 +25,6 @@ type NetCacheConfig struct {
 	// that reserves a minimum number of key-value items (the NetCache
 	// paper recommends 8 Mb of store).
 	KVFloorItems int64
-	// MaxCMSRows caps the sketch depth (the paper's §3.2.1 observes
-	// more than four hash functions gives diminishing returns).
-	// Zero means 4.
-	MaxCMSRows int
 }
 
 // NetCache builds the elastic NetCache program (§3.2): an elastic
@@ -36,11 +32,9 @@ type NetCacheConfig struct {
 // key-value store serving hot keys, with an inelastic forwarding table.
 // Values are 32-bit handles into the controller's value memory — the
 // on-switch structure the utility function trades against the sketch.
+// The sketch is at most four rows deep: the paper's §3.2.1 observes
+// that more hash functions give diminishing returns.
 func NetCache(cfg NetCacheConfig) App {
-	maxRows := cfg.MaxCMSRows
-	if maxRows == 0 {
-		maxRows = 4
-	}
 	floor := ""
 	if cfg.KVFloorItems > 0 {
 		floor = fmt.Sprintf("assume kv_parts * kv_slots >= %d;\n", cfg.KVFloorItems)
@@ -91,13 +85,13 @@ control main {
     }
 }
 
-assume cms_rows >= 2 && cms_rows <= %d;
+assume cms_rows >= 2 && cms_rows <= 4;
 assume cms_cols >= 1024;
 assume kv_parts >= 1;
 assume kv_slots >= 1024;
 %s
 optimize 0.4 * (cms_rows * cms_cols) + 0.6 * (kv_parts * kv_slots);
-`, maxRows, floor))
+`, floor))
 	return App{Name: "NetCache", Source: src}
 }
 

@@ -213,14 +213,14 @@ type Config struct {
 	Apps []string
 	// Oracles filters the oracle set; empty runs all six.
 	Oracles []string
-	// LayoutVariants caps how many (app, budget) pairs run the
-	// expensive layout-invariance oracle (each costs three extra ILP
-	// solves). Zero means no cap.
-	LayoutVariants int
 	// Shrink minimizes failing streams before reporting.
 	Shrink bool
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
+	// maxLayoutRuns caps how many (app, budget) pairs run the
+	// expensive layout-invariance oracle (each costs three extra ILP
+	// solves) — the tier-1 slice's budget. Zero means no cap.
+	maxLayoutRuns int
 }
 
 func (c Config) withDefaults() Config {
@@ -319,7 +319,7 @@ func Run(cfg Config) (*Report, error) {
 			if want[OracleCertify] {
 				checkCertify(rep, cfg, spec, res, budget)
 			}
-			if want[OracleLayout] && (cfg.LayoutVariants == 0 || layoutRuns < cfg.LayoutVariants) {
+			if want[OracleLayout] && (cfg.maxLayoutRuns == 0 || layoutRuns < cfg.maxLayoutRuns) {
 				layoutRuns++
 				if err := checkLayoutInvariance(rep, cfg, spec, res, tgt, budget, stream); err != nil {
 					return nil, err

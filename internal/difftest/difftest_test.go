@@ -15,11 +15,11 @@ import (
 // app/budget pairs. cmd/difftest runs the full matrix offline.
 func TestDeterministicSlice(t *testing.T) {
 	rep, err := Run(Config{
-		Seed:           1,
-		N:              250,
-		Budgets:        []int{1 << 19, 1 << 20},
-		LayoutVariants: 2,
-		Shrink:         true,
+		Seed:          1,
+		N:             250,
+		Budgets:       []int{1 << 19, 1 << 20},
+		maxLayoutRuns: 2,
+		Shrink:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

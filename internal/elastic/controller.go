@@ -18,18 +18,13 @@ type Config struct {
 	// Target is the switch the program is recompiled against.
 	Target pisa.Target
 	// Source is the P4All program — typically apps.NetCache's. Every
-	// compile replaces its optimize declaration with the policy's
+	// compile replaces its optimize declaration with DefaultPolicy's
 	// utility.
 	Source string
-	// Policy maps a drift verdict to the utility expression to
-	// recompile under. Nil selects DefaultPolicy.
-	Policy func(d Drift) string
 	// InitialShare seeds the policy for the first compile, before any
 	// traffic has been observed (default 0.5: a skewed-workload
 	// prior).
 	InitialShare float64
-	// Detector tunes drift detection.
-	Detector DetectorConfig
 	// Solver tunes the re-solves; re-solves additionally get
 	// Options.Start seeded from the last two solutions and their root
 	// bases (an ilpgen.History). Zero fields take the compiler
@@ -40,10 +35,6 @@ type Config struct {
 	// on goroutine timing, or replayed traffic traces could diverge
 	// from the runs that produced them.
 	Solver ilp.Options
-	// MinImprove is the relative utility gain — measured in the NEW
-	// utility, comparing the re-solved layout against the incumbent
-	// layout's assignment — required to adopt (default 0.02).
-	MinImprove float64
 	// Tracer records drift/reoptimize/adopt/fallback events. Nil
 	// disables tracing.
 	Tracer *obs.Tracer
@@ -120,15 +111,14 @@ type Controller struct {
 // program names the controller's one tenant in its compiles.
 const program = "program"
 
+// minImprove is the relative utility gain — measured in the NEW
+// utility, comparing the re-solved layout against the incumbent
+// layout's assignment — required to adopt.
+const minImprove = 0.02
+
 func (c Config) withDefaults() Config {
-	if c.Policy == nil {
-		c.Policy = DefaultPolicy
-	}
 	if c.InitialShare == 0 {
 		c.InitialShare = 0.5
-	}
-	if c.MinImprove == 0 {
-		c.MinImprove = 0.02
 	}
 	return c
 }
@@ -163,8 +153,8 @@ func New(cfg Config) (*Controller, error) {
 	solver.Deterministic = true
 	c := &Controller{
 		cfg:      cfg,
-		det:      NewDetector(cfg.Detector),
-		utility:  cfg.Policy(Drift{Share: cfg.InitialShare}),
+		det:      NewDetector(),
+		utility:  DefaultPolicy(Drift{Share: cfg.InitialShare}),
 		compiler: multitenant.NewCompiler(cfg.Target, multitenant.Options{Solver: solver, Certify: true, Tracer: cfg.Tracer}),
 	}
 	mix, err := c.compiler.Compile([]multitenant.Tenant{{Name: program, Source: cfg.Source, Utility: c.utility}})
@@ -223,7 +213,7 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 		obs.Float("share", d.Share),
 		obs.Float("baseline", d.Baseline),
 	)
-	dec.Utility = c.cfg.Policy(d)
+	dec.Utility = DefaultPolicy(d)
 	mix, err := c.compiler.Compile([]multitenant.Tenant{{Name: program, Source: c.cfg.Source, Utility: dec.Utility}})
 	if err != nil {
 		dec.Action, dec.Reason = ActionKept, fmt.Sprintf("re-solve failed: %v", err)
@@ -264,9 +254,9 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 	}
 	diff := DiffLayouts(c.Plane().Layout, res.Layout)
 	dec.Diff = &diff
-	if improve, comparable := c.improvement(mix); comparable && improve < c.cfg.MinImprove {
+	if improve, comparable := c.improvement(mix); comparable && improve < minImprove {
 		dec.Action = ActionKept
-		dec.Reason = fmt.Sprintf("utility gain %.4f below threshold %.4f", improve, c.cfg.MinImprove)
+		dec.Reason = fmt.Sprintf("utility gain %.4f below threshold %.4f", improve, minImprove)
 		tr.Event("elastic.fallback", obs.String("reason", dec.Reason))
 		return dec
 	}

@@ -5,54 +5,30 @@ import (
 	"math"
 )
 
-// DetectorConfig tunes drift detection. Zero values select defaults.
-type DetectorConfig struct {
-	// Alpha is the EWMA smoothing factor for the share and rate
-	// baselines (default 0.3; higher weighs recent windows more).
-	Alpha float64
-	// ShareDelta triggers skew drift when the window's top-K share
-	// departs from its EWMA baseline by more than this (default 0.15 —
-	// about half the Zipf 1.1→0.5 swing, so a single-phase change
-	// trips it while sampling noise does not).
-	ShareDelta float64
-	// ChurnDelta triggers churn drift when the overlap between the
+// The detector's thresholds.
+const (
+	// detectAlpha is the EWMA smoothing factor for the share baseline
+	// (higher weighs recent windows more).
+	detectAlpha = 0.3
+	// shareDelta triggers skew drift when the window's top-K share
+	// departs from its EWMA baseline by more than this — about half the
+	// Zipf 1.1→0.5 swing, so a single-phase change trips it while
+	// sampling noise does not.
+	shareDelta = 0.15
+	// churnDelta triggers churn drift when the overlap between the
 	// window's top-K key set and the previous window's falls below
-	// 1-ChurnDelta (default 0.5).
-	ChurnDelta float64
-	// RateDelta triggers rate drift when the window rate departs from
-	// its EWMA baseline by more than this relative fraction (default
-	// 0.5). Rate detection is skipped while WindowStats.Rate is zero.
-	RateDelta float64
-	// Cooldown suppresses triggers for this many windows after one
-	// fires, giving the new baseline time to settle (default 2).
-	Cooldown int
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Alpha == 0 {
-		c.Alpha = 0.3
-	}
-	if c.ShareDelta == 0 {
-		c.ShareDelta = 0.15
-	}
-	if c.ChurnDelta == 0 {
-		c.ChurnDelta = 0.5
-	}
-	if c.RateDelta == 0 {
-		c.RateDelta = 0.5
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 2
-	}
-	return c
-}
+	// 1-churnDelta.
+	churnDelta = 0.5
+	// cooldown suppresses triggers for this many windows after one
+	// fires, giving the new baseline time to settle.
+	cooldown = 2
+)
 
 // Drift is the detector's verdict for one window.
 type Drift struct {
 	// Triggered reports that the window departed from the baseline.
 	Triggered bool
-	// Reason names the first signal that fired: "skew", "churn", or
-	// "rate".
+	// Reason names the first signal that fired: "skew" or "churn".
 	Reason string
 	// Share is the window's top-K share (the skew signal the utility
 	// policy consumes).
@@ -68,21 +44,19 @@ func (d Drift) String() string {
 	return fmt.Sprintf("drift[%s] (share %.3f, baseline %.3f)", d.Reason, d.Share, d.Baseline)
 }
 
-// Detector keeps EWMA baselines of the skew, hot-set, and rate signals
-// and flags windows that depart from them. Not safe for concurrent
-// use; the controller owns it.
+// Detector keeps an EWMA baseline of the skew signal and the previous
+// window's hot set, and flags windows that depart from them. Not safe
+// for concurrent use; the controller owns it.
 type Detector struct {
-	cfg       DetectorConfig
 	init      bool
 	ewmaShare float64
-	ewmaRate  float64
 	prevHot   map[uint64]struct{}
 	cool      int
 }
 
-// NewDetector builds a detector with the given thresholds.
-func NewDetector(cfg DetectorConfig) *Detector {
-	return &Detector{cfg: cfg.withDefaults()}
+// NewDetector builds a detector with no baseline yet.
+func NewDetector() *Detector {
+	return &Detector{}
 }
 
 // Observe folds one window into the baselines and reports drift. On a
@@ -100,7 +74,6 @@ func (d *Detector) Observe(w WindowStats) Drift {
 	if !d.init {
 		d.init = true
 		d.ewmaShare = w.TopShare
-		d.ewmaRate = w.Rate
 		d.prevHot = hot
 		out.Baseline = w.TopShare
 		return out
@@ -111,20 +84,16 @@ func (d *Detector) Observe(w WindowStats) Drift {
 		return out
 	}
 	switch {
-	case math.Abs(w.TopShare-d.ewmaShare) > d.cfg.ShareDelta:
+	case math.Abs(w.TopShare-d.ewmaShare) > shareDelta:
 		out.Triggered, out.Reason = true, "skew"
-	case d.churn(hot) > d.cfg.ChurnDelta:
+	case d.churn(hot) > churnDelta:
 		out.Triggered, out.Reason = true, "churn"
-	case w.Rate > 0 && d.ewmaRate > 0 &&
-		math.Abs(w.Rate-d.ewmaRate)/d.ewmaRate > d.cfg.RateDelta:
-		out.Triggered, out.Reason = true, "rate"
 	}
 	if out.Triggered {
 		// Reset the baseline to the new regime and cool down.
 		d.ewmaShare = w.TopShare
-		d.ewmaRate = w.Rate
 		d.prevHot = hot
-		d.cool = d.cfg.Cooldown
+		d.cool = cooldown
 		return out
 	}
 	d.fold(w, hot)
@@ -133,15 +102,7 @@ func (d *Detector) Observe(w WindowStats) Drift {
 
 // fold advances the EWMA baselines with a stable window.
 func (d *Detector) fold(w WindowStats, hot map[uint64]struct{}) {
-	a := d.cfg.Alpha
-	d.ewmaShare = (1-a)*d.ewmaShare + a*w.TopShare
-	if w.Rate > 0 {
-		if d.ewmaRate == 0 {
-			d.ewmaRate = w.Rate
-		} else {
-			d.ewmaRate = (1-a)*d.ewmaRate + a*w.Rate
-		}
-	}
+	d.ewmaShare = (1-detectAlpha)*d.ewmaShare + detectAlpha*w.TopShare
 	d.prevHot = hot
 }
 

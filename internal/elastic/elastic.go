@@ -3,14 +3,13 @@
 // NetCache case study shows the right CMS/KV split depends on the
 // traffic actually observed. This package is a runtime reoptimization
 // controller. It watches per-window traffic statistics, detects
-// workload drift (skew change, key-popularity churn, request-rate
-// shift), re-runs the compiler with a reweighted utility and a
-// warm-started ILP solve seeded from the incumbent layout and the one
-// it replaced, certifies the re-solved program with the translation
-// validator, migrates live structure state to the new shapes, and
-// atomically swaps the data plane — falling back to the incumbent when
-// the re-solve times out, fails to certify, or fails to improve
-// utility.
+// workload drift (skew change, key-popularity churn), re-runs the
+// compiler with a reweighted utility and a warm-started ILP solve
+// seeded from the incumbent layout and the one it replaced, certifies
+// the re-solved program with the translation validator, migrates live
+// structure state to the new shapes, and atomically swaps the data
+// plane — falling back to the incumbent when the re-solve times out,
+// fails to certify, or fails to improve utility.
 //
 // The pieces compose as:
 //
@@ -51,9 +50,6 @@ type WindowStats struct {
 	// controller re-admits these into migrated structures and uses
 	// their counts as the popularity ranking for KV migration.
 	HotKeys []KeyCount
-	// Rate is the window's request rate in requests per second; zero
-	// disables rate-shift detection.
-	Rate float64
 }
 
 // HitRate returns the window's cache hit rate.

@@ -15,45 +15,17 @@ import (
 
 // ------------------------------------------------------------ Drift
 
-// DriftConfig parameterizes the workload-drift experiment: a request
-// stream whose skew steps mid-run, served once by a frozen layout and
-// once by the elastic controller.
-type DriftConfig struct {
-	Seed      int64
-	Keys      int                   // key universe
-	Window    int                   // requests per controller window
-	Phases    []workload.DriftPhase // the drifting workload
-	Threshold uint32                // CMS estimate admitting a key into the cache
-	Target    pisa.Target
-	Solver    ilp.Options
-}
-
-// DefaultDriftConfig is five windows of heavy skew followed by ten
+// The drift experiment is five windows of heavy skew followed by ten
 // windows of a flat workload — the regime shift the controller exists
-// to absorb. The target is small enough that re-solves take tens of
-// milliseconds; the 5% gap mirrors the controller's operating point
-// (proving 3% on this target costs more nodes than finding the
-// optimum).
-func DefaultDriftConfig() DriftConfig {
-	return DriftConfig{
-		Seed:   1,
-		Keys:   50000,
-		Window: 20000,
-		Phases: []workload.DriftPhase{
-			{Skew: 1.1, Requests: 5 * 20000},
-			{Skew: 0.5, Requests: 10 * 20000},
-		},
-		Threshold: 8,
-		Target: pisa.Target{
-			Name: "drift-eval", Stages: 6, MemoryBits: 96 * 1024,
-			StatefulALUs: 4, StatelessALUs: 100, PHVBits: 4096,
-		},
-		// Deterministic is redundant with the controller forcing it on
-		// re-solves, but stating it here keeps the experiment's contract
-		// explicit: identical traces in, identical DriftPoints out.
-		Solver: ilp.Options{Gap: 0.05, Deterministic: true},
-	}
-}
+// to absorb — served once by a frozen layout and once by the elastic
+// controller.
+const (
+	driftKeys      = 50000 // key universe
+	driftWindow    = 20000 // requests per controller window
+	driftHeavy     = 1.1   // skew of the first five windows
+	driftFlat      = 0.5   // skew of the last ten
+	driftThreshold = 8     // CMS estimate admitting a key into the cache
+)
 
 // DriftPoint is one traffic window of the experiment.
 type DriftPoint struct {
@@ -87,43 +59,57 @@ type DriftResult struct {
 // served by a layout frozen at its initial compile and by the elastic
 // controller, and the per-window hit rates are compared. The elastic
 // run should collapse with the frozen one at the skew step and then
-// recover as the controller re-solves, certifies, and migrates. A
-// non-nil tr traces the compiles and the controller.
-func FigureDrift(cfg DriftConfig, tr *obs.Tracer) (*DriftResult, error) {
-	newController := func() (*elastic.Controller, error) {
-		return elastic.New(elastic.Config{
-			Target:       cfg.Target,
-			Source:       apps.NetCache(apps.NetCacheConfig{}).Source,
-			InitialShare: 0.55, // both runs start tuned for the heavy phase
-			Solver:       cfg.Solver,
-			Tracer:       tr,
-		})
-	}
-	frozen, err := newController()
+// recover as the controller re-solves, certifies, and migrates. seed
+// draws the request stream. A non-nil tr traces the compile and the
+// controller.
+func FigureDrift(seed int64, tr *obs.Tracer) (*DriftResult, error) {
+	ctrl, err := elastic.New(elastic.Config{
+		// The target is small enough that re-solves take tens of
+		// milliseconds.
+		Target: pisa.Target{
+			Name: "drift-eval", Stages: 6, MemoryBits: 96 * 1024,
+			StatefulALUs: 4, StatelessALUs: 100, PHVBits: 4096,
+		},
+		Source:       apps.NetCache(apps.NetCacheConfig{}).Source,
+		InitialShare: 0.55, // both runs start tuned for the heavy phase
+		// The 5% gap mirrors the controller's operating point (proving
+		// 3% on this target costs more nodes than finding the optimum).
+		// Deterministic is redundant with the controller forcing it on
+		// re-solves, but stating it here keeps the experiment's
+		// contract explicit: identical traces in, identical DriftPoints
+		// out.
+		Solver: ilp.Options{Gap: 0.05, Deterministic: true},
+		Tracer: tr,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("drift: frozen compile: %w", err)
+		return nil, fmt.Errorf("drift: compile: %w", err)
 	}
-	ctrl, err := newController()
+	// The frozen run serves the initial layout for the whole stream: a
+	// plane the controller never swaps.
+	frozen, err := elastic.NewPlane(ctrl.Plane().Layout)
 	if err != nil {
-		return nil, fmt.Errorf("drift: elastic compile: %w", err)
+		return nil, fmt.Errorf("drift: frozen plane: %w", err)
 	}
 
 	serve := func(p *elastic.Plane, keys []uint64) int {
 		hits := 0
 		for _, k := range keys {
-			if _, hit, _ := p.ServeGet(k, cfg.Threshold); hit {
+			if _, hit, _ := p.ServeGet(k, driftThreshold); hit {
 				hits++
 			}
 		}
 		return hits
 	}
 
-	stream := workload.ZipfDriftKeys(cfg.Seed, cfg.Keys, cfg.Phases)
+	stream := workload.ZipfDriftKeys(seed, driftKeys, []workload.DriftPhase{
+		{Skew: driftHeavy, Requests: 5 * driftWindow},
+		{Skew: driftFlat, Requests: 10 * driftWindow},
+	})
 	out := &DriftResult{AllWarm: true}
 	win := 0
-	for off := 0; off+cfg.Window <= len(stream); off += cfg.Window {
-		keys := stream[off : off+cfg.Window]
-		fHits := serve(frozen.Plane(), keys)
+	for off := 0; off+driftWindow <= len(stream); off += driftWindow {
+		keys := stream[off : off+driftWindow]
+		fHits := serve(frozen, keys)
 		eHits := serve(ctrl.Plane(), keys)
 		w := elastic.Summarize(keys, eHits, 64, 256)
 		dec := ctrl.Observe(w)
@@ -153,19 +139,13 @@ func FigureDrift(cfg DriftConfig, tr *obs.Tracer) (*DriftResult, error) {
 		out.Points = append(out.Points, pt)
 		win++
 	}
-	if len(out.Points) == 0 {
-		return nil, fmt.Errorf("drift: stream of %d requests yields no %d-request windows", len(stream), cfg.Window)
-	}
 
-	tail := 3
-	if tail > len(out.Points) {
-		tail = len(out.Points)
-	}
+	const tail = 3
 	for _, pt := range out.Points[len(out.Points)-tail:] {
 		out.FrozenSteady += pt.HitFrozen / float64(tail)
 		out.ElasticSteady += pt.HitElastic / float64(tail)
 	}
-	fl, el := frozen.Plane().Layout, ctrl.Plane().Layout
+	fl, el := frozen.Layout, ctrl.Plane().Layout
 	out.FrozenKVItems = fl.Symbolic("kv_parts") * fl.Symbolic("kv_slots")
 	out.ElasticKVItems = el.Symbolic("kv_parts") * el.Symbolic("kv_slots")
 	return out, nil
@@ -173,10 +153,10 @@ func FigureDrift(cfg DriftConfig, tr *obs.Tracer) (*DriftResult, error) {
 
 // FormatDrift renders a drift run as the text table `netcachesim
 // -drift` prints, in the style of the p4allbench figures.
-func FormatDrift(cfg DriftConfig, res *DriftResult) string {
+func FormatDrift(res *DriftResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload drift: %d keys, %d-request windows, skew %.2f -> %.2f\n\n",
-		cfg.Keys, cfg.Window, cfg.Phases[0].Skew, cfg.Phases[len(cfg.Phases)-1].Skew)
+		driftKeys, driftWindow, driftHeavy, driftFlat)
 	fmt.Fprintf(&b, "%6s %9s %8s %9s %9s %6s\n",
 		"window", "top-share", "frozen", "elastic", "action", "epoch")
 	for _, p := range res.Points {

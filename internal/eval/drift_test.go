@@ -13,12 +13,11 @@ import (
 // adoption counts — to the byte, so a change that moves what the loop
 // adopts shows up here before it shows up in `netcachesim -drift`.
 func TestFigureDriftRecovery(t *testing.T) {
-	cfg := DefaultDriftConfig()
-	res, err := FigureDrift(cfg, nil)
+	res, err := FigureDrift(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := FormatDrift(cfg, res)
+	got := FormatDrift(res)
 	want, err := os.ReadFile("testdata/drift.golden")
 	if err != nil {
 		t.Fatal(err)

@@ -30,10 +30,10 @@ import (
 // trajectory is reproducible by construction, immune to tie-breaking
 // between equally-optimal layouts on multicore CI runners, and cheap
 // under -race (no goroutines to instrument), which is what the eval
-// test suite wants. cmd/p4allbench wires its -threads/-det flags here
-// before running figures; its -det flag defaults to true, which also
-// means one worker, so *published* tables stay bit-stable; -det=false
-// lets -threads pick a pool for anyone who prefers speed.
+// test suite wants. cmd/p4allbench wires its -threads flag here before
+// running figures; it defaults to 1 too, so *published* tables stay
+// bit-stable, and a larger -threads picks a pool for anyone who
+// prefers speed.
 var FigureSolver = ilp.Options{Threads: 1}
 
 // ---------------------------------------------------------------- Fig 4

@@ -10,54 +10,44 @@ import (
 	"p4all/internal/pisa"
 )
 
-// FairnessConfig parameterizes the multi-tenant fairness figure.
-type FairnessConfig struct {
-	// MemBits is the per-stage memory of the figure's target (default
-	// pisa.Mb / 4 — two register-only tenants contend long before
-	// NetCache-scale budgets).
-	MemBits int
-	// Weights is the favored tenant's weight sweep; the other tenant is
-	// pinned at weight 1 (default 0.25, 0.5, 1, 2, 4).
-	Weights []float64
-	// MinUtility floors both tenants (default 2048 cells) so the
-	// disfavored tenant is squeezed, not evicted, at the sweep's edges.
-	MinUtility float64
-	// NodeLimit and TimeLimit bound each point's joint solve (defaults
-	// 100000 nodes, 30 seconds). These are backstops, not the figure's
-	// operating regime: with dual-simplex node re-solves every point of
-	// the default sweep certifies its gap well inside them, and a point
-	// that does hit a limit reports the (sound, larger) gap it proved.
-	NodeLimit int
-	TimeLimit time.Duration
-	// Gap is the relative optimality gap each point accepts (default
-	// 0.01). Monotonicity of allocation in weight only holds for
-	// near-exact optima — a loose gap lets one point stop on a worse
-	// incumbent than its neighbor and the figure's claim inverts. The
+// fairnessConfig parameterizes the multi-tenant fairness figure.
+type fairnessConfig struct {
+	// memBits is the per-stage memory of the figure's target.
+	memBits int
+	// weights is the favored tenant's weight sweep; the other tenant is
+	// pinned at weight 1.
+	weights []float64
+	// minUtility floors both tenants so the disfavored tenant is
+	// squeezed, not evicted, at the sweep's edges.
+	minUtility float64
+	// nodeLimit and timeLimit bound each point's joint solve. These are
+	// backstops, not the figure's operating regime: with dual-simplex
+	// node re-solves every point of the default sweep certifies its gap
+	// well inside them, and a point that does hit a limit reports the
+	// (sound, larger) gap it proved.
+	nodeLimit int
+	timeLimit time.Duration
+	// gap is the relative optimality gap each point accepts.
+	// Monotonicity of allocation in weight only holds for near-exact
+	// optima — a loose gap lets one point stop on a worse incumbent
+	// than its neighbor and the figure's claim inverts. The
 	// dual-simplex node re-solves make a 1% certificate cheap enough
 	// to keep every point in seconds.
-	Gap float64
+	gap float64
 }
 
-func (c FairnessConfig) withDefaults() FairnessConfig {
-	if c.MemBits == 0 {
-		c.MemBits = pisa.Mb / 4
+// fairnessFigure is the published figure's configuration: a quarter
+// megabit per stage (two register-only tenants contend long before
+// NetCache-scale budgets), five weights, 2048-cell floors, a 1% gap.
+func fairnessFigure() fairnessConfig {
+	return fairnessConfig{
+		memBits:    pisa.Mb / 4,
+		weights:    []float64{0.25, 0.5, 1, 2, 4},
+		minUtility: 2048,
+		nodeLimit:  100000,
+		timeLimit:  30 * time.Second,
+		gap:        0.01,
 	}
-	if len(c.Weights) == 0 {
-		c.Weights = []float64{0.25, 0.5, 1, 2, 4}
-	}
-	if c.MinUtility == 0 {
-		c.MinUtility = 2048
-	}
-	if c.NodeLimit == 0 {
-		c.NodeLimit = 100000
-	}
-	if c.TimeLimit == 0 {
-		c.TimeLimit = 30 * time.Second
-	}
-	if c.Gap == 0 {
-		c.Gap = 0.01
-	}
-	return c
 }
 
 // fairnessTarget is the figure's switch: 8 stages rather than the
@@ -96,8 +86,7 @@ type FairnessResult struct {
 	Target pisa.Target
 	// Fixed and Favored name the two tenants.
 	Fixed, Favored string
-	// MinUtility is the effective per-tenant utility floor (after
-	// defaulting).
+	// MinUtility is the per-tenant utility floor.
 	MinUtility float64
 	Points     []FairnessPoint
 }
@@ -114,23 +103,28 @@ type FairnessResult struct {
 // table's rows are stateful-ALU-bound, for example — would flatline
 // instead, because extra weight cannot buy it anything.)
 // A non-nil tr traces one "multitenant.compile" span tree per weight.
-func FigureFairness(cfg FairnessConfig, tr *obs.Tracer) (*FairnessResult, error) {
-	cfg = cfg.withDefaults()
-	target := fairnessTarget(cfg.MemBits)
-	out := &FairnessResult{Target: target, Fixed: "sketch", Favored: "store", MinUtility: cfg.MinUtility}
+func FigureFairness(tr *obs.Tracer) (*FairnessResult, error) {
+	return figureFairness(fairnessFigure(), tr)
+}
+
+// figureFairness runs the sweep under cfg; tests shrink the published
+// one to bound its cost.
+func figureFairness(cfg fairnessConfig, tr *obs.Tracer) (*FairnessResult, error) {
+	target := fairnessTarget(cfg.memBits)
+	out := &FairnessResult{Target: target, Fixed: "sketch", Favored: "store", MinUtility: cfg.minUtility}
 	solver := FigureSolver
-	solver.NodeLimit = cfg.NodeLimit
-	solver.TimeLimit = cfg.TimeLimit
-	solver.Gap = cfg.Gap
+	solver.NodeLimit = cfg.nodeLimit
+	solver.TimeLimit = cfg.timeLimit
+	solver.Gap = cfg.gap
 	comp := multitenant.NewCompiler(target, multitenant.Options{
 		Solver:      solver,
 		SkipCodegen: true,
 		Tracer:      tr,
 	})
-	for _, w := range cfg.Weights {
+	for _, w := range cfg.weights {
 		mix := []multitenant.Tenant{
-			{Name: out.Fixed, Source: modules.StandaloneCMS(), Weight: 1, MinUtility: cfg.MinUtility},
-			{Name: out.Favored, Source: modules.StandaloneKVS(), Weight: w, MinUtility: cfg.MinUtility},
+			{Name: out.Fixed, Source: modules.StandaloneCMS(), Weight: 1, MinUtility: cfg.minUtility},
+			{Name: out.Favored, Source: modules.StandaloneKVS(), Weight: w, MinUtility: cfg.minUtility},
 		}
 		begin := time.Now()
 		res, err := comp.Compile(mix)

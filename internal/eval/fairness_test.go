@@ -16,12 +16,11 @@ func TestFigureFairnessMonotone(t *testing.T) {
 	// is the regression bound, and TimeLimit is a backstop set where the
 	// race detector's 10-20x slowdown cannot reach it (a 30 s limit cut
 	// two points short under -race and changed what they solved to).
-	cfg := FairnessConfig{
-		Weights:   []float64{0.5, 1, 2, 4},
-		NodeLimit: 4000,
-		TimeLimit: 10 * time.Minute,
-	}.withDefaults()
-	res, err := FigureFairness(cfg, nil)
+	cfg := fairnessFigure()
+	cfg.weights = []float64{0.5, 1, 2, 4}
+	cfg.nodeLimit = 4000
+	cfg.timeLimit = 10 * time.Minute
+	res, err := figureFairness(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +30,9 @@ func TestFigureFairnessMonotone(t *testing.T) {
 	for i, p := range res.Points {
 		// A point stopped by either limit reports the larger gap it had
 		// proved by then.
-		if p.Gap > cfg.Gap+1e-9 {
+		if p.Gap > cfg.gap+1e-9 {
 			t.Errorf("w=%g: stopped at a limit with gap %.4f, want <= %.4f within %d nodes",
-				p.Weight, p.Gap, cfg.Gap, cfg.NodeLimit)
+				p.Weight, p.Gap, cfg.gap, cfg.nodeLimit)
 		}
 		if p.FixedUtility < 2048-1e-6 {
 			t.Errorf("w=%g: fixed tenant below its floor: %g", p.Weight, p.FixedUtility)

@@ -38,11 +38,10 @@ func BenchmarkILPSolveNetCache(b *testing.B) {
 	b.ResetTimer()
 	var nodes, iters int
 	for i := 0; i < b.N; i++ {
-		sol, err := ilp.Solve(prog.Model, ilp.Options{
-			NodeLimit:        24,
-			Threads:          1,
-			DisableHeuristic: true,
-		})
+		sol, err := ilp.Solve(prog.Model, ilp.WithoutHeuristic(ilp.Options{
+			NodeLimit: 24,
+			Threads:   1,
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -38,9 +38,6 @@ type Options struct {
 	// stop is wall-clock and so never reproducible; pin NodeLimit
 	// instead.
 	Deterministic bool
-	// DisableHeuristic skips the initial rounding dive used to seed an
-	// incumbent (used by ablation benchmarks).
-	DisableHeuristic bool
 	// Start supplies MIP starts (see Start). Each start's Values must
 	// hold one entry per model variable, else Solve returns an error.
 	// Every entry must be finite — a NaN or infinite value returns an
@@ -57,27 +54,32 @@ type Options struct {
 	// perturbed model seeded from previous solutions prune most of the
 	// tree and are typically near-instant.
 	Start []Start
-	// DisablePresolve turns off the root presolve (fixpoint bound
+	// Progress, when non-nil, receives search snapshots: the root
+	// relaxation, every incumbent improvement, a heartbeat every 256
+	// nodes, and the terminal state. A nil hook costs nothing on the
+	// solve path. The hook is called under the search lock (never
+	// concurrently) — in multi-threaded solves from worker goroutines;
+	// it must not call back into the solver.
+	Progress func(Progress)
+
+	// The unexported switches below are for this package's tests, which
+	// use the paths they select as references.
+
+	// disableHeuristic skips the initial rounding dive used to seed an
+	// incumbent.
+	disableHeuristic bool
+	// disablePresolve turns off the root presolve (fixpoint bound
 	// tightening from constraint activity, integer bound rounding,
 	// fixed-variable substitution, redundant-row drops — see
-	// presolve.go). Ablations and tests; reductions achieved are
-	// reported in Solution.Presolve.
-	DisablePresolve bool
-	// DisableDual turns off dual-simplex child re-solves from inherited
+	// presolve.go).
+	disablePresolve bool
+	// disableDual turns off dual-simplex child re-solves from inherited
 	// bases (dual.go): every node then re-solves with the two-phase
 	// primal path, as the solver did before the dual driver existed.
-	// Ablations and tests.
-	DisableDual bool
-	// Progress, when non-nil, receives search snapshots: the root
-	// relaxation, every incumbent improvement, a heartbeat every
-	// ProgressEvery nodes, and the terminal state. A nil hook costs
-	// nothing on the solve path. The hook is called under the search
-	// lock (never concurrently) — in multi-threaded solves from worker
-	// goroutines; it must not call back into the solver.
-	Progress func(Progress)
-	// ProgressEvery is the node interval between heartbeat callbacks
+	disableDual bool
+	// progressEvery is the node interval between heartbeat callbacks
 	// (0 means the default of 256).
-	ProgressEvery int
+	progressEvery int
 }
 
 // Start is one MIP start: a previous solution's values and, optionally,
@@ -97,7 +99,7 @@ const (
 	ProgressRoot ProgressKind = iota
 	// ProgressIncumbent reports a new best integer solution.
 	ProgressIncumbent
-	// ProgressNode is the periodic heartbeat every ProgressEvery nodes.
+	// ProgressNode is the periodic heartbeat every 256 nodes.
 	ProgressNode
 	// ProgressDone reports the terminal state of the search.
 	ProgressDone
@@ -284,11 +286,11 @@ type bb struct {
 // optimality, fanned out over Options.Threads workers. The returned
 // Solution reports values and objective in the model's own sense.
 func Solve(m *Model, opts Options) (*Solution, error) {
-	sf, err := lowerModel(m, !opts.DisablePresolve)
+	sf, err := lowerModel(m, !opts.disablePresolve)
 	if err != nil {
 		return &Solution{Status: StatusInfeasible}, nil //nolint:nilerr // trivially infeasible is a result, not a failure
 	}
-	sf.dualOK = !opts.DisableDual
+	sf.dualOK = !opts.disableDual
 	b := &bb{sf: sf, opts: opts, sign: 1, bestObj: math.Inf(1)}
 	b.cond = sync.NewCond(&b.mu)
 	b.bestBits.Store(math.Float64bits(b.bestObj))
@@ -306,7 +308,7 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		// degenerate LP from overrunning the limit.
 		sf.deadline = b.deadline
 	}
-	b.progressEvery = opts.ProgressEvery
+	b.progressEvery = opts.progressEvery
 	if b.progressEvery <= 0 {
 		b.progressEvery = defaultProgressEvery
 	}
@@ -433,7 +435,7 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		}
 	}
 	diveImproved := false
-	if !opts.DisableHeuristic {
+	if !opts.disableHeuristic {
 		// The rounding dive runs even on warm starts: a start from a
 		// differently-weighted objective seeds pruning but is often far
 		// from this objective's optimum, and the dive closes that gap

@@ -33,7 +33,7 @@ func TestLimitStopBoundIsSound(t *testing.T) {
 			limits = append(limits, Options{NodeLimit: nl})
 		}
 		for _, opts := range limits {
-			opts.DisableHeuristic = true // incumbents come from the tree, so limits bite mid-search
+			opts.disableHeuristic = true // incumbents come from the tree, so limits bite mid-search
 			for _, threads := range []int{1, 4} {
 				opts.Threads = threads
 				sol, err := Solve(build(), opts)
@@ -105,8 +105,8 @@ func TestOneWorkerRunsOnCaller(t *testing.T) {
 	inTree := 0
 	_, err := Solve(correlatedKnapsack(22, 0.13), Options{
 		Threads:          1,
-		DisableHeuristic: true,
-		ProgressEvery:    8,
+		disableHeuristic: true,
+		progressEvery:    8,
 		Progress: func(p Progress) {
 			if p.Kind != ProgressNode && p.Kind != ProgressIncumbent {
 				return

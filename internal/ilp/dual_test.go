@@ -68,7 +68,7 @@ func TestDualMatchesPrimalRandomized(t *testing.T) {
 		n := 3 + rng.Intn(8)
 		mr := 2 + rng.Intn(8)
 		m := randModel(rng, n, mr)
-		ref, err := Solve(m, Options{DisableDual: true})
+		ref, err := Solve(m, Options{disableDual: true})
 		if err != nil {
 			t.Fatalf("trial %d (primal): %v", trial, err)
 		}
@@ -101,7 +101,7 @@ func TestDualStatusParityInfeasible(t *testing.T) {
 		cut := 3 + rng.Intn(4)
 		m.AddConstr("forcege", Term(x, 1), GE, float64(cut))
 		m.AddConstr("forcele", Term(x, 1), LE, float64(cut)-1)
-		ref, err := Solve(m, Options{DisableDual: true})
+		ref, err := Solve(m, Options{disableDual: true})
 		if err != nil {
 			t.Fatalf("trial %d (primal): %v", trial, err)
 		}
@@ -130,7 +130,7 @@ func TestDualStatusParityUnbounded(t *testing.T) {
 	obj := NewExpr()
 	obj.Add(x, 1).Add(y, 1)
 	m.SetObjective(obj, Maximize)
-	for _, opts := range []Options{{}, {DisableDual: true}} {
+	for _, opts := range []Options{{}, {disableDual: true}} {
 		sol, err := Solve(m, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +167,7 @@ func TestPresolveReversibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Solve(m, Options{DisablePresolve: true})
+	without, err := Solve(m, Options{disablePresolve: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPresolveReversibility(t *testing.T) {
 		t.Fatalf("presolve stats show no reductions: %+v", pre)
 	}
 	if off := without.Presolve; off.RowsDropped != 0 || off.BoundsTightened != 0 || off.VarsFixed != 0 {
-		t.Fatalf("DisablePresolve still reports reductions: %+v", off)
+		t.Fatalf("disablePresolve still reports reductions: %+v", off)
 	}
 }
 

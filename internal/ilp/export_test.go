@@ -7,3 +7,9 @@ var (
 	SolveWithDebugChecks = solveWithDebugChecks
 	SolveDiveChecked     = solveDiveChecked
 )
+
+// WithoutHeuristic returns o with the initial rounding dive turned off.
+func WithoutHeuristic(o Options) Options {
+	o.disableHeuristic = true
+	return o
+}

@@ -516,7 +516,7 @@ func TestPresolveSingletonRows(t *testing.T) {
 		return m
 	}
 	withPre := solveOK(t, build())
-	withoutPre, err := Solve(build(), Options{DisablePresolve: true})
+	withoutPre, err := Solve(build(), Options{disablePresolve: true})
 	if err != nil {
 		t.Fatal(err)
 	}

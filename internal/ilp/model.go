@@ -345,7 +345,7 @@ type Solution struct {
 	// Start.Basis (nil when the root LP was not solved to optimality).
 	RootBasis *Basis
 	// Presolve reports the root presolve's reductions (zero when
-	// Options.DisablePresolve was set).
+	// Options.disablePresolve was set).
 	Presolve PresolveStats
 	// RootBound is the root LP relaxation objective in the model's
 	// sense (a bound on the best possible integer objective).

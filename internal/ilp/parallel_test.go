@@ -109,7 +109,7 @@ func TestParallelFreeMatchesBruteForce(t *testing.T) {
 func TestParallelWorkerTalliesAddUp(t *testing.T) {
 	for _, det := range []bool{false, true} {
 		m := correlatedKnapsack(20, 0)
-		sol, err := Solve(m, Options{Threads: 4, Deterministic: det, DisableHeuristic: true})
+		sol, err := Solve(m, Options{Threads: 4, Deterministic: det, disableHeuristic: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestDeterministicBitStable(t *testing.T) {
 		sol, err := Solve(m, Options{
 			Threads:          threads,
 			Deterministic:    true,
-			DisableHeuristic: true, // force incumbents to be found in-tree
+			disableHeuristic: true, // force incumbents to be found in-tree
 			Progress: func(p Progress) {
 				if p.Kind == ProgressIncumbent {
 					incumbents = append(incumbents, p.Incumbent)
@@ -209,7 +209,7 @@ func TestDeterministicMatchesSequential(t *testing.T) {
 	for _, opts := range []Options{
 		{Threads: 2, Deterministic: true},
 		{Threads: 4, Deterministic: true},
-		{Threads: 4, Deterministic: true, DisableHeuristic: true},
+		{Threads: 4, Deterministic: true, disableHeuristic: true},
 		{Threads: 4},
 		{Threads: 8},
 	} {
@@ -234,12 +234,12 @@ func TestDeterministicMatchesSequential(t *testing.T) {
 // so incumbents race in from several plunges at once. Run under -race
 // this is the data-race certificate for bestBits/bestX publication.
 func TestParallelIncumbentStress(t *testing.T) {
-	want, err := Solve(correlatedKnapsack(18, 0.07), Options{Threads: 1, DisableHeuristic: true})
+	want, err := Solve(correlatedKnapsack(18, 0.07), Options{Threads: 1, disableHeuristic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 6; rep++ {
-		sol, err := Solve(correlatedKnapsack(18, 0.07), Options{Threads: 8, DisableHeuristic: true})
+		sol, err := Solve(correlatedKnapsack(18, 0.07), Options{Threads: 8, disableHeuristic: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestParallelNodeLimitRespected(t *testing.T) {
 			Threads:          8,
 			Deterministic:    det,
 			NodeLimit:        7,
-			DisableHeuristic: true,
+			disableHeuristic: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 package ilp
 
 // Root presolve. lowerModel gathers the model's rows into the preRow
-// intermediate form and, unless Options.DisablePresolve is set, runs a
+// intermediate form and, unless Options.disablePresolve is set, runs a
 // fixpoint reduction pass over them before the standard-form columns
 // are built:
 //

@@ -29,7 +29,7 @@ func TestProgressHookReportsSearchTrajectory(t *testing.T) {
 	var snaps []Progress
 	sol, err := Solve(m, Options{
 		Progress:      func(p Progress) { snaps = append(snaps, p) },
-		ProgressEvery: 1, // heartbeat on every node
+		progressEvery: 1, // heartbeat on every node
 		Threads:       1, // exact emission cadence is a sequential-search property
 	})
 	if err != nil {

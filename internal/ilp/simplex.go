@@ -82,7 +82,7 @@ type standardForm struct {
 	// worker reads it immutably afterwards.
 	deadline time.Time
 	// dualOK enables dual-simplex child re-solves (set from
-	// Options.DisableDual by Solve).
+	// Options.disableDual by Solve).
 	dualOK bool
 	// warmCap, when positive, caps the simplex iterations of one warm
 	// primal restart (warm.go): the model's own cold root-LP count. Solve

@@ -21,10 +21,9 @@ type NetCacheConfig struct {
 	// Layout supplies the initial structure shapes (cms_rows/cms_cols/
 	// kv_parts/kv_slots symbolics). Required.
 	Layout *ilpgen.Layout
-	// Shards, BatchSize, QueueDepth size the runtime as in Config.
-	Shards     int
-	BatchSize  int
-	QueueDepth int
+	// Shards and BatchSize size the runtime as in Config.
+	Shards    int
+	BatchSize int
 	// Threshold is the CMS admission threshold: a missed key whose
 	// estimate reaches it is cached (default 8, the Figure 4 setting).
 	Threshold uint32
@@ -34,10 +33,10 @@ type NetCacheConfig struct {
 	// one call runs per shard at a time, so per-shard scratch buffers
 	// are safe.
 	Respond func(shard int, req Request, status uint8, val uint64)
-	// OnBatch, when non-nil, observes each batch's (shard, epoch, size)
-	// before processing — the torn-epoch race test's probe.
-	OnBatch func(shard int, epoch uint64, n int)
 	Tracer  *obs.Tracer
+	// onBatch, when non-nil, observes each batch's (shard, epoch, size)
+	// before processing — the torn-epoch race test's probe.
+	onBatch func(shard int, epoch uint64, n int)
 }
 
 // NetCache serves GET/PUT traffic from per-shard cache planes. Keys
@@ -86,18 +85,17 @@ func NewNetCache(cfg NetCacheConfig) (*NetCache, error) {
 		route:     PartitionRoute(int(cfg.Layout.Symbolic("kv_parts")), cfg.Shards),
 		threshold: cfg.Threshold,
 		respond:   cfg.Respond,
-		onBatch:   cfg.OnBatch,
+		onBatch:   cfg.onBatch,
 		hits:      make([]atomic.Uint64, cfg.Shards),
 		misses:    make([]atomic.Uint64, cfg.Shards),
 		admits:    make([]atomic.Uint64, cfg.Shards),
 	}
 	rt, err := NewRuntime(Config[Request]{
-		Shards:     cfg.Shards,
-		BatchSize:  cfg.BatchSize,
-		QueueDepth: cfg.QueueDepth,
-		Tracer:     cfg.Tracer,
-		Route:      func(r Request) int { return n.route(r.Key) },
-		Process:    n.process,
+		Shards:    cfg.Shards,
+		BatchSize: cfg.BatchSize,
+		Tracer:    cfg.Tracer,
+		Route:     func(r Request) int { return n.route(r.Key) },
+		Process:   n.process,
 	})
 	if err != nil {
 		return nil, err

@@ -36,9 +36,6 @@ type Config[T any] struct {
 	Shards int
 	// BatchSize caps a batch (default 256); no batch waits to fill.
 	BatchSize int
-	// QueueDepth is the per-shard queue capacity in batches
-	// (default 8, rounded up to a power of two).
-	QueueDepth int
 	// Route maps an item to its owning shard in [0, Shards). Required.
 	// Keys that share data-plane state must share a shard: use
 	// FlowRoute for plain flow hashing or PartitionRoute when a
@@ -52,6 +49,10 @@ type Config[T any] struct {
 	// Tracer receives per-shard packet/batch counters
 	// ("serve.shard3.packets"); nil disables.
 	Tracer *obs.Tracer
+	// queueDepth is the per-shard queue capacity in batches (default
+	// 8, rounded up to a power of two). Tests shrink it to reach a
+	// full queue.
+	queueDepth int
 }
 
 // shard keeps the producer's per-item writes to fill, and the worker's
@@ -100,8 +101,8 @@ func NewRuntime[T any](cfg Config[T]) (*Runtime[T], error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 256
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 8
+	if cfg.queueDepth <= 0 {
+		cfg.queueDepth = 8
 	}
 	if cfg.Route == nil {
 		return nil, fmt.Errorf("serve: Config.Route is required")
@@ -112,11 +113,11 @@ func NewRuntime[T any](cfg Config[T]) (*Runtime[T], error) {
 	r := &Runtime[T]{cfg: cfg, shards: make([]shard[T], cfg.Shards)}
 	for i := range r.shards {
 		s := &r.shards[i]
-		s.in = newSPSC[[]T](cfg.QueueDepth)
+		s.in = newSPSC[[]T](cfg.queueDepth)
 		// The free ring recycles batch slices back to the producer; it
 		// holds every batch that can be in flight plus the two being
 		// filled/processed, so steady state never allocates.
-		s.free = newSPSC[[]T](cfg.QueueDepth + 2)
+		s.free = newSPSC[[]T](cfg.queueDepth + 2)
 		s.fill = make([]T, 0, cfg.BatchSize)
 		s.wake = make(chan struct{}, 1)
 		s.pkts = cfg.Tracer.Counter(fmt.Sprintf("serve.shard%d.packets", i))

@@ -166,7 +166,7 @@ func TestSimRuntimeEngineParity(t *testing.T) {
 	rt, err := NewSimRuntime(SimConfig{
 		Unit: unit, Layout: layout,
 		Shards: 2, BatchSize: 64, KeyField: "query.key",
-		Sink: func(shard, i int, v sim.View) error {
+		sink: func(shard, i int, v sim.View) error {
 			var r rec
 			for fi, f := range fields {
 				r.vals[fi], _ = v.Get(f)

@@ -21,8 +21,7 @@ type ServerConfig struct {
 	// for an ephemeral port.
 	Addr string
 	// NetCache configures the cache service. Respond is overwritten by
-	// the server (replies go to the wire); OnBatch and Tracer pass
-	// through.
+	// the server (replies go to the wire); Tracer passes through.
 	NetCache NetCacheConfig
 }
 

@@ -24,9 +24,10 @@ type SimConfig struct {
 	// KeyField is the packet field the dispatcher flow-hashes
 	// (FlowRoute) to pick a shard (required), e.g. "query.key".
 	KeyField string
-	// Sink, when non-nil, observes every processed packet on the
-	// shard's goroutine (same contract as sim.Pipeline.Replay sinks).
-	Sink func(shard, i int, v sim.View) error
+	// sink, when non-nil, observes every processed packet on the
+	// shard's goroutine (same contract as sim.Pipeline.Replay sinks) —
+	// the engine-parity test's probe.
+	sink func(shard, i int, v sim.View) error
 }
 
 // SimRuntime is a sharded set of behavioral pipelines behind one
@@ -60,11 +61,11 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 		BatchSize: cfg.BatchSize,
 		Route:     func(pkt sim.Packet) int { return route(pkt[key]) },
 		Process: func(shard int, batch []sim.Packet) error {
-			if cfg.Sink == nil {
+			if cfg.sink == nil {
 				return pipes[shard].Replay(batch, nil)
 			}
 			return pipes[shard].Replay(batch, func(i int, v sim.View) error {
-				return cfg.Sink(shard, i, v)
+				return cfg.sink(shard, i, v)
 			})
 		},
 	})

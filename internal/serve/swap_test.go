@@ -18,7 +18,7 @@ import (
 // shard's observed epochs are non-decreasing.
 func TestSwapEpochConsistencyUnderLoad(t *testing.T) {
 	const shards = 4
-	// batchEpoch[s] is written in OnBatch and read in Respond — both
+	// batchEpoch[s] is written in onBatch and read in Respond — both
 	// run on shard s's goroutine, but the race detector should see the
 	// accesses anyway, so keep them atomic.
 	var batchEpoch [shards]atomic.Uint64
@@ -32,7 +32,7 @@ func TestSwapEpochConsistencyUnderLoad(t *testing.T) {
 		Shards:    shards,
 		BatchSize: 16,
 		Threshold: 4,
-		OnBatch: func(shard int, epoch uint64, n int) {
+		onBatch: func(shard int, epoch uint64, n int) {
 			batchEpoch[shard].Store(epoch)
 			if epoch < lastEpoch[shard] {
 				monotonicViolation.Store(true)

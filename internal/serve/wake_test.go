@@ -66,7 +66,7 @@ func TestRuntimeWakeStress(t *testing.T) {
 		rt, err := NewRuntime(Config[int]{
 			Shards:     shards,
 			BatchSize:  batch,
-			QueueDepth: 2,
+			queueDepth: 2,
 			Route:      func(v int) int { return v % shards },
 			Process: func(s int, b []int) error {
 				for _, v := range b {
@@ -144,7 +144,7 @@ func TestRuntimeOrderUnderConcurrency(t *testing.T) {
 	rt, err := NewRuntime(Config[int]{
 		Shards:     1,
 		BatchSize:  16,
-		QueueDepth: 2,
+		queueDepth: 2,
 		Route:      func(int) int { return 0 },
 		Process: func(_ int, batch []int) error {
 			got = append(got, batch...)
@@ -239,7 +239,7 @@ func TestWorkerTakeSkipsFullQueue(t *testing.T) {
 	rt, err := NewRuntime(Config[int]{
 		Shards:     1,
 		BatchSize:  2,
-		QueueDepth: 2,
+		queueDepth: 2,
 		Route:      func(int) int { return 0 },
 		Process: func(_ int, batch []int) error {
 			if len(got) == 0 {

@@ -34,41 +34,36 @@ import (
 type Options struct {
 	// Name labels the certificate (the app or file being compiled).
 	Name string
-	// PathBudget bounds the number of enumerated source paths
-	// (default 65536). Exceeding it is a failed obligation.
-	PathBudget int
-	// DecisionBudget bounds total free branch decisions (default
-	// 4x PathBudget); a backstop against degenerate branch nests.
-	DecisionBudget int
-	// FallbackSamples is the number of concrete trials the
-	// counterexample search runs per failed run (default 64).
-	FallbackSamples int
 	// Tracer receives tv.* spans and counters (nil disables).
 	Tracer *obs.Tracer
 }
 
-func (o Options) withDefaults() Options {
-	if o.Name == "" {
-		o.Name = "program"
-	}
-	if o.PathBudget <= 0 {
-		o.PathBudget = 1 << 16
-	}
-	if o.DecisionBudget <= 0 {
-		o.DecisionBudget = 4 * o.PathBudget
-	}
-	if o.FallbackSamples <= 0 {
-		o.FallbackSamples = 64
-	}
-	return o
-}
+// The validator's budgets.
+const (
+	// pathLimit bounds the number of enumerated source paths.
+	// Exceeding it is a failed obligation.
+	pathLimit = 1 << 16
+	// decisionLimit bounds total free branch decisions; a backstop
+	// against degenerate branch nests.
+	decisionLimit = 4 * pathLimit
+	// fallbackSamples is the number of concrete trials the
+	// counterexample search runs per failed run.
+	fallbackSamples = 64
+)
 
 // Validate certifies one compile. It never returns an error: every
 // problem — including the validator's own inability to model a
 // construct — is an obligation in the certificate, and the verdict is
 // proved only when nothing remains.
 func Validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts Options) *Certificate {
-	opts = opts.withDefaults()
+	return validate(u, layout, prog, opts, pathLimit, decisionLimit)
+}
+
+// validate is Validate under the given path and decision budgets.
+func validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts Options, paths, decisions int) *Certificate {
+	if opts.Name == "" {
+		opts.Name = "program"
+	}
 	span := opts.Tracer.StartSpan("tv.validate",
 		obs.String("program", opts.Name),
 		obs.String("target", layout.Target.Name))
@@ -98,14 +93,14 @@ func Validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts 
 	// enumeration actually executed. They explain the validator's run
 	// time and are not part of the certificate.
 	var nodes, stepsReplayed, stepsExecuted int
-	m, setupFail := newMachine(u, layout, prog, opts.PathBudget, opts.DecisionBudget)
+	m, setupFail := newMachine(u, layout, prog, paths, decisions)
 	if setupFail != nil {
 		cert.Equivalence = EquivalenceReport{
 			Fallbacks:   1,
 			Obligations: []Obligation{{Kind: setupFail.Kind, Detail: setupFail.Detail, Paths: 0}},
 		}
 	} else {
-		eq := runEquivalence(m, opts.FallbackSamples)
+		eq := runEquivalence(m, fallbackSamples)
 		nodes, stepsReplayed, stepsExecuted = eq.Nodes, eq.StepsReplayed, eq.StepsExecuted
 		cert.Equivalence = EquivalenceReport{
 			Paths:           eq.Paths,

@@ -152,7 +152,7 @@ control main { apply { div_it(); } }
 
 func TestPathBudgetIsAnObligation(t *testing.T) {
 	u, layout, prog := compileFor(t, modules.StandaloneCMS(), pisa.EvalTarget(pisa.Mb/4))
-	cert := Validate(u, layout, prog, Options{Name: "cms", PathBudget: 1})
+	cert := validate(u, layout, prog, Options{Name: "cms"}, 1, 4)
 	if cert.Proved() {
 		t.Fatal("path budget 1 must not prove a branching program")
 	}

@@ -136,26 +136,21 @@ type TraceConfig struct {
 	Flows   int     // flow universe size
 	Skew    float64 // Zipf skew of flow sizes
 	Packets int     // total packets
-	MinLen  int     // minimum packet length (default 64)
-	MaxLen  int     // maximum packet length (default 1500)
 }
+
+// Trace packet lengths are uniform in [minPacketLen, maxPacketLen].
+const (
+	minPacketLen = 64
+	maxPacketLen = 1500
+)
 
 // Trace generates a packet trace with Zipf-skewed flow popularity.
 func Trace(cfg TraceConfig) []Packet {
-	if cfg.MinLen == 0 {
-		cfg.MinLen = 64
-	}
-	if cfg.MaxLen == 0 {
-		cfg.MaxLen = 1500
-	}
-	if cfg.MaxLen < cfg.MinLen {
-		cfg.MaxLen = cfg.MinLen
-	}
 	keys := ZipfKeys(cfg.Seed, cfg.Flows, cfg.Skew, cfg.Packets)
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5ca1ab1e))
 	out := make([]Packet, cfg.Packets)
 	for i, k := range keys {
-		out[i] = Packet{Flow: k, Len: cfg.MinLen + rng.Intn(cfg.MaxLen-cfg.MinLen+1)}
+		out[i] = Packet{Flow: k, Len: minPacketLen + rng.Intn(maxPacketLen-minPacketLen+1)}
 	}
 	return out
 }

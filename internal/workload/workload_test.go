@@ -72,7 +72,7 @@ func TestZipfBounds(t *testing.T) {
 }
 
 func TestTraceLengthsAndFlows(t *testing.T) {
-	cfg := TraceConfig{Seed: 1, Flows: 100, Skew: 1.1, Packets: 1000, MinLen: 64, MaxLen: 1500}
+	cfg := TraceConfig{Seed: 1, Flows: 100, Skew: 1.1, Packets: 1000}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestTraceLengthsAndFlows(t *testing.T) {
 		if p.Flow >= 100 {
 			t.Fatalf("flow %d out of range", p.Flow)
 		}
-		if p.Len < 64 || p.Len > 1500 {
+		if p.Len < minPacketLen || p.Len > maxPacketLen {
 			t.Fatalf("length %d out of range", p.Len)
 		}
 	}
@@ -93,7 +93,7 @@ func TestTraceLengthsAndFlows(t *testing.T) {
 func TestTraceDefaults(t *testing.T) {
 	tr := Trace(TraceConfig{Seed: 2, Flows: 10, Packets: 50})
 	for _, p := range tr {
-		if p.Len < 64 || p.Len > 1500 {
+		if p.Len < minPacketLen || p.Len > maxPacketLen {
 			t.Fatalf("default length bounds violated: %d", p.Len)
 		}
 	}
