@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,7 +42,7 @@ func TestResolveTargetMemOverride(t *testing.T) {
 
 func TestResolveTargetJSONFile(t *testing.T) {
 	spec := pisa.TofinoLike()
-	data, err := spec.MarshalSpec()
+	data, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

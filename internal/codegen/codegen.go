@@ -23,15 +23,6 @@ import (
 	"p4all/internal/lang"
 )
 
-// Generate renders the concrete program for the layout.
-func Generate(u *lang.Unit, layout *ilpgen.Layout) (string, error) {
-	c, err := Build(u, layout)
-	if err != nil {
-		return "", err
-	}
-	return Render(c), nil
-}
-
 // Render prints the concrete program IR as P4 text.
 func Render(c *Concrete) string {
 	var b strings.Builder

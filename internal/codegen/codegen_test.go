@@ -57,10 +57,11 @@ func compileCMS(t *testing.T, target pisa.Target) (*lang.Unit, *ilpgen.Layout, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := Generate(u, layout)
+	c, err := Build(u, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p4 := Render(c)
 	return u, layout, p4
 }
 
@@ -140,10 +141,11 @@ func TestApplyOrderFollowsStages(t *testing.T) {
 func TestGeneratedCodeReproducible(t *testing.T) {
 	tgt := pisa.EvalTarget(pisa.Mb)
 	u, layout, p4a := compileCMS(t, tgt)
-	p4b, err := Generate(u, layout)
+	c, err := Build(u, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p4b := Render(c)
 	if p4a != p4b {
 		t.Error("code generation is not deterministic for a fixed layout")
 	}
@@ -187,10 +189,11 @@ control main { apply { fwd.apply(); } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := Generate(u, layout)
+	c, err := Build(u, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p4 := Render(c)
 	for _, want := range []string{"table fwd {", "key = { ipv4.dst; }", "actions = { set_port; drop_pkt; }", "size = 512;", "fwd.apply();"} {
 		if !strings.Contains(p4, want) {
 			t.Errorf("generated P4 missing %q:\n%s", want, p4)

@@ -180,16 +180,6 @@ func (*CFieldRef) isCExpr() {}
 func (*CName) isCExpr()     {}
 func (*CRaw) isCExpr()      {}
 
-// Qual returns the flattened field name the simulator uses as a packet
-// map key ("struct.field", elastic instances "struct.field@i").
-func (f *CFieldRef) Qual() string {
-	q := f.Struct + "." + f.Field
-	if f.Elastic && f.Index >= 0 {
-		return fmt.Sprintf("%s@%d", q, f.Index)
-	}
-	return q
-}
-
 // builder constructs the Concrete IR from a unit and layout.
 type builder struct {
 	u      *lang.Unit

@@ -48,7 +48,7 @@ const (
 	ActionNone Action = iota
 	// ActionKept: drift triggered a re-solve but the incumbent was
 	// kept — solver limit, compile failure, an unproved certificate,
-	// insufficient gain, or an unchanged layout.
+	// insufficient gain, an unchanged layout, or a failed swap.
 	ActionKept
 	// ActionAdopted: the re-solved layout was migrated and swapped in.
 	ActionAdopted
@@ -86,18 +86,21 @@ type Decision struct {
 	// DroppedKV counts cache entries lost to collisions during an
 	// adoption's migration.
 	DroppedKV int
-	// Epoch is the gate epoch after the decision.
+	// Epoch is the epoch swap published an adopted layout at (0 when
+	// nothing was adopted).
 	Epoch uint64
 }
 
-// Controller is the runtime reoptimization loop. It owns the detector
-// and a one-plane gate; the packet-processing side reads the served
-// plane through Plane(). Observe is called by a single goroutine, once
-// per traffic window.
+// Controller is the runtime reoptimization loop. It decides which
+// layout should serve and owns no data plane: Observe hands an adopted
+// layout to the caller's swap function, which migrates and publishes
+// it (serve.NetCache.SwapLayout). Observe is called by a single
+// goroutine, once per traffic window.
 type Controller struct {
-	cfg     Config
-	det     *Detector
-	gate    *Gate
+	cfg Config
+	det *Detector
+	// layout is the incumbent: the last layout swap published.
+	layout  *ilpgen.Layout
 	utility string
 	// compiler compiles the program as a one-tenant mix. It retains the
 	// program's front end and model, sets each re-solve's utility on a
@@ -141,7 +144,8 @@ func DefaultPolicy(d Drift) string {
 }
 
 // New compiles and certifies the initial program (cold, under the
-// policy's InitialShare utility) and starts the controller serving it.
+// policy's InitialShare utility); Layout returns it for the caller to
+// start serving.
 func New(cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Source == "" {
@@ -165,22 +169,13 @@ func New(cfg Config) (*Controller, error) {
 	if reason := uncertified(res.Certificate); reason != "" {
 		return nil, fmt.Errorf("elastic: initial compile: %s", reason)
 	}
-	plane, err := NewPlane(res.Layout)
-	if err != nil {
-		return nil, err
-	}
-	c.gate, err = NewGate([]*Plane{plane})
-	if err != nil {
-		return nil, err
-	}
+	c.layout = res.Layout
 	return c, nil
 }
 
-// Plane returns the currently served plane.
-func (c *Controller) Plane() *Plane {
-	p, _ := c.gate.Load(0)
-	return p
-}
+// Layout returns the incumbent layout: the initial compile until swap
+// publishes an adopted one.
+func (c *Controller) Layout() *ilpgen.Layout { return c.layout }
 
 // uncertified explains why a certificate does not license its layout
 // ("" when it is proved): the first undischarged obligation or failed
@@ -192,18 +187,17 @@ func uncertified(cert *tv.Certificate) string {
 	return "uncertified: " + cert.Failures()[0]
 }
 
-// Utility returns the utility expression the incumbent was solved
-// under.
-func (c *Controller) Utility() string { return c.utility }
-
 // Observe folds one traffic window into the controller. On drift it
 // re-solves the retained model under the policy's utility, warm-started
 // from the last two solutions, certifies the result, and either adopts
-// the new layout (migrating state and swapping the gate) or keeps the
-// incumbent, reporting which and why.
-func (c *Controller) Observe(w WindowStats) *Decision {
+// the new layout or keeps the incumbent, reporting which and why. To
+// adopt, it calls swap with the layout and the window's hot keys; swap
+// migrates the served state into the new shapes, publishes it, and
+// returns the new epoch and the KV entries migration dropped. A swap
+// error keeps the incumbent.
+func (c *Controller) Observe(w WindowStats, swap func(l *ilpgen.Layout, hot []KeyCount) (epoch uint64, dropped int, err error)) *Decision {
 	d := c.det.Observe(w)
-	dec := &Decision{Action: ActionNone, Drift: d, Epoch: c.gate.Epoch()}
+	dec := &Decision{Action: ActionNone, Drift: d}
 	if !d.Triggered {
 		return dec
 	}
@@ -252,7 +246,7 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 		tr.Event("elastic.fallback", obs.String("reason", dec.Reason))
 		return dec
 	}
-	diff := DiffLayouts(c.Plane().Layout, res.Layout)
+	diff := DiffLayouts(c.layout, res.Layout)
 	dec.Diff = &diff
 	if improve, comparable := c.improvement(mix); comparable && improve < minImprove {
 		dec.Action = ActionKept
@@ -268,34 +262,31 @@ func (c *Controller) Observe(w WindowStats) *Decision {
 		c.utility = dec.Utility
 		return dec
 	}
-	plane, droppedKV, err := Migrate(c.Plane(), res.Layout, w.HotKeys)
+	epoch, dropped, err := swap(res.Layout, w.HotKeys)
 	if err != nil {
 		dec.Action, dec.Reason = ActionKept, fmt.Sprintf("migration failed: %v", err)
 		tr.Event("elastic.fallback", obs.String("reason", dec.Reason))
 		return dec
 	}
-	dec.Action = ActionAdopted
-	dec.DroppedKV = droppedKV
-	// A one-plane set always matches the one-plane gate: Swap cannot fail.
-	dec.Epoch, _ = c.gate.Swap([]*Plane{plane})
-	c.utility = dec.Utility
+	dec.Action, dec.Epoch, dec.DroppedKV = ActionAdopted, epoch, dropped
+	c.layout, c.utility = res.Layout, dec.Utility
 	tr.Event("elastic.adopt",
 		obs.String("diff", diff.String()),
-		obs.Int("dropped_kv", droppedKV),
+		obs.Int("dropped_kv", dropped),
 		obs.Int64("epoch", int64(dec.Epoch)),
 		obs.String("p4_sha256", res.Certificate.P4SHA256),
 	)
 	return dec
 }
 
-// improvement measures the re-solved layout against the served layout
+// improvement measures the re-solved layout against the incumbent
 // under the NEW utility — the apples-to-apples comparison: would
-// switching actually raise the objective we now care about? The served
-// layout's raw assignment is evaluated in the re-solve's model (the
+// switching actually raise the objective we now care about? The
+// incumbent's raw assignment is evaluated in the re-solve's model (the
 // variable space is the retained model's; only the objective moved).
 // Reports comparable=false when the spaces don't align.
 func (c *Controller) improvement(mix *multitenant.Result) (float64, bool) {
-	values := c.Plane().Layout.Values
+	values := c.layout.Values
 	if len(values) != mix.Joint.Model.NumVars() {
 		return 0, false
 	}

@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"p4all/internal/apps"
 	"p4all/internal/ilp"
+	"p4all/internal/ilpgen"
 	"p4all/internal/multitenant"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
@@ -59,6 +61,33 @@ func (s *eventSink) has(name string) bool {
 	return false
 }
 
+// servedPlane is the data plane a test controller publishes to: swap
+// migrates the plane into an adopted layout with Migrate and bumps the
+// epoch, as a one-shard server's SwapLayout does.
+type servedPlane struct {
+	plane *Plane
+	epoch uint64
+}
+
+func newServedPlane(t *testing.T, c *Controller) *servedPlane {
+	t.Helper()
+	p, err := NewPlane(c.Layout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &servedPlane{plane: p, epoch: 1}
+}
+
+func (s *servedPlane) swap(l *ilpgen.Layout, hot []KeyCount) (uint64, int, error) {
+	p, dropped, err := Migrate(s.plane, l, hot)
+	if err != nil {
+		return 0, 0, err
+	}
+	s.plane = p
+	s.epoch++
+	return s.epoch, dropped, nil
+}
+
 // TestControllerAdoptsOnSkewDrift walks the controller through a
 // stable heavy-skew regime and then a flat-workload step. The step
 // must trigger a warm-started re-solve whose layout is adopted — and
@@ -76,17 +105,15 @@ func TestControllerAdoptsOnSkewDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := c.Plane().Layout
+	sp := newServedPlane(t, c)
+	before := c.Layout()
 	beforeKV := before.Symbolic("kv_parts") * before.Symbolic("kv_slots")
-	if e := c.gate.Epoch(); e != 1 {
-		t.Fatalf("initial epoch = %d", e)
-	}
 	for i := 0; i < 3; i++ {
-		if dec := c.Observe(window(0.55, 0)); dec.Action != ActionNone {
+		if dec := c.Observe(window(0.55, 0), sp.swap); dec.Action != ActionNone {
 			t.Fatalf("stable window %d: %v (%s)", i, dec.Action, dec.Reason)
 		}
 	}
-	dec := c.Observe(window(0.04, 0))
+	dec := c.Observe(window(0.04, 0), sp.swap)
 	if dec.Action != ActionAdopted {
 		t.Fatalf("skew step not adopted: %v (%s)", dec.Action, dec.Reason)
 	}
@@ -99,16 +126,19 @@ func TestControllerAdoptsOnSkewDrift(t *testing.T) {
 	if dec.Certificate == nil || !dec.Certificate.Proved() {
 		t.Fatalf("adopted a layout without a proved certificate: %+v", dec.Certificate)
 	}
-	if dec.Epoch != 2 {
-		t.Fatalf("epoch after adoption = %d, want 2", dec.Epoch)
+	if dec.Epoch != 2 || sp.epoch != 2 {
+		t.Fatalf("epoch after adoption = %d (plane %d), want 2", dec.Epoch, sp.epoch)
 	}
-	after := c.Plane().Layout
+	after := c.Layout()
+	if sp.plane.Layout != after {
+		t.Fatal("the adopted layout is not the one swap published")
+	}
 	afterKV := after.Symbolic("kv_parts") * after.Symbolic("kv_slots")
 	if afterKV <= beforeKV {
 		t.Fatalf("flat-workload layout did not grow the KV store: %d -> %d items", beforeKV, afterKV)
 	}
-	if !strings.Contains(c.Utility(), "0.70") {
-		t.Errorf("utility did not shift toward the KV store: %q", c.Utility())
+	if !strings.Contains(c.utility, "0.70") {
+		t.Errorf("utility did not shift toward the KV store: %q", c.utility)
 	}
 	for _, want := range []string{"elastic.drift", "elastic.reoptimize", "elastic.adopt"} {
 		if !sink.has(want) {
@@ -134,17 +164,18 @@ func TestControllerFlipBackStartsFromPredecessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial := c.Utility()
+	sp := newServedPlane(t, c)
+	initial := c.utility
 	for i := 0; i < 3; i++ {
-		c.Observe(window(0.04, 0))
+		c.Observe(window(0.04, 0), sp.swap)
 	}
-	if dec := c.Observe(window(0.55, 0)); dec.Action != ActionAdopted {
+	if dec := c.Observe(window(0.55, 0), sp.swap); dec.Action != ActionAdopted {
 		t.Fatalf("step to B not adopted: %v (%s)", dec.Action, dec.Reason)
 	}
 	for i := 0; i < 2; i++ { // the detector's cooldown
-		c.Observe(window(0.55, 0))
+		c.Observe(window(0.55, 0), sp.swap)
 	}
-	dec := c.Observe(window(0.04, 0))
+	dec := c.Observe(window(0.04, 0), sp.swap)
 	if dec.Utility != initial {
 		t.Fatalf("step back re-solved under %q, want the initial %q", dec.Utility, initial)
 	}
@@ -172,30 +203,75 @@ func TestControllerFallsBackOnSolverTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := c.Plane()
-	beforeUtility := c.Utility()
+	sp := newServedPlane(t, c)
+	before := c.Layout()
+	beforeUtility := c.utility
 	// Starve only the re-solves: the initial compile above ran with
 	// the defaults.
 	c.compiler.Opts.Solver.TimeLimit = time.Nanosecond
 
 	for i := 0; i < 3; i++ {
-		c.Observe(window(0.55, 0))
+		c.Observe(window(0.55, 0), sp.swap)
 	}
-	dec := c.Observe(window(0.04, 0))
+	dec := c.Observe(window(0.04, 0), sp.swap)
 	if dec.Action != ActionKept {
 		t.Fatalf("timeout re-solve was not kept: %v (%s)", dec.Action, dec.Reason)
 	}
 	if !sink.has("elastic.fallback") {
 		t.Fatalf("no elastic.fallback event recorded (got %v)", sink.events)
 	}
-	if c.Plane() != before {
-		t.Fatal("fallback swapped the plane")
+	if c.Layout() != before {
+		t.Fatal("fallback replaced the incumbent layout")
 	}
-	if c.Utility() != beforeUtility {
+	if c.utility != beforeUtility {
 		t.Fatal("fallback changed the incumbent utility")
 	}
-	if e := c.gate.Epoch(); e != 1 {
-		t.Fatalf("fallback bumped the epoch to %d", e)
+	if sp.epoch != 1 {
+		t.Fatalf("fallback bumped the epoch to %d", sp.epoch)
+	}
+}
+
+// TestControllerKeepsIncumbentOnFailedSwap: a certified, improving
+// re-solve whose swap fails must leave everything as it was — the
+// incumbent layout and utility, the caller's epoch — and say why.
+func TestControllerKeepsIncumbentOnFailedSwap(t *testing.T) {
+	sink := &eventSink{}
+	c, err := New(Config{
+		Target:       driftTarget(),
+		Source:       netcacheSource,
+		InitialShare: 0.55,
+		Solver:       driftSolver(),
+		Tracer:       obs.New(sink),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := newServedPlane(t, c)
+	before := c.Layout()
+	beforeUtility := c.utility
+	swaps := 0
+	failing := func(l *ilpgen.Layout, hot []KeyCount) (uint64, int, error) {
+		swaps++
+		return 0, 0, errors.New("shard 0: no memory")
+	}
+	for i := 0; i < 3; i++ {
+		c.Observe(window(0.55, 0), failing)
+	}
+	dec := c.Observe(window(0.04, 0), failing)
+	if swaps != 1 {
+		t.Fatalf("swap called %d times, want once", swaps)
+	}
+	if dec.Action != ActionKept || dec.Reason != "migration failed: shard 0: no memory" {
+		t.Fatalf("failed swap: %v (%s), want kept with the migration error", dec.Action, dec.Reason)
+	}
+	if !sink.has("elastic.fallback") || sink.has("elastic.adopt") {
+		t.Fatalf("want an elastic.fallback event and no elastic.adopt (got %v)", sink.events)
+	}
+	if c.Layout() != before || c.utility != beforeUtility {
+		t.Fatal("a failed swap replaced the incumbent")
+	}
+	if dec.Epoch != 0 || sp.epoch != 1 {
+		t.Fatalf("failed swap moved the epoch: decision %d, plane %d", dec.Epoch, sp.epoch)
 	}
 }
 
@@ -216,8 +292,9 @@ func TestControllerKeepsIncumbentOnUncertifiedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := c.Plane()
-	beforeUtility := c.Utility()
+	sp := newServedPlane(t, c)
+	before := c.Layout()
+	beforeUtility := c.utility
 	c.resolved = func(mix *multitenant.Result) {
 		res := mix.Tenants[0]
 		if !res.Certificate.Proved() {
@@ -228,9 +305,9 @@ func TestControllerKeepsIncumbentOnUncertifiedLayout(t *testing.T) {
 		res.Certificate = tv.Validate(res.Unit, res.Layout, res.Concrete, tv.Options{})
 	}
 	for i := 0; i < 3; i++ {
-		c.Observe(window(0.55, 0))
+		c.Observe(window(0.55, 0), sp.swap)
 	}
-	dec := c.Observe(window(0.04, 0))
+	dec := c.Observe(window(0.04, 0), sp.swap)
 	if dec.Action != ActionKept || !strings.HasPrefix(dec.Reason, "uncertified: ") {
 		t.Fatalf("tampered layout: %v (%s), want kept as uncertified", dec.Action, dec.Reason)
 	}
@@ -240,11 +317,11 @@ func TestControllerKeepsIncumbentOnUncertifiedLayout(t *testing.T) {
 	if !sink.has("elastic.fallback") {
 		t.Fatalf("no elastic.fallback event recorded (got %v)", sink.events)
 	}
-	if c.Plane() != before || c.Utility() != beforeUtility {
+	if c.Layout() != before || c.utility != beforeUtility {
 		t.Fatal("an uncertified layout replaced the incumbent")
 	}
-	if e := c.gate.Epoch(); e != 1 || dec.Epoch != 1 {
-		t.Fatalf("uncertified re-solve moved the epoch: gate %d, decision %d", e, dec.Epoch)
+	if sp.epoch != 1 || dec.Epoch != 0 {
+		t.Fatalf("uncertified re-solve moved the epoch: plane %d, decision %d", sp.epoch, dec.Epoch)
 	}
 	t.Log(dec.Reason)
 }
@@ -263,18 +340,19 @@ func TestControllerKeepsUnchangedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := newServedPlane(t, c)
 	for i := 0; i < 3; i++ {
-		c.Observe(window(0.55, 0))
+		c.Observe(window(0.55, 0), sp.swap)
 	}
-	dec := c.Observe(window(0.55, 5000)) // rotated hot set, same skew
+	dec := c.Observe(window(0.55, 5000), sp.swap) // rotated hot set, same skew
 	if dec.Drift.Reason != "churn" {
 		t.Fatalf("expected churn trigger, got %v", dec.Drift)
 	}
 	if dec.Action != ActionKept {
 		t.Fatalf("churn at unchanged utility: %v (%s)", dec.Action, dec.Reason)
 	}
-	if e := c.gate.Epoch(); e != 1 {
-		t.Fatalf("no-op re-solve bumped the epoch to %d", e)
+	if sp.epoch != 1 {
+		t.Fatalf("no-op re-solve bumped the epoch to %d", sp.epoch)
 	}
 	if dec.Stats.RootStart != ilp.RootPooled {
 		t.Errorf("churn re-solve root %q, want %q", dec.Stats.RootStart, ilp.RootPooled)
@@ -302,9 +380,10 @@ func TestControllerServesTrafficAcrossAdoption(t *testing.T) {
 			t.Errorf("re-solve %d: retained %v, parse %v, bounds %v; want a retained model", resolves, mix.Retained, mix.Phases.Parse, mix.Phases.Bounds)
 		}
 	}
+	sp := newServedPlane(t, c)
 	const windowLen = 20000
 	serve := func(keys []uint64) WindowStats {
-		p := c.Plane()
+		p := sp.plane
 		hits := 0
 		for _, k := range keys {
 			if _, hit, _ := p.ServeGet(k, 8); hit {
@@ -321,7 +400,7 @@ func TestControllerServesTrafficAcrossAdoption(t *testing.T) {
 	var lastHit float64
 	for off := 0; off+windowLen <= len(stream); off += windowLen {
 		w := serve(stream[off : off+windowLen])
-		dec := c.Observe(w)
+		dec := c.Observe(w, sp.swap)
 		if dec.Action == ActionAdopted {
 			adopted = true
 		}

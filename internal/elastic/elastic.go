@@ -6,23 +6,27 @@
 // workload drift (skew change, key-popularity churn), re-runs the
 // compiler with a reweighted utility and a warm-started ILP solve
 // seeded from the incumbent layout and the one it replaced, certifies
-// the re-solved program with the translation validator, migrates live
-// structure state to the new shapes, and atomically swaps the data
-// plane — falling back to the incumbent when the re-solve times out,
-// fails to certify, or fails to improve utility.
+// the re-solved program with the translation validator, and hands an
+// adopted layout to the caller's swap, which migrates live structure
+// state to the new shapes and atomically swaps the data plane —
+// falling back to the incumbent when the re-solve times out, fails to
+// certify, fails to improve utility, or the swap fails.
 //
 // The pieces compose as:
 //
 //	traffic window ─Summarize→ WindowStats ─Detector→ Drift
-//	     Drift ─Controller→ warm core.Compile + certify → utility check
-//	     adopt: Migrate (CMS re-hash + KV re-admission) → Gate.Swap
+//	     Drift ─Controller→ warm one-tenant multitenant.Compiler
+//	            re-solve + certify → utility check
+//	     adopt: swap = serve.NetCache.SwapLayout
+//	            (Quiesce → MigrateShards → Gate.Swap)
 //	     reject: keep incumbent, record an obs event
 //
-// There is one Gate: the Controller publishes one plane through it,
-// and internal/serve publishes one plane per shard (MigrateShards
-// inside a quiesce window). Detector, Gate, and the migration helpers
-// are application-agnostic; Controller and Plane are written against
-// the NetCache data plane (the paper's running elastic application).
+// The Controller owns no data plane: it keeps the incumbent layout and
+// decides. The server owns the planes, one per shard behind one Gate,
+// and its SwapLayout is the only swap path. Detector, Gate, and the
+// migration helpers are application-agnostic; Controller and Plane are
+// written against the NetCache data plane (the paper's running elastic
+// application).
 package elastic
 
 import "sort"

@@ -7,21 +7,20 @@ import (
 
 // Gate publishes the active data planes — one per shard, each owned by
 // its shard's goroutine between Loads — to the packet-processing side
-// under a single shared epoch. The controller builds and
-// state-migrates replacement planes entirely off to the side, then
-// Swap makes the whole set visible in one step: a reader either sees
-// the complete old set or the complete new one, never a mix, and a
-// loaded plane's own Epoch always equals the epoch it was loaded at —
-// the "consistent layout" invariant of the reoptimization loop. The
-// controller never mutates a published plane.
+// under a single shared epoch. Migration builds and state-migrates
+// replacement planes entirely off to the side, then Swap makes the
+// whole set visible in one step: a reader either sees the complete old
+// set or the complete new one, never a mix, and a loaded plane's own
+// Epoch always equals the epoch it was loaded at — the "consistent
+// layout" invariant of the reoptimization loop. Migration never
+// mutates a published plane.
 //
 // The cross-shard freshness invariant ("no shard processes a batch
 // against epoch e while another processes against e'") is not the
 // gate's to enforce — it requires quiescing the shards around the
-// swap, which is internal/serve.Runtime.Quiesce's job; the gate
-// guarantees only that what is published is a complete,
-// consistently-stamped plane set. A single-shard reader (the
-// Controller) needs no quiesce: it loads shard 0.
+// swap, which internal/serve.NetCache.SwapLayout does with
+// Runtime.Quiesce; the gate guarantees only that what is published is
+// a complete, consistently-stamped plane set.
 type Gate struct {
 	mu     sync.Mutex
 	epoch  uint64

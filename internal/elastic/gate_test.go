@@ -25,7 +25,7 @@ func mkTestPlanes(t *testing.T, n int) []*Plane {
 }
 
 // TestGateEpochConsistencyUnderSwap drives packet processing through
-// a one-plane gate — the Controller's — while a controller goroutine
+// a one-plane gate — a one-shard server's — while a controller goroutine
 // keeps swapping fully-built planes in. Run under -race (CI does): the
 // reader must always see a (plane, epoch) pair from a single Swap —
 // never a torn mix — and the plane it loaded stays safe to mutate

@@ -9,6 +9,7 @@ import (
 	"p4all/internal/ilp"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
+	"p4all/internal/serve"
 	"p4all/internal/tv"
 	"p4all/internal/workload"
 )
@@ -34,7 +35,7 @@ type DriftPoint struct {
 	HitFrozen  float64
 	HitElastic float64
 	Action     string // what the controller did ("", "kept", "adopted")
-	Epoch      uint64 // elastic gate epoch after the window
+	Epoch      uint64 // elastic cache's epoch after the window
 	// Certificate is the window's re-solve certificate (nil when no
 	// re-solve finished); an adopted layout's is always proved.
 	Certificate *tv.Certificate
@@ -56,8 +57,9 @@ type DriftResult struct {
 }
 
 // FigureDrift runs the drift experiment: the same request stream is
-// served by a layout frozen at its initial compile and by the elastic
-// controller, and the per-window hit rates are compared. The elastic
+// served by two one-shard serve.NetCaches, one frozen at the initial
+// compile's layout and one the elastic controller re-shapes through
+// its SwapLayout, and the per-window hit rates are compared. The elastic
 // run should collapse with the frozen one at the skew step and then
 // recover as the controller re-solves, certifies, and migrates. seed
 // draws the request stream. A non-nil tr traces the compile and the
@@ -84,21 +86,30 @@ func FigureDrift(seed int64, tr *obs.Tracer) (*DriftResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("drift: compile: %w", err)
 	}
-	// The frozen run serves the initial layout for the whole stream: a
-	// plane the controller never swaps.
-	frozen, err := elastic.NewPlane(ctrl.Plane().Layout)
+	initial := ctrl.Layout()
+	frozen, err := serve.NewNetCache(serve.NetCacheConfig{Layout: initial, Threshold: driftThreshold})
 	if err != nil {
-		return nil, fmt.Errorf("drift: frozen plane: %w", err)
+		return nil, fmt.Errorf("drift: frozen cache: %w", err)
 	}
+	defer frozen.Close()
+	elasticCache, err := serve.NewNetCache(serve.NetCacheConfig{Layout: initial, Threshold: driftThreshold})
+	if err != nil {
+		return nil, fmt.Errorf("drift: elastic cache: %w", err)
+	}
+	defer elasticCache.Close()
 
-	serve := func(p *elastic.Plane, keys []uint64) int {
-		hits := 0
-		for _, k := range keys {
-			if _, hit, _ := p.ServeGet(k, driftThreshold); hit {
-				hits++
-			}
+	reqs := make([]serve.Request, driftWindow)
+	hits := func(c *serve.NetCache, keys []uint64) (int, error) {
+		before, _, _ := c.Stats()
+		for i, k := range keys {
+			reqs[i] = serve.Request{Op: serve.OpGet, Key: k}
 		}
-		return hits
+		if err := c.DispatchAll(reqs[:len(keys)]); err != nil {
+			return 0, err
+		}
+		c.Drain()
+		after, _, _ := c.Stats()
+		return int(after - before), nil
 	}
 
 	stream := workload.ZipfDriftKeys(seed, driftKeys, []workload.DriftPhase{
@@ -109,16 +120,22 @@ func FigureDrift(seed int64, tr *obs.Tracer) (*DriftResult, error) {
 	win := 0
 	for off := 0; off+driftWindow <= len(stream); off += driftWindow {
 		keys := stream[off : off+driftWindow]
-		fHits := serve(frozen, keys)
-		eHits := serve(ctrl.Plane(), keys)
+		fHits, err := hits(frozen, keys)
+		if err != nil {
+			return nil, fmt.Errorf("drift: frozen cache: %w", err)
+		}
+		eHits, err := hits(elasticCache, keys)
+		if err != nil {
+			return nil, fmt.Errorf("drift: elastic cache: %w", err)
+		}
 		w := elastic.Summarize(keys, eHits, 64, 256)
-		dec := ctrl.Observe(w)
+		dec := ctrl.Observe(w, elasticCache.SwapLayout)
 		pt := DriftPoint{
 			Window:      win,
 			TopShare:    w.TopShare,
 			HitFrozen:   float64(fHits) / float64(len(keys)),
 			HitElastic:  w.HitRate(),
-			Epoch:       dec.Epoch,
+			Epoch:       elasticCache.Epoch(),
 			Certificate: dec.Certificate,
 		}
 		switch dec.Action {
@@ -145,7 +162,7 @@ func FigureDrift(seed int64, tr *obs.Tracer) (*DriftResult, error) {
 		out.FrozenSteady += pt.HitFrozen / float64(tail)
 		out.ElasticSteady += pt.HitElastic / float64(tail)
 	}
-	fl, el := frozen.Layout, ctrl.Plane().Layout
+	fl, el := initial, ctrl.Layout()
 	out.FrozenKVItems = fl.Symbolic("kv_parts") * fl.Symbolic("kv_slots")
 	out.ElasticKVItems = el.Symbolic("kv_parts") * el.Symbolic("kv_slots")
 	return out, nil

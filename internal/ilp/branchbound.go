@@ -972,34 +972,3 @@ func Verify(m *Model, values []float64) error {
 	}
 	return nil
 }
-
-// SolveRootLP solves only the LP relaxation (diagnostics and ablation
-// benchmarks).
-func SolveRootLP(m *Model) (*Solution, error) {
-	sf, err := lowerModel(m, true)
-	if err != nil {
-		return &Solution{Status: StatusInfeasible}, nil //nolint:nilerr
-	}
-	lo, hi := sf.cloneBounds()
-	st, obj, x, counts, err := solveLP(sf, lo, hi, defaultIterLimit, nil, nil, restartPrimal, nil)
-	if err != nil {
-		return nil, err
-	}
-	sign := 1.0
-	if m.sense == Maximize {
-		sign = -1
-	}
-	sol := &Solution{Nodes: 1, SimplexIters: counts.iters, Refactorizations: counts.refactors}
-	switch st {
-	case lpInfeasible:
-		sol.Status = StatusInfeasible
-	case lpUnbounded:
-		sol.Status = StatusUnbounded
-	default:
-		sol.Status = StatusOptimal
-		sol.Values = x
-		sol.Objective = sign * (obj + sf.objK)
-		sol.RootBound = sol.Objective
-	}
-	return sol, nil
-}

@@ -58,12 +58,6 @@ func (e *Expr) Add(v Var, c float64) *Expr {
 	return e
 }
 
-// AddConst accumulates the constant k into e and returns e.
-func (e *Expr) AddConst(k float64) *Expr {
-	e.konst += k
-	return e
-}
-
 // AddExpr accumulates scale·other into e and returns e.
 func (e *Expr) AddExpr(other Expr, scale float64) *Expr {
 	e.ensure()
@@ -76,12 +70,6 @@ func (e *Expr) AddExpr(other Expr, scale float64) *Expr {
 	e.konst += scale * other.konst
 	return e
 }
-
-// Coef returns the coefficient of v in e (zero if absent).
-func (e Expr) Coef(v Var) float64 { return e.coef[v] }
-
-// Constant returns the constant term of e.
-func (e Expr) Constant() float64 { return e.konst }
 
 // Terms calls fn for each variable term in e in ascending Var order.
 func (e Expr) Terms(fn func(v Var, c float64)) {

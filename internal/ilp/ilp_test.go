@@ -138,7 +138,7 @@ func TestLPObjectiveConstant(t *testing.T) {
 	m := NewModel("const")
 	x := m.AddVar("x", 0, 2, Continuous)
 	obj := Term(x, 1)
-	obj.AddConst(10)
+	obj.AddExpr(Const(10), 1)
 	m.SetObjective(obj, Maximize)
 	sol := solveOK(t, m)
 	wantObj(t, sol, 12)
@@ -177,9 +177,9 @@ func TestMIPKnapsack(t *testing.T) {
 	m.SetObjective(obj, Maximize)
 	sol := solveOK(t, m)
 	wantObj(t, sol, 220)
-	if sol.IntValue(items[0]) != 0 || sol.IntValue(items[1]) != 1 || sol.IntValue(items[2]) != 1 {
+	if sol.Value(items[0]) != 0 || sol.Value(items[1]) != 1 || sol.Value(items[2]) != 1 {
 		t.Errorf("selection = %v %v %v, want 0 1 1",
-			sol.IntValue(items[0]), sol.IntValue(items[1]), sol.IntValue(items[2]))
+			sol.Value(items[0]), sol.Value(items[1]), sol.Value(items[2]))
 	}
 }
 
@@ -335,11 +335,11 @@ func TestBinaryBoundsClamped(t *testing.T) {
 
 func TestExprArithmetic(t *testing.T) {
 	e := NewExpr()
-	e.Add(Var(0), 2).Add(Var(1), -1).AddConst(3)
+	e.Add(Var(0), 2).Add(Var(1), -1).AddExpr(Const(3), 1)
 	other := Term(Var(0), 1)
 	e.AddExpr(other, 2) // +2*x0
-	if e.Coef(Var(0)) != 4 {
-		t.Errorf("coef x0 = %g, want 4", e.Coef(Var(0)))
+	if e.coef[Var(0)] != 4 {
+		t.Errorf("coef x0 = %g, want 4", e.coef[Var(0)])
 	}
 	if got := e.Eval([]float64{1, 2}); got != 4-2+3 {
 		t.Errorf("Eval = %g, want 5", got)
@@ -437,14 +437,10 @@ func TestSolveRootLPOnly(t *testing.T) {
 	y := m.AddBinary("y")
 	m.AddConstr("cap", Sum(x, y), LE, 1.5)
 	m.SetObjective(Sum(x, y), Maximize)
-	lp, err := SolveRootLP(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(lp.Objective, 1.5, 1e-6) {
-		t.Errorf("root LP = %g, want 1.5", lp.Objective)
-	}
 	mip := solveOK(t, m)
+	if !almostEqual(mip.RootBound, 1.5, 1e-6) {
+		t.Errorf("root LP = %g, want 1.5", mip.RootBound)
+	}
 	wantObj(t, mip, 1)
 }
 

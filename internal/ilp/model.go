@@ -184,18 +184,12 @@ func (m *Model) VarName(v Var) string { return m.vars[v].name }
 // VarBounds returns the bounds of v.
 func (m *Model) VarBounds(v Var) (lo, hi float64) { return m.vars[v].lo, m.vars[v].hi }
 
-// VarType returns the declared type of v.
-func (m *Model) VarType(v Var) VarType { return m.vars[v].typ }
-
 // SetBranchPriority marks v as preferred for branching: among
 // fractional integer variables, those with the highest priority are
 // branched on first. Default priority is 0.
 func (m *Model) SetBranchPriority(v Var, pri int) {
 	m.vars[v].pri = pri
 }
-
-// BranchPriority returns v's branching priority (SetBranchPriority).
-func (m *Model) BranchPriority(v Var) int { return m.vars[v].pri }
 
 // SetBounds replaces the bounds of v.
 func (m *Model) SetBounds(v Var, lo, hi float64) {
@@ -385,9 +379,4 @@ func (s *Solution) Value(v Var) float64 {
 		return math.NaN()
 	}
 	return s.Values[v]
-}
-
-// IntValue returns the solution value of v rounded to the nearest int.
-func (s *Solution) IntValue(v Var) int {
-	return int(math.Round(s.Value(v)))
 }

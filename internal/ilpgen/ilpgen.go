@@ -1044,9 +1044,3 @@ func (p *ILP) objective() error {
 	p.util = util
 	return nil
 }
-
-// Utility returns the unit's linearized utility expression — the
-// objective of a single-unit compile, or this tenant's fairness term
-// in a joint one. The expression is the generator's own: callers must
-// treat it as read-only.
-func (p *ILP) Utility() ilp.Expr { return p.util }

@@ -272,26 +272,6 @@ type JointLayout struct {
 	RootBasis *ilp.Basis
 }
 
-// Tenant returns the named tenant's layout, or nil.
-func (jl *JointLayout) Tenant(name string) *Layout {
-	for i, n := range jl.Names {
-		if n == name {
-			return jl.Tenants[i]
-		}
-	}
-	return nil
-}
-
-// Utility returns the named tenant's achieved utility (NaN if absent).
-func (jl *JointLayout) Utility(name string) float64 {
-	for i, n := range jl.Names {
-		if n == name {
-			return jl.Utilities[i]
-		}
-	}
-	return math.NaN()
-}
-
 // Solve optimizes the joint model and extracts one layout per tenant.
 // The shared solution is verified against the full model once; the
 // per-tenant extractions then read their own variable slices.

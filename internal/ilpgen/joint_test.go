@@ -208,11 +208,12 @@ func TestJointWeightShiftGrowsFavoredTenant(t *testing.T) {
 	}
 	_, aFav := jointSolve(t, mk(), &target, Fairness{Weights: []float64{1, 0.5}})
 	_, bFav := jointSolve(t, mk(), &target, Fairness{Weights: []float64{0.5, 1}})
-	if bFav.Utility("b") <= aFav.Utility("b") {
-		t.Errorf("favored tenant b did not grow: before %g, after %g", aFav.Utility("b"), bFav.Utility("b"))
+	// Utilities follow the tenant order: a, then b.
+	if bFav.Utilities[1] <= aFav.Utilities[1] {
+		t.Errorf("favored tenant b did not grow: before %g, after %g", aFav.Utilities[1], bFav.Utilities[1])
 	}
-	if bFav.Utility("a") >= aFav.Utility("a") {
-		t.Errorf("de-weighted tenant a did not shrink: before %g, after %g", aFav.Utility("a"), bFav.Utility("a"))
+	if bFav.Utilities[0] >= aFav.Utilities[0] {
+		t.Errorf("de-weighted tenant a did not shrink: before %g, after %g", aFav.Utilities[0], bFav.Utilities[0])
 	}
 }
 
@@ -229,8 +230,8 @@ func TestJointMinUtilityFloor(t *testing.T) {
 		Weights:    []float64{1, 0},
 		MinUtility: []float64{0, floor},
 	})
-	if jl.Utility("b") < floor-1e-6 {
-		t.Errorf("tenant b utility %g below its floor %g", jl.Utility("b"), floor)
+	if jl.Utilities[1] < floor-1e-6 {
+		t.Errorf("tenant b utility %g below its floor %g", jl.Utilities[1], floor)
 	}
 }
 

@@ -2,6 +2,7 @@ package ilpgen
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -42,13 +43,18 @@ func modelRows(m *ilp.Model, prefix string) []string {
 }
 
 // modelVars lists a model's variables in order with their bounds, type
-// and branch priority, each name less prefix.
+// and branch priority, each name less prefix. No program reads a
+// variable's type or priority back, so ilp exports no accessor for
+// them and the test reads the fields by reflection.
 func modelVars(m *ilp.Model, prefix string) []string {
+	data := reflect.ValueOf(m).Elem().FieldByName("vars")
 	vars := make([]string, m.NumVars())
 	for i := range vars {
 		v := ilp.Var(i)
 		lo, hi := m.VarBounds(v)
-		vars[i] = fmt.Sprintf("%s [%g, %g] %v priority %d", strings.TrimPrefix(m.VarName(v), prefix), lo, hi, m.VarType(v), m.BranchPriority(v))
+		typ := ilp.VarType(data.Index(i).FieldByName("typ").Int())
+		pri := data.Index(i).FieldByName("pri").Int()
+		vars[i] = fmt.Sprintf("%s [%g, %g] %v priority %d", strings.TrimPrefix(m.VarName(v), prefix), lo, hi, typ, pri)
 	}
 	return vars
 }

@@ -269,27 +269,6 @@ func StandaloneHashTable() string {
 	return Standalone(HashTable(Instance{Prefix: "ht", Key: "pkt.flow"}), "ht_run", "ht_stages * ht_slots")
 }
 
-// HierarchicalSketch returns a SketchLearn-style stack of `levels`
-// count-min sketches under one prefix: level fragments are named
-// "@_lv<k>" and share a per-level update control "@_lv<k>_update".
-// Apply returns the statement sequence invoking every level.
-func HierarchicalSketch(in Instance, levels int) (fragment, apply, utility string) {
-	var frags []string
-	var applies, utils []string
-	for l := 0; l < levels; l++ {
-		lv := Instance{
-			Prefix: fmt.Sprintf("%s_lv%d", in.Prefix, l),
-			Key:    in.Key,
-			Width:  in.Width,
-			Seed:   in.Seed + 8*l,
-		}
-		frags = append(frags, CountMinSketch(lv))
-		applies = append(applies, fmt.Sprintf("%s_update.apply();", lv.Prefix))
-		utils = append(utils, fmt.Sprintf("%s_rows * %s_cols", lv.Prefix, lv.Prefix))
-	}
-	return Compose(frags...), strings.Join(applies, "\n        "), strings.Join(utils, " + ")
-}
-
 // CountingTable returns a FlowRadar-style encoded flowset: @_rows hash
 // rows of @_cells cells, where each cell accumulates the sum of flow
 // keys mapped into it plus a flow count and a packet count. Cells

@@ -1,6 +1,7 @@
 package modules
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -111,18 +112,27 @@ func TestWidthParameter(t *testing.T) {
 	}
 }
 
+// TestHierarchicalSketchModule stacks three count-min sketch instances
+// SketchLearn-style, one prefix and hash seed per level, and checks the
+// composition resolves to two symbolics per level and compiles.
 func TestHierarchicalSketchModule(t *testing.T) {
-	frag, apply, util := HierarchicalSketch(Instance{Prefix: "hs", Key: "pkt.flow"}, 3)
-	src := Compose(FlowHeader, frag, `
+	var frags, applies, utils []string
+	for l := 0; l < 3; l++ {
+		in := Instance{Prefix: fmt.Sprintf("hs_lv%d", l), Key: "pkt.flow", Seed: 8 * l}
+		frags = append(frags, CountMinSketch(in))
+		applies = append(applies, in.Prefix+"_update.apply();")
+		utils = append(utils, in.Prefix+"_rows * "+in.Prefix+"_cols")
+	}
+	src := Compose(FlowHeader, Compose(frags...), `
 control main {
     apply {
-        `+apply+`
+        `+strings.Join(applies, "\n        ")+`
     }
 }
 assume hs_lv0_rows >= 1 && hs_lv0_rows <= 2;
 assume hs_lv1_rows >= 1 && hs_lv1_rows <= 2;
 assume hs_lv2_rows >= 1 && hs_lv2_rows <= 2;
-optimize `+util+`;
+optimize `+strings.Join(utils, " + ")+`;
 `)
 	u, err := lang.ParseAndResolve(src)
 	if err != nil {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strconv"
 	"time"
 )
 
@@ -65,25 +64,6 @@ func (a Attr) Value() interface{} {
 		return a.num != 0
 	case attrDuration:
 		return time.Duration(a.num)
-	default:
-		return a.str
-	}
-}
-
-// text renders the value for the human-readable summary sink.
-func (a Attr) text() string {
-	switch a.kind {
-	case attrInt:
-		return strconv.FormatInt(a.num, 10)
-	case attrFloat:
-		return strconv.FormatFloat(a.f, 'g', 6, 64)
-	case attrBool:
-		if a.num != 0 {
-			return "true"
-		}
-		return "false"
-	case attrDuration:
-		return time.Duration(a.num).String()
 	default:
 		return a.str
 	}

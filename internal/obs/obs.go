@@ -1,5 +1,5 @@
 // Package obs is the compiler's structured observability substrate:
-// hierarchical spans, typed counters and gauges, and structured events,
+// hierarchical spans, typed counters, and structured events,
 // delivered to pluggable sinks (a JSONL trace writer, a human-readable
 // summary table, a discarding sink for overhead measurement).
 //
@@ -17,7 +17,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +30,7 @@ const (
 	KindSpan RecordKind = iota
 	// KindEvent is a point-in-time structured event.
 	KindEvent
-	// KindMetric is a counter or gauge value flushed at Close.
+	// KindMetric is a counter value flushed at Close.
 	KindMetric
 )
 
@@ -73,14 +72,13 @@ type Sink interface {
 
 // Tracer fans spans, events, and metric flushes out to its sinks. The
 // nil *Tracer is the disabled tracer: every method no-ops and
-// StartSpan/Counter/Gauge return nil handles whose methods also no-op.
+// StartSpan/Counter return nil handles whose methods also no-op.
 type Tracer struct {
 	sinks  []Sink
 	lastID atomic.Uint64
 
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	order    []string // metric registration order for deterministic flush
 }
 
@@ -94,12 +92,8 @@ func New(sinks ...Sink) *Tracer {
 	return &Tracer{
 		sinks:    sinks,
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 	}
 }
-
-// Enabled reports whether records reach any sink.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 func (t *Tracer) emit(r *Record) {
 	for _, s := range t.sinks {
@@ -151,24 +145,7 @@ func (t *Tracer) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named last-value gauge, creating it on first use.
-// On the nil tracer it returns nil, whose methods no-op.
-func (t *Tracer) Gauge(name string) *Gauge {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	g, ok := t.gauges[name]
-	if !ok {
-		g = &Gauge{name: name}
-		t.gauges[name] = g
-		t.order = append(t.order, name)
-	}
-	return g
-}
-
-// Close flushes every registered counter and gauge as a metric record,
+// Close flushes every registered counter as a metric record,
 // then closes the sinks. It returns the first sink error.
 func (t *Tracer) Close() error {
 	if t == nil {
@@ -177,12 +154,7 @@ func (t *Tracer) Close() error {
 	t.mu.Lock()
 	now := time.Now()
 	for _, name := range t.order {
-		var v float64
-		if c, ok := t.counters[name]; ok {
-			v = float64(c.Value())
-		} else if g, ok := t.gauges[name]; ok {
-			v = g.Value()
-		}
+		v := float64(t.counters[name].Value())
 		t.emit(&Record{Kind: KindMetric, Name: name, Time: now, Value: v})
 	}
 	t.mu.Unlock()
@@ -283,29 +255,3 @@ func (c *Counter) Value() int64 {
 	}
 	return c.v.Load()
 }
-
-// Gauge is a last-value metric, safe for concurrent use. The nil
-// *Gauge no-ops.
-type Gauge struct {
-	name string
-	bits atomic.Uint64
-}
-
-// Set records the current value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(floatBits(v))
-}
-
-// Value returns the last value set (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return bitsFloat(g.bits.Load())
-}
-
-func floatBits(v float64) uint64 { return math.Float64bits(v) }
-func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }

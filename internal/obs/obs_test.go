@@ -36,9 +36,6 @@ func (c *collectSink) byKind(k RecordKind) []Record {
 
 func TestNilTracerIsFullyDisabled(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	sp := tr.StartSpan("root", Int("n", 1))
 	sp.SetAttrs(String("k", "v"))
 	sp.Event("ev")
@@ -49,10 +46,6 @@ func TestNilTracerIsFullyDisabled(t *testing.T) {
 	tr.Counter("c").Add(5)
 	if got := tr.Counter("c").Value(); got != 0 {
 		t.Fatalf("nil counter value = %d", got)
-	}
-	tr.Gauge("g").Set(3.5)
-	if got := tr.Gauge("g").Value(); got != 0 {
-		t.Fatalf("nil gauge value = %g", got)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatalf("nil close: %v", err)
@@ -122,11 +115,7 @@ func TestCountersAndGauges(t *testing.T) {
 	if tr.Counter("packets") != c {
 		t.Fatal("Counter not memoized by name")
 	}
-	g := tr.Gauge("gap")
-	g.Set(0.25)
-	if g.Value() != 0.25 {
-		t.Fatalf("gauge = %g", g.Value())
-	}
+	tr.Counter("drops").Add(3)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +126,7 @@ func TestCountersAndGauges(t *testing.T) {
 	if metrics[0].Name != "packets" || metrics[0].Value != 800 {
 		t.Fatalf("metric[0] = %+v", metrics[0])
 	}
-	if metrics[1].Name != "gap" || metrics[1].Value != 0.25 {
+	if metrics[1].Name != "drops" || metrics[1].Value != 3 {
 		t.Fatalf("metric[1] = %+v", metrics[1])
 	}
 }
@@ -210,25 +199,6 @@ func TestSummarySink(t *testing.T) {
 	for _, want := range []string{"observability summary", "solve", "solver.incumbent", "bnb_nodes", "17"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestAttrText(t *testing.T) {
-	cases := []struct {
-		attr Attr
-		want string
-	}{
-		{String("k", "v"), "v"},
-		{Int("k", -7), "-7"},
-		{Float("k", 1.5), "1.5"},
-		{Bool("k", true), "true"},
-		{Bool("k", false), "false"},
-		{Duration("k", 1500*time.Millisecond), "1.5s"},
-	}
-	for _, c := range cases {
-		if got := c.attr.text(); got != c.want {
-			t.Errorf("text(%+v) = %q, want %q", c.attr, got, c.want)
 		}
 	}
 }

@@ -209,8 +209,3 @@ func ParseTarget(data []byte) (Target, error) {
 	}
 	return t, nil
 }
-
-// MarshalSpec encodes the target as an indented JSON specification.
-func (t *Target) MarshalSpec() ([]byte, error) {
-	return json.MarshalIndent(t, "", "  ")
-}

@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -89,7 +90,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	want := TofinoLike()
 	want.AllowRegisterSpread = true
 	want.Cost = ALUCost{PerRegisterAccess: 1, PerStatelessOp: 2, PerHash: 1}
-	data, err := want.MarshalSpec()
+	data, err := json.MarshalIndent(want, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

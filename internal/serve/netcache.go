@@ -1,8 +1,8 @@
 // NetCache over the sharded runtime: per-shard elastic planes (CMS +
 // KVStore in the shapes a layout chose), partition-consistent routing
 // so sharded cache behavior matches the single-shard golden model
-// bit-for-bit, and the quiesce-migrate-swap protocol that lets the
-// elastic controller re-shape all shards under one epoch.
+// bit-for-bit, and SwapLayout, the quiesce-migrate-swap path through
+// which the elastic controller re-shapes all shards under one epoch.
 
 package serve
 
@@ -13,7 +13,6 @@ import (
 	"p4all/internal/elastic"
 	"p4all/internal/ilpgen"
 	"p4all/internal/obs"
-	"p4all/internal/structures"
 )
 
 // NetCacheConfig builds a NetCache service.
@@ -160,8 +159,7 @@ func (n *NetCache) Drain() { n.rt.Drain() }
 // Close stops the shard goroutines after draining queued work.
 func (n *NetCache) Close() error { return n.rt.Close() }
 
-// Shards returns the shard count; Epoch the gate's current epoch.
-func (n *NetCache) Shards() int   { return n.rt.Shards() }
+// Epoch returns the gate's current epoch.
 func (n *NetCache) Epoch() uint64 { return n.gate.Epoch() }
 
 // Packets returns total requests served across shards.
@@ -184,43 +182,6 @@ func (n *NetCache) HitRate() float64 {
 		return 0
 	}
 	return float64(h) / float64(h+m)
-}
-
-// Lookup reads a key from its owning shard's store inside a quiesce
-// window — the control-plane read path (KV partitions are disjoint,
-// so one shard is authoritative for the key).
-func (n *NetCache) Lookup(key uint64) (val uint64, ok bool, err error) {
-	err = n.rt.Quiesce(func() error {
-		p, _ := n.gate.Load(n.route(key))
-		val, ok = p.KV.Get(key)
-		return nil
-	})
-	return
-}
-
-// MergedCMS quiesces the shards and returns the cell-wise merge of
-// every shard's sketch — the whole-device frequency view. Per-key
-// estimates from the merge never underestimate the true count (each
-// shard's sketch overestimates its own substream; saturating cell
-// sums preserve that).
-func (n *NetCache) MergedCMS() (*structures.CountMinSketch, error) {
-	var merged *structures.CountMinSketch
-	err := n.rt.Quiesce(func() error {
-		for i, p := range n.gate.Planes() {
-			if i == 0 {
-				merged = p.CMS.Clone()
-				continue
-			}
-			if err := merged.Merge(p.CMS); err != nil {
-				return fmt.Errorf("serve: merging shard %d sketch: %w", i, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return merged, nil
 }
 
 // SwapLayout re-shapes every shard to a new layout inside one quiesce

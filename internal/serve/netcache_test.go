@@ -19,6 +19,17 @@ func testLayout(rows, cols, parts, slots int64) *ilpgen.Layout {
 
 const noAdmission = ^uint32(0) // threshold no estimate reaches
 
+// lookup reads a key from its owning shard's store inside a quiesce
+// window (KV partitions are disjoint, so one shard is authoritative).
+func lookup(n *NetCache, key uint64) (val uint64, ok bool, err error) {
+	err = n.rt.Quiesce(func() error {
+		p, _ := n.gate.Load(n.route(key))
+		val, ok = p.KV.Get(key)
+		return nil
+	})
+	return
+}
+
 // TestNetCacheKVBitIdenticalToSingleShard is the golden KVS oracle:
 // on a pure put/get workload (admission disabled), every read from
 // the sharded cache must be bit-identical to a single-shard run and
@@ -50,7 +61,7 @@ func TestNetCacheKVBitIdenticalToSingleShard(t *testing.T) {
 		}
 		for k := uint64(0); k < 2000; k++ {
 			want, wantOK := golden.Get(k)
-			got, gotOK, err := nc.Lookup(k)
+			got, gotOK, err := lookup(nc, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,57 +75,11 @@ func TestNetCacheKVBitIdenticalToSingleShard(t *testing.T) {
 	}
 }
 
-// TestNetCacheMergedCMSExactAndNeverUnder is the golden CMS oracle
-// against merged reads: with the cache empty and admission disabled,
-// every GET misses and updates the owning shard's sketch, so the
-// merged sketch must exactly equal a single sketch fed the whole
-// stream — and in particular never underestimate any key's true
-// count.
-func TestNetCacheMergedCMSExactAndNeverUnder(t *testing.T) {
-	l := testLayout(3, 512, 4, 32)
-	nc, err := NewNetCache(NetCacheConfig{Layout: l, Shards: 4, BatchSize: 64, Threshold: noAdmission})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	golden, err := structures.NewCountMinSketch(3, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := workload.ZipfKeys(7, 1500, 1.1, 40000)
-	truth := make(map[uint64]uint32, 1500)
-	for _, k := range keys {
-		if err := nc.Dispatch(Request{Op: OpGet, Key: k}); err != nil {
-			t.Fatal(err)
-		}
-		golden.Update(k)
-		truth[k]++
-	}
-	merged, err := nc.MergedCMS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, n := range truth {
-		m := merged.Estimate(k)
-		if m != golden.Estimate(k) {
-			t.Fatalf("key %d: merged estimate %d != golden %d", k, m, golden.Estimate(k))
-		}
-		if m < n {
-			t.Fatalf("key %d: merged estimate %d underestimates true count %d", k, m, n)
-		}
-	}
-	h, m, _ := nc.Stats()
-	if h != 0 || m != uint64(len(keys)) {
-		t.Fatalf("stats = %d hits / %d misses, want 0/%d", h, m, len(keys))
-	}
-}
-
 // TestNetCacheServeLoopAdmitsAndHits runs the full admission loop (the
 // Figure 4 serve loop) sharded: a Zipf 0.95 stream — the skew the wire
 // benchmark's GETs use — must clear a 0.4 hit rate (measured 0.54; a
 // cache that admits nothing useful sits near 0), with consistent
-// counters, and a merged sketch that never underestimates the per-key
-// miss counts that fed it.
+// counters, and an admitted hot key readable with its backend value.
 func TestNetCacheServeLoopAdmitsAndHits(t *testing.T) {
 	l := testLayout(2, 1024, 8, 64)
 	nc, err := NewNetCache(NetCacheConfig{Layout: l, Shards: 4, BatchSize: 128})
@@ -146,7 +111,7 @@ func TestNetCacheServeLoopAdmitsAndHits(t *testing.T) {
 	// A hot key that was admitted must now be readable and carry the
 	// backend value.
 	hot := workload.ZipfKeys(11, 5000, 0.95, 1)[0]
-	if v, ok, err := nc.Lookup(hot); err != nil {
+	if v, ok, err := lookup(nc, hot); err != nil {
 		t.Fatal(err)
 	} else if ok && v != hot*3 {
 		t.Fatalf("admitted key %d carries %d, want backend value %d", hot, v, hot*3)
@@ -171,7 +136,7 @@ func TestNetCacheSwapLayoutMigratesUnderTraffic(t *testing.T) {
 	nc.Drain()
 	kept := make(map[uint64]uint64)
 	for k := uint64(0); k < 200; k++ {
-		if v, ok, err := nc.Lookup(k); err != nil {
+		if v, ok, err := lookup(nc, k); err != nil {
 			t.Fatal(err)
 		} else if ok {
 			kept[k] = v
@@ -198,7 +163,7 @@ func TestNetCacheSwapLayoutMigratesUnderTraffic(t *testing.T) {
 		t.Fatalf("same-shape KV migration dropped %d entries", dropped)
 	}
 	for k, want := range kept {
-		if v, ok, err := nc.Lookup(k); err != nil {
+		if v, ok, err := lookup(nc, k); err != nil {
 			t.Fatal(err)
 		} else if !ok || v != want {
 			t.Fatalf("key %d after swap: got (%d,%v), want (%d,true)", k, v, ok, want)
@@ -209,7 +174,7 @@ func TestNetCacheSwapLayoutMigratesUnderTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc.Drain()
-	if v, ok, err := nc.Lookup(9999); err != nil || !ok || v != 1 {
+	if v, ok, err := lookup(nc, 9999); err != nil || !ok || v != 1 {
 		t.Fatalf("post-swap put unreadable: (%d,%v,%v)", v, ok, err)
 	}
 }

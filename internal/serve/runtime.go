@@ -7,15 +7,14 @@
 // The design mirrors how a multi-pipe switch — or a NIC spreading
 // flows across cores with receive-side scaling — runs one P4All
 // program: every shard executes the same compiled layout against its
-// own registers, a flow hash pins each key to one shard so per-key
-// state never crosses cores, and control-plane reads reconstruct the
-// whole-device view from per-shard state (count-min sketches merge
-// cell-wise; key-value partitions are disjoint so a read routes to the
-// owning shard). Reconfiguration extends the elastic controller's
-// swap protocol: Runtime.Quiesce drains every shard, the controller
-// migrates all N planes inside the quiet window, and
-// elastic.Gate.Swap publishes the new set under one epoch so
-// no batch ever executes against a torn mix of layouts. See
+// own registers, and a flow hash pins each key to one shard so per-key
+// state never crosses cores (key-value partitions are disjoint, so a
+// key's partition names its shard). Reconfiguration has one path,
+// NetCache.SwapLayout, which the elastic controller calls as the swap
+// it is handed: Runtime.Quiesce drains every shard,
+// elastic.MigrateShards migrates all N planes inside the quiet window,
+// and elastic.Gate.Swap publishes the new set under one epoch so no
+// batch ever executes against a torn mix of layouts. See
 // docs/SERVING.md for the full protocol.
 package serve
 
@@ -348,9 +347,6 @@ func (r *Runtime[T]) Err() error {
 
 // Shards returns the shard count.
 func (r *Runtime[T]) Shards() int { return len(r.shards) }
-
-// ShardPackets returns how many items shard i has processed.
-func (r *Runtime[T]) ShardPackets(i int) uint64 { return r.shards[i].packets.Load() }
 
 // Packets returns the total items processed across shards.
 func (r *Runtime[T]) Packets() uint64 {

@@ -80,7 +80,7 @@ func TestRuntimeRoutesToOwningShard(t *testing.T) {
 	}
 	var total uint64
 	for s := 0; s < shards; s++ {
-		total += rt.ShardPackets(s)
+		total += rt.shards[s].packets.Load()
 		last := -1
 		for _, v := range got[s] {
 			if v%shards != s {
@@ -217,7 +217,7 @@ func TestSimRuntimeEngineParity(t *testing.T) {
 	}
 }
 
-// TestSimRuntimeCMSAdditivity checks the merged-read contract at the
+// TestSimRuntimeCMSAdditivity checks sketch sharding at the
 // register level: NetCache's sketch increments one cell per row per
 // packet, so summing each shard's cms registers cell-wise must reduce
 // to exactly the registers of a single pipeline that replayed the
@@ -247,17 +247,17 @@ func TestSimRuntimeCMSAdditivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Drain()
-	if got := rt.Packets(); got != uint64(len(pkts)) {
+	if got := rt.rt.Packets(); got != uint64(len(pkts)) {
 		t.Fatalf("sharded runtime replayed %d packets, want %d", got, len(pkts))
 	}
-	err = rt.Quiesce(func() error {
+	err = rt.rt.Quiesce(func() error {
 		for r := 0; r < rows; r++ {
 			want, ok := single.Register("cms_sketch", r)
 			if !ok {
 				return fmt.Errorf("single pipeline has no cms_sketch/%d", r)
 			}
 			sum := make([]uint64, len(want))
-			for _, p := range rt.Pipelines() {
+			for _, p := range rt.pipes {
 				cells, ok := p.Register("cms_sketch", r)
 				if !ok {
 					return fmt.Errorf("shard pipeline has no cms_sketch/%d", r)

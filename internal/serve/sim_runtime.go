@@ -34,7 +34,7 @@ type SimConfig struct {
 // dispatcher.
 type SimRuntime struct {
 	rt    *Runtime[sim.Packet]
-	pipes []*sim.Pipeline
+	pipes []*sim.Pipeline // shard i's pipeline; touch only inside rt.Quiesce
 }
 
 // NewSimRuntime builds the per-shard pipelines and starts the runtime.
@@ -76,32 +76,14 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 	return s, nil
 }
 
-// Dispatch routes one packet to its shard.
-func (s *SimRuntime) Dispatch(pkt sim.Packet) error { return s.rt.Dispatch(pkt) }
-
 // DispatchAll routes a packet slice under one lock acquisition.
 func (s *SimRuntime) DispatchAll(pkts []sim.Packet) error { return s.rt.DispatchAll(pkts) }
 
 // Drain blocks until every dispatched packet has been replayed.
 func (s *SimRuntime) Drain() { s.rt.Drain() }
 
-// Quiesce runs f while all shards are idle — the window in which the
-// pipelines may be inspected or snapshotted from outside.
-func (s *SimRuntime) Quiesce(f func() error) error { return s.rt.Quiesce(f) }
-
 // Close drains and stops the shard goroutines.
 func (s *SimRuntime) Close() error { return s.rt.Close() }
 
 // Err returns the first replay error.
 func (s *SimRuntime) Err() error { return s.rt.Err() }
-
-// Shards returns the shard count.
-func (s *SimRuntime) Shards() int { return s.rt.Shards() }
-
-// Packets returns total packets replayed; ShardPackets one shard's.
-func (s *SimRuntime) Packets() uint64           { return s.rt.Packets() }
-func (s *SimRuntime) ShardPackets(i int) uint64 { return s.rt.ShardPackets(i) }
-
-// Pipelines returns the per-shard pipelines. Callers may only touch
-// them inside Quiesce (or after Close).
-func (s *SimRuntime) Pipelines() []*sim.Pipeline { return s.pipes }

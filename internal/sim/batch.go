@@ -35,7 +35,11 @@
 
 package sim
 
-import "sort"
+import (
+	"sort"
+
+	"p4all/internal/structures"
+)
 
 // vmSeg is one execution segment: [start, end) in the instruction
 // stream, run lane-major when serial. A serial segment that is exactly
@@ -255,7 +259,7 @@ func (pl *vmProg) execVec(fr *vmFrame, start, end int32) {
 				}
 			case opHashModSlot:
 				for l := 0; l < lanes; l++ {
-					v := hashUint(fr.ld(in.a, l)&in.mask, in.imm) % in.imm2
+					v := structures.Hash(fr.ld(in.a, l)&in.mask, in.imm) % in.imm2
 					dv[l] = v & in.dmask
 					ds[l] = gen
 				}
@@ -328,7 +332,7 @@ func (pl *vmProg) execVec(fr *vmFrame, start, end int32) {
 				}
 				fr.next[l] = pc + 1
 				*ctr += chg
-				v := hashUint(fr.ld(in.a, l)&in.mask, in.imm) % in.imm2
+				v := structures.Hash(fr.ld(in.a, l)&in.mask, in.imm) % in.imm2
 				fr.vals[d+l] = v & in.dmask
 				fr.stamp[d+l] = gen
 			}

@@ -13,6 +13,7 @@ import (
 
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
+	"p4all/internal/structures"
 )
 
 // Packet carries named header-field values, e.g. "query.key" -> 17.
@@ -156,12 +157,6 @@ func (p *Pipeline) installVM(vm *vmProg) {
 	p.vmf = newVMFrame(vm, len(p.stats.ALUOps))
 }
 
-// Layout returns the solved layout this pipeline executes.
-func (p *Pipeline) Layout() *ilpgen.Layout { return p.layout }
-
-// Unit returns the resolved program unit this pipeline executes.
-func (p *Pipeline) Unit() *lang.Unit { return p.unit }
-
 // Snapshot is a deep copy of a pipeline's register state, detached
 // from the live pipeline. It is the unit of state migration: the
 // elastic controller snapshots the incumbent pipeline, transforms the
@@ -225,17 +220,12 @@ func (p *Pipeline) Restore(s *Snapshot) error {
 
 // Stats returns a snapshot of the pipeline's work counters. The
 // per-stage ALUOps slice is copied so the snapshot stays stable, which
-// makes this an end-of-run summary, not a per-packet probe — poll
-// PacketCount in hot loops instead.
+// makes this an end-of-run summary, not a per-packet probe.
 func (p *Pipeline) Stats() Stats {
 	s := p.stats
 	s.ALUOps = append([]uint64(nil), p.stats.ALUOps...)
 	return s
 }
-
-// PacketCount returns the number of packets processed so far without
-// copying any counters; safe to poll per packet.
-func (p *Pipeline) PacketCount() uint64 { return p.stats.Packets }
 
 // Register returns the live contents of a register instance (for tests
 // and tools). The slice aliases pipeline state.
@@ -245,18 +235,6 @@ func (p *Pipeline) Register(name string, instance int) ([]uint64, bool) {
 		return nil, false
 	}
 	return insts[instance], insts[instance] != nil
-}
-
-// hashUint mirrors internal/structures' deterministic hash so compiled
-// programs and behavioral models agree.
-func hashUint(key uint64, row uint64) uint64 {
-	x := key + (row+1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
 }
 
 // Process pushes one packet through the pipeline and returns the final
@@ -593,7 +571,7 @@ func (ev *evaluator) exprW(e lang.Expr) (uint64, int, error) {
 			if len(args) != 2 {
 				return 0, 0, fmt.Errorf("sim: hash expects 2 arguments")
 			}
-			return hashUint(args[0], args[1]), 64, nil
+			return structures.Hash(args[0], args[1]), 64, nil
 		case "min":
 			if args[0] < args[1] {
 				return args[0], combineWidth(widths[0], widths[1]), nil

@@ -26,7 +26,10 @@
 
 package sim
 
-import "p4all/internal/lang"
+import (
+	"p4all/internal/lang"
+	"p4all/internal/structures"
+)
 
 // vmOp enumerates the VM's opcodes: nine superinstructions, then the
 // generic core (opPush and up). Every opcode must be reachable from a
@@ -254,7 +257,7 @@ func (pl *vmProg) exec(fr *vmFrame, lane int, pc, end int32) int32 {
 		case opConstSlot:
 			fr.st(in.dst, lane, in.imm)
 		case opHashModSlot:
-			v := hashUint(fr.ld(in.a, lane)&in.mask, in.imm) % in.imm2
+			v := structures.Hash(fr.ld(in.a, lane)&in.mask, in.imm) % in.imm2
 			fr.st(in.dst, lane, v&in.dmask)
 		case opMovSlot:
 			fr.st(in.dst, lane, fr.ld(in.a, lane)&in.dmask)
@@ -326,7 +329,7 @@ func (pl *vmProg) execGeneric(fr *vmFrame, lane int, pc, end int32) int32 {
 			x, y := stk[sp-1], stk[sp]
 			switch in.b {
 			case callHash:
-				x = hashUint(x, y)
+				x = structures.Hash(x, y)
 			case callMin:
 				x = min(x, y)
 			default:

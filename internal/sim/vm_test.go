@@ -11,6 +11,7 @@ import (
 	"p4all/internal/lang"
 	"p4all/internal/modules"
 	"p4all/internal/pisa"
+	"p4all/internal/structures"
 	"p4all/internal/workload"
 )
 
@@ -150,7 +151,7 @@ func vmStream(app vmProgram, seed int64, n int) []Packet {
 	for i, k := range keys {
 		p := Packet{app.fields[0]: k, "stray.key": k ^ 0xABCD}
 		for j, f := range app.fields[1:] {
-			p[f] = hashUint(uint64(i), uint64(j)) & 0xFFFF
+			p[f] = structures.Hash(uint64(i), uint64(j)) & 0xFFFF
 		}
 		pkts[i] = p
 	}
@@ -165,7 +166,7 @@ func seedVMRegisters(p *Pipeline) {
 	for _, insts := range p.regs {
 		for i, cells := range insts {
 			for c := range cells {
-				cells[c] = hashUint(uint64(c), uint64(i)) & 0xFFFF
+				cells[c] = structures.Hash(uint64(c), uint64(i)) & 0xFFFF
 			}
 		}
 	}

@@ -1,25 +1,23 @@
 // Package structures provides behavioral Go implementations of the
-// PISA data structures of the paper's Figure 1 — count-min sketch,
-// Bloom filter, key-value store, hash table, hierarchical sketch, and
-// ID-indexed table. The P4All compiler decides how large each structure
-// may be; these implementations execute that decision packet-by-packet
-// so the repository can evaluate application quality (the paper's
-// Figure 4) without switch hardware.
+// PISA data structures of the paper's Figure 1 that the repository
+// serves or checks against: count-min sketch, key-value store and
+// hierarchical sketch. The P4All compiler decides how large each
+// structure may be; these implementations execute that decision
+// packet-by-packet so the repository can evaluate application quality
+// (the paper's Figure 4) without switch hardware.
 package structures
 
 import (
 	"fmt"
 )
 
-// Hash exposes the shared row-hash contract — the same mix the
-// simulator's hash() builtin computes — so callers that must predict
-// cell indexes (the differential tester's golden models) stay exact.
-func Hash(key, row uint64) uint64 { return hashUint(key, row) }
-
-// hashUint mixes a 64-bit key with a row index (splitmix64-style) so
-// rows behave as independent hash functions. Deterministic across
-// processes, unlike maphash.
-func hashUint(key uint64, row uint64) uint64 {
+// Hash is the row-hash contract every layer shares: it mixes a 64-bit
+// key with a row index (splitmix64-style) so rows behave as independent
+// hash functions. The simulator's hash() builtin, the translation
+// validator's evaluator and these structures all call it, so the
+// differential tester's golden models predict cell indexes exactly.
+// Deterministic across processes, unlike maphash.
+func Hash(key, row uint64) uint64 {
 	x := key + (row+1)*0x9E3779B97F4A7C15
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
@@ -37,13 +35,13 @@ type CountMinSketch struct {
 }
 
 // NewCountMinSketch allocates a sketch with the given shape. Rows and
-// cols must be positive. Row r hashes with hashUint(key, r) — seed 0.
+// cols must be positive. Row r hashes with Hash(key, r) — seed 0.
 func NewCountMinSketch(rows, cols int) (*CountMinSketch, error) {
 	return NewCountMinSketchSeeded(rows, cols, 0)
 }
 
 // NewCountMinSketchSeeded allocates a sketch whose row r hashes with
-// hashUint(key, seed+r). Compiled pipelines derive each module
+// Hash(key, seed+r). Compiled pipelines derive each module
 // instance's hash inputs from a per-module seed (NetCache's kv store
 // uses 16, SketchLearn's level l uses 8l, ...); a golden sketch must
 // use the same seed to index the same cells.
@@ -73,7 +71,7 @@ func (c *CountMinSketch) Cols() int { return c.cols }
 func (c *CountMinSketch) Update(key uint64) uint32 {
 	est := ^uint32(0)
 	for r := 0; r < c.rows; r++ {
-		idx := hashUint(key, c.seed+uint64(r)) % uint64(c.cols)
+		idx := Hash(key, c.seed+uint64(r)) % uint64(c.cols)
 		cell := &c.counts[r][idx]
 		if *cell != ^uint32(0) {
 			*cell++
@@ -91,7 +89,7 @@ func (c *CountMinSketch) Update(key uint64) uint32 {
 func (c *CountMinSketch) Add(key uint64, n uint32) uint32 {
 	est := ^uint32(0)
 	for r := 0; r < c.rows; r++ {
-		idx := hashUint(key, c.seed+uint64(r)) % uint64(c.cols)
+		idx := Hash(key, c.seed+uint64(r)) % uint64(c.cols)
 		cell := &c.counts[r][idx]
 		if *cell > ^uint32(0)-n {
 			*cell = ^uint32(0)
@@ -103,38 +101,6 @@ func (c *CountMinSketch) Add(key uint64, n uint32) uint32 {
 		}
 	}
 	return est
-}
-
-// Merge folds another sketch's counters into c, cell by cell with
-// saturating addition. Because every cell is a plain sum of increments,
-// merging sketches built from disjoint sub-streams reproduces — exactly
-// — the sketch of the concatenated stream, which is what makes per-core
-// sharding of a CMS sound: shards count their own keys into private
-// sketches and a reader folds them (internal/serve's merged read path).
-// Both sketches must have the same shape and the same hash seed; a
-// seed mismatch would silently mix two different hash families, so it
-// is rejected rather than tolerated.
-func (c *CountMinSketch) Merge(o *CountMinSketch) error {
-	if o == nil {
-		return fmt.Errorf("structures: cannot merge nil sketch")
-	}
-	if c.rows != o.rows || c.cols != o.cols {
-		return fmt.Errorf("structures: CMS shape mismatch: %dx%d vs %dx%d", c.rows, c.cols, o.rows, o.cols)
-	}
-	if c.seed != o.seed {
-		return fmt.Errorf("structures: CMS seed mismatch: %d vs %d", c.seed, o.seed)
-	}
-	for r := range c.counts {
-		dst, src := c.counts[r], o.counts[r]
-		for i := range dst {
-			if dst[i] > ^uint32(0)-src[i] {
-				dst[i] = ^uint32(0)
-			} else {
-				dst[i] += src[i]
-			}
-		}
-	}
-	return nil
 }
 
 // Clone returns an independent deep copy of the sketch.
@@ -150,7 +116,7 @@ func (c *CountMinSketch) Clone() *CountMinSketch {
 func (c *CountMinSketch) Estimate(key uint64) uint32 {
 	est := ^uint32(0)
 	for r := 0; r < c.rows; r++ {
-		idx := hashUint(key, c.seed+uint64(r)) % uint64(c.cols)
+		idx := Hash(key, c.seed+uint64(r)) % uint64(c.cols)
 		if v := c.counts[r][idx]; v < est {
 			est = v
 		}
@@ -166,55 +132,6 @@ func (c *CountMinSketch) Reset() {
 		}
 	}
 }
-
-// MemoryBits returns the register memory the sketch occupies.
-func (c *CountMinSketch) MemoryBits() int64 {
-	return int64(c.rows) * int64(c.cols) * 32
-}
-
-// BloomFilter is a k-row Bloom filter over per-row bit arrays, the
-// shape produced by the elastic Bloom module.
-type BloomFilter struct {
-	rows, bits int
-	data       [][]uint64
-}
-
-// NewBloomFilter allocates a filter with k=rows hash functions over
-// bits cells per row.
-func NewBloomFilter(rows, bits int) (*BloomFilter, error) {
-	if rows <= 0 || bits <= 0 {
-		return nil, fmt.Errorf("structures: invalid Bloom shape %dx%d", rows, bits)
-	}
-	b := &BloomFilter{rows: rows, bits: bits, data: make([][]uint64, rows)}
-	words := (bits + 63) / 64
-	for i := range b.data {
-		b.data[i] = make([]uint64, words)
-	}
-	return b, nil
-}
-
-// Add inserts the key.
-func (b *BloomFilter) Add(key uint64) {
-	for r := 0; r < b.rows; r++ {
-		idx := hashUint(key, uint64(r)) % uint64(b.bits)
-		b.data[r][idx/64] |= 1 << (idx % 64)
-	}
-}
-
-// Contains reports whether the key may have been added (no false
-// negatives; false positives possible).
-func (b *BloomFilter) Contains(key uint64) bool {
-	for r := 0; r < b.rows; r++ {
-		idx := hashUint(key, uint64(r)) % uint64(b.bits)
-		if b.data[r][idx/64]&(1<<(idx%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// MemoryBits returns the filter's register footprint.
-func (b *BloomFilter) MemoryBits() int64 { return int64(b.rows) * int64(b.bits) }
 
 // KVStore is a partitioned on-switch key-value cache in the NetCache
 // style: parts×slots direct-indexed entries, each holding one key and
@@ -243,15 +160,6 @@ func NewKVStore(parts, slots int) (*KVStore, error) {
 	}
 	return s, nil
 }
-
-// Capacity returns the total item capacity.
-func (s *KVStore) Capacity() int { return s.parts * s.slots }
-
-// Parts returns the partition count.
-func (s *KVStore) Parts() int { return s.parts }
-
-// Slots returns the per-partition slot count.
-func (s *KVStore) Slots() int { return s.slots }
 
 // Entry is one occupied key-value slot.
 type Entry struct {
@@ -289,8 +197,8 @@ func (s *KVStore) PutIfVacant(key, val uint64) bool {
 }
 
 func (s *KVStore) slot(key uint64) (int, int) {
-	part := int(hashUint(key, 977) % uint64(s.parts))
-	idx := int(hashUint(key, uint64(16+part)) % uint64(s.slots))
+	part := int(Hash(key, 977) % uint64(s.parts))
+	idx := int(Hash(key, uint64(16+part)) % uint64(s.slots))
 	return part, idx
 }
 
@@ -310,85 +218,6 @@ func (s *KVStore) Put(key, val uint64) {
 	s.keys[p][i] = key
 	s.vals[p][i] = val
 	s.used[p][i] = true
-}
-
-// Delete removes the key if present.
-func (s *KVStore) Delete(key uint64) {
-	p, i := s.slot(key)
-	if s.used[p][i] && s.keys[p][i] == key {
-		s.used[p][i] = false
-	}
-}
-
-// MemoryBits returns the store's register footprint (32-bit value
-// handles plus 32-bit key digests, matching the elastic module).
-func (s *KVStore) MemoryBits() int64 {
-	return int64(s.parts) * int64(s.slots) * 64
-}
-
-// HashTable is a multi-stage probe table in the Precision style: each
-// of `stages` register pairs holds (key, counter) entries; an update
-// probes each stage for its key, incrementing on match, claiming an
-// empty slot otherwise, and reports whether the key landed anywhere.
-type HashTable struct {
-	stages, slots int
-	keys          [][]uint64
-	counts        [][]uint64
-	used          [][]bool
-}
-
-// NewHashTable allocates a table with the given shape.
-func NewHashTable(stages, slots int) (*HashTable, error) {
-	if stages <= 0 || slots <= 0 {
-		return nil, fmt.Errorf("structures: invalid hash table shape %dx%d", stages, slots)
-	}
-	t := &HashTable{stages: stages, slots: slots}
-	t.keys = make([][]uint64, stages)
-	t.counts = make([][]uint64, stages)
-	t.used = make([][]bool, stages)
-	for i := 0; i < stages; i++ {
-		t.keys[i] = make([]uint64, slots)
-		t.counts[i] = make([]uint64, slots)
-		t.used[i] = make([]bool, slots)
-	}
-	return t, nil
-}
-
-// Update counts one occurrence of key, returning its counter value and
-// whether the key is tracked (false when every probed slot is taken by
-// other keys).
-func (t *HashTable) Update(key uint64) (uint64, bool) {
-	for s := 0; s < t.stages; s++ {
-		idx := hashUint(key, uint64(s)) % uint64(t.slots)
-		switch {
-		case t.used[s][idx] && t.keys[s][idx] == key:
-			t.counts[s][idx]++
-			return t.counts[s][idx], true
-		case !t.used[s][idx]:
-			t.used[s][idx] = true
-			t.keys[s][idx] = key
-			t.counts[s][idx] = 1
-			return 1, true
-		}
-	}
-	return 0, false
-}
-
-// Count returns the tracked count for key (0 if untracked).
-func (t *HashTable) Count(key uint64) uint64 {
-	for s := 0; s < t.stages; s++ {
-		idx := hashUint(key, uint64(s)) % uint64(t.slots)
-		if t.used[s][idx] && t.keys[s][idx] == key {
-			return t.counts[s][idx]
-		}
-	}
-	return 0
-}
-
-// MemoryBits returns the table's register footprint (64-bit key plus
-// 64-bit count per slot).
-func (t *HashTable) MemoryBits() int64 {
-	return int64(t.stages) * int64(t.slots) * 128
 }
 
 // HierarchicalSketch stacks per-bit-level count-min sketches in the
@@ -439,48 +268,3 @@ func (h *HierarchicalSketch) BitRatio(key uint64) []float64 {
 	}
 	return out
 }
-
-// MemoryBits returns the stack's total register footprint.
-func (h *HierarchicalSketch) MemoryBits() int64 {
-	var total int64
-	for _, l := range h.levels {
-		total += l.MemoryBits()
-	}
-	return total
-}
-
-// IDTable is a direct ID-indexed table (Figure 1's "ID indexed table",
-// used by Blink): a dense array of per-ID state.
-type IDTable struct {
-	vals []uint64
-	set  []bool
-}
-
-// NewIDTable allocates a table for IDs in [0, size).
-func NewIDTable(size int) (*IDTable, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("structures: invalid ID table size %d", size)
-	}
-	return &IDTable{vals: make([]uint64, size), set: make([]bool, size)}, nil
-}
-
-// Set stores state for an ID; out-of-range IDs report false.
-func (t *IDTable) Set(id int, v uint64) bool {
-	if id < 0 || id >= len(t.vals) {
-		return false
-	}
-	t.vals[id] = v
-	t.set[id] = true
-	return true
-}
-
-// Get loads state for an ID.
-func (t *IDTable) Get(id int) (uint64, bool) {
-	if id < 0 || id >= len(t.vals) || !t.set[id] {
-		return 0, false
-	}
-	return t.vals[id], true
-}
-
-// MemoryBits returns the table's register footprint.
-func (t *IDTable) MemoryBits() int64 { return int64(len(t.vals)) * 64 }

@@ -8,6 +8,7 @@ import (
 	"p4all/internal/dep"
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
+	"p4all/internal/structures"
 )
 
 // This file implements the equivalence half of the validator: a
@@ -424,7 +425,7 @@ func (m *machine) fieldSlotOf(name fieldName) int32 {
 // normally, a deterministic per-trial constant in concrete mode.
 func (m *machine) inVar(f *fieldSlot) *node {
 	if m.concrete {
-		return m.t.constant(hashUint(fnv1a(f.key), m.trial))
+		return m.t.constant(structures.Hash(fnv1a(f.key), m.trial))
 	}
 	if f.in == nil {
 		f.in = m.t.in(f.key)

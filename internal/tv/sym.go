@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"p4all/internal/lang"
+	"p4all/internal/structures"
 )
 
 // This file implements the symbolic value domain: a hash-consed
@@ -265,7 +266,7 @@ func (t *symtab) call(name string, x, y *node) *node {
 	if x.isConst() && y.isConst() {
 		switch name {
 		case "hash":
-			return t.constant(hashUint(x.val, y.val))
+			return t.constant(structures.Hash(x.val, y.val))
 		case "min":
 			if x.val < y.val {
 				return t.constant(x.val)
@@ -448,19 +449,6 @@ func umax(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// hashUint mirrors internal/structures' deterministic hash (the same
-// function internal/sim executes), so constant folding agrees with the
-// interpreter bit for bit.
-func hashUint(key uint64, row uint64) uint64 {
-	x := key + (row+1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
 }
 
 // fnv1a hashes a string for the deterministic concrete-search input

@@ -5,7 +5,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -153,58 +152,4 @@ func Trace(cfg TraceConfig) []Packet {
 		out[i] = Packet{Flow: k, Len: minPacketLen + rng.Intn(maxPacketLen-minPacketLen+1)}
 	}
 	return out
-}
-
-// TrueCounts tallies exact per-flow packet counts for a trace.
-func TrueCounts(trace []Packet) map[uint64]uint64 {
-	out := make(map[uint64]uint64)
-	for _, p := range trace {
-		out[p.Flow]++
-	}
-	return out
-}
-
-// TopK returns the k most frequent flows of a trace, hottest first.
-func TopK(trace []Packet, k int) []uint64 {
-	counts := TrueCounts(trace)
-	type fc struct {
-		f uint64
-		c uint64
-	}
-	all := make([]fc, 0, len(counts))
-	for f, c := range counts {
-		all = append(all, fc{f, c})
-	}
-	// Selection sort of the top k (k is small in the evaluation).
-	if k > len(all) {
-		k = len(all)
-	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(all); j++ {
-			if all[j].c > all[best].c || (all[j].c == all[best].c && all[j].f < all[best].f) {
-				best = j
-			}
-		}
-		all[i], all[best] = all[best], all[i]
-	}
-	out := make([]uint64, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].f
-	}
-	return out
-}
-
-// Validate sanity-checks a trace configuration.
-func (cfg TraceConfig) Validate() error {
-	if cfg.Flows <= 0 {
-		return fmt.Errorf("workload: flows must be positive, got %d", cfg.Flows)
-	}
-	if cfg.Packets < 0 {
-		return fmt.Errorf("workload: packets must be non-negative, got %d", cfg.Packets)
-	}
-	if cfg.Skew < 0 {
-		return fmt.Errorf("workload: skew must be non-negative, got %g", cfg.Skew)
-	}
-	return nil
 }

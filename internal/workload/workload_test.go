@@ -72,11 +72,7 @@ func TestZipfBounds(t *testing.T) {
 }
 
 func TestTraceLengthsAndFlows(t *testing.T) {
-	cfg := TraceConfig{Seed: 1, Flows: 100, Skew: 1.1, Packets: 1000}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	tr := Trace(cfg)
+	tr := Trace(TraceConfig{Seed: 1, Flows: 100, Skew: 1.1, Packets: 1000})
 	if len(tr) != 1000 {
 		t.Fatalf("trace length = %d", len(tr))
 	}
@@ -95,34 +91,6 @@ func TestTraceDefaults(t *testing.T) {
 	for _, p := range tr {
 		if p.Len < minPacketLen || p.Len > maxPacketLen {
 			t.Fatalf("default length bounds violated: %d", p.Len)
-		}
-	}
-}
-
-func TestTrueCountsAndTopK(t *testing.T) {
-	tr := []Packet{{Flow: 1}, {Flow: 2}, {Flow: 1}, {Flow: 3}, {Flow: 1}, {Flow: 2}}
-	counts := TrueCounts(tr)
-	if counts[1] != 3 || counts[2] != 2 || counts[3] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
-	top := TopK(tr, 2)
-	if len(top) != 2 || top[0] != 1 || top[1] != 2 {
-		t.Errorf("TopK = %v, want [1 2]", top)
-	}
-	if got := TopK(tr, 10); len(got) != 3 {
-		t.Errorf("TopK clamped = %v", got)
-	}
-}
-
-func TestValidateRejectsBadConfigs(t *testing.T) {
-	bad := []TraceConfig{
-		{Flows: 0, Packets: 1},
-		{Flows: 10, Packets: -1},
-		{Flows: 10, Packets: 1, Skew: -0.5},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
 }
