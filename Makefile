@@ -6,8 +6,8 @@ SHELL := /bin/bash -o pipefail
 GO ?= go
 
 .PHONY: build test race lint check bench-compare bench-profile \
-	bench-smoke bench-e2e difftest fuzz-smoke serve-smoke certify \
-	multitenant multitenant-certify
+	lp-split-diff bench-smoke bench-e2e difftest fuzz-smoke serve-smoke \
+	certify multitenant multitenant-certify
 
 # Per-target budget for the CI fuzz smoke (see docs/DIFFTEST.md). Four
 # targets at 22s each keep the job's total fuzz budget where it was
@@ -61,6 +61,31 @@ bench-profile:
 	$(GO) test -run=NONE -bench=MultiTenantResolve -benchtime=1x -benchmem \
 		-cpuprofile=ilp-cpu.prof -o ilp-bench.test ./internal/multitenant/
 	$(GO) test -count=1 -run TestWarmDiveSplit -v ./internal/ilp | tee ilp-lp-split.txt
+
+# lp-split-diff shows how the LP iteration split moved against BASE:
+# TestWarmDiveSplit (root, dive and tree iterations of each tenant-drift
+# re-solve and of two compiles) runs in a worktree of BASE under
+# .bench_build/split and in the working tree, loses its file:line:
+# prefixes, and the two are diffed. It is for reading, not a gate: it
+# exits 0 whatever the diff, and prints a note instead of failing when
+# a side cannot run. CI appends it to the bench job's summary.
+#   make lp-split-diff BASE=origin/main
+SPLIT_LINES := sed -n 's/^ *[A-Za-z0-9_]*\.go:[0-9]*: //p'
+lp-split-diff:
+	test -n "$(BASE)" || { echo "usage: make lp-split-diff BASE=<git ref>"; exit 2; }
+	rm -rf .bench_build/split
+	git worktree prune
+	mkdir -p .bench_build
+	if git worktree add --detach .bench_build/split $(BASE) >/dev/null 2>&1; then \
+		(cd .bench_build/split && $(GO) test -count=1 -run TestWarmDiveSplit -v ./internal/ilp) \
+			| $(SPLIT_LINES) > .bench_build/lp-split-base.txt || echo "(the base's test failed)"; \
+		git worktree remove --force .bench_build/split; \
+	else \
+		echo "(no worktree of $(BASE))"; : > .bench_build/lp-split-base.txt; \
+	fi
+	$(GO) test -count=1 -run TestWarmDiveSplit -v ./internal/ilp \
+		| $(SPLIT_LINES) > .bench_build/lp-split-head.txt || echo "(the head's test failed)"
+	diff -u --label "$(BASE)" --label HEAD .bench_build/lp-split-base.txt .bench_build/lp-split-head.txt || true
 
 # bench/ is a module of its own, so `go build ./... && go test ./...`
 # at the root never compiles it: a rename in what it reads from the

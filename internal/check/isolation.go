@@ -76,7 +76,7 @@ func ModelIsolation(m *ilp.Model, tenants []string) []IsolationViolation {
 			varScope[i] = s
 		}
 	}
-	m.EachConstr(func(name string, expr ilp.Expr, op ilp.Op, rhs float64) {
+	m.EachConstr(func(name string, vars []int32, _ []float64, _ ilp.Op, _ float64) {
 		s, ok := scope(name)
 		switch {
 		case !ok:
@@ -88,12 +88,12 @@ func ModelIsolation(m *ilp.Model, tenants []string) []IsolationViolation {
 			violate(name, "", "constraint namespace %q is not a declared tenant", s)
 			return
 		}
-		expr.Terms(func(v ilp.Var, c float64) {
+		for _, v := range vars {
 			if vs := varScope[v]; vs != s {
-				violate(name, m.VarName(v),
+				violate(name, m.VarName(ilp.Var(v)),
 					"tenant %s constraint couples a variable of tenant %s", s, vs)
 			}
-		})
+		}
 	})
 	return out
 }

@@ -164,6 +164,37 @@ type dualCand struct {
 	ratio float64 // |reduced cost| / |alpha|
 }
 
+// compareCands orders ratio-test candidates by (ratio, column index),
+// a NaN ratio first.
+func compareCands(a, b dualCand) int {
+	if c := cmp.Compare(a.ratio, b.ratio); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.j, b.j)
+}
+
+// finisher returns the index of the candidate that enters when the
+// leader's breakpoint group can absorb the whole infeasibility need: the
+// group member with the largest |alpha| whose range covers need, ties
+// going to the least (ratio, j). It returns -1 when no member can.
+func finisher(cands []dualCand, lead int, need float64, lo, hi []float64) int {
+	best, bestAbs := -1, 0.0
+	limit := cands[lead].ratio + 1e-9
+	for k := range cands {
+		c := &cands[k]
+		if k != lead && !(c.ratio <= limit) { // a NaN limit admits the leader alone
+			continue
+		}
+		a := math.Abs(c.alpha)
+		if rng := hi[c.j] - lo[c.j]; math.IsInf(rng, 1) || rng*a >= need-feasTol {
+			if a > bestAbs || (a == bestAbs && best >= 0 && compareCands(*c, cands[best]) < 0) {
+				best, bestAbs = k, a
+			}
+		}
+	}
+	return best
+}
+
 // pivotAgree is the relative difference tolerated between the two
 // computations of a dual pivot element. On healthy factors they agree to
 // 1e-11 or better; on drifted ones they differ by their whole magnitude.
@@ -266,23 +297,34 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 		// dual ratio |d_j|/|alpha_j| is how far the duals can move before
 		// j's reduced cost changes sign. rho is sparse, so the row is
 		// accumulated from the rows of A where it is non-zero.
+		// Only the columns those rows touch are scattered into alpha,
+		// listed in ws.touched and reset to zero as they are read back.
 		rho := ws.rho[:m]
 		ws.cb[r] = 1
 		ws.fac.btran(ws.cb[:m], rho)
 		dropResidue(rho) // or residue times a unit coefficient passes for a pivot
-		alpha := ws.alpha[:n]
-		clear(alpha)
+		alpha, touched, marked := ws.alpha[:n], ws.touched[:0], ws.marked[:n]
 		for i, ri := range rho {
 			if ri == 0 {
 				continue
 			}
 			for p := sf.rowStart[i]; p < sf.rowStart[i+1]; p++ {
-				alpha[sf.rowCol[p]] += ri * sf.rowVal[p]
+				j := sf.rowCol[p]
+				if !marked[j] {
+					marked[j] = true
+					touched = append(touched, j)
+				}
+				alpha[j] += ri * sf.rowVal[p]
 			}
 			alpha[sf.nStruct+i] = ri
+			touched = append(touched, int32(sf.nStruct+i))
 		}
+		ws.touched = touched[:0] // keep the (possibly grown) backing array
 		cands := ws.dcand[:0]
-		for j, a := range alpha {
+		lead := -1 // the candidate with the least (ratio, j)
+		for _, j := range touched {
+			a := alpha[j]
+			alpha[j], marked[j] = 0, false
 			if math.Abs(a) < pivotTol {
 				continue
 			}
@@ -297,7 +339,10 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 			} else if a*dir <= 0 {
 				continue
 			}
-			cands = append(cands, dualCand{j: int32(j), alpha: a, ratio: math.Abs(d[j]) / math.Abs(a)})
+			cands = append(cands, dualCand{j: j, alpha: a, ratio: math.Abs(d[j]) / math.Abs(a)})
+			if lead < 0 || compareCands(cands[len(cands)-1], cands[lead]) < 0 {
+				lead = len(cands) - 1
+			}
 		}
 		ws.dcand = cands[:0] // keep the (possibly grown) backing array
 		if len(cands) == 0 {
@@ -323,18 +368,21 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 		// ordered walk would) perturbs every basic row per flip and
 		// churns for thousands of pivots. Within a group the largest
 		// |alpha| wins: it repairs the row with the least entering-
-		// variable movement. Ties break on column index (sort order and
-		// strict comparisons below), keeping the pivot sequence
-		// deterministic.
-		slices.SortFunc(cands, func(a, b dualCand) int {
-			if c := cmp.Compare(a.ratio, b.ratio); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.j, b.j)
-		})
+		// variable movement. Ties break on (ratio, column index) — the
+		// sort order, and strict comparisons below — keeping the pivot
+		// sequence deterministic.
+		//
+		// The leader's group nearly always holds a finisher, so it is
+		// searched first without sorting: the group is every candidate
+		// within 1e-9 of the leader's ratio (the leader alone when its
+		// ratio is NaN, which compareCands orders first). Only a group
+		// without a finisher sorts the candidates and flips.
 		need := worst
-		enterIdx := -1
+		enterIdx := finisher(cands, lead, need, s.lo, s.hi)
 		ci := 0 // cands[:ci] have been flipped
+		if enterIdx == -1 {
+			slices.SortFunc(cands, compareCands)
+		}
 		for ci < len(cands) && enterIdx == -1 {
 			groupEnd := ci + 1
 			for groupEnd < len(cands) && cands[groupEnd].ratio <= cands[ci].ratio+1e-9 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -227,5 +228,68 @@ func TestDualDeterministicBitStable(t *testing.T) {
 				got.Nodes, got.SimplexIters, got.DualIters,
 				ref.Nodes, ref.SimplexIters, ref.DualIters)
 		}
+	}
+}
+
+// TestFinisherMatchesSortedGroup: the unsorted pick of the entering
+// column is the sorted walk's first group choice — the same column, or
+// none when that group holds no finisher. Ratios come from a small set
+// (exact ties, ties within 1e-9, NaN) and so do |alpha| and ranges, so
+// every tie-break is exercised.
+func TestFinisherMatchesSortedGroup(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ratios := []float64{0, 0, 5e-10, 1e-9, 2e-9, 0.5, 1, math.NaN()}
+	alphas := []float64{-2, -1, -0.5, 0.5, 1, 2}
+	ranges := []float64{0.25, 1, 3, math.Inf(1)}
+	const cols = 40
+	lo, hi := make([]float64, cols), make([]float64, cols)
+	var picked, none int
+	for trial := 0; trial < 5000; trial++ {
+		for j := range lo {
+			hi[j] = lo[j] + ranges[rng.Intn(len(ranges))]
+		}
+		var cands []dualCand
+		lead := -1
+		for _, j := range rng.Perm(cols)[:1+rng.Intn(cols)] {
+			r := ratios[rng.Intn(len(ratios))]
+			if math.IsNaN(r) && rng.Intn(4) != 0 {
+				r = 0
+			}
+			cands = append(cands, dualCand{j: int32(j), alpha: alphas[rng.Intn(len(alphas))], ratio: r})
+			if lead < 0 || compareCands(cands[len(cands)-1], cands[lead]) < 0 {
+				lead = len(cands) - 1
+			}
+		}
+		need := float64(rng.Intn(8)) / 2
+
+		sorted := slices.Clone(cands)
+		slices.SortFunc(sorted, compareCands)
+		groupEnd := 1
+		for groupEnd < len(sorted) && sorted[groupEnd].ratio <= sorted[0].ratio+1e-9 {
+			groupEnd++
+		}
+		want, bestAbs := -1, 0.0
+		for k := 0; k < groupEnd; k++ {
+			c := sorted[k]
+			a := math.Abs(c.alpha)
+			if r := hi[c.j] - lo[c.j]; (math.IsInf(r, 1) || r*a >= need-feasTol) && a > bestAbs {
+				want, bestAbs = k, a
+			}
+		}
+
+		got := finisher(cands, lead, need, lo, hi)
+		switch {
+		case want < 0 && got < 0:
+			none++
+		case want < 0 || got < 0:
+			t.Fatalf("trial %d: finisher %d, sorted walk %d", trial, got, want)
+		case cands[got].j != sorted[want].j:
+			t.Fatalf("trial %d: finisher picks column %d, sorted walk %d", trial, cands[got].j, sorted[want].j)
+		default:
+			picked++
+		}
+	}
+	if picked == 0 || none == 0 {
+		t.Fatalf("%d picks and %d groups without a finisher: both paths must be exercised", picked, none)
 	}
 }

@@ -3,7 +3,7 @@ package ilp
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -73,24 +73,31 @@ func (e *Expr) AddExpr(other Expr, scale float64) *Expr {
 
 // Terms calls fn for each variable term in e in ascending Var order.
 func (e Expr) Terms(fn func(v Var, c float64)) {
+	for _, v := range e.vars() {
+		fn(v, e.coef[v])
+	}
+}
+
+// vars returns e's variables in ascending order.
+func (e Expr) vars() []Var {
 	vars := make([]Var, 0, len(e.coef))
 	for v := range e.coef {
 		vars = append(vars, v)
 	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	for _, v := range vars {
-		fn(v, e.coef[v])
-	}
+	slices.Sort(vars)
+	return vars
 }
 
 // Len returns the number of variable terms in e.
 func (e Expr) Len() int { return len(e.coef) }
 
-// Eval evaluates e under the given assignment (indexed by Var).
+// Eval evaluates e under the given assignment (indexed by Var): the
+// constant plus the terms in ascending Var order, so the same assignment
+// always gives the same bits.
 func (e Expr) Eval(values []float64) float64 {
 	sum := e.konst
-	for v, c := range e.coef {
-		sum += c * values[v]
+	for _, v := range e.vars() {
+		sum += e.coef[v] * values[v]
 	}
 	return sum
 }

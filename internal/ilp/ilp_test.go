@@ -350,6 +350,27 @@ func TestExprArithmetic(t *testing.T) {
 	}
 }
 
+// TestExprEvalReproducible: an expression whose terms round differently
+// in different orders evaluates, every time, to the constant plus its
+// terms in ascending Var order, bit for bit.
+func TestExprEvalReproducible(t *testing.T) {
+	e := Const(0.1)
+	values := make([]float64, 64)
+	for i := range values {
+		e.Add(Var(i), 1/float64(3+i)+float64(i%7)*1e3)
+		values[i] = float64(i%5)*0.7 + 0.3
+	}
+	want := 0.1
+	for i, v := range values {
+		want += (1/float64(3+i) + float64(i%7)*1e3) * v
+	}
+	for k := 0; k < 200; k++ {
+		if got := e.Eval(values); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("evaluation %d: %v, want the ascending-order sum %v", k, got, want)
+		}
+	}
+}
+
 func TestEmptyModel(t *testing.T) {
 	m := NewModel("empty")
 	sol := solveOK(t, m)

@@ -101,10 +101,12 @@ type varData struct {
 	pri  int // branching priority (higher branches first)
 }
 
-// constrData stores one linear constraint: expr op rhs.
+// constrData stores one linear constraint: Σ coef[k]·vars[k] op rhs,
+// its terms in ascending variable order. Rows never change once added.
 type constrData struct {
 	name string
-	expr Expr
+	vars []int32
+	coef []float64
 	op   Op
 	rhs  float64
 }
@@ -208,20 +210,34 @@ func (m *Model) AddConstr(name string, expr Expr, op Op, rhs float64) {
 			panic(fmt.Sprintf("ilp: constraint %q references unknown variable %d", name, v))
 		}
 	}
-	rhs -= expr.konst
-	e := expr.clone()
-	e.konst = 0
-	m.constrs = append(m.constrs, constrData{name: name, expr: e, op: op, rhs: rhs})
+	c := constrData{name: name, op: op, rhs: rhs - expr.konst}
+	c.vars = make([]int32, 0, len(expr.coef))
+	c.coef = make([]float64, 0, len(expr.coef))
+	expr.Terms(func(v Var, coef float64) {
+		c.vars = append(c.vars, int32(v))
+		c.coef = append(c.coef, coef)
+	})
+	m.constrs = append(m.constrs, c)
 }
 
 // EachConstr calls f once per constraint, in the order they were
-// added. The expression passed to f is the model's own, not a copy:
-// callers must treat it as read-only. Used by audits that classify
-// constraints structurally (e.g. the multi-tenant isolation check).
-func (m *Model) EachConstr(f func(name string, expr Expr, op Op, rhs float64)) {
+// added, with its terms in ascending variable order. The slices passed
+// to f are the model's own, not copies: callers must treat them as
+// read-only. Used by audits that classify constraints structurally
+// (e.g. the multi-tenant isolation check).
+func (m *Model) EachConstr(f func(name string, vars []int32, coef []float64, op Op, rhs float64)) {
 	for _, c := range m.constrs {
-		f(c.name, c.expr, c.op, c.rhs)
+		f(c.name, c.vars, c.coef, c.op, c.rhs)
 	}
+}
+
+// expr returns the constraint's left-hand side as an expression.
+func (c *constrData) expr() Expr {
+	e := NewExpr()
+	for k, v := range c.vars {
+		e.coef[Var(v)] = c.coef[k]
+	}
+	return e
 }
 
 // Clone returns a copy of the model that shares its constraint rows:
@@ -256,7 +272,7 @@ func (m *Model) String() string {
 	}
 	fmt.Fprintf(&b, "  obj: %s\n", m.obj.format(m))
 	for _, c := range m.constrs {
-		fmt.Fprintf(&b, "  %s: %s %s %g\n", c.name, c.expr.format(m), c.op, c.rhs)
+		fmt.Fprintf(&b, "  %s: %s %s %g\n", c.name, c.expr().format(m), c.op, c.rhs)
 	}
 	for i, v := range m.vars {
 		fmt.Fprintf(&b, "  var %s in [%g, %g] %s (x%d)\n", v.name, v.lo, v.hi, v.typ, i)
@@ -328,6 +344,8 @@ type Solution struct {
 	WarmFallbacks int
 	// RootIters, DiveIters and TreeIters split SimplexIters by caller:
 	// the root LP, the diving heuristic, and the tree's node re-solves.
+	// A solve that installed a MIP start runs no dive: its DiveIters and
+	// WarmRestarts are 0.
 	RootIters, DiveIters, TreeIters int
 	// RootStart says how the root LP started: RootCold, RootPooled (the
 	// installed start's basis was optimal for it, so it ended after one

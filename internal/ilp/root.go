@@ -18,7 +18,9 @@ package ilp
 // exactly as without it. No warm root is run from a basis that is not
 // optimal: after a flip of the objective a warm primal root can cost
 // more than a cold one. Optimality is checked on the actual LP, so
-// correctness does not depend on where the basis came from.
+// correctness does not depend on where the basis came from. A basis
+// comes only with an installed start, and a solve with a start runs no
+// dive, so the search goes from a pooled root straight to the tree.
 
 import "errors"
 
@@ -27,11 +29,6 @@ import "errors"
 // Start.Basis. It is opaque and immutable.
 type Basis struct {
 	snap *basisSnapshot
-	// coldIters is the iteration count of the cold root LP the basis
-	// descends from. A pooled root ends after one pricing pass, but the
-	// dive's warm restarts stay budgeted at what a cold root costs
-	// (standardForm.warmCap).
-	coldIters int
 }
 
 // Solution.RootStart values other than a rejection, which reads

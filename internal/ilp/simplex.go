@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -127,7 +128,7 @@ func lowerModel(m *Model, presolve bool) (*standardForm, error) {
 	preRows := make([]preRow, 0, len(m.constrs))
 	for _, c := range m.constrs {
 		nonzero := false
-		for _, coef := range c.expr.coef {
+		for _, coef := range c.coef {
 			if coef != 0 {
 				nonzero = true
 				break
@@ -149,18 +150,15 @@ func lowerModel(m *Model, presolve bool) (*standardForm, error) {
 			}
 			continue
 		}
-		row := preRow{
+		// The presolve zeroes substituted coefficients, never the
+		// variables: the model's own index slice is shared.
+		preRows = append(preRows, preRow{
 			name: c.name,
-			vars: make([]int32, 0, c.expr.Len()),
-			coef: make([]float64, 0, c.expr.Len()),
+			vars: c.vars,
+			coef: slices.Clone(c.coef),
 			op:   c.op,
 			rhs:  c.rhs,
-		}
-		c.expr.Terms(func(v Var, coef float64) {
-			row.vars = append(row.vars, int32(v))
-			row.coef = append(row.coef, coef)
 		})
-		preRows = append(preRows, row)
 	}
 	if presolve {
 		stats, err := presolveFixpoint(sf, preRows)
@@ -299,6 +297,11 @@ type lpWorkspace struct {
 	resident   *basisSnapshot
 	pivotAge   int
 	dcand      []dualCand // dual ratio-test candidate scratch
+	// The columns the dual pivot row touches (dual.go): listed in
+	// touched, marked in marked. Both are empty between ratio tests, and
+	// alpha is zero outside touched.
+	touched []int32
+	marked  []bool
 }
 
 // invalidate forgets any resident basis. Plunge drivers call it at
@@ -335,6 +338,7 @@ func newWorkspace(sf *standardForm) *lpWorkspace {
 		cb:     make([]float64, m),
 		d:      make([]float64, capN),
 		alpha:  make([]float64, capN),
+		marked: make([]bool, capN),
 		banned: make([]bool, capN),
 	}
 	for i := 0; i < m; i++ {

@@ -30,9 +30,11 @@ var driftOptions = ilp.Options{
 // warm primal restarts and their fallbacks. The drift re-solves are
 // warm-started the way multitenant.Compiler does it, from a two-start
 // ilpgen.History of layouts and their root bases, and each line names
-// the start that seeded the incumbent and how the root LP started.
-// `make bench-profile` runs it with -v so the CI artifact shows the
-// split.
+// the start that seeded the incumbent and how the root LP started. A
+// warm-started re-solve runs no dive, and the flip to weight 0.5 still
+// reaches 53 248 in at most 5 nodes from its start. `make
+// bench-profile` runs it with -v so the CI artifact shows the split,
+// and `make lp-split-diff` diffs it against another commit.
 func TestWarmDiveSplit(t *testing.T) {
 	logSplit := func(name string, sol *ilp.Solution) {
 		t.Helper()
@@ -61,6 +63,12 @@ func TestWarmDiveSplit(t *testing.T) {
 			logSplit(fmt.Sprintf("drift %d w=%v", cycle, w), sol)
 			if !sol.WarmStarted {
 				t.Fatalf("re-solve at weight %v was not warm-started", w)
+			}
+			if sol.DiveIters != 0 || sol.WarmRestarts != 0 {
+				t.Errorf("warm re-solve at weight %v: %d dive iterations, %d warm restarts; a solve with an installed start runs no dive", w, sol.DiveIters, sol.WarmRestarts)
+			}
+			if w == 0.5 && (sol.Objective != 53248 || sol.Nodes > 5) {
+				t.Errorf("flip to weight 0.5: objective %v in %d nodes; want 53248 in at most 5", sol.Objective, sol.Nodes)
 			}
 		}
 	}

@@ -130,7 +130,7 @@ func TestJointGenerationDeterministic(t *testing.T) {
 			b.WriteString(j.Model.VarName(ilp.Var(v)))
 			b.WriteByte('\n')
 		}
-		j.Model.EachConstr(func(name string, e ilp.Expr, op ilp.Op, rhs float64) {
+		j.Model.EachConstr(func(name string, _ []int32, _ []float64, _ ilp.Op, _ float64) {
 			b.WriteString(name)
 			b.WriteByte('\n')
 		})

@@ -36,8 +36,8 @@ func shippedPrograms() [][2]string {
 // name less prefix.
 func modelRows(m *ilp.Model, prefix string) []string {
 	var rows []string
-	m.EachConstr(func(name string, e ilp.Expr, op ilp.Op, rhs float64) {
-		rows = append(rows, fmt.Sprintf("%s: %s %s %g", strings.TrimPrefix(name, prefix), e, op, rhs))
+	m.EachConstr(func(name string, vars []int32, coef []float64, op ilp.Op, rhs float64) {
+		rows = append(rows, fmt.Sprintf("%s: %v %v %s %g", strings.TrimPrefix(name, prefix), vars, coef, op, rhs))
 	})
 	return rows
 }
