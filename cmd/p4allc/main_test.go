@@ -123,9 +123,11 @@ func TestStatsLines(t *testing.T) {
 		t.Errorf("phasesLine = %q, want %q", got, want)
 	}
 	st := ilpgen.Stats{
-		Vars: 455, Constrs: 616, Nodes: 46, Gap: 0.0141, WarmStarted: true, StartIndex: 1,
-		SimplexIter: 3658, DualIters: 3036, PrimalFallbacks: 1, Refactors: 33,
-		RootIters: 309, RootStart: "cold", DiveIters: 313, TreeIters: 3036, WarmRestarts: 2, WarmFallbacks: 1,
+		Vars: 455, Constrs: 616, Gap: 0.0141, WarmStarted: true, StartIndex: 1, RootStart: "cold",
+		Effort: ilp.Effort{
+			Nodes: 46, SimplexIter: 3658, DualIters: 3036, PrimalFallbacks: 1, Refactors: 33,
+			RootIters: 309, DiveIters: 313, TreeIters: 3036, WarmRestarts: 2, WarmFallbacks: 1,
+		},
 		Presolve: ilp.PresolveStats{BoundsTightened: 13, VarsFixed: 12, RowsDropped: 62},
 	}
 	want = "ILP: 455 variables, 616 constraints, 46 nodes, certified gap 1.41%, warm start predecessor\n" +

@@ -275,9 +275,7 @@ func Build(u *lang.Unit, layout *ilpgen.Layout) (*Concrete, error) {
 		c.Actions = append(c.Actions, ca)
 	}
 
-	order := append([]ilpgen.Placement(nil), layout.Placements...)
-	SortPlacements(order, u)
-	for _, pl := range order {
+	for _, pl := range layout.Schedule(u) {
 		if tbl, ok := tableOfMatch[pl.Action]; ok {
 			c.Apply = append(c.Apply, CApplyStep{Table: tbl.Name, Stage: pl.Stage})
 			continue

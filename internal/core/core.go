@@ -223,8 +223,8 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 		solver.Progress = func(p ilp.Progress) {
 			attrs := []obs.Attr{
 				obs.Int("nodes", p.Nodes),
-				obs.Int("simplex_iters", p.SimplexIters),
-				obs.Int("refactorizations", p.Refactorizations),
+				obs.Int("simplex_iters", p.SimplexIter),
+				obs.Int("refactorizations", p.Refactors),
 				obs.Float("best_bound", p.BestBound),
 				obs.Duration("elapsed", p.Elapsed),
 			}
@@ -241,64 +241,72 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 	if err != nil {
 		return 0, err
 	}
-	sp.SetAttrs(
-		obs.Int("ilp_vars", st.Vars),
-		obs.Int("ilp_constrs", st.Constrs),
-		obs.Int("bnb_nodes", st.Nodes),
-		obs.Int("simplex_iters", st.SimplexIter),
-		obs.Int("dual_iters", st.DualIters),
-		obs.Int("primal_fallbacks", st.PrimalFallbacks),
+	attrs := make([]obs.Attr, 0, len(solveCounts)+6)
+	for _, c := range solveCounts {
+		attrs = append(attrs, obs.Int(c.attr, c.value(&st)))
+	}
+	sp.SetAttrs(append(attrs,
 		obs.Bool("warm_started", st.WarmStarted),
 		obs.String("start", st.Seed()),
-		obs.Int("warm_restarts", st.WarmRestarts),
-		obs.Int("warm_fallbacks", st.WarmFallbacks),
 		obs.String("root", st.RootStart),
-		obs.Int("root_iters", st.RootIters),
-		obs.Int("dive_iters", st.DiveIters),
-		obs.Int("tree_iters", st.TreeIters),
-		obs.Int("refactorizations", st.Refactors),
-		obs.Int("presolve_rows_dropped", st.Presolve.RowsDropped),
-		obs.Int("presolve_bounds_tightened", st.Presolve.BoundsTightened),
-		obs.Int("presolve_vars_fixed", st.Presolve.VarsFixed),
 		obs.Float("objective", objective),
 		obs.Float("gap", st.Gap),
-		obs.Int("threads", st.Threads),
 		obs.Bool("deterministic", solver.Deterministic),
-	)
-	// Solver fast-path health counters, accumulated across every solve
-	// this tracer observes: dual pivots vs. fallbacks and warm restarts
-	// vs. theirs tell whether the basis-inheritance machinery is earning
-	// its keep, the root LPs counted by how they started (cold, pooled,
-	// rejected) whether pooled bases are, the iteration split says which
-	// caller the LP time went to, and the presolve counters track how
-	// much of the model the root reductions removed.
+	)...)
+	// The solver.* counters accumulate across every solve this tracer
+	// observes; the root LPs are counted by how they started (cold,
+	// pooled, rejected), which tells whether pooled bases earn their keep.
 	tr := opts.Tracer
 	kind, _, _ := strings.Cut(st.RootStart, " ")
 	tr.Counter("solver.root_" + kind).Add(1)
-	tr.Counter("solver.dual_iters").Add(int64(st.DualIters))
-	tr.Counter("solver.primal_fallbacks").Add(int64(st.PrimalFallbacks))
-	tr.Counter("solver.warm_restarts").Add(int64(st.WarmRestarts))
-	tr.Counter("solver.warm_fallbacks").Add(int64(st.WarmFallbacks))
-	tr.Counter("solver.root_iters").Add(int64(st.RootIters))
-	tr.Counter("solver.dive_iters").Add(int64(st.DiveIters))
-	tr.Counter("solver.tree_iters").Add(int64(st.TreeIters))
-	tr.Counter("solver.presolve_rows_dropped").Add(int64(st.Presolve.RowsDropped))
-	tr.Counter("solver.presolve_bounds_tightened").Add(int64(st.Presolve.BoundsTightened))
-	tr.Counter("solver.presolve_vars_fixed").Add(int64(st.Presolve.VarsFixed))
+	for _, c := range solveCounts {
+		if c.counter != "" {
+			tr.Counter(c.counter).Add(int64(c.value(&st)))
+		}
+	}
 	// Per-worker effort tallies: one counter pair per branch-and-bound
 	// worker, accumulated across every solve this tracer observes, plus
 	// a per-solve span event recording this solve's split.
 	for i, w := range st.Workers {
 		tr.Counter(fmt.Sprintf("solver.worker%d.nodes", i)).Add(int64(w.Nodes))
-		tr.Counter(fmt.Sprintf("solver.worker%d.simplex_iters", i)).Add(int64(w.SimplexIters))
+		tr.Counter(fmt.Sprintf("solver.worker%d.simplex_iters", i)).Add(int64(w.SimplexIter))
 		sp.Event("solver.worker",
 			obs.Int("worker", i),
 			obs.Int("nodes", w.Nodes),
-			obs.Int("simplex_iters", w.SimplexIters),
-			obs.Int("refactorizations", w.Refactorizations),
+			obs.Int("simplex_iters", w.SimplexIter),
+			obs.Int("refactorizations", w.Refactors),
 		)
 	}
 	return time.Since(start), nil
+}
+
+// solveCounts are the solve span's integer attributes, each read off
+// the solve's ilpgen.Stats. A row naming a counter also adds its value
+// to that solver.* counter: dual pivots against their fallbacks and warm
+// restarts against theirs say whether the basis-inheritance machinery
+// earns its keep, the iteration split which caller the LP time went to,
+// and the presolve rows how much of the model the root reductions
+// removed. A new ilp.Effort counter is one row here.
+var solveCounts = []struct {
+	attr, counter string
+	value         func(*ilpgen.Stats) int
+}{
+	{"ilp_vars", "", func(st *ilpgen.Stats) int { return st.Vars }},
+	{"ilp_constrs", "", func(st *ilpgen.Stats) int { return st.Constrs }},
+	{"bnb_nodes", "", func(st *ilpgen.Stats) int { return st.Nodes }},
+	{"simplex_iters", "", func(st *ilpgen.Stats) int { return st.SimplexIter }},
+	{"dual_iters", "solver.dual_iters", func(st *ilpgen.Stats) int { return st.DualIters }},
+	{"primal_fallbacks", "solver.primal_fallbacks", func(st *ilpgen.Stats) int { return st.PrimalFallbacks }},
+	{"warm_restarts", "solver.warm_restarts", func(st *ilpgen.Stats) int { return st.WarmRestarts }},
+	{"warm_fallbacks", "solver.warm_fallbacks", func(st *ilpgen.Stats) int { return st.WarmFallbacks }},
+	{"root_iters", "solver.root_iters", func(st *ilpgen.Stats) int { return st.RootIters }},
+	{"dive_iters", "solver.dive_iters", func(st *ilpgen.Stats) int { return st.DiveIters }},
+	{"tree_iters", "solver.tree_iters", func(st *ilpgen.Stats) int { return st.TreeIters }},
+	{"refactorizations", "", func(st *ilpgen.Stats) int { return st.Refactors }},
+	{"presolve_rows_dropped", "solver.presolve_rows_dropped", func(st *ilpgen.Stats) int { return st.Presolve.RowsDropped }},
+	{"presolve_bounds_tightened", "solver.presolve_bounds_tightened", func(st *ilpgen.Stats) int { return st.Presolve.BoundsTightened }},
+	{"presolve_vars_fixed", "solver.presolve_vars_fixed", func(st *ilpgen.Stats) int { return st.Presolve.VarsFixed }},
+	{"threads", "", func(st *ilpgen.Stats) int { return st.Threads }},
 }
 
 // Back is the back half of the pipeline for one solved program: code

@@ -18,15 +18,15 @@
 //	     Drift ─Controller→ warm one-tenant multitenant.Compiler
 //	            re-solve + certify → utility check
 //	     adopt: swap = serve.NetCache.SwapLayout
-//	            (Quiesce → MigrateShards → Gate.Swap)
+//	            (Quiesce → MigrateShards → publish planes, bump epoch)
 //	     reject: keep incumbent, record an obs event
 //
 // The Controller owns no data plane: it keeps the incumbent layout and
-// decides. The server owns the planes, one per shard behind one Gate,
-// and its SwapLayout is the only swap path. Detector, Gate, and the
-// migration helpers are application-agnostic; Controller and Plane are
-// written against the NetCache data plane (the paper's running elastic
-// application).
+// decides. The server owns the planes, one per shard, and its
+// SwapLayout is the only swap path: it replaces them while Quiesce
+// holds every shard idle. Detector and the migration helpers are
+// application-agnostic; Controller and Plane are written against the
+// NetCache data plane (the paper's running elastic application).
 package elastic
 
 import "sort"

@@ -9,10 +9,8 @@ import (
 )
 
 // Plane is one concrete NetCache data plane: the shapes a layout
-// assigned plus the behavioral structures carrying live state. Epoch
-// is stamped by Gate.Swap when the plane is published.
+// assigned plus the behavioral structures carrying live state.
 type Plane struct {
-	Epoch  uint64
 	Layout *ilpgen.Layout
 	CMS    *structures.CountMinSketch
 	KV     *structures.KVStore
@@ -226,7 +224,7 @@ func MigrateKVS(old *structures.KVStore, parts, slots int, rank func(key uint64)
 //
 // The old planes are read during migration, so the caller must have
 // quiesced the shards first (internal/serve runs this inside
-// Runtime.Quiesce, then publishes the result with Gate.Swap).
+// Runtime.Quiesce and publishes the result there).
 func MigrateShards(old []*Plane, l *ilpgen.Layout, hot []KeyCount, route func(key uint64) int) ([]*Plane, int, error) {
 	if route == nil {
 		route = func(uint64) int { return 0 }

@@ -45,7 +45,7 @@ func BenchmarkILPSolveNetCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nodes, iters = sol.Nodes, sol.SimplexIters
+		nodes, iters = sol.Nodes, sol.SimplexIter
 	}
 	b.ReportMetric(float64(nodes), "bnb-nodes")
 	b.ReportMetric(float64(iters), "simplex-iters")

@@ -122,35 +122,13 @@ func (k ProgressKind) String() string {
 	}
 }
 
-// WorkerCounts tallies one branch-and-bound worker's share of the
-// search effort.
-type WorkerCounts struct {
-	// Nodes is the number of subproblems this worker processed.
-	Nodes int
-	// SimplexIters is the simplex iteration count across this worker's
-	// LP solves (primal and dual together).
-	SimplexIters int
-	// Refactorizations is this worker's basis refactorization count.
-	Refactorizations int
-	// DualIters is the subset of SimplexIters spent in dual-simplex
-	// child re-solves.
-	DualIters int
-	// PrimalFallbacks counts this worker's dual re-solves abandoned to
-	// the primal path.
-	PrimalFallbacks int
-}
-
 // Progress is one snapshot of the branch-and-bound search, delivered
 // to Options.Progress. Objectives and bounds are reported in the
 // model's own sense.
 type Progress struct {
 	Kind ProgressKind
-	// Nodes is the number of branch-and-bound nodes processed so far.
-	Nodes int
-	// SimplexIters is the cumulative simplex iteration count.
-	SimplexIters int
-	// Refactorizations is the cumulative basis refactorization count.
-	Refactorizations int
+	// Effort is the search's work so far.
+	Effort
 	// HasIncumbent reports whether an integer-feasible solution exists
 	// yet; Incumbent and Gap are meaningful only when it is true.
 	HasIncumbent bool
@@ -163,10 +141,10 @@ type Progress struct {
 	Gap float64
 	// Elapsed is the wall time since the solve started.
 	Elapsed time.Duration
-	// Workers carries per-worker node/simplex tallies. It is populated
-	// only by multi-threaded solves (single-threaded searches report
-	// the totals above and leave it nil).
-	Workers []WorkerCounts
+	// Workers carries per-worker tallies. It is populated only by
+	// multi-threaded solves (single-threaded searches report the totals
+	// above and leave it nil).
+	Workers []Effort
 }
 
 const (
@@ -219,28 +197,28 @@ func (q *nodeQueue) Pop() interface{} {
 	return it
 }
 
-// workerTally is one worker's effort counters. Workers update their
-// own tally with atomic adds; snapshot readers (progress emission, the
-// final Solution) sum across workers. The struct is padded to a cache
-// line so adjacent workers do not false-share.
+// workerTally is one worker's Effort, one atomic per field. Workers
+// update their own tally; snapshot readers (progress emission, the final
+// Solution) sum across workers. The struct is padded to two cache lines
+// so adjacent workers do not false-share.
 type workerTally struct {
-	nodes     atomic.Int64
-	iters     atomic.Int64
-	refactors atomic.Int64
-	dual      atomic.Int64
-	fallbacks atomic.Int64
-	_         [3]int64
+	c [effortFields]atomic.Int64
+	_ [16 - effortFields]int64
 }
 
-func (t *workerTally) addCounts(c lpCounts) {
-	t.iters.Add(int64(c.iters))
-	t.refactors.Add(int64(c.refactors))
-	if c.dual != 0 {
-		t.dual.Add(int64(c.dual))
+func (t *workerTally) add(e Effort) {
+	for i, v := range e.fields() {
+		if *v != 0 {
+			t.c[i].Add(int64(*v))
+		}
 	}
-	if c.fallbacks != 0 {
-		t.fallbacks.Add(int64(c.fallbacks))
+}
+
+func (t *workerTally) load() (e Effort) {
+	for i, v := range e.fields() {
+		*v = int(t.c[i].Load())
 	}
+	return e
 }
 
 // bb is the shared state of one Solve invocation. The workers guard
@@ -258,13 +236,9 @@ type bb struct {
 	rootMin       float64 // root relaxation in minimization sense
 	rootBound     float64 // root relaxation in model sense
 	warmUsed      bool
-	startIdx      int // which Options.Start was installed (when warmUsed)
-	// Effort of the root LP and of the dive, which run on worker 0
-	// before the tree search; the tree's share is the rest.
-	rootIters  int
-	diveCounts lpCounts
-	rootStart  string // how the root LP started (Solution.RootStart)
-	rootBasis  *Basis // the root LP's optimal basis
+	startIdx      int    // which Options.Start was installed (when warmUsed)
+	rootStart     string // how the root LP started (Solution.RootStart)
+	rootBasis     *Basis // the root LP's optimal basis
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -371,11 +345,11 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	}
 	ws := newWorkspace(sf)
 	lo, hi := sf.cloneBounds()
-	st, obj, x, counts, source, err := solveRoot(sf, lo, hi, pooled, ws)
-	b.tallies[0].addCounts(counts)
-	b.rootIters, b.rootStart = counts.iters, source
+	st, obj, x, rootEffort, source, err := solveRoot(sf, lo, hi, pooled, ws)
+	rootEffort.Nodes, rootEffort.RootIters = 1, rootEffort.SimplexIter
+	b.tallies[0].add(rootEffort)
+	b.rootStart = source
 	b.nodesDone.Store(1)
-	b.tallies[0].nodes.Store(1)
 	if errors.Is(err, errDeadline) {
 		// The root relaxation alone exhausted the time limit: report an
 		// honest limit stop (no incumbent, no root bound) instead of a
@@ -447,9 +421,11 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	case !opts.disableHeuristic:
 		// A cold solve seeds its incumbent by the rounding dive. Its
 		// warm restarts are budgeted at what this cold root cost.
-		sf.warmCap = counts.iters
-		hx, hobj, ok := diveHeuristic(sf, lo, hi, x, rootSnap, defaultIterLimit, &b.diveCounts, ws)
-		b.tallies[0].addCounts(b.diveCounts)
+		sf.warmCap = rootEffort.SimplexIter
+		var dive Effort
+		hx, hobj, ok := diveHeuristic(sf, lo, hi, x, rootSnap, defaultIterLimit, &dive, ws)
+		dive.DiveIters = dive.SimplexIter
+		b.tallies[0].add(dive)
 		if ok {
 			b.install(hobj, hx)
 			b.emitLocked(ProgressIncumbent)
@@ -479,37 +455,14 @@ func (b *bb) gapSatisfiedAtRoot() bool {
 		(b.opts.Gap > 0 && relGap(b.bestObj, b.rootMin) <= b.opts.Gap)
 }
 
-// totals sums the per-worker tallies.
-func (b *bb) totals() (iters, refactors int) {
+// effort sums the worker tallies, returning the sum and each tally.
+func (b *bb) effort() (total Effort, workers []Effort) {
+	workers = make([]Effort, len(b.tallies))
 	for i := range b.tallies {
-		iters += int(b.tallies[i].iters.Load())
-		refactors += int(b.tallies[i].refactors.Load())
+		workers[i] = b.tallies[i].load()
+		total.add(workers[i])
 	}
-	return iters, refactors
-}
-
-// dualTotals sums the dual-path tallies across workers.
-func (b *bb) dualTotals() (dual, fallbacks int) {
-	for i := range b.tallies {
-		dual += int(b.tallies[i].dual.Load())
-		fallbacks += int(b.tallies[i].fallbacks.Load())
-	}
-	return dual, fallbacks
-}
-
-// workerSnapshot copies the per-worker tallies.
-func (b *bb) workerSnapshot() []WorkerCounts {
-	ws := make([]WorkerCounts, len(b.tallies))
-	for i := range b.tallies {
-		ws[i] = WorkerCounts{
-			Nodes:            int(b.tallies[i].nodes.Load()),
-			SimplexIters:     int(b.tallies[i].iters.Load()),
-			Refactorizations: int(b.tallies[i].refactors.Load()),
-			DualIters:        int(b.tallies[i].dual.Load()),
-			PrimalFallbacks:  int(b.tallies[i].fallbacks.Load()),
-		}
-	}
-	return ws
+	return total, workers
 }
 
 // boundMinLocked returns the tightest proven min-sense bound on the
@@ -547,14 +500,12 @@ func (b *bb) emitLocked(kind ProgressKind) {
 	if b.opts.Progress == nil {
 		return
 	}
-	iters, refactors := b.totals()
+	total, workers := b.effort()
 	p := Progress{
-		Kind:             kind,
-		Nodes:            int(b.nodesDone.Load()),
-		SimplexIters:     iters,
-		Refactorizations: refactors,
-		Gap:              math.Inf(1),
-		Elapsed:          time.Since(b.solveStart),
+		Kind:    kind,
+		Effort:  total,
+		Gap:     math.Inf(1),
+		Elapsed: time.Since(b.solveStart),
 	}
 	bm := b.boundMinLocked()
 	p.BestBound = b.sign * (bm + b.sf.objK)
@@ -564,7 +515,7 @@ func (b *bb) emitLocked(kind ProgressKind) {
 		p.Gap = relGap(b.bestObj, bm)
 	}
 	if b.threads > 1 {
-		p.Workers = b.workerSnapshot()
+		p.Workers = workers
 	}
 	b.opts.Progress(p)
 }
@@ -572,28 +523,18 @@ func (b *bb) emitLocked(kind ProgressKind) {
 // solution assembles the terminal Solution and emits the done snapshot.
 // Called before the workers start or after all have exited.
 func (b *bb) solution(status Status) *Solution {
-	iters, refactors := b.totals()
-	dual, fallbacks := b.dualTotals()
+	total, workers := b.effort()
 	sol := &Solution{
-		Status:           status,
-		Nodes:            int(b.nodesDone.Load()),
-		SimplexIters:     iters,
-		Refactorizations: refactors,
-		DualIters:        dual,
-		PrimalFallbacks:  fallbacks,
-		WarmRestarts:     b.diveCounts.warm,
-		WarmFallbacks:    b.diveCounts.warmFallbacks,
-		RootIters:        b.rootIters,
-		RootStart:        b.rootStart,
-		RootBasis:        b.rootBasis,
-		DiveIters:        b.diveCounts.iters,
-		TreeIters:        iters - b.rootIters - b.diveCounts.iters,
-		Presolve:         b.sf.pre,
-		RootBound:        b.rootBound,
-		WarmStarted:      b.warmUsed,
-		StartIndex:       b.startIdx,
-		Threads:          b.threads,
-		Workers:          b.workerSnapshot(),
+		Status:      status,
+		Effort:      total,
+		RootStart:   b.rootStart,
+		RootBasis:   b.rootBasis,
+		Presolve:    b.sf.pre,
+		RootBound:   b.rootBound,
+		WarmStarted: b.warmUsed,
+		StartIndex:  b.startIdx,
+		Threads:     b.threads,
+		Workers:     workers,
 	}
 	if b.bestX != nil {
 		sol.Values = b.bestX
@@ -648,8 +589,9 @@ func (b *bb) materialize(nd *node, ws *lpWorkspace) (lo, hi []float64) {
 // shared search state beyond the (atomic) tally.
 func (b *bb) step(cur *node, cutoff float64, ws *lpWorkspace, tally *workerTally) (stepOut, error) {
 	lo, hi := b.materialize(cur, ws)
-	st, obj, x, counts, err := solveLP(b.sf, lo, hi, defaultIterLimit, cur.hint, cur.snap, restartDual, ws)
-	tally.addCounts(counts)
+	st, obj, x, e, err := solveLP(b.sf, lo, hi, defaultIterLimit, cur.hint, cur.snap, restartDual, ws)
+	e.TreeIters = e.SimplexIter
+	tally.add(e)
 	if err != nil {
 		return stepOut{}, err
 	}
@@ -845,7 +787,7 @@ const diveBatchFrac = 0.1
 // 9523 on the NetCache drift model, which in turn blew the tree search
 // up by three orders of magnitude). Tree node re-solves only consume
 // the LP *bound*, so they keep the dual path.
-func diveHeuristic(sf *standardForm, lo, hi, x0 []float64, snap *basisSnapshot, iterLimit int, total *lpCounts, ws *lpWorkspace) ([]float64, float64, bool) {
+func diveHeuristic(sf *standardForm, lo, hi, x0 []float64, snap *basisSnapshot, iterLimit int, total *Effort, ws *lpWorkspace) ([]float64, float64, bool) {
 	lo = append([]float64(nil), lo...)
 	hi = append([]float64(nil), hi...)
 	x := x0
@@ -924,10 +866,10 @@ func diveHeuristic(sf *standardForm, lo, hi, x0 []float64, snap *basisSnapshot, 
 // restart solved is re-solved cold on a scratch workspace as well, and
 // the two must agree on the status and, to 1e-9 relative, on the
 // objective.
-func diveSolve(sf *standardForm, lo, hi []float64, iterLimit int, x []float64, snap *basisSnapshot, total *lpCounts, ws *lpWorkspace) (lpStatus, []float64, error) {
-	st, obj, nx, counts, err := solveLP(sf, lo, hi, iterLimit, x, snap, restartPrimal, ws)
-	total.add(counts)
-	if debugChecks&debugDives != 0 && err == nil && counts.warm > 0 {
+func diveSolve(sf *standardForm, lo, hi []float64, iterLimit int, x []float64, snap *basisSnapshot, total *Effort, ws *lpWorkspace) (lpStatus, []float64, error) {
+	st, obj, nx, e, err := solveLP(sf, lo, hi, iterLimit, x, snap, restartPrimal, ws)
+	total.add(e)
+	if debugChecks&debugDives != 0 && err == nil && e.WarmRestarts > 0 {
 		cst, cobj, _, _, cerr := solveLP(sf, lo, hi, iterLimit, x, nil, restartPrimal, newWorkspace(sf))
 		if cerr == nil && (cst != st || (st == lpOptimal && math.Abs(cobj-obj) > 1e-9*math.Max(1, math.Abs(cobj)))) {
 			panic(fmt.Sprintf("ilp: dive step: warm restart gives %v (objective %v), cold solve %v (objective %v)", st, obj, cst, cobj))

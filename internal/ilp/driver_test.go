@@ -86,9 +86,9 @@ func TestDeterministicIsOneWorker(t *testing.T) {
 		if sawWorkers {
 			t.Errorf("%s: Progress.Workers populated on a one-worker solve", label)
 		}
-		if sol.Nodes != want.Nodes || sol.SimplexIters != want.SimplexIters {
+		if sol.Nodes != want.Nodes || sol.SimplexIter != want.SimplexIter {
 			t.Errorf("%s: %d nodes / %d iters, Threads:1 without the flag took %d / %d",
-				label, sol.Nodes, sol.SimplexIters, want.Nodes, want.SimplexIters)
+				label, sol.Nodes, sol.SimplexIter, want.Nodes, want.SimplexIter)
 		}
 		for i := range want.Values {
 			if math.Float64bits(sol.Values[i]) != math.Float64bits(want.Values[i]) {

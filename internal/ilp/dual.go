@@ -86,48 +86,12 @@ func (ws *lpWorkspace) captureBasis(sf *standardForm) *basisSnapshot {
 // basis does not factor.
 // s and its counters are valid in every case but empty.
 func installSnapshot(sf *standardForm, lo, hi []float64, snap *basisSnapshot, ws *lpWorkspace) (s *simplex, empty bool, err error) {
-	m := sf.m
-	n := sf.nStruct + m
-	s = &simplex{
-		sf:       sf,
-		ws:       ws,
-		n:        n,
-		nSlack:   m,
-		basis:    ws.basis[:m],
-		xB:       ws.xB[:m],
-		refEvery: refactorEvery,
+	s, empty = newSimplex(sf, lo, hi, refactorEvery, ws)
+	if empty {
+		ws.invalidate()
+		return nil, true, nil
 	}
-	s.cols = ws.cols[:n]
-	copy(s.cols, sf.cols)
-	s.lo = ws.lo[:n]
-	s.hi = ws.hi[:n]
-	copy(s.lo, lo)
-	copy(s.hi, hi)
-	for j := 0; j < sf.nStruct; j++ {
-		if s.lo[j] > s.hi[j]+feasTol {
-			ws.invalidate()
-			return nil, true, nil
-		}
-	}
-	for i := 0; i < m; i++ {
-		j := sf.nStruct + i
-		s.cols[j] = ws.slack[i]
-		switch sf.ops[i] {
-		case LE:
-			s.lo[j], s.hi[j] = 0, Inf
-		case GE:
-			s.lo[j], s.hi[j] = math.Inf(-1), 0
-		case EQ:
-			s.lo[j], s.hi[j] = 0, 0
-		}
-	}
-	s.cost = ws.cost[:0]
-	s.cost = append(s.cost, sf.cost...)
-	for len(s.cost) < n {
-		s.cost = append(s.cost, 0)
-	}
-	s.status = ws.status[:n]
-
+	s.modelCosts()
 	resident := ws.resident == snap && ws.basisValid && ws.pivotAge < s.refEvery
 	ws.invalidate()
 	if !resident {
@@ -138,7 +102,7 @@ func installSnapshot(sf *standardForm, lo, hi []float64, snap *basisSnapshot, ws
 	// bounds. Structural lower bounds are finite by the Model invariant
 	// and bounds only tighten down the tree, so this only trips on a
 	// corrupted snapshot — bail rather than divide by infinity.
-	for j := 0; j < n; j++ {
+	for j := 0; j < s.n; j++ {
 		st := s.status[j]
 		if (st == nbLower && math.IsInf(s.lo[j], -1)) || (st == nbUpper && math.IsInf(s.hi[j], 1)) {
 			return s, false, errInfiniteNonbasic
@@ -213,15 +177,15 @@ func maxDualIters(m int) int { return 2*m + 200 }
 // Returns ok=false when the attempt should fall back to the primal
 // path (the partial state left in ws is invalidated). The only
 // returned error is errDeadline.
-func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSnapshot, ws *lpWorkspace) (lpStatus, float64, []float64, lpCounts, bool, error) {
+func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSnapshot, ws *lpWorkspace) (lpStatus, float64, []float64, Effort, bool, error) {
 	m := sf.m
 	n := sf.nStruct + m
 	s, empty, err := installSnapshot(sf, lo, hi, snap, ws)
 	if empty {
-		return lpInfeasible, 0, nil, lpCounts{}, true, nil
+		return lpInfeasible, 0, nil, Effort{}, true, nil
 	}
 	if err != nil {
-		return 0, 0, nil, s.dualCounts(), false, nil
+		return 0, 0, nil, s.effort(), false, nil
 	}
 
 	// Verify dual feasibility of the inherited basis before trusting
@@ -231,7 +195,7 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 	y := s.ws.y[:m]
 	d := s.ws.d[:n]
 	if !s.computeDuals(y, d) {
-		return 0, 0, nil, s.dualCounts(), false, nil
+		return 0, 0, nil, s.effort(), false, nil
 	}
 
 	maxIters := maxDualIters(m)
@@ -242,7 +206,7 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 	for {
 		if !sf.deadline.IsZero() && s.iters%deadlineCheckEvery == 0 &&
 			time.Now().After(sf.deadline) {
-			return 0, 0, nil, s.dualCounts(), false, errDeadline
+			return 0, 0, nil, s.effort(), false, errDeadline
 		}
 		// Leaving row: the most primal-infeasible basic variable.
 		r := -1
@@ -275,16 +239,16 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 			}
 			cleanupTries++
 			if cleanupTries > 3 {
-				return 0, 0, nil, s.dualCounts(), false, nil
+				return 0, 0, nil, s.effort(), false, nil
 			}
 			if err := s.refactorizeBasis(); err != nil {
-				return 0, 0, nil, s.dualCounts(), false, nil
+				return 0, 0, nil, s.effort(), false, nil
 			}
 			continue
 		}
 		s.iters++
 		if s.iters > maxIters {
-			return 0, 0, nil, s.dualCounts(), false, nil
+			return 0, 0, nil, s.effort(), false, nil
 		}
 		out := s.basis[r]
 		target := s.lo[out]
@@ -350,7 +314,7 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 			// nonbasic setting — the child is primal infeasible. This
 			// verdict is exact, not a fallback.
 			ws.invalidate()
-			return lpInfeasible, 0, nil, s.dualCounts(), true, nil
+			return lpInfeasible, 0, nil, s.effort(), true, nil
 		}
 		// Long-step ratio test: walk the candidates in dual-ratio order;
 		// boxed columns whose breakpoint is strictly passed before the
@@ -388,19 +352,8 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 			for groupEnd < len(cands) && cands[groupEnd].ratio <= cands[ci].ratio+1e-9 {
 				groupEnd++
 			}
-			best, bestAbs := -1, 0.0
-			for k := ci; k < groupEnd; k++ {
-				c := &cands[k]
-				a := math.Abs(c.alpha)
-				rng := s.hi[c.j] - s.lo[c.j]
-				if math.IsInf(rng, 1) || rng*a >= need-feasTol {
-					if a > bestAbs {
-						best, bestAbs = k, a
-					}
-				}
-			}
-			if best >= 0 {
-				enterIdx = best
+			if best := finisher(cands[ci:groupEnd], 0, need, s.lo, s.hi); best >= 0 {
+				enterIdx = ci + best
 				break
 			}
 			// No group member can finish: flip the group leader (its
@@ -430,7 +383,7 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 			// Every candidate flipped and row r still cannot reach its
 			// bound: infeasible (the flips exhaust the nonbasic box).
 			ws.invalidate()
-			return lpInfeasible, 0, nil, s.dualCounts(), true, nil
+			return lpInfeasible, 0, nil, s.effort(), true, nil
 		}
 		// Entering pivot.
 		q := int(cands[enterIdx].j)
@@ -446,7 +399,7 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 			// iteration's flips, rebuild, and redo the iteration. Fresh
 			// factors that disagree leave nothing to rebuild.
 			if ws.fac.updates() == 0 {
-				return 0, 0, nil, s.dualCounts(), false, nil
+				return 0, 0, nil, s.effort(), false, nil
 			}
 			for _, c := range cands[:ci] {
 				if s.status[c.j] == nbLower {
@@ -456,7 +409,7 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 				}
 			}
 			if err := s.refactorizeBasis(); err != nil {
-				return 0, 0, nil, s.dualCounts(), false, nil
+				return 0, 0, nil, s.effort(), false, nil
 			}
 			continue
 		}
@@ -479,7 +432,7 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 		ws.pivotAge++
 		if !ws.fac.update(r, w[r]) || ws.pivotAge >= s.refEvery {
 			if err := s.refactorizeBasis(); err != nil {
-				return 0, 0, nil, s.dualCounts(), false, nil
+				return 0, 0, nil, s.effort(), false, nil
 			}
 		}
 		// Refresh the duals for the next ratio test (recomputed from the
@@ -489,7 +442,7 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 			// Before giving the node to the primal, ask once whether the
 			// damage is in the factors rather than the basis.
 			if ws.fac.updates() == 0 || s.refactorizeBasis() != nil || !s.computeDuals(y, d) {
-				return 0, 0, nil, s.dualCounts(), false, nil
+				return 0, 0, nil, s.effort(), false, nil
 			}
 		}
 	}
@@ -498,7 +451,7 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 	// basic values and dual feasible by the invariant checks above.
 	x, obj := s.extract()
 	ws.basisValid = true
-	return lpOptimal, obj, x, s.dualCounts(), true, nil
+	return lpOptimal, obj, x, s.effort(), true, nil
 }
 
 // computeDuals fills yᵀ = cBᵀ·B⁻¹ and the reduced costs d, and verifies
@@ -520,10 +473,4 @@ func (s *simplex) computeDuals(y, d []float64) bool {
 		}
 	}
 	return true
-}
-
-// dualCounts reports this attempt's effort with iterations booked as
-// dual pivots.
-func (s *simplex) dualCounts() lpCounts {
-	return lpCounts{iters: s.iters, dual: s.iters, refactors: s.refactors}
 }

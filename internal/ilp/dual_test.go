@@ -223,10 +223,10 @@ func TestDualDeterministicBitStable(t *testing.T) {
 				t.Fatalf("run %d: value[%d] %v != %v", run, i, got.Values[i], ref.Values[i])
 			}
 		}
-		if got.Nodes != ref.Nodes || got.SimplexIters != ref.SimplexIters || got.DualIters != ref.DualIters {
+		if got.Nodes != ref.Nodes || got.SimplexIter != ref.SimplexIter || got.DualIters != ref.DualIters {
 			t.Fatalf("run %d: effort (%d,%d,%d) != (%d,%d,%d)", run,
-				got.Nodes, got.SimplexIters, got.DualIters,
-				ref.Nodes, ref.SimplexIters, ref.DualIters)
+				got.Nodes, got.SimplexIter, got.DualIters,
+				ref.Nodes, ref.SimplexIter, ref.DualIters)
 		}
 	}
 }

@@ -532,5 +532,5 @@ func solveWithDebugChecks(t *testing.T, m *Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("short tree: %d nodes, %d simplex iterations (%d dual), %d fallbacks", sol.Nodes, sol.SimplexIters, sol.DualIters, sol.PrimalFallbacks)
+	t.Logf("short tree: %d nodes, %d simplex iterations (%d dual), %d fallbacks", sol.Nodes, sol.SimplexIter, sol.DualIters, sol.PrimalFallbacks)
 }

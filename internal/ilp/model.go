@@ -312,27 +312,25 @@ func (s Status) String() string {
 	}
 }
 
-// Solution holds the result of solving a model.
-type Solution struct {
-	Status    Status
-	Objective float64   // objective value in the model's own sense
-	Values    []float64 // one entry per variable, indexed by Var
-	// Nodes is the number of branch-and-bound nodes processed
-	// (1 for pure LPs).
+// Effort counts one search's work, or one worker's share of it. Worker 0
+// carries the root LP and the dive, so a solution's Effort is the
+// field-by-field sum of its Workers.
+type Effort struct {
+	// Nodes is the number of branch-and-bound nodes processed (1 for
+	// pure LPs).
 	Nodes int
-	// SimplexIters is the total simplex iteration count across all
-	// LP solves.
-	SimplexIters int
-	// Refactorizations is the total number of basis refactorizations
-	// across all LP solves.
-	Refactorizations int
-	// DualIters is the subset of SimplexIters performed by dual-simplex
-	// child re-solves from inherited bases (dual.go).
-	DualIters int
-	// PrimalFallbacks counts child LPs whose dual re-solve was
-	// abandoned (singular basis, dual infeasibility, stall) and
-	// re-solved by the two-phase primal path. A rising fallback rate is
-	// the solver-regression signal obs traces watch for.
+	// SimplexIter is the simplex iteration count across all LP solves.
+	SimplexIter int
+	// Refactors counts basis refactorizations across all LP solves (a
+	// proxy for numerical effort).
+	Refactors int
+	// DualIters is the subset of SimplexIter spent in dual-simplex child
+	// re-solves from inherited bases (dual.go). PrimalFallbacks counts
+	// child LPs whose dual re-solve was abandoned (singular basis, dual
+	// infeasibility, stall) and re-solved by the two-phase primal path:
+	// a rising fallback rate is the solver-regression signal obs traces
+	// watch for.
+	DualIters       int
 	PrimalFallbacks int
 	// WarmRestarts counts the dive's LPs re-solved by warm primal simplex
 	// from the previous step's optimal basis, and WarmFallbacks those
@@ -340,13 +338,37 @@ type Solution struct {
 	// not factor, an attempt past the model's cold root-LP iteration
 	// count). Neither is part of PrimalFallbacks, which counts the tree's
 	// dual re-solves only.
-	WarmRestarts  int
-	WarmFallbacks int
-	// RootIters, DiveIters and TreeIters split SimplexIters by caller:
-	// the root LP, the diving heuristic, and the tree's node re-solves.
-	// A solve that installed a MIP start runs no dive: its DiveIters and
+	WarmRestarts, WarmFallbacks int
+	// RootIters, DiveIters and TreeIters split SimplexIter by caller: the
+	// root LP, the diving heuristic, and the tree's node re-solves. A
+	// solve that installed a MIP start runs no dive: its DiveIters and
 	// WarmRestarts are 0.
 	RootIters, DiveIters, TreeIters int
+}
+
+// effortFields is the number of Effort's counters.
+const effortFields = 10
+
+// fields lists e's counters in declaration order.
+func (e *Effort) fields() [effortFields]*int {
+	return [...]*int{&e.Nodes, &e.SimplexIter, &e.Refactors, &e.DualIters, &e.PrimalFallbacks,
+		&e.WarmRestarts, &e.WarmFallbacks, &e.RootIters, &e.DiveIters, &e.TreeIters}
+}
+
+// add adds o's counters to e's.
+func (e *Effort) add(o Effort) {
+	dst := e.fields()
+	for i, v := range o.fields() {
+		*dst[i] += *v
+	}
+}
+
+// Solution holds the result of solving a model.
+type Solution struct {
+	Status    Status
+	Objective float64   // objective value in the model's own sense
+	Values    []float64 // one entry per variable, indexed by Var
+	Effort
 	// RootStart says how the root LP started: RootCold, RootPooled (the
 	// installed start's basis was optimal for it, so it ended after one
 	// pricing pass), or "rejected (<reason>)" when that basis was not
@@ -374,9 +396,7 @@ type Solution struct {
 	// with (after resolving Options.Threads and Options.Deterministic).
 	Threads int
 	// Workers holds per-worker effort tallies, one entry per thread.
-	// Worker 0 additionally accounts the root relaxation and the
-	// diving heuristic.
-	Workers []WorkerCounts
+	Workers []Effort
 }
 
 // AchievedGap returns the certified optimality gap of the returned

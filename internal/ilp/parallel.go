@@ -160,7 +160,7 @@ func (b *bb) plunge(nd *node, ws *lpWorkspace, tally *workerTally) error {
 			b.halt(StatusLimit)
 			break
 		}
-		tally.nodes.Add(1)
+		tally.add(Effort{Nodes: 1})
 		if b.opts.Progress != nil && n%int64(b.progressEvery) == 0 {
 			b.mu.Lock()
 			b.emitLocked(ProgressNode)

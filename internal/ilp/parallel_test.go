@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -104,29 +105,39 @@ func TestParallelFreeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerTalliesAddUp: the per-worker counters partition the
-// solution totals exactly, in both parallel modes.
+// TestParallelWorkerTalliesAddUp: the per-worker tallies partition the
+// solution's Effort exactly, field by field, in both parallel modes, and
+// the root/dive/tree split partitions its iterations.
 func TestParallelWorkerTalliesAddUp(t *testing.T) {
+	if n := reflect.TypeOf(Effort{}).NumField(); n != effortFields {
+		t.Fatalf("Effort has %d fields, effortFields is %d", n, effortFields)
+	}
 	for _, det := range []bool{false, true} {
 		m := correlatedKnapsack(20, 0)
 		sol, err := Solve(m, Options{Threads: 4, Deterministic: det, disableHeuristic: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var nodes, iters, refs int
-		for _, w := range sol.Workers {
-			nodes += w.Nodes
-			iters += w.SimplexIters
-			refs += w.Refactorizations
+		var sum Effort
+		for i, w := range sol.Workers {
+			sum.add(w)
+			treeNodes := w.Nodes
+			if i == 0 {
+				treeNodes-- // worker 0's first node is the root
+			}
+			if w.TreeIters > 0 && treeNodes == 0 {
+				t.Errorf("det=%v: worker %d spent %d tree iterations in no tree node", det, i, w.TreeIters)
+			}
 		}
-		if nodes != sol.Nodes {
-			t.Errorf("det=%v: worker nodes sum %d != Solution.Nodes %d", det, nodes, sol.Nodes)
+		got, want := reflect.ValueOf(sum), reflect.ValueOf(sol.Effort)
+		for i := 0; i < got.NumField(); i++ {
+			if g, w := got.Field(i).Int(), want.Field(i).Int(); g != w {
+				name := got.Type().Field(i).Name
+				t.Errorf("det=%v: workers' %s sum to %d, Solution.%s is %d", det, name, g, name, w)
+			}
 		}
-		if iters != sol.SimplexIters {
-			t.Errorf("det=%v: worker iters sum %d != Solution.SimplexIters %d", det, iters, sol.SimplexIters)
-		}
-		if refs != sol.Refactorizations {
-			t.Errorf("det=%v: worker refactors sum %d != %d", det, refs, sol.Refactorizations)
+		if e := sol.Effort; e.RootIters+e.DiveIters+e.TreeIters != e.SimplexIter {
+			t.Errorf("det=%v: split %d + %d + %d does not sum to %d iterations", det, e.RootIters, e.DiveIters, e.TreeIters, e.SimplexIter)
 		}
 	}
 }

@@ -95,18 +95,18 @@ func TestProgressHookReportsSearchTrajectory(t *testing.T) {
 	}
 	// Counters must be populated and monotone.
 	for i := 1; i < len(snaps); i++ {
-		if snaps[i].Nodes < snaps[i-1].Nodes || snaps[i].SimplexIters < snaps[i-1].SimplexIters {
+		if snaps[i].Nodes < snaps[i-1].Nodes || snaps[i].SimplexIter < snaps[i-1].SimplexIter {
 			t.Fatalf("non-monotone counters: %+v then %+v", snaps[i-1], snaps[i])
 		}
 	}
-	if sol.Refactorizations == 0 {
+	if sol.Refactors == 0 {
 		t.Fatal("solution reports zero basis refactorizations")
 	}
-	if last.Refactorizations != sol.Refactorizations {
-		t.Fatalf("done snapshot refactorizations %d != solution %d", last.Refactorizations, sol.Refactorizations)
+	if last.Refactors != sol.Refactors {
+		t.Fatalf("done snapshot refactorizations %d != solution %d", last.Refactors, sol.Refactors)
 	}
-	if last.SimplexIters != sol.SimplexIters {
-		t.Fatalf("done snapshot iters %d != solution %d", last.SimplexIters, sol.SimplexIters)
+	if last.SimplexIter != sol.SimplexIter {
+		t.Fatalf("done snapshot iters %d != solution %d", last.SimplexIter, sol.SimplexIter)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestProgressHookNilIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Objective != b.Objective || a.Nodes != b.Nodes || a.SimplexIters != b.SimplexIters {
+	if a.Objective != b.Objective || a.Nodes != b.Nodes || a.SimplexIter != b.SimplexIter {
 		t.Fatalf("hooked solve diverged: %+v vs %+v", a, b)
 	}
 }

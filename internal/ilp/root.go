@@ -42,37 +42,37 @@ const (
 // cold otherwise. source says which (Solution.RootStart). A rejected
 // basis costs no counted effort, so the cold solve that follows reports
 // exactly what it would have without the basis.
-func solveRoot(sf *standardForm, lo, hi []float64, basis *Basis, ws *lpWorkspace) (st lpStatus, obj float64, x []float64, counts lpCounts, source string, err error) {
+func solveRoot(sf *standardForm, lo, hi []float64, basis *Basis, ws *lpWorkspace) (st lpStatus, obj float64, x []float64, e Effort, source string, err error) {
 	source = RootCold
 	if basis != nil {
 		reason := ""
-		if st, obj, x, counts, reason = solvePooled(sf, lo, hi, basis.snap, ws); reason == "" {
-			return st, obj, x, counts, RootPooled, nil
+		if st, obj, x, e, reason = solvePooled(sf, lo, hi, basis.snap, ws); reason == "" {
+			return st, obj, x, e, RootPooled, nil
 		}
 		source = "rejected (" + reason + ")"
 	}
-	st, obj, x, counts, err = solveLP(sf, lo, hi, defaultIterLimit, nil, nil, restartPrimal, ws)
-	return st, obj, x, counts, source, err
+	st, obj, x, e, err = solveLP(sf, lo, hi, defaultIterLimit, nil, nil, restartPrimal, ws)
+	return st, obj, x, e, source, err
 }
 
 // solvePooled installs snap and returns the root LP's optimum at it, or
 // the reason it is not optimal there: "shape", "singular", "not primal
 // feasible" or "not dual feasible".
-func solvePooled(sf *standardForm, lo, hi []float64, snap *basisSnapshot, ws *lpWorkspace) (lpStatus, float64, []float64, lpCounts, string) {
+func solvePooled(sf *standardForm, lo, hi []float64, snap *basisSnapshot, ws *lpWorkspace) (lpStatus, float64, []float64, Effort, string) {
 	if len(snap.basis) != sf.m || len(snap.status) != sf.nStruct+sf.m {
-		return 0, 0, nil, lpCounts{}, "shape"
+		return 0, 0, nil, Effort{}, "shape"
 	}
 	s, empty, err := installSnapshot(sf, lo, hi, snap, ws)
 	switch {
 	case errors.Is(err, errSingularBasis):
-		return 0, 0, nil, lpCounts{}, "singular"
+		return 0, 0, nil, Effort{}, "singular"
 	case empty || err != nil:
-		return 0, 0, nil, lpCounts{}, "not primal feasible"
+		return 0, 0, nil, Effort{}, "not primal feasible"
 	}
 	for i, bj := range s.basis {
 		if s.xB[i] < s.lo[bj]-feasTol || s.xB[i] > s.hi[bj]+feasTol {
 			ws.invalidate()
-			return 0, 0, nil, lpCounts{}, "not primal feasible"
+			return 0, 0, nil, Effort{}, "not primal feasible"
 		}
 	}
 	// The pricing pass of iterate, under its tolerance: a basis passing
@@ -87,10 +87,11 @@ func solvePooled(sf *standardForm, lo, hi []float64, snap *basisSnapshot, ws *lp
 		}
 		if (st == nbLower && d[j] < -dualTol) || (st == nbUpper && d[j] > dualTol) {
 			ws.invalidate()
-			return 0, 0, nil, lpCounts{}, "not dual feasible"
+			return 0, 0, nil, Effort{}, "not dual feasible"
 		}
 	}
+	s.iters++ // the pricing pass
 	x, obj := s.extract()
 	ws.basisValid = true
-	return lpOptimal, obj, x, lpCounts{iters: 1, refactors: s.refactors}, ""
+	return lpOptimal, obj, x, s.effort(), ""
 }

@@ -374,30 +374,6 @@ const (
 	lpUnbounded
 )
 
-// lpCounts reports per-LP-solve effort (feeds Solution totals and the
-// branch-and-bound progress hook). iters counts every simplex
-// iteration; dual is the subset spent in dual re-solves; fallbacks
-// counts dual re-solves abandoned to the primal path. warm counts warm
-// primal restarts that returned a verdict, warmFallbacks those abandoned
-// to the cold path.
-type lpCounts struct {
-	iters         int
-	dual          int
-	refactors     int
-	fallbacks     int
-	warm          int
-	warmFallbacks int
-}
-
-func (c *lpCounts) add(o lpCounts) {
-	c.iters += o.iters
-	c.dual += o.dual
-	c.refactors += o.refactors
-	c.fallbacks += o.fallbacks
-	c.warm += o.warm
-	c.warmFallbacks += o.warmFallbacks
-}
-
 // restart selects how solveLP starts from an inherited basis.
 type restart int8
 
@@ -414,8 +390,8 @@ const (
 // solveLP solves the standard form with the given structural bounds
 // (which may be tighter than sf's own, e.g. from branch and bound).
 // It returns the LP status, objective value (minimization sense,
-// without objK), structural solution values, and effort counters
-// (simplex iterations and basis refactorizations).
+// without objK), structural solution values, and the solve's Effort
+// (its iteration split and Nodes left to the caller).
 // Numerical drift detected at a refactorization triggers a retry with
 // a tighter refactorization cadence.
 // hint, when non-nil, is a (near-)feasible point — typically the
@@ -428,18 +404,24 @@ const (
 // artificials path below is the counted fallback of either.
 // ws supplies reusable buffers; nil allocates a fresh workspace (one
 // per branch-and-bound worker is the intended steady state).
-func solveLP(sf *standardForm, lo, hi []float64, iterLimit int, hint []float64, snap *basisSnapshot, how restart, ws *lpWorkspace) (lpStatus, float64, []float64, lpCounts, error) {
+func solveLP(sf *standardForm, lo, hi []float64, iterLimit int, hint []float64, snap *basisSnapshot, how restart, ws *lpWorkspace) (lpStatus, float64, []float64, Effort, error) {
 	if ws == nil {
 		ws = newWorkspace(sf)
 	}
-	total := lpCounts{}
+	var total Effort
 	if snap != nil && (how == restartPrimal || sf.dualOK) {
 		warm := solveDual
 		if how == restartPrimal {
 			warm = solvePrimalWarm
 		}
-		st, obj, x, counts, ok, err := warm(sf, lo, hi, iterLimit, snap, ws)
-		total.add(counts)
+		st, obj, x, e, ok, err := warm(sf, lo, hi, iterLimit, snap, ws)
+		total = e
+		switch {
+		case how == restartDual:
+			total.DualIters = e.SimplexIter
+		case ok:
+			total.WarmRestarts = 1
+		}
 		if err != nil {
 			return st, obj, x, total, err // errDeadline
 		}
@@ -447,15 +429,14 @@ func solveLP(sf *standardForm, lo, hi []float64, iterLimit int, hint []float64, 
 			return st, obj, x, total, nil
 		}
 		if how == restartPrimal {
-			total.warmFallbacks++
+			total.WarmFallbacks++
 		} else {
-			total.fallbacks++
+			total.PrimalFallbacks++
 		}
 	}
 	for _, cadence := range []int{refactorEvery, 16, 4, 1} {
-		st, obj, x, counts, err := solveLPOnce(sf, lo, hi, iterLimit, cadence, hint, ws)
-		total.iters += counts.iters
-		total.refactors += counts.refactors
+		st, obj, x, e, err := solveLPOnce(sf, lo, hi, iterLimit, cadence, hint, ws)
+		total.add(e)
 		if errors.Is(err, errNumerical) || errors.Is(err, errSingularBasis) {
 			continue
 		}
@@ -464,36 +445,19 @@ func solveLP(sf *standardForm, lo, hi []float64, iterLimit int, hint []float64, 
 	return lpInfeasible, 0, nil, total, errNumerical
 }
 
-func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hint []float64, ws *lpWorkspace) (lpStatus, float64, []float64, lpCounts, error) {
+func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hint []float64, ws *lpWorkspace) (lpStatus, float64, []float64, Effort, error) {
 	ws.invalidate() // the run below overwrites any resident basis
 	m := sf.m
-	s := &simplex{
-		sf:       sf,
-		ws:       ws,
-		nSlack:   m,
-		basis:    ws.basis[:m],
-		xB:       ws.xB[:m],
-		refEvery: cadence,
+	s, empty := newSimplex(sf, lo, hi, cadence, ws)
+	if empty {
+		return lpInfeasible, 0, nil, Effort{}, nil
 	}
-	n := sf.nStruct + m
-	s.cols = ws.cols[:n]
-	copy(s.cols, sf.cols)
-	s.lo = ws.lo[:n]
-	s.hi = ws.hi[:n]
 	// The setup phase appends artificial columns to s.cost; phase 1
 	// then flips their costs to 1 in place, so the buffer must start
-	// zeroed. Phase 2 swaps in the separately-buffered model costs.
-	s.cost = ws.p1[:n]
-	for i := range s.cost {
-		s.cost[i] = 0
-	}
-	s.status = ws.status[:n]
-	copy(s.lo, lo)
-	copy(s.hi, hi)
+	// zeroed. Phase 2 swaps in the model costs.
+	s.cost = ws.p1[:s.n]
+	clear(s.cost)
 	for j := 0; j < sf.nStruct; j++ {
-		if s.lo[j] > s.hi[j]+feasTol {
-			return lpInfeasible, 0, nil, lpCounts{}, nil
-		}
 		// Nonbasic structurals start at the bound nearest the hint
 		// (the parent LP solution in branch and bound), else lower.
 		s.status[j] = nbLower
@@ -502,20 +466,6 @@ func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hin
 			s.status[j] = nbUpper
 		}
 	}
-	// Slack columns (cached in the workspace; never mutated).
-	for i := 0; i < m; i++ {
-		j := sf.nStruct + i
-		s.cols[j] = ws.slack[i]
-		switch sf.ops[i] {
-		case LE:
-			s.lo[j], s.hi[j] = 0, Inf
-		case GE:
-			s.lo[j], s.hi[j] = math.Inf(-1), 0
-		case EQ:
-			s.lo[j], s.hi[j] = 0, 0
-		}
-	}
-	s.n = n
 	// Initial basis: slack where the residual fits its bounds,
 	// otherwise an artificial column absorbing the residual.
 	resid := ws.resid[:m]
@@ -544,7 +494,7 @@ func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hin
 		sval := math.Min(math.Max(r, s.lo[j]), s.hi[j])
 		if math.IsInf(sval, 0) {
 			// Cannot happen: the violated bound is always finite.
-			return lpInfeasible, 0, nil, lpCounts{}, fmt.Errorf("ilp: internal: infinite slack bound hit on row %d", i)
+			return lpInfeasible, 0, nil, Effort{}, fmt.Errorf("ilp: internal: infinite slack bound hit on row %d", i)
 		}
 		if sval == s.lo[j] {
 			s.status[j] = nbLower
@@ -569,7 +519,7 @@ func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hin
 	s.n = len(s.cols)
 	// The starting basis is all unit columns: the factor is its peel.
 	if err := ws.fac.refactor(s.cols, s.basis); err != nil {
-		return lpInfeasible, 0, nil, lpCounts{}, err
+		return lpInfeasible, 0, nil, Effort{}, err
 	}
 
 	if anyArtificial {
@@ -580,37 +530,31 @@ func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hin
 		}
 		st, err := s.iterate(iterLimit)
 		if err != nil {
-			return lpInfeasible, 0, nil, s.counts(), err
+			return lpInfeasible, 0, nil, s.effort(), err
 		}
 		if st == lpUnbounded {
-			return lpInfeasible, 0, nil, s.counts(), errors.New("ilp: internal: phase-1 unbounded")
+			return lpInfeasible, 0, nil, s.effort(), errors.New("ilp: internal: phase-1 unbounded")
 		}
 		if s.objValue() > 1e-6 {
-			return lpInfeasible, 0, nil, s.counts(), nil
+			return lpInfeasible, 0, nil, s.effort(), nil
 		}
 		// Pin artificials at zero.
 		for j := sf.nStruct + m; j < s.n; j++ {
 			s.hi[j] = 0
 		}
 	}
-	// Phase 2 costs: structural costs from the model; slacks and
-	// artificials cost zero.
-	s.cost = ws.cost[:0]
-	s.cost = append(s.cost, sf.cost...)
-	for len(s.cost) < s.n {
-		s.cost = append(s.cost, 0)
-	}
+	s.modelCosts()
 
 	st, err := s.iterate(iterLimit)
 	if err != nil {
-		return lpInfeasible, 0, nil, s.counts(), err
+		return lpInfeasible, 0, nil, s.effort(), err
 	}
 	if st == lpUnbounded {
-		return lpUnbounded, 0, nil, s.counts(), nil
+		return lpUnbounded, 0, nil, s.effort(), nil
 	}
 	// Extract structural values.
 	if err := s.refactorize(); err != nil {
-		return lpInfeasible, 0, nil, s.counts(), err
+		return lpInfeasible, 0, nil, s.effort(), err
 	}
 	if debugChecks&debugInvariants != 0 {
 		for i, bj := range s.basis {
@@ -624,7 +568,60 @@ func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hin
 	// optimal basis a child's dual re-solve can inherit.
 	ws.basisValid = true
 	ws.pivotAge = 0
-	return lpOptimal, obj, x, s.counts(), nil
+	return lpOptimal, obj, x, s.effort(), nil
+}
+
+// newSimplex sets up a simplex over the structural and slack columns,
+// refactorizing every cadence pivots: structural bounds lo/hi, slack
+// bounds by row sense. Basis, statuses and costs are left to the caller.
+// empty reports a variable with lo > hi: the LP is infeasible whatever
+// the basis.
+func newSimplex(sf *standardForm, lo, hi []float64, cadence int, ws *lpWorkspace) (s *simplex, empty bool) {
+	m := sf.m
+	n := sf.nStruct + m
+	s = &simplex{
+		sf:       sf,
+		ws:       ws,
+		n:        n,
+		nSlack:   m,
+		cols:     ws.cols[:n],
+		lo:       ws.lo[:n],
+		hi:       ws.hi[:n],
+		status:   ws.status[:n],
+		basis:    ws.basis[:m],
+		xB:       ws.xB[:m],
+		refEvery: cadence,
+	}
+	copy(s.cols, sf.cols)
+	copy(s.lo, lo)
+	copy(s.hi, hi)
+	for j := 0; j < sf.nStruct; j++ {
+		if s.lo[j] > s.hi[j]+feasTol {
+			return s, true
+		}
+	}
+	for i := 0; i < m; i++ {
+		j := sf.nStruct + i
+		s.cols[j] = ws.slack[i] // cached in the workspace; never mutated
+		switch sf.ops[i] {
+		case LE:
+			s.lo[j], s.hi[j] = 0, Inf
+		case GE:
+			s.lo[j], s.hi[j] = math.Inf(-1), 0
+		case EQ:
+			s.lo[j], s.hi[j] = 0, 0
+		}
+	}
+	return s, false
+}
+
+// modelCosts prices the columns with the model's costs: structurals
+// from the model, slacks and artificials at zero.
+func (s *simplex) modelCosts() {
+	s.cost = append(s.ws.cost[:0], s.sf.cost...)
+	for len(s.cost) < s.n {
+		s.cost = append(s.cost, 0)
+	}
 }
 
 // extract reads the structural values and their objective off the
@@ -767,28 +764,9 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 		leaveToUpper := false
 		leavePiv := 0.0
 		for i := 0; i < m; i++ {
-			delta := -sigma * w[i]
-			bj := s.basis[i]
-			var limit float64
-			var toUpper bool
-			switch {
-			case delta > pivotTol:
-				if math.IsInf(s.hi[bj], 1) {
-					continue
-				}
-				limit = (s.hi[bj] - s.xB[i]) / delta
-				toUpper = true
-			case delta < -pivotTol:
-				if math.IsInf(s.lo[bj], -1) {
-					continue
-				}
-				limit = (s.lo[bj] - s.xB[i]) / delta
-				toUpper = false
-			default:
+			limit, toUpper, ok := s.rowLimit(i, -sigma*w[i])
+			if !ok {
 				continue
-			}
-			if limit < 0 {
-				limit = 0 // numerical guard: basic vars are feasible by invariant
 			}
 			if limit < tMax-feasTol || (limit < tMax+feasTol && leave >= 0 && math.Abs(w[i]) > math.Abs(leavePiv)) {
 				if limit < tMax-feasTol {
@@ -807,30 +785,11 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 			// by smallest variable index among minimum-ratio rows.
 			bestIdx := int32(1 << 30)
 			for i := 0; i < m; i++ {
-				delta := -sigma * w[i]
-				bj := s.basis[i]
-				var limit float64
-				var toUpper bool
-				switch {
-				case delta > pivotTol:
-					if math.IsInf(s.hi[bj], 1) {
-						continue
-					}
-					limit = (s.hi[bj] - s.xB[i]) / delta
-					toUpper = true
-				case delta < -pivotTol:
-					if math.IsInf(s.lo[bj], -1) {
-						continue
-					}
-					limit = (s.lo[bj] - s.xB[i]) / delta
-					toUpper = false
-				default:
+				limit, toUpper, ok := s.rowLimit(i, -sigma*w[i])
+				if !ok {
 					continue
 				}
-				if limit < 0 {
-					limit = 0
-				}
-				if limit <= tMax+feasTol && bj < bestIdx {
+				if bj := s.basis[i]; limit <= tMax+feasTol && bj < bestIdx {
 					bestIdx = bj
 					leave = i
 					leaveToUpper = toUpper
@@ -903,6 +862,33 @@ func (s *simplex) iterate(iterLimit int) (lpStatus, error) {
 			}
 		}
 	}
+}
+
+// rowLimit is the primal ratio test's step limit for row i, whose basic
+// variable moves by delta per unit step of the entering one: how far
+// that step can go before the basic reaches the bound it moves toward,
+// and whether that is its upper bound. ok is false when the row does
+// not limit the step (delta within pivotTol of zero, or the bound it
+// moves toward is infinite).
+func (s *simplex) rowLimit(i int, delta float64) (limit float64, toUpper, ok bool) {
+	bj := s.basis[i]
+	var bound float64
+	switch {
+	case delta > pivotTol:
+		bound, toUpper = s.hi[bj], true
+		ok = bound != Inf
+	case delta < -pivotTol:
+		bound = s.lo[bj]
+		ok = bound != -Inf
+	}
+	if !ok {
+		return 0, false, false
+	}
+	limit = (bound - s.xB[i]) / delta
+	if limit < 0 {
+		limit = 0 // numerical guard: basic vars are feasible by invariant
+	}
+	return limit, toUpper, true
 }
 
 // duals fills y with the simplex multipliers yᵀ = cBᵀ·B⁻¹ under s.cost.
@@ -980,9 +966,10 @@ func (s *simplex) checkFtran(j int, w []float64) {
 	}
 }
 
-// counts snapshots this attempt's effort counters.
-func (s *simplex) counts() lpCounts {
-	return lpCounts{iters: s.iters, refactors: s.refactors}
+// effort reports this attempt's iterations and refactorizations; its
+// caller books them to a path (solveLP) and a caller (Solve).
+func (s *simplex) effort() Effort {
+	return Effort{SimplexIter: s.iters, Refactors: s.refactors}
 }
 
 // refactorize refactors the basis and recomputes the basic values from

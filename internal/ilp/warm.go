@@ -26,7 +26,7 @@ package ilp
 // degenerate vertices (measured: NetCache batches shifting 7–22 basics
 // spent 240–320 pivots without progress where the cold hinted solve
 // took 38), so those LPs go cold at once. That and every doubt fall
-// back to the cold two-phase path, counted in lpCounts.warmFallbacks: a
+// back to the cold two-phase path, counted in Effort.WarmFallbacks: a
 // singular basis, an iteration error, an unbounded phase 1, or an
 // attempt that has spent as many iterations as the model's own cold
 // root LP took (standardForm.warmCap) — past that point the cold solve
@@ -38,13 +38,13 @@ import "errors"
 // optimal basis of the same model under other bounds. It returns
 // ok=false when the attempt should fall back to the cold path;
 // the only returned error is errDeadline.
-func solvePrimalWarm(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSnapshot, ws *lpWorkspace) (lpStatus, float64, []float64, lpCounts, bool, error) {
+func solvePrimalWarm(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSnapshot, ws *lpWorkspace) (lpStatus, float64, []float64, Effort, bool, error) {
 	s, empty, err := installSnapshot(sf, lo, hi, snap, ws)
 	if empty {
-		return lpInfeasible, 0, nil, lpCounts{warm: 1}, true, nil
+		return lpInfeasible, 0, nil, Effort{}, true, nil
 	}
 	if err != nil {
-		return 0, 0, nil, s.warmCounts(false), false, nil
+		return 0, 0, nil, s.effort(), false, nil
 	}
 	limit := iterLimit
 	if sf.warmCap > 0 && (limit <= 0 || sf.warmCap < limit) {
@@ -56,7 +56,7 @@ func solvePrimalWarm(sf *standardForm, lo, hi []float64, iterLimit int, snap *ba
 	for i, bj := range s.basis {
 		if v := s.xB[i]; v > s.hi[bj]+feasTol || v < s.lo[bj]-feasTol {
 			if r >= 0 {
-				return 0, 0, nil, s.warmCounts(false), false, nil
+				return 0, 0, nil, s.effort(), false, nil
 			}
 			r, above = i, v > s.hi[bj]
 		}
@@ -77,17 +77,17 @@ func solvePrimalWarm(sf *standardForm, lo, hi []float64, iterLimit int, snap *ba
 		}
 		st, err := s.iterate(limit)
 		if errors.Is(err, errDeadline) {
-			return 0, 0, nil, s.warmCounts(false), false, err
+			return 0, 0, nil, s.effort(), false, err
 		}
 		if err != nil || st == lpUnbounded {
-			return 0, 0, nil, s.warmCounts(false), false, nil
+			return 0, 0, nil, s.effort(), false, nil
 		}
 		v := s.nbValue(int(j))
 		if i := s.position(j); i >= 0 {
 			v = s.xB[i]
 		}
 		if (above && v > bound+1e-6) || (!above && v < bound-1e-6) {
-			return lpInfeasible, 0, nil, s.warmCounts(true), true, nil
+			return lpInfeasible, 0, nil, s.effort(), true, nil
 		}
 		// Restore the true bound. A variable that left the basis at its
 		// shifted bound is within 1e-6 of the true one and moves onto it;
@@ -98,27 +98,27 @@ func solvePrimalWarm(sf *standardForm, lo, hi []float64, iterLimit int, snap *ba
 			s.lo[j] = bound
 		}
 		if err := s.refactorize(); err != nil {
-			return 0, 0, nil, s.warmCounts(false), false, nil
+			return 0, 0, nil, s.effort(), false, nil
 		}
 		s.cost = phase2
 	}
 	st, err := s.iterate(limit)
 	if errors.Is(err, errDeadline) {
-		return 0, 0, nil, s.warmCounts(false), false, err
+		return 0, 0, nil, s.effort(), false, err
 	}
 	if err != nil {
-		return 0, 0, nil, s.warmCounts(false), false, nil
+		return 0, 0, nil, s.effort(), false, nil
 	}
 	if st == lpUnbounded {
-		return lpUnbounded, 0, nil, s.warmCounts(true), true, nil
+		return lpUnbounded, 0, nil, s.effort(), true, nil
 	}
 	if err := s.refactorize(); err != nil {
-		return 0, 0, nil, s.warmCounts(false), false, nil
+		return 0, 0, nil, s.effort(), false, nil
 	}
 	x, obj := s.extract()
 	ws.basisValid = true
 	ws.pivotAge = 0
-	return lpOptimal, obj, x, s.warmCounts(true), true, nil
+	return lpOptimal, obj, x, s.effort(), true, nil
 }
 
 // position returns the basis position of column j, or -1 when j is
@@ -130,14 +130,4 @@ func (s *simplex) position(j int32) int {
 		}
 	}
 	return -1
-}
-
-// warmCounts reports this attempt's effort; done marks an attempt that
-// returned a verdict.
-func (s *simplex) warmCounts(done bool) lpCounts {
-	c := lpCounts{iters: s.iters, refactors: s.refactors}
-	if done {
-		c.warm = 1
-	}
-	return c
 }

@@ -40,9 +40,9 @@ func TestWarmDiveSplit(t *testing.T) {
 		t.Helper()
 		seed := ilpgen.Stats{WarmStarted: sol.WarmStarted, StartIndex: sol.StartIndex}.Seed()
 		t.Logf("%-22s nodes %4d  iters %5d = root %4d + dive %4d + tree %5d  warm restarts %3d, fallbacks %d  start %-11s root %s",
-			name, sol.Nodes, sol.SimplexIters, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.WarmRestarts, sol.WarmFallbacks, seed, sol.RootStart)
-		if sol.RootIters+sol.DiveIters+sol.TreeIters != sol.SimplexIters {
-			t.Errorf("%s: split %d + %d + %d does not sum to %d iterations", name, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.SimplexIters)
+			name, sol.Nodes, sol.SimplexIter, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.WarmRestarts, sol.WarmFallbacks, seed, sol.RootStart)
+		if sol.RootIters+sol.DiveIters+sol.TreeIters != sol.SimplexIter {
+			t.Errorf("%s: split %d + %d + %d does not sum to %d iterations", name, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.SimplexIter)
 		}
 	}
 	sol, err := ilp.Solve(twoTenantModel(t, 2), driftOptions)
@@ -115,7 +115,7 @@ func TestPooledRootAfterFlip(t *testing.T) {
 	got.RootStart = want.RootStart
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flip with a rejected basis: %d nodes, %d iterations, objective %v; without it %d, %d, %v",
-			got.Nodes, got.SimplexIters, got.Objective, want.Nodes, want.SimplexIters, want.Objective)
+			got.Nodes, got.SimplexIter, got.Objective, want.Nodes, want.SimplexIter, want.Objective)
 	}
 }
 

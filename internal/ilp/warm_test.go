@@ -90,8 +90,8 @@ func TestWarmRestartMatchesColdOnTwins(t *testing.T) {
 		if st != cst || (st == lpOptimal && math.Abs(obj-cobj) > 1e-9) {
 			t.Errorf("z >= %v: warm %v (objective %v), cold %v (objective %v)", zLo, st, obj, cst, cobj)
 		}
-		if counts.warm != 1 || counts.warmFallbacks != 0 {
-			t.Errorf("z >= %v: %d warm restarts, %d fallbacks; want 1 and 0", zLo, counts.warm, counts.warmFallbacks)
+		if counts.WarmRestarts != 1 || counts.WarmFallbacks != 0 {
+			t.Errorf("z >= %v: %d warm restarts, %d fallbacks; want 1 and 0", zLo, counts.WarmRestarts, counts.WarmFallbacks)
 		}
 	}
 }
@@ -130,9 +130,9 @@ func TestWarmRestartFallsBackOnDependentBasis(t *testing.T) {
 	if st != cst || obj != cobj {
 		t.Fatalf("corrupted basis: %v / %v, cold %v / %v", st, obj, cst, cobj)
 	}
-	if counts.warmFallbacks != 1 || counts.warm != 0 || counts.fallbacks != 0 {
+	if counts.WarmFallbacks != 1 || counts.WarmRestarts != 0 || counts.PrimalFallbacks != 0 {
 		t.Fatalf("singular basis: %d warm fallbacks, %d warm restarts, %d dual fallbacks; want 1, 0, 0",
-			counts.warmFallbacks, counts.warm, counts.fallbacks)
+			counts.WarmFallbacks, counts.WarmRestarts, counts.PrimalFallbacks)
 	}
 }
 
@@ -149,19 +149,19 @@ func TestDeadlineInterruptsWarmRestart(t *testing.T) {
 	if !errors.Is(err, errDeadline) {
 		t.Fatalf("warm restart past the deadline: err %v, want errDeadline", err)
 	}
-	if counts.warmFallbacks != 0 || counts.iters != 0 {
-		t.Fatalf("the deadline was taken for a failed restart: %d warm fallbacks, %d iterations", counts.warmFallbacks, counts.iters)
+	if counts.WarmFallbacks != 0 || counts.SimplexIter != 0 {
+		t.Fatalf("the deadline was taken for a failed restart: %d warm fallbacks, %d iterations", counts.WarmFallbacks, counts.SimplexIter)
 	}
 
 	sf, lo, hi, ws, snap = twinRoot(t)
 	x := make([]float64, sf.nStruct)
 	x[twinX1], x[twinZ] = 3.5, 4.5
 	sf.deadline = time.Now().Add(-time.Second)
-	var total lpCounts
+	var total Effort
 	if _, _, ok := diveHeuristic(sf, lo, hi, x, snap, defaultIterLimit, &total, ws); ok {
 		t.Fatalf("the dive found an incumbent past its deadline")
 	}
-	if total.warmFallbacks != 0 || total.iters != 0 {
-		t.Fatalf("dive past the deadline: %d warm fallbacks, %d iterations", total.warmFallbacks, total.iters)
+	if total.WarmFallbacks != 0 || total.SimplexIter != 0 {
+		t.Fatalf("dive past the deadline: %d warm fallbacks, %d iterations", total.WarmFallbacks, total.SimplexIter)
 	}
 }

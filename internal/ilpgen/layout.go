@@ -8,7 +8,7 @@ import (
 	"strings"
 
 	"p4all/internal/ilp"
-
+	"p4all/internal/lang"
 	"p4all/internal/pisa"
 )
 
@@ -46,24 +46,9 @@ type StageUse struct {
 // the numbers of the paper's Figure 11 — plus the certified optimality
 // gap of the extracted layout (0 when optimality was proven).
 type Stats struct {
-	Vars, Constrs      int
-	Nodes, SimplexIter int
-	// Refactors counts basis refactorizations across all LP solves (a
-	// proxy for numerical effort).
-	Refactors int
-	// DualIters is the subset of SimplexIter spent in dual-simplex
-	// child re-solves from inherited bases (the node-throughput fast
-	// path); PrimalFallbacks counts dual attempts abandoned to the
-	// two-phase primal. A high fallback share means the inheritance
-	// machinery is paying its cost without its benefit.
-	DualIters       int
-	PrimalFallbacks int
-	// WarmRestarts counts the dive's LPs re-solved by warm primal simplex
-	// from the previous step's basis; WarmFallbacks counts those abandoned
-	// to the cold two-phase path. RootIters, DiveIters and TreeIters split
-	// SimplexIter by caller: root LP, diving heuristic, tree re-solves.
-	WarmRestarts, WarmFallbacks     int
-	RootIters, DiveIters, TreeIters int
+	Vars, Constrs int
+	// Effort is the search's work (ilp.Solution.Effort).
+	ilp.Effort
 	// Presolve summarizes the root presolve's reductions (all zero when
 	// presolve is disabled).
 	Presolve ilp.PresolveStats
@@ -83,7 +68,7 @@ type Stats struct {
 	// Threads is the number of branch-and-bound workers the solve ran
 	// with; Workers carries their per-worker effort tallies.
 	Threads int
-	Workers []ilp.WorkerCounts
+	Workers []ilp.Effort
 }
 
 // Layout is a concrete solution: symbolic assignments plus the mapping
@@ -153,6 +138,39 @@ func (s Stats) Seed() string {
 // Symbolic returns the solved value of the named symbolic.
 func (l *Layout) Symbolic(name string) int64 { return l.Symbolics[name] }
 
+// Schedule returns the layout's placements in execution order: (stage,
+// program order of the action's first invocation in u, iteration), with
+// placements of actions u never invokes last within their stage and
+// ties kept in layout order. The code generator emits its apply block in
+// this order, and the simulator and the translation validator execute
+// it, so the emitted program is the text of what they run.
+func (l *Layout) Schedule(u *lang.Unit) []Placement {
+	invOrder := make(map[string]int, len(u.Invocations))
+	for _, inv := range u.Invocations {
+		if _, ok := invOrder[inv.Action.Name]; !ok {
+			invOrder[inv.Action.Name] = inv.Order
+		}
+	}
+	orderOf := func(pl Placement) int {
+		if o, ok := invOrder[pl.Action]; ok {
+			return o
+		}
+		return math.MaxInt
+	}
+	order := append([]Placement(nil), l.Placements...)
+	sort.SliceStable(order, func(i, j int) bool {
+		if order[i].Stage != order[j].Stage {
+			return order[i].Stage < order[j].Stage
+		}
+		oi, oj := orderOf(order[i]), orderOf(order[j])
+		if oi != oj {
+			return oi < oj
+		}
+		return order[i].Iter < order[j].Iter
+	})
+	return order
+}
+
 // Solve optimizes the generated ILP and extracts the layout.
 func (p *ILP) Solve(opts ilp.Options) (*Layout, error) {
 	sol, err := solve(p.Model, opts)
@@ -195,26 +213,17 @@ func (p *ILP) extract(sol *ilp.Solution) *Layout {
 		Objective: sol.Objective,
 		Stages:    make([]StageUse, p.Target.Stages),
 		Stats: Stats{
-			Vars:            p.Model.NumVars(),
-			Constrs:         p.Model.NumConstrs(),
-			Nodes:           sol.Nodes,
-			SimplexIter:     sol.SimplexIters,
-			Refactors:       sol.Refactorizations,
-			DualIters:       sol.DualIters,
-			PrimalFallbacks: sol.PrimalFallbacks,
-			WarmRestarts:    sol.WarmRestarts,
-			WarmFallbacks:   sol.WarmFallbacks,
-			RootIters:       sol.RootIters,
-			DiveIters:       sol.DiveIters,
-			TreeIters:       sol.TreeIters,
-			Presolve:        sol.Presolve,
-			Gap:             sol.AchievedGap(),
-			LimitHit:        sol.Status == ilp.StatusLimit,
-			WarmStarted:     sol.WarmStarted,
-			StartIndex:      sol.StartIndex,
-			RootStart:       sol.RootStart,
-			Threads:         sol.Threads,
-			Workers:         append([]ilp.WorkerCounts(nil), sol.Workers...),
+			Vars:        p.Model.NumVars(),
+			Constrs:     p.Model.NumConstrs(),
+			Effort:      sol.Effort,
+			Presolve:    sol.Presolve,
+			Gap:         sol.AchievedGap(),
+			LimitHit:    sol.Status == ilp.StatusLimit,
+			WarmStarted: sol.WarmStarted,
+			StartIndex:  sol.StartIndex,
+			RootStart:   sol.RootStart,
+			Threads:     sol.Threads,
+			Workers:     append([]ilp.Effort(nil), sol.Workers...),
 		},
 		Values: append([]float64(nil), sol.Values...),
 	}

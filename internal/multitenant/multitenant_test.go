@@ -767,3 +767,95 @@ func TestRetainedTrace(t *testing.T) {
 		t.Errorf("solver.root_* counters %v, want one cold and one pooled", counters)
 	}
 }
+
+// TestSolveTraceMatchesStats: the solve span's counts and the solver.*
+// counters say what the compile's Layout.Stats says, for both callers of
+// core.Solve — a single program's core.Compile (ConQuest) and a joint
+// warm re-solve (tenant-drift's first flip, which searches a tree).
+func TestSolveTraceMatchesStats(t *testing.T) {
+	var single *core.Result
+	recs := traceRecords(t, func(tr *obs.Tracer) (err error) {
+		opts := core.Options{Solver: ilp.Options{Threads: 2}, SkipCodegen: true, Tracer: tr}
+		single, err = core.Compile(apps.ConQuest().Source, pisa.EvalTarget(pisa.Mb), opts)
+		return err
+	})
+	checkSolveTrace(t, "ConQuest compile", recs, single.Layout.Stats)
+
+	c := driftCompiler()
+	if _, err := c.Compile(driftMix(2)); err != nil {
+		t.Fatal(err)
+	}
+	var warm *Result
+	recs = traceRecords(t, func(tr *obs.Tracer) (err error) {
+		c.Opts.Tracer = tr
+		warm, err = c.Compile(driftMix(0.5))
+		return err
+	})
+	st := warm.Tenants[0].Layout.Stats
+	if !st.WarmStarted || st.TreeIters == 0 {
+		t.Fatalf("drift flip: warm started %v, %d tree iterations; want a warm re-solve that searches", st.WarmStarted, st.TreeIters)
+	}
+	checkSolveTrace(t, "warm re-solve", recs, st)
+}
+
+// checkSolveTrace compares the trace of one solve against its Stats:
+// every integer attribute of the solve span, and every solver.* counter.
+func checkSolveTrace(t *testing.T, label string, recs []record, st ilpgen.Stats) {
+	t.Helper()
+	t.Logf("%s: %+v, workers %+v", label, st.Effort, st.Workers)
+	wantAttrs := map[string]int{
+		"ilp_vars": st.Vars, "ilp_constrs": st.Constrs, "threads": st.Threads,
+		"bnb_nodes": st.Nodes, "simplex_iters": st.SimplexIter, "refactorizations": st.Refactors,
+		"dual_iters": st.DualIters, "primal_fallbacks": st.PrimalFallbacks,
+		"warm_restarts": st.WarmRestarts, "warm_fallbacks": st.WarmFallbacks,
+		"root_iters": st.RootIters, "dive_iters": st.DiveIters, "tree_iters": st.TreeIters,
+		"presolve_rows_dropped":     st.Presolve.RowsDropped,
+		"presolve_bounds_tightened": st.Presolve.BoundsTightened,
+		"presolve_vars_fixed":       st.Presolve.VarsFixed,
+	}
+	root, _, _ := strings.Cut(st.RootStart, " ")
+	wantCounters := map[string]int{"solver.root_" + root: 1}
+	for _, name := range []string{"dual_iters", "primal_fallbacks", "warm_restarts", "warm_fallbacks",
+		"root_iters", "dive_iters", "tree_iters",
+		"presolve_rows_dropped", "presolve_bounds_tightened", "presolve_vars_fixed"} {
+		wantCounters["solver."+name] = wantAttrs[name]
+	}
+	for i, w := range st.Workers {
+		wantCounters[fmt.Sprintf("solver.worker%d.nodes", i)] = w.Nodes
+		wantCounters[fmt.Sprintf("solver.worker%d.simplex_iters", i)] = w.SimplexIter
+	}
+	spans, counters := 0, map[string]bool{}
+	for _, r := range recs {
+		switch {
+		case r.Kind == "span" && r.Name == "solve":
+			spans++
+			for k, v := range r.Attrs {
+				f, numeric := v.(float64)
+				if !numeric || k == "objective" || k == "gap" {
+					continue
+				}
+				if want, ok := wantAttrs[k]; !ok || f != float64(want) {
+					t.Errorf("%s: solve span %s = %v, Stats say %v (known: %v)", label, k, v, want, ok)
+				}
+			}
+			for k := range wantAttrs {
+				if _, ok := r.Attrs[k]; !ok {
+					t.Errorf("%s: solve span lacks %s", label, k)
+				}
+			}
+		case r.Kind == "metric" && strings.HasPrefix(r.Name, "solver."):
+			counters[r.Name] = true
+			if want, ok := wantCounters[r.Name]; !ok || r.Value != float64(want) {
+				t.Errorf("%s: counter %s = %v, Stats say %v (known: %v)", label, r.Name, r.Value, want, ok)
+			}
+		}
+	}
+	if spans != 1 {
+		t.Errorf("%s: %d solve spans, want 1", label, spans)
+	}
+	for name := range wantCounters {
+		if !counters[name] {
+			t.Errorf("%s: no %s counter", label, name)
+		}
+	}
+}

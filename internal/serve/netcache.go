@@ -42,9 +42,15 @@ type NetCacheConfig struct {
 // route by KVStore partition (PartitionRoute), so every slot's
 // collision set lives on one shard and the sharded cache admits,
 // hits, and evicts exactly like a single-shard one.
+//
+// SwapLayout writes planes, route and epoch only inside Runtime.Quiesce,
+// while every shard is idle and producers wait on the runtime lock: that
+// lock and the shard queues' atomics order the writes before the next
+// batch reads them, so the packet path takes no lock of its own.
 type NetCache struct {
 	rt        *Runtime[Request]
-	gate      *elastic.Gate
+	planes    []*elastic.Plane // one per shard
+	epoch     atomic.Uint64    // bumped by every SwapLayout; read by Epoch
 	route     func(key uint64) int
 	threshold uint32
 	respond   func(shard int, req Request, status uint8, val uint64)
@@ -75,12 +81,8 @@ func NewNetCache(cfg NetCacheConfig) (*NetCache, error) {
 		}
 		planes[i] = p
 	}
-	gate, err := elastic.NewGate(planes)
-	if err != nil {
-		return nil, err
-	}
 	n := &NetCache{
-		gate:      gate,
+		planes:    planes,
 		route:     PartitionRoute(int(cfg.Layout.Symbolic("kv_parts")), cfg.Shards),
 		threshold: cfg.Threshold,
 		respond:   cfg.Respond,
@@ -89,6 +91,7 @@ func NewNetCache(cfg NetCacheConfig) (*NetCache, error) {
 		misses:    make([]atomic.Uint64, cfg.Shards),
 		admits:    make([]atomic.Uint64, cfg.Shards),
 	}
+	n.epoch.Store(1)
 	rt, err := NewRuntime(Config[Request]{
 		Shards:    cfg.Shards,
 		BatchSize: cfg.BatchSize,
@@ -103,13 +106,12 @@ func NewNetCache(cfg NetCacheConfig) (*NetCache, error) {
 	return n, nil
 }
 
-// process serves one batch against the shard's plane. The plane is
-// loaded once per batch — the epoch the whole batch executes under —
-// which is what the swap protocol's quiesce window protects.
+// process serves one batch against the shard's plane. No swap can land
+// mid-batch: swaps happen only inside the quiesce window.
 func (n *NetCache) process(shard int, batch []Request) error {
-	p, epoch := n.gate.Load(shard)
+	p := n.planes[shard]
 	if n.onBatch != nil {
-		n.onBatch(shard, epoch, len(batch))
+		n.onBatch(shard, n.epoch.Load(), len(batch))
 	}
 	var hits, misses, admits uint64
 	for i := range batch {
@@ -159,8 +161,9 @@ func (n *NetCache) Drain() { n.rt.Drain() }
 // Close stops the shard goroutines after draining queued work.
 func (n *NetCache) Close() error { return n.rt.Close() }
 
-// Epoch returns the gate's current epoch.
-func (n *NetCache) Epoch() uint64 { return n.gate.Epoch() }
+// Epoch returns the current layout's epoch: 1 at construction, one more
+// per SwapLayout.
+func (n *NetCache) Epoch() uint64 { return n.epoch.Load() }
 
 // Packets returns total requests served across shards.
 func (n *NetCache) Packets() uint64 { return n.rt.Packets() }
@@ -186,26 +189,22 @@ func (n *NetCache) HitRate() float64 {
 
 // SwapLayout re-shapes every shard to a new layout inside one quiesce
 // window: the shards drain, each plane migrates (hot keys filtered to
-// the shard that owns them), and Gate.Swap publishes the new
-// set under a single epoch — no batch ever runs against a mix. If the
-// new layout changes kv_parts, the routing function changes with it;
-// entries whose owning shard moved are left behind as unreachable
-// cold state and re-warm through admission, which is ordinary cache
-// behavior. Returns the new epoch and the KV entries dropped to
+// the shard that owns them), and the new set is published under a
+// single new epoch before any shard runs again — no batch ever runs
+// against a mix. If the new layout changes kv_parts, the routing
+// function changes with it; entries whose owning shard moved are left
+// behind as unreachable cold state and re-warm through admission,
+// which is ordinary cache behavior. Returns the new epoch and the KV entries dropped to
 // collisions during migration.
 func (n *NetCache) SwapLayout(l *ilpgen.Layout, hot []elastic.KeyCount) (epoch uint64, dropped int, err error) {
 	err = n.rt.Quiesce(func() error {
 		newRoute := PartitionRoute(int(l.Symbolic("kv_parts")), n.rt.Shards())
-		planes, d, merr := elastic.MigrateShards(n.gate.Planes(), l, hot, newRoute)
+		planes, d, merr := elastic.MigrateShards(n.planes, l, hot, newRoute)
 		if merr != nil {
 			return merr
 		}
-		e, serr := n.gate.Swap(planes)
-		if serr != nil {
-			return serr
-		}
-		n.route = newRoute
-		epoch, dropped = e, d
+		n.planes, n.route = planes, newRoute
+		epoch, dropped = n.epoch.Add(1), d
 		return nil
 	})
 	return

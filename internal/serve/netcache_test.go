@@ -23,7 +23,7 @@ const noAdmission = ^uint32(0) // threshold no estimate reaches
 // window (KV partitions are disjoint, so one shard is authoritative).
 func lookup(n *NetCache, key uint64) (val uint64, ok bool, err error) {
 	err = n.rt.Quiesce(func() error {
-		p, _ := n.gate.Load(n.route(key))
+		p := n.planes[n.route(key)]
 		val, ok = p.KV.Get(key)
 		return nil
 	})

@@ -13,8 +13,8 @@
 // NetCache.SwapLayout, which the elastic controller calls as the swap
 // it is handed: Runtime.Quiesce drains every shard,
 // elastic.MigrateShards migrates all N planes inside the quiet window,
-// and elastic.Gate.Swap publishes the new set under one epoch so no
-// batch ever executes against a torn mix of layouts. See
+// and the new set is published there under one epoch, so no batch ever
+// executes against a torn mix of layouts. See
 // docs/SERVING.md for the full protocol.
 package serve
 

@@ -8,9 +8,8 @@ import (
 	"p4all/internal/elastic"
 )
 
-// TestSwapEpochConsistencyUnderLoad is the multi-plane analogue of
-// the single-gate swap test: a controller goroutine re-shapes the
-// cache (quiesce → migrate all shards → Swap) while dispatchers
+// TestSwapEpochConsistencyUnderLoad: a controller goroutine re-shapes
+// the cache (quiesce → migrate all shards → publish) while dispatchers
 // pump traffic through every shard. Run under -race (CI does). The
 // invariants: every request in a batch executes against the epoch the
 // batch loaded (no torn epoch — a swap can never land mid-batch,
@@ -40,7 +39,7 @@ func TestSwapEpochConsistencyUnderLoad(t *testing.T) {
 			lastEpoch[shard] = epoch
 		},
 		Respond: func(shard int, req Request, status uint8, val uint64) {
-			// The gate's live epoch must still be the one this batch
+			// The cache's live epoch must still be the one this batch
 			// loaded: if a swap overlapped the batch, they would differ.
 			if nc.Epoch() != batchEpoch[shard].Load() {
 				torn.Store(true)
@@ -102,7 +101,7 @@ func TestSwapEpochConsistencyUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if torn.Load() {
-		t.Fatal("a request observed a gate epoch different from its batch's epoch")
+		t.Fatal("a request observed a cache epoch different from its batch's epoch")
 	}
 	if monotonicViolation.Load() {
 		t.Fatal("a shard observed a decreasing epoch")
@@ -184,9 +183,12 @@ func TestSwapLayoutKeepsHotStateUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = nc.rt.Quiesce(func() error {
-			for s, p := range nc.gate.Planes() {
-				if p.Epoch != epoch || p.Layout != l {
-					t.Errorf("swap %d shard %d: plane at epoch %d, want the new layout at %d", i, s, p.Epoch, epoch)
+			if e := nc.Epoch(); e != epoch {
+				t.Errorf("swap %d: cache at epoch %d, SwapLayout returned %d", i, e, epoch)
+			}
+			for s, p := range nc.planes {
+				if p.Layout != l {
+					t.Errorf("swap %d shard %d: plane does not carry the new layout", i, s)
 				}
 				if p.CMS.Rows() != int(l.Symbolic("cms_rows")) || p.CMS.Cols() != int(l.Symbolic("cms_cols")) {
 					t.Errorf("swap %d shard %d: cms %dx%d, layout says %v",
@@ -194,7 +196,7 @@ func TestSwapLayoutKeepsHotStateUnderLoad(t *testing.T) {
 				}
 			}
 			for _, kc := range hot {
-				p, _ := nc.gate.Load(nc.route(kc.Key))
+				p := nc.planes[nc.route(kc.Key)]
 				if est := p.CMS.Estimate(kc.Key); uint64(est) < kc.Count {
 					t.Errorf("swap %d: CMS estimate for key %d fell to %d (< %d)", i, kc.Key, est, kc.Count)
 				}

@@ -9,7 +9,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
@@ -44,11 +43,10 @@ func (s Stats) TotalALUOps() uint64 {
 // Pipeline is an executable compiled program.
 //
 // Ownership: a Pipeline is owned by a single goroutine. Process, Stats,
-// Register, Snapshot, and Restore must all be called from that owner;
-// the elastic controller's atomic-swap protocol (internal/elastic.Gate)
-// keeps this invariant while still allowing reoptimization concurrent
-// with packet processing — the new pipeline is built and state-migrated
-// off to the side, and only the swap itself synchronizes. To use more
+// Register, Snapshot, and Restore must all be called from that owner.
+// A swap keeps this invariant: its replacement is built and
+// state-migrated off to the side, and is published only while the
+// owner is idle (the serving runtime's quiesce window, internal/serve). To use more
 // than one core, run more than one owner: the sharded serving runtime
 // (internal/serve) gives each shard goroutine its own Pipeline and
 // reconciles per-shard state at read time.
@@ -115,33 +113,21 @@ func NewEngine(u *lang.Unit, layout *ilpgen.Layout, eng Engine) (*Pipeline, erro
 	for _, rp := range layout.Registers {
 		p.regs[rp.Register][rp.Index] = make([]uint64, rp.Cells)
 	}
-	// Build execution steps: placements in (stage, program-order,
-	// iteration) order.
+	// Execution steps: the layout's schedule, less the placements
+	// without a body (table match pseudo-actions).
 	invByAction := map[string]*lang.Invocation{}
 	for _, inv := range u.Invocations {
 		if _, dup := invByAction[inv.Action.Name]; !dup {
 			invByAction[inv.Action.Name] = inv
 		}
 	}
-	for _, pl := range layout.Placements {
+	for _, pl := range layout.Schedule(u) {
 		inv, ok := invByAction[pl.Action]
-		if !ok {
-			continue // table match pseudo-actions have no body
-		}
-		if inv.Action.Decl == nil || inv.Action.Decl.Body == nil {
+		if !ok || inv.Action.Decl == nil || inv.Action.Decl.Body == nil {
 			continue
 		}
 		p.steps = append(p.steps, step{inv: inv, iter: pl.Iter, stage: pl.Stage})
 	}
-	sort.SliceStable(p.steps, func(i, j int) bool {
-		if p.steps[i].stage != p.steps[j].stage {
-			return p.steps[i].stage < p.steps[j].stage
-		}
-		if p.steps[i].inv.Order != p.steps[j].inv.Order {
-			return p.steps[i].inv.Order < p.steps[j].inv.Order
-		}
-		return p.steps[i].iter < p.steps[j].iter
-	})
 	if eng == EngineVM {
 		if vm, err := lowerVM(p); err != nil {
 			p.vmErr = err

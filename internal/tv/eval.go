@@ -344,10 +344,8 @@ func (m *machine) buildSteps() *failure {
 			tableActions[a.Name] = true
 		}
 	}
-	order := append([]ilpgen.Placement(nil), m.layout.Placements...)
-	codegen.SortPlacements(order, m.u)
 	applyIdx := 0
-	for _, pl := range order {
+	for _, pl := range m.layout.Schedule(m.u) {
 		if tbl, ok := tableOfMatch[pl.Action]; ok {
 			if f := m.expectApply(applyIdx, tbl.Name, "", pl.Stage); f != nil {
 				return f
