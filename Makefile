@@ -51,8 +51,9 @@ bench-compare:
 
 # bench-profile captures a pprof CPU profile of the multi-tenant warm
 # re-solves (the models where node throughput dominates), and prints
-# where the LP iterations of the tenant-drift cycle and of two compiles
-# go — root, dive, tree, with the warm restarts — into ilp-lp-split.txt.
+# where the LP iterations of the tenant-drift cycle and of the four
+# compile-solve programs go — root, dive, tree, with the warm restarts —
+# into ilp-lp-split.txt.
 # CI uploads both plus the test binary as an artifact so a
 # bench-compare failure can be diagnosed offline:
 #   go tool pprof ilp-bench.test ilp-cpu.prof
@@ -63,8 +64,8 @@ bench-profile:
 	$(GO) test -count=1 -run TestWarmDiveSplit -v ./internal/ilp | tee ilp-lp-split.txt
 
 # lp-split-diff shows how the LP iteration split moved against BASE:
-# TestWarmDiveSplit (root, dive and tree iterations of each tenant-drift
-# re-solve and of two compiles) runs in a worktree of BASE under
+# TestWarmDiveSplit (nodes and root, dive and tree iterations of each
+# tenant-drift re-solve and of the four compile-solve programs) runs in a worktree of BASE under
 # .bench_build/split and in the working tree, loses its file:line:
 # prefixes, and the two are diffed. It is for reading, not a gate: it
 # exits 0 whatever the diff, and prints a note instead of failing when

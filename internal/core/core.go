@@ -285,8 +285,9 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 // to that solver.* counter: dual pivots against their fallbacks and warm
 // restarts against theirs say whether the basis-inheritance machinery
 // earns its keep, the iteration split which caller the LP time went to,
-// and the presolve rows how much of the model the root reductions
-// removed. A new ilp.Effort counter is one row here.
+// the propagation row how many tree nodes closed without an LP, and the
+// presolve rows how much of the model the root reductions removed. A
+// new ilp.Effort counter is one row here.
 var solveCounts = []struct {
 	attr, counter string
 	value         func(*ilpgen.Stats) int
@@ -302,6 +303,7 @@ var solveCounts = []struct {
 	{"root_iters", "solver.root_iters", func(st *ilpgen.Stats) int { return st.RootIters }},
 	{"dive_iters", "solver.dive_iters", func(st *ilpgen.Stats) int { return st.DiveIters }},
 	{"tree_iters", "solver.tree_iters", func(st *ilpgen.Stats) int { return st.TreeIters }},
+	{"prop_pruned", "solver.prop_pruned", func(st *ilpgen.Stats) int { return st.PropPruned }},
 	{"refactorizations", "", func(st *ilpgen.Stats) int { return st.Refactors }},
 	{"presolve_rows_dropped", "solver.presolve_rows_dropped", func(st *ilpgen.Stats) int { return st.Presolve.RowsDropped }},
 	{"presolve_bounds_tightened", "solver.presolve_bounds_tightened", func(st *ilpgen.Stats) int { return st.Presolve.BoundsTightened }},

@@ -584,11 +584,19 @@ func (b *bb) materialize(nd *node, ws *lpWorkspace) (lo, hi []float64) {
 	return lo, hi
 }
 
-// step solves one node's LP against the given pruning cutoff and
-// either ends the chain (pruned/integral) or branches. It touches no
-// shared search state beyond the (atomic) tally.
+// step closes one node whose LP bound propagation proves infeasible,
+// or solves its LP against the given pruning cutoff and either ends the
+// chain (pruned/integral) or branches. It touches no shared search
+// state beyond the (atomic) tally.
 func (b *bb) step(cur *node, cutoff float64, ws *lpWorkspace, tally *workerTally) (stepOut, error) {
 	lo, hi := b.materialize(cur, ws)
+	if b.propagate(cur, lo, hi, ws) {
+		tally.add(Effort{PropPruned: 1})
+		if debugChecks&debugProp != 0 {
+			b.checkPropPrune(cur, lo, hi)
+		}
+		return stepOut{pruned: true}, nil // infeasible, proven without an LP
+	}
 	st, obj, x, e, err := solveLP(b.sf, lo, hi, defaultIterLimit, cur.hint, cur.snap, restartDual, ws)
 	e.TreeIters = e.SimplexIter
 	tally.add(e)

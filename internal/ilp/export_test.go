@@ -6,10 +6,17 @@ var (
 	CheckFactorOnModel   = checkFactorOnModel
 	SolveWithDebugChecks = solveWithDebugChecks
 	SolveDiveChecked     = solveDiveChecked
+	SolvePropChecked     = solvePropChecked
 )
 
 // WithoutHeuristic returns o with the initial rounding dive turned off.
 func WithoutHeuristic(o Options) Options {
 	o.disableHeuristic = true
+	return o
+}
+
+// WithoutPresolve returns o with the root presolve turned off.
+func WithoutPresolve(o Options) Options {
+	o.disablePresolve = true
 	return o
 }

@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -312,6 +313,48 @@ func TestModelValidation(t *testing.T) {
 		m.AddConstr("bad", Term(Var(99), 1), LE, 1)
 	})
 	mustPanic(t, "SetBounds empty", func() { m.SetBounds(x, 2, 1) })
+}
+
+// TestBoundsRejectNonFinite: AddVar and SetBounds refuse a lower bound
+// that is infinite or NaN and an upper bound that is NaN, naming the
+// variable, instead of letting Solve return a NaN optimum or fail deep
+// in phase 1.
+func TestBoundsRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := [][2]float64{{nan, 10}, {0, nan}, {-inf, 10}, {inf, inf}, {0, -inf}}
+	for _, b := range bad {
+		m := NewModel("nonfinite")
+		x := m.AddVar("x", 0, 10, Continuous)
+		for _, call := range []struct {
+			name, v string
+			fn      func()
+		}{
+			{"AddVar", "y", func() { m.AddVar("y", b[0], b[1], Continuous) }},
+			{"SetBounds", "x", func() { m.SetBounds(x, b[0], b[1]) }},
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if want := `variable "` + call.v + `"`; !strings.Contains(msg, want) {
+						t.Errorf("%s(%v, %v): panic %q, want one naming %s", call.name, b[0], b[1], msg, want)
+					}
+				}()
+				call.fn()
+			}()
+		}
+		if lo, hi := m.VarBounds(x); lo != 0 || hi != 10 {
+			t.Errorf("SetBounds(%v, %v) left x at [%v, %v]", b[0], b[1], lo, hi)
+		}
+	}
+	// An unbounded upper end stays legal.
+	m := NewModel("open")
+	x := m.AddVar("x", 1, inf, Continuous)
+	m.SetBounds(x, 2, inf)
+	m.SetObjective(Term(x, 1), Minimize)
+	sol, err := Solve(m, Options{})
+	if err != nil || sol.Status != StatusOptimal || sol.Objective != 2 {
+		t.Fatalf("min x over [2, +Inf): %v, %+v", err, sol)
+	}
 }
 
 func mustPanic(t *testing.T, name string, fn func()) {

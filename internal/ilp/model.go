@@ -164,14 +164,25 @@ func (m *Model) AddVar(name string, lo, hi float64, typ VarType) Var {
 		lo = math.Max(lo, 0)
 		hi = math.Min(hi, 1)
 	}
-	if math.IsInf(lo, -1) || math.IsNaN(lo) {
+	checkBounds(name, lo, hi)
+	m.vars = append(m.vars, varData{name: name, lo: lo, hi: hi, typ: typ})
+	return Var(len(m.vars) - 1)
+}
+
+// checkBounds panics unless [lo, hi] is a domain the solver accepts: a
+// finite lower bound, an upper bound that is not NaN, and lo <= hi (so
+// hi = -Inf is refused too). The presolve and the tree's bound
+// propagation both rely on every lower bound being finite.
+func checkBounds(name string, lo, hi float64) {
+	if math.IsInf(lo, 0) || math.IsNaN(lo) {
 		panic(fmt.Sprintf("ilp: variable %q requires a finite lower bound, got %v", name, lo))
+	}
+	if math.IsNaN(hi) {
+		panic(fmt.Sprintf("ilp: variable %q has upper bound NaN", name))
 	}
 	if lo > hi {
 		panic(fmt.Sprintf("ilp: variable %q has empty domain [%g, %g]", name, lo, hi))
 	}
-	m.vars = append(m.vars, varData{name: name, lo: lo, hi: hi, typ: typ})
-	return Var(len(m.vars) - 1)
 }
 
 // AddBinary adds a binary variable.
@@ -193,11 +204,10 @@ func (m *Model) SetBranchPriority(v Var, pri int) {
 	m.vars[v].pri = pri
 }
 
-// SetBounds replaces the bounds of v.
+// SetBounds replaces the bounds of v. As for AddVar, lo must be finite
+// and must not exceed hi.
 func (m *Model) SetBounds(v Var, lo, hi float64) {
-	if lo > hi {
-		panic(fmt.Sprintf("ilp: variable %q given empty domain [%g, %g]", m.vars[v].name, lo, hi))
-	}
+	checkBounds(m.vars[v].name, lo, hi)
 	m.vars[v].lo, m.vars[v].hi = lo, hi
 }
 
@@ -344,15 +354,19 @@ type Effort struct {
 	// solve that installed a MIP start runs no dive: its DiveIters and
 	// WarmRestarts are 0.
 	RootIters, DiveIters, TreeIters int
+	// PropPruned counts tree nodes closed by bound propagation without
+	// an LP (propagate.go): nodes whose LP is infeasible, proven from
+	// row activities.
+	PropPruned int
 }
 
 // effortFields is the number of Effort's counters.
-const effortFields = 10
+const effortFields = 11
 
 // fields lists e's counters in declaration order.
 func (e *Effort) fields() [effortFields]*int {
 	return [...]*int{&e.Nodes, &e.SimplexIter, &e.Refactors, &e.DualIters, &e.PrimalFallbacks,
-		&e.WarmRestarts, &e.WarmFallbacks, &e.RootIters, &e.DiveIters, &e.TreeIters}
+		&e.WarmRestarts, &e.WarmFallbacks, &e.RootIters, &e.DiveIters, &e.TreeIters, &e.PropPruned}
 }
 
 // add adds o's counters to e's.

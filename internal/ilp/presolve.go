@@ -135,125 +135,166 @@ func presolveFixpoint(sf *standardForm, rows []preRow) (PresolveStats, error) {
 // detection, redundancy drop, and implied bound tightening for each of
 // its variables. It reports whether anything changed.
 func presolveRow(sf *standardForm, row *preRow, stats *PresolveStats) (bool, error) {
-	// Row activity range over the current bound box. Lower bounds are
-	// finite by the Model invariant, so only +Inf upper bounds can make
-	// a contribution infinite: minAct can pick up -Inf from negative
-	// coefficients, maxAct +Inf from positive ones. The finite parts
-	// and the infinite-term counts are tracked separately so the
-	// "residual activity excluding one variable" below stays defined
-	// when that variable carries the sole infinite term.
-	minFin, maxFin := 0.0, 0.0
-	nMinInf, nMaxInf := 0, 0
-	scale := 0.0
-	for k, v := range row.vars {
-		a := row.coef[k]
-		if a == 0 {
-			continue
-		}
-		scale = math.Max(scale, math.Abs(a))
-		if a > 0 {
-			minFin += a * sf.lo[v]
-			if math.IsInf(sf.hi[v], 1) {
-				nMaxInf++
-			} else {
-				maxFin += a * sf.hi[v]
-			}
-		} else {
-			maxFin += a * sf.lo[v]
-			if math.IsInf(sf.hi[v], 1) {
-				nMinInf++
-			} else {
-				minFin += a * sf.hi[v]
-			}
-		}
+	act := activity(sf.lo, sf.hi, row.vars, row.coef)
+	if act.infeasible(row.op, row.rhs) {
+		return false, fmt.Errorf("ilp: presolve proves constraint %q infeasible over the variable bounds", row.name)
 	}
-	minAct, maxAct := minFin, maxFin
-	if nMinInf > 0 {
-		minAct = math.Inf(-1)
-	}
-	if nMaxInf > 0 {
-		maxAct = math.Inf(1)
-	}
-	// Tolerances scale with the row: infTol is generous (a false
-	// "infeasible" is a wrong answer), redTol covers the slack integer
-	// rounding legitimately concedes (dropping a row satisfied within
-	// it matches the tolerance the scaled simplex enforces anyway).
-	infTol := 1e-7*math.Max(1, math.Abs(row.rhs)) + 1e-7*scale
-	redTol := 1e-9 + intTol*scale
-
-	infeasible := false
+	// redTol covers the slack integer rounding legitimately concedes
+	// (dropping a row satisfied within it matches the tolerance the
+	// scaled simplex enforces anyway).
+	minAct, maxAct := act.bounds()
+	redTol := 1e-9 + intTol*act.scale
 	redundant := false
 	switch row.op {
 	case LE:
-		infeasible = minAct > row.rhs+infTol
 		redundant = maxAct <= row.rhs+redTol
 	case GE:
-		infeasible = maxAct < row.rhs-infTol
 		redundant = minAct >= row.rhs-redTol
 	case EQ:
-		infeasible = minAct > row.rhs+infTol || maxAct < row.rhs-infTol
 		redundant = maxAct <= row.rhs+redTol && minAct >= row.rhs-redTol
-	}
-	if infeasible {
-		return false, fmt.Errorf("ilp: presolve proves constraint %q infeasible over the variable bounds", row.name)
 	}
 	if redundant {
 		row.dropped = true
 		stats.RowsDropped++
 		return true, nil
 	}
-	// Implied bounds: for "sum <= rhs", variable j with coefficient a
-	// satisfies a*x_j <= rhs - minAct(others); for ">=" the mirror with
-	// maxAct(others). EQ rows imply both.
 	changed := false
-	for k, v := range row.vars {
-		a := row.coef[k]
-		if a == 0 || sf.lo[v] == sf.hi[v] {
+	empty := impliedBounds(sf.lo, sf.hi, sf.intVar, row.vars, row.coef, row.op, row.rhs, act, func(int32) {
+		stats.BoundsTightened++
+		changed = true
+	})
+	if empty >= 0 {
+		return changed, fmt.Errorf("ilp: presolve of constraint %q empties the domain of variable %d", row.name, empty)
+	}
+	return changed, nil
+}
+
+// rowActivity is a row's activity range over a bound box. Lower bounds
+// are finite by the Model invariant, so only +Inf upper bounds can make
+// a contribution infinite: the minimum can pick up -Inf from negative
+// coefficients, the maximum +Inf from positive ones. The finite parts
+// and the infinite-term counts are kept apart so the "residual activity
+// excluding one variable" stays defined when that variable carries the
+// sole infinite term.
+type rowActivity struct {
+	minFin, maxFin   float64
+	nMinInf, nMaxInf int
+	scale            float64 // the largest |coefficient|
+}
+
+// activity sums the row vars·coef over the box lo/hi. The root presolve
+// passes a preRow's terms, the tree's propagation a standard-form row.
+func activity(lo, hi []float64, vars []int32, coef []float64) rowActivity {
+	var act rowActivity
+	for k, v := range vars {
+		a := coef[k]
+		if a == 0 {
+			continue
+		}
+		act.scale = math.Max(act.scale, math.Abs(a))
+		if a > 0 {
+			act.minFin += a * lo[v]
+			if math.IsInf(hi[v], 1) {
+				act.nMaxInf++
+			} else {
+				act.maxFin += a * hi[v]
+			}
+		} else {
+			act.maxFin += a * lo[v]
+			if math.IsInf(hi[v], 1) {
+				act.nMinInf++
+			} else {
+				act.minFin += a * hi[v]
+			}
+		}
+	}
+	return act
+}
+
+// bounds returns the row's minimum and maximum activity.
+func (act rowActivity) bounds() (minAct, maxAct float64) {
+	minAct, maxAct = act.minFin, act.maxFin
+	if act.nMinInf > 0 {
+		minAct = math.Inf(-1)
+	}
+	if act.nMaxInf > 0 {
+		maxAct = math.Inf(1)
+	}
+	return minAct, maxAct
+}
+
+// infeasible reports whether no point of the box satisfies "row op
+// rhs". The tolerance scales with the row and is generous: a false
+// "infeasible" is a wrong answer.
+func (act rowActivity) infeasible(op Op, rhs float64) bool {
+	minAct, maxAct := act.bounds()
+	infTol := 1e-7*math.Max(1, math.Abs(rhs)) + 1e-7*act.scale
+	switch op {
+	case LE:
+		return minAct > rhs+infTol
+	case GE:
+		return maxAct < rhs-infTol
+	default:
+		return minAct > rhs+infTol || maxAct < rhs-infTol
+	}
+}
+
+// impliedBounds tightens lo/hi by what the row implies for each of its
+// variables: for "sum <= rhs", variable j with coefficient a satisfies
+// a*x_j <= rhs - minAct(others); for ">=" the mirror with
+// maxAct(others); EQ rows imply both. act is the row's activity over
+// the box before any of these tightenings. Bounds of variables marked
+// in intVar are rounded inward (a nil intVar rounds none). moved is
+// called once per bound that moves. The result is the first variable
+// whose domain the row empties past feasTol, or -1.
+func impliedBounds(lo, hi []float64, intVar []bool, vars []int32, coef []float64, op Op, rhs float64, act rowActivity, moved func(v int32)) int32 {
+	for k, v := range vars {
+		a := coef[k]
+		if a == 0 || lo[v] == hi[v] {
 			continue
 		}
 		// Near-zero coefficients relative to the row amplify activity
 		// error when divided through; leave them to the simplex.
-		if math.Abs(a) < 1e-7*scale {
+		if math.Abs(a) < 1e-7*act.scale {
 			continue
 		}
-		if row.op == LE || row.op == EQ {
-			if resid, ok := residualActivity(sf, v, a, minFin, nMinInf, true); ok {
-				if tightenFromResidual(sf, v, a, row.rhs-resid) {
-					stats.BoundsTightened++
-					changed = true
+		isInt := intVar != nil && intVar[v]
+		if op == LE || op == EQ {
+			if resid, ok := residualActivity(lo, hi, v, a, act.minFin, act.nMinInf, true); ok {
+				if tightenFromResidual(lo, hi, isInt, v, a, rhs-resid) {
+					moved(v)
 				}
 			}
 		}
-		if row.op == GE || row.op == EQ {
-			if resid, ok := residualActivity(sf, v, a, maxFin, nMaxInf, false); ok {
-				if tightenFromResidual(sf, v, -a, -(row.rhs - resid)) {
-					stats.BoundsTightened++
-					changed = true
+		if op == GE || op == EQ {
+			if resid, ok := residualActivity(lo, hi, v, a, act.maxFin, act.nMaxInf, false); ok {
+				if tightenFromResidual(lo, hi, isInt, v, -a, -(rhs - resid)) {
+					moved(v)
 				}
 			}
 		}
-		if sf.lo[v] > sf.hi[v]+feasTol {
-			return changed, fmt.Errorf("ilp: presolve of constraint %q empties the domain of variable %d", row.name, v)
+		if lo[v] > hi[v]+feasTol {
+			return v
 		}
 	}
-	return changed, nil
+	return -1
 }
 
 // residualActivity returns the row's extreme activity excluding
 // variable v's own term: the minimum when min is true, else the
 // maximum. The second return is false when the residual is infinite
 // (some other variable contributes an unbounded term).
-func residualActivity(sf *standardForm, v int32, a, finitePart float64, nInf int, min bool) (float64, bool) {
+func residualActivity(lo, hi []float64, v int32, a, finitePart float64, nInf int, min bool) (float64, bool) {
 	// v's own extreme contribution, and whether it is the infinite one.
 	var own float64
 	ownInf := false
 	if (a > 0) == min {
-		own = a * sf.lo[v] // finite by Model invariant
+		own = a * lo[v] // finite by Model invariant
 	} else {
-		if math.IsInf(sf.hi[v], 1) {
+		if math.IsInf(hi[v], 1) {
 			ownInf = true
 		} else {
-			own = a * sf.hi[v]
+			own = a * hi[v]
 		}
 	}
 	if ownInf {
@@ -269,30 +310,30 @@ func residualActivity(sf *standardForm, v int32, a, finitePart float64, nInf int
 }
 
 // tightenFromResidual applies "a*x <= slack" to x's bounds (callers
-// negate a and slack to express ">="), rounding integer bounds inward.
-// It reports whether a bound moved meaningfully.
-func tightenFromResidual(sf *standardForm, v int32, a, slack float64) bool {
+// negate a and slack to express ">="), rounding the bound inward when
+// isInt is set. It reports whether a bound moved meaningfully.
+func tightenFromResidual(lo, hi []float64, isInt bool, v int32, a, slack float64) bool {
 	bound := slack / a
 	if math.IsNaN(bound) || math.IsInf(bound, 0) {
 		return false
 	}
 	if a > 0 {
-		if sf.intVar[v] {
+		if isInt {
 			bound = math.Floor(bound + intTol)
 		}
 		// Require meaningful improvement so float dust cannot spin the
 		// fixpoint loop.
-		if bound < sf.hi[v]-1e-9*math.Max(1, math.Abs(sf.hi[v])) {
-			sf.hi[v] = bound
+		if bound < hi[v]-1e-9*math.Max(1, math.Abs(hi[v])) {
+			hi[v] = bound
 			return true
 		}
 		return false
 	}
-	if sf.intVar[v] {
+	if isInt {
 		bound = math.Ceil(bound - intTol)
 	}
-	if bound > sf.lo[v]+1e-9*math.Max(1, math.Abs(sf.lo[v])) {
-		sf.lo[v] = bound
+	if bound > lo[v]+1e-9*math.Max(1, math.Abs(lo[v])) {
+		lo[v] = bound
 		return true
 	}
 	return false

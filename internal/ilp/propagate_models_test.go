@@ -1,0 +1,123 @@
+package ilp_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"p4all/internal/apps"
+	"p4all/internal/ilp"
+	"p4all/internal/ilpgen"
+	"p4all/internal/pisa"
+)
+
+// TestNodePropagationIsSound solves under the solver's debugProp check:
+// every tree node bound propagation closes without an LP is re-solved
+// cold and must be LP-infeasible, so the search is the one the LP alone
+// would run. The corpus is the tenant-drift cycle (the cold solve and
+// two warm cycles), NetCache at 0.5 and 0.75 Mb at one and two threads,
+// and small seeded MIPs whose variables have no upper bound, solved
+// without the root presolve so node propagation meets +Inf bounds and
+// rows the presolve would have tightened first; those are also solved
+// with the presolve, and the two must agree.
+func TestNodePropagationIsSound(t *testing.T) {
+	pruned := map[string]int{}
+	check := func(group, name string, m *ilp.Model, opts ilp.Options) *ilp.Solution {
+		t.Helper()
+		sol := ilp.SolvePropChecked(t, m, opts)
+		pruned[group] += sol.PropPruned
+		t.Logf("%-26s %-8v nodes %4d  iters %6d  closed by propagation %3d", name, sol.Status, sol.Nodes, sol.SimplexIter, sol.PropPruned)
+		return sol
+	}
+
+	sol := check("drift", "drift cold w=2", twoTenantModel(t, 2), driftOptions)
+	var pool ilpgen.History
+	pool.Push(ilp.Start{Values: sol.Values, Basis: sol.RootBasis})
+	for cycle := 0; cycle < 2; cycle++ {
+		for _, w := range driftWeights {
+			opts := driftOptions
+			opts.Start = pool.Starts()
+			sol = check("drift", fmt.Sprintf("drift %d w=%v", cycle, w), twoTenantModel(t, w), opts)
+			pool.Push(ilp.Start{Values: sol.Values, Basis: sol.RootBasis})
+		}
+	}
+
+	netcache := apps.NetCache(apps.NetCacheConfig{}).Source
+	for _, mem := range []struct {
+		name  string
+		bits  int
+		nodes int
+	}{{"0.5", pisa.Mb / 2, 230}, {"0.75", 3 * pisa.Mb / 4, 255}} {
+		m := programModel(t, netcache, pisa.EvalTarget(mem.bits))
+		for _, threads := range []int{1, 2} {
+			opts := ilp.Options{Threads: threads, Gap: 0.03, NodeLimit: mem.nodes}
+			check("netcache", fmt.Sprintf("netcache %s Mb, %d thread(s)", mem.name, threads), m, opts)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		m := unboundedMIP(rng)
+		opts := ilp.Options{Deterministic: true, NodeLimit: 200}
+		got := check("random", fmt.Sprintf("random %d", i), m, ilp.WithoutPresolve(opts))
+		want, err := ilp.Solve(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != want.Status || (got.Status == ilp.StatusOptimal && math.Abs(got.Objective-want.Objective) > 1e-6*math.Max(1, math.Abs(want.Objective))) {
+			t.Errorf("random %d: without presolve %v at %v, with it %v at %v", i, got.Status, got.Objective, want.Status, want.Objective)
+		}
+	}
+	t.Logf("nodes closed by propagation, each LP-infeasible: %v", pruned)
+	total := 0
+	for _, group := range []string{"drift", "netcache", "random"} {
+		if pruned[group] == 0 {
+			t.Errorf("propagation closed no %s node", group)
+		}
+		total += pruned[group]
+	}
+	if total < 20 {
+		t.Errorf("propagation closed %d nodes; the corpus should close at least 20", total)
+	}
+}
+
+// unboundedMIP is a small random MIP: eight variables — binaries,
+// bounded and unbounded integers, unbounded continuous ones — in six
+// rows of three or four terms with mixed signs. Every cost on an
+// unbounded variable is positive, so the minimum is finite.
+func unboundedMIP(rng *rand.Rand) *ilp.Model {
+	m := ilp.NewModel("unbounded-mip")
+	vars := make([]ilp.Var, 8)
+	obj := ilp.NewExpr()
+	for j := range vars {
+		switch j % 4 {
+		case 0:
+			vars[j] = m.AddBinary("b")
+			obj.Add(vars[j], float64(rng.Intn(11)-5))
+		case 1:
+			vars[j] = m.AddInt("k", 0, float64(1+rng.Intn(6)))
+			obj.Add(vars[j], float64(rng.Intn(11)-5))
+		case 2:
+			vars[j] = m.AddInt("n", 0, ilp.Inf)
+			obj.Add(vars[j], float64(1+rng.Intn(5)))
+		default:
+			vars[j] = m.AddVar("c", 0, ilp.Inf, ilp.Continuous)
+			obj.Add(vars[j], float64(1+rng.Intn(5)))
+		}
+	}
+	for r := 0; r < 6; r++ {
+		e := ilp.NewExpr()
+		for _, j := range rng.Perm(len(vars))[:3+rng.Intn(2)] {
+			c := float64(rng.Intn(7) - 3)
+			if c == 0 {
+				c = 1
+			}
+			e.Add(vars[j], c)
+		}
+		op := []ilp.Op{ilp.LE, ilp.GE, ilp.EQ}[rng.Intn(3)]
+		m.AddConstr("row", e, op, float64(rng.Intn(13)-3)+0.5*float64(rng.Intn(2)))
+	}
+	m.SetObjective(obj, ilp.Minimize)
+	return m
+}

@@ -284,6 +284,8 @@ type lpWorkspace struct {
 	// child nodes never clone full bound vectors.
 	nodeLo, nodeHi []float64
 	chain          []*node
+	// Node bound propagation scratch (propagate.go).
+	prop nodeProp
 
 	// Dual re-solve state. basisValid reports that basis/status/fac
 	// describe the optimal basis of the most recent solve on this
@@ -346,6 +348,7 @@ func newWorkspace(sf *standardForm) *lpWorkspace {
 	}
 	ws.nodeLo = make([]float64, sf.nStruct)
 	ws.nodeHi = make([]float64, sf.nStruct)
+	ws.prop = newNodeProp(sf)
 	return ws
 }
 
@@ -1061,4 +1064,7 @@ const (
 	// debugDives re-solves every warm-restarted dive step cold as well,
 	// and the two must agree (diveSolve).
 	debugDives
+	// debugProp re-solves every node bound propagation closed cold, on a
+	// fresh workspace, and its LP must be infeasible (checkPropPrune).
+	debugProp
 )

@@ -26,15 +26,18 @@ var driftOptions = ilp.Options{
 }
 
 // TestWarmDiveSplit prints where the LP iterations of the tenant-drift
-// cycle and of two compiles go — root, dive, tree — with the dive's
-// warm primal restarts and their fallbacks. The drift re-solves are
-// warm-started the way multitenant.Compiler does it, from a two-start
-// ilpgen.History of layouts and their root bases, and each line names
-// the start that seeded the incumbent and how the root LP started. A
-// warm-started re-solve runs no dive, and the flip to weight 0.5 still
-// reaches 53 248 in at most 5 nodes from its start. `make
-// bench-profile` runs it with -v so the CI artifact shows the split,
-// and `make lp-split-diff` diffs it against another commit.
+// cycle and of the benchmark's compile-solve programs (NetCache at 1.0,
+// 1.75 and 2.5 Mb, Precision at 1.75 Mb) go — root, dive, tree — with
+// the dive's warm primal restarts and their fallbacks. The drift
+// re-solves are warm-started the way multitenant.Compiler does it, from
+// a two-start ilpgen.History of layouts and their root bases, and each
+// line names the start that seeded the incumbent and how the root LP
+// started. A warm-started re-solve runs no dive, and the flip to weight
+// 0.5 still reaches 53 248 in at most 5 nodes from its start, in at
+// most 320 simplex iterations: bound propagation closes its
+// LP-infeasible node without an LP. `make bench-profile` runs it with
+// -v so the CI artifact shows the split, and `make lp-split-diff` diffs
+// it against another commit.
 func TestWarmDiveSplit(t *testing.T) {
 	logSplit := func(name string, sol *ilp.Solution) {
 		t.Helper()
@@ -67,8 +70,9 @@ func TestWarmDiveSplit(t *testing.T) {
 			if sol.DiveIters != 0 || sol.WarmRestarts != 0 {
 				t.Errorf("warm re-solve at weight %v: %d dive iterations, %d warm restarts; a solve with an installed start runs no dive", w, sol.DiveIters, sol.WarmRestarts)
 			}
-			if w == 0.5 && (sol.Objective != 53248 || sol.Nodes > 5) {
-				t.Errorf("flip to weight 0.5: objective %v in %d nodes; want 53248 in at most 5", sol.Objective, sol.Nodes)
+			if w == 0.5 && (sol.Objective != 53248 || sol.Nodes > 5 || sol.SimplexIter > 320 || sol.PropPruned < 1) {
+				t.Errorf("flip to weight 0.5: objective %v in %d nodes, %d iterations, %d closed by propagation; want 53248 in at most 5 nodes and 320 iterations, at least 1 closed",
+					sol.Objective, sol.Nodes, sol.SimplexIter, sol.PropPruned)
 			}
 		}
 	}
@@ -77,6 +81,16 @@ func TestWarmDiveSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	logSplit("netcache 1.0 Mb", sol)
+	netcache := apps.NetCache(apps.NetCacheConfig{}).Source
+	for _, mem := range []struct {
+		name string
+		bits int
+	}{{"1.75", 7 * pisa.Mb / 4}, {"2.5", 5 * pisa.Mb / 2}} {
+		if sol, err = ilp.Solve(programModel(t, netcache, pisa.EvalTarget(mem.bits)), compile); err != nil {
+			t.Fatal(err)
+		}
+		logSplit("netcache "+mem.name+" Mb", sol)
+	}
 	if sol, err = ilp.Solve(programModel(t, apps.Precision().Source, pisa.EvalTarget(7*pisa.Mb/4)), compile); err != nil {
 		t.Fatal(err)
 	}

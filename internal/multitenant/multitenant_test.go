@@ -809,6 +809,7 @@ func checkSolveTrace(t *testing.T, label string, recs []record, st ilpgen.Stats)
 		"dual_iters": st.DualIters, "primal_fallbacks": st.PrimalFallbacks,
 		"warm_restarts": st.WarmRestarts, "warm_fallbacks": st.WarmFallbacks,
 		"root_iters": st.RootIters, "dive_iters": st.DiveIters, "tree_iters": st.TreeIters,
+		"prop_pruned":               st.PropPruned,
 		"presolve_rows_dropped":     st.Presolve.RowsDropped,
 		"presolve_bounds_tightened": st.Presolve.BoundsTightened,
 		"presolve_vars_fixed":       st.Presolve.VarsFixed,
@@ -816,7 +817,7 @@ func checkSolveTrace(t *testing.T, label string, recs []record, st ilpgen.Stats)
 	root, _, _ := strings.Cut(st.RootStart, " ")
 	wantCounters := map[string]int{"solver.root_" + root: 1}
 	for _, name := range []string{"dual_iters", "primal_fallbacks", "warm_restarts", "warm_fallbacks",
-		"root_iters", "dive_iters", "tree_iters",
+		"root_iters", "dive_iters", "tree_iters", "prop_pruned",
 		"presolve_rows_dropped", "presolve_bounds_tightened", "presolve_vars_fixed"} {
 		wantCounters["solver."+name] = wantAttrs[name]
 	}
