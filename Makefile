@@ -50,17 +50,22 @@ bench-compare:
 	bash bench/run.sh -compare runs/compare/base/results.jsonl runs/compare/head/results.jsonl | tee runs/compare/verdict.txt
 
 # bench-profile captures a pprof CPU profile of the multi-tenant warm
-# re-solves (the models where node throughput dominates), and prints
-# where the LP iterations of the tenant-drift cycle and of the four
-# compile-solve programs go — root, dive, tree, with the warm restarts —
-# into ilp-lp-split.txt.
-# CI uploads both plus the test binary as an artifact so a
+# re-solves (the models where node throughput dominates) and one of cold
+# solves of NetCache at 1.0 Mb (root LP, dive, neighbourhood search: the
+# paths a warm re-solve never reaches), and prints where the LP
+# iterations of the tenant-drift cycle, of the four compile-solve
+# programs and of two Figure 12 points go — root, dive, neighbourhood,
+# tree, with the warm restarts — into ilp-lp-split.txt.
+# CI uploads all of them plus the test binaries as an artifact so a
 # bench-compare failure can be diagnosed offline:
 #   go tool pprof ilp-bench.test ilp-cpu.prof
+#   go tool pprof ilp-cold-bench.test ilp-cold-cpu.prof
 # (see docs/SOLVER_PERF.md).
 bench-profile:
 	$(GO) test -run=NONE -bench=MultiTenantResolve -benchtime=1x -benchmem \
 		-cpuprofile=ilp-cpu.prof -o ilp-bench.test ./internal/multitenant/
+	$(GO) test -run=NONE -bench=ILPSolveColdNetCache -benchtime=20x \
+		-cpuprofile=ilp-cold-cpu.prof -o ilp-cold-bench.test ./internal/ilp/
 	$(GO) test -count=1 -run TestWarmDiveSplit -v ./internal/ilp | tee ilp-lp-split.txt
 
 # lp-split-diff shows how the LP iteration split moved against BASE:

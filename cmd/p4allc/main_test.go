@@ -132,9 +132,21 @@ func TestStatsLines(t *testing.T) {
 	}
 	want = "ILP: 455 variables, 616 constraints, 46 nodes, certified gap 1.41%, warm start predecessor\n" +
 		"solver: 3658 simplex iters (3036 dual, 1 primal fallbacks), 33 refactorizations\n" +
-		"lp iters: root 309 (cold), dive 313, tree 3036; 2 warm restarts, 1 warm fallbacks\n" +
+		"lp iters: root 309 (cold), dive 313, neighbourhood 0 (0 nodes, not run), tree 3036; 2 warm restarts, 1 warm fallbacks\n" +
 		"presolve: 13 bounds tightened, 12 variables fixed, 62 rows dropped\n"
 	if got := solverStats(st); got != want {
 		t.Errorf("solverStats =\n%s\nwant\n%s", got, want)
+	}
+	for _, c := range []struct {
+		e    ilp.Effort
+		want string
+	}{
+		{ilp.Effort{}, "not run"},
+		{ilp.Effort{NeighbourNodes: 50, NeighbourIters: 9494}, "found none"},
+		{ilp.Effort{NeighbourNodes: 18, NeighbourIters: 2347, NeighbourFound: 1}, "found a point"},
+	} {
+		if got := neighbourOutcome(c.e); got != c.want {
+			t.Errorf("neighbourOutcome(%+v) = %q, want %q", c.e, got, c.want)
+		}
 	}
 }

@@ -285,6 +285,7 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 // to that solver.* counter: dual pivots against their fallbacks and warm
 // restarts against theirs say whether the basis-inheritance machinery
 // earns its keep, the iteration split which caller the LP time went to,
+// the neighbourhood rows what the search after the dive cost and found,
 // the propagation row how many tree nodes closed without an LP, and the
 // presolve rows how much of the model the root reductions removed. A
 // new ilp.Effort counter is one row here.
@@ -302,6 +303,9 @@ var solveCounts = []struct {
 	{"warm_fallbacks", "solver.warm_fallbacks", func(st *ilpgen.Stats) int { return st.WarmFallbacks }},
 	{"root_iters", "solver.root_iters", func(st *ilpgen.Stats) int { return st.RootIters }},
 	{"dive_iters", "solver.dive_iters", func(st *ilpgen.Stats) int { return st.DiveIters }},
+	{"neighbour_iters", "solver.neighbour_iters", func(st *ilpgen.Stats) int { return st.NeighbourIters }},
+	{"neighbour_nodes", "solver.neighbour_nodes", func(st *ilpgen.Stats) int { return st.NeighbourNodes }},
+	{"neighbour_found", "solver.neighbour_found", func(st *ilpgen.Stats) int { return st.NeighbourFound }},
 	{"tree_iters", "solver.tree_iters", func(st *ilpgen.Stats) int { return st.TreeIters }},
 	{"prop_pruned", "solver.prop_pruned", func(st *ilpgen.Stats) int { return st.PropPruned }},
 	{"refactorizations", "", func(st *ilpgen.Stats) int { return st.Refactors }},

@@ -229,6 +229,7 @@ type bb struct {
 	opts          Options
 	threads       int
 	nodeLimit     int
+	iterLimit     int // simplex iterations one tree node's LP may take
 	progressEvery int
 	deadline      time.Time
 	sign          float64
@@ -252,6 +253,7 @@ type bb struct {
 	activeBound []float64 // per-worker bound of the node being plunged (+Inf when idle)
 	nActive     int
 	stopped     atomic.Bool
+	firstOnly   bool   // stop at the first incumbent (neighbour.go)
 	halted      bool   // a limit/gap stop fired; finalStatus holds why
 	finalStatus Status // terminal status once halted
 	err         error
@@ -273,6 +275,7 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	if m.sense == Maximize {
 		b.sign = -1
 	}
+	b.iterLimit = defaultIterLimit
 	b.nodeLimit = opts.NodeLimit
 	if b.nodeLimit == 0 {
 		b.nodeLimit = defaultNodeLimit
@@ -434,6 +437,15 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 			// stop before opening the tree.
 			if b.gapSatisfiedAtRoot() {
 				return b.solution(StatusOptimal), nil
+			}
+			// Otherwise search the incumbent's neighbourhood first: a
+			// better point there may close the gap at the root.
+			if nx, nobj, found := b.searchNeighbourhood(x, rootEffort.SimplexIter, &b.tallies[0]); found {
+				b.install(nobj, nx)
+				b.emitLocked(ProgressIncumbent)
+				if b.gapSatisfiedAtRoot() {
+					return b.solution(StatusOptimal), nil
+				}
 			}
 		}
 	}
@@ -597,7 +609,7 @@ func (b *bb) step(cur *node, cutoff float64, ws *lpWorkspace, tally *workerTally
 		}
 		return stepOut{pruned: true}, nil // infeasible, proven without an LP
 	}
-	st, obj, x, e, err := solveLP(b.sf, lo, hi, defaultIterLimit, cur.hint, cur.snap, restartDual, ws)
+	st, obj, x, e, err := solveLP(b.sf, lo, hi, b.iterLimit, cur.hint, cur.snap, restartDual, ws)
 	e.TreeIters = e.SimplexIter
 	tally.add(e)
 	if err != nil {

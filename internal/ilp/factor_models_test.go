@@ -18,7 +18,7 @@ import (
 
 // netCacheModel is NetCache on the evaluation target at 1.0 Mb a stage,
 // the first compile-solve program.
-func netCacheModel(t *testing.T) *ilp.Model {
+func netCacheModel(t testing.TB) *ilp.Model {
 	t.Helper()
 	u, err := lang.ParseAndResolve(apps.NetCache(apps.NetCacheConfig{}).Source)
 	if err != nil {

@@ -10,8 +10,9 @@
 // pricing with a Bland anti-cycling fallback, and periodic
 // refactorization); branch-and-bound children re-solve by dual simplex
 // from the parent's basis. Integrality is enforced by best-first
-// branch and bound with most-fractional branching and a diving
-// heuristic for early incumbents.
+// branch and bound with most-fractional branching, a diving heuristic
+// for early incumbents, and a search of the dive incumbent's
+// neighbourhood for a better one (neighbour.go).
 package ilp
 
 import (
@@ -323,8 +324,8 @@ func (s Status) String() string {
 }
 
 // Effort counts one search's work, or one worker's share of it. Worker 0
-// carries the root LP and the dive, so a solution's Effort is the
-// field-by-field sum of its Workers.
+// carries the root LP, the dive and the neighbourhood search, so a
+// solution's Effort is the field-by-field sum of its Workers.
 type Effort struct {
 	// Nodes is the number of branch-and-bound nodes processed (1 for
 	// pure LPs).
@@ -349,11 +350,17 @@ type Effort struct {
 	// count). Neither is part of PrimalFallbacks, which counts the tree's
 	// dual re-solves only.
 	WarmRestarts, WarmFallbacks int
-	// RootIters, DiveIters and TreeIters split SimplexIter by caller: the
-	// root LP, the diving heuristic, and the tree's node re-solves. A
-	// solve that installed a MIP start runs no dive: its DiveIters and
+	// RootIters, DiveIters, NeighbourIters and TreeIters split
+	// SimplexIter by caller: the root LP, the diving heuristic, the
+	// neighbourhood search after the dive (neighbour.go), and the tree's
+	// node re-solves. A solve that installed a MIP start runs no dive and
+	// no neighbourhood search: its DiveIters, NeighbourIters and
 	// WarmRestarts are 0.
-	RootIters, DiveIters, TreeIters int
+	RootIters, DiveIters, NeighbourIters, TreeIters int
+	// NeighbourNodes counts the neighbourhood search's nodes, which are
+	// not in Nodes (NodeLimit bounds the tree alone), and NeighbourFound
+	// the searches that found a better incumbent.
+	NeighbourNodes, NeighbourFound int
 	// PropPruned counts tree nodes closed by bound propagation without
 	// an LP (propagate.go): nodes whose LP is infeasible, proven from
 	// row activities.
@@ -361,12 +368,13 @@ type Effort struct {
 }
 
 // effortFields is the number of Effort's counters.
-const effortFields = 11
+const effortFields = 14
 
 // fields lists e's counters in declaration order.
 func (e *Effort) fields() [effortFields]*int {
 	return [...]*int{&e.Nodes, &e.SimplexIter, &e.Refactors, &e.DualIters, &e.PrimalFallbacks,
-		&e.WarmRestarts, &e.WarmFallbacks, &e.RootIters, &e.DiveIters, &e.TreeIters, &e.PropPruned}
+		&e.WarmRestarts, &e.WarmFallbacks, &e.RootIters, &e.DiveIters, &e.NeighbourIters, &e.TreeIters,
+		&e.NeighbourNodes, &e.NeighbourFound, &e.PropPruned}
 }
 
 // add adds o's counters to e's.

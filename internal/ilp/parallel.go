@@ -53,6 +53,9 @@ func (b *bb) publish(obj float64, x []float64) {
 	if obj < b.bestObj-1e-9 {
 		b.install(obj, x)
 		b.emitLocked(ProgressIncumbent)
+		if b.firstOnly {
+			b.haltLocked(StatusLimit)
+		}
 	}
 	b.mu.Unlock()
 }

@@ -223,12 +223,20 @@ func (act rowActivity) bounds() (minAct, maxAct float64) {
 	return minAct, maxAct
 }
 
+// infTol is how far the row's activity range may miss rhs before the
+// row proves infeasibility. It is generous, since a false "infeasible"
+// is a wrong answer: the phase-1 tolerance feasMass in units of the
+// row's largest coefficient (the simplex divides each row by it), plus
+// float noise relative to the right-hand side.
+func (act rowActivity) infTol(rhs float64) float64 {
+	return 1e-7*math.Max(1, math.Abs(rhs)) + feasMass*act.scale
+}
+
 // infeasible reports whether no point of the box satisfies "row op
-// rhs". The tolerance scales with the row and is generous: a false
-// "infeasible" is a wrong answer.
+// rhs" to within infTol.
 func (act rowActivity) infeasible(op Op, rhs float64) bool {
 	minAct, maxAct := act.bounds()
-	infTol := 1e-7*math.Max(1, math.Abs(rhs)) + 1e-7*act.scale
+	infTol := act.infTol(rhs)
 	switch op {
 	case LE:
 		return minAct > rhs+infTol
@@ -246,8 +254,11 @@ func (act rowActivity) infeasible(op Op, rhs float64) bool {
 // the box before any of these tightenings. Bounds of variables marked
 // in intVar are rounded inward (a nil intVar rounds none). moved is
 // called once per bound that moves. The result is the first variable
-// whose domain the row empties past feasTol, or -1.
+// whose domain the row empties, or -1. The row empties a domain when
+// it crosses by more than the row's infTol in the row's own units (the
+// crossing times |a|): a smaller crossing is a violation the LP accepts.
 func impliedBounds(lo, hi []float64, intVar []bool, vars []int32, coef []float64, op Op, rhs float64, act rowActivity, moved func(v int32)) int32 {
+	infTol := act.infTol(rhs)
 	for k, v := range vars {
 		a := coef[k]
 		if a == 0 || lo[v] == hi[v] {
@@ -273,7 +284,7 @@ func impliedBounds(lo, hi []float64, intVar []bool, vars []int32, coef []float64
 				}
 			}
 		}
-		if lo[v] > hi[v]+feasTol {
+		if (lo[v]-hi[v])*math.Abs(a) > infTol {
 			return v
 		}
 	}

@@ -93,11 +93,11 @@ func (b *bb) propagate(cur *node, lo, hi []float64, ws *lpWorkspace) bool {
 			p.pushRows(sf, int32(a.bvar), -1)
 		}
 	}
+	// A branched bound that crosses a propagated one is left to the
+	// rows of the branched variable, which were queued: the row that
+	// derived the crossed bound proves infeasibility only past its own
+	// infTol, as the LP would.
 	p.of = cur
-	if p.lo[cur.bvar] > p.hi[cur.bvar]+feasTol {
-		p.drain()
-		return true
-	}
 	for visits := presolvePassLimit * sf.m; p.n > 0; visits-- {
 		if visits == 0 {
 			p.drain()

@@ -17,6 +17,7 @@ import (
 // cold and must be LP-infeasible, so the search is the one the LP alone
 // would run. The corpus is the tenant-drift cycle (the cold solve and
 // two warm cycles), NetCache at 0.5 and 0.75 Mb at one and two threads,
+// NetCache at 1.0 Mb with its neighbourhood search, objectiveRowMIP,
 // and small seeded MIPs whose variables have no upper bound, solved
 // without the root presolve so node propagation meets +Inf bounds and
 // rows the presolve would have tightened first; those are also solved
@@ -56,6 +57,15 @@ func TestNodePropagationIsSound(t *testing.T) {
 		}
 	}
 
+	// A cold compile: the dive's incumbent, then the neighbourhood
+	// search around it, whose own tree propagates too.
+	sol = check("netcache", "netcache 1.0 Mb, searched", netCacheModel(t), ilp.Options{Deterministic: true, Gap: 0.03})
+	if sol.NeighbourNodes == 0 {
+		t.Errorf("netcache 1.0 Mb: no neighbourhood search ran")
+	}
+
+	check("objective row", "objective row", objectiveRowMIP(), ilp.WithoutHeuristic(ilp.Options{Deterministic: true, NodeLimit: 50}))
+
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		m := unboundedMIP(rng)
@@ -80,6 +90,44 @@ func TestNodePropagationIsSound(t *testing.T) {
 	if total < 20 {
 		t.Errorf("propagation closed %d nodes; the corpus should close at least 20", total)
 	}
+}
+
+// objectiveRowMIP is an 8-variable MIP in unboundedMIP's shape plus its
+// own objective as a row, bounded just below the LP optimum of the node
+// x5 = 0 (−2.5): that node's LP is feasible within the simplex's phase-1
+// tolerance, while the row misses its right-hand side by more than
+// bound propagation once allowed, so propagation closed an LP-feasible
+// node.
+func objectiveRowMIP() *ilp.Model {
+	m := ilp.NewModel("objective-row")
+	x := []ilp.Var{
+		m.AddBinary("x0"),
+		m.AddInt("x1", 0, 4),
+		m.AddInt("x2", 0, ilp.Inf),
+		m.AddVar("x3", 0, ilp.Inf, ilp.Continuous),
+		m.AddBinary("x4"),
+		m.AddInt("x5", 0, 1),
+		m.AddInt("x6", 0, ilp.Inf),
+		m.AddVar("x7", 0, ilp.Inf, ilp.Continuous),
+	}
+	row := func(coef map[int]float64) ilp.Expr {
+		e := ilp.NewExpr()
+		for j, c := range coef {
+			e.Add(x[j], c)
+		}
+		return e
+	}
+	obj := row(map[int]float64{0: -5, 2: 5, 3: 5, 4: 2, 5: 1, 6: 4, 7: 1})
+	m.AddConstr("r0", row(map[int]float64{1: -1, 2: 3, 3: -3, 6: 1}), ilp.LE, 4.5)
+	m.AddConstr("r1", row(map[int]float64{1: 3, 3: -2, 5: -3}), ilp.LE, 3)
+	m.AddConstr("r2", row(map[int]float64{2: 3, 3: -3, 5: -3, 7: 1}), ilp.EQ, -1.5)
+	m.AddConstr("r3", row(map[int]float64{1: -3, 2: -2, 3: 3}), ilp.LE, 4.5)
+	m.AddConstr("r4", row(map[int]float64{1: -2, 3: -2, 4: 2, 5: 1}), ilp.LE, 8)
+	m.AddConstr("r5", row(map[int]float64{0: -2, 4: -1, 5: 1, 6: 3}), ilp.LE, 7.5)
+	m.AddConstr("r6", row(map[int]float64{0: -1, 4: 1, 5: -1}), ilp.LE, 0)
+	m.AddConstr("objective", obj, ilp.LE, -2.5000025)
+	m.SetObjective(obj, ilp.Minimize)
+	return m
 }
 
 // unboundedMIP is a small random MIP: eight variables — binaries,

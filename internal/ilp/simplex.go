@@ -24,6 +24,13 @@ const (
 	feasTol  = 1e-7 // bound/feasibility tolerance
 	pivotTol = 1e-9 // minimum acceptable pivot magnitude
 	dualTol  = 1e-7 // reduced-cost optimality tolerance
+	// feasMass is how far off its rows an LP point may be and still be
+	// feasible: phase 1 accepts a point whose artificial mass, the
+	// summed violation of the row-scaled constraints, is at most
+	// feasMass. So a row proves infeasibility from its activity range
+	// (rowActivity.infeasible) only past feasMass in the same units,
+	// else bound propagation would close nodes the LP calls feasible.
+	feasMass = 1e-6
 	// stallLimit is the number of non-improving iterations tolerated
 	// before switching to Bland's rule to escape degenerate cycling.
 	stallLimit = 256
@@ -89,6 +96,11 @@ type standardForm struct {
 	// primal restart (warm.go): the model's own cold root-LP count. Solve
 	// sets it before the dive; the tree never restarts primal.
 	warmCap int
+	// oneAttempt makes solveLP give up on numerical trouble instead of
+	// retrying at finer refactorization cadences: the neighbourhood
+	// search's ball (neighbour.go), where a heuristic ends rather than
+	// grinds.
+	oneAttempt bool
 	// pre records the root presolve's reductions for Solution reporting.
 	pre PresolveStats
 }
@@ -437,7 +449,11 @@ func solveLP(sf *standardForm, lo, hi []float64, iterLimit int, hint []float64, 
 			total.PrimalFallbacks++
 		}
 	}
-	for _, cadence := range []int{refactorEvery, 16, 4, 1} {
+	cadences := []int{refactorEvery, 16, 4, 1}
+	if sf.oneAttempt {
+		cadences = cadences[:1]
+	}
+	for _, cadence := range cadences {
 		st, obj, x, e, err := solveLPOnce(sf, lo, hi, iterLimit, cadence, hint, ws)
 		total.add(e)
 		if errors.Is(err, errNumerical) || errors.Is(err, errSingularBasis) {
@@ -538,7 +554,7 @@ func solveLPOnce(sf *standardForm, lo, hi []float64, iterLimit, cadence int, hin
 		if st == lpUnbounded {
 			return lpInfeasible, 0, nil, s.effort(), errors.New("ilp: internal: phase-1 unbounded")
 		}
-		if s.objValue() > 1e-6 {
+		if s.objValue() > feasMass {
 			return lpInfeasible, 0, nil, s.effort(), nil
 		}
 		// Pin artificials at zero.

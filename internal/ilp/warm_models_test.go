@@ -26,26 +26,30 @@ var driftOptions = ilp.Options{
 }
 
 // TestWarmDiveSplit prints where the LP iterations of the tenant-drift
-// cycle and of the benchmark's compile-solve programs (NetCache at 1.0,
-// 1.75 and 2.5 Mb, Precision at 1.75 Mb) go — root, dive, tree — with
-// the dive's warm primal restarts and their fallbacks. The drift
-// re-solves are warm-started the way multitenant.Compiler does it, from
-// a two-start ilpgen.History of layouts and their root bases, and each
-// line names the start that seeded the incumbent and how the root LP
-// started. A warm-started re-solve runs no dive, and the flip to weight
-// 0.5 still reaches 53 248 in at most 5 nodes from its start, in at
-// most 320 simplex iterations: bound propagation closes its
-// LP-infeasible node without an LP. `make bench-profile` runs it with
-// -v so the CI artifact shows the split, and `make lp-split-diff` diffs
-// it against another commit.
+// cycle, of the benchmark's compile-solve programs (NetCache at 1.0,
+// 1.75 and 2.5 Mb, Precision at 1.75 Mb) and of Figure 12's NetCache
+// at 1.25 and 1.5 Mb go — root, dive, neighbourhood search, tree — with
+// the dive's warm primal restarts and their fallbacks, and asserts that
+// the four parts sum to the solve's iterations. The drift re-solves are
+// warm-started the way multitenant.Compiler does it, from a two-start
+// ilpgen.History of layouts and their root bases, and each line names
+// the start that seeded the incumbent and how the root LP started. A
+// warm-started re-solve runs no dive and no neighbourhood search, and
+// the flip to weight 0.5 still reaches 53 248 in at most 5 nodes from
+// its start, in at most 320 simplex iterations: bound propagation
+// closes its LP-infeasible node without an LP. `make bench-profile`
+// runs it with -v so the CI artifact shows the split, and `make
+// lp-split-diff` diffs it against another commit.
 func TestWarmDiveSplit(t *testing.T) {
 	logSplit := func(name string, sol *ilp.Solution) {
 		t.Helper()
 		seed := ilpgen.Stats{WarmStarted: sol.WarmStarted, StartIndex: sol.StartIndex}.Seed()
-		t.Logf("%-22s nodes %4d  iters %5d = root %4d + dive %4d + tree %5d  warm restarts %3d, fallbacks %d  start %-11s root %s",
-			name, sol.Nodes, sol.SimplexIter, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.WarmRestarts, sol.WarmFallbacks, seed, sol.RootStart)
-		if sol.RootIters+sol.DiveIters+sol.TreeIters != sol.SimplexIter {
-			t.Errorf("%s: split %d + %d + %d does not sum to %d iterations", name, sol.RootIters, sol.DiveIters, sol.TreeIters, sol.SimplexIter)
+		t.Logf("%-22s nodes %4d  iters %5d = root %4d + dive %4d + neighbourhood %4d (%2d nodes, %d found) + tree %5d  warm restarts %3d, fallbacks %d  start %-11s root %s",
+			name, sol.Nodes, sol.SimplexIter, sol.RootIters, sol.DiveIters, sol.NeighbourIters, sol.NeighbourNodes, sol.NeighbourFound, sol.TreeIters,
+			sol.WarmRestarts, sol.WarmFallbacks, seed, sol.RootStart)
+		if sol.RootIters+sol.DiveIters+sol.NeighbourIters+sol.TreeIters != sol.SimplexIter {
+			t.Errorf("%s: split %d + %d + %d + %d does not sum to %d iterations",
+				name, sol.RootIters, sol.DiveIters, sol.NeighbourIters, sol.TreeIters, sol.SimplexIter)
 		}
 	}
 	sol, err := ilp.Solve(twoTenantModel(t, 2), driftOptions)
@@ -67,8 +71,9 @@ func TestWarmDiveSplit(t *testing.T) {
 			if !sol.WarmStarted {
 				t.Fatalf("re-solve at weight %v was not warm-started", w)
 			}
-			if sol.DiveIters != 0 || sol.WarmRestarts != 0 {
-				t.Errorf("warm re-solve at weight %v: %d dive iterations, %d warm restarts; a solve with an installed start runs no dive", w, sol.DiveIters, sol.WarmRestarts)
+			if sol.DiveIters != 0 || sol.WarmRestarts != 0 || sol.NeighbourNodes != 0 {
+				t.Errorf("warm re-solve at weight %v: %d dive iterations, %d warm restarts, %d neighbourhood nodes; a solve with an installed start runs no dive and no neighbourhood search",
+					w, sol.DiveIters, sol.WarmRestarts, sol.NeighbourNodes)
 			}
 			if w == 0.5 && (sol.Objective != 53248 || sol.Nodes > 5 || sol.SimplexIter > 320 || sol.PropPruned < 1) {
 				t.Errorf("flip to weight 0.5: objective %v in %d nodes, %d iterations, %d closed by propagation; want 53248 in at most 5 nodes and 320 iterations, at least 1 closed",
@@ -85,7 +90,7 @@ func TestWarmDiveSplit(t *testing.T) {
 	for _, mem := range []struct {
 		name string
 		bits int
-	}{{"1.75", 7 * pisa.Mb / 4}, {"2.5", 5 * pisa.Mb / 2}} {
+	}{{"1.75", 7 * pisa.Mb / 4}, {"2.5", 5 * pisa.Mb / 2}, {"1.25", 5 * pisa.Mb / 4}, {"1.5", 3 * pisa.Mb / 2}} {
 		if sol, err = ilp.Solve(programModel(t, netcache, pisa.EvalTarget(mem.bits)), compile); err != nil {
 			t.Fatal(err)
 		}

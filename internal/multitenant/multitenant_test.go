@@ -770,23 +770,30 @@ func TestRetainedTrace(t *testing.T) {
 
 // TestSolveTraceMatchesStats: the solve span's counts and the solver.*
 // counters say what the compile's Layout.Stats says, for both callers of
-// core.Solve — a single program's core.Compile (ConQuest) and a joint
-// warm re-solve (tenant-drift's first flip, which searches a tree).
+// core.Solve — a single program's core.Compile (ConQuest, and NetCache,
+// whose neighbourhood search after the dive finds its incumbent) and a
+// joint warm re-solve (tenant-drift's first flip, which searches a
+// tree).
 func TestSolveTraceMatchesStats(t *testing.T) {
-	var single *core.Result
-	recs := traceRecords(t, func(tr *obs.Tracer) (err error) {
-		opts := core.Options{Solver: ilp.Options{Threads: 2}, SkipCodegen: true, Tracer: tr}
-		single, err = core.Compile(apps.ConQuest().Source, pisa.EvalTarget(pisa.Mb), opts)
-		return err
-	})
-	checkSolveTrace(t, "ConQuest compile", recs, single.Layout.Stats)
+	for _, app := range []apps.App{apps.ConQuest(), apps.NetCache(apps.NetCacheConfig{})} {
+		var single *core.Result
+		recs := traceRecords(t, func(tr *obs.Tracer) (err error) {
+			opts := core.Options{Solver: ilp.Options{Threads: 2}, SkipCodegen: true, Tracer: tr}
+			single, err = core.Compile(app.Source, pisa.EvalTarget(pisa.Mb), opts)
+			return err
+		})
+		checkSolveTrace(t, app.Name+" compile", recs, single.Layout.Stats)
+		if app.Name == "NetCache" && single.Layout.Stats.NeighbourFound != 1 {
+			t.Errorf("NetCache compile: %+v; want a neighbourhood search that found a point", single.Layout.Stats.Effort)
+		}
+	}
 
 	c := driftCompiler()
 	if _, err := c.Compile(driftMix(2)); err != nil {
 		t.Fatal(err)
 	}
 	var warm *Result
-	recs = traceRecords(t, func(tr *obs.Tracer) (err error) {
+	recs := traceRecords(t, func(tr *obs.Tracer) (err error) {
 		c.Opts.Tracer = tr
 		warm, err = c.Compile(driftMix(0.5))
 		return err
@@ -809,6 +816,7 @@ func checkSolveTrace(t *testing.T, label string, recs []record, st ilpgen.Stats)
 		"dual_iters": st.DualIters, "primal_fallbacks": st.PrimalFallbacks,
 		"warm_restarts": st.WarmRestarts, "warm_fallbacks": st.WarmFallbacks,
 		"root_iters": st.RootIters, "dive_iters": st.DiveIters, "tree_iters": st.TreeIters,
+		"neighbour_iters": st.NeighbourIters, "neighbour_nodes": st.NeighbourNodes, "neighbour_found": st.NeighbourFound,
 		"prop_pruned":               st.PropPruned,
 		"presolve_rows_dropped":     st.Presolve.RowsDropped,
 		"presolve_bounds_tightened": st.Presolve.BoundsTightened,
@@ -817,7 +825,7 @@ func checkSolveTrace(t *testing.T, label string, recs []record, st ilpgen.Stats)
 	root, _, _ := strings.Cut(st.RootStart, " ")
 	wantCounters := map[string]int{"solver.root_" + root: 1}
 	for _, name := range []string{"dual_iters", "primal_fallbacks", "warm_restarts", "warm_fallbacks",
-		"root_iters", "dive_iters", "tree_iters", "prop_pruned",
+		"root_iters", "dive_iters", "tree_iters", "neighbour_iters", "neighbour_nodes", "neighbour_found", "prop_pruned",
 		"presolve_rows_dropped", "presolve_bounds_tightened", "presolve_vars_fixed"} {
 		wantCounters["solver."+name] = wantAttrs[name]
 	}
