@@ -129,9 +129,11 @@ difftest:
 # (-threads 1), so every certificate is a function of the commit alone.
 # Last come the two runtime paths that certify what they use: the
 # elastic drift loop (its initial compile must prove, and every
-# re-solve it adopts does; its stdout must equal drift.golden, which
-# pins the CLI's plumbing of the controller) and netcacheserve
-# -compile, which exits 1 rather than serve an unproved layout.
+# re-solve it adopts does; p4allbench -fig drift's table, once sed
+# strips the figure's banner line and the blank line closing it, must
+# equal drift.golden, which pins the CLI's plumbing of the controller)
+# and netcacheserve, which exits 1 rather than serve an unproved
+# layout.
 CERTDIR ?= certs
 CERTAPPS := netcache sketchlearn precision conquest flowradar
 certify:
@@ -143,8 +145,8 @@ certify:
 	for ex in quickstart portability netcache sketchlearn; do \
 		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
 	done
-	$(GO) run ./cmd/netcachesim -drift | cmp - internal/eval/testdata/drift.golden
-	$(GO) run ./cmd/netcacheserve -compile -addr 127.0.0.1:0 -duration 200ms
+	$(GO) run ./cmd/p4allbench -fig drift | sed '1d;$$d' | cmp - internal/eval/testdata/drift.golden
+	$(GO) run ./cmd/netcacheserve -addr 127.0.0.1:0 -duration 200ms
 
 # multitenant is the PR-acceptance scenario for the joint compiler: a
 # three-tenant mix (NetCache + SketchLearn + FlowRadar) compiled into

@@ -5,10 +5,11 @@
 // drive it (bench/wire.go); stop it with an OpShutdown frame
 // (serve.SendShutdown), SIGINT, or -duration.
 //
-// By default the structure shapes come from flags for instant
-// startup; -compile asks the P4All compiler for its chosen shapes
-// instead, and serves them only if the translation validator proves
-// the generated program (the certificate's p4_sha256 is printed).
+// The structure shapes are the P4All compiler's: the server compiles
+// NetCache for the -mem target and serves the layout only if the
+// translation validator proves the generated program (the
+// certificate's p4_sha256 is printed). No shape is set by hand, so
+// every layout served carries a proved certificate.
 package main
 
 import (
@@ -24,7 +25,6 @@ import (
 	"p4all/internal/apps"
 	"p4all/internal/core"
 	"p4all/internal/ilp"
-	"p4all/internal/ilpgen"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
 	"p4all/internal/serve"
@@ -36,12 +36,8 @@ func main() {
 		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "shard count (worker goroutines / cache planes)")
 		batch     = flag.Int("batch", 64, "most requests per shard batch")
 		threshold = flag.Uint("threshold", 8, "CMS estimate admitting a key into the cache (1 to 4294967295)")
-		rows      = flag.Int("rows", 2, "CMS rows (with -compile: ignored)")
-		cols      = flag.Int("cols", 4096, "CMS cols (with -compile: ignored)")
-		parts     = flag.Int("parts", 8, "KV partitions (with -compile: ignored)")
-		slots     = flag.Int("slots", 1024, "KV slots per partition (with -compile: ignored)")
-		compile   = flag.Bool("compile", false, "compile NetCache and use the solver's shapes")
-		mem       = flag.Int("mem", 7*pisa.Mb/4, "per-stage memory bits for -compile")
+		compile   = flag.Bool("compile", true, "serve the compiler's certified shapes (always on: false exits 2)")
+		mem       = flag.Int("mem", 7*pisa.Mb/4, "per-stage memory bits of the target NetCache is compiled for")
 		duration  = flag.Duration("duration", 0, "stop after this long (0: run until shutdown)")
 		trace     = flag.String("trace", "", "write a JSONL trace to this file")
 		summary   = flag.Bool("summary", false, "print an observability summary table to stderr")
@@ -51,6 +47,9 @@ func main() {
 	admit, err := admissionThreshold(*threshold)
 	if err == nil {
 		err = runtimeCounts(*shards, *batch)
+	}
+	if err == nil {
+		err = certifiedShapes(*compile)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netcacheserve:", err)
@@ -63,30 +62,24 @@ func main() {
 		os.Exit(1)
 	}
 
-	layout := &ilpgen.Layout{Symbolics: map[string]int64{
-		"cms_rows": int64(*rows), "cms_cols": int64(*cols),
-		"kv_parts": int64(*parts), "kv_slots": int64(*slots),
-	}}
-	if *compile {
-		fmt.Fprintln(os.Stderr, "compiling NetCache for the cache shapes...")
-		app := apps.NetCache(apps.NetCacheConfig{})
-		res, err := core.Compile(app.Source, pisa.EvalTarget(*mem),
-			core.Options{Solver: ilp.Options{Deterministic: true}, Certify: true, Name: app.Name, Tracer: tracer})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "netcacheserve:", err)
-			os.Exit(1)
-		}
-		cert := res.Certificate
-		if !cert.Proved() {
-			for _, f := range cert.Failures() {
-				fmt.Fprintln(os.Stderr, "netcacheserve:", f)
-			}
-			fmt.Fprintln(os.Stderr, "netcacheserve: the compiled layout is not certified; refusing to serve it")
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "certified p4_sha256", cert.P4SHA256)
-		layout = res.Layout
+	fmt.Fprintln(os.Stderr, "compiling NetCache for the cache shapes...")
+	app := apps.NetCache(apps.NetCacheConfig{})
+	res, err := core.Compile(app.Source, pisa.EvalTarget(*mem),
+		core.Options{Solver: ilp.Options{Threads: 1}, Certify: true, Name: app.Name, Tracer: tracer})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "netcacheserve:", err)
+		os.Exit(1)
 	}
+	cert := res.Certificate
+	if !cert.Proved() {
+		for _, f := range cert.Failures() {
+			fmt.Fprintln(os.Stderr, "netcacheserve:", f)
+		}
+		fmt.Fprintln(os.Stderr, "netcacheserve: the compiled layout is not certified; refusing to serve it")
+		os.Exit(1)
+	}
+	fmt.Fprintln(os.Stderr, "certified p4_sha256", cert.P4SHA256)
+	layout := res.Layout
 
 	srv, err := serve.NewServer(serve.ServerConfig{
 		Addr: *addr,
@@ -165,6 +158,16 @@ func admissionThreshold(v uint) (uint32, error) {
 func runtimeCounts(shards, batch int) error {
 	if shards < 1 || batch < 1 {
 		return fmt.Errorf("-shards %d and -batch %d must be at least 1", shards, batch)
+	}
+	return nil
+}
+
+// certifiedShapes checks -compile, which is kept only so that command
+// lines passing it still work: the served shapes are always the
+// compiler's certified ones, and there are no others to serve instead.
+func certifiedShapes(compile bool) error {
+	if !compile {
+		return fmt.Errorf("-compile=false: netcacheserve serves only the compiler's certified NetCache layout and has no hand-set shapes")
 	}
 	return nil
 }

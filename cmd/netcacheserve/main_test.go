@@ -39,3 +39,19 @@ func TestRuntimeCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestCertifiedShapes checks that -compile=false is refused instead of
+// ignored: no flag picks shapes the validator has not proved.
+func TestCertifiedShapes(t *testing.T) {
+	for _, c := range []struct {
+		compile bool
+		ok      bool
+	}{
+		{true, true},
+		{false, false},
+	} {
+		if err := certifiedShapes(c.compile); (err == nil) != c.ok {
+			t.Errorf("certifiedShapes(%v) = %v, want ok=%v", c.compile, err, c.ok)
+		}
+	}
+}

@@ -1,13 +1,14 @@
 // Command p4allbench regenerates the paper's evaluation figures and
 // tables (§6) as text tables:
 //
-//	p4allbench -fig 4    NetCache quality surface
+//	p4allbench -fig 4    NetCache quality surface, and the compiled shapes' hit rate
 //	p4allbench -fig 7    optimal NetCache layout (stage map)
 //	p4allbench -fig 9    loop-unrolling running example
 //	p4allbench -fig 11   application benchmark table
 //	p4allbench -fig 12   memory-elasticity sweep
 //	p4allbench -fig 13   utility-function comparison
 //	p4allbench -fig fairness  multi-tenant fairness sweep
+//	p4allbench -fig drift  workload drift: frozen layout vs elastic controller
 //	p4allbench -fig all  everything above
 package main
 
@@ -37,13 +38,14 @@ type figure struct {
 // figures lists every name -fig accepts besides "all", in the order
 // -fig all prints them.
 var figures = []figure{
-	{"4", func(int) error { return fig4() }},
+	{"4", fig4},
 	{"9", func(int) error { return fig9() }},
 	{"7", fig7},
 	{"11", fig11},
 	{"12", func(int) error { return fig12() }},
 	{"13", fig13},
 	{"fairness", func(int) error { return figFairness() }},
+	{"drift", func(int) error { return figDrift() }},
 }
 
 // figureNames is the -fig vocabulary: every figure name, then "all".
@@ -104,14 +106,13 @@ func main() {
 	}
 }
 
-func fig4() error {
-	cfg := eval.DefaultFig4Config()
+func fig4(mem int) error {
 	budget := int64(8 * pisa.Mb)
-	points := eval.Figure4(cfg, budget,
+	points := eval.Figure4(budget,
 		[]int{1, 2, 3, 4},
 		[]float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99})
 	fmt.Printf("NetCache quality (hit rate) over an %d-bit budget; Zipf %.2f over %d keys\n\n",
-		budget, cfg.Zipf, cfg.Keys)
+		budget, eval.Fig4Zipf, eval.Fig4Keys)
 	fmt.Printf("%8s %10s %10s %10s\n", "cms_rows", "cms_cols", "kv_items", "hit_rate")
 	for _, p := range points {
 		fmt.Printf("%8d %10d %10d %9.3f\n", p.CMSRows, p.CMSCols, p.KVSlots, p.HitRate)
@@ -120,6 +121,20 @@ func fig4() error {
 	fmt.Printf("\noptimum: rows=%d cols=%d kv_items=%d hit=%.3f (KVS-heavy with a small accurate sketch,\n"+
 		"the configuration the paper's utility function selects)\n",
 		best.CMSRows, best.CMSCols, best.KVSlots, best.HitRate)
+
+	res, err := eval.Figure7(mem, tracer)
+	if err != nil {
+		return err
+	}
+	l := res.Layout
+	hit, err := eval.LayoutHitRate(l)
+	if err != nil {
+		return err
+	}
+	rows, cols := l.Symbolic("cms_rows"), l.Symbolic("cms_cols")
+	parts, slots := l.Symbolic("kv_parts"), l.Symbolic("kv_slots")
+	fmt.Printf("\ncompiled at %.2f Mb/stage (Figure 7): cms %dx%d (%d bits), kv %dx%d (%d bits): hit rate %.4f\n",
+		float64(mem)/float64(pisa.Mb), rows, cols, rows*cols*32, parts, slots, parts*slots*64, hit)
 	return nil
 }
 
@@ -225,5 +240,14 @@ func figFairness() error {
 			p.Weight, p.FixedUtility, p.FavoredUtility, p.SolveTime.Round(time.Millisecond), warm, 100*p.Gap)
 	}
 	fmt.Println("\nallocation follows weight; the floors keep the squeezed tenant alive")
+	return nil
+}
+
+func figDrift() error {
+	res, err := eval.FigureDrift(1, tracer)
+	if err != nil {
+		return err
+	}
+	fmt.Print(eval.FormatDrift(res))
 	return nil
 }

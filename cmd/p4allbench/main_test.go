@@ -19,6 +19,9 @@ func TestSelectFigures(t *testing.T) {
 			t.Errorf("selectFigures(%q) = %v, %v", f.name, got, err)
 		}
 	}
+	if got, err := selectFigures("drift"); err != nil || len(got) != 1 {
+		t.Errorf(`selectFigures("drift") = %v, %v; want the workload-drift table`, got, err)
+	}
 	for _, name := range []string{"bogus", "scaling", "", "All"} {
 		_, err := selectFigures(name)
 		if err == nil {

@@ -36,22 +36,20 @@ func main() {
 	fmt.Printf("generated concrete P4: %d lines\ncompile time: %v\n\n",
 		eval.CountLoC(res.P4), res.Phases.Total())
 
-	// Feed the chosen shapes to the behavioral quality simulation.
-	rows := int(l.Symbolic("cms_rows"))
-	cols := int(l.Symbolic("cms_cols"))
-	items := int(l.Symbolic("kv_parts") * l.Symbolic("kv_slots"))
-	cfg := eval.DefaultFig4Config()
-	budget := int64(rows*cols)*32 + int64(items)*64
-	pts := eval.Figure4(cfg, budget, []int{rows}, []float64{float64(int64(items)*64) / float64(budget)})
-	if len(pts) == 0 {
-		log.Fatal("degenerate shapes")
+	// Play the Figure 4 workload against the planes the layout builds.
+	rows, cols := l.Symbolic("cms_rows"), l.Symbolic("cms_cols")
+	parts, slots := l.Symbolic("kv_parts"), l.Symbolic("kv_slots")
+	hit, err := eval.LayoutHitRate(l)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("== Cache quality with the compiler's shapes ==\n")
-	fmt.Printf("cms %dx%d + kv %d items -> hit rate %.3f on Zipf(%.2f) over %d keys\n",
-		rows, cols, items, pts[0].HitRate, cfg.Zipf, cfg.Keys)
+	fmt.Printf("cms %dx%d + kv %dx%d (%d items) -> hit rate %.3f on Zipf(%.2f) over %d keys\n",
+		rows, cols, parts, slots, parts*slots, hit, eval.Fig4Zipf, eval.Fig4Keys)
 
 	// Compare against a deliberately bad split (CMS hoards the memory).
-	bad := eval.Figure4(cfg, budget, []int{4}, []float64{0.05})
+	budget := rows*cols*32 + parts*slots*64
+	bad := eval.Figure4(budget, []int{4}, []float64{0.05})
 	if len(bad) > 0 {
 		fmt.Printf("versus a CMS-heavy split of the same budget: hit rate %.3f\n", bad[0].HitRate)
 	}

@@ -10,6 +10,7 @@ import (
 	"p4all/internal/lang"
 	"p4all/internal/pisa"
 	"p4all/internal/sim"
+	"p4all/internal/tv"
 )
 
 func TestAllAppsResolve(t *testing.T) {
@@ -46,8 +47,8 @@ func TestNetCacheCompiles(t *testing.T) {
 	if l.Symbolic("kv_parts") < 1 || l.Symbolic("kv_slots") < 1024 {
 		t.Errorf("kv sizing: parts=%d slots=%d", l.Symbolic("kv_parts"), l.Symbolic("kv_slots"))
 	}
-	if err := l.Validate(res.ILP); err != nil {
-		t.Errorf("layout invalid: %v", err)
+	if audit := tv.Audit(res.Unit, l); audit.Failed() {
+		t.Errorf("layout fails the audit: %+v", audit.Checks)
 	}
 	t.Logf("NetCache layout:\n%s", l)
 	t.Logf("phases: %+v (total %v)", res.Phases, res.Phases.Total())
@@ -164,8 +165,8 @@ func TestFlowRadarCompiles(t *testing.T) {
 	if got := res.Layout.Symbolic("fr_ct_cells"); got < 256 {
 		t.Errorf("fr_ct_cells = %d, want >= 256", got)
 	}
-	if err := res.Layout.Validate(res.ILP); err != nil {
-		t.Errorf("layout invalid: %v", err)
+	if audit := tv.Audit(res.Unit, res.Layout); audit.Failed() {
+		t.Errorf("layout fails the audit: %+v", audit.Checks)
 	}
 }
 

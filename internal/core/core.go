@@ -45,9 +45,9 @@ type Options struct {
 	// get compiler defaults: a 3% optimality gap, 4000-node and
 	// 90-second limits (Layout.Stats.Gap records what was certified;
 	// set Solver.Gap negative for exact optimization). Solver.Threads
-	// and Solver.Deterministic pass through untouched: by default the
-	// solve fans out over runtime.GOMAXPROCS(0) workers, and
-	// Deterministic makes it one worker (see docs/PARALLEL_SOLVER.md).
+	// passes through untouched: by default the solve fans out over
+	// runtime.GOMAXPROCS(0) workers, and Threads: 1 makes it one
+	// reproducible worker (see docs/PARALLEL_SOLVER.md).
 	Solver ilp.Options
 	// SkipCodegen stops after solving (benchmarks that only need the
 	// layout).
@@ -241,7 +241,7 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 	if err != nil {
 		return 0, err
 	}
-	attrs := make([]obs.Attr, 0, len(solveCounts)+6)
+	attrs := make([]obs.Attr, 0, len(solveCounts)+5)
 	for _, c := range solveCounts {
 		attrs = append(attrs, obs.Int(c.attr, c.value(&st)))
 	}
@@ -251,7 +251,6 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 		obs.String("root", st.RootStart),
 		obs.Float("objective", objective),
 		obs.Float("gap", st.Gap),
-		obs.Bool("deterministic", solver.Deterministic),
 	)...)
 	// The solver.* counters accumulate across every solve this tracer
 	// observes; the root LPs are counted by how they started (cold,

@@ -12,6 +12,7 @@ import (
 	"p4all/internal/lang"
 	"p4all/internal/modules"
 	"p4all/internal/pisa"
+	"p4all/internal/tv"
 	"p4all/internal/unroll"
 )
 
@@ -30,8 +31,8 @@ func TestCompileEndToEnd(t *testing.T) {
 	if res.Phases.Total() <= 0 {
 		t.Error("phases not timed")
 	}
-	if err := res.Layout.Validate(res.ILP); err != nil {
-		t.Errorf("layout invalid: %v", err)
+	if audit := tv.Audit(res.Unit, res.Layout); audit.Failed() {
+		t.Errorf("layout fails the audit: %+v", audit.Checks)
 	}
 }
 

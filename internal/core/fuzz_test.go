@@ -10,6 +10,7 @@ import (
 	"p4all/internal/ilpgen"
 	"p4all/internal/modules"
 	"p4all/internal/pisa"
+	"p4all/internal/tv"
 )
 
 // randomProgram composes 1-3 random library modules under one header
@@ -93,12 +94,12 @@ func TestQuickRandomCompositionsCompile(t *testing.T) {
 			t.Logf("seed %d: unexpected error %v\ntarget %+v", seed, err, tgt)
 			return false
 		}
-		if err := res.Layout.Validate(res.ILP); err != nil {
-			t.Logf("seed %d: invalid layout: %v\ntarget %+v\n%s", seed, err, tgt, res.Layout)
+		if audit := tv.Audit(res.Unit, res.Layout); audit.Failed() {
+			t.Logf("seed %d: the layout fails the audit: %+v\ntarget %+v\n%s", seed, audit.Checks, tgt, res.Layout)
 			return false
 		}
-		// Every symbolic must respect its assume bounds (Validate
-		// covers resources; spot-check values are non-negative).
+		// Every symbolic must respect its assume bounds (the audit
+		// checks them; spot-check values are non-negative).
 		for name, v := range res.Layout.Symbolics {
 			if v < 0 {
 				t.Logf("seed %d: symbolic %s = %d negative", seed, name, v)

@@ -28,12 +28,11 @@ type Config struct {
 	// Solver tunes the re-solves; re-solves additionally get
 	// Options.Start seeded from the last two solutions and their root
 	// bases (an ilpgen.History). Zero fields take the compiler
-	// defaults. The controller always sets
-	// Solver.Deterministic, so re-solves run on one worker and
-	// Solver.Threads is ignored: the adopt/keep decision and the
-	// warm-start chain (each re-solve seeds the next) must not depend
-	// on goroutine timing, or replayed traffic traces could diverge
-	// from the runs that produced them.
+	// defaults. The controller always sets Solver.Threads to 1, so
+	// re-solves run on one worker whatever it says: the adopt/keep
+	// decision and the warm-start chain (each re-solve seeds the next)
+	// must not depend on goroutine timing, or replayed traffic traces
+	// could diverge from the runs that produced them.
 	Solver ilp.Options
 	// Tracer records drift/reoptimize/adopt/fallback events. Nil
 	// disables tracing.
@@ -154,7 +153,7 @@ func New(cfg Config) (*Controller, error) {
 	// Drift decisions must replay identically, so re-solves run on one
 	// branch-and-bound worker whatever cfg.Solver.Threads says.
 	solver := cfg.Solver
-	solver.Deterministic = true
+	solver.Threads = 1
 	c := &Controller{
 		cfg:      cfg,
 		det:      NewDetector(),

@@ -76,11 +76,11 @@ func FigureDrift(seed int64, tr *obs.Tracer) (*DriftResult, error) {
 		InitialShare: 0.55, // both runs start tuned for the heavy phase
 		// The 5% gap mirrors the controller's operating point (proving
 		// 3% on this target costs more nodes than finding the optimum).
-		// Deterministic is redundant with the controller forcing it on
+		// One worker is redundant with the controller forcing it on
 		// re-solves, but stating it here keeps the experiment's
 		// contract explicit: identical traces in, identical DriftPoints
 		// out.
-		Solver: ilp.Options{Gap: 0.05, Deterministic: true},
+		Solver: ilp.Options{Gap: 0.05, Threads: 1},
 		Tracer: tr,
 	})
 	if err != nil {
@@ -168,8 +168,8 @@ func FigureDrift(seed int64, tr *obs.Tracer) (*DriftResult, error) {
 	return out, nil
 }
 
-// FormatDrift renders a drift run as the text table `netcachesim
-// -drift` prints, in the style of the p4allbench figures.
+// FormatDrift renders a drift run as the text table `p4allbench -fig
+// drift` prints.
 func FormatDrift(res *DriftResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload drift: %d keys, %d-request windows, skew %.2f -> %.2f\n\n",

@@ -11,7 +11,7 @@ import (
 // and recovers. testdata/drift.golden pins the whole trajectory —
 // every window's hit rates, action and epoch, and the re-solve and
 // adoption counts — to the byte, so a change that moves what the loop
-// adopts shows up here before it shows up in `netcachesim -drift`.
+// adopts shows up here before it shows up in `p4allbench -fig drift`.
 func TestFigureDriftRecovery(t *testing.T) {
 	res, err := FigureDrift(1, nil)
 	if err != nil {

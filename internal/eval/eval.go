@@ -16,11 +16,11 @@ import (
 	"p4all/internal/dep"
 	"p4all/internal/elastic"
 	"p4all/internal/ilp"
+	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
 	"p4all/internal/multitenant"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
-	"p4all/internal/structures"
 	"p4all/internal/unroll"
 	"p4all/internal/workload"
 )
@@ -38,20 +38,26 @@ var FigureSolver = ilp.Options{Threads: 1}
 
 // ---------------------------------------------------------------- Fig 4
 
-// Fig4Config parameterizes the NetCache quality simulation.
-type Fig4Config struct {
-	Seed      int64
-	Keys      int     // key universe
-	Requests  int     // request count
-	Zipf      float64 // request skew
-	Threshold uint32  // CMS estimate admitting a key into the cache
-	Epoch     int     // requests between CMS resets (0: no reset)
+// Fig4Keys and Fig4Zipf describe the request stream of every published
+// Figure 4 number: NetCache-style GETs, Zipf-skewed over a fixed key
+// universe.
+const (
+	Fig4Keys = 100000
+	Fig4Zipf = 0.95
+)
+
+// fig4Stream is a Figure 4 request stream and the cache's admission
+// policy; its one value outside tests is fig4Default.
+type fig4Stream struct {
+	seed      int64
+	keys      int     // key universe
+	requests  int     // request count
+	zipf      float64 // request skew
+	threshold uint32  // CMS estimate admitting a key into the cache
+	epoch     int     // requests between CMS resets (0: no reset)
 }
 
-// DefaultFig4Config mirrors a NetCache-style workload.
-func DefaultFig4Config() Fig4Config {
-	return Fig4Config{Seed: 1, Keys: 100000, Requests: 400000, Zipf: 0.95, Threshold: 8, Epoch: 50000}
-}
+var fig4Default = fig4Stream{seed: 1, keys: Fig4Keys, requests: 400000, zipf: Fig4Zipf, threshold: 8, epoch: 50000}
 
 // Fig4Point is one cell of the quality surface.
 type Fig4Point struct {
@@ -64,7 +70,11 @@ type Fig4Point struct {
 // Figure4 sweeps (CMS shape × KV capacity) combinations under a fixed
 // total memory budget and measures the cache hit rate of each — the
 // paper's quality surface whose optimum the utility function targets.
-func Figure4(cfg Fig4Config, budgetBits int64, cmsRowChoices []int, kvFractions []float64) []Fig4Point {
+func Figure4(budgetBits int64, cmsRowChoices []int, kvFractions []float64) []Fig4Point {
+	return figure4(fig4Default, budgetBits, cmsRowChoices, kvFractions)
+}
+
+func figure4(w fig4Stream, budgetBits int64, cmsRowChoices []int, kvFractions []float64) []Fig4Point {
 	var out []Fig4Point
 	for _, rows := range cmsRowChoices {
 		for _, f := range kvFractions {
@@ -75,40 +85,48 @@ func Figure4(cfg Fig4Config, budgetBits int64, cmsRowChoices []int, kvFractions 
 			if cols < 1 || slots < 1 {
 				continue
 			}
-			hr := netcacheQuality(cfg, rows, cols, slots)
+			// The sweep's stores are not compiled: partition them
+			// like the switch would.
+			parts := 1 + slots/65536
+			hit, err := w.layoutHitRate(&ilpgen.Layout{Symbolics: map[string]int64{
+				"cms_rows": int64(rows), "cms_cols": int64(cols),
+				"kv_parts": int64(parts), "kv_slots": int64((slots + parts - 1) / parts),
+			}})
+			if err != nil {
+				continue
+			}
 			out = append(out, Fig4Point{
 				CMSRows: rows, CMSCols: cols, KVSlots: slots,
-				MemoryBits: budgetBits, HitRate: hr,
+				MemoryBits: budgetBits, HitRate: hit,
 			})
 		}
 	}
 	return out
 }
 
-// netcacheQuality plays a request stream against a CMS-admitted cache
-// and returns the hit rate.
-func netcacheQuality(cfg Fig4Config, rows, cols, slots int) float64 {
-	cms, err := structures.NewCountMinSketch(rows, cols)
+// LayoutHitRate plays Figure 4's request stream against the planes a
+// compiled NetCache layout builds (elastic.NewPlane: its own CMS rows
+// and columns, KV partitions and slots) and returns the hit rate.
+func LayoutHitRate(l *ilpgen.Layout) (float64, error) {
+	return fig4Default.layoutHitRate(l)
+}
+
+func (w fig4Stream) layoutHitRate(l *ilpgen.Layout) (float64, error) {
+	plane, err := elastic.NewPlane(l)
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	parts := 1 + slots/65536 // partition large stores like the switch would
-	kv, err := structures.NewKVStore(parts, (slots+parts-1)/parts)
-	if err != nil {
-		return 0
-	}
-	plane := &elastic.Plane{CMS: cms, KV: kv}
-	reqs := workload.ZipfKeys(cfg.Seed, cfg.Keys, cfg.Zipf, cfg.Requests)
+	reqs := workload.ZipfKeys(w.seed, w.keys, w.zipf, w.requests)
 	hits := 0
 	for i, key := range reqs {
-		if cfg.Epoch > 0 && i > 0 && i%cfg.Epoch == 0 {
-			cms.Reset()
+		if w.epoch > 0 && i > 0 && i%w.epoch == 0 {
+			plane.CMS.Reset()
 		}
-		if _, hit, _ := plane.ServeGet(key, cfg.Threshold); hit {
+		if _, hit, _ := plane.ServeGet(key, w.threshold); hit {
 			hits++
 		}
 	}
-	return float64(hits) / float64(len(reqs))
+	return float64(hits) / float64(len(reqs)), nil
 }
 
 // BestFig4 returns the highest-hit-rate point.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"p4all/internal/ilpgen"
 	"p4all/internal/pisa"
 )
 
@@ -24,9 +25,9 @@ func TestFigure9RunningExample(t *testing.T) {
 }
 
 func TestFigure4QualitySurfaceShape(t *testing.T) {
-	cfg := Fig4Config{Seed: 5, Keys: 20000, Requests: 120000, Zipf: 0.95, Threshold: 8, Epoch: 20000}
+	w := fig4Stream{seed: 5, keys: 20000, requests: 120000, zipf: 0.95, threshold: 8, epoch: 20000}
 	budget := int64(4 * pisa.Mb)
-	points := Figure4(cfg, budget, []int{1, 2, 4}, []float64{0.05, 0.3, 0.6, 0.9, 0.99})
+	points := figure4(w, budget, []int{1, 2, 4}, []float64{0.05, 0.3, 0.6, 0.9, 0.99})
 	if len(points) < 10 {
 		t.Fatalf("only %d points", len(points))
 	}
@@ -53,6 +54,30 @@ func TestFigure4QualitySurfaceShape(t *testing.T) {
 			best.HitRate, kvStarved, cmsStarved)
 	}
 	t.Logf("best point: rows=%d cols=%d slots=%d hit=%.3f", best.CMSRows, best.CMSCols, best.KVSlots, best.HitRate)
+}
+
+// TestLayoutHitRateKeepsCompiledShapes plays Figure 4's stream against
+// the shapes NetCache compiles to at 1.75 Mb — cms 2 × 1024, kv 9 × 56 320
+// — as compiled. The sweep's own partitioning would rebuild that store
+// as 8 × 63 360 and hit 0.7526 instead of 0.7530.
+func TestLayoutHitRateKeepsCompiledShapes(t *testing.T) {
+	l := &ilpgen.Layout{Symbolics: map[string]int64{
+		"cms_rows": 2, "cms_cols": 1024, "kv_parts": 9, "kv_slots": 56320,
+	}}
+	got, err := LayoutHitRate(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := fmt.Sprintf("%.4f", got); s != "0.7530" {
+		t.Errorf("compiled-shape hit rate %s, want 0.7530", s)
+	}
+	swept := Figure4(2*1024*32+9*56320*64, []int{2}, []float64{float64(9*56320*64) / float64(2*1024*32+9*56320*64)})
+	if len(swept) != 1 || swept[0].CMSCols != 1024 || swept[0].KVSlots != 9*56320 {
+		t.Fatalf("sweep point %+v, want cms 2 x 1024 and %d items", swept, 9*56320)
+	}
+	if s := fmt.Sprintf("%.4f", swept[0].HitRate); s != "0.7526" {
+		t.Errorf("re-partitioned hit rate %s, want 0.7526", s)
+	}
 }
 
 func TestCountLoC(t *testing.T) {

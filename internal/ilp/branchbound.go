@@ -33,10 +33,11 @@ type Options struct {
 	// (model, Options) pair — same incumbent sequence, objective and
 	// assignment on every run — by searching with one worker whatever
 	// Threads says (Solution.Threads reports 1). A one-worker solve is
-	// reproducible without the flag; with more workers the order in
-	// which incumbents land depends on goroutine timing. A TimeLimit
-	// stop is wall-clock and so never reproducible; pin NodeLimit
-	// instead.
+	// reproducible without the flag, so the compiler's own callers
+	// spell it Threads: 1; the benchmark (bench/) is its one remaining
+	// setter. With more workers the order in which incumbents land
+	// depends on goroutine timing. A TimeLimit stop is wall-clock and
+	// so never reproducible; pin NodeLimit instead.
 	Deterministic bool
 	// Start supplies MIP starts (see Start). Each start's Values must
 	// hold one entry per model variable, else Solve returns an error.

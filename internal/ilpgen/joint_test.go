@@ -80,9 +80,7 @@ func TestJointTwoTenants(t *testing.T) {
 		if l.Symbolics["rows"] < 1 || l.Symbolics["cols"] < 1 {
 			t.Errorf("tenant %s: degenerate allocation %v", jl.Names[i], l.Symbolics)
 		}
-		if err := l.Validate(j.Tenants[i]); err != nil {
-			t.Errorf("tenant %s layout invalid: %v", jl.Names[i], err)
-		}
+		AuditLayout(t, j.Tenants[i].Unit, l)
 		if jl.Utilities[i] < floor-1e-6 {
 			t.Errorf("tenant %s utility %g below floor %g", jl.Names[i], jl.Utilities[i], floor)
 		}

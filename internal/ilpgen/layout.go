@@ -316,96 +316,6 @@ func (p *ILP) extract(sol *ilp.Solution) *Layout {
 	return l
 }
 
-// Validate re-checks a layout against the target's physical limits and
-// the dependency edges — used by tests as an end-to-end invariant.
-func (l *Layout) Validate(p *ILP) error {
-	t := l.Target
-	for s, use := range l.Stages {
-		if use.Hf > t.StatefulALUs {
-			return fmt.Errorf("stage %d uses %d stateful ALUs of %d", s, use.Hf, t.StatefulALUs)
-		}
-		if use.Hl > t.StatelessALUs {
-			return fmt.Errorf("stage %d uses %d stateless ALUs of %d", s, use.Hl, t.StatelessALUs)
-		}
-		if t.HashUnits > 0 && use.Hashes > t.HashUnits {
-			return fmt.Errorf("stage %d uses %d hash units of %d", s, use.Hashes, t.HashUnits)
-		}
-		if use.MemoryBits > int64(t.MemoryBits) {
-			return fmt.Errorf("stage %d uses %d memory bits of %d", s, use.MemoryBits, t.MemoryBits)
-		}
-	}
-	// Edge checks over placed nodes.
-	stageOf := map[int][]int{}
-	for _, pl := range l.Placements {
-		found := false
-		for _, s := range stageOf[pl.Node] {
-			if s == pl.Stage {
-				found = true
-			}
-		}
-		if !found {
-			stageOf[pl.Node] = append(stageOf[pl.Node], pl.Stage)
-		}
-	}
-	for a, succ := range p.Graph.Prec {
-		for _, b := range succ {
-			sa, oka := stageOf[a]
-			sb, okb := stageOf[b]
-			if !okb {
-				continue
-			}
-			if !oka {
-				return fmt.Errorf("node %d placed but its predecessor %d is not", b, a)
-			}
-			if maxOf(sa) >= minOf(sb) {
-				return fmt.Errorf("precedence %d->%d violated: stages %v vs %v", a, b, sa, sb)
-			}
-		}
-	}
-	for a, ex := range p.Graph.Excl {
-		for _, b := range ex {
-			if a >= b {
-				continue
-			}
-			for _, s1 := range stageOf[a] {
-				for _, s2 := range stageOf[b] {
-					if s1 == s2 {
-						return fmt.Errorf("exclusion %d-%d violated: both in stage %d", a, b, s1)
-					}
-				}
-			}
-		}
-	}
-	// Iteration contiguity: if iteration i exists, so do 0..i-1.
-	for sym, bound := range p.Bounds.LoopBound {
-		v := l.Symbolics[sym.Name]
-		if v < 0 || v > int64(bound) {
-			return fmt.Errorf("symbolic %s = %d outside [0, %d]", sym.Name, v, bound)
-		}
-	}
-	return nil
-}
-
-func minOf(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOf(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // String renders the layout as a per-stage report (Figure 7 style).
 func (l *Layout) String() string {
 	var b strings.Builder

@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"p4all/internal/codegen"
+	"p4all/internal/dep"
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
 	"p4all/internal/modules"
 	"p4all/internal/pisa"
+	"p4all/internal/unroll"
 )
 
 // The adversarial miscompile suite: every mutation below injects a bug
@@ -257,4 +259,135 @@ func TestAuditRejectsTamperedSymbolic(t *testing.T) {
 	// instance set no longer matches the placement bijection.
 	l.Symbolics["cms_rows"] = l.Symbolics["cms_rows"] + 7
 	auditMustFail(t, u, l, "tampered-symbolic")
+}
+
+// TestAuditRejectsIllegalLayouts tampers with the legal CMS layout once
+// per rule a layout must keep — each stage within its stateful-ALU,
+// stateless-ALU, hash-unit and memory budgets, precedence edges in
+// increasing stages, exclusive nodes in distinct stages, every loop
+// within its unroll bound — and the audit must fail the check that
+// guards the rule, with a detail naming it.
+func TestAuditRejectsIllegalLayouts(t *testing.T) {
+	u, layout, _ := mutationCompile(t)
+	counts := dep.Counts{}
+	for _, lp := range u.Loops {
+		counts[lp.Sym] = int(layout.Symbolics[lp.Sym.Name])
+	}
+	graph := dep.Build(u, counts, layout.Target)
+	stage := map[string]int{}
+	for _, pl := range layout.Placements {
+		stage[pl.Name] = pl.Stage
+	}
+	nodeStage := func(n *dep.Node) int { return stage[n.Instances[0].Name()] }
+	// moveNode places every instance of node n in stage s.
+	moveNode := func(l *ilpgen.Layout, n *dep.Node, s int) {
+		for _, in := range n.Instances {
+			for i := range l.Placements {
+				if l.Placements[i].Name == in.Name() {
+					l.Placements[i].Stage = s
+				}
+			}
+		}
+	}
+	// edge returns the first pair (a, b) of nodes with b in adj[a].
+	edge := func(adj [][]int) (*dep.Node, *dep.Node) {
+		for a, succ := range adj {
+			if len(succ) > 0 {
+				return graph.Nodes[a], graph.Nodes[succ[0]]
+			}
+		}
+		t.Fatal("the CMS graph has no such edge")
+		return nil, nil
+	}
+	// hashing returns two nodes that hash, in distinct stages.
+	hashing := func() (*dep.Node, *dep.Node) {
+		var found []*dep.Node
+		for _, n := range graph.Nodes {
+			if n.Hashes > 0 && (len(found) == 0 || nodeStage(n) != nodeStage(found[0])) {
+				found = append(found, n)
+			}
+			if len(found) == 2 {
+				return found[0], found[1]
+			}
+		}
+		t.Fatal("the CMS graph has no two hashing nodes in distinct stages")
+		return nil, nil
+	}
+	peak := func(use func(ilpgen.StageUse) int64) int64 {
+		var m int64
+		for _, su := range layout.Stages {
+			m = max(m, use(su))
+		}
+		return m
+	}
+	// shrink replaces the layout's target with a copy cut down by f.
+	shrink := func(l *ilpgen.Layout, f func(*pisa.Target)) {
+		tgt := *l.Target
+		f(&tgt)
+		l.Target = &tgt
+	}
+	bounds, err := unroll.UpperBounds(u, layout.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name, check, detail string
+		mutate              func(l *ilpgen.Layout)
+	}{
+		{"stateful-alus", "alu-budget", "stateful ALUs", func(l *ilpgen.Layout) {
+			shrink(l, func(tgt *pisa.Target) {
+				tgt.StatefulALUs = int(peak(func(su ilpgen.StageUse) int64 { return int64(su.Hf) })) - 1
+			})
+		}},
+		{"stateless-alus", "alu-budget", "stateless ALUs", func(l *ilpgen.Layout) {
+			shrink(l, func(tgt *pisa.Target) {
+				tgt.StatelessALUs = int(peak(func(su ilpgen.StageUse) int64 { return int64(su.Hl) })) - 1
+			})
+		}},
+		// HashUnits 0 means unlimited, so two hashing nodes share a
+		// stage of a one-unit target.
+		{"hash-units", "alu-budget", "hash units", func(l *ilpgen.Layout) {
+			a, b := hashing()
+			moveNode(l, b, nodeStage(a))
+			shrink(l, func(tgt *pisa.Target) { tgt.HashUnits = 1 })
+		}},
+		{"memory", "memory-budget", "memory bits", func(l *ilpgen.Layout) {
+			shrink(l, func(tgt *pisa.Target) {
+				tgt.MemoryBits = int(peak(func(su ilpgen.StageUse) int64 { return su.MemoryBits })) - 1
+			})
+		}},
+		{"precedence-inverted", "precedence", "must precede", func(l *ilpgen.Layout) {
+			a, b := edge(graph.Prec)
+			moveNode(l, a, nodeStage(b))
+			moveNode(l, b, nodeStage(a))
+		}},
+		{"exclusive-shared", "exclusion", "must not share", func(l *ilpgen.Layout) {
+			a, b := edge(graph.Excl)
+			moveNode(l, b, nodeStage(a))
+		}},
+		{"loop-over-unroll-bound", "placement-bijection", "no placement", func(l *ilpgen.Layout) {
+			for sym, k := range bounds.LoopBound {
+				l.Symbolics[sym.Name] = int64(k) + 1
+			}
+		}},
+	} {
+		l := cloneLayout(layout)
+		c.mutate(l)
+		res := Audit(u, l)
+		var got *Check
+		for i := range res.Checks {
+			if res.Checks[i].Name == c.check {
+				got = &res.Checks[i]
+			}
+		}
+		switch {
+		case got == nil:
+			t.Errorf("%s: the audit ran no %s check", c.name, c.check)
+		case got.OK:
+			t.Errorf("%s: the audit's %s check passed the tampered layout", c.name, c.check)
+		case !strings.Contains(got.Detail, c.detail):
+			t.Errorf("%s: %s failed with %q, want a detail naming %q", c.name, c.check, got.Detail, c.detail)
+		}
+	}
 }
