@@ -1,14 +1,14 @@
 // Command difftest runs the differential testing harness
 // (internal/difftest) offline: every benchmark app is compiled at
-// several memory budgets and checked under the seven oracles — layout
-// invariance, sim vs golden structures, snapshot round-trip, engine
-// equivalence, migration soundness, translation validation, and
-// multi-tenant per-tenant equivalence. A clean run exits 0; any
+// several memory budgets and checked under the six oracles — layout
+// invariance, sim vs golden structures, engine equivalence, migration
+// soundness, translation validation, and multi-tenant per-tenant
+// equivalence. A clean run exits 0; any
 // oracle violation prints a (shrunken) repro and exits 1.
 //
 //	go run ./cmd/difftest -seed 1 -n 10000
 //	go run ./cmd/difftest -apps NetCache,Precision -budgets 524288,1048576
-//	go run ./cmd/difftest -oracles golden,snapshot -n 100000 -seed 7
+//	go run ./cmd/difftest -oracles golden,engine -n 100000 -seed 7
 //	go run ./cmd/difftest -failures out.txt   # CI artifact
 //
 // -failures writes every failure report (including shrunken repros) to
@@ -32,7 +32,7 @@ func main() {
 	n := flag.Int("n", 10000, "packets per generated stream")
 	appsFlag := flag.String("apps", "", "comma-separated app subset (default: all four)")
 	budgetsFlag := flag.String("budgets", "", "comma-separated per-stage memory budgets in bits (default: 524288,1048576,2097152)")
-	oraclesFlag := flag.String("oracles", "", "comma-separated oracle subset: layout,golden,snapshot,engine,certify,migrate,tenant (default: all)")
+	oraclesFlag := flag.String("oracles", "", "comma-separated oracle subset: layout,golden,engine,certify,migrate,tenant (default: all)")
 	shrink := flag.Bool("shrink", true, "minimize failing streams before reporting")
 	failuresPath := flag.String("failures", "", "also write failure reports (with minimized repros) to this file")
 	quiet := flag.Bool("q", false, "suppress progress lines")

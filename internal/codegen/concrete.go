@@ -138,16 +138,15 @@ type CCall struct {
 }
 
 // CRegRef is a cell access of one register array instance,
-// rendered "name_inst[idx]". Width, Cells, and Materialized carry the
-// declaration and layout facts the validator needs; Render ignores
-// them.
+// rendered "name_inst[idx]". Width is the declared cell width the
+// validator wraps values at; Render ignores it. Whether the instance is
+// materialized, and its cell count, are the layout's (tv reads them
+// from its register placements).
 type CRegRef struct {
-	Reg          string
-	Inst         int64
-	Idx          CExpr
-	Width        int
-	Cells        int64
-	Materialized bool
+	Reg   string
+	Inst  int64
+	Idx   CExpr
+	Width int
 }
 
 // CFieldRef is a struct/header field access. Index is -1 when the
@@ -436,15 +435,7 @@ func (b *builder) ref(r *lang.Ref, a *lang.Action, iter int) CExpr {
 }
 
 func (b *builder) regRef(reg *lang.Register, inst int64, idx CExpr) *CRegRef {
-	rp, ok := b.regs[fmt.Sprintf("%s/%d", reg.Name, inst)]
-	return &CRegRef{
-		Reg:          reg.Name,
-		Inst:         inst,
-		Idx:          idx,
-		Width:        reg.Width,
-		Cells:        rp.Cells,
-		Materialized: ok,
-	}
+	return &CRegRef{Reg: reg.Name, Inst: inst, Idx: idx, Width: reg.Width}
 }
 
 func (b *builder) indexValue(e lang.Expr, a *lang.Action, iter int) int64 {

@@ -8,7 +8,7 @@ import (
 	"p4all/internal/tv"
 )
 
-// Oracle 6: translation validation. Every compile the harness performs
+// Oracle 5: translation validation. Every compile the harness performs
 // must certify — the emitted concrete program must be symbolically
 // equivalent to its source under the solved assignment, and the layout
 // must pass the independent resource audit (see

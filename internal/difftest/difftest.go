@@ -1,7 +1,7 @@
 // Package difftest is the differential and metamorphic testing harness
 // for the compiler pipeline: it executes the same elastic program under
 // multiple independently derived configurations and demands
-// bit-identical observable behavior. Seven oracles cover the pipeline's
+// bit-identical observable behavior. Six oracles cover the pipeline's
 // correctness surface:
 //
 //  1. layout invariance — one program with its symbolics pinned must
@@ -10,19 +10,17 @@
 //  2. sim vs golden — compiled layouts replayed packet-for-packet
 //     against the reference internal/structures implementations (the
 //     shared hash contract makes the comparison exact);
-//  3. snapshot round-trip — Snapshot/Restore at arbitrary stream
-//     prefixes must not perturb subsequent outputs;
-//  4. engine equivalence — the bytecode VM (exercised through its
+//  3. engine equivalence — the bytecode VM (exercised through its
 //     batched replay path) must match the reference AST interpreter's
 //     outputs, register end-state, and Stats counters for every packet,
 //     on every program the repo ships, with a lowering fallback treated
 //     as a failure;
-//  5. migration soundness — elastic CMS state migration never
+//  4. migration soundness — elastic CMS state migration never
 //     underestimates relative to a fresh sketch fed the same suffix;
-//  6. translation validation — every compiled layout must certify:
+//  5. translation validation — every compiled layout must certify:
 //     the emitted program symbolically equivalent to its source and the
 //     layout clean under the independent resource audit (internal/tv);
-//  7. multi-tenant equivalence — each tenant of a jointly-compiled mix
+//  6. multi-tenant equivalence — each tenant of a jointly-compiled mix
 //     (internal/multitenant) must behave bit-identically to the same
 //     program compiled alone with its symbolics pinned to the joint
 //     allocation, per-packet and in final register state.
@@ -36,6 +34,8 @@ package difftest
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"p4all/internal/apps"
 	"p4all/internal/core"
@@ -69,7 +69,7 @@ type AppSpec struct {
 	// seed feeds any auxiliary state the model pre-loads (NetCache's
 	// key-value store contents).
 	NewGolden func(l *ilpgen.Layout, seed int64) (Golden, error)
-	// MigrShape extracts the (rows, cols) shape oracle 5 migrates
+	// MigrShape extracts the (rows, cols) shape oracle 4 migrates
 	// between layouts.
 	MigrShape func(l *ilpgen.Layout) (rows, cols int)
 	// MigrSeed is the hash seed of the migrated sketch instance.
@@ -157,7 +157,7 @@ func precisionSpec() AppSpec {
 			{Name: "pkt.len", Width: 16},
 		},
 		NewGolden: newPrecisionGolden,
-		// Precision has no CMS module; oracle 5 migrates a sketch of
+		// Precision has no CMS module; oracle 4 migrates a sketch of
 		// the hash table's solved shape instead, so every app still
 		// exercises a layout-derived migration.
 		MigrShape: func(l *ilpgen.Layout) (int, int) {
@@ -185,18 +185,17 @@ func conquestSpec() AppSpec {
 
 // Oracle names accepted by Config.Oracles.
 const (
-	OracleLayout   = "layout"
-	OracleGolden   = "golden"
-	OracleSnapshot = "snapshot"
-	OracleEngine   = "engine"
-	OracleMigrate  = "migrate"
-	OracleCertify  = "certify"
-	OracleTenant   = "tenant"
+	OracleLayout  = "layout"
+	OracleGolden  = "golden"
+	OracleEngine  = "engine"
+	OracleMigrate = "migrate"
+	OracleCertify = "certify"
+	OracleTenant  = "tenant"
 )
 
 // AllOracles lists every oracle in run order.
 func AllOracles() []string {
-	return []string{OracleGolden, OracleSnapshot, OracleEngine, OracleCertify, OracleLayout, OracleMigrate, OracleTenant}
+	return []string{OracleGolden, OracleEngine, OracleCertify, OracleLayout, OracleMigrate, OracleTenant}
 }
 
 // Config parameterizes one harness run.
@@ -292,6 +291,9 @@ func Run(cfg Config) (*Report, error) {
 	}
 	want := make(map[string]bool, len(cfg.Oracles))
 	for _, o := range cfg.Oracles {
+		if !slices.Contains(AllOracles(), o) {
+			return nil, fmt.Errorf("difftest: unknown oracle %q (want one of %s)", o, strings.Join(AllOracles(), ","))
+		}
 		want[o] = true
 	}
 	rep := &Report{}
@@ -309,9 +311,6 @@ func Run(cfg Config) (*Report, error) {
 			layouts[bi] = res.Layout
 			if want[OracleGolden] {
 				checkGolden(rep, cfg, spec, res, budget, stream)
-			}
-			if want[OracleSnapshot] {
-				checkSnapshot(rep, cfg, spec, res, budget, stream)
 			}
 			if want[OracleEngine] {
 				checkEngines(rep, cfg, spec, res, budget, stream)

@@ -195,6 +195,15 @@ func TestRunRejectsUnknownApp(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownOracle keeps a retired or misspelled oracle name
+// from silently running fewer checks.
+func TestRunRejectsUnknownOracle(t *testing.T) {
+	_, err := Run(Config{Oracles: []string{OracleGolden, "snapshot"}})
+	if err == nil || !strings.Contains(err.Error(), `unknown oracle "snapshot"`) {
+		t.Fatalf("expected unknown-oracle error, got %v", err)
+	}
+}
+
 // TestPinnedSourcePinsEverySymbolic compiles a pinned program and
 // verifies the re-solve reproduces the exact symbolic assignment —
 // the precondition oracle 1's output comparison rests on.

@@ -102,7 +102,7 @@ func fuzzSpec(appIdx byte) AppSpec {
 // FuzzSimVsGolden replays arbitrary byte-derived streams against the
 // golden models (oracle 2 under coverage guidance), and cross-checks
 // the two execution engines against each other on the same stream
-// (oracle 4), so every corpus entry also fuzzes the VM lowering.
+// (oracle 3), so every corpus entry also fuzzes the VM lowering.
 func FuzzSimVsGolden(f *testing.F) {
 	compiled := fuzzCompileAll(f)
 	f.Add(byte(0), []byte("netcache-seed"))
@@ -163,36 +163,7 @@ func FuzzVMVsInterp(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotRoundTrip restores a snapshot at a fuzz-chosen cut and
-// demands the replayed suffix match (oracle 3 under coverage
-// guidance).
-func FuzzSnapshotRoundTrip(f *testing.F) {
-	compiled := fuzzCompileAll(f)
-	f.Add(byte(0), byte(3), []byte("snapshot-seed-a"))
-	f.Add(byte(2), byte(1), []byte("\x01\x02\x03\x04\x05\x06\x07\x08"))
-	f.Add(byte(3), byte(9), []byte("snapshot-seed-conquest"))
-	f.Fuzz(func(t *testing.T, appIdx, cutByte byte, data []byte) {
-		spec := fuzzSpec(appIdx)
-		res := compiled[spec.Name]
-		stream := streamFromBytes(spec, data, false)
-		cut := int(cutByte) % len(stream)
-		if cut == 0 {
-			cut = len(stream) / 2
-		}
-		if cut == 0 {
-			return
-		}
-		div, err := replaySnapshot(spec, res, stream, cut, int64(appIdx))
-		if err != nil {
-			t.Fatalf("%s: replay error: %v", spec.Name, err)
-		}
-		if div != nil {
-			t.Fatalf("%s: restore at %d perturbed replay: %s\n%s", spec.Name, cut, div, formatStream(stream))
-		}
-	})
-}
-
-// FuzzMigrateCMS checks oracle 5's invariant over arbitrary shapes,
+// FuzzMigrateCMS checks oracle 4's invariant over arbitrary shapes,
 // seeds, and key streams: a migrated sketch never under-counts
 // relative to a fresh sketch fed the same suffix. Pure structures —
 // no compile — so this target explores shape space cheaply.

@@ -21,7 +21,7 @@ type divergence struct {
 	field     string
 	got, want uint64
 	// engine names the engine that produced got when the oracle
-	// compares more than two (oracle 4); empty elsewhere.
+	// compares more than two (oracle 3); empty elsewhere.
 	engine string
 }
 
@@ -89,54 +89,6 @@ func checkGolden(rep *Report, cfg Config, spec AppSpec, res *core.Result, budget
 	rep.Failures = append(rep.Failures, f)
 }
 
-// --- oracle 3: snapshot round-trip --------------------------------------
-
-// replaySnapshot runs prefix packets, snapshots, finishes the stream,
-// restores, and re-runs the suffix; the two suffix output sequences
-// must be identical.
-func replaySnapshot(spec AppSpec, res *core.Result, stream []sim.Packet, cut int, seed int64) (*divergence, error) {
-	pipe, err := sim.New(res.Unit, res.Layout)
-	if err != nil {
-		return nil, err
-	}
-	golden, err := spec.NewGolden(res.Layout, seed)
-	if err != nil {
-		return nil, err
-	}
-	// Seed the same register preconditions the golden oracle uses so
-	// the round-trip covers non-zero initial state too.
-	if err := golden.SeedRegisters(pipe); err != nil {
-		return nil, err
-	}
-	for i := 0; i < cut; i++ {
-		if _, err := pipe.Process(stream[i]); err != nil {
-			return nil, fmt.Errorf("packet %d: %w", i, err)
-		}
-	}
-	snap := pipe.Snapshot()
-	first := make([]map[string]uint64, 0, len(stream)-cut)
-	for i := cut; i < len(stream); i++ {
-		out, err := pipe.Process(stream[i])
-		if err != nil {
-			return nil, fmt.Errorf("packet %d: %w", i, err)
-		}
-		first = append(first, out)
-	}
-	if err := pipe.Restore(snap); err != nil {
-		return nil, fmt.Errorf("restore at %d: %w", cut, err)
-	}
-	for i := cut; i < len(stream); i++ {
-		out, err := pipe.Process(stream[i])
-		if err != nil {
-			return nil, fmt.Errorf("replayed packet %d: %w", i, err)
-		}
-		if d := diffOutputs(i, first[i-cut], out); d != nil {
-			return d, nil
-		}
-	}
-	return nil, nil
-}
-
 // diffOutputs compares two output maps for one packet.
 func diffOutputs(packet int, want, got map[string]uint64) *divergence {
 	for f, w := range want {
@@ -150,44 +102,6 @@ func diffOutputs(packet int, want, got map[string]uint64) *divergence {
 		}
 	}
 	return nil
-}
-
-func checkSnapshot(rep *Report, cfg Config, spec AppSpec, res *core.Result, budget int, stream []sim.Packet) {
-	n := len(stream)
-	for _, cut := range []int{n / 4, n / 2, 3 * n / 4} {
-		if cut <= 0 || cut >= n {
-			continue
-		}
-		rep.Checks++
-		rep.Packets += n + (n - cut)
-		div, err := replaySnapshot(spec, res, stream, cut, cfg.Seed)
-		if err != nil {
-			rep.Failures = append(rep.Failures, Failure{
-				App: spec.Name, Oracle: OracleSnapshot, Budget: budget,
-				Detail: fmt.Sprintf("cut %d: replay error: %v", cut, err),
-			})
-			continue
-		}
-		if div == nil {
-			continue
-		}
-		f := Failure{
-			App: spec.Name, Oracle: OracleSnapshot, Budget: budget,
-			Detail: fmt.Sprintf("restore at %d perturbed replay: %s", cut, div),
-		}
-		if cfg.Shrink {
-			min := Shrink(stream, func(s []sim.Packet) bool {
-				c := len(s) / 2
-				if c == 0 {
-					return false
-				}
-				d, err := replaySnapshot(spec, res, s, c, cfg.Seed)
-				return err == nil && d != nil
-			})
-			f.Repro = reproNote(spec, cfg, min)
-		}
-		rep.Failures = append(rep.Failures, f)
-	}
 }
 
 // --- oracle 1: layout invariance ----------------------------------------
@@ -366,7 +280,7 @@ func diffSnapshots(a, b *sim.Snapshot) string {
 	return ""
 }
 
-// --- oracle 4: engine equivalence ---------------------------------------
+// --- oracle 3: engine equivalence ---------------------------------------
 
 // errEngineDiverged aborts a VM replay as soon as the sink records a
 // divergence — the rest of the stream can't add information.
@@ -484,7 +398,7 @@ func checkEngines(rep *Report, cfg Config, spec AppSpec, res *core.Result, budge
 	rep.Failures = append(rep.Failures, f)
 }
 
-// --- oracle 5: migration soundness --------------------------------------
+// --- oracle 4: migration soundness --------------------------------------
 
 // checkMigration feeds a stream prefix into a sketch shaped by one
 // layout, migrates it to the next layout's shape carrying the window's

@@ -11,7 +11,7 @@ import (
 	"p4all/internal/pisa"
 )
 
-// --- oracle 7: multi-tenant per-tenant equivalence ----------------------
+// --- oracle 6: multi-tenant per-tenant equivalence ----------------------
 
 // checkTenantEquivalence is the soundness oracle for the joint
 // multi-tenant compiler: each tenant of a jointly-optimized mix must

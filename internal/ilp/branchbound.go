@@ -142,10 +142,6 @@ type Progress struct {
 	Gap float64
 	// Elapsed is the wall time since the solve started.
 	Elapsed time.Duration
-	// Workers carries per-worker tallies. It is populated only by
-	// multi-threaded solves (single-threaded searches report the totals
-	// above and leave it nil).
-	Workers []Effort
 }
 
 const (
@@ -468,14 +464,17 @@ func (b *bb) gapSatisfiedAtRoot() bool {
 		(b.opts.Gap > 0 && relGap(b.bestObj, b.rootMin) <= b.opts.Gap)
 }
 
-// effort sums the worker tallies, returning the sum and each tally.
-func (b *bb) effort() (total Effort, workers []Effort) {
-	workers = make([]Effort, len(b.tallies))
+// effort sums the worker tallies; a non-nil workers (one entry per
+// worker) also receives each tally.
+func (b *bb) effort(workers []Effort) (total Effort) {
 	for i := range b.tallies {
-		workers[i] = b.tallies[i].load()
-		total.add(workers[i])
+		e := b.tallies[i].load()
+		if workers != nil {
+			workers[i] = e
+		}
+		total.add(e)
 	}
-	return total, workers
+	return total
 }
 
 // boundMinLocked returns the tightest proven min-sense bound on the
@@ -513,10 +512,9 @@ func (b *bb) emitLocked(kind ProgressKind) {
 	if b.opts.Progress == nil {
 		return
 	}
-	total, workers := b.effort()
 	p := Progress{
 		Kind:    kind,
-		Effort:  total,
+		Effort:  b.effort(nil),
 		Gap:     math.Inf(1),
 		Elapsed: time.Since(b.solveStart),
 	}
@@ -527,19 +525,16 @@ func (b *bb) emitLocked(kind ProgressKind) {
 		p.Incumbent = b.sign * (b.bestObj + b.sf.objK)
 		p.Gap = relGap(b.bestObj, bm)
 	}
-	if b.threads > 1 {
-		p.Workers = workers
-	}
 	b.opts.Progress(p)
 }
 
 // solution assembles the terminal Solution and emits the done snapshot.
 // Called before the workers start or after all have exited.
 func (b *bb) solution(status Status) *Solution {
-	total, workers := b.effort()
+	workers := make([]Effort, len(b.tallies))
 	sol := &Solution{
 		Status:      status,
-		Effort:      total,
+		Effort:      b.effort(workers),
 		RootStart:   b.rootStart,
 		RootBasis:   b.rootBasis,
 		Presolve:    b.sf.pre,

@@ -12,10 +12,11 @@
 // instruction stream into segments:
 //
 //   - vector segments touch no written register: they run
-//     instruction-major, with a per-lane program counter (next[l]) so
-//     guard jumps stay per-lane. Read-only registers (a seeded
-//     key-value store) are safe here: their contents are constant for
-//     the whole batch and read-count accounting is order-free.
+//     instruction-major, each instruction over the list of lanes whose
+//     per-lane program counter (next[l]) is at it, so guard jumps stay
+//     per-lane. Read-only registers (a seeded key-value store) are safe
+//     here: their contents are constant for the whole batch and
+//     read-count accounting is order-free.
 //   - serial segments span every instruction touching a written
 //     register (the union of per-register [first,last] access
 //     intervals): they run lane-major, packet after packet, which is
@@ -223,209 +224,136 @@ func (pl *vmProg) execBumpLoad(fr *vmFrame, sg vmSeg) {
 	fr.writes += n
 }
 
-// execVec runs a vector segment instruction-major. A lane participates
-// in instruction pc iff its program counter next[l] equals pc — lanes
-// whose guards jumped ahead skip until pc catches up. Guards only jump
-// forward, so every lane leaves the segment with next[l] >= end.
+// allLanes is every lane of a full batch in order: an uncond
+// instruction's lane list is its prefix.
+var allLanes = func() (t [vmLanes]uint8) {
+	for l := range t {
+		t[l] = uint8(l)
+	}
+	return t
+}()
+
+// execVec runs a vector segment instruction-major. Each instruction
+// first forms the list of lanes that take it, then runs one loop over
+// that list:
 //
-// Instructions marked uncond (inside no guard-skip interval — see
-// markUncond in lower.go) take a dense path: every lane is known to
-// participate, so the per-lane pc check/store disappears and the ALU
-// charge is hoisted out of the lane loop. That is sound because the
-// first conditional instruction after a guard is always reached through
-// that guard (conditional regions are exactly guarded step bodies, and
-// guard jump targets are themselves uncond), and guards — dense or not
-// — store next[l] for every active lane, re-establishing the sparse
-// invariant before any conditional instruction reads it. Dense
-// non-guard instructions leave next[l] stale, which nothing reads until
-// the segment-end fixup normalizes flowing lanes to end (lanes parked
-// on a target T >= end keep T).
+//   - an uncond instruction (inside no jump's skip interval — see
+//     markUncond in lower.go) is taken by every lane, so its list is a
+//     prefix of allLanes and next[] is neither read nor written;
+//   - any other instruction is taken by the lanes whose program counter
+//     next[l] equals pc (lanes whose guards jumped ahead skip until pc
+//     catches up), and each of them moves on to pc+1.
+//
+// Reading next[] only for conditional instructions is sound because
+// the first conditional instruction after a guard is always reached
+// through that guard (conditional regions are exactly guarded step
+// bodies, and guard jump targets are themselves uncond), and every
+// guard stores each listed lane's next pc, re-establishing next[]
+// before any conditional instruction reads it. Uncond non-guard
+// instructions leave next[l] stale, which nothing reads until the
+// segment-end fixup normalizes flowing lanes to end (lanes parked on a
+// target T >= end keep T). The ALU charge is hoisted out of the loop:
+// every listed lane charges the same stage counter.
 func (pl *vmProg) execVec(fr *vmFrame, start, end int32) {
 	lanes := fr.lanes
 	gen := fr.gen
+	var buf [vmLanes]uint8
 	for pc := start; pc < end; pc++ {
 		in := &pl.code[pc]
-		chg := uint64(in.charge)
-		ctr := &fr.alu[in.ctr]
-		if in.uncond {
-			*ctr += chg * uint64(lanes)
-			dv := fr.vals[int(in.dst)*vmLanes:]
-			ds := fr.stamp[int(in.dst)*vmLanes:]
-			switch in.op {
-			case opConstSlot:
-				for l := 0; l < lanes; l++ {
-					dv[l] = in.imm
-					ds[l] = gen
+		ls := allLanes[:lanes]
+		if !in.uncond {
+			// Branch-free: guards leave the lanes mixed, so a branch on
+			// next[l] here would mispredict.
+			k := 0
+			for l := 0; l < lanes; l++ {
+				buf[k] = uint8(l)
+				var take int32
+				if fr.next[l] == pc {
+					take = 1
 				}
-			case opHashModSlot:
-				for l := 0; l < lanes; l++ {
-					v := structures.Hash(fr.ld(in.a, l)&in.mask, in.imm) % in.imm2
-					dv[l] = v & in.dmask
-					ds[l] = gen
-				}
-			case opMovSlot:
-				for l := 0; l < lanes; l++ {
-					dv[l] = fr.ld(in.a, l) & in.dmask
-					ds[l] = gen
-				}
-			case opAdd2Slot:
-				for l := 0; l < lanes; l++ {
-					dv[l] = (fr.ld(in.a, l) + fr.ld(in.b, l)) & in.mask
-					ds[l] = gen
-				}
-			case opAdd3Slot:
-				for l := 0; l < lanes; l++ {
-					v := (fr.ld(in.a, l) + fr.ld(in.b, l)) & in.mask
-					dv[l] = (v + fr.ld(in.c, l)) & in.mask2
-					ds[l] = gen
-				}
-			case opRegLoadSlot:
-				// Read-only register (hazard analysis serializes every
-				// written one), so the store is constant across lanes.
-				fr.reads += uint64(lanes)
-				for l := 0; l < lanes; l++ {
-					cell := fr.ld(in.a, l)
-					if cell >= in.ncells {
-						cell %= in.ncells
-					}
-					dv[l] = in.store[cell] & in.dmask
-					ds[l] = gen
-				}
-			case opGuardLT:
-				// Guards still record each lane's continuation pc: the
-				// conditional body that follows reads it.
-				for l := 0; l < lanes; l++ {
-					if fr.ld(in.a, l) < fr.ld(in.b, l) {
-						fr.next[l] = pc + 1
-					} else {
-						fr.next[l] = in.target
-					}
-				}
-			case opGuardEQImm:
-				for l := 0; l < lanes; l++ {
-					if fr.ld(in.a, l) == in.imm {
-						fr.next[l] = pc + 1
-					} else {
-						fr.next[l] = in.target
-					}
-				}
+				fr.next[l] += take
+				k += int(take)
 			}
-			continue
+			ls = buf[:k]
 		}
+		n := uint64(len(ls))
+		fr.alu[in.ctr] += uint64(in.charge) * n
+		// Fixed-size views, indexed by lanes masked to vmLanes-1 (a
+		// no-op on a listed lane), let the compiler drop the bounds
+		// checks in the lane loops.
+		dv := (*[vmLanes]uint64)(fr.vals[int(in.dst)*vmLanes:])
+		ds := (*[vmLanes]uint64)(fr.stamp[int(in.dst)*vmLanes:])
 		switch in.op {
 		case opConstSlot:
-			d := int(in.dst) * vmLanes
-			for l := 0; l < lanes; l++ {
-				if fr.next[l] != pc {
-					continue
-				}
-				fr.next[l] = pc + 1
-				*ctr += chg
-				fr.vals[d+l] = in.imm
-				fr.stamp[d+l] = gen
+			for _, l := range ls {
+				l &= vmLanes - 1
+				dv[l] = in.imm
+				ds[l] = gen
 			}
 		case opHashModSlot:
-			d := int(in.dst) * vmLanes
-			for l := 0; l < lanes; l++ {
-				if fr.next[l] != pc {
-					continue
-				}
-				fr.next[l] = pc + 1
-				*ctr += chg
-				v := structures.Hash(fr.ld(in.a, l)&in.mask, in.imm) % in.imm2
-				fr.vals[d+l] = v & in.dmask
-				fr.stamp[d+l] = gen
+			for _, l := range ls {
+				l &= vmLanes - 1
+				v := structures.Hash(fr.ld(in.a, int(l))&in.mask, in.imm) % in.imm2
+				dv[l] = v & in.dmask
+				ds[l] = gen
 			}
 		case opMovSlot:
-			d := int(in.dst) * vmLanes
-			for l := 0; l < lanes; l++ {
-				if fr.next[l] != pc {
-					continue
-				}
-				fr.next[l] = pc + 1
-				*ctr += chg
-				fr.vals[d+l] = fr.ld(in.a, l) & in.dmask
-				fr.stamp[d+l] = gen
+			for _, l := range ls {
+				l &= vmLanes - 1
+				dv[l] = fr.ld(in.a, int(l)) & in.dmask
+				ds[l] = gen
 			}
 		case opAdd2Slot:
-			d := int(in.dst) * vmLanes
-			for l := 0; l < lanes; l++ {
-				if fr.next[l] != pc {
-					continue
-				}
-				fr.next[l] = pc + 1
-				*ctr += chg
-				fr.vals[d+l] = (fr.ld(in.a, l) + fr.ld(in.b, l)) & in.mask
-				fr.stamp[d+l] = gen
+			for _, l := range ls {
+				l &= vmLanes - 1
+				dv[l] = (fr.ld(in.a, int(l)) + fr.ld(in.b, int(l))) & in.mask
+				ds[l] = gen
 			}
 		case opAdd3Slot:
-			d := int(in.dst) * vmLanes
-			for l := 0; l < lanes; l++ {
-				if fr.next[l] != pc {
-					continue
-				}
-				fr.next[l] = pc + 1
-				*ctr += chg
-				v := (fr.ld(in.a, l) + fr.ld(in.b, l)) & in.mask
-				fr.vals[d+l] = (v + fr.ld(in.c, l)) & in.mask2
-				fr.stamp[d+l] = gen
+			for _, l := range ls {
+				l &= vmLanes - 1
+				v := (fr.ld(in.a, int(l)) + fr.ld(in.b, int(l))) & in.mask
+				dv[l] = (v + fr.ld(in.c, int(l))) & in.mask2
+				ds[l] = gen
 			}
 		case opRegLoadSlot:
-			// Reachable in vector mode only for read-only registers
-			// (hazard analysis serializes every written one), so the
-			// store is constant across lanes.
-			d := int(in.dst) * vmLanes
-			for l := 0; l < lanes; l++ {
-				if fr.next[l] != pc {
-					continue
-				}
-				fr.next[l] = pc + 1
-				*ctr += chg
-				cell := fr.ld(in.a, l)
+			// Read-only register (hazard analysis serializes every
+			// written one), so the store is constant across lanes.
+			fr.reads += n
+			for _, l := range ls {
+				l &= vmLanes - 1
+				cell := fr.ld(in.a, int(l))
 				if cell >= in.ncells {
 					cell %= in.ncells
 				}
-				fr.reads++
-				fr.vals[d+l] = in.store[cell] & in.dmask
-				fr.stamp[d+l] = gen
+				dv[l] = in.store[cell] & in.dmask
+				ds[l] = gen
 			}
 		case opGuardLT:
-			for l := 0; l < lanes; l++ {
-				if fr.next[l] != pc {
-					continue
-				}
-				*ctr += chg
-				if fr.ld(in.a, l) < fr.ld(in.b, l) {
+			for _, l := range ls {
+				l &= vmLanes - 1
+				if fr.ld(in.a, int(l)) < fr.ld(in.b, int(l)) {
 					fr.next[l] = pc + 1
 				} else {
 					fr.next[l] = in.target
 				}
 			}
 		case opGuardEQImm:
-			for l := 0; l < lanes; l++ {
-				if fr.next[l] != pc {
-					continue
-				}
-				*ctr += chg
-				if fr.ld(in.a, l) == in.imm {
+			for _, l := range ls {
+				l &= vmLanes - 1
+				if fr.ld(in.a, int(l)) == in.imm {
 					fr.next[l] = pc + 1
 				} else {
 					fr.next[l] = in.target
 				}
 			}
 		default:
-			// opRegBumpSlot writes a register, so segmentation always
-			// places it in a serial segment; dispatch through the
-			// scalar core defensively should it ever appear here.
-			for l := 0; l < lanes; l++ {
-				if fr.next[l] != pc {
-					continue
-				}
-				fr.next[l] = pl.exec(fr, l, pc, pc+1)
-			}
+			// segmentize puts every register write and every generic
+			// instruction in a serial segment.
+			panic("sim: " + in.op.String() + " in a vector segment")
 		}
 	}
-	// Dense instructions never store next[l], so flowing lanes exit the
+	// Uncond non-guards never store next[l], so flowing lanes exit the
 	// segment with a stale pc; normalize them to end. A lane parked on a
 	// guard target keeps it: targets unreached within this segment are
 	// >= end (anything smaller would have re-joined execution above).

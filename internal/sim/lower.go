@@ -45,8 +45,8 @@ func lowerVM(p *Pipeline) (*vmProg, error) {
 // can only be "waiting" at pc (its per-lane program counter parked on a
 // forward jump target T > pc) when pc lies strictly inside some jump's
 // interval (jump pc, T) — so an instruction inside no such interval is
-// executed by every lane of every batch, and the vector executor can
-// drop the per-lane pc check/store and hoist its ALU charge (batch.go).
+// executed by every lane of every batch, and the vector executor runs
+// it on all lanes without reading or writing their pcs (batch.go).
 // Intervals are computed over the whole program, not per segment: a
 // jump inside a serial segment can target past a later vector
 // segment's start, and those skipped instructions must stay

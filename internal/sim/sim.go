@@ -43,7 +43,7 @@ func (s Stats) TotalALUOps() uint64 {
 // Pipeline is an executable compiled program.
 //
 // Ownership: a Pipeline is owned by a single goroutine. Process, Stats,
-// Register, Snapshot, and Restore must all be called from that owner.
+// Register and Snapshot must all be called from that owner.
 // A swap keeps this invariant: its replacement is built and
 // state-migrated off to the side, and is published only while the
 // owner is idle (the serving runtime's quiesce window, internal/serve). To use more
@@ -144,10 +144,10 @@ func (p *Pipeline) installVM(vm *vmProg) {
 }
 
 // Snapshot is a deep copy of a pipeline's register state, detached
-// from the live pipeline. It is the unit of state migration: the
-// elastic controller snapshots the incumbent pipeline, transforms the
-// state to the new layout's shapes, and restores it into the
-// replacement before swapping.
+// from the live pipeline. The differential tests compare end-of-stream
+// register state through it (difftest's layout, engine and tenant
+// oracles); state migration across layouts works on the serving data
+// planes instead (elastic.MigrateShards).
 type Snapshot struct {
 	// Regs[name][instance] holds the cells of each register instance;
 	// a nil instance was not materialized in the layout.
@@ -167,41 +167,6 @@ func (p *Pipeline) Snapshot() *Snapshot {
 		s.Regs[name] = cp
 	}
 	return s
-}
-
-// Restore installs a snapshot taken from a pipeline of the same shape
-// (same register names, instance counts, and cell counts). Shape
-// mismatches are rejected: migrating state across layouts is the
-// elastic controller's job (internal/elastic), not Restore's.
-func (p *Pipeline) Restore(s *Snapshot) error {
-	if len(s.Regs) != len(p.regs) {
-		return fmt.Errorf("sim: snapshot has %d registers, pipeline has %d", len(s.Regs), len(p.regs))
-	}
-	for name, insts := range p.regs {
-		src, ok := s.Regs[name]
-		if !ok {
-			return fmt.Errorf("sim: snapshot missing register %s", name)
-		}
-		if len(src) != len(insts) {
-			return fmt.Errorf("sim: register %s has %d instances in snapshot, %d in pipeline", name, len(src), len(insts))
-		}
-		for i, cells := range insts {
-			if (cells == nil) != (src[i] == nil) {
-				return fmt.Errorf("sim: register %s/%d materialization differs between snapshot and pipeline", name, i)
-			}
-			if cells != nil && len(src[i]) != len(cells) {
-				return fmt.Errorf("sim: register %s/%d has %d cells in snapshot, %d in pipeline", name, i, len(src[i]), len(cells))
-			}
-		}
-	}
-	for name, insts := range p.regs {
-		for i, cells := range insts {
-			if cells != nil {
-				copy(cells, s.Regs[name][i])
-			}
-		}
-	}
-	return nil
 }
 
 // Stats returns a snapshot of the pipeline's work counters. The

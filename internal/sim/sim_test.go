@@ -300,72 +300,3 @@ control main { apply { pick(); } }
 		t.Errorf("max = %d, want 9", hi)
 	}
 }
-
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	_, pipe := compileCMS(t)
-	warm := workload.ZipfKeys(21, 300, 1.1, 2000)
-	for _, k := range warm {
-		if _, err := pipe.Process(Packet{"pkt.flow": k}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := pipe.Snapshot()
-
-	// The snapshot must be detached: further processing must not alter it.
-	shadow := pipe.Snapshot()
-	suffix := workload.ZipfKeys(22, 300, 1.1, 500)
-	record := func() []uint64 {
-		var outs []uint64
-		for _, k := range suffix {
-			out, err := pipe.Process(Packet{"pkt.flow": k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			v, _ := Meta(out, "cms_meta.min", -1)
-			outs = append(outs, v)
-		}
-		return outs
-	}
-	first := record()
-	for name, insts := range snap.Regs {
-		for i, cells := range insts {
-			if cells == nil {
-				continue
-			}
-			for j, v := range cells {
-				if shadow.Regs[name][i][j] != v {
-					t.Fatalf("snapshot aliased live state: %s/%d cell %d changed", name, i, j)
-				}
-			}
-		}
-	}
-
-	// Restore must be lossless: replaying the suffix from the restored
-	// state reproduces the estimates exactly.
-	if err := pipe.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	second := record()
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("replay diverged at packet %d: %d vs %d", i, first[i], second[i])
-		}
-	}
-}
-
-func TestRestoreRejectsShapeMismatch(t *testing.T) {
-	_, pipe := compileCMS(t)
-	snap := pipe.Snapshot()
-	for name, insts := range snap.Regs {
-		for i, cells := range insts {
-			if cells != nil {
-				snap.Regs[name][i] = cells[:len(cells)-1]
-				if err := pipe.Restore(snap); err == nil {
-					t.Fatalf("restore accepted truncated %s/%d", name, i)
-				}
-				return
-			}
-		}
-	}
-	t.Fatal("no materialized register instance to perturb")
-}

@@ -160,10 +160,11 @@ type vmInst struct {
 	store  []uint64
 	ncells uint64 // len(store), hoisted
 	regID  int32  // dense register-instance id; -1 when no register
-	// uncond is true when this pc lies inside no guard's skip interval
-	// (guard pc, target): every lane reaches it, so batch execution can
-	// skip the per-lane pc bookkeeping entirely (see markUncond and
-	// execVec in batch.go). Never set on opRegBumpSlot.
+	// uncond is true when this pc lies inside no jump's skip interval
+	// (jump pc, target): every lane reaches it, so the vector executor
+	// runs it on all lanes without reading or writing their program
+	// counters (see markUncond and execVec in batch.go). Never set on
+	// opRegBumpSlot.
 	uncond bool
 }
 

@@ -66,6 +66,42 @@ assume n >= 1 && n <= 2;
 optimize n;
 `
 
+// guardTour puts every vector superinstruction behind an earlier
+// guard: the nested ifs make the inner guards conditional, and the
+// guarded body folds, copies and reads a register nothing writes, so
+// the whole step stays in a vector segment and runs on partial lane
+// lists.
+const guardTour = `
+header hdr { bit<32> a; bit<32> b; }
+struct meta { bit<32> q; bit<32> x; bit<32> y; bit<32> z; bit<32> s; bit<32> t; bit<32> v; bit<32> w; bit<32> k; }
+register<bit<32>>[64] ro;
+action prep() {
+    meta.q = hash(hdr.b, 11) % 2;
+    meta.x = hash(hdr.a, 3) % 4;
+    meta.y = hash(hdr.b, 5) % 64;
+    meta.z = hash(hdr.a, 7) % 64;
+}
+action body() {
+    meta.s = meta.x + meta.y;
+    meta.t = meta.x + meta.y + meta.z;
+    meta.v = ro[meta.z];
+    meta.w = meta.v;
+    meta.k = 9;
+}
+control main {
+    apply {
+        prep();
+        if (meta.q == 1) {
+            if (meta.y < meta.z) {
+                if (meta.x == 1) {
+                    body();
+                }
+            }
+        }
+    }
+}
+`
+
 var (
 	vmCorpusOnce  sync.Once
 	vmCorpusProgs []vmProgram
@@ -76,7 +112,7 @@ var (
 // oracle covers: the 12 the repo ships — the four suite apps, HashPipe,
 // FlowRadar and the six standalone modules, at the evaluation target —
 // then the inline sources of width_test.go and alias_test.go and the
-// two tours above.
+// three tours above.
 func vmCorpus(t *testing.T) []vmProgram {
 	t.Helper()
 	vmCorpusOnce.Do(func() {
@@ -125,6 +161,7 @@ func vmCorpus(t *testing.T) []vmProgram {
 		add("alias: header write", headerWritingProgram, pisa.RunningExampleTarget(), "pkt.flow", "pkt.tag")
 		add("tour: logic", logicTour, simTestTarget(), "hdr.a", "hdr.b", "hdr.c")
 		add("tour: state", stateTour, simTestTarget(), "hdr.a", "hdr.b")
+		add("tour: guards", guardTour, simTestTarget(), "hdr.a", "hdr.b")
 	})
 	if vmCorpusErr != nil {
 		t.Fatalf("compile corpus: %v", vmCorpusErr)
@@ -351,38 +388,6 @@ func TestVMGenericCoreIsTotal(t *testing.T) {
 	}
 }
 
-// TestVMSnapshotRestore checks Snapshot/Restore round-trips through a
-// VM pipeline mid-replay — the elastic controller's swap protocol path.
-func TestVMSnapshotRestore(t *testing.T) {
-	app := vmSuite(t)[0]
-	vm, interp := newVMPair(t, app)
-	pkts := vmStream(app, 11, 3*vmLanes)
-	if err := vm.Replay(pkts[:vmLanes], nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := interp.Replay(pkts[:vmLanes], nil); err != nil {
-		t.Fatal(err)
-	}
-	snap := vm.Snapshot()
-	if err := vm.Replay(pkts[vmLanes:], nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	// After restore, the VM pipeline must agree with the interpreter
-	// that only saw the first batch.
-	assertSameSnapshots(t, vm, interp)
-	// And processing resumes correctly on the restored state.
-	if err := vm.Replay(pkts[vmLanes:], nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := interp.Replay(pkts[vmLanes:], nil); err != nil {
-		t.Fatal(err)
-	}
-	assertSameSnapshots(t, vm, interp)
-}
-
 // TestVMReplayZeroAllocs is the acceptance criterion's steady-state
 // check on the batched VM loop, per app.
 func TestVMReplayZeroAllocs(t *testing.T) {
@@ -418,8 +423,17 @@ func TestVMReplayZeroAllocs(t *testing.T) {
 // reached by a checked-in program — an unreached opcode is a dead
 // lowering path — and that the four suite apps still lower to the nine
 // superinstructions only, so batch.go's measured paths run them whole.
+// Every superinstruction a vector segment can hold (all but
+// opRegBumpSlot, which writes a register) must also appear in some
+// vector segment both uncond and not, so execVec runs each of its
+// loops on the full lane list and on a partial one.
 func TestVMOpcodeCoverage(t *testing.T) {
+	type vecUse struct {
+		op     vmOp
+		uncond bool
+	}
 	emittedBy := make(map[vmOp][]string)
+	inVector := make(map[vecUse]bool)
 	for i, app := range vmCorpus(t) {
 		vm, _ := newVMPair(t, app)
 		seen := make(map[vmOp]bool)
@@ -432,12 +446,27 @@ func TestVMOpcodeCoverage(t *testing.T) {
 				emittedBy[in.op] = append(emittedBy[in.op], app.name)
 			}
 		}
+		for _, sg := range vm.vm.segs {
+			if !sg.serial {
+				for _, in := range vm.vm.code[sg.start:sg.end] {
+					inVector[vecUse{in.op, in.uncond}] = true
+				}
+			}
+		}
 	}
 	for op := vmOp(0); op < vmOpCount; op++ {
 		if len(emittedBy[op]) == 0 {
 			t.Errorf("opcode %s is emitted by no corpus program — dead lowering path", op)
 		} else {
 			t.Logf("opcode %-12s exercised by %v", op, emittedBy[op])
+		}
+		if op >= opPush || op == opRegBumpSlot {
+			continue
+		}
+		for _, uncond := range []bool{true, false} {
+			if !inVector[vecUse{op, uncond}] {
+				t.Errorf("no corpus program runs %s in a vector segment with uncond=%v", op, uncond)
+			}
 		}
 	}
 }
