@@ -227,17 +227,20 @@ func figFairness() error {
 		return err
 	}
 	fmt.Printf("two tenants (%s fixed at weight 1, %s swept) jointly compiled on %s,\n"+
-		"utility floors %g cells each:\n\n", res.Fixed, res.Favored, res.Target.String(),
-		res.MinUtility)
-	fmt.Printf("%8s %12s %12s %12s %6s %6s\n",
-		"weight", res.Fixed, res.Favored, "resolve", "warm", "gap%")
+		"utility floors %g cells each; lp: the joint solution's utility, shipped: the\n"+
+		"layout's, at the cell counts extraction floors the solution's to:\n\n",
+		res.Fixed, res.Favored, res.Target.String(), res.MinUtility)
+	fmt.Printf("%8s %14s %14s %14s %14s %12s %6s %6s\n", "weight",
+		res.Fixed+" lp", res.Fixed+" shipped", res.Favored+" lp", res.Favored+" shipped",
+		"resolve", "warm", "gap%")
 	for _, p := range res.Points {
 		warm := "cold"
 		if p.WarmStarted {
 			warm = "warm"
 		}
-		fmt.Printf("%8.2f %12.0f %12.0f %12s %6s %6.2f\n",
-			p.Weight, p.FixedUtility, p.FavoredUtility, p.SolveTime.Round(time.Millisecond), warm, 100*p.Gap)
+		fmt.Printf("%8.2f %14.0f %14.0f %14.0f %14.0f %12s %6s %6.2f\n",
+			p.Weight, p.FixedUtility, p.FixedDelivered, p.FavoredUtility, p.FavoredDelivered,
+			p.SolveTime.Round(time.Millisecond), warm, 100*p.Gap)
 	}
 	fmt.Println("\nallocation follows weight; the floors keep the squeezed tenant alive")
 	return nil

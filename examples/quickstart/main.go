@@ -65,7 +65,7 @@ optimize cms_rows * cms_cols;
 	}
 	fmt.Println("\n== Executing the compiled pipeline ==")
 	for _, flow := range []uint64{7, 7, 7, 42} {
-		out, err := pipe.Process(p4all.Packet{"pkt.flow": flow})
+		out, err := pipe.Process(p4all.Packet{{Name: "pkt.flow", Value: flow}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -125,7 +125,7 @@ func TestNetCacheEndToEndSimulation(t *testing.T) {
 	// monotonically to the query count.
 	var lastEst uint64
 	for i := 1; i <= 5; i++ {
-		out, err := pipe.Process(sim.Packet{"query.key": 77, "ipv4.dst": 10})
+		out, err := pipe.Process(sim.Packet{{Name: "query.key", Value: 77}, {Name: "ipv4.dst", Value: 10}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -138,12 +139,12 @@ func TestGoldenOracleDetectsCorruption(t *testing.T) {
 func TestShrinkMinimizes(t *testing.T) {
 	stream := make([]sim.Packet, 100)
 	for i := range stream {
-		stream[i] = sim.Packet{"pkt.flow": uint64(i)}
+		stream[i] = sim.Packet{{Name: "pkt.flow", Value: uint64(i)}}
 	}
 	fails := func(s []sim.Packet) bool {
 		has7, has13 := false, false
 		for _, pkt := range s {
-			switch pkt["pkt.flow"] {
+			switch flow, _ := pkt.Get("pkt.flow"); flow {
 			case 7:
 				has7 = true
 			case 13:
@@ -161,6 +162,36 @@ func TestShrinkMinimizes(t *testing.T) {
 	}
 }
 
+// TestGenStreamFootprint bounds the live heap a generated stream holds:
+// a packet is its slice header plus one (name, value) pair per field in
+// a backing array the whole stream shares. The streams dominate the
+// replay benchmark's peak RSS, and a packet held as a Go map costs
+// about 264 B whatever its field count.
+func TestGenStreamFootprint(t *testing.T) {
+	const n = 65536
+	const maxBytesPerPacket = 128
+	for _, spec := range Specs() {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		stream := GenStream(spec, 1, n)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perPacket := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+		runtime.KeepAlive(stream)
+		t.Logf("%s: %d fields, %.1f B per packet", spec.Name, len(spec.Fields), perPacket)
+		if perPacket > maxBytesPerPacket {
+			t.Errorf("%s: a %d-packet stream holds %.1f B per packet live, want <= %d", spec.Name, n, perPacket, maxBytesPerPacket)
+		}
+	}
+}
+
+// field reads a packet's field, zero when it is absent.
+func field(pkt sim.Packet, name string) uint64 {
+	v, _ := pkt.Get(name)
+	return v
+}
+
 func TestGenStreamDeterministic(t *testing.T) {
 	spec := precisionSpec()
 	a := GenStream(spec, 42, 50)
@@ -168,17 +199,17 @@ func TestGenStreamDeterministic(t *testing.T) {
 	c := GenStream(spec, 43, 50)
 	for i := range a {
 		for _, f := range spec.Fields {
-			if a[i][f.Name] != b[i][f.Name] {
+			if field(a[i], f.Name) != field(b[i], f.Name) {
 				t.Fatalf("same seed diverged at packet %d field %s", i, f.Name)
 			}
 		}
-		if w := widthMask(16); a[i]["pkt.len"] > w {
-			t.Fatalf("packet %d: pkt.len %d exceeds 16-bit width", i, a[i]["pkt.len"])
+		if w := widthMask(16); field(a[i], "pkt.len") > w {
+			t.Fatalf("packet %d: pkt.len %d exceeds 16-bit width", i, field(a[i], "pkt.len"))
 		}
 	}
 	same := true
 	for i := range a {
-		if a[i]["pkt.flow"] != c[i]["pkt.flow"] {
+		if field(a[i], "pkt.flow") != field(c[i], "pkt.flow") {
 			same = false
 			break
 		}

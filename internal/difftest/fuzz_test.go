@@ -74,20 +74,20 @@ func streamFromBytes(spec AppSpec, data []byte, sparse bool) []sim.Packet {
 	}
 	out := make([]sim.Packet, len(data))
 	for i, b := range data {
-		pkt := make(sim.Packet, len(spec.Fields)+2)
+		pkt := make(sim.Packet, 0, len(spec.Fields)+2)
 		for j, f := range spec.Fields {
 			switch {
 			case f.Key:
-				pkt[f.Name] = uint64(b)
+				pkt = append(pkt, sim.Field{Name: f.Name, Value: uint64(b)})
 			case !sparse || b>>j&1 == 0:
-				pkt[f.Name] = structures.Hash(uint64(i), uint64(b)) & widthMask(f.Width)
+				pkt = append(pkt, sim.Field{Name: f.Name, Value: structures.Hash(uint64(i), uint64(b)) & widthMask(f.Width)})
 			}
 		}
 		if sparse && b&0x40 != 0 {
-			pkt["fuzz.stray"] = uint64(i)
+			pkt = append(pkt, sim.Field{Name: "fuzz.stray", Value: uint64(i)})
 		}
 		if sparse && b&0x80 != 0 {
-			pkt[sparseMetaKey[spec.Name]] = structures.Hash(uint64(b), uint64(i))
+			pkt = append(pkt, sim.Field{Name: sparseMetaKey[spec.Name], Value: structures.Hash(uint64(b), uint64(i))})
 		}
 		out[i] = pkt
 	}

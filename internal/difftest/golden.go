@@ -95,7 +95,8 @@ func (g *netcacheGolden) SeedRegisters(pipe *sim.Pipeline) error {
 }
 
 func (g *netcacheGolden) Process(pkt sim.Packet) map[string]uint64 {
-	key := pkt["query.key"] & mask32
+	key, _ := pkt.Get("query.key")
+	key &= mask32
 	var val uint64
 	for p := 0; p < g.parts; p++ {
 		idx := structures.Hash(key, uint64(16+p)) % uint64(g.slots)
@@ -136,7 +137,8 @@ func newSketchLearnGolden(l *ilpgen.Layout, _ int64) (Golden, error) {
 func (g *sketchlearnGolden) SeedRegisters(*sim.Pipeline) error { return nil }
 
 func (g *sketchlearnGolden) Process(pkt sim.Packet) map[string]uint64 {
-	key := pkt["pkt.flow"] & mask32
+	key, _ := pkt.Get("pkt.flow")
+	key &= mask32
 	out := make(map[string]uint64, len(g.levels))
 	for _, lv := range g.levels {
 		out[lv.out] = lv.update(key)
@@ -180,7 +182,8 @@ func newPrecisionGolden(l *ilpgen.Layout, _ int64) (Golden, error) {
 func (g *precisionGolden) SeedRegisters(*sim.Pipeline) error { return nil }
 
 func (g *precisionGolden) Process(pkt sim.Packet) map[string]uint64 {
-	key := pkt["pkt.flow"] & mask32
+	key, _ := pkt.Get("pkt.flow")
+	key &= mask32
 	var sum uint64
 	for _, st := range g.stages {
 		sum += uint64(st.Update(key))
@@ -223,7 +226,8 @@ func newConQuestGolden(l *ilpgen.Layout, _ int64) (Golden, error) {
 func (g *conquestGolden) SeedRegisters(*sim.Pipeline) error { return nil }
 
 func (g *conquestGolden) Process(pkt sim.Packet) map[string]uint64 {
-	key := pkt["pkt.flow"] & mask32
+	key, _ := pkt.Get("pkt.flow")
+	key &= mask32
 	out := make(map[string]uint64, len(g.snaps)+1)
 	var est uint64
 	for _, s := range g.snaps {

@@ -415,7 +415,8 @@ func checkMigration(rep *Report, cfg Config, spec AppSpec, from, to *ilpgen.Layo
 	}
 	keys := make([]uint64, len(stream))
 	for i, pkt := range stream {
-		keys[i] = pkt[keyField] & mask32
+		key, _ := pkt.Get(keyField)
+		keys[i] = key & mask32
 	}
 	cut := len(keys) / 2
 	prefix, suffix := keys[:cut], keys[cut:]

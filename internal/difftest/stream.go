@@ -3,7 +3,7 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"p4all/internal/sim"
@@ -27,14 +27,20 @@ func GenStream(spec AppSpec, seed int64, n int) []sim.Packet {
 			keys = workload.ZipfKeys(seed, keySpace, 1.1, n)
 		}
 	}
+	// One backing array holds every packet's fields; each packet is a
+	// capacity-clipped window of it, so appending to one packet can
+	// never overwrite its neighbour.
+	nf := len(spec.Fields)
+	fields := make([]sim.Field, n*nf)
 	out := make([]sim.Packet, n)
 	for i := range out {
-		pkt := make(sim.Packet, len(spec.Fields))
-		for _, f := range spec.Fields {
+		pkt := sim.Packet(fields[i*nf : (i+1)*nf : (i+1)*nf])
+		for j, f := range spec.Fields {
+			pkt[j].Name = f.Name
 			if f.Key {
-				pkt[f.Name] = keys[i]
+				pkt[j].Value = keys[i]
 			} else {
-				pkt[f.Name] = rng.Uint64() & widthMask(f.Width)
+				pkt[j].Value = rng.Uint64() & widthMask(f.Width)
 			}
 		}
 		out[i] = pkt
@@ -56,14 +62,11 @@ func widthMask(bits int) uint64 {
 func formatStream(stream []sim.Packet) string {
 	var b strings.Builder
 	for i, pkt := range stream {
-		names := make([]string, 0, len(pkt))
-		for k := range pkt {
-			names = append(names, k)
-		}
-		sort.Strings(names)
+		fields := slices.Clone(pkt)
+		slices.SortStableFunc(fields, func(x, y sim.Field) int { return strings.Compare(x.Name, y.Name) })
 		fmt.Fprintf(&b, "  pkt[%d]:", i)
-		for _, k := range names {
-			fmt.Fprintf(&b, " %s=%d", k, pkt[k])
+		for _, f := range fields {
+			fmt.Fprintf(&b, " %s=%d", f.Name, f.Value)
 		}
 		b.WriteByte('\n')
 	}

@@ -68,9 +68,14 @@ type FairnessPoint struct {
 	// Weight is the favored tenant's objective weight.
 	Weight float64
 	// FixedUtility/FavoredUtility are the tenants' achieved utilities
-	// (total elastic cells) at this weight.
+	// (total elastic cells) at this weight, read off the joint solution.
 	FixedUtility   float64
 	FavoredUtility float64
+	// FixedDelivered/FavoredDelivered are the same utilities at the
+	// shipped layouts' symbolic values (FixedShape/FavoredShape), which
+	// extraction floors from the solution's continuous cell counts.
+	FixedDelivered, FavoredDelivered float64
+	FixedShape, FavoredShape         map[string]int64
 	// WarmStarted reports whether the solve rode the Compiler's pool
 	// (everything after the first point should).
 	WarmStarted bool
@@ -131,13 +136,18 @@ func figureFairness(cfg fairnessConfig, tr *obs.Tracer) (*FairnessResult, error)
 		if err != nil {
 			return nil, fmt.Errorf("fairness w=%g: %w", w, err)
 		}
+		fixed, favored := res.Tenant(out.Fixed), res.Tenant(out.Favored)
 		out.Points = append(out.Points, FairnessPoint{
-			Weight:         w,
-			FixedUtility:   res.Tenant(out.Fixed).Utility,
-			FavoredUtility: res.Tenant(out.Favored).Utility,
-			WarmStarted:    res.Layout.Stats.WarmStarted,
-			SolveTime:      time.Since(begin),
-			Gap:            res.Layout.Stats.Gap,
+			Weight:           w,
+			FixedUtility:     fixed.Utility,
+			FavoredUtility:   favored.Utility,
+			FixedDelivered:   fixed.Delivered,
+			FavoredDelivered: favored.Delivered,
+			FixedShape:       fixed.Layout.Symbolics,
+			FavoredShape:     favored.Layout.Symbolics,
+			WarmStarted:      res.Layout.Stats.WarmStarted,
+			SolveTime:        time.Since(begin),
+			Gap:              res.Layout.Stats.Gap,
 		})
 	}
 	return out, nil

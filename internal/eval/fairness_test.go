@@ -40,6 +40,22 @@ func TestFigureFairnessMonotone(t *testing.T) {
 		if p.FavoredUtility < 2048-1e-6 {
 			t.Errorf("w=%g: favored tenant below its floor: %g", p.Weight, p.FavoredUtility)
 		}
+		// The delivered utility is the shipped shape's, not the LP's.
+		for _, d := range []struct {
+			delivered float64
+			shape     map[string]int64
+			x, y      string
+		}{
+			{p.FixedDelivered, p.FixedShape, "cms_rows", "cms_cols"},
+			{p.FavoredDelivered, p.FavoredShape, "kv_parts", "kv_slots"},
+		} {
+			if want := float64(d.shape[d.x] * d.shape[d.y]); d.delivered != want {
+				t.Errorf("w=%g: delivered utility %g, want %s %d x %s %d = %g",
+					p.Weight, d.delivered, d.x, d.shape[d.x], d.y, d.shape[d.y], want)
+			}
+		}
+		t.Logf("w=%g: sketch lp %.6f shipped %g, store lp %.6f shipped %g",
+			p.Weight, p.FixedUtility, p.FixedDelivered, p.FavoredUtility, p.FavoredDelivered)
 		if i == 0 {
 			continue
 		}

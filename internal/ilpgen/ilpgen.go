@@ -65,6 +65,9 @@ type ILP struct {
 	// single-unit compile, or this tenant's fairness term in a joint
 	// compile.
 	util ilp.Expr
+	// utilSrc is the expression util linearizes; nil for the default
+	// utility, the sum of the symbolic values.
+	utilSrc lang.Expr
 	// shared, when non-nil, collects this unit's per-stage resource
 	// usage into the joint accumulator instead of emitting per-unit
 	// budget rows (set by GenerateJoint for two or more tenants).
@@ -942,6 +945,49 @@ func (p *ILP) linearize(e lang.Expr) (ilp.Expr, error) {
 	}
 }
 
+// delivered evaluates the utility expression over a layout's extracted
+// symbolic values: the utility the shipped layout delivers. util read
+// off a solution can be larger, because extraction floors the LP's
+// continuous cell counts.
+func (p *ILP) delivered(syms map[string]int64) float64 {
+	if p.utilSrc == nil {
+		sum := 0.0
+		for _, sym := range p.Unit.Symbolics {
+			sum += float64(syms[sym.Name])
+		}
+		return sum
+	}
+	return p.evalAt(p.utilSrc, syms)
+}
+
+// evalAt evaluates an expression linearize accepted at the given
+// symbolic values.
+func (p *ILP) evalAt(e lang.Expr, syms map[string]int64) float64 {
+	if sym := p.symOf(e); sym != nil {
+		return float64(syms[sym.Name])
+	}
+	if c, ok := p.constValue(e); ok {
+		return c
+	}
+	switch e := e.(type) {
+	case *lang.Unary:
+		return -p.evalAt(e.X, syms)
+	case *lang.Binary:
+		x, y := p.evalAt(e.X, syms), p.evalAt(e.Y, syms)
+		switch e.Op {
+		case lang.PLUS:
+			return x + y
+		case lang.MINUS:
+			return x - y
+		case lang.STAR:
+			return x * y
+		case lang.SLASH:
+			return x / y
+		}
+	}
+	return math.NaN() // linearize rejects every other form
+}
+
 func (p *ILP) constValue(e lang.Expr) (float64, bool) {
 	switch e := e.(type) {
 	case *lang.IntLit:
@@ -1035,6 +1081,7 @@ func (p *ILP) objective() error {
 		if err != nil {
 			return err
 		}
+		p.utilSrc = p.Unit.Optimize.Util
 	} else {
 		util = ilp.NewExpr()
 		for _, sym := range p.Unit.Symbolics {

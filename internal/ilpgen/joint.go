@@ -191,7 +191,7 @@ func (j *Joint) SetObjective(f Fairness) error {
 		if err != nil {
 			return fmt.Errorf("ilpgen: tenant %s utility: %w", j.Names[t], err)
 		}
-		j.Tenants[t].util = util
+		j.Tenants[t].util, j.Tenants[t].utilSrc = util, e
 	}
 	weight := func(t int) float64 {
 		if f.Weights == nil {
@@ -255,8 +255,14 @@ type JointLayout struct {
 	// every layout is the full joint assignment (any of them warm-starts
 	// a joint re-solve of the same tenant mix).
 	Tenants []*Layout
-	// Utilities is each tenant's achieved (unweighted) utility.
+	// Utilities is each tenant's achieved (unweighted) utility, read
+	// off the solution: the value its floor row and the objective see.
 	Utilities []float64
+	// Delivered is each tenant's utility expression evaluated over its
+	// layout's Symbolics: what the shipped layout delivers. Extraction
+	// floors the LP's continuous cell counts, so Delivered can fall
+	// below Utilities, and below a floor the solution meets.
+	Delivered []float64
 	// Objective is the joint fairness objective value.
 	Objective float64
 	// Stages sums resource use across tenants per stage. The sums
@@ -297,6 +303,7 @@ func (j *Joint) Solve(opts ilp.Options) (*JointLayout, error) {
 		l.Objective = util
 		jl.Tenants = append(jl.Tenants, l)
 		jl.Utilities = append(jl.Utilities, util)
+		jl.Delivered = append(jl.Delivered, p.delivered(l.Symbolics))
 		for s := range l.Stages {
 			jl.Stages[s].Hf += l.Stages[s].Hf
 			jl.Stages[s].Hl += l.Stages[s].Hl

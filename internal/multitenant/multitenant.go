@@ -101,8 +101,11 @@ type Options struct {
 // back halves. Each tenant is emitted independently: its P4 mentions
 // only its own registers, actions, and headers.
 type TenantResult struct {
-	Name    string
-	Utility float64
+	Name string
+	// Utility is the tenant's utility read off the joint solution;
+	// Delivered is its utility at the layout's extracted symbolic
+	// values (ilpgen.JointLayout).
+	Utility, Delivered float64
 	*core.Result
 }
 
@@ -306,7 +309,8 @@ func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 	}
 
 	for i, tr := range res.Tenants {
-		tr.ILP, tr.Layout, tr.Utility = joint.Tenants[i], res.Layout.Tenants[i], res.Layout.Utilities[i]
+		tr.ILP, tr.Layout = joint.Tenants[i], res.Layout.Tenants[i]
+		tr.Utility, tr.Delivered = res.Layout.Utilities[i], res.Layout.Delivered[i]
 		co.Name = tr.Name
 		if err := core.Back(tr.Result, co, root); err != nil {
 			return nil, fmt.Errorf("multitenant: tenant %s: %w", tr.Name, err)

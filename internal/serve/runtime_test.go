@@ -194,7 +194,8 @@ func TestSimRuntimeEngineParity(t *testing.T) {
 		}
 	}
 	for _, pkt := range pkts {
-		s := route(pkt["query.key"])
+		key, _ := pkt.Get("query.key")
+		s := route(key)
 		out, err := pipes[s].Process(pkt)
 		if err != nil {
 			t.Fatal(err)
@@ -329,7 +330,8 @@ func TestSimRuntimeSteadyStateAllocatesNothing(t *testing.T) {
 	defer nc.Close()
 	reqs := make([]Request, len(pkts))
 	for i, pkt := range pkts {
-		reqs[i] = Request{Op: OpGet, Key: pkt["query.key"]}
+		key, _ := pkt.Get("query.key")
+		reqs[i] = Request{Op: OpGet, Key: key}
 	}
 	steady("NetCache GETs", func() error {
 		err := nc.DispatchAll(reqs)

@@ -59,7 +59,10 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 	rt, err := NewRuntime(Config[sim.Packet]{
 		Shards:    cfg.Shards,
 		BatchSize: cfg.BatchSize,
-		Route:     func(pkt sim.Packet) int { return route(pkt[key]) },
+		Route: func(pkt sim.Packet) int {
+			v, _ := pkt.Get(key)
+			return route(v)
+		},
 		Process: func(shard int, batch []sim.Packet) error {
 			if cfg.sink == nil {
 				return pipes[shard].Replay(batch, nil)

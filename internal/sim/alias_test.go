@@ -2,7 +2,7 @@ package sim
 
 import (
 	"errors"
-	"maps"
+	"slices"
 	"testing"
 
 	"p4all/internal/pisa"
@@ -23,12 +23,12 @@ control main { apply { stamp(); } }
 // caller's map, so replaying the same Packet value compounded state.
 func TestProcessDoesNotMutateCallerPacket(t *testing.T) {
 	pipe := compileSrc(t, headerWritingProgram)
-	pkt := Packet{"pkt.flow": 7, "pkt.tag": 100}
+	pkt := Packet{{"pkt.flow", 7}, {"pkt.tag", 100}}
 	out, err := pipe.Process(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkt["pkt.flow"] != 7 || pkt["pkt.tag"] != 100 {
+	if !slices.Equal(pkt, Packet{{"pkt.flow", 7}, {"pkt.tag", 100}}) {
 		t.Fatalf("caller's packet mutated: %v", pkt)
 	}
 	if v, _ := Meta(out, "meta.seen", -1); v != 107 {
@@ -44,7 +44,7 @@ func TestProcessDoesNotMutateCallerPacket(t *testing.T) {
 // produce identical output.
 func TestReplaySamePacketIsDeterministic(t *testing.T) {
 	pipe := compileSrc(t, headerWritingProgram)
-	pkt := Packet{"pkt.flow": 3, "pkt.tag": 40}
+	pkt := Packet{{"pkt.flow", 3}, {"pkt.tag", 40}}
 	out1, err := pipe.Process(pkt)
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +67,10 @@ func TestReplaySamePacketIsDeterministic(t *testing.T) {
 // must not leak into the next packet's view of an absent field.
 func TestHeaderStateResetBetweenPackets(t *testing.T) {
 	pipe := compileSrc(t, headerWritingProgram)
-	if _, err := pipe.Process(Packet{"pkt.flow": 1, "pkt.tag": 999}); err != nil {
+	if _, err := pipe.Process(Packet{{"pkt.flow", 1}, {"pkt.tag", 999}}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := pipe.Process(Packet{"pkt.flow": 1})
+	out, err := pipe.Process(Packet{{"pkt.flow", 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,20 +102,22 @@ control main { apply { if (pkt.flow == 5) { mark(); } } }
 func TestReplayReadsCallerPacket(t *testing.T) {
 	vm, interp := compileBoth(t, sparseReadProgram, pisa.RunningExampleTarget())
 	shapes := []Packet{
-		{"pkt.len": 9},
-		{"pkt.flow": 5, "meta.tag": 77},
-		{"pkt.flow": 4, "meta.tag": 77},
-		{"pkt.flow": 5, "pkt.len": 3, "stray.key": 11},
-		{"stray.key": 1, "meta.tag": 2},
+		{{"pkt.len", 9}},
+		{{"pkt.flow", 5}, {"meta.tag", 77}},
+		{{"pkt.flow", 4}, {"meta.tag", 77}},
+		{{"pkt.flow", 5}, {"pkt.len", 3}, {"stray.key", 11}},
+		{{"stray.key", 1}, {"meta.tag", 2}},
 	}
 	pkts := make([]Packet, 2*vmLanes+3) // two full batches and a tail
 	before := make([]Packet, len(pkts))
 	for i := range pkts {
-		pkts[i] = maps.Clone(shapes[i%len(shapes)])
-		if _, ok := pkts[i]["pkt.len"]; ok {
-			pkts[i]["pkt.len"] = uint64(i)
+		pkts[i] = slices.Clone(shapes[i%len(shapes)])
+		for j := range pkts[i] {
+			if pkts[i][j].Name == "pkt.len" {
+				pkts[i][j].Value = uint64(i)
+			}
 		}
-		before[i] = maps.Clone(pkts[i])
+		before[i] = slices.Clone(pkts[i])
 	}
 	names := []string{"pkt.flow", "pkt.len", "meta.tag", "stray.key", "no.such.field"}
 	err := vm.Replay(pkts, func(i int, v View) error {
@@ -136,7 +138,7 @@ func TestReplayReadsCallerPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range pkts {
-		if !maps.Equal(pkts[i], before[i]) {
+		if !slices.Equal(pkts[i], before[i]) {
 			t.Fatalf("packet %d: caller's packet changed: %v, was %v", i, pkts[i], before[i])
 		}
 	}
@@ -166,4 +168,54 @@ func assertNoPinnedPackets(t *testing.T, p *Pipeline, after string) {
 			t.Fatalf("after %s, frame lane %d still holds the caller's packet %v", after, l, pkt)
 		}
 	}
+}
+
+// TestPacketFieldEdgeCases holds both engines to Packet's
+// first-occurrence rule and to its edge shapes: names carried twice (a
+// field the program reads and writes, and one it never reads), a name
+// the program never reads, and no fields at all. The VM through Replay and through Process and the
+// interpreter must agree on outputs, Stats and register state, and a
+// View must read an untouched field from the caller's packet.
+func TestPacketFieldEdgeCases(t *testing.T) {
+	replayVM, interp := compileBoth(t, headerWritingProgram, pisa.RunningExampleTarget())
+	processVM, _ := compileBoth(t, headerWritingProgram, pisa.RunningExampleTarget())
+	pkts := []Packet{
+		{{"pkt.flow", 7}, {"stray.key", 11}, {"pkt.tag", 100}, {"pkt.flow", 900}, {"stray.key", 12}, {"pkt.tag", 5}},
+		{{"pkt.flow", 3}, {"unread.key", 21}, {"pkt.tag", 1}},
+		{},
+	}
+	wants := []map[string]uint64{
+		{"pkt.flow": 7, "pkt.tag": 107, "meta.seen": 107, "stray.key": 11},
+		{"pkt.flow": 3, "pkt.tag": 4, "meta.seen": 4, "unread.key": 21},
+		{"pkt.tag": 0, "meta.seen": 0},
+	}
+	untouched := []struct {
+		name string
+		val  uint64
+		ok   bool
+	}{{"stray.key", 11, true}, {"unread.key", 21, true}, {"unread.key", 0, false}}
+	err := replayVM.Replay(pkts, func(i int, v View) error {
+		u := untouched[i]
+		if got, ok := v.Get(u.name); got != u.val || ok != u.ok {
+			t.Errorf("packet %d: View.Get(%s) = %d (present=%v), want %d (present=%v)", i, u.name, got, ok, u.val, u.ok)
+		}
+		assertSameOutputs(t, i, v.Map(), wants[i])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pkt := range pkts {
+		got, err := processVM.Process(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameOutputs(t, i, got, wants[i])
+		if got, err = interp.Process(pkt); err != nil {
+			t.Fatal(err)
+		}
+		assertSameOutputs(t, i, got, wants[i])
+	}
+	assertSameCounters(t, replayVM, interp)
+	assertSameCounters(t, processVM, interp)
 }

@@ -69,17 +69,16 @@ type View struct {
 // "meta.count@2" — see Key). It reports false for fields the packet
 // left unset, which Process would omit from its map.
 func (v View) Get(name string) (uint64, bool) {
-	m := v.m
-	if v.vm != nil {
-		if s, ok := v.vm.fieldSlot[name]; ok {
-			if i := int(s)*vmLanes + v.lane; v.vf.stamp[i] == v.vf.gen {
-				return v.vf.vals[i], true
-			}
-		}
-		m = v.vf.pkt[v.lane]
+	if v.vm == nil {
+		val, ok := v.m[name]
+		return val, ok
 	}
-	val, ok := m[name]
-	return val, ok
+	if s, ok := v.vm.fieldSlot[name]; ok {
+		if i := int(s)*vmLanes + v.lane; v.vf.stamp[i] == v.vf.gen {
+			return v.vf.vals[i], true
+		}
+	}
+	return v.vf.pkt[v.lane].Get(name)
 }
 
 // Map materializes the view as the map Process would have returned

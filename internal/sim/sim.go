@@ -15,8 +15,29 @@ import (
 	"p4all/internal/structures"
 )
 
-// Packet carries named header-field values, e.g. "query.key" -> 17.
-type Packet map[string]uint64
+// Packet carries a packet's header fields as (name, value) pairs, e.g.
+// {"query.key", 17}: the few declared fields of the PISA header vector,
+// held without a hash table. A name is expected once; where a packet
+// repeats one, its first occurrence is the field's value and every
+// later one is ignored, by both engines and by Get.
+type Packet []Field
+
+// Field is one named header-field value of a Packet.
+type Field struct {
+	Name  string
+	Value uint64
+}
+
+// Get returns the value of the packet's first field called name, and
+// false when the packet carries no such field.
+func (pkt Packet) Get(name string) (uint64, bool) {
+	for _, f := range pkt {
+		if f.Name == name {
+			return f.Value, true
+		}
+	}
+	return 0, false
+}
 
 // Stats counts the work a pipeline has performed since construction:
 // packets processed, register accesses, and ALU operations per stage.
@@ -209,8 +230,10 @@ func (p *Pipeline) Process(pkt Packet) (map[string]uint64, error) {
 	for k := range p.hdr {
 		delete(p.hdr, k)
 	}
-	for k, v := range pkt {
-		p.hdr[k] = v
+	for _, f := range pkt {
+		if _, dup := p.hdr[f.Name]; !dup {
+			p.hdr[f.Name] = f.Value
+		}
 	}
 	for _, st := range p.steps {
 		loopVar := ""

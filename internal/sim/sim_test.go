@@ -42,7 +42,7 @@ func TestCompiledCMSMatchesBehavioralReference(t *testing.T) {
 	}
 	keys := workload.ZipfKeys(11, 500, 1.1, 4000)
 	for i, k := range keys {
-		out, err := pipe.Process(Packet{"pkt.flow": k})
+		out, err := pipe.Process(Packet{{"pkt.flow", k}})
 		if err != nil {
 			t.Fatalf("packet %d: %v", i, err)
 		}
@@ -64,7 +64,7 @@ func TestCompiledCMSNeverUnderestimates(t *testing.T) {
 	keys := workload.ZipfKeys(3, 200, 1.0, 3000)
 	var lastEst = map[uint64]uint64{}
 	for _, k := range keys {
-		out, err := pipe.Process(Packet{"pkt.flow": k})
+		out, err := pipe.Process(Packet{{"pkt.flow", k}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestCompiledCMSNeverUnderestimates(t *testing.T) {
 
 func TestRegisterStateVisible(t *testing.T) {
 	res, pipe := compileCMS(t)
-	if _, err := pipe.Process(Packet{"pkt.flow": 42}); err != nil {
+	if _, err := pipe.Process(Packet{{"pkt.flow", 42}}); err != nil {
 		t.Fatal(err)
 	}
 	rows := int(res.Layout.Symbolic("cms_rows"))
@@ -123,12 +123,12 @@ func TestCompiledBloomFilter(t *testing.T) {
 	}
 	rows := res.Layout.Symbolic("bf_rows")
 	// First sighting of a key: hits < rows. Second: hits == rows.
-	out1, err := pipe.Process(Packet{"pkt.flow": 77})
+	out1, err := pipe.Process(Packet{{"pkt.flow", 77}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits1, _ := Meta(out1, "bf_meta.hits", -1)
-	out2, err := pipe.Process(Packet{"pkt.flow": 77})
+	out2, err := pipe.Process(Packet{{"pkt.flow", 77}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ control main { apply { bad(); } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Process(Packet{"pkt.flow": 5}); err == nil {
+	if _, err := pipe.Process(Packet{{"pkt.flow", 5}}); err == nil {
 		t.Error("division by zero not reported")
 	}
 }
@@ -178,7 +178,7 @@ control main { apply { wrap(); } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := pipe.Process(Packet{"pkt.flow": 10})
+	out, err := pipe.Process(Packet{{"pkt.flow", 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +209,14 @@ control main {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := pipe.Process(Packet{"pkt.flow": 50})
+	out, err := pipe.Process(Packet{{"pkt.flow", 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := Meta(out, "meta.marked", -1); v != 0 {
 		t.Errorf("guard fired for flow 50: marked=%d", v)
 	}
-	out, err = pipe.Process(Packet{"pkt.flow": 150})
+	out, err = pipe.Process(Packet{{"pkt.flow", 150}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +227,13 @@ control main {
 
 func TestMetaResetBetweenPackets(t *testing.T) {
 	_, pipe := compileCMS(t)
-	out1, err := pipe.Process(Packet{"pkt.flow": 1})
+	out1, err := pipe.Process(Packet{{"pkt.flow", 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	est1, _ := Meta(out1, "cms_meta.min", -1)
 	// A different key's estimate must not inherit key 1's metadata.
-	out2, err := pipe.Process(Packet{"pkt.flow": 2})
+	out2, err := pipe.Process(Packet{{"pkt.flow", 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ control main { apply { bad(); } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Process(Packet{"pkt.flow": 5}); err == nil {
+	if _, err := pipe.Process(Packet{{"pkt.flow", 5}}); err == nil {
 		t.Error("modulo by zero not reported")
 	}
 }
@@ -289,7 +289,7 @@ control main { apply { pick(); } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := pipe.Process(Packet{"pkt.a": 9, "pkt.b": 4})
+	out, err := pipe.Process(Packet{{"pkt.a", 9}, {"pkt.b", 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ func TestPipelineStatsCountWork(t *testing.T) {
 
 	const n = 10
 	for i := 0; i < n; i++ {
-		if _, err := pipe.Process(Packet{"pkt.key": uint64(100 + i)}); err != nil {
+		if _, err := pipe.Process(Packet{{"pkt.key", uint64(100 + i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -403,7 +403,7 @@ func (pl *vmProg) takeErr(fr *vmFrame) error {
 func (pl *vmProg) load(fr *vmFrame, lane int, pkt Packet) {
 	fr.pkt[lane] = pkt
 	for j, k := range pl.hdrKeys {
-		if v, ok := pkt[k]; ok {
+		if v, ok := pkt.Get(k); ok {
 			fr.st(pl.hdrSlots[j], lane, v)
 		}
 	}
@@ -435,8 +435,9 @@ func (pl *vmProg) flushStats(fr *vmFrame) {
 }
 
 // output materializes one lane as the map Process returns: live slots
-// in interning order, then the packet's keys that no live slot
-// shadows, matching the interpreter's header-then-meta merge order.
+// in interning order, then the packet's fields that no live slot and
+// no earlier field of the same name shadows, matching the
+// interpreter's header-then-meta merge order.
 func (pl *vmProg) output(fr *vmFrame, lane int) map[string]uint64 {
 	pkt := fr.pkt[lane]
 	out := make(map[string]uint64, len(pl.slotKeys)+len(pkt))
@@ -446,11 +447,10 @@ func (pl *vmProg) output(fr *vmFrame, lane int) map[string]uint64 {
 			out[key] = fr.vals[i]
 		}
 	}
-	for k, v := range pkt {
-		if s, ok := pl.fieldSlot[k]; ok && fr.stamp[int(s)*vmLanes+lane] == fr.gen {
-			continue
+	for _, f := range pkt {
+		if _, ok := out[f.Name]; !ok {
+			out[f.Name] = f.Value
 		}
-		out[k] = v
 	}
 	return out
 }

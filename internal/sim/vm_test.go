@@ -186,9 +186,9 @@ func vmStream(app vmProgram, seed int64, n int) []Packet {
 	keys := workload.ZipfKeys(seed, 200, 1.05, n)
 	pkts := make([]Packet, n)
 	for i, k := range keys {
-		p := Packet{app.fields[0]: k, "stray.key": k ^ 0xABCD}
+		p := Packet{{app.fields[0], k}, {"stray.key", k ^ 0xABCD}}
 		for j, f := range app.fields[1:] {
-			p[f] = structures.Hash(uint64(i), uint64(j)) & 0xFFFF
+			p = append(p, Field{f, structures.Hash(uint64(i), uint64(j)) & 0xFFFF})
 		}
 		pkts[i] = p
 	}
@@ -532,7 +532,11 @@ func compileBoth(t *testing.T, src string, tgt pisa.Target) (vm, interp *Pipelin
 // and the sinks of exactly the packets before it have fired.
 func TestVMDivisionByZeroParity(t *testing.T) {
 	vm, interp := compileBoth(t, divSource, pisa.RunningExampleTarget())
-	for _, pkt := range []Packet{{"hdr.a": 10, "hdr.b": 2}, {"hdr.a": 10, "hdr.b": 0}, {"hdr.a": 3, "hdr.b": 1}} {
+	for _, pkt := range []Packet{
+		{{"hdr.a", 10}, {"hdr.b", 2}},
+		{{"hdr.a", 10}, {"hdr.b", 0}},
+		{{"hdr.a", 3}, {"hdr.b", 1}},
+	} {
 		_, errV := vm.Process(pkt)
 		_, errI := interp.Process(pkt)
 		if (errV == nil) != (errI == nil) || (errV != nil && errV.Error() != errI.Error()) {
@@ -545,9 +549,9 @@ func TestVMDivisionByZeroParity(t *testing.T) {
 	const bad = vmLanes + 5 // in the second batch, mid-batch
 	pkts := make([]Packet, 2*vmLanes)
 	for i := range pkts {
-		pkts[i] = Packet{"hdr.a": uint64(i), "hdr.b": uint64(i%7 + 1)}
+		pkts[i] = Packet{{"hdr.a", uint64(i)}, {"hdr.b", uint64(i%7 + 1)}}
 	}
-	pkts[bad]["hdr.b"] = 0
+	pkts[bad][1] = Field{"hdr.b", 0}
 	replay := func(p *Pipeline) (fired int, err error) {
 		err = p.Replay(pkts, func(i int, v View) error {
 			if i != fired {
@@ -619,7 +623,7 @@ optimize n;
 			if ferr := pipe.Fallback(); ferr == nil || !strings.Contains(ferr.Error(), c.reason) {
 				t.Fatalf("Fallback() = %v, want a reason mentioning %q", ferr, c.reason)
 			}
-			out, err := pipe.Process(Packet{"hdr.a": 1, "hdr.b": 2})
+			out, err := pipe.Process(Packet{{"hdr.a", 1}, {"hdr.b", 2}})
 			switch {
 			case c.runErr == "" && (err != nil || out["hdr.b"] != 2):
 				t.Fatalf("fallback did not serve the packet: %v, %v", out, err)
@@ -638,7 +642,7 @@ func TestVMMatchesInterpreterOnCMS(t *testing.T) {
 	vm, interp := compileBoth(t, modules.StandaloneCMS(), simTestTarget())
 	for i, k := range workload.ZipfKeys(5, 300, 1.05, 2500) {
 		// Include an undeclared field, which the VM reads from the packet.
-		pkt := Packet{"pkt.flow": k, "pkt.unknown": k ^ 0xABCD}
+		pkt := Packet{{"pkt.flow", k}, {"pkt.unknown", k ^ 0xABCD}}
 		a, err := vm.Process(pkt)
 		if err != nil {
 			t.Fatalf("vm packet %d: %v", i, err)
@@ -661,7 +665,7 @@ func TestReplayMatchesProcess(t *testing.T) {
 	keys := workload.ZipfKeys(9, 100, 1.0, 500)
 	pkts := make([]Packet, len(keys))
 	for i, k := range keys {
-		pkts[i] = Packet{"pkt.flow": k}
+		pkts[i] = Packet{{"pkt.flow", k}}
 	}
 	minKey := Key("cms_meta.min", -1)
 	err := vm.Replay(pkts, func(i int, v View) error {
@@ -694,7 +698,7 @@ func TestReplayZeroAllocs(t *testing.T) {
 	keys := workload.ZipfKeys(2, 500, 1.1, 256)
 	pkts := make([]Packet, len(keys))
 	for i, k := range keys {
-		pkts[i] = Packet{"pkt.flow": k}
+		pkts[i] = Packet{{"pkt.flow", k}}
 	}
 	minKey := Key("cms_meta.min", -1)
 	var sum uint64
@@ -724,14 +728,14 @@ func TestReplayZeroAllocs(t *testing.T) {
 // frame).
 func TestVMStaleStateInvisible(t *testing.T) {
 	vm, interp := compileBoth(t, modules.StandaloneCMS(), simTestTarget())
-	out1, err := vm.Process(Packet{"pkt.flow": 7, "stray.key": 99})
+	out1, err := vm.Process(Packet{{"pkt.flow", 7}, {"stray.key", 99}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := out1["stray.key"]; !ok {
 		t.Fatal("first packet's stray field missing from output")
 	}
-	out2, err := vm.Process(Packet{"pkt.flow": 8})
+	out2, err := vm.Process(Packet{{"pkt.flow", 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -739,10 +743,10 @@ func TestVMStaleStateInvisible(t *testing.T) {
 		t.Fatal("stray field from packet 1 leaked into packet 2's output")
 	}
 	// And the reference engine agrees on the second packet.
-	if _, err := interp.Process(Packet{"pkt.flow": 7, "stray.key": 99}); err != nil {
+	if _, err := interp.Process(Packet{{"pkt.flow", 7}, {"stray.key", 99}}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := interp.Process(Packet{"pkt.flow": 8})
+	want, err := interp.Process(Packet{{"pkt.flow", 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -793,7 +797,7 @@ func TestKey(t *testing.T) {
 // maps) when the interpreter runs.
 func TestInterpReplayFallback(t *testing.T) {
 	_, interp := compileBoth(t, modules.StandaloneCMS(), simTestTarget())
-	pkts := []Packet{{"pkt.flow": 1}, {"pkt.flow": 1}}
+	pkts := []Packet{{{"pkt.flow", 1}}, {{"pkt.flow", 1}}}
 	minKey := Key("cms_meta.min", -1)
 	var last uint64
 	if err := interp.Replay(pkts, func(i int, v View) error {

@@ -83,7 +83,7 @@ struct meta { bit<32> hit; }
 action h() { meta.hit = 1; }
 control main { apply { if (pkt.a - 10 < 300) { h(); } } }
 `,
-		pkt:   Packet{"pkt.a": 5},
+		pkt:   Packet{{"pkt.a", 5}},
 		field: "meta.hit",
 		want:  1,
 	},
@@ -98,7 +98,7 @@ struct meta { bit<32> prod; }
 action m() { meta.prod = pkt.a * pkt.b; }
 control main { apply { m(); } }
 `,
-		pkt:   Packet{"pkt.a": 400, "pkt.b": 400},
+		pkt:   Packet{{"pkt.a", 400}, {"pkt.b", 400}},
 		field: "meta.prod",
 		want:  (400 * 400) % (1 << 16),
 	},
@@ -112,7 +112,7 @@ struct meta { bit<64> x; }
 action s() { meta.x = pkt.a - 1; }
 control main { apply { s(); } }
 `,
-		pkt:   Packet{"pkt.a": 0},
+		pkt:   Packet{{"pkt.a", 0}},
 		field: "meta.x",
 		want:  ^uint64(0),
 	},
@@ -126,7 +126,7 @@ struct meta { bit<32> x; }
 action n() { meta.x = -pkt.a; }
 control main { apply { n(); } }
 `,
-		pkt:   Packet{"pkt.a": 1},
+		pkt:   Packet{{"pkt.a", 1}},
 		field: "meta.x",
 		want:  255,
 	},
@@ -140,7 +140,7 @@ struct meta { bit<64> x; }
 action l() { meta.x = 0 - 1; }
 control main { apply { l(); } }
 `,
-		pkt:   Packet{"pkt.a": 0},
+		pkt:   Packet{{"pkt.a", 0}},
 		field: "meta.x",
 		want:  ^uint64(0),
 	},
@@ -154,7 +154,7 @@ struct meta { bit<32> x; }
 action c() { meta.x = pkt.a; }
 control main { apply { c(); } }
 `,
-		pkt:   Packet{"pkt.a": 0x1FF},
+		pkt:   Packet{{"pkt.a", 0x1FF}},
 		field: "meta.x",
 		want:  0xFF,
 	},

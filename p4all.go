@@ -96,8 +96,10 @@ func Exact() Options {
 // PISA data plane standing in for switch hardware).
 type Pipeline = sim.Pipeline
 
-// Packet carries header-field values into the pipeline, keyed by
-// qualified field names such as "pkt.flow".
+// Packet carries header-field values into the pipeline as (name,
+// value) pairs, named by qualified field names such as "pkt.flow":
+// p4all.Packet{{Name: "pkt.flow", Value: 7}}. Where a name repeats,
+// its first occurrence is the field's value.
 type Packet = sim.Packet
 
 // NewPipeline builds an executable pipeline from a compilation result,

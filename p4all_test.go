@@ -34,7 +34,7 @@ optimize cms_rows * cms_cols;
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := pipe.Process(p4all.Packet{"pkt.flow": 5})
+	out, err := pipe.Process(p4all.Packet{{Name: "pkt.flow", Value: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
