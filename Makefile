@@ -124,8 +124,8 @@ difftest:
 # (CI uploads them as artifacts), then runs the examples — which also
 # compile with Certify — so a validator regression fails the build
 # before any generated P4 is trusted (see
-# docs/TRANSLATION_VALIDATION.md). The solver runs on one worker
-# (-threads 1), so every certificate is a function of the commit alone.
+# docs/TRANSLATION_VALIDATION.md). Every certificate is a function of
+# the commit alone: CI runs the target twice and cmp's the two.
 # Last come the two runtime paths that certify what they use: the
 # elastic drift loop (its initial compile must prove, and every
 # re-solve it adopts does; p4allbench -fig drift's table, once sed
@@ -138,7 +138,7 @@ CERTAPPS := netcache sketchlearn precision conquest flowradar
 certify:
 	mkdir -p $(CERTDIR)
 	for app in $(CERTAPPS); do \
-		$(GO) run ./cmd/p4allc -app $$app -threads 1 -certify \
+		$(GO) run ./cmd/p4allc -app $$app -certify \
 			-cert $(CERTDIR)/$$app.json -o /dev/null || exit 1; \
 	done
 	for ex in quickstart portability netcache sketchlearn; do \
@@ -160,13 +160,13 @@ multitenant: multitenant-certify
 	$(GO) test ./internal/multitenant/
 	$(GO) test ./internal/difftest/ -run TestTenantOracle
 
-# multitenant-certify is the joint compile alone. It runs on one worker
-# (-threads 1), so its per-tenant certificates are a function of the
-# commit; CI re-runs it into mtcerts2/ and cmp's them.
+# multitenant-certify is the joint compile alone. Its per-tenant
+# certificates are a function of the commit; CI re-runs it into
+# mtcerts2/ and cmp's them.
 multitenant-certify:
 	mkdir -p $(MTDIR)
 	$(GO) run ./cmd/p4allc -app netcache,sketchlearn,flowradar \
-		-mem 524288 -weights 1,1,2 -minutil 1024 -threads 1 \
+		-mem 524288 -weights 1,1,2 -minutil 1024 \
 		-certify -cert $(MTDIR)/joint.json -o /dev/null
 
 # fuzz-smoke gives each coverage-guided target a short budget on top of

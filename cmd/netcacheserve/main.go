@@ -24,7 +24,6 @@ import (
 
 	"p4all/internal/apps"
 	"p4all/internal/core"
-	"p4all/internal/ilp"
 	"p4all/internal/obs"
 	"p4all/internal/pisa"
 	"p4all/internal/serve"
@@ -65,7 +64,7 @@ func main() {
 	fmt.Fprintln(os.Stderr, "compiling NetCache for the cache shapes...")
 	app := apps.NetCache(apps.NetCacheConfig{})
 	res, err := core.Compile(app.Source, pisa.EvalTarget(*mem),
-		core.Options{Solver: ilp.Options{Threads: 1}, Certify: true, Name: app.Name, Tracer: tracer})
+		core.Options{Certify: true, Name: app.Name, Tracer: tracer})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netcacheserve:", err)
 		os.Exit(1)

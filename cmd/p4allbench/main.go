@@ -73,7 +73,6 @@ func selectFigures(name string) ([]figure, error) {
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: one of "+figureNames())
 	mem := flag.Int("mem", 7*pisa.Mb/4, "per-stage memory bits for single-target figures")
-	threads := flag.Int("threads", 1, "branch-and-bound workers per solve (0: all cores; 1: reproducible figures)")
 	trace := flag.String("trace", "", "write a JSONL trace of every compile to this file (see docs/OBSERVABILITY.md)")
 	summary := flag.Bool("summary", false, "print an observability summary table to stderr")
 	flag.Parse()
@@ -83,8 +82,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "p4allbench:", err)
 		os.Exit(2)
 	}
-
-	eval.FigureSolver.Threads = *threads
 
 	tracer, err = obs.FromCLI(*trace, *summary, os.Stderr)
 	if err != nil {

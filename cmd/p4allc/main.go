@@ -49,7 +49,6 @@ func main() {
 		exactFlag   = flag.Bool("exact", false, "prove optimality (no MIP gap; may be slow)")
 		gapFlag     = flag.Float64("gap", 0, "accepted optimality gap (default 0.03)")
 		timeFlag    = flag.Duration("timeout", 0, "solver time limit (default 90s)")
-		threadsFlag = flag.Int("threads", 0, "branch-and-bound workers (0: all cores; 1: reproducible layouts)")
 		appFlag     = flag.String("app", "", "compile built-in benchmark apps (netcache, sketchlearn, precision, conquest, flowradar) instead of source files; a comma-separated list compiles jointly")
 		traceFlag   = flag.String("trace", "", "write a JSONL pipeline trace to this file (see docs/OBSERVABILITY.md)")
 		summaryFlag = flag.Bool("summary", false, "print an observability summary table to stderr")
@@ -100,7 +99,6 @@ func main() {
 	if *timeFlag > 0 {
 		solver.TimeLimit = *timeFlag
 	}
-	solver.Threads = *threadsFlag
 
 	if len(tenants) > 1 {
 		err = applyFairnessFlags(tenants, *weightsFlag, *minutilFlag)

@@ -12,6 +12,7 @@ import (
 	"p4all/internal/ilp"
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
+	"p4all/internal/multitenant"
 	"p4all/internal/pisa"
 	"p4all/internal/unroll"
 )
@@ -69,7 +70,10 @@ func TestResolveTargetMissing(t *testing.T) {
 // -certify` used to exit 1 — three counting-table registers share each
 // stage's memory, the layout recorded the LP's fractional share per
 // register instead of cells x width, and the validator's register-shape
-// audit rejected it.
+// audit rejected it. FlowRadar and Precision have stage-permuted
+// alternate optima, so each is also compiled twice as p4allc compiles
+// it with no solver flags: both runs must print the same P4 and the
+// same certificate bytes.
 func TestFlowRadarCertifiesOnDefaultTarget(t *testing.T) {
 	target, err := resolveTarget("eval", 0)
 	if err != nil {
@@ -85,6 +89,35 @@ func TestFlowRadarCertifiesOnDefaultTarget(t *testing.T) {
 			if !c.OK {
 				t.Errorf("audit %s: %s", c.Name, c.Detail)
 			}
+		}
+	}
+
+	for _, app := range []string{"precision", "flowradar"} {
+		var p4, certs [2]string
+		for run := range p4 {
+			tenants, err := loadTenants(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := multitenant.Compile(tenants, target, multitenant.Options{Certify: true})
+			if err != nil {
+				t.Fatalf("%s: %v", app, err)
+			}
+			prog := res.Tenants[0]
+			if !prog.Certificate.Proved() {
+				t.Fatalf("%s: %s", app, prog.Certificate.Summary())
+			}
+			data, err := prog.Certificate.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p4[run], certs[run] = prog.P4, string(data)
+		}
+		if p4[0] != p4[1] {
+			t.Errorf("%s: two default compiles print different P4", app)
+		}
+		if certs[0] != certs[1] {
+			t.Errorf("%s: two default compiles write different certificates", app)
 		}
 	}
 }

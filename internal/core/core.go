@@ -44,10 +44,9 @@ type Options struct {
 	// Solver tunes the branch-and-bound search. Zero-valued fields
 	// get compiler defaults: a 3% optimality gap, 4000-node and
 	// 90-second limits (Layout.Stats.Gap records what was certified;
-	// set Solver.Gap negative for exact optimization). Solver.Threads
-	// passes through untouched: by default the solve fans out over
-	// runtime.GOMAXPROCS(0) workers, and Threads: 1 makes it one
-	// reproducible worker (see docs/PARALLEL_SOLVER.md).
+	// set Solver.Gap negative for exact optimization). The solve is
+	// reproducible: the same program, target and Options give the same
+	// layout, unless a time limit stops the search.
 	Solver ilp.Options
 	// SkipCodegen stops after solving (benchmarks that only need the
 	// layout).
@@ -263,19 +262,6 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 			tr.Counter(c.counter).Add(int64(c.value(&st)))
 		}
 	}
-	// Per-worker effort tallies: one counter pair per branch-and-bound
-	// worker, accumulated across every solve this tracer observes, plus
-	// a per-solve span event recording this solve's split.
-	for i, w := range st.Workers {
-		tr.Counter(fmt.Sprintf("solver.worker%d.nodes", i)).Add(int64(w.Nodes))
-		tr.Counter(fmt.Sprintf("solver.worker%d.simplex_iters", i)).Add(int64(w.SimplexIter))
-		sp.Event("solver.worker",
-			obs.Int("worker", i),
-			obs.Int("nodes", w.Nodes),
-			obs.Int("simplex_iters", w.SimplexIter),
-			obs.Int("refactorizations", w.Refactors),
-		)
-	}
 	return time.Since(start), nil
 }
 
@@ -311,7 +297,6 @@ var solveCounts = []struct {
 	{"presolve_rows_dropped", "solver.presolve_rows_dropped", func(st *ilpgen.Stats) int { return st.Presolve.RowsDropped }},
 	{"presolve_bounds_tightened", "solver.presolve_bounds_tightened", func(st *ilpgen.Stats) int { return st.Presolve.BoundsTightened }},
 	{"presolve_vars_fixed", "solver.presolve_vars_fixed", func(st *ilpgen.Stats) int { return st.Presolve.VarsFixed }},
-	{"threads", "", func(st *ilpgen.Stats) int { return st.Threads }},
 }
 
 // Back is the back half of the pipeline for one solved program: code

@@ -8,7 +8,6 @@ import (
 
 	"p4all/internal/core"
 	"p4all/internal/elastic"
-	"p4all/internal/ilp"
 	"p4all/internal/ilpgen"
 	"p4all/internal/pisa"
 	"p4all/internal/sim"
@@ -124,31 +123,27 @@ func pinnedSource(src string, l *ilpgen.Layout) string {
 	return b.String()
 }
 
-// layoutVariant is one alternative configuration a pinned program is
-// re-solved under.
+// layoutVariant is one alternative target a pinned program is
+// re-solved on.
 type layoutVariant struct {
 	name string
 	tgt  func(pisa.Target) pisa.Target
-	opts core.Options
 }
 
 func layoutVariants() []layoutVariant {
 	// With every symbolic pinned the search space collapses, so these
-	// re-solves are cheap regardless of solver mode. baseSolver() is one
-	// worker; the first variant re-solves with the two-worker pool.
-	pool := core.Options{Solver: ilp.Options{Threads: 2, Gap: 0.1}, SkipCodegen: true}
+	// re-solves are cheap.
 	return []layoutVariant{
-		{name: "pool=2", tgt: func(t pisa.Target) pisa.Target { return t }, opts: pool},
 		{name: "stages+2", tgt: func(t pisa.Target) pisa.Target {
 			t.Stages += 2
 			t.Name += "+2stages"
 			return t
-		}, opts: baseSolver()},
+		}},
 		{name: "mem*2", tgt: func(t pisa.Target) pisa.Target {
 			t.MemoryBits *= 2
 			t.Name += "+2xmem"
 			return t
-		}, opts: baseSolver()},
+		}},
 	}
 }
 
@@ -188,7 +183,7 @@ func checkLayoutInvariance(rep *Report, cfg Config, spec AppSpec, base *core.Res
 	for _, v := range layoutVariants() {
 		rep.Checks++
 		cfg.logf("  layout variant %s/%s", spec.Name, v.name)
-		vres, err := core.Compile(pinned, v.tgt(tgt), v.opts)
+		vres, err := core.Compile(pinned, v.tgt(tgt), baseSolver())
 		if err != nil {
 			return fmt.Errorf("difftest: %s pinned compile (%s): %w", spec.Name, v.name, err)
 		}

@@ -41,7 +41,7 @@ func checkTenantEquivalence(rep *Report, cfg Config, specs []AppSpec) error {
 	}
 	cfg.logf("joint compile %s+%s @%dKb", mix[0].Name, mix[1].Name, budget/1024)
 	res, err := multitenant.Compile(mix, tgt, multitenant.Options{
-		Solver:      ilp.Options{Threads: 1, Gap: 0.1, NodeLimit: 2000, TimeLimit: 2 * time.Minute},
+		Solver:      ilp.Options{Gap: 0.1, NodeLimit: 2000, TimeLimit: 2 * time.Minute},
 		SkipCodegen: true,
 	})
 	if err != nil {

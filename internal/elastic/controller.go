@@ -28,11 +28,7 @@ type Config struct {
 	// Solver tunes the re-solves; re-solves additionally get
 	// Options.Start seeded from the last two solutions and their root
 	// bases (an ilpgen.History). Zero fields take the compiler
-	// defaults. The controller always sets Solver.Threads to 1, so
-	// re-solves run on one worker whatever it says: the adopt/keep
-	// decision and the warm-start chain (each re-solve seeds the next)
-	// must not depend on goroutine timing, or replayed traffic traces
-	// could diverge from the runs that produced them.
+	// defaults.
 	Solver ilp.Options
 	// Tracer records drift/reoptimize/adopt/fallback events. Nil
 	// disables tracing.
@@ -150,15 +146,11 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Source == "" {
 		return nil, fmt.Errorf("elastic: Config.Source is required")
 	}
-	// Drift decisions must replay identically, so re-solves run on one
-	// branch-and-bound worker whatever cfg.Solver.Threads says.
-	solver := cfg.Solver
-	solver.Threads = 1
 	c := &Controller{
 		cfg:      cfg,
 		det:      NewDetector(),
 		utility:  DefaultPolicy(Drift{Share: cfg.InitialShare}),
-		compiler: multitenant.NewCompiler(cfg.Target, multitenant.Options{Solver: solver, Certify: true, Tracer: cfg.Tracer}),
+		compiler: multitenant.NewCompiler(cfg.Target, multitenant.Options{Solver: cfg.Solver, Certify: true, Tracer: cfg.Tracer}),
 	}
 	mix, err := c.compiler.Compile([]multitenant.Tenant{{Name: program, Source: cfg.Source, Utility: c.utility}})
 	if err != nil {

@@ -76,11 +76,7 @@ func FigureDrift(seed int64, tr *obs.Tracer) (*DriftResult, error) {
 		InitialShare: 0.55, // both runs start tuned for the heavy phase
 		// The 5% gap mirrors the controller's operating point (proving
 		// 3% on this target costs more nodes than finding the optimum).
-		// One worker is redundant with the controller forcing it on
-		// re-solves, but stating it here keeps the experiment's
-		// contract explicit: identical traces in, identical DriftPoints
-		// out.
-		Solver: ilp.Options{Gap: 0.05, Threads: 1},
+		Solver: ilp.Options{Gap: 0.05},
 		Tracer: tr,
 	})
 	if err != nil {

@@ -25,17 +25,6 @@ import (
 	"p4all/internal/workload"
 )
 
-// FigureSolver is the solver configuration every figure regeneration
-// compiles with. The package default pins Threads: 1 — one worker's
-// trajectory is reproducible by construction, immune to tie-breaking
-// between equally-optimal layouts on multicore CI runners, and cheap
-// under -race (no goroutines to instrument), which is what the eval
-// test suite wants. cmd/p4allbench wires its -threads flag here before
-// running figures; it defaults to 1 too, so *published* tables stay
-// bit-stable, and a larger -threads picks a pool for anyone who
-// prefers speed.
-var FigureSolver = ilp.Options{Threads: 1}
-
 // ---------------------------------------------------------------- Fig 4
 
 // Fig4Keys and Fig4Zipf describe the request stream of every published
@@ -147,7 +136,7 @@ func BestFig4(points []Fig4Point) Fig4Point {
 // Figure 7 stage map. A non-nil tr traces the compile.
 func Figure7(memBits int, tr *obs.Tracer) (*core.Result, error) {
 	app := apps.NetCache(apps.NetCacheConfig{})
-	return core.Compile(app.Source, pisa.EvalTarget(memBits), core.Options{Solver: FigureSolver, Tracer: tr})
+	return core.Compile(app.Source, pisa.EvalTarget(memBits), core.Options{Solver: ilp.Options{}, Tracer: tr})
 }
 
 // ---------------------------------------------------------------- Fig 9
@@ -236,7 +225,7 @@ type Fig11Row struct {
 func Figure11(memBits int, tr *obs.Tracer) ([]Fig11Row, error) {
 	var rows []Fig11Row
 	for _, app := range apps.All() {
-		res, err := core.Compile(app.Source, pisa.EvalTarget(memBits), core.Options{Solver: FigureSolver, Tracer: tr})
+		res, err := core.Compile(app.Source, pisa.EvalTarget(memBits), core.Options{Solver: ilp.Options{}, Tracer: tr})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", app.Name, err)
 		}
@@ -289,7 +278,7 @@ func Figure12(memBits []int, tr *obs.Tracer) ([]Fig12Point, error) {
 	app := apps.NetCache(apps.NetCacheConfig{})
 	var out []Fig12Point
 	for _, m := range memBits {
-		res, err := core.Compile(app.Source, pisa.EvalTarget(m), core.Options{Solver: FigureSolver, SkipCodegen: true, Tracer: tr})
+		res, err := core.Compile(app.Source, pisa.EvalTarget(m), core.Options{Solver: ilp.Options{}, SkipCodegen: true, Tracer: tr})
 		if err != nil {
 			return nil, fmt.Errorf("M=%d: %w", m, err)
 		}
@@ -340,7 +329,7 @@ func Figure13(memBits int, tr *obs.Tracer) ([]Fig13Row, error) {
 	// 8 Mb of 32-bit value handles.
 	const kvFloor = 8 * pisa.Mb / 32
 	app := apps.NetCache(apps.NetCacheConfig{KVFloorItems: kvFloor})
-	c := multitenant.NewCompiler(pisa.EvalTarget(memBits), multitenant.Options{Solver: FigureSolver, SkipCodegen: true, Tracer: tr})
+	c := multitenant.NewCompiler(pisa.EvalTarget(memBits), multitenant.Options{Solver: ilp.Options{}, SkipCodegen: true, Tracer: tr})
 	var out []Fig13Row
 	for _, util := range utilities {
 		res, err := c.Compile([]multitenant.Tenant{{Name: app.Name, Source: app.Source, Utility: util}})

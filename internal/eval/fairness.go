@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"p4all/internal/ilp"
 	"p4all/internal/modules"
 	"p4all/internal/multitenant"
 	"p4all/internal/obs"
@@ -117,12 +118,8 @@ func FigureFairness(tr *obs.Tracer) (*FairnessResult, error) {
 func figureFairness(cfg fairnessConfig, tr *obs.Tracer) (*FairnessResult, error) {
 	target := fairnessTarget(cfg.memBits)
 	out := &FairnessResult{Target: target, Fixed: "sketch", Favored: "store", MinUtility: cfg.minUtility}
-	solver := FigureSolver
-	solver.NodeLimit = cfg.nodeLimit
-	solver.TimeLimit = cfg.timeLimit
-	solver.Gap = cfg.gap
 	comp := multitenant.NewCompiler(target, multitenant.Options{
-		Solver:      solver,
+		Solver:      ilp.Options{NodeLimit: cfg.nodeLimit, TimeLimit: cfg.timeLimit, Gap: cfg.gap},
 		SkipCodegen: true,
 		Tracer:      tr,
 	})

@@ -11,7 +11,7 @@ import (
 // sweep, the fixed tenant is squeezed down toward (but never below) its
 // floor, and every re-solve after the first rides the warm-start pool.
 func TestFigureFairnessMonotone(t *testing.T) {
-	// The effort budget is counted, not timed: one worker takes 246, 1,
+	// The effort budget is counted, not timed: the search takes 246, 1,
 	// 902 and 1 nodes for the four points on any machine, so 4000 nodes
 	// is the regression bound, and TimeLimit is a backstop set where the
 	// race detector's 10-20x slowdown cannot reach it (a 30 s limit cut

@@ -40,7 +40,6 @@ func BenchmarkILPSolveNetCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sol, err := ilp.Solve(prog.Model, ilp.WithoutHeuristic(ilp.Options{
 			NodeLimit: 24,
-			Threads:   1,
 		}))
 		if err != nil {
 			b.Fatal(err)
@@ -65,7 +64,7 @@ func BenchmarkILPSolveColdNetCache(b *testing.B) {
 	var sol *ilp.Solution
 	for i := 0; i < b.N; i++ {
 		var err error
-		if sol, err = ilp.Solve(m, ilp.Options{Deterministic: true, Threads: 1, Gap: 0.03}); err != nil {
+		if sol, err = ilp.Solve(m, ilp.Options{Gap: 0.03}); err != nil {
 			b.Fatal(err)
 		}
 	}

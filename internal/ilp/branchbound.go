@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -22,22 +19,13 @@ type Options struct {
 	// Gap is the relative optimality gap at which the search may stop
 	// early (0 means prove optimality to tolerance).
 	Gap float64
-	// Threads is the number of branch-and-bound workers pulling from
-	// the shared open-node queue (0 means runtime.GOMAXPROCS(0)). Each
-	// worker owns a private simplex workspace; only the queue, the
-	// incumbent, and the progress hook are shared. The first worker
-	// runs on the calling goroutine, so 1 starts none. Ignored when
-	// Deterministic is set. See docs/PARALLEL_SOLVER.md.
-	Threads int
-	// Deterministic makes the solve bit-reproducible for a fixed
-	// (model, Options) pair — same incumbent sequence, objective and
-	// assignment on every run — by searching with one worker whatever
-	// Threads says (Solution.Threads reports 1). A one-worker solve is
-	// reproducible without the flag, so the compiler's own callers
-	// spell it Threads: 1; the benchmark (bench/) is its one remaining
-	// setter. With more workers the order in which incumbents land
-	// depends on goroutine timing. A TimeLimit stop is wall-clock and
-	// so never reproducible; pin NodeLimit instead.
+	// Threads and Deterministic are ignored; the benchmark (bench/)
+	// still sets both. Every solve searches on the goroutine that
+	// called Solve and is bit-reproducible for a fixed (model, Options)
+	// pair — same incumbent sequence, objective and assignment on every
+	// run — unless a TimeLimit stop, which is wall-clock, ends it (pin
+	// NodeLimit instead).
+	Threads       int
 	Deterministic bool
 	// Start supplies MIP starts (see Start). Each start's Values must
 	// hold one entry per model variable, else Solve returns an error.
@@ -60,9 +48,8 @@ type Options struct {
 	// Progress, when non-nil, receives search snapshots: the root
 	// relaxation, every incumbent improvement, a heartbeat every 256
 	// nodes, and the terminal state. A nil hook costs nothing on the
-	// solve path. The hook is called under the search lock (never
-	// concurrently) — in multi-threaded solves from worker goroutines;
-	// it must not call back into the solver.
+	// solve path. The hook runs on the goroutine that called Solve; it
+	// must not call back into the solver.
 	Progress func(Progress)
 
 	// The unexported switches below are for this package's tests, which
@@ -150,13 +137,13 @@ const (
 	defaultProgressEvery = 256
 	intTol               = 1e-6
 	// plungeLimit bounds the depth-first chain followed from each
-	// popped node before returning to the shared best-first queue.
+	// popped node before returning to the best-first queue.
 	plungeLimit = 256
 )
 
 // node is one branch-and-bound subproblem, represented as an O(1)
 // delta against its parent: the branched variable and its narrowed
-// bound pair. Full bound vectors are materialized into a per-worker
+// bound pair. Full bound vectors are materialized into the search's
 // scratch (lpWorkspace.nodeLo/nodeHi) only when the node's LP is
 // solved, so opening a child costs one small struct instead of two
 // bound-vector clones.
@@ -194,37 +181,11 @@ func (q *nodeQueue) Pop() interface{} {
 	return it
 }
 
-// workerTally is one worker's Effort, one atomic per field. Workers
-// update their own tally; snapshot readers (progress emission, the final
-// Solution) sum across workers. The struct is padded to two cache lines
-// so adjacent workers do not false-share.
-type workerTally struct {
-	c [effortFields]atomic.Int64
-	_ [16 - effortFields]int64
-}
-
-func (t *workerTally) add(e Effort) {
-	for i, v := range e.fields() {
-		if *v != 0 {
-			t.c[i].Add(int64(*v))
-		}
-	}
-}
-
-func (t *workerTally) load() (e Effort) {
-	for i, v := range e.fields() {
-		*v = int(t.c[i].Load())
-	}
-	return e
-}
-
-// bb is the shared state of one Solve invocation. The workers guard
-// the open queue, the incumbent, termination accounting, and progress
-// emission with mu (see parallel.go).
+// bb is the state of one Solve invocation (the search loop is
+// search.go).
 type bb struct {
 	sf            *standardForm
 	opts          Options
-	threads       int
 	nodeLimit     int
 	iterLimit     int // simplex iterations one tree node's LP may take
 	progressEvery int
@@ -238,28 +199,20 @@ type bb struct {
 	rootStart     string // how the root LP started (Solution.RootStart)
 	rootBasis     *Basis // the root LP's optimal basis
 
-	mu          sync.Mutex
-	cond        *sync.Cond
 	queue       nodeQueue
 	nextID      int64
 	bestObj     float64 // incumbent objective, minimization sense
 	bestX       []float64
-	bestBits    atomic.Uint64 // Float64bits(bestObj): lock-free pruning reads
-	nodesDone   atomic.Int64
-	tallies     []workerTally
-	activeBound []float64 // per-worker bound of the node being plunged (+Inf when idle)
-	nActive     int
-	stopped     atomic.Bool
+	effort      Effort
 	firstOnly   bool   // stop at the first incumbent (neighbour.go)
 	halted      bool   // a limit/gap stop fired; finalStatus holds why
 	finalStatus Status // terminal status once halted
-	err         error
 }
 
 // Solve optimizes the model. Pure LPs (no integer variables) are solved
 // with a single simplex run; otherwise branch and bound proves integer
-// optimality, fanned out over Options.Threads workers. The returned
-// Solution reports values and objective in the model's own sense.
+// optimality. The returned Solution reports values and objective in the
+// model's own sense.
 func Solve(m *Model, opts Options) (*Solution, error) {
 	sf, err := lowerModel(m, !opts.disablePresolve)
 	if err != nil {
@@ -267,8 +220,6 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	}
 	sf.dualOK = !opts.disableDual
 	b := &bb{sf: sf, opts: opts, sign: 1, bestObj: math.Inf(1)}
-	b.cond = sync.NewCond(&b.mu)
-	b.bestBits.Store(math.Float64bits(b.bestObj))
 	if m.sense == Maximize {
 		b.sign = -1
 	}
@@ -287,18 +238,6 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	b.progressEvery = opts.progressEvery
 	if b.progressEvery <= 0 {
 		b.progressEvery = defaultProgressEvery
-	}
-	b.threads = opts.Threads
-	if b.threads <= 0 {
-		b.threads = runtime.GOMAXPROCS(0)
-	}
-	if opts.Deterministic {
-		b.threads = 1
-	}
-	b.tallies = make([]workerTally, b.threads)
-	b.activeBound = make([]float64, b.threads)
-	for i := range b.activeBound {
-		b.activeBound[i] = math.Inf(1)
 	}
 	if opts.Progress != nil {
 		b.solveStart = time.Now()
@@ -336,9 +275,9 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	}
 
 	// The root relaxation, the warm-start installation, and the diving
-	// heuristic run single-threaded before the tree search fans out;
-	// worker 0's workspace is seeded here. The root LP starts from the
-	// installed start's basis when that basis is optimal for it.
+	// heuristic run before the tree search, which inherits the workspace
+	// seeded here. The root LP starts from the installed start's basis
+	// when that basis is optimal for it.
 	var pooled *Basis
 	if startX != nil {
 		pooled = opts.Start[startIdx].Basis
@@ -347,9 +286,8 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	lo, hi := sf.cloneBounds()
 	st, obj, x, rootEffort, source, err := solveRoot(sf, lo, hi, pooled, ws)
 	rootEffort.Nodes, rootEffort.RootIters = 1, rootEffort.SimplexIter
-	b.tallies[0].add(rootEffort)
+	b.effort.add(rootEffort)
 	b.rootStart = source
-	b.nodesDone.Store(1)
 	if errors.Is(err, errDeadline) {
 		// The root relaxation alone exhausted the time limit: report an
 		// honest limit stop (no incumbent, no root bound) instead of a
@@ -387,8 +325,8 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	if !sf.dualOK {
 		nodeSnap = nil
 	}
-	b.pushLocked(&node{bvar: -1, bound: obj, hint: x, snap: nodeSnap})
-	b.emitLocked(ProgressRoot)
+	b.push(&node{bvar: -1, bound: obj, hint: x, snap: nodeSnap})
+	b.emit(ProgressRoot, nil)
 
 	switch {
 	case startX != nil:
@@ -411,7 +349,7 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		// its start, and there it saves 1.5 % of the iterations.
 		b.install(startObj, startX)
 		b.warmUsed, b.startIdx = true, startIdx
-		b.emitLocked(ProgressIncumbent)
+		b.emit(ProgressIncumbent, nil)
 		// Within the requested gap of the root bound the search stops
 		// here: the warm re-solve of a lightly perturbed model costs one
 		// LP.
@@ -425,10 +363,10 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		var dive Effort
 		hx, hobj, ok := diveHeuristic(sf, lo, hi, x, rootSnap, defaultIterLimit, &dive, ws)
 		dive.DiveIters = dive.SimplexIter
-		b.tallies[0].add(dive)
+		b.effort.add(dive)
 		if ok {
 			b.install(hobj, hx)
-			b.emitLocked(ProgressIncumbent)
+			b.emit(ProgressIncumbent, nil)
 			// An incumbent already at the root bound (or within the
 			// requested gap of it) cannot be improved enough to matter:
 			// stop before opening the tree.
@@ -437,9 +375,9 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 			}
 			// Otherwise search the incumbent's neighbourhood first: a
 			// better point there may close the gap at the root.
-			if nx, nobj, found := b.searchNeighbourhood(x, rootEffort.SimplexIter, &b.tallies[0]); found {
+			if nx, nobj, found := b.searchNeighbourhood(x, rootEffort.SimplexIter); found {
 				b.install(nobj, nx)
-				b.emitLocked(ProgressIncumbent)
+				b.emit(ProgressIncumbent, nil)
 				if b.gapSatisfiedAtRoot() {
 					return b.solution(StatusOptimal), nil
 				}
@@ -451,10 +389,9 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 }
 
 // install records a new incumbent (no improvement check — callers
-// compare first) and publishes it for lock-free pruning reads.
+// compare first).
 func (b *bb) install(obj float64, x []float64) {
 	b.bestObj, b.bestX = obj, x
-	b.bestBits.Store(math.Float64bits(obj))
 }
 
 // gapSatisfiedAtRoot reports whether the incumbent is already at the
@@ -464,35 +401,19 @@ func (b *bb) gapSatisfiedAtRoot() bool {
 		(b.opts.Gap > 0 && relGap(b.bestObj, b.rootMin) <= b.opts.Gap)
 }
 
-// effort sums the worker tallies; a non-nil workers (one entry per
-// worker) also receives each tally.
-func (b *bb) effort(workers []Effort) (total Effort) {
-	for i := range b.tallies {
-		e := b.tallies[i].load()
-		if workers != nil {
-			workers[i] = e
-		}
-		total.add(e)
-	}
-	return total
-}
-
-// boundMinLocked returns the tightest proven min-sense bound on the
-// optimum: the best bound among open and in-flight nodes, clamped at
-// the incumbent (an exhausted or fully dominated search proves the
-// incumbent optimal). Callers hold mu once the workers are running.
-func (b *bb) boundMinLocked() float64 {
+// boundMin returns the tightest proven min-sense bound on the optimum:
+// the best bound among the open nodes and inFlight, the node a plunge
+// started from (nil between plunges), clamped at the incumbent (an
+// exhausted or fully dominated search proves the incumbent optimal).
+func (b *bb) boundMin(inFlight *node) float64 {
 	bound := math.Inf(1)
 	if len(b.queue) > 0 {
 		bound = b.queue[0].bound
 	}
-	// A worker mid-plunge may still open children anywhere above the
-	// bound of the node it popped; gap certification must account for
-	// those in-flight subtrees.
-	for _, ab := range b.activeBound {
-		if ab < bound {
-			bound = ab
-		}
+	// A plunge may still open children anywhere above the bound of the
+	// node it popped, which is no longer on the queue.
+	if inFlight != nil && inFlight.bound < bound {
+		bound = inFlight.bound
 	}
 	if b.bestX != nil {
 		if bound > b.bestObj {
@@ -506,19 +427,19 @@ func (b *bb) boundMinLocked() float64 {
 	return b.rootMin
 }
 
-// emitLocked delivers one Progress snapshot; a nil hook makes it free.
-// Workers hold mu so emissions are serialized.
-func (b *bb) emitLocked(kind ProgressKind) {
+// emit delivers one Progress snapshot, bounded as boundMin(inFlight)
+// says; a nil hook makes it free.
+func (b *bb) emit(kind ProgressKind, inFlight *node) {
 	if b.opts.Progress == nil {
 		return
 	}
 	p := Progress{
 		Kind:    kind,
-		Effort:  b.effort(nil),
+		Effort:  b.effort,
 		Gap:     math.Inf(1),
 		Elapsed: time.Since(b.solveStart),
 	}
-	bm := b.boundMinLocked()
+	bm := b.boundMin(inFlight)
 	p.BestBound = b.sign * (bm + b.sf.objK)
 	if b.bestX != nil {
 		p.HasIncumbent = true
@@ -529,20 +450,16 @@ func (b *bb) emitLocked(kind ProgressKind) {
 }
 
 // solution assembles the terminal Solution and emits the done snapshot.
-// Called before the workers start or after all have exited.
 func (b *bb) solution(status Status) *Solution {
-	workers := make([]Effort, len(b.tallies))
 	sol := &Solution{
 		Status:      status,
-		Effort:      b.effort(workers),
+		Effort:      b.effort,
 		RootStart:   b.rootStart,
 		RootBasis:   b.rootBasis,
 		Presolve:    b.sf.pre,
 		RootBound:   b.rootBound,
 		WarmStarted: b.warmUsed,
 		StartIndex:  b.startIdx,
-		Threads:     b.threads,
-		Workers:     workers,
 	}
 	if b.bestX != nil {
 		sol.Values = b.bestX
@@ -553,10 +470,10 @@ func (b *bb) solution(status Status) *Solution {
 		if len(b.queue) > 0 && (status != StatusOptimal || b.opts.Gap > 0) {
 			// The open node with the best bound limits how much better
 			// any undiscovered solution could be.
-			sol.BestBound = b.sign * (b.boundMinLocked() + b.sf.objK)
+			sol.BestBound = b.sign * (b.boundMin(nil) + b.sf.objK)
 		}
 	}
-	b.emitLocked(ProgressDone)
+	b.emit(ProgressDone, nil)
 	return sol
 }
 
@@ -570,7 +487,7 @@ type stepOut struct {
 	deferred *node // other child, destined for the open queue
 }
 
-// materialize expands a delta node's bound chain into the worker's
+// materialize expands a delta node's bound chain into the workspace's
 // scratch vectors: the root (post-presolve) bounds overlaid with every
 // ancestor's single-variable delta, applied root-to-leaf so a deeper
 // re-branch on the same variable wins. The returned slices alias the
@@ -593,13 +510,13 @@ func (b *bb) materialize(nd *node, ws *lpWorkspace) (lo, hi []float64) {
 }
 
 // step closes one node whose LP bound propagation proves infeasible,
-// or solves its LP against the given pruning cutoff and either ends the
-// chain (pruned/integral) or branches. It touches no shared search
-// state beyond the (atomic) tally.
-func (b *bb) step(cur *node, cutoff float64, ws *lpWorkspace, tally *workerTally) (stepOut, error) {
+// or solves its LP against the incumbent as the pruning cutoff and
+// either ends the chain (pruned/integral) or branches. Of the search's
+// state it changes only the effort.
+func (b *bb) step(cur *node, ws *lpWorkspace) (stepOut, error) {
 	lo, hi := b.materialize(cur, ws)
 	if b.propagate(cur, lo, hi, ws) {
-		tally.add(Effort{PropPruned: 1})
+		b.effort.PropPruned++
 		if debugChecks&debugProp != 0 {
 			b.checkPropPrune(cur, lo, hi)
 		}
@@ -607,11 +524,11 @@ func (b *bb) step(cur *node, cutoff float64, ws *lpWorkspace, tally *workerTally
 	}
 	st, obj, x, e, err := solveLP(b.sf, lo, hi, b.iterLimit, cur.hint, cur.snap, restartDual, ws)
 	e.TreeIters = e.SimplexIter
-	tally.add(e)
+	b.effort.add(e)
 	if err != nil {
 		return stepOut{}, err
 	}
-	if st != lpOptimal || obj >= cutoff-1e-9 {
+	if st != lpOptimal || obj >= b.bestObj-1e-9 {
 		return stepOut{pruned: true}, nil // infeasible or dominated subtree
 	}
 	if integral(b.sf, x) {
@@ -639,9 +556,8 @@ func (b *bb) step(cur *node, cutoff float64, ws *lpWorkspace, tally *workerTally
 	return out, nil
 }
 
-// pushLocked assigns the node its queue ID and inserts it. Workers
-// hold mu.
-func (b *bb) pushLocked(nd *node) {
+// push assigns the node its queue ID and inserts it.
+func (b *bb) push(nd *node) {
 	nd.id = b.nextID
 	b.nextID++
 	heap.Push(&b.queue, nd)

@@ -44,18 +44,12 @@ func TestTimeLimitInterruptsPureLP(t *testing.T) {
 // the solve must report an honest limit stop (no incumbent exists yet)
 // rather than an error or a complete root solve.
 func TestTimeLimitInterruptsRootRelaxation(t *testing.T) {
-	for _, det := range []bool{false, true} {
-		sol, err := Solve(correlatedKnapsack(30, 0), Options{
-			TimeLimit:     time.Nanosecond,
-			Deterministic: det,
-			Threads:       1,
-		})
-		if err != nil {
-			t.Fatalf("det=%v: %v", det, err)
-		}
-		if sol.Status != StatusLimit {
-			t.Fatalf("det=%v: expired TimeLimit returned %v, want %v", det, sol.Status, StatusLimit)
-		}
+	sol, err := Solve(correlatedKnapsack(30, 0), Options{TimeLimit: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != StatusLimit {
+		t.Fatalf("expired TimeLimit returned %v, want %v", sol.Status, StatusLimit)
 	}
 }
 
@@ -66,7 +60,7 @@ func TestTimeLimitInterruptsRootRelaxation(t *testing.T) {
 func TestTimeLimitStopsMidSearch(t *testing.T) {
 	limit := 150 * time.Millisecond
 	begin := time.Now()
-	sol, err := Solve(correlatedKnapsack(60, 0), Options{TimeLimit: limit, Threads: 1})
+	sol, err := Solve(correlatedKnapsack(60, 0), Options{TimeLimit: limit})
 	if err != nil {
 		t.Fatal(err)
 	}

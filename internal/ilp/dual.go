@@ -76,10 +76,10 @@ func (ws *lpWorkspace) captureBasis(sf *standardForm) *basisSnapshot {
 // starts it from snap: the basic values are recomputed for the new
 // bounds, so basics may sit outside them. When the snapshot is still
 // resident on this workspace — the LP follows the one that captured it,
-// back to back on the same worker — the factors are already here and
-// only the basic values move. Residency is decided by the plunge drivers
-// (chain starts invalidate), so it is a structural property of the
-// tree, identical at every thread count. empty reports a variable with
+// back to back in one chain — the factors are already here and only
+// the basic values move. Residency is decided by the search (chain
+// starts invalidate), so it is a structural property of the tree.
+// empty reports a variable with
 // lo > hi (the LP is infeasible whatever the basis); a non-nil error
 // means the snapshot cannot start this LP: errInfiniteNonbasic when a
 // nonbasic column rests on an infinite bound, errSingularBasis when the

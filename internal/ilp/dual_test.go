@@ -197,26 +197,38 @@ func TestPresolveReversibility(t *testing.T) {
 }
 
 // TestDualDeterministicBitStable runs a model that exercises dual
-// re-solves under Deterministic mode: 10 repeats at 4 threads must be
-// bit-identical, and the solve must actually take the dual path.
+// re-solves: 10 repeats must be bit-identical — the same incumbent
+// sequence, assignment and effort — and the solve must actually take
+// the dual path.
 func TestDualDeterministicBitStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	m := randModel(rng, 10, 8)
-	opts := Options{Deterministic: true, Threads: 4}
-	ref, err := Solve(m, opts)
-	if err != nil {
-		t.Fatal(err)
+	solve := func() (*Solution, []float64) {
+		var incumbents []float64
+		sol, err := Solve(m, Options{Progress: func(p Progress) {
+			if p.Kind == ProgressIncumbent {
+				incumbents = append(incumbents, p.Incumbent)
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol, incumbents
 	}
+	ref, refInc := solve()
 	if ref.DualIters == 0 {
 		t.Fatalf("solve took no dual iterations; test is vacuous (%d nodes)", ref.Nodes)
 	}
+	if len(refInc) == 0 {
+		t.Fatal("no incumbent snapshot recorded")
+	}
 	for run := 1; run < 10; run++ {
-		got, err := Solve(m, opts)
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
+		got, inc := solve()
 		if got.Objective != ref.Objective {
 			t.Fatalf("run %d: objective %v != %v", run, got.Objective, ref.Objective)
+		}
+		if !slices.Equal(inc, refInc) {
+			t.Fatalf("run %d: incumbents %v, want %v", run, inc, refInc)
 		}
 		for i := range ref.Values {
 			if got.Values[i] != ref.Values[i] {

@@ -528,7 +528,7 @@ func solveWithDebugChecks(t *testing.T, m *Model) {
 	debugChecks = debugInvariants
 	t.Cleanup(func() { debugChecks = 0 })
 	rootAndDive(t, m, 6, func(string, *standardForm, *lpWorkspace) {})
-	sol, err := Solve(m, Options{Deterministic: true, Threads: 1, NodeLimit: 12, Gap: 0.03})
+	sol, err := Solve(m, Options{NodeLimit: 12, Gap: 0.03})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,9 +323,8 @@ func (s Status) String() string {
 	}
 }
 
-// Effort counts one search's work, or one worker's share of it. Worker 0
-// carries the root LP, the dive and the neighbourhood search, so a
-// solution's Effort is the field-by-field sum of its Workers.
+// Effort counts one search's work: the root LP, the dive, the
+// neighbourhood search and the tree.
 type Effort struct {
 	// Nodes is the number of branch-and-bound nodes processed (1 for
 	// pure LPs).
@@ -414,11 +413,6 @@ type Solution struct {
 	// StartIndex, meaningful only when it is true, says which.
 	WarmStarted bool
 	StartIndex  int
-	// Threads is the number of branch-and-bound workers the solve ran
-	// with (after resolving Options.Threads and Options.Deterministic).
-	Threads int
-	// Workers holds per-worker effort tallies, one entry per thread.
-	Workers []Effort
 }
 
 // AchievedGap returns the certified optimality gap of the returned

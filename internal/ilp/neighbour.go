@@ -4,8 +4,7 @@ package ilp
 // Lodi, "Local branching", Math. Programming 2003). A cold solve whose
 // dive incumbent x̄ is not within the gap of the root bound searches
 // x̄'s Hamming ball over the binary variables before it opens its own
-// tree: one single-worker branch and bound over the lowered model plus
-// the row
+// tree: one branch and bound over the lowered model plus the row
 //
 //	Σ_{x̄ⱼ=0} xⱼ + Σ_{x̄ⱼ=1} (1 − xⱼ) ≤ neighbourRadius,
 //
@@ -25,18 +24,15 @@ package ilp
 // attempt under neighbourLPCap, and numerical trouble or the cap ends
 // the search as one that found nothing.
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // neighbourRadius and neighbourNodes are the ball's Hamming radius and
 // the search's node budget, and neighbourLPCap bounds one LP of the
 // search at that many times the iterations of the solve's cold root LP.
 // Measured on the four compile-solve programs (NetCache at 1.0, 1.75
-// and 2.5 Mb, Precision at 1.75 Mb; one worker, 3 % gap): the dive's
-// incumbent is within the gap at 2.5 Mb and on Precision, so only 1.0
-// and 1.75 Mb search. At radius 2 both find their final incumbent, in
+// and 2.5 Mb, Precision at 1.75 Mb; 3 % gap): the dive's incumbent is
+// within the gap at 2.5 Mb and on Precision, so only 1.0 and 1.75 Mb
+// search. At radius 2 both find their final incumbent, in
 // 24 and 12 nodes (989 and 1 933 iterations), and then end at the root,
 // where their trees took 65 and 46 nodes. Radius 1 holds no better
 // point (2 537 and 1 575 iterations to learn so); radius 3 finds the
@@ -50,29 +46,25 @@ const (
 
 // searchNeighbourhood runs the neighbourhood search around the
 // incumbent, from the root LP's solution rootX, which took rootIters
-// simplex iterations, and adds its work to tally: its LP iterations to
-// SimplexIter (and the dual share, fallbacks and refactorizations to
-// theirs), its nodes to NeighbourNodes, not Nodes. It returns the point
-// it found and its objective (minimization sense), or ok false.
-func (b *bb) searchNeighbourhood(rootX []float64, rootIters int, tally *workerTally) (x []float64, obj float64, ok bool) {
+// simplex iterations, and adds its work to the solve's effort: its LP
+// iterations to SimplexIter (and the dual share, fallbacks and
+// refactorizations to theirs), its nodes to NeighbourNodes, not Nodes.
+// It returns the point it found and its objective (minimization sense),
+// or ok false.
+func (b *bb) searchNeighbourhood(rootX []float64, rootIters int) (x []float64, obj float64, ok bool) {
 	s := &bb{
-		sf:          b.sf.withLocalBranch(b.bestX),
-		threads:     1,
-		nodeLimit:   neighbourNodes,
-		iterLimit:   neighbourLPCap * rootIters,
-		deadline:    b.deadline,
-		sign:        b.sign,
-		bestObj:     b.bestObj,
-		firstOnly:   true,
-		tallies:     make([]workerTally, 1),
-		activeBound: []float64{math.Inf(1)},
+		sf:        b.sf.withLocalBranch(b.bestX),
+		nodeLimit: neighbourNodes,
+		iterLimit: neighbourLPCap * rootIters,
+		deadline:  b.deadline,
+		sign:      b.sign,
+		bestObj:   b.bestObj,
+		firstOnly: true,
 	}
-	s.cond = sync.NewCond(&s.mu)
-	s.bestBits.Store(math.Float64bits(s.bestObj))
-	s.pushLocked(&node{bvar: -1, bound: b.rootMin, hint: rootX})
+	s.push(&node{bvar: -1, bound: b.rootMin, hint: rootX})
 	_, err := s.search(newWorkspace(s.sf))
-	e := s.tallies[0].load()
-	tally.add(Effort{
+	e := s.effort
+	b.effort.add(Effort{
 		SimplexIter: e.SimplexIter, Refactors: e.Refactors,
 		DualIters: e.DualIters, PrimalFallbacks: e.PrimalFallbacks,
 		NeighbourIters: e.SimplexIter, NeighbourNodes: e.Nodes,
@@ -80,7 +72,7 @@ func (b *bb) searchNeighbourhood(rootX []float64, rootIters int, tally *workerTa
 	if err != nil || s.bestX == nil {
 		return nil, 0, false
 	}
-	tally.add(Effort{NeighbourFound: 1})
+	b.effort.NeighbourFound++
 	return s.bestX, s.bestObj, true
 }
 

@@ -30,7 +30,6 @@ func TestProgressHookReportsSearchTrajectory(t *testing.T) {
 	sol, err := Solve(m, Options{
 		Progress:      func(p Progress) { snaps = append(snaps, p) },
 		progressEvery: 1, // heartbeat on every node
-		Threads:       1, // exact emission cadence is a sequential-search property
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,13 +111,12 @@ func TestProgressHookReportsSearchTrajectory(t *testing.T) {
 
 func TestProgressHookNilIsFree(t *testing.T) {
 	// Solving with and without the hook must agree exactly (the hook
-	// must not perturb the search). Threads is pinned because only the
-	// sequential and deterministic searches promise exact replay.
-	a, err := Solve(knapsackModel(t), Options{Threads: 1})
+	// must not perturb the search).
+	a, err := Solve(knapsackModel(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(knapsackModel(t), Options{Threads: 1, Progress: func(Progress) {}})
+	b, err := Solve(knapsackModel(t), Options{Progress: func(Progress) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

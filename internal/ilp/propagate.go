@@ -21,7 +21,7 @@ import (
 	"math"
 )
 
-// nodeProp is one worker's propagation scratch. lo/hi hold the bounds
+// nodeProp is the search's propagation scratch. lo/hi hold the bounds
 // propagated for node of, so a follow child solved right after its
 // parent starts from them plus its own branched bound; any other node
 // starts from the root bounds plus its chain.

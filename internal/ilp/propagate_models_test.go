@@ -16,7 +16,7 @@ import (
 // every tree node bound propagation closes without an LP is re-solved
 // cold and must be LP-infeasible, so the search is the one the LP alone
 // would run. The corpus is the tenant-drift cycle (the cold solve and
-// two warm cycles), NetCache at 0.5 and 0.75 Mb at one and two threads,
+// two warm cycles), NetCache at 0.5 and 0.75 Mb,
 // NetCache at 1.0 Mb with its neighbourhood search, objectiveRowMIP,
 // and small seeded MIPs whose variables have no upper bound, solved
 // without the root presolve so node propagation meets +Inf bounds and
@@ -51,25 +51,22 @@ func TestNodePropagationIsSound(t *testing.T) {
 		nodes int
 	}{{"0.5", pisa.Mb / 2, 230}, {"0.75", 3 * pisa.Mb / 4, 255}} {
 		m := programModel(t, netcache, pisa.EvalTarget(mem.bits))
-		for _, threads := range []int{1, 2} {
-			opts := ilp.Options{Threads: threads, Gap: 0.03, NodeLimit: mem.nodes}
-			check("netcache", fmt.Sprintf("netcache %s Mb, %d thread(s)", mem.name, threads), m, opts)
-		}
+		check("netcache", "netcache "+mem.name+" Mb", m, ilp.Options{Gap: 0.03, NodeLimit: mem.nodes})
 	}
 
 	// A cold compile: the dive's incumbent, then the neighbourhood
 	// search around it, whose own tree propagates too.
-	sol = check("netcache", "netcache 1.0 Mb, searched", netCacheModel(t), ilp.Options{Deterministic: true, Gap: 0.03})
+	sol = check("netcache", "netcache 1.0 Mb, searched", netCacheModel(t), ilp.Options{Gap: 0.03})
 	if sol.NeighbourNodes == 0 {
 		t.Errorf("netcache 1.0 Mb: no neighbourhood search ran")
 	}
 
-	check("objective row", "objective row", objectiveRowMIP(), ilp.WithoutHeuristic(ilp.Options{Deterministic: true, NodeLimit: 50}))
+	check("objective row", "objective row", objectiveRowMIP(), ilp.WithoutHeuristic(ilp.Options{NodeLimit: 50}))
 
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		m := unboundedMIP(rng)
-		opts := ilp.Options{Deterministic: true, NodeLimit: 200}
+		opts := ilp.Options{NodeLimit: 200}
 		got := check("random", fmt.Sprintf("random %d", i), m, ilp.WithoutPresolve(opts))
 		want, err := ilp.Solve(m, opts)
 		if err != nil {

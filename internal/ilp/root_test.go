@@ -36,7 +36,7 @@ func knapsackCap(frac float64) *Model {
 // When the start leaves a gap to close, the tree searched from that
 // root, with no dive, still finds the cold optimum.
 func TestPooledRootSameModel(t *testing.T) {
-	opts := Options{Deterministic: true, Gap: 0.03}
+	opts := Options{Gap: 0.03}
 	cold, err := Solve(correlatedKnapsack(20, 0), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestPooledRootSameModel(t *testing.T) {
 
 	// An empty knapsack is feasible but far from optimal: the search runs
 	// on from the pooled root.
-	exact := Options{Deterministic: true}
+	exact := Options{}
 	coldExact, err := Solve(correlatedKnapsack(20, 0), exact)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestPooledRootSameModel(t *testing.T) {
 // right-hand side moved out of primal feasibility, are rejected with
 // their reason, and the solve is the one without a basis.
 func TestPooledRootRejected(t *testing.T) {
-	opts := Options{Deterministic: true, Gap: 0.03}
+	opts := Options{Gap: 0.03}
 	small, err := Solve(correlatedKnapsack(8, 0), opts)
 	if err != nil {
 		t.Fatal(err)

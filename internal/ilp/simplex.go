@@ -86,8 +86,8 @@ type standardForm struct {
 	intVar   []bool    // structural integrality markers
 	branch   []int     // branching priority per structural column
 	// deadline, when set, aborts any simplex run past it with
-	// errDeadline. Solve stamps it once before the root LP; every
-	// worker reads it immutably afterwards.
+	// errDeadline. Solve stamps it once before the root LP; it is read
+	// only afterwards.
 	deadline time.Time
 	// dualOK enables dual-simplex child re-solves (set from
 	// Options.disableDual by Solve).
@@ -264,10 +264,10 @@ const (
 // lpWorkspace holds the per-solve simplex buffers so repeated LP solves
 // (branch and bound runs thousands against one standardForm) reuse
 // memory instead of hammering the allocator. A workspace is sized for
-// one standardForm and is NOT safe for concurrent use: each
-// branch-and-bound worker owns a private one, which is the only
-// simplex state shared between a node and its successor on the same
-// worker. The cached slack columns are immutable after construction.
+// one standardForm and is NOT safe for concurrent use: the
+// branch-and-bound search owns one, which is the only simplex state
+// shared between a node and its successor. The cached slack columns are
+// immutable after construction.
 type lpWorkspace struct {
 	cols   []spCol
 	lo, hi []float64
@@ -318,11 +318,11 @@ type lpWorkspace struct {
 	marked  []bool
 }
 
-// invalidate forgets any resident basis. Plunge drivers call it at
-// every chain start so basis residency is a structural property of the
-// search tree (parent-to-follow-child on one worker) rather than an
-// artifact of which chains a worker happened to run — the property
-// that keeps Deterministic solves bit-identical across thread counts.
+// invalidate forgets any resident basis. The search calls it at every
+// chain start, so basis residency is a structural property of the
+// search tree (a parent and the child it plunges into) rather than an
+// artifact of which chain ran before: a chain's first node always
+// refactors its inherited basis.
 func (ws *lpWorkspace) invalidate() {
 	ws.resident = nil
 	ws.basisValid = false
@@ -418,7 +418,7 @@ const (
 // off) or the bound-shifted primal (warm.go). The primal-with-
 // artificials path below is the counted fallback of either.
 // ws supplies reusable buffers; nil allocates a fresh workspace (one
-// per branch-and-bound worker is the intended steady state).
+// per search is the intended steady state).
 func solveLP(sf *standardForm, lo, hi []float64, iterLimit int, hint []float64, snap *basisSnapshot, how restart, ws *lpWorkspace) (lpStatus, float64, []float64, Effort, error) {
 	if ws == nil {
 		ws = newWorkspace(sf)

@@ -20,10 +20,7 @@ import (
 var driftWeights = []float64{2.5, 2, 0.5, 2}
 
 // driftOptions are tenant-drift's solver knobs.
-var driftOptions = ilp.Options{
-	Deterministic: true, Threads: 1,
-	Gap: 0.1, NodeLimit: 1000, TimeLimit: 15 * time.Second,
-}
+var driftOptions = ilp.Options{Gap: 0.1, NodeLimit: 1000, TimeLimit: 15 * time.Second}
 
 // TestWarmDiveSplit prints where the LP iterations of the tenant-drift
 // cycle, of the benchmark's compile-solve programs (NetCache at 1.0,
@@ -81,7 +78,7 @@ func TestWarmDiveSplit(t *testing.T) {
 			}
 		}
 	}
-	compile := ilp.Options{Deterministic: true, Threads: 1, Gap: 0.03}
+	compile := ilp.Options{Gap: 0.03}
 	if sol, err = ilp.Solve(netCacheModel(t), compile); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +205,7 @@ func TestWarmDiveMatchesCold(t *testing.T) {
 	}
 	var restarts, models int
 	check := func(name string, m *ilp.Model) {
-		sol := ilp.SolveDiveChecked(t, m, ilp.Options{Deterministic: true, NodeLimit: 4}, !coldDrift[name])
+		sol := ilp.SolveDiveChecked(t, m, ilp.Options{NodeLimit: 4}, !coldDrift[name])
 		restarts += sol.WarmRestarts
 		models++
 		t.Logf("%-40s %-10v %3d warm restarts checked, %d fallbacks", name, sol.Status, sol.WarmRestarts, sol.WarmFallbacks)

@@ -65,14 +65,12 @@ func TestWarmStartLessWork(t *testing.T) {
 	// scenario: same feasible region, shifted utility) and re-solve at
 	// the compiler's default 3% certified gap — the configuration every
 	// core.Compile solve actually runs with.
-	// Threads pinned: the cold-vs-warm comparison is only exact for the
-	// sequential search.
 	pert := correlatedKnapsack(20, 0.25)
-	cold, err := Solve(pert, Options{Gap: 0.03, Threads: 1})
+	cold, err := Solve(pert, Options{Gap: 0.03})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(pert, Options{Gap: 0.03, Start: valueStarts(cold0.Values), Threads: 1})
+	warm, err := Solve(pert, Options{Gap: 0.03, Start: valueStarts(cold0.Values)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +177,7 @@ func TestWarmStartPicksBest(t *testing.T) {
 		{"none feasible", [][]float64{{6.4, 99}, {10, 10}}, false, 0, nil},
 	}
 	for _, tc := range cases {
-		sol, err := Solve(projModel(), Options{Start: valueStarts(tc.starts...), Gap: 0.1, Deterministic: true})
+		sol, err := Solve(projModel(), Options{Start: valueStarts(tc.starts...), Gap: 0.1})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

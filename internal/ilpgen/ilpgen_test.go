@@ -514,7 +514,7 @@ func TestStageWindowRootBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := ilp.Solve(p.Model, ilp.Options{NodeLimit: 1, Threads: 1})
+	sol, err := ilp.Solve(p.Model, ilp.Options{NodeLimit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

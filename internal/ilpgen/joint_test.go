@@ -40,7 +40,7 @@ func jointTestTarget(memBits int) pisa.Target {
 }
 
 func jointOpts() ilp.Options {
-	return ilp.Options{Gap: 0.05, Deterministic: true, Threads: 2, NodeLimit: 5000, TimeLimit: 20 * time.Second}
+	return ilp.Options{Gap: 0.05, NodeLimit: 5000, TimeLimit: 20 * time.Second}
 }
 
 func jointSolve(t *testing.T, tenants []TenantUnit, target *pisa.Target, f Fairness) (*Joint, *JointLayout) {
@@ -170,7 +170,7 @@ func TestJointZeroWeightDropped(t *testing.T) {
 			t.Errorf("degenerate zero-coefficient column %s in objective", name)
 		}
 	})
-	if _, err := j.Solve(ilp.Options{Gap: 0.03, Deterministic: true, Threads: 2}); err != nil {
+	if _, err := j.Solve(ilp.Options{Gap: 0.03}); err != nil {
 		t.Fatalf("zero-weight joint solve: %v", err)
 	}
 }

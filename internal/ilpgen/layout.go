@@ -65,10 +65,6 @@ type Stats struct {
 	// RootStart says how the root LP started: "cold", "pooled" or
 	// "rejected (<reason>)" (see ilp.Solution.RootStart).
 	RootStart string
-	// Threads is the number of branch-and-bound workers the solve ran
-	// with; Workers carries their per-worker effort tallies.
-	Threads int
-	Workers []ilp.Effort
 }
 
 // Layout is a concrete solution: symbolic assignments plus the mapping
@@ -222,8 +218,6 @@ func (p *ILP) extract(sol *ilp.Solution) *Layout {
 			WarmStarted: sol.WarmStarted,
 			StartIndex:  sol.StartIndex,
 			RootStart:   sol.RootStart,
-			Threads:     sol.Threads,
-			Workers:     append([]ilp.Effort(nil), sol.Workers...),
 		},
 		Values: append([]float64(nil), sol.Values...),
 	}

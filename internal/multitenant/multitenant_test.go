@@ -235,10 +235,9 @@ func driftMix(w float64) []Tenant {
 func driftCompiler() *Compiler {
 	return NewCompiler(mtTarget(), Options{
 		Solver: ilp.Options{
-			Deterministic: true,
-			Gap:           0.1,
-			NodeLimit:     1000,
-			TimeLimit:     15 * time.Second,
+			Gap:       0.1,
+			NodeLimit: 1000,
+			TimeLimit: 15 * time.Second,
 		},
 		SkipCodegen: true,
 	})
@@ -512,7 +511,7 @@ func TestRetainedMatchesFresh(t *testing.T) {
 		{"controller", NewCompiler(pisa.Target{
 			Name: "drift-test", Stages: 6, MemoryBits: 96 * 1024,
 			StatefulALUs: 4, StatelessALUs: 100, PHVBits: 4096,
-		}, Options{Solver: ilp.Options{Gap: 0.05, Deterministic: true}, SkipCodegen: true}), []step{
+		}, Options{Solver: ilp.Options{Gap: 0.05}, SkipCodegen: true}), []step{
 			{netcache(cmsHeavy), ilp.RootCold},
 			{netcache(kvHeavy), "rejected (not dual feasible)"},
 			{netcache(kvHeavy), ilp.RootPooled},
@@ -778,7 +777,7 @@ func TestSolveTraceMatchesStats(t *testing.T) {
 	for _, app := range []apps.App{apps.ConQuest(), apps.NetCache(apps.NetCacheConfig{})} {
 		var single *core.Result
 		recs := traceRecords(t, func(tr *obs.Tracer) (err error) {
-			opts := core.Options{Solver: ilp.Options{Threads: 2}, SkipCodegen: true, Tracer: tr}
+			opts := core.Options{SkipCodegen: true, Tracer: tr}
 			single, err = core.Compile(app.Source, pisa.EvalTarget(pisa.Mb), opts)
 			return err
 		})
@@ -809,9 +808,9 @@ func TestSolveTraceMatchesStats(t *testing.T) {
 // every integer attribute of the solve span, and every solver.* counter.
 func checkSolveTrace(t *testing.T, label string, recs []record, st ilpgen.Stats) {
 	t.Helper()
-	t.Logf("%s: %+v, workers %+v", label, st.Effort, st.Workers)
+	t.Logf("%s: %+v", label, st.Effort)
 	wantAttrs := map[string]int{
-		"ilp_vars": st.Vars, "ilp_constrs": st.Constrs, "threads": st.Threads,
+		"ilp_vars": st.Vars, "ilp_constrs": st.Constrs,
 		"bnb_nodes": st.Nodes, "simplex_iters": st.SimplexIter, "refactorizations": st.Refactors,
 		"dual_iters": st.DualIters, "primal_fallbacks": st.PrimalFallbacks,
 		"warm_restarts": st.WarmRestarts, "warm_fallbacks": st.WarmFallbacks,
@@ -828,10 +827,6 @@ func checkSolveTrace(t *testing.T, label string, recs []record, st ilpgen.Stats)
 		"root_iters", "dive_iters", "tree_iters", "neighbour_iters", "neighbour_nodes", "neighbour_found", "prop_pruned",
 		"presolve_rows_dropped", "presolve_bounds_tightened", "presolve_vars_fixed"} {
 		wantCounters["solver."+name] = wantAttrs[name]
-	}
-	for i, w := range st.Workers {
-		wantCounters[fmt.Sprintf("solver.worker%d.nodes", i)] = w.Nodes
-		wantCounters[fmt.Sprintf("solver.worker%d.simplex_iters", i)] = w.SimplexIter
 	}
 	spans, counters := 0, map[string]bool{}
 	for _, r := range recs {

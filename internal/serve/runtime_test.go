@@ -29,7 +29,7 @@ func compiledNetCache(t testing.TB) (*lang.Unit, *ilpgen.Layout) {
 	compileOnce.Do(func() {
 		app := apps.NetCache(apps.NetCacheConfig{})
 		res, err := core.Compile(app.Source, pisa.EvalTarget(pisa.Mb),
-			core.Options{Solver: ilp.Options{Deterministic: true}, SkipCodegen: true})
+			core.Options{Solver: ilp.Options{}, SkipCodegen: true})
 		if err != nil {
 			compileOnce.err = err
 			return

@@ -121,7 +121,7 @@ func vmCorpus(t *testing.T) []vmProgram {
 				return
 			}
 			res, err := core.Compile(src, tgt, core.Options{
-				Solver:      ilp.Options{Deterministic: true, Gap: 0.1},
+				Solver:      ilp.Options{Gap: 0.1},
 				SkipCodegen: true,
 			})
 			if err != nil {

@@ -56,7 +56,7 @@ type EquivalenceReport struct {
 
 // Certificate is the machine-readable result of validating one compile.
 // It contains no timestamps or host details: the same compile must
-// yield byte-identical certificates on every run and thread count.
+// yield byte-identical certificates on every run and machine.
 type Certificate struct {
 	Schema  string `json:"schema"`
 	Program string `json:"program"`

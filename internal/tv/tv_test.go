@@ -45,7 +45,7 @@ func compile(src string, target pisa.Target) (*lang.Unit, *ilpgen.Layout, *codeg
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	layout, err := ilpProg.Solve(ilp.Options{Deterministic: true, Gap: 0.1})
+	layout, err := ilpProg.Solve(ilp.Options{Gap: 0.1})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -185,7 +185,7 @@ func TestCertificateDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, err := ilpProg.Solve(ilp.Options{Deterministic: true, Gap: 0.1})
+	layout, err := ilpProg.Solve(ilp.Options{Gap: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
