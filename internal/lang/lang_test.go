@@ -383,6 +383,29 @@ func TestResolveErrors(t *testing.T) {
 	}
 }
 
+// TestBuiltinArity: hash, min and max take exactly two arguments, in
+// action bodies and in apply-block guards alike. Every executor
+// evaluates the first two, so a call with another count must not
+// resolve.
+func TestBuiltinArity(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"min of one argument", "header pkt { bit<32> flow; } struct meta { bit<32> x; } action a() { meta.x = min(pkt.flow); } control main { apply { a(); } }", "1:79: min takes 2 arguments, got 1"},
+		{"max of three arguments", "header pkt { bit<32> flow; } struct meta { bit<32> x; } action a() { meta.x = max(pkt.flow, 1, 2); } control main { apply { a(); } }", "max takes 2 arguments, got 3"},
+		{"hash of none", "struct meta { bit<32> x; } action a() { meta.x = hash(); } control main { apply { a(); } }", "hash takes 2 arguments, got 0"},
+		{"guard min of one argument", "header pkt { bit<32> flow; } struct meta { bit<32> x; } action a() { meta.x = 1; } control main { apply { if (min(pkt.flow) > 0) { a(); } } }", "min takes 2 arguments, got 1"},
+	}
+	for _, tc := range cases {
+		_, err := ParseAndResolve(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	ok := "header pkt { bit<32> flow; } struct meta { bit<32> x; } action a() { meta.x = max(min(pkt.flow, 3), hash(pkt.flow, 1)); } control main { apply { a(); } }"
+	if _, err := ParseAndResolve(ok); err != nil {
+		t.Errorf("two-argument calls: %v", err)
+	}
+}
+
 func TestFixedPHVBits(t *testing.T) {
 	src := `
 symbolic int n;

@@ -595,6 +595,9 @@ func (ba *bodyAnalyzer) expr(e Expr) error {
 		default:
 			return errf(e.Pos, "unknown builtin %s (want hash, min, or max)", e.Name)
 		}
+		if len(e.Args) != 2 {
+			return errf(e.Pos, "%s takes 2 arguments, got %d", e.Name, len(e.Args))
+		}
 		for _, a := range e.Args {
 			if err := ba.expr(a); err != nil {
 				return err

@@ -1,0 +1,382 @@
+// Package sem is the one evaluator of P4All action bodies. The
+// reference interpreter (internal/sim, over uint64 values) and the
+// translation validator's source side (internal/tv, over symbolic
+// nodes) both run its walker, so the certificate proves the emitted
+// program against the semantics the interpreter executes, and the
+// interpreter is the oracle the VM is held to.
+//
+// The walker fixes everything the two share: the schedule of action
+// instances, guard order, statement and expression order, short-circuit
+// booleans, the width each value wraps at, which operations are charged
+// to the stage's ALU, and how register and field references resolve,
+// the instance index bound through the action's index parameter. A
+// Domain supplies the leaves: constants, the ALU charge, branch
+// decisions, arithmetic, builtins, constant instance indexes, and
+// register and field storage. A domain decides what the walker cannot:
+// a dynamic instance index is evaluated at run time by sim and is a
+// proof obligation for tv.
+package sem
+
+import (
+	"fmt"
+
+	"p4all/internal/ilpgen"
+	"p4all/internal/lang"
+)
+
+// Step is one executing entry of a compiled program's schedule: a
+// placed action instance with a body, run under the guards and loop
+// nest of the first invocation of its action.
+type Step struct {
+	Inv     *lang.Invocation
+	Iter    int
+	Stage   int
+	LoopVar string // innermost loop variable of Inv ("" outside loops)
+	Pos     int    // index of the step's placement in the schedule
+}
+
+// Schedule returns layout.Schedule(u) and the steps that execute it:
+// its placements in that order, each bound to the first invocation of
+// its action, less the placements without a body (the match
+// pseudo-actions of tables). Step.Pos indexes the placement a step runs.
+func Schedule(u *lang.Unit, layout *ilpgen.Layout) ([]ilpgen.Placement, []Step) {
+	invByAction := make(map[string]*lang.Invocation, len(u.Invocations))
+	for _, inv := range u.Invocations {
+		if _, dup := invByAction[inv.Action.Name]; !dup {
+			invByAction[inv.Action.Name] = inv
+		}
+	}
+	order := layout.Schedule(u)
+	var steps []Step
+	for i, pl := range order {
+		inv, ok := invByAction[pl.Action]
+		if !ok || inv.Action.Decl == nil || inv.Action.Decl.Body == nil {
+			continue
+		}
+		s := Step{Inv: inv, Iter: pl.Iter, Stage: pl.Stage, Pos: i}
+		if l := inv.Loop(); l != nil {
+			s.LoopVar = l.Var
+		}
+		steps = append(steps, s)
+	}
+	return order, steps
+}
+
+// Name resolves a simple name in step s: the action's index parameter
+// and the innermost loop variable are the iteration, a symbolic value
+// is its solved value in syms, a named constant its value.
+func (s *Step) Name(u *lang.Unit, syms map[string]int64, name string) (uint64, bool) {
+	if d := s.Inv.Action.Decl; d != nil && name == d.IndexParam {
+		return uint64(s.Iter), true
+	}
+	if s.LoopVar != "" && name == s.LoopVar {
+		return uint64(s.Iter), true
+	}
+	if sym := u.SymbolicByName(name); sym != nil {
+		return uint64(syms[sym.Name]), true
+	}
+	if v, ok := u.Consts[name]; ok {
+		return uint64(v), true
+	}
+	return 0, false
+}
+
+// Field is one resolved header or metadata field access: the declared
+// field, whether its struct is a header, and for an elastic field the
+// instance (Idx is 0 for a scalar field).
+type Field struct {
+	*lang.MetaField
+	Header  bool
+	Elastic bool
+	Idx     uint64
+}
+
+// Key is the field's storage and output key: "struct.field", or
+// "struct.field@idx" for an elastic instance.
+func (f Field) Key() string {
+	if f.Elastic {
+		return InstKey(f.Qual(), f.Idx)
+	}
+	return f.Qual()
+}
+
+// Domain supplies the walker's leaves over values of type V. The walker
+// tracks each value's wrap width itself and passes it where a leaf
+// needs it.
+type Domain[V any] interface {
+	// Const is a literal or a compile-time name's value.
+	Const(v uint64) V
+	// Charge counts one ALU operation in the step's stage.
+	Charge()
+	// Decide resolves a branch: is v nonzero?
+	Decide(v V) (bool, error)
+	// Unary applies MINUS, wrapping at w, or NOT.
+	Unary(op lang.Kind, x V, w int) V
+	// Binary applies a binary operator and wraps the result at w. For
+	// AND and OR the walker has already decided x and not
+	// short-circuited, so the result is whether y is nonzero.
+	Binary(op lang.Kind, x, y V, w int) (V, error)
+	// Builtin applies hash, min or max.
+	Builtin(name string, x, y V) V
+	// Index turns an evaluated instance index ("register instance",
+	// "field instance") into the instance number.
+	Index(v V, what string) (uint64, error)
+	// RegRead and RegWrite access one cell of a register instance;
+	// width is the register's element width.
+	RegRead(name string, inst int64, cell V, width int) V
+	RegWrite(name string, inst int64, cell, v V, width int)
+	// FieldRead and FieldWrite access a header or metadata field.
+	FieldRead(f Field) V
+	FieldWrite(f Field, v V)
+	// Abort is the error that stops the packet for reason.
+	Abort(reason string) error
+}
+
+// Guards evaluates step s's invocation guards in order, one decision
+// each, stopping at the first that does not hold, and reports whether
+// all held.
+func Guards[V any, D Domain[V]](d D, u *lang.Unit, syms map[string]int64, s *Step) (bool, error) {
+	w := walker[V, D]{d: d, u: u, syms: syms, s: s}
+	return w.guards()
+}
+
+// Exec runs step s: its guards, then, when all hold, its action body.
+func Exec[V any, D Domain[V]](d D, u *lang.Unit, syms map[string]int64, s *Step) error {
+	w := walker[V, D]{d: d, u: u, syms: syms, s: s}
+	pass, err := w.guards()
+	if err != nil || !pass {
+		return err
+	}
+	return w.block(s.Inv.Action.Decl.Body)
+}
+
+// walker evaluates one step in one domain.
+type walker[V any, D Domain[V]] struct {
+	d    D
+	u    *lang.Unit
+	syms map[string]int64
+	s    *Step
+}
+
+func (w *walker[V, D]) guards() (bool, error) {
+	for _, g := range w.s.Inv.Guards {
+		v, _, err := w.expr(g)
+		if err != nil {
+			return false, err
+		}
+		if take, err := w.d.Decide(v); err != nil || !take {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+func (w *walker[V, D]) block(b *lang.Block) error {
+	for _, s := range b.Stmts {
+		if err := w.stmt(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (w *walker[V, D]) stmt(s lang.Stmt) error {
+	switch s := s.(type) {
+	case *lang.Block:
+		return w.block(s)
+	case *lang.AssignStmt:
+		v, _, err := w.expr(s.RHS)
+		if err != nil {
+			return err
+		}
+		return w.assign(s.LHS, v)
+	case *lang.IfStmt:
+		c, _, err := w.expr(s.Cond)
+		if err != nil {
+			return err
+		}
+		take, err := w.d.Decide(c)
+		if err != nil {
+			return err
+		}
+		if take {
+			return w.block(s.Then)
+		}
+		if s.Else != nil {
+			return w.block(s.Else)
+		}
+		return nil
+	}
+	return w.d.Abort(fmt.Sprintf("unsupported statement %T", s))
+}
+
+// expr evaluates an expression and reports the bit width its value
+// wraps at: the declared width of the field or register it was loaded
+// from, 64 for hash results, and 0 (unconstrained) for literals and
+// compile-time names. Arithmetic wraps at the combined operand width,
+// the truncation the bit<W> declarations in the generated P4 impose on
+// hardware, so intermediate values in guards, comparisons and indexes
+// match what a switch computes, not 64-bit Go values.
+func (w *walker[V, D]) expr(e lang.Expr) (V, int, error) {
+	var zero V
+	switch e := e.(type) {
+	case *lang.IntLit:
+		return w.d.Const(uint64(e.Value)), 0, nil
+	case *lang.BoolLit:
+		return w.d.Const(b2u(e.Value)), 0, nil
+	case *lang.Unary:
+		x, wx, err := w.expr(e.X)
+		if err != nil {
+			return zero, 0, err
+		}
+		w.d.Charge()
+		switch e.Op {
+		case lang.MINUS:
+			return w.d.Unary(e.Op, x, wx), wx, nil
+		case lang.NOT:
+			return w.d.Unary(e.Op, x, 0), 0, nil
+		}
+		return zero, 0, w.d.Abort(fmt.Sprintf("unsupported unary %s", e.Op))
+	case *lang.Binary:
+		x, wx, err := w.expr(e.X)
+		if err != nil {
+			return zero, 0, err
+		}
+		if e.Op == lang.AND || e.Op == lang.OR {
+			nz, err := w.d.Decide(x)
+			if err != nil {
+				return zero, 0, err
+			}
+			if nz != (e.Op == lang.AND) {
+				return w.d.Const(b2u(nz)), 0, nil // short circuit
+			}
+		}
+		y, wy, err := w.expr(e.Y)
+		if err != nil {
+			return zero, 0, err
+		}
+		w.d.Charge()
+		ow := OpWidth(e.Op, wx, wy)
+		v, err := w.d.Binary(e.Op, x, y, ow)
+		return v, ow, err
+	case *lang.CallExpr:
+		x, wx, err := w.expr(e.Args[0])
+		if err != nil {
+			return zero, 0, err
+		}
+		y, wy, err := w.expr(e.Args[1])
+		if err != nil {
+			return zero, 0, err
+		}
+		w.d.Charge()
+		return w.d.Builtin(e.Name, x, y), CallWidth(e.Name, wx, wy), nil
+	case *lang.Ref:
+		return w.load(e)
+	}
+	return zero, 0, w.d.Abort(fmt.Sprintf("unsupported expression %T", e))
+}
+
+// load reads a reference and reports the declared width of what it
+// read (0 for compile-time names).
+func (w *walker[V, D]) load(ref *lang.Ref) (V, int, error) {
+	var zero V
+	base := ref.Base()
+	if ref.IsSimpleIdent() {
+		if v, ok := w.s.Name(w.u, w.syms, base); ok {
+			return w.d.Const(v), 0, nil
+		}
+		return zero, 0, w.d.Abort("unknown name " + base)
+	}
+	if reg := w.u.RegisterByName(base); reg != nil {
+		inst, cell, err := w.register(ref, reg)
+		if err != nil {
+			return zero, 0, err
+		}
+		return w.d.RegRead(base, inst, cell, reg.Width), reg.Width, nil
+	}
+	if si := w.u.StructByName(base); si != nil && len(ref.Segs) == 2 {
+		f, err := w.field(ref, si)
+		if err != nil {
+			return zero, 0, err
+		}
+		return w.d.FieldRead(f), f.Width, nil
+	}
+	return zero, 0, w.d.Abort("cannot read " + lang.PrintExpr(ref))
+}
+
+func (w *walker[V, D]) assign(ref *lang.Ref, v V) error {
+	base := ref.Base()
+	if reg := w.u.RegisterByName(base); reg != nil {
+		inst, cell, err := w.register(ref, reg)
+		if err != nil {
+			return err
+		}
+		w.d.RegWrite(base, inst, cell, v, reg.Width)
+		return nil
+	}
+	if si := w.u.StructByName(base); si != nil && len(ref.Segs) == 2 {
+		f, err := w.field(ref, si)
+		if err != nil {
+			return err
+		}
+		w.d.FieldWrite(f, v)
+		return nil
+	}
+	return w.d.Abort("cannot assign to " + lang.PrintExpr(ref))
+}
+
+// register resolves a register reference to its instance and cell.
+func (w *walker[V, D]) register(ref *lang.Ref, reg *lang.Register) (int64, V, error) {
+	var zero V
+	seg := ref.Segs[0]
+	switch {
+	case reg.Decl.Count != nil && len(seg.Indexes) == 2:
+		inst, err := w.index(seg.Indexes[0], "register instance")
+		if err != nil {
+			return 0, zero, err
+		}
+		cell, _, err := w.expr(seg.Indexes[1])
+		return int64(inst), cell, err
+	case len(seg.Indexes) == 1:
+		cell, _, err := w.expr(seg.Indexes[0])
+		return 0, cell, err
+	}
+	return 0, zero, w.d.Abort("malformed register access " + lang.PrintExpr(ref))
+}
+
+// field resolves a struct field reference, an elastic field's instance
+// included.
+func (w *walker[V, D]) field(ref *lang.Ref, si *lang.StructInfo) (Field, error) {
+	f := si.Field(ref.Segs[1].Name)
+	if f == nil {
+		return Field{}, w.d.Abort("unknown field " + lang.PrintExpr(ref))
+	}
+	fl := Field{MetaField: f, Header: si.IsHeader}
+	if f.Count.IsSymbolic() || f.Count.Const > 1 {
+		idx := ref.Segs[1].Indexes
+		if len(idx) != 1 {
+			return Field{}, w.d.Abort("elastic field " + f.Qual() + " needs one index")
+		}
+		i, err := w.index(idx[0], "field instance")
+		if err != nil {
+			return Field{}, err
+		}
+		fl.Elastic, fl.Idx = true, i
+	}
+	return fl, nil
+}
+
+// index evaluates an instance index: the action's index parameter is
+// the iteration; anything else is evaluated and handed to the domain.
+func (w *walker[V, D]) index(e lang.Expr, what string) (uint64, error) {
+	if ref, ok := e.(*lang.Ref); ok && ref.IsSimpleIdent() {
+		if d := w.s.Inv.Action.Decl; d != nil && ref.Base() == d.IndexParam {
+			return uint64(w.s.Iter), nil
+		}
+	}
+	v, _, err := w.expr(e)
+	if err != nil {
+		return 0, err
+	}
+	return w.d.Index(v, what)
+}

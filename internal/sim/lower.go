@@ -32,6 +32,7 @@ import (
 	"fmt"
 
 	"p4all/internal/lang"
+	"p4all/internal/sem"
 )
 
 // lowerVM compiles every placed step to bytecode, then derives the
@@ -79,8 +80,8 @@ type vmLowerer struct {
 func (lo *vmLowerer) lower() (*vmProg, error) {
 	lo.pr = &vmProg{p: lo.p, fieldSlot: make(map[string]int32)}
 	lo.regIDs = make(map[string]int32)
-	for _, st := range lo.p.steps {
-		if err := lo.lowerStep(st); err != nil {
+	for i := range lo.p.steps {
+		if err := lo.lowerStep(&lo.p.steps[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -107,7 +108,7 @@ func (lo *vmLowerer) slotFor(key string, header bool) int32 {
 }
 
 func (lo *vmLowerer) regIDFor(name string, inst int) int32 {
-	key := instKey(name, uint64(inst))
+	key := sem.InstKey(name, uint64(inst))
 	if id, ok := lo.regIDs[key]; ok {
 		return id
 	}
@@ -119,33 +120,27 @@ func (lo *vmLowerer) regIDFor(name string, inst int) int32 {
 // vmStepCtx pins one action instance's iteration index and stage
 // counter while its guards and body lower.
 type vmStepCtx struct {
-	lo      *vmLowerer
-	action  *lang.Action
-	iter    int
-	loopVar string
-	ctr     int32 // ALU accumulator index: the stage, or the dummy
-	sp      int   // operand-stack depth at the next generic instruction
+	lo  *vmLowerer
+	st  *sem.Step
+	ctr int32 // ALU accumulator index: the stage, or the dummy
+	sp  int   // operand-stack depth at the next generic instruction
 }
 
-func (lo *vmLowerer) lowerStep(st step) error {
-	loopVar := ""
-	if l := st.inv.Loop(); l != nil {
-		loopVar = l.Var
-	}
+func (lo *vmLowerer) lowerStep(st *sem.Step) error {
 	ctr := int32(len(lo.p.stats.ALUOps)) // dummy accumulator
-	if st.stage >= 0 && st.stage < len(lo.p.stats.ALUOps) {
-		ctr = int32(st.stage)
+	if st.Stage >= 0 && st.Stage < len(lo.p.stats.ALUOps) {
+		ctr = int32(st.Stage)
 	}
-	ctx := &vmStepCtx{lo: lo, action: st.inv.Action, iter: st.iter, loopVar: loopVar, ctr: ctr}
+	ctx := &vmStepCtx{lo: lo, st: st, ctr: ctr}
 	var guardIdx []int
-	for _, g := range st.inv.Guards {
+	for _, g := range st.Inv.Guards {
 		gi, err := ctx.lowerGuard(g)
 		if err != nil {
 			return err
 		}
 		guardIdx = append(guardIdx, gi)
 	}
-	if err := ctx.lowerBlock(st.inv.Action.Decl.Body); err != nil {
+	if err := ctx.lowerBlock(st.Inv.Action.Decl.Body); err != nil {
 		return err
 	}
 	// A failing guard skips the rest of the step (forward only).
@@ -223,19 +218,9 @@ func (ctx *vmStepCtx) constExpr(e lang.Expr) (vmConst, error) {
 		if !e.IsSimpleIdent() {
 			return vmConst{}, errNotConst
 		}
-		u := ctx.lo.p.unit
 		base := e.Base()
-		if ctx.action.Decl != nil && base == ctx.action.Decl.IndexParam {
-			return vmConst{val: uint64(ctx.iter)}, nil
-		}
-		if ctx.loopVar != "" && base == ctx.loopVar {
-			return vmConst{val: uint64(ctx.iter)}, nil
-		}
-		if sym := u.SymbolicByName(base); sym != nil {
-			return vmConst{val: uint64(ctx.lo.p.layout.Symbolics[sym.Name])}, nil
-		}
-		if v, ok := u.Consts[base]; ok {
-			return vmConst{val: uint64(v)}, nil
+		if v, ok := ctx.st.Name(ctx.lo.p.unit, ctx.lo.p.layout.Symbolics, base); ok {
+			return vmConst{val: v}, nil
 		}
 		return vmConst{}, fmt.Errorf("vm: unknown name %s", base)
 	case *lang.Binary:
@@ -250,19 +235,14 @@ func (ctx *vmStepCtx) constExpr(e lang.Expr) (vmConst, error) {
 		if err != nil {
 			return vmConst{}, err
 		}
-		v, err := binOp(e.Op, x.val, y.val)
+		v, err := sem.BinOp(e.Op, x.val, y.val)
 		if err != nil {
 			// Constant zero divisor: reject so the interpreter reports
 			// the error per packet.
 			return vmConst{}, fmt.Errorf("vm: constant fold: %w", err)
 		}
-		switch e.Op {
-		case lang.PLUS, lang.MINUS, lang.STAR, lang.SLASH, lang.PCT:
-			w := combineWidth(x.width, y.width)
-			return vmConst{val: v & widthMask(w), width: w, cost: x.cost + y.cost + 1}, nil
-		default:
-			return vmConst{val: v, cost: x.cost + y.cost + 1}, nil
-		}
+		w := sem.OpWidth(e.Op, x.width, y.width)
+		return vmConst{val: sem.MaskTo(v, w), width: w, cost: x.cost + y.cost + 1}, nil
 	default:
 		return vmConst{}, errNotConst
 	}
@@ -301,7 +281,7 @@ func (ctx *vmStepCtx) fieldRef(ref *lang.Ref) (vmField, error) {
 		if err != nil {
 			return vmField{}, fmt.Errorf("vm: elastic field %s index: %w", key, err)
 		}
-		key, cost = instKey(key, ie.val), ie.cost
+		key, cost = sem.InstKey(key, ie.val), ie.cost
 	}
 	return vmField{slot: ctx.lo.slotFor(key, si.IsHeader), width: f.Width, header: si.IsHeader, cost: cost}, nil
 }
@@ -409,7 +389,7 @@ func (ctx *vmStepCtx) lowerStmt(s lang.Stmt) error {
 		ctx.patch(skip)
 		return nil
 	default:
-		return fmt.Errorf("vm: unsupported statement %T in action %s", s, ctx.action.Name)
+		return fmt.Errorf("vm: unsupported statement %T in action %s", s, ctx.st.Inv.Action.Name)
 	}
 }
 
@@ -428,7 +408,7 @@ func (ctx *vmStepCtx) matchAssign(s *lang.AssignStmt) error {
 	if lhs.header || lhs.cost != 0 {
 		return errNoMotif
 	}
-	dst, dmask := lhs.slot, widthMask(lhs.width)
+	dst, dmask := lhs.slot, sem.WidthMask(lhs.width)
 
 	// Constant right-hand side: fold it, deferring its charge.
 	if c, err := ctx.constExpr(s.RHS); err == nil {
@@ -501,7 +481,7 @@ func (ctx *vmStepCtx) matchHashMod(b *lang.Binary, dst int32, dmask uint64) erro
 	// mask survive to runtime.
 	ctx.emit(vmInst{
 		op: opHashModSlot, a: key.slot, dst: dst,
-		mask: widthMask(key.width), imm: seed.val, imm2: div.val, dmask: dmask,
+		mask: sem.WidthMask(key.width), imm: seed.val, imm2: div.val, dmask: dmask,
 		charge: uint32(seed.cost + 1 + div.cost + 1),
 	})
 	return nil
@@ -523,11 +503,11 @@ func (ctx *vmStepCtx) matchAdd(b *lang.Binary, dst int32, dmask uint64) error {
 		if err != nil {
 			return err
 		}
-		innerW := combineWidth(wa, wb)
-		outerW := combineWidth(innerW, wc)
+		innerW := sem.CombineWidth(wa, wb)
+		outerW := sem.CombineWidth(innerW, wc)
 		ctx.emit(vmInst{
 			op: opAdd3Slot, a: a, b: b2, c: c, dst: dst,
-			mask: widthMask(innerW), mask2: widthMask(outerW) & dmask,
+			mask: sem.WidthMask(innerW), mask2: sem.WidthMask(outerW) & dmask,
 			charge: 2,
 		})
 		return nil
@@ -542,7 +522,7 @@ func (ctx *vmStepCtx) matchAdd(b *lang.Binary, dst int32, dmask uint64) error {
 	}
 	ctx.emit(vmInst{
 		op: opAdd2Slot, a: a, b: b2, dst: dst,
-		mask:   widthMask(combineWidth(wa, wb)) & dmask,
+		mask:   sem.WidthMask(sem.CombineWidth(wa, wb)) & dmask,
 		charge: 1,
 	})
 	return nil
@@ -574,7 +554,7 @@ func (ctx *vmStepCtx) matchRegBump(s *lang.AssignStmt, reg *lang.Register) error
 	// The add wraps at the combined operand width; the store masks at
 	// the register width. The addend is width-0 (a constant), so the
 	// two masks compose into one.
-	mask := widthMask(combineWidth(reg.Width, add.width)) & widthMask(reg.Width)
+	mask := sem.WidthMask(sem.CombineWidth(reg.Width, add.width)) & sem.WidthMask(reg.Width)
 	ctx.emit(vmInst{
 		op: opRegBumpSlot, a: cellSlot, imm: add.val, mask: mask,
 		store: store, ncells: uint64(len(store)), regID: regID,
@@ -638,7 +618,7 @@ func (ctx *vmStepCtx) genAssign(s *lang.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		in.op, in.mask = opRegStore, widthMask(reg.Width)
+		in.op, in.mask = opRegStore, sem.WidthMask(reg.Width)
 		ctx.emit(in)
 		return nil
 	}
@@ -646,7 +626,7 @@ func (ctx *vmStepCtx) genAssign(s *lang.AssignStmt) error {
 	if err != nil {
 		return err
 	}
-	ctx.emit(vmInst{op: opStore, dst: f.slot, dmask: widthMask(f.width), charge: uint32(f.cost)})
+	ctx.emit(vmInst{op: opStore, dst: f.slot, dmask: sem.WidthMask(f.width), charge: uint32(f.cost)})
 	return nil
 }
 
@@ -671,7 +651,7 @@ func (ctx *vmStepCtx) genRegCell(ref *lang.Ref, reg *lang.Register) (vmInst, err
 var vmBuiltins = map[string]int32{"hash": callHash, "min": callMin, "max": callMax}
 
 // genExpr emits stack code leaving e's value on top and returns the
-// bit width the value wraps at (see the interpreter's exprW).
+// bit width the value wraps at (see sem's walker).
 func (ctx *vmStepCtx) genExpr(e lang.Expr) (int, error) {
 	c, err := ctx.constExpr(e)
 	if err == nil {
@@ -696,8 +676,8 @@ func (ctx *vmStepCtx) genExpr(e lang.Expr) (int, error) {
 		return ctx.genBinary(e)
 	case *lang.CallExpr:
 		id, ok := vmBuiltins[e.Name]
-		if !ok || len(e.Args) != 2 {
-			return 0, fmt.Errorf("vm: unsupported call %s with %d args", e.Name, len(e.Args))
+		if !ok {
+			return 0, fmt.Errorf("vm: unknown builtin %s", e.Name)
 		}
 		wx, err := ctx.genExpr(e.Args[0])
 		if err != nil {
@@ -708,10 +688,7 @@ func (ctx *vmStepCtx) genExpr(e lang.Expr) (int, error) {
 			return 0, err
 		}
 		ctx.emit(vmInst{op: opCall, b: id, charge: 1})
-		if id == callHash {
-			return 64, nil
-		}
-		return combineWidth(wx, wy), nil
+		return sem.CallWidth(e.Name, wx, wy), nil
 	case *lang.Ref:
 		if reg := ctx.lo.p.unit.RegisterByName(e.Base()); reg != nil {
 			in, err := ctx.genRegCell(e, reg)
@@ -728,7 +705,7 @@ func (ctx *vmStepCtx) genExpr(e lang.Expr) (int, error) {
 		}
 		mask := ^uint64(0) // meta slots only ever hold store-masked values
 		if f.header {
-			mask = widthMask(f.width) // the packet may carry a wider value
+			mask = sem.WidthMask(f.width) // the packet may carry a wider value
 		}
 		ctx.emit(vmInst{op: opPush, a: f.slot, mask: mask, charge: uint32(f.cost)})
 		return f.width, nil
@@ -767,7 +744,6 @@ func (ctx *vmStepCtx) genBinary(e *lang.Binary) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	w := 0 // comparisons yield 0/1
 	switch e.Op {
 	case lang.SLASH, lang.PCT:
 		switch d, err := ctx.constExpr(e.Y); {
@@ -776,13 +752,11 @@ func (ctx *vmStepCtx) genBinary(e *lang.Binary) (int, error) {
 		case d.val == 0:
 			return 0, fmt.Errorf("vm: constant zero divisor in %s", lang.PrintExpr(e))
 		}
-		fallthrough
-	case lang.PLUS, lang.MINUS, lang.STAR:
-		w = combineWidth(wx, wy)
-	case lang.LT, lang.LE, lang.GT, lang.GE, lang.EQ, lang.NE:
+	case lang.PLUS, lang.MINUS, lang.STAR, lang.LT, lang.LE, lang.GT, lang.GE, lang.EQ, lang.NE:
 	default:
 		return 0, fmt.Errorf("vm: unsupported operator %s", e.Op)
 	}
-	ctx.emit(vmInst{op: opBin, b: int32(e.Op), mask: widthMask(w), charge: 1})
+	w := sem.OpWidth(e.Op, wx, wy)
+	ctx.emit(vmInst{op: opBin, b: int32(e.Op), mask: sem.WidthMask(w), charge: 1})
 	return w, nil
 }

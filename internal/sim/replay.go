@@ -4,7 +4,8 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
+
+	"p4all/internal/sem"
 )
 
 // Engine selects a Pipeline's execution strategy.
@@ -146,15 +147,5 @@ func Key(field string, idx int) string {
 	if idx < 0 {
 		return field
 	}
-	return instKey(field, uint64(idx))
-}
-
-// instKey builds "field@idx" without fmt — it sits on the per-lookup
-// path of Meta and the interpreter's elastic field accesses.
-func instKey(field string, idx uint64) string {
-	buf := make([]byte, 0, len(field)+21)
-	buf = append(buf, field...)
-	buf = append(buf, '@')
-	buf = strconv.AppendUint(buf, idx, 10)
-	return string(buf)
+	return sem.InstKey(field, uint64(idx))
 }

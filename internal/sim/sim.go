@@ -8,11 +8,12 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
-	"p4all/internal/structures"
+	"p4all/internal/sem"
 )
 
 // Packet carries a packet's header fields as (name, value) pairs, e.g.
@@ -77,7 +78,7 @@ type Pipeline struct {
 	// regs[name][instance] is the register storage, sized per layout.
 	regs map[string][][]uint64
 	// steps are the placed invocation instances in execution order.
-	steps []step
+	steps []sem.Step
 	// meta holds the per-packet metadata (reset per packet); keys are
 	// flattened elastic names like "meta.count@2".
 	meta map[string]uint64
@@ -92,12 +93,6 @@ type Pipeline struct {
 	vm    *vmProg
 	vmErr error
 	vmf   vmFrame
-}
-
-type step struct {
-	inv   *lang.Invocation
-	iter  int
-	stage int
 }
 
 // New builds a pipeline for a resolved unit and its solved layout,
@@ -134,21 +129,7 @@ func NewEngine(u *lang.Unit, layout *ilpgen.Layout, eng Engine) (*Pipeline, erro
 	for _, rp := range layout.Registers {
 		p.regs[rp.Register][rp.Index] = make([]uint64, rp.Cells)
 	}
-	// Execution steps: the layout's schedule, less the placements
-	// without a body (table match pseudo-actions).
-	invByAction := map[string]*lang.Invocation{}
-	for _, inv := range u.Invocations {
-		if _, dup := invByAction[inv.Action.Name]; !dup {
-			invByAction[inv.Action.Name] = inv
-		}
-	}
-	for _, pl := range layout.Schedule(u) {
-		inv, ok := invByAction[pl.Action]
-		if !ok || inv.Action.Decl == nil || inv.Action.Decl.Body == nil {
-			continue
-		}
-		p.steps = append(p.steps, step{inv: inv, iter: pl.Iter, stage: pl.Stage})
-	}
+	_, p.steps = sem.Schedule(u, layout)
 	if eng == EngineVM {
 		if vm, err := lowerVM(p); err != nil {
 			p.vmErr = err
@@ -235,27 +216,9 @@ func (p *Pipeline) Process(pkt Packet) (map[string]uint64, error) {
 			p.hdr[f.Name] = f.Value
 		}
 	}
-	for _, st := range p.steps {
-		loopVar := ""
-		if l := st.inv.Loop(); l != nil {
-			loopVar = l.Var
-		}
-		ev := &evaluator{p: p, action: st.inv.Action, iter: st.iter, loopVar: loopVar, stage: st.stage}
-		ok := true
-		for _, g := range st.inv.Guards {
-			v, err := ev.expr(g)
-			if err != nil {
-				return nil, err
-			}
-			if v == 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if err := ev.block(st.inv.Action.Decl.Body); err != nil {
+	for i := range p.steps {
+		st := &p.steps[i]
+		if err := sem.Exec[uint64](interp{p, st.Stage}, p.unit, p.layout.Symbolics, st); err != nil {
 			return nil, err
 		}
 	}
@@ -278,386 +241,87 @@ func Meta(out map[string]uint64, field string, idx int) (uint64, bool) {
 	return v, ok
 }
 
-// evaluator executes one action instance.
-type evaluator struct {
-	p       *Pipeline
-	action  *lang.Action
-	iter    int
-	loopVar string // innermost loop variable (guards refer to it)
-	stage   int    // pipeline stage this instance was placed in
+// interp is the reference interpreter's domain for the shared walker
+// (internal/sem): uint64 values over the pipeline's header, metadata
+// and register maps, ALU ops charged to the stage the step runs in. A
+// dynamic instance index is evaluated at run time.
+type interp struct {
+	p     *Pipeline
+	stage int
 }
 
-// aluOp charges one ALU operation to the evaluator's stage.
-func (ev *evaluator) aluOp() {
-	if ops := ev.p.stats.ALUOps; ev.stage >= 0 && ev.stage < len(ops) {
-		ops[ev.stage]++
-	}
-}
+func (d interp) Const(v uint64) uint64 { return v }
 
-func (ev *evaluator) block(b *lang.Block) error {
-	for _, s := range b.Stmts {
-		if err := ev.stmt(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (ev *evaluator) stmt(s lang.Stmt) error {
-	switch s := s.(type) {
-	case *lang.Block:
-		return ev.block(s)
-	case *lang.AssignStmt:
-		v, err := ev.expr(s.RHS)
-		if err != nil {
-			return err
-		}
-		return ev.assign(s.LHS, v)
-	case *lang.IfStmt:
-		c, err := ev.expr(s.Cond)
-		if err != nil {
-			return err
-		}
-		if c != 0 {
-			return ev.block(s.Then)
-		}
-		if s.Else != nil {
-			return ev.block(s.Else)
-		}
-		return nil
-	default:
-		return fmt.Errorf("sim: unsupported statement %T in action %s", s, ev.action.Name)
+func (d interp) Charge() {
+	if ops := d.p.stats.ALUOps; d.stage >= 0 && d.stage < len(ops) {
+		ops[d.stage]++
 	}
 }
 
-// widthMask returns the truncation mask for a field width. Widths of
-// 64 or more (and non-positive widths, defensively) leave the full
-// 64-bit value intact.
-func widthMask(bits int) uint64 {
-	if bits <= 0 || bits >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(bits)) - 1
-}
+func (d interp) Decide(v uint64) (bool, error) { return v != 0, nil }
 
-// maskTo wraps a value at the given bit width; width 0 means
-// "unconstrained" (compile-time names and literals) and is a no-op.
-func maskTo(v uint64, bits int) uint64 {
-	return v & widthMask(bits)
-}
-
-// combineWidth merges the widths of two operands: an unconstrained
-// operand (width 0) adopts the other's width; two constrained operands
-// take the wider, matching P4's implicit widening of mixed-width
-// arithmetic.
-func combineWidth(a, b int) int {
-	if a == 0 {
-		return b
-	}
-	if b == 0 {
-		return a
-	}
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func (ev *evaluator) assign(ref *lang.Ref, v uint64) error {
-	base := ref.Base()
-	if reg := ev.p.unit.RegisterByName(base); reg != nil {
-		inst, cell, err := ev.regTarget(ref, reg)
-		if err != nil {
-			return err
-		}
-		store, ok := ev.p.Register(base, inst)
-		if !ok {
-			// Register instance not materialized in this layout: the
-			// write is a no-op (the action would not have been placed
-			// either; defensive for const-indexed accesses).
-			return nil
-		}
-		if cell >= uint64(len(store)) {
-			cell %= uint64(len(store))
-		}
-		store[cell] = v & widthMask(reg.Width)
-		ev.p.stats.RegWrites++
-		return nil
-	}
-	if si := ev.p.unit.StructByName(base); si != nil && len(ref.Segs) == 2 {
-		f := si.Field(ref.Segs[1].Name)
-		if f == nil {
-			return fmt.Errorf("sim: unknown field %s", lang.PrintExpr(ref))
-		}
-		name, err := ev.metaKey(ref, f)
-		if err != nil {
-			return err
-		}
-		if si.IsHeader {
-			ev.p.hdr[name] = v & widthMask(f.Width)
-			return nil
-		}
-		ev.p.meta[name] = v & widthMask(f.Width)
-		return nil
-	}
-	return fmt.Errorf("sim: cannot assign to %s", lang.PrintExpr(ref))
-}
-
-// regTarget resolves a register reference to (instance, cell).
-func (ev *evaluator) regTarget(ref *lang.Ref, reg *lang.Register) (int, uint64, error) {
-	seg := ref.Segs[0]
-	if reg.Decl.Count != nil && len(seg.Indexes) == 2 {
-		inst, err := ev.indexValue(seg.Indexes[0])
-		if err != nil {
-			return 0, 0, err
-		}
-		cell, err := ev.expr(seg.Indexes[1])
-		if err != nil {
-			return 0, 0, err
-		}
-		return int(inst), cell, nil
-	}
-	if len(seg.Indexes) == 1 {
-		cell, err := ev.expr(seg.Indexes[0])
-		if err != nil {
-			return 0, 0, err
-		}
-		return 0, cell, nil
-	}
-	return 0, 0, fmt.Errorf("sim: malformed register access %s", lang.PrintExpr(ref))
-}
-
-// metaKey flattens a struct field reference to its storage key.
-func (ev *evaluator) metaKey(ref *lang.Ref, f *lang.MetaField) (string, error) {
-	fseg := ref.Segs[1]
-	qual := f.Qual()
-	elastic := f.Count.IsSymbolic() || f.Count.Const > 1
-	if !elastic {
-		return qual, nil
-	}
-	if len(fseg.Indexes) != 1 {
-		return "", fmt.Errorf("sim: elastic field %s needs one index", qual)
-	}
-	idx, err := ev.indexValue(fseg.Indexes[0])
-	if err != nil {
-		return "", err
-	}
-	return instKey(qual, idx), nil
-}
-
-// indexValue evaluates a compile-time instance index (iteration
-// parameter or constant).
-func (ev *evaluator) indexValue(e lang.Expr) (uint64, error) {
-	if ref, ok := e.(*lang.Ref); ok && ref.IsSimpleIdent() &&
-		ev.action.Decl != nil && ref.Base() == ev.action.Decl.IndexParam {
-		return uint64(ev.iter), nil
-	}
-	return ev.expr(e)
-}
-
-func (ev *evaluator) expr(e lang.Expr) (uint64, error) {
-	v, _, err := ev.exprW(e)
-	return v, err
-}
-
-// exprW evaluates an expression and reports the bit width its value
-// wraps at: the declared width of the field or register the value was
-// loaded from, 64 for hash results, and 0 (unconstrained) for literals
-// and compile-time names. Arithmetic wraps at the combined operand
-// width — the truncation the bit<W> declarations in the generated P4
-// impose on hardware — so intermediate values in guards, comparisons,
-// and indexes match what a switch would compute, not 64-bit Go values.
-// Width masking was previously applied only at assignment, which let
-// an unassigned intermediate like (a - b) underflow at 64 bits instead
-// of the field width; the difftest golden models flushed that out.
-func (ev *evaluator) exprW(e lang.Expr) (uint64, int, error) {
-	switch e := e.(type) {
-	case *lang.IntLit:
-		return uint64(e.Value), 0, nil
-	case *lang.BoolLit:
-		if e.Value {
-			return 1, 0, nil
-		}
-		return 0, 0, nil
-	case *lang.Unary:
-		v, w, err := ev.exprW(e.X)
-		if err != nil {
-			return 0, 0, err
-		}
-		ev.aluOp()
-		switch e.Op {
-		case lang.MINUS:
-			return maskTo(-v, w), w, nil
-		case lang.NOT:
-			if v == 0 {
-				return 1, 0, nil
-			}
-			return 0, 0, nil
-		}
-		return 0, 0, fmt.Errorf("sim: unsupported unary %s", e.Op)
-	case *lang.Binary:
-		x, wx, err := ev.exprW(e.X)
-		if err != nil {
-			return 0, 0, err
-		}
-		// Short-circuit boolean operators.
-		switch e.Op {
-		case lang.AND:
-			if x == 0 {
-				return 0, 0, nil
-			}
-		case lang.OR:
-			if x != 0 {
-				return 1, 0, nil
-			}
-		}
-		y, wy, err := ev.exprW(e.Y)
-		if err != nil {
-			return 0, 0, err
-		}
-		ev.aluOp()
-		v, err := binOp(e.Op, x, y)
-		if err != nil {
-			return 0, 0, err
-		}
-		switch e.Op {
-		case lang.PLUS, lang.MINUS, lang.STAR, lang.SLASH, lang.PCT:
-			w := combineWidth(wx, wy)
-			return maskTo(v, w), w, nil
-		default:
-			// Comparisons and boolean connectives yield 0/1.
-			return v, 0, nil
-		}
-	case *lang.CallExpr:
-		args := make([]uint64, len(e.Args))
-		widths := make([]int, len(e.Args))
-		for i, a := range e.Args {
-			v, w, err := ev.exprW(a)
-			if err != nil {
-				return 0, 0, err
-			}
-			args[i] = v
-			widths[i] = w
-		}
-		ev.aluOp()
-		switch e.Name {
-		case "hash":
-			if len(args) != 2 {
-				return 0, 0, fmt.Errorf("sim: hash expects 2 arguments")
-			}
-			return structures.Hash(args[0], args[1]), 64, nil
-		case "min":
-			if args[0] < args[1] {
-				return args[0], combineWidth(widths[0], widths[1]), nil
-			}
-			return args[1], combineWidth(widths[0], widths[1]), nil
-		case "max":
-			if args[0] > args[1] {
-				return args[0], combineWidth(widths[0], widths[1]), nil
-			}
-			return args[1], combineWidth(widths[0], widths[1]), nil
-		}
-		return 0, 0, fmt.Errorf("sim: unknown builtin %s", e.Name)
-	case *lang.Ref:
-		return ev.load(e)
-	default:
-		return 0, 0, fmt.Errorf("sim: unsupported expression %T", e)
-	}
-}
-
-func binOp(op lang.Kind, x, y uint64) (uint64, error) {
-	b := func(ok bool) uint64 {
-		if ok {
+func (d interp) Unary(op lang.Kind, x uint64, w int) uint64 {
+	if op == lang.NOT {
+		if x == 0 {
 			return 1
 		}
 		return 0
 	}
-	switch op {
-	case lang.PLUS:
-		return x + y, nil
-	case lang.MINUS:
-		return x - y, nil
-	case lang.STAR:
-		return x * y, nil
-	case lang.SLASH:
-		if y == 0 {
-			return 0, fmt.Errorf("sim: division by zero")
-		}
-		return x / y, nil
-	case lang.PCT:
-		if y == 0 {
-			return 0, fmt.Errorf("sim: modulo by zero")
-		}
-		return x % y, nil
-	case lang.LT:
-		return b(x < y), nil
-	case lang.LE:
-		return b(x <= y), nil
-	case lang.GT:
-		return b(x > y), nil
-	case lang.GE:
-		return b(x >= y), nil
-	case lang.EQ:
-		return b(x == y), nil
-	case lang.NE:
-		return b(x != y), nil
-	case lang.AND:
-		return b(x != 0 && y != 0), nil
-	case lang.OR:
-		return b(x != 0 || y != 0), nil
-	default:
-		return 0, fmt.Errorf("sim: unsupported operator %s", op)
-	}
+	return sem.MaskTo(-x, w)
 }
 
-// load reads a reference and reports the declared bit width the value
-// is constrained to (0 for compile-time names, which behave as
-// unconstrained integers).
-func (ev *evaluator) load(ref *lang.Ref) (uint64, int, error) {
-	base := ref.Base()
-	if ref.IsSimpleIdent() {
-		if ev.action.Decl != nil && base == ev.action.Decl.IndexParam {
-			return uint64(ev.iter), 0, nil
-		}
-		if ev.loopVar != "" && base == ev.loopVar {
-			return uint64(ev.iter), 0, nil
-		}
-		if sym := ev.p.unit.SymbolicByName(base); sym != nil {
-			return uint64(ev.p.layout.Symbolics[sym.Name]), 0, nil
-		}
-		if v, ok := ev.p.unit.Consts[base]; ok {
-			return uint64(v), 0, nil
-		}
-		return 0, 0, fmt.Errorf("sim: unknown name %s", base)
+func (d interp) Binary(op lang.Kind, x, y uint64, w int) (uint64, error) {
+	v, err := sem.BinOp(op, x, y)
+	if err != nil {
+		return 0, fmt.Errorf("sim: %w", err)
 	}
-	if reg := ev.p.unit.RegisterByName(base); reg != nil {
-		inst, cell, err := ev.regTarget(ref, reg)
-		if err != nil {
-			return 0, 0, err
-		}
-		store, ok := ev.p.Register(base, inst)
-		if !ok {
-			return 0, reg.Width, nil
-		}
-		if cell >= uint64(len(store)) {
-			cell %= uint64(len(store))
-		}
-		ev.p.stats.RegReads++
-		return store[cell], reg.Width, nil
-	}
-	if si := ev.p.unit.StructByName(base); si != nil && len(ref.Segs) == 2 {
-		f := si.Field(ref.Segs[1].Name)
-		if f == nil {
-			return 0, 0, fmt.Errorf("sim: unknown field %s", lang.PrintExpr(ref))
-		}
-		name, err := ev.metaKey(ref, f)
-		if err != nil {
-			return 0, 0, err
-		}
-		if si.IsHeader {
-			return ev.p.hdr[name] & widthMask(f.Width), f.Width, nil
-		}
-		return ev.p.meta[name], f.Width, nil
-	}
-	return 0, 0, fmt.Errorf("sim: cannot read %s", lang.PrintExpr(ref))
+	return sem.MaskTo(v, w), nil
 }
+
+func (d interp) Builtin(name string, x, y uint64) uint64 { return sem.Call(name, x, y) }
+
+func (d interp) Index(v uint64, what string) (uint64, error) { return v, nil }
+
+// RegRead wraps the cell at the instance's extent and counts one
+// RegRead; an instance the layout did not materialize reads as zero,
+// uncounted.
+func (d interp) RegRead(name string, inst int64, cell uint64, width int) uint64 {
+	store, ok := d.p.Register(name, int(inst))
+	if !ok {
+		return 0
+	}
+	d.p.stats.RegReads++
+	return store[cell%uint64(len(store))]
+}
+
+// RegWrite stores the value masked to the register's width and counts
+// one RegWrite; a write to an instance the layout did not materialize
+// is a no-op (the action would not have been placed either).
+func (d interp) RegWrite(name string, inst int64, cell, v uint64, width int) {
+	store, ok := d.p.Register(name, int(inst))
+	if !ok {
+		return
+	}
+	store[cell%uint64(len(store))] = sem.MaskTo(v, width)
+	d.p.stats.RegWrites++
+}
+
+// FieldRead reads a header field masked to its width (the packet may
+// carry a wider value), a metadata field as written; absent fields are
+// zero.
+func (d interp) FieldRead(f sem.Field) uint64 {
+	if f.Header {
+		return sem.MaskTo(d.p.hdr[f.Key()], f.Width)
+	}
+	return d.p.meta[f.Key()]
+}
+
+func (d interp) FieldWrite(f sem.Field, v uint64) {
+	if f.Header {
+		d.p.hdr[f.Key()] = sem.MaskTo(v, f.Width)
+		return
+	}
+	d.p.meta[f.Key()] = sem.MaskTo(v, f.Width)
+}
+
+func (d interp) Abort(reason string) error { return errors.New("sim: " + reason) }

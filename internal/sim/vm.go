@@ -27,7 +27,10 @@
 package sim
 
 import (
+	"fmt"
+
 	"p4all/internal/lang"
+	"p4all/internal/sem"
 	"p4all/internal/structures"
 )
 
@@ -319,9 +322,9 @@ func (pl *vmProg) execGeneric(fr *vmFrame, lane int, pc, end int32) int32 {
 			sp++
 		case opBin:
 			sp--
-			v, err := binOp(lang.Kind(in.b), stk[sp-1], stk[sp])
+			v, err := sem.BinOp(lang.Kind(in.b), stk[sp-1], stk[sp])
 			if err != nil {
-				fr.err = err
+				fr.err = fmt.Errorf("sim: %w", err)
 				return int32(len(code))
 			}
 			stk[sp-1] = v & in.mask

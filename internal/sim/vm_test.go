@@ -788,8 +788,8 @@ func TestKey(t *testing.T) {
 	if got := Key("cms_meta.min", -1); got != "cms_meta.min" {
 		t.Fatalf("scalar Key = %q", got)
 	}
-	if got := instKey("m.f", 0); got != "m.f@0" {
-		t.Fatalf("instKey zero = %q", got)
+	if got := Key("m.f", 0); got != "m.f@0" {
+		t.Fatalf("Key zero = %q", got)
 	}
 }
 

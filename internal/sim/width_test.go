@@ -7,44 +7,6 @@ import (
 	"p4all/internal/pisa"
 )
 
-func TestWidthMaskTable(t *testing.T) {
-	cases := []struct {
-		bits int
-		want uint64
-	}{
-		{-1, ^uint64(0)},
-		{0, ^uint64(0)},
-		{1, 1},
-		{8, 0xFF},
-		{16, 0xFFFF},
-		{32, 0xFFFFFFFF},
-		{63, (1 << 63) - 1},
-		{64, ^uint64(0)},
-		{65, ^uint64(0)},
-	}
-	for _, c := range cases {
-		if got := widthMask(c.bits); got != c.want {
-			t.Errorf("widthMask(%d) = %#x, want %#x", c.bits, got, c.want)
-		}
-	}
-}
-
-func TestCombineWidth(t *testing.T) {
-	cases := []struct{ a, b, want int }{
-		{0, 0, 0},
-		{0, 8, 8},
-		{8, 0, 8},
-		{8, 16, 16},
-		{32, 8, 32},
-		{64, 32, 64},
-	}
-	for _, c := range cases {
-		if got := combineWidth(c.a, c.b); got != c.want {
-			t.Errorf("combineWidth(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 // compileSrc compiles an inline program against the running-example
 // target and returns an executable pipeline.
 func compileSrc(t *testing.T, src string) *Pipeline {
@@ -62,8 +24,8 @@ func compileSrc(t *testing.T, src string) *Pipeline {
 
 // widthCases pin the bit<W> wrap semantics the generated P4 imposes:
 // intermediates wrap at the combined operand width, not at 64 bits.
-// Each case diverged from hardware before exprW carried widths through
-// expressions (the old evaluator masked only at assignment). The
+// Each case diverged from hardware before the evaluator carried widths
+// through expressions (it once masked only at assignment). The
 // sources double as engine-oracle corpus entries (vm_test.go).
 var widthCases = []struct {
 	name  string

@@ -8,32 +8,35 @@ import (
 	"p4all/internal/dep"
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
+	"p4all/internal/sem"
 	"p4all/internal/structures"
 )
 
 // This file implements the equivalence half of the validator: a
 // bounded symbolic execution of (a) the elastic source under the solved
-// symbolic assignment and (b) the emitted concrete program — both over
-// a shared symbolic packet and register file, both walking the layout's
-// canonical schedule: placed instances in (stage, program order of the
-// action's first invocation, iteration) order, exactly the step list
-// internal/sim executes. The source side takes guards and bodies from
-// the AST; the target side takes guards from the apply block and bodies
-// from the emitted actions, with the apply block reconciled against the
-// schedule entry by entry at setup (a dropped or reordered apply step
-// is an obligation before any path runs). The legality of the schedule
-// itself — that the solver's reordering of the program respects every
-// dependency — is the audit's job (Prec/Excl re-derivation).
+// symbolic assignment and (b) the emitted concrete program, both over a
+// shared symbolic packet and register file, both walking the layout's
+// canonical schedule (sem.Schedule): placed instances in (stage,
+// program order of the action's first invocation, iteration) order,
+// the step list internal/sim executes. The source side is the walker of
+// internal/sem, the one evaluator the reference interpreter also runs,
+// instantiated over symbolic nodes: evalCtx is its domain. The target
+// side takes guards from the apply block and bodies from the emitted
+// actions, with the apply block reconciled against the schedule entry
+// by entry at setup (a dropped or reordered apply step is an obligation
+// before any path runs). The legality of the schedule itself, that the
+// solver's reordering of the program respects every dependency, is the
+// audit's job (Prec/Excl re-derivation).
 //
 // Per path it discharges header-output, metadata-output,
 // register-state, Stats-counter, and abort-behavior equivalence. The
-// semantics mirrored are exactly those of the reference interpreter in
-// internal/sim: (value, width) evaluation with width-combining wrap,
-// short-circuit booleans, div/mod-by-zero aborts, register cell wrap at
-// the instance extent, and per-stage ALU charging.
+// domain decides what the shared walker leaves open: a branch on a
+// symbolic condition forks the path enumeration, a zero divisor aborts,
+// and a dynamic instance index, which the interpreter evaluates at run
+// time but the emitted program cannot express, is an obligation.
 
-// sv is a symbolic value with the bit width it wraps at — the symbolic
-// analogue of the interpreter's exprW result.
+// sv is a symbolic value of the emitted program with the bit width it
+// wraps at, as the shared walker tracks widths on the source side.
 type sv struct {
 	n *node
 	w int
@@ -43,15 +46,6 @@ type sv struct {
 type regKey struct {
 	name string
 	inst int64
-}
-
-// srcField is one source-side field access before it is resolved to a
-// storage slot: the declared field and the elastic instance (zero for
-// inelastic fields). The target side's accesses are CFieldRef nodes,
-// which pin their instance, so the node pointer identifies them.
-type srcField struct {
-	f   *lang.MetaField
-	idx uint64
 }
 
 // fieldName is a slot's identity: the simulator storage key within the
@@ -203,10 +197,7 @@ type decision struct {
 // tvStep is one slot of the canonical execution schedule, shared by the
 // source and target walks.
 type tvStep struct {
-	inv     *lang.Invocation
-	loopVar string // innermost loop variable of inv ("" outside loops)
-	iter    int
-	stage   int
+	sem.Step
 	caction *codegen.CAction // emitted body (nil: missing from the program)
 	// hasApply marks steps with their own apply-block entry; guards are
 	// that entry's conditions. Table-dispatched actions have no apply
@@ -229,18 +220,22 @@ type machine struct {
 	// materialized instances; field slots are added on first access.
 	// fieldByName is their identity — two accesses share a slot exactly
 	// when they render the same storage key — and srcFields/tgtFields
-	// remember each access's slot so the key is rendered once.
+	// remember each access's slot so the key is rendered once. The
+	// target side's accesses are CFieldRef nodes, which pin their
+	// instance, so the node pointer identifies them.
 	regs        []regSlot
 	regByKey    map[regKey]int32
 	fields      []fieldSlot
 	fieldByName map[fieldName]int32
-	srcFields   map[srcField]int32
+	srcFields   map[sem.Field]int32
 	tgtFields   map[*codegen.CFieldRef]int32
 
-	// The two execution sides and the run generation that stamps their
+	// The two execution sides, each with the walker domain that runs
+	// source-side code on it, and the run generation that stamps their
 	// live slots and the decisions recorded on nodes.
-	src, tgt pathState
-	gen      uint64
+	src, tgt     pathState
+	srcEv, tgtEv evalCtx
+	gen          uint64
 
 	// Path enumeration: free decisions are made depth-first (true
 	// first); script re-makes a prefix with the deepest unexplored
@@ -274,7 +269,7 @@ func newMachine(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, pat
 		actions:        make(map[string]*codegen.CAction, len(prog.Actions)),
 		regByKey:       make(map[regKey]int32, len(layout.Registers)),
 		fieldByName:    make(map[fieldName]int32),
-		srcFields:      make(map[srcField]int32),
+		srcFields:      make(map[sem.Field]int32),
 		tgtFields:      make(map[*codegen.CFieldRef]int32),
 		pathBudget:     pathBudget,
 		decisionBudget: decisionBudget,
@@ -318,24 +313,19 @@ func newMachine(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, pat
 	stages := len(layout.Stages)
 	m.src = newPathState(len(m.regs), stages, len(m.steps))
 	m.tgt = newPathState(len(m.regs), stages, len(m.steps))
+	m.srcEv = evalCtx{m: m, st: &m.src, src: true}
+	m.tgtEv = evalCtx{m: m, st: &m.tgt}
 	m.consulted = make([]int32, len(m.steps))
 	return m, nil
 }
 
-// buildSteps assembles the canonical schedule from the layout —
-// placements sorted exactly as the interpreter sorts its step list —
-// and reconciles the emitted apply block against it in lockstep: every
+// buildSteps takes the canonical schedule (sem.Schedule) and
+// reconciles the emitted apply block against it in lockstep: every
 // table match and every directly-invoked action must appear at its
 // scheduled position and stage, table-dispatched actions must be
 // absent, and nothing may trail. A dropped, reordered, or restaged
 // apply step is therefore an obligation before any path runs.
 func (m *machine) buildSteps() *failure {
-	invByAction := make(map[string]*lang.Invocation, len(m.u.Invocations))
-	for _, inv := range m.u.Invocations {
-		if _, dup := invByAction[inv.Action.Name]; !dup {
-			invByAction[inv.Action.Name] = inv
-		}
-	}
 	tableOfMatch := make(map[string]*lang.TableInfo, len(m.u.Tables))
 	tableActions := make(map[string]bool)
 	for _, tbl := range m.u.Tables {
@@ -344,8 +334,9 @@ func (m *machine) buildSteps() *failure {
 			tableActions[a.Name] = true
 		}
 	}
-	applyIdx := 0
-	for _, pl := range m.layout.Schedule(m.u) {
+	order, steps := sem.Schedule(m.u, m.layout)
+	applyIdx, next := 0, 0
+	for i, pl := range order {
 		if tbl, ok := tableOfMatch[pl.Action]; ok {
 			if f := m.expectApply(applyIdx, tbl.Name, "", pl.Stage); f != nil {
 				return f
@@ -353,15 +344,12 @@ func (m *machine) buildSteps() *failure {
 			applyIdx++
 			continue
 		}
-		inv, ok := invByAction[pl.Action]
-		if !ok || inv.Action.Decl == nil || inv.Action.Decl.Body == nil {
-			continue
+		if next == len(steps) || steps[next].Pos != i {
+			continue // no body
 		}
 		name := codegen.InstanceName(pl.Action, pl.Iter)
-		s := tvStep{inv: inv, iter: pl.Iter, stage: pl.Stage, caction: m.actions[name]}
-		if l := inv.Loop(); l != nil {
-			s.loopVar = l.Var
-		}
+		s := tvStep{Step: steps[next], caction: m.actions[name]}
+		next++
 		if !tableActions[pl.Action] {
 			if f := m.expectApply(applyIdx, "", name, pl.Stage); f != nil {
 				return f
@@ -400,11 +388,6 @@ func applyStepName(s codegen.CApplyStep) string {
 	return "action " + s.Action
 }
 
-// key flattens an elastic field instance to its simulator storage key.
-func key(qual string, idx uint64) string {
-	return fmt.Sprintf("%s@%d", qual, idx)
-}
-
 // fieldSlotOf returns the storage slot of a rendered field key,
 // creating it on the key's first access from either side.
 func (m *machine) fieldSlotOf(name fieldName) int32 {
@@ -423,7 +406,7 @@ func (m *machine) fieldSlotOf(name fieldName) int32 {
 // normally, a deterministic per-trial constant in concrete mode.
 func (m *machine) inVar(f *fieldSlot) *node {
 	if m.concrete {
-		return m.t.constant(structures.Hash(fnv1a(f.key), m.trial))
+		return m.t.constant(concreteInput(f.key, m.trial))
 	}
 	if f.in == nil {
 		f.in = m.t.in(f.key)
@@ -431,7 +414,32 @@ func (m *machine) inVar(f *fieldSlot) *node {
 	return f.in
 }
 
-// decide resolves a branch condition ("is this value nonzero?").
+// concreteInput is the value concrete mode gives header field key in a
+// trial.
+func concreteInput(key string, trial uint64) uint64 {
+	return structures.Hash(fnv1a(key), trial)
+}
+
+// evalCtx is one side's evaluation context: the symbolic domain of the
+// shared walker (sem.Domain[*node]) and the leaves evalC uses on the
+// emitted program.
+type evalCtx struct {
+	m     *machine
+	st    *pathState
+	src   bool
+	stage int
+}
+
+func (ev *evalCtx) Const(v uint64) *node { return ev.m.t.constant(v) }
+
+// Charge counts one ALU operation in the step's stage.
+func (ev *evalCtx) Charge() {
+	if ev.stage >= 0 && ev.stage < len(ev.st.alu) {
+		ev.st.alu[ev.stage]++
+	}
+}
+
+// Decide resolves a branch condition ("is this value nonzero?").
 // Constant and interval-decided conditions never fork. On the source
 // side an undetermined condition becomes a free decision (scripted by
 // the DFS); on the target side it must already be determined by the
@@ -439,7 +447,7 @@ func (m *machine) inVar(f *fieldSlot) *node {
 // residual obligation. Each target read of a decision is recorded
 // against the target step that makes it (consulted), which is what lets
 // a backtrack keep the target steps that read only earlier decisions.
-func (ev *evalCtx) decide(n *node) (bool, error) {
+func (ev *evalCtx) Decide(n *node) (bool, error) {
 	m, st := ev.m, ev.st
 	if n.isConst() {
 		return n.val != 0, nil
@@ -476,22 +484,50 @@ func (ev *evalCtx) decide(n *node) (bool, error) {
 	return v, nil
 }
 
-// evalCtx evaluates expressions for one action instance on one side.
-type evalCtx struct {
-	m       *machine
-	st      *pathState
-	src     bool
-	action  *lang.Action // source side only
-	iter    int
-	loopVar string
-	stage   int
+func (ev *evalCtx) Unary(op lang.Kind, x *node, w int) *node {
+	if op == lang.NOT {
+		return ev.m.t.not(x)
+	}
+	return ev.m.t.mask(ev.m.t.neg(x), w)
 }
 
-// charge mirrors the interpreter's per-stage ALU accounting.
-func (ev *evalCtx) charge() {
-	if ev.stage >= 0 && ev.stage < len(ev.st.alu) {
-		ev.st.alu[ev.stage]++
+// Binary applies a binary operator; a symbolic divisor is a decision
+// between the abort and the quotient.
+func (ev *evalCtx) Binary(op lang.Kind, x, y *node, w int) (*node, error) {
+	t := ev.m.t
+	switch op {
+	case lang.AND, lang.OR:
+		// The walker decided x and did not short-circuit.
+		return t.boolish(y), nil
+	case lang.SLASH, lang.PCT:
+		zero := y.isConst() && y.val == 0
+		if !y.isConst() {
+			var err error
+			if zero, err = ev.Decide(t.bin(lang.EQ, y, t.constant(0))); err != nil {
+				return nil, err
+			}
+		}
+		if zero {
+			return nil, &abortErr{reason: sem.DivisorErr(op).Error()}
+		}
+	case lang.PLUS, lang.MINUS, lang.STAR, lang.LT, lang.LE, lang.GT, lang.GE, lang.EQ, lang.NE:
+	default:
+		return nil, &abortErr{reason: fmt.Sprintf("unsupported operator %s", op)}
 	}
+	return t.mask(t.bin(op, x, y), w), nil
+}
+
+func (ev *evalCtx) Builtin(name string, x, y *node) *node { return ev.m.t.call(name, x, y) }
+
+// Index requires a statically known instance index. The interpreter
+// can chase dynamic instance indexes at runtime, but the generated
+// program cannot (codegen pins instances at compile time), so a dynamic
+// index is an obligation, not an abort.
+func (ev *evalCtx) Index(v *node, what string) (uint64, error) {
+	if !v.isConst() {
+		return 0, &obligErr{kind: "unsupported", detail: "dynamic " + what + " index"}
+	}
+	return v.val, nil
 }
 
 // regArr is the current array value of a register slot on one side:
@@ -507,13 +543,13 @@ func (m *machine) regArr(st *pathState, slot int32) *node {
 	return r.init
 }
 
-// regRead mirrors the interpreter's register load: unmaterialized
-// instances read as zero without a stats charge; materialized reads
-// wrap the cell index at the extent and count one RegRead.
-func (ev *evalCtx) regRead(name string, inst int64, cell *node, width int) sv {
+// RegRead is the interpreter's register load: unmaterialized instances
+// read as zero without a stats charge; materialized reads wrap the cell
+// index at the extent and count one RegRead.
+func (ev *evalCtx) RegRead(name string, inst int64, cell *node, width int) *node {
 	slot, ok := ev.m.regByKey[regKey{name, inst}]
 	if !ok {
-		return sv{ev.m.t.constant(0), width}
+		return ev.m.t.constant(0)
 	}
 	c := ev.m.t.wrapCell(cell, ev.m.regs[slot].cells)
 	v := ev.m.t.sel(ev.m.regArr(ev.st, slot), c, width)
@@ -521,13 +557,13 @@ func (ev *evalCtx) regRead(name string, inst int64, cell *node, width int) sv {
 		v = ev.m.t.constant(0) // fresh pipeline: cells start at zero
 	}
 	ev.st.regReads++
-	return sv{v, width}
+	return v
 }
 
-// regWrite mirrors the interpreter's register store: a no-op on
+// RegWrite is the interpreter's register store: a no-op on
 // unmaterialized instances, otherwise a width-masked functional store
 // and one RegWrite.
-func (ev *evalCtx) regWrite(name string, inst int64, cell *node, val *node, width int) {
+func (ev *evalCtx) RegWrite(name string, inst int64, cell, val *node, width int) {
 	slot, ok := ev.m.regByKey[regKey{name, inst}]
 	if !ok {
 		return
@@ -539,10 +575,24 @@ func (ev *evalCtx) regWrite(name string, inst int64, cell *node, val *node, widt
 	ev.st.regWrites++
 }
 
+// srcSlot returns the storage slot of a source-side field access.
+func (m *machine) srcSlot(f sem.Field) int32 {
+	slot, ok := m.srcFields[f]
+	if !ok {
+		slot = m.fieldSlotOf(fieldName{header: f.Header, key: f.Key()})
+		m.srcFields[f] = slot
+	}
+	return slot
+}
+
+func (ev *evalCtx) FieldRead(f sem.Field) *node { return ev.fieldRead(ev.m.srcSlot(f), f.Width) }
+
+func (ev *evalCtx) FieldWrite(f sem.Field, v *node) { ev.fieldWrite(ev.m.srcSlot(f), v, f.Width) }
+
 // fieldRead loads a header or metadata field: the value this path
 // wrote, else the packet input (headers, masked to the field) or zero
 // (metadata).
-func (ev *evalCtx) fieldRead(slot int32, width int) sv {
+func (ev *evalCtx) fieldRead(slot int32, width int) *node {
 	f := &ev.m.fields[slot]
 	c := ev.st.fields[slot]
 	written := c.stamp == ev.m.gen
@@ -550,12 +600,12 @@ func (ev *evalCtx) fieldRead(slot int32, width int) sv {
 		if !written {
 			c.n = ev.m.inVar(f)
 		}
-		return sv{ev.m.t.mask(c.n, width), width}
+		return ev.m.t.mask(c.n, width)
 	}
 	if !written {
 		c.n = ev.m.t.constant(0)
 	}
-	return sv{c.n, width}
+	return c.n
 }
 
 // fieldWrite stores a value masked to the field's width.
@@ -564,94 +614,9 @@ func (ev *evalCtx) fieldWrite(slot int32, v *node, width int) {
 	ev.st.fields[slot] = entry{ev.m.t.mask(v, width), ev.m.gen}
 }
 
-// binary evaluates a binary operator over already-evaluated operands
-// following exprW: short-circuiting is handled by the callers (they
-// must not evaluate y when x short-circuits).
-func (ev *evalCtx) arith(op lang.Kind, x, y sv) (sv, error) {
-	ev.charge()
-	switch op {
-	case lang.SLASH, lang.PCT:
-		word := "division"
-		if op == lang.PCT {
-			word = "modulo"
-		}
-		if y.n.isConst() {
-			if y.n.val == 0 {
-				return sv{}, &abortErr{reason: word + " by zero"}
-			}
-		} else {
-			zero, err := ev.decide(ev.m.t.bin(lang.EQ, y.n, ev.m.t.constant(0)))
-			if err != nil {
-				return sv{}, err
-			}
-			if zero {
-				return sv{}, &abortErr{reason: word + " by zero"}
-			}
-		}
-		w := combineWidth(x.w, y.w)
-		return sv{ev.m.t.mask(ev.m.t.bin(op, x.n, y.n), w), w}, nil
-	case lang.PLUS, lang.MINUS, lang.STAR:
-		w := combineWidth(x.w, y.w)
-		return sv{ev.m.t.mask(ev.m.t.bin(op, x.n, y.n), w), w}, nil
-	case lang.LT, lang.LE, lang.GT, lang.GE, lang.EQ, lang.NE:
-		return sv{ev.m.t.bin(op, x.n, y.n), 0}, nil
-	case lang.AND:
-		// x was already decided nonzero by the caller.
-		return sv{ev.m.t.boolish(y.n), 0}, nil
-	case lang.OR:
-		// x was already decided zero by the caller.
-		return sv{ev.m.t.boolish(y.n), 0}, nil
-	default:
-		return sv{}, &abortErr{reason: fmt.Sprintf("unsupported operator %s", op)}
-	}
-}
-
-// builtin evaluates hash/min/max after argument evaluation.
-func (ev *evalCtx) builtin(name string, args []sv) (sv, error) {
-	ev.charge()
-	switch name {
-	case "hash":
-		if len(args) != 2 {
-			return sv{}, &abortErr{reason: "hash expects 2 arguments"}
-		}
-		return sv{ev.m.t.call("hash", args[0].n, args[1].n), 64}, nil
-	case "min", "max":
-		if len(args) != 2 {
-			return sv{}, &obligErr{kind: "unsupported", detail: name + " with arity != 2"}
-		}
-		return sv{ev.m.t.call(name, args[0].n, args[1].n), combineWidth(args[0].w, args[1].w)}, nil
-	}
-	return sv{}, &abortErr{reason: "unknown builtin " + name}
-}
+func (ev *evalCtx) Abort(reason string) error { return &abortErr{reason: reason} }
 
 // ---------- source side: the elastic program under the assignment ----------
-
-// stepCtx builds the evaluation context for one schedule step. The
-// target side carries the same action/iteration bindings: it needs them
-// to replay invocation guards for table-dispatched steps, and they are
-// inert under evalC.
-func (m *machine) stepCtx(st *pathState, s *tvStep, src bool) evalCtx {
-	return evalCtx{m: m, st: st, src: src, action: s.inv.Action, iter: s.iter, loopVar: s.loopVar, stage: s.stage}
-}
-
-// guardsL evaluates the invocation guards as the interpreter does: one
-// decision per guard, stopping at the first false.
-func (ev *evalCtx) guardsL(guards []lang.Expr) (bool, error) {
-	for _, g := range guards {
-		v, err := ev.evalL(g)
-		if err != nil {
-			return false, err
-		}
-		take, err := ev.decide(v.n)
-		if err != nil {
-			return false, err
-		}
-		if !take {
-			return false, nil
-		}
-	}
-	return true, nil
-}
 
 // runSource executes the canonical schedule over the source AST from
 // the source side's next step to the end. A packet abort is recorded in
@@ -663,12 +628,8 @@ func (m *machine) runSource() error {
 		s := &m.steps[st.next]
 		st.save(st.next, len(m.taken))
 		m.executed++
-		ev := m.stepCtx(st, s, true)
-		pass, err := ev.guardsL(s.inv.Guards)
-		if err == nil && pass {
-			err = ev.blockL(s.inv.Action.Decl.Body)
-		}
-		if err != nil {
+		m.srcEv.stage = s.Stage
+		if err := sem.Exec[*node](&m.srcEv, m.u, m.layout.Symbolics, &s.Step); err != nil {
 			ab, isAbort := err.(*abortErr)
 			if !isAbort {
 				return err
@@ -677,251 +638,6 @@ func (m *machine) runSource() error {
 		}
 	}
 	return nil
-}
-
-func (ev *evalCtx) blockL(b *lang.Block) error {
-	for _, s := range b.Stmts {
-		if err := ev.stmtL(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (ev *evalCtx) stmtL(s lang.Stmt) error {
-	switch s := s.(type) {
-	case *lang.Block:
-		return ev.blockL(s)
-	case *lang.AssignStmt:
-		v, err := ev.evalL(s.RHS)
-		if err != nil {
-			return err
-		}
-		return ev.assignL(s.LHS, v)
-	case *lang.IfStmt:
-		c, err := ev.evalL(s.Cond)
-		if err != nil {
-			return err
-		}
-		take, err := ev.decide(c.n)
-		if err != nil {
-			return err
-		}
-		if take {
-			return ev.blockL(s.Then)
-		}
-		if s.Else != nil {
-			return ev.blockL(s.Else)
-		}
-		return nil
-	default:
-		return &abortErr{reason: fmt.Sprintf("unsupported statement %T", s)}
-	}
-}
-
-// evalL mirrors the interpreter's exprW over lang expressions.
-func (ev *evalCtx) evalL(e lang.Expr) (sv, error) {
-	switch e := e.(type) {
-	case *lang.IntLit:
-		return sv{ev.m.t.constant(uint64(e.Value)), 0}, nil
-	case *lang.BoolLit:
-		return sv{ev.m.t.boolConst(e.Value), 0}, nil
-	case *lang.Unary:
-		x, err := ev.evalL(e.X)
-		if err != nil {
-			return sv{}, err
-		}
-		ev.charge()
-		switch e.Op {
-		case lang.MINUS:
-			return sv{ev.m.t.mask(ev.m.t.neg(x.n), x.w), x.w}, nil
-		case lang.NOT:
-			return sv{ev.m.t.not(x.n), 0}, nil
-		}
-		return sv{}, &abortErr{reason: fmt.Sprintf("unsupported unary %s", e.Op)}
-	case *lang.Binary:
-		x, err := ev.evalL(e.X)
-		if err != nil {
-			return sv{}, err
-		}
-		switch e.Op {
-		case lang.AND:
-			nz, err := ev.decide(x.n)
-			if err != nil {
-				return sv{}, err
-			}
-			if !nz {
-				return sv{ev.m.t.constant(0), 0}, nil
-			}
-		case lang.OR:
-			nz, err := ev.decide(x.n)
-			if err != nil {
-				return sv{}, err
-			}
-			if nz {
-				return sv{ev.m.t.constant(1), 0}, nil
-			}
-		}
-		y, err := ev.evalL(e.Y)
-		if err != nil {
-			return sv{}, err
-		}
-		return ev.arith(e.Op, x, y)
-	case *lang.CallExpr:
-		var buf [2]sv // every builtin takes two arguments
-		args := buf[:0]
-		for _, a := range e.Args {
-			v, err := ev.evalL(a)
-			if err != nil {
-				return sv{}, err
-			}
-			args = append(args, v)
-		}
-		return ev.builtin(e.Name, args)
-	case *lang.Ref:
-		return ev.loadL(e)
-	default:
-		return sv{}, &abortErr{reason: fmt.Sprintf("unsupported expression %T", e)}
-	}
-}
-
-// indexValueL mirrors the interpreter's compile-time instance index
-// resolution: the action's index parameter, else a full evaluation.
-func (ev *evalCtx) indexValueL(e lang.Expr) (sv, error) {
-	if ref, ok := e.(*lang.Ref); ok && ref.IsSimpleIdent() &&
-		ev.action.Decl != nil && ref.Base() == ev.action.Decl.IndexParam {
-		return sv{ev.m.t.constant(uint64(ev.iter)), 0}, nil
-	}
-	return ev.evalL(e)
-}
-
-// constIndex requires a statically known instance index. The
-// interpreter can chase dynamic instance indexes at runtime, but the
-// generated program cannot (codegen pins instances at compile time),
-// so a dynamic index is an obligation, not an abort.
-func constIndex(v sv, what string) (uint64, error) {
-	if !v.n.isConst() {
-		return 0, &obligErr{kind: "unsupported", detail: "dynamic " + what + " index"}
-	}
-	return v.n.val, nil
-}
-
-func (ev *evalCtx) loadL(ref *lang.Ref) (sv, error) {
-	base := ref.Base()
-	if ref.IsSimpleIdent() {
-		if ev.action.Decl != nil && base == ev.action.Decl.IndexParam {
-			return sv{ev.m.t.constant(uint64(ev.iter)), 0}, nil
-		}
-		if ev.loopVar != "" && base == ev.loopVar {
-			return sv{ev.m.t.constant(uint64(ev.iter)), 0}, nil
-		}
-		if sym := ev.m.u.SymbolicByName(base); sym != nil {
-			return sv{ev.m.t.constant(uint64(ev.m.layout.Symbolics[sym.Name])), 0}, nil
-		}
-		if v, ok := ev.m.u.Consts[base]; ok {
-			return sv{ev.m.t.constant(uint64(v)), 0}, nil
-		}
-		return sv{}, &abortErr{reason: "unknown name " + base}
-	}
-	if reg := ev.m.u.RegisterByName(base); reg != nil {
-		inst, cell, err := ev.regTargetL(ref, reg)
-		if err != nil {
-			return sv{}, err
-		}
-		return ev.regRead(base, inst, cell.n, reg.Width), nil
-	}
-	if si := ev.m.u.StructByName(base); si != nil && len(ref.Segs) == 2 {
-		f := si.Field(ref.Segs[1].Name)
-		if f == nil {
-			return sv{}, &abortErr{reason: "unknown field " + lang.PrintExpr(ref)}
-		}
-		slot, err := ev.fieldSlotL(ref, f, si.IsHeader)
-		if err != nil {
-			return sv{}, err
-		}
-		return ev.fieldRead(slot, f.Width), nil
-	}
-	return sv{}, &abortErr{reason: "cannot read " + lang.PrintExpr(ref)}
-}
-
-func (ev *evalCtx) regTargetL(ref *lang.Ref, reg *lang.Register) (int64, sv, error) {
-	seg := ref.Segs[0]
-	if reg.Decl.Count != nil && len(seg.Indexes) == 2 {
-		iv, err := ev.indexValueL(seg.Indexes[0])
-		if err != nil {
-			return 0, sv{}, err
-		}
-		inst, err := constIndex(iv, "register instance")
-		if err != nil {
-			return 0, sv{}, err
-		}
-		cell, err := ev.evalL(seg.Indexes[1])
-		if err != nil {
-			return 0, sv{}, err
-		}
-		return int64(inst), cell, nil
-	}
-	if len(seg.Indexes) == 1 {
-		cell, err := ev.evalL(seg.Indexes[0])
-		if err != nil {
-			return 0, sv{}, err
-		}
-		return 0, cell, nil
-	}
-	return 0, sv{}, &abortErr{reason: "malformed register access " + lang.PrintExpr(ref)}
-}
-
-func (ev *evalCtx) fieldSlotL(ref *lang.Ref, f *lang.MetaField, header bool) (int32, error) {
-	fseg := ref.Segs[1]
-	id := srcField{f: f}
-	elastic := f.Count.IsSymbolic() || f.Count.Const > 1
-	if elastic {
-		if len(fseg.Indexes) != 1 {
-			return 0, &abortErr{reason: "elastic field " + f.Qual() + " needs one index"}
-		}
-		iv, err := ev.indexValueL(fseg.Indexes[0])
-		if err != nil {
-			return 0, err
-		}
-		if id.idx, err = constIndex(iv, "field instance"); err != nil {
-			return 0, err
-		}
-	}
-	slot, ok := ev.m.srcFields[id]
-	if !ok {
-		name := fieldName{header: header, key: f.Qual()}
-		if elastic {
-			name.key = key(name.key, id.idx)
-		}
-		slot = ev.m.fieldSlotOf(name)
-		ev.m.srcFields[id] = slot
-	}
-	return slot, nil
-}
-
-func (ev *evalCtx) assignL(ref *lang.Ref, v sv) error {
-	base := ref.Base()
-	if reg := ev.m.u.RegisterByName(base); reg != nil {
-		inst, cell, err := ev.regTargetL(ref, reg)
-		if err != nil {
-			return err
-		}
-		ev.regWrite(base, inst, cell.n, v.n, reg.Width)
-		return nil
-	}
-	if si := ev.m.u.StructByName(base); si != nil && len(ref.Segs) == 2 {
-		f := si.Field(ref.Segs[1].Name)
-		if f == nil {
-			return &abortErr{reason: "unknown field " + lang.PrintExpr(ref)}
-		}
-		slot, err := ev.fieldSlotL(ref, f, si.IsHeader)
-		if err != nil {
-			return err
-		}
-		ev.fieldWrite(slot, v.n, f.Width)
-		return nil
-	}
-	return &abortErr{reason: "cannot assign to " + lang.PrintExpr(ref)}
 }
 
 // ---------- target side: the emitted concrete program ----------
@@ -934,7 +650,7 @@ func (ev *evalCtx) guardsC(guards []codegen.CExpr) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		take, err := ev.decide(v.n)
+		take, err := ev.Decide(v.n)
 		if err != nil {
 			return false, err
 		}
@@ -948,12 +664,12 @@ func (ev *evalCtx) guardsC(guards []codegen.CExpr) (bool, error) {
 // runTarget executes the same canonical schedule over the emitted
 // program with the same interpreter semantics: guards from the apply
 // block (or, for table-dispatched actions, replayed from the
-// invocation — the emitted text leaves them to the table's match),
-// bodies from the emitted actions, charged at the stage each action was
-// emitted for. Branch conditions must be determined by the source
-// path's decisions (plus intervals/constants); the target makes no free
-// decisions of its own. Like runSource it resumes at the side's next
-// step.
+// invocation by the shared walker — the emitted text leaves them to the
+// table's match), bodies from the emitted actions, charged at the stage
+// each action was emitted for. Branch conditions must be determined by
+// the source path's decisions (plus intervals/constants); the target
+// makes no free decisions of its own. Like runSource it resumes at the
+// side's next step.
 func (m *machine) runTarget() error {
 	st := &m.tgt
 	for ; st.aborted == "" && st.next < len(m.steps); st.next++ {
@@ -962,18 +678,19 @@ func (m *machine) runTarget() error {
 		m.consulted[st.next] = -1
 		m.executed++
 		if s.caction == nil {
-			return &obligErr{kind: "unknown-action", detail: fmt.Sprintf("emitted program lacks action %s", codegen.InstanceName(s.inv.Action.Name, s.iter))}
+			return &obligErr{kind: "unknown-action", detail: fmt.Sprintf("emitted program lacks action %s", codegen.InstanceName(s.Inv.Action.Name, s.Iter))}
 		}
-		ev := m.stepCtx(st, s, false)
 		var pass bool
 		var err error
 		if s.hasApply {
+			ev := evalCtx{m: m, st: st, stage: s.Stage}
 			pass, err = ev.guardsC(s.guards)
 		} else {
-			pass, err = ev.guardsL(s.inv.Guards)
+			m.tgtEv.stage = s.Stage
+			pass, err = sem.Guards[*node](&m.tgtEv, m.u, m.layout.Symbolics, &s.Step)
 		}
 		if err == nil && pass {
-			bodyEv := evalCtx{m: m, st: st, src: false, stage: s.caction.Stage}
+			bodyEv := evalCtx{m: m, st: st, stage: s.caction.Stage}
 			for _, stmt := range s.caction.Body {
 				if err = bodyEv.stmtC(stmt); err != nil {
 					break
@@ -1004,7 +721,7 @@ func (ev *evalCtx) stmtC(s codegen.CStmt) error {
 		if err != nil {
 			return err
 		}
-		take, err := ev.decide(c.n)
+		take, err := ev.Decide(c.n)
 		if err != nil {
 			return err
 		}
@@ -1037,12 +754,12 @@ func (ev *evalCtx) evalC(e codegen.CExpr) (sv, error) {
 		if err != nil {
 			return sv{}, err
 		}
-		ev.charge()
+		ev.Charge()
 		switch e.Op {
 		case lang.MINUS:
-			return sv{ev.m.t.mask(ev.m.t.neg(x.n), x.w), x.w}, nil
+			return sv{ev.Unary(e.Op, x.n, x.w), x.w}, nil
 		case lang.NOT:
-			return sv{ev.m.t.not(x.n), 0}, nil
+			return sv{ev.Unary(e.Op, x.n, 0), 0}, nil
 		}
 		return sv{}, &abortErr{reason: fmt.Sprintf("unsupported unary %s", e.Op)}
 	case *codegen.CBinary:
@@ -1050,52 +767,46 @@ func (ev *evalCtx) evalC(e codegen.CExpr) (sv, error) {
 		if err != nil {
 			return sv{}, err
 		}
-		switch e.Op {
-		case lang.AND:
-			nz, err := ev.decide(x.n)
+		if e.Op == lang.AND || e.Op == lang.OR {
+			nz, err := ev.Decide(x.n)
 			if err != nil {
 				return sv{}, err
 			}
-			if !nz {
-				return sv{ev.m.t.constant(0), 0}, nil
-			}
-		case lang.OR:
-			nz, err := ev.decide(x.n)
-			if err != nil {
-				return sv{}, err
-			}
-			if nz {
-				return sv{ev.m.t.constant(1), 0}, nil
+			if nz != (e.Op == lang.AND) {
+				return sv{ev.m.t.boolConst(nz), 0}, nil
 			}
 		}
 		y, err := ev.evalC(e.Y)
 		if err != nil {
 			return sv{}, err
 		}
-		return ev.arith(e.Op, x, y)
+		ev.Charge()
+		w := sem.OpWidth(e.Op, x.w, y.w)
+		n, err := ev.Binary(e.Op, x.n, y.n, w)
+		return sv{n, w}, err
 	case *codegen.CCall:
-		var buf [2]sv // every builtin takes two arguments
-		args := buf[:0]
-		for _, a := range e.Args {
-			v, err := ev.evalC(a)
-			if err != nil {
-				return sv{}, err
-			}
-			args = append(args, v)
+		x, err := ev.evalC(e.Args[0])
+		if err != nil {
+			return sv{}, err
 		}
-		return ev.builtin(e.Name, args)
+		y, err := ev.evalC(e.Args[1])
+		if err != nil {
+			return sv{}, err
+		}
+		ev.Charge()
+		return sv{ev.Builtin(e.Name, x.n, y.n), sem.CallWidth(e.Name, x.w, y.w)}, nil
 	case *codegen.CRegRef:
 		cell, err := ev.evalC(e.Idx)
 		if err != nil {
 			return sv{}, err
 		}
-		return ev.regRead(e.Reg, e.Inst, cell.n, e.Width), nil
+		return sv{ev.RegRead(e.Reg, e.Inst, cell.n, e.Width), e.Width}, nil
 	case *codegen.CFieldRef:
 		slot, err := ev.fieldSlotC(e)
 		if err != nil {
 			return sv{}, err
 		}
-		return ev.fieldRead(slot, e.Width), nil
+		return sv{ev.fieldRead(slot, e.Width), e.Width}, nil
 	case *codegen.CName:
 		return sv{}, &abortErr{reason: "unknown name " + e.Name}
 	default:
@@ -1111,7 +822,7 @@ func (ev *evalCtx) fieldSlotC(e *codegen.CFieldRef) (int32, error) {
 	if !ok {
 		name := fieldName{header: e.Header, key: e.Struct + "." + e.Field}
 		if e.Elastic {
-			name.key = key(name.key, uint64(e.Index))
+			name.key = sem.InstKey(name.key, uint64(e.Index))
 		}
 		slot = ev.m.fieldSlotOf(name)
 		ev.m.tgtFields[e] = slot
@@ -1126,7 +837,7 @@ func (ev *evalCtx) assignC(lhs codegen.CExpr, v sv) error {
 		if err != nil {
 			return err
 		}
-		ev.regWrite(e.Reg, e.Inst, cell.n, v.n, e.Width)
+		ev.RegWrite(e.Reg, e.Inst, cell.n, v.n, e.Width)
 		return nil
 	case *codegen.CFieldRef:
 		slot, err := ev.fieldSlotC(e)

@@ -5,12 +5,12 @@ import (
 	"math/bits"
 
 	"p4all/internal/lang"
-	"p4all/internal/structures"
+	"p4all/internal/sem"
 )
 
 // This file implements the symbolic value domain: a hash-consed
-// expression DAG over 64-bit values with the exact wrap semantics of
-// the reference interpreter (internal/sim). Nodes are interned, so
+// expression DAG over 64-bit values, folding constants with the
+// arithmetic the reference interpreter uses (internal/sem). Nodes are interned, so
 // structural equality is pointer equality — the source-side and
 // target-side evaluations share one table, and an equivalence
 // obligation discharges exactly when both sides reach the same node.
@@ -148,31 +148,6 @@ func (t *symtab) in(name string) *node {
 	return t.intern(kIn, 0, 0, name, nil, nil, nil)
 }
 
-// widthMask and maskTo mirror internal/sim exactly.
-func widthMask(bits int) uint64 {
-	if bits <= 0 || bits >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(bits)) - 1
-}
-
-func maskTo(v uint64, bits int) uint64 {
-	return v & widthMask(bits)
-}
-
-func combineWidth(a, b int) int {
-	if a == 0 {
-		return b
-	}
-	if b == 0 {
-		return a
-	}
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // mask truncates x to w bits. The node is elided when the value
 // provably fits (interval inside the mask), which keeps equal values
 // on the two sides syntactically equal regardless of how many
@@ -182,9 +157,9 @@ func (t *symtab) mask(x *node, w int) *node {
 		return x
 	}
 	if x.isConst() {
-		return t.constant(maskTo(x.val, w))
+		return t.constant(sem.MaskTo(x.val, w))
 	}
-	if x.hi <= widthMask(w) {
+	if x.hi <= sem.WidthMask(w) {
 		return x
 	}
 	return t.intern(kMask, 0, w, "", x, nil, nil)
@@ -216,29 +191,8 @@ func (t *symtab) not(x *node) *node {
 // zero divisors first and apply mask() for the wrapping operators.
 func (t *symtab) bin(op lang.Kind, x, y *node) *node {
 	if x.isConst() && y.isConst() {
-		switch op {
-		case lang.PLUS:
-			return t.constant(x.val + y.val)
-		case lang.MINUS:
-			return t.constant(x.val - y.val)
-		case lang.STAR:
-			return t.constant(x.val * y.val)
-		case lang.SLASH:
-			return t.constant(x.val / y.val)
-		case lang.PCT:
-			return t.constant(x.val % y.val)
-		case lang.LT:
-			return t.boolConst(x.val < y.val)
-		case lang.LE:
-			return t.boolConst(x.val <= y.val)
-		case lang.GT:
-			return t.boolConst(x.val > y.val)
-		case lang.GE:
-			return t.boolConst(x.val >= y.val)
-		case lang.EQ:
-			return t.boolConst(x.val == y.val)
-		case lang.NE:
-			return t.boolConst(x.val != y.val)
+		if v, err := sem.BinOp(op, x.val, y.val); err == nil {
+			return t.constant(v)
 		}
 	}
 	n := t.intern(kBin, op, 0, "", x, y, nil)
@@ -264,20 +218,7 @@ func (t *symtab) boolish(x *node) *node {
 // call builds a builtin call node (hash/min/max with two arguments).
 func (t *symtab) call(name string, x, y *node) *node {
 	if x.isConst() && y.isConst() {
-		switch name {
-		case "hash":
-			return t.constant(structures.Hash(x.val, y.val))
-		case "min":
-			if x.val < y.val {
-				return t.constant(x.val)
-			}
-			return t.constant(y.val)
-		case "max":
-			if x.val > y.val {
-				return t.constant(x.val)
-			}
-			return t.constant(y.val)
-		}
+		return t.constant(sem.Call(name, x.val, y.val))
 	}
 	return t.intern(kCall, 0, 0, name, x, y, nil)
 }
@@ -346,7 +287,7 @@ func interval(n *node) (uint64, uint64) {
 		return full()
 	case kMask:
 		x := n.args[0]
-		m := widthMask(n.width)
+		m := sem.WidthMask(n.width)
 		if x.hi <= m {
 			return x.lo, x.hi
 		}
@@ -356,7 +297,7 @@ func interval(n *node) (uint64, uint64) {
 		// snapshot restore preserves shapes from a pipeline that
 		// masked. See docs/TRANSLATION_VALIDATION.md for the caveat on
 		// externally seeded out-of-width state.
-		return 0, widthMask(n.width)
+		return 0, sem.WidthMask(n.width)
 	case kUn:
 		if n.op == lang.NOT {
 			return 0, 1
@@ -366,9 +307,9 @@ func interval(n *node) (uint64, uint64) {
 		x, y := n.args[0], n.args[1]
 		switch n.name {
 		case "min":
-			return umin(x.lo, y.lo), umin(x.hi, y.hi)
+			return min(x.lo, y.lo), min(x.hi, y.hi)
 		case "max":
-			return umax(x.lo, y.lo), umax(x.hi, y.hi)
+			return max(x.lo, y.lo), max(x.hi, y.hi)
 		}
 		return full()
 	case kBin:
@@ -402,11 +343,7 @@ func interval(n *node) (uint64, uint64) {
 			if y.hi == 0 {
 				return full()
 			}
-			hi := y.hi - 1
-			if x.hi < hi {
-				hi = x.hi
-			}
-			return 0, hi
+			return 0, min(x.hi, y.hi-1)
 		case lang.LT:
 			return cmpInterval(x.hi < y.lo, x.lo >= y.hi)
 		case lang.LE:
@@ -435,20 +372,6 @@ func cmpInterval(alwaysTrue, alwaysFalse bool) (uint64, uint64) {
 	default:
 		return 0, 1
 	}
-}
-
-func umin(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func umax(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // fnv1a hashes a string for the deterministic concrete-search input
