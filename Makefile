@@ -53,7 +53,7 @@ bench-compare:
 # solves of NetCache at 1.0 Mb (root LP, dive, neighbourhood search: the
 # paths a warm re-solve never reaches), and prints where the LP
 # iterations of the tenant-drift cycle, of the four compile-solve
-# programs and of two Figure 12 points go — root, dive, neighbourhood,
+# programs and of three more NetCache points go — root, dive, neighbourhood,
 # tree, with the warm restarts — into ilp-lp-split.txt.
 # CI uploads all of them plus the test binaries as an artifact so a
 # bench-compare failure can be diagnosed offline:
@@ -68,27 +68,31 @@ bench-profile:
 	$(GO) test -count=1 -run TestWarmDiveSplit -v ./internal/ilp | tee ilp-lp-split.txt
 
 # lp-split-diff shows how the LP iteration split moved against BASE:
-# TestWarmDiveSplit (nodes and root, dive and tree iterations of each
-# tenant-drift re-solve and of the four compile-solve programs) runs in a worktree of BASE under
-# .bench_build/split and in the working tree, loses its file:line:
+# TestWarmDiveSplit (nodes and root, dive, neighbourhood and tree
+# iterations of each tenant-drift re-solve, of the four compile-solve
+# programs and of three more NetCache points) and TestSolverCorpus (the
+# same per model for 108 models, with objectives, gaps, limit stops and
+# geometric means; about 50 s) run in a worktree of BASE under
+# .bench_build/split and in the working tree, lose their file:line:
 # prefixes, and the two are diffed. It is for reading, not a gate: it
 # exits 0 whatever the diff, and prints a note instead of failing when
 # a side cannot run. CI appends it to the bench job's summary.
 #   make lp-split-diff BASE=origin/main
 SPLIT_LINES := sed -n 's/^ *[A-Za-z0-9_]*\.go:[0-9]*: //p'
+SPLIT_TESTS := TestWarmDiveSplit|TestSolverCorpus
 lp-split-diff:
 	test -n "$(BASE)" || { echo "usage: make lp-split-diff BASE=<git ref>"; exit 2; }
 	rm -rf .bench_build/split
 	git worktree prune
 	mkdir -p .bench_build
 	if git worktree add --detach .bench_build/split $(BASE) >/dev/null 2>&1; then \
-		(cd .bench_build/split && $(GO) test -count=1 -run TestWarmDiveSplit -v ./internal/ilp) \
+		(cd .bench_build/split && $(GO) test -count=1 -run '$(SPLIT_TESTS)' -v ./internal/ilp) \
 			| $(SPLIT_LINES) > .bench_build/lp-split-base.txt || echo "(the base's test failed)"; \
 		git worktree remove --force .bench_build/split; \
 	else \
 		echo "(no worktree of $(BASE))"; : > .bench_build/lp-split-base.txt; \
 	fi
-	$(GO) test -count=1 -run TestWarmDiveSplit -v ./internal/ilp \
+	$(GO) test -count=1 -run '$(SPLIT_TESTS)' -v ./internal/ilp \
 		| $(SPLIT_LINES) > .bench_build/lp-split-head.txt || echo "(the head's test failed)"
 	diff -u --label "$(BASE)" --label HEAD .bench_build/lp-split-base.txt .bench_build/lp-split-head.txt || true
 

@@ -367,28 +367,30 @@ func phasesLine(p core.Phases) string {
 // solverStats is -stats' ILP block: the model's size, the search's
 // effort and which warm start seeded its incumbent, the simplex
 // iterations with the dual path's share, those iterations split by
-// caller (root LP, with how it started; diving heuristic; neighbourhood
-// search, with its nodes and whether it found a point; tree) beside the
-// warm restarts, and the root presolve's reductions.
+// caller (root LP, with how it started; diving heuristic, with whether
+// it found a point; neighbourhood search, with its nodes and whether it
+// found a point; tree, with the incumbents it found) beside the warm
+// restarts, and the root presolve's reductions.
 func solverStats(st ilpgen.Stats) string {
 	return fmt.Sprintf("ILP: %d variables, %d constraints, %d nodes, certified gap %.2f%%, warm start %s\n"+
 		"solver: %d simplex iters (%d dual, %d primal fallbacks), %d refactorizations\n"+
-		"lp iters: root %d (%s), dive %d, neighbourhood %d (%d nodes, %s), tree %d; %d warm restarts, %d warm fallbacks\n"+
+		"lp iters: root %d (%s), dive %d (%s), neighbourhood %d (%d nodes, %s), tree %d (found %d); %d warm restarts, %d warm fallbacks\n"+
 		"presolve: %d bounds tightened, %d variables fixed, %d rows dropped\n",
 		st.Vars, st.Constrs, st.Nodes, 100*st.Gap, st.Seed(),
 		st.SimplexIter, st.DualIters, st.PrimalFallbacks, st.Refactors,
-		st.RootIters, st.RootStart, st.DiveIters, st.NeighbourIters, st.NeighbourNodes, neighbourOutcome(st.Effort), st.TreeIters,
+		st.RootIters, st.RootStart, st.DiveIters, outcome(st.DiveIters > 0, st.DiveFound),
+		st.NeighbourIters, st.NeighbourNodes, outcome(st.NeighbourNodes > 0, st.NeighbourFound), st.TreeIters, st.TreeFound,
 		st.WarmRestarts, st.WarmFallbacks,
 		st.Presolve.BoundsTightened, st.Presolve.VarsFixed, st.Presolve.RowsDropped)
 }
 
-// neighbourOutcome says what the neighbourhood search after the dive
-// did: nothing (it did not run), or whether it found a better point.
-func neighbourOutcome(e ilp.Effort) string {
+// outcome says what the dive or the neighbourhood search after it did:
+// nothing (it did not run), or whether it found a better point.
+func outcome(ran bool, found int) string {
 	switch {
-	case e.NeighbourFound > 0:
+	case found > 0:
 		return "found a point"
-	case e.NeighbourNodes > 0:
+	case ran:
 		return "found none"
 	default:
 		return "not run"

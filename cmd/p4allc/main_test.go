@@ -160,12 +160,13 @@ func TestStatsLines(t *testing.T) {
 		Effort: ilp.Effort{
 			Nodes: 46, SimplexIter: 3658, DualIters: 3036, PrimalFallbacks: 1, Refactors: 33,
 			RootIters: 309, DiveIters: 313, TreeIters: 3036, WarmRestarts: 2, WarmFallbacks: 1,
+			DiveFound: 1, TreeFound: 2,
 		},
 		Presolve: ilp.PresolveStats{BoundsTightened: 13, VarsFixed: 12, RowsDropped: 62},
 	}
 	want = "ILP: 455 variables, 616 constraints, 46 nodes, certified gap 1.41%, warm start predecessor\n" +
 		"solver: 3658 simplex iters (3036 dual, 1 primal fallbacks), 33 refactorizations\n" +
-		"lp iters: root 309 (cold), dive 313, neighbourhood 0 (0 nodes, not run), tree 3036; 2 warm restarts, 1 warm fallbacks\n" +
+		"lp iters: root 309 (cold), dive 313 (found a point), neighbourhood 0 (0 nodes, not run), tree 3036 (found 2); 2 warm restarts, 1 warm fallbacks\n" +
 		"presolve: 13 bounds tightened, 12 variables fixed, 62 rows dropped\n"
 	if got := solverStats(st); got != want {
 		t.Errorf("solverStats =\n%s\nwant\n%s", got, want)
@@ -174,12 +175,15 @@ func TestStatsLines(t *testing.T) {
 		e    ilp.Effort
 		want string
 	}{
-		{ilp.Effort{}, "not run"},
-		{ilp.Effort{NeighbourNodes: 50, NeighbourIters: 9494}, "found none"},
-		{ilp.Effort{NeighbourNodes: 18, NeighbourIters: 2347, NeighbourFound: 1}, "found a point"},
+		{ilp.Effort{}, "not run, not run"},
+		{ilp.Effort{DiveIters: 369}, "found none, not run"},
+		{ilp.Effort{DiveIters: 206, DiveFound: 1}, "found a point, not run"},
+		{ilp.Effort{DiveIters: 280, DiveFound: 1, NeighbourNodes: 50, NeighbourIters: 9494}, "found a point, found none"},
+		{ilp.Effort{DiveIters: 313, DiveFound: 1, NeighbourNodes: 18, NeighbourIters: 2347, NeighbourFound: 1}, "found a point, found a point"},
 	} {
-		if got := neighbourOutcome(c.e); got != c.want {
-			t.Errorf("neighbourOutcome(%+v) = %q, want %q", c.e, got, c.want)
+		got := outcome(c.e.DiveIters > 0, c.e.DiveFound) + ", " + outcome(c.e.NeighbourNodes > 0, c.e.NeighbourFound)
+		if got != c.want {
+			t.Errorf("dive, neighbourhood outcome of %+v = %q, want %q", c.e, got, c.want)
 		}
 	}
 }

@@ -270,10 +270,11 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 // to that solver.* counter: dual pivots against their fallbacks and warm
 // restarts against theirs say whether the basis-inheritance machinery
 // earns its keep, the iteration split which caller the LP time went to,
-// the neighbourhood rows what the search after the dive cost and found,
-// the propagation row how many tree nodes closed without an LP, and the
-// presolve rows how much of the model the root reductions removed. A
-// new ilp.Effort counter is one row here.
+// the neighbourhood rows what the search after the dive cost, the
+// found rows which search (dive, neighbourhood, tree) installed the
+// incumbents, the propagation row how many tree nodes closed without an
+// LP, and the presolve rows how much of the model the root reductions
+// removed. A new ilp.Effort counter is one row here.
 var solveCounts = []struct {
 	attr, counter string
 	value         func(*ilpgen.Stats) int
@@ -290,7 +291,9 @@ var solveCounts = []struct {
 	{"dive_iters", "solver.dive_iters", func(st *ilpgen.Stats) int { return st.DiveIters }},
 	{"neighbour_iters", "solver.neighbour_iters", func(st *ilpgen.Stats) int { return st.NeighbourIters }},
 	{"neighbour_nodes", "solver.neighbour_nodes", func(st *ilpgen.Stats) int { return st.NeighbourNodes }},
+	{"dive_found", "solver.dive_found", func(st *ilpgen.Stats) int { return st.DiveFound }},
 	{"neighbour_found", "solver.neighbour_found", func(st *ilpgen.Stats) int { return st.NeighbourFound }},
+	{"tree_found", "solver.tree_found", func(st *ilpgen.Stats) int { return st.TreeFound }},
 	{"tree_iters", "solver.tree_iters", func(st *ilpgen.Stats) int { return st.TreeIters }},
 	{"prop_pruned", "solver.prop_pruned", func(st *ilpgen.Stats) int { return st.PropPruned }},
 	{"refactorizations", "", func(st *ilpgen.Stats) int { return st.Refactors }},

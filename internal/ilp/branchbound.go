@@ -204,9 +204,9 @@ type bb struct {
 	bestObj     float64 // incumbent objective, minimization sense
 	bestX       []float64
 	effort      Effort
-	firstOnly   bool   // stop at the first incumbent (neighbour.go)
-	halted      bool   // a limit/gap stop fired; finalStatus holds why
-	finalStatus Status // terminal status once halted
+	centre      []float64 // a ball's centre: branch away, stop at the first incumbent (neighbour.go)
+	halted      bool      // a limit/gap stop fired; finalStatus holds why
+	finalStatus Status    // terminal status once halted
 }
 
 // Solve optimizes the model. Pure LPs (no integer variables) are solved
@@ -366,6 +366,7 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 		b.effort.add(dive)
 		if ok {
 			b.install(hobj, hx)
+			b.effort.DiveFound = 1
 			b.emit(ProgressIncumbent, nil)
 			// An incumbent already at the root bound (or within the
 			// requested gap of it) cannot be improved enough to matter:
@@ -549,8 +550,14 @@ func (b *bb) step(cur *node, ws *lpWorkspace) (stepOut, error) {
 	down := child(cur, j, lo[j], math.Min(hi[j], floor), obj, x, snap)
 	up := child(cur, j, math.Max(lo[j], floor+1), hi[j], obj, x, snap)
 	out := stepOut{obj: obj, x: x, follow: down, deferred: up}
-	if frac > 0.5 {
-		// Follow the side the LP leans toward; queue the other.
+	// Follow the side the LP leans toward and queue the other; in a
+	// neighbourhood search, follow the side that excludes the centre's
+	// value instead.
+	followUp := frac > 0.5
+	if b.centre != nil {
+		followUp = math.Round(b.centre[j]) <= floor
+	}
+	if followUp {
 		out.follow, out.deferred = up, down
 	}
 	return out, nil

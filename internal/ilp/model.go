@@ -357,9 +357,13 @@ type Effort struct {
 	// WarmRestarts are 0.
 	RootIters, DiveIters, NeighbourIters, TreeIters int
 	// NeighbourNodes counts the neighbourhood search's nodes, which are
-	// not in Nodes (NodeLimit bounds the tree alone), and NeighbourFound
-	// the searches that found a better incumbent.
-	NeighbourNodes, NeighbourFound int
+	// not in Nodes (NodeLimit bounds the tree alone).
+	NeighbourNodes int
+	// DiveFound, NeighbourFound and TreeFound count incumbents by
+	// source: DiveFound is 1 when the dive's point became the incumbent,
+	// NeighbourFound counts the neighbourhood searches that found a
+	// better one, and TreeFound the incumbents the tree installed.
+	DiveFound, NeighbourFound, TreeFound int
 	// PropPruned counts tree nodes closed by bound propagation without
 	// an LP (propagate.go): nodes whose LP is infeasible, proven from
 	// row activities.
@@ -367,13 +371,13 @@ type Effort struct {
 }
 
 // effortFields is the number of Effort's counters.
-const effortFields = 14
+const effortFields = 16
 
 // fields lists e's counters in declaration order.
 func (e *Effort) fields() [effortFields]*int {
 	return [...]*int{&e.Nodes, &e.SimplexIter, &e.Refactors, &e.DualIters, &e.PrimalFallbacks,
 		&e.WarmRestarts, &e.WarmFallbacks, &e.RootIters, &e.DiveIters, &e.NeighbourIters, &e.TreeIters,
-		&e.NeighbourNodes, &e.NeighbourFound, &e.PropPruned}
+		&e.NeighbourNodes, &e.DiveFound, &e.NeighbourFound, &e.TreeFound, &e.PropPruned}
 }
 
 // add adds o's counters to e's.

@@ -93,8 +93,9 @@ func (b *bb) plunge(nd *node, ws *lpWorkspace) error {
 		if out.integral {
 			// step pruned against the incumbent, so the point improves it.
 			b.install(out.obj, out.x)
+			b.effort.TreeFound++
 			b.emit(ProgressIncumbent, nd)
-			if b.firstOnly {
+			if b.centre != nil {
 				b.halt(StatusLimit)
 			}
 			return nil

@@ -2,6 +2,7 @@ package ilp_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -25,18 +26,23 @@ var driftOptions = ilp.Options{Gap: 0.1, NodeLimit: 1000, TimeLimit: 15 * time.S
 // TestWarmDiveSplit prints where the LP iterations of the tenant-drift
 // cycle, of the benchmark's compile-solve programs (NetCache at 1.0,
 // 1.75 and 2.5 Mb, Precision at 1.75 Mb) and of Figure 12's NetCache
-// at 1.25 and 1.5 Mb go — root, dive, neighbourhood search, tree — with
-// the dive's warm primal restarts and their fallbacks, and asserts that
-// the four parts sum to the solve's iterations. The drift re-solves are
-// warm-started the way multitenant.Compiler does it, from a two-start
-// ilpgen.History of layouts and their root bases, and each line names
-// the start that seeded the incumbent and how the root LP started. A
-// warm-started re-solve runs no dive and no neighbourhood search, and
-// the flip to weight 0.5 still reaches 53 248 in at most 5 nodes from
-// its start, in at most 320 simplex iterations: bound propagation
-// closes its LP-infeasible node without an LP. `make bench-profile`
-// runs it with -v so the CI artifact shows the split, and `make
-// lp-split-diff` diffs it against another commit.
+// at 1.25, 1.5 and 0.25 Mb go — root, dive, neighbourhood search, tree
+// — with the dive's warm primal restarts and their fallbacks, and
+// asserts that the four parts sum to the solve's iterations. At 1.0,
+// 1.25, 1.5 and 1.75 Mb the neighbourhood search finds the incumbent
+// that ends the solve at the root, at its known objective, in at most
+// 3 400 iterations over the four points; at 0.25 Mb it runs before a
+// tree. The drift cycle's cold compile runs no neighbourhood search:
+// its dive finds nothing, and every incumbent is the tree's. The drift
+// re-solves are warm-started the way multitenant.Compiler does it, from
+// a two-start ilpgen.History of layouts and their root bases, and each
+// line names the start that seeded the incumbent and how the root LP
+// started. A warm-started re-solve runs no dive and no neighbourhood
+// search, and the flip to weight 0.5 still reaches 53 248 in at most 5
+// nodes from its start, in at most 320 simplex iterations: bound
+// propagation closes its LP-infeasible node without an LP. `make
+// bench-profile` runs it with -v so the CI artifact shows the split,
+// and `make lp-split-diff` diffs it against another commit.
 func TestWarmDiveSplit(t *testing.T) {
 	logSplit := func(name string, sol *ilp.Solution) {
 		t.Helper()
@@ -54,6 +60,10 @@ func TestWarmDiveSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	logSplit("drift cold w=2", sol)
+	if sol.DiveFound != 0 || sol.NeighbourNodes != 0 || sol.TreeFound == 0 {
+		t.Errorf("drift cold: dive found %d, %d neighbourhood nodes, tree found %d; want a dive that finds nothing, so no neighbourhood search, and the tree's incumbents",
+			sol.DiveFound, sol.NeighbourNodes, sol.TreeFound)
+	}
 	var pool ilpgen.History
 	pool.Push(ilp.Start{Values: sol.Values, Basis: sol.RootBasis})
 	for cycle := 0; cycle < 2; cycle++ {
@@ -78,20 +88,40 @@ func TestWarmDiveSplit(t *testing.T) {
 			}
 		}
 	}
+	// ballPoints are the NetCache points whose neighbourhood search ends
+	// the solve at the root, with the objective it finds there.
+	ballPoints := map[string]float64{"1.0": 172236.8, "1.25": 216473.6, "1.5": 260710.4, "1.75": 304947.2}
+	ballIters := 0
+	logNetCache := func(mem string, sol *ilp.Solution) {
+		t.Helper()
+		logSplit("netcache "+mem+" Mb", sol)
+		want, ok := ballPoints[mem]
+		if !ok {
+			return
+		}
+		ballIters += sol.NeighbourIters
+		if sol.NeighbourFound != 1 || math.Abs(sol.Objective-want) > 1e-9*want {
+			t.Errorf("netcache %s Mb: neighbourhood search found %d, objective %v; want 1 found, objective %v",
+				mem, sol.NeighbourFound, sol.Objective, want)
+		}
+	}
 	compile := ilp.Options{Gap: 0.03}
 	if sol, err = ilp.Solve(netCacheModel(t), compile); err != nil {
 		t.Fatal(err)
 	}
-	logSplit("netcache 1.0 Mb", sol)
+	logNetCache("1.0", sol)
 	netcache := apps.NetCache(apps.NetCacheConfig{}).Source
 	for _, mem := range []struct {
 		name string
 		bits int
-	}{{"1.75", 7 * pisa.Mb / 4}, {"2.5", 5 * pisa.Mb / 2}, {"1.25", 5 * pisa.Mb / 4}, {"1.5", 3 * pisa.Mb / 2}} {
+	}{{"1.75", 7 * pisa.Mb / 4}, {"2.5", 5 * pisa.Mb / 2}, {"1.25", 5 * pisa.Mb / 4}, {"1.5", 3 * pisa.Mb / 2}, {"0.25", pisa.Mb / 4}} {
 		if sol, err = ilp.Solve(programModel(t, netcache, pisa.EvalTarget(mem.bits)), compile); err != nil {
 			t.Fatal(err)
 		}
-		logSplit("netcache "+mem.name+" Mb", sol)
+		logNetCache(mem.name, sol)
+	}
+	if ballIters > 3400 {
+		t.Errorf("neighbourhood search at NetCache 1.0, 1.25, 1.5 and 1.75 Mb: %d iterations, want at most 3 400", ballIters)
 	}
 	if sol, err = ilp.Solve(programModel(t, apps.Precision().Source, pisa.EvalTarget(7*pisa.Mb/4)), compile); err != nil {
 		t.Fatal(err)

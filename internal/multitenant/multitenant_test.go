@@ -782,8 +782,8 @@ func TestSolveTraceMatchesStats(t *testing.T) {
 			return err
 		})
 		checkSolveTrace(t, app.Name+" compile", recs, single.Layout.Stats)
-		if app.Name == "NetCache" && single.Layout.Stats.NeighbourFound != 1 {
-			t.Errorf("NetCache compile: %+v; want a neighbourhood search that found a point", single.Layout.Stats.Effort)
+		if e := single.Layout.Stats.Effort; app.Name == "NetCache" && (e.DiveFound != 1 || e.NeighbourFound != 1 || e.TreeFound != 0) {
+			t.Errorf("NetCache compile: %+v; want the dive's point improved by the neighbourhood search, and no tree incumbent", e)
 		}
 	}
 
@@ -815,7 +815,8 @@ func checkSolveTrace(t *testing.T, label string, recs []record, st ilpgen.Stats)
 		"dual_iters": st.DualIters, "primal_fallbacks": st.PrimalFallbacks,
 		"warm_restarts": st.WarmRestarts, "warm_fallbacks": st.WarmFallbacks,
 		"root_iters": st.RootIters, "dive_iters": st.DiveIters, "tree_iters": st.TreeIters,
-		"neighbour_iters": st.NeighbourIters, "neighbour_nodes": st.NeighbourNodes, "neighbour_found": st.NeighbourFound,
+		"neighbour_iters": st.NeighbourIters, "neighbour_nodes": st.NeighbourNodes,
+		"dive_found": st.DiveFound, "neighbour_found": st.NeighbourFound, "tree_found": st.TreeFound,
 		"prop_pruned":               st.PropPruned,
 		"presolve_rows_dropped":     st.Presolve.RowsDropped,
 		"presolve_bounds_tightened": st.Presolve.BoundsTightened,
@@ -824,7 +825,8 @@ func checkSolveTrace(t *testing.T, label string, recs []record, st ilpgen.Stats)
 	root, _, _ := strings.Cut(st.RootStart, " ")
 	wantCounters := map[string]int{"solver.root_" + root: 1}
 	for _, name := range []string{"dual_iters", "primal_fallbacks", "warm_restarts", "warm_fallbacks",
-		"root_iters", "dive_iters", "tree_iters", "neighbour_iters", "neighbour_nodes", "neighbour_found", "prop_pruned",
+		"root_iters", "dive_iters", "tree_iters", "neighbour_iters", "neighbour_nodes",
+		"dive_found", "neighbour_found", "tree_found", "prop_pruned",
 		"presolve_rows_dropped", "presolve_bounds_tightened", "presolve_vars_fixed"} {
 		wantCounters["solver."+name] = wantAttrs[name]
 	}
