@@ -9,12 +9,10 @@ import (
 )
 
 // This file defines the concrete program IR: the structured form of the
-// generated P4 that Render prints and internal/tv validates. Build is
-// the single place where symbolic substitution happens — elastic
-// extents become solved constants, index parameters become iteration
-// literals, elastic references become expanded instance names — so the
-// translation validator checks exactly the structure the emitted text
-// is printed from, not a parallel re-derivation of it.
+// generated P4 that Render prints. Build is the single place where
+// symbolic substitution happens — elastic extents become solved
+// constants, index parameters become iteration literals, elastic
+// references become expanded instance names.
 
 // Concrete is the emitted program for one solved layout.
 type Concrete struct {
@@ -138,15 +136,11 @@ type CCall struct {
 }
 
 // CRegRef is a cell access of one register array instance,
-// rendered "name_inst[idx]". Width is the declared cell width the
-// validator wraps values at; Render ignores it. Whether the instance is
-// materialized, and its cell count, are the layout's (tv reads them
-// from its register placements).
+// rendered "name_inst[idx]".
 type CRegRef struct {
-	Reg   string
-	Inst  int64
-	Idx   CExpr
-	Width int
+	Reg  string
+	Inst int64
+	Idx  CExpr
 }
 
 // CFieldRef is a struct/header field access. Index is -1 when the
@@ -156,8 +150,6 @@ type CFieldRef struct {
 	Struct  string
 	Field   string
 	Index   int64
-	Width   int
-	Header  bool
 	Elastic bool
 }
 
@@ -395,26 +387,18 @@ func (b *builder) ref(r *lang.Ref, a *lang.Action, iter int) CExpr {
 		seg := r.Segs[0]
 		if reg.Decl.Count != nil && len(seg.Indexes) == 2 {
 			inst := b.indexValue(seg.Indexes[0], a, iter)
-			return b.regRef(reg, inst, b.expr(seg.Indexes[1], a, iter))
+			return &CRegRef{Reg: reg.Name, Inst: inst, Idx: b.expr(seg.Indexes[1], a, iter)}
 		}
 		if len(seg.Indexes) == 1 {
-			return b.regRef(reg, 0, b.expr(seg.Indexes[0], a, iter))
+			return &CRegRef{Reg: reg.Name, Idx: b.expr(seg.Indexes[0], a, iter)}
 		}
 	}
 	if si := b.u.StructByName(base); si != nil && len(r.Segs) == 2 {
 		fseg := r.Segs[1]
 		f := si.Field(fseg.Name)
 		if f != nil {
-			elastic := f.Count.IsSymbolic() || f.Count.Const > 1
-			cf := &CFieldRef{
-				Struct:  base,
-				Field:   f.Name,
-				Index:   -1,
-				Width:   f.Width,
-				Header:  si.IsHeader,
-				Elastic: elastic,
-			}
-			if elastic && len(fseg.Indexes) == 1 {
+			cf := &CFieldRef{Struct: base, Field: f.Name, Index: -1, Elastic: f.Elastic()}
+			if cf.Elastic && len(fseg.Indexes) == 1 {
 				cf.Index = b.indexValue(fseg.Indexes[0], a, iter)
 			}
 			return cf
@@ -432,10 +416,6 @@ func (b *builder) ref(r *lang.Ref, a *lang.Action, iter int) CExpr {
 		}
 	}
 	return &CRaw{Text: sb.String()}
-}
-
-func (b *builder) regRef(reg *lang.Register, inst int64, idx CExpr) *CRegRef {
-	return &CRegRef{Reg: reg.Name, Inst: inst, Idx: idx, Width: reg.Width}
 }
 
 func (b *builder) indexValue(e lang.Expr, a *lang.Action, iter int) int64 {

@@ -278,7 +278,10 @@ func Figure12(memBits []int, tr *obs.Tracer) ([]Fig12Point, error) {
 	app := apps.NetCache(apps.NetCacheConfig{})
 	var out []Fig12Point
 	for _, m := range memBits {
-		res, err := core.Compile(app.Source, pisa.EvalTarget(m), core.Options{Solver: ilp.Options{}, SkipCodegen: true, Tracer: tr})
+		// The node limit, not the clock, ends a point: its solve runs
+		// 60–83 s on 2 cores, too near the 90 s default to reproduce.
+		solver := ilp.Options{TimeLimit: time.Hour}
+		res, err := core.Compile(app.Source, pisa.EvalTarget(m), core.Options{Solver: solver, SkipCodegen: true, Tracer: tr})
 		if err != nil {
 			return nil, fmt.Errorf("M=%d: %w", m, err)
 		}

@@ -80,12 +80,14 @@ type StructDecl struct {
 // RegisterDecl declares a (possibly elastic) register array:
 // register<bit<32>>[cols][rows] cms;   — rows arrays of cols cells
 // register<bit<64>>[kv_items] kv;     — one array of kv_items cells
+// register<bit<32>>(1024) cms_0;      — P4_16's form of the second
 type RegisterDecl struct {
-	Pos   Pos
-	Elem  TypeRef
-	Cells Expr // cells per array instance
-	Count Expr // number of array instances; nil means 1
-	Name  string
+	Pos    Pos
+	Stages []int // @stage(n,…): the stages a compiled program places it in
+	Elem   TypeRef
+	Cells  Expr // cells per array instance
+	Count  Expr // number of array instances; nil means 1
+	Name   string
 }
 
 // Param is a formal parameter of an action or control.
@@ -97,10 +99,12 @@ type Param struct {
 
 // ActionDecl declares an action. Indexed actions carry a compile-time
 // iteration parameter: action incr()[int i] { ... }. Annotations (e.g.
-// @commutative) precede the action keyword.
+// @commutative) precede the action keyword, as does the @stage(n) of a
+// compiled program.
 type ActionDecl struct {
 	Pos         Pos
 	Annotations []string
+	Stages      []int
 	Name        string
 	Params      []Param
 	IndexParam  string // "" when the action is not indexed
@@ -112,6 +116,7 @@ type ActionDecl struct {
 // memory and invoke actions.
 type TableDecl struct {
 	Pos     Pos
+	Stages  []int // @stage(n) of a compiled program
 	Name    string
 	Keys    []Expr
 	Actions []string
@@ -246,10 +251,13 @@ type Seg struct {
 }
 
 // Ref is a possibly-indexed path reference: hdr.ipv4.src,
-// meta.count[i], cms[i][meta.index[i]].
+// meta.count[i], cms[i][meta.index[i]]. Resolve sets Reg or Field on a
+// reference it resolves to a register or a struct field.
 type Ref struct {
-	Pos  Pos
-	Segs []Seg
+	Pos   Pos
+	Segs  []Seg
+	Reg   *Register
+	Field *MetaField
 }
 
 // Binary is a binary operation; Op is one of the operator token kinds.

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -146,6 +147,51 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// compiledSource is in the dialect the compiler emits: @stage
+// annotations and P4_16's register<bit<W>>(N).
+const compiledSource = `
+header pkt { bit<32> flow; }
+struct meta { bit<32> index_0; }
+@stage(0,3) register<bit<16>>(1024) cms_0;
+@stage(1)
+@commutative
+action incr_0() {
+    meta.index_0 = hash(pkt.flow, 0) % 1024;
+    cms_0[meta.index_0] = cms_0[meta.index_0] + 1;
+}
+action set_port() { meta.index_0 = 1; }
+@stage(2) table fwd { key = { pkt.flow; } actions = { set_port; } size = 16; }
+control main { apply { incr_0(); fwd.apply(); } }
+`
+
+func TestParseCompiledDialect(t *testing.T) {
+	u, err := ParseAndResolve(compiledSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := u.RegisterByName("cms_0")
+	if reg.Width != 16 || reg.Cells.Const != 1024 || reg.Count.Const != 1 || !slices.Equal(reg.Decl.Stages, []int{0, 3}) {
+		t.Errorf("register cms_0: width %d, %s cells, %s instances, stages %v", reg.Width, reg.Cells, reg.Count, reg.Decl.Stages)
+	}
+	if a := u.ActionByName("incr_0"); !a.Commutative || !slices.Equal(a.Decl.Stages, []int{1}) {
+		t.Errorf("action incr_0: commutative %v, stages %v", a.Commutative, a.Decl.Stages)
+	}
+	if a := u.ActionByName("set_port"); a.Decl.Stages != nil {
+		t.Errorf("unannotated action set_port has stages %v", a.Decl.Stages)
+	}
+	if got := u.Tables[0].Decl.Stages; !slices.Equal(got, []int{2}) {
+		t.Errorf("table fwd: stages %v", got)
+	}
+	printed := Print(u.Prog)
+	prog, err := Parse(printed)
+	if err != nil {
+		t.Fatalf("reparse of printed source failed: %v\n%s", err, printed)
+	}
+	if again := Print(prog); again != printed {
+		t.Errorf("print/parse/print not a fixed point:\n--- first\n%s\n--- second\n%s", printed, again)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct{ name, src, want string }{
 		{"missing semi", "symbolic int x", "expected ;"},
@@ -157,6 +203,9 @@ func TestParseErrors(t *testing.T) {
 		{"indexed apply", "control c { apply { x[1].apply(); } }", "apply target cannot be indexed"},
 		{"bad table prop", "table t { banana = 3; }", "unknown table property"},
 		{"if missing paren", "control c { apply { if x { } } }", "expected ("},
+		{"stage on struct", "@stage(1) struct s { }", "@stage may only precede"},
+		{"empty stage list", "@stage() action a() { }", "expected integer"},
+		{"register both forms", "register<bit<8>>(4)[2] r;", "expected identifier"},
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.src)

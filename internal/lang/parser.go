@@ -79,16 +79,26 @@ func (p *Parser) parseProgram() (*Program, error) {
 
 func (p *Parser) parseDecl() (Decl, error) {
 	var annotations []string
+	var stages []int
 	for p.at(AT) {
 		p.advance()
 		id, err := p.expect(IDENT)
 		if err != nil {
 			return nil, err
 		}
-		annotations = append(annotations, id.Text)
+		if id.Text != "stage" || !p.at(LPAREN) {
+			annotations = append(annotations, id.Text)
+			continue
+		}
+		if stages, err = p.parseStages(); err != nil {
+			return nil, err
+		}
 	}
 	if len(annotations) > 0 && !p.at(KwAction) {
 		return nil, errf(p.cur().Pos, "annotations may only precede action declarations")
+	}
+	if stages != nil && !p.at(KwAction) && !p.at(KwRegister) && !p.at(KwTable) {
+		return nil, errf(p.cur().Pos, "@stage may only precede register, table, and action declarations")
 	}
 	switch p.cur().Kind {
 	case KwSymbolic:
@@ -102,16 +112,40 @@ func (p *Parser) parseDecl() (Decl, error) {
 	case KwStruct, KwHeader:
 		return p.parseStruct()
 	case KwRegister:
-		return p.parseRegister()
+		return p.parseRegister(stages)
 	case KwAction:
-		return p.parseAction(annotations)
+		return p.parseAction(annotations, stages)
 	case KwControl:
 		return p.parseControl()
 	case KwTable:
-		return p.parseTable()
+		return p.parseTable(stages)
 	default:
 		return nil, errf(p.cur().Pos, "expected declaration, found %s", p.cur())
 	}
+}
+
+// parseStages parses the argument list of @stage: "(n)" or "(n,m,…)".
+func (p *Parser) parseStages() ([]int, error) {
+	p.advance() // (
+	stages := []int{}
+	for {
+		tok, err := p.expect(INT)
+		if err != nil {
+			return nil, err
+		}
+		n, ok := parseIntLit(tok.Text)
+		if !ok {
+			return nil, errf(tok.Pos, "invalid stage %q", tok.Text)
+		}
+		stages = append(stages, int(n))
+		if !p.accept(COMMA) {
+			break
+		}
+	}
+	if _, err := p.expect(RPAREN); err != nil {
+		return nil, err
+	}
+	return stages, nil
 }
 
 func (p *Parser) parseSymbolic() (Decl, error) {
@@ -222,12 +256,8 @@ func (p *Parser) parseStruct() (Decl, error) {
 			return nil, err
 		}
 		var count Expr
-		if p.accept(LBRACKET) {
-			count, err = p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(RBRACKET); err != nil {
+		if p.at(LBRACKET) {
+			if count, err = p.parseExtent(); err != nil {
 				return nil, err
 			}
 		}
@@ -244,7 +274,7 @@ func (p *Parser) parseStruct() (Decl, error) {
 	return d, nil
 }
 
-func (p *Parser) parseRegister() (Decl, error) {
+func (p *Parser) parseRegister(stages []int) (Decl, error) {
 	pos := p.next().Pos // register
 	if _, err := p.expect(LT); err != nil {
 		return nil, err
@@ -256,23 +286,19 @@ func (p *Parser) parseRegister() (Decl, error) {
 	if _, err := p.expect(GT); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(LBRACKET); err != nil {
-		return nil, err
-	}
-	cells, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(RBRACKET); err != nil {
-		return nil, err
-	}
-	var count Expr
-	if p.accept(LBRACKET) {
-		count, err = p.parseExpr()
-		if err != nil {
+	d := &RegisterDecl{Pos: pos, Stages: stages, Elem: elem}
+	if p.accept(LPAREN) {
+		// P4_16's register<bit<W>>(N): one array of N cells.
+		if d.Cells, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RBRACKET); err != nil {
+		if _, err := p.expect(RPAREN); err != nil {
+			return nil, err
+		}
+	} else if d.Cells, err = p.parseExtent(); err != nil {
+		return nil, err
+	} else if p.at(LBRACKET) {
+		if d.Count, err = p.parseExtent(); err != nil {
 			return nil, err
 		}
 	}
@@ -283,7 +309,23 @@ func (p *Parser) parseRegister() (Decl, error) {
 	if _, err := p.expect(SEMI); err != nil {
 		return nil, err
 	}
-	return &RegisterDecl{Pos: pos, Elem: elem, Cells: cells, Count: count, Name: id.Text}, nil
+	d.Name = id.Text
+	return d, nil
+}
+
+// parseExtent parses a bracketed extent "[expr]".
+func (p *Parser) parseExtent() (Expr, error) {
+	if _, err := p.expect(LBRACKET); err != nil {
+		return nil, err
+	}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(RBRACKET); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 func (p *Parser) parseParams() ([]Param, error) {
@@ -312,7 +354,7 @@ func (p *Parser) parseParams() ([]Param, error) {
 	return params, nil
 }
 
-func (p *Parser) parseAction(annotations []string) (Decl, error) {
+func (p *Parser) parseAction(annotations []string, stages []int) (Decl, error) {
 	pos := p.next().Pos // action
 	id, err := p.expect(IDENT)
 	if err != nil {
@@ -340,7 +382,7 @@ func (p *Parser) parseAction(annotations []string) (Decl, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ActionDecl{Pos: pos, Annotations: annotations, Name: id.Text, Params: params, IndexParam: index, Body: body}, nil
+	return &ActionDecl{Pos: pos, Annotations: annotations, Stages: stages, Name: id.Text, Params: params, IndexParam: index, Body: body}, nil
 }
 
 func (p *Parser) parseControl() (Decl, error) {
@@ -390,7 +432,7 @@ func (p *Parser) parseControl() (Decl, error) {
 	return d, nil
 }
 
-func (p *Parser) parseTable() (Decl, error) {
+func (p *Parser) parseTable(stages []int) (Decl, error) {
 	pos := p.next().Pos // table
 	id, err := p.expect(IDENT)
 	if err != nil {
@@ -399,7 +441,7 @@ func (p *Parser) parseTable() (Decl, error) {
 	if _, err := p.expect(LBRACE); err != nil {
 		return nil, err
 	}
-	d := &TableDecl{Pos: pos, Name: id.Text}
+	d := &TableDecl{Pos: pos, Stages: stages, Name: id.Text}
 	for !p.at(RBRACE) {
 		prop, err := p.expect(IDENT)
 		if err != nil {

@@ -45,6 +45,18 @@ func (pr *printer) line(format string, args ...interface{}) {
 	pr.nl()
 }
 
+// stages prints a compiled declaration's @stage annotation, if any.
+func (pr *printer) stages(stages []int) {
+	if stages == nil {
+		return
+	}
+	parts := make([]string, len(stages))
+	for i, s := range stages {
+		parts[i] = itoa(s)
+	}
+	pr.line("@stage(%s)", strings.Join(parts, ","))
+}
+
 func (pr *printer) decl(d Decl) {
 	switch d := d.(type) {
 	case *SymbolicDecl:
@@ -72,6 +84,7 @@ func (pr *printer) decl(d Decl) {
 		pr.depth--
 		pr.line("}")
 	case *RegisterDecl:
+		pr.stages(d.Stages)
 		if d.Count != nil {
 			pr.line("register<%s>[%s][%s] %s;", d.Elem, PrintExpr(d.Cells), PrintExpr(d.Count), d.Name)
 		} else {
@@ -81,6 +94,7 @@ func (pr *printer) decl(d Decl) {
 		for _, a := range d.Annotations {
 			pr.line("@%s", a)
 		}
+		pr.stages(d.Stages)
 		idx := ""
 		if d.IndexParam != "" {
 			idx = fmt.Sprintf("[int %s]", d.IndexParam)
@@ -90,6 +104,7 @@ func (pr *printer) decl(d Decl) {
 		pr.block(d.Body)
 		pr.nl()
 	case *TableDecl:
+		pr.stages(d.Stages)
 		pr.line("table %s {", d.Name)
 		pr.depth++
 		if len(d.Keys) > 0 {

@@ -482,6 +482,7 @@ func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) (refKind, error) 
 			}
 		}
 		ba.recordReg(acc)
+		ref.Reg = reg
 		return refRegister, nil
 	}
 
@@ -499,7 +500,7 @@ func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) (refKind, error) 
 			return 0, errf(ref.Pos, "struct %s has no field %s", base, fseg.Name)
 		}
 		acc := MetaAccess{Field: f, Class: IdxScalar, Write: write, Commutative: commutative}
-		elastic := f.Count.IsSymbolic() || f.Count.Const > 1
+		elastic := f.Elastic()
 		switch {
 		case elastic && len(fseg.Indexes) == 1:
 			cls, cidx, err := ba.instanceIndex(fseg.Indexes[0], f.Qual())
@@ -513,11 +514,8 @@ func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) (refKind, error) 
 		case len(fseg.Indexes) != 0:
 			return 0, errf(ref.Pos, "scalar field %s cannot be indexed", f.Qual())
 		}
-		if write && f.Header && !si.IsHeader {
-			// unreachable; kept for clarity
-			_ = f
-		}
 		a.Meta = append(a.Meta, acc)
+		ref.Field = f
 		kind := refMeta
 		if si.IsHeader {
 			kind = refHeader

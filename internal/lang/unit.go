@@ -50,6 +50,10 @@ type MetaField struct {
 // Qual returns the qualified field name "struct.field".
 func (f *MetaField) Qual() string { return f.Struct + "." + f.Name }
 
+// Elastic reports whether the field has instances, each accessed by
+// index: a symbolic extent, or a constant one above one.
+func (f *MetaField) Elastic() bool { return f.Count.IsSymbolic() || f.Count.Const > 1 }
+
 // StructInfo is a resolved struct or header declaration.
 type StructInfo struct {
 	Name     string

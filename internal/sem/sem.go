@@ -1,9 +1,10 @@
 // Package sem is the one evaluator of P4All action bodies. The
-// reference interpreter (internal/sim, over uint64 values) and the
-// translation validator's source side (internal/tv, over symbolic
-// nodes) both run its walker, so the certificate proves the emitted
-// program against the semantics the interpreter executes, and the
-// interpreter is the oracle the VM is held to.
+// reference interpreter (internal/sim, over uint64 values) and both
+// sides of the translation validator (internal/tv, over symbolic nodes:
+// the elastic source and the emitted text, parsed back) run its walker,
+// so the certificate proves the emitted program against the semantics
+// the interpreter executes, and the interpreter is the oracle the VM is
+// held to.
 //
 // The walker fixes everything the two share: the schedule of action
 // instances, guard order, statement and expression order, short-circuit
@@ -82,19 +83,17 @@ func (s *Step) Name(u *lang.Unit, syms map[string]int64, name string) (uint64, b
 }
 
 // Field is one resolved header or metadata field access: the declared
-// field, whether its struct is a header, and for an elastic field the
-// instance (Idx is 0 for a scalar field).
+// field (Header says whether its struct is a header) and, for an
+// elastic field, the instance (Idx is 0 for a scalar field).
 type Field struct {
 	*lang.MetaField
-	Header  bool
-	Elastic bool
-	Idx     uint64
+	Idx uint64
 }
 
 // Key is the field's storage and output key: "struct.field", or
 // "struct.field@idx" for an elastic instance.
 func (f Field) Key() string {
-	if f.Elastic {
+	if f.Elastic() {
 		return InstKey(f.Qual(), f.Idx)
 	}
 	return f.Qual()
@@ -276,26 +275,42 @@ func (w *walker[V, D]) expr(e lang.Expr) (V, int, error) {
 	return zero, 0, w.d.Abort(fmt.Sprintf("unsupported expression %T", e))
 }
 
+// bound returns the register or the field a reference names: the one
+// the resolver bound it to, else (a body the resolver never saw) the
+// one its name looks up.
+func (w *walker[V, D]) bound(ref *lang.Ref) (*lang.Register, *lang.MetaField) {
+	if ref.Reg != nil || ref.Field != nil {
+		return ref.Reg, ref.Field
+	}
+	if reg := w.u.RegisterByName(ref.Base()); reg != nil {
+		return reg, nil
+	}
+	if si := w.u.StructByName(ref.Base()); si != nil && len(ref.Segs) == 2 {
+		return nil, si.Field(ref.Segs[1].Name)
+	}
+	return nil, nil
+}
+
 // load reads a reference and reports the declared width of what it
 // read (0 for compile-time names).
 func (w *walker[V, D]) load(ref *lang.Ref) (V, int, error) {
 	var zero V
-	base := ref.Base()
 	if ref.IsSimpleIdent() {
-		if v, ok := w.s.Name(w.u, w.syms, base); ok {
+		if v, ok := w.s.Name(w.u, w.syms, ref.Base()); ok {
 			return w.d.Const(v), 0, nil
 		}
-		return zero, 0, w.d.Abort("unknown name " + base)
+		return zero, 0, w.d.Abort("unknown name " + ref.Base())
 	}
-	if reg := w.u.RegisterByName(base); reg != nil {
+	reg, mf := w.bound(ref)
+	if reg != nil {
 		inst, cell, err := w.register(ref, reg)
 		if err != nil {
 			return zero, 0, err
 		}
-		return w.d.RegRead(base, inst, cell, reg.Width), reg.Width, nil
+		return w.d.RegRead(reg.Name, inst, cell, reg.Width), reg.Width, nil
 	}
-	if si := w.u.StructByName(base); si != nil && len(ref.Segs) == 2 {
-		f, err := w.field(ref, si)
+	if mf != nil {
+		f, err := w.field(ref, mf)
 		if err != nil {
 			return zero, 0, err
 		}
@@ -305,17 +320,17 @@ func (w *walker[V, D]) load(ref *lang.Ref) (V, int, error) {
 }
 
 func (w *walker[V, D]) assign(ref *lang.Ref, v V) error {
-	base := ref.Base()
-	if reg := w.u.RegisterByName(base); reg != nil {
+	reg, mf := w.bound(ref)
+	if reg != nil {
 		inst, cell, err := w.register(ref, reg)
 		if err != nil {
 			return err
 		}
-		w.d.RegWrite(base, inst, cell, v, reg.Width)
+		w.d.RegWrite(reg.Name, inst, cell, v, reg.Width)
 		return nil
 	}
-	if si := w.u.StructByName(base); si != nil && len(ref.Segs) == 2 {
-		f, err := w.field(ref, si)
+	if mf != nil {
+		f, err := w.field(ref, mf)
 		if err != nil {
 			return err
 		}
@@ -346,13 +361,9 @@ func (w *walker[V, D]) register(ref *lang.Ref, reg *lang.Register) (int64, V, er
 
 // field resolves a struct field reference, an elastic field's instance
 // included.
-func (w *walker[V, D]) field(ref *lang.Ref, si *lang.StructInfo) (Field, error) {
-	f := si.Field(ref.Segs[1].Name)
-	if f == nil {
-		return Field{}, w.d.Abort("unknown field " + lang.PrintExpr(ref))
-	}
-	fl := Field{MetaField: f, Header: si.IsHeader}
-	if f.Count.IsSymbolic() || f.Count.Const > 1 {
+func (w *walker[V, D]) field(ref *lang.Ref, f *lang.MetaField) (Field, error) {
+	fl := Field{MetaField: f}
+	if f.Elastic() {
 		idx := ref.Segs[1].Indexes
 		if len(idx) != 1 {
 			return Field{}, w.d.Abort("elastic field " + f.Qual() + " needs one index")
@@ -361,7 +372,7 @@ func (w *walker[V, D]) field(ref *lang.Ref, si *lang.StructInfo) (Field, error) 
 		if err != nil {
 			return Field{}, err
 		}
-		fl.Elastic, fl.Idx = true, i
+		fl.Idx = i
 	}
 	return fl, nil
 }

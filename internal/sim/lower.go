@@ -103,6 +103,7 @@ func (lo *vmLowerer) slotFor(key string, header bool) int32 {
 	if header {
 		lo.pr.hdrKeys = append(lo.pr.hdrKeys, key)
 		lo.pr.hdrSlots = append(lo.pr.hdrSlots, slot)
+		lo.pr.hdrMasks = append(lo.pr.hdrMasks, lo.p.inputMask(key))
 	}
 	return slot
 }
@@ -272,7 +273,7 @@ func (ctx *vmStepCtx) fieldRef(ref *lang.Ref) (vmField, error) {
 		return vmField{}, fmt.Errorf("vm: unknown field %s", lang.PrintExpr(ref))
 	}
 	key, cost := f.Qual(), 0
-	if f.Count.IsSymbolic() || f.Count.Const > 1 {
+	if f.Elastic() {
 		fseg := ref.Segs[1]
 		if len(fseg.Indexes) != 1 {
 			return vmField{}, fmt.Errorf("vm: elastic field %s needs one index", key)

@@ -79,7 +79,8 @@ func (v View) Get(name string) (uint64, bool) {
 			return v.vf.vals[i], true
 		}
 	}
-	return v.vf.pkt[v.lane].Get(name)
+	val, ok := v.vf.pkt[v.lane].Get(name)
+	return val & v.vm.p.inputMask(name), ok
 }
 
 // Map materializes the view as the map Process would have returned

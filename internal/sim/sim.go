@@ -85,8 +85,11 @@ type Pipeline struct {
 	// hdr is the per-packet header view: a defensive copy of the
 	// caller's Packet that header-field writes land in, so Process
 	// never mutates its argument (reset per packet).
-	hdr   map[string]uint64
-	stats Stats
+	hdr map[string]uint64
+	// hdrMask is each declared header field's width mask: a packet's
+	// value enters the pipeline cut to the field's declared width.
+	hdrMask map[string]uint64
+	stats   Stats
 	// vm is the lowered bytecode program (nil when the interpreter runs
 	// — requested explicitly, or because lowering fell back; vmErr
 	// records why). vmf is its reusable struct-of-arrays batch frame.
@@ -109,12 +112,27 @@ func New(u *lang.Unit, layout *ilpgen.Layout) (*Pipeline, error) {
 // observable behavior.
 func NewEngine(u *lang.Unit, layout *ilpgen.Layout, eng Engine) (*Pipeline, error) {
 	p := &Pipeline{
-		unit:   u,
-		layout: layout,
-		regs:   make(map[string][][]uint64),
-		meta:   make(map[string]uint64),
-		hdr:    make(map[string]uint64),
-		stats:  Stats{ALUOps: make([]uint64, len(layout.Stages))},
+		unit:    u,
+		layout:  layout,
+		regs:    make(map[string][][]uint64),
+		meta:    make(map[string]uint64),
+		hdr:     make(map[string]uint64),
+		hdrMask: make(map[string]uint64),
+		stats:   Stats{ALUOps: make([]uint64, len(layout.Stages))},
+	}
+	for _, si := range u.Structs {
+		if !si.IsHeader {
+			continue
+		}
+		for _, f := range si.Fields {
+			if !f.Elastic() {
+				p.hdrMask[f.Qual()] = sem.WidthMask(f.Width)
+				continue
+			}
+			for i := range f.Count.Const { // a header's extent is never symbolic
+				p.hdrMask[sem.InstKey(f.Qual(), uint64(i))] = sem.WidthMask(f.Width)
+			}
+		}
 	}
 	// Allocate register storage from the layout.
 	counts := map[string]int{}
@@ -213,7 +231,7 @@ func (p *Pipeline) Process(pkt Packet) (map[string]uint64, error) {
 	}
 	for _, f := range pkt {
 		if _, dup := p.hdr[f.Name]; !dup {
-			p.hdr[f.Name] = f.Value
+			p.hdr[f.Name] = f.Value & p.inputMask(f.Name)
 		}
 	}
 	for i := range p.steps {
@@ -230,6 +248,15 @@ func (p *Pipeline) Process(pkt Packet) (map[string]uint64, error) {
 		out[k] = v
 	}
 	return out, nil
+}
+
+// inputMask is the mask a packet's field enters the pipeline under: its
+// declared width for a header field, every bit for any other name.
+func (p *Pipeline) inputMask(name string) uint64 {
+	if m, ok := p.hdrMask[name]; ok {
+		return m
+	}
+	return ^uint64(0)
 }
 
 // Meta reads a metadata field after Process ("struct.field" for
@@ -306,9 +333,8 @@ func (d interp) RegWrite(name string, inst int64, cell, v uint64, width int) {
 	d.p.stats.RegWrites++
 }
 
-// FieldRead reads a header field masked to its width (the packet may
-// carry a wider value), a metadata field as written; absent fields are
-// zero.
+// FieldRead reads a header field masked to its width, a metadata field
+// as written; absent fields are zero.
 func (d interp) FieldRead(f sem.Field) uint64 {
 	if f.Header {
 		return sem.MaskTo(d.p.hdr[f.Key()], f.Width)

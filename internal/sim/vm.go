@@ -174,15 +174,17 @@ type vmInst struct {
 // vmProg is a lowered program: the instruction stream, the field
 // interning tables (slotKeys maps a slot back to its flattened key, in
 // interning order; output assembly walks it), the header fields load
-// seeds from each packet (hdrKeys[j] lives in slot hdrSlots[j]; meta
-// slots start absent every packet) and the batch execution segments
-// derived from register hazard analysis (see batch.go).
+// seeds from each packet (hdrKeys[j] lives in slot hdrSlots[j], cut to
+// hdrMasks[j]; meta slots start absent every packet) and the batch
+// execution segments derived from register hazard analysis (see
+// batch.go).
 type vmProg struct {
 	p         *Pipeline
 	fieldSlot map[string]int32
 	slotKeys  []string
 	hdrKeys   []string
 	hdrSlots  []int32
+	hdrMasks  []uint64
 	code      []vmInst
 	segs      []vmSeg
 	nreg      int // distinct register instances the program touches
@@ -402,12 +404,13 @@ func (pl *vmProg) takeErr(fr *vmFrame) error {
 }
 
 // load seeds one lane from pkt: one lookup per header field the
-// program touches. The lane keeps pkt for every other field.
+// program touches, its value cut to the field's declared width. The
+// lane keeps pkt for every other field.
 func (pl *vmProg) load(fr *vmFrame, lane int, pkt Packet) {
 	fr.pkt[lane] = pkt
 	for j, k := range pl.hdrKeys {
 		if v, ok := pkt.Get(k); ok {
-			fr.st(pl.hdrSlots[j], lane, v)
+			fr.st(pl.hdrSlots[j], lane, v&pl.hdrMasks[j])
 		}
 	}
 }
@@ -452,7 +455,7 @@ func (pl *vmProg) output(fr *vmFrame, lane int) map[string]uint64 {
 	}
 	for _, f := range pkt {
 		if _, ok := out[f.Name]; !ok {
-			out[f.Name] = f.Value
+			out[f.Name] = f.Value & pl.p.inputMask(f.Name)
 		}
 	}
 	return out

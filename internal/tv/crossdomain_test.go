@@ -6,9 +6,13 @@ import (
 	"testing"
 
 	"p4all/internal/apps"
+	"p4all/internal/codegen"
+	"p4all/internal/lang"
 	"p4all/internal/modules"
 	"p4all/internal/pisa"
+	"p4all/internal/sem"
 	"p4all/internal/sim"
+	"p4all/internal/structures"
 )
 
 // TestSourceSideMatchesInterpreter runs the shared walker in both of
@@ -21,7 +25,9 @@ import (
 // constant folding, interval pruning, storage) compute the same thing.
 // Besides the shipped programs it runs narrowStore, whose register is
 // narrower than the value stored in it, so the register-width mask is
-// held to the interpreter's too.
+// held to the interpreter's too. The interpreter is fed 64-bit header
+// values: both sides must cut each to its field's declared width where
+// it enters.
 func TestSourceSideMatchesInterpreter(t *testing.T) {
 	progs := [][2]string{
 		{"NarrowStore", narrowStore},
@@ -44,31 +50,28 @@ func TestSourceSideMatchesInterpreter(t *testing.T) {
 		}
 		compiled++
 		t.Run(p[0], func(t *testing.T) {
-			m, fail := newMachine(u, layout, prog, 1<<16, 1<<18)
+			m, fail := newMachine(u, layout, codegen.Render(prog), 1<<16, 1<<18)
 			if fail != nil {
 				t.Fatalf("setup: %s: %s", fail.Kind, fail.Detail)
 			}
 			m.concrete = true
-			var headers []string
+			var headers []*lang.MetaField
 			for _, si := range u.Structs {
 				if si.IsHeader {
-					for _, f := range si.Fields {
-						headers = append(headers, f.Qual())
-					}
+					headers = append(headers, si.Fields...)
 				}
 			}
 			for trial := uint64(1); trial <= 16; trial++ {
 				m.trial = trial
 				m.beginRun()
-				if err := m.runSource(); err != nil {
+				if err := m.run(&m.srcEv); err != nil {
 					t.Fatalf("trial %d: source side: %v", trial, err)
 				}
 				pkt := make(sim.Packet, 0, len(headers))
 				want := make(map[string]uint64, len(headers))
 				for _, h := range headers {
-					v := concreteInput(h, trial)
-					pkt = append(pkt, sim.Field{Name: h, Value: v})
-					want[h] = v
+					pkt = append(pkt, sim.Field{Name: h.Qual(), Value: structures.Hash(fnv1a(h.Qual()), trial)})
+					want[h.Qual()] = concreteInput(h.Qual(), h.Width, trial)
 				}
 				pipe, err := sim.NewEngine(u, layout, sim.EngineInterp)
 				if err != nil {
@@ -87,6 +90,11 @@ func TestSourceSideMatchesInterpreter(t *testing.T) {
 					}
 					if !maps.Equal(out, want) {
 						t.Fatalf("trial %d: interpreter outputs %v, source side %v", trial, out, want)
+					}
+					for _, h := range headers {
+						if lim := sem.WidthMask(h.Width); out[h.Qual()] > lim || want[h.Qual()] > lim {
+							t.Fatalf("trial %d: bit<%d> field %s is %d in the interpreter, %d on the source side", trial, h.Width, h.Qual(), out[h.Qual()], want[h.Qual()])
+						}
 					}
 				}
 				for i, r := range m.regs {

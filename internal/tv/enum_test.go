@@ -70,7 +70,7 @@ func replayFromRoot(m *machine, samples int) *equivResult {
 func agreeWithReplay(t *testing.T, u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, pathBudget, decisionBudget int) *equivResult {
 	t.Helper()
 	enum := func(run func(*machine, int) *equivResult) *equivResult {
-		m, fail := newMachine(u, layout, prog, pathBudget, decisionBudget)
+		m, fail := newMachine(u, layout, codegen.Render(prog), pathBudget, decisionBudget)
 		if fail != nil {
 			return nil
 		}
@@ -142,12 +142,7 @@ var mutants = []struct {
 		return l
 	}},
 	{"swapped-apply-stage", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
-		for k := 1; k < len(prog.Apply); k++ {
-			if prog.Apply[k].Stage != prog.Apply[0].Stage {
-				prog.Apply[0].Stage, prog.Apply[k].Stage = prog.Apply[k].Stage, prog.Apply[0].Stage
-				break
-			}
-		}
+		swapActionStages(prog)
 		return l
 	}},
 	{"restaged-action", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
@@ -165,28 +160,11 @@ var mutants = []struct {
 		return l
 	}},
 	{"narrowed-width", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
-		var narrow func(e codegen.CExpr)
-		narrow = func(e codegen.CExpr) {
-			switch e := e.(type) {
-			case *codegen.CRegRef:
-				e.Width /= 2
-			case *codegen.CBinary:
-				narrow(e.X)
-				narrow(e.Y)
-			case *codegen.CUnary:
-				narrow(e.X)
-			case *codegen.CCall:
-				for _, a := range e.Args {
-					narrow(a)
-				}
-			}
-		}
-		for _, s := range firstArith(t, prog).Body {
-			if asg, ok := s.(*codegen.CAssign); ok {
-				narrow(asg.LHS)
-				narrow(asg.RHS)
-			}
-		}
+		prog.Registers[0].Width /= 2
+		return l
+	}},
+	{"narrowed-fields", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
+		narrowFields(prog)
 		return l
 	}},
 	{"dropped-apply-step", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {

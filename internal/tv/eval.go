@@ -2,6 +2,7 @@ package tv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"p4all/internal/codegen"
@@ -14,19 +15,19 @@ import (
 
 // This file implements the equivalence half of the validator: a
 // bounded symbolic execution of (a) the elastic source under the solved
-// symbolic assignment and (b) the emitted concrete program, both over a
-// shared symbolic packet and register file, both walking the layout's
-// canonical schedule (sem.Schedule): placed instances in (stage,
-// program order of the action's first invocation, iteration) order,
-// the step list internal/sim executes. The source side is the walker of
-// internal/sem, the one evaluator the reference interpreter also runs,
-// instantiated over symbolic nodes: evalCtx is its domain. The target
-// side takes guards from the apply block and bodies from the emitted
-// actions, with the apply block reconciled against the schedule entry
-// by entry at setup (a dropped or reordered apply step is an obligation
-// before any path runs). The legality of the schedule itself, that the
-// solver's reordering of the program respects every dependency, is the
-// audit's job (Prec/Excl re-derivation).
+// symbolic assignment and (b) the emitted P4 text, parsed back, both
+// over a shared symbolic packet and register file, both walking the
+// layout's canonical schedule (sem.Schedule): placed instances in
+// (stage, program order of the action's first invocation, iteration)
+// order, the step list internal/sim executes. Both sides run the walker
+// of internal/sem, the one evaluator the reference interpreter also
+// runs, over symbolic nodes: evalCtx is its domain. The target side
+// takes guards, bodies and widths from the text, whose apply block,
+// @stage annotations and register declarations are checked against the
+// layout at setup (a dropped, reordered or restaged step is an
+// obligation before any path runs). The legality of the schedule
+// itself, that the solver's reordering of the program respects every
+// dependency, is the audit's job (Prec/Excl re-derivation).
 //
 // Per path it discharges header-output, metadata-output,
 // register-state, Stats-counter, and abort-behavior equivalence. The
@@ -34,13 +35,6 @@ import (
 // symbolic condition forks the path enumeration, a zero divisor aborts,
 // and a dynamic instance index, which the interpreter evaluates at run
 // time but the emitted program cannot express, is an obligation.
-
-// sv is a symbolic value of the emitted program with the bit width it
-// wraps at, as the shared walker tracks widths on the source side.
-type sv struct {
-	n *node
-	w int
-}
 
 // regKey identifies one register array instance.
 type regKey struct {
@@ -65,8 +59,9 @@ type fieldSlot struct {
 // regSlot is one materialized register array instance.
 type regSlot struct {
 	regKey
-	cells int64
-	init  *node // opaque initial contents, interned on first use
+	cells  int64
+	stages []int
+	init   *node // opaque initial contents, interned on first use
 }
 
 // entry is one slot of a pathState. It holds a value only while stamp
@@ -194,45 +189,47 @@ type decision struct {
 	n    *node
 }
 
-// tvStep is one slot of the canonical execution schedule, shared by the
-// source and target walks.
+// tvStep is one slot of the canonical execution schedule: the source
+// step and the text's step that runs in its place.
 type tvStep struct {
 	sem.Step
-	caction *codegen.CAction // emitted body (nil: missing from the program)
-	// hasApply marks steps with their own apply-block entry; guards are
-	// that entry's conditions. Table-dispatched actions have no apply
-	// entry — the target replays the invocation guards for them.
+	// tgt runs the text's action at its @stage. For an action with its
+	// own apply-block entry, tgt.Inv is that entry, guards and all; a
+	// table-dispatched action has none (the text leaves its guards to
+	// the table's match), so the target replays the source invocation's
+	// guards (hasApply false) before an unguarded tgt.
+	tgt      sem.Step
 	hasApply bool
-	guards   []codegen.CExpr
 }
 
 // machine drives the two-sided symbolic execution.
 type machine struct {
 	t      *symtab
 	u      *lang.Unit
+	tu     *lang.Unit // the emitted text, parsed
 	layout *ilpgen.Layout
-	prog   *codegen.Concrete
 
-	steps   []tvStep
-	actions map[string]*codegen.CAction
+	steps []tvStep
 
 	// Storage resolved to dense slots. Register slots are the layout's
-	// materialized instances; field slots are added on first access.
-	// fieldByName is their identity — two accesses share a slot exactly
-	// when they render the same storage key — and srcFields/tgtFields
-	// remember each access's slot so the key is rendered once. The
-	// target side's accesses are CFieldRef nodes, which pin their
-	// instance, so the node pointer identifies them.
+	// materialized instances, named by (register, instance) on the
+	// source and by their declaration in the text (tgtRegs); field
+	// slots are added on first access. fieldByName is their identity —
+	// two accesses share a slot exactly when they resolve to the same
+	// source storage key, a text field to the key of the source field
+	// instance it names (textKeys) — and fieldSlots remembers each
+	// access's slot so the key is resolved once.
 	regs        []regSlot
 	regByKey    map[regKey]int32
+	tgtRegs     map[string]int32
 	fields      []fieldSlot
 	fieldByName map[fieldName]int32
-	srcFields   map[sem.Field]int32
-	tgtFields   map[*codegen.CFieldRef]int32
+	fieldSlots  map[sem.Field]int32
+	textKeys    map[string]string
 
 	// The two execution sides, each with the walker domain that runs
-	// source-side code on it, and the run generation that stamps their
-	// live slots and the decisions recorded on nodes.
+	// its program (the source, the text) on it, and the run generation
+	// that stamps their live slots and the decisions recorded on nodes.
 	src, tgt     pathState
 	srcEv, tgtEv evalCtx
 	gen          uint64
@@ -260,17 +257,25 @@ type machine struct {
 	trial    uint64
 }
 
-func newMachine(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, pathBudget, decisionBudget int) (*machine, *failure) {
+// newMachine sets up the equivalence run of source u under layout
+// against the emitted text. A text that does not parse and resolve, or
+// whose declarations or apply block disagree with the layout, is a
+// failure before any path runs.
+func newMachine(u *lang.Unit, layout *ilpgen.Layout, text string, pathBudget, decisionBudget int) (*machine, *failure) {
+	tu, err := lang.ParseAndResolve(text)
+	if err != nil {
+		return nil, &failure{Kind: "unparsable-text", Detail: err.Error()}
+	}
 	m := &machine{
 		t:              newSymtab(),
 		u:              u,
+		tu:             tu,
 		layout:         layout,
-		prog:           prog,
-		actions:        make(map[string]*codegen.CAction, len(prog.Actions)),
 		regByKey:       make(map[regKey]int32, len(layout.Registers)),
+		tgtRegs:        make(map[string]int32, len(layout.Registers)),
 		fieldByName:    make(map[fieldName]int32),
-		srcFields:      make(map[sem.Field]int32),
-		tgtFields:      make(map[*codegen.CFieldRef]int32),
+		fieldSlots:     make(map[sem.Field]int32),
+		textKeys:       make(map[string]string),
 		pathBudget:     pathBudget,
 		decisionBudget: decisionBudget,
 	}
@@ -295,17 +300,18 @@ func newMachine(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, pat
 			return nil, &failure{Kind: "instance-unplaced", Detail: fmt.Sprintf("instance %s required by the assignment has no placement", name)}
 		}
 	}
-	for i := range prog.Actions {
-		m.actions[prog.Actions[i].Name] = &prog.Actions[i]
-	}
 	for _, rp := range layout.Registers {
 		k := regKey{rp.Register, int64(rp.Index)}
 		if slot, dup := m.regByKey[k]; dup {
-			m.regs[slot].cells = rp.Cells
+			m.regs[slot].cells, m.regs[slot].stages = rp.Cells, rp.Stages
 			continue
 		}
 		m.regByKey[k] = int32(len(m.regs))
-		m.regs = append(m.regs, regSlot{regKey: k, cells: rp.Cells})
+		m.tgtRegs[codegen.InstanceName(rp.Register, rp.Index)] = int32(len(m.regs))
+		m.regs = append(m.regs, regSlot{regKey: k, cells: rp.Cells, stages: rp.Stages})
+	}
+	if f := m.bindText(); f != nil {
+		return nil, f
 	}
 	if f := m.buildSteps(); f != nil {
 		return nil, f
@@ -319,12 +325,59 @@ func newMachine(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, pat
 	return m, nil
 }
 
+// bindText binds the text's declarations to the layout's storage: the
+// registers declared must be the materialized instances, under their
+// instance names, with the layout's cells and @stage lists; a field is
+// keyed as the source field instance it names (codegen.InstanceName).
+func (m *machine) bindText() *failure {
+	for _, tr := range m.tu.Registers {
+		slot, ok := m.tgtRegs[tr.Name]
+		if !ok {
+			return &failure{Kind: "declaration-mismatch", Detail: fmt.Sprintf("register %s is no instance of the layout", tr.Name)}
+		}
+		r := &m.regs[slot]
+		if tr.Decl.Count != nil || tr.Cells.Const != r.cells {
+			return &failure{Kind: "declaration-mismatch", Detail: fmt.Sprintf("register %s declares %s cells, the layout %d", tr.Name, lang.PrintExpr(tr.Decl.Cells), r.cells)}
+		}
+		if f := stageCheck("register "+tr.Name, tr.Decl.Stages, r.stages); f != nil {
+			return f
+		}
+	}
+	if len(m.tu.Registers) != len(m.tgtRegs) {
+		return &failure{Kind: "declaration-mismatch", Detail: fmt.Sprintf("%d registers declared, the layout materializes %d", len(m.tu.Registers), len(m.tgtRegs))}
+	}
+	for _, si := range m.u.Structs {
+		for _, f := range si.Fields {
+			if !f.Elastic() {
+				continue
+			}
+			n := f.Count.Const
+			if f.Count.IsSymbolic() {
+				n = m.layout.Symbolics[f.Count.Sym.Name]
+			}
+			for i := range n {
+				m.textKeys[si.Name+"."+codegen.InstanceName(f.Name, int(i))] = sem.InstKey(f.Qual(), uint64(i))
+			}
+		}
+	}
+	return nil
+}
+
+// stageCheck checks a declaration's @stage list against the layout's.
+func stageCheck(what string, got, want []int) *failure {
+	if slices.Equal(got, want) {
+		return nil
+	}
+	return &failure{Kind: "stage-mismatch", Detail: fmt.Sprintf("%s: @stage%v in the text, stages %v in the layout", what, got, want)}
+}
+
 // buildSteps takes the canonical schedule (sem.Schedule) and
-// reconciles the emitted apply block against it in lockstep: every
-// table match and every directly-invoked action must appear at its
-// scheduled position and stage, table-dispatched actions must be
-// absent, and nothing may trail. A dropped, reordered, or restaged
-// apply step is therefore an obligation before any path runs.
+// reconciles the text's apply block against it in lockstep: every
+// table apply and every directly-invoked action must appear at its
+// scheduled position, unguarded tables and actions at their scheduled
+// @stage, table-dispatched actions absent, and nothing may trail. A
+// dropped, reordered, or restaged apply step is therefore an
+// obligation before any path runs.
 func (m *machine) buildSteps() *failure {
 	tableOfMatch := make(map[string]*lang.TableInfo, len(m.u.Tables))
 	tableActions := make(map[string]bool)
@@ -334,11 +387,43 @@ func (m *machine) buildSteps() *failure {
 			tableActions[a.Name] = true
 		}
 	}
+	// The text's apply entries, each named as the schedule names it. A
+	// table apply linearizes as its match and then its actions.
+	textTables := make(map[*lang.Action]*lang.TableInfo, len(m.tu.Tables))
+	for _, tbl := range m.tu.Tables {
+		textTables[tbl.Match] = tbl
+	}
+	var applies []*lang.Invocation
+	var names []string
+	for i := 0; i < len(m.tu.Invocations); i++ {
+		inv := m.tu.Invocations[i]
+		name := "action " + inv.Action.Name
+		if tbl := textTables[inv.Action]; tbl != nil {
+			name = "table " + tbl.Name
+			if len(inv.Guards) > 0 {
+				name = "guarded " + name
+			}
+			i += len(tbl.Actions)
+		}
+		applies, names = append(applies, inv), append(names, name)
+	}
+	expect := func(i int, want string) *failure {
+		if i >= len(names) {
+			return &failure{Kind: "apply-mismatch", Detail: fmt.Sprintf("apply step %d: expected %s, apply block ends early", i, want)}
+		}
+		if names[i] != want {
+			return &failure{Kind: "apply-mismatch", Detail: fmt.Sprintf("apply step %d: expected %s, found %s", i, want, names[i])}
+		}
+		return nil
+	}
 	order, steps := sem.Schedule(m.u, m.layout)
 	applyIdx, next := 0, 0
 	for i, pl := range order {
 		if tbl, ok := tableOfMatch[pl.Action]; ok {
-			if f := m.expectApply(applyIdx, tbl.Name, "", pl.Stage); f != nil {
+			if f := expect(applyIdx, "table "+tbl.Name); f != nil {
+				return f
+			}
+			if f := stageCheck("table "+tbl.Name, textTables[applies[applyIdx].Action].Decl.Stages, []int{pl.Stage}); f != nil {
 				return f
 			}
 			applyIdx++
@@ -348,47 +433,32 @@ func (m *machine) buildSteps() *failure {
 			continue // no body
 		}
 		name := codegen.InstanceName(pl.Action, pl.Iter)
-		s := tvStep{Step: steps[next], caction: m.actions[name]}
+		act := m.tu.ActionByName(name)
+		if act == nil {
+			return &failure{Kind: "unknown-action", Detail: "emitted program lacks action " + name}
+		}
+		if f := stageCheck("action "+name, act.Decl.Stages, []int{pl.Stage}); f != nil {
+			return f
+		}
+		s := tvStep{Step: steps[next], tgt: sem.Step{Inv: &lang.Invocation{Action: act}, Stage: act.Decl.Stages[0]}}
 		next++
 		if !tableActions[pl.Action] {
-			if f := m.expectApply(applyIdx, "", name, pl.Stage); f != nil {
+			if f := expect(applyIdx, "action "+name); f != nil {
 				return f
 			}
 			s.hasApply = true
-			s.guards = m.prog.Apply[applyIdx].Guards
+			s.tgt.Inv = applies[applyIdx]
 			applyIdx++
 		}
 		m.steps = append(m.steps, s)
 	}
-	if applyIdx != len(m.prog.Apply) {
-		extra := m.prog.Apply[applyIdx]
-		return &failure{Kind: "apply-mismatch", Detail: fmt.Sprintf("apply step %d: %s not in the layout schedule", applyIdx, applyStepName(extra))}
+	if applyIdx != len(names) {
+		return &failure{Kind: "apply-mismatch", Detail: fmt.Sprintf("apply step %d: %s not in the layout schedule", applyIdx, names[applyIdx])}
 	}
 	return nil
 }
 
-// expectApply checks that apply entry i is the scheduled table or
-// action at the scheduled stage.
-func (m *machine) expectApply(i int, table, action string, stage int) *failure {
-	want := codegen.CApplyStep{Table: table, Action: action, Stage: stage}
-	if i >= len(m.prog.Apply) {
-		return &failure{Kind: "apply-mismatch", Detail: fmt.Sprintf("apply step %d: expected %s at stage %d, apply block ends early", i, applyStepName(want), stage)}
-	}
-	got := m.prog.Apply[i]
-	if got.Table != table || got.Action != action || got.Stage != stage {
-		return &failure{Kind: "apply-mismatch", Detail: fmt.Sprintf("apply step %d: expected %s at stage %d, found %s at stage %d", i, applyStepName(want), stage, applyStepName(got), got.Stage)}
-	}
-	return nil
-}
-
-func applyStepName(s codegen.CApplyStep) string {
-	if s.Table != "" {
-		return "table " + s.Table
-	}
-	return "action " + s.Action
-}
-
-// fieldSlotOf returns the storage slot of a rendered field key,
+// fieldSlotOf returns the storage slot of a field's storage key,
 // creating it on the key's first access from either side.
 func (m *machine) fieldSlotOf(name fieldName) int32 {
 	slot, ok := m.fieldByName[name]
@@ -402,11 +472,12 @@ func (m *machine) fieldSlotOf(name fieldName) int32 {
 	return slot
 }
 
-// inVar is the packet input for a header slot: a free symbolic variable
-// normally, a deterministic per-trial constant in concrete mode.
-func (m *machine) inVar(f *fieldSlot) *node {
+// inVar is the packet input for a header slot read at the given width:
+// a free symbolic variable normally, a deterministic per-trial constant
+// in concrete mode.
+func (m *machine) inVar(f *fieldSlot, width int) *node {
 	if m.concrete {
-		return m.t.constant(concreteInput(f.key, m.trial))
+		return m.t.constant(concreteInput(f.key, width, m.trial))
 	}
 	if f.in == nil {
 		f.in = m.t.in(f.key)
@@ -414,15 +485,15 @@ func (m *machine) inVar(f *fieldSlot) *node {
 	return f.in
 }
 
-// concreteInput is the value concrete mode gives header field key in a
-// trial.
-func concreteInput(key string, trial uint64) uint64 {
-	return structures.Hash(fnv1a(key), trial)
+// concreteInput is the value concrete mode gives header field key, of
+// the given width, in a trial: like a packet's, it enters cut to the
+// field's width.
+func concreteInput(key string, width int, trial uint64) uint64 {
+	return structures.Hash(fnv1a(key), trial) & sem.WidthMask(width)
 }
 
 // evalCtx is one side's evaluation context: the symbolic domain of the
-// shared walker (sem.Domain[*node]) and the leaves evalC uses on the
-// emitted program.
+// shared walker (sem.Domain[*node]), over the source or over the text.
 type evalCtx struct {
 	m     *machine
 	st    *pathState
@@ -543,11 +614,24 @@ func (m *machine) regArr(st *pathState, slot int32) *node {
 	return r.init
 }
 
+// regSlot resolves a register instance on this side: the source names
+// it by register and instance, the text by its declaration (bindText
+// bound each declaration to one materialized instance).
+func (ev *evalCtx) regSlot(name string, inst int64) (int32, bool) {
+	if !ev.src {
+		slot, ok := ev.m.tgtRegs[name]
+		return slot, ok
+	}
+	slot, ok := ev.m.regByKey[regKey{name, inst}]
+	return slot, ok
+}
+
 // RegRead is the interpreter's register load: unmaterialized instances
 // read as zero without a stats charge; materialized reads wrap the cell
-// index at the extent and count one RegRead.
+// index at the extent (the layout's, which bindText holds the text's
+// declaration to) and count one RegRead.
 func (ev *evalCtx) RegRead(name string, inst int64, cell *node, width int) *node {
-	slot, ok := ev.m.regByKey[regKey{name, inst}]
+	slot, ok := ev.regSlot(name, inst)
 	if !ok {
 		return ev.m.t.constant(0)
 	}
@@ -564,7 +648,7 @@ func (ev *evalCtx) RegRead(name string, inst int64, cell *node, width int) *node
 // unmaterialized instances, otherwise a width-masked functional store
 // and one RegWrite.
 func (ev *evalCtx) RegWrite(name string, inst int64, cell, val *node, width int) {
-	slot, ok := ev.m.regByKey[regKey{name, inst}]
+	slot, ok := ev.regSlot(name, inst)
 	if !ok {
 		return
 	}
@@ -575,19 +659,24 @@ func (ev *evalCtx) RegWrite(name string, inst int64, cell, val *node, width int)
 	ev.st.regWrites++
 }
 
-// srcSlot returns the storage slot of a source-side field access.
-func (m *machine) srcSlot(f sem.Field) int32 {
-	slot, ok := m.srcFields[f]
+// fieldSlot returns the storage slot of a field access on this side; a
+// text field's key is that of the source field instance it names.
+func (ev *evalCtx) fieldSlot(f sem.Field) int32 {
+	slot, ok := ev.m.fieldSlots[f]
 	if !ok {
-		slot = m.fieldSlotOf(fieldName{header: f.Header, key: f.Key()})
-		m.srcFields[f] = slot
+		key := f.Key()
+		if k, named := ev.m.textKeys[key]; named && !ev.src {
+			key = k
+		}
+		slot = ev.m.fieldSlotOf(fieldName{header: f.Header, key: key})
+		ev.m.fieldSlots[f] = slot
 	}
 	return slot
 }
 
-func (ev *evalCtx) FieldRead(f sem.Field) *node { return ev.fieldRead(ev.m.srcSlot(f), f.Width) }
+func (ev *evalCtx) FieldRead(f sem.Field) *node { return ev.fieldRead(ev.fieldSlot(f), f.Width) }
 
-func (ev *evalCtx) FieldWrite(f sem.Field, v *node) { ev.fieldWrite(ev.m.srcSlot(f), v, f.Width) }
+func (ev *evalCtx) FieldWrite(f sem.Field, v *node) { ev.fieldWrite(ev.fieldSlot(f), v, f.Width) }
 
 // fieldRead loads a header or metadata field: the value this path
 // wrote, else the packet input (headers, masked to the field) or zero
@@ -598,7 +687,7 @@ func (ev *evalCtx) fieldRead(slot int32, width int) *node {
 	written := c.stamp == ev.m.gen
 	if f.header {
 		if !written {
-			c.n = ev.m.inVar(f)
+			c.n = ev.m.inVar(f, width)
 		}
 		return ev.m.t.mask(c.n, width)
 	}
@@ -616,85 +705,35 @@ func (ev *evalCtx) fieldWrite(slot int32, v *node, width int) {
 
 func (ev *evalCtx) Abort(reason string) error { return &abortErr{reason: reason} }
 
-// ---------- source side: the elastic program under the assignment ----------
-
-// runSource executes the canonical schedule over the source AST from
-// the source side's next step to the end. A packet abort is recorded in
-// st.aborted (not returned); residual obligations are returned, with
-// st.next at the step that raised them.
-func (m *machine) runSource() error {
-	st := &m.src
+// run executes the canonical schedule on one side from its next step to
+// the end: on the source, each step of the elastic program under the
+// assignment; on the target, the text's action in its place. A packet
+// abort is recorded in st.aborted (not returned); residual obligations
+// are returned, with st.next at the step that raised them. Branch
+// conditions on the target must be determined by the source path's
+// decisions (plus intervals/constants): the target makes no free
+// decisions of its own, and each step records which it read
+// (consulted).
+func (m *machine) run(ev *evalCtx) error {
+	st := ev.st
 	for ; st.aborted == "" && st.next < len(m.steps); st.next++ {
 		s := &m.steps[st.next]
-		st.save(st.next, len(m.taken))
 		m.executed++
-		m.srcEv.stage = s.Stage
-		if err := sem.Exec[*node](&m.srcEv, m.u, m.layout.Symbolics, &s.Step); err != nil {
-			ab, isAbort := err.(*abortErr)
-			if !isAbort {
-				return err
-			}
-			st.aborted = ab.reason
-		}
-	}
-	return nil
-}
-
-// ---------- target side: the emitted concrete program ----------
-
-// guardsC evaluates apply-block guard conditions, one decision per
-// guard, stopping at the first false.
-func (ev *evalCtx) guardsC(guards []codegen.CExpr) (bool, error) {
-	for _, g := range guards {
-		v, err := ev.evalC(g)
-		if err != nil {
-			return false, err
-		}
-		take, err := ev.Decide(v.n)
-		if err != nil {
-			return false, err
-		}
-		if !take {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// runTarget executes the same canonical schedule over the emitted
-// program with the same interpreter semantics: guards from the apply
-// block (or, for table-dispatched actions, replayed from the
-// invocation by the shared walker — the emitted text leaves them to the
-// table's match), bodies from the emitted actions, charged at the stage
-// each action was emitted for. Branch conditions must be determined by
-// the source path's decisions (plus intervals/constants); the target
-// makes no free decisions of its own. Like runSource it resumes at the
-// side's next step.
-func (m *machine) runTarget() error {
-	st := &m.tgt
-	for ; st.aborted == "" && st.next < len(m.steps); st.next++ {
-		s := &m.steps[st.next]
-		st.save(st.next, 0)
-		m.consulted[st.next] = -1
-		m.executed++
-		if s.caction == nil {
-			return &obligErr{kind: "unknown-action", detail: fmt.Sprintf("emitted program lacks action %s", codegen.InstanceName(s.Inv.Action.Name, s.Iter))}
-		}
-		var pass bool
 		var err error
-		if s.hasApply {
-			ev := evalCtx{m: m, st: st, stage: s.Stage}
-			pass, err = ev.guardsC(s.guards)
+		if ev.src {
+			st.save(st.next, len(m.taken))
+			ev.stage = s.Stage
+			err = sem.Exec[*node](ev, m.u, m.layout.Symbolics, &s.Step)
 		} else {
-			m.tgtEv.stage = s.Stage
-			pass, err = sem.Guards[*node](&m.tgtEv, m.u, m.layout.Symbolics, &s.Step)
-		}
-		if err == nil && pass {
-			bodyEv := evalCtx{m: m, st: st, stage: s.caction.Stage}
-			for _, stmt := range s.caction.Body {
-				if err = bodyEv.stmtC(stmt); err != nil {
-					break
-				}
+			st.save(st.next, 0)
+			m.consulted[st.next] = -1
+			ev.stage = s.tgt.Stage
+			pass := true
+			if !s.hasApply {
+				pass, err = sem.Guards[*node](ev, m.u, m.layout.Symbolics, &s.Step)
+			}
+			if err == nil && pass {
+				err = sem.Exec[*node](ev, m.tu, nil, &s.tgt)
 			}
 		}
 		if err != nil {
@@ -706,149 +745,6 @@ func (m *machine) runTarget() error {
 		}
 	}
 	return nil
-}
-
-func (ev *evalCtx) stmtC(s codegen.CStmt) error {
-	switch s := s.(type) {
-	case *codegen.CAssign:
-		v, err := ev.evalC(s.RHS)
-		if err != nil {
-			return err
-		}
-		return ev.assignC(s.LHS, v)
-	case *codegen.CIf:
-		c, err := ev.evalC(s.Cond)
-		if err != nil {
-			return err
-		}
-		take, err := ev.Decide(c.n)
-		if err != nil {
-			return err
-		}
-		body := s.Then
-		if !take {
-			if !s.HasElse {
-				return nil
-			}
-			body = s.Else
-		}
-		for _, inner := range body {
-			if err := ev.stmtC(inner); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return &obligErr{kind: "unsupported", detail: "elided statement in emitted program"}
-	}
-}
-
-func (ev *evalCtx) evalC(e codegen.CExpr) (sv, error) {
-	switch e := e.(type) {
-	case *codegen.CInt:
-		return sv{ev.m.t.constant(uint64(e.Value)), 0}, nil
-	case *codegen.CBool:
-		return sv{ev.m.t.boolConst(e.Value), 0}, nil
-	case *codegen.CUnary:
-		x, err := ev.evalC(e.X)
-		if err != nil {
-			return sv{}, err
-		}
-		ev.Charge()
-		switch e.Op {
-		case lang.MINUS:
-			return sv{ev.Unary(e.Op, x.n, x.w), x.w}, nil
-		case lang.NOT:
-			return sv{ev.Unary(e.Op, x.n, 0), 0}, nil
-		}
-		return sv{}, &abortErr{reason: fmt.Sprintf("unsupported unary %s", e.Op)}
-	case *codegen.CBinary:
-		x, err := ev.evalC(e.X)
-		if err != nil {
-			return sv{}, err
-		}
-		if e.Op == lang.AND || e.Op == lang.OR {
-			nz, err := ev.Decide(x.n)
-			if err != nil {
-				return sv{}, err
-			}
-			if nz != (e.Op == lang.AND) {
-				return sv{ev.m.t.boolConst(nz), 0}, nil
-			}
-		}
-		y, err := ev.evalC(e.Y)
-		if err != nil {
-			return sv{}, err
-		}
-		ev.Charge()
-		w := sem.OpWidth(e.Op, x.w, y.w)
-		n, err := ev.Binary(e.Op, x.n, y.n, w)
-		return sv{n, w}, err
-	case *codegen.CCall:
-		x, err := ev.evalC(e.Args[0])
-		if err != nil {
-			return sv{}, err
-		}
-		y, err := ev.evalC(e.Args[1])
-		if err != nil {
-			return sv{}, err
-		}
-		ev.Charge()
-		return sv{ev.Builtin(e.Name, x.n, y.n), sem.CallWidth(e.Name, x.w, y.w)}, nil
-	case *codegen.CRegRef:
-		cell, err := ev.evalC(e.Idx)
-		if err != nil {
-			return sv{}, err
-		}
-		return sv{ev.RegRead(e.Reg, e.Inst, cell.n, e.Width), e.Width}, nil
-	case *codegen.CFieldRef:
-		slot, err := ev.fieldSlotC(e)
-		if err != nil {
-			return sv{}, err
-		}
-		return sv{ev.fieldRead(slot, e.Width), e.Width}, nil
-	case *codegen.CName:
-		return sv{}, &abortErr{reason: "unknown name " + e.Name}
-	default:
-		return sv{}, &obligErr{kind: "unsupported", detail: "unmodeled expression in emitted program"}
-	}
-}
-
-func (ev *evalCtx) fieldSlotC(e *codegen.CFieldRef) (int32, error) {
-	if e.Elastic && e.Index < 0 {
-		return 0, &obligErr{kind: "unsupported", detail: fmt.Sprintf("elastic field %s.%s emitted without an instance", e.Struct, e.Field)}
-	}
-	slot, ok := ev.m.tgtFields[e]
-	if !ok {
-		name := fieldName{header: e.Header, key: e.Struct + "." + e.Field}
-		if e.Elastic {
-			name.key = sem.InstKey(name.key, uint64(e.Index))
-		}
-		slot = ev.m.fieldSlotOf(name)
-		ev.m.tgtFields[e] = slot
-	}
-	return slot, nil
-}
-
-func (ev *evalCtx) assignC(lhs codegen.CExpr, v sv) error {
-	switch e := lhs.(type) {
-	case *codegen.CRegRef:
-		cell, err := ev.evalC(e.Idx)
-		if err != nil {
-			return err
-		}
-		ev.RegWrite(e.Reg, e.Inst, cell.n, v.n, e.Width)
-		return nil
-	case *codegen.CFieldRef:
-		slot, err := ev.fieldSlotC(e)
-		if err != nil {
-			return err
-		}
-		ev.fieldWrite(slot, v.n, e.Width)
-		return nil
-	default:
-		return &obligErr{kind: "unsupported", detail: "unmodeled assignment target in emitted program"}
-	}
 }
 
 // ---------- path enumeration and comparison ----------
@@ -969,10 +865,10 @@ func (m *machine) backtrack(k int) {
 // path's obligations discharged). The target runs only once the source
 // finished without an obligation.
 func (m *machine) runPath() []failure {
-	err := m.runSource()
+	err := m.run(&m.srcEv)
 	m.tally(&m.src, err)
 	if err == nil {
-		err = m.runTarget()
+		err = m.run(&m.tgtEv)
 		m.tally(&m.tgt, err)
 		if err != nil {
 			m.tgt.rollback(m.tgt.next) // retried on the next path
@@ -1148,10 +1044,10 @@ func (m *machine) concreteSearch(samples int) string {
 	for trial := 1; trial <= samples; trial++ {
 		m.trial = uint64(trial)
 		m.beginRun()
-		if err := m.runSource(); err != nil {
+		if err := m.run(&m.srcEv); err != nil {
 			continue // unsupported constructs stay symbolic obligations
 		}
-		if err := m.runTarget(); err != nil {
+		if err := m.run(&m.tgtEv); err != nil {
 			continue
 		}
 		if fails := m.compare(); len(fails) > 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"p4all/internal/apps"
+	"p4all/internal/codegen"
 	"p4all/internal/lang"
 	"p4all/internal/modules"
 	"p4all/internal/pisa"
@@ -107,7 +108,7 @@ func TestInterningMatchesLegacyKeyOnPrograms(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
 			u, layout, cprog := compileFor(t, p.src, p.target)
-			m, fail := newMachine(u, layout, cprog, 1<<16, 1<<18)
+			m, fail := newMachine(u, layout, codegen.Render(cprog), 1<<16, 1<<18)
 			if fail != nil {
 				t.Fatalf("setup: %s: %s", fail.Kind, fail.Detail)
 			}
@@ -193,7 +194,7 @@ func TestInterningMatchesLegacyKeyRandom(t *testing.T) {
 // resumed path, each compared — allocates nothing.
 func TestWarmPathAllocatesNothing(t *testing.T) {
 	u, layout, prog := compileFor(t, modules.StandaloneCMS(), pisa.EvalTarget(pisa.Mb/4))
-	m, fail := newMachine(u, layout, prog, 1<<16, 1<<30)
+	m, fail := newMachine(u, layout, codegen.Render(prog), 1<<16, 1<<30)
 	if fail != nil {
 		t.Fatalf("setup: %s: %s", fail.Kind, fail.Detail)
 	}

@@ -1,6 +1,7 @@
 package tv
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,11 +16,14 @@ import (
 )
 
 // The adversarial miscompile suite: every mutation below injects a bug
-// codegen could plausibly have — a wrong computed value, an action
-// scheduled in the wrong stage, a dropped invocation guard, a narrowed
-// width, a missing or extra apply step — and the validator must reject
-// every mutant. A mutant that certifies proved is a hole in the
-// equivalence proof.
+// codegen could plausibly have — a wrong computed value, an action or
+// register annotated with the wrong stage, a dropped invocation guard,
+// a narrowed declaration, a register of the wrong size, a missing or
+// extra apply step, two fields rendered under one name — and the
+// validator must reject every mutant. Each corrupts the program IR
+// before it is rendered, or the rendered text itself: the text is what
+// the validator certifies. A mutant that certifies proved is a hole in
+// the equivalence proof.
 
 var mutationBase struct {
 	sync.Once
@@ -47,11 +51,27 @@ func mutationCompile(t *testing.T) (*lang.Unit, *ilpgen.Layout, *codegen.Concret
 
 func mustReject(t *testing.T, u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, mutant string) *Certificate {
 	t.Helper()
-	cert := Validate(u, layout, prog, Options{Name: "mutant-" + mutant})
+	return mustRejectText(t, u, layout, codegen.Render(prog), mutant)
+}
+
+func mustRejectText(t *testing.T, u *lang.Unit, layout *ilpgen.Layout, text, mutant string) *Certificate {
+	t.Helper()
+	cert := validate(u, layout, text, Options{Name: "mutant-" + mutant}, pathLimit, decisionLimit)
 	if cert.Proved() {
 		t.Fatalf("mutant %q certified proved: %s", mutant, cert.Summary())
 	}
 	return cert
+}
+
+// wantObligation fails unless cert carries an obligation of the kind.
+func wantObligation(t *testing.T, cert *Certificate, kind string) {
+	t.Helper()
+	for _, ob := range cert.Equivalence.Obligations {
+		if ob.Kind == kind {
+			return
+		}
+	}
+	t.Errorf("no %s obligation: %+v", kind, cert.Equivalence.Obligations)
 }
 
 // firstArith finds an action whose body starts with an arithmetic
@@ -81,34 +101,28 @@ func TestMutantWrongValueRejected(t *testing.T) {
 	mustReject(t, u, layout, prog, "wrong-value")
 }
 
+// TestMutantSwappedApplyStagesRejected swaps the @stage annotations of
+// two actions that run in different stages: the apply block and both
+// bodies are untouched.
 func TestMutantSwappedApplyStagesRejected(t *testing.T) {
 	u, layout, prog := mutationCompile(t)
-	i, j := -1, -1
-	for k := range prog.Apply {
-		if prog.Apply[k].Action == "" {
-			continue
-		}
-		if i < 0 {
-			i = k
-		} else if prog.Apply[k].Stage != prog.Apply[i].Stage {
-			j = k
-			break
-		}
-	}
-	if j < 0 {
+	if !swapActionStages(prog) {
 		t.Skip("layout placed everything in one stage")
 	}
-	prog.Apply[i].Stage, prog.Apply[j].Stage = prog.Apply[j].Stage, prog.Apply[i].Stage
 	cert := mustReject(t, u, layout, prog, "swapped-apply-stage")
-	found := false
-	for _, ob := range cert.Equivalence.Obligations {
-		if ob.Kind == "apply-mismatch" {
-			found = true
+	wantObligation(t, cert, "stage-mismatch")
+}
+
+// swapActionStages swaps the stages of the first action and the first
+// one placed in another stage, reporting whether there was one.
+func swapActionStages(prog *codegen.Concrete) bool {
+	for k := 1; k < len(prog.Actions); k++ {
+		if a, b := &prog.Actions[0], &prog.Actions[k]; a.Stage != b.Stage {
+			a.Stage, b.Stage = b.Stage, a.Stage
+			return true
 		}
 	}
-	if !found {
-		t.Errorf("no apply-mismatch obligation: %+v", cert.Equivalence.Obligations)
-	}
+	return false
 }
 
 func TestMutantRestagedActionRejected(t *testing.T) {
@@ -136,37 +150,93 @@ func TestMutantDroppedGuardRejected(t *testing.T) {
 	mustReject(t, u, layout, prog, "dropped-guard")
 }
 
+// TestMutantNarrowedRegisterWidthRejected halves the first register's
+// declared bit<W>: stores wrap at the declaration.
 func TestMutantNarrowedRegisterWidthRejected(t *testing.T) {
 	u, layout, prog := mutationCompile(t)
-	ca := firstArith(t, prog)
-	narrowed := false
-	var narrow func(e codegen.CExpr)
-	narrow = func(e codegen.CExpr) {
-		switch e := e.(type) {
-		case *codegen.CRegRef:
-			e.Width = e.Width / 2
-			narrowed = true
-		case *codegen.CBinary:
-			narrow(e.X)
-			narrow(e.Y)
-		case *codegen.CUnary:
-			narrow(e.X)
-		case *codegen.CCall:
-			for _, a := range e.Args {
-				narrow(a)
-			}
+	prog.Registers[0].Width /= 2
+	cert := mustReject(t, u, layout, prog, "narrowed-width")
+	wantObligation(t, cert, "register-mismatch")
+}
+
+// TestMutantHalvedRegisterCellsRejected halves the first register's
+// declared cell count.
+func TestMutantHalvedRegisterCellsRejected(t *testing.T) {
+	u, layout, prog := mutationCompile(t)
+	prog.Registers[0].Cells /= 2
+	cert := mustReject(t, u, layout, prog, "halved-cells")
+	wantObligation(t, cert, "declaration-mismatch")
+}
+
+// TestMutantMovedRegisterStageRejected moves the first register's
+// @stage annotation to the next stage.
+func TestMutantMovedRegisterStageRejected(t *testing.T) {
+	u, layout, prog := mutationCompile(t)
+	r := &prog.Registers[0]
+	r.Stages = []int{(r.Stages[0] + 1) % layout.Target.Stages}
+	cert := mustReject(t, u, layout, prog, "moved-register-stage")
+	wantObligation(t, cert, "stage-mismatch")
+}
+
+// TestMutantNarrowedFieldsRejected declares every header and metadata
+// field bit<8>: reads and writes wrap at the declarations.
+func TestMutantNarrowedFieldsRejected(t *testing.T) {
+	u, layout, prog := mutationCompile(t)
+	narrowFields(prog)
+	mustReject(t, u, layout, prog, "narrowed-fields")
+}
+
+func narrowFields(prog *codegen.Concrete) {
+	for i := range prog.Structs {
+		for j := range prog.Structs[i].Fields {
+			prog.Structs[i].Fields[j].Width = 8
 		}
 	}
-	for _, s := range ca.Body {
-		if asg, ok := s.(*codegen.CAssign); ok {
-			narrow(asg.LHS)
-			narrow(asg.RHS)
+}
+
+// TestCollidingInstanceNameRejected compiles a CMS whose metadata
+// declares a scalar index_0 beside the elastic index: the text declares
+// bit<32> index_0 twice, one name for two source fields, and cannot
+// certify.
+func TestCollidingInstanceNameRejected(t *testing.T) {
+	src := modules.StandaloneCMS()
+	for _, edit := range [][2]string{
+		{"    bit<32> min;\n", "    bit<32> min;\n    bit<32> index_0;\n"},
+		{"cms_meta.min = 4294967295;\n", "cms_meta.min = 4294967295;\n    cms_meta.index_0 = 7;\n"},
+	} {
+		if !strings.Contains(src, edit[0]) {
+			t.Fatalf("the CMS source lacks %q", edit[0])
 		}
+		src = strings.Replace(src, edit[0], edit[1], 1)
 	}
-	if !narrowed {
-		t.Fatal("no register reference to narrow")
+	u, layout, prog := compileFor(t, src, pisa.EvalTarget(pisa.Mb/4))
+	cert := mustReject(t, u, layout, prog, "colliding-instance-name")
+	wantObligation(t, cert, "unparsable-text")
+}
+
+// multiGuard invokes one action under two nested ifs: its apply entry
+// carries two guards.
+const multiGuard = `
+header pkt { bit<32> a; bit<32> b; }
+struct meta { bit<32> r; }
+action mark() { meta.r = pkt.a + 1; }
+control main { apply { if (pkt.a == 1) { if (pkt.b == 2) { mark(); } } } }
+`
+
+// TestMutantDroppedConjunctRejected drops the inner if of a two-guard
+// apply entry from the rendered text, closing brace and all, after the
+// text as rendered certifies.
+func TestMutantDroppedConjunctRejected(t *testing.T) {
+	u, layout, prog := compileFor(t, multiGuard, pisa.EvalTarget(pisa.Mb))
+	mustProve(t, Validate(u, layout, prog, Options{Name: "multi-guard"}))
+	lines := strings.Split(codegen.Render(prog), "\n")
+	i := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, "if ((pkt.b == 2)) {") })
+	if i < 0 || strings.TrimSpace(lines[i+2]) != "}" {
+		t.Fatalf("no inner guard to drop in:\n%s", strings.Join(lines, "\n"))
 	}
-	mustReject(t, u, layout, prog, "narrowed-width")
+	lines = slices.Delete(lines, i+2, i+3)
+	lines = slices.Delete(lines, i, i+1)
+	mustRejectText(t, u, layout, strings.Join(lines, "\n"), "dropped-conjunct")
 }
 
 func TestMutantDroppedApplyStepRejected(t *testing.T) {

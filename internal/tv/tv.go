@@ -1,15 +1,15 @@
 // Package tv is the translation validator: it certifies that one
-// solved compile — an ilpgen.Layout plus the concrete program codegen
-// built from it — faithfully implements its elastic source.
+// solved compile — an ilpgen.Layout plus the P4 text codegen rendered
+// from it — faithfully implements its elastic source.
 //
 // Two independent halves feed one Certificate:
 //
 //   - Equivalence (eval.go): bounded symbolic execution of the unrolled
-//     source (under the solved symbolic assignment) and of the emitted
-//     program over a shared symbolic packet and register file, both
-//     walking the layout's canonical (stage, invocation order,
-//     iteration) schedule with the emitted apply block reconciled
-//     against it at setup. Every feasible path must agree on header
+//     source (under the solved symbolic assignment) and of the rendered
+//     text, parsed back into the P4All grammar, over a shared symbolic
+//     packet and register file, both walking the layout's canonical
+//     (stage, invocation order, iteration) schedule with the text's
+//     apply block and declarations reconciled against it at setup. Every feasible path must agree on header
 //     outputs, metadata, final register state, Stats counters, and
 //     abort behavior. Residual obligations fall back to concrete
 //     counterexample search and a failed verdict — never a silent pass.
@@ -51,16 +51,18 @@ const (
 	fallbackSamples = 64
 )
 
-// Validate certifies one compile. It never returns an error: every
-// problem — including the validator's own inability to model a
+// Validate certifies one compile: the text codegen.Render prints for
+// prog. It never returns an error: every problem — a text that does not
+// parse included, and the validator's own inability to model a
 // construct — is an obligation in the certificate, and the verdict is
 // proved only when nothing remains.
 func Validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts Options) *Certificate {
-	return validate(u, layout, prog, opts, pathLimit, decisionLimit)
+	return validate(u, layout, codegen.Render(prog), opts, pathLimit, decisionLimit)
 }
 
-// validate is Validate under the given path and decision budgets.
-func validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts Options, paths, decisions int) *Certificate {
+// validate certifies the emitted text under the given path and decision
+// budgets.
+func validate(u *lang.Unit, layout *ilpgen.Layout, text string, opts Options, paths, decisions int) *Certificate {
 	if opts.Name == "" {
 		opts.Name = "program"
 	}
@@ -73,7 +75,7 @@ func validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts 
 		Program:      opts.Name,
 		Target:       layout.Target.Name,
 		SourceSHA256: sha256Hex(u.Source),
-		P4SHA256:     sha256Hex(codegen.Render(prog)),
+		P4SHA256:     sha256Hex(text),
 	}
 	for _, sym := range u.Symbolics {
 		cert.Symbolics = append(cert.Symbolics, SymbolicValue{Name: sym.Name, Value: layout.Symbolics[sym.Name]})
@@ -93,7 +95,7 @@ func validate(u *lang.Unit, layout *ilpgen.Layout, prog *codegen.Concrete, opts 
 	// enumeration actually executed. They explain the validator's run
 	// time and are not part of the certificate.
 	var nodes, stepsReplayed, stepsExecuted int
-	m, setupFail := newMachine(u, layout, prog, paths, decisions)
+	m, setupFail := newMachine(u, layout, text, paths, decisions)
 	if setupFail != nil {
 		cert.Equivalence = EquivalenceReport{
 			Fallbacks:   1,

@@ -150,9 +150,25 @@ control main { apply { div_it(); } }
 	}
 }
 
+// TestNegativeConstantProved: a named constant below zero is printed in
+// the text as its 64-bit pattern, which parses back as the same literal;
+// printed with a minus sign it would parse as a negation and charge an
+// ALU op the source does not.
+func TestNegativeConstantProved(t *testing.T) {
+	src := `
+const int NEG = 0 - 1;
+header pkt { bit<32> a; }
+struct meta { bit<32> r; }
+action set() { meta.r = pkt.a + NEG; }
+control main { apply { set(); } }
+`
+	u, layout, prog := compileFor(t, src, pisa.EvalTarget(pisa.Mb))
+	mustProve(t, Validate(u, layout, prog, Options{Name: "neg"}))
+}
+
 func TestPathBudgetIsAnObligation(t *testing.T) {
 	u, layout, prog := compileFor(t, modules.StandaloneCMS(), pisa.EvalTarget(pisa.Mb/4))
-	cert := validate(u, layout, prog, Options{Name: "cms"}, 1, 4)
+	cert := validate(u, layout, codegen.Render(prog), Options{Name: "cms"}, 1, 4)
 	if cert.Proved() {
 		t.Fatal("path budget 1 must not prove a branching program")
 	}
