@@ -125,7 +125,8 @@ difftest:
 
 # certify compiles every benchmark app with the translation validator
 # enabled, writing one equivalence certificate per app to $(CERTDIR)
-# (CI uploads them as artifacts), then runs the examples — which also
+# beside the emitted program it certifies (CI uploads both as
+# artifacts), then runs the examples — which also
 # compile with Certify — so a validator regression fails the build
 # before any generated P4 is trusted (see
 # docs/TRANSLATION_VALIDATION.md). Every certificate is a function of
@@ -143,7 +144,7 @@ certify:
 	mkdir -p $(CERTDIR)
 	for app in $(CERTAPPS); do \
 		$(GO) run ./cmd/p4allc -app $$app -certify \
-			-cert $(CERTDIR)/$$app.json -o /dev/null || exit 1; \
+			-cert $(CERTDIR)/$$app.json -o $(CERTDIR)/$$app.p4 || exit 1; \
 	done
 	for ex in quickstart portability netcache sketchlearn; do \
 		$(GO) run ./examples/$$ex > /dev/null || exit 1; \

@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"p4all/internal/apps"
 	"p4all/internal/ilp"
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
+	"p4all/internal/modules"
 	"p4all/internal/pisa"
 	"p4all/internal/unroll"
 )
@@ -41,7 +43,12 @@ optimize rows * cols;
 
 func compileCMS(t *testing.T, target pisa.Target) (*lang.Unit, *ilpgen.Layout, string) {
 	t.Helper()
-	u, err := lang.ParseAndResolve(cmsSource)
+	return compile(t, cmsSource, target, ilp.Options{})
+}
+
+func compile(t *testing.T, src string, target pisa.Target, opts ilp.Options) (*lang.Unit, *ilpgen.Layout, string) {
+	t.Helper()
+	u, err := lang.ParseAndResolve(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +60,7 @@ func compileCMS(t *testing.T, target pisa.Target) (*lang.Unit, *ilpgen.Layout, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, err := p.Solve(ilp.Options{})
+	layout, err := p.Solve(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +84,7 @@ func TestGeneratedProgramStructure(t *testing.T) {
 	}
 	// One register declaration per placed row with concrete size.
 	for i := int64(0); i < rows; i++ {
-		want := fmt.Sprintf("register<bit<32>>(%d) cms_%d;", cols, i)
+		want := fmt.Sprintf("register<bit<32>>[%d] cms_%d;", cols, i)
 		if !strings.Contains(p4, want) {
 			t.Errorf("missing %q", want)
 		}
@@ -92,7 +99,7 @@ func TestGeneratedProgramStructure(t *testing.T) {
 		}
 	}
 	// The modulus must be the concrete cols value, not the symbolic.
-	if !strings.Contains(p4, fmt.Sprintf("%% %d)", cols)) {
+	if !strings.Contains(p4, fmt.Sprintf("%% %d;", cols)) {
 		t.Errorf("symbolic cols not substituted in hash modulus")
 	}
 	// Elastic struct fields expanded.
@@ -138,16 +145,48 @@ func TestApplyOrderFollowsStages(t *testing.T) {
 	}
 }
 
+// TestGeneratedCodeReproducible: for a fixed layout, code generation
+// is deterministic, and the emitted program below its header comments
+// is a fixed point of parse and lang.Print. Inputs are the CMS above
+// and every shipped program, on the 1 Mb evaluation target.
 func TestGeneratedCodeReproducible(t *testing.T) {
-	tgt := pisa.EvalTarget(pisa.Mb)
-	u, layout, p4a := compileCMS(t, tgt)
-	c, err := Build(u, layout)
-	if err != nil {
-		t.Fatal(err)
+	progs := [][2]string{
+		{"cms", cmsSource},
+		{"StandaloneCMS", modules.StandaloneCMS()},
+		{"StandaloneBloom", modules.StandaloneBloom()},
+		{"StandaloneKVS", modules.StandaloneKVS()},
+		{"StandaloneHashTable", modules.StandaloneHashTable()},
+		{"StandaloneCountingTable", modules.StandaloneCountingTable()},
+		{"StandaloneIDTable", modules.StandaloneIDTable()},
 	}
-	p4b := Render(c)
-	if p4a != p4b {
-		t.Error("code generation is not deterministic for a fixed layout")
+	for _, a := range apps.All() {
+		progs = append(progs, [2]string{a.Name, a.Source})
+	}
+	for i, p := range progs {
+		// The shipped programs solve to the compiler's default gap.
+		opts := ilp.Options{Gap: 0.03, NodeLimit: 4000}
+		if i == 0 {
+			opts = ilp.Options{}
+		}
+		u, layout, p4a := compile(t, p[1], pisa.EvalTarget(pisa.Mb), opts)
+		c, err := Build(u, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p4a != Render(c) {
+			t.Errorf("%s: code generation is not deterministic for a fixed layout", p[0])
+		}
+		_, body, ok := strings.Cut(p4a, "\n\n")
+		if !ok || strings.HasPrefix(body, "//") {
+			t.Fatalf("%s: no header comments to strip:\n%s", p[0], firstLines(p4a, 5))
+		}
+		prog, err := lang.Parse(body)
+		if err != nil {
+			t.Fatalf("%s: emitted program does not parse: %v", p[0], err)
+		}
+		if again := lang.Print(prog); again != body {
+			t.Errorf("%s: parse and print is not a fixed point of the emitted program:\n--- emitted\n%s\n--- printed\n%s", p[0], body, again)
+		}
 	}
 }
 

@@ -1,28 +1,27 @@
 package codegen
 
 import (
-	"fmt"
-	"strings"
+	"cmp"
+	"slices"
 
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
 )
 
-// This file defines the concrete program IR: the structured form of the
-// generated P4 that Render prints. Build is the single place where
-// symbolic substitution happens — elastic extents become solved
-// constants, index parameters become iteration literals, elastic
-// references become expanded instance names.
+// This file lowers a unit and its layout into the emitted program.
+// Build is the single place where symbolic substitution happens —
+// elastic extents become solved constants, index parameters become
+// iteration literals, elastic references become expanded instance
+// names.
 
 // Concrete is the emitted program for one solved layout.
 type Concrete struct {
 	Target    string
 	Symbolics []SymValue // sorted by name
-	Structs   []CStruct
-	Registers []CReg
-	Tables    []CTable
-	Actions   []CAction
-	Apply     []CApplyStep
+	// Program holds, in order: the structs and headers with elastic
+	// fields expanded, one register per placed instance, the tables,
+	// the placed action instances, and control main.
+	Program *lang.Program
 }
 
 // SymValue is one solved symbolic assignment.
@@ -31,199 +30,56 @@ type SymValue struct {
 	Value int64
 }
 
-// CStruct is a struct or header with elastic fields expanded.
-type CStruct struct {
-	Name     string
-	IsHeader bool
-	Fields   []CField
-}
-
-// CField is one expanded field instance. Index is -1 for scalar fields
-// (rendered "name"), or the instance number (rendered "name_i").
-type CField struct {
-	Name  string
-	Width int
-	Index int64
-}
-
-// CReg is one materialized register array instance.
-type CReg struct {
-	Name   string
-	Index  int64
-	Width  int
-	Cells  int64
-	Stages []int
-}
-
-// CTable is a match-action table (inelastic; placed via its synthetic
-// match action).
-type CTable struct {
-	Name    string
-	Stage   int
-	Keys    []CExpr
-	Actions []string
-	Size    int64
-}
-
-// CAction is one concrete action: a placed instance of an elastic
-// action with the iteration substituted.
-type CAction struct {
-	Name  string
-	Stage int
-	Body  []CStmt
-}
-
-// CApplyStep is one entry of the apply block, in emission order.
-// Exactly one of Table and Action is non-empty.
-type CApplyStep struct {
-	Table  string
-	Action string
-	Stage  int
-	Guards []CExpr // invocation guards wrapping an action call
-}
-
-// CStmt is a concrete statement.
-type CStmt interface{ isCStmt() }
-
-// CAssign is "LHS = RHS;".
-type CAssign struct {
-	LHS CExpr
-	RHS CExpr
-}
-
-// CIf is a conditional. HasElse distinguishes an absent else branch
-// from an empty one (they render differently).
-type CIf struct {
-	Cond    CExpr
-	Then    []CStmt
-	Else    []CStmt
-	HasElse bool
-}
-
-// CElided marks a statement the generator does not support.
-type CElided struct{}
-
-func (*CAssign) isCStmt() {}
-func (*CIf) isCStmt()     {}
-func (*CElided) isCStmt() {}
-
-// CExpr is a concrete expression.
-type CExpr interface{ isCExpr() }
-
-// CInt is an integer literal (also the substituted form of iteration
-// parameters, symbolics, and named constants).
-type CInt struct{ Value int64 }
-
-// CBool is a boolean literal.
-type CBool struct{ Value bool }
-
-// CUnary applies a prefix operator.
-type CUnary struct {
-	Op lang.Kind
-	X  CExpr
-}
-
-// CBinary applies a binary operator.
-type CBinary struct {
-	Op   lang.Kind
-	X, Y CExpr
-}
-
-// CCall is a builtin call (hash/min/max).
-type CCall struct {
-	Name string
-	Args []CExpr
-}
-
-// CRegRef is a cell access of one register array instance,
-// rendered "name_inst[idx]".
-type CRegRef struct {
-	Reg  string
-	Inst int64
-	Idx  CExpr
-}
-
-// CFieldRef is a struct/header field access. Index is -1 when the
-// reference renders without an instance suffix; Elastic records
-// whether the declared field has an elastic extent.
-type CFieldRef struct {
-	Struct  string
-	Field   string
-	Index   int64
-	Elastic bool
-}
-
-// CName is a bare identifier the generator could not resolve; it is
-// rendered verbatim and rejected by the validator.
-type CName struct{ Name string }
-
-// CRaw is fallback text for reference shapes the generator does not
-// model; rendered verbatim and rejected by the validator.
-type CRaw struct{ Text string }
-
-func (*CInt) isCExpr()      {}
-func (*CBool) isCExpr()     {}
-func (*CUnary) isCExpr()    {}
-func (*CBinary) isCExpr()   {}
-func (*CCall) isCExpr()     {}
-func (*CRegRef) isCExpr()   {}
-func (*CFieldRef) isCExpr() {}
-func (*CName) isCExpr()     {}
-func (*CRaw) isCExpr()      {}
-
-// builder constructs the Concrete IR from a unit and layout.
+// builder lowers the unit under the layout.
 type builder struct {
 	u      *lang.Unit
 	layout *ilpgen.Layout
-	regs   map[string]ilpgen.RegPlacement
 }
 
-// Build constructs the concrete program IR for the layout.
+// Build constructs the concrete program for the layout.
 func Build(u *lang.Unit, layout *ilpgen.Layout) (*Concrete, error) {
-	b := &builder{u: u, layout: layout, regs: map[string]ilpgen.RegPlacement{}}
-	for _, rp := range layout.Registers {
-		b.regs[fmt.Sprintf("%s/%d", rp.Register, rp.Index)] = rp
+	b := &builder{u: u, layout: layout}
+	c := &Concrete{Target: layout.Target.Name, Program: &lang.Program{}}
+	for n, v := range layout.Symbolics {
+		c.Symbolics = append(c.Symbolics, SymValue{Name: n, Value: v})
 	}
-	c := &Concrete{Target: layout.Target.Name}
-
-	names := make([]string, 0, len(layout.Symbolics))
-	for n := range layout.Symbolics {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	for _, n := range names {
-		c.Symbolics = append(c.Symbolics, SymValue{Name: n, Value: layout.Symbolics[n]})
-	}
+	slices.SortFunc(c.Symbolics, func(x, y SymValue) int { return cmp.Compare(x.Name, y.Name) })
+	decl := func(d lang.Decl) { c.Program.Decls = append(c.Program.Decls, d) }
 
 	for _, s := range u.Structs {
-		cs := CStruct{Name: s.Name, IsHeader: s.IsHeader}
+		sd := &lang.StructDecl{Name: s.Name, IsHeader: s.IsHeader}
 		for _, f := range s.Fields {
+			typ := lang.TypeRef{Bits: f.Width}
 			n := b.sizeValue(f.Count)
 			if n == 1 && !f.Count.IsSymbolic() {
-				cs.Fields = append(cs.Fields, CField{Name: f.Name, Width: f.Width, Index: -1})
+				sd.Fields = append(sd.Fields, lang.Field{Type: typ, Name: f.Name})
 				continue
 			}
-			for i := int64(0); i < n; i++ {
-				cs.Fields = append(cs.Fields, CField{Name: f.Name, Width: f.Width, Index: i})
+			for i := range n {
+				sd.Fields = append(sd.Fields, lang.Field{Type: typ, Name: InstanceName(f.Name, int(i))})
 			}
 		}
-		c.Structs = append(c.Structs, cs)
+		decl(sd)
 	}
 
+	type regKey struct {
+		name  string
+		index int
+	}
+	regs := map[regKey]ilpgen.RegPlacement{}
+	for _, rp := range layout.Registers {
+		regs[regKey{rp.Register, rp.Index}] = rp
+	}
 	for _, r := range u.Registers {
-		count := b.sizeValue(r.Count)
-		for i := int64(0); i < count; i++ {
-			rp, ok := b.regs[fmt.Sprintf("%s/%d", r.Name, i)]
-			if !ok {
-				continue
+		for i := range int(b.sizeValue(r.Count)) {
+			if rp, ok := regs[regKey{r.Name, i}]; ok {
+				decl(&lang.RegisterDecl{
+					Stages: slices.Clone(rp.Stages),
+					Elem:   lang.TypeRef{Bits: r.Width},
+					Cells:  &lang.IntLit{Value: rp.Cells},
+					Name:   InstanceName(r.Name, i),
+				})
 			}
-			c.Registers = append(c.Registers, CReg{
-				Name:   r.Name,
-				Index:  i,
-				Width:  r.Width,
-				Cells:  rp.Cells,
-				Stages: append([]int(nil), rp.Stages...),
-			})
 		}
 	}
 
@@ -237,38 +93,32 @@ func Build(u *lang.Unit, layout *ilpgen.Layout) (*Concrete, error) {
 				stage = pl.Stage
 			}
 		}
-		ct := CTable{Name: tbl.Name, Stage: stage, Size: tbl.Size}
+		td := &lang.TableDecl{Stages: []int{stage}, Name: tbl.Name, Size: &lang.IntLit{Value: tbl.Size}}
 		for _, k := range tbl.Decl.Keys {
-			ct.Keys = append(ct.Keys, b.expr(k, nil, 0))
+			td.Keys = append(td.Keys, b.expr(k, nil, 0))
 		}
 		for _, a := range tbl.Actions {
-			ct.Actions = append(ct.Actions, a.Name)
+			td.Actions = append(td.Actions, a.Name)
 			tableActions[a.Name] = true
 		}
-		c.Tables = append(c.Tables, ct)
+		decl(td)
 	}
 
 	emitted := map[string]bool{}
 	for _, pl := range layout.Placements {
 		a := u.ActionByName(pl.Action)
-		if a == nil || a.Decl == nil || a.Decl.Body == nil {
-			continue
-		}
-		name := concreteActionName(pl)
-		if emitted[name] {
+		name := InstanceName(pl.Action, pl.Iter)
+		if a == nil || a.Decl == nil || a.Decl.Body == nil || emitted[name] {
 			continue
 		}
 		emitted[name] = true
-		ca := CAction{Name: name, Stage: pl.Stage}
-		for _, st := range a.Decl.Body.Stmts {
-			ca.Body = append(ca.Body, b.stmt(st, a, pl.Iter)...)
-		}
-		c.Actions = append(c.Actions, ca)
+		decl(&lang.ActionDecl{Stages: []int{pl.Stage}, Name: name, Body: b.block(a.Decl.Body, a, pl.Iter)})
 	}
 
+	apply := &lang.Block{}
 	for _, pl := range layout.Schedule(u) {
 		if tbl, ok := tableOfMatch[pl.Action]; ok {
-			c.Apply = append(c.Apply, CApplyStep{Table: tbl.Name, Stage: pl.Stage})
+			apply.Stmts = append(apply.Stmts, &lang.ApplyStmt{Target: tbl.Name})
 			continue
 		}
 		if tableActions[pl.Action] {
@@ -278,14 +128,17 @@ func Build(u *lang.Unit, layout *ilpgen.Layout) (*Concrete, error) {
 		if a == nil || a.Decl == nil || a.Decl.Body == nil {
 			continue
 		}
-		step := CApplyStep{Action: concreteActionName(pl), Stage: pl.Stage}
+		// One if per guard, nested: the guard list short-circuits
+		// without the ALU op a && would charge.
+		var st lang.Stmt = &lang.CallStmt{Name: InstanceName(pl.Action, pl.Iter)}
 		if inv := b.invocationFor(pl); inv != nil {
-			for _, cond := range inv.Guards {
-				step.Guards = append(step.Guards, b.expr(cond, a, pl.Iter))
+			for i := len(inv.Guards) - 1; i >= 0; i-- {
+				st = &lang.IfStmt{Cond: b.expr(inv.Guards[i], a, pl.Iter), Then: &lang.Block{Stmts: []lang.Stmt{st}}}
 			}
 		}
-		c.Apply = append(c.Apply, step)
+		apply.Stmts = append(apply.Stmts, st)
 	}
+	decl(&lang.ControlDecl{Name: "main", Apply: apply})
 	return c, nil
 }
 
@@ -312,52 +165,48 @@ func (b *builder) invocationFor(pl ilpgen.Placement) *lang.Invocation {
 	return nil
 }
 
-// stmt lowers a statement with the iteration and symbolic substitutions
-// applied. Blocks are flattened (rendering is depth-based, so this is
-// text-preserving).
-func (b *builder) stmt(s lang.Stmt, a *lang.Action, iter int) []CStmt {
-	switch s := s.(type) {
-	case *lang.Block:
-		var out []CStmt
-		for _, inner := range s.Stmts {
-			out = append(out, b.stmt(inner, a, iter)...)
-		}
-		return out
-	case *lang.AssignStmt:
-		return []CStmt{&CAssign{LHS: b.expr(s.LHS, a, iter), RHS: b.expr(s.RHS, a, iter)}}
-	case *lang.IfStmt:
-		ci := &CIf{Cond: b.expr(s.Cond, a, iter)}
-		for _, inner := range s.Then.Stmts {
-			ci.Then = append(ci.Then, b.stmt(inner, a, iter)...)
-		}
-		if s.Else != nil {
-			ci.HasElse = true
-			for _, inner := range s.Else.Stmts {
-				ci.Else = append(ci.Else, b.stmt(inner, a, iter)...)
+// block lowers an action body with the iteration and symbolic
+// substitutions applied. Nested blocks are flattened. An action body
+// holds only assignments, ifs and blocks (resolve rejects the rest).
+func (b *builder) block(in *lang.Block, a *lang.Action, iter int) *lang.Block {
+	out := &lang.Block{}
+	for _, s := range in.Stmts {
+		switch s := s.(type) {
+		case *lang.Block:
+			out.Stmts = append(out.Stmts, b.block(s, a, iter).Stmts...)
+		case *lang.AssignStmt:
+			lhs, ok := b.ref(s.LHS, a, iter).(*lang.Ref)
+			if !ok {
+				lhs = b.raw(s.LHS, a, iter)
 			}
+			out.Stmts = append(out.Stmts, &lang.AssignStmt{LHS: lhs, RHS: b.expr(s.RHS, a, iter)})
+		case *lang.IfStmt:
+			is := &lang.IfStmt{Cond: b.expr(s.Cond, a, iter), Then: b.block(s.Then, a, iter)}
+			if s.Else != nil {
+				is.Else = b.block(s.Else, a, iter)
+			}
+			out.Stmts = append(out.Stmts, is)
 		}
-		return []CStmt{ci}
-	default:
-		return []CStmt{&CElided{}}
 	}
+	return out
 }
 
 // expr lowers an expression with concrete substitutions: the action's
 // index parameter becomes the iteration number, symbolic references
 // become their solved values, elastic field and register references
 // become their expanded instances.
-func (b *builder) expr(e lang.Expr, a *lang.Action, iter int) CExpr {
+func (b *builder) expr(e lang.Expr, a *lang.Action, iter int) lang.Expr {
 	switch e := e.(type) {
 	case *lang.IntLit:
-		return &CInt{Value: e.Value}
+		return &lang.IntLit{Value: e.Value}
 	case *lang.BoolLit:
-		return &CBool{Value: e.Value}
+		return &lang.BoolLit{Value: e.Value}
 	case *lang.Unary:
-		return &CUnary{Op: e.Op, X: b.expr(e.X, a, iter)}
+		return &lang.Unary{Op: e.Op, X: b.expr(e.X, a, iter)}
 	case *lang.Binary:
-		return &CBinary{Op: e.Op, X: b.expr(e.X, a, iter), Y: b.expr(e.Y, a, iter)}
+		return &lang.Binary{Op: e.Op, X: b.expr(e.X, a, iter), Y: b.expr(e.Y, a, iter)}
 	case *lang.CallExpr:
-		call := &CCall{Name: e.Name}
+		call := &lang.CallExpr{Name: e.Name}
 		for _, arg := range e.Args {
 			call.Args = append(call.Args, b.expr(arg, a, iter))
 		}
@@ -365,57 +214,64 @@ func (b *builder) expr(e lang.Expr, a *lang.Action, iter int) CExpr {
 	case *lang.Ref:
 		return b.ref(e, a, iter)
 	default:
-		return &CRaw{Text: "/*?*/"}
+		return e
 	}
 }
 
-func (b *builder) ref(r *lang.Ref, a *lang.Action, iter int) CExpr {
+func (b *builder) ref(r *lang.Ref, a *lang.Action, iter int) lang.Expr {
 	base := r.Base()
 	if r.IsSimpleIdent() {
 		if a != nil && a.Decl != nil && base == a.Decl.IndexParam {
-			return &CInt{Value: int64(iter)}
+			return &lang.IntLit{Value: int64(iter)}
 		}
 		if sym := b.u.SymbolicByName(base); sym != nil {
-			return &CInt{Value: b.value(sym)}
+			return &lang.IntLit{Value: b.value(sym)}
 		}
 		if v, ok := b.u.Consts[base]; ok {
-			return &CInt{Value: v}
+			return &lang.IntLit{Value: v}
 		}
-		return &CName{Name: base}
 	}
 	if reg := b.u.RegisterByName(base); reg != nil {
 		seg := r.Segs[0]
 		if reg.Decl.Count != nil && len(seg.Indexes) == 2 {
 			inst := b.indexValue(seg.Indexes[0], a, iter)
-			return &CRegRef{Reg: reg.Name, Inst: inst, Idx: b.expr(seg.Indexes[1], a, iter)}
+			return cell(InstanceName(reg.Name, int(inst)), b.expr(seg.Indexes[1], a, iter))
 		}
 		if len(seg.Indexes) == 1 {
-			return &CRegRef{Reg: reg.Name, Idx: b.expr(seg.Indexes[0], a, iter)}
+			return cell(InstanceName(reg.Name, 0), b.expr(seg.Indexes[0], a, iter))
 		}
 	}
 	if si := b.u.StructByName(base); si != nil && len(r.Segs) == 2 {
 		fseg := r.Segs[1]
-		f := si.Field(fseg.Name)
-		if f != nil {
-			cf := &CFieldRef{Struct: base, Field: f.Name, Index: -1, Elastic: f.Elastic()}
-			if cf.Elastic && len(fseg.Indexes) == 1 {
-				cf.Index = b.indexValue(fseg.Indexes[0], a, iter)
+		if f := si.Field(fseg.Name); f != nil {
+			name := f.Name
+			if f.Elastic() && len(fseg.Indexes) == 1 {
+				name = InstanceName(f.Name, int(b.indexValue(fseg.Indexes[0], a, iter)))
 			}
-			return cf
+			return &lang.Ref{Segs: []lang.Seg{{Name: base}, {Name: name}}}
 		}
 	}
-	// Fallback: print with substituted indexes.
-	var sb strings.Builder
-	for i, seg := range r.Segs {
-		if i > 0 {
-			sb.WriteByte('.')
-		}
-		sb.WriteString(seg.Name)
+	return b.raw(r, a, iter)
+}
+
+// cell is one cell of a register instance: "name[idx]".
+func cell(name string, idx lang.Expr) *lang.Ref {
+	return &lang.Ref{Segs: []lang.Seg{{Name: name, Indexes: []lang.Expr{idx}}}}
+}
+
+// raw is the fallback for a reference shape the builder does not
+// model: the path with its indexes substituted, which names nothing
+// the emitted program declares, so the validator rejects the text.
+func (b *builder) raw(r *lang.Ref, a *lang.Action, iter int) *lang.Ref {
+	out := &lang.Ref{}
+	for _, seg := range r.Segs {
+		s := lang.Seg{Name: seg.Name}
 		for _, idx := range seg.Indexes {
-			fmt.Fprintf(&sb, "[%s]", renderExpr(b.expr(idx, a, iter)))
+			s.Indexes = append(s.Indexes, b.expr(idx, a, iter))
 		}
+		out.Segs = append(out.Segs, s)
 	}
-	return &CRaw{Text: sb.String()}
+	return out
 }
 
 func (b *builder) indexValue(e lang.Expr, a *lang.Action, iter int) int64 {

@@ -414,7 +414,7 @@ optimize sz;
 // TestRegisterBitsAreCellsTimesWidth: the ILP's memory variables are
 // continuous, so registers sharing a stage are granted shares that are
 // no multiple of their element width (here 1000/3 bits each for 32-bit
-// cells). The layout must record what the emitted register<bit<W>>(Cells)
+// cells). The layout must record what the emitted register<bit<W>>[Cells]
 // occupies — Cells*Width, per instance and per stage — which is what
 // the translation validator's register-shape audit re-derives.
 func TestRegisterBitsAreCellsTimesWidth(t *testing.T) {

@@ -277,7 +277,7 @@ func (p *ILP) extract(sol *ilp.Solution) *Layout {
 			}
 			// The memory variables are continuous: registers sharing a
 			// stage can each be granted a share that is no multiple of
-			// the element width. What the emitted register<bit<W>>(Cells)
+			// the element width. What the emitted register<bit<W>>[Cells]
 			// occupies is Cells*Width bits, so that is what is recorded
 			// (and charged to the stages), filled in stage order.
 			rp := RegPlacement{Register: reg.Name, Index: ri.Index, Width: reg.Width, Bits: make(map[int]int64)}

@@ -147,8 +147,9 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
-// compiledSource is in the dialect the compiler emits: @stage
-// annotations and P4_16's register<bit<W>>(N).
+// compiledSource is in the compiled dialect: @stage annotations, and
+// P4_16's register<bit<W>>(N), which the parser takes beside the
+// register<bit<W>>[N] the compiler prints.
 const compiledSource = `
 header pkt { bit<32> flow; }
 struct meta { bit<32> index_0; }

@@ -117,7 +117,7 @@ func (lw *linWalker) ifStmt(s *IfStmt, f *linFrame) error {
 	}
 	if s.Else != nil {
 		ef := f.clone()
-		ef.guards = append(ef.guards, cond)
+		ef.guards = append(ef.guards, &Unary{Pos: s.Pos, Op: NOT, X: cond})
 		return lw.block(s.Else, ef)
 	}
 	return nil

@@ -45,16 +45,17 @@ func (pr *printer) line(format string, args ...interface{}) {
 	pr.nl()
 }
 
-// stages prints a compiled declaration's @stage annotation, if any.
-func (pr *printer) stages(stages []int) {
-	if stages == nil {
-		return
+// stages is a compiled declaration's @stage annotation, if any, to
+// print on the declaration's own line.
+func stages(list []int) string {
+	if list == nil {
+		return ""
 	}
-	parts := make([]string, len(stages))
-	for i, s := range stages {
+	parts := make([]string, len(list))
+	for i, s := range list {
 		parts[i] = itoa(s)
 	}
-	pr.line("@stage(%s)", strings.Join(parts, ","))
+	return "@stage(" + strings.Join(parts, ",") + ") "
 }
 
 func (pr *printer) decl(d Decl) {
@@ -84,28 +85,25 @@ func (pr *printer) decl(d Decl) {
 		pr.depth--
 		pr.line("}")
 	case *RegisterDecl:
-		pr.stages(d.Stages)
 		if d.Count != nil {
-			pr.line("register<%s>[%s][%s] %s;", d.Elem, PrintExpr(d.Cells), PrintExpr(d.Count), d.Name)
+			pr.line("%sregister<%s>[%s][%s] %s;", stages(d.Stages), d.Elem, PrintExpr(d.Cells), PrintExpr(d.Count), d.Name)
 		} else {
-			pr.line("register<%s>[%s] %s;", d.Elem, PrintExpr(d.Cells), d.Name)
+			pr.line("%sregister<%s>[%s] %s;", stages(d.Stages), d.Elem, PrintExpr(d.Cells), d.Name)
 		}
 	case *ActionDecl:
 		for _, a := range d.Annotations {
 			pr.line("@%s", a)
 		}
-		pr.stages(d.Stages)
 		idx := ""
 		if d.IndexParam != "" {
 			idx = fmt.Sprintf("[int %s]", d.IndexParam)
 		}
 		pr.indent()
-		fmt.Fprintf(&pr.b, "action %s(%s)%s ", d.Name, params(d.Params), idx)
+		fmt.Fprintf(&pr.b, "%saction %s(%s)%s ", stages(d.Stages), d.Name, params(d.Params), idx)
 		pr.block(d.Body)
 		pr.nl()
 	case *TableDecl:
-		pr.stages(d.Stages)
-		pr.line("table %s {", d.Name)
+		pr.line("%stable %s {", stages(d.Stages), d.Name)
 		pr.depth++
 		if len(d.Keys) > 0 {
 			pr.indent()
@@ -221,7 +219,9 @@ func exprs(es []Expr) string {
 func (pr *printer) expr(e Expr, parent int) {
 	switch e := e.(type) {
 	case *IntLit:
-		fmt.Fprintf(&pr.b, "%d", e.Value)
+		// The 64-bit pattern: a negative value (a substituted named
+		// constant's) printed "-1" would parse back as a negation.
+		pr.b.WriteString(strconv.FormatUint(uint64(e.Value), 10))
 	case *FloatLit:
 		s := strconv.FormatFloat(e.Value, 'f', -1, 64)
 		if !strings.Contains(s, ".") {

@@ -187,8 +187,15 @@ control main { apply { wrap(); } }
 	}
 }
 
+// TestGuardedExecution runs guarded invocations, an if and an if/else,
+// on the interpreter and certifies each compile: the else branch runs
+// exactly when the if's condition is false.
 func TestGuardedExecution(t *testing.T) {
-	src := `
+	for _, c := range []struct {
+		name, src, in, out string
+		want               map[uint64]uint64 // input value -> output value
+	}{
+		{"if", `
 header pkt { bit<32> flow; }
 struct meta { bit<32> marked; }
 action mark() { meta.marked = 1; }
@@ -199,29 +206,35 @@ control main {
         }
     }
 }
-`
-	tgt := pisa.RunningExampleTarget()
-	res, err := core.Compile(src, tgt, core.Options{SkipCodegen: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := New(res.Unit, res.Layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := pipe.Process(Packet{{"pkt.flow", 50}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := Meta(out, "meta.marked", -1); v != 0 {
-		t.Errorf("guard fired for flow 50: marked=%d", v)
-	}
-	out, err = pipe.Process(Packet{{"pkt.flow", 150}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := Meta(out, "meta.marked", -1); v != 1 {
-		t.Errorf("guard missed for flow 150: marked=%d", v)
+`, "pkt.flow", "meta.marked", map[uint64]uint64{50: 0, 150: 1}},
+		{"if-else", `
+header pkt { bit<32> a; }
+struct meta { bit<32> r; }
+action yes() { meta.r = 1; }
+action no() { meta.r = 2; }
+control main { apply { if (pkt.a == 1) { yes(); } else { no(); } } }
+`, "pkt.a", "meta.r", map[uint64]uint64{1: 1, 5: 2}},
+	} {
+		res, err := core.Compile(c.src, pisa.RunningExampleTarget(), core.Options{Name: c.name, Certify: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !res.Certificate.Proved() {
+			t.Errorf("%s: %s", c.name, res.Certificate.Summary())
+		}
+		pipe, err := New(res.Unit, res.Layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for in, want := range c.want {
+			out, err := pipe.Process(Packet{{c.in, in}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := Meta(out, c.out, -1); v != want {
+				t.Errorf("%s: %s = %d gives %s = %d, want %d", c.name, c.in, in, c.out, v, want)
+			}
+		}
 	}
 }
 

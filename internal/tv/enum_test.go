@@ -137,8 +137,7 @@ var mutants = []struct {
 	mutate func(t *testing.T, layout *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout
 }{
 	{"wrong-value", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
-		asg := firstArith(t, prog).Body[0].(*codegen.CAssign)
-		asg.RHS = &codegen.CBinary{Op: lang.PLUS, X: asg.RHS, Y: &codegen.CInt{Value: 1}}
+		addOne(t, prog)
 		return l
 	}},
 	{"swapped-apply-stage", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
@@ -146,21 +145,15 @@ var mutants = []struct {
 		return l
 	}},
 	{"restaged-action", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
-		ca := firstArith(t, prog)
-		ca.Stage = (ca.Stage + 1) % l.Target.Stages
+		restage(t, prog, l.Target.Stages)
 		return l
 	}},
 	{"dropped-guard", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
-		for k := range prog.Apply {
-			if len(prog.Apply[k].Guards) > 0 {
-				prog.Apply[k].Guards = nil
-				break
-			}
-		}
+		dropGuard(prog)
 		return l
 	}},
 	{"narrowed-width", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
-		prog.Registers[0].Width /= 2
+		decls[*lang.RegisterDecl](prog)[0].Elem.Bits /= 2
 		return l
 	}},
 	{"narrowed-fields", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
@@ -168,18 +161,11 @@ var mutants = []struct {
 		return l
 	}},
 	{"dropped-apply-step", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
-		prog.Apply = prog.Apply[:len(prog.Apply)-1]
+		dropLastApplyStep(prog)
 		return l
 	}},
 	{"missing-action", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {
-		name := firstArith(t, prog).Name
-		kept := prog.Actions[:0]
-		for _, ca := range prog.Actions {
-			if ca.Name != name {
-				kept = append(kept, ca)
-			}
-		}
-		prog.Actions = kept
+		dropAction(t, prog)
 		return l
 	}},
 	{"inflated-bits", func(t *testing.T, l *ilpgen.Layout, prog *codegen.Concrete) *ilpgen.Layout {

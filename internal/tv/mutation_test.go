@@ -20,9 +20,9 @@ import (
 // register annotated with the wrong stage, a dropped invocation guard,
 // a narrowed declaration, a register of the wrong size, a missing or
 // extra apply step, two fields rendered under one name — and the
-// validator must reject every mutant. Each corrupts the program IR
-// before it is rendered, or the rendered text itself: the text is what
-// the validator certifies. A mutant that certifies proved is a hole in
+// validator must reject every mutant. Each corrupts the emitted
+// program's syntax tree before it is rendered, or the rendered text
+// itself: the text is what the validator certifies. A mutant that certifies proved is a hole in
 // the equivalence proof.
 
 var mutationBase struct {
@@ -32,7 +32,7 @@ var mutationBase struct {
 }
 
 // mutationCompile solves the CMS program once; each mutant rebuilds the
-// cheap Concrete IR from the shared layout and corrupts its own copy.
+// cheap emitted program from the shared layout and corrupts its own copy.
 func mutationCompile(t *testing.T) (*lang.Unit, *ilpgen.Layout, *codegen.Concrete) {
 	t.Helper()
 	mutationBase.Do(func() {
@@ -74,18 +74,33 @@ func wantObligation(t *testing.T, cert *Certificate, kind string) {
 	t.Errorf("no %s obligation: %+v", kind, cert.Equivalence.Obligations)
 }
 
+// decls returns the emitted program's declarations of type T, in order.
+func decls[T lang.Decl](prog *codegen.Concrete) []T {
+	var out []T
+	for _, d := range prog.Program.Decls {
+		if t, ok := d.(T); ok {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// applyBlock returns the apply block of the emitted control main.
+func applyBlock(prog *codegen.Concrete) *lang.Block {
+	return decls[*lang.ControlDecl](prog)[0].Apply
+}
+
 // firstArith finds an action whose body starts with an arithmetic
 // assignment (the CMS incr actions do) and returns it.
-func firstArith(t *testing.T, prog *codegen.Concrete) *codegen.CAction {
+func firstArith(t *testing.T, prog *codegen.Concrete) *lang.ActionDecl {
 	t.Helper()
-	for i := range prog.Actions {
-		ca := &prog.Actions[i]
-		if !strings.Contains(ca.Name, "incr") {
+	for _, a := range decls[*lang.ActionDecl](prog) {
+		if !strings.Contains(a.Name, "incr") {
 			continue
 		}
-		if len(ca.Body) > 0 {
-			if _, ok := ca.Body[0].(*codegen.CAssign); ok {
-				return ca
+		if len(a.Body.Stmts) > 0 {
+			if _, ok := a.Body.Stmts[0].(*lang.AssignStmt); ok {
+				return a
 			}
 		}
 	}
@@ -93,11 +108,15 @@ func firstArith(t *testing.T, prog *codegen.Concrete) *codegen.CAction {
 	return nil
 }
 
+// addOne adds one to the value the first arithmetic action computes.
+func addOne(t *testing.T, prog *codegen.Concrete) {
+	asg := firstArith(t, prog).Body.Stmts[0].(*lang.AssignStmt)
+	asg.RHS = &lang.Binary{Op: lang.PLUS, X: asg.RHS, Y: &lang.IntLit{Value: 1}}
+}
+
 func TestMutantWrongValueRejected(t *testing.T) {
 	u, layout, prog := mutationCompile(t)
-	ca := firstArith(t, prog)
-	asg := ca.Body[0].(*codegen.CAssign)
-	asg.RHS = &codegen.CBinary{Op: lang.PLUS, X: asg.RHS, Y: &codegen.CInt{Value: 1}}
+	addOne(t, prog)
 	mustReject(t, u, layout, prog, "wrong-value")
 }
 
@@ -116,35 +135,50 @@ func TestMutantSwappedApplyStagesRejected(t *testing.T) {
 // swapActionStages swaps the stages of the first action and the first
 // one placed in another stage, reporting whether there was one.
 func swapActionStages(prog *codegen.Concrete) bool {
-	for k := 1; k < len(prog.Actions); k++ {
-		if a, b := &prog.Actions[0], &prog.Actions[k]; a.Stage != b.Stage {
-			a.Stage, b.Stage = b.Stage, a.Stage
+	actions := decls[*lang.ActionDecl](prog)
+	for k := 1; k < len(actions); k++ {
+		if a, b := actions[0], actions[k]; a.Stages[0] != b.Stages[0] {
+			a.Stages, b.Stages = b.Stages, a.Stages
 			return true
 		}
 	}
 	return false
 }
 
+// restage moves the first arithmetic action's @stage to the next stage.
+func restage(t *testing.T, prog *codegen.Concrete, stages int) {
+	a := firstArith(t, prog)
+	a.Stages = []int{(a.Stages[0] + 1) % stages}
+}
+
 func TestMutantRestagedActionRejected(t *testing.T) {
 	// Moving only the emitted action's @stage annotation (the apply
 	// block untouched) must still fail: the per-stage ALU charge moves.
 	u, layout, prog := mutationCompile(t)
-	ca := firstArith(t, prog)
-	ca.Stage = (ca.Stage + 1) % layout.Target.Stages
+	restage(t, prog, layout.Target.Stages)
 	mustReject(t, u, layout, prog, "restaged-action")
+}
+
+// dropGuard replaces the first guarded apply entry by its bare call,
+// reporting whether there was one.
+func dropGuard(prog *codegen.Concrete) bool {
+	apply := applyBlock(prog)
+	for k, st := range apply.Stmts {
+		guarded := false
+		for is, ok := st.(*lang.IfStmt); ok; is, ok = st.(*lang.IfStmt) {
+			st, guarded = is.Then.Stmts[0], true
+		}
+		if guarded {
+			apply.Stmts[k] = st
+			return true
+		}
+	}
+	return false
 }
 
 func TestMutantDroppedGuardRejected(t *testing.T) {
 	u, layout, prog := mutationCompile(t)
-	mutated := false
-	for k := range prog.Apply {
-		if len(prog.Apply[k].Guards) > 0 {
-			prog.Apply[k].Guards = nil
-			mutated = true
-			break
-		}
-	}
-	if !mutated {
+	if !dropGuard(prog) {
 		t.Fatal("no guarded apply step to mutate")
 	}
 	mustReject(t, u, layout, prog, "dropped-guard")
@@ -154,7 +188,7 @@ func TestMutantDroppedGuardRejected(t *testing.T) {
 // declared bit<W>: stores wrap at the declaration.
 func TestMutantNarrowedRegisterWidthRejected(t *testing.T) {
 	u, layout, prog := mutationCompile(t)
-	prog.Registers[0].Width /= 2
+	decls[*lang.RegisterDecl](prog)[0].Elem.Bits /= 2
 	cert := mustReject(t, u, layout, prog, "narrowed-width")
 	wantObligation(t, cert, "register-mismatch")
 }
@@ -163,7 +197,7 @@ func TestMutantNarrowedRegisterWidthRejected(t *testing.T) {
 // declared cell count.
 func TestMutantHalvedRegisterCellsRejected(t *testing.T) {
 	u, layout, prog := mutationCompile(t)
-	prog.Registers[0].Cells /= 2
+	decls[*lang.RegisterDecl](prog)[0].Cells.(*lang.IntLit).Value /= 2
 	cert := mustReject(t, u, layout, prog, "halved-cells")
 	wantObligation(t, cert, "declaration-mismatch")
 }
@@ -172,7 +206,7 @@ func TestMutantHalvedRegisterCellsRejected(t *testing.T) {
 // @stage annotation to the next stage.
 func TestMutantMovedRegisterStageRejected(t *testing.T) {
 	u, layout, prog := mutationCompile(t)
-	r := &prog.Registers[0]
+	r := decls[*lang.RegisterDecl](prog)[0]
 	r.Stages = []int{(r.Stages[0] + 1) % layout.Target.Stages}
 	cert := mustReject(t, u, layout, prog, "moved-register-stage")
 	wantObligation(t, cert, "stage-mismatch")
@@ -187,9 +221,9 @@ func TestMutantNarrowedFieldsRejected(t *testing.T) {
 }
 
 func narrowFields(prog *codegen.Concrete) {
-	for i := range prog.Structs {
-		for j := range prog.Structs[i].Fields {
-			prog.Structs[i].Fields[j].Width = 8
+	for _, s := range decls[*lang.StructDecl](prog) {
+		for j := range s.Fields {
+			s.Fields[j].Type.Bits = 8
 		}
 	}
 }
@@ -230,7 +264,7 @@ func TestMutantDroppedConjunctRejected(t *testing.T) {
 	u, layout, prog := compileFor(t, multiGuard, pisa.EvalTarget(pisa.Mb))
 	mustProve(t, Validate(u, layout, prog, Options{Name: "multi-guard"}))
 	lines := strings.Split(codegen.Render(prog), "\n")
-	i := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, "if ((pkt.b == 2)) {") })
+	i := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, "if (pkt.b == 2) {") })
 	if i < 0 || strings.TrimSpace(lines[i+2]) != "}" {
 		t.Fatalf("no inner guard to drop in:\n%s", strings.Join(lines, "\n"))
 	}
@@ -239,31 +273,28 @@ func TestMutantDroppedConjunctRejected(t *testing.T) {
 	mustRejectText(t, u, layout, strings.Join(lines, "\n"), "dropped-conjunct")
 }
 
+// dropLastApplyStep deletes the last entry of the apply block.
+func dropLastApplyStep(prog *codegen.Concrete) {
+	apply := applyBlock(prog)
+	apply.Stmts = apply.Stmts[:len(apply.Stmts)-1]
+}
+
 func TestMutantDroppedApplyStepRejected(t *testing.T) {
 	u, layout, prog := mutationCompile(t)
-	prog.Apply = prog.Apply[:len(prog.Apply)-1]
+	dropLastApplyStep(prog)
 	cert := mustReject(t, u, layout, prog, "dropped-apply-step")
-	found := false
-	for _, ob := range cert.Equivalence.Obligations {
-		if ob.Kind == "apply-mismatch" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no apply-mismatch obligation: %+v", cert.Equivalence.Obligations)
-	}
+	wantObligation(t, cert, "apply-mismatch")
+}
+
+// dropAction deletes the first arithmetic action's declaration.
+func dropAction(t *testing.T, prog *codegen.Concrete) {
+	a := firstArith(t, prog)
+	prog.Program.Decls = slices.DeleteFunc(prog.Program.Decls, func(d lang.Decl) bool { return d == a })
 }
 
 func TestMutantMissingActionRejected(t *testing.T) {
 	u, layout, prog := mutationCompile(t)
-	name := firstArith(t, prog).Name
-	kept := prog.Actions[:0]
-	for _, ca := range prog.Actions {
-		if ca.Name != name {
-			kept = append(kept, ca)
-		}
-	}
-	prog.Actions = kept
+	dropAction(t, prog)
 	mustReject(t, u, layout, prog, "missing-action")
 }
 

@@ -21,9 +21,7 @@ import (
 // censusAllowed names the declarations under internal/ that only tests
 // reach and stay anyway, each with its reason. They are extra roots of
 // the census, so what they call is kept with them.
-var censusAllowed = map[string]string{
-	"p4all/internal/lang.Print": "the parser's round-trip oracle",
-}
+var censusAllowed = map[string]string{}
 
 // listedPackage is the part of `go list -json` the census reads.
 type listedPackage struct {
