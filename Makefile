@@ -9,8 +9,8 @@ GO ?= go
 	lp-split-diff bench-smoke bench-e2e difftest fuzz-smoke serve-smoke \
 	certify multitenant multitenant-certify
 
-# Per-target budget for the CI fuzz smoke (see docs/DIFFTEST.md). Three
-# targets at 30s each keep the job's total fuzz budget at about 90s.
+# Per-target budget for the CI fuzz smoke (see docs/DIFFTEST.md). Four
+# targets at 30s each keep the job's total fuzz budget at about 120s.
 FUZZTIME ?= 30s
 FUZZPKG  := ./internal/difftest/
 
@@ -175,13 +175,16 @@ multitenant-certify:
 		-certify -cert $(MTDIR)/joint.json -o /dev/null
 
 # fuzz-smoke gives each coverage-guided target a short budget on top of
-# the checked-in corpora. Crashers land in
-# internal/difftest/testdata/fuzz/<Target>/ — commit them as
-# regression inputs after fixing the bug.
+# the checked-in corpora: the three differential-testing targets and
+# the translation validator's FuzzCertify. Crashers land in
+# internal/difftest/testdata/fuzz/<Target>/ (internal/tv/testdata/fuzz/
+# for FuzzCertify) — commit them as regression inputs after fixing the
+# bug.
 fuzz-smoke:
 	$(GO) test $(FUZZPKG) -run='^$$' -fuzz=FuzzSimVsGolden -fuzztime=$(FUZZTIME)
 	$(GO) test $(FUZZPKG) -run='^$$' -fuzz=FuzzVMVsInterp -fuzztime=$(FUZZTIME)
 	$(GO) test $(FUZZPKG) -run='^$$' -fuzz=FuzzMigrateCMS -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/tv/ -run='^$$' -fuzz=FuzzCertify -fuzztime=$(FUZZTIME)
 
 # serve-smoke drives a netcacheserve child over loopback UDP for three
 # seconds with each of the benchmark's generators, closed loop (batches

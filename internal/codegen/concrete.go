@@ -129,7 +129,7 @@ func Build(u *lang.Unit, layout *ilpgen.Layout) (*Concrete, error) {
 			continue
 		}
 		// One if per guard, nested: the guard list short-circuits
-		// without the ALU op a && would charge.
+		// as the source's evaluates it.
 		var st lang.Stmt = &lang.CallStmt{Name: InstanceName(pl.Action, pl.Iter)}
 		if inv := b.invocationFor(pl); inv != nil {
 			for i := len(inv.Guards) - 1; i >= 0; i-- {

@@ -14,6 +14,7 @@ import (
 
 	"p4all/internal/lang"
 	"p4all/internal/pisa"
+	"p4all/internal/sem"
 )
 
 // Instance is one unrolled occurrence of an invocation: the invocation
@@ -129,7 +130,7 @@ type access struct {
 // functions.
 func Build(u *lang.Unit, counts Counts, target *pisa.Target) *Graph {
 	instances := Enumerate(u, counts)
-	return buildFrom(instances, target)
+	return buildFrom(u, instances, target)
 }
 
 // BuildFor constructs the graph G_v of §4.2 for a single symbolic v:
@@ -159,7 +160,7 @@ func BuildFor(u *lang.Unit, v *lang.Symbolic, k int, target *pisa.Target) *Graph
 		}
 		instances = append(instances, expand(inv, counts)...)
 	}
-	return buildFrom(instances, target)
+	return buildFrom(u, instances, target)
 }
 
 // Enumerate unrolls every invocation under the given counts, in
@@ -256,18 +257,7 @@ func accesses(in *Instance) []access {
 	return out
 }
 
-// profile returns the instance's total ALU profile (action + guards).
-func profile(in *Instance) pisa.ActionProfile {
-	p := in.Inv.Action.Profile
-	g := in.Inv.GuardProfile
-	return pisa.ActionProfile{
-		RegisterAccesses: p.RegisterAccesses + g.RegisterAccesses,
-		StatelessOps:     p.StatelessOps + g.StatelessOps,
-		Hashes:           p.Hashes + g.Hashes,
-	}
-}
-
-func buildFrom(instances []*Instance, target *pisa.Target) *Graph {
+func buildFrom(u *lang.Unit, instances []*Instance, target *pisa.Target) *Graph {
 	n := len(instances)
 	// Union instances that access the same register array instance:
 	// they must share a stage (same-stage node grouping).
@@ -308,6 +298,7 @@ func buildFrom(instances []*Instance, target *pisa.Target) *Graph {
 	g := &Graph{RegNodes: make(map[RegInstance]int)}
 	nodeOf := make([]int, n)
 	classNode := make(map[int]int)
+	profiles := make(map[*lang.Invocation]pisa.ActionProfile)
 	for i := range instances {
 		root := find(i)
 		id, ok := classNode[root]
@@ -319,7 +310,11 @@ func buildFrom(instances []*Instance, target *pisa.Target) *Graph {
 		nodeOf[i] = id
 		node := g.Nodes[id]
 		node.Instances = append(node.Instances, instances[i])
-		p := profile(instances[i])
+		p, ok := profiles[instances[i].Inv]
+		if !ok {
+			p = sem.Profile(u, instances[i].Inv)
+			profiles[instances[i].Inv] = p
+		}
 		node.Hf += target.Hf(p)
 		node.Hl += target.Hl(p)
 		node.Hashes += p.Hashes

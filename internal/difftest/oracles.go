@@ -286,9 +286,10 @@ var errEngineDiverged = errors.New("difftest: engine diverged")
 // (batched Replay — the production path, so struct-of-arrays batch
 // execution sits under the oracle too). Beyond per-packet outputs, the
 // final register state and every Stats counter must agree — the VM's
-// cost model is part of its contract. A lowering fallback is itself a
-// failure (detail non-empty): every program the repo ships is expected
-// to lower.
+// charges are part of its contract — and each packet's charge to each
+// stage must fit the layout's budget (overBudget). A lowering fallback
+// is itself a failure (detail non-empty): every program the repo ships
+// is expected to lower.
 func replayEngines(spec AppSpec, res *core.Result, stream []sim.Packet, seed int64) (*divergence, string, error) {
 	interp, err := sim.NewEngine(res.Unit, res.Layout, sim.EngineInterp)
 	if err != nil {
@@ -314,10 +315,16 @@ func replayEngines(spec AppSpec, res *core.Result, stream []sim.Packet, seed int
 		}
 	}
 	want := make([]map[string]uint64, len(stream))
+	before := interp.Stats().ALUs
 	for i, pkt := range stream {
 		if want[i], err = interp.Process(pkt); err != nil {
 			return nil, "", fmt.Errorf("interp packet %d: %w", i, err)
 		}
+		after := interp.Stats().ALUs
+		if d := overBudget(res.Layout, before, after); d != "" {
+			return nil, fmt.Sprintf("packet %d: %s", i, d), nil
+		}
+		before = after
 	}
 	var vdiv *divergence
 	err = vmpipe.Replay(stream, func(i int, v sim.View) error {
@@ -354,12 +361,40 @@ func diffStats(a, b sim.Stats) string {
 	if a.RegWrites != b.RegWrites {
 		return fmt.Sprintf("register writes %d vs %d", a.RegWrites, b.RegWrites)
 	}
-	if len(a.ALUOps) != len(b.ALUOps) {
-		return fmt.Sprintf("%d stages vs %d", len(a.ALUOps), len(b.ALUOps))
+	if len(a.ALUs) != len(b.ALUs) {
+		return fmt.Sprintf("%d stages vs %d", len(a.ALUs), len(b.ALUs))
 	}
-	for i := range a.ALUOps {
-		if a.ALUOps[i] != b.ALUOps[i] {
-			return fmt.Sprintf("stage %d ALU ops %d vs %d", i, a.ALUOps[i], b.ALUOps[i])
+	for i := range a.ALUs {
+		if a.ALUs[i] != b.ALUs[i] {
+			return fmt.Sprintf("stage %d charges %+v vs %+v", i, a.ALUs[i], b.ALUs[i])
+		}
+	}
+	return ""
+}
+
+// overBudget reports the first stage that one packet, the difference
+// between two Stats.ALUs snapshots, charged more than the layout
+// budgets there (its StageUse) or than the target has: stateful and
+// stateless ALUs through the target's Hf and Hl, hash units as counted.
+// The simulator does not stop such a packet; this check is where the
+// budget is enforced.
+func overBudget(l *ilpgen.Layout, before, after []pisa.ActionProfile) string {
+	t := l.Target
+	for s := range after {
+		c := pisa.ActionProfile{
+			RegisterAccesses: after[s].RegisterAccesses - before[s].RegisterAccesses,
+			StatelessOps:     after[s].StatelessOps - before[s].StatelessOps,
+			Hashes:           after[s].Hashes - before[s].Hashes,
+		}
+		use := l.Stages[s]
+		hf, hl := t.Hf(c), t.Hl(c)
+		switch {
+		case hf > use.Hf || hl > use.Hl || c.Hashes > use.Hashes:
+			return fmt.Sprintf("stage %d charges %d stateful, %d stateless ALUs and %d hash units; the layout budgets %d, %d and %d",
+				s, hf, hl, c.Hashes, use.Hf, use.Hl, use.Hashes)
+		case hf > t.StatefulALUs || hl > t.StatelessALUs || t.HashUnits > 0 && c.Hashes > t.HashUnits:
+			return fmt.Sprintf("stage %d charges %d stateful, %d stateless ALUs and %d hash units; the target has %d, %d and %d",
+				s, hf, hl, c.Hashes, t.StatefulALUs, t.StatelessALUs, t.HashUnits)
 		}
 	}
 	return ""

@@ -10,6 +10,7 @@ import (
 	"p4all/internal/ilp"
 	"p4all/internal/lang"
 	"p4all/internal/pisa"
+	"p4all/internal/sem"
 )
 
 // ErrInfeasible is returned when the program cannot fit the target
@@ -165,6 +166,33 @@ func (l *Layout) Schedule(u *lang.Unit) []Placement {
 		return order[i].Iter < order[j].Iter
 	})
 	return order
+}
+
+// Steps returns l.Schedule(u) and the steps that execute it: its
+// placements in that order, each bound to the first invocation of its
+// action, less the placements without a body (the match pseudo-actions
+// of tables). Step.Pos indexes the placement a step runs.
+func (l *Layout) Steps(u *lang.Unit) ([]Placement, []sem.Step) {
+	invByAction := make(map[string]*lang.Invocation, len(u.Invocations))
+	for _, inv := range u.Invocations {
+		if _, dup := invByAction[inv.Action.Name]; !dup {
+			invByAction[inv.Action.Name] = inv
+		}
+	}
+	order := l.Schedule(u)
+	var steps []sem.Step
+	for i, pl := range order {
+		inv, ok := invByAction[pl.Action]
+		if !ok || inv.Action.Decl == nil || inv.Action.Decl.Body == nil {
+			continue
+		}
+		s := sem.Step{Inv: inv, Iter: pl.Iter, Stage: pl.Stage, Pos: i}
+		if l := inv.Loop(); l != nil {
+			s.LoopVar = l.Var
+		}
+		steps = append(steps, s)
+	}
+	return order, steps
 }
 
 // Solve optimizes the generated ILP and extracts the layout.

@@ -280,18 +280,11 @@ func TestResolveCMS(t *testing.T) {
 	}
 }
 
-func TestActionProfiles(t *testing.T) {
+// TestActionFootprint checks the resolver's access list; the ALU
+// profile is sem's (TestActionProfiles there).
+func TestActionFootprint(t *testing.T) {
 	u := mustResolve(t, cmsSource)
 	incr := u.ActionByName("incr")
-	if incr.Profile.Hashes != 1 {
-		t.Errorf("incr hashes = %d, want 1", incr.Profile.Hashes)
-	}
-	if incr.Profile.RegisterAccesses != 1 {
-		t.Errorf("incr register accesses = %d, want 1 (RMW merged)", incr.Profile.RegisterAccesses)
-	}
-	if incr.Profile.StatelessOps != 2 {
-		t.Errorf("incr stateless ops = %d, want 2 (two PHV writes)", incr.Profile.StatelessOps)
-	}
 	if len(incr.Registers) != 1 || !incr.Registers[0].Write || incr.Registers[0].Class != IdxParam {
 		t.Errorf("incr register access = %+v, want one param-indexed write", incr.Registers)
 	}

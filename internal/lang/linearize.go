@@ -260,7 +260,7 @@ func (lw *linWalker) syntheticAssign(s *AssignStmt, f *linFrame) error {
 }
 
 // attachGuards analyzes the invocation's guard conditions as reads in
-// the iteration context and records their ALU cost.
+// the iteration context.
 func (lw *linWalker) attachGuards(inv *Invocation, f *linFrame) error {
 	if len(inv.Guards) == 0 {
 		return nil
@@ -280,7 +280,6 @@ func (lw *linWalker) attachGuards(inv *Invocation, f *linFrame) error {
 		}
 	}
 	inv.GuardReads = ghost.Meta
-	inv.GuardProfile = ghost.Profile
 	return nil
 }
 

@@ -8,8 +8,9 @@ import (
 // Resolve performs semantic analysis over a parsed program and builds
 // the compiler IR. It resolves names (symbolics, constants, structs,
 // registers, actions, controls, tables), computes each action's
-// dependency footprint and ALU profile, detects commutative reduction
-// writes, and linearizes the main control into an invocation sequence.
+// dependency footprint, detects commutative reduction writes, and
+// linearizes the main control into an invocation sequence. The ALU
+// profile is the cost model's (sem.Profile), not the resolver's.
 func Resolve(prog *Program, source string) (*Unit, error) {
 	r := &resolver{
 		unit: &Unit{
@@ -332,7 +333,6 @@ func (r *resolver) analyzeActions() error {
 				return err
 			}
 		}
-		match.Profile.StatelessOps++ // the match itself
 		t.Match = match
 		for _, name := range t.Decl.Actions {
 			a := r.unit.actionByName[name]
@@ -357,8 +357,7 @@ func (r *resolver) analyzeAction(a *Action) error {
 	return nil
 }
 
-// bodyAnalyzer walks an action body accumulating accesses and the ALU
-// profile.
+// bodyAnalyzer walks an action body accumulating its accesses.
 type bodyAnalyzer struct {
 	r      *resolver
 	action *Action
@@ -422,31 +421,12 @@ func (ba *bodyAnalyzer) assignCommutative(s *AssignStmt, commutative bool) error
 	if err := ba.expr(s.RHS); err != nil {
 		return err
 	}
-	kind, err := ba.ref(s.LHS, true, commutative)
-	if err != nil {
-		return err
-	}
-	if kind == refMeta || kind == refHeader {
-		ba.action.Profile.StatelessOps++ // the PHV write/move
-	}
-	return nil
+	return ba.ref(s.LHS, true, commutative)
 }
-
-type refKind int
-
-const (
-	refMeta refKind = iota
-	refHeader
-	refRegister
-	refSymbolic
-	refConst
-	refIndexVar
-	refParam
-)
 
 // ref resolves a reference and records the access. write/commutative
 // describe the access when the ref is an lvalue.
-func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) (refKind, error) {
+func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) error {
 	u := ba.unit()
 	a := ba.action
 	base := ref.Base()
@@ -455,49 +435,49 @@ func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) (refKind, error) 
 	if reg := u.RegisterByName(base); reg != nil {
 		seg := ref.Segs[0]
 		if len(ref.Segs) != 1 {
-			return 0, errf(ref.Pos, "register %s has no fields", base)
+			return errf(ref.Pos, "register %s has no fields", base)
 		}
 		wantIdx := 1
 		if reg.Decl.Count != nil {
 			wantIdx = 2
 		}
 		if len(seg.Indexes) != wantIdx {
-			return 0, errf(ref.Pos, "register %s requires %d index(es), got %d", base, wantIdx, len(seg.Indexes))
+			return errf(ref.Pos, "register %s requires %d index(es), got %d", base, wantIdx, len(seg.Indexes))
 		}
 		acc := RegAccess{Reg: reg, Class: IdxScalar, Write: write}
 		if wantIdx == 2 {
 			cls, cidx, err := ba.instanceIndex(seg.Indexes[0], reg.Name)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			acc.Class = cls
 			acc.ConstIdx = cidx
 			// The cell index is a runtime expression: analyze reads.
 			if err := ba.expr(seg.Indexes[1]); err != nil {
-				return 0, err
+				return err
 			}
 		} else {
 			if err := ba.expr(seg.Indexes[0]); err != nil {
-				return 0, err
+				return err
 			}
 		}
 		ba.recordReg(acc)
 		ref.Reg = reg
-		return refRegister, nil
+		return nil
 	}
 
 	// Struct field access.
 	if si := u.StructByName(base); si != nil {
 		if len(ref.Segs) != 2 {
-			return 0, errf(ref.Pos, "expected %s.<field>", base)
+			return errf(ref.Pos, "expected %s.<field>", base)
 		}
 		if len(ref.Segs[0].Indexes) != 0 {
-			return 0, errf(ref.Pos, "struct %s cannot be indexed", base)
+			return errf(ref.Pos, "struct %s cannot be indexed", base)
 		}
 		fseg := ref.Segs[1]
 		f := si.Field(fseg.Name)
 		if f == nil {
-			return 0, errf(ref.Pos, "struct %s has no field %s", base, fseg.Name)
+			return errf(ref.Pos, "struct %s has no field %s", base, fseg.Name)
 		}
 		acc := MetaAccess{Field: f, Class: IdxScalar, Write: write, Commutative: commutative}
 		elastic := f.Elastic()
@@ -505,45 +485,41 @@ func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) (refKind, error) 
 		case elastic && len(fseg.Indexes) == 1:
 			cls, cidx, err := ba.instanceIndex(fseg.Indexes[0], f.Qual())
 			if err != nil {
-				return 0, err
+				return err
 			}
 			acc.Class = cls
 			acc.ConstIdx = cidx
 		case elastic:
-			return 0, errf(ref.Pos, "elastic field %s requires exactly one index", f.Qual())
+			return errf(ref.Pos, "elastic field %s requires exactly one index", f.Qual())
 		case len(fseg.Indexes) != 0:
-			return 0, errf(ref.Pos, "scalar field %s cannot be indexed", f.Qual())
+			return errf(ref.Pos, "scalar field %s cannot be indexed", f.Qual())
 		}
 		a.Meta = append(a.Meta, acc)
 		ref.Field = f
-		kind := refMeta
-		if si.IsHeader {
-			kind = refHeader
-		}
-		return kind, nil
+		return nil
 	}
 
 	// Bare identifiers.
 	if ref.IsSimpleIdent() {
 		if sym := u.symbolicByName[base]; sym != nil {
 			ba.recordSymbolic(sym)
-			return refSymbolic, nil
+			return nil
 		}
 		if _, ok := u.Consts[base]; ok {
-			return refConst, nil
+			return nil
 		}
 		if a.Decl != nil && base == a.Decl.IndexParam {
-			return refIndexVar, nil
+			return nil
 		}
 		if a.Decl != nil {
 			for _, p := range a.Decl.Params {
 				if p.Name == base {
-					return refParam, nil
+					return nil
 				}
 			}
 		}
 	}
-	return 0, errf(ref.Pos, "unknown name %s", refText(ref))
+	return errf(ref.Pos, "unknown name %s", refText(ref))
 }
 
 // instanceIndex classifies an elastic-instance selector: the action's
@@ -572,24 +548,17 @@ func (ba *bodyAnalyzer) expr(e Expr) error {
 	case *FloatLit:
 		return errf(e.Pos, "decimal literals are only allowed in optimize and assume declarations")
 	case *Ref:
-		_, err := ba.ref(e, false, false)
-		return err
+		return ba.ref(e, false, false)
 	case *Unary:
 		return ba.expr(e.X)
 	case *Binary:
-		// Operators fold into the destination ALU's instruction; the
-		// cost unit is the PHV-writing assignment, counted at the
-		// assignment site.
 		if err := ba.expr(e.X); err != nil {
 			return err
 		}
 		return ba.expr(e.Y)
 	case *CallExpr:
 		switch e.Name {
-		case "hash":
-			ba.action.Profile.Hashes++
-		case "min", "max":
-			// Folded into the destination ALU like other operators.
+		case "hash", "min", "max":
 		default:
 			return errf(e.Pos, "unknown builtin %s (want hash, min, or max)", e.Name)
 		}
@@ -621,7 +590,6 @@ func (ba *bodyAnalyzer) recordReg(acc RegAccess) {
 	}
 	ba.regSeen[key] = len(ba.action.Registers)
 	ba.action.Registers = append(ba.action.Registers, acc)
-	ba.action.Profile.RegisterAccesses++
 }
 
 func (ba *bodyAnalyzer) recordSymbolic(sym *Symbolic) {

@@ -1,7 +1,5 @@
 package lang
 
-import "p4all/internal/pisa"
-
 // This file defines the resolved intermediate representation (the
 // "Unit") that the compiler's later stages — dependency analysis, loop
 // unrolling, and ILP generation — consume.
@@ -95,14 +93,12 @@ type RegAccess struct {
 	Write    bool
 }
 
-// Action is a resolved action with its dependency footprint and ALU
-// profile.
+// Action is a resolved action with its dependency footprint.
 type Action struct {
 	Name        string
 	Decl        *ActionDecl
 	Indexed     bool
 	Commutative bool // @commutative annotation or detected reduction
-	Profile     pisa.ActionProfile
 	Registers   []RegAccess
 	Meta        []MetaAccess
 	Symbolics   []*Symbolic // symbolic values referenced in the body
@@ -145,8 +141,6 @@ type Invocation struct {
 	// GuardReads are the metadata reads performed by the guards,
 	// classified in the invocation's iteration context.
 	GuardReads []MetaAccess
-	// GuardProfile is the extra ALU cost of evaluating the guards.
-	GuardProfile pisa.ActionProfile
 	// HasConstIndex marks an indexed call pinned to one constant
 	// instance (incr()[0] outside a loop); ConstIndex is that
 	// instance.

@@ -84,13 +84,19 @@ func (t *Target) EffectiveCost() ALUCost {
 	return c
 }
 
-// ActionProfile summarizes the primitive operations of one action, as
-// computed by the compiler's dependency analysis. The target's Hf and
-// Hl functions map a profile to ALU counts.
+// ActionProfile counts the budgeted units of the cost model
+// (internal/sem): an action instance's static demand, or what executed
+// code charged a stage. The target's Hf and Hl functions map a profile
+// to ALU counts.
 type ActionProfile struct {
 	RegisterAccesses int // distinct register read/modify/write ops
 	StatelessOps     int // PHV arithmetic, comparison, move ops
 	Hashes           int // hash computations
+}
+
+// Add returns the sum of two profiles.
+func (a ActionProfile) Add(b ActionProfile) ActionProfile {
+	return ActionProfile{a.RegisterAccesses + b.RegisterAccesses, a.StatelessOps + b.StatelessOps, a.Hashes + b.Hashes}
 }
 
 // Hf returns the number of stateful ALUs action a requires on t

@@ -124,6 +124,52 @@ func Call(name string, x, y uint64) uint64 {
 	return max(x, y)
 }
 
+// ErrNotConst marks an expression Fold cannot evaluate at compile time.
+var ErrNotConst = errors.New("not a compile-time constant")
+
+// Fold evaluates a compile-time-constant expression: literals, the
+// simple names name resolves, and arithmetic and comparisons over them,
+// wrapped as the walker wraps them. It returns the value and the width
+// it wraps at. Anything else (&& and ||, which the walker short-circuits,
+// unary operators, calls, field and register reads) is ErrNotConst; a
+// simple name that name does not resolve, or a zero divisor, is an
+// error of its own.
+func Fold(e lang.Expr, name func(string) (uint64, bool)) (uint64, int, error) {
+	switch e := e.(type) {
+	case *lang.IntLit:
+		return uint64(e.Value), 0, nil
+	case *lang.BoolLit:
+		return b2u(e.Value), 0, nil
+	case *lang.Ref:
+		if !e.IsSimpleIdent() {
+			return 0, 0, ErrNotConst
+		}
+		if v, ok := name(e.Base()); ok {
+			return v, 0, nil
+		}
+		return 0, 0, fmt.Errorf("unknown name %s", e.Base())
+	case *lang.Binary:
+		if e.Op == lang.AND || e.Op == lang.OR {
+			return 0, 0, ErrNotConst
+		}
+		x, wx, err := Fold(e.X, name)
+		if err != nil {
+			return 0, 0, err
+		}
+		y, wy, err := Fold(e.Y, name)
+		if err != nil {
+			return 0, 0, err
+		}
+		v, err := BinOp(e.Op, x, y)
+		if err != nil {
+			return 0, 0, fmt.Errorf("constant fold: %w", err)
+		}
+		w := OpWidth(e.Op, wx, wy)
+		return MaskTo(v, w), w, nil
+	}
+	return 0, 0, ErrNotConst
+}
+
 // InstKey names one instance of an elastic field or register,
 // "name@idx", built without fmt: it sits on per-access paths.
 func InstKey(name string, idx uint64) string {

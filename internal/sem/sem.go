@@ -8,21 +8,22 @@
 //
 // The walker fixes everything the two share: the schedule of action
 // instances, guard order, statement and expression order, short-circuit
-// booleans, the width each value wraps at, which operations are charged
-// to the stage's ALU, and how register and field references resolve,
-// the instance index bound through the action's index parameter. A
-// Domain supplies the leaves: constants, the ALU charge, branch
-// decisions, arithmetic, builtins, constant instance indexes, and
-// register and field storage. A domain decides what the walker cannot:
-// a dynamic instance index is evaluated at run time by sim and is a
-// proof obligation for tv.
+// booleans, the width each value wraps at, what each block charges to
+// the stage's ALUs (the cost model of cost.go, which also yields the
+// profile the compiler budgets), and how register and field references
+// resolve, the instance index bound through the action's index
+// parameter. A Domain supplies the leaves: constants, the charge,
+// branch decisions, arithmetic, builtins, constant instance indexes,
+// and register and field storage. A domain decides what the walker
+// cannot: a dynamic instance index is evaluated at run time by sim and
+// is a proof obligation for tv.
 package sem
 
 import (
 	"fmt"
 
-	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
+	"p4all/internal/pisa"
 )
 
 // Step is one executing entry of a compiled program's schedule: a
@@ -34,33 +35,7 @@ type Step struct {
 	Stage   int
 	LoopVar string // innermost loop variable of Inv ("" outside loops)
 	Pos     int    // index of the step's placement in the schedule
-}
-
-// Schedule returns layout.Schedule(u) and the steps that execute it:
-// its placements in that order, each bound to the first invocation of
-// its action, less the placements without a body (the match
-// pseudo-actions of tables). Step.Pos indexes the placement a step runs.
-func Schedule(u *lang.Unit, layout *ilpgen.Layout) ([]ilpgen.Placement, []Step) {
-	invByAction := make(map[string]*lang.Invocation, len(u.Invocations))
-	for _, inv := range u.Invocations {
-		if _, dup := invByAction[inv.Action.Name]; !dup {
-			invByAction[inv.Action.Name] = inv
-		}
-	}
-	order := layout.Schedule(u)
-	var steps []Step
-	for i, pl := range order {
-		inv, ok := invByAction[pl.Action]
-		if !ok || inv.Action.Decl == nil || inv.Action.Decl.Body == nil {
-			continue
-		}
-		s := Step{Inv: inv, Iter: pl.Iter, Stage: pl.Stage, Pos: i}
-		if l := inv.Loop(); l != nil {
-			s.LoopVar = l.Var
-		}
-		steps = append(steps, s)
-	}
-	return order, steps
+	plan    *Plan  // built by Plan on first use
 }
 
 // Name resolves a simple name in step s: the action's index parameter
@@ -105,8 +80,8 @@ func (f Field) Key() string {
 type Domain[V any] interface {
 	// Const is a literal or a compile-time name's value.
 	Const(v uint64) V
-	// Charge counts one ALU operation in the step's stage.
-	Charge()
+	// Charge adds a block's charge (Plan) to the step's stage.
+	Charge(c pisa.ActionProfile)
 	// Decide resolves a branch: is v nonzero?
 	Decide(v V) (bool, error)
 	// Unary applies MINUS, wrapping at w, or NOT.
@@ -135,17 +110,18 @@ type Domain[V any] interface {
 // each, stopping at the first that does not hold, and reports whether
 // all held.
 func Guards[V any, D Domain[V]](d D, u *lang.Unit, syms map[string]int64, s *Step) (bool, error) {
-	w := walker[V, D]{d: d, u: u, syms: syms, s: s}
+	w := walker[V, D]{d: d, u: u, syms: syms, s: s, plan: s.Plan(u, syms)}
 	return w.guards()
 }
 
 // Exec runs step s: its guards, then, when all hold, its action body.
 func Exec[V any, D Domain[V]](d D, u *lang.Unit, syms map[string]int64, s *Step) error {
-	w := walker[V, D]{d: d, u: u, syms: syms, s: s}
+	w := walker[V, D]{d: d, u: u, syms: syms, s: s, plan: s.Plan(u, syms)}
 	pass, err := w.guards()
 	if err != nil || !pass {
 		return err
 	}
+	w.charge(w.plan.Body)
 	return w.block(s.Inv.Action.Decl.Body)
 }
 
@@ -155,9 +131,18 @@ type walker[V any, D Domain[V]] struct {
 	u    *lang.Unit
 	syms map[string]int64
 	s    *Step
+	plan *Plan
+}
+
+// charge adds c to the step's stage unless it is empty.
+func (w *walker[V, D]) charge(c pisa.ActionProfile) {
+	if c != (pisa.ActionProfile{}) {
+		w.d.Charge(c)
+	}
 }
 
 func (w *walker[V, D]) guards() (bool, error) {
+	w.charge(w.plan.Guards)
 	for _, g := range w.s.Inv.Guards {
 		v, _, err := w.expr(g)
 		if err != nil {
@@ -171,6 +156,7 @@ func (w *walker[V, D]) guards() (bool, error) {
 }
 
 func (w *walker[V, D]) block(b *lang.Block) error {
+	w.charge(w.plan.Arms[b])
 	for _, s := range b.Stmts {
 		if err := w.stmt(s); err != nil {
 			return err
@@ -228,7 +214,6 @@ func (w *walker[V, D]) expr(e lang.Expr) (V, int, error) {
 		if err != nil {
 			return zero, 0, err
 		}
-		w.d.Charge()
 		switch e.Op {
 		case lang.MINUS:
 			return w.d.Unary(e.Op, x, wx), wx, nil
@@ -254,7 +239,6 @@ func (w *walker[V, D]) expr(e lang.Expr) (V, int, error) {
 		if err != nil {
 			return zero, 0, err
 		}
-		w.d.Charge()
 		ow := OpWidth(e.Op, wx, wy)
 		v, err := w.d.Binary(e.Op, x, y, ow)
 		return v, ow, err
@@ -267,7 +251,6 @@ func (w *walker[V, D]) expr(e lang.Expr) (V, int, error) {
 		if err != nil {
 			return zero, 0, err
 		}
-		w.d.Charge()
 		return w.d.Builtin(e.Name, x, y), CallWidth(e.Name, wx, wy), nil
 	case *lang.Ref:
 		return w.load(e)
@@ -278,14 +261,14 @@ func (w *walker[V, D]) expr(e lang.Expr) (V, int, error) {
 // bound returns the register or the field a reference names: the one
 // the resolver bound it to, else (a body the resolver never saw) the
 // one its name looks up.
-func (w *walker[V, D]) bound(ref *lang.Ref) (*lang.Register, *lang.MetaField) {
+func bound(u *lang.Unit, ref *lang.Ref) (*lang.Register, *lang.MetaField) {
 	if ref.Reg != nil || ref.Field != nil {
 		return ref.Reg, ref.Field
 	}
-	if reg := w.u.RegisterByName(ref.Base()); reg != nil {
+	if reg := u.RegisterByName(ref.Base()); reg != nil {
 		return reg, nil
 	}
-	if si := w.u.StructByName(ref.Base()); si != nil && len(ref.Segs) == 2 {
+	if si := u.StructByName(ref.Base()); si != nil && len(ref.Segs) == 2 {
 		return nil, si.Field(ref.Segs[1].Name)
 	}
 	return nil, nil
@@ -301,7 +284,7 @@ func (w *walker[V, D]) load(ref *lang.Ref) (V, int, error) {
 		}
 		return zero, 0, w.d.Abort("unknown name " + ref.Base())
 	}
-	reg, mf := w.bound(ref)
+	reg, mf := bound(w.u, ref)
 	if reg != nil {
 		inst, cell, err := w.register(ref, reg)
 		if err != nil {
@@ -320,7 +303,7 @@ func (w *walker[V, D]) load(ref *lang.Ref) (V, int, error) {
 }
 
 func (w *walker[V, D]) assign(ref *lang.Ref, v V) error {
-	reg, mf := w.bound(ref)
+	reg, mf := bound(w.u, ref)
 	if reg != nil {
 		inst, cell, err := w.register(ref, reg)
 		if err != nil {

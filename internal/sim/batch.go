@@ -219,7 +219,7 @@ func (pl *vmProg) execBumpLoad(fr *vmFrame, sg vmSeg) {
 		dv[l] = v & load.dmask
 		ds[l] = gen
 	}
-	fr.alu[bump.ctr] += (uint64(bump.charge) + uint64(load.charge)) * n
+	fr.alu[bump.ctr] += (bump.charge + load.charge) * n
 	fr.reads += 2 * n
 	fr.writes += n
 }
@@ -277,7 +277,7 @@ func (pl *vmProg) execVec(fr *vmFrame, start, end int32) {
 			ls = buf[:k]
 		}
 		n := uint64(len(ls))
-		fr.alu[in.ctr] += uint64(in.charge) * n
+		fr.alu[in.ctr] += in.charge * n
 		// Fixed-size views, indexed by lanes masked to vmLanes-1 (a
 		// no-op on a listed lane), let the compiler drop the bounds
 		// checks in the lane loops.

@@ -1,18 +1,14 @@
 // VM lowering: translates a pipeline's placed steps into the flat
 // vmInst stream executed by vm.go, once, at construction time.
 //
-// The Stats contract. The interpreter (sim.go) defines the cost model
-// and the lowering reproduces it bit-for-bit: one ALU op per evaluated
-// operator, unary minus/not, and builtin call, charged to the step's
-// stage after the operands evaluate and before the operator can fail;
-// nothing for an operand (or operator) a deciding && / || skips; one
-// register read per load and one write per store of a materialized
-// instance; arithmetic wrapped at the combined operand width, loads
-// masked at the declared field width. Compile-time-constant subtrees
-// are folded, and the ops the interpreter would have charged evaluating
-// them ride on whichever instruction materializes the constant — never
-// across a point where the packet can abort. difftest's engine oracle
-// and FuzzVMVsInterp hold the VM to that contract.
+// The lowering keeps the interpreter's observable behavior: outputs,
+// register contents, one register read per load and one write per
+// store of a materialized instance, arithmetic wrapped at the combined
+// operand width, loads masked at the declared field width, and the
+// charges of the step's sem.Plan. A block's charge rides on the first
+// instruction the block emits, which runs exactly when the block does,
+// before anything in it can abort the packet. difftest's engine oracle
+// and FuzzVMVsInterp hold the VM to the interpreter.
 //
 // Each statement and guard is first offered to the motif matchers, which
 // recognise what the elastic module library emits — constant seeds,
@@ -32,6 +28,7 @@ import (
 	"fmt"
 
 	"p4all/internal/lang"
+	"p4all/internal/pisa"
 	"p4all/internal/sem"
 )
 
@@ -86,6 +83,19 @@ func (lo *vmLowerer) lower() (*vmProg, error) {
 		}
 	}
 	lo.pr.nreg = len(lo.regIDs)
+	// A frame flushes its packed counters after at most vmLanes
+	// packets, each charging a stage at most the sum of the stage's
+	// instruction charges: keep that within one packed field.
+	sum := make([]pisa.ActionProfile, len(lo.p.stats.ALUs)+1)
+	for i := range lo.pr.code {
+		in := &lo.pr.code[i]
+		sum[in.ctr] = sum[in.ctr].Add(unpackCharge(in.charge))
+	}
+	for _, c := range sum {
+		if max(c.RegisterAccesses, c.StatelessOps, c.Hashes)*vmLanes >= 1<<chargeBits {
+			return nil, fmt.Errorf("vm: a stage charges %+v per packet, beyond the packed counters", c)
+		}
+	}
 	markUncond(lo.pr)
 	lo.pr.segs = segmentize(lo.pr)
 	return lo.pr, nil
@@ -118,21 +128,26 @@ func (lo *vmLowerer) regIDFor(name string, inst int) int32 {
 	return id
 }
 
-// vmStepCtx pins one action instance's iteration index and stage
-// counter while its guards and body lower.
+// vmStepCtx pins one action instance's iteration index, stage counter
+// and charge plan while its guards and body lower.
 type vmStepCtx struct {
-	lo  *vmLowerer
-	st  *sem.Step
-	ctr int32 // ALU accumulator index: the stage, or the dummy
-	sp  int   // operand-stack depth at the next generic instruction
+	lo   *vmLowerer
+	st   *sem.Step
+	plan *sem.Plan
+	ctr  int32 // ALU accumulator index: the stage, or the dummy
+	sp   int   // operand-stack depth at the next generic instruction
+	// pending is the charge of the block being entered, stamped on the
+	// next instruction emitted.
+	pending pisa.ActionProfile
 }
 
 func (lo *vmLowerer) lowerStep(st *sem.Step) error {
-	ctr := int32(len(lo.p.stats.ALUOps)) // dummy accumulator
-	if st.Stage >= 0 && st.Stage < len(lo.p.stats.ALUOps) {
+	ctr := int32(len(lo.p.stats.ALUs)) // dummy accumulator
+	if st.Stage >= 0 && st.Stage < len(lo.p.stats.ALUs) {
 		ctr = int32(st.Stage)
 	}
-	ctx := &vmStepCtx{lo: lo, st: st, ctr: ctr}
+	plan := st.Plan(lo.p.unit, lo.p.layout.Symbolics)
+	ctx := &vmStepCtx{lo: lo, st: st, plan: plan, ctr: ctr, pending: plan.Guards}
 	var guardIdx []int
 	for _, g := range st.Inv.Guards {
 		gi, err := ctx.lowerGuard(g)
@@ -141,6 +156,7 @@ func (lo *vmLowerer) lowerStep(st *sem.Step) error {
 		}
 		guardIdx = append(guardIdx, gi)
 	}
+	ctx.pending = ctx.pending.Add(plan.Body)
 	if err := ctx.lowerBlock(st.Inv.Action.Decl.Body); err != nil {
 		return err
 	}
@@ -151,11 +167,13 @@ func (lo *vmLowerer) lowerStep(st *sem.Step) error {
 	return nil
 }
 
-// emit appends an instruction, stamping the step's ALU counter and
-// tracking the generic operand stack's depth, and returns its index for
-// jump patching.
+// emit appends an instruction, stamping the step's ALU counter and any
+// pending block charge and tracking the generic operand stack's depth,
+// and returns its index for jump patching.
 func (ctx *vmStepCtx) emit(in vmInst) int {
 	in.ctr = ctx.ctr
+	in.charge = packCharge(ctx.pending)
+	ctx.pending = pisa.ActionProfile{}
 	if in.store == nil {
 		in.regID = -1
 	}
@@ -188,77 +206,37 @@ func b2u(ok bool) uint64 {
 
 // --- constant evaluation --------------------------------------------------
 
-// vmConst is a compile-time constant plus the ALU ops the interpreter
-// would charge evaluating the folded subtree; the charge is realized on
-// whichever instruction materializes the constant, keeping Stats
-// bit-identical.
+// vmConst is a compile-time constant and the width it wraps at.
 type vmConst struct {
 	val   uint64
 	width int
-	cost  int
 }
 
-// errNotConst marks an expression constExpr cannot fold; every other
-// constExpr error rejects the lowering. errNoMotif is a matcher
-// declining a statement.
-var (
-	errNotConst = errors.New("vm: not a compile-time constant")
-	errNoMotif  = errors.New("vm: no motif")
-)
+// errNoMotif is a matcher declining a statement.
+var errNoMotif = errors.New("vm: no motif")
 
-// constExpr evaluates a compile-time-constant expression: literals,
-// iteration/loop variables, symbolic parameters, named constants, and
-// arithmetic/comparisons over them.
+// constExpr folds a compile-time-constant expression in the step
+// (sem.Fold). sem.ErrNotConst leaves e to the generic core; any other
+// error (an unknown name, a constant zero divisor) rejects the lowering,
+// so the interpreter reports it per packet.
 func (ctx *vmStepCtx) constExpr(e lang.Expr) (vmConst, error) {
-	switch e := e.(type) {
-	case *lang.IntLit:
-		return vmConst{val: uint64(e.Value)}, nil
-	case *lang.BoolLit:
-		return vmConst{val: b2u(e.Value)}, nil
-	case *lang.Ref:
-		if !e.IsSimpleIdent() {
-			return vmConst{}, errNotConst
-		}
-		base := e.Base()
-		if v, ok := ctx.st.Name(ctx.lo.p.unit, ctx.lo.p.layout.Symbolics, base); ok {
-			return vmConst{val: v}, nil
-		}
-		return vmConst{}, fmt.Errorf("vm: unknown name %s", base)
-	case *lang.Binary:
-		if e.Op == lang.AND || e.Op == lang.OR {
-			return vmConst{}, errNotConst // genExpr lowers the short circuit
-		}
-		x, err := ctx.constExpr(e.X)
-		if err != nil {
-			return vmConst{}, err
-		}
-		y, err := ctx.constExpr(e.Y)
-		if err != nil {
-			return vmConst{}, err
-		}
-		v, err := sem.BinOp(e.Op, x.val, y.val)
-		if err != nil {
-			// Constant zero divisor: reject so the interpreter reports
-			// the error per packet.
-			return vmConst{}, fmt.Errorf("vm: constant fold: %w", err)
-		}
-		w := sem.OpWidth(e.Op, x.width, y.width)
-		return vmConst{val: sem.MaskTo(v, w), width: w, cost: x.cost + y.cost + 1}, nil
-	default:
-		return vmConst{}, errNotConst
+	v, w, err := sem.Fold(e, func(n string) (uint64, bool) {
+		return ctx.st.Name(ctx.lo.p.unit, ctx.lo.p.layout.Symbolics, n)
+	})
+	if err != nil && err != sem.ErrNotConst {
+		err = fmt.Errorf("vm: %w", err)
 	}
+	return vmConst{val: v, width: w}, err
 }
 
 // --- operand resolution ---------------------------------------------------
 
 // vmField is a resolved struct-field reference: its interned slot,
-// declared width, whether it is a header field, and the ALU ops the
-// interpreter charges evaluating an elastic field's constant index.
+// declared width, and whether it is a header field.
 type vmField struct {
 	slot   int32
 	width  int
 	header bool
-	cost   int
 }
 
 // fieldRef resolves a struct-field reference. An elastic field's
@@ -272,7 +250,7 @@ func (ctx *vmStepCtx) fieldRef(ref *lang.Ref) (vmField, error) {
 	if f == nil {
 		return vmField{}, fmt.Errorf("vm: unknown field %s", lang.PrintExpr(ref))
 	}
-	key, cost := f.Qual(), 0
+	key := f.Qual()
 	if f.Elastic() {
 		fseg := ref.Segs[1]
 		if len(fseg.Indexes) != 1 {
@@ -282,14 +260,13 @@ func (ctx *vmStepCtx) fieldRef(ref *lang.Ref) (vmField, error) {
 		if err != nil {
 			return vmField{}, fmt.Errorf("vm: elastic field %s index: %w", key, err)
 		}
-		key, cost = sem.InstKey(key, ie.val), ie.cost
+		key = sem.InstKey(key, ie.val)
 	}
-	return vmField{slot: ctx.lo.slotFor(key, si.IsHeader), width: f.Width, header: si.IsHeader, cost: cost}, nil
+	return vmField{slot: ctx.lo.slotFor(key, si.IsHeader), width: f.Width, header: si.IsHeader}, nil
 }
 
-// metaOperand resolves a motif operand: a metadata field whose index
-// charges nothing (meta loads are unmasked: slots only ever hold
-// store-masked values).
+// metaOperand resolves a motif operand: a metadata field (meta loads
+// are unmasked: slots only ever hold store-masked values).
 func (ctx *vmStepCtx) metaOperand(e lang.Expr) (slot int32, width int, err error) {
 	ref, ok := e.(*lang.Ref)
 	if !ok {
@@ -299,51 +276,50 @@ func (ctx *vmStepCtx) metaOperand(e lang.Expr) (slot int32, width int, err error
 	if err != nil {
 		return 0, 0, err
 	}
-	if f.header || f.cost != 0 {
-		return 0, 0, fmt.Errorf("vm: %s is not a plain meta operand", lang.PrintExpr(ref))
+	if f.header {
+		return 0, 0, fmt.Errorf("vm: %s is not a meta operand", lang.PrintExpr(ref))
 	}
 	return f.slot, f.width, nil
 }
 
 // regTarget resolves a register reference to its backing store (nil
 // when the layout did not materialize the instance: loads read zero and
-// stores vanish, as in the interpreter), the store's dense id, the ALU
-// ops the constant instance index charges, and the cell-index
-// expression.
-func (ctx *vmStepCtx) regTarget(ref *lang.Ref, reg *lang.Register) (store []uint64, regID int32, instCost int, cellE lang.Expr, err error) {
+// stores vanish, as in the interpreter), the store's dense id, and the
+// cell-index expression.
+func (ctx *vmStepCtx) regTarget(ref *lang.Ref, reg *lang.Register) (store []uint64, regID int32, cellE lang.Expr, err error) {
 	seg := ref.Segs[0]
 	inst := 0
 	switch {
 	case reg.Decl.Count != nil && len(seg.Indexes) == 2:
 		ic, err := ctx.constExpr(seg.Indexes[0])
 		if err != nil {
-			return nil, 0, 0, nil, fmt.Errorf("vm: register %s instance index: %w", reg.Name, err)
+			return nil, 0, nil, fmt.Errorf("vm: register %s instance index: %w", reg.Name, err)
 		}
-		inst, instCost, cellE = int(ic.val), ic.cost, seg.Indexes[1]
+		inst, cellE = int(ic.val), seg.Indexes[1]
 	case len(seg.Indexes) == 1:
 		cellE = seg.Indexes[0]
 	default:
-		return nil, 0, 0, nil, fmt.Errorf("vm: malformed register access %s", lang.PrintExpr(ref))
+		return nil, 0, nil, fmt.Errorf("vm: malformed register access %s", lang.PrintExpr(ref))
 	}
 	store, ok := ctx.lo.p.Register(reg.Name, inst)
 	if !ok {
-		return nil, -1, instCost, cellE, nil
+		return nil, -1, cellE, nil
 	}
 	if len(store) == 0 {
-		return nil, 0, 0, nil, fmt.Errorf("vm: register %s/%d has no cells", reg.Name, inst)
+		return nil, 0, nil, fmt.Errorf("vm: register %s/%d has no cells", reg.Name, inst)
 	}
-	return store, ctx.lo.regIDFor(reg.Name, inst), instCost, cellE, nil
+	return store, ctx.lo.regIDFor(reg.Name, inst), cellE, nil
 }
 
 // regAccess resolves a motif register access: a materialized instance
-// whose index charges nothing, with the cell index held in a metadata
-// field (the library's "@_meta.index[i]" motif).
+// with the cell index held in a metadata field (the library's
+// "@_meta.index[i]" motif).
 func (ctx *vmStepCtx) regAccess(ref *lang.Ref, reg *lang.Register) (store []uint64, cellSlot int32, regID int32, err error) {
-	store, regID, instCost, cellE, err := ctx.regTarget(ref, reg)
+	store, regID, cellE, err := ctx.regTarget(ref, reg)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if store == nil || instCost != 0 {
+	if store == nil {
 		return nil, 0, 0, fmt.Errorf("vm: register access %s is not the motif", lang.PrintExpr(ref))
 	}
 	cellSlot, _, err = ctx.metaOperand(cellE)
@@ -353,6 +329,7 @@ func (ctx *vmStepCtx) regAccess(ref *lang.Ref, reg *lang.Register) (store []uint
 // --- statements -----------------------------------------------------------
 
 func (ctx *vmStepCtx) lowerBlock(b *lang.Block) error {
+	ctx.pending = ctx.pending.Add(ctx.plan.Arms[b])
 	for _, s := range b.Stmts {
 		if err := ctx.lowerStmt(s); err != nil {
 			return err
@@ -406,14 +383,14 @@ func (ctx *vmStepCtx) matchAssign(s *lang.AssignStmt) error {
 	if err != nil {
 		return err
 	}
-	if lhs.header || lhs.cost != 0 {
+	if lhs.header {
 		return errNoMotif
 	}
 	dst, dmask := lhs.slot, sem.WidthMask(lhs.width)
 
-	// Constant right-hand side: fold it, deferring its charge.
+	// Constant right-hand side: fold it.
 	if c, err := ctx.constExpr(s.RHS); err == nil {
-		ctx.emit(vmInst{op: opConstSlot, dst: dst, imm: c.val & dmask, charge: uint32(c.cost)})
+		ctx.emit(vmInst{op: opConstSlot, dst: dst, imm: c.val & dmask})
 		return nil
 	}
 
@@ -448,11 +425,7 @@ func (ctx *vmStepCtx) matchAssign(s *lang.AssignStmt) error {
 }
 
 // matchHashMod matches the index-computation motif
-// "hash(hdr, seed) % modulus" with a constant seed and modulus. The
-// charge replays the interpreter's exact sequence: the folded seed's
-// cost, one for the hash, the folded modulus's cost, one for the mod —
-// all within one instruction, which is observationally equivalent
-// because nothing can abort between them.
+// "hash(hdr, seed) % modulus" with a constant seed and modulus.
 func (ctx *vmStepCtx) matchHashMod(b *lang.Binary, dst int32, dmask uint64) error {
 	call, ok := b.X.(*lang.CallExpr)
 	if !ok || call.Name != "hash" || len(call.Args) != 2 {
@@ -474,7 +447,7 @@ func (ctx *vmStepCtx) matchHashMod(b *lang.Binary, dst int32, dmask uint64) erro
 	if err != nil {
 		return err
 	}
-	if !key.header || key.cost != 0 || div.val == 0 {
+	if !key.header || div.val == 0 {
 		return errNoMotif
 	}
 	// hash yields width 64, so the modulo result's combined-width wrap
@@ -483,7 +456,6 @@ func (ctx *vmStepCtx) matchHashMod(b *lang.Binary, dst int32, dmask uint64) erro
 	ctx.emit(vmInst{
 		op: opHashModSlot, a: key.slot, dst: dst,
 		mask: sem.WidthMask(key.width), imm: seed.val, imm2: div.val, dmask: dmask,
-		charge: uint32(seed.cost + 1 + div.cost + 1),
 	})
 	return nil
 }
@@ -509,7 +481,6 @@ func (ctx *vmStepCtx) matchAdd(b *lang.Binary, dst int32, dmask uint64) error {
 		ctx.emit(vmInst{
 			op: opAdd3Slot, a: a, b: b2, c: c, dst: dst,
 			mask: sem.WidthMask(innerW), mask2: sem.WidthMask(outerW) & dmask,
-			charge: 2,
 		})
 		return nil
 	}
@@ -523,15 +494,14 @@ func (ctx *vmStepCtx) matchAdd(b *lang.Binary, dst int32, dmask uint64) error {
 	}
 	ctx.emit(vmInst{
 		op: opAdd2Slot, a: a, b: b2, dst: dst,
-		mask:   sem.WidthMask(sem.CombineWidth(wa, wb)) & dmask,
-		charge: 1,
+		mask: sem.WidthMask(sem.CombineWidth(wa, wb)) & dmask,
 	})
 	return nil
 }
 
 // matchRegBump matches the read-modify-write motif
 // "reg[i][cell] = reg[i][cell] + addend" (same cell on both sides,
-// compared syntactically) with a constant zero-cost addend.
+// compared syntactically) with a constant addend.
 func (ctx *vmStepCtx) matchRegBump(s *lang.AssignStmt, reg *lang.Register) error {
 	rb, ok := s.RHS.(*lang.Binary)
 	if !ok || rb.Op != lang.PLUS {
@@ -545,9 +515,6 @@ func (ctx *vmStepCtx) matchRegBump(s *lang.AssignStmt, reg *lang.Register) error
 	if err != nil {
 		return err
 	}
-	if add.cost != 0 {
-		return errNoMotif
-	}
 	store, cellSlot, regID, err := ctx.regAccess(s.LHS, reg)
 	if err != nil {
 		return err
@@ -559,7 +526,6 @@ func (ctx *vmStepCtx) matchRegBump(s *lang.AssignStmt, reg *lang.Register) error
 	ctx.emit(vmInst{
 		op: opRegBumpSlot, a: cellSlot, imm: add.val, mask: mask,
 		store: store, ncells: uint64(len(store)), regID: regID,
-		charge: 1,
 	})
 	return nil
 }
@@ -567,10 +533,9 @@ func (ctx *vmStepCtx) matchRegBump(s *lang.AssignStmt, reg *lang.Register) error
 // --- guards ---------------------------------------------------------------
 
 // lowerGuard emits a conditional forward jump for a step guard and
-// returns its index; lowerStep patches the target to the step end. The
-// LT/EQ motifs charge their comparison whether or not the guard passes
-// (the interpreter charges after operand evaluation, before acting on
-// the result); every other guard evaluates on the generic core.
+// returns its index; lowerStep patches the target to the step end. An
+// LT/EQ motif is one instruction; every other guard evaluates on the
+// generic core.
 func (ctx *vmStepCtx) lowerGuard(g lang.Expr) (int, error) {
 	if !ctx.lo.genericOnly {
 		if in, ok := ctx.matchGuard(g); ok {
@@ -595,11 +560,11 @@ func (ctx *vmStepCtx) matchGuard(g lang.Expr) (vmInst, bool) {
 	switch b.Op {
 	case lang.LT:
 		if b2, _, err := ctx.metaOperand(b.Y); err == nil {
-			return vmInst{op: opGuardLT, a: a, b: b2, charge: 1}, true
+			return vmInst{op: opGuardLT, a: a, b: b2}, true
 		}
 	case lang.EQ:
 		if y, err := ctx.constExpr(b.Y); err == nil {
-			return vmInst{op: opGuardEQImm, a: a, imm: y.val, charge: uint32(1 + y.cost)}, true
+			return vmInst{op: opGuardEQImm, a: a, imm: y.val}, true
 		}
 	}
 	return vmInst{}, false
@@ -627,21 +592,16 @@ func (ctx *vmStepCtx) genAssign(s *lang.AssignStmt) error {
 	if err != nil {
 		return err
 	}
-	ctx.emit(vmInst{op: opStore, dst: f.slot, dmask: sem.WidthMask(f.width), charge: uint32(f.cost)})
+	ctx.emit(vmInst{op: opStore, dst: f.slot, dmask: sem.WidthMask(f.width)})
 	return nil
 }
 
 // genRegCell pushes a register access's cell index and returns the
-// access instruction with its store filled in. The instance index's
-// charge lands before the cell expression evaluates, because the cell
-// expression may abort the packet.
+// access instruction with its store filled in.
 func (ctx *vmStepCtx) genRegCell(ref *lang.Ref, reg *lang.Register) (vmInst, error) {
-	store, regID, instCost, cellE, err := ctx.regTarget(ref, reg)
+	store, regID, cellE, err := ctx.regTarget(ref, reg)
 	if err != nil {
 		return vmInst{}, err
-	}
-	if instCost > 0 {
-		ctx.patch(ctx.emit(vmInst{op: opJump, charge: uint32(instCost)})) // no-op carrying the charge
 	}
 	if _, err := ctx.genExpr(cellE); err != nil {
 		return vmInst{}, err
@@ -656,16 +616,16 @@ var vmBuiltins = map[string]int32{"hash": callHash, "min": callMin, "max": callM
 func (ctx *vmStepCtx) genExpr(e lang.Expr) (int, error) {
 	c, err := ctx.constExpr(e)
 	if err == nil {
-		ctx.emit(vmInst{op: opPushImm, imm: c.val, charge: uint32(c.cost)})
+		ctx.emit(vmInst{op: opPushImm, imm: c.val})
 		return c.width, nil
 	}
-	if err != errNotConst {
+	if err != sem.ErrNotConst {
 		return 0, err
 	}
 	switch e := e.(type) {
 	case *lang.Unary:
-		// -x is 0 - x and !x is x == 0: same value, width and single
-		// charge as the interpreter's unary case.
+		// -x is 0 - x and !x is x == 0: same value and width as the
+		// interpreter's unary case.
 		switch e.Op {
 		case lang.MINUS:
 			return ctx.genBinary(&lang.Binary{Op: lang.MINUS, X: &lang.IntLit{}, Y: e.X})
@@ -688,7 +648,7 @@ func (ctx *vmStepCtx) genExpr(e lang.Expr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		ctx.emit(vmInst{op: opCall, b: id, charge: 1})
+		ctx.emit(vmInst{op: opCall, b: id})
 		return sem.CallWidth(e.Name, wx, wy), nil
 	case *lang.Ref:
 		if reg := ctx.lo.p.unit.RegisterByName(e.Base()); reg != nil {
@@ -708,7 +668,7 @@ func (ctx *vmStepCtx) genExpr(e lang.Expr) (int, error) {
 		if f.header {
 			mask = sem.WidthMask(f.width) // the packet may carry a wider value
 		}
-		ctx.emit(vmInst{op: opPush, a: f.slot, mask: mask, charge: uint32(f.cost)})
+		ctx.emit(vmInst{op: opPush, a: f.slot, mask: mask})
 		return f.width, nil
 	default:
 		return 0, fmt.Errorf("vm: unsupported expression %T", e)
@@ -721,7 +681,7 @@ func (ctx *vmStepCtx) genBinary(e *lang.Binary) (int, error) {
 		// skipping the right operand as the interpreter would.
 		decides := b2u(e.Op == lang.OR)
 		if x, err := ctx.constExpr(e.X); err == nil && b2u(x.val != 0) == decides {
-			ctx.emit(vmInst{op: opPushImm, imm: decides, charge: uint32(x.cost)})
+			ctx.emit(vmInst{op: opPushImm, imm: decides})
 			return 0, nil
 		}
 		if _, err := ctx.genExpr(e.X); err != nil {
@@ -733,7 +693,7 @@ func (ctx *vmStepCtx) genBinary(e *lang.Binary) (int, error) {
 		}
 		// The left operand did not decide, so x op y is just y != 0.
 		ctx.emit(vmInst{op: opPushImm})
-		ctx.emit(vmInst{op: opBin, b: int32(lang.NE), mask: ^uint64(0), charge: 1})
+		ctx.emit(vmInst{op: opBin, b: int32(lang.NE), mask: ^uint64(0)})
 		ctx.patch(sc)
 		return 0, nil
 	}
@@ -758,6 +718,6 @@ func (ctx *vmStepCtx) genBinary(e *lang.Binary) (int, error) {
 		return 0, fmt.Errorf("vm: unsupported operator %s", e.Op)
 	}
 	w := sem.OpWidth(e.Op, wx, wy)
-	ctx.emit(vmInst{op: opBin, b: int32(e.Op), mask: sem.WidthMask(w), charge: 1})
+	ctx.emit(vmInst{op: opBin, b: int32(e.Op), mask: sem.WidthMask(w)})
 	return w, nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
+	"p4all/internal/pisa"
 	"p4all/internal/sem"
 )
 
@@ -41,23 +42,27 @@ func (pkt Packet) Get(name string) (uint64, bool) {
 }
 
 // Stats counts the work a pipeline has performed since construction:
-// packets processed, register accesses, and ALU operations per stage.
-// These are the behavioral-model analogues of the switch resource
-// counters the paper's §2 architecture budgets.
+// packets processed, register cell reads and writes, and, per stage,
+// the units the layout budgets there.
 type Stats struct {
 	Packets   uint64
 	RegReads  uint64
 	RegWrites uint64
-	// ALUOps counts arithmetic, comparison, and hash operations
-	// evaluated in each stage, indexed by stage number.
-	ALUOps []uint64
+	// ALUs is indexed by stage number. It sums what the stage's
+	// executed blocks charged under sem's cost table: stateful ALUs
+	// (RegisterAccesses), stateless ALUs (StatelessOps) and hash units
+	// (Hashes). One packet's charge to a stage is at most what the
+	// layout budgets there (difftest's engine oracle checks it); the
+	// pipeline counts it and does not stop a packet over it.
+	ALUs []pisa.ActionProfile
 }
 
-// TotalALUOps sums the per-stage ALU operation counts.
+// TotalALUOps sums the charged units, of all three kinds, over the
+// stages.
 func (s Stats) TotalALUOps() uint64 {
 	var n uint64
-	for _, v := range s.ALUOps {
-		n += v
+	for _, v := range s.ALUs {
+		n += uint64(v.RegisterAccesses + v.StatelessOps + v.Hashes)
 	}
 	return n
 }
@@ -118,7 +123,7 @@ func NewEngine(u *lang.Unit, layout *ilpgen.Layout, eng Engine) (*Pipeline, erro
 		meta:    make(map[string]uint64),
 		hdr:     make(map[string]uint64),
 		hdrMask: make(map[string]uint64),
-		stats:   Stats{ALUOps: make([]uint64, len(layout.Stages))},
+		stats:   Stats{ALUs: make([]pisa.ActionProfile, len(layout.Stages))},
 	}
 	for _, si := range u.Structs {
 		if !si.IsHeader {
@@ -147,7 +152,7 @@ func NewEngine(u *lang.Unit, layout *ilpgen.Layout, eng Engine) (*Pipeline, erro
 	for _, rp := range layout.Registers {
 		p.regs[rp.Register][rp.Index] = make([]uint64, rp.Cells)
 	}
-	_, p.steps = sem.Schedule(u, layout)
+	_, p.steps = layout.Steps(u)
 	if eng == EngineVM {
 		if vm, err := lowerVM(p); err != nil {
 			p.vmErr = err
@@ -160,7 +165,7 @@ func NewEngine(u *lang.Unit, layout *ilpgen.Layout, eng Engine) (*Pipeline, erro
 
 func (p *Pipeline) installVM(vm *vmProg) {
 	p.vm = vm
-	p.vmf = newVMFrame(vm, len(p.stats.ALUOps))
+	p.vmf = newVMFrame(vm, len(p.stats.ALUs))
 }
 
 // Snapshot is a deep copy of a pipeline's register state, detached
@@ -190,11 +195,10 @@ func (p *Pipeline) Snapshot() *Snapshot {
 }
 
 // Stats returns a snapshot of the pipeline's work counters. The
-// per-stage ALUOps slice is copied so the snapshot stays stable, which
-// makes this an end-of-run summary, not a per-packet probe.
+// per-stage ALUs slice is copied so the snapshot stays stable.
 func (p *Pipeline) Stats() Stats {
 	s := p.stats
-	s.ALUOps = append([]uint64(nil), p.stats.ALUOps...)
+	s.ALUs = append([]pisa.ActionProfile(nil), p.stats.ALUs...)
 	return s
 }
 
@@ -270,7 +274,7 @@ func Meta(out map[string]uint64, field string, idx int) (uint64, bool) {
 
 // interp is the reference interpreter's domain for the shared walker
 // (internal/sem): uint64 values over the pipeline's header, metadata
-// and register maps, ALU ops charged to the stage the step runs in. A
+// and register maps, charges added to the stage the step runs in. A
 // dynamic instance index is evaluated at run time.
 type interp struct {
 	p     *Pipeline
@@ -279,9 +283,9 @@ type interp struct {
 
 func (d interp) Const(v uint64) uint64 { return v }
 
-func (d interp) Charge() {
-	if ops := d.p.stats.ALUOps; d.stage >= 0 && d.stage < len(ops) {
-		ops[d.stage]++
+func (d interp) Charge(c pisa.ActionProfile) {
+	if alus := d.p.stats.ALUs; d.stage >= 0 && d.stage < len(alus) {
+		alus[d.stage] = alus[d.stage].Add(c)
 	}
 }
 

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"p4all/internal/pisa"
+)
 
 func TestPipelineStatsCountWork(t *testing.T) {
 	res, pipe := compileCMS(t)
@@ -27,15 +31,27 @@ func TestPipelineStatsCountWork(t *testing.T) {
 		t.Fatalf("RegReads = %d, RegWrites = %d, want >= %d each (rows=%d)",
 			s.RegReads, s.RegWrites, want, rows)
 	}
-	if s.TotalALUOps() == 0 {
-		t.Fatal("no ALU ops counted")
+	// The cost table, per packet: each row's incr takes one stateful
+	// ALU (its read-modify-write), one hash unit and two stateless ALUs;
+	// seeding the minimum takes one more, and taking it one per row
+	// whose guard passes.
+	var sum pisa.ActionProfile
+	for _, c := range s.ALUs {
+		sum = sum.Add(c)
 	}
-	if len(s.ALUOps) != len(res.Layout.Stages) {
-		t.Fatalf("ALUOps has %d stages, layout has %d", len(s.ALUOps), len(res.Layout.Stages))
+	if sum.RegisterAccesses != n*rows || sum.Hashes != n*rows ||
+		sum.StatelessOps < n*(1+2*rows) || sum.StatelessOps > n*(1+3*rows) {
+		t.Fatalf("charges %+v over %d packets of %d rows", sum, n, rows)
+	}
+	if s.TotalALUOps() != uint64(sum.RegisterAccesses+sum.StatelessOps+sum.Hashes) {
+		t.Fatalf("TotalALUOps() = %d, want the sum of %+v", s.TotalALUOps(), sum)
+	}
+	if len(s.ALUs) != len(res.Layout.Stages) {
+		t.Fatalf("ALUs has %d stages, layout has %d", len(s.ALUs), len(res.Layout.Stages))
 	}
 	// Work must land in the stages the layout actually used, nowhere
 	// else.
-	for stage, ops := range s.ALUOps {
+	for stage, c := range s.ALUs {
 		used := false
 		for _, pl := range res.Layout.Placements {
 			if pl.Stage == stage {
@@ -43,14 +59,14 @@ func TestPipelineStatsCountWork(t *testing.T) {
 				break
 			}
 		}
-		if ops > 0 && !used {
-			t.Errorf("stage %d counted %d ALU ops but has no placements", stage, ops)
+		if c != (pisa.ActionProfile{}) && !used {
+			t.Errorf("stage %d charged %+v but has no placements", stage, c)
 		}
 	}
 
 	// Stats must return a snapshot, not alias live state.
-	s.ALUOps[0] = 999999
-	if pipe.Stats().ALUOps[0] == 999999 {
+	s.ALUs[0].Hashes = 999999
+	if pipe.Stats().ALUs[0].Hashes == 999999 {
 		t.Fatal("Stats aliases internal counters")
 	}
 }

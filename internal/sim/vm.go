@@ -7,8 +7,8 @@
 //
 //   - superinstructions: one opcode per complete statement or guard
 //     motif the module library emits (hash→mod→store, register
-//     read-modify-write, guarded min-fold compare), with width masks,
-//     ALU charges, and register cell wrapping precomputed at lower time.
+//     read-modify-write, guarded min-fold compare), with width masks
+//     and register cell wrapping precomputed at lower time.
 //     They are the fast path — the only opcodes the four suite apps
 //     lower to, and the only ones batch.go's vector executor runs;
 //   - the generic core: a small operand-stack machine (push, binary,
@@ -18,9 +18,10 @@
 //     Generic instructions run lane-major only (execGeneric, entered
 //     from exec's default case).
 //
-// Either way the VM obeys the observational contract spelled out in
-// lower.go: bit-identical outputs, register contents, and Stats versus
-// the reference interpreter. Programs the lowering cannot compile fall
+// Either way the VM keeps the reference interpreter's outputs, register
+// contents and Stats bit for bit (lower.go). Every instruction adds its
+// precomputed charge to its stage, a block's charge riding on the
+// block's first instruction. Programs the lowering cannot compile fall
 // back to the interpreter wholesale (Pipeline.Fallback); a fallback on
 // any program the repo ships is a difftest failure.
 
@@ -30,6 +31,7 @@ import (
 	"fmt"
 
 	"p4all/internal/lang"
+	"p4all/internal/pisa"
 	"p4all/internal/sem"
 	"p4all/internal/structures"
 )
@@ -43,8 +45,7 @@ type vmOp uint8
 
 const (
 	// opConstSlot stores a compile-time constant into a meta slot:
-	// vals[dst] = imm (pre-masked). charge carries the folded subtree's
-	// deferred ALU cost.
+	// vals[dst] = imm (pre-masked).
 	opConstSlot vmOp = iota
 	// opHashModSlot is the index-computation superinstruction:
 	// vals[dst] = (hash(hdr(a) & mask, imm) % imm2) & dmask.
@@ -58,14 +59,13 @@ const (
 	opAdd3Slot
 	// opRegBumpSlot is the register read-modify-write superinstruction:
 	// cell = meta(a) wrapped at ncells; store[cell] = (store[cell] + imm) & mask.
-	// Counts one read, one write, and one ALU op.
+	// Counts one read and one write.
 	opRegBumpSlot
 	// opRegLoadSlot loads a register cell into a meta slot:
 	// cell = meta(a) wrapped; vals[dst] = store[cell] & dmask. One read.
 	opRegLoadSlot
 	// opGuardLT evaluates the guard meta(a) < meta(b); on failure it
-	// jumps to target (the end of the guarded step). One ALU op,
-	// charged whether or not the guard passes, as in the interpreter.
+	// jumps to target (the end of the guarded step).
 	opGuardLT
 	// opGuardEQImm evaluates the guard meta(a) == imm; on failure it
 	// jumps to target.
@@ -74,11 +74,9 @@ const (
 	// --- generic core: operands live on the frame's per-lane stack ---
 
 	// opPush pushes a header/meta slot: ld(a) & mask (mask is the header
-	// field's width, all-ones for meta). charge carries the folded cost
-	// of an elastic field's constant index.
+	// field's width, all-ones for meta).
 	opPush
-	// opPushImm pushes the constant imm; charge carries the folded
-	// subtree's deferred ALU cost.
+	// opPushImm pushes the constant imm.
 	opPushImm
 	// opBin pops y, replaces x with (x b y) & mask; b is the lang.Kind.
 	// A zero divisor aborts the packet with the interpreter's error.
@@ -87,8 +85,8 @@ const (
 	opCall
 	// opShortCircuit decides && (imm 0) or || (imm 1) on its left
 	// operand: when (top != 0) == (imm != 0) the result imm stays on the
-	// stack and control jumps to target, past the right operand and the
-	// operator's charge; otherwise the operand is popped.
+	// stack and control jumps to target, past the right operand;
+	// otherwise the operand is popped.
 	opShortCircuit
 	// opRegLoad pops the cell index and pushes store[cell wrapped]; one
 	// read. A nil store (instance not in the layout) pushes 0, no read.
@@ -100,8 +98,7 @@ const (
 	opStore
 	// opBranchFalse pops; zero jumps to target (guards, if-statements).
 	opBranchFalse
-	// opJump jumps to target (skipping an else-block; with target pc+1
-	// it is the no-op that carries a register instance index's charge).
+	// opJump jumps to target, skipping an else-block.
 	opJump
 
 	vmOpCount // number of opcodes; keep last
@@ -148,7 +145,7 @@ func (o vmOp) String() string {
 // interned fields; masks and charges are precomputed by the lowering.
 type vmInst struct {
 	op     vmOp
-	charge uint32 // ALU ops charged when this instruction executes
+	charge uint64 // packed charge (packCharge) added when this instruction executes
 	ctr    int32  // frame ALU accumulator index (stage, or the dummy)
 	a      int32  // first operand slot
 	b      int32  // second operand slot; lang.Kind or builtin id in the generic core
@@ -218,7 +215,7 @@ type vmFrame struct {
 	// vector segment executes instruction pc for lane l iff next[l]==pc.
 	next   [vmLanes]int32
 	pkt    [vmLanes]Packet
-	alu    []uint64 // per-stage ALU accumulators + trailing dummy
+	alu    []uint64 // per-stage packed charges + trailing dummy
 	reads  uint64
 	writes uint64
 	stk    []uint64 // generic-core operand stack; empty between statements
@@ -258,7 +255,7 @@ func (pl *vmProg) exec(fr *vmFrame, lane int, pc, end int32) int32 {
 	code := pl.code
 	for pc < end {
 		in := &code[pc]
-		fr.alu[in.ctr] += uint64(in.charge)
+		fr.alu[in.ctr] += in.charge
 		switch in.op {
 		case opConstSlot:
 			fr.st(in.dst, lane, in.imm)
@@ -389,7 +386,7 @@ func (pl *vmProg) execGeneric(fr *vmFrame, lane int, pc, end int32) int32 {
 		if in.op < opPush {
 			return pc
 		}
-		fr.alu[in.ctr] += uint64(in.charge)
+		fr.alu[in.ctr] += in.charge
 	}
 }
 
@@ -425,16 +422,38 @@ func (pl *vmProg) run1(fr *vmFrame, pkt Packet) error {
 	return pl.takeErr(fr)
 }
 
+// chargeBits is the width of each unit's field in a packed charge, so
+// an instruction charges its stage with one add: stateful ALUs in the
+// low field, stateless ALUs above them, hash units on top. The frame
+// flushes at least every vmLanes packets, and the lowering rejects a
+// program whose stage could overflow a field in that many.
+const chargeBits = 21
+
+func packCharge(c pisa.ActionProfile) uint64 {
+	return uint64(c.RegisterAccesses) | uint64(c.StatelessOps)<<chargeBits | uint64(c.Hashes)<<(2*chargeBits)
+}
+
+func unpackCharge(v uint64) pisa.ActionProfile {
+	const field = 1<<chargeBits - 1
+	return pisa.ActionProfile{
+		RegisterAccesses: int(v & field),
+		StatelessOps:     int(v >> chargeBits & field),
+		Hashes:           int(v >> (2 * chargeBits) & field),
+	}
+}
+
 // flushStats folds the frame-local accumulators into the pipeline's
 // counters; the trailing dummy accumulator (out-of-range stages)
 // mirrors the interpreter's bounds check and is discarded.
 func (pl *vmProg) flushStats(fr *vmFrame) {
 	stats := &pl.p.stats
-	for i := range stats.ALUOps {
-		stats.ALUOps[i] += fr.alu[i]
-		fr.alu[i] = 0
+	for i := range stats.ALUs {
+		if fr.alu[i] != 0 {
+			stats.ALUs[i] = stats.ALUs[i].Add(unpackCharge(fr.alu[i]))
+			fr.alu[i] = 0
+		}
 	}
-	fr.alu[len(stats.ALUOps)] = 0
+	fr.alu[len(stats.ALUs)] = 0
 	stats.RegReads += fr.reads
 	stats.RegWrites += fr.writes
 	fr.reads, fr.writes = 0, 0

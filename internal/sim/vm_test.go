@@ -27,7 +27,7 @@ type vmProgram struct {
 // program needs: not, &&, ||, max, hash outside the index motif, if/else
 // inside an action body, a header store, a runtime divisor that never
 // hits zero on the test streams (so the whole-program serial segment
-// runs clean), constant instance and field indexes that charge ALU ops,
+// runs clean), constant instance and field indexes folded at lowering,
 // register cells indexed by an expression, and a register instance the
 // layout never materializes.
 const logicTour = `
@@ -262,9 +262,9 @@ func assertSameCounters(t *testing.T, a, b *Pipeline) {
 	if sa.Packets != sb.Packets || sa.RegReads != sb.RegReads || sa.RegWrites != sb.RegWrites {
 		t.Fatalf("counter mismatch: %+v vs %+v", sa, sb)
 	}
-	for i := range sa.ALUOps {
-		if sa.ALUOps[i] != sb.ALUOps[i] {
-			t.Fatalf("stage %d ALU ops: %d vs %d", i, sa.ALUOps[i], sb.ALUOps[i])
+	for i := range sa.ALUs {
+		if sa.ALUs[i] != sb.ALUs[i] {
+			t.Fatalf("stage %d charges: %+v vs %+v", i, sa.ALUs[i], sb.ALUs[i])
 		}
 	}
 	assertSameSnapshots(t, a, b)

@@ -21,7 +21,7 @@ import (
 // zero) and a fresh sim.EngineInterp pipeline fed those header values.
 // Per packet the two must agree on the abort, every header and metadata
 // output, every register cell, RegReads, RegWrites and the per-stage
-// ALU ops: the leaves each domain supplies (masking, cell wrap,
+// ALU charges: the leaves each domain supplies (masking, cell wrap,
 // constant folding, interval pruning, storage) compute the same thing.
 // Besides the shipped programs it runs narrowStore, whose register is
 // narrower than the value stored in it, so the register-width mask is
@@ -113,9 +113,9 @@ func TestSourceSideMatchesInterpreter(t *testing.T) {
 					}
 				}
 				st := pipe.Stats()
-				if st.RegReads != m.src.regReads || st.RegWrites != m.src.regWrites || !slices.Equal(st.ALUOps, m.src.alu) {
+				if st.RegReads != m.src.regReads || st.RegWrites != m.src.regWrites || !slices.Equal(st.ALUs, m.src.alu) {
 					t.Fatalf("trial %d: interpreter stats %d reads, %d writes, ALU %v; source side %d, %d, %v",
-						trial, st.RegReads, st.RegWrites, st.ALUOps, m.src.regReads, m.src.regWrites, m.src.alu)
+						trial, st.RegReads, st.RegWrites, st.ALUs, m.src.regReads, m.src.regWrites, m.src.alu)
 				}
 			}
 		})

@@ -9,6 +9,7 @@ import (
 	"p4all/internal/dep"
 	"p4all/internal/ilpgen"
 	"p4all/internal/lang"
+	"p4all/internal/pisa"
 	"p4all/internal/sem"
 	"p4all/internal/structures"
 )
@@ -17,7 +18,7 @@ import (
 // bounded symbolic execution of (a) the elastic source under the solved
 // symbolic assignment and (b) the emitted P4 text, parsed back, both
 // over a shared symbolic packet and register file, both walking the
-// layout's canonical schedule (sem.Schedule): placed instances in
+// layout's canonical schedule (ilpgen.Layout.Steps): placed instances in
 // (stage, program order of the action's first invocation, iteration)
 // order, the step list internal/sim executes. Both sides run the walker
 // of internal/sem, the one evaluator the reference interpreter also
@@ -83,7 +84,7 @@ type undoRec struct {
 
 // checkpoint is one side's state at the start of a schedule step, minus
 // the slot contents (those are the undo log up to undo) and the ALU
-// counts (pathState.ckALU).
+// charges (pathState.ckALU).
 type checkpoint struct {
 	undo      int
 	regReads  uint64
@@ -102,22 +103,22 @@ type pathState struct {
 	regs      []entry // array values of written register instances, by register slot
 	regReads  uint64
 	regWrites uint64
-	alu       []uint64
-	aborted   string // abort reason; empty while running
-	pruned    int    // interval-decided conditions this path has met on this side
+	alu       []pisa.ActionProfile // charges by stage
+	aborted   string               // abort reason; empty while running
+	pruned    int                  // interval-decided conditions this path has met on this side
 
-	next  int          // next schedule step to execute; the steps before it are done
-	undo  []undoRec    // slot overwrites since the run began, oldest first
-	ckpts []checkpoint // by schedule step: this side's state as the step began
-	ckALU []uint64     // by schedule step: len(alu) ALU counts as the step began
+	next  int                  // next schedule step to execute; the steps before it are done
+	undo  []undoRec            // slot overwrites since the run began, oldest first
+	ckpts []checkpoint         // by schedule step: this side's state as the step began
+	ckALU []pisa.ActionProfile // by schedule step: len(alu) charges as the step began
 }
 
 func newPathState(regs, stages, steps int) pathState {
 	return pathState{
 		regs:  make([]entry, regs),
-		alu:   make([]uint64, stages),
+		alu:   make([]pisa.ActionProfile, stages),
 		ckpts: make([]checkpoint, steps),
-		ckALU: make([]uint64, steps*stages),
+		ckALU: make([]pisa.ActionProfile, steps*stages),
 	}
 }
 
@@ -371,7 +372,7 @@ func stageCheck(what string, got, want []int) *failure {
 	return &failure{Kind: "stage-mismatch", Detail: fmt.Sprintf("%s: @stage%v in the text, stages %v in the layout", what, got, want)}
 }
 
-// buildSteps takes the canonical schedule (sem.Schedule) and
+// buildSteps takes the canonical schedule (ilpgen.Layout.Steps) and
 // reconciles the text's apply block against it in lockstep: every
 // table apply and every directly-invoked action must appear at its
 // scheduled position, unguarded tables and actions at their scheduled
@@ -416,7 +417,7 @@ func (m *machine) buildSteps() *failure {
 		}
 		return nil
 	}
-	order, steps := sem.Schedule(m.u, m.layout)
+	order, steps := m.layout.Steps(m.u)
 	applyIdx, next := 0, 0
 	for i, pl := range order {
 		if tbl, ok := tableOfMatch[pl.Action]; ok {
@@ -503,15 +504,16 @@ type evalCtx struct {
 
 func (ev *evalCtx) Const(v uint64) *node { return ev.m.t.constant(v) }
 
-// Charge counts one ALU operation in the step's stage.
-func (ev *evalCtx) Charge() {
+// Charge adds a block's charge to the step's stage.
+func (ev *evalCtx) Charge(c pisa.ActionProfile) {
 	if ev.stage >= 0 && ev.stage < len(ev.st.alu) {
-		ev.st.alu[ev.stage]++
+		ev.st.alu[ev.stage] = ev.st.alu[ev.stage].Add(c)
 	}
 }
 
 // Decide resolves a branch condition ("is this value nonzero?").
-// Constant and interval-decided conditions never fork. On the source
+// Constant and interval-decided conditions never fork, nor does one
+// whose negation the path already decided. On the source
 // side an undetermined condition becomes a free decision (scripted by
 // the DFS); on the target side it must already be determined by the
 // source path's decisions, otherwise the branch alignment is a
@@ -536,6 +538,15 @@ func (ev *evalCtx) Decide(n *node) (bool, error) {
 			m.consulted[st.next] = n.dec
 		}
 		return n.taken, nil
+	}
+	// The negation of a condition this path decided (an else branch's
+	// guard, linearized as !cond) is decided too: the hash-consed not
+	// node names its operand.
+	if x := n.args[0]; n.kind == kUn && n.op == lang.NOT && x.stamp == m.gen {
+		if !ev.src && x.dec > m.consulted[st.next] {
+			m.consulted[st.next] = x.dec
+		}
+		return !x.taken, nil
 	}
 	if !ev.src {
 		return false, &obligErr{kind: "unaligned-branch", detail: "emitted program branches on a condition the source never decided: " + nodeString(n, 4)}
@@ -1027,7 +1038,7 @@ func compareStats(fails []failure, src, tgt *pathState) []failure {
 	}
 	for i := range src.alu {
 		if src.alu[i] != tgt.alu[i] {
-			fails = append(fails, failure{Kind: "stats-mismatch", Detail: fmt.Sprintf("ALUOps[stage %d] %d vs %d", i, src.alu[i], tgt.alu[i])})
+			fails = append(fails, failure{Kind: "stats-mismatch", Detail: fmt.Sprintf("ALUs[stage %d] %+v vs %+v", i, src.alu[i], tgt.alu[i])})
 		}
 	}
 	return fails

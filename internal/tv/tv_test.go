@@ -150,10 +150,28 @@ control main { apply { div_it(); } }
 	}
 }
 
+// TestComplementaryGuardsPruned: an if/else in the apply block
+// linearizes to two steps guarded by c and !c. Once the path decides c,
+// !c is decided too, so the proof enumerates two paths, not four of
+// which two are infeasible.
+func TestComplementaryGuardsPruned(t *testing.T) {
+	src := `
+header pkt { bit<32> a; }
+struct meta { bit<32> r; }
+action yes() { meta.r = 1; }
+action no() { meta.r = 2; }
+control main { apply { if (pkt.a == 1) { yes(); } else { no(); } } }
+`
+	u, layout, prog := compileFor(t, src, pisa.EvalTarget(pisa.Mb))
+	cert := Validate(u, layout, prog, Options{Name: "ifelse"})
+	mustProve(t, cert)
+	if cert.Equivalence.Paths != 2 {
+		t.Errorf("paths = %d, want 2 (a == 1 and a != 1)", cert.Equivalence.Paths)
+	}
+}
+
 // TestNegativeConstantProved: a named constant below zero is printed in
-// the text as its 64-bit pattern, which parses back as the same literal;
-// printed with a minus sign it would parse as a negation and charge an
-// ALU op the source does not.
+// the text as its 64-bit pattern, which parses back as the same literal.
 func TestNegativeConstantProved(t *testing.T) {
 	src := `
 const int NEG = 0 - 1;

@@ -125,8 +125,8 @@ func MetaValue(out map[string]uint64, field string, idx int) (uint64, bool) {
 }
 
 // PipelineStats counts the work a behavioral pipeline has performed:
-// packets, register reads/writes, and per-stage ALU operations
-// (Pipeline.Stats).
+// packets, register reads/writes, and the ALUs and hash units charged
+// per stage (Pipeline.Stats).
 type PipelineStats = sim.Stats
 
 // Tracer observes the compiler pipeline: set Options.Tracer to receive
