@@ -47,15 +47,23 @@ func fuzzCompileAll(f testing.TB, more ...AppSpec) map[string]*core.Result {
 	return fuzzCompiles.byApp
 }
 
-// sparseMetaKey names, per app, a metadata field a sparse stream also
-// sends as a packet key: the program writes it, so the output must
-// show the written value where the write happened and the packet's
-// value where it did not.
+// sparseMetaKey names, per program, a metadata field a sparse stream
+// also sends as a packet key: the program writes it, so the output
+// must show the written value where the write happened and the
+// packet's value where it did not.
 var sparseMetaKey = map[string]string{
-	"NetCache":    "kv_meta.value",
-	"SketchLearn": "lv0_meta.min",
-	"Precision":   "pr_meta.recirculate",
-	"ConQuest":    "cq_meta.estimate",
+	"NetCache":                "kv_meta.value",
+	"SketchLearn":             "lv0_meta.min",
+	"Precision":               "pr_meta.recirculate",
+	"ConQuest":                "cq_meta.estimate",
+	"HashPipe":                "hpc_meta.carried",
+	"FlowRadar":               "frd_meta.is_new",
+	"StandaloneCMS":           "cms_meta.min",
+	"StandaloneBloom":         "bf_meta.hits",
+	"StandaloneKVS":           "kv_meta.value",
+	"StandaloneHashTable":     "ht_meta.matched",
+	"StandaloneCountingTable": "ct_meta.total",
+	"StandaloneIDTable":       "idt_meta.state",
 }
 
 // streamFromBytes turns raw fuzz input into a packet stream: one
@@ -145,19 +153,27 @@ func fuzzEngines(t *testing.T, spec AppSpec, res *core.Result, stream []sim.Pack
 // model keeps each input cheap, so coverage guidance explores the VM's
 // segment boundaries (partial batches, guard jumps across serial/vector
 // splits) faster than FuzzSimVsGolden can. Outputs, register end-state,
-// and Stats must all agree; a lowering fallback fails. An appIdx with
-// its top bit set replays a sparse stream (streamFromBytes): absent
-// fields, stray keys and meta-named keys are what the VM reads from
-// the caller's packet instead of its slots.
+// and Stats must all agree; a lowering fallback fails. The low seven
+// bits of appIdx pick the program: the suite first, so an appIdx below
+// 4 keeps its app, then engineSpecs, whose steps reach opStep (sem's
+// walker on the frame) and not only the superinstructions. An appIdx
+// with its top bit set replays a sparse stream (streamFromBytes):
+// absent fields, stray keys and meta-named keys are what the VM reads
+// from the caller's packet instead of its slots.
 func FuzzVMVsInterp(f *testing.F) {
-	compiled := fuzzCompileAll(f)
+	compiled := fuzzCompileAll(f, engineSpecs()...)
+	specs := append(Specs(), engineSpecs()...)
 	f.Add(byte(0), []byte("vm-netcache-seed"))
 	f.Add(byte(1), []byte("vm-sketchlearn-seed"))
 	f.Add(byte(2), []byte("\x00\x01\x02\x03\xfe\xff"))
 	f.Add(byte(3), []byte("vm-conquest-seed"))
 	f.Add(byte(0x83), []byte("\x00\x01\x02\x03\x40\x80\xc5\xff"))
+	f.Add(byte(4), []byte("vm-hashpipe-seed"))
+	f.Add(byte(5), []byte("\x00\x00\x01\x01\x02\x02\x03\x03"))
+	f.Add(byte(7), []byte("vm-bloom-seed"))
+	f.Add(byte(0x8a), []byte("\x05\x05\x45\x85\xc5\x05\x06"))
 	f.Fuzz(func(t *testing.T, appIdx byte, data []byte) {
-		spec := fuzzSpec(appIdx)
+		spec := specs[int(appIdx&0x7f)%len(specs)]
 		stream := streamFromBytes(spec, data, appIdx&0x80 != 0)
 		fuzzEngines(t, spec, compiled[spec.Name], stream, int64(appIdx))
 	})

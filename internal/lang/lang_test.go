@@ -288,9 +288,6 @@ func TestActionFootprint(t *testing.T) {
 	if len(incr.Registers) != 1 || !incr.Registers[0].Write || incr.Registers[0].Class != IdxParam {
 		t.Errorf("incr register access = %+v, want one param-indexed write", incr.Registers)
 	}
-	if len(incr.Symbolics) != 1 || incr.Symbolics[0].Name != "cols" {
-		t.Errorf("incr symbolics = %v, want [cols]", incr.Symbolics)
-	}
 }
 
 func TestGuardedReductionDetection(t *testing.T) {

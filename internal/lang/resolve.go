@@ -501,8 +501,7 @@ func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) error {
 
 	// Bare identifiers.
 	if ref.IsSimpleIdent() {
-		if sym := u.symbolicByName[base]; sym != nil {
-			ba.recordSymbolic(sym)
+		if u.symbolicByName[base] != nil {
 			return nil
 		}
 		if _, ok := u.Consts[base]; ok {
@@ -590,15 +589,6 @@ func (ba *bodyAnalyzer) recordReg(acc RegAccess) {
 	}
 	ba.regSeen[key] = len(ba.action.Registers)
 	ba.action.Registers = append(ba.action.Registers, acc)
-}
-
-func (ba *bodyAnalyzer) recordSymbolic(sym *Symbolic) {
-	for _, s := range ba.action.Symbolics {
-		if s == sym {
-			return
-		}
-	}
-	ba.action.Symbolics = append(ba.action.Symbolics, sym)
 }
 
 // finish applies whole-action adjustments: an @commutative annotation

@@ -101,8 +101,7 @@ type Action struct {
 	Commutative bool // @commutative annotation or detected reduction
 	Registers   []RegAccess
 	Meta        []MetaAccess
-	Symbolics   []*Symbolic // symbolic values referenced in the body
-	Synthetic   bool        // generated from a bare apply-block statement
+	Synthetic   bool // generated from a bare apply-block statement
 }
 
 // TableInfo is a resolved match-action table. Per the paper's §4.4

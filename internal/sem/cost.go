@@ -174,7 +174,7 @@ func (c *coster) stmts(b *lang.Block) {
 		case *lang.AssignStmt:
 			c.expr(s.RHS)
 			c.ref(s.LHS)
-			if _, f := bound(c.u, s.LHS); f != nil {
+			if _, f := Bound(c.u, s.LHS); f != nil {
 				c.use.StatelessOps++
 			}
 		case *lang.IfStmt:
@@ -217,7 +217,7 @@ func (c *coster) ref(ref *lang.Ref) {
 			c.expr(ix)
 		}
 	}
-	reg, _ := bound(c.u, ref)
+	reg, _ := Bound(c.u, ref)
 	if reg == nil {
 		return
 	}

@@ -39,10 +39,10 @@ func CombineWidth(a, b int) int {
 	return max(a, b)
 }
 
-// OpWidth is the width a binary operator's result wraps at: the
+// opWidth is the width a binary operator's result wraps at: the
 // combined operand width for arithmetic, 0 for comparisons and boolean
 // connectives, which yield 0 or 1.
-func OpWidth(op lang.Kind, wx, wy int) int {
+func opWidth(op lang.Kind, wx, wy int) int {
 	switch op {
 	case lang.PLUS, lang.MINUS, lang.STAR, lang.SLASH, lang.PCT:
 		return CombineWidth(wx, wy)
@@ -50,9 +50,9 @@ func OpWidth(op lang.Kind, wx, wy int) int {
 	return 0
 }
 
-// CallWidth is the width a builtin's result wraps at: 64 for hash, the
+// callWidth is the width a builtin's result wraps at: 64 for hash, the
 // combined argument width for min and max.
-func CallWidth(name string, wx, wy int) int {
+func callWidth(name string, wx, wy int) int {
 	if name == "hash" {
 		return 64
 	}
@@ -164,7 +164,7 @@ func Fold(e lang.Expr, name func(string) (uint64, bool)) (uint64, int, error) {
 		if err != nil {
 			return 0, 0, fmt.Errorf("constant fold: %w", err)
 		}
-		w := OpWidth(e.Op, wx, wy)
+		w := opWidth(e.Op, wx, wy)
 		return MaskTo(v, w), w, nil
 	}
 	return 0, 0, ErrNotConst

@@ -88,10 +88,10 @@ func TestBinOpAndCall(t *testing.T) {
 }
 
 func TestWidthsOfResults(t *testing.T) {
-	if OpWidth(lang.PLUS, 8, 16) != 16 || OpWidth(lang.LT, 8, 16) != 0 || OpWidth(lang.AND, 8, 8) != 0 {
-		t.Error("OpWidth")
+	if opWidth(lang.PLUS, 8, 16) != 16 || opWidth(lang.LT, 8, 16) != 0 || opWidth(lang.AND, 8, 8) != 0 {
+		t.Error("opWidth")
 	}
-	if CallWidth("hash", 8, 8) != 64 || CallWidth("min", 0, 8) != 8 {
-		t.Error("CallWidth")
+	if callWidth("hash", 8, 8) != 64 || callWidth("min", 0, 8) != 8 {
+		t.Error("callWidth")
 	}
 }

@@ -1,10 +1,11 @@
 // Package sem is the one evaluator of P4All action bodies. The
-// reference interpreter (internal/sim, over uint64 values) and both
-// sides of the translation validator (internal/tv, over symbolic nodes:
-// the elastic source and the emitted text, parsed back) run its walker,
-// so the certificate proves the emitted program against the semantics
-// the interpreter executes, and the interpreter is the oracle the VM is
-// held to.
+// reference interpreter (internal/sim, over uint64 values), every VM
+// step no superinstruction covers (sim's opStep, over the VM's frame)
+// and both sides of the translation validator (internal/tv, over
+// symbolic nodes: the elastic source and the emitted text, parsed back)
+// run its walker, so the certificate proves the emitted program against
+// the semantics the interpreter executes, and the interpreter is the
+// oracle the VM's superinstructions are held to.
 //
 // The walker fixes everything the two share: the schedule of action
 // instances, guard order, statement and expression order, short-circuit
@@ -239,7 +240,7 @@ func (w *walker[V, D]) expr(e lang.Expr) (V, int, error) {
 		if err != nil {
 			return zero, 0, err
 		}
-		ow := OpWidth(e.Op, wx, wy)
+		ow := opWidth(e.Op, wx, wy)
 		v, err := w.d.Binary(e.Op, x, y, ow)
 		return v, ow, err
 	case *lang.CallExpr:
@@ -251,17 +252,17 @@ func (w *walker[V, D]) expr(e lang.Expr) (V, int, error) {
 		if err != nil {
 			return zero, 0, err
 		}
-		return w.d.Builtin(e.Name, x, y), CallWidth(e.Name, wx, wy), nil
+		return w.d.Builtin(e.Name, x, y), callWidth(e.Name, wx, wy), nil
 	case *lang.Ref:
 		return w.load(e)
 	}
 	return zero, 0, w.d.Abort(fmt.Sprintf("unsupported expression %T", e))
 }
 
-// bound returns the register or the field a reference names: the one
+// Bound returns the register or the field a reference names: the one
 // the resolver bound it to, else (a body the resolver never saw) the
 // one its name looks up.
-func bound(u *lang.Unit, ref *lang.Ref) (*lang.Register, *lang.MetaField) {
+func Bound(u *lang.Unit, ref *lang.Ref) (*lang.Register, *lang.MetaField) {
 	if ref.Reg != nil || ref.Field != nil {
 		return ref.Reg, ref.Field
 	}
@@ -284,7 +285,7 @@ func (w *walker[V, D]) load(ref *lang.Ref) (V, int, error) {
 		}
 		return zero, 0, w.d.Abort("unknown name " + ref.Base())
 	}
-	reg, mf := bound(w.u, ref)
+	reg, mf := Bound(w.u, ref)
 	if reg != nil {
 		inst, cell, err := w.register(ref, reg)
 		if err != nil {
@@ -303,7 +304,7 @@ func (w *walker[V, D]) load(ref *lang.Ref) (V, int, error) {
 }
 
 func (w *walker[V, D]) assign(ref *lang.Ref, v V) error {
-	reg, mf := bound(w.u, ref)
+	reg, mf := Bound(w.u, ref)
 	if reg != nil {
 		inst, cell, err := w.register(ref, reg)
 		if err != nil {

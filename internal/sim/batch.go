@@ -27,12 +27,13 @@
 // matters inside serial segments, where it is sequential. Stats
 // accumulate per-stage in the frame and are order-free.
 //
-// Generic-core instructions (vm.go) run lane-major only: every maximal
-// run of them is a serial span, and a generic register store marks its
-// register written like a bump does. A program that can abort (a
-// runtime divisor) is one whole-program serial segment — packets run
-// to completion one after another, so a failure at packet i leaves
-// registers and Stats exactly where the interpreter leaves them.
+// An opStep (vm.go) runs lane-major only: it is a serial span, and
+// every register instance its step touches counts as accessed there,
+// written where the step assigns it. A program with an opStep that can
+// abort (a divisor zero or known only at run time, an unknown name) is
+// one whole-program serial segment — packets run to completion one
+// after another, so a failure at packet i leaves registers and Stats
+// exactly where the interpreter leaves them.
 
 package sim
 
@@ -70,6 +71,21 @@ func fusedBumpLoad(pr *vmProg, start, end int32) bool {
 		b.regID == l.regID && b.a == l.a && b.ctr == l.ctr
 }
 
+// regs calls f on each register instance in touches, with whether it
+// may write it: a bump writes its instance, a load reads it, and an
+// opStep touches every instance its step binds.
+func (in *vmInst) regs(f func(id int32, write bool)) {
+	if in.step != nil {
+		for _, r := range in.step.regs {
+			f(r.id, r.write)
+		}
+		return
+	}
+	if in.regID >= 0 {
+		f(in.regID, in.op == opRegBumpSlot)
+	}
+}
+
 // segmentize derives the batch segments from register hazard intervals.
 func segmentize(pr *vmProg) []vmSeg {
 	n := int32(len(pr.code))
@@ -83,41 +99,33 @@ func segmentize(pr *vmProg) []vmSeg {
 	// hazardous; every instruction touching one joins its interval.
 	written := make(map[int32]bool)
 	for i := range pr.code {
-		if op := pr.code[i].op; op == opRegBumpSlot || op == opRegStore {
-			written[pr.code[i].regID] = true
-		}
+		pr.code[i].regs(func(id int32, write bool) {
+			if write {
+				written[id] = true
+			}
+		})
 	}
 	type span struct{ lo, hi int32 }
 	spans := make(map[int32]*span)
+	var merged []span
 	for i := range pr.code {
-		id := pr.code[i].regID
-		if id < 0 || !written[id] {
-			continue
-		}
 		pc := int32(i)
-		if sp, ok := spans[id]; ok {
-			if pc < sp.lo {
-				sp.lo = pc
+		pr.code[i].regs(func(id int32, _ bool) {
+			if !written[id] {
+				return
 			}
-			if pc > sp.hi {
-				sp.hi = pc
+			if sp, ok := spans[id]; ok {
+				sp.lo, sp.hi = min(sp.lo, pc), max(sp.hi, pc)
+			} else {
+				spans[id] = &span{lo: pc, hi: pc}
 			}
-		} else {
-			spans[id] = &span{lo: pc, hi: pc}
+		})
+		if pr.code[i].op == opStep {
+			merged = append(merged, span{lo: pc, hi: pc})
 		}
 	}
-	merged := make([]span, 0, len(spans))
 	for _, sp := range spans {
 		merged = append(merged, *sp)
-	}
-	for i := int32(0); i < n; i++ {
-		if pr.code[i].op >= opPush {
-			lo := i
-			for i+1 < n && pr.code[i+1].op >= opPush {
-				i++
-			}
-			merged = append(merged, span{lo: lo, hi: i})
-		}
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].lo < merged[j].lo })
 	out := merged[:0]
@@ -348,8 +356,8 @@ func (pl *vmProg) execVec(fr *vmFrame, start, end int32) {
 				}
 			}
 		default:
-			// segmentize puts every register write and every generic
-			// instruction in a serial segment.
+			// segmentize puts every register write and every opStep in
+			// a serial segment.
 			panic("sim: " + in.op.String() + " in a vector segment")
 		}
 	}

@@ -1,30 +1,32 @@
 // VM lowering: translates a pipeline's placed steps into the flat
 // vmInst stream executed by vm.go, once, at construction time.
 //
-// The lowering keeps the interpreter's observable behavior: outputs,
-// register contents, one register read per load and one write per
-// store of a materialized instance, arithmetic wrapped at the combined
-// operand width, loads masked at the declared field width, and the
-// charges of the step's sem.Plan. A block's charge rides on the first
-// instruction the block emits, which runs exactly when the block does,
-// before anything in it can abort the packet. difftest's engine oracle
-// and FuzzVMVsInterp hold the VM to the interpreter.
-//
-// Each statement and guard is first offered to the motif matchers, which
-// recognise what the elastic module library emits — constant seeds,
+// Each step lowers one of two ways. When every guard and statement
+// matches a motif the elastic module library emits — constant seeds,
 // hash-index computations, register read-modify-writes and loads, slot
-// moves, two- and three-way folds, LT/EQ guards — and emit one
-// superinstruction each. Anything they decline falls through to the
-// generic core (genExpr and friends), which lowers every construct the
-// interpreter evaluates to stack code. What remains rejects the whole
-// program, and the pipeline keeps the interpreter, which also preserves
-// its per-packet error behavior: a non-constant elastic field or
-// register instance index, a constant zero divisor, an unknown name.
+// moves, two- and three-way folds, LT/EQ guards — the step becomes one
+// superinstruction per guard and statement. Any other step becomes one
+// opStep, which runs the step on sem's walker over the frame (vmDom in
+// vm.go): the VM evaluates nothing the motifs do not cover itself.
+//
+// The superinstructions keep the interpreter's observable behavior:
+// outputs, register contents, one register read per load and one
+// write per store of a materialized instance, arithmetic wrapped at
+// the combined operand width, loads masked at the declared field
+// width, and the charges of the step's sem.Plan. A block's charge
+// rides on the first instruction the block emits, which runs exactly
+// when the block does. difftest's engine oracle and FuzzVMVsInterp
+// hold the VM to the interpreter.
+//
+// An opStep reports a zero divisor or an unknown name per packet, as
+// the interpreter does. One construct still rejects the whole program,
+// and the pipeline keeps the interpreter: an elastic field whose
+// instance index is not a compile-time constant, since the frame has a
+// slot per field instance and none for an instance chosen at run time.
 
 package sim
 
 import (
-	"errors"
 	"fmt"
 
 	"p4all/internal/lang"
@@ -33,28 +35,28 @@ import (
 )
 
 // lowerVM compiles every placed step to bytecode, then derives the
-// batch execution segments. Any unsupported construct aborts the whole
-// lowering; the caller keeps the interpreter.
+// batch execution segments. A program the lowering rejects keeps the
+// interpreter.
 func lowerVM(p *Pipeline) (*vmProg, error) {
 	return (&vmLowerer{p: p}).lower()
 }
 
-// markUncond flags every instruction that no jump can skip. A lane
+// markUncond flags every instruction that no guard can skip. A lane
 // can only be "waiting" at pc (its per-lane program counter parked on a
-// forward jump target T > pc) when pc lies strictly inside some jump's
-// interval (jump pc, T) — so an instruction inside no such interval is
-// executed by every lane of every batch, and the vector executor runs
-// it on all lanes without reading or writing their pcs (batch.go).
-// Intervals are computed over the whole program, not per segment: a
-// jump inside a serial segment can target past a later vector
-// segment's start, and those skipped instructions must stay
+// forward guard target T > pc) when pc lies strictly inside some
+// guard's interval (guard pc, T) — so an instruction inside no such
+// interval is executed by every lane of every batch, and the vector
+// executor runs it on all lanes without reading or writing their pcs
+// (batch.go). Intervals are computed over the whole program, not per
+// segment: a guard inside a serial segment can target past a later
+// vector segment's start, and those skipped instructions must stay
 // conditional. opRegBumpSlot is excluded defensively: hazard analysis
 // already keeps it out of vector segments, where the flag is read.
 func markUncond(pr *vmProg) {
 	cond := make([]bool, len(pr.code))
 	for i := range pr.code {
 		switch pr.code[i].op {
-		case opGuardLT, opGuardEQImm, opShortCircuit, opBranchFalse, opJump:
+		case opGuardLT, opGuardEQImm:
 			for p := i + 1; p < int(pr.code[i].target); p++ {
 				cond[p] = true
 			}
@@ -69,9 +71,9 @@ type vmLowerer struct {
 	p      *Pipeline
 	pr     *vmProg
 	regIDs map[string]int32 // "name@inst" -> dense register-instance id
-	// genericOnly bypasses the motif matchers; tests set it to prove the
-	// generic core is total over the motifs too.
-	genericOnly bool
+	// stepOnly lowers every step to opStep; tests set it to prove sem's
+	// walker on the frame reproduces the interpreter on its own.
+	stepOnly bool
 }
 
 func (lo *vmLowerer) lower() (*vmProg, error) {
@@ -82,14 +84,22 @@ func (lo *vmLowerer) lower() (*vmProg, error) {
 			return nil, err
 		}
 	}
-	lo.pr.nreg = len(lo.regIDs)
 	// A frame flushes its packed counters after at most vmLanes
 	// packets, each charging a stage at most the sum of the stage's
-	// instruction charges: keep that within one packed field.
+	// instruction charges and of its opSteps' whole plans, every arm
+	// included: keep that within one packed field.
 	sum := make([]pisa.ActionProfile, len(lo.p.stats.ALUs)+1)
 	for i := range lo.pr.code {
 		in := &lo.pr.code[i]
-		sum[in.ctr] = sum[in.ctr].Add(unpackCharge(in.charge))
+		c := unpackCharge(in.charge)
+		if in.op == opStep {
+			plan := in.step.st.Plan(lo.p.unit, lo.p.layout.Symbolics)
+			c = c.Add(plan.Guards).Add(plan.Body)
+			for _, arm := range plan.Arms {
+				c = c.Add(arm)
+			}
+		}
+		sum[in.ctr] = sum[in.ctr].Add(c)
 	}
 	for _, c := range sum {
 		if max(c.RegisterAccesses, c.StatelessOps, c.Hashes)*vmLanes >= 1<<chargeBits {
@@ -128,65 +138,71 @@ func (lo *vmLowerer) regIDFor(name string, inst int) int32 {
 	return id
 }
 
-// vmStepCtx pins one action instance's iteration index, stage counter
-// and charge plan while its guards and body lower.
-type vmStepCtx struct {
-	lo   *vmLowerer
-	st   *sem.Step
-	plan *sem.Plan
-	ctr  int32 // ALU accumulator index: the stage, or the dummy
-	sp   int   // operand-stack depth at the next generic instruction
-	// pending is the charge of the block being entered, stamped on the
-	// next instruction emitted.
-	pending pisa.ActionProfile
-}
-
+// lowerStep lowers one step: to superinstructions when every guard and
+// statement matches a motif, else to one opStep. A declined attempt's
+// instructions are dropped; the slots and register ids it interned
+// name fields and registers the step's opStep binds too.
 func (lo *vmLowerer) lowerStep(st *sem.Step) error {
 	ctr := int32(len(lo.p.stats.ALUs)) // dummy accumulator
 	if st.Stage >= 0 && st.Stage < len(lo.p.stats.ALUs) {
 		ctr = int32(st.Stage)
 	}
-	plan := st.Plan(lo.p.unit, lo.p.layout.Symbolics)
-	ctx := &vmStepCtx{lo: lo, st: st, plan: plan, ctr: ctr, pending: plan.Guards}
-	var guardIdx []int
-	for _, g := range st.Inv.Guards {
-		gi, err := ctx.lowerGuard(g)
-		if err != nil {
-			return err
+	if !lo.stepOnly {
+		mark := len(lo.pr.code)
+		plan := st.Plan(lo.p.unit, lo.p.layout.Symbolics)
+		ctx := &vmStepCtx{lo: lo, st: st, plan: plan, ctr: ctr, pending: plan.Guards}
+		if ctx.lowerMotifs() {
+			return nil
 		}
-		guardIdx = append(guardIdx, gi)
+		lo.pr.code = lo.pr.code[:mark]
 	}
-	ctx.pending = ctx.pending.Add(plan.Body)
-	if err := ctx.lowerBlock(st.Inv.Action.Decl.Body); err != nil {
-		return err
+	return lo.lowerOpStep(st, ctr)
+}
+
+// --- superinstructions ----------------------------------------------------
+
+// vmStepCtx pins one action instance's iteration index, stage counter
+// and charge plan while its guards and body lower to motifs.
+type vmStepCtx struct {
+	lo   *vmLowerer
+	st   *sem.Step
+	plan *sem.Plan
+	ctr  int32 // ALU accumulator index: the stage, or the dummy
+	// pending is the charge of the block being entered, stamped on the
+	// next instruction emitted.
+	pending pisa.ActionProfile
+}
+
+// lowerMotifs emits the step's guards as conditional forward jumps to
+// the step's end, then its body, and reports whether every guard and
+// statement matched a motif. It stops at the first that does not.
+func (ctx *vmStepCtx) lowerMotifs() bool {
+	var guardIdx []int
+	for _, g := range ctx.st.Inv.Guards {
+		in, ok := ctx.matchGuard(g)
+		if !ok {
+			return false
+		}
+		guardIdx = append(guardIdx, ctx.emit(in))
 	}
-	// A failing guard skips the rest of the step (forward only).
+	ctx.pending = ctx.pending.Add(ctx.plan.Body)
+	if !ctx.lowerBlock(ctx.st.Inv.Action.Decl.Body) {
+		return false
+	}
 	for _, gi := range guardIdx {
 		ctx.patch(gi)
 	}
-	return nil
+	return true
 }
 
 // emit appends an instruction, stamping the step's ALU counter and any
-// pending block charge and tracking the generic operand stack's depth,
-// and returns its index for jump patching.
+// pending block charge, and returns its index for jump patching.
 func (ctx *vmStepCtx) emit(in vmInst) int {
 	in.ctr = ctx.ctr
 	in.charge = packCharge(ctx.pending)
 	ctx.pending = pisa.ActionProfile{}
 	if in.store == nil {
 		in.regID = -1
-	}
-	switch in.op {
-	case opPush, opPushImm:
-		ctx.sp++
-	case opBin, opCall, opShortCircuit, opStore, opBranchFalse:
-		ctx.sp--
-	case opRegStore:
-		ctx.sp -= 2
-	}
-	if ctx.sp > ctx.lo.pr.nstack {
-		ctx.lo.pr.nstack = ctx.sp
 	}
 	ctx.lo.pr.code = append(ctx.lo.pr.code, in)
 	return len(ctx.lo.pr.code) - 1
@@ -197,14 +213,8 @@ func (ctx *vmStepCtx) patch(i int) {
 	ctx.lo.pr.code[i].target = int32(len(ctx.lo.pr.code))
 }
 
-func b2u(ok bool) uint64 {
-	if ok {
-		return 1
-	}
-	return 0
-}
-
-// --- constant evaluation --------------------------------------------------
+// The matchers below answer whether a guard, statement or operand is a
+// motif; they emit nothing unless the whole statement or guard is.
 
 // vmConst is a compile-time constant and the width it wraps at.
 type vmConst struct {
@@ -212,24 +222,15 @@ type vmConst struct {
 	width int
 }
 
-// errNoMotif is a matcher declining a statement.
-var errNoMotif = errors.New("vm: no motif")
-
 // constExpr folds a compile-time-constant expression in the step
-// (sem.Fold). sem.ErrNotConst leaves e to the generic core; any other
-// error (an unknown name, a constant zero divisor) rejects the lowering,
-// so the interpreter reports it per packet.
-func (ctx *vmStepCtx) constExpr(e lang.Expr) (vmConst, error) {
+// (sem.Fold). Any error declines: the expression is not constant, or
+// the walker stops the packet on it.
+func (ctx *vmStepCtx) constExpr(e lang.Expr) (vmConst, bool) {
 	v, w, err := sem.Fold(e, func(n string) (uint64, bool) {
 		return ctx.st.Name(ctx.lo.p.unit, ctx.lo.p.layout.Symbolics, n)
 	})
-	if err != nil && err != sem.ErrNotConst {
-		err = fmt.Errorf("vm: %w", err)
-	}
-	return vmConst{val: v, width: w}, err
+	return vmConst{val: v, width: w}, err == nil
 }
-
-// --- operand resolution ---------------------------------------------------
 
 // vmField is a resolved struct-field reference: its interned slot,
 // declared width, and whether it is a header field.
@@ -241,178 +242,128 @@ type vmField struct {
 
 // fieldRef resolves a struct-field reference. An elastic field's
 // instance index must be compile-time constant.
-func (ctx *vmStepCtx) fieldRef(ref *lang.Ref) (vmField, error) {
+func (ctx *vmStepCtx) fieldRef(ref *lang.Ref) (vmField, bool) {
 	si := ctx.lo.p.unit.StructByName(ref.Base())
 	if si == nil || len(ref.Segs) != 2 {
-		return vmField{}, fmt.Errorf("vm: not a struct field: %s", lang.PrintExpr(ref))
+		return vmField{}, false
 	}
 	f := si.Field(ref.Segs[1].Name)
 	if f == nil {
-		return vmField{}, fmt.Errorf("vm: unknown field %s", lang.PrintExpr(ref))
+		return vmField{}, false
 	}
 	key := f.Qual()
 	if f.Elastic() {
 		fseg := ref.Segs[1]
 		if len(fseg.Indexes) != 1 {
-			return vmField{}, fmt.Errorf("vm: elastic field %s needs one index", key)
+			return vmField{}, false
 		}
-		ie, err := ctx.constExpr(fseg.Indexes[0])
-		if err != nil {
-			return vmField{}, fmt.Errorf("vm: elastic field %s index: %w", key, err)
+		ie, ok := ctx.constExpr(fseg.Indexes[0])
+		if !ok {
+			return vmField{}, false
 		}
 		key = sem.InstKey(key, ie.val)
 	}
-	return vmField{slot: ctx.lo.slotFor(key, si.IsHeader), width: f.Width, header: si.IsHeader}, nil
+	return vmField{slot: ctx.lo.slotFor(key, si.IsHeader), width: f.Width, header: si.IsHeader}, true
 }
 
 // metaOperand resolves a motif operand: a metadata field (meta loads
 // are unmasked: slots only ever hold store-masked values).
-func (ctx *vmStepCtx) metaOperand(e lang.Expr) (slot int32, width int, err error) {
+func (ctx *vmStepCtx) metaOperand(e lang.Expr) (slot int32, width int, ok bool) {
 	ref, ok := e.(*lang.Ref)
 	if !ok {
-		return 0, 0, fmt.Errorf("vm: operand %T is not a field", e)
+		return 0, 0, false
 	}
-	f, err := ctx.fieldRef(ref)
-	if err != nil {
-		return 0, 0, err
+	f, ok := ctx.fieldRef(ref)
+	if !ok || f.header {
+		return 0, 0, false
 	}
-	if f.header {
-		return 0, 0, fmt.Errorf("vm: %s is not a meta operand", lang.PrintExpr(ref))
-	}
-	return f.slot, f.width, nil
+	return f.slot, f.width, true
 }
 
-// regTarget resolves a register reference to its backing store (nil
-// when the layout did not materialize the instance: loads read zero and
-// stores vanish, as in the interpreter), the store's dense id, and the
-// cell-index expression.
-func (ctx *vmStepCtx) regTarget(ref *lang.Ref, reg *lang.Register) (store []uint64, regID int32, cellE lang.Expr, err error) {
+// regAccess resolves a motif register access: a materialized instance
+// with a constant instance index and the cell index held in a metadata
+// field (the library's "@_meta.index[i]" motif). It returns the
+// instance's backing store, the cell slot and the store's dense id.
+func (ctx *vmStepCtx) regAccess(ref *lang.Ref, reg *lang.Register) (store []uint64, cellSlot, regID int32, ok bool) {
 	seg := ref.Segs[0]
-	inst := 0
+	inst, cellE := 0, lang.Expr(nil)
 	switch {
 	case reg.Decl.Count != nil && len(seg.Indexes) == 2:
-		ic, err := ctx.constExpr(seg.Indexes[0])
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("vm: register %s instance index: %w", reg.Name, err)
+		ic, ok := ctx.constExpr(seg.Indexes[0])
+		if !ok {
+			return nil, 0, 0, false
 		}
 		inst, cellE = int(ic.val), seg.Indexes[1]
 	case len(seg.Indexes) == 1:
 		cellE = seg.Indexes[0]
 	default:
-		return nil, 0, nil, fmt.Errorf("vm: malformed register access %s", lang.PrintExpr(ref))
+		return nil, 0, 0, false
 	}
-	store, ok := ctx.lo.p.Register(reg.Name, inst)
-	if !ok {
-		return nil, -1, cellE, nil
+	store, ok = ctx.lo.p.Register(reg.Name, inst)
+	if !ok || len(store) == 0 {
+		return nil, 0, 0, false
 	}
-	if len(store) == 0 {
-		return nil, 0, nil, fmt.Errorf("vm: register %s/%d has no cells", reg.Name, inst)
-	}
-	return store, ctx.lo.regIDFor(reg.Name, inst), cellE, nil
+	regID = ctx.lo.regIDFor(reg.Name, inst)
+	cellSlot, _, ok = ctx.metaOperand(cellE)
+	return store, cellSlot, regID, ok
 }
 
-// regAccess resolves a motif register access: a materialized instance
-// with the cell index held in a metadata field (the library's
-// "@_meta.index[i]" motif).
-func (ctx *vmStepCtx) regAccess(ref *lang.Ref, reg *lang.Register) (store []uint64, cellSlot int32, regID int32, err error) {
-	store, regID, cellE, err := ctx.regTarget(ref, reg)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if store == nil {
-		return nil, 0, 0, fmt.Errorf("vm: register access %s is not the motif", lang.PrintExpr(ref))
-	}
-	cellSlot, _, err = ctx.metaOperand(cellE)
-	return store, cellSlot, regID, err
-}
-
-// --- statements -----------------------------------------------------------
-
-func (ctx *vmStepCtx) lowerBlock(b *lang.Block) error {
-	ctx.pending = ctx.pending.Add(ctx.plan.Arms[b])
+// lowerBlock emits a block's statements, through nested bare blocks.
+// An if statement matches no motif: only the walker charges its arms
+// as they are taken.
+func (ctx *vmStepCtx) lowerBlock(b *lang.Block) bool {
 	for _, s := range b.Stmts {
-		if err := ctx.lowerStmt(s); err != nil {
-			return err
+		ok := false
+		switch s := s.(type) {
+		case *lang.Block:
+			ok = ctx.lowerBlock(s)
+		case *lang.AssignStmt:
+			ok = ctx.matchAssign(s)
+		}
+		if !ok {
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
-func (ctx *vmStepCtx) lowerStmt(s lang.Stmt) error {
-	switch s := s.(type) {
-	case *lang.Block:
-		return ctx.lowerBlock(s)
-	case *lang.AssignStmt:
-		if !ctx.lo.genericOnly && ctx.matchAssign(s) == nil {
-			return nil
-		}
-		return ctx.genAssign(s)
-	case *lang.IfStmt:
-		if _, err := ctx.genExpr(s.Cond); err != nil {
-			return err
-		}
-		br := ctx.emit(vmInst{op: opBranchFalse})
-		if err := ctx.lowerBlock(s.Then); err != nil {
-			return err
-		}
-		if s.Else == nil {
-			ctx.patch(br)
-			return nil
-		}
-		skip := ctx.emit(vmInst{op: opJump})
-		ctx.patch(br)
-		if err := ctx.lowerBlock(s.Else); err != nil {
-			return err
-		}
-		ctx.patch(skip)
-		return nil
-	default:
-		return fmt.Errorf("vm: unsupported statement %T in action %s", s, ctx.st.Inv.Action.Name)
-	}
-}
-
-// matchAssign offers an assignment to the motif matchers. They emit
-// nothing unless they match, so a non-nil error only means "no motif";
-// genAssign decides whether the statement lowers at all.
-func (ctx *vmStepCtx) matchAssign(s *lang.AssignStmt) error {
+// matchAssign offers an assignment to the motif matchers.
+func (ctx *vmStepCtx) matchAssign(s *lang.AssignStmt) bool {
 	u := ctx.lo.p.unit
 	if reg := u.RegisterByName(s.LHS.Base()); reg != nil {
 		return ctx.matchRegBump(s, reg)
 	}
-	lhs, err := ctx.fieldRef(s.LHS)
-	if err != nil {
-		return err
-	}
-	if lhs.header {
-		return errNoMotif
+	lhs, ok := ctx.fieldRef(s.LHS)
+	if !ok || lhs.header {
+		return false
 	}
 	dst, dmask := lhs.slot, sem.WidthMask(lhs.width)
 
 	// Constant right-hand side: fold it.
-	if c, err := ctx.constExpr(s.RHS); err == nil {
+	if c, ok := ctx.constExpr(s.RHS); ok {
 		ctx.emit(vmInst{op: opConstSlot, dst: dst, imm: c.val & dmask})
-		return nil
+		return true
 	}
 
 	switch rhs := s.RHS.(type) {
 	case *lang.Ref:
 		if reg := u.RegisterByName(rhs.Base()); reg != nil {
-			store, cellSlot, regID, err := ctx.regAccess(rhs, reg)
-			if err != nil {
-				return err
+			store, cellSlot, regID, ok := ctx.regAccess(rhs, reg)
+			if !ok {
+				return false
 			}
 			ctx.emit(vmInst{
 				op: opRegLoadSlot, a: cellSlot, dst: dst, dmask: dmask,
 				store: store, ncells: uint64(len(store)), regID: regID,
 			})
-			return nil
+			return true
 		}
-		src, _, err := ctx.metaOperand(rhs)
-		if err != nil {
-			return err
+		src, _, ok := ctx.metaOperand(rhs)
+		if !ok {
+			return false
 		}
 		ctx.emit(vmInst{op: opMovSlot, a: src, dst: dst, dmask: dmask})
-		return nil
+		return true
 	case *lang.Binary:
 		switch rhs.Op {
 		case lang.PCT:
@@ -421,34 +372,31 @@ func (ctx *vmStepCtx) matchAssign(s *lang.AssignStmt) error {
 			return ctx.matchAdd(rhs, dst, dmask)
 		}
 	}
-	return errNoMotif
+	return false
 }
 
 // matchHashMod matches the index-computation motif
 // "hash(hdr, seed) % modulus" with a constant seed and modulus.
-func (ctx *vmStepCtx) matchHashMod(b *lang.Binary, dst int32, dmask uint64) error {
+func (ctx *vmStepCtx) matchHashMod(b *lang.Binary, dst int32, dmask uint64) bool {
 	call, ok := b.X.(*lang.CallExpr)
 	if !ok || call.Name != "hash" || len(call.Args) != 2 {
-		return errNoMotif
+		return false
 	}
 	href, ok := call.Args[0].(*lang.Ref)
 	if !ok {
-		return errNoMotif
+		return false
 	}
-	key, err := ctx.fieldRef(href)
-	if err != nil {
-		return err
+	key, ok := ctx.fieldRef(href)
+	if !ok {
+		return false
 	}
-	seed, err := ctx.constExpr(call.Args[1])
-	if err != nil {
-		return err
+	seed, ok := ctx.constExpr(call.Args[1])
+	if !ok {
+		return false
 	}
-	div, err := ctx.constExpr(b.Y)
-	if err != nil {
-		return err
-	}
-	if !key.header || div.val == 0 {
-		return errNoMotif
+	div, ok := ctx.constExpr(b.Y)
+	if !ok || !key.header || div.val == 0 {
+		return false
 	}
 	// hash yields width 64, so the modulo result's combined-width wrap
 	// is the identity; only the header load mask and the destination
@@ -457,24 +405,24 @@ func (ctx *vmStepCtx) matchHashMod(b *lang.Binary, dst int32, dmask uint64) erro
 		op: opHashModSlot, a: key.slot, dst: dst,
 		mask: sem.WidthMask(key.width), imm: seed.val, imm2: div.val, dmask: dmask,
 	})
-	return nil
+	return true
 }
 
 // matchAdd matches the fold motifs: meta+meta, and the left-nested
 // three-way meta+meta+meta.
-func (ctx *vmStepCtx) matchAdd(b *lang.Binary, dst int32, dmask uint64) error {
+func (ctx *vmStepCtx) matchAdd(b *lang.Binary, dst int32, dmask uint64) bool {
 	if inner, ok := b.X.(*lang.Binary); ok && inner.Op == lang.PLUS {
-		a, wa, err := ctx.metaOperand(inner.X)
-		if err != nil {
-			return err
+		a, wa, ok := ctx.metaOperand(inner.X)
+		if !ok {
+			return false
 		}
-		b2, wb, err := ctx.metaOperand(inner.Y)
-		if err != nil {
-			return err
+		b2, wb, ok := ctx.metaOperand(inner.Y)
+		if !ok {
+			return false
 		}
-		c, wc, err := ctx.metaOperand(b.Y)
-		if err != nil {
-			return err
+		c, wc, ok := ctx.metaOperand(b.Y)
+		if !ok {
+			return false
 		}
 		innerW := sem.CombineWidth(wa, wb)
 		outerW := sem.CombineWidth(innerW, wc)
@@ -482,42 +430,42 @@ func (ctx *vmStepCtx) matchAdd(b *lang.Binary, dst int32, dmask uint64) error {
 			op: opAdd3Slot, a: a, b: b2, c: c, dst: dst,
 			mask: sem.WidthMask(innerW), mask2: sem.WidthMask(outerW) & dmask,
 		})
-		return nil
+		return true
 	}
-	a, wa, err := ctx.metaOperand(b.X)
-	if err != nil {
-		return err
+	a, wa, ok := ctx.metaOperand(b.X)
+	if !ok {
+		return false
 	}
-	b2, wb, err := ctx.metaOperand(b.Y)
-	if err != nil {
-		return err
+	b2, wb, ok := ctx.metaOperand(b.Y)
+	if !ok {
+		return false
 	}
 	ctx.emit(vmInst{
 		op: opAdd2Slot, a: a, b: b2, dst: dst,
 		mask: sem.WidthMask(sem.CombineWidth(wa, wb)) & dmask,
 	})
-	return nil
+	return true
 }
 
 // matchRegBump matches the read-modify-write motif
 // "reg[i][cell] = reg[i][cell] + addend" (same cell on both sides,
 // compared syntactically) with a constant addend.
-func (ctx *vmStepCtx) matchRegBump(s *lang.AssignStmt, reg *lang.Register) error {
+func (ctx *vmStepCtx) matchRegBump(s *lang.AssignStmt, reg *lang.Register) bool {
 	rb, ok := s.RHS.(*lang.Binary)
 	if !ok || rb.Op != lang.PLUS {
-		return errNoMotif
+		return false
 	}
 	xref, ok := rb.X.(*lang.Ref)
 	if !ok || lang.PrintExpr(xref) != lang.PrintExpr(s.LHS) {
-		return errNoMotif
+		return false
 	}
-	add, err := ctx.constExpr(rb.Y)
-	if err != nil {
-		return err
+	add, ok := ctx.constExpr(rb.Y)
+	if !ok {
+		return false
 	}
-	store, cellSlot, regID, err := ctx.regAccess(s.LHS, reg)
-	if err != nil {
-		return err
+	store, cellSlot, regID, ok := ctx.regAccess(s.LHS, reg)
+	if !ok {
+		return false
 	}
 	// The add wraps at the combined operand width; the store masks at
 	// the register width. The addend is width-0 (a constant), so the
@@ -527,197 +475,234 @@ func (ctx *vmStepCtx) matchRegBump(s *lang.AssignStmt, reg *lang.Register) error
 		op: opRegBumpSlot, a: cellSlot, imm: add.val, mask: mask,
 		store: store, ncells: uint64(len(store)), regID: regID,
 	})
-	return nil
+	return true
 }
 
-// --- guards ---------------------------------------------------------------
-
-// lowerGuard emits a conditional forward jump for a step guard and
-// returns its index; lowerStep patches the target to the step end. An
-// LT/EQ motif is one instruction; every other guard evaluates on the
-// generic core.
-func (ctx *vmStepCtx) lowerGuard(g lang.Expr) (int, error) {
-	if !ctx.lo.genericOnly {
-		if in, ok := ctx.matchGuard(g); ok {
-			return ctx.emit(in), nil
-		}
-	}
-	if _, err := ctx.genExpr(g); err != nil {
-		return 0, err
-	}
-	return ctx.emit(vmInst{op: opBranchFalse}), nil
-}
-
+// matchGuard matches a step guard to the LT/EQ motifs: a conditional
+// forward jump, whose target lowerMotifs patches to the step's end.
 func (ctx *vmStepCtx) matchGuard(g lang.Expr) (vmInst, bool) {
 	b, ok := g.(*lang.Binary)
 	if !ok {
 		return vmInst{}, false
 	}
-	a, _, err := ctx.metaOperand(b.X)
-	if err != nil {
+	a, _, ok := ctx.metaOperand(b.X)
+	if !ok {
 		return vmInst{}, false
 	}
 	switch b.Op {
 	case lang.LT:
-		if b2, _, err := ctx.metaOperand(b.Y); err == nil {
+		if b2, _, ok := ctx.metaOperand(b.Y); ok {
 			return vmInst{op: opGuardLT, a: a, b: b2}, true
 		}
 	case lang.EQ:
-		if y, err := ctx.constExpr(b.Y); err == nil {
+		if y, ok := ctx.constExpr(b.Y); ok {
 			return vmInst{op: opGuardEQImm, a: a, imm: y.val}, true
 		}
 	}
 	return vmInst{}, false
 }
 
-// --- generic core ---------------------------------------------------------
+// --- opStep ---------------------------------------------------------------
 
-// genAssign lowers any assignment in the interpreter's evaluation
-// order: right-hand side, then the target's index expressions, then
-// the store.
-func (ctx *vmStepCtx) genAssign(s *lang.AssignStmt) error {
-	if _, err := ctx.genExpr(s.RHS); err != nil {
-		return err
-	}
-	if reg := ctx.lo.p.unit.RegisterByName(s.LHS.Base()); reg != nil {
-		in, err := ctx.genRegCell(s.LHS, reg)
-		if err != nil {
+// stepScan binds, ahead of time, everything one opStep's walk can touch
+// (vmStep), in the walker's own resolution: a slot for every field
+// instance, the store of every materialized register instance, and
+// whether the walk can stop a packet (vmProg.mayAbort).
+type stepScan struct {
+	lo *vmLowerer
+	vs *vmStep
+}
+
+// lowerOpStep lowers st to one opStep charging counter ctr.
+func (lo *vmLowerer) lowerOpStep(st *sem.Step, ctr int32) error {
+	sc := stepScan{lo: lo, vs: &vmStep{st: st}}
+	for _, g := range st.Inv.Guards {
+		if err := sc.expr(g); err != nil {
 			return err
 		}
-		in.op, in.mask = opRegStore, sem.WidthMask(reg.Width)
-		ctx.emit(in)
-		return nil
 	}
-	f, err := ctx.fieldRef(s.LHS)
-	if err != nil {
+	if err := sc.block(st.Inv.Action.Decl.Body); err != nil {
 		return err
 	}
-	ctx.emit(vmInst{op: opStore, dst: f.slot, dmask: sem.WidthMask(f.width)})
+	lo.pr.code = append(lo.pr.code, vmInst{op: opStep, ctr: ctr, regID: -1, step: sc.vs})
 	return nil
 }
 
-// genRegCell pushes a register access's cell index and returns the
-// access instruction with its store filled in.
-func (ctx *vmStepCtx) genRegCell(ref *lang.Ref, reg *lang.Register) (vmInst, error) {
-	store, regID, cellE, err := ctx.regTarget(ref, reg)
-	if err != nil {
-		return vmInst{}, err
-	}
-	if _, err := ctx.genExpr(cellE); err != nil {
-		return vmInst{}, err
-	}
-	return vmInst{store: store, ncells: uint64(len(store)), regID: regID}, nil
+func (sc *stepScan) name(n string) (uint64, bool) {
+	return sc.vs.st.Name(sc.lo.p.unit, sc.lo.p.layout.Symbolics, n)
 }
 
-var vmBuiltins = map[string]int32{"hash": callHash, "min": callMin, "max": callMax}
+// abortable records that the walk can stop a packet here.
+func (sc *stepScan) abortable() { sc.lo.pr.mayAbort = true }
 
-// genExpr emits stack code leaving e's value on top and returns the
-// bit width the value wraps at (see sem's walker).
-func (ctx *vmStepCtx) genExpr(e lang.Expr) (int, error) {
-	c, err := ctx.constExpr(e)
-	if err == nil {
-		ctx.emit(vmInst{op: opPushImm, imm: c.val})
-		return c.width, nil
-	}
-	if err != sem.ErrNotConst {
-		return 0, err
-	}
-	switch e := e.(type) {
-	case *lang.Unary:
-		// -x is 0 - x and !x is x == 0: same value and width as the
-		// interpreter's unary case.
-		switch e.Op {
-		case lang.MINUS:
-			return ctx.genBinary(&lang.Binary{Op: lang.MINUS, X: &lang.IntLit{}, Y: e.X})
-		case lang.NOT:
-			return ctx.genBinary(&lang.Binary{Op: lang.EQ, X: e.X, Y: &lang.IntLit{}})
-		}
-		return 0, fmt.Errorf("vm: unsupported unary %s", e.Op)
-	case *lang.Binary:
-		return ctx.genBinary(e)
-	case *lang.CallExpr:
-		id, ok := vmBuiltins[e.Name]
-		if !ok {
-			return 0, fmt.Errorf("vm: unknown builtin %s", e.Name)
-		}
-		wx, err := ctx.genExpr(e.Args[0])
-		if err != nil {
-			return 0, err
-		}
-		wy, err := ctx.genExpr(e.Args[1])
-		if err != nil {
-			return 0, err
-		}
-		ctx.emit(vmInst{op: opCall, b: id})
-		return sem.CallWidth(e.Name, wx, wy), nil
-	case *lang.Ref:
-		if reg := ctx.lo.p.unit.RegisterByName(e.Base()); reg != nil {
-			in, err := ctx.genRegCell(e, reg)
-			if err != nil {
-				return 0, err
+func (sc *stepScan) block(b *lang.Block) error {
+	for _, s := range b.Stmts {
+		var err error
+		switch s := s.(type) {
+		case *lang.Block:
+			err = sc.block(s)
+		case *lang.AssignStmt:
+			if err = sc.expr(s.RHS); err == nil {
+				err = sc.ref(s.LHS, true)
 			}
-			in.op = opRegLoad
-			ctx.emit(in)
-			return reg.Width, nil
+		case *lang.IfStmt:
+			if err = sc.expr(s.Cond); err == nil {
+				err = sc.block(s.Then)
+			}
+			if err == nil && s.Else != nil {
+				err = sc.block(s.Else)
+			}
+		default:
+			sc.abortable()
 		}
-		f, err := ctx.fieldRef(e)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		mask := ^uint64(0) // meta slots only ever hold store-masked values
-		if f.header {
-			mask = sem.WidthMask(f.width) // the packet may carry a wider value
-		}
-		ctx.emit(vmInst{op: opPush, a: f.slot, mask: mask})
-		return f.width, nil
-	default:
-		return 0, fmt.Errorf("vm: unsupported expression %T", e)
 	}
+	return nil
 }
 
-func (ctx *vmStepCtx) genBinary(e *lang.Binary) (int, error) {
-	if e.Op == lang.AND || e.Op == lang.OR {
-		// A constant left operand that decides the result folds to it,
-		// skipping the right operand as the interpreter would.
-		decides := b2u(e.Op == lang.OR)
-		if x, err := ctx.constExpr(e.X); err == nil && b2u(x.val != 0) == decides {
-			ctx.emit(vmInst{op: opPushImm, imm: decides})
-			return 0, nil
+func (sc *stepScan) expr(e lang.Expr) error {
+	switch e := e.(type) {
+	case *lang.IntLit, *lang.BoolLit:
+		return nil
+	case *lang.Unary:
+		if e.Op != lang.MINUS && e.Op != lang.NOT {
+			sc.abortable()
 		}
-		if _, err := ctx.genExpr(e.X); err != nil {
-			return 0, err
+		return sc.expr(e.X)
+	case *lang.Binary:
+		// The walker stops a packet on an operator BinOp does not apply
+		// and on a divisor that is zero or known only at run time.
+		if _, err := sem.BinOp(e.Op, 0, 1); err != nil {
+			sc.abortable()
 		}
-		sc := ctx.emit(vmInst{op: opShortCircuit, imm: decides})
-		if _, err := ctx.genExpr(e.Y); err != nil {
-			return 0, err
+		if e.Op == lang.SLASH || e.Op == lang.PCT {
+			if d, _, err := sem.Fold(e.Y, sc.name); err != nil || d == 0 {
+				sc.abortable()
+			}
 		}
-		// The left operand did not decide, so x op y is just y != 0.
-		ctx.emit(vmInst{op: opPushImm})
-		ctx.emit(vmInst{op: opBin, b: int32(lang.NE), mask: ^uint64(0)})
-		ctx.patch(sc)
-		return 0, nil
+		if err := sc.expr(e.X); err != nil {
+			return err
+		}
+		return sc.expr(e.Y)
+	case *lang.CallExpr:
+		for _, a := range e.Args {
+			if err := sc.expr(a); err != nil {
+				return err
+			}
+		}
+		return nil
+	case *lang.Ref:
+		return sc.ref(e, false)
 	}
-	wx, err := ctx.genExpr(e.X)
-	if err != nil {
-		return 0, err
-	}
-	wy, err := ctx.genExpr(e.Y)
-	if err != nil {
-		return 0, err
-	}
-	switch e.Op {
-	case lang.SLASH, lang.PCT:
-		switch d, err := ctx.constExpr(e.Y); {
-		case err != nil:
-			ctx.lo.pr.mayAbort = true
-		case d.val == 0:
-			return 0, fmt.Errorf("vm: constant zero divisor in %s", lang.PrintExpr(e))
+	sc.abortable()
+	return nil
+}
+
+// ref binds a reference the walker reads, or assigns when write is set.
+func (sc *stepScan) ref(ref *lang.Ref, write bool) error {
+	if !write && ref.IsSimpleIdent() {
+		if _, ok := sc.name(ref.Base()); !ok {
+			sc.abortable()
 		}
-	case lang.PLUS, lang.MINUS, lang.STAR, lang.LT, lang.LE, lang.GT, lang.GE, lang.EQ, lang.NE:
+		return nil
+	}
+	reg, mf := sem.Bound(sc.lo.p.unit, ref)
+	switch {
+	case reg != nil:
+		return sc.register(ref, reg, write)
+	case mf != nil:
+		return sc.field(ref, mf)
+	}
+	sc.abortable()
+	return nil
+}
+
+// register binds the register instances an access can touch: the one
+// its instance index folds to, or, for an index known only at run
+// time, every materialized instance.
+func (sc *stepScan) register(ref *lang.Ref, reg *lang.Register, write bool) error {
+	seg := ref.Segs[0]
+	var cell lang.Expr
+	switch {
+	case reg.Decl.Count != nil && len(seg.Indexes) == 2:
+		cell = seg.Indexes[1]
+		if inst, _, err := sem.Fold(seg.Indexes[0], sc.name); err == nil {
+			if err := sc.bindReg(reg.Name, int64(inst), write); err != nil {
+				return err
+			}
+			break
+		}
+		if err := sc.expr(seg.Indexes[0]); err != nil {
+			return err
+		}
+		for inst := range sc.lo.p.regs[reg.Name] {
+			if err := sc.bindReg(reg.Name, int64(inst), write); err != nil {
+				return err
+			}
+		}
+	case len(seg.Indexes) == 1:
+		cell = seg.Indexes[0]
+		if err := sc.bindReg(reg.Name, 0, write); err != nil {
+			return err
+		}
 	default:
-		return 0, fmt.Errorf("vm: unsupported operator %s", e.Op)
+		sc.abortable()
+		return nil
 	}
-	w := sem.OpWidth(e.Op, wx, wy)
-	ctx.emit(vmInst{op: opBin, b: int32(e.Op), mask: sem.WidthMask(w)})
-	return w, nil
+	return sc.expr(cell)
+}
+
+// bindReg binds one register instance; an instance the layout did not
+// materialize stays unbound, and reads zero.
+func (sc *stepScan) bindReg(name string, inst int64, write bool) error {
+	store, ok := sc.lo.p.Register(name, int(inst))
+	if !ok {
+		return nil
+	}
+	if len(store) == 0 {
+		return fmt.Errorf("vm: register %s/%d has no cells", name, inst)
+	}
+	for i := range sc.vs.regs {
+		if r := &sc.vs.regs[i]; r.name == name && r.inst == inst {
+			r.write = r.write || write
+			return nil
+		}
+	}
+	sc.vs.regs = append(sc.vs.regs, vmStepReg{
+		name: name, inst: inst, store: store, ncells: uint64(len(store)),
+		id: sc.lo.regIDFor(name, int(inst)), write: write,
+	})
+	return nil
+}
+
+// field binds a field instance to its slot. An elastic field's index
+// must fold: the frame has no slot for an instance chosen at run time.
+func (sc *stepScan) field(ref *lang.Ref, mf *lang.MetaField) error {
+	f := sem.Field{MetaField: mf}
+	if mf.Elastic() {
+		idx := ref.Segs[1].Indexes
+		if len(idx) != 1 {
+			sc.abortable()
+			return nil
+		}
+		v, _, err := sem.Fold(idx[0], sc.name)
+		switch {
+		case err == sem.ErrNotConst:
+			return fmt.Errorf("vm: elastic field %s index %s: %w", mf.Qual(), lang.PrintExpr(idx[0]), err)
+		case err != nil:
+			sc.abortable()
+			return nil
+		}
+		f.Idx = v
+	}
+	for _, b := range sc.vs.fields {
+		if b.f == mf && b.idx == f.Idx {
+			return nil
+		}
+	}
+	slot := sc.lo.slotFor(f.Key(), mf.Header)
+	sc.vs.fields = append(sc.vs.fields, vmStepField{f: mf, idx: f.Idx, slot: slot})
+	return nil
 }

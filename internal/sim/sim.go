@@ -240,7 +240,7 @@ func (p *Pipeline) Process(pkt Packet) (map[string]uint64, error) {
 	}
 	for i := range p.steps {
 		st := &p.steps[i]
-		if err := sem.Exec[uint64](interp{p, st.Stage}, p.unit, p.layout.Symbolics, st); err != nil {
+		if err := sem.Exec[uint64](interp{p: p, stage: st.Stage}, p.unit, p.layout.Symbolics, st); err != nil {
 			return nil, err
 		}
 	}
@@ -272,26 +272,17 @@ func Meta(out map[string]uint64, field string, idx int) (uint64, bool) {
 	return v, ok
 }
 
-// interp is the reference interpreter's domain for the shared walker
-// (internal/sem): uint64 values over the pipeline's header, metadata
-// and register maps, charges added to the stage the step runs in. A
-// dynamic instance index is evaluated at run time.
-type interp struct {
-	p     *Pipeline
-	stage int
-}
+// leaves are the uint64 leaves of sem's walker that both engines'
+// domains share: constants, branch decisions, operators, builtins,
+// instance indexes and aborts evaluate one way on the interpreter and
+// in the VM's opStep.
+type leaves struct{}
 
-func (d interp) Const(v uint64) uint64 { return v }
+func (leaves) Const(v uint64) uint64 { return v }
 
-func (d interp) Charge(c pisa.ActionProfile) {
-	if alus := d.p.stats.ALUs; d.stage >= 0 && d.stage < len(alus) {
-		alus[d.stage] = alus[d.stage].Add(c)
-	}
-}
+func (leaves) Decide(v uint64) (bool, error) { return v != 0, nil }
 
-func (d interp) Decide(v uint64) (bool, error) { return v != 0, nil }
-
-func (d interp) Unary(op lang.Kind, x uint64, w int) uint64 {
+func (leaves) Unary(op lang.Kind, x uint64, w int) uint64 {
 	if op == lang.NOT {
 		if x == 0 {
 			return 1
@@ -301,7 +292,7 @@ func (d interp) Unary(op lang.Kind, x uint64, w int) uint64 {
 	return sem.MaskTo(-x, w)
 }
 
-func (d interp) Binary(op lang.Kind, x, y uint64, w int) (uint64, error) {
+func (leaves) Binary(op lang.Kind, x, y uint64, w int) (uint64, error) {
 	v, err := sem.BinOp(op, x, y)
 	if err != nil {
 		return 0, fmt.Errorf("sim: %w", err)
@@ -309,9 +300,27 @@ func (d interp) Binary(op lang.Kind, x, y uint64, w int) (uint64, error) {
 	return sem.MaskTo(v, w), nil
 }
 
-func (d interp) Builtin(name string, x, y uint64) uint64 { return sem.Call(name, x, y) }
+func (leaves) Builtin(name string, x, y uint64) uint64 { return sem.Call(name, x, y) }
 
-func (d interp) Index(v uint64, what string) (uint64, error) { return v, nil }
+func (leaves) Index(v uint64, what string) (uint64, error) { return v, nil }
+
+func (leaves) Abort(reason string) error { return errors.New("sim: " + reason) }
+
+// interp is the reference interpreter's domain for the shared walker
+// (internal/sem): uint64 values over the pipeline's header, metadata
+// and register maps, charges added to the stage the step runs in. A
+// dynamic instance index is evaluated at run time.
+type interp struct {
+	leaves
+	p     *Pipeline
+	stage int
+}
+
+func (d interp) Charge(c pisa.ActionProfile) {
+	if alus := d.p.stats.ALUs; d.stage >= 0 && d.stage < len(alus) {
+		alus[d.stage] = alus[d.stage].Add(c)
+	}
+}
 
 // RegRead wraps the cell at the instance's extent and counts one
 // RegRead; an instance the layout did not materialize reads as zero,
@@ -353,5 +362,3 @@ func (d interp) FieldWrite(f sem.Field, v uint64) {
 	}
 	d.p.meta[f.Key()] = sem.MaskTo(v, f.Width)
 }
-
-func (d interp) Abort(reason string) error { return errors.New("sim: " + reason) }

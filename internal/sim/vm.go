@@ -1,46 +1,42 @@
 // Bytecode VM: the compiled execution engine. The lowering (lower.go)
 // turns the whole placed schedule into one flat instruction stream over
-// a dense slot frame, dispatched through one switch — no call per
-// operator, no call per statement, no map on the per-packet path.
+// a dense slot frame, dispatched through one switch.
 //
-// Two instruction families share the stream:
+// Two kinds of instruction share the stream:
 //
 //   - superinstructions: one opcode per complete statement or guard
 //     motif the module library emits (hash→mod→store, register
 //     read-modify-write, guarded min-fold compare), with width masks
-//     and register cell wrapping precomputed at lower time.
-//     They are the fast path — the only opcodes the four suite apps
-//     lower to, and the only ones batch.go's vector executor runs;
-//   - the generic core: a small operand-stack machine (push, binary,
-//     call, short-circuit, register load/store, slot store, branch,
-//     jump; unary minus and not lower to 0 - x and x == 0) that covers
-//     every construct the interpreter evaluates and no motif matches.
-//     Generic instructions run lane-major only (execGeneric, entered
-//     from exec's default case).
+//     and register cell wrapping precomputed at lower time, and no
+//     call or map lookup per packet. They are the fast path: every step
+//     of the four suite apps lowers to them, and they are the only
+//     opcodes batch.go's vector executor runs;
+//   - opStep: one whole step that some guard or statement keeps off
+//     the fast path, run on sem's walker — the interpreter's evaluator
+//     — over a domain on the frame (vmDom). It runs lane-major only, in
+//     a serial segment.
 //
 // Either way the VM keeps the reference interpreter's outputs, register
-// contents and Stats bit for bit (lower.go). Every instruction adds its
-// precomputed charge to its stage, a block's charge riding on the
-// block's first instruction. Programs the lowering cannot compile fall
-// back to the interpreter wholesale (Pipeline.Fallback); a fallback on
-// any program the repo ships is a difftest failure.
+// contents and Stats bit for bit (lower.go). Every superinstruction
+// adds its precomputed charge to its stage, a block's charge riding on
+// the block's first instruction; an opStep charges as the walker runs
+// its plan. Programs the lowering cannot compile fall back to the
+// interpreter wholesale (Pipeline.Fallback); a fallback on any program
+// the repo ships is a difftest failure.
 
 package sim
 
 import (
-	"fmt"
-
 	"p4all/internal/lang"
 	"p4all/internal/pisa"
 	"p4all/internal/sem"
 	"p4all/internal/structures"
 )
 
-// vmOp enumerates the VM's opcodes: nine superinstructions, then the
-// generic core (opPush and up). Every opcode must be reachable from a
-// checked-in program — the opcode-coverage test in vm_test.go fails on
-// a dead lowering path — and the four suite apps must lower to
-// superinstructions only.
+// vmOp enumerates the VM's opcodes: nine superinstructions, then
+// opStep. Every opcode must be reachable from a checked-in program —
+// the opcode-coverage test in vm_test.go fails on a dead lowering path
+// — and the programs it names must lower to superinstructions only.
 type vmOp uint8
 
 const (
@@ -70,45 +66,12 @@ const (
 	// opGuardEQImm evaluates the guard meta(a) == imm; on failure it
 	// jumps to target.
 	opGuardEQImm
-
-	// --- generic core: operands live on the frame's per-lane stack ---
-
-	// opPush pushes a header/meta slot: ld(a) & mask (mask is the header
-	// field's width, all-ones for meta).
-	opPush
-	// opPushImm pushes the constant imm.
-	opPushImm
-	// opBin pops y, replaces x with (x b y) & mask; b is the lang.Kind.
-	// A zero divisor aborts the packet with the interpreter's error.
-	opBin
-	// opCall pops y, replaces x with builtin b (callHash/Min/Max) of x, y.
-	opCall
-	// opShortCircuit decides && (imm 0) or || (imm 1) on its left
-	// operand: when (top != 0) == (imm != 0) the result imm stays on the
-	// stack and control jumps to target, past the right operand;
-	// otherwise the operand is popped.
-	opShortCircuit
-	// opRegLoad pops the cell index and pushes store[cell wrapped]; one
-	// read. A nil store (instance not in the layout) pushes 0, no read.
-	opRegLoad
-	// opRegStore pops the cell index, then the value: store[cell
-	// wrapped] = value & mask; one write. A nil store is a no-op.
-	opRegStore
-	// opStore pops into a header or meta slot: vals[dst] = top & dmask.
-	opStore
-	// opBranchFalse pops; zero jumps to target (guards, if-statements).
-	opBranchFalse
-	// opJump jumps to target, skipping an else-block.
-	opJump
+	// opStep runs the whole step in.step on sem's walker (vmDom): its
+	// guards, then its body. A packet the walker stops (a zero divisor,
+	// an unknown name) aborts with the interpreter's error.
+	opStep
 
 	vmOpCount // number of opcodes; keep last
-)
-
-// Builtins opCall dispatches on.
-const (
-	callHash = iota
-	callMin
-	callMax
 )
 
 var vmOpNames = [vmOpCount]string{
@@ -121,17 +84,7 @@ var vmOpNames = [vmOpCount]string{
 	opRegLoadSlot: "RegLoadSlot",
 	opGuardLT:     "GuardLT",
 	opGuardEQImm:  "GuardEQImm",
-
-	opPush:         "Push",
-	opPushImm:      "PushImm",
-	opBin:          "Bin",
-	opCall:         "Call",
-	opShortCircuit: "ShortCircuit",
-	opRegLoad:      "RegLoad",
-	opRegStore:     "RegStore",
-	opStore:        "Store",
-	opBranchFalse:  "BranchFalse",
-	opJump:         "Jump",
+	opStep:        "Step",
 }
 
 func (o vmOp) String() string {
@@ -148,7 +101,7 @@ type vmInst struct {
 	charge uint64 // packed charge (packCharge) added when this instruction executes
 	ctr    int32  // frame ALU accumulator index (stage, or the dummy)
 	a      int32  // first operand slot
-	b      int32  // second operand slot; lang.Kind or builtin id in the generic core
+	b      int32  // second operand slot
 	c      int32  // third operand slot (opAdd3Slot)
 	dst    int32  // destination slot
 	target int32  // jump target (forward only)
@@ -158,8 +111,9 @@ type vmInst struct {
 	mask2  uint64 // outer wrap mask (opAdd3Slot)
 	dmask  uint64 // destination field width mask
 	store  []uint64
-	ncells uint64 // len(store), hoisted
-	regID  int32  // dense register-instance id; -1 when no register
+	ncells uint64  // len(store), hoisted
+	regID  int32   // dense register-instance id; -1 when no register
+	step   *vmStep // opStep's step and its frame bindings
 	// uncond is true when this pc lies inside no jump's skip interval
 	// (jump pc, target): every lane reaches it, so the vector executor
 	// runs it on all lanes without reading or writing their program
@@ -184,11 +138,37 @@ type vmProg struct {
 	hdrMasks  []uint64
 	code      []vmInst
 	segs      []vmSeg
-	nreg      int // distinct register instances the program touches
-	nstack    int // deepest operand stack any generic expression needs
-	// mayAbort is set when some opBin divides by a runtime value: the
-	// only way a lowered program can fail a packet.
+	// mayAbort is set when the walk of some opStep can stop a packet:
+	// a divisor that is zero or known only at run time, an unknown
+	// name, a construct the walker does not evaluate.
 	mayAbort bool
+}
+
+// vmStep is what one opStep runs: the step, and the frame bindings of
+// every field instance and materialized register instance its walk can
+// touch (stepScan in lower.go).
+type vmStep struct {
+	st     *sem.Step
+	fields []vmStepField
+	regs   []vmStepReg
+}
+
+// vmStepField is a field instance and its frame slot.
+type vmStepField struct {
+	f    *lang.MetaField
+	idx  uint64
+	slot int32
+}
+
+// vmStepReg is a materialized register instance: its store, its dense
+// id, and whether the step may write it (segmentize reads both).
+type vmStepReg struct {
+	name   string
+	inst   int64
+	store  []uint64
+	ncells uint64
+	id     int32
+	write  bool
 }
 
 // vmLanes is the struct-of-arrays batch width: Replay runs up to this
@@ -218,8 +198,7 @@ type vmFrame struct {
 	alu    []uint64 // per-stage packed charges + trailing dummy
 	reads  uint64
 	writes uint64
-	stk    []uint64 // generic-core operand stack; empty between statements
-	err    error    // set by an aborting opBin; taken by run1/runBatch
+	err    error // set by an aborting opStep; taken by run1/runBatch
 }
 
 func newVMFrame(pr *vmProg, nstages int) vmFrame {
@@ -227,7 +206,6 @@ func newVMFrame(pr *vmProg, nstages int) vmFrame {
 		vals:  make([]uint64, len(pr.slotKeys)*vmLanes),
 		stamp: make([]uint64, len(pr.slotKeys)*vmLanes),
 		alu:   make([]uint64, nstages+1),
-		stk:   make([]uint64, pr.nstack),
 	}
 }
 
@@ -251,6 +229,8 @@ func (fr *vmFrame) st(slot int32, lane int, v uint64) {
 // exec runs one lane from pc to end (lane-major execution: Process, and
 // the serial segments of a batch). Jumps go forward only, so the
 // returned pc is >= end; a target past end belongs to a later segment.
+// An aborting opStep records the error in the frame and returns past
+// the end of the program, parking the lane.
 func (pl *vmProg) exec(fr *vmFrame, lane int, pc, end int32) int32 {
 	code := pl.code
 	for pc < end {
@@ -294,100 +274,90 @@ func (pl *vmProg) exec(fr *vmFrame, lane int, pc, end int32) int32 {
 				pc = in.target
 				continue
 			}
-		default:
-			pc = pl.execGeneric(fr, lane, pc, end)
-			continue
+		case opStep:
+			d := vmDom{fr: fr, lane: lane, in: in}
+			if err := sem.Exec[uint64](d, pl.p.unit, pl.p.layout.Symbolics, in.step.st); err != nil {
+				fr.err = err
+				return int32(len(code))
+			}
 		}
 		pc++
 	}
 	return pc
 }
 
-// execGeneric runs one lane's generic-core instructions starting at pc,
-// whose charge exec has already applied, until a superinstruction or
-// end. Statements are lowered whole, so the operand stack is empty on
-// entry and on every return. An aborting opBin records the error in the
-// frame and returns past the end of the program, parking the lane.
-func (pl *vmProg) execGeneric(fr *vmFrame, lane int, pc, end int32) int32 {
-	code, stk, sp := pl.code, fr.stk, 0
-	in := &code[pc]
-	for {
-		switch in.op {
-		case opPush:
-			stk[sp] = fr.ld(in.a, lane) & in.mask
-			sp++
-		case opPushImm:
-			stk[sp] = in.imm
-			sp++
-		case opBin:
-			sp--
-			v, err := sem.BinOp(lang.Kind(in.b), stk[sp-1], stk[sp])
-			if err != nil {
-				fr.err = fmt.Errorf("sim: %w", err)
-				return int32(len(code))
-			}
-			stk[sp-1] = v & in.mask
-		case opCall:
-			sp--
-			x, y := stk[sp-1], stk[sp]
-			switch in.b {
-			case callHash:
-				x = structures.Hash(x, y)
-			case callMin:
-				x = min(x, y)
-			default:
-				x = max(x, y)
-			}
-			stk[sp-1] = x
-		case opShortCircuit:
-			if (stk[sp-1] != 0) == (in.imm != 0) {
-				stk[sp-1] = in.imm
-				pc = in.target - 1
-			} else {
-				sp--
-			}
-		case opRegLoad:
-			v := uint64(0)
-			if in.store != nil {
-				cell := stk[sp-1]
-				if cell >= in.ncells {
-					cell %= in.ncells
-				}
-				fr.reads++
-				v = in.store[cell]
-			}
-			stk[sp-1] = v
-		case opRegStore:
-			sp -= 2
-			if in.store != nil {
-				cell := stk[sp+1]
-				if cell >= in.ncells {
-					cell %= in.ncells
-				}
-				in.store[cell] = stk[sp] & in.mask
-				fr.writes++
-			}
-		case opStore:
-			sp--
-			fr.st(in.dst, lane, stk[sp]&in.dmask)
-		case opBranchFalse:
-			sp--
-			if stk[sp] == 0 {
-				pc = in.target - 1
-			}
-		case opJump:
-			pc = in.target - 1
+// vmDom is the VM's domain for sem's walker: one lane of the frame,
+// running opStep in. Fields are the frame's slots, registers the
+// stores in.step binds, reads and writes the frame's counters, and
+// charges the step's packed stage counter; the uint64 leaves are the
+// interpreter's.
+type vmDom struct {
+	leaves
+	fr   *vmFrame
+	lane int
+	in   *vmInst
+}
+
+func (d vmDom) Charge(c pisa.ActionProfile) { d.fr.alu[d.in.ctr] += packCharge(c) }
+
+// reg returns the bound register instance, nil for one the layout did
+// not materialize.
+func (d vmDom) reg(name string, inst int64) *vmStepReg {
+	regs := d.in.step.regs
+	for i := range regs {
+		if regs[i].inst == inst && regs[i].name == name {
+			return &regs[i]
 		}
-		pc++
-		if pc >= end {
-			return pc
-		}
-		in = &code[pc]
-		if in.op < opPush {
-			return pc
-		}
-		fr.alu[in.ctr] += in.charge
 	}
+	return nil
+}
+
+// RegRead wraps the cell at the instance's extent and counts one read;
+// an instance the layout did not materialize reads as zero, uncounted.
+func (d vmDom) RegRead(name string, inst int64, cell uint64, width int) uint64 {
+	r := d.reg(name, inst)
+	if r == nil {
+		return 0
+	}
+	d.fr.reads++
+	return r.store[cell%r.ncells]
+}
+
+// RegWrite stores the value masked to the register's width and counts
+// one write; a write to an instance the layout did not materialize is
+// a no-op.
+func (d vmDom) RegWrite(name string, inst int64, cell, v uint64, width int) {
+	r := d.reg(name, inst)
+	if r == nil {
+		return
+	}
+	r.store[cell%r.ncells] = sem.MaskTo(v, width)
+	d.fr.writes++
+}
+
+// slot returns a field instance's frame slot; the lowering bound every
+// instance the walk can reach.
+func (d vmDom) slot(f sem.Field) int32 {
+	for _, b := range d.in.step.fields {
+		if b.f == f.MetaField && b.idx == f.Idx {
+			return b.slot
+		}
+	}
+	panic("sim: opStep reached unbound field " + f.Key())
+}
+
+// FieldRead reads a header field masked to its width, a metadata field
+// as written; a field not written this packet reads zero.
+func (d vmDom) FieldRead(f sem.Field) uint64 {
+	v := d.fr.ld(d.slot(f), d.lane)
+	if f.Header {
+		v = sem.MaskTo(v, f.Width)
+	}
+	return v
+}
+
+func (d vmDom) FieldWrite(f sem.Field, v uint64) {
+	d.fr.st(d.slot(f), d.lane, sem.MaskTo(v, f.Width))
 }
 
 // takeErr flushes the frame's counters and returns (clearing) the abort

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -23,13 +24,13 @@ type vmProgram struct {
 	fields []string // packet fields, key first
 }
 
-// logicTour and stateTour reach the generic-core opcodes no shipped
-// program needs: not, &&, ||, max, hash outside the index motif, if/else
-// inside an action body, a header store, a runtime divisor that never
-// hits zero on the test streams (so the whole-program serial segment
-// runs clean), constant instance and field indexes folded at lowering,
-// register cells indexed by an expression, and a register instance the
-// layout never materializes.
+// logicTour and stateTour reach, through opStep, walker constructs no
+// shipped program needs: not, &&, ||, max, hash outside the index
+// motif, if/else inside an action body, a header store, a runtime
+// divisor that never hits zero on the test streams (so the
+// whole-program serial segment runs clean), constant instance and
+// field indexes folded at lowering, register cells indexed by an
+// expression, and a register instance the layout never materializes.
 const logicTour = `
 header hdr { bit<32> a; bit<32> b; bit<8> c; }
 struct meta { bit<32> x; bit<32> y; bit<32> z; }
@@ -344,21 +345,22 @@ func TestVMBatchMatchesProcess(t *testing.T) {
 	}
 }
 
-// TestVMGenericCoreIsTotal lowers the four suite apps with the motif
-// matchers bypassed: the generic core alone must reproduce the
-// interpreter bit-for-bit, through both Process and batched Replay, so
-// the superinstructions are an optimization and never a semantic.
+// TestVMGenericCoreIsTotal lowers every step of the four suite apps to
+// opStep, bypassing the motif matchers: sem's walker on the frame alone
+// must reproduce the interpreter bit-for-bit, through both Process and
+// batched Replay, so the superinstructions are an optimization and
+// never a semantic.
 func TestVMGenericCoreIsTotal(t *testing.T) {
 	for _, app := range vmSuite(t) {
 		t.Run(app.name, func(t *testing.T) {
 			vm, interp := newVMPair(t, app)
-			prog, err := (&vmLowerer{p: vm, genericOnly: true}).lower()
+			prog, err := (&vmLowerer{p: vm, stepOnly: true}).lower()
 			if err != nil {
-				t.Fatalf("generic-only lowering rejected %s: %v", app.name, err)
+				t.Fatalf("step-only lowering rejected %s: %v", app.name, err)
 			}
 			for _, in := range prog.code {
-				if in.op < opPush {
-					t.Fatalf("generic-only stream contains superinstruction %s", in.op)
+				if in.op != opStep {
+					t.Fatalf("step-only stream contains superinstruction %s", in.op)
 				}
 			}
 			vm.installVM(prog)
@@ -419,11 +421,22 @@ func TestVMReplayZeroAllocs(t *testing.T) {
 	}
 }
 
+// motifOnly names the corpus programs every step of which matches a
+// motif: the four suite apps and every other program that lowers
+// without an opStep. A matcher regression that sends one of their
+// steps to the walker fails TestVMOpcodeCoverage.
+var motifOnly = map[string]bool{
+	"NetCache": true, "SketchLearn": true, "Precision": true, "ConQuest": true,
+	"StandaloneCMS": true, "StandaloneKVS": true, "StandaloneHashTable": true,
+	"tour: guards": true,
+	"width: literal arithmetic constrained only by destination": true,
+}
+
 // TestVMOpcodeCoverage asserts every opcode the lowering can emit is
 // reached by a checked-in program — an unreached opcode is a dead
-// lowering path — and that the four suite apps still lower to the nine
-// superinstructions only, so batch.go's measured paths run them whole.
-// Every superinstruction a vector segment can hold (all but
+// lowering path — and that the motifOnly programs still lower to the
+// nine superinstructions only, so batch.go's measured paths run them
+// whole. Every superinstruction a vector segment can hold (all but
 // opRegBumpSlot, which writes a register) must also appear in some
 // vector segment both uncond and not, so execVec runs each of its
 // loops on the full lane list and on a partial one.
@@ -434,12 +447,16 @@ func TestVMOpcodeCoverage(t *testing.T) {
 	}
 	emittedBy := make(map[vmOp][]string)
 	inVector := make(map[vecUse]bool)
-	for i, app := range vmCorpus(t) {
+	fast := 0
+	for _, app := range vmCorpus(t) {
 		vm, _ := newVMPair(t, app)
+		if motifOnly[app.name] {
+			fast++
+		}
 		seen := make(map[vmOp]bool)
 		for _, in := range vm.vm.code {
-			if i < 4 && in.op >= opPush {
-				t.Errorf("suite app %s lowers to generic opcode %s", app.name, in.op)
+			if motifOnly[app.name] && in.op == opStep {
+				t.Errorf("%s lowers a step to opStep", app.name)
 			}
 			if !seen[in.op] {
 				seen[in.op] = true
@@ -454,13 +471,16 @@ func TestVMOpcodeCoverage(t *testing.T) {
 			}
 		}
 	}
+	if fast != len(motifOnly) {
+		t.Errorf("%d of the %d motifOnly programs are in the corpus", fast, len(motifOnly))
+	}
 	for op := vmOp(0); op < vmOpCount; op++ {
 		if len(emittedBy[op]) == 0 {
 			t.Errorf("opcode %s is emitted by no corpus program — dead lowering path", op)
 		} else {
 			t.Logf("opcode %-12s exercised by %v", op, emittedBy[op])
 		}
-		if op >= opPush || op == opRegBumpSlot {
+		if op == opStep || op == opRegBumpSlot {
 			continue
 		}
 		for _, uncond := range []bool{true, false} {
@@ -473,8 +493,8 @@ func TestVMOpcodeCoverage(t *testing.T) {
 
 // TestVMBatchSegments sanity-checks the hazard analysis over the
 // corpus: segments must partition the instruction stream, every
-// register write and every generic instruction must land in a serial
-// segment, and a program that can abort must be one serial segment.
+// register bump and every opStep must land in a serial segment, and a
+// program that can abort must be one serial segment.
 func TestVMBatchSegments(t *testing.T) {
 	for _, app := range vmCorpus(t) {
 		vm, _ := newVMPair(t, app)
@@ -494,7 +514,7 @@ func TestVMBatchSegments(t *testing.T) {
 			t.Fatalf("%s: segments end at %d, code has %d instructions", app.name, pos, len(prog.code))
 		}
 		for pc, in := range prog.code {
-			if (in.op == opRegBumpSlot || in.op >= opPush) && !serialAt[int32(pc)] {
+			if (in.op == opRegBumpSlot || in.op == opStep) && !serialAt[int32(pc)] {
 				t.Fatalf("%s: %s at pc %d is in a vector segment", app.name, in.op, pc)
 			}
 		}
@@ -504,16 +524,20 @@ func TestVMBatchSegments(t *testing.T) {
 	}
 }
 
-// divSource divides by a header field, so a packet can abort.
+// divSource divides by a header field, so a packet can abort. The
+// division's step is an opStep after a superinstruction step, which
+// only the whole-program serial segment keeps from running ahead for
+// the packets behind an aborting one.
 const divSource = `
 header hdr { bit<32> a; bit<32> b; }
-struct meta { bit<32> q; }
+struct meta { bit<32> h; bit<32> q; }
 register<bit<32>>[16] seen;
+action pre() { meta.h = hash(hdr.a, 1) % 16; }
 action div() {
-    seen[hdr.a] = seen[hdr.a] + 1;
+    seen[meta.h] = seen[meta.h] + 1;
     meta.q = hdr.a / hdr.b;
 }
-control main { apply { div(); } }
+control main { apply { pre(); div(); } }
 `
 
 func compileBoth(t *testing.T, src string, tgt pisa.Target) (vm, interp *Pipeline) {
@@ -576,8 +600,29 @@ func TestVMDivisionByZeroParity(t *testing.T) {
 	assertSameCounters(t, vm, interp)
 }
 
-// TestVMFallback pins the residual interpreter fallback: the three
-// construct classes no lowering accepts are still served, by the
+// TestSegmentizeOpStepHazards: an opStep's register instances join the
+// hazard analysis like a bump's. A load of a register an opStep assigns
+// is serialized with it; a register the opStep only reads stays
+// vector-safe.
+func TestSegmentizeOpStepHazards(t *testing.T) {
+	step := &vmStep{regs: []vmStepReg{{id: 0, write: true}, {id: 1}}}
+	pr := &vmProg{code: []vmInst{
+		{op: opStep, regID: -1, step: step},
+		{op: opConstSlot, regID: -1},
+		{op: opRegLoadSlot, regID: 0},
+		{op: opRegLoadSlot, regID: 1},
+	}}
+	want := []vmSeg{{start: 0, end: 3, serial: true}, {start: 3, end: 4}}
+	if got := segmentize(pr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("segments %+v, want %+v", got, want)
+	}
+}
+
+// TestVMFallback pins the boundary of the interpreter fallback. A
+// constant zero divisor and an unknown name run on the VM, whose opStep
+// stops the packet with the interpreter's own error, through Process
+// and through Replay; an elastic field whose instance index is known
+// only at run time has no frame slot, so that program keeps the
 // interpreter, with the reason kept. The front end rejects two of them
 // in source form, so each is grafted into a compiled unit's action body.
 func TestVMFallback(t *testing.T) {
@@ -591,11 +636,11 @@ assume n >= 1 && n <= 2;
 optimize n;
 `
 	cases := []struct {
-		name, stmt, reason, runErr string
+		name, stmt, engine, reason, runErr string
 	}{
-		{"non-constant elastic index", "meta.q = meta.e[hdr.a];", "index", ""},
-		{"constant zero divisor", "meta.q = hdr.a / (2 - 2);", "zero divisor", "division by zero"},
-		{"unknown name", "meta.q = hdr.a + bogus;", "unknown name bogus", "unknown name bogus"},
+		{"non-constant elastic index", "meta.q = meta.e[hdr.a];", "interp", "index", ""},
+		{"constant zero divisor", "meta.q = hdr.a / (2 - 2);", "vm", "", "sim: division by zero"},
+		{"unknown name", "meta.q = hdr.a + bogus;", "vm", "", "sim: unknown name bogus"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -617,19 +662,34 @@ optimize n;
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pipe.EngineName() != "interp" {
-				t.Fatalf("engine = %s, want interp fallback", pipe.EngineName())
+			ref, err := NewEngine(res.Unit, res.Layout, EngineInterp)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ferr := pipe.Fallback(); ferr == nil || !strings.Contains(ferr.Error(), c.reason) {
+			if pipe.EngineName() != c.engine {
+				t.Fatalf("engine = %s (fallback %v), want %s", pipe.EngineName(), pipe.Fallback(), c.engine)
+			}
+			ferr := pipe.Fallback()
+			if (c.reason == "") != (ferr == nil) || ferr != nil && !strings.Contains(ferr.Error(), c.reason) {
 				t.Fatalf("Fallback() = %v, want a reason mentioning %q", ferr, c.reason)
 			}
-			out, err := pipe.Process(Packet{{"hdr.a", 1}, {"hdr.b", 2}})
+			pkts := []Packet{{{"hdr.a", 1}, {"hdr.b", 2}}, {{"hdr.a", 3}, {"hdr.b", 4}}}
+			out, err := pipe.Process(pkts[0])
+			want, wantErr := ref.Process(pkts[0])
 			switch {
-			case c.runErr == "" && (err != nil || out["hdr.b"] != 2):
-				t.Fatalf("fallback did not serve the packet: %v, %v", out, err)
-			case c.runErr != "" && (err == nil || !strings.Contains(err.Error(), c.runErr)):
-				t.Fatalf("interpreter error = %v, want %q", err, c.runErr)
+			case c.runErr == "":
+				if err != nil || wantErr != nil || out["hdr.b"] != 2 {
+					t.Fatalf("fallback did not serve the packet: %v, %v (interpreter %v)", out, err, wantErr)
+				}
+				assertSameOutputs(t, 0, out, want)
+			case err == nil || wantErr == nil || err.Error() != c.runErr || wantErr.Error() != c.runErr:
+				t.Fatalf("Process error = %v, interpreter %v, want %q", err, wantErr, c.runErr)
 			}
+			errV, errI := pipe.Replay(pkts, nil), ref.Replay(pkts, nil)
+			if (errV == nil) != (errI == nil) || errV != nil && errV.Error() != errI.Error() {
+				t.Fatalf("Replay error = %v, interpreter %v", errV, errI)
+			}
+			assertSameCounters(t, pipe, ref)
 		})
 	}
 }
