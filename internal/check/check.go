@@ -8,8 +8,10 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"p4all/internal/lang"
+	"p4all/internal/sem"
 	"p4all/internal/unroll"
 )
 
@@ -41,41 +43,41 @@ type checker struct {
 	warnings []Warning
 }
 
+// warnf records a warning once, however often its access recurs.
 func (c *checker) warnf(action, target, index, reason string, args ...interface{}) {
-	c.warnings = append(c.warnings, Warning{
-		Action: action,
-		Target: target,
-		Index:  index,
-		Reason: fmt.Sprintf(reason, args...),
-	})
+	w := Warning{Action: action, Target: target, Index: index, Reason: fmt.Sprintf(reason, args...)}
+	if !slices.Contains(c.warnings, w) {
+		c.warnings = append(c.warnings, w)
+	}
 }
 
-// invocation checks all instance-selecting indexes of one call site.
+// invocation checks every instance-selecting index of one call site,
+// its guards' included, as sem's footprint classifies it. The resolver
+// admits no index known only at run time.
 func (c *checker) invocation(inv *lang.Invocation) {
-	a := inv.Action
-	loopSym := func() *lang.Symbolic {
-		if l := inv.Loop(); l != nil {
-			return l.Sym
+	var loopSym *lang.Symbolic
+	if l := inv.Loop(); l != nil {
+		loopSym = l.Sym
+	}
+	for _, a := range sem.Footprint(c.u, inv) {
+		action := inv.Action.Name
+		if a.Guard {
+			action += " (guard)"
 		}
-		return nil
-	}()
-	for _, r := range a.Registers {
-		c.access(a.Name, r.Reg.Name, r.Reg.Count, r.Class, r.ConstIdx, loopSym, inv)
-	}
-	for _, m := range a.Meta {
-		c.access(a.Name, m.Field.Qual(), m.Field.Count, m.Class, m.ConstIdx, loopSym, inv)
-	}
-	for _, m := range inv.GuardReads {
-		c.access(a.Name+" (guard)", m.Field.Qual(), m.Field.Count, m.Class, m.ConstIdx, loopSym, inv)
+		if a.Reg != nil {
+			c.access(action, a.Reg.Name, a.Reg.Count, a.Inst, int64(a.Const), loopSym, inv)
+		} else {
+			c.access(action, a.Field.Qual(), a.Field.Count, a.Inst, int64(a.Const), loopSym, inv)
+		}
 	}
 }
 
 // access proves one instance selection in bounds, or warns.
-func (c *checker) access(action, target string, extent lang.SizeExpr, class lang.IndexClass, constIdx int64, loopSym *lang.Symbolic, inv *lang.Invocation) {
-	switch class {
-	case lang.IdxScalar:
+func (c *checker) access(action, target string, extent lang.SizeExpr, inst sem.Inst, constIdx int64, loopSym *lang.Symbolic, inv *lang.Invocation) {
+	switch inst {
+	case sem.InstScalar:
 		return // no elastic dimension to overrun
-	case lang.IdxConst:
+	case sem.InstConst:
 		// Constant index: must be below the extent's guaranteed
 		// minimum value.
 		switch {
@@ -92,13 +94,13 @@ func (c *checker) access(action, target string, extent lang.SizeExpr, class lang
 					extent.Sym.Name, lo, extent.Sym.Name, constIdx+1)
 			}
 		}
-	case lang.IdxParam:
+	case sem.InstIter:
 		// Iteration-parameter index: i ranges over [0, loopSym). Safe
 		// exactly when the extent is the same symbolic, a constant
 		// provably >= the loop bound, or a symbolic assumed >= it.
 		if loopSym == nil {
 			if inv.HasConstIndex {
-				c.access(action, target, extent, lang.IdxConst, inv.ConstIndex, nil, inv)
+				c.access(action, target, extent, sem.InstConst, inv.ConstIndex, nil, inv)
 				return
 			}
 			c.warnf(action, target, "iteration parameter",

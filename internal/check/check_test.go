@@ -127,7 +127,7 @@ control main { apply { a()[7]; } }
 }
 
 func TestConstIndexOutsideLoopFallsBackToConstCheck(t *testing.T) {
-	// Regression: a()[k] outside any elastic loop reaches the IdxParam
+	// Regression: a()[k] outside any elastic loop reaches the iteration
 	// case with no loop symbolic. The checker must fall back to the
 	// invocation's constant index — proving the in-bounds call safe
 	// instead of warning "indexed call outside any elastic loop".
@@ -182,4 +182,23 @@ control main { apply { for (i < n) { a()[i]; } a()[2]; } }
 	}
 	safe := "symbolic int s;\nassume s >= 3;\n" + strings.SplitN(unsafe, "\n", 3)[2]
 	_ = safe
+}
+
+// TestGuardIndexesChecked: a guard's constant instance index is checked
+// like a body's, a register's as a field's.
+func TestGuardIndexesChecked(t *testing.T) {
+	for _, guard := range []string{"meta.x[7] == 1", "r[7][0] == 1"} {
+		src := `
+symbolic int n;
+assume n >= 1;
+struct meta { bit<32>[n] x; bit<32> y; }
+register<bit<32>>[64][n] r;
+action a() { meta.y = 1; }
+control main { apply { if (` + guard + `) { a(); } } }
+`
+		ws := Bounds(resolve(t, src))
+		if len(ws) != 1 || ws[0].Action != "a (guard)" || ws[0].Index != "7" || !strings.Contains(ws[0].Reason, "assume n >= 8") {
+			t.Errorf("guard %s: warnings %v, want one on instance 7", guard, ws)
+		}
+	}
 }

@@ -9,6 +9,7 @@ package dep
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -77,12 +78,9 @@ type Node struct {
 }
 
 func (n *Node) addClass(c IterClass) {
-	for _, have := range n.Classes {
-		if have == c {
-			return
-		}
+	if !slices.Contains(n.Classes, c) {
+		n.Classes = append(n.Classes, c)
 	}
-	n.Classes = append(n.Classes, c)
 }
 
 // Name renders the node's instance names.
@@ -122,6 +120,7 @@ type access struct {
 	atom        atom
 	write       bool
 	commutative bool
+	iter        bool // atom.index is the instance's iteration
 }
 
 // Build constructs the dependency graph for the given unroll counts.
@@ -148,17 +147,9 @@ func BuildFor(u *lang.Unit, v *lang.Symbolic, k int, target *pisa.Target) *Graph
 	}
 	var instances []*Instance
 	for _, inv := range u.Invocations {
-		uses := false
-		for _, l := range inv.Loops {
-			if l.Sym == v {
-				uses = true
-				break
-			}
+		if slices.ContainsFunc(inv.Loops, func(l *lang.LoopRef) bool { return l.Sym == v }) {
+			instances = append(instances, expand(inv, counts)...)
 		}
-		if !uses {
-			continue
-		}
-		instances = append(instances, expand(inv, counts)...)
 	}
 	return buildFrom(u, instances, target)
 }
@@ -215,46 +206,140 @@ func expand(inv *lang.Invocation, counts Counts) []*Instance {
 	return out
 }
 
-// accesses computes the atoms an instance touches, including guard
-// reads.
-func accesses(in *Instance) []access {
+// accessesOf resolves inv's footprint (sem.Footprint), guard reads
+// included, into atoms and marks the field writes that commute. An
+// access at the iteration takes its index per instance (at). The
+// resolver admits no instance index known only at run time, so a
+// dynamic index keeps the scalar atom.
+func accessesOf(u *lang.Unit, inv *lang.Invocation) []access {
+	all := inv.Action.Commutative || guardedReduction(inv)
+	reduced := make(map[*lang.Ref]bool)
+	if d := inv.Action.Decl; d != nil && d.Body != nil {
+		reductions(d.Body, reduced)
+	}
 	var out []access
-	iter := in.Iter()
-	a := in.Inv.Action
-	for _, r := range a.Registers {
-		idx := 0
-		switch r.Class {
-		case lang.IdxParam:
-			idx = iter
-		case lang.IdxConst:
-			idx = int(r.ConstIdx)
+	for _, a := range sem.Footprint(u, inv) {
+		ac := access{atom: atom{kind: 'r'}, write: a.Write, iter: a.Inst == sem.InstIter,
+			commutative: a.Write && a.Field != nil && (all || reduced[a.Ref])}
+		if a.Reg != nil {
+			ac.atom.name = a.Reg.Name
+		} else {
+			ac.atom = atom{kind: 'm', name: a.Field.Qual(), index: -1}
 		}
-		out = append(out, access{
-			atom:  atom{kind: 'r', name: r.Reg.Name, index: idx},
-			write: r.Write,
-		})
-	}
-	meta := func(m lang.MetaAccess) access {
-		idx := -1
-		switch m.Class {
-		case lang.IdxParam:
-			idx = iter
-		case lang.IdxConst:
-			idx = int(m.ConstIdx)
+		if a.Inst == sem.InstConst {
+			ac.atom.index = int(a.Const)
 		}
-		return access{
-			atom:        atom{kind: 'm', name: m.Field.Qual(), index: idx},
-			write:       m.Write,
-			commutative: m.Commutative,
-		}
-	}
-	for _, m := range a.Meta {
-		out = append(out, meta(m))
-	}
-	for _, m := range in.Inv.GuardReads {
-		out = append(out, meta(m))
+		out = append(out, ac)
 	}
 	return out
+}
+
+// at returns the accesses of instance in, its iteration resolved.
+func at(in *Instance, accs []access) []access {
+	out := slices.Clone(accs)
+	for i := range out {
+		if out[i].iter {
+			out[i].atom.index = in.Iter()
+		}
+	}
+	return out
+}
+
+// reductions marks the assignments of a body that are commutative
+// reductions: lhs = min(lhs, e), lhs = max(lhs, e), lhs = lhs + e, and
+// the guarded min/max update if (A < X) { X = A; }.
+func reductions(b *lang.Block, marked map[*lang.Ref]bool) {
+	for _, s := range b.Stmts {
+		switch s := s.(type) {
+		case *lang.Block:
+			reductions(s, marked)
+		case *lang.AssignStmt:
+			if isSelfReduction(s.LHS, s.RHS) {
+				marked[s.LHS] = true
+			}
+		case *lang.IfStmt:
+			if as, ok := singleAssign(s.Then); ok && s.Else == nil && isReductionGuard(s.Cond, as) {
+				marked[as.LHS] = true
+			}
+			reductions(s.Then, marked)
+			if s.Else != nil {
+				reductions(s.Else, marked)
+			}
+		}
+	}
+}
+
+// guardedReduction reports whether inv is the guarded min/max update
+// across the call boundary: its innermost guard compares A against X
+// and its action's body is X = A, read at the invocation's instance.
+func guardedReduction(inv *lang.Invocation) bool {
+	d := inv.Action.Decl
+	if len(inv.Guards) == 0 || d == nil || d.Body == nil {
+		return false
+	}
+	as, ok := singleAssign(d.Body)
+	if !ok {
+		return false
+	}
+	if d.IndexParam != "" {
+		var idx lang.Expr = &lang.IntLit{Value: inv.ConstIndex}
+		if l := inv.Loop(); l != nil {
+			idx = &lang.Ref{Segs: []lang.Seg{{Name: l.Var}}}
+		}
+		sub := map[string]lang.Expr{d.IndexParam: idx}
+		as = &lang.AssignStmt{LHS: lang.Subst(as.LHS, sub).(*lang.Ref), RHS: lang.Subst(as.RHS, sub)}
+	}
+	return isReductionGuard(inv.Guards[len(inv.Guards)-1], as)
+}
+
+// singleAssign returns the sole assignment of a block, if that is all
+// the block contains.
+func singleAssign(b *lang.Block) (*lang.AssignStmt, bool) {
+	if b == nil || len(b.Stmts) != 1 {
+		return nil, false
+	}
+	as, ok := b.Stmts[0].(*lang.AssignStmt)
+	return as, ok
+}
+
+// isReductionGuard reports whether "if (cond) { as }" is a guarded
+// min/max update: cond compares A against X and the body sets X = A.
+func isReductionGuard(cond lang.Expr, as *lang.AssignStmt) bool {
+	bin, ok := cond.(*lang.Binary)
+	if !ok {
+		return false
+	}
+	switch bin.Op {
+	case lang.LT, lang.LE, lang.GT, lang.GE:
+	default:
+		return false
+	}
+	lhs, rhs := lang.PrintExpr(as.LHS), lang.PrintExpr(as.RHS)
+	x, y := lang.PrintExpr(bin.X), lang.PrintExpr(bin.Y)
+	// if (A < X) { X = A } or if (X > A) { X = A }.
+	return (x == rhs && y == lhs) || (y == rhs && x == lhs)
+}
+
+// isSelfReduction reports whether "lhs = rhs" is a commutative
+// self-update: lhs = min(lhs, e), lhs = max(lhs, e), or lhs = lhs + e.
+func isSelfReduction(lhs *lang.Ref, rhs lang.Expr) bool {
+	var x, y lang.Expr
+	switch rhs := rhs.(type) {
+	case *lang.CallExpr:
+		if rhs.Name == "hash" {
+			return false
+		}
+		x, y = rhs.Args[0], rhs.Args[1]
+	case *lang.Binary:
+		if rhs.Op != lang.PLUS {
+			return false
+		}
+		x, y = rhs.X, rhs.Y
+	default:
+		return false
+	}
+	l := lang.PrintExpr(lhs)
+	return lang.PrintExpr(x) == l || lang.PrintExpr(y) == l
 }
 
 func buildFrom(u *lang.Unit, instances []*Instance, target *pisa.Target) *Graph {
@@ -281,8 +366,14 @@ func buildFrom(u *lang.Unit, instances []*Instance, target *pisa.Target) *Graph 
 	}
 	accs := make([][]access, n)
 	regOwner := make(map[atom]int)
+	byInv := make(map[*lang.Invocation][]access)
 	for i, in := range instances {
-		accs[i] = accesses(in)
+		ia, ok := byInv[in.Inv]
+		if !ok {
+			ia = accessesOf(u, in.Inv)
+			byInv[in.Inv] = ia
+		}
+		accs[i] = at(in, ia)
 		for _, ac := range accs[i] {
 			if ac.atom.kind != 'r' {
 				continue

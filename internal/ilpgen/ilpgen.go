@@ -245,13 +245,14 @@ func (p *ILP) checkNodes() error {
 	return nil
 }
 
-// nodeSpreads reports whether the node may occupy several stages.
+// nodeSpreads reports whether the node may occupy several stages: the
+// target allows it and the node hosts a register.
 func (p *ILP) nodeSpreads(n *dep.Node) bool {
 	if !p.Target.AllowRegisterSpread {
 		return false
 	}
-	for _, in := range n.Instances {
-		if len(in.Inv.Action.Registers) > 0 {
+	for _, id := range p.Graph.RegNodes {
+		if id == n.ID {
 			return true
 		}
 	}

@@ -275,60 +275,6 @@ func TestResolveCMS(t *testing.T) {
 	if len(u.Invocations[1].Guards) != 1 {
 		t.Errorf("set_min guards = %d, want 1", len(u.Invocations[1].Guards))
 	}
-	if len(u.Invocations[1].GuardReads) != 2 {
-		t.Errorf("set_min guard reads = %d, want 2 (count[i], min)", len(u.Invocations[1].GuardReads))
-	}
-}
-
-// TestActionFootprint checks the resolver's access list; the ALU
-// profile is sem's (TestActionProfiles there).
-func TestActionFootprint(t *testing.T) {
-	u := mustResolve(t, cmsSource)
-	incr := u.ActionByName("incr")
-	if len(incr.Registers) != 1 || !incr.Registers[0].Write || incr.Registers[0].Class != IdxParam {
-		t.Errorf("incr register access = %+v, want one param-indexed write", incr.Registers)
-	}
-}
-
-func TestGuardedReductionDetection(t *testing.T) {
-	u := mustResolve(t, cmsSource)
-	sm := u.ActionByName("set_min")
-	if !sm.Commutative {
-		t.Error("set_min should be detected as a commutative (guarded min) reduction")
-	}
-	foundWrite := false
-	for _, m := range sm.Meta {
-		if m.Write && m.Field.Name == "min" {
-			foundWrite = true
-			if !m.Commutative {
-				t.Error("set_min's write to meta.min should be commutative")
-			}
-		}
-	}
-	if !foundWrite {
-		t.Error("set_min has no write to meta.min")
-	}
-}
-
-func TestSelfReductionDetection(t *testing.T) {
-	src := `
-symbolic int n;
-struct meta { bit<32> total; bit<32>[n] v; }
-action add()[int i] { meta.total = meta.total + meta.v[i]; }
-action keepmax()[int i] { meta.total = max(meta.total, meta.v[i]); }
-action plain()[int i] { meta.total = meta.v[i]; }
-control main { apply { for (i < n) { add()[i]; } for (i < n) { keepmax()[i]; } for (i < n) { plain()[i]; } } }
-`
-	u := mustResolve(t, src)
-	if !u.ActionByName("add").Commutative {
-		t.Error("add (x = x + e) should be commutative")
-	}
-	if !u.ActionByName("keepmax").Commutative {
-		t.Error("keepmax (x = max(x, e)) should be commutative")
-	}
-	if u.ActionByName("plain").Commutative {
-		t.Error("plain overwrite should not be commutative")
-	}
 }
 
 func TestCommutativeAnnotation(t *testing.T) {
@@ -443,6 +389,29 @@ func TestBuiltinArity(t *testing.T) {
 	ok := "header pkt { bit<32> flow; } struct meta { bit<32> x; } action a() { meta.x = max(min(pkt.flow, 3), hash(pkt.flow, 1)); } control main { apply { a(); } }"
 	if _, err := ParseAndResolve(ok); err != nil {
 		t.Errorf("two-argument calls: %v", err)
+	}
+}
+
+// TestConstantZeroDivisor: a divisor that folds to zero stops every
+// packet that evaluates it, so the front end rejects it, at the
+// operator, in action bodies, guards and table keys alike.
+func TestConstantZeroDivisor(t *testing.T) {
+	const decls = "const int Z = 2; header hdr { bit<32> a; } struct meta { bit<32> q; } "
+	cases := []struct{ name, src, want string }{
+		{"body division", decls + "action a() { meta.q = hdr.a / (2 - 2); } control main { apply { a(); } }", "1:99: division by zero"},
+		{"body modulo", decls + "action a() { meta.q = hdr.a % (Z - 2); } control main { apply { a(); } }", "1:99: modulo by zero"},
+		{"guard", decls + "action a() { meta.q = 1; } control main { apply { if (hdr.a / -(Z - Z) == 1) { a(); } } }", "1:131: division by zero"},
+		{"table key", decls + "action a() { meta.q = 1; } table t { key = { hdr.a % 0; } actions = { a; } } control main { apply { t.apply(); } }", "1:122: modulo by zero"},
+	}
+	for _, tc := range cases {
+		_, err := ParseAndResolve(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	ok := decls + "action a() { meta.q = hdr.a / (Z - 1) + hdr.a % hdr.a; } control main { apply { a(); } }"
+	if _, err := ParseAndResolve(ok); err != nil {
+		t.Errorf("nonzero and run-time divisors: %v", err)
 	}
 }
 

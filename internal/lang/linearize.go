@@ -85,30 +85,12 @@ func (lw *linWalker) stmt(s Stmt, f *linFrame) error {
 
 func (lw *linWalker) ifStmt(s *IfStmt, f *linFrame) error {
 	cond := substEnv(s.Cond, f.env)
-	// Guarded-reduction idiom spanning the call boundary:
-	// if (A < X) { act()[i]; } where act's body is "X = A".
-	if call, ok := singleCall(s.Then); ok && s.Else == nil {
-		if a := lw.unit().ActionByName(call.Name); a != nil {
-			if as, ok := soleBodyAssign(a); ok {
-				body := as
-				if a.Decl.IndexParam != "" && call.Index != nil {
-					sub := map[string]Expr{a.Decl.IndexParam: substEnv(call.Index, f.env)}
-					body = &AssignStmt{
-						Pos: as.Pos,
-						LHS: substExpr(as.LHS, sub).(*Ref),
-						RHS: substExpr(as.RHS, sub),
-					}
-				}
-				if isReductionGuard(cond, body) {
-					a.Commutative = true
-					for i := range a.Meta {
-						if a.Meta[i].Write {
-							a.Meta[i].Commutative = true
-						}
-					}
-				}
-			}
-		}
+	b := &binder{r: lw.r}
+	if inner := innermostLoop(f); inner != nil {
+		b.iter = inner.Var
+	}
+	if err := b.expr(cond); err != nil {
+		return err
 	}
 	nf := f.clone()
 	nf.guards = append(nf.guards, cond)
@@ -192,9 +174,6 @@ func (lw *linWalker) call(s *CallStmt, f *linFrame) error {
 		inv.HasConstIndex = true
 		inv.ConstIndex = v
 	}
-	if err := lw.attachGuards(inv, f); err != nil {
-		return err
-	}
 	lw.append(inv)
 	return nil
 }
@@ -212,16 +191,9 @@ func (lw *linWalker) apply(s *ApplyStmt, f *linFrame) error {
 		if len(f.loops) > 0 {
 			return errf(s.Pos, "table %s cannot be applied inside an elastic loop", t.Name)
 		}
-		if err := lw.attachGuards(match, f); err != nil {
-			return err
-		}
 		lw.append(match)
 		for _, a := range t.Actions {
-			inv := &Invocation{Action: a, Guards: append([]Expr(nil), f.guards...)}
-			if err := lw.attachGuards(inv, f); err != nil {
-				return err
-			}
-			lw.append(inv)
+			lw.append(&Invocation{Action: a, Guards: append([]Expr(nil), f.guards...)})
 		}
 		return nil
 	}
@@ -243,7 +215,7 @@ func (lw *linWalker) syntheticAssign(s *AssignStmt, f *linFrame) error {
 		decl.IndexParam = inner.Var
 	}
 	a := &Action{Name: name, Decl: decl, Indexed: decl.IndexParam != "", Synthetic: true}
-	if err := lw.r.analyzeAction(a); err != nil {
+	if err := lw.r.bindAction(a); err != nil {
 		return err
 	}
 	lw.unit().Actions = append(lw.unit().Actions, a)
@@ -252,34 +224,7 @@ func (lw *linWalker) syntheticAssign(s *AssignStmt, f *linFrame) error {
 	if a.Indexed {
 		inv.Loops = append([]*LoopRef(nil), f.loops...)
 	}
-	if err := lw.attachGuards(inv, f); err != nil {
-		return err
-	}
 	lw.append(inv)
-	return nil
-}
-
-// attachGuards analyzes the invocation's guard conditions as reads in
-// the iteration context.
-func (lw *linWalker) attachGuards(inv *Invocation, f *linFrame) error {
-	if len(inv.Guards) == 0 {
-		return nil
-	}
-	indexParam := ""
-	if inner := innermostLoop(f); inner != nil {
-		indexParam = inner.Var
-	}
-	ghost := &Action{
-		Name: inv.Action.Name + "__guard",
-		Decl: &ActionDecl{IndexParam: indexParam},
-	}
-	ba := &bodyAnalyzer{r: lw.r, action: ghost}
-	for _, g := range inv.Guards {
-		if err := ba.expr(g); err != nil {
-			return err
-		}
-	}
-	inv.GuardReads = ghost.Meta
 	return nil
 }
 
@@ -295,22 +240,6 @@ func innermostLoop(f *linFrame) *LoopRef {
 	return f.loops[len(f.loops)-1]
 }
 
-func singleCall(b *Block) (*CallStmt, bool) {
-	if b == nil || len(b.Stmts) != 1 {
-		return nil, false
-	}
-	c, ok := b.Stmts[0].(*CallStmt)
-	return c, ok
-}
-
-// soleBodyAssign returns an action's body if it is a single assignment.
-func soleBodyAssign(a *Action) (*AssignStmt, bool) {
-	if a.Decl == nil || a.Decl.Body == nil {
-		return nil, false
-	}
-	return singleAssign(a.Decl.Body)
-}
-
 // substEnv replaces constant loop variables with their values.
 func substEnv(e Expr, env map[string]int64) Expr {
 	if len(env) == 0 {
@@ -320,13 +249,13 @@ func substEnv(e Expr, env map[string]int64) Expr {
 	for k, v := range env {
 		sub[k] = &IntLit{Value: v}
 	}
-	return substExpr(e, sub)
+	return Subst(e, sub)
 }
 
-// substExpr returns a copy of e with simple identifier references
+// Subst returns a copy of e with simple identifier references
 // replaced per sub. Non-matching nodes are shared, matching subtrees
 // rebuilt.
-func substExpr(e Expr, sub map[string]Expr) Expr {
+func Subst(e Expr, sub map[string]Expr) Expr {
 	switch e := e.(type) {
 	case *IntLit, *BoolLit, *FloatLit:
 		return e
@@ -341,19 +270,19 @@ func substExpr(e Expr, sub map[string]Expr) Expr {
 		for i, s := range e.Segs {
 			ns := Seg{Name: s.Name}
 			for _, idx := range s.Indexes {
-				ns.Indexes = append(ns.Indexes, substExpr(idx, sub))
+				ns.Indexes = append(ns.Indexes, Subst(idx, sub))
 			}
 			out.Segs[i] = ns
 		}
 		return out
 	case *Unary:
-		return &Unary{Pos: e.Pos, Op: e.Op, X: substExpr(e.X, sub)}
+		return &Unary{Pos: e.Pos, Op: e.Op, X: Subst(e.X, sub)}
 	case *Binary:
-		return &Binary{Pos: e.Pos, Op: e.Op, X: substExpr(e.X, sub), Y: substExpr(e.Y, sub)}
+		return &Binary{Pos: e.Pos, Op: e.Op, X: Subst(e.X, sub), Y: Subst(e.Y, sub)}
 	case *CallExpr:
 		out := &CallExpr{Pos: e.Pos, Name: e.Name}
 		for _, a := range e.Args {
-			out.Args = append(out.Args, substExpr(a, sub))
+			out.Args = append(out.Args, Subst(a, sub))
 		}
 		return out
 	default:

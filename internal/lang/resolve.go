@@ -1,16 +1,13 @@
 package lang
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Resolve performs semantic analysis over a parsed program and builds
 // the compiler IR. It resolves names (symbolics, constants, structs,
-// registers, actions, controls, tables), computes each action's
-// dependency footprint, detects commutative reduction writes, and
-// linearizes the main control into an invocation sequence. The ALU
-// profile is the cost model's (sem.Profile), not the resolver's.
+// registers, actions, controls, tables), binds each reference to what
+// it names, and linearizes the main control into an invocation
+// sequence. What an invocation touches and charges is sem's
+// (sem.Footprint, sem.Profile), not the resolver's.
 func Resolve(prog *Program, source string) (*Unit, error) {
 	r := &resolver{
 		unit: &Unit{
@@ -313,27 +310,22 @@ func (r *resolver) checkSpecDecls() error {
 	return nil
 }
 
-// analyzeActions computes each declared action's footprint and builds
-// synthetic match actions for tables.
+// analyzeActions binds the names of each declared action's body and of
+// each table's keys, and resolves each table's actions.
 func (r *resolver) analyzeActions() error {
 	for _, a := range r.unit.Actions {
-		if err := r.analyzeAction(a); err != nil {
+		if err := r.bindAction(a); err != nil {
 			return err
 		}
 	}
 	for _, t := range r.unit.Tables {
-		match := &Action{
-			Name:      t.Name + "__match",
-			Indexed:   false,
-			Synthetic: true,
-		}
-		ba := &bodyAnalyzer{r: r, action: match}
+		t.Match = &Action{Name: t.Name + "__match", Synthetic: true}
+		b := &binder{r: r}
 		for _, k := range t.Decl.Keys {
-			if err := ba.expr(k); err != nil {
+			if err := b.expr(k); err != nil {
 				return err
 			}
 		}
-		t.Match = match
 		for _, name := range t.Decl.Actions {
 			a := r.unit.actionByName[name]
 			if a == nil {
@@ -348,57 +340,48 @@ func (r *resolver) analyzeActions() error {
 	return nil
 }
 
-func (r *resolver) analyzeAction(a *Action) error {
-	ba := &bodyAnalyzer{r: r, action: a}
-	if err := ba.block(a.Decl.Body); err != nil {
-		return err
-	}
-	ba.finish()
-	return nil
+func (r *resolver) bindAction(a *Action) error {
+	b := &binder{r: r, iter: a.Decl.IndexParam, params: a.Decl.Params}
+	return b.block(a.Decl.Body)
 }
 
-// bodyAnalyzer walks an action body accumulating its accesses.
-type bodyAnalyzer struct {
+// binder binds the names of one scope (an action body, a table's keys,
+// an if condition of an apply block) and rejects what the language does
+// not admit. iter is the scope's iteration name: the action's index
+// parameter, or the innermost loop variable around a condition.
+type binder struct {
 	r      *resolver
-	action *Action
-	// regSeen dedups register accesses: key name/class/const.
-	regSeen map[string]int // index into action.Registers
+	iter   string
+	params []Param
 }
 
-func (ba *bodyAnalyzer) unit() *Unit { return ba.r.unit }
-
-func (ba *bodyAnalyzer) block(b *Block) error {
-	for _, s := range b.Stmts {
-		if err := ba.stmt(s); err != nil {
+func (b *binder) block(blk *Block) error {
+	for _, s := range blk.Stmts {
+		if err := b.stmt(s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (ba *bodyAnalyzer) stmt(s Stmt) error {
+func (b *binder) stmt(s Stmt) error {
 	switch s := s.(type) {
 	case *Block:
-		return ba.block(s)
+		return b.block(s)
 	case *AssignStmt:
-		return ba.assign(s)
-	case *IfStmt:
-		// Detect the guarded min/max update idiom:
-		// if (A < X) { X = A; }  — a commutative min-reduction on X.
-		if as, ok := singleAssign(s.Then); ok && s.Else == nil && isReductionGuard(s.Cond, as) {
-			if err := ba.expr(s.Cond); err != nil {
-				return err
-			}
-			return ba.assignCommutative(as, true)
-		}
-		if err := ba.expr(s.Cond); err != nil {
+		if err := b.expr(s.RHS); err != nil {
 			return err
 		}
-		if err := ba.block(s.Then); err != nil {
+		return b.ref(s.LHS)
+	case *IfStmt:
+		if err := b.expr(s.Cond); err != nil {
+			return err
+		}
+		if err := b.block(s.Then); err != nil {
 			return err
 		}
 		if s.Else != nil {
-			return ba.block(s.Else)
+			return b.block(s.Else)
 		}
 		return nil
 	case *CallStmt:
@@ -412,23 +395,9 @@ func (ba *bodyAnalyzer) stmt(s Stmt) error {
 	}
 }
 
-func (ba *bodyAnalyzer) assign(s *AssignStmt) error {
-	commutative := isSelfReduction(s.LHS, s.RHS)
-	return ba.assignCommutative(s, commutative)
-}
-
-func (ba *bodyAnalyzer) assignCommutative(s *AssignStmt, commutative bool) error {
-	if err := ba.expr(s.RHS); err != nil {
-		return err
-	}
-	return ba.ref(s.LHS, true, commutative)
-}
-
-// ref resolves a reference and records the access. write/commutative
-// describe the access when the ref is an lvalue.
-func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) error {
-	u := ba.unit()
-	a := ba.action
+// ref binds a reference to the register or struct field it names.
+func (b *binder) ref(ref *Ref) error {
+	u := b.r.unit
 	base := ref.Base()
 
 	// Register access: base segment names a register.
@@ -444,24 +413,15 @@ func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) error {
 		if len(seg.Indexes) != wantIdx {
 			return errf(ref.Pos, "register %s requires %d index(es), got %d", base, wantIdx, len(seg.Indexes))
 		}
-		acc := RegAccess{Reg: reg, Class: IdxScalar, Write: write}
 		if wantIdx == 2 {
-			cls, cidx, err := ba.instanceIndex(seg.Indexes[0], reg.Name)
-			if err != nil {
-				return err
-			}
-			acc.Class = cls
-			acc.ConstIdx = cidx
-			// The cell index is a runtime expression: analyze reads.
-			if err := ba.expr(seg.Indexes[1]); err != nil {
-				return err
-			}
-		} else {
-			if err := ba.expr(seg.Indexes[0]); err != nil {
+			if err := b.instanceIndex(seg.Indexes[0], reg.Name); err != nil {
 				return err
 			}
 		}
-		ba.recordReg(acc)
+		// The cell index is a runtime expression.
+		if err := b.expr(seg.Indexes[wantIdx-1]); err != nil {
+			return err
+		}
 		ref.Reg = reg
 		return nil
 	}
@@ -479,22 +439,17 @@ func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) error {
 		if f == nil {
 			return errf(ref.Pos, "struct %s has no field %s", base, fseg.Name)
 		}
-		acc := MetaAccess{Field: f, Class: IdxScalar, Write: write, Commutative: commutative}
 		elastic := f.Elastic()
 		switch {
 		case elastic && len(fseg.Indexes) == 1:
-			cls, cidx, err := ba.instanceIndex(fseg.Indexes[0], f.Qual())
-			if err != nil {
+			if err := b.instanceIndex(fseg.Indexes[0], f.Qual()); err != nil {
 				return err
 			}
-			acc.Class = cls
-			acc.ConstIdx = cidx
 		case elastic:
 			return errf(ref.Pos, "elastic field %s requires exactly one index", f.Qual())
 		case len(fseg.Indexes) != 0:
 			return errf(ref.Pos, "scalar field %s cannot be indexed", f.Qual())
 		}
-		a.Meta = append(a.Meta, acc)
 		ref.Field = f
 		return nil
 	}
@@ -507,54 +462,60 @@ func (ba *bodyAnalyzer) ref(ref *Ref, write, commutative bool) error {
 		if _, ok := u.Consts[base]; ok {
 			return nil
 		}
-		if a.Decl != nil && base == a.Decl.IndexParam {
+		if base == b.iter {
 			return nil
 		}
-		if a.Decl != nil {
-			for _, p := range a.Decl.Params {
-				if p.Name == base {
-					return nil
-				}
+		for _, p := range b.params {
+			if p.Name == base {
+				return nil
 			}
 		}
 	}
 	return errf(ref.Pos, "unknown name %s", refText(ref))
 }
 
-// instanceIndex classifies an elastic-instance selector: the action's
-// iteration parameter or a compile-time constant.
-func (ba *bodyAnalyzer) instanceIndex(e Expr, what string) (IndexClass, int64, error) {
-	if ref, ok := e.(*Ref); ok && ref.IsSimpleIdent() {
-		if ba.action.Decl != nil && ref.Base() == ba.action.Decl.IndexParam {
-			return IdxParam, 0, nil
-		}
+// instanceIndex checks an elastic-instance selector: the scope's
+// iteration name or a non-negative compile-time constant.
+func (b *binder) instanceIndex(e Expr, what string) error {
+	if ref, ok := e.(*Ref); ok && ref.IsSimpleIdent() && ref.Base() == b.iter {
+		return nil
 	}
-	v, err := ba.r.evalConst(e)
+	v, err := b.r.evalConst(e)
 	if err != nil {
-		return 0, 0, errf(e.GetPos(), "instance index of %s must be the action's iteration parameter or a constant", what)
+		return errf(e.GetPos(), "instance index of %s must be the action's iteration parameter or a constant", what)
 	}
 	if v < 0 {
-		return 0, 0, errf(e.GetPos(), "instance index of %s is negative (%d)", what, v)
+		return errf(e.GetPos(), "instance index of %s is negative (%d)", what, v)
 	}
-	return IdxConst, v, nil
+	return nil
 }
 
-// expr analyzes an expression in read position.
-func (ba *bodyAnalyzer) expr(e Expr) error {
+// expr binds an expression in read position. A divisor that is a
+// compile-time constant zero stops every packet, so it is an error here.
+func (b *binder) expr(e Expr) error {
 	switch e := e.(type) {
 	case *IntLit, *BoolLit:
 		return nil
 	case *FloatLit:
 		return errf(e.Pos, "decimal literals are only allowed in optimize and assume declarations")
 	case *Ref:
-		return ba.ref(e, false, false)
+		return b.ref(e)
 	case *Unary:
-		return ba.expr(e.X)
+		return b.expr(e.X)
 	case *Binary:
-		if err := ba.expr(e.X); err != nil {
+		if e.Op == SLASH || e.Op == PCT {
+			if v, err := b.r.evalConst(e.Y); err == nil && v == 0 {
+				what := "division"
+				if e.Op == PCT {
+					what = "modulo"
+				}
+				return errf(e.Pos, "%s by zero", what)
+			}
+		}
+		if err := b.expr(e.X); err != nil {
 			return err
 		}
-		return ba.expr(e.Y)
+		return b.expr(e.Y)
 	case *CallExpr:
 		switch e.Name {
 		case "hash", "min", "max":
@@ -565,114 +526,12 @@ func (ba *bodyAnalyzer) expr(e Expr) error {
 			return errf(e.Pos, "%s takes 2 arguments, got %d", e.Name, len(e.Args))
 		}
 		for _, a := range e.Args {
-			if err := ba.expr(a); err != nil {
+			if err := b.expr(a); err != nil {
 				return err
 			}
 		}
 		return nil
 	default:
 		return errf(e.GetPos(), "unsupported expression")
-	}
-}
-
-func (ba *bodyAnalyzer) recordReg(acc RegAccess) {
-	if ba.regSeen == nil {
-		ba.regSeen = make(map[string]int)
-	}
-	key := fmt.Sprintf("%s/%d/%d", acc.Reg.Name, acc.Class, acc.ConstIdx)
-	if i, ok := ba.regSeen[key]; ok {
-		// Merge read+write into a single RMW access.
-		if acc.Write {
-			ba.action.Registers[i].Write = true
-		}
-		return
-	}
-	ba.regSeen[key] = len(ba.action.Registers)
-	ba.action.Registers = append(ba.action.Registers, acc)
-}
-
-// finish applies whole-action adjustments: an @commutative annotation
-// marks every metadata write commutative; a detected reduction write
-// marks the action commutative if it is the only write.
-func (ba *bodyAnalyzer) finish() {
-	a := ba.action
-	if a.Commutative {
-		for i := range a.Meta {
-			if a.Meta[i].Write {
-				a.Meta[i].Commutative = true
-			}
-		}
-		return
-	}
-	writes, commuting := 0, 0
-	for _, m := range a.Meta {
-		if m.Write {
-			writes++
-			if m.Commutative {
-				commuting++
-			}
-		}
-	}
-	if writes > 0 && writes == commuting && !ba.writesRegister() {
-		a.Commutative = true
-	}
-}
-
-func (ba *bodyAnalyzer) writesRegister() bool {
-	for _, rg := range ba.action.Registers {
-		if rg.Write {
-			return true
-		}
-	}
-	return false
-}
-
-// singleAssign returns the sole assignment of a block, if that is all
-// the block contains.
-func singleAssign(b *Block) (*AssignStmt, bool) {
-	if b == nil || len(b.Stmts) != 1 {
-		return nil, false
-	}
-	as, ok := b.Stmts[0].(*AssignStmt)
-	return as, ok
-}
-
-// isReductionGuard reports whether "if (cond) { as }" is a guarded
-// min/max update: cond compares A against X and the body sets X = A.
-func isReductionGuard(cond Expr, as *AssignStmt) bool {
-	bin, ok := cond.(*Binary)
-	if !ok {
-		return false
-	}
-	switch bin.Op {
-	case LT, LE, GT, GE:
-	default:
-		return false
-	}
-	lhs := PrintExpr(as.LHS)
-	rhs := PrintExpr(as.RHS)
-	x := PrintExpr(bin.X)
-	y := PrintExpr(bin.Y)
-	// if (A < X) { X = A } or if (X > A) { X = A }.
-	return (x == rhs && y == lhs) || (y == rhs && x == lhs)
-}
-
-// isSelfReduction reports whether "lhs = rhs" is a commutative
-// self-update: lhs = min(lhs, e), lhs = max(lhs, e), or lhs = lhs + e.
-func isSelfReduction(lhs *Ref, rhs Expr) bool {
-	l := PrintExpr(lhs)
-	switch rhs := rhs.(type) {
-	case *CallExpr:
-		if rhs.Name != "min" && rhs.Name != "max" || len(rhs.Args) != 2 {
-			return false
-		}
-		return PrintExpr(rhs.Args[0]) == l || PrintExpr(rhs.Args[1]) == l
-	case *Binary:
-		if rhs.Op != PLUS {
-			return false
-		}
-		return PrintExpr(rhs.X) == l || PrintExpr(rhs.Y) == l
-	default:
-		return false
 	}
 }

@@ -63,54 +63,24 @@ type StructInfo struct {
 // Field returns the named field, or nil.
 func (s *StructInfo) Field(name string) *MetaField { return s.byName[name] }
 
-// IndexClass says how an access selects among elastic instances.
-type IndexClass int
-
-const (
-	// IdxScalar: the target is scalar (no elastic dimension).
-	IdxScalar IndexClass = iota
-	// IdxParam: selected by the action's iteration parameter — each
-	// unrolled instance touches its own element.
-	IdxParam
-	// IdxConst: selected by a compile-time constant.
-	IdxConst
-)
-
-// MetaAccess is one metadata/header field access by an action.
-type MetaAccess struct {
-	Field       *MetaField
-	Class       IndexClass
-	ConstIdx    int64 // for IdxConst
-	Write       bool
-	Commutative bool // write commutes with like writes (min/max/add)
-}
-
-// RegAccess is one register access by an action.
-type RegAccess struct {
-	Reg      *Register
-	Class    IndexClass // instance selection
-	ConstIdx int64
-	Write    bool
-}
-
-// Action is a resolved action with its dependency footprint.
+// Action is a resolved action as the source declares it. What storage
+// an invocation of it touches is sem's footprint (sem.Footprint).
 type Action struct {
 	Name        string
 	Decl        *ActionDecl
 	Indexed     bool
-	Commutative bool // @commutative annotation or detected reduction
-	Registers   []RegAccess
-	Meta        []MetaAccess
+	Commutative bool // @commutative annotation
 	Synthetic   bool // generated from a bare apply-block statement
 }
 
 // TableInfo is a resolved match-action table. Per the paper's §4.4
 // limitation, tables are not placed by the ILP; they participate in
-// dependency analysis through a synthetic match action.
+// dependency analysis through a synthetic match action, whose footprint
+// is the table's keys.
 type TableInfo struct {
 	Name    string
 	Decl    *TableDecl
-	Match   *Action   // synthetic action reading the keys
+	Match   *Action   // synthetic match action (no body)
 	Actions []*Action // the table's invocable actions
 	Size    int64
 }
@@ -137,9 +107,6 @@ type Invocation struct {
 	Loops  []*LoopRef // empty for inelastic invocations
 	Guards []Expr     // enclosing if-conditions (treated as reads)
 	Order  int        // program-order position
-	// GuardReads are the metadata reads performed by the guards,
-	// classified in the invocation's iteration context.
-	GuardReads []MetaAccess
 	// HasConstIndex marks an indexed call pinned to one constant
 	// instance (incr()[0] outside a loop); ConstIndex is that
 	// instance.

@@ -70,13 +70,11 @@ func bodyProfile(u *lang.Unit, inv *lang.Invocation) pisa.ActionProfile {
 		c.stmts(d.Body)
 		return c.use
 	}
-	for _, t := range u.Tables {
-		if t.Match == inv.Action {
-			for _, k := range t.Decl.Keys {
-				c.expr(k)
-			}
-			c.use.StatelessOps++ // the match itself
+	if t := matchOf(u, inv.Action); t != nil {
+		for _, k := range t.Decl.Keys {
+			c.expr(k)
 		}
+		c.use.StatelessOps++ // the match itself
 	}
 	return c.use
 }

@@ -128,10 +128,10 @@ func Call(name string, x, y uint64) uint64 {
 var ErrNotConst = errors.New("not a compile-time constant")
 
 // Fold evaluates a compile-time-constant expression: literals, the
-// simple names name resolves, and arithmetic and comparisons over them,
-// wrapped as the walker wraps them. It returns the value and the width
-// it wraps at. Anything else (&& and ||, which the walker short-circuits,
-// unary operators, calls, field and register reads) is ErrNotConst; a
+// simple names name resolves, and negation, arithmetic and comparisons
+// over them, wrapped as the walker wraps them. It returns the value and
+// the width it wraps at. Anything else (&& and ||, which the walker
+// short-circuits, !, calls, field and register reads) is ErrNotConst; a
 // simple name that name does not resolve, or a zero divisor, is an
 // error of its own.
 func Fold(e lang.Expr, name func(string) (uint64, bool)) (uint64, int, error) {
@@ -148,6 +148,12 @@ func Fold(e lang.Expr, name func(string) (uint64, bool)) (uint64, int, error) {
 			return v, 0, nil
 		}
 		return 0, 0, fmt.Errorf("unknown name %s", e.Base())
+	case *lang.Unary:
+		if e.Op != lang.MINUS {
+			return 0, 0, ErrNotConst
+		}
+		x, w, err := Fold(e.X, name)
+		return MaskTo(-x, w), w, err
 	case *lang.Binary:
 		if e.Op == lang.AND || e.Op == lang.OR {
 			return 0, 0, ErrNotConst

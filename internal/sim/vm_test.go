@@ -623,7 +623,7 @@ func TestSegmentizeOpStepHazards(t *testing.T) {
 // stops the packet with the interpreter's own error, through Process
 // and through Replay; an elastic field whose instance index is known
 // only at run time has no frame slot, so that program keeps the
-// interpreter, with the reason kept. The front end rejects two of them
+// interpreter, with the reason kept. The front end rejects each of them
 // in source form, so each is grafted into a compiled unit's action body.
 func TestVMFallback(t *testing.T) {
 	const host = `
@@ -648,6 +648,9 @@ optimize n;
 				simTestTarget(), core.Options{SkipCodegen: true})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
+			}
+			if _, err := lang.ParseAndResolve(strings.Replace(host, "%s", c.stmt, 1)); err == nil {
+				t.Fatal("the front end accepts the statement in source form")
 			}
 			graft, err := lang.Parse(strings.Replace(host, "%s", c.stmt, 1))
 			if err != nil {

@@ -427,6 +427,9 @@ func (m *machine) buildSteps() *failure {
 			if f := stageCheck("table "+tbl.Name, textTables[applies[applyIdx].Action].Decl.Stages, []int{pl.Stage}); f != nil {
 				return f
 			}
+			if f := m.registerStage("table "+tbl.Name, applies[applyIdx], pl.Stage); f != nil {
+				return f
+			}
 			applyIdx++
 			continue
 		}
@@ -451,10 +454,27 @@ func (m *machine) buildSteps() *failure {
 			s.tgt.Inv = applies[applyIdx]
 			applyIdx++
 		}
+		if f := m.registerStage("action "+name, s.tgt.Inv, pl.Stage); f != nil {
+			return f
+		}
 		m.steps = append(m.steps, s)
 	}
 	if applyIdx != len(names) {
 		return &failure{Kind: "apply-mismatch", Detail: fmt.Sprintf("apply step %d: %s not in the layout schedule", applyIdx, names[applyIdx])}
+	}
+	return nil
+}
+
+// registerStage checks an apply entry of the text (its guards and its
+// action body, or a table's keys) against the stage it runs at: every
+// register it references must be declared at that stage. Equivalence
+// runs the two programs in schedule order, so a register read from a
+// stage that does not hold it would otherwise prove.
+func (m *machine) registerStage(what string, inv *lang.Invocation, stage int) *failure {
+	for _, a := range sem.Footprint(m.tu, inv) {
+		if a.Reg != nil && !slices.Contains(a.Reg.Decl.Stages, stage) {
+			return &failure{Kind: "register-stage", Detail: fmt.Sprintf("%s at stage %d references register %s, @stage%v", what, stage, a.Reg.Name, a.Reg.Decl.Stages)}
+		}
 	}
 	return nil
 }

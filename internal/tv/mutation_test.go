@@ -492,3 +492,36 @@ func TestAuditRejectsIllegalLayouts(t *testing.T) {
 		}
 	}
 }
+
+// guardReadSource reads register s in mark's guard after wr writes it,
+// so mark belongs in the stage that holds s.
+const guardReadSource = `
+header pkt { bit<32> a; }
+struct meta { bit<32> z1; bit<32> z2; bit<32> marked; }
+register<bit<32>>[16] s;
+action c1() { meta.z1 = pkt.a + 1; }
+action c2() { meta.z2 = meta.z1 + 1; }
+action wr() { s[0] = meta.z2; }
+action mark() { meta.marked = 1; }
+control main { apply { c1(); c2(); wr(); if (s[0] == 7) { mark(); } } }
+`
+
+// TestRegisterReadOffStageRejected moves mark to stage 0, away from
+// register s, and re-renders: both programs still run in schedule order
+// and agree on every path, so only the text's own register-stage check
+// catches the guard reading s where s is not.
+func TestRegisterReadOffStageRejected(t *testing.T) {
+	u, layout, prog := compileFor(t, guardReadSource, pisa.RunningExampleTarget())
+	mustProve(t, validate(u, layout, codegen.Render(prog), Options{Name: "guard-read"}, pathLimit, decisionLimit))
+	l := cloneLayout(layout)
+	for i := range l.Placements {
+		if l.Placements[i].Action == "mark" {
+			l.Placements[i].Stage = 0
+		}
+	}
+	moved, err := codegen.Build(u, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantObligation(t, mustReject(t, u, l, moved, "register-stage"), "register-stage")
+}
