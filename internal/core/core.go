@@ -248,6 +248,7 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 		obs.Bool("warm_started", st.WarmStarted),
 		obs.String("start", st.Seed()),
 		obs.String("root", st.RootStart),
+		obs.Bool("lowered", st.Lowered),
 		obs.Float("objective", objective),
 		obs.Float("gap", st.Gap),
 	)...)

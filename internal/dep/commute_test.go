@@ -9,6 +9,7 @@ import (
 	"p4all/internal/apps"
 	"p4all/internal/lang"
 	"p4all/internal/modules"
+	"p4all/internal/pisa"
 )
 
 // commutingWrites lists the writes of inv that commute with like
@@ -17,7 +18,7 @@ func commutingWrites(u *lang.Unit, inv *lang.Invocation) []string {
 	var out []string
 	for _, ac := range accessesOf(u, inv) {
 		switch {
-		case !ac.commutative:
+		case ac.red == "":
 		case ac.iter:
 			out = append(out, ac.atom.name+"[i]")
 		case ac.atom.index >= 0:
@@ -172,5 +173,65 @@ control main { apply { for (i < n) { add()[i]; } for (i < n) { keepmax()[i]; } f
 		if got := len(commutingWrites(u, inv)) == 1; got != want {
 			t.Errorf("%s: commutes %v, want %v", inv.Action.Name, got, want)
 		}
+	}
+}
+
+// mixedReductionSource adds to meta.x and then takes its minimum with
+// pkt.b. A sum and a minimum of one field do not commute: in program
+// order pkt.a = 50 and pkt.b = 120 leave meta.x = min(100 + 50, 120) =
+// 120, and the other order min(100, 120) + 50 = 150.
+const mixedReductionSource = `
+header pkt { bit<32> a; bit<32> b; }
+struct meta { bit<32> x; }
+action seed() { meta.x = 100; }
+action addx() { meta.x = meta.x + pkt.a; }
+action minx() { meta.x = pkt.b; }
+control main { apply { seed(); addx(); if (pkt.b < meta.x) { minx(); } } }
+`
+
+// TestReductionKindsDoNotCommute: addx's sum and minx's guarded minimum
+// get a precedence edge in program order, where two reductions of one
+// kind get an exclusion.
+func TestReductionKindsDoNotCommute(t *testing.T) {
+	u, err := lang.ParseAndResolve(mixedReductionSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := commutingWrites(u, u.Invocations[1]); !slices.Equal(got, []string{"meta.x"}) {
+		t.Errorf("addx commuting writes %v, want meta.x", got)
+	}
+	if got := commutingWrites(u, u.Invocations[2]); !slices.Equal(got, []string{"meta.x"}) {
+		t.Errorf("minx commuting writes %v, want meta.x", got)
+	}
+	tgt := pisa.RunningExampleTarget()
+	g := Build(u, Counts{}, &tgt)
+	node := map[string]int{}
+	for _, nd := range g.Nodes {
+		for _, in := range nd.Instances {
+			node[in.Inv.Action.Name] = nd.ID
+		}
+	}
+	addNode, minNode := node["addx"], node["minx"]
+	if !slices.Contains(g.Prec[addNode], minNode) {
+		t.Errorf("no precedence edge addx -> minx\n%s", g)
+	}
+	if slices.Contains(g.Excl[addNode], minNode) {
+		t.Errorf("addx and minx are an exclusion, as if a sum and a minimum commuted\n%s", g)
+	}
+
+	// Two sums of one field still commute.
+	u, err = lang.ParseAndResolve(`
+header pkt { bit<32> a; bit<32> b; }
+struct meta { bit<32> x; }
+action adda() { meta.x = meta.x + pkt.a; }
+action addb() { meta.x = pkt.b + meta.x; }
+control main { apply { adda(); addb(); } }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = Build(u, Counts{}, &tgt)
+	if len(g.Nodes) != 2 || len(g.Prec[0]) != 0 || !slices.Equal(g.Excl[0], []int{1}) {
+		t.Errorf("two sums of meta.x: want an exclusion and no precedence\n%s", g)
 	}
 }

@@ -117,11 +117,19 @@ type atom struct {
 
 // access is one atom touched by an instance.
 type access struct {
-	atom        atom
-	write       bool
-	commutative bool
-	iter        bool // atom.index is the instance's iteration
+	atom  atom
+	write bool
+	red   reduction // the commutative update a write belongs to, if any
+	iter  bool      // atom.index is the instance's iteration
 }
+
+// reduction is the kind of commutative update a field write belongs
+// to: "min", "max" or "+" for the self-reductions and the guarded
+// min/max updates, "@" and the action's name for every write of an
+// @commutative action, "" for a write that does not commute. Two writes
+// of one atom commute only when their kinds are equal: a minimum and
+// a sum of one field do not.
+type reduction string
 
 // Build constructs the dependency graph for the given unroll counts.
 // Invocations whose innermost loop's symbolic is absent from counts
@@ -212,15 +220,25 @@ func expand(inv *lang.Invocation, counts Counts) []*Instance {
 // resolver admits no instance index known only at run time, so a
 // dynamic index keeps the scalar atom.
 func accessesOf(u *lang.Unit, inv *lang.Invocation) []access {
-	all := inv.Action.Commutative || guardedReduction(inv)
-	reduced := make(map[*lang.Ref]bool)
+	var all reduction // the kind of every field write of inv, if any
+	if inv.Action.Commutative {
+		all = reduction("@" + inv.Action.Name)
+	} else {
+		all = guardedReduction(inv)
+	}
+	reduced := make(map[*lang.Ref]reduction)
 	if d := inv.Action.Decl; d != nil && d.Body != nil {
 		reductions(d.Body, reduced)
 	}
 	var out []access
 	for _, a := range sem.Footprint(u, inv) {
-		ac := access{atom: atom{kind: 'r'}, write: a.Write, iter: a.Inst == sem.InstIter,
-			commutative: a.Write && a.Field != nil && (all || reduced[a.Ref])}
+		ac := access{atom: atom{kind: 'r'}, write: a.Write, iter: a.Inst == sem.InstIter}
+		if a.Write && a.Field != nil {
+			ac.red = all
+			if all == "" {
+				ac.red = reduced[a.Ref]
+			}
+		}
 		if a.Reg != nil {
 			ac.atom.name = a.Reg.Name
 		} else {
@@ -246,20 +264,22 @@ func at(in *Instance, accs []access) []access {
 }
 
 // reductions marks the assignments of a body that are commutative
-// reductions: lhs = min(lhs, e), lhs = max(lhs, e), lhs = lhs + e, and
-// the guarded min/max update if (A < X) { X = A; }.
-func reductions(b *lang.Block, marked map[*lang.Ref]bool) {
+// reductions with their kind: lhs = min(lhs, e), lhs = max(lhs, e),
+// lhs = lhs + e, and the guarded min/max update if (A < X) { X = A; }.
+func reductions(b *lang.Block, marked map[*lang.Ref]reduction) {
 	for _, s := range b.Stmts {
 		switch s := s.(type) {
 		case *lang.Block:
 			reductions(s, marked)
 		case *lang.AssignStmt:
-			if isSelfReduction(s.LHS, s.RHS) {
-				marked[s.LHS] = true
+			if r := selfReduction(s.LHS, s.RHS); r != "" {
+				marked[s.LHS] = r
 			}
 		case *lang.IfStmt:
-			if as, ok := singleAssign(s.Then); ok && s.Else == nil && isReductionGuard(s.Cond, as) {
-				marked[as.LHS] = true
+			if as, ok := singleAssign(s.Then); ok && s.Else == nil {
+				if r := guardReduction(s.Cond, as); r != "" {
+					marked[as.LHS] = r
+				}
 			}
 			reductions(s.Then, marked)
 			if s.Else != nil {
@@ -269,17 +289,18 @@ func reductions(b *lang.Block, marked map[*lang.Ref]bool) {
 	}
 }
 
-// guardedReduction reports whether inv is the guarded min/max update
-// across the call boundary: its innermost guard compares A against X
-// and its action's body is X = A, read at the invocation's instance.
-func guardedReduction(inv *lang.Invocation) bool {
+// guardedReduction returns the kind of inv when it is the guarded
+// min/max update across the call boundary: its innermost guard compares
+// A against X and its action's body is X = A, read at the invocation's
+// instance. Otherwise it returns "".
+func guardedReduction(inv *lang.Invocation) reduction {
 	d := inv.Action.Decl
 	if len(inv.Guards) == 0 || d == nil || d.Body == nil {
-		return false
+		return ""
 	}
 	as, ok := singleAssign(d.Body)
 	if !ok {
-		return false
+		return ""
 	}
 	if d.IndexParam != "" {
 		var idx lang.Expr = &lang.IntLit{Value: inv.ConstIndex}
@@ -289,7 +310,7 @@ func guardedReduction(inv *lang.Invocation) bool {
 		sub := map[string]lang.Expr{d.IndexParam: idx}
 		as = &lang.AssignStmt{LHS: lang.Subst(as.LHS, sub).(*lang.Ref), RHS: lang.Subst(as.RHS, sub)}
 	}
-	return isReductionGuard(inv.Guards[len(inv.Guards)-1], as)
+	return guardReduction(inv.Guards[len(inv.Guards)-1], as)
 }
 
 // singleAssign returns the sole assignment of a block, if that is all
@@ -302,44 +323,61 @@ func singleAssign(b *lang.Block) (*lang.AssignStmt, bool) {
 	return as, ok
 }
 
-// isReductionGuard reports whether "if (cond) { as }" is a guarded
-// min/max update: cond compares A against X and the body sets X = A.
-func isReductionGuard(cond lang.Expr, as *lang.AssignStmt) bool {
+// guardReduction returns "min" or "max" when "if (cond) { as }" is a
+// guarded minimum or maximum update — cond compares A against X and the
+// body sets X = A — and "" otherwise.
+func guardReduction(cond lang.Expr, as *lang.AssignStmt) reduction {
 	bin, ok := cond.(*lang.Binary)
 	if !ok {
-		return false
+		return ""
 	}
+	below := false // the update runs when A is below X
 	switch bin.Op {
-	case lang.LT, lang.LE, lang.GT, lang.GE:
+	case lang.LT, lang.LE:
+		below = true
+	case lang.GT, lang.GE:
 	default:
-		return false
+		return ""
 	}
 	lhs, rhs := lang.PrintExpr(as.LHS), lang.PrintExpr(as.RHS)
 	x, y := lang.PrintExpr(bin.X), lang.PrintExpr(bin.Y)
-	// if (A < X) { X = A } or if (X > A) { X = A }.
-	return (x == rhs && y == lhs) || (y == rhs && x == lhs)
+	switch {
+	case x == rhs && y == lhs: // if (A op X) { X = A; }
+	case y == rhs && x == lhs: // if (X op A) { X = A; }
+		below = !below
+	default:
+		return ""
+	}
+	if below {
+		return "min"
+	}
+	return "max"
 }
 
-// isSelfReduction reports whether "lhs = rhs" is a commutative
-// self-update: lhs = min(lhs, e), lhs = max(lhs, e), or lhs = lhs + e.
-func isSelfReduction(lhs *lang.Ref, rhs lang.Expr) bool {
+// selfReduction returns the kind of "lhs = rhs" when it is a
+// commutative self-update — lhs = min(lhs, e), lhs = max(lhs, e) or
+// lhs = lhs + e — and "" otherwise.
+func selfReduction(lhs *lang.Ref, rhs lang.Expr) reduction {
 	var x, y lang.Expr
+	var kind reduction
 	switch rhs := rhs.(type) {
 	case *lang.CallExpr:
-		if rhs.Name == "hash" {
-			return false
+		if rhs.Name != "min" && rhs.Name != "max" {
+			return ""
 		}
-		x, y = rhs.Args[0], rhs.Args[1]
+		x, y, kind = rhs.Args[0], rhs.Args[1], reduction(rhs.Name)
 	case *lang.Binary:
 		if rhs.Op != lang.PLUS {
-			return false
+			return ""
 		}
-		x, y = rhs.X, rhs.Y
+		x, y, kind = rhs.X, rhs.Y, "+"
 	default:
-		return false
+		return ""
 	}
-	l := lang.PrintExpr(lhs)
-	return lang.PrintExpr(x) == l || lang.PrintExpr(y) == l
+	if l := lang.PrintExpr(lhs); lang.PrintExpr(x) != l && lang.PrintExpr(y) != l {
+		return ""
+	}
+	return kind
 }
 
 func buildFrom(u *lang.Unit, instances []*Instance, target *pisa.Target) *Graph {
@@ -446,19 +484,27 @@ func buildFrom(u *lang.Unit, instances []*Instance, target *pisa.Target) *Graph 
 		g.Excl[b] = append(g.Excl[b], a)
 	}
 
-	// commutWrites[i] holds the atoms instance i writes commutatively;
-	// a reducer's read of its own reduction atom is part of the
-	// reduction, so reducer-vs-reducer conflicts stay exclusions.
-	commutWrites := make([]map[atom]bool, n)
+	// commutWrites[i] holds the atoms instance i writes commutatively,
+	// with the kind of its reduction; a reducer's read of its own
+	// reduction atom is part of the reduction, so conflicts between
+	// reducers of one kind stay exclusions. (An instance that also
+	// writes the atom another way meets the other instance's write in
+	// the write-write arm below, which orders the pair.)
+	commutWrites := make([]map[atom]reduction, n)
 	for i := range instances {
 		for _, ac := range accs[i] {
-			if ac.write && ac.commutative {
+			if ac.write && ac.red != "" {
 				if commutWrites[i] == nil {
-					commutWrites[i] = make(map[atom]bool)
+					commutWrites[i] = make(map[atom]reduction)
 				}
-				commutWrites[i][ac.atom] = true
+				commutWrites[i][ac.atom] = ac.red
 			}
 		}
+	}
+	// commute reports whether a conflict on a commutes: a write of
+	// reduction kind r against the other instance's reduction of a.
+	commute := func(r reduction, other map[atom]reduction, a atom) bool {
+		return r != "" && other[a] == r
 	}
 
 	// Pairwise dependence: i precedes j in program order.
@@ -475,16 +521,16 @@ func buildFrom(u *lang.Unit, instances []*Instance, target *pisa.Target) *Graph 
 					}
 					switch {
 					case ai.write && aj.write:
-						if ai.commutative && aj.commutative {
+						if ai.red != "" && ai.red == aj.red {
 							addExcl(ni, nj)
 						} else {
 							addPrec(ni, nj)
 						}
 					case ai.write:
 						// j reads. If j's read feeds its own
-						// commutative reduction of the same atom and
-						// i's write commutes, the pair commutes.
-						if ai.commutative && commutWrites[j][ai.atom] {
+						// reduction of the same atom, of the kind
+						// i's write is, the pair commutes.
+						if commute(ai.red, commutWrites[j], ai.atom) {
 							addExcl(ni, nj)
 						} else {
 							addPrec(ni, nj)
@@ -492,8 +538,8 @@ func buildFrom(u *lang.Unit, instances []*Instance, target *pisa.Target) *Graph 
 					case aj.write:
 						// i reads before j writes (WAR): i's stage
 						// must strictly precede j's, unless both are
-						// parts of the same commutative reduction.
-						if aj.commutative && commutWrites[i][aj.atom] {
+						// parts of one reduction of the same kind.
+						if commute(aj.red, commutWrites[i], aj.atom) {
 							addExcl(ni, nj)
 						} else {
 							addPrec(ni, nj)

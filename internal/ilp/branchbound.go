@@ -198,6 +198,7 @@ type bb struct {
 	startIdx      int    // which Options.Start was installed (when warmUsed)
 	rootStart     string // how the root LP started (Solution.RootStart)
 	rootBasis     *Basis // the root LP's optimal basis
+	lowered       bool   // this solve built the lowering (Solution.Lowered)
 
 	queue       nodeQueue
 	nextID      int64
@@ -213,13 +214,25 @@ type bb struct {
 // with a single simplex run; otherwise branch and bound proves integer
 // optimality. The returned Solution reports values and objective in the
 // model's own sense.
+//
+// A model's lowering for the simplex — its bounds, row scaling and
+// presolve — does not depend on the objective. A model and its clones
+// that changed only the objective (Model.Clone) share one: the first of
+// their solves builds it, and later ones reuse it and the workspaces of
+// the solves before them (Solution.Lowered). A model never cloned
+// keeps nothing once its solve returns.
 func Solve(m *Model, opts Options) (*Solution, error) {
-	sf, err := lowerModel(m, !opts.disablePresolve)
-	if err != nil {
-		return &Solution{Status: StatusInfeasible}, nil //nolint:nilerr // trivially infeasible is a result, not a failure
+	cell := m.low.Load()
+	if cell == nil || opts.disablePresolve {
+		cell = new(lowCell) // nothing shares it, or the test path skips the presolve
 	}
+	low, lowered, err := cell.get(m, !opts.disablePresolve)
+	if err != nil {
+		return &Solution{Status: StatusInfeasible, Lowered: lowered}, nil //nolint:nilerr // trivially infeasible is a result, not a failure
+	}
+	sf := low.view(m)
 	sf.dualOK = !opts.disableDual
-	b := &bb{sf: sf, opts: opts, sign: 1, bestObj: math.Inf(1)}
+	b := &bb{sf: sf, opts: opts, sign: 1, bestObj: math.Inf(1), lowered: lowered}
 	if m.sense == Maximize {
 		b.sign = -1
 	}
@@ -282,7 +295,8 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	if startX != nil {
 		pooled = opts.Start[startIdx].Basis
 	}
-	ws := newWorkspace(sf)
+	ws := cell.take(sf)
+	defer cell.put(ws)
 	lo, hi := sf.cloneBounds()
 	st, obj, x, rootEffort, source, err := solveRoot(sf, lo, hi, pooled, ws)
 	rootEffort.Nodes, rootEffort.RootIters = 1, rootEffort.SimplexIter
@@ -458,6 +472,7 @@ func (b *bb) solution(status Status) *Solution {
 		RootStart:   b.rootStart,
 		RootBasis:   b.rootBasis,
 		Presolve:    b.sf.pre,
+		Lowered:     b.lowered,
 		RootBound:   b.rootBound,
 		WarmStarted: b.warmUsed,
 		StartIndex:  b.startIdx,

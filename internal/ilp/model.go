@@ -20,6 +20,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // VarType describes the domain of a decision variable.
@@ -113,7 +114,8 @@ type constrData struct {
 }
 
 // Model is a mutable linear/integer program under construction.
-// A Model is not safe for concurrent mutation.
+// A Model is not safe for concurrent mutation; concurrent Clone and
+// Solve calls on one model are safe.
 type Model struct {
 	name    string
 	vars    []varData
@@ -124,6 +126,10 @@ type Model struct {
 	// every variable and constraint added — the namespacing mechanism
 	// for joint multi-tenant models built by several generators.
 	namePrefix string
+	// low, set by Clone, holds the lowering for the simplex (lowCell)
+	// that the model shares with its clones, built by the first of
+	// their solves. A change to a variable or a row drops it.
+	low atomic.Pointer[lowCell]
 }
 
 // NewModel returns an empty model with the given diagnostic name.
@@ -167,6 +173,7 @@ func (m *Model) AddVar(name string, lo, hi float64, typ VarType) Var {
 	}
 	checkBounds(name, lo, hi)
 	m.vars = append(m.vars, varData{name: name, lo: lo, hi: hi, typ: typ})
+	m.low.Store(nil)
 	return Var(len(m.vars) - 1)
 }
 
@@ -203,6 +210,7 @@ func (m *Model) VarBounds(v Var) (lo, hi float64) { return m.vars[v].lo, m.vars[
 // branched on first. Default priority is 0.
 func (m *Model) SetBranchPriority(v Var, pri int) {
 	m.vars[v].pri = pri
+	m.low.Store(nil)
 }
 
 // SetBounds replaces the bounds of v. As for AddVar, lo must be finite
@@ -210,6 +218,7 @@ func (m *Model) SetBranchPriority(v Var, pri int) {
 func (m *Model) SetBounds(v Var, lo, hi float64) {
 	checkBounds(m.vars[v].name, lo, hi)
 	m.vars[v].lo, m.vars[v].hi = lo, hi
+	m.low.Store(nil)
 }
 
 // AddConstr adds the linear constraint "expr op rhs". The expression's
@@ -229,6 +238,7 @@ func (m *Model) AddConstr(name string, expr Expr, op Op, rhs float64) {
 		c.coef = append(c.coef, coef)
 	})
 	m.constrs = append(m.constrs, c)
+	m.low.Store(nil)
 }
 
 // EachConstr calls f once per constraint, in the order they were
@@ -254,12 +264,28 @@ func (c *constrData) expr() Expr {
 // Clone returns a copy of the model that shares its constraint rows:
 // variables, constraints, bounds or an objective given to either
 // afterwards leave the other as it was. Rows are never changed once
-// added, so the copy costs one slice of variables, not the rows.
+// added, so the copy costs one slice of variables, not the rows. The
+// two also share a lowering for the simplex: of the model, the copy
+// and their later copies, those that changed only their objective
+// since solve on the lowering the first of their solves built.
 func (m *Model) Clone() *Model {
-	c := *m
-	c.vars = slices.Clone(m.vars)
-	c.constrs = m.constrs[:len(m.constrs):len(m.constrs)]
-	return &c
+	c := &Model{
+		name:       m.name,
+		vars:       slices.Clone(m.vars),
+		constrs:    m.constrs[:len(m.constrs):len(m.constrs)],
+		obj:        m.obj,
+		sense:      m.sense,
+		namePrefix: m.namePrefix,
+	}
+	cell := m.low.Load()
+	if cell == nil {
+		// Two Clone calls at once must give the model one cell.
+		if cell = new(lowCell); !m.low.CompareAndSwap(nil, cell) {
+			cell = m.low.Load()
+		}
+	}
+	c.low.Store(cell)
+	return c
 }
 
 // SetObjective sets the objective expression and direction. The
@@ -406,6 +432,11 @@ type Solution struct {
 	// Presolve reports the root presolve's reductions (zero when
 	// Options.disablePresolve was set).
 	Presolve PresolveStats
+	// Lowered reports that this solve lowered the model for the simplex
+	// (bounds, row scaling, presolve). It is false when the solve reused
+	// the lowering an earlier solve of a clone with the same variables
+	// and rows, or of the model itself once cloned, had built.
+	Lowered bool
 	// RootBound is the root LP relaxation objective in the model's
 	// sense (a bound on the best possible integer objective).
 	RootBound float64

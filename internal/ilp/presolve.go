@@ -62,25 +62,25 @@ type preRow struct {
 // meaningful amount, so real models converge in a handful of passes.
 const presolvePassLimit = 32
 
-// presolveFixpoint reduces rows and the bounds in sf to fixpoint (or
+// presolveFixpoint reduces rows and the bounds in low to fixpoint (or
 // the pass limit). It returns an error when the reductions prove the
 // model infeasible; callers surface that as StatusInfeasible.
-func presolveFixpoint(sf *standardForm, rows []preRow) (PresolveStats, error) {
+func presolveFixpoint(low *lowering, rows []preRow) (PresolveStats, error) {
 	var stats PresolveStats
-	fixedDone := make([]bool, sf.nStruct)
+	fixedDone := make([]bool, low.nStruct)
 	// Variables already fixed in the model itself are substituted on
 	// the first pass but not counted as presolve reductions.
-	preFixed := make([]bool, sf.nStruct)
-	for j := 0; j < sf.nStruct; j++ {
-		preFixed[j] = sf.lo[j] == sf.hi[j]
+	preFixed := make([]bool, low.nStruct)
+	for j := 0; j < low.nStruct; j++ {
+		preFixed[j] = low.lo[j] == low.hi[j]
 	}
 	changed := true
 	for pass := 0; changed && pass < presolvePassLimit; pass++ {
 		changed = false
 		// Substitute variables whose domain collapsed since last pass.
 		var newlyFixed []int32
-		for j := 0; j < sf.nStruct; j++ {
-			if !fixedDone[j] && sf.lo[j] == sf.hi[j] {
+		for j := 0; j < low.nStruct; j++ {
+			if !fixedDone[j] && low.lo[j] == low.hi[j] {
 				fixedDone[j] = true
 				if !preFixed[j] {
 					stats.VarsFixed++
@@ -105,7 +105,7 @@ func presolveFixpoint(sf *standardForm, rows []preRow) (PresolveStats, error) {
 				}
 				for k, v := range row.vars {
 					if row.coef[k] != 0 && isFixed(v) {
-						row.rhs -= row.coef[k] * sf.lo[v]
+						row.rhs -= row.coef[k] * low.lo[v]
 						row.coef[k] = 0
 					}
 				}
@@ -116,16 +116,16 @@ func presolveFixpoint(sf *standardForm, rows []preRow) (PresolveStats, error) {
 			if row.dropped {
 				continue
 			}
-			rowChanged, err := presolveRow(sf, row, &stats)
+			rowChanged, err := presolveRow(low, row, &stats)
 			if err != nil {
 				return stats, err
 			}
 			changed = changed || rowChanged
 		}
 	}
-	for j := 0; j < sf.nStruct; j++ {
-		if sf.lo[j] > sf.hi[j]+feasTol {
-			return stats, fmt.Errorf("ilp: presolve empties the domain of variable %d: [%g, %g]", j, sf.lo[j], sf.hi[j])
+	for j := 0; j < low.nStruct; j++ {
+		if low.lo[j] > low.hi[j]+feasTol {
+			return stats, fmt.Errorf("ilp: presolve empties the domain of variable %d: [%g, %g]", j, low.lo[j], low.hi[j])
 		}
 	}
 	return stats, nil
@@ -134,8 +134,8 @@ func presolveFixpoint(sf *standardForm, rows []preRow) (PresolveStats, error) {
 // presolveRow applies the activity checks to one row: infeasibility
 // detection, redundancy drop, and implied bound tightening for each of
 // its variables. It reports whether anything changed.
-func presolveRow(sf *standardForm, row *preRow, stats *PresolveStats) (bool, error) {
-	act := activity(sf.lo, sf.hi, row.vars, row.coef)
+func presolveRow(low *lowering, row *preRow, stats *PresolveStats) (bool, error) {
+	act := activity(low.lo, low.hi, row.vars, row.coef)
 	if act.infeasible(row.op, row.rhs) {
 		return false, fmt.Errorf("ilp: presolve proves constraint %q infeasible over the variable bounds", row.name)
 	}
@@ -159,7 +159,7 @@ func presolveRow(sf *standardForm, row *preRow, stats *PresolveStats) (bool, err
 		return true, nil
 	}
 	changed := false
-	empty := impliedBounds(sf.lo, sf.hi, sf.intVar, row.vars, row.coef, row.op, row.rhs, act, func(int32) {
+	empty := impliedBounds(low.lo, low.hi, low.intVar, row.vars, row.coef, row.op, row.rhs, act, func(int32) {
 		stats.BoundsTightened++
 		changed = true
 	})

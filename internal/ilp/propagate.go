@@ -44,6 +44,13 @@ func newNodeProp(sf *standardForm) nodeProp {
 	}
 }
 
+// reset empties the FIFO and forgets the node lo/hi were propagated
+// for, which belongs to a finished search.
+func (p *nodeProp) reset() {
+	clear(p.queued)
+	p.head, p.n, p.of = 0, 0, nil
+}
+
 // pushRows queues every row of column j except skip.
 func (p *nodeProp) pushRows(sf *standardForm, j, skip int32) {
 	for _, r := range sf.cols[j].ind {

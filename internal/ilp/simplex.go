@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 )
 
@@ -66,9 +67,14 @@ type spCol struct {
 	val []float64
 }
 
-// standardForm is a model lowered for the simplex: structural columns
-// first, one slack column per row appended by the solver itself.
-type standardForm struct {
+// lowering is a model's rows and variables lowered for the simplex:
+// structural columns first, one slack column per row appended by the
+// solver itself. It holds what the objective does not change — the
+// bounds after the presolve, the row-scaled columns and their row-wise
+// copy — and is never written once built, so one lowering serves every
+// solve of a model and of its clones that changed only the objective
+// (lowCell), at once if they run concurrently.
+type lowering struct {
 	nStruct int     // number of structural (model) columns
 	m       int     // number of rows
 	cols    []spCol // structural columns only, length nStruct
@@ -81,10 +87,20 @@ type standardForm struct {
 	ops      []Op      // per-row comparison before slack introduction
 	b        []float64 // right-hand sides (row-scaled)
 	lo, hi   []float64 // structural bounds, length nStruct
-	cost     []float64 // structural minimization costs
-	objK     float64   // objective constant
 	intVar   []bool    // structural integrality markers
 	branch   []int     // branching priority per structural column
+	// pre records the root presolve's reductions for Solution reporting.
+	pre PresolveStats
+}
+
+// standardForm is one solve's view of a lowering: a copy of its
+// headers, whose slices it shares and never writes (the hot loops read
+// them without a further indirection), priced by the model's objective,
+// and the settings the solve stamps on itself.
+type standardForm struct {
+	lowering
+	cost []float64 // structural minimization costs
+	objK float64   // objective constant
 	// deadline, when set, aborts any simplex run past it with
 	// errDeadline. Solve stamps it once before the root LP; it is read
 	// only afterwards.
@@ -101,16 +117,59 @@ type standardForm struct {
 	// search's ball (neighbour.go), where a heuristic ends rather than
 	// grinds.
 	oneAttempt bool
-	// pre records the root presolve's reductions for Solution reporting.
-	pre PresolveStats
 }
 
-// lowerModel converts a Model into standardForm, negating the objective
-// for maximization and applying row equilibration scaling. When
-// presolve is set the fixpoint reduction pass (presolve.go) runs over
-// the gathered rows before the columns are built.
-func lowerModel(m *Model, presolve bool) (*standardForm, error) {
-	sf := &standardForm{
+// lowCell holds a lowering, built by the first solve that asks for it,
+// and the workspaces of the solves over it. Model.Clone gives the model
+// and the copy one cell, and a mutator that changes a variable or adds
+// a row gives its model none, so a cell only ever serves models with
+// the same rows and variables. It is freed with the last of them.
+type lowCell struct {
+	once sync.Once
+	low  *lowering
+	err  error
+
+	mu   sync.Mutex
+	free []*lpWorkspace // reset, sized for low
+}
+
+// get returns the cell's lowering of m, building it on the first call;
+// built reports that this call built it. An error (a row the bounds
+// cannot satisfy) is kept like a lowering.
+func (c *lowCell) get(m *Model, presolve bool) (low *lowering, built bool, err error) {
+	c.once.Do(func() {
+		c.low, c.err = lower(m, presolve)
+		built = true
+	})
+	return c.low, built, c.err
+}
+
+// take returns a reset workspace for solves over sf's lowering: one a
+// finished solve put back, or a new one.
+func (c *lowCell) take(sf *standardForm) *lpWorkspace {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.free); n > 0 {
+		ws := c.free[n-1]
+		c.free = c.free[:n-1]
+		return ws
+	}
+	return newWorkspace(sf)
+}
+
+// put resets ws and keeps it for the cell's next solve.
+func (c *lowCell) put(ws *lpWorkspace) {
+	ws.reset()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.free = append(c.free, ws)
+}
+
+// lower builds m's lowering: the bounds, the rows gathered and, when
+// presolve is set, reduced to a fixpoint (presolve.go), then the
+// row-scaled columns and their row-wise copy.
+func lower(m *Model, presolve bool) (*lowering, error) {
+	low := &lowering{
 		nStruct: len(m.vars),
 		m:       len(m.constrs),
 		cols:    make([]spCol, len(m.vars)),
@@ -118,23 +177,14 @@ func lowerModel(m *Model, presolve bool) (*standardForm, error) {
 		b:       make([]float64, len(m.constrs)),
 		lo:      make([]float64, len(m.vars)),
 		hi:      make([]float64, len(m.vars)),
-		cost:    make([]float64, len(m.vars)),
 		intVar:  make([]bool, len(m.vars)),
 		branch:  make([]int, len(m.vars)),
 	}
 	for j, v := range m.vars {
-		sf.lo[j], sf.hi[j] = v.lo, v.hi
-		sf.intVar[j] = v.typ != Continuous
-		sf.branch[j] = v.pri
+		low.lo[j], low.hi[j] = v.lo, v.hi
+		low.intVar[j] = v.typ != Continuous
+		low.branch[j] = v.pri
 	}
-	sign := 1.0
-	if m.sense == Maximize {
-		sign = -1
-	}
-	for v, c := range m.obj.coef {
-		sf.cost[v] = sign * c
-	}
-	sf.objK = sign * m.obj.konst
 	// Gather rows into the presolve intermediate form, dropping
 	// constant rows after a direct satisfiability check.
 	preRows := make([]preRow, 0, len(m.constrs))
@@ -173,11 +223,11 @@ func lowerModel(m *Model, presolve bool) (*standardForm, error) {
 		})
 	}
 	if presolve {
-		stats, err := presolveFixpoint(sf, preRows)
+		stats, err := presolveFixpoint(low, preRows)
 		if err != nil {
 			return nil, err
 		}
-		sf.pre = stats
+		low.pre = stats
 	}
 	// Build the scaled columns from the surviving rows (substituted
 	// terms have zero coefficients and are skipped; a row left with no
@@ -201,47 +251,62 @@ func lowerModel(m *Model, presolve bool) (*standardForm, error) {
 		}
 		i := rows
 		rows++
-		sf.ops[i] = pr.op
-		sf.b[i] = pr.rhs / scale
+		low.ops[i] = pr.op
+		low.b[i] = pr.rhs / scale
 		for k, v := range pr.vars {
 			if pr.coef[k] == 0 {
 				continue
 			}
-			col := &sf.cols[v]
+			col := &low.cols[v]
 			col.ind = append(col.ind, int32(i))
 			col.val = append(col.val, pr.coef[k]/scale)
 		}
 	}
-	sf.m = rows
-	sf.ops = sf.ops[:rows]
-	sf.b = sf.b[:rows]
-	sf.buildRows()
-	return sf, nil
+	low.m = rows
+	low.ops = low.ops[:rows]
+	low.b = low.b[:rows]
+	low.buildRows()
+	return low, nil
+}
+
+// view returns a solve's standard form over low, priced by m's
+// objective: negated for maximization, as the simplex minimizes.
+func (low *lowering) view(m *Model) *standardForm {
+	sf := &standardForm{lowering: *low, cost: make([]float64, low.nStruct)}
+	sign := 1.0
+	if m.sense == Maximize {
+		sign = -1
+	}
+	for v, c := range m.obj.coef {
+		sf.cost[v] = sign * c
+	}
+	sf.objK = sign * m.obj.konst
+	return sf
 }
 
 // buildRows derives the row-wise copy of the structural columns. Within
 // a row the entries are in column order, as each column's are in row
 // order, so a sum accumulated through either copy adds the same terms in
 // the same order.
-func (sf *standardForm) buildRows() {
-	sf.rowStart = make([]int32, sf.m+1)
-	for j := range sf.cols {
-		for _, r := range sf.cols[j].ind {
-			sf.rowStart[r+1]++
+func (low *lowering) buildRows() {
+	low.rowStart = make([]int32, low.m+1)
+	for j := range low.cols {
+		for _, r := range low.cols[j].ind {
+			low.rowStart[r+1]++
 		}
 	}
-	for r := 0; r < sf.m; r++ {
-		sf.rowStart[r+1] += sf.rowStart[r]
+	for r := 0; r < low.m; r++ {
+		low.rowStart[r+1] += low.rowStart[r]
 	}
-	nnz := sf.rowStart[sf.m]
-	sf.rowCol = make([]int32, nnz)
-	sf.rowVal = make([]float64, nnz)
-	next := append([]int32(nil), sf.rowStart[:sf.m]...)
-	for j := range sf.cols {
-		col := &sf.cols[j]
+	nnz := low.rowStart[low.m]
+	low.rowCol = make([]int32, nnz)
+	low.rowVal = make([]float64, nnz)
+	next := append([]int32(nil), low.rowStart[:low.m]...)
+	for j := range low.cols {
+		col := &low.cols[j]
 		for k, r := range col.ind {
-			sf.rowCol[next[r]] = int32(j)
-			sf.rowVal[next[r]] = col.val[k]
+			low.rowCol[next[r]] = int32(j)
+			low.rowVal[next[r]] = col.val[k]
 			next[r]++
 		}
 	}
@@ -326,6 +391,27 @@ type lpWorkspace struct {
 func (ws *lpWorkspace) invalidate() {
 	ws.resident = nil
 	ws.basisValid = false
+}
+
+// reset returns ws, after a solve that ended anywhere (an errDeadline
+// stop included), to what newWorkspace gave that solve as far as the
+// next one can tell: no resident basis and no pivots counted, the
+// scratch that is all zero between uses zeroed, and no node of the
+// finished search referenced.
+func (ws *lpWorkspace) reset() {
+	ws.invalidate()
+	ws.pivotAge = 0
+	clear(ws.rhs)
+	clear(ws.cb)
+	clear(ws.alpha)
+	clear(ws.marked)
+	ws.touched = ws.touched[:0]
+	clear(ws.fac.work)
+	clear(ws.fac.mu)
+	clear(ws.fac.mark)
+	clear(ws.chain[:cap(ws.chain)])
+	ws.chain = ws.chain[:0]
+	ws.prop.reset()
 }
 
 // newWorkspace allocates buffers for solving LPs over sf. Capacities

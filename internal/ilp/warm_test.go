@@ -165,3 +165,12 @@ func TestDeadlineInterruptsWarmRestart(t *testing.T) {
 		t.Fatalf("dive past the deadline: %d warm fallbacks, %d iterations", total.WarmFallbacks, total.SimplexIter)
 	}
 }
+
+// lowerModel lowers m afresh and views it under m's objective.
+func lowerModel(m *Model, presolve bool) (*standardForm, error) {
+	low, err := lower(m, presolve)
+	if err != nil {
+		return nil, err
+	}
+	return low.view(m), nil
+}

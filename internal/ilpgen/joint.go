@@ -36,7 +36,7 @@ type Joint struct {
 	Names   []string
 	Tenants []*ILP
 
-	objSet bool
+	floorsSet, objSet bool
 }
 
 // jointPrefix tags every cross-tenant row and variable in the shared
@@ -122,11 +122,12 @@ func GenerateJoint(tenants []TenantUnit, target *pisa.Target) (*Joint, error) {
 }
 
 // Clone returns a copy of the joint model for a solve under its own
-// objective: SetObjective on the copy adds the objective, floor and
-// max-min rows to the copy only, and replaces utilities in the copy's
-// tenants only. The copy shares the generated rows (ilp.Model.Clone) and
-// the tenants' generated slices, which are read-only once generated; its
-// tenants point at the copy's model.
+// objective: SetFloors and SetObjective on the copy add the floor and
+// max-min rows and the objective to the copy only, and replace
+// utilities in the copy's tenants only. The copy shares the rows
+// (ilp.Model.Clone), with the floors set so far, and the tenants'
+// generated slices, which are read-only once generated; its tenants
+// point at the copy's model.
 func (j *Joint) Clone() *Joint {
 	c := *j
 	c.Model = j.Model.Clone()
@@ -165,16 +166,18 @@ type Fairness struct {
 	Utilities []lang.Expr
 }
 
-// SetObjective installs the fairness objective (and any floor rows).
-// It must be called exactly once per Joint, before Solve.
-func (j *Joint) SetObjective(f Fairness) error {
-	if j.objSet {
-		return fmt.Errorf("ilpgen: joint objective already set (regenerate the model to reweight)")
+// SetFloors installs the part of f that adds rows but no objective:
+// each tenant's replacement utility (f.Utilities) and its floor row
+// (f.MinUtility); f's weights and max-min switch are SetObjective's. It
+// may be called once per Joint, before SetObjective. A loop that
+// re-solves under new weights sets the floors once, on a clone it
+// keeps, and solves clones of that: every solve then has the same rows,
+// which the solver lowers once (ilp.Solve).
+func (j *Joint) SetFloors(f Fairness) error {
+	if j.floorsSet || j.objSet {
+		return fmt.Errorf("ilpgen: joint floors already set (regenerate the model to change them)")
 	}
 	K := len(j.Tenants)
-	if f.Weights != nil && len(f.Weights) != K {
-		return fmt.Errorf("ilpgen: %d weights for %d tenants", len(f.Weights), K)
-	}
 	if f.MinUtility != nil && len(f.MinUtility) != K {
 		return fmt.Errorf("ilpgen: %d utility floors for %d tenants", len(f.MinUtility), K)
 	}
@@ -193,41 +196,68 @@ func (j *Joint) SetObjective(f Fairness) error {
 		}
 		j.Tenants[t].util, j.Tenants[t].utilSrc = util, e
 	}
+	j.Model.SetNamePrefix(jointPrefix)
+	defer j.Model.SetNamePrefix("")
+	for t, floor := range f.MinUtility {
+		if floor > 0 {
+			j.Model.AddConstr(fmt.Sprintf("minutil[%s]", j.Names[t]), j.Tenants[t].util, ilp.GE, floor)
+		}
+	}
+	j.floorsSet = true
+	return nil
+}
+
+// SetObjective installs the fairness objective: the weighted sum of the
+// tenants' utilities, or the max-min variable with its linking rows.
+// Unless SetFloors ran first, it installs f's utilities and floors as
+// SetFloors does; after SetFloors, f must carry neither. It must be
+// called exactly once per Joint, before Solve. The max-min rows carry
+// the weights, so under MaxMin every reweight changes the rows.
+func (j *Joint) SetObjective(f Fairness) error {
+	if j.objSet {
+		return fmt.Errorf("ilpgen: joint objective already set (regenerate the model to reweight)")
+	}
+	K := len(j.Tenants)
+	if f.Weights != nil && len(f.Weights) != K {
+		return fmt.Errorf("ilpgen: %d weights for %d tenants", len(f.Weights), K)
+	}
 	weight := func(t int) float64 {
 		if f.Weights == nil {
 			return 1
 		}
 		return f.Weights[t]
 	}
-	sum := ilp.NewExpr()
 	anyPositive := false
 	for t := 0; t < K; t++ {
 		w := weight(t)
 		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 			return fmt.Errorf("ilpgen: tenant %s weight %v is not a finite nonnegative number", j.Names[t], w)
 		}
-		if w == 0 {
-			// Dropped, not emitted at coefficient zero: a degenerate
-			// column would still enter the simplex basis bookkeeping
-			// and perturb warm-start alignment checks.
-			continue
-		}
-		anyPositive = true
-		sum.AddExpr(j.Tenants[t].util, w)
+		anyPositive = anyPositive || w > 0
 	}
 	if !anyPositive {
 		return fmt.Errorf("ilpgen: all tenant weights are zero")
 	}
-	j.Model.SetNamePrefix(jointPrefix)
-	defer j.Model.SetNamePrefix("")
-	if f.MinUtility != nil {
-		for t := 0; t < K; t++ {
-			if f.MinUtility[t] > 0 {
-				j.Model.AddConstr(fmt.Sprintf("minutil[%s]", j.Names[t]), j.Tenants[t].util, ilp.GE, f.MinUtility[t])
-			}
+	switch {
+	case !j.floorsSet:
+		if err := j.SetFloors(f); err != nil {
+			return err
+		}
+	case f.MinUtility != nil || f.Utilities != nil:
+		return fmt.Errorf("ilpgen: joint floors already set (SetObjective takes the weights and the max-min switch)")
+	}
+	sum := ilp.NewExpr()
+	for t := 0; t < K; t++ {
+		// A zero weight is dropped, not emitted at coefficient zero: a
+		// degenerate column would still enter the simplex basis
+		// bookkeeping and perturb warm-start alignment checks.
+		if w := weight(t); w > 0 {
+			sum.AddExpr(j.Tenants[t].util, w)
 		}
 	}
 	if f.MaxMin {
+		j.Model.SetNamePrefix(jointPrefix)
+		defer j.Model.SetNamePrefix("")
 		z := j.Model.AddVar("z", 0, ilp.Inf, ilp.Continuous)
 		for t := 0; t < K; t++ {
 			if w := weight(t); w > 0 {

@@ -1,6 +1,7 @@
 package ilpgen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -294,4 +295,58 @@ func TestJointWarmStartAlignment(t *testing.T) {
 			t.Errorf("tenant %s negative utility %g after warm re-solve", jl2.Names[i], u)
 		}
 	}
+}
+
+// TestSetFloorsThenObjective: floors set on their own, then weights,
+// give the model SetObjective builds from both at once, row for row.
+// Floors go in once: a second SetFloors, or floors passed to
+// SetObjective after SetFloors, are errors.
+func TestSetFloorsThenObjective(t *testing.T) {
+	target := jointTestTarget(128 * 1024)
+	tenants := []TenantUnit{
+		tenantUnit(t, "a", cmsSource, &target),
+		tenantUnit(t, "b", cmsSource, &target),
+	}
+	floors, weights := []float64{1024, 512}, []float64{2, 1}
+	for _, maxMin := range []bool{false, true} {
+		once, err := GenerateJoint(tenants, &target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := once.SetObjective(Fairness{Weights: weights, MinUtility: floors, MaxMin: maxMin}); err != nil {
+			t.Fatal(err)
+		}
+		split, err := GenerateJoint(tenants, &target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := split.SetFloors(Fairness{MinUtility: floors}); err != nil {
+			t.Fatal(err)
+		}
+		if err := split.SetFloors(Fairness{MinUtility: floors}); err == nil {
+			t.Error("a second SetFloors was accepted")
+		}
+		clone := split.Clone()
+		if err := clone.SetObjective(Fairness{Weights: weights, MinUtility: floors}); err == nil {
+			t.Error("floors passed to SetObjective after SetFloors were accepted")
+		}
+		clone = split.Clone()
+		if err := clone.SetObjective(Fairness{Weights: weights, MaxMin: maxMin}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := modelText(clone.Model), modelText(once.Model); got != want {
+			t.Errorf("maxmin %v: floors then weights differ from both at once\n got %s\nwant %s", maxMin, got, want)
+		}
+	}
+}
+
+// modelText renders every row, variable count and the objective.
+func modelText(m *ilp.Model) string {
+	var b strings.Builder
+	m.EachConstr(func(name string, vars []int32, coef []float64, op ilp.Op, rhs float64) {
+		fmt.Fprintf(&b, "%s %v %v %v %v\n", name, vars, coef, op, rhs)
+	})
+	obj, sense := m.Objective()
+	fmt.Fprintf(&b, "%d vars, %s %v", m.NumVars(), sense, obj)
+	return b.String()
 }

@@ -66,6 +66,10 @@ type Stats struct {
 	// RootStart says how the root LP started: "cold", "pooled" or
 	// "rejected (<reason>)" (see ilp.Solution.RootStart).
 	RootStart string
+	// Lowered reports that the solve lowered its model for the simplex;
+	// false means it reused the lowering of an earlier solve with the
+	// same rows (see ilp.Solution.Lowered).
+	Lowered bool
 }
 
 // Layout is a concrete solution: symbolic assignments plus the mapping
@@ -246,6 +250,7 @@ func (p *ILP) extract(sol *ilp.Solution) *Layout {
 			WarmStarted: sol.WarmStarted,
 			StartIndex:  sol.StartIndex,
 			RootStart:   sol.RootStart,
+			Lowered:     sol.Lowered,
 		},
 		Values: append([]float64(nil), sol.Values...),
 	}

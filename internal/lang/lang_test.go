@@ -415,6 +415,35 @@ func TestConstantZeroDivisor(t *testing.T) {
 	}
 }
 
+// TestLoopGuardNeedsIndexedCall: a call that runs once, not once per
+// iteration (unindexed or at a constant index), cannot sit under a
+// condition on the loop variable, which nothing would bind; the error
+// names the call's position. Indexed by the loop variable, it resolves.
+func TestLoopGuardNeedsIndexedCall(t *testing.T) {
+	const decls = "symbolic int n; struct meta { bit<32>[n] v; bit<32> x; } action plain() { meta.x = 1; } action at()[int i] { meta.x = 2; } "
+	cases := []struct{ name, src, want string }{
+		{"unindexed", decls + "control main { apply { for (i < n) { if (meta.v[i] == 0) { plain(); } } } }", "1:183: action plain is called under a condition on loop variable i, so it must be indexed by i"},
+		{"else branch", decls + "control main { apply { for (i < n) { if (meta.v[i] == 0) { at()[i]; } else { plain(); } } } }", "1:201: action plain is called under"},
+		{"constant index", decls + "control main { apply { for (i < n) { if (meta.v[i] == 0) { at()[0]; } } } }", "1:183: action at is called under"},
+		{"nested loop", decls + "control main { apply { for (i < n) { if (meta.v[i] == 0) { for (j < n) { plain(); } } } } }", "action plain is called under"},
+	}
+	for _, tc := range cases {
+		_, err := ParseAndResolve(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	for _, apply := range []string{
+		"for (i < n) { if (meta.v[i] == 0) { at()[i]; } }",
+		"for (i < n) { if (meta.x == 0) { plain(); } }",
+		"for (i < n) { if (meta.v[i] == 0) { meta.x = 3; } }",
+	} {
+		if _, err := ParseAndResolve(decls + "control main { apply { " + apply + " } }"); err != nil {
+			t.Errorf("%s: %v", apply, err)
+		}
+	}
+}
+
 func TestFixedPHVBits(t *testing.T) {
 	src := `
 symbolic int n;

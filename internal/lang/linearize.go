@@ -21,13 +21,17 @@ type linFrame struct {
 	loops  []*LoopRef
 	guards []Expr
 	env    map[string]int64 // constant loop variables in scope
+	// iterGuard is the loop variable a guard in scope reads, if any: a
+	// call under it must run once per iteration of that loop.
+	iterGuard string
 }
 
 func (f *linFrame) clone() *linFrame {
 	nf := &linFrame{
-		loops:  append([]*LoopRef(nil), f.loops...),
-		guards: append([]Expr(nil), f.guards...),
-		env:    make(map[string]int64, len(f.env)),
+		loops:     append([]*LoopRef(nil), f.loops...),
+		guards:    append([]Expr(nil), f.guards...),
+		env:       make(map[string]int64, len(f.env)),
+		iterGuard: f.iterGuard,
 	}
 	for k, v := range f.env {
 		nf.env[k] = v
@@ -94,12 +98,16 @@ func (lw *linWalker) ifStmt(s *IfStmt, f *linFrame) error {
 	}
 	nf := f.clone()
 	nf.guards = append(nf.guards, cond)
+	if b.readIter {
+		nf.iterGuard = b.iter
+	}
 	if err := lw.block(s.Then, nf); err != nil {
 		return err
 	}
 	if s.Else != nil {
 		ef := f.clone()
 		ef.guards = append(ef.guards, &Unary{Pos: s.Pos, Op: NOT, X: cond})
+		ef.iterGuard = nf.iterGuard
 		return lw.block(s.Else, ef)
 	}
 	return nil
@@ -173,6 +181,11 @@ func (lw *linWalker) call(s *CallStmt, f *linFrame) error {
 		}
 		inv.HasConstIndex = true
 		inv.ConstIndex = v
+	}
+	if len(inv.Loops) == 0 && f.iterGuard != "" {
+		// One invocation outside the loop's iterations would read the
+		// loop variable where nothing binds it.
+		return errf(s.Pos, "action %s is called under a condition on loop variable %s, so it must be indexed by %s", s.Name, f.iterGuard, f.iterGuard)
 	}
 	lw.append(inv)
 	return nil

@@ -353,6 +353,8 @@ type binder struct {
 	r      *resolver
 	iter   string
 	params []Param
+	// readIter records that a bound expression read iter.
+	readIter bool
 }
 
 func (b *binder) block(blk *Block) error {
@@ -463,6 +465,7 @@ func (b *binder) ref(ref *Ref) error {
 			return nil
 		}
 		if base == b.iter {
+			b.readIter = true
 			return nil
 		}
 		for _, p := range b.params {
@@ -478,6 +481,7 @@ func (b *binder) ref(ref *Ref) error {
 // iteration name or a non-negative compile-time constant.
 func (b *binder) instanceIndex(e Expr, what string) error {
 	if ref, ok := e.(*Ref); ok && ref.IsSimpleIdent() && ref.Base() == b.iter {
+		b.readIter = true
 		return nil
 	}
 	v, err := b.r.evalConst(e)

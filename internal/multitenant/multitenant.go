@@ -55,10 +55,10 @@ type Tenant struct {
 	MinUtility float64
 	// Utility, when nonempty, is an optimize expression over the
 	// tenant's symbolic values that replaces its program's own utility
-	// (the optimize declaration in Source) for this compile. Like Weight
-	// it is set on the re-solve's copy of the retained mix, so a program
-	// re-solved under a new utility runs no front end and generates no
-	// model.
+	// (the optimize declaration in Source) for this compile. Like
+	// MinUtility it is set on a copy of the retained mix's model, so a
+	// program re-solved under a new utility runs no front end and
+	// generates no model.
 	Utility string
 }
 
@@ -145,9 +145,10 @@ func Compile(tenants []Tenant, target pisa.Target, opts Options) (*Result, error
 // GenerateJoint built it, before any objective, with an ilpgen.History
 // of the mix's last two solutions and their root LP bases. A re-solve
 // of a mix compiled before runs no front end and generates no model: it
-// sets its weights, floors, utilities and fairness mode on a clone of the
-// retained model, audits that clone's isolation and solves it, seeded
-// from the history. One program is a one-tenant mix, whose model is the
+// sets its weights and fairness mode on a clone of the mix's floored
+// model (the retained model with the floors and utilities of the last
+// compile, which keeps the solver's lowering), audits that clone's
+// isolation and solves it, seeded from the history. One program is a one-tenant mix, whose model is the
 // program's own (ilpgen.GenerateJoint). The solver installs whichever
 // pooled solution scores better under the new weights, and its root LP
 // ends at that solution's basis when the basis is still optimal
@@ -163,13 +164,20 @@ type Compiler struct {
 	mixes map[string]*mix
 }
 
-// mix is what a Compiler retains of one tenant mix. Everything but the
-// history is read-only once retained; the history is guarded by the
-// Compiler's mutex.
+// mix is what a Compiler retains of one tenant mix. The front ends and
+// the joint model are read-only once retained; the history and the
+// floored model are guarded by the Compiler's mutex.
 type mix struct {
 	fronts  []*core.Result
-	joint   *ilpgen.Joint // no objective set
+	joint   *ilpgen.Joint // no floors, no objective
 	history ilpgen.History
+	// floored is a clone of joint with the floors and utilities of the
+	// latest compile, which floorKey names. Each compile solves a clone
+	// of it that sets only the objective, so the solver lowers its rows
+	// once (ilp.Solve) until the floors or utilities change; the
+	// lowering is dropped with the floored model.
+	floored  *ilpgen.Joint
+	floorKey string
 }
 
 // NewCompiler returns a Compiler for the target.
@@ -181,8 +189,9 @@ func NewCompiler(target pisa.Target, opts Options) *Compiler {
 // variables and rows are determined by the ordered tenant names and
 // sources and by every field of the target, and the MaxMin flag adds a
 // variable that pooled starts must align with. Weights, floors and
-// utilities do not enter: they set the objective and add rows on each
-// re-solve's clone.
+// utilities do not enter: floors and utilities add rows to the mix's
+// floored model, and weights set the objective on each re-solve's clone
+// of it.
 func mixKey(tenants []Tenant, target pisa.Target, maxMin bool) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "target=%#v\nmaxmin=%v\n", target, maxMin)
@@ -206,12 +215,13 @@ func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 	weights := make([]float64, len(tenants))
 	floors := make([]float64, len(tenants))
 	utilities := make([]lang.Expr, len(tenants))
+	sources := make([]string, len(tenants))
 	for i, t := range tenants {
 		w, err := t.weight()
 		if err != nil {
 			return nil, err
 		}
-		weights[i], floors[i] = w, t.MinUtility
+		weights[i], floors[i], sources[i] = w, t.MinUtility, t.Utility
 		if t.Utility != "" {
 			if utilities[i], err = lang.ParseExpr(t.Utility); err != nil {
 				return nil, fmt.Errorf("multitenant: tenant %s utility: %w", t.Name, err)
@@ -255,13 +265,13 @@ func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 			return nil, err
 		}
 	}
-	joint := mx.joint.Clone()
-	if err := joint.SetObjective(ilpgen.Fairness{
-		Weights:    weights,
-		MinUtility: floors,
-		MaxMin:     opts.MaxMin,
-		Utilities:  utilities,
-	}); err != nil {
+	floored, err := c.floored(mx, ilpgen.Fairness{MinUtility: floors, Utilities: utilities}, fmt.Sprintf("%v %q", floors, sources))
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	joint := floored.Clone()
+	if err := joint.SetObjective(ilpgen.Fairness{Weights: weights, MaxMin: opts.MaxMin}); err != nil {
 		sp.End()
 		return nil, err
 	}
@@ -295,7 +305,6 @@ func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 	c.mu.Lock()
 	co.Solver.Start = mx.history.Starts()
 	c.mu.Unlock()
-	var err error
 	res.Phases.Solve, err = core.Solve(co, root, func(solver ilp.Options) (ilpgen.Stats, float64, error) {
 		jl, err := joint.Solve(solver)
 		if err != nil {
@@ -322,6 +331,23 @@ func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 	mx.history.Push(ilp.Start{Values: res.Layout.Values, Basis: res.Layout.RootBasis})
 	c.mu.Unlock()
 	return res, nil
+}
+
+// floored returns the mix's joint model with f's floors and utilities,
+// which key names: the one retained when the last compile had the same,
+// else a new clone of the mix's model, which it retains in its place.
+func (c *Compiler) floored(mx *mix, f ilpgen.Fairness, key string) (*ilpgen.Joint, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if mx.floored != nil && mx.floorKey == key {
+		return mx.floored, nil
+	}
+	j := mx.joint.Clone()
+	if err := j.SetFloors(f); err != nil {
+		return nil, err
+	}
+	mx.floored, mx.floorKey = j, key
+	return j, nil
 }
 
 // retain generates the mix's joint model from the tenants' front results

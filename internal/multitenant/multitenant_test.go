@@ -284,6 +284,51 @@ func TestDriftFlipBackEndsAtRoot(t *testing.T) {
 	}
 }
 
+// TestDriftCycleLowersOnce: after the cold compile, two tenant-drift
+// cycles (w = 2.5, 2, 0.5, 2 under 2048 floors) re-solve clones of the
+// mix's floored model that change only the objective, so the mix is
+// lowered once for the solver; a floor change lowers it again. A nudge
+// allocates what its root stop needs, not a lowering (4 376 allocations
+// a nudge when every re-solve lowered, about 290 since).
+func TestDriftCycleLowersOnce(t *testing.T) {
+	c := driftCompiler()
+	cycle := []float64{2.5, 2, 0.5, 2}
+	lowered := 0
+	for _, w := range append(append([]float64{2}, cycle...), cycle...) {
+		res, err := c.Compile(driftMix(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Layout.Stats.Lowered {
+			lowered++
+		}
+	}
+	if lowered != 1 {
+		t.Errorf("the cold compile and two drift cycles lowered %d times, want 1", lowered)
+	}
+
+	i := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		i++
+		if _, err := c.Compile(driftMix(cycle[i%2])); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Errorf("a nudge allocates %.0f times, want at most 1000", allocs)
+	}
+
+	floors := driftMix(2)
+	floors[1].MinUtility = 1024
+	res, err := c.Compile(floors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Layout.Stats.Lowered {
+		t.Error("a re-solve under new floors reused the old floors' lowering")
+	}
+}
+
 // TestUnweightedTenant: the Unweighted sentinel compiles the tenant
 // without objective stake — and does not reject it.
 func TestUnweightedTenant(t *testing.T) {
