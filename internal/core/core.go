@@ -274,7 +274,8 @@ func Solve(opts Options, root *obs.Span, solve func(ilp.Options) (ilpgen.Stats, 
 // the neighbourhood rows what the search after the dive cost, the
 // found rows which search (dive, neighbourhood, tree) installed the
 // incumbents, the propagation row how many tree nodes closed without an
-// LP, and the presolve rows how much of the model the root reductions
+// LP, the race row what the losing side of the root race cost, and the
+// presolve rows how much of the model the root reductions
 // removed. A new ilp.Effort counter is one row here.
 var solveCounts = []struct {
 	attr, counter string
@@ -297,6 +298,7 @@ var solveCounts = []struct {
 	{"tree_found", "solver.tree_found", func(st *ilpgen.Stats) int { return st.TreeFound }},
 	{"tree_iters", "solver.tree_iters", func(st *ilpgen.Stats) int { return st.TreeIters }},
 	{"prop_pruned", "solver.prop_pruned", func(st *ilpgen.Stats) int { return st.PropPruned }},
+	{"race_iters", "solver.race_iters", func(st *ilpgen.Stats) int { return st.RaceIters }},
 	{"refactorizations", "", func(st *ilpgen.Stats) int { return st.Refactors }},
 	{"presolve_rows_dropped", "solver.presolve_rows_dropped", func(st *ilpgen.Stats) int { return st.Presolve.RowsDropped }},
 	{"presolve_bounds_tightened", "solver.presolve_bounds_tightened", func(st *ilpgen.Stats) int { return st.Presolve.BoundsTightened }},

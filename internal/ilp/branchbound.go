@@ -67,6 +67,9 @@ type Options struct {
 	// bases (dual.go): every node then re-solves with the two-phase
 	// primal path, as the solver did before the dual driver existed.
 	disableDual bool
+	// disableRootRace solves every cold root LP by the primal alone
+	// (root.go).
+	disableRootRace bool
 	// progressEvery is the node interval between heartbeat callbacks
 	// (0 means the default of 256).
 	progressEvery int
@@ -290,18 +293,19 @@ func Solve(m *Model, opts Options) (*Solution, error) {
 	// The root relaxation, the warm-start installation, and the diving
 	// heuristic run before the tree search, which inherits the workspace
 	// seeded here. The root LP starts from the installed start's basis
-	// when that basis is optimal for it.
+	// when that basis is optimal for it; without a start it is raced.
 	var pooled *Basis
 	if startX != nil {
 		pooled = opts.Start[startIdx].Basis
 	}
-	ws := cell.take(sf)
-	defer cell.put(ws)
 	lo, hi := sf.cloneBounds()
-	st, obj, x, rootEffort, source, err := solveRoot(sf, lo, hi, pooled, ws)
+	root, err := solveRoot(sf, lo, hi, pooled, startX == nil && !opts.disableRootRace, cell, cell.take(sf))
+	ws := root.ws
+	defer cell.put(ws)
+	st, obj, x, rootEffort := root.st, root.obj, root.x, root.effort
 	rootEffort.Nodes, rootEffort.RootIters = 1, rootEffort.SimplexIter
 	b.effort.add(rootEffort)
-	b.rootStart = source
+	b.rootStart = root.source
 	if errors.Is(err, errDeadline) {
 		// The root relaxation alone exhausted the time limit: report an
 		// honest limit stop (no incumbent, no root bound) instead of a

@@ -247,8 +247,8 @@ func solveDual(sf *standardForm, lo, hi []float64, iterLimit int, snap *basisSna
 			continue
 		}
 		s.iters++
-		if s.iters > maxIters {
-			return 0, 0, nil, s.effort(), false, nil
+		if s.iters > maxIters || (ws.race != nil && int64(s.iters) > ws.race.primal.Load()) {
+			return 0, 0, nil, s.effort(), false, nil // a raced root past P has lost
 		}
 		out := s.basis[r]
 		target := s.lo[out]

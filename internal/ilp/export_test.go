@@ -20,3 +20,10 @@ func WithoutPresolve(o Options) Options {
 	o.disablePresolve = true
 	return o
 }
+
+// WithoutRootRace returns o with the root race turned off: every cold
+// root LP is solved by the primal alone.
+func WithoutRootRace(o Options) Options {
+	o.disableRootRace = true
+	return o
+}

@@ -394,16 +394,20 @@ type Effort struct {
 	// an LP (propagate.go): nodes whose LP is infeasible, proven from
 	// row activities.
 	PropPruned int
+	// RaceIters counts the simplex iterations of the side that lost the
+	// root race (root.go), up to the winner's count. They are in no
+	// other counter: SimplexIter and RootIters are the winner's alone.
+	RaceIters int
 }
 
 // effortFields is the number of Effort's counters.
-const effortFields = 16
+const effortFields = 17
 
 // fields lists e's counters in declaration order.
 func (e *Effort) fields() [effortFields]*int {
 	return [...]*int{&e.Nodes, &e.SimplexIter, &e.Refactors, &e.DualIters, &e.PrimalFallbacks,
 		&e.WarmRestarts, &e.WarmFallbacks, &e.RootIters, &e.DiveIters, &e.NeighbourIters, &e.TreeIters,
-		&e.NeighbourNodes, &e.DiveFound, &e.NeighbourFound, &e.TreeFound, &e.PropPruned}
+		&e.NeighbourNodes, &e.DiveFound, &e.NeighbourFound, &e.TreeFound, &e.PropPruned, &e.RaceIters}
 }
 
 // add adds o's counters to e's.
@@ -420,11 +424,13 @@ type Solution struct {
 	Objective float64   // objective value in the model's own sense
 	Values    []float64 // one entry per variable, indexed by Var
 	Effort
-	// RootStart says how the root LP started: RootCold, RootPooled (the
-	// installed start's basis was optimal for it, so it ended after one
-	// pricing pass), or "rejected (<reason>)" when that basis was not
-	// optimal and the root was solved cold — reason is "shape",
-	// "singular", "not primal feasible" or "not dual feasible".
+	// RootStart says how the root LP started: RootCold, RootDual (the
+	// dual from the slack basis won the root race, root.go: its vertex
+	// is integral and ends the solve), RootPooled (the installed start's
+	// basis was optimal for it, so it ended after one pricing pass), or
+	// "rejected (<reason>)" when that basis was not optimal and the root
+	// was solved cold — reason is "shape", "singular", "not primal
+	// feasible" or "not dual feasible".
 	RootStart string
 	// RootBasis is the root LP's optimal basis, for a later solve's
 	// Start.Basis (nil when the root LP was not solved to optimality).

@@ -184,11 +184,22 @@ func TestMutantDroppedGuardRejected(t *testing.T) {
 	mustReject(t, u, layout, prog, "dropped-guard")
 }
 
-// TestMutantNarrowedRegisterWidthRejected halves the first register's
-// declared bit<W>: stores wrap at the declaration.
+// TestMutantNarrowedRegisterWidthRejected halves the declared bit<W>
+// of the register the layout places last: stores wrap at the
+// declaration. The sketch's rows feed one min chain in stage order, so
+// a narrowed row any later stage reads shows first as a branch the
+// source never takes (unaligned-branch); the last row's narrowed
+// counter shows in the register state itself.
 func TestMutantNarrowedRegisterWidthRejected(t *testing.T) {
 	u, layout, prog := mutationCompile(t)
-	decls[*lang.RegisterDecl](prog)[0].Elem.Bits /= 2
+	regs := decls[*lang.RegisterDecl](prog)
+	last := regs[0]
+	for _, r := range regs {
+		if slices.Max(r.Stages) > slices.Max(last.Stages) {
+			last = r
+		}
+	}
+	last.Elem.Bits /= 2
 	cert := mustReject(t, u, layout, prog, "narrowed-width")
 	wantObligation(t, cert, "register-mismatch")
 }
