@@ -16,8 +16,9 @@ import (
 // (0.5–2.5 Mb per stage, eval.DefaultFig12Mems), 108 models, each solved
 // at a 3 % gap under a 400-node limit. It prints one line per model —
 // the status ("limit" when the node limit stopped it), objective, nodes,
-// the root / dive / neighbourhood (nodes, found) / tree iteration split
-// and the achieved gap — and a closing line with the model count, the
+// the root / dive / neighbourhood (nodes, found) / tree iteration split,
+// the achieved gap, and how the root LP started with the iterations of
+// the root race's losing side (root.go) — and a closing line with the model count, the
 // limit stops, the neighbourhood iterations summed over the corpus and
 // the shifted geometric means (shift 10) of nodes and iterations. A
 // solver change is judged on these lines, not on one tree: run it at
@@ -43,9 +44,10 @@ func TestSolverCorpus(t *testing.T) {
 				t.Errorf("%s: split %d + %d + %d + %d does not sum to %d iterations",
 					name, sol.RootIters, sol.DiveIters, sol.NeighbourIters, sol.TreeIters, sol.SimplexIter)
 			}
-			t.Logf("%-36s %-10v obj %12.1f  nodes %3d  iters %6d = root %4d + dive %5d + neighbourhood %5d (%2d nodes, %d found) + tree %6d  gap %6.2f%%",
+			t.Logf("%-36s %-10v obj %12.1f  nodes %3d  iters %6d = root %4d + dive %5d + neighbourhood %5d (%2d nodes, %d found) + tree %6d  gap %6.2f%%  root %-4s (loser %4d)",
 				name, sol.Status, sol.Objective, sol.Nodes, sol.SimplexIter, sol.RootIters, sol.DiveIters,
-				sol.NeighbourIters, sol.NeighbourNodes, sol.NeighbourFound, sol.TreeIters, 100*sol.AchievedGap())
+				sol.NeighbourIters, sol.NeighbourNodes, sol.NeighbourFound, sol.TreeIters, 100*sol.AchievedGap(),
+				sol.RootStart, sol.RaceIters)
 			models++
 			if sol.Status == ilp.StatusLimit {
 				limits++
