@@ -9,10 +9,12 @@
 // joint model as weights drift (Compiler retains each mix's model and
 // last two solutions for millisecond reallocation).
 //
-// Isolation is checked, not assumed: every compile runs
-// check.ModelIsolation over the generated model and refuses to emit
-// layouts from a model where any structural constraint couples two
-// tenants.
+// Isolation is checked, not assumed: check.ModelIsolation audits the
+// rows and variables of each floored model once, when the first compile
+// of those floors builds it, and every compile from that model is
+// refused before its solve when any structural constraint couples two
+// tenants. A re-solve sets only the objective (and, under MaxMin, adds
+// joint-scoped rows the audit always admits), so it keeps the verdict.
 package multitenant
 
 import (
@@ -147,9 +149,9 @@ func Compile(tenants []Tenant, target pisa.Target, opts Options) (*Result, error
 // of a mix compiled before runs no front end and generates no model: it
 // sets its weights and fairness mode on a clone of the mix's floored
 // model (the retained model with the floors and utilities of the last
-// compile, which keeps the solver's lowering), audits that clone's
-// isolation and solves it, seeded from the history. One program is a one-tenant mix, whose model is the
-// program's own (ilpgen.GenerateJoint). The solver installs whichever
+// compile, which keeps the solver's lowering and its isolation verdict)
+// and solves it, seeded from the history. One program is a one-tenant
+// mix, whose model is the program's own (ilpgen.GenerateJoint). The solver installs whichever
 // pooled solution scores better under the new weights, and its root LP
 // ends at that solution's basis when the basis is still optimal
 // (ilp.Start). A re-solve after a weight or floor nudge then typically
@@ -171,13 +173,32 @@ type mix struct {
 	fronts  []*core.Result
 	joint   *ilpgen.Joint // no floors, no objective
 	history ilpgen.History
-	// floored is a clone of joint with the floors and utilities of the
-	// latest compile, which floorKey names. Each compile solves a clone
-	// of it that sets only the objective, so the solver lowers its rows
-	// once (ilp.Solve) until the floors or utilities change; the
-	// lowering is dropped with the floored model.
-	floored  *ilpgen.Joint
+	// floored is joint with the floors and utilities of the latest
+	// compile, which floorKey names.
+	floored  *flooredModel
 	floorKey string
+}
+
+// flooredModel is a clone of a mix's joint model with floors and
+// utilities set. Each compile solves a clone of it that sets only the
+// objective, so the solver lowers its rows once (ilp.Solve) and the
+// isolation audit reads them once, until the floors or utilities
+// change; the lowering and the verdict are dropped with it.
+type flooredModel struct {
+	joint *ilpgen.Joint
+
+	audit      sync.Once
+	violations []check.IsolationViolation
+}
+
+// isolation returns check.ModelIsolation's verdict on the floored model;
+// audited reports that this call ran the audit.
+func (f *flooredModel) isolation() (vs []check.IsolationViolation, audited bool) {
+	f.audit.Do(func() {
+		f.violations = check.ModelIsolation(f.joint.Model, f.joint.Names)
+		audited = true
+	})
+	return f.violations, audited
 }
 
 // NewCompiler returns a Compiler for the target.
@@ -270,7 +291,7 @@ func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 		sp.End()
 		return nil, err
 	}
-	joint := floored.Clone()
+	joint := floored.joint.Clone()
 	if err := joint.SetObjective(ilpgen.Fairness{Weights: weights, MaxMin: opts.MaxMin}); err != nil {
 		sp.End()
 		return nil, err
@@ -290,16 +311,17 @@ func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 		res.Tenants = append(res.Tenants, &TenantResult{Name: t.Name, Result: &tr})
 	}
 
-	// The isolation audit runs before the solve, on the very model the
+	// The isolation verdict is checked before the solve, on the rows the
 	// solve gets: a mis-partitioned model taints every layout it could
 	// produce, so there is no point paying for the search first.
 	begin = time.Now()
 	sp = root.Child("isolate")
-	if vs := check.ModelIsolation(joint.Model, joint.Names); len(vs) > 0 {
-		sp.End()
+	vs, audited := floored.isolation()
+	sp.SetAttrs(obs.Bool("audited", audited))
+	sp.End()
+	if len(vs) > 0 {
 		return nil, fmt.Errorf("multitenant: model violates tenant isolation: %s (and %d more)", vs[0], len(vs)-1)
 	}
-	sp.End()
 	res.Phases.Isolate = time.Since(begin)
 
 	c.mu.Lock()
@@ -336,7 +358,7 @@ func (c *Compiler) Compile(tenants []Tenant) (*Result, error) {
 // floored returns the mix's joint model with f's floors and utilities,
 // which key names: the one retained when the last compile had the same,
 // else a new clone of the mix's model, which it retains in its place.
-func (c *Compiler) floored(mx *mix, f ilpgen.Fairness, key string) (*ilpgen.Joint, error) {
+func (c *Compiler) floored(mx *mix, f ilpgen.Fairness, key string) (*flooredModel, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if mx.floored != nil && mx.floorKey == key {
@@ -346,8 +368,8 @@ func (c *Compiler) floored(mx *mix, f ilpgen.Fairness, key string) (*ilpgen.Join
 	if err := j.SetFloors(f); err != nil {
 		return nil, err
 	}
-	mx.floored, mx.floorKey = j, key
-	return j, nil
+	mx.floored, mx.floorKey = &flooredModel{joint: j}, key
+	return mx.floored, nil
 }
 
 // retain generates the mix's joint model from the tenants' front results

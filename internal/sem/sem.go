@@ -111,13 +111,13 @@ type Domain[V any] interface {
 // each, stopping at the first that does not hold, and reports whether
 // all held.
 func Guards[V any, D Domain[V]](d D, u *lang.Unit, syms map[string]int64, s *Step) (bool, error) {
-	w := walker[V, D]{d: d, u: u, syms: syms, s: s, plan: s.Plan(u, syms)}
+	w := walker[V, D]{d: d, u: u, s: s, plan: s.Plan(u, syms)}
 	return w.guards()
 }
 
 // Exec runs step s: its guards, then, when all hold, its action body.
 func Exec[V any, D Domain[V]](d D, u *lang.Unit, syms map[string]int64, s *Step) error {
-	w := walker[V, D]{d: d, u: u, syms: syms, s: s, plan: s.Plan(u, syms)}
+	w := walker[V, D]{d: d, u: u, s: s, plan: s.Plan(u, syms)}
 	pass, err := w.guards()
 	if err != nil || !pass {
 		return err
@@ -130,7 +130,6 @@ func Exec[V any, D Domain[V]](d D, u *lang.Unit, syms map[string]int64, s *Step)
 type walker[V any, D Domain[V]] struct {
 	d    D
 	u    *lang.Unit
-	syms map[string]int64
 	s    *Step
 	plan *Plan
 }
@@ -280,7 +279,7 @@ func Bound(u *lang.Unit, ref *lang.Ref) (*lang.Register, *lang.MetaField) {
 func (w *walker[V, D]) load(ref *lang.Ref) (V, int, error) {
 	var zero V
 	if ref.IsSimpleIdent() {
-		if v, ok := w.s.Name(w.u, w.syms, ref.Base()); ok {
+		if v, ok := w.plan.names[ref]; ok {
 			return w.d.Const(v), 0, nil
 		}
 		return zero, 0, w.d.Abort("unknown name " + ref.Base())
