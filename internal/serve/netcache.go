@@ -45,8 +45,8 @@ type NetCacheConfig struct {
 //
 // SwapLayout writes planes, route and epoch only inside Runtime.Quiesce,
 // while every shard is idle and producers wait on the runtime lock: that
-// lock and the shard queues' atomics order the writes before the next
-// batch reads them, so the packet path takes no lock of its own.
+// lock and the shard queue locks order the writes before the next batch
+// reads them, so the packet path takes no lock of its own.
 type NetCache struct {
 	rt        *Runtime[Request]
 	planes    []*elastic.Plane // one per shard

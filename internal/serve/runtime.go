@@ -2,7 +2,8 @@
 // RSS-style dispatcher that flow-hashes traffic across N shards, each
 // owning a private batch queue and private data-plane state, so the
 // single-goroutine zero-alloc replay engine (internal/sim) scales out
-// without locks on the packet path.
+// with no lock inside a pipeline: the one lock a packet meets is its
+// shard queue's.
 //
 // The design mirrors how a multi-pipe switch — or a NIC spreading
 // flows across cores with receive-side scaling — runs one P4All
@@ -20,7 +21,6 @@ package serve
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -49,29 +49,24 @@ type Config[T any] struct {
 	// ("serve.shard3.packets"); nil disables.
 	Tracer *obs.Tracer
 	// queueDepth is the per-shard queue capacity in batches (default
-	// 8, rounded up to a power of two). Tests shrink it to reach a
-	// full queue.
+	// 8). Tests shrink it to reach a full queue.
 	queueDepth int
 }
 
-// shard keeps the producer's per-item writes to fill, and the worker's
-// per-batch counters, off the cache line an idle worker polls; sharing
-// it made bulk DispatchAll ≈ 1.8× slower.
+// shard is one worker's queue. Producers append to queue and the
+// worker swaps it for spare, both under mu; cond wakes whichever side
+// waits: the worker on an empty queue, a producer on a full one, Drain
+// on a busy worker.
 type shard[T any] struct {
-	in      *spsc[[]T]
-	free    *spsc[[]T]
-	pending atomic.Bool // len(fill) > 0, readable without the lock
-	parked  atomic.Bool // the worker is idle in await
-	wake    chan struct{}
-	_       [64]byte
-	fill    []T // producer-side batch being accumulated
-	pushed  atomic.Uint64
-	_       [64]byte
-	handled atomic.Uint64
+	mu      sync.Mutex
+	cond    sync.Cond
+	queue   []T  // items dispatched and not yet taken
+	spare   []T  // the worker's batch while busy, then the next queue
+	busy    bool // the worker is processing what it took
+	closed  bool
 	packets atomic.Uint64
 	pkts    *obs.Counter
 	batches *obs.Counter
-	_       [64]byte
 }
 
 // Runtime fans items out to per-shard worker goroutines. Dispatch,
@@ -81,6 +76,7 @@ type shard[T any] struct {
 // synchronization. A batch waits for a busy worker, never for a timer.
 type Runtime[T any] struct {
 	cfg    Config[T]
+	limit  int // queue length at which producers wait
 	shards []shard[T]
 	wg     sync.WaitGroup
 
@@ -109,16 +105,14 @@ func NewRuntime[T any](cfg Config[T]) (*Runtime[T], error) {
 	if cfg.Process == nil {
 		return nil, fmt.Errorf("serve: Config.Process is required")
 	}
-	r := &Runtime[T]{cfg: cfg, shards: make([]shard[T], cfg.Shards)}
+	r := &Runtime[T]{cfg: cfg, limit: cfg.queueDepth * cfg.BatchSize, shards: make([]shard[T], cfg.Shards)}
 	for i := range r.shards {
 		s := &r.shards[i]
-		s.in = newSPSC[[]T](cfg.queueDepth)
-		// The free ring recycles batch slices back to the producer; it
-		// holds every batch that can be in flight plus the two being
-		// filled/processed, so steady state never allocates.
-		s.free = newSPSC[[]T](cfg.queueDepth + 2)
-		s.fill = make([]T, 0, cfg.BatchSize)
-		s.wake = make(chan struct{}, 1)
+		s.cond.L = &s.mu
+		// A queue never outgrows limit, so neither slice ever grows:
+		// steady state does not allocate.
+		s.queue = make([]T, 0, r.limit)
+		s.spare = make([]T, 0, r.limit)
 		s.pkts = cfg.Tracer.Counter(fmt.Sprintf("serve.shard%d.packets", i))
 		s.batches = cfg.Tracer.Counter(fmt.Sprintf("serve.shard%d.batches", i))
 		r.wg.Add(1)
@@ -127,75 +121,64 @@ func NewRuntime[T any](cfg Config[T]) (*Runtime[T], error) {
 	return r, nil
 }
 
-// run is the shard worker loop: pop a batch, process it, recycle the
-// slice. After a processing error it keeps draining (and recycling) so
-// producers and Drain never wedge, but drops the work.
+// run is the shard worker loop: take everything queued, process it in
+// batches of at most BatchSize, repeat; exit once closed and empty.
 func (r *Runtime[T]) run(i int) {
 	defer r.wg.Done()
 	s := &r.shards[i]
-	for r.await(s) {
-		batch, _ := s.in.tryPop()
-		if r.err.Load() == nil {
-			// perr is read (not reassigned) by the closure so it is
-			// captured by value: reassigning it would force a
-			// capture-by-reference heap cell on every iteration.
-			if perr := r.cfg.Process(i, batch); perr != nil {
-				r.errOnce.Do(func() {
-					err := fmt.Errorf("serve: shard %d: %w", i, perr)
-					r.err.Store(&err)
-				})
-			} else {
-				s.packets.Add(uint64(len(batch)))
-				s.pkts.Add(int64(len(batch)))
-				s.batches.Add(1)
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for len(s.queue) == 0 && !s.closed {
+			s.cond.Wait()
 		}
-		s.handled.Add(1)
-		s.free.tryPush(batch[:0]) // ring is sized to always fit
-	}
-}
-
-// await reports true once shard s's queue holds a batch, false once it
-// is closed and drained. An idle worker yields 64 times, taking the
-// producer's partial batch when the lock is free, then parks. It stores
-// parked before its last look at the queue and pending; producers store
-// those before loading parked, and look again after unlocking. It
-// never Locks: the holder may be waiting for this worker.
-func (r *Runtime[T]) await(s *shard[T]) bool {
-	defer s.parked.Store(false)
-	for spins := 0; s.in.empty(); spins++ {
-		switch {
-		case s.in.done.Load():
-			return !s.in.empty()
-		case s.pending.Load() && r.mu.TryLock():
-			r.takeLocked(s)
-		case spins < 64:
-			runtime.Gosched()
-		case !s.parked.Load():
-			s.parked.Store(true)
-		default:
-			<-s.wake
+		if len(s.queue) == 0 {
+			return
 		}
+		if len(s.queue) >= r.limit {
+			s.cond.Broadcast() // a producer may wait for room
+		}
+		taken := s.queue
+		s.queue, s.spare = s.spare[:0], taken
+		s.busy = true
+		s.mu.Unlock()
+		for len(taken) > 0 {
+			n := min(len(taken), r.cfg.BatchSize)
+			r.process(i, s, taken[:n])
+			taken = taken[n:]
+		}
+		s.mu.Lock()
+		s.busy = false
+		s.cond.Broadcast()
 	}
-	return true
 }
 
-// takeLocked is the worker's hand-off, with mu won by TryLock. It
-// pushes only into an empty queue: only this worker drains it, and
-// under mu no producer can fill it.
-func (r *Runtime[T]) takeLocked(s *shard[T]) {
-	if s.in.empty() {
-		r.pushLocked(s)
+// process runs one batch. After a processing error it drops the work,
+// so producers and Drain never wedge.
+func (r *Runtime[T]) process(i int, s *shard[T], batch []T) {
+	if r.err.Load() != nil {
+		return
 	}
-	r.unlock()
+	// perr is read (not reassigned) by the closure so it is captured
+	// by value: reassigning it would force a capture-by-reference heap
+	// cell on every call.
+	if perr := r.cfg.Process(i, batch); perr != nil {
+		r.errOnce.Do(func() {
+			err := fmt.Errorf("serve: shard %d: %w", i, perr)
+			r.err.Store(&err)
+		})
+		return
+	}
+	s.packets.Add(uint64(len(batch)))
+	s.pkts.Add(int64(len(batch)))
+	s.batches.Add(1)
 }
 
-// Dispatch routes one item to its shard, pushing a full batch when the
-// shard's accumulator fills. It blocks only when the shard's queue is
-// full (backpressure).
+// Dispatch routes one item to its shard's queue. It blocks only when
+// that queue is full (backpressure).
 func (r *Runtime[T]) Dispatch(item T) error {
 	r.mu.Lock()
-	defer r.unlock()
+	defer r.mu.Unlock()
 	return r.dispatchLocked(item)
 }
 
@@ -203,7 +186,7 @@ func (r *Runtime[T]) Dispatch(item T) error {
 // acquisition — the bulk path the UDP server and benchmarks use.
 func (r *Runtime[T]) DispatchAll(items []T) error {
 	r.mu.Lock()
-	defer r.unlock()
+	defer r.mu.Unlock()
 	for i := range items {
 		if err := r.dispatchLocked(items[i]); err != nil {
 			return err
@@ -221,71 +204,20 @@ func (r *Runtime[T]) dispatchLocked(item T) error {
 		return fmt.Errorf("serve: route returned shard %d of %d", n, len(r.shards))
 	}
 	s := &r.shards[n]
-	if len(s.fill) == 0 {
-		s.pending.Store(true)
+	s.mu.Lock()
+	for len(s.queue) >= r.limit {
+		s.cond.Wait()
 	}
-	s.fill = append(s.fill, item)
-	if len(s.fill) == cap(s.fill) {
-		r.pushLocked(s)
+	s.queue = append(s.queue, item)
+	if len(s.queue) == 1 {
+		s.cond.Broadcast() // the worker may wait on an empty queue
 	}
+	s.mu.Unlock()
 	return nil
 }
 
-// unlock hands every parked worker with an empty queue its partial
-// batch (an empty queue has room, so this never blocks), then releases.
-func (r *Runtime[T]) unlock() {
-	for i := range r.shards {
-		if s := &r.shards[i]; s.parked.Load() && s.in.empty() {
-			r.pushLocked(s)
-		}
-	}
-	r.release()
-}
-
-// release unlocks, then wakes every worker that parked after the
-// hand-off with a batch still pending: it takes the batch itself.
-func (r *Runtime[T]) release() {
-	r.mu.Unlock()
-	for i := range r.shards {
-		if s := &r.shards[i]; s.parked.Load() && s.pending.Load() {
-			s.signal()
-		}
-	}
-}
-
-func (r *Runtime[T]) pushLocked(s *shard[T]) {
-	if len(s.fill) == 0 {
-		return
-	}
-	s.pushed.Add(1)
-	s.in.push(s.fill)
-	s.pending.Store(false)
-	if next, ok := s.free.tryPop(); ok {
-		s.fill = next
-	} else {
-		s.fill = make([]T, 0, r.cfg.BatchSize)
-	}
-	if s.parked.Load() {
-		s.signal()
-	}
-}
-
-// signal wakes the shard's worker; one pending wake-up is enough.
-func (s *shard[T]) signal() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (r *Runtime[T]) flushLocked() {
-	for i := range r.shards {
-		r.pushLocked(&r.shards[i])
-	}
-}
-
-// Drain flushes and then blocks until every shard has consumed its
-// queue — the runtime is idle when it returns (barring new
+// Drain blocks until every shard has processed everything dispatched
+// to it — the runtime is idle when it returns (barring new
 // dispatches).
 func (r *Runtime[T]) Drain() {
 	r.mu.Lock()
@@ -294,12 +226,13 @@ func (r *Runtime[T]) Drain() {
 }
 
 func (r *Runtime[T]) drainLocked() {
-	r.flushLocked()
 	for i := range r.shards {
 		s := &r.shards[i]
-		for spins := 0; s.handled.Load() != s.pushed.Load(); spins++ {
-			backoff(spins)
+		s.mu.Lock()
+		for len(s.queue) > 0 || s.busy {
+			s.cond.Wait()
 		}
+		s.mu.Unlock()
 	}
 }
 
@@ -319,17 +252,19 @@ func (r *Runtime[T]) Quiesce(f func() error) error {
 	return f()
 }
 
-// Close flushes remaining batches, stops the shard goroutines, and
-// waits for them. It returns the first processing error (also
-// available via Err).
+// Close stops the shard goroutines once they have processed what is
+// queued, and waits for them. It returns the first processing error
+// (also available via Err).
 func (r *Runtime[T]) Close() error {
 	r.mu.Lock()
 	if !r.closed {
 		r.closed = true
-		r.flushLocked()
 		for i := range r.shards {
-			r.shards[i].in.close()
-			r.shards[i].signal()
+			s := &r.shards[i]
+			s.mu.Lock()
+			s.closed = true
+			s.cond.Broadcast()
+			s.mu.Unlock()
 		}
 	}
 	r.mu.Unlock()

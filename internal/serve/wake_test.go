@@ -9,9 +9,9 @@ import (
 )
 
 // TestRuntimeServesLoneItem dispatches single items to an idle runtime
-// and waits for Process: with no Drain and no timer, a partial batch
-// must still reach its worker — once before the worker has parked and
-// once after.
+// and waits for Process: with no Drain and no timer, a lone item must
+// still reach its worker, whether the worker is waiting on its queue or
+// just finishing the previous item.
 func TestRuntimeServesLoneItem(t *testing.T) {
 	got := make(chan int, 1)
 	rt, err := NewRuntime(Config[int]{
@@ -41,14 +41,14 @@ func TestRuntimeServesLoneItem(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("item %d dispatched to an idle runtime never reached Process", v)
 		}
-		time.Sleep(10 * time.Millisecond) // let both workers park
+		time.Sleep(10 * time.Millisecond) // let both workers wait
 	}
 }
 
 // TestRuntimeWakeStress dispatches random bursts with random pauses in
 // between and waits for each burst to be processed without calling
-// Drain, so a lost wake-up or a stranded partial batch hangs the round.
-// Run it under -race.
+// Drain, so a lost wake-up or a stranded item hangs the round. No batch
+// may be longer than BatchSize. Run it under -race.
 func TestRuntimeWakeStress(t *testing.T) {
 	rounds := 1000
 	if testing.Short() {
@@ -62,13 +62,16 @@ func TestRuntimeWakeStress(t *testing.T) {
 		for i := range last {
 			last[i] = -1
 		}
-		var disordered atomic.Bool
+		var disordered, oversized atomic.Bool
 		rt, err := NewRuntime(Config[int]{
 			Shards:     shards,
 			BatchSize:  batch,
 			queueDepth: 2,
 			Route:      func(v int) int { return v % shards },
 			Process: func(s int, b []int) error {
+				if len(b) > batch {
+					oversized.Store(true)
+				}
 				for _, v := range b {
 					if v <= last[s] {
 						disordered.Store(true)
@@ -116,10 +119,8 @@ func TestRuntimeWakeStress(t *testing.T) {
 		if disordered.Load() {
 			t.Fatalf("shards=%d: a shard saw its items out of order", shards)
 		}
-		for i := range rt.shards {
-			for !rt.shards[i].parked.Load() {
-				runtime.Gosched()
-			}
+		if oversized.Load() {
+			t.Fatalf("shards=%d: a batch was longer than BatchSize %d", shards, batch)
 		}
 		closed := make(chan error, 1)
 		go func() { closed <- rt.Close() }()
@@ -129,24 +130,27 @@ func TestRuntimeWakeStress(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("shards=%d: Close with every worker parked did not return", shards)
+			t.Fatalf("shards=%d: Close of an idle runtime did not return", shards)
 		}
 	}
 }
 
 // TestRuntimeOrderUnderConcurrency pushes a long stream through one
 // shard with a two-batch queue, so the producer blocks on a full queue
-// and the worker parks on an empty one over and over: the worker must
-// see every item exactly once and in dispatch order.
+// and the worker waits on an empty one over and over: the worker must
+// see every item exactly once, in dispatch order, in batches of at most
+// BatchSize.
 func TestRuntimeOrderUnderConcurrency(t *testing.T) {
-	const n = 100000
+	const n, batchSize = 100000, 16
 	var got []int
+	longest := 0
 	rt, err := NewRuntime(Config[int]{
 		Shards:     1,
-		BatchSize:  16,
+		BatchSize:  batchSize,
 		queueDepth: 2,
 		Route:      func(int) int { return 0 },
 		Process: func(_ int, batch []int) error {
+			longest = max(longest, len(batch))
 			got = append(got, batch...)
 			return nil
 		},
@@ -165,6 +169,9 @@ func TestRuntimeOrderUnderConcurrency(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("worker processed %d items, want %d", len(got), n)
 	}
+	if longest > batchSize {
+		t.Fatalf("a batch held %d items, BatchSize is %d", longest, batchSize)
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("item %d = %d, out of order", i, v)
@@ -172,78 +179,24 @@ func TestRuntimeOrderUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestRuntimeCloseDrainsThenStops closes a runtime while its worker is
-// busy, its queue holds full batches and a partial batch is still
-// being filled: Close must return only after all of them have been
-// processed, and the runtime must refuse work afterwards.
+// TestRuntimeCloseDrainsThenStops holds the worker inside Process three
+// times. Drain, with nothing queued behind the held item, and Quiesce,
+// with a partial queue behind it, must each block until the release and
+// return once everything dispatched has been processed. Close, called
+// while the queue holds full batches and a partial one, must return
+// only after all of them have been processed, and the runtime must
+// refuse work afterwards.
 func TestRuntimeCloseDrainsThenStops(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
+	held := map[int]bool{0: true, 1: true, 6: true}
 	var got []int
 	rt, err := NewRuntime(Config[int]{
 		Shards:    1,
 		BatchSize: 4,
 		Route:     func(int) int { return 0 },
 		Process: func(_ int, batch []int) error {
-			if len(got) == 0 {
-				close(started)
-				<-release
-			}
-			got = append(got, batch...)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Dispatch(0); err != nil {
-		t.Fatal(err)
-	}
-	<-started // the worker holds item 0 and waits for release
-	for v := 1; v <= 10; v++ {
-		if err := rt.Dispatch(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	closed := make(chan error, 1)
-	go func() { closed <- rt.Close() }()
-	select {
-	case err := <-closed:
-		t.Fatalf("Close returned %v while the worker was still busy", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	if err := <-closed; err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 11 {
-		t.Fatalf("Close returned after %d of 11 items were processed", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("item %d = %d, out of order", i, v)
-		}
-	}
-	if err := rt.Dispatch(11); err == nil {
-		t.Fatal("Dispatch after Close succeeded")
-	}
-}
-
-// TestWorkerTakeSkipsFullQueue stands in for a parked worker that was
-// woken, found its queue empty, was descheduled, and won TryLock only
-// after the producer had filled that queue and left a partial batch:
-// neither its take nor its unlock may push into the full queue, which
-// only the worker itself drains.
-func TestWorkerTakeSkipsFullQueue(t *testing.T) {
-	started, release := make(chan struct{}), make(chan struct{})
-	var got []int
-	rt, err := NewRuntime(Config[int]{
-		Shards:     1,
-		BatchSize:  2,
-		queueDepth: 2,
-		Route:      func(int) int { return 0 },
-		Process: func(_ int, batch []int) error {
-			if len(got) == 0 {
-				close(started)
+			if held[batch[0]] {
+				started <- struct{}{}
 				<-release
 			}
 			got = append(got, batch...)
@@ -254,100 +207,51 @@ func TestWorkerTakeSkipsFullQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	dispatch := func(lo, hi int) {
+		t.Helper()
 		for v := lo; v < hi; v++ {
 			if err := rt.Dispatch(v); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	dispatch(0, 2)
-	<-started      // the worker holds batch [0 1]
-	dispatch(2, 7) // two full batches fill the queue; item 6 waits in fill
-	s := &rt.shards[0]
-	if !rt.mu.TryLock() {
-		t.Fatal("TryLock failed with no producer running")
+	// hold dispatches [lo, mid), waits until the worker holds item lo,
+	// dispatches [mid, hi) behind it, and runs op: op must not return
+	// while the worker is held, and must return once it is released.
+	hold := func(what string, lo, mid, hi int, op func() error) {
+		t.Helper()
+		dispatch(lo, mid)
+		<-started
+		dispatch(mid, hi)
+		done := make(chan error, 1)
+		go func() { done <- op() }()
+		select {
+		case err := <-done:
+			t.Fatalf("%s returned %v while the worker was still busy", what, err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		release <- struct{}{}
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(got) != hi {
+			t.Fatalf("%s returned after %d of %d items were processed", what, len(got), hi)
+		}
 	}
-	took := make(chan struct{})
-	go func() {
-		s.parked.Store(true)
-		rt.takeLocked(s)
-		s.parked.Store(false)
-		close(took)
-	}()
-	select {
-	case <-took:
-	case <-time.After(5 * time.Second):
-		close(release)
-		t.Fatal("the worker's take pushed into its own full queue and blocked holding the lock")
+	hold("Drain", 0, 1, 1, func() error { rt.Drain(); return nil })
+	quiet := -1
+	hold("Quiesce", 1, 2, 6, func() error {
+		return rt.Quiesce(func() error { quiet = len(got); return nil })
+	})
+	if quiet != 6 {
+		t.Fatalf("Quiesce ran its window after %d of 6 items were processed", quiet)
 	}
-	if !s.pending.Load() {
-		t.Fatal("the partial batch left fill although the queue had no room")
-	}
-	close(release)
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
+	hold("Close", 6, 7, 17, rt.Close)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("item %d = %d, out of order", i, v)
 		}
 	}
-	if len(got) != 7 {
-		t.Fatalf("processed %d of 7 items", len(got))
-	}
-}
-
-// TestWorkerParksBehindHeldLock leaves a partial batch while holding
-// the producer lock, once just after the worker finished a batch and
-// once after it has parked, and then releases the lock without a
-// hand-off, as a holder does when the worker parks after its hand-off:
-// the worker must park rather than spin on the held lock, and the
-// release must still get the batch to it.
-func TestWorkerParksBehindHeldLock(t *testing.T) {
-	got := make(chan int, 1)
-	rt, err := NewRuntime(Config[int]{
-		Shards:    1,
-		BatchSize: 64,
-		Route:     func(int) int { return 0 },
-		Process: func(_ int, batch []int) error {
-			for _, v := range batch {
-				got <- v
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	s := &rt.shards[0]
-	receive := func(v int) {
-		select {
-		case g := <-got:
-			if g != v {
-				t.Fatalf("Process saw %d, want %d", g, v)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("item %d left behind the held lock never reached Process", v)
-		}
-	}
-	if err := rt.Dispatch(0); err != nil {
-		t.Fatal(err)
-	}
-	receive(0)
-	for v := 1; v <= 2; v++ {
-		rt.mu.Lock()
-		if err := rt.dispatchLocked(v); err != nil {
-			t.Fatal(err)
-		}
-		for deadline := time.Now().Add(5 * time.Second); !s.parked.Load(); runtime.Gosched() {
-			if time.Now().After(deadline) {
-				rt.release()
-				t.Fatalf("item %d: the worker spun on the held lock instead of parking", v)
-			}
-		}
-		rt.release()
-		receive(v)
-		time.Sleep(10 * time.Millisecond) // let the worker park first
+	if err := rt.Dispatch(17); err == nil {
+		t.Fatal("Dispatch after Close succeeded")
 	}
 }
