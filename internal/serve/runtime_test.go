@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -97,6 +99,96 @@ func TestRuntimeRoutesToOwningShard(t *testing.T) {
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRuntimeDispatchAllKeepsShardOrder dispatches slices far longer
+// than a shard queue, holding the workers until a queue is full, so
+// DispatchAll must wait for room under a shard lock mid-slice. Each
+// shard must see its items in input order and none may be lost, and an
+// item routed out of range must stop the call after the items before
+// it.
+func TestRuntimeDispatchAllKeepsShardOrder(t *testing.T) {
+	const shards, batch = 2, 4
+	route := func(v int) int {
+		if v < 0 {
+			return shards // out of range
+		}
+		return int(uint32(v) * 2654435761 >> 31)
+	}
+	release := make(chan struct{})
+	got := make([][]int, shards) // per-shard, touched only by its worker
+	rt, err := NewRuntime(Config[int]{
+		Shards:     shards,
+		BatchSize:  batch,
+		queueDepth: 2,
+		Route:      route,
+		Process: func(s int, b []int) error {
+			<-release
+			got[s] = append(got[s], b...)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	next := 0
+	items := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = next
+			next++
+		}
+		want = append(want, out...)
+		return out
+	}
+
+	done := make(chan error, 1)
+	first := items(1000)
+	go func() { done <- rt.DispatchAll(first) }()
+	// The workers hold their first batch until release, so a queue
+	// fills and the producer waits for room mid-slice.
+	for full := false; !full; runtime.Gosched() {
+		for i := range rt.shards {
+			s := &rt.shards[i]
+			s.mu.Lock()
+			full = full || len(s.queue) >= rt.limit
+			s.mu.Unlock()
+		}
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{300, 3000} {
+		if err := rt.DispatchAll(items(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := append(items(50), -1, 1<<30)
+	if err := rt.DispatchAll(bad); err == nil {
+		t.Fatal("an item routed out of range was accepted")
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	seen := 0
+	for s := range got {
+		var mine []int
+		for _, v := range want {
+			if route(v) == s {
+				mine = append(mine, v)
+			}
+		}
+		if !slices.Equal(got[s], mine) {
+			t.Fatalf("shard %d saw %d items, want its %d in input order", s, len(got[s]), len(mine))
+		}
+		seen += len(got[s])
+	}
+	if seen != len(want) || rt.Packets() != uint64(len(want)) {
+		t.Fatalf("processed %d items (Packets %d), want %d", seen, rt.Packets(), len(want))
 	}
 }
 

@@ -31,8 +31,12 @@ func ZipfKeys(seed int64, keys int, s float64, n int) []uint64 {
 		return out
 	}
 	cdf := zipfCDF(keys, s)
+	if len(cdf) == 0 {
+		return out // no key to draw: every request is rank 0
+	}
+	guide := guideTable(cdf)
 	for i := range out {
-		out[i] = uint64(searchCDF(cdf, rng.Float64()))
+		out[i] = uint64(guideSearch(cdf, guide, rng.Float64()))
 	}
 	return out
 }
@@ -52,17 +56,38 @@ func zipfCDF(n int, s float64) []float64 {
 	return cdf
 }
 
-func searchCDF(cdf []float64, u float64) int {
-	lo, hi := 0, len(cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
+// guideTable indexes a CDF for guideSearch (Chen and Asau's guide
+// table, 1974): with K = len(cdf) buckets, guide[k] is the first index
+// whose CDF value is at least k/K. Entries are int32, half the cache
+// footprint of int, since a key universe is far below 2^31.
+func guideTable(cdf []float64) []int32 {
+	k := len(cdf)
+	guide := make([]int32, k)
+	i := 0
+	for b := range guide {
+		t := float64(b) / float64(k)
+		for i < k-1 && cdf[i] < t {
+			i++
 		}
+		guide[b] = int32(i)
 	}
-	return lo
+	return guide
+}
+
+// guideSearch returns the first index whose CDF value is at least u
+// (the last index if none is), the draw of a binary search in O(1)
+// expected steps. It starts at u's bucket, steps back over any index
+// whose predecessor already reaches u (u·K may round up into the next
+// bucket), then forward past every value below u.
+func guideSearch(cdf []float64, guide []int32, u float64) int {
+	i := int(guide[min(int(u*float64(len(guide))), len(guide)-1)])
+	for i > 0 && cdf[i-1] >= u {
+		i--
+	}
+	for i < len(cdf)-1 && cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // DriftPhase is one regime of a time-varying workload: Requests keys

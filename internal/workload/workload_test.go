@@ -1,7 +1,11 @@
 package workload
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -257,4 +261,115 @@ func TestZipfDriftRampMonotone(t *testing.T) {
 	if last < 3*first {
 		t.Errorf("ramp did not concentrate mass: first-quarter share %.4f, last-quarter %.4f", first, last)
 	}
+}
+
+// searchCDF is the binary search ZipfKeys drew with before its guide
+// table: the first index whose CDF value is at least u, or the last
+// index if none is. It is the oracle guideSearch must equal.
+func searchCDF(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestGuideSearchMatchesBinarySearch holds the guide lookup to the
+// binary search for random draws, at and one ulp below every bucket
+// edge k/K, and at and one ulp below every CDF value, where a draw
+// changes its key.
+func TestGuideSearchMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	agree := func(name string, cdf []float64) {
+		guide := guideTable(cdf)
+		check := func(u float64) {
+			if u < 0 || u >= 1 {
+				return // rng.Float64 draws from [0, 1)
+			}
+			if got, want := guideSearch(cdf, guide, u), searchCDF(cdf, u); got != want {
+				t.Fatalf("%s u=%v: guide search %d, binary search %d", name, u, got, want)
+			}
+		}
+		for i := 0; i < 10000; i++ {
+			check(rng.Float64())
+		}
+		for k := 0; k <= len(cdf); k++ {
+			edge := float64(k) / float64(len(cdf))
+			check(edge)
+			check(math.Nextafter(edge, -1))
+		}
+		for _, c := range cdf {
+			check(c)
+			check(math.Nextafter(c, -1))
+		}
+	}
+	for _, keys := range []int{1, 2, 3, 1000, 100000} {
+		for _, s := range []float64{0.5, 0.95, 1} {
+			agree(fmt.Sprintf("keys=%d s=%g", keys, s), zipfCDF(keys, s))
+		}
+	}
+	// A staircase whose steps sit one ulp below each bucket edge: for
+	// some of those draws u·K rounds up to the edge's bucket, whose guide
+	// entry is past the step, so the lookup must step back.
+	stairs := make([]float64, 1000)
+	for i := range stairs {
+		stairs[i] = math.Nextafter(float64(i+1)/float64(len(stairs)), -1)
+	}
+	stairs[len(stairs)-1] = 1
+	agree("staircase", stairs)
+}
+
+func keysHash(keys []uint64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, k := range keys {
+		binary.LittleEndian.PutUint64(b[:], k)
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestZipfStreamsArePinned pins the inverse-CDF streams to the FNV-64a
+// hashes the binary-search sampler produced, so a faster lookup cannot
+// change a key.
+func TestZipfStreamsArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		keys []uint64
+		want uint64
+	}{
+		{"ZipfKeys(1, 100000, 0.95, 1<<20)", ZipfKeys(1, 100000, 0.95, 1<<20), 0xb049c6ec85928638},
+		{"ZipfKeys(7, 4096, 0.5, 1<<16)", ZipfKeys(7, 4096, 0.5, 1<<16), 0x7b2edd3dc8982ca2},
+		{"ramped ZipfDriftKeys", ZipfDriftKeys(5, 10000, []DriftPhase{
+			{Skew: 0.5, RampTo: 0.99, Requests: 50000},
+			{Skew: 0.9, Requests: 20000, Rotate: 300},
+		}), 0xdcd288edcde93474},
+	} {
+		if got := keysHash(tc.keys); got != tc.want {
+			t.Errorf("%s hashes to %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+	for i, k := range ZipfKeys(3, 0, 0.7, 4) {
+		if k != 0 {
+			t.Errorf("an empty universe drew key %d at %d, want 0", k, i)
+		}
+	}
+}
+
+var benchKeys []uint64
+
+// BenchmarkZipfKeys draws at wire-saturate's shape: 1.5 M requests at
+// s = 0.95 over 100 000 keys.
+func BenchmarkZipfKeys(b *testing.B) {
+	const n = 1500000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchKeys = ZipfKeys(int64(i), 100000, 0.95, n)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/key")
 }
