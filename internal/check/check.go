@@ -52,8 +52,8 @@ func (c *checker) warnf(action, target, index, reason string, args ...interface{
 }
 
 // invocation checks every instance-selecting index of one call site,
-// its guards' included, as sem's footprint classifies it. The resolver
-// admits no index known only at run time.
+// its guards' included: the instance the resolver bound each to (the
+// iteration or a constant), as sem's footprint lists it.
 func (c *checker) invocation(inv *lang.Invocation) {
 	var loopSym *lang.Symbolic
 	if l := inv.Loop(); l != nil {

@@ -10,9 +10,9 @@ import (
 
 // This file lowers a unit and its layout into the emitted program.
 // Build is the single place where symbolic substitution happens —
-// elastic extents become solved constants, index parameters become
-// iteration literals, elastic references become expanded instance
-// names.
+// elastic extents become solved constants, names bound to the iteration
+// become iteration literals, elastic references become the expanded
+// names of the instances the resolver bound them to.
 
 // Concrete is the emitted program for one solved layout.
 type Concrete struct {
@@ -95,7 +95,7 @@ func Build(u *lang.Unit, layout *ilpgen.Layout) (*Concrete, error) {
 		}
 		td := &lang.TableDecl{Stages: []int{stage}, Name: tbl.Name, Size: &lang.IntLit{Value: tbl.Size}}
 		for _, k := range tbl.Decl.Keys {
-			td.Keys = append(td.Keys, b.expr(k, nil, 0))
+			td.Keys = append(td.Keys, b.expr(k, 0))
 		}
 		for _, a := range tbl.Actions {
 			td.Actions = append(td.Actions, a.Name)
@@ -112,7 +112,7 @@ func Build(u *lang.Unit, layout *ilpgen.Layout) (*Concrete, error) {
 			continue
 		}
 		emitted[name] = true
-		decl(&lang.ActionDecl{Stages: []int{pl.Stage}, Name: name, Body: b.block(a.Decl.Body, a, pl.Iter)})
+		decl(&lang.ActionDecl{Stages: []int{pl.Stage}, Name: name, Body: b.block(a.Decl.Body, pl.Iter)})
 	}
 
 	apply := &lang.Block{}
@@ -133,7 +133,7 @@ func Build(u *lang.Unit, layout *ilpgen.Layout) (*Concrete, error) {
 		var st lang.Stmt = &lang.CallStmt{Name: InstanceName(pl.Action, pl.Iter)}
 		if inv := b.invocationFor(pl); inv != nil {
 			for i := len(inv.Guards) - 1; i >= 0; i-- {
-				st = &lang.IfStmt{Cond: b.expr(inv.Guards[i], a, pl.Iter), Then: &lang.Block{Stmts: []lang.Stmt{st}}}
+				st = &lang.IfStmt{Cond: b.expr(inv.Guards[i], pl.Iter), Then: &lang.Block{Stmts: []lang.Stmt{st}}}
 			}
 		}
 		apply.Stmts = append(apply.Stmts, st)
@@ -168,22 +168,22 @@ func (b *builder) invocationFor(pl ilpgen.Placement) *lang.Invocation {
 // block lowers an action body with the iteration and symbolic
 // substitutions applied. Nested blocks are flattened. An action body
 // holds only assignments, ifs and blocks (resolve rejects the rest).
-func (b *builder) block(in *lang.Block, a *lang.Action, iter int) *lang.Block {
+func (b *builder) block(in *lang.Block, iter int) *lang.Block {
 	out := &lang.Block{}
 	for _, s := range in.Stmts {
 		switch s := s.(type) {
 		case *lang.Block:
-			out.Stmts = append(out.Stmts, b.block(s, a, iter).Stmts...)
+			out.Stmts = append(out.Stmts, b.block(s, iter).Stmts...)
 		case *lang.AssignStmt:
-			lhs, ok := b.ref(s.LHS, a, iter).(*lang.Ref)
+			lhs, ok := b.ref(s.LHS, iter).(*lang.Ref)
 			if !ok {
-				lhs = b.raw(s.LHS, a, iter)
+				lhs = b.raw(s.LHS, iter)
 			}
-			out.Stmts = append(out.Stmts, &lang.AssignStmt{LHS: lhs, RHS: b.expr(s.RHS, a, iter)})
+			out.Stmts = append(out.Stmts, &lang.AssignStmt{LHS: lhs, RHS: b.expr(s.RHS, iter)})
 		case *lang.IfStmt:
-			is := &lang.IfStmt{Cond: b.expr(s.Cond, a, iter), Then: b.block(s.Then, a, iter)}
+			is := &lang.IfStmt{Cond: b.expr(s.Cond, iter), Then: b.block(s.Then, iter)}
 			if s.Else != nil {
-				is.Else = b.block(s.Else, a, iter)
+				is.Else = b.block(s.Else, iter)
 			}
 			out.Stmts = append(out.Stmts, is)
 		}
@@ -191,67 +191,60 @@ func (b *builder) block(in *lang.Block, a *lang.Action, iter int) *lang.Block {
 	return out
 }
 
-// expr lowers an expression with concrete substitutions: the action's
-// index parameter becomes the iteration number, symbolic references
-// become their solved values, elastic field and register references
-// become their expanded instances.
-func (b *builder) expr(e lang.Expr, a *lang.Action, iter int) lang.Expr {
+// expr lowers an expression with concrete substitutions: a name the
+// resolver bound to the iteration becomes the iteration number,
+// symbolic references become their solved values, elastic field and
+// register references become the instances the resolver bound them to.
+func (b *builder) expr(e lang.Expr, iter int) lang.Expr {
 	switch e := e.(type) {
 	case *lang.IntLit:
 		return &lang.IntLit{Value: e.Value}
 	case *lang.BoolLit:
 		return &lang.BoolLit{Value: e.Value}
 	case *lang.Unary:
-		return &lang.Unary{Op: e.Op, X: b.expr(e.X, a, iter)}
+		return &lang.Unary{Op: e.Op, X: b.expr(e.X, iter)}
 	case *lang.Binary:
-		return &lang.Binary{Op: e.Op, X: b.expr(e.X, a, iter), Y: b.expr(e.Y, a, iter)}
+		return &lang.Binary{Op: e.Op, X: b.expr(e.X, iter), Y: b.expr(e.Y, iter)}
 	case *lang.CallExpr:
 		call := &lang.CallExpr{Name: e.Name}
 		for _, arg := range e.Args {
-			call.Args = append(call.Args, b.expr(arg, a, iter))
+			call.Args = append(call.Args, b.expr(arg, iter))
 		}
 		return call
 	case *lang.Ref:
-		return b.ref(e, a, iter)
+		return b.ref(e, iter)
 	default:
 		return e
 	}
 }
 
-func (b *builder) ref(r *lang.Ref, a *lang.Action, iter int) lang.Expr {
-	base := r.Base()
+func (b *builder) ref(r *lang.Ref, iter int) lang.Expr {
+	if r.Iter {
+		return &lang.IntLit{Value: int64(iter)}
+	}
 	if r.IsSimpleIdent() {
-		if a != nil && a.Decl != nil && base == a.Decl.IndexParam {
-			return &lang.IntLit{Value: int64(iter)}
-		}
-		if sym := b.u.SymbolicByName(base); sym != nil {
+		if sym := b.u.SymbolicByName(r.Base()); sym != nil {
 			return &lang.IntLit{Value: b.value(sym)}
 		}
-		if v, ok := b.u.Consts[base]; ok {
+		if v, ok := b.u.Consts[r.Base()]; ok {
 			return &lang.IntLit{Value: v}
 		}
 	}
-	if reg := b.u.RegisterByName(base); reg != nil {
-		seg := r.Segs[0]
-		if reg.Decl.Count != nil && len(seg.Indexes) == 2 {
-			inst := b.indexValue(seg.Indexes[0], a, iter)
-			return cell(InstanceName(reg.Name, int(inst)), b.expr(seg.Indexes[1], a, iter))
+	if reg := r.Reg; reg != nil {
+		idx := r.Segs[0].Indexes
+		if reg.Decl.Count != nil {
+			return cell(InstanceName(reg.Name, int(r.InstAt(iter))), b.expr(idx[1], iter))
 		}
-		if len(seg.Indexes) == 1 {
-			return cell(InstanceName(reg.Name, 0), b.expr(seg.Indexes[0], a, iter))
-		}
+		return cell(InstanceName(reg.Name, 0), b.expr(idx[0], iter))
 	}
-	if si := b.u.StructByName(base); si != nil && len(r.Segs) == 2 {
-		fseg := r.Segs[1]
-		if f := si.Field(fseg.Name); f != nil {
-			name := f.Name
-			if f.Elastic() && len(fseg.Indexes) == 1 {
-				name = InstanceName(f.Name, int(b.indexValue(fseg.Indexes[0], a, iter)))
-			}
-			return &lang.Ref{Segs: []lang.Seg{{Name: base}, {Name: name}}}
+	if f := r.Field; f != nil {
+		name := f.Name
+		if f.Elastic() {
+			name = InstanceName(f.Name, int(r.InstAt(iter)))
 		}
+		return &lang.Ref{Segs: []lang.Seg{{Name: f.Struct}, {Name: name}}}
 	}
-	return b.raw(r, a, iter)
+	return b.raw(r, iter)
 }
 
 // cell is one cell of a register instance: "name[idx]".
@@ -262,29 +255,14 @@ func cell(name string, idx lang.Expr) *lang.Ref {
 // raw is the fallback for a reference shape the builder does not
 // model: the path with its indexes substituted, which names nothing
 // the emitted program declares, so the validator rejects the text.
-func (b *builder) raw(r *lang.Ref, a *lang.Action, iter int) *lang.Ref {
+func (b *builder) raw(r *lang.Ref, iter int) *lang.Ref {
 	out := &lang.Ref{}
 	for _, seg := range r.Segs {
 		s := lang.Seg{Name: seg.Name}
 		for _, idx := range seg.Indexes {
-			s.Indexes = append(s.Indexes, b.expr(idx, a, iter))
+			s.Indexes = append(s.Indexes, b.expr(idx, iter))
 		}
 		out.Segs = append(out.Segs, s)
 	}
 	return out
-}
-
-func (b *builder) indexValue(e lang.Expr, a *lang.Action, iter int) int64 {
-	if ref, ok := e.(*lang.Ref); ok && ref.IsSimpleIdent() {
-		if a != nil && a.Decl != nil && ref.Base() == a.Decl.IndexParam {
-			return int64(iter)
-		}
-		if v, ok := b.u.Consts[ref.Base()]; ok {
-			return v
-		}
-	}
-	if lit, ok := e.(*lang.IntLit); ok {
-		return lit.Value
-	}
-	return 0
 }

@@ -216,9 +216,7 @@ func expand(inv *lang.Invocation, counts Counts) []*Instance {
 
 // accessesOf resolves inv's footprint (sem.Footprint), guard reads
 // included, into atoms and marks the field writes that commute. An
-// access at the iteration takes its index per instance (at). The
-// resolver admits no instance index known only at run time, so a
-// dynamic index keeps the scalar atom.
+// access at the iteration takes its index per instance (at).
 func accessesOf(u *lang.Unit, inv *lang.Invocation) []access {
 	var all reduction // the kind of every field write of inv, if any
 	if inv.Action.Commutative {

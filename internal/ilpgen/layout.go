@@ -190,11 +190,7 @@ func (l *Layout) Steps(u *lang.Unit) ([]Placement, []sem.Step) {
 		if !ok || inv.Action.Decl == nil || inv.Action.Decl.Body == nil {
 			continue
 		}
-		s := sem.Step{Inv: inv, Iter: pl.Iter, Stage: pl.Stage, Pos: i}
-		if l := inv.Loop(); l != nil {
-			s.LoopVar = l.Var
-		}
-		steps = append(steps, s)
+		steps = append(steps, sem.Step{Inv: inv, Iter: pl.Iter, Stage: pl.Stage, Pos: i})
 	}
 	return order, steps
 }

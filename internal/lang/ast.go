@@ -251,13 +251,34 @@ type Seg struct {
 }
 
 // Ref is a possibly-indexed path reference: hdr.ipv4.src,
-// meta.count[i], cms[i][meta.index[i]]. Resolve sets Reg or Field on a
-// reference it resolves to a register or a struct field.
+// meta.count[i], cms[i][meta.index[i]]. Resolve binds it once, and
+// every later stage reads the binding: Reg or Field is the register or
+// struct field it names, Inst the instance an elastic one selects, and
+// Iter marks a bare name that is the iteration.
 type Ref struct {
 	Pos   Pos
 	Segs  []Seg
 	Reg   *Register
 	Field *MetaField
+	// Inst is the instance an elastic register or field reference
+	// selects: IterInst for the scope's iteration, else its instance
+	// index folded to a constant.
+	Inst int64
+	// Iter marks a bare name that is the scope's iteration: the
+	// action's index parameter in a body, the innermost loop variable
+	// in a guard, whatever its name.
+	Iter bool
+}
+
+// IterInst is the Inst of a reference whose instance is the iteration.
+const IterInst int64 = -1
+
+// InstAt returns the instance r selects in iteration iter.
+func (r *Ref) InstAt(iter int) int64 {
+	if r.Inst == IterInst {
+		return int64(iter)
+	}
+	return r.Inst
 }
 
 // Binary is a binary operation; Op is one of the operator token kinds.

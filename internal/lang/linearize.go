@@ -253,11 +253,11 @@ func innermostLoop(f *linFrame) *LoopRef {
 	return f.loops[len(f.loops)-1]
 }
 
-// substEnv replaces constant loop variables with their values.
+// substEnv returns a copy of e with constant loop variables replaced
+// by their values. The copy's references are its own, so binding them
+// binds this context only: one source condition or statement can sit in
+// several contexts (a control applied twice, an unrolled loop).
 func substEnv(e Expr, env map[string]int64) Expr {
-	if len(env) == 0 {
-		return e
-	}
 	sub := make(map[string]Expr, len(env))
 	for k, v := range env {
 		sub[k] = &IntLit{Value: v}
@@ -266,8 +266,8 @@ func substEnv(e Expr, env map[string]int64) Expr {
 }
 
 // Subst returns a copy of e with simple identifier references
-// replaced per sub. Non-matching nodes are shared, matching subtrees
-// rebuilt.
+// replaced per sub. Literals are shared; every reference is rebuilt,
+// unbound.
 func Subst(e Expr, sub map[string]Expr) Expr {
 	switch e := e.(type) {
 	case *IntLit, *BoolLit, *FloatLit:
@@ -277,7 +277,7 @@ func Subst(e Expr, sub map[string]Expr) Expr {
 			if repl, ok := sub[e.Base()]; ok {
 				return repl
 			}
-			return e
+			return &Ref{Pos: e.Pos, Segs: e.Segs}
 		}
 		out := &Ref{Pos: e.Pos, Segs: make([]Seg, len(e.Segs))}
 		for i, s := range e.Segs {

@@ -416,9 +416,11 @@ func (b *binder) ref(ref *Ref) error {
 			return errf(ref.Pos, "register %s requires %d index(es), got %d", base, wantIdx, len(seg.Indexes))
 		}
 		if wantIdx == 2 {
-			if err := b.instanceIndex(seg.Indexes[0], reg.Name); err != nil {
+			inst, err := b.instanceIndex(seg.Indexes[0], reg.Name)
+			if err != nil {
 				return err
 			}
+			ref.Inst = inst
 		}
 		// The cell index is a runtime expression.
 		if err := b.expr(seg.Indexes[wantIdx-1]); err != nil {
@@ -444,9 +446,11 @@ func (b *binder) ref(ref *Ref) error {
 		elastic := f.Elastic()
 		switch {
 		case elastic && len(fseg.Indexes) == 1:
-			if err := b.instanceIndex(fseg.Indexes[0], f.Qual()); err != nil {
+			inst, err := b.instanceIndex(fseg.Indexes[0], f.Qual())
+			if err != nil {
 				return err
 			}
+			ref.Inst = inst
 		case elastic:
 			return errf(ref.Pos, "elastic field %s requires exactly one index", f.Qual())
 		case len(fseg.Indexes) != 0:
@@ -456,16 +460,16 @@ func (b *binder) ref(ref *Ref) error {
 		return nil
 	}
 
-	// Bare identifiers.
+	// Bare identifiers. The iteration shadows a symbolic value or a
+	// constant of its name.
 	if ref.IsSimpleIdent() {
+		if b.isIter(ref) {
+			return nil
+		}
 		if u.symbolicByName[base] != nil {
 			return nil
 		}
 		if _, ok := u.Consts[base]; ok {
-			return nil
-		}
-		if base == b.iter {
-			b.readIter = true
 			return nil
 		}
 		for _, p := range b.params {
@@ -477,21 +481,31 @@ func (b *binder) ref(ref *Ref) error {
 	return errf(ref.Pos, "unknown name %s", refText(ref))
 }
 
-// instanceIndex checks an elastic-instance selector: the scope's
-// iteration name or a non-negative compile-time constant.
-func (b *binder) instanceIndex(e Expr, what string) error {
-	if ref, ok := e.(*Ref); ok && ref.IsSimpleIdent() && ref.Base() == b.iter {
-		b.readIter = true
-		return nil
+// isIter reports whether ref is a bare name of the scope's iteration,
+// and binds it so when it is.
+func (b *binder) isIter(ref *Ref) bool {
+	if b.iter == "" || !ref.IsSimpleIdent() || ref.Base() != b.iter {
+		return false
+	}
+	ref.Iter = true
+	b.readIter = true
+	return true
+}
+
+// instanceIndex binds an elastic-instance selector: the scope's
+// iteration name (IterInst) or a non-negative compile-time constant.
+func (b *binder) instanceIndex(e Expr, what string) (int64, error) {
+	if ref, ok := e.(*Ref); ok && b.isIter(ref) {
+		return IterInst, nil
 	}
 	v, err := b.r.evalConst(e)
 	if err != nil {
-		return errf(e.GetPos(), "instance index of %s must be the action's iteration parameter or a constant", what)
+		return 0, errf(e.GetPos(), "instance index of %s must be the action's iteration parameter or a constant", what)
 	}
 	if v < 0 {
-		return errf(e.GetPos(), "instance index of %s is negative (%d)", what, v)
+		return 0, errf(e.GetPos(), "instance index of %s is negative (%d)", what, v)
 	}
-	return nil
+	return v, nil
 }
 
 // expr binds an expression in read position. A divisor that is a

@@ -42,13 +42,7 @@ func Profile(u *lang.Unit, inv *lang.Invocation) pisa.ActionProfile {
 // staticStep is inv as a step of iteration -1: its names resolve as a
 // step's do before the layout exists, the iteration, not yet known, to
 // ^0, which no constant index is.
-func staticStep(inv *lang.Invocation) Step {
-	s := Step{Inv: inv, Iter: -1}
-	if l := inv.Loop(); l != nil {
-		s.LoopVar = l.Var
-	}
-	return s
-}
+func staticStep(inv *lang.Invocation) Step { return Step{Inv: inv, Iter: -1} }
 
 // guardProfile is the table summed over inv's guard list.
 func guardProfile(u *lang.Unit, inv *lang.Invocation) pisa.ActionProfile {
@@ -154,9 +148,10 @@ type regInst struct {
 	inst uint64
 }
 
-// coster sums the cost table over constructs into use, resolving the
-// names in instance indexes as step s does under syms. With plan set it
-// also binds every simple name it passes into plan.names.
+// coster sums the cost table over constructs into use, each register
+// instance the one its reference selects in step s. With plan set it
+// also binds every simple name it passes into plan.names, as step s
+// resolves it under syms.
 type coster struct {
 	u    *lang.Unit
 	s    *Step
@@ -166,8 +161,6 @@ type coster struct {
 	seen []regInst // register instances already charged
 	use  pisa.ActionProfile
 }
-
-func (c *coster) name(n string) (uint64, bool) { return c.s.Name(c.u, c.syms, n) }
 
 func (c *coster) stmts(b *lang.Block) {
 	for _, s := range b.Stmts {
@@ -212,11 +205,10 @@ func (c *coster) expr(e lang.Expr) {
 }
 
 // ref charges a reference: its index expressions, and the register
-// instance it touches unless already charged. An instance index that
-// does not fold charges every access.
+// instance it touches unless already charged.
 func (c *coster) ref(ref *lang.Ref) {
 	if c.plan != nil && ref.IsSimpleIdent() {
-		if v, ok := c.name(ref.Base()); ok {
+		if v, ok := c.s.Name(c.u, c.syms, ref); ok {
 			if c.plan.names == nil {
 				c.plan.names = make(map[*lang.Ref]uint64)
 			}
@@ -233,13 +225,8 @@ func (c *coster) ref(ref *lang.Ref) {
 		return
 	}
 	ri := regInst{name: reg.Name}
-	if idx := ref.Segs[0].Indexes; reg.Decl.Count != nil && len(idx) == 2 {
-		v, _, err := Fold(idx[0], c.name)
-		if err != nil {
-			c.use.RegisterAccesses++
-			return
-		}
-		ri.inst = v
+	if reg.Decl.Count != nil {
+		ri.inst = uint64(ref.InstAt(c.s.Iter))
 	}
 	for _, s := range c.seen {
 		if s == ri {

@@ -200,7 +200,7 @@ func TestCostTable(t *testing.T) {
 	step := func(action string, iter int) *Step {
 		for _, inv := range u.Invocations {
 			if inv.Action.Name == action {
-				return &Step{Inv: inv, Iter: iter, LoopVar: inv.Loop().Var}
+				return &Step{Inv: inv, Iter: iter}
 			}
 		}
 		t.Fatalf("no invocation of %s", action)

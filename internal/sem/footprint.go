@@ -7,10 +7,9 @@ import "p4all/internal/lang"
 type Inst uint8
 
 const (
-	InstScalar  Inst = iota // no elastic dimension
-	InstIter                // the step's iteration
-	InstConst               // the constant Access.Const
-	InstDynamic             // evaluated only at run time
+	InstScalar Inst = iota // no elastic dimension
+	InstIter               // the step's iteration
+	InstConst              // the constant Access.Const
 )
 
 // Access is one register or field reference of an invocation.
@@ -27,13 +26,11 @@ type Access struct {
 // Footprint lists every register and field reference of invocation inv
 // in the walker's evaluation order: its guard list, then its action
 // body (a table's keys, for the table's match pseudo-action), both arms
-// of every if included. References resolve as the walker resolves them
-// (Bound); an instance index is the iteration when it names the
-// action's index parameter or the innermost loop variable, a constant
-// when Fold folds it under the unit's named constants, and dynamic
-// otherwise.
+// of every if included. References and their instances resolve as the
+// walker resolves them: the binding the resolver gave each (Bound,
+// lang.Ref.Inst).
 func Footprint(u *lang.Unit, inv *lang.Invocation) []Access {
-	f := footprinter{u: u, s: staticStep(inv), guard: true}
+	f := footprinter{u: u, guard: true}
 	for _, g := range inv.Guards {
 		f.expr(g)
 	}
@@ -60,7 +57,6 @@ func matchOf(u *lang.Unit, a *lang.Action) *lang.TableInfo {
 
 type footprinter struct {
 	u     *lang.Unit
-	s     Step
 	guard bool
 	out   []Access
 }
@@ -108,31 +104,17 @@ func (f *footprinter) ref(ref *lang.Ref, write bool) {
 		}
 	}
 	reg, mf := Bound(f.u, ref)
-	a := Access{Ref: ref, Reg: reg, Field: mf, Write: write, Guard: f.guard}
-	switch {
-	case reg != nil && reg.Decl.Count != nil && len(ref.Segs[0].Indexes) == 2:
-		a.Inst, a.Const = f.inst(ref.Segs[0].Indexes[0])
-	case mf != nil && mf.Elastic() && len(ref.Segs[1].Indexes) == 1:
-		a.Inst, a.Const = f.inst(ref.Segs[1].Indexes[0])
-	case reg == nil && mf == nil:
+	if reg == nil && mf == nil {
 		return
 	}
+	a := Access{Ref: ref, Reg: reg, Field: mf, Write: write, Guard: f.guard}
+	switch {
+	case reg != nil && reg.Decl.Count == nil, mf != nil && !mf.Elastic():
+		// InstScalar: there is no instance to select.
+	case ref.Inst == lang.IterInst:
+		a.Inst = InstIter
+	default:
+		a.Inst, a.Const = InstConst, uint64(ref.Inst)
+	}
 	f.out = append(f.out, a)
-}
-
-// inst classifies an instance index as the walker resolves it.
-func (f *footprinter) inst(e lang.Expr) (Inst, uint64) {
-	if ref, ok := e.(*lang.Ref); ok && ref.IsSimpleIdent() {
-		if d := f.s.Inv.Action.Decl; (d != nil && ref.Base() == d.IndexParam) || (f.s.LoopVar != "" && ref.Base() == f.s.LoopVar) {
-			return InstIter, 0
-		}
-	}
-	v, _, err := Fold(e, func(n string) (uint64, bool) {
-		c, ok := f.u.Consts[n]
-		return uint64(c), ok
-	})
-	if err != nil {
-		return InstDynamic, 0
-	}
-	return InstConst, v
 }

@@ -90,8 +90,6 @@ func render(fp []Access) (body, guards string) {
 			return name + "[i]"
 		case InstConst:
 			return fmt.Sprintf("%s[%d]", name, a.Const)
-		case InstDynamic:
-			return name + "[?]"
 		}
 		return name
 	}

@@ -124,17 +124,17 @@ func Call(name string, x, y uint64) uint64 {
 	return max(x, y)
 }
 
-// ErrNotConst marks an expression Fold cannot evaluate at compile time.
-var ErrNotConst = errors.New("not a compile-time constant")
+// errNotConst marks an expression Fold cannot evaluate at compile time.
+var errNotConst = errors.New("not a compile-time constant")
 
 // Fold evaluates a compile-time-constant expression: literals, the
 // simple names name resolves, and negation, arithmetic and comparisons
 // over them, wrapped as the walker wraps them. It returns the value and
 // the width it wraps at. Anything else (&& and ||, which the walker
-// short-circuits, !, calls, field and register reads) is ErrNotConst; a
+// short-circuits, !, calls, field and register reads) is errNotConst; a
 // simple name that name does not resolve, or a zero divisor, is an
 // error of its own.
-func Fold(e lang.Expr, name func(string) (uint64, bool)) (uint64, int, error) {
+func Fold(e lang.Expr, name func(*lang.Ref) (uint64, bool)) (uint64, int, error) {
 	switch e := e.(type) {
 	case *lang.IntLit:
 		return uint64(e.Value), 0, nil
@@ -142,21 +142,21 @@ func Fold(e lang.Expr, name func(string) (uint64, bool)) (uint64, int, error) {
 		return b2u(e.Value), 0, nil
 	case *lang.Ref:
 		if !e.IsSimpleIdent() {
-			return 0, 0, ErrNotConst
+			return 0, 0, errNotConst
 		}
-		if v, ok := name(e.Base()); ok {
+		if v, ok := name(e); ok {
 			return v, 0, nil
 		}
 		return 0, 0, fmt.Errorf("unknown name %s", e.Base())
 	case *lang.Unary:
 		if e.Op != lang.MINUS {
-			return 0, 0, ErrNotConst
+			return 0, 0, errNotConst
 		}
 		x, w, err := Fold(e.X, name)
 		return MaskTo(-x, w), w, err
 	case *lang.Binary:
 		if e.Op == lang.AND || e.Op == lang.OR {
-			return 0, 0, ErrNotConst
+			return 0, 0, errNotConst
 		}
 		x, wx, err := Fold(e.X, name)
 		if err != nil {
@@ -173,7 +173,7 @@ func Fold(e lang.Expr, name func(string) (uint64, bool)) (uint64, int, error) {
 		w := opWidth(e.Op, wx, wy)
 		return MaskTo(v, w), w, nil
 	}
-	return 0, 0, ErrNotConst
+	return 0, 0, errNotConst
 }
 
 // InstKey names one instance of an elastic field or register,

@@ -12,12 +12,11 @@
 // booleans, the width each value wraps at, what each block charges to
 // the stage's ALUs (the cost model of cost.go, which also yields the
 // profile the compiler budgets), and how register and field references
-// resolve, the instance index bound through the action's index
-// parameter. A Domain supplies the leaves: constants, the charge,
-// branch decisions, arithmetic, builtins, constant instance indexes,
-// and register and field storage. A domain decides what the walker
-// cannot: a dynamic instance index is evaluated at run time by sim and
-// is a proof obligation for tv.
+// resolve: each reads the register or field and the instance the
+// resolver bound it to (lang.Ref), so no instance index is evaluated per
+// packet or per path. A Domain supplies the leaves: constants, the
+// charge, branch decisions, arithmetic, builtins, and register and
+// field storage.
 package sem
 
 import (
@@ -31,24 +30,21 @@ import (
 // placed action instance with a body, run under the guards and loop
 // nest of the first invocation of its action.
 type Step struct {
-	Inv     *lang.Invocation
-	Iter    int
-	Stage   int
-	LoopVar string // innermost loop variable of Inv ("" outside loops)
-	Pos     int    // index of the step's placement in the schedule
-	plan    *Plan  // built by Plan on first use
+	Inv   *lang.Invocation
+	Iter  int
+	Stage int
+	Pos   int   // index of the step's placement in the schedule
+	plan  *Plan // built by Plan on first use
 }
 
-// Name resolves a simple name in step s: the action's index parameter
-// and the innermost loop variable are the iteration, a symbolic value
-// is its solved value in syms, a named constant its value.
-func (s *Step) Name(u *lang.Unit, syms map[string]int64, name string) (uint64, bool) {
-	if d := s.Inv.Action.Decl; d != nil && name == d.IndexParam {
+// Name resolves a simple name in step s: a name the resolver bound to
+// the iteration (lang.Ref.Iter) is s.Iter, a symbolic value its solved
+// value in syms, a named constant its value.
+func (s *Step) Name(u *lang.Unit, syms map[string]int64, ref *lang.Ref) (uint64, bool) {
+	if ref.Iter {
 		return uint64(s.Iter), true
 	}
-	if s.LoopVar != "" && name == s.LoopVar {
-		return uint64(s.Iter), true
-	}
+	name := ref.Base()
 	if sym := u.SymbolicByName(name); sym != nil {
 		return uint64(syms[sym.Name]), true
 	}
@@ -93,9 +89,6 @@ type Domain[V any] interface {
 	Binary(op lang.Kind, x, y V, w int) (V, error)
 	// Builtin applies hash, min or max.
 	Builtin(name string, x, y V) V
-	// Index turns an evaluated instance index ("register instance",
-	// "field instance") into the instance number.
-	Index(v V, what string) (uint64, error)
 	// RegRead and RegWrite access one cell of a register instance;
 	// width is the register's element width.
 	RegRead(name string, inst int64, cell V, width int) V
@@ -260,16 +253,20 @@ func (w *walker[V, D]) expr(e lang.Expr) (V, int, error) {
 
 // Bound returns the register or the field a reference names: the one
 // the resolver bound it to, else (a body the resolver never saw) the
-// one its name looks up.
+// single-instance register or scalar field its name looks up. An
+// elastic reference the resolver did not bind has no instance, so it
+// names nothing.
 func Bound(u *lang.Unit, ref *lang.Ref) (*lang.Register, *lang.MetaField) {
 	if ref.Reg != nil || ref.Field != nil {
 		return ref.Reg, ref.Field
 	}
-	if reg := u.RegisterByName(ref.Base()); reg != nil {
+	if reg := u.RegisterByName(ref.Base()); reg != nil && reg.Decl.Count == nil {
 		return reg, nil
 	}
 	if si := u.StructByName(ref.Base()); si != nil && len(ref.Segs) == 2 {
-		return nil, si.Field(ref.Segs[1].Name)
+		if f := si.Field(ref.Segs[1].Name); f != nil && !f.Elastic() {
+			return nil, f
+		}
 	}
 	return nil, nil
 }
@@ -293,10 +290,7 @@ func (w *walker[V, D]) load(ref *lang.Ref) (V, int, error) {
 		return w.d.RegRead(reg.Name, inst, cell, reg.Width), reg.Width, nil
 	}
 	if mf != nil {
-		f, err := w.field(ref, mf)
-		if err != nil {
-			return zero, 0, err
-		}
+		f := w.field(ref, mf)
 		return w.d.FieldRead(f), f.Width, nil
 	}
 	return zero, 0, w.d.Abort("cannot read " + lang.PrintExpr(ref))
@@ -313,11 +307,7 @@ func (w *walker[V, D]) assign(ref *lang.Ref, v V) error {
 		return nil
 	}
 	if mf != nil {
-		f, err := w.field(ref, mf)
-		if err != nil {
-			return err
-		}
-		w.d.FieldWrite(f, v)
+		w.d.FieldWrite(w.field(ref, mf), v)
 		return nil
 	}
 	return w.d.Abort("cannot assign to " + lang.PrintExpr(ref))
@@ -329,12 +319,8 @@ func (w *walker[V, D]) register(ref *lang.Ref, reg *lang.Register) (int64, V, er
 	seg := ref.Segs[0]
 	switch {
 	case reg.Decl.Count != nil && len(seg.Indexes) == 2:
-		inst, err := w.index(seg.Indexes[0], "register instance")
-		if err != nil {
-			return 0, zero, err
-		}
 		cell, _, err := w.expr(seg.Indexes[1])
-		return int64(inst), cell, err
+		return ref.InstAt(w.s.Iter), cell, err
 	case len(seg.Indexes) == 1:
 		cell, _, err := w.expr(seg.Indexes[0])
 		return 0, cell, err
@@ -344,33 +330,10 @@ func (w *walker[V, D]) register(ref *lang.Ref, reg *lang.Register) (int64, V, er
 
 // field resolves a struct field reference, an elastic field's instance
 // included.
-func (w *walker[V, D]) field(ref *lang.Ref, f *lang.MetaField) (Field, error) {
+func (w *walker[V, D]) field(ref *lang.Ref, f *lang.MetaField) Field {
 	fl := Field{MetaField: f}
 	if f.Elastic() {
-		idx := ref.Segs[1].Indexes
-		if len(idx) != 1 {
-			return Field{}, w.d.Abort("elastic field " + f.Qual() + " needs one index")
-		}
-		i, err := w.index(idx[0], "field instance")
-		if err != nil {
-			return Field{}, err
-		}
-		fl.Idx = i
+		fl.Idx = uint64(ref.InstAt(w.s.Iter))
 	}
-	return fl, nil
-}
-
-// index evaluates an instance index: the action's index parameter is
-// the iteration; anything else is evaluated and handed to the domain.
-func (w *walker[V, D]) index(e lang.Expr, what string) (uint64, error) {
-	if ref, ok := e.(*lang.Ref); ok && ref.IsSimpleIdent() {
-		if d := w.s.Inv.Action.Decl; d != nil && ref.Base() == d.IndexParam {
-			return uint64(w.s.Iter), nil
-		}
-	}
-	v, _, err := w.expr(e)
-	if err != nil {
-		return 0, err
-	}
-	return w.d.Index(v, what)
+	return fl
 }

@@ -85,8 +85,6 @@ type Runtime[T any] struct {
 
 	errOnce sync.Once
 	err     atomic.Pointer[error]
-
-	routes []int32 // DispatchAll's shard per item of a window, under mu
 }
 
 // NewRuntime validates the config, starts the shard goroutines, and
@@ -107,8 +105,7 @@ func NewRuntime[T any](cfg Config[T]) (*Runtime[T], error) {
 	if cfg.Process == nil {
 		return nil, fmt.Errorf("serve: Config.Process is required")
 	}
-	limit := cfg.queueDepth * cfg.BatchSize
-	r := &Runtime[T]{cfg: cfg, limit: limit, shards: make([]shard[T], cfg.Shards), routes: make([]int32, limit)}
+	r := &Runtime[T]{cfg: cfg, limit: cfg.queueDepth * cfg.BatchSize, shards: make([]shard[T], cfg.Shards)}
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.cond.L = &s.mu
@@ -187,43 +184,14 @@ func (r *Runtime[T]) Dispatch(item T) error {
 
 // DispatchAll routes a slice of items under one producer-lock
 // acquisition — the bulk path of benchmarks and the drift replay (the
-// UDP server calls Dispatch, one datagram at a time). It routes the
-// items a queue's capacity at a time and hands each shard its items of
-// that window, in input order, under one acquisition of the shard's
-// lock, so the workers need not wait for the whole slice to be routed.
-// If an item routes out of range, the items before it are dispatched
-// and the error is returned.
+// UDP server calls Dispatch, one datagram at a time). If an item routes
+// out of range, the items before it are dispatched and the error is
+// returned.
 func (r *Runtime[T]) DispatchAll(items []T) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return fmt.Errorf("serve: runtime is closed")
-	}
-	for len(items) > 0 {
-		window := items[:min(len(items), len(r.routes))]
-		items = items[len(window):]
-		routes := r.routes[:len(window)]
-		var err error
-		for i := range window {
-			n, rerr := r.route(window[i])
-			if rerr != nil {
-				err = rerr
-				window = window[:i]
-				break
-			}
-			routes[i] = int32(n)
-		}
-		for n := range r.shards {
-			s := &r.shards[n]
-			s.mu.Lock()
-			for i := range window {
-				if routes[i] == int32(n) {
-					r.push(s, window[i])
-				}
-			}
-			s.mu.Unlock()
-		}
-		if err != nil {
+	for i := range items {
+		if err := r.dispatchLocked(items[i]); err != nil {
 			return err
 		}
 	}
@@ -234,30 +202,12 @@ func (r *Runtime[T]) dispatchLocked(item T) error {
 	if r.closed {
 		return fmt.Errorf("serve: runtime is closed")
 	}
-	n, err := r.route(item)
-	if err != nil {
-		return err
+	n := r.cfg.Route(item)
+	if n < 0 || n >= len(r.shards) {
+		return fmt.Errorf("serve: route returned shard %d of %d", n, len(r.shards))
 	}
 	s := &r.shards[n]
 	s.mu.Lock()
-	r.push(s, item)
-	s.mu.Unlock()
-	return nil
-}
-
-// route returns item's shard, or an error if Route names none.
-func (r *Runtime[T]) route(item T) (int, error) {
-	n := r.cfg.Route(item)
-	if n < 0 || n >= len(r.shards) {
-		return 0, fmt.Errorf("serve: route returned shard %d of %d", n, len(r.shards))
-	}
-	return n, nil
-}
-
-// push appends item to s's queue, the one enqueue path: it waits while
-// the queue is full and wakes the worker when the queue was empty.
-// s.mu must be held.
-func (r *Runtime[T]) push(s *shard[T], item T) {
 	for len(s.queue) >= r.limit {
 		s.cond.Wait()
 	}
@@ -265,6 +215,8 @@ func (r *Runtime[T]) push(s *shard[T], item T) {
 	if len(s.queue) == 1 {
 		s.cond.Broadcast() // the worker may wait on an empty queue
 	}
+	s.mu.Unlock()
+	return nil
 }
 
 // Drain blocks until every shard has processed everything dispatched

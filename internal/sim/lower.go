@@ -19,10 +19,12 @@
 // hold the VM to the interpreter.
 //
 // An opStep reports a zero divisor or an unknown name per packet, as
-// the interpreter does. One construct still rejects the whole program,
-// and the pipeline keeps the interpreter: an elastic field whose
-// instance index is not a compile-time constant, since the frame has a
-// slot per field instance and none for an instance chosen at run time.
+// the interpreter does. Every field and register instance a step
+// touches is the one the resolver bound its reference to (lang.Ref), so
+// each has its frame slot or store at lower time. What still rejects
+// the whole program, so that the pipeline keeps the interpreter, is a
+// materialized register instance with no cells, and a stage whose
+// per-packet charge overflows the packed counters.
 
 package sim
 
@@ -226,8 +228,8 @@ type vmConst struct {
 // (sem.Fold). Any error declines: the expression is not constant, or
 // the walker stops the packet on it.
 func (ctx *vmStepCtx) constExpr(e lang.Expr) (vmConst, bool) {
-	v, w, err := sem.Fold(e, func(n string) (uint64, bool) {
-		return ctx.st.Name(ctx.lo.p.unit, ctx.lo.p.layout.Symbolics, n)
+	v, w, err := sem.Fold(e, func(r *lang.Ref) (uint64, bool) {
+		return ctx.st.Name(ctx.lo.p.unit, ctx.lo.p.layout.Symbolics, r)
 	})
 	return vmConst{val: v, width: w}, err == nil
 }
@@ -240,30 +242,24 @@ type vmField struct {
 	header bool
 }
 
-// fieldRef resolves a struct-field reference. An elastic field's
-// instance index must be compile-time constant.
+// fieldRef resolves a struct-field reference to the field instance
+// the step selects.
 func (ctx *vmStepCtx) fieldRef(ref *lang.Ref) (vmField, bool) {
-	si := ctx.lo.p.unit.StructByName(ref.Base())
-	if si == nil || len(ref.Segs) != 2 {
+	_, mf := sem.Bound(ctx.lo.p.unit, ref)
+	if mf == nil {
 		return vmField{}, false
 	}
-	f := si.Field(ref.Segs[1].Name)
-	if f == nil {
-		return vmField{}, false
+	f := stepField(ctx.st, ref, mf)
+	return vmField{slot: ctx.lo.slotFor(f.Key(), mf.Header), width: mf.Width, header: mf.Header}, true
+}
+
+// stepField is the instance of field mf that ref selects in step st.
+func stepField(st *sem.Step, ref *lang.Ref, mf *lang.MetaField) sem.Field {
+	f := sem.Field{MetaField: mf}
+	if mf.Elastic() {
+		f.Idx = uint64(ref.InstAt(st.Iter))
 	}
-	key := f.Qual()
-	if f.Elastic() {
-		fseg := ref.Segs[1]
-		if len(fseg.Indexes) != 1 {
-			return vmField{}, false
-		}
-		ie, ok := ctx.constExpr(fseg.Indexes[0])
-		if !ok {
-			return vmField{}, false
-		}
-		key = sem.InstKey(key, ie.val)
-	}
-	return vmField{slot: ctx.lo.slotFor(key, si.IsHeader), width: f.Width, header: si.IsHeader}, true
+	return f
 }
 
 // metaOperand resolves a motif operand: a metadata field (meta loads
@@ -281,19 +277,15 @@ func (ctx *vmStepCtx) metaOperand(e lang.Expr) (slot int32, width int, ok bool) 
 }
 
 // regAccess resolves a motif register access: a materialized instance
-// with a constant instance index and the cell index held in a metadata
-// field (the library's "@_meta.index[i]" motif). It returns the
-// instance's backing store, the cell slot and the store's dense id.
+// with the cell index held in a metadata field (the library's
+// "@_meta.index[i]" motif). It returns the instance's backing store,
+// the cell slot and the store's dense id.
 func (ctx *vmStepCtx) regAccess(ref *lang.Ref, reg *lang.Register) (store []uint64, cellSlot, regID int32, ok bool) {
 	seg := ref.Segs[0]
 	inst, cellE := 0, lang.Expr(nil)
 	switch {
 	case reg.Decl.Count != nil && len(seg.Indexes) == 2:
-		ic, ok := ctx.constExpr(seg.Indexes[0])
-		if !ok {
-			return nil, 0, 0, false
-		}
-		inst, cellE = int(ic.val), seg.Indexes[1]
+		inst, cellE = int(ref.InstAt(ctx.st.Iter)), seg.Indexes[1]
 	case len(seg.Indexes) == 1:
 		cellE = seg.Indexes[0]
 	default:
@@ -330,7 +322,7 @@ func (ctx *vmStepCtx) lowerBlock(b *lang.Block) bool {
 // matchAssign offers an assignment to the motif matchers.
 func (ctx *vmStepCtx) matchAssign(s *lang.AssignStmt) bool {
 	u := ctx.lo.p.unit
-	if reg := u.RegisterByName(s.LHS.Base()); reg != nil {
+	if reg, _ := sem.Bound(u, s.LHS); reg != nil {
 		return ctx.matchRegBump(s, reg)
 	}
 	lhs, ok := ctx.fieldRef(s.LHS)
@@ -347,7 +339,7 @@ func (ctx *vmStepCtx) matchAssign(s *lang.AssignStmt) bool {
 
 	switch rhs := s.RHS.(type) {
 	case *lang.Ref:
-		if reg := u.RegisterByName(rhs.Base()); reg != nil {
+		if reg, _ := sem.Bound(u, rhs); reg != nil {
 			store, cellSlot, regID, ok := ctx.regAccess(rhs, reg)
 			if !ok {
 				return false
@@ -528,8 +520,8 @@ func (lo *vmLowerer) lowerOpStep(st *sem.Step, ctr int32) error {
 	return nil
 }
 
-func (sc *stepScan) name(n string) (uint64, bool) {
-	return sc.vs.st.Name(sc.lo.p.unit, sc.lo.p.layout.Symbolics, n)
+func (sc *stepScan) name(r *lang.Ref) (uint64, bool) {
+	return sc.vs.st.Name(sc.lo.p.unit, sc.lo.p.layout.Symbolics, r)
 }
 
 // abortable records that the walk can stop a packet here.
@@ -603,7 +595,7 @@ func (sc *stepScan) expr(e lang.Expr) error {
 // ref binds a reference the walker reads, or assigns when write is set.
 func (sc *stepScan) ref(ref *lang.Ref, write bool) error {
 	if !write && ref.IsSimpleIdent() {
-		if _, ok := sc.name(ref.Base()); !ok {
+		if _, ok := sc.name(ref); !ok {
 			sc.abortable()
 		}
 		return nil
@@ -613,34 +605,22 @@ func (sc *stepScan) ref(ref *lang.Ref, write bool) error {
 	case reg != nil:
 		return sc.register(ref, reg, write)
 	case mf != nil:
-		return sc.field(ref, mf)
+		sc.field(ref, mf)
+		return nil
 	}
 	sc.abortable()
 	return nil
 }
 
-// register binds the register instances an access can touch: the one
-// its instance index folds to, or, for an index known only at run
-// time, every materialized instance.
+// register binds the register instance an access touches.
 func (sc *stepScan) register(ref *lang.Ref, reg *lang.Register, write bool) error {
 	seg := ref.Segs[0]
 	var cell lang.Expr
 	switch {
 	case reg.Decl.Count != nil && len(seg.Indexes) == 2:
 		cell = seg.Indexes[1]
-		if inst, _, err := sem.Fold(seg.Indexes[0], sc.name); err == nil {
-			if err := sc.bindReg(reg.Name, int64(inst), write); err != nil {
-				return err
-			}
-			break
-		}
-		if err := sc.expr(seg.Indexes[0]); err != nil {
+		if err := sc.bindReg(reg.Name, ref.InstAt(sc.vs.st.Iter), write); err != nil {
 			return err
-		}
-		for inst := range sc.lo.p.regs[reg.Name] {
-			if err := sc.bindReg(reg.Name, int64(inst), write); err != nil {
-				return err
-			}
 		}
 	case len(seg.Indexes) == 1:
 		cell = seg.Indexes[0]
@@ -677,32 +657,14 @@ func (sc *stepScan) bindReg(name string, inst int64, write bool) error {
 	return nil
 }
 
-// field binds a field instance to its slot. An elastic field's index
-// must fold: the frame has no slot for an instance chosen at run time.
-func (sc *stepScan) field(ref *lang.Ref, mf *lang.MetaField) error {
-	f := sem.Field{MetaField: mf}
-	if mf.Elastic() {
-		idx := ref.Segs[1].Indexes
-		if len(idx) != 1 {
-			sc.abortable()
-			return nil
-		}
-		v, _, err := sem.Fold(idx[0], sc.name)
-		switch {
-		case err == sem.ErrNotConst:
-			return fmt.Errorf("vm: elastic field %s index %s: %w", mf.Qual(), lang.PrintExpr(idx[0]), err)
-		case err != nil:
-			sc.abortable()
-			return nil
-		}
-		f.Idx = v
-	}
+// field binds the field instance ref selects to its slot.
+func (sc *stepScan) field(ref *lang.Ref, mf *lang.MetaField) {
+	f := stepField(sc.vs.st, ref, mf)
 	for _, b := range sc.vs.fields {
 		if b.f == mf && b.idx == f.Idx {
-			return nil
+			return
 		}
 	}
 	slot := sc.lo.slotFor(f.Key(), mf.Header)
 	sc.vs.fields = append(sc.vs.fields, vmStepField{f: mf, idx: f.Idx, slot: slot})
-	return nil
 }

@@ -302,14 +302,11 @@ func (leaves) Binary(op lang.Kind, x, y uint64, w int) (uint64, error) {
 
 func (leaves) Builtin(name string, x, y uint64) uint64 { return sem.Call(name, x, y) }
 
-func (leaves) Index(v uint64, what string) (uint64, error) { return v, nil }
-
 func (leaves) Abort(reason string) error { return errors.New("sim: " + reason) }
 
 // interp is the reference interpreter's domain for the shared walker
 // (internal/sem): uint64 values over the pipeline's header, metadata
-// and register maps, charges added to the stage the step runs in. A
-// dynamic instance index is evaluated at run time.
+// and register maps, charges added to the stage the step runs in.
 type interp struct {
 	leaves
 	p     *Pipeline

@@ -20,9 +20,13 @@
 // contents and Stats bit for bit (lower.go). Every superinstruction
 // adds its precomputed charge to its stage, a block's charge riding on
 // the block's first instruction; an opStep charges as the walker runs
-// its plan. Programs the lowering cannot compile fall back to the
-// interpreter wholesale (Pipeline.Fallback); a fallback on any program
-// the repo ships is a difftest failure.
+// its plan. Every field and register instance a step touches is the
+// one the resolver bound, so it has a frame slot or a store at lower
+// time. A program the lowering still rejects — a materialized register
+// instance with no cells, or a stage charging more per packet than the
+// packed counters hold — falls back to the interpreter wholesale
+// (Pipeline.Fallback); a fallback on any program the repo ships is a
+// difftest failure.
 
 package sim
 

@@ -33,9 +33,9 @@ import (
 // Per path it discharges header-output, metadata-output,
 // register-state, Stats-counter, and abort-behavior equivalence. The
 // domain decides what the shared walker leaves open: a branch on a
-// symbolic condition forks the path enumeration, a zero divisor aborts,
-// and a dynamic instance index, which the interpreter evaluates at run
-// time but the emitted program cannot express, is an obligation.
+// symbolic condition forks the path enumeration, and a zero divisor
+// aborts. Which instance a reference selects is no decision of either
+// side: both read the resolver's binding (lang.Ref).
 
 // regKey identifies one register array instance.
 type regKey struct {
@@ -620,17 +620,6 @@ func (ev *evalCtx) Binary(op lang.Kind, x, y *node, w int) (*node, error) {
 }
 
 func (ev *evalCtx) Builtin(name string, x, y *node) *node { return ev.m.t.call(name, x, y) }
-
-// Index requires a statically known instance index. The interpreter
-// can chase dynamic instance indexes at runtime, but the generated
-// program cannot (codegen pins instances at compile time), so a dynamic
-// index is an obligation, not an abort.
-func (ev *evalCtx) Index(v *node, what string) (uint64, error) {
-	if !v.isConst() {
-		return 0, &obligErr{kind: "unsupported", detail: "dynamic " + what + " index"}
-	}
-	return v.val, nil
-}
 
 // regArr is the current array value of a register slot on one side:
 // the last store of this path, else the opaque initial contents.

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"p4all/internal/apps"
@@ -93,12 +94,55 @@ func TestAppsCertifyProved(t *testing.T) {
 	}
 }
 
+// bindingSource is the §4 count-min program with its take-min loop
+// iterating loopVar under guard, after seed: programs that differ from
+// a shipped one only by a loop variable's name or a constant instance
+// expression, so both sides must read the resolver's instance binding.
+func bindingSource(loopVar, guard, seed string) string {
+	return strings.NewReplacer("$v", loopVar, "$g", guard, "$s", seed).Replace(`
+symbolic int rows;
+symbolic int cols;
+const int K = 2;
+header flow_t { bit<32> id; }
+struct meta {
+    bit<32>[rows] index;
+    bit<32>[rows] count;
+    bit<32> min;
+}
+register<bit<32>>[cols][rows] cms;
+action incr()[int i] {
+    meta.index[i] = hash(flow_t.id, i) % cols;
+    cms[i][meta.index[i]] = cms[i][meta.index[i]] + 1;
+    meta.count[i] = cms[i][meta.index[i]];
+}
+action set_min()[int i] { meta.min = meta.count[i]; }
+action pick() { meta.min = meta.count[K - 1]; }
+control main {
+    apply {
+        for (i < rows) { incr()[i]; }
+        $s
+        for ($v < rows) {
+            if ($g) { set_min()[$v]; }
+        }
+    }
+}
+assume rows >= 2;
+optimize rows * cols;
+`)
+}
+
 func TestLibraryModulesCertifyProved(t *testing.T) {
 	for name, src := range map[string]string{
 		"cms":   modules.StandaloneCMS(),
 		"bloom": modules.StandaloneBloom(),
 		"kvs":   modules.StandaloneKVS(),
 		"ht":    modules.StandaloneHashTable(),
+		// The guard reads meta.count[j], compares j, or a seed action
+		// reads meta.count[K - 1]; the last row renames j to i.
+		"binding guard field":    bindingSource("j", "meta.count[j] > meta.min", ""),
+		"binding guard name":     bindingSource("j", "j > 0", ""),
+		"binding const instance": bindingSource("i", "meta.count[i] > meta.min", "pick();"),
+		"binding control":        bindingSource("i", "meta.count[i] > meta.min", ""),
 	} {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
